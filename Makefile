@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint analyzers invariants race bench bench-hotpath bench-partition bench-partition-smoke bench-fluid fluid-smoke figures fuzz-smoke chaos-smoke trace-smoke check
+.PHONY: all build test vet lint analyzers invariants race bench bench-hotpath bench-fluid closbench fluid-smoke figures fuzz-smoke chaos-smoke trace-smoke check
 
 all: check
 
@@ -18,11 +18,11 @@ vet:
 	$(GO) vet ./...
 
 # lint enforces the determinism contract (DESIGN.md §8), the hot-path
-# contract (DESIGN.md §9), and the partition-safety contract (DESIGN.md
-# §13) with the repo's own analyzers — map iteration order,
+# contract (DESIGN.md §9), and the resource-lifetime contract (DESIGN.md
+# §14) with the repo's own analyzers — map iteration order,
 # wall-clock/global-rand use, panics in packet-processing code, hot-path
 # allocation discipline, frame ownership, trial purity, justified escape
-# hatches, cross-shard ownership, and clock-domain hygiene.
+# hatches, and pooled-resource lifetimes.
 # staticcheck runs too when installed; it is not vendored, so a bare
 # container skips it rather than failing.
 lint:
@@ -65,20 +65,6 @@ bench:
 bench-hotpath:
 	$(GO) test -bench 'EventLoop|FrameDelivery|TimerResetChurn' -benchtime 1000x -benchmem -run 'Allocs$$' ./internal/simnet ./internal/ipstack ./internal/mrmtp
 
-# bench-partition times the space-parallel engine at 1/2/4/8 shards on an
-# 8-PoD fabric and writes BENCH_partition.json (ns per simulated second,
-# speedup vs sequential, GOMAXPROCS — speedup > 1 needs a multi-core host).
-# Rows where shards exceed GOMAXPROCS are marked "degraded": true and warn
-# on stderr — they measure synchronization overhead, not speedup.
-bench-partition:
-	$(GO) run ./cmd/closlab -experiment bench-partition -trials 3
-
-# bench-partition-smoke is the one-iteration tripwire wired into `make
-# check`: the sweep (including the 8-shard build) must run end to end, the
-# numbers land in a scratch file.
-bench-partition-smoke:
-	$(GO) run ./cmd/closlab -experiment bench-partition -trials 1 -bench-out /tmp/closlab-bench-partition.json
-
 # bench-fluid compares the packet engine against the hybrid flow-level
 # engine at 10^3..10^6 flows on the 2-PoD fabric and writes
 # BENCH_fluid.json (flows per wall-second, ns per simulated second; packet
@@ -86,6 +72,11 @@ bench-partition-smoke:
 # fluid engine removes).
 bench-fluid:
 	$(GO) run ./cmd/closlab -experiment bench-fluid -pods 2
+
+# closbench runs the benchmark of record (BENCHMARK.json): four end-to-end
+# workloads plus per-layer probes; see bench/README.md for flags and output.
+closbench:
+	$(GO) run ./bench
 
 # fluid-smoke is the race-enabled tripwire wired into `make check`: one
 # hybrid workload trial end to end — path resolution, rate reallocation,
@@ -122,4 +113,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseMessage -fuzztime $(FUZZ_TIME) ./internal/mrmtp
 	$(GO) test -run '^$$' -fuzz FuzzParseMessage -fuzztime $(FUZZ_TIME) ./internal/bgp
 
-check: build vet lint test race bench-partition-smoke trace-smoke fluid-smoke
+check: build vet lint test race trace-smoke fluid-smoke

@@ -358,37 +358,6 @@ func BenchmarkAblationSlowToAccept(b *testing.B) {
 	}
 }
 
-// BenchmarkPartitionedFabric measures the space-parallel engine: one
-// 8-PoD fabric sharded across worker goroutines, timed over steady-state
-// hello/keep-alive churn after warm-up. The shards-1 case is the sequential
-// baseline (harness builds a plain Sim); speedup is wall time at 1 shard
-// over wall time at N. Parallel gain needs GOMAXPROCS ≥ shards — on a
-// single-core runner the sharded cases measure pure synchronization
-// overhead instead.
-func BenchmarkPartitionedFabric(b *testing.B) {
-	spec := topology.Spec{Pods: 8, LeavesPerPod: 4, SpinesPerPod: 4, UplinksPerSpine: 2, ServersPerLeaf: 1}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			opts := harness.DefaultOptions(spec, harness.ProtoMRMTP, 1)
-			opts.Partitions = shards
-			f, err := harness.Build(opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := f.WarmUp(harness.WarmupTime); err != nil {
-				b.Fatal(err)
-			}
-			start := f.Sim.Events()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.Sim.RunFor(time.Second)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(f.Sim.Events()-start)/float64(b.N), "events/op")
-		})
-	}
-}
-
 // BenchmarkCongestionGoodput oversubscribes rate-limited fabric links
 // (8 Mb/s each, 32 flows ≈ 21 Mb/s offered from one rack) and reports the
 // delivered fraction — how well each protocol's flow hashing exploits the

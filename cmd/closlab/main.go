@@ -14,19 +14,15 @@
 //	closlab -experiment workload               # FCT + load balance under load
 //	closlab -experiment chaos                  # fault-injection campaigns
 //	closlab -experiment trace                  # path tracing + gray-failure localization
-//	closlab -experiment bench-partition        # space-parallel engine timing
 //	closlab -experiment bench-fluid            # flow-level engine throughput
 //	closlab -experiment all                    # everything (virtual-time figures)
 //
 // Flags -trials and -seed control averaging, -pods restricts the topology,
 // and -parallel bounds how many trials run concurrently (the figures do not
-// depend on it: trial seeds derive from trial indices). -shards partitions
-// each fabric across worker goroutines via the space-parallel engine; every
-// figure is bit-identical at any shard count, so it is purely a wall-clock
-// knob (like -parallel). -engine switches the workload experiment between
-// the packet engine, the analytic fluid model, and the hybrid split
-// (-engine hybrid -flows 1000000 is the million-flow configuration);
-// -flows overrides the flow count.
+// depend on it: trial seeds derive from trial indices). -engine switches
+// the workload experiment between the packet engine, the analytic fluid
+// model, and the hybrid split (-engine hybrid -flows 1000000 is the
+// million-flow configuration); -flows overrides the flow count.
 package main
 
 import (
@@ -54,9 +50,7 @@ func main() {
 	out := flag.String("out", "closlab-artifacts", "output directory for -experiment artifacts")
 	parallel := flag.Int("parallel", harness.Workers,
 		"concurrent trials per data point (1 = sequential; results are identical either way)")
-	shards := flag.Int("shards", harness.DefaultPartitions,
-		"partitions per fabric (1 = sequential engine; must divide the PoD count; results are identical either way)")
-	benchOut := flag.String("bench-out", "", "output file for bench experiments (default BENCH_partition.json / BENCH_fluid.json)")
+	benchOut := flag.String("bench-out", "", "output file for -experiment bench-fluid (default BENCH_fluid.json)")
 	engine := flag.String("engine", "packet", "workload flow transport: packet|fluid|hybrid")
 	flows := flag.Int("flows", 0, "override the workload flow count (0 = the published 160)")
 
@@ -92,7 +86,7 @@ func main() {
 	for _, e := range experiments {
 		known = append(known, e.name)
 	}
-	known = append(known, "bench-partition", "bench-fluid", "artifacts", "all")
+	known = append(known, "bench-fluid", "artifacts", "all")
 	experiment := flag.String("experiment", "all", strings.Join(known, "|"))
 
 	flag.Parse()
@@ -102,13 +96,12 @@ func main() {
 	// worse than an error, because the artifacts look valid.
 	set := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := validateFlags(set, *experiment, *engine, *trials, *parallel, *shards, *flows); err != nil {
+	if err := validateFlags(set, *experiment, *engine, *trials, *parallel, *flows); err != nil {
 		_, _ = fmt.Fprintf(os.Stderr, "closlab: %v\n\n", err) // best effort: exiting anyway
 		flag.Usage()
 		os.Exit(2)
 	}
 	harness.Workers = *parallel
-	harness.DefaultPartitions = *shards
 
 	var specs []topology.Spec
 	switch *pods {
@@ -122,19 +115,8 @@ func main() {
 		fatalf("unsupported -pods %d (want 2 or 4)", *pods)
 	}
 
-	// The bench experiments are opt-in only (they measure wall time, so
-	// "all" — which exists to regenerate the paper's virtual-time figures —
-	// skips them).
-	if *experiment == "bench-partition" {
-		path := *benchOut
-		if path == "" {
-			path = "BENCH_partition.json"
-		}
-		if err := benchPartition(specs, *trials, *seed, path); err != nil {
-			fatalf("bench-partition: %v", err)
-		}
-		return
-	}
+	// bench-fluid is opt-in only (it measures wall time, so "all" — which
+	// exists to regenerate the paper's virtual-time figures — skips it).
 	if *experiment == "bench-fluid" {
 		path := *benchOut
 		if path == "" {
@@ -171,15 +153,12 @@ func main() {
 // validateFlags rejects flag combinations that would silently misbehave.
 // set holds the flags explicitly passed on the command line, so defaults
 // never trip a check.
-func validateFlags(set map[string]bool, experiment, engine string, trials, parallel, shards, flows int) error {
+func validateFlags(set map[string]bool, experiment, engine string, trials, parallel, flows int) error {
 	if trials < 1 {
 		return fmt.Errorf("-trials %d: need at least one trial", trials)
 	}
 	if parallel < 1 {
 		return fmt.Errorf("-parallel %d: need at least one worker", parallel)
-	}
-	if shards < 1 {
-		return fmt.Errorf("-shards %d: need at least one partition", shards)
 	}
 	if flows < 0 {
 		return fmt.Errorf("-flows %d: a flow count cannot be negative", flows)
@@ -193,14 +172,8 @@ func validateFlags(set map[string]bool, experiment, engine string, trials, paral
 	if set["flows"] && experiment != "workload" {
 		return fmt.Errorf("-flows only applies to -experiment workload (got %q)", experiment)
 	}
-	if set["bench-out"] && experiment != "bench-partition" && experiment != "bench-fluid" {
-		return fmt.Errorf("-bench-out only applies to the bench experiments (got %q)", experiment)
-	}
-	if set["shards"] && experiment == "bench-partition" {
-		return fmt.Errorf("-shards conflicts with bench-partition: the bench sweeps shard counts itself")
-	}
-	if set["shards"] && experiment == "bench-fluid" {
-		return fmt.Errorf("-shards conflicts with bench-fluid: the bench pins the sequential engine so rows are comparable")
+	if set["bench-out"] && experiment != "bench-fluid" {
+		return fmt.Errorf("-bench-out only applies to -experiment bench-fluid (got %q)", experiment)
 	}
 	return nil
 }

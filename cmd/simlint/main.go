@@ -1,7 +1,7 @@
 // Command simlint is the repo's lint driver: a multichecker that runs the
 // custom analyzers under tools/analyzers over the module and fails if any
 // site violates the determinism contract (DESIGN.md §8), the hot-path
-// contract (DESIGN.md §9), or the partition-safety contract (DESIGN.md §13).
+// contract (DESIGN.md §9), or the resource-lifetime contract (DESIGN.md §14).
 //
 // Usage:
 //
@@ -21,8 +21,6 @@
 //	framealias   the packet-processing packages plus simnet (frame
 //	             ownership at the Port.Send boundary)
 //	justify      every package (a bare //simlint marker is wrong anywhere)
-//	crossshard   reads the whole module, reports in repro/internal/...
-//	clockdomain  reads the whole module, reports in repro/internal/...
 //	lifetime     reads the whole module, reports in repro/internal/...
 //	             (pooled-resource lifetimes: the event freelist and the
 //	             frame arena)
@@ -30,11 +28,11 @@
 //	             consulted during this run — stale suppressions whose
 //	             finding has moved or disappeared
 //
-// crossshard, clockdomain, and lifetime are module passes: they build a
-// cross-package call graph and per-function summaries from every loaded
-// package, then report only inside their scope. unusedmarker is scoped per
-// marker: a marker only counts as stale in packages where the analyzer that
-// honors it actually ran (see markerApplies).
+// lifetime is a module pass: it builds a cross-package call graph and
+// per-function summaries from every loaded package, then reports only
+// inside its scope. unusedmarker is scoped per marker: a marker only counts
+// as stale in packages where the analyzer that honors it actually ran (see
+// markerApplies).
 //
 // Diagnostics print as file:line:col: message (analyzer); with -json they
 // are emitted instead as a JSON array of {file,line,col,analyzer,message}
@@ -54,8 +52,6 @@ import (
 
 	"repro/tools/analyzers/allocfree"
 	"repro/tools/analyzers/analysis"
-	"repro/tools/analyzers/clockdomain"
-	"repro/tools/analyzers/crossshard"
 	"repro/tools/analyzers/framealias"
 	"repro/tools/analyzers/justify"
 	"repro/tools/analyzers/lifetime"
@@ -112,8 +108,6 @@ var moduleChecks = []struct {
 	analyzer *analysis.ModuleAnalyzer
 	reportIn func(importPath string) bool
 }{
-	{crossshard.Analyzer, isInternal},
-	{clockdomain.Analyzer, isInternal},
 	{lifetime.Analyzer, isInternal},
 	// unusedmarker must stay last: it audits the consultations every
 	// other analyzer recorded during this run.
@@ -126,10 +120,8 @@ var moduleChecks = []struct {
 func markerApplies(importPath, marker string) bool {
 	switch marker {
 	case analysis.SuppressionComment, // maporder, walltime, sharedstate
-		analysis.SharedComment,    // sharedstate
-		analysis.ShardSafeComment, // crossshard
-		analysis.ClockSafeComment, // clockdomain
-		analysis.LifetimeComment:  // lifetime
+		analysis.SharedComment,   // sharedstate
+		analysis.LifetimeComment: // lifetime
 		return isInternal(importPath)
 	case analysis.AllocComment, analysis.FrameOwnComment: // allocfree, framealias
 		return isHotPkg(importPath)

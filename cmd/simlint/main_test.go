@@ -143,7 +143,7 @@ func TestSARIFSchema(t *testing.T) {
 		}
 		rules[r.ID] = true
 	}
-	for _, want := range []string{"maporder", "walltime", "justify", "crossshard", "clockdomain", "lifetime", "unusedmarker"} {
+	for _, want := range []string{"maporder", "walltime", "justify", "lifetime", "unusedmarker"} {
 		if !rules[want] {
 			t.Errorf("rule table missing %s (have %v)", want, rules)
 		}

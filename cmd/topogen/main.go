@@ -7,7 +7,6 @@
 //	topogen -pods 4                      # emit the 4-PoD Listing-2 JSON
 //	topogen -pods 8 -leaves 4 -spines 4  # scale-out fabric (paper §IX)
 //	topogen -pods 8 -servers-per-tor 2   # clos_tinet_scale.py flag spelling
-//	topogen -pods 8 -partitions 4 -summary  # check a space-parallel shard count
 //	topogen -validate config.json        # check an existing file
 //	topogen -pods 4 -summary             # device/link inventory only
 package main
@@ -28,8 +27,6 @@ func main() {
 	servers := flag.Int("servers", 1, "servers per rack")
 	serversPerTor := flag.Int("servers-per-tor", 0,
 		"alias for -servers (the clos_tinet_scale.py spelling); overrides -servers when set")
-	partitions := flag.Int("partitions", 1,
-		"check the fabric against a space-parallel shard count (must divide the PoD count)")
 	summary := flag.Bool("summary", false, "print the fabric inventory instead of JSON")
 	validate := flag.String("validate", "", "validate an existing Listing-2 JSON file")
 	flag.Parse()
@@ -61,22 +58,6 @@ func main() {
 	topo, err := topology.Build(spec)
 	if err != nil {
 		fatalf("%v", err)
-	}
-	// Reject an invalid shard count here, where the operator is still
-	// designing the fabric, rather than at simulation build time.
-	if *partitions > 1 {
-		part, err := topology.PartitionByPod(topo, *partitions)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		counts := make([]int, part.Shards)
-		for _, d := range topo.Routers() {
-			if s, ok := part.Shard(d.Name); ok {
-				counts[s]++
-			}
-		}
-		emitf("partitioning: %d shards over %d PoDs, routers per shard %v\n",
-			part.Shards, spec.Pods, counts)
 	}
 	if *summary {
 		emitf("fabric: %d PoDs, %d routers (%d leaves, %d pod spines, %d top spines), %d servers, %d links\n",

@@ -206,8 +206,7 @@ func (s *Session) detectTime() time.Duration {
 func (s *Session) scheduleTx() {
 	// RFC 5880 §6.8.7 requires jitter (75-100% of the interval) to avoid
 	// self-synchronization; the node's seeded stream keeps it deterministic
-	// per run and independent of which engine (sequential or partitioned)
-	// interleaves the other nodes' draws.
+	// per run and independent of how the other nodes' draws interleave.
 	jitter := time.Duration(s.stack.Node.Rand().Int63n(int64(s.cfg.TxInterval / 4)))
 	d := s.cfg.TxInterval - jitter
 	if s.txTimer != nil {

@@ -138,7 +138,7 @@ func (c *Capture) Tap(l *simnet.Link) {
 }
 
 // TapAll attaches the capture to every link in the simulation.
-func (c *Capture) TapAll(sim simnet.Engine) {
+func (c *Capture) TapAll(sim *simnet.Sim) {
 	for _, l := range sim.Links() {
 		c.Tap(l)
 	}

@@ -42,7 +42,7 @@ func (r *Recorder) Tap(l *simnet.Link) {
 }
 
 // TapAll attaches the recorder to every link in the simulation.
-func (r *Recorder) TapAll(sim simnet.Engine) {
+func (r *Recorder) TapAll(sim *simnet.Sim) {
 	for _, l := range sim.Links() {
 		r.Tap(l)
 	}

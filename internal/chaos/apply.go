@@ -23,7 +23,7 @@ type Event struct {
 type Injector struct {
 	Spec Spec
 
-	sim    simnet.Engine
+	sim    *simnet.Sim
 	events []Event
 }
 
@@ -41,7 +41,7 @@ func (in *Injector) record(k Kind, action, target, detail string) {
 // resolvePort finds the interface on ref.Device wired to ref.Peer. Node
 // port slices are in insertion order, so resolution is deterministic even
 // when parallel links exist (the first is chosen).
-func resolvePort(sim simnet.Engine, ref LinkRef) (*simnet.Port, error) {
+func resolvePort(sim *simnet.Sim, ref LinkRef) (*simnet.Port, error) {
 	node := sim.Node(ref.Device)
 	if node == nil {
 		return nil, fmt.Errorf("chaos: no node %q", ref.Device)
@@ -59,7 +59,7 @@ func resolvePort(sim simnet.Engine, ref LinkRef) (*simnet.Port, error) {
 // Resolution is eager: a spec naming a missing device or link fails here,
 // before anything is scheduled. The returned Injector accumulates the
 // action log as the simulation runs the campaign.
-func Apply(sim simnet.Engine, spec Spec) (*Injector, error) {
+func Apply(sim *simnet.Sim, spec Spec) (*Injector, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -96,12 +96,10 @@ func (in *Injector) applyFlapStorm(f Fault) error {
 	for i := 0; i < f.Flaps; i++ {
 		at := f.Start.D() + time.Duration(i)*f.Period.D()
 		flap := i + 1
-		//simlint:shardsafe control event runs at the quiesce barrier with every shard idle; revisit under barrier-free sync
 		in.sim.Schedule(at, func() {
 			port.Fail()
 			in.record(FlapStorm, "fail", port.Name(), fmt.Sprintf("flap %d/%d", flap, f.Flaps))
 		})
-		//simlint:shardsafe control event runs at the quiesce barrier with every shard idle; revisit under barrier-free sync
 		in.sim.Schedule(at+down, func() {
 			port.Restore()
 			in.record(FlapStorm, "restore", port.Name(), fmt.Sprintf("flap %d/%d", flap, f.Flaps))
@@ -125,12 +123,10 @@ func (in *Injector) applyImpair(f Fault) error {
 	}
 	detail := fmt.Sprintf("loss=%v corrupt=%v latency=%v jitter=%v",
 		f.LossRate, f.CorruptRate, f.ExtraLatency.D(), f.Jitter.D())
-	//simlint:shardsafe control event runs at the quiesce barrier with every shard idle; revisit under barrier-free sync
 	in.sim.Schedule(f.Start.D(), func() {
 		port.Link.Impair(port, imp)
 		in.record(f.Kind, "impair", port.Name(), detail)
 	})
-	//simlint:shardsafe control event runs at the quiesce barrier with every shard idle; revisit under barrier-free sync
 	in.sim.Schedule(f.Start.D()+f.Duration.D(), func() {
 		port.Link.Impair(port, simnet.Impairment{})
 		in.record(f.Kind, "clear", port.Name(), "")
@@ -147,13 +143,11 @@ func (in *Injector) applyOneWay(f Fault) error {
 		return err
 	}
 	peer := port.Peer()
-	//simlint:shardsafe control event runs at the quiesce barrier with every shard idle; revisit under barrier-free sync
 	in.sim.Schedule(f.Start.D(), func() {
 		peer.Link.Impair(peer, simnet.Impairment{Down: true})
 		port.CarrierFault()
 		in.record(OneWay, "carrier-fault", port.Name(), "rx direction blackholed")
 	})
-	//simlint:shardsafe control event runs at the quiesce barrier with every shard idle; revisit under barrier-free sync
 	in.sim.Schedule(f.Start.D()+f.Duration.D(), func() {
 		peer.Link.Impair(peer, simnet.Impairment{})
 		port.CarrierRestore()
@@ -174,12 +168,10 @@ func (in *Injector) applyCorrelated(f Fault) error {
 	for i, p := range ports {
 		port := p
 		at := f.Start.D() + time.Duration(i)*f.Stagger.D()
-		//simlint:shardsafe control event runs at the quiesce barrier with every shard idle; revisit under barrier-free sync
 		in.sim.Schedule(at, func() {
 			port.Fail()
 			in.record(Correlated, "fail", port.Name(), "")
 		})
-		//simlint:shardsafe control event runs at the quiesce barrier with every shard idle; revisit under barrier-free sync
 		in.sim.Schedule(at+f.Duration.D(), func() {
 			port.Restore()
 			in.record(Correlated, "restore", port.Name(), "")
@@ -200,14 +192,12 @@ func (in *Injector) applyDrain(f Fault) error {
 	for i, n := range nodes {
 		node := n
 		at := f.Start.D() + time.Duration(i)*f.Stagger.D()
-		//simlint:shardsafe control event runs at the quiesce barrier with every shard idle; revisit under barrier-free sync
 		in.sim.Schedule(at, func() {
 			for _, p := range node.Ports[1:] {
 				p.Fail()
 			}
 			in.record(Drain, "drain", node.Name, fmt.Sprintf("%d ports", len(node.Ports)-1))
 		})
-		//simlint:shardsafe control event runs at the quiesce barrier with every shard idle; revisit under barrier-free sync
 		in.sim.Schedule(at+f.Duration.D(), func() {
 			for _, p := range node.Ports[1:] {
 				p.Restore()

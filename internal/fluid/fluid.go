@@ -11,8 +11,7 @@
 // directed link capacities with AddLink and receive committed fluid shares
 // back through per-link apply callbacks; the workload engine drives
 // Advance/Admit/Reallocate from control events on the virtual clock. All
-// state is owned by those calls — the package does no synchronization and
-// must only be touched from the engine's quiesce barrier.
+// state is owned by those calls — the package does no synchronization.
 //
 // Scale comes from aggregation: flows sharing an identical resolved path
 // form one *path group*. Rates, service curves and progressive filling run
@@ -23,7 +22,7 @@
 // Determinism: groups and links live in slices in creation order, maps are
 // lookup-only (never ranged), and every float operation runs in a fixed
 // order — the same admission sequence always produces bit-identical rates
-// and completion times, on any shard count.
+// and completion times.
 package fluid
 
 import (

@@ -108,9 +108,10 @@ func TestFluidDeterministicReplay(t *testing.T) {
 	}
 }
 
-// compareWorkloadResults asserts two results are observably identical,
-// handling LinkSeries' unexported engine-graph pointers like the
-// partitioned-identity tests do.
+// compareWorkloadResults asserts two results are observably identical.
+// LinkSeries carries unexported engine-graph pointers that can never be
+// equal across two fabric builds, so the telemetry is compared by its
+// observable data and everything else structurally.
 func compareWorkloadResults(t *testing.T, label string, a, b WorkloadResult) {
 	t.Helper()
 	if len(a.Series) != len(b.Series) {
@@ -196,31 +197,6 @@ func checkDivergence(t *testing.T, what string, pkt, hyb float64) {
 	t.Logf("%s: packet %.3f ms, hybrid %.3f ms (%.2f%% divergence)", what, pkt, hyb, 100*rel)
 	if rel > 0.05 {
 		t.Errorf("%s diverges %.2f%%: packet %.3f ms vs hybrid %.3f ms (gate: 5%%)", what, 100*rel, pkt, hyb)
-	}
-}
-
-// Hybrid trials are bit-identical at any shard count, including across a
-// mid-run failure with its Repath control events.
-func TestFluidPartitionedIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full fabric trials in -short mode")
-	}
-	opts := DefaultOptions(topology.FourPodSpec(), ProtoMRMTP, 17)
-	w := DefaultWorkloadConfig()
-	w.Engine = workload.ModeHybrid
-	w.Flows = 60
-	w.MaxRun = 10 * time.Second
-	w.MidFailure = true
-	seq, err := RunWorkload(withPartitions(opts, 1), w)
-	if err != nil {
-		t.Fatalf("sequential: %v", err)
-	}
-	for _, shards := range partitionCounts {
-		par, err := RunWorkload(withPartitions(opts, shards), w)
-		if err != nil {
-			t.Fatalf("%d shards: %v", shards, err)
-		}
-		compareWorkloadResults(t, "shards", seq, par)
 	}
 }
 

@@ -54,13 +54,6 @@ type Options struct {
 	Protocol  Protocol
 	Seed      int64
 
-	// Partitions selects the space-parallel engine: the fabric is split
-	// across this many shards (PoDs must divide evenly; tops round-robin,
-	// see topology.PartitionByPod) and run under conservative lookahead
-	// synchronization. 0 or 1 means the sequential engine. Results are
-	// bit-identical either way (DESIGN.md §11).
-	Partitions int
-
 	// BGPTimers defaults to the paper's 1 s/3 s with MRAI 0.
 	BGPTimers bgp.Timers
 	// BFD defaults to 100 ms × 3.
@@ -83,38 +76,23 @@ type Options struct {
 // DefaultOptions returns the paper's configuration for a protocol/topology.
 func DefaultOptions(spec topology.Spec, proto Protocol, seed int64) Options {
 	return Options{
-		Spec:       spec,
-		Protocol:   proto,
-		Seed:       seed,
-		BGPTimers:  bgp.DefaultTimers(),
-		BFD:        bfd.DefaultConfig(),
-		MTPHello:   50 * time.Millisecond,
-		MTPDead:    100 * time.Millisecond,
-		MTPAccept:  3,
-		Partitions: DefaultPartitions,
+		Spec:      spec,
+		Protocol:  proto,
+		Seed:      seed,
+		BGPTimers: bgp.DefaultTimers(),
+		BFD:       bfd.DefaultConfig(),
+		MTPHello:  50 * time.Millisecond,
+		MTPDead:   100 * time.Millisecond,
+		MTPAccept: 3,
 	}
 }
-
-// DefaultPartitions is the shard count DefaultOptions picks up; closlab's
-// -shards flag sets it before any fabric is built.
-var DefaultPartitions = 1 //simlint:shared parallelism knob set by main before trials start, read-only afterwards
 
 // Fabric is a realized, running testbed.
 type Fabric struct {
 	Opts Options
-	// Sim is the event engine driving the fabric: a sequential *simnet.Sim,
-	// or a *simnet.Cluster when Opts.Partitions > 1.
-	Sim simnet.Engine
-	// Cluster is the partitioned engine (nil when sequential).
-	Cluster *simnet.Cluster
-	// Part is the device→shard assignment (nil when sequential).
-	Part *topology.Partition
+	Sim  *simnet.Sim
 	Topo *topology.Topology
 	Log  *metrics.Log
-
-	// shardLogs buffer protocol events per shard during parallel windows;
-	// mergeShardLogs drains them into Log at every quiesce.
-	shardLogs []*metrics.Log
 
 	Speakers map[string]*bgp.Speaker   // BGP modes
 	BFDs     map[string]*bfd.Manager   // BGP/BFD mode
@@ -147,6 +125,7 @@ func Build(opts Options) (*Fabric, error) {
 	}
 	f := &Fabric{
 		Opts:     opts,
+		Sim:      simnet.New(opts.Seed),
 		Topo:     topo,
 		Log:      &metrics.Log{},
 		Speakers: make(map[string]*bgp.Speaker),
@@ -154,35 +133,6 @@ func Build(opts Options) (*Fabric, error) {
 		Routers:  make(map[string]*mrmtp.Router),
 		Stacks:   make(map[string]*ipstack.Stack),
 		probeSeq: 0x4d54, // "MT": probe IDs stay recognizable in captures
-	}
-
-	var addNode func(name string) *simnet.Node
-	var connect func(a, b *simnet.Port)
-	if opts.Partitions > 1 {
-		if opts.Journal != nil {
-			return nil, fmt.Errorf("harness: Journal capture requires the sequential engine (Partitions=1): raw-log appends from parallel shards would race")
-		}
-		part, perr := topology.PartitionByPod(topo, opts.Partitions)
-		if perr != nil {
-			return nil, perr
-		}
-		cl := simnet.NewCluster(opts.Seed, opts.Partitions)
-		cl.OnQuiesce = f.mergeShardLogs
-		f.Sim, f.Cluster, f.Part = cl, cl, part
-		f.shardLogs = make([]*metrics.Log, opts.Partitions)
-		for i := range f.shardLogs {
-			f.shardLogs[i] = &metrics.Log{}
-		}
-		addNode = func(name string) *simnet.Node {
-			shard, _ := part.Shard(name)
-			return cl.AddNode(name, shard)
-		}
-		connect = func(a, b *simnet.Port) { cl.Connect(a, b) }
-	} else {
-		seq := simnet.New(opts.Seed)
-		f.Sim = seq
-		addNode = seq.AddNode
-		connect = func(a, b *simnet.Port) { seq.Connect(a, b) }
 	}
 
 	// Nodes and ports, in sorted-name order: Devices is a map, and letting
@@ -195,14 +145,14 @@ func Build(opts Options) (*Fabric, error) {
 	sort.Strings(names)
 	for _, name := range names {
 		dev := topo.Devices[name]
-		n := addNode(name)
+		n := f.Sim.AddNode(name)
 		for range dev.Ports[1:] {
 			n.AddPort()
 		}
 		n.Meta["tier"] = dev.Tier.String()
 	}
 	for _, l := range topo.Links {
-		connect(
+		f.Sim.Connect(
 			f.Sim.Node(l.A.Device.Name).Port(l.A.Index),
 			f.Sim.Node(l.B.Device.Name).Port(l.B.Index),
 		)
@@ -253,7 +203,7 @@ func (f *Fabric) buildMRMTP() {
 			cfg.ServerPort = d.ServerPort
 			cfg.RackSubnet = d.ServerSubnet
 		}
-		f.Routers[d.Name] = mrmtp.New(f.Sim.Node(d.Name), cfg, f.recorderFor(d.Name))
+		f.Routers[d.Name] = mrmtp.New(f.Sim.Node(d.Name), cfg, f.recorder())
 	}
 }
 
@@ -272,7 +222,7 @@ func (f *Fabric) buildBGP(withBFD bool) {
 		if d.Tier == topology.TierLeaf {
 			cfg.Networks = []netaddr.Prefix{d.ServerSubnet}
 		}
-		sp := bgp.New(stack, cfg, f.recorderFor(d.Name))
+		sp := bgp.New(stack, cfg, f.recorder())
 		f.Speakers[d.Name] = sp
 		var mgr *bfd.Manager
 		if withBFD {
@@ -302,48 +252,13 @@ func routerID(d *topology.Device) netaddr.IPv4 {
 	return netaddr.MakeIPv4(10, byte(d.Tier), byte(d.Pod), byte(d.Index))
 }
 
-// recorderFor returns the metrics sink for one device, teeing into the
-// raw-log journal when one is configured. Under the partitioned engine each
-// device records into its shard's private log (appending to the shared Log
-// from parallel windows would race); mergeShardLogs recombines them
-// deterministically at every quiesce.
-func (f *Fabric) recorderFor(device string) metrics.Recorder {
-	sink := metrics.Recorder(f.Log)
-	if f.Cluster != nil {
-		shard, _ := f.Part.Shard(device)
-		sink = f.shardLogs[shard]
-	}
+// recorder returns the metrics sink for protocol daemons, teeing into the
+// raw-log journal when one is configured.
+func (f *Fabric) recorder() metrics.Recorder {
 	if f.Opts.Journal != nil {
-		return metrics.Tee{sink, f.Opts.Journal}
+		return metrics.Tee{f.Log, f.Opts.Journal}
 	}
-	return sink
-}
-
-// mergeShardLogs drains the per-shard event buffers into Log, merging by
-// timestamp (each shard's buffer is already time-ordered because a shard
-// processes its heap monotonically). Ties at one instant break by shard
-// index; every downstream computation (Analyze, Timeline) is
-// order-insensitive within an instant, so the merged log is equivalent to a
-// sequential run's. Runs via Cluster.OnQuiesce with all workers idle.
-func (f *Fabric) mergeShardLogs() {
-	idx := make([]int, len(f.shardLogs))
-	for {
-		best := -1
-		var at time.Duration
-		for s, l := range f.shardLogs {
-			if idx[s] < len(l.Events) && (best < 0 || l.Events[idx[s]].At < at) {
-				best, at = s, l.Events[idx[s]].At
-			}
-		}
-		if best < 0 {
-			break
-		}
-		f.Log.Events = append(f.Log.Events, f.shardLogs[best].Events[idx[best]])
-		idx[best]++
-	}
-	for _, l := range f.shardLogs {
-		l.Reset()
-	}
+	return f.Log
 }
 
 // Start launches every protocol daemon.

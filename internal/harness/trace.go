@@ -261,14 +261,13 @@ func newTraceRun(f *Fabric, cfg TraceConfig) *traceRun {
 	return run
 }
 
-// start schedules every prober's self-rearming tick on its own node's
-// event queue (shard-local under the partitioned engine, like trafficgen),
-// phase-staggered across one round so the fleet does not fire in lockstep.
+// start schedules every prober's self-rearming tick, phase-staggered across
+// one round so the fleet does not fire in lockstep.
 func (run *traceRun) start() {
 	probers := run.tracer.Probers()
 	n := len(probers)
+	sim := run.f.Sim
 	for i, p := range probers {
-		sim := run.f.Sim.Node(run.vants[i].src.Name).Sim
 		p := p
 		var tick func()
 		tick = func() {
@@ -406,9 +405,6 @@ func (run *traceRun) updateHistory(key int, now time.Duration, cover []pathtrace
 
 // collectCells builds the coverage matrix: every prober's per-TTL rollups
 // joined with the predicted covers, in deterministic prober-major order.
-// It runs on the driver clock (coordinator context under the partitioned
-// engine, where every shard is quiesced), so the cross-shard reads of
-// router and prober state are safe.
 func (run *traceRun) collectCells(now time.Duration) []pathtrace.Cell {
 	var cells []pathtrace.Cell
 	for i, p := range run.tracer.Probers() {

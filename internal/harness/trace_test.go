@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -194,35 +193,6 @@ func TestTraceCampaignLocalizesCatalog(t *testing.T) {
 				t.Errorf("%s %s: probe fleet idle (sent %d, received %d)",
 					proto, sc.Spec.Name, r.ProbesSent, r.RepliesReceived)
 			}
-		}
-	}
-}
-
-// TestPartitionedTraceIdentity pins the campaign's bit-identity across the
-// space-parallel engine: the catalog's spine fault crosses the by-PoD shard
-// boundary, and probe ticks ride shard-local queues.
-func TestPartitionedTraceIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full fabric trials in -short mode")
-	}
-	sc := TraceCatalog()[0] // trace-gray-spine: a cross-shard S→T fault
-	cfg := traceTestCfg()
-	opts := DefaultOptions(topology.FourPodSpec(), ProtoMRMTP, 19)
-	seq, err := RunTraceCfg(withPartitions(opts, 1), sc, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seq.Localized || seq.FalseAccusals != 0 {
-		t.Fatalf("sequential reference run did not localize cleanly: %+v", seq.Accusations)
-	}
-	for _, shards := range partitionCounts {
-		par, err := RunTraceCfg(withPartitions(opts, shards), sc, cfg)
-		if err != nil {
-			t.Fatalf("%d shards: %v", shards, err)
-		}
-		if !reflect.DeepEqual(seq, par) {
-			t.Errorf("%d-shard trace result differs from sequential:\nsequential: %+v\npartitioned: %+v",
-				shards, seq, par)
 		}
 	}
 }

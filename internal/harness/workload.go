@@ -266,7 +266,6 @@ func (f *Fabric) repathFluid(w WorkloadConfig, engine *workload.Engine) {
 		return
 	}
 	engine.Repath()
-	//simlint:shardsafe Repath runs as a control event at the quiesce barrier with every shard idle
 	f.Sim.After(time.Second, engine.Repath)
 }
 

@@ -58,28 +58,27 @@ type event struct {
 
 	// fh is the frame's pool generation at transmit time (zero-sized in
 	// release builds): Step asserts the buffer was not recycled while the
-	// delivery was in flight. Cross-partition deliveries leave it zero —
-	// the buffer's generation lives in the sending shard's pool.
+	// delivery was in flight.
 	fh framepool.Handle
 }
 
 // heapEntry is one slot of the scheduling heap. Events are totally ordered
-// by (at, prio, tie, seq) — a key chosen so the space-partitioned engine
-// (partition.go) reproduces the sequential engine's event order exactly:
+// by (at, prio, tie, seq). The key is built from who an event belongs to,
+// not from when it happened to be scheduled, so same-instant order is a
+// property of the fabric rather than of the interleaving that led up to it;
+// every checked-in artifact and golden digest depends on this exact order.
 //
 //   - prio encodes the owning node and event class: 0 for control events
 //     (scheduled from outside any node's context — harness code, chaos
-//     closures, the partitioned coordinator), (node+1)<<2|1 for a node's
-//     local events (timers, egress bookkeeping), (node+1)<<2|2 for frame
-//     deliveries to the node. At one instant, control runs first, then each
-//     node's locals before its frame arrivals, nodes in ID order.
-//   - tie breaks frame-vs-frame ties by the engine-independent transmit key
-//     (source node, source port, per-direction transmit counter), so two
-//     frames reaching one node at the same instant from different partitions
-//     order identically however they were enqueued.
-//   - seq (per-Sim scheduling order) breaks what remains; by construction
-//     the remaining collisions are same-node same-class events, whose
-//     relative scheduling order is engine-independent.
+//     closures, workload launches), (node+1)<<2|1 for a node's local events
+//     (timers, egress bookkeeping), (node+1)<<2|2 for frame deliveries to
+//     the node. At one instant, control runs first, then each node's locals
+//     before its frame arrivals, nodes in ID order.
+//   - tie breaks frame-vs-frame ties by the transmit key (source node,
+//     source port, per-direction transmit counter), so two frames reaching
+//     one node at the same instant order by sender, not by enqueue order.
+//   - seq (scheduling order) breaks what remains: same-node same-class
+//     events fire in the order they were scheduled.
 type heapEntry struct {
 	at   time.Duration
 	prio uint32
@@ -413,19 +412,6 @@ func (s *Sim) Step() bool {
 // clock to exactly t.
 func (s *Sim) RunUntil(t time.Duration) {
 	for len(s.queue) > 0 && s.queue[0].at <= t {
-		s.Step()
-	}
-	if t > s.now {
-		s.now = t
-	}
-}
-
-// runBefore processes every event scheduled strictly before t, then
-// advances the clock to exactly t. It is the partitioned engine's window
-// step: events at the window boundary belong to the next window (they may
-// still be racing cross-partition arrivals carrying the same timestamp).
-func (s *Sim) runBefore(t time.Duration) {
-	for len(s.queue) > 0 && s.queue[0].at < t {
 		s.Step()
 	}
 	if t > s.now {

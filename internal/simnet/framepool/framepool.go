@@ -10,9 +10,7 @@
 //
 // Get returns a zeroed buffer of exactly the requested length, so a pooled
 // buffer is indistinguishable from a fresh make([]byte, n): recycling can
-// never change simulation output, only allocation counts. That property is
-// what keeps partitioned runs bit-identical to sequential ones regardless
-// of per-shard pool hit patterns.
+// never change simulation output, only allocation counts.
 //
 // The discipline — every Get is balanced by exactly one Put once the buffer
 // is provably dead, never while an alias can still be read — is enforced
@@ -47,9 +45,7 @@ type Stats struct {
 }
 
 // Pool is a size-bucketed freelist of frame buffers. It is not safe for
-// concurrent use; each simulation shard owns its own pool, and buffers may
-// migrate between shards (allocated by the sender, returned to the
-// receiver) because Get normalizes every buffer it hands out.
+// concurrent use; each Sim owns its own pool.
 //
 //simlint:pool acquire=Get release=Put
 type Pool struct {

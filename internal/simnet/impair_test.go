@@ -262,3 +262,40 @@ func TestImpairPreservesCleanRNGOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestLossInstalledMidRunSparesFramesInFlight installs total loss on a live
+// link from a control event while a ping-pong is running: loss is decided at
+// transmit time, so the frame already in flight keeps its arrival time and
+// only later sends are dropped.
+func TestLossInstalledMidRunSparesFramesInFlight(t *testing.T) {
+	s := New(5)
+	a, b := s.AddNode("a"), s.AddNode("b")
+	ha, hb := &echoHandler{}, &echoHandler{}
+	a.Handler, b.Handler = ha, hb
+	link := s.ConnectLatency(a.AddPort(), b.AddPort(), 50*time.Microsecond)
+	var arrivals []time.Duration
+	bounce := func(p *Port, f []byte) {
+		arrivals = append(arrivals, s.Now())
+		p.Send(append([]byte(nil), f...))
+	}
+	ha.onRx, hb.onRx = bounce, bounce
+
+	a.Port(1).Send([]byte("p"))
+	s.At(120*time.Microsecond, func() { link.SetLossRate(1.0) })
+	s.RunUntil(time.Millisecond)
+
+	// Sent at 0, 50µs and 100µs (the last in flight when loss lands at
+	// 120µs); the bounce at 150µs is the first transmit under loss.
+	want := []time.Duration{50 * time.Microsecond, 100 * time.Microsecond, 150 * time.Microsecond}
+	if len(arrivals) != len(want) {
+		t.Fatalf("arrivals = %v, want %v", arrivals, want)
+	}
+	for i := range want {
+		if arrivals[i] != want[i] {
+			t.Fatalf("arrivals = %v, want %v", arrivals, want)
+		}
+	}
+	if got := link.Lost(); got != 1 {
+		t.Errorf("link.Lost() = %d, want 1 (the bounce sent at 150µs)", got)
+	}
+}

@@ -58,13 +58,12 @@ type Sim struct {
 
 	// frames recycles frame buffers on the TX/RX paths. Buffers are zeroed
 	// on Get, so a pooled buffer is indistinguishable from a fresh make and
-	// recycling cannot perturb simulation output (shard bit-identity).
+	// recycling cannot perturb simulation output.
 	frames *framepool.Pool
 
 	// curOwner is the node whose event is being dispatched (-1 outside
 	// dispatch, i.e. control context). Schedules inherit it as their
-	// ordering key so the partitioned engine can reproduce sequential
-	// same-instant ordering.
+	// ordering key (see heapEntry).
 	curOwner int32
 
 	// LocalDetectDelay is the time between an interface failure and the
@@ -97,8 +96,8 @@ func New(seed int64) *Sim {
 
 // streamSeed derives an independent deterministic stream seed from the
 // simulation seed and a stable name (FNV-1a). Per-node and per-direction
-// streams make random draws independent of global event interleaving, so a
-// partitioned run consumes randomness identically to a sequential one.
+// streams make a node's or direction's draws depend only on its own event
+// order, not on how the rest of the fabric interleaves with it.
 func streamSeed(base int64, name string, salt uint64) int64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(name); i++ {
@@ -143,12 +142,9 @@ type Node struct {
 	// simulator depending on topology types.
 	Meta map[string]string
 
-	// id is the node's rank within its owning Sim (heap ordering key); gid
-	// is its rank across the whole fabric. They coincide on a plain Sim; on
-	// a partitioned Cluster, id is shard-local while gid is global (used in
-	// frame tie keys and MAC derivation, which must match the sequential
-	// engine bit for bit).
-	id, gid int32
+	// id is the node's rank in creation order: the heap ordering key, the
+	// source component of frame tie keys, and the seed of its ports' MACs.
+	id int32
 
 	rng *rand.Rand // lazily built per-node stream (see Rand)
 }
@@ -159,7 +155,7 @@ func (s *Sim) AddNode(name string) *Node {
 		panic("simnet: duplicate node name " + name)
 	}
 	id := int32(len(s.nodeOrder))
-	n := &Node{Name: name, Sim: s, Ports: []*Port{nil}, Meta: make(map[string]string), id: id, gid: id}
+	n := &Node{Name: name, Sim: s, Ports: []*Port{nil}, Meta: make(map[string]string), id: id}
 	s.nodes[name] = n
 	s.nodeOrder = append(s.nodeOrder, n)
 	return n
@@ -168,9 +164,7 @@ func (s *Sim) AddNode(name string) *Node {
 // Rand returns the node's private deterministic random stream, derived from
 // the simulation seed and the node name. Protocol code (BFD jitter, TCP
 // initial sequence numbers) draws from it instead of the simulation-wide
-// source, so draw sequences depend only on the node's own event order — a
-// requirement for partitioned runs to stay bit-identical to sequential
-// ones.
+// source, so draw sequences depend only on the node's own event order.
 func (n *Node) Rand() *rand.Rand {
 	if n.rng == nil {
 		n.rng = rand.New(rand.NewSource(streamSeed(n.Sim.seed, n.Name, 0)))
@@ -189,15 +183,16 @@ func (s *Sim) Nodes() []*Node {
 
 // AddPort appends a new port to the node and returns it. Port indices start
 // at 1 to match the paper's VID construction ("append the port number on
-// which the request arrived"). The MAC derives from the node's global rank
-// and the port index — not a simulator-wide counter — so a fabric built
-// shard by shard assigns the same addresses as a sequential build.
+// which the request arrived"). The MAC derives from the node's rank and the
+// port index, so addresses depend only on node creation order (which
+// harness.Build fixes by sorting names), not on the order ports are added
+// across nodes.
 func (n *Node) AddPort() *Port {
 	idx := len(n.Ports)
 	p := &Port{
 		Node:  n,
 		Index: idx,
-		MAC:   netaddr.MAC{0x02, byte(uint32(n.gid) >> 8), byte(uint32(n.gid)), byte(idx >> 8), byte(idx), 0x01},
+		MAC:   netaddr.MAC{0x02, byte(uint32(n.id) >> 8), byte(uint32(n.id)), byte(idx >> 8), byte(idx), 0x01},
 		up:    true,
 	}
 	n.Ports = append(n.Ports, p)
@@ -383,22 +378,11 @@ func (p *Port) Send(frame []byte) {
 		free.kind = evQueueFree
 		free.dir = d
 	}
-	// The delivery's ordering key is engine-independent: the dst node's
-	// frame class, tied by (src gid, src port, per-direction tx counter).
+	// The delivery is keyed to the dst node's frame class, tied by (src
+	// node, src port, per-direction tx counter) — see heapEntry.
 	d.txSeq++
-	tie := uint64(uint32(p.Node.gid))<<40 | uint64(uint16(p.Index))<<32 | uint64(d.txSeq)
+	tie := uint64(uint32(p.Node.id))<<40 | uint64(uint16(p.Index))<<32 | uint64(d.txSeq)
 	dst := p.Peer()
-	if d.cross != nil {
-		// Cross-partition link: hand the delivery to the destination
-		// shard's inbox instead of the local heap. The queue is SPSC —
-		// written only by this shard's worker, drained by the destination's
-		// worker after the next barrier.
-		d.cross.buf = append(d.cross.buf, crossFrame{ //simlint:alloc outbox growth is amortized; capacity stabilizes at peak in-flight cross frames
-			at: sim.now + delay, prio: nodePrio(dst.Node.id, classFrame), tie: tie,
-			src: p, dst: dst, link: link, frame: frame,
-		})
-		return
-	}
 	ev := sim.scheduleKeyed(sim.now+delay, nodePrio(dst.Node.id, classFrame), tie)
 	ev.kind = evFrame
 	ev.src = p
@@ -515,10 +499,8 @@ type Link struct {
 	// it frames tail-drop (counted per direction). 0 means unbounded.
 	maxQueue int
 
-	// Per-direction transmitter state, keyed by the sending port. Loss,
-	// corruption and overflow counters live per direction — on a link
-	// crossing a partition boundary each direction is written by a
-	// different shard, so a combined counter would be a data race.
+	// Per-direction transmitter state, keyed by the sending port; Link.Stats
+	// reports loss, corruption and overflow per direction.
 	dirA, dirB dirState
 }
 
@@ -550,10 +532,7 @@ type dirState struct {
 	// aggregate share on this direction; the packet serializer runs on
 	// the residual. fluidBytes integrates the bytes the reservation
 	// carried up to fluidAt (rates are piecewise-constant, so the
-	// integral is exact). Written only from control events at the quiesce
-	// barrier; read by the owning shard's transmit path mid-window — the
-	// barrier provides the happens-before edge, exactly as for
-	// impairments.
+	// integral is exact).
 	fluidBps   int64
 	fluidBytes uint64
 	fluidAt    time.Duration
@@ -564,9 +543,6 @@ type dirState struct {
 	// txSeq counts scheduled transmissions: the per-direction component of
 	// the frame tie key.
 	txSeq uint32
-	// cross, when non-nil, is the outbox toward the partition owning the
-	// far end (partitioned engine only).
-	cross *crossQueue
 }
 
 // rand returns the direction's private stream, creating it on first use.
@@ -672,10 +648,7 @@ func (l *Link) SetBandwidth(bps int64, maxQueue int) {
 // SetFluidLoad reserves bps of this direction's capacity for the fluid
 // engine's aggregate share: the packet serializer runs on the residual
 // (see Send), and the reservation's carried bytes integrate into
-// FluidBytes. at is the engine's control-clock instant of the change —
-// passed in rather than read from a clock so the accounting lives entirely
-// in the control domain regardless of shard count. Call only from control
-// events (the quiesce barrier orders the write against shard transmits).
+// FluidBytes. at is the instant of the change.
 func (l *Link) SetFluidLoad(from *Port, bps int64, at time.Duration) {
 	d := l.dir(from)
 	d.integrateFluid(at)
@@ -687,7 +660,7 @@ func (l *Link) SetFluidLoad(from *Port, bps int64, at time.Duration) {
 func (l *Link) FluidLoad(from *Port) int64 { return l.dir(from).fluidBps }
 
 // FluidBytes returns the bytes the direction's fluid reservation has
-// carried up to the control instant at (monotone in at).
+// carried up to the instant at (monotone in at).
 func (l *Link) FluidBytes(from *Port, at time.Duration) uint64 {
 	d := l.dir(from)
 	d.integrateFluid(at)

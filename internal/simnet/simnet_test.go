@@ -309,3 +309,38 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroLatencyLinkDeliversSameInstantInOrder pins the total event order
+// on a zero-latency link: everything happens at one instant, so delivery
+// order is decided by the (node, class, transmit-counter) key alone — frames
+// in send order per direction, and the lower-ranked node's arrivals first.
+func TestZeroLatencyLinkDeliversSameInstantInOrder(t *testing.T) {
+	s := New(1)
+	a, b := s.AddNode("a"), s.AddNode("b")
+	ha, hb := &echoHandler{}, &echoHandler{}
+	a.Handler, b.Handler = ha, hb
+	s.ConnectLatency(a.AddPort(), b.AddPort(), 0)
+	var order []string
+	ha.onRx = func(_ *Port, f []byte) { order = append(order, "a<-"+string(f)) }
+	hb.onRx = func(p *Port, f []byte) {
+		order = append(order, "b<-"+string(f))
+		p.Send(append([]byte(nil), f...)) // bounce once
+	}
+	a.Port(1).Send([]byte("1"))
+	a.Port(1).Send([]byte("2"))
+	s.RunUntil(0)
+	if s.Now() != 0 {
+		t.Errorf("clock moved to %v over a zero-latency exchange", s.Now())
+	}
+	// b bounces "1" before "2" reaches it: a (rank 0) sorts ahead of b
+	// (rank 1) within the instant.
+	want := []string{"b<-1", "a<-1", "b<-2", "a<-2"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+}

@@ -126,3 +126,33 @@ func TestNodesDeterministicOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestTimerOnRunUntilHorizon pins the inclusive horizon: RunUntil(t) runs
+// everything scheduled at exactly t — a control timer before a frame
+// arriving at the same instant — and nothing scheduled after it.
+func TestTimerOnRunUntilHorizon(t *testing.T) {
+	s := New(3)
+	a, b := s.AddNode("a"), s.AddNode("b")
+	hb := &echoHandler{}
+	b.Handler = hb
+	s.ConnectLatency(a.AddPort(), b.AddPort(), 100*time.Microsecond)
+	var order []string
+	hb.onRx = func(*Port, []byte) { order = append(order, "frame") }
+
+	horizon := 100 * time.Microsecond
+	a.Port(1).Send([]byte("x")) // arrives exactly on the horizon
+	s.At(horizon, func() { order = append(order, "ctrl") })
+	s.At(horizon+time.Nanosecond, func() { order = append(order, "late") })
+	s.RunUntil(horizon)
+
+	if len(order) != 2 || order[0] != "ctrl" || order[1] != "frame" {
+		t.Errorf("at the horizon order = %v, want [ctrl frame]", order)
+	}
+	if s.Now() != horizon {
+		t.Errorf("Now = %v, want %v", s.Now(), horizon)
+	}
+	s.RunUntil(horizon + time.Nanosecond)
+	if len(order) != 3 || order[2] != "late" {
+		t.Errorf("after the horizon order = %v, want [ctrl frame late]", order)
+	}
+}

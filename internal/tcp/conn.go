@@ -73,9 +73,8 @@ type connKey struct {
 
 // NewEndpoint creates a TCP endpoint that transmits segments through output.
 // rng supplies initial sequence numbers; the owning stack passes its node's
-// stream so draws are independent of global event interleaving (required
-// for sequential/partitioned engine identity). A nil rng falls back to the
-// sim's control stream.
+// stream so draws are independent of global event interleaving. A nil rng
+// falls back to the sim's control stream.
 func NewEndpoint(sim *simnet.Sim, rng *rand.Rand, output func(src, dst netaddr.IPv4, segment []byte)) *Endpoint {
 	if rng == nil {
 		rng = sim.Rand()

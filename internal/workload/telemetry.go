@@ -49,13 +49,10 @@ type LinkSeries struct {
 // the runtime counterpart of the lifetime analyzer's leak-on-path check.
 // A monotonic InUse climb on a closed workload is a leaked buffer.
 //
-// Every field is invariant under the shard count: samples are taken at the
-// quiesce barrier where the summed InUse is schedule-independent, Peak is
-// the running maximum of those sampled values (not the pools' internal
-// high-water marks, which depend on per-shard interleaving), and Recycled
-// counts buffers returned for reuse (the pools' bucket-hit counters depend
-// on per-shard locality). Workload artifacts stay bit-identical at any
-// shard count.
+// Peak is the running maximum of the sampled InUse values (not the pool's
+// internal high-water mark, which also sees between-sample spikes) and
+// Recycled counts buffers returned for reuse (not the pool's bucket hits);
+// the workload-telemetry.csv artifacts pin both definitions.
 type PoolSample struct {
 	At time.Duration
 	// InUse is the number of lent pool buffers not yet returned.
@@ -72,7 +69,7 @@ type PoolSample struct {
 // scrape from switch ASICs. It also snapshots frame-pool occupancy each
 // tick so buffer leaks show up in the same time series.
 type Sampler struct {
-	sim      simnet.Engine
+	sim      *simnet.Sim
 	interval time.Duration
 	series   []*LinkSeries
 	pool     []PoolSample
@@ -81,7 +78,7 @@ type Sampler struct {
 }
 
 // NewSampler creates a sampler polling every interval once started.
-func NewSampler(sim simnet.Engine, interval time.Duration) *Sampler {
+func NewSampler(sim *simnet.Sim, interval time.Duration) *Sampler {
 	if interval <= 0 {
 		interval = 10 * time.Millisecond
 	}
@@ -108,7 +105,6 @@ func (s *Sampler) Start() {
 		sr.lastDropB = s.link(sr).OverflowBytes
 		sr.lastFluid = sr.link.FluidBytes(sr.from, s.sim.Now())
 	}
-	//simlint:shardsafe sampler reads link counters at the quiesce barrier with every shard idle; revisit under barrier-free sync
 	s.timer = s.sim.After(s.interval, s.sample)
 }
 
@@ -225,15 +221,14 @@ type GroupLoad struct {
 // computes indices at Read, so the balance indices see both engines'
 // traffic.
 type LoadMeter struct {
-	sim    simnet.Engine
+	sim    *simnet.Sim
 	groups []Group
 	base   [][]uint64
 }
 
 // NewLoadMeter snapshots the baseline transmit counters of every group.
-// sim supplies the control clock the fluid byte integrals are read at;
-// call from quiescent points only.
-func NewLoadMeter(sim simnet.Engine, groups []Group) *LoadMeter {
+// sim supplies the clock the fluid byte integrals are read at.
+func NewLoadMeter(sim *simnet.Sim, groups []Group) *LoadMeter {
 	m := &LoadMeter{sim: sim, groups: groups}
 	now := sim.Now()
 	for _, g := range groups {

@@ -188,7 +188,7 @@ func (f *Flow) mark(seq uint32)     { f.gotMask[seq/64] |= 1 << (seq % 64) }
 
 // Engine generates, transmits and accounts a workload over one simulation.
 type Engine struct {
-	sim   simnet.Engine
+	sim   *simnet.Sim
 	hosts []Host
 	cfg   Config
 	flows []*Flow
@@ -197,8 +197,7 @@ type Engine struct {
 	base    time.Duration // virtual time of Start
 	started bool
 
-	// Fluid-engine state, all touched only from control events at the
-	// quiesce barrier. cursor walks the Start-sorted schedule so fluid
+	// Fluid-engine state. cursor walks the Start-sorted schedule so fluid
 	// arrivals are consumed per rate epoch instead of costing a timer
 	// each; phantoms tracks packet-path flows whose demand the solver
 	// models.
@@ -207,21 +206,16 @@ type Engine struct {
 	phantoms   []phantomFlow
 
 	// PacketsSent counts data transmissions including repairs;
-	// Retransmits the repair subset. Both are written only from the
-	// send path (control events), never from receive handlers —
-	// per-flow receive accounting lives on the Flow so that hosts on
-	// different shards of a partitioned engine never share a counter.
+	// Retransmits the repair subset.
 	PacketsSent uint64
 	Retransmits uint64
 }
 
 // New generates the full flow schedule deterministically from cfg.Seed and
-// registers the receive path on every host. sim is the engine driving the
-// hosts' fabric — flow launches and repair timers are control events on it
-// (on a partitioned Cluster they must not live on any one shard's heap). A
-// nil sim defaults to the first host's own simulator, which is only valid
-// sequentially.
-func New(sim simnet.Engine, hosts []Host, cfg Config) (*Engine, error) {
+// registers the receive path on every host. sim is the simulator driving
+// the hosts' fabric — flow launches and repair timers are control events on
+// it. A nil sim defaults to the first host's own simulator.
+func New(sim *simnet.Sim, hosts []Host, cfg Config) (*Engine, error) {
 	if len(hosts) < 2 {
 		return nil, fmt.Errorf("workload: need at least 2 hosts, got %d", len(hosts))
 	}
@@ -280,12 +274,8 @@ func New(sim simnet.Engine, hosts []Host, cfg Config) (*Engine, error) {
 			continue
 		}
 		seen[h.Stack] = true
-		// The receive path runs inside the host's own event loop; it must
-		// read that node's clock, not the engine-wide one (on a
-		// partitioned Cluster the control clock lags mid-window).
-		local := h.Stack.Node.Sim
 		h.Stack.ListenUDP(cfg.DstPort, func(_, _ netaddr.IPv4, dg udp.Datagram) {
-			e.onDatagram(local, dg)
+			e.onDatagram(dg)
 		})
 	}
 	return e, nil
@@ -375,11 +365,9 @@ func (e *Engine) Start() {
 			continue // admitted by the tick's schedule cursor, no per-flow event
 		}
 		f := f
-		//simlint:shardsafe launch mutates flow state at the quiesce barrier with every shard idle; revisit under barrier-free sync
 		e.sim.At(e.base+f.Start, func() { e.launch(f) })
 	}
 	if e.cfg.Mode != ModePacket {
-		//simlint:shardsafe the fluid tick reads flow flags and writes link reservations at the quiesce barrier with every shard idle; revisit under barrier-free sync
 		e.fluidTimer = e.sim.After(e.cfg.RateInterval, e.fluidTick)
 	}
 }
@@ -391,10 +379,10 @@ type phantomFlow struct {
 	h fluid.Handle
 }
 
-// fluidTick is the rate epoch, a control event at the quiesce barrier:
-// integrate service and pop completions, consume newly arrived flows from
-// the schedule cursor, release finished phantom demand, then recompute
-// max-min rates and push the changed reservations onto the links.
+// fluidTick is the rate epoch, a control event: integrate service and pop
+// completions, consume newly arrived flows from the schedule cursor,
+// release finished phantom demand, then recompute max-min rates and push
+// the changed reservations onto the links.
 func (e *Engine) fluidTick() {
 	now := e.sim.Now()
 	e.applyCompletions(e.cfg.Solver.Advance(now))
@@ -509,7 +497,6 @@ func (e *Engine) tick(f *Flow) {
 	if f.timer != nil {
 		f.timer.Reset(wait)
 	} else {
-		//simlint:shardsafe retransmit tick runs at the quiesce barrier with every shard idle; revisit under barrier-free sync
 		f.timer = e.sim.After(wait, func() { e.tick(f) })
 	}
 }
@@ -538,11 +525,8 @@ func (e *Engine) sendData(f *Flow, seq uint32) {
 	src.Stack.SendUDP(src.IP, dst.IP, f.SrcPort, e.cfg.DstPort, payload)
 }
 
-// onDatagram is the receive path, running on the destination host's event
-// loop. local is that host's simulator: its clock is the arrival instant.
-// Only per-flow state is touched here — a flow's packets all land on one
-// host, so no two shards of a partitioned engine ever write the same Flow.
-func (e *Engine) onDatagram(local *simnet.Sim, dg udp.Datagram) {
+// onDatagram is the receive path, running on the destination host's events.
+func (e *Engine) onDatagram(dg udp.Datagram) {
 	p := dg.Payload
 	if len(p) < wireHeaderLen || u32(p) != Magic {
 		return
@@ -560,14 +544,11 @@ func (e *Engine) onDatagram(local *simnet.Sim, dg udp.Datagram) {
 	f.received++
 	if f.received == f.Packets && !f.Done {
 		f.Done = true
-		//simlint:clocksafe launchedAt was stamped by a control event at a quiesce barrier, where the coordinator and shard clocks agree
-		f.FCT = local.Now() - f.launchedAt
+		f.FCT = e.sim.Now() - f.launchedAt
 	}
 }
 
 // Done reports whether every flow has finished (completed or abandoned).
-// Callers run at quiescent points, so reading flow flags written by other
-// shards' receive handlers is safe.
 func (e *Engine) Done() bool {
 	for _, f := range e.flows {
 		if !f.Done && !f.Abandoned {

@@ -70,18 +70,6 @@ const (
 	// SharedComment exempts one package-level variable from the sharedstate
 	// analyzer, with a required justification.
 	SharedComment = "//simlint:shared"
-	// ShardSafeComment exempts one partition-boundary crossing (a control
-	// closure capturing shard-resident state, or an aliased payload) from
-	// the crossshard analyzer, with a required justification. The usual
-	// reason is that the site runs at a quiesce barrier with every shard
-	// idle — a property the planned barrier-free sync will revoke, which is
-	// why each site must say so explicitly.
-	ShardSafeComment = "//simlint:shardsafe"
-	// ClockSafeComment exempts one cross-domain clock mixing site from the
-	// clockdomain analyzer, with a required justification (typically: both
-	// clocks are provably equal because the site runs at a quiesce
-	// barrier).
-	ClockSafeComment = "//simlint:clocksafe"
 	// LifetimeComment exempts one pooled-resource lifetime violation site
 	// from the lifetime analyzer, with a required justification (typically:
 	// the apparent use-after-release is guarded by a generation check, or
@@ -109,8 +97,6 @@ var Markers = []struct {
 	{AllocComment, false},
 	{FrameOwnComment, false},
 	{SharedComment, false},
-	{ShardSafeComment, false},
-	{ClockSafeComment, false},
 	{LifetimeComment, false},
 	{PoolComment, true},
 }

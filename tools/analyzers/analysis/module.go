@@ -8,10 +8,10 @@ import (
 )
 
 // This file extends the single-package driver contract with module-wide
-// passes. The interprocedural analyzers (crossshard, clockdomain) need every
-// loaded source package at once: a control closure in internal/chaos can
-// capture a helper's return value whose allocation site lives in
-// internal/simnet, and only a cross-package view can connect the two.
+// passes. The interprocedural analyzers (lifetime, unusedmarker) need every
+// loaded source package at once: a pooled buffer acquired in one package
+// can be released by a helper in another, and only a cross-package view can
+// connect the two.
 
 // PackageUnit is one loaded package inside a module pass. All units of a
 // pass share a single token.FileSet (the loader parses every target into

@@ -1,9 +1,8 @@
 // Package callgraph builds a cross-package static call graph over the
 // packages the export-data loader parsed from source. It is the backbone of
-// the interprocedural analyzers (crossshard, clockdomain): a control closure
-// in internal/chaos may leak shard state it obtained from a helper in
-// internal/harness, and only a module-wide view can connect the capture to
-// the allocation.
+// the interprocedural analyzers (lifetime): a buffer acquired in
+// internal/ipstack may be released by a helper in internal/simnet, and only
+// a module-wide view can connect the release to the acquisition.
 //
 // Resolution is deliberately simple and deterministic:
 //

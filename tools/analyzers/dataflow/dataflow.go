@@ -1,9 +1,9 @@
-// Package dataflow implements the interprocedural ownership analysis behind
-// the partition-safety analyzers. Given a client predicate marking anchor
-// types (for crossshard: the shard-resident simnet types), it computes which
-// values in the module may alias memory reachable from an anchored value —
-// tracking flow from the allocation site through assignments, struct fields,
-// calls and returns, and channel handoffs.
+// Package dataflow implements an interprocedural ownership analysis. Given
+// a client predicate marking anchor types (say, the simulator-resident
+// simnet types), it computes which values in the module may alias memory
+// reachable from an anchored value — tracking flow from the allocation site
+// through assignments, struct fields, calls and returns, and channel
+// handoffs.
 //
 // The analysis is deliberately coarse so it stays dependable and fast on a
 // stdlib-only toolchain:

@@ -15,9 +15,9 @@ func reasoned() {
 func bare() {
 	//simlint:shared // want `requires a written justification`
 	_ = 0
-	//simlint:clocksafe // want `requires a written justification`
+	//simlint:lifetime // want `requires a written justification`
 	_ = 1
-	//simlint:shardsafe // want `requires a written justification`
+	//simlint:frameown // want `requires a written justification`
 	_ = 2
 }
 

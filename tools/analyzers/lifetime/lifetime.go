@@ -1137,8 +1137,8 @@ func mergeFates(a, b fate) fate {
 }
 
 // isSchedCall reports whether the call's name is one of the deferred
-// scheduling entry points (At/After/Schedule), by name so that both *Sim and
-// the Engine interface match.
+// scheduling entry points (At/After/Schedule), by name so that *Sim and any
+// wrapper with the same surface match.
 func isSchedCall(call *ast.CallExpr) bool {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:

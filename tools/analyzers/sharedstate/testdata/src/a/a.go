@@ -46,13 +46,12 @@ func bump() int {
 
 func ok() error { return ErrBad }
 
-// --- space-parallel engine shapes (DESIGN.md §11) ---------------------------
+// --- engine-instance shapes --------------------------------------------------
 //
-// The partitioned engine's cross-shard outboxes are instance state: fields
-// of an engine object, handed between goroutines at window barriers. The
-// analyzer is structural about package-level vars only, so this idiom needs
-// no suppression — which is exactly the point: shard state must live on the
-// engine, never at package level.
+// An engine's queues are instance state: fields of an engine object, one
+// per trial. The analyzer is structural about package-level vars only, so
+// this idiom needs no suppression — which is exactly the point: simulation
+// state must live on the engine, never at package level.
 
 type frameRef struct{ at int64 }
 
@@ -71,7 +70,7 @@ func (s *shard) pop() frameRef {
 	return f
 }
 
-// A package-level event heap, by contrast, would be written by every shard
+// A package-level event heap, by contrast, would be written by every trial
 // worker that schedules into it: flagged.
 var globalHeap []frameRef // want `package-level var globalHeap is written by this package`
 
@@ -85,8 +84,8 @@ func drainGlobal() frameRef {
 //
 // The path-tracing fleet follows the same rule: per-hop rolling statistics
 // and the prober registry are fields of a tracer object owned by one
-// campaign. Probers tick on shard-local queues, so any package-level rollup
-// would be written from every shard at once.
+// campaign. Concurrent trials each run their own fleet, so any package-level
+// rollup would be written from every trial worker at once.
 
 type hopStat struct {
 	sent, lost uint64
@@ -156,9 +155,9 @@ func (sv *solver) reallocate(capBps float64) {
 	}
 }
 
-// A package-level rate table or flow set is the anti-pattern: every shard's
-// admission path would write it, and a second trial would inherit the first
-// trial's allocations.
+// A package-level rate table or flow set is the anti-pattern: every trial
+// worker's admission path would write it, and a second trial would inherit
+// the first trial's allocations.
 var rateTable = map[string]float64{} // want `package-level var rateTable has a type with mutable indirection`
 
 var activeFlows []uint32 // want `package-level var activeFlows is written by this package`
