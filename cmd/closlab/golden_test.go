@@ -45,35 +45,54 @@ func closlab(t *testing.T, dir string, args ...string) (stdout, stderr []byte, e
 	return out.Bytes(), errb.Bytes(), err
 }
 
-// TestGoldenArtifacts pins every byte the workload, chaos and trace
-// experiments produce at -pods 2 -trials 1 -seed 1: the artifact files and the
-// printed tables. Same seed → same bytes is the repo's contract, so a change
-// that is not meant to move simulated behaviour must leave this test green;
-// one that is meant to reruns it with -update-golden and says so.
+// TestGoldenArtifacts pins every byte the experiments produce at -pods 2
+// -trials 1 -seed 1: the workload, chaos and trace artifact files and printed
+// tables (directory out), then the stdout of every figure experiment and the
+// raw logs and captures of -experiment artifacts (directory figs). Same seed →
+// same bytes is the repo's contract, so a change that is not meant to move
+// simulated behaviour must leave this test green; one that is meant to reruns
+// it with -update-golden and says so.
 func TestGoldenArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	for _, exp := range []string{"workload", "chaos", "trace"} {
-		// A relative -out keeps the temp path out of the printed summary.
-		stdout, stderr, err := closlab(t, dir, "-experiment", exp, "-pods", "2", "-trials", "1", "-seed", "1", "-out", "out")
-		if err != nil {
-			t.Fatalf("closlab -experiment %s: %v\n%s", exp, err, stderr)
+	// A relative -out keeps the temp path out of the printed summary. The
+	// figure experiments write no files and so take no -out.
+	runs := []struct{ exp, out, stdoutDir string }{
+		{"workload", "out", "out"}, {"chaos", "out", "out"}, {"trace", "out", "out"},
+		{"convergence", "", "figs"}, {"blastradius", "", "figs"}, {"overhead", "", "figs"},
+		{"loss-near", "", "figs"}, {"loss-far", "", "figs"}, {"keepalive", "", "figs"},
+		{"config", "", "figs"}, {"nodefail", "", "figs"}, {"flap", "", "figs"},
+		{"artifacts", "figs", "figs"},
+	}
+	for _, r := range runs {
+		args := []string{"-experiment", r.exp, "-pods", "2", "-trials", "1", "-seed", "1"}
+		if r.out != "" {
+			args = append(args, "-out", r.out)
 		}
-		if err := os.WriteFile(filepath.Join(dir, "out", exp+".stdout"), stdout, 0o644); err != nil {
+		stdout, stderr, err := closlab(t, dir, args...)
+		if err != nil {
+			t.Fatalf("closlab -experiment %s: %v\n%s", r.exp, err, stderr)
+		}
+		if err := os.MkdirAll(filepath.Join(dir, r.stdoutDir), 0o755); err != nil {
 			t.Fatal(err)
 		}
-	}
-	names, err := filepath.Glob(filepath.Join(dir, "out", "*"))
-	if err != nil {
-		t.Fatal(err)
+		if err := os.WriteFile(filepath.Join(dir, r.stdoutDir, r.exp+".stdout"), stdout, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var got strings.Builder // sha256sum format; Glob returns names sorted
-	for _, name := range names {
-		data, err := os.ReadFile(name)
+	for _, sub := range []string{"out", "figs"} {
+		names, err := filepath.Glob(filepath.Join(dir, sub, "*"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum := sha256.Sum256(data)
-		fmt.Fprintf(&got, "%s  %s\n", hex.EncodeToString(sum[:]), filepath.Base(name))
+		for _, name := range names {
+			data, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(data)
+			fmt.Fprintf(&got, "%s  %s\n", hex.EncodeToString(sum[:]), filepath.Base(name))
+		}
 	}
 	if *updateGolden {
 		if err := os.WriteFile(goldenPath, []byte(got.String()), 0o644); err != nil {
