@@ -34,7 +34,7 @@ lint:
 	fi
 
 # analyzers runs everything under tools/ — the lint passes' golden-fixture
-# suites plus the loader/callgraph/dataflow infrastructure tests — and the
+# suites plus the loader/callgraph infrastructure tests — and the
 # simlint driver's exit-status/schema tests (also covered by `make test`;
 # this target is the fast inner loop when writing a pass).
 analyzers:

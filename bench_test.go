@@ -349,11 +349,13 @@ func BenchmarkAblationSlowToAccept(b *testing.B) {
 		b.Run(fmt.Sprintf("acceptAfter%d", accept), func(b *testing.B) {
 			opts := harness.DefaultOptions(topology.TwoPodSpec(), harness.ProtoMRMTP, 1)
 			opts.MTPAccept = accept
-			s, err := harness.RunFlapTrials(opts, 8, 150*time.Millisecond, 120*time.Millisecond, b.N)
+			c, err := harness.RunCell(opts, b.N, func(o harness.Options) (harness.FlapResult, error) {
+				return harness.RunFlap(o, 8, 150*time.Millisecond, 120*time.Millisecond)
+			}, harness.SummarizeFlaps)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(s.ControlBytes, "bytes_churn")
+			b.ReportMetric(c.Summary.ControlBytes, "bytes_churn")
 		})
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -51,7 +50,8 @@ type fluidBenchFile struct {
 // per-packet event cost makes the larger counts impractical, which is the
 // point of the fluid engine. Wall-clock reads here are the measurement
 // itself, not simulation state.
-func benchFluid(spec topology.Spec, seed int64, path string) error {
+func benchFluid(e *env) error {
+	spec, seed, path := e.specs[0], e.seed, e.benchOut
 	out := fluidBenchFile{
 		GeneratedBy: "closlab -experiment bench-fluid",
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),

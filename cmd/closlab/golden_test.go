@@ -56,26 +56,29 @@ func TestGoldenArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	// A relative -out keeps the temp path out of the printed summary. The
 	// figure experiments write no files and so take no -out.
-	runs := []struct{ exp, out, stdoutDir string }{
-		{"workload", "out", "out"}, {"chaos", "out", "out"}, {"trace", "out", "out"},
-		{"convergence", "", "figs"}, {"blastradius", "", "figs"}, {"overhead", "", "figs"},
-		{"loss-near", "", "figs"}, {"loss-far", "", "figs"}, {"keepalive", "", "figs"},
-		{"config", "", "figs"}, {"nodefail", "", "figs"}, {"flap", "", "figs"},
-		{"artifacts", "figs", "figs"},
+	runs := []struct {
+		exp, dir string
+		writes   bool
+	}{
+		{"workload", "out", true}, {"chaos", "out", true}, {"trace", "out", true},
+		{"convergence", "figs", false}, {"blastradius", "figs", false}, {"overhead", "figs", false},
+		{"loss-near", "figs", false}, {"loss-far", "figs", false}, {"keepalive", "figs", false},
+		{"config", "figs", false}, {"nodefail", "figs", false}, {"flap", "figs", false},
+		{"artifacts", "figs", true},
 	}
 	for _, r := range runs {
 		args := []string{"-experiment", r.exp, "-pods", "2", "-trials", "1", "-seed", "1"}
-		if r.out != "" {
-			args = append(args, "-out", r.out)
+		if r.writes {
+			args = append(args, "-out", r.dir)
 		}
 		stdout, stderr, err := closlab(t, dir, args...)
 		if err != nil {
 			t.Fatalf("closlab -experiment %s: %v\n%s", r.exp, err, stderr)
 		}
-		if err := os.MkdirAll(filepath.Join(dir, r.stdoutDir), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Join(dir, r.dir), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, r.stdoutDir, r.exp+".stdout"), stdout, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, r.dir, r.exp+".stdout"), stdout, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

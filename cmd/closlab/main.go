@@ -4,18 +4,10 @@
 //
 // Usage:
 //
-//	closlab -experiment convergence            # Fig. 4 (ms)
-//	closlab -experiment blastradius            # Fig. 5 (routers)
-//	closlab -experiment overhead               # Fig. 6 (bytes)
-//	closlab -experiment loss-near              # Fig. 7 (packets)
-//	closlab -experiment loss-far               # Fig. 8 (packets)
-//	closlab -experiment keepalive              # Figs. 9-10 (capture summary)
-//	closlab -experiment config                 # Listings 1-2 comparison
-//	closlab -experiment workload               # FCT + load balance under load
-//	closlab -experiment chaos                  # fault-injection campaigns
-//	closlab -experiment trace                  # path tracing + gray-failure localization
-//	closlab -experiment bench-fluid            # flow-level engine throughput
-//	closlab -experiment all                    # everything (virtual-time figures)
+//	closlab -experiment convergence            # Fig. 4 (ms); Figs. 5-10 likewise
+//	closlab -experiment workload -out dir      # FCT + load balance under load
+//	closlab -experiment all                    # every virtual-time figure and campaign
+//	closlab -help                              # every experiment name and flag
 //
 // Flags -trials and -seed control averaging, -pods restricts the topology,
 // and -parallel bounds how many trials run concurrently (the figures do not
@@ -26,15 +18,16 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/capture"
+	"repro/internal/chaos"
 	"repro/internal/harness"
 	"repro/internal/routerlog"
 	"repro/internal/topology"
@@ -43,52 +36,107 @@ import (
 
 var protocols = []harness.Protocol{harness.ProtoMRMTP, harness.ProtoBGP, harness.ProtoBGPBFD}
 
+// The workload and trace campaigns compare the paper's protocol against plain
+// BGP/ECMP. For workload, BGP/BFD converges like MR-MTP and adds nothing to
+// the FCT story for the extra runtime; for trace, localization needs no BFD —
+// the point of path tracing is catching the gray failures liveness protocols
+// miss — and probing both data planes shows the technique is plane-agnostic.
+var dataPlaneProtocols = []harness.Protocol{harness.ProtoMRMTP, harness.ProtoBGP}
+
+// chaosProtocols is the comparison the chaos campaign draws: the paper's
+// protocol against the strongest baseline. (Plain BGP's 3 s hold timer loses
+// every scenario by seconds; it adds runtime without adding signal.)
+var chaosProtocols = []harness.Protocol{harness.ProtoMRMTP, harness.ProtoBGPBFD}
+
+// env is the command line as the campaigns see it.
+type env struct {
+	specs    []topology.Spec
+	trials   int
+	seed     int64
+	out      string // -out: artifact directory
+	benchOut string
+	engine   workload.Mode
+	flows    int
+
+	// failures memoizes the Fig. 4–6 sweep: the three figures are three
+	// columns of the same cells, so a process computes them once.
+	// failureSweeps counts the computations.
+	failures      []harness.Cell[harness.FailureSummary, harness.FailureResult]
+	failureSweeps int
+}
+
+// campaign is one -experiment value. The table below is the whole registry:
+// the -experiment usage string, the unknown-name error, "all" and the -out
+// check all read it, so adding an experiment is one row (plus the harness
+// Run* it sweeps) with no hand-maintained list to fall out of date.
+type campaign struct {
+	name string
+	// optIn campaigns run only when named: "all" exists to regenerate the
+	// paper's virtual-time figures, and these measure wall time or dump raw
+	// testbed logs instead.
+	optIn bool
+	// artifacts names the files the campaign writes under -out; a campaign
+	// with none rejects -out.
+	artifacts []string
+	run       func(*env) error
+}
+
+var campaigns = []campaign{
+	{name: "convergence", run: failureFigure("Fig. 4 — network convergence time (ms)",
+		func(s harness.FailureSummary) string {
+			return fmt.Sprintf("%.1f", float64(s.Convergence)/float64(time.Millisecond))
+		})},
+	{name: "blastradius", run: failureFigure("Fig. 5 — blast radius (routers updating tables)",
+		func(s harness.FailureSummary) string { return fmt.Sprintf("%.0f", s.BlastRadius) })},
+	{name: "overhead", run: failureFigure("Fig. 6 — control overhead after failure (layer-2 bytes)",
+		func(s harness.FailureSummary) string { return fmt.Sprintf("%.0f", s.ControlBytes) })},
+	{name: "loss-near", run: lossFigure("Fig. 7 — packets lost, sender near failure (ToR 11 -> ToR 14)", false)},
+	{name: "loss-far", run: lossFigure("Fig. 8 — packets lost, sender far from failure (ToR 14 -> ToR 11)", true)},
+	{name: "keepalive", run: keepAlive},
+	{name: "config", run: configComparison},
+	{name: "nodefail", run: nodeFailure},
+	{name: "flap", run: flapChurn},
+	cellCampaign("workload", dataPlaneProtocols, workloadConfigs,
+		harness.RunWorkload, harness.SummarizeWorkload, harness.RenderWorkload,
+		"workload-{fct,imbalance,telemetry}.csv and workload-summary.json",
+		csv("workload-fct.csv", harness.RenderWorkloadFCTCSV),
+		csv("workload-imbalance.csv", harness.RenderWorkloadImbalanceCSV),
+		csv("workload-telemetry.csv", harness.RenderWorkloadTelemetryCSV)),
+	cellCampaign("chaos", chaosProtocols, func(*env) []chaos.Spec { return harness.ChaosCatalog() },
+		harness.RunChaos, harness.SummarizeChaos, harness.RenderChaos,
+		"chaos-timeline.csv and chaos-summary.json",
+		csv("chaos-timeline.csv", harness.RenderChaosTimelineCSV)),
+	cellCampaign("trace", dataPlaneProtocols, func(*env) []harness.TraceScenario { return harness.TraceCatalog() },
+		harness.RunTrace, harness.SummarizeTrace, harness.RenderTrace,
+		"trace-hops.csv, trace-accusations.csv, trace-timeline.csv and trace-summary.json",
+		csv("trace-hops.csv", harness.RenderTraceHopsCSV),
+		csv("trace-accusations.csv", harness.RenderTraceAccusationsCSV),
+		csv("trace-timeline.csv", harness.RenderTraceTimelineCSV)),
+	{name: "bench-fluid", optIn: true, run: benchFluid},
+	{name: "artifacts", optIn: true, run: rawArtifacts,
+		artifacts: []string{"{mrmtp,bgp,bgp-bfd}-logs.txt", "{mrmtp,bgp,bgp-bfd}-capture.pcap"}},
+}
+
+// experimentNames lists every accepted -experiment value.
+func experimentNames() string {
+	var names []string
+	for _, c := range campaigns {
+		names = append(names, c.name)
+	}
+	return strings.Join(append(names, "all"), "|")
+}
+
 func main() {
 	trials := flag.Int("trials", 3, "trials to average per data point")
 	seed := flag.Int64("seed", 1, "base random seed")
 	pods := flag.Int("pods", 0, "restrict to one topology size (2 or 4); 0 = both")
-	out := flag.String("out", "closlab-artifacts", "output directory for -experiment artifacts")
+	out := flag.String("out", "closlab-artifacts", "output directory for the experiments that write artifact files")
 	parallel := flag.Int("parallel", harness.Workers,
 		"concurrent trials per data point (1 = sequential; results are identical either way)")
-	benchOut := flag.String("bench-out", "", "output file for -experiment bench-fluid (default BENCH_fluid.json)")
+	benchOut := flag.String("bench-out", "BENCH_fluid.json", "output file for -experiment bench-fluid")
 	engine := flag.String("engine", "packet", "workload flow transport: packet|fluid|hybrid")
 	flows := flag.Int("flows", 0, "override the workload flow count (0 = the published 160)")
-
-	// The experiment registry. Declared before the -experiment flag so its
-	// usage string (and the unknown-value error) enumerates the registered
-	// names — adding an experiment here is the whole wiring job, with no
-	// hand-maintained list to fall out of date.
-	experiments := []struct {
-		name string
-		fn   func([]topology.Spec, int, int64) error
-	}{
-		{"convergence", convergence},
-		{"blastradius", blastRadius},
-		{"overhead", overhead},
-		{"loss-near", func(s []topology.Spec, n int, seed int64) error { return loss(s, n, seed, false) }},
-		{"loss-far", func(s []topology.Spec, n int, seed int64) error { return loss(s, n, seed, true) }},
-		{"keepalive", keepAlive},
-		{"config", configComparison},
-		{"nodefail", nodeFailure},
-		{"flap", flapChurn},
-		{"workload", func(s []topology.Spec, n int, seed int64) error {
-			mode, _ := workload.ModeByName(*engine)
-			return workloadExperiment(s, n, seed, *out, mode, *flows)
-		}},
-		{"chaos", func(s []topology.Spec, n int, seed int64) error {
-			return chaosExperiment(s, n, seed, *out)
-		}},
-		{"trace", func(s []topology.Spec, n int, seed int64) error {
-			return traceExperiment(s, n, seed, *out)
-		}},
-	}
-	known := make([]string, 0, len(experiments)+3)
-	for _, e := range experiments {
-		known = append(known, e.name)
-	}
-	known = append(known, "bench-fluid", "artifacts", "all")
-	experiment := flag.String("experiment", "all", strings.Join(known, "|"))
-
+	experiment := flag.String("experiment", "all", experimentNames())
 	flag.Parse()
 
 	// Reject contradictory flag combinations with usage before anything
@@ -96,64 +144,33 @@ func main() {
 	// worse than an error, because the artifacts look valid.
 	set := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := validateFlags(set, *experiment, *engine, *trials, *parallel, *flows); err != nil {
+	if err := validateFlags(set, *experiment, *engine, *trials, *parallel, *flows, *pods); err != nil {
 		_, _ = fmt.Fprintf(os.Stderr, "closlab: %v\n\n", err) // best effort: exiting anyway
 		flag.Usage()
 		os.Exit(2)
 	}
 	harness.Workers = *parallel
 
-	var specs []topology.Spec
-	switch *pods {
-	case 0:
-		specs = []topology.Spec{topology.TwoPodSpec(), topology.FourPodSpec()}
-	case 2:
-		specs = []topology.Spec{topology.TwoPodSpec()}
-	case 4:
-		specs = []topology.Spec{topology.FourPodSpec()}
-	default:
-		fatalf("unsupported -pods %d (want 2 or 4)", *pods)
-	}
-
-	// bench-fluid is opt-in only (it measures wall time, so "all" — which
-	// exists to regenerate the paper's virtual-time figures — skips it).
-	if *experiment == "bench-fluid" {
-		path := *benchOut
-		if path == "" {
-			path = "BENCH_fluid.json"
-		}
-		if err := benchFluid(specs[0], *seed, path); err != nil {
-			fatalf("bench-fluid: %v", err)
-		}
-		return
-	}
-
-	// Reject a bad (or empty) -experiment before anything runs: a typo must
-	// exit non-zero naming every registered experiment, not masquerade as a
-	// successful empty run.
-	if !slices.Contains(known, *experiment) {
-		fatalf("unknown -experiment %q (want one of: %s)", *experiment, strings.Join(known, "|"))
-	}
-
-	for _, e := range experiments {
-		if *experiment != "all" && *experiment != e.name {
-			continue
-		}
-		if err := e.fn(specs, *trials, *seed); err != nil {
-			fatalf("%s: %v", e.name, err)
+	e := &env{trials: *trials, seed: *seed, out: *out, benchOut: *benchOut, flows: *flows}
+	e.engine, _ = workload.ModeByName(*engine)
+	for _, spec := range []topology.Spec{topology.TwoPodSpec(), topology.FourPodSpec()} {
+		if *pods == 0 || *pods == spec.Pods {
+			e.specs = append(e.specs, spec)
 		}
 	}
-	if *experiment == "artifacts" {
-		if err := artifacts(specs[0], *seed, *out); err != nil {
-			fatalf("artifacts: %v", err)
+	for _, c := range campaigns {
+		if *experiment == c.name || *experiment == "all" && !c.optIn {
+			if err := runCampaign(c, e); err != nil {
+				fatalf("%s: %v", c.name, err)
+			}
 		}
 	}
 }
 
-// validateFlags rejects flag combinations that would silently misbehave.
-// set holds the flags explicitly passed on the command line, so defaults
-// never trip a check.
-func validateFlags(set map[string]bool, experiment, engine string, trials, parallel, flows int) error {
+// validateFlags rejects flag values and combinations that would misbehave,
+// silently or late. set holds the flags explicitly passed on the command
+// line, so defaults never trip a check.
+func validateFlags(set map[string]bool, experiment, engine string, trials, parallel, flows, pods int) error {
 	if trials < 1 {
 		return fmt.Errorf("-trials %d: need at least one trial", trials)
 	}
@@ -162,6 +179,9 @@ func validateFlags(set map[string]bool, experiment, engine string, trials, paral
 	}
 	if flows < 0 {
 		return fmt.Errorf("-flows %d: a flow count cannot be negative", flows)
+	}
+	if pods != 0 && pods != 2 && pods != 4 {
+		return fmt.Errorf("-pods %d: want 2 or 4 (0 = both)", pods)
 	}
 	if _, ok := workload.ModeByName(engine); !ok {
 		return fmt.Errorf("-engine %q: want packet, fluid or hybrid", engine)
@@ -175,16 +195,134 @@ func validateFlags(set map[string]bool, experiment, engine string, trials, paral
 	if set["bench-out"] && experiment != "bench-fluid" {
 		return fmt.Errorf("-bench-out only applies to -experiment bench-fluid (got %q)", experiment)
 	}
+	// A typo must exit non-zero naming every registered experiment, not
+	// masquerade as a successful empty run. "all" is always known and
+	// includes campaigns that write files.
+	known, writes := experiment == "all", experiment == "all"
+	for _, c := range campaigns {
+		if c.name == experiment {
+			known, writes = true, len(c.artifacts) > 0
+		}
+	}
+	if !known {
+		return fmt.Errorf("unknown -experiment %q (want one of: %s)", experiment, experimentNames())
+	}
+	if set["out"] && !writes {
+		return fmt.Errorf("-out does not apply to -experiment %s: it writes no artifact files", experiment)
+	}
 	return nil
 }
 
-// artifacts runs a TC1 failure per protocol and writes the raw testbed
+// runCampaign runs one table row. The artifact directory is created before
+// the sweep so an unwritable -out fails in milliseconds, not after it.
+func runCampaign(c campaign, e *env) error {
+	if len(c.artifacts) > 0 {
+		if err := os.MkdirAll(e.out, 0o755); err != nil {
+			return err
+		}
+	}
+	return c.run(e)
+}
+
+// sweep is the loop every campaign shares — topology × protocol × scenario,
+// in the order the figures and artifacts list their cells, n seeds of
+// run(options, scenario) per cell over the trial pool. each, when set, sees
+// every cell's summary as it finishes.
+func sweep[T, S, R any](e *env, specs []topology.Spec, protos []harness.Protocol, n int, scenarios []T,
+	run func(harness.Options, T) (R, error), summarize func([]R) S,
+	each func(spec topology.Spec, proto harness.Protocol, scenario T, s S)) ([]harness.Cell[S, R], error) {
+	var cells []harness.Cell[S, R]
+	for _, spec := range specs {
+		for _, proto := range protos {
+			for _, sc := range scenarios {
+				c, err := harness.RunCell(harness.DefaultOptions(spec, proto, e.seed), n,
+					func(o harness.Options) (R, error) { return run(o, sc) }, summarize)
+				if err != nil {
+					return nil, err
+				}
+				if each != nil {
+					each(spec, proto, sc, c.Summary)
+				}
+				cells = append(cells, c)
+			}
+		}
+	}
+	return cells, nil
+}
+
+// single is the summary of an experiment that runs once per cell.
+func single[R any](rs []R) R { return rs[0] }
+
+// csvFile is one artifact of a cell campaign: its name under -out and the
+// harness renderer that owns its format.
+type csvFile[S, R any] struct {
+	name   string
+	render func([]harness.Cell[S, R]) []byte
+}
+
+func csv[S, R any](name string, render func([]harness.Cell[S, R]) []byte) csvFile[S, R] {
+	return csvFile[S, R]{name, render}
+}
+
+// cellCampaign builds the row of a campaign whose artifacts render from its
+// cells: it sweeps run over every scenario, protocol and topology, prints
+// each cell's text block as it finishes, and writes the CSV files plus
+// <name>-summary.json. wrote is how the closing line lists them.
+func cellCampaign[T, S, R any](name string, protos []harness.Protocol, scenarios func(*env) []T,
+	run func(harness.Options, T) (R, error), summarize func([]R) S, render func(S) string,
+	wrote string, files ...csvFile[S, R]) campaign {
+	c := campaign{name: name}
+	for _, f := range files {
+		c.artifacts = append(c.artifacts, f.name)
+	}
+	summaryFile := name + "-summary.json"
+	c.artifacts = append(c.artifacts, summaryFile)
+	c.run = func(e *env) error {
+		cells, err := sweep(e, e.specs, protos, e.trials, scenarios(e), run, summarize,
+			func(_ topology.Spec, _ harness.Protocol, _ T, s S) { emitf("%s", render(s)) })
+		if err != nil {
+			return err
+		}
+		emitf("\n")
+		for _, f := range files {
+			if err := os.WriteFile(filepath.Join(e.out, f.name), f.render(cells), 0o644); err != nil {
+				return err
+			}
+		}
+		summary, err := harness.RenderSummaryJSON(cells)
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(e.out, summaryFile), summary, 0o644); err != nil {
+			return err
+		}
+		emitf("%s: wrote %s to %s\n", name, wrote, e.out)
+		return nil
+	}
+	return c
+}
+
+// workloadConfigs offers the heavy-tailed flow workload steady-state and
+// with the TC2 failure injected mid-run. -engine selects the flow transport
+// and -flows, when positive, overrides the published flow count.
+func workloadConfigs(e *env) []harness.WorkloadConfig {
+	var out []harness.WorkloadConfig
+	for _, midFailure := range []bool{false, true} {
+		w := harness.DefaultWorkloadConfig()
+		w.MidFailure = midFailure
+		w.Engine = e.engine
+		if e.flows > 0 {
+			w.Flows = e.flows
+		}
+		out = append(out, w)
+	}
+	return out
+}
+
+// rawArtifacts runs a TC1 failure per protocol and writes the raw testbed
 // artifacts a FABRIC user would collect: per-router text logs (§VI.B) and
 // a Wireshark-compatible pcap of every link.
-func artifacts(spec topology.Spec, seed int64, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
+func rawArtifacts(e *env) error {
 	for _, proto := range protocols {
 		name := map[harness.Protocol]string{
 			harness.ProtoMRMTP:  "mrmtp",
@@ -192,7 +330,7 @@ func artifacts(spec topology.Spec, seed int64, dir string) error {
 			harness.ProtoBGPBFD: "bgp-bfd",
 		}[proto]
 		journal := &routerlog.Journal{}
-		opts := harness.DefaultOptions(spec, proto, seed)
+		opts := harness.DefaultOptions(e.specs[0], proto, e.seed)
 		opts.Journal = journal
 		f, err := harness.Build(opts)
 		if err != nil {
@@ -208,20 +346,16 @@ func artifacts(spec topology.Spec, seed int64, dir string) error {
 		}
 		f.Sim.RunFor(5 * time.Second)
 
-		logPath := filepath.Join(dir, name+"-logs.txt")
+		logPath := filepath.Join(e.out, name+"-logs.txt")
 		if err := os.WriteFile(logPath, []byte(journal.Render()), 0o644); err != nil {
 			return err
 		}
-		pcapPath := filepath.Join(dir, name+"-capture.pcap")
-		w, err := os.Create(pcapPath)
-		if err != nil {
+		var pcap bytes.Buffer
+		if err := rec.WritePCAP(&pcap); err != nil {
 			return err
 		}
-		if err := rec.WritePCAP(w); err != nil {
-			_ = w.Close() // the WritePCAP failure is the error worth returning
-			return err
-		}
-		if err := w.Close(); err != nil {
+		pcapPath := filepath.Join(e.out, name+"-capture.pcap")
+		if err := os.WriteFile(pcapPath, pcap.Bytes(), 0o644); err != nil {
 			return err
 		}
 		emitf("%s: wrote %s (%d log lines) and %s (%d frames)\n",
@@ -244,120 +378,108 @@ func emitf(format string, args ...any) {
 	}
 }
 
+func column(proto harness.Protocol, pods int) string { return fmt.Sprintf("%s %dP", proto, pods) }
+
 func columns(specs []topology.Spec) []string {
 	var cols []string
 	for _, spec := range specs {
 		for _, p := range protocols {
-			cols = append(cols, fmt.Sprintf("%s %dP", p, spec.Pods))
+			cols = append(cols, column(p, spec.Pods))
 		}
 	}
 	return cols
 }
 
-func failureGrid(title string, specs []topology.Spec, trials int, seed int64,
-	cell func(harness.FailureSummary) string) error {
-	grid := harness.NewGrid(title, columns(specs))
-	for _, spec := range specs {
-		for _, proto := range protocols {
-			col := fmt.Sprintf("%s %dP", proto, spec.Pods)
-			for _, tc := range topology.AllFailureCases() {
-				s, err := harness.RunFailureTrials(harness.DefaultOptions(spec, proto, seed), tc, trials)
-				if err != nil {
-					return err
-				}
-				grid.Set(tc.String(), col, cell(s))
-			}
+// failureCells runs the Fig. 4–6 sweep — every (topology, protocol, failure
+// case) cell of RunFailure — the first time a figure asks for it.
+func (e *env) failureCells() ([]harness.Cell[harness.FailureSummary, harness.FailureResult], error) {
+	if e.failures == nil {
+		e.failureSweeps++
+		cells, err := sweep(e, e.specs, protocols, e.trials, topology.AllFailureCases(),
+			harness.RunFailure, harness.SummarizeFailures, nil)
+		if err != nil {
+			return nil, err
 		}
+		e.failures = cells
 	}
-	emitf("%s\n", grid.Render())
-	return nil
+	return e.failures, nil
 }
 
-func convergence(specs []topology.Spec, trials int, seed int64) error {
-	return failureGrid("Fig. 4 — network convergence time (ms)", specs, trials, seed,
-		func(s harness.FailureSummary) string {
-			return fmt.Sprintf("%.1f", float64(s.Convergence)/float64(time.Millisecond))
-		})
-}
-
-func blastRadius(specs []topology.Spec, trials int, seed int64) error {
-	return failureGrid("Fig. 5 — blast radius (routers updating tables)", specs, trials, seed,
-		func(s harness.FailureSummary) string { return fmt.Sprintf("%.0f", s.BlastRadius) })
-}
-
-func overhead(specs []topology.Spec, trials int, seed int64) error {
-	return failureGrid("Fig. 6 — control overhead after failure (layer-2 bytes)", specs, trials, seed,
-		func(s harness.FailureSummary) string { return fmt.Sprintf("%.0f", s.ControlBytes) })
-}
-
-func loss(specs []topology.Spec, trials int, seed int64, reverse bool) error {
-	title := "Fig. 7 — packets lost, sender near failure (ToR 11 -> ToR 14)"
-	if reverse {
-		title = "Fig. 8 — packets lost, sender far from failure (ToR 14 -> ToR 11)"
-	}
-	grid := harness.NewGrid(title, columns(specs))
-	for _, spec := range specs {
-		for _, proto := range protocols {
-			col := fmt.Sprintf("%s %dP", proto, spec.Pods)
-			for _, tc := range topology.AllFailureCases() {
-				avg, err := harness.RunLossTrials(harness.DefaultOptions(spec, proto, seed), tc, reverse, trials)
-				if err != nil {
-					return err
-				}
-				grid.Set(tc.String(), col, fmt.Sprintf("%.0f", avg))
-			}
-		}
-	}
-	emitf("%s\n", grid.Render())
-	return nil
-}
-
-func keepAlive(specs []topology.Spec, _ int, seed int64) error {
-	window := 10 * time.Second
-	for _, proto := range protocols {
-		r, err := harness.RunKeepAlive(harness.DefaultOptions(specs[0], proto, seed), window)
+// failureFigure prints one column of the failure sweep as a figure grid.
+func failureFigure(title string, value func(harness.FailureSummary) string) func(*env) error {
+	return func(e *env) error {
+		cells, err := e.failureCells()
 		if err != nil {
 			return err
 		}
-		emitf("Figs. 9-10 — idle-link capture, %s, %v on L-1-1<->S-1-1:\n", proto, window)
-		emitf("%s\n", capture.Render(r.Summary))
-		emitf("liveness bytes total: %d\n\n", r.TotalKeepAliveBytes())
+		grid := harness.NewGrid(title, columns(e.specs))
+		for _, c := range cells {
+			s := c.Summary
+			grid.Set(s.Case.String(), column(s.Protocol, s.Pods), value(s))
+		}
+		emitf("%s\n", grid.Render())
+		return nil
 	}
-	return nil
 }
 
-func nodeFailure(specs []topology.Spec, _ int, seed int64) error {
+func lossFigure(title string, reverse bool) func(*env) error {
+	return func(e *env) error {
+		grid := harness.NewGrid(title, columns(e.specs))
+		_, err := sweep(e, e.specs, protocols, e.trials, topology.AllFailureCases(),
+			func(o harness.Options, tc topology.FailureCase) (harness.LossResult, error) {
+				return harness.RunLoss(o, tc, reverse)
+			}, harness.MeanLost,
+			func(spec topology.Spec, proto harness.Protocol, tc topology.FailureCase, lost float64) {
+				grid.Set(tc.String(), column(proto, spec.Pods), fmt.Sprintf("%.0f", lost))
+			})
+		if err != nil {
+			return err
+		}
+		emitf("%s\n", grid.Render())
+		return nil
+	}
+}
+
+func keepAlive(e *env) error {
+	const window = 10 * time.Second
+	_, err := sweep(e, e.specs[:1], protocols, 1, []time.Duration{window},
+		harness.RunKeepAlive, single[harness.KeepAliveResult],
+		func(_ topology.Spec, proto harness.Protocol, _ time.Duration, r harness.KeepAliveResult) {
+			emitf("Figs. 9-10 — idle-link capture, %s, %v on L-1-1<->S-1-1:\n", proto, window)
+			emitf("%s\n", capture.Render(r.Summary))
+			emitf("liveness bytes total: %d\n\n", r.TotalKeepAliveBytes())
+		})
+	return err
+}
+
+func nodeFailure(e *env) error {
 	emitf("Extended failure cases (paper §IX) — whole-router crash of S-1-1:\n")
 	emitf("%-14s %6s %14s %8s %12s\n", "protocol", "pods", "convergence", "blast", "ctl bytes")
-	for _, spec := range specs {
-		for _, proto := range protocols {
-			r, err := harness.RunNodeFailure(harness.DefaultOptions(spec, proto, seed), "S-1-1")
-			if err != nil {
-				return err
-			}
+	_, err := sweep(e, e.specs, protocols, 1, []string{"S-1-1"},
+		harness.RunNodeFailure, single[harness.FailureResult],
+		func(spec topology.Spec, proto harness.Protocol, _ string, r harness.FailureResult) {
 			emitf("%-14s %6d %14v %8d %12d\n", proto, spec.Pods, r.Convergence.Round(100*time.Microsecond), r.BlastRadius, r.ControlBytes)
-		}
-	}
+		})
 	emitf("\n")
-	return nil
+	return err
 }
 
-func flapChurn(specs []topology.Spec, trials int, seed int64) error {
+func flapChurn(e *env) error {
 	emitf("Extended failure cases (paper §IX) — TC1 interface flapping 5x (down 500ms, up 4s):\n")
 	emitf("%-14s %10s %12s %12s %10s\n", "protocol", "msgs", "ctl bytes", "route evts", "recovered")
-	for _, proto := range protocols {
-		s, err := harness.RunFlapTrials(harness.DefaultOptions(specs[0], proto, seed), 5, 500*time.Millisecond, 4*time.Second, trials)
-		if err != nil {
-			return err
-		}
-		emitf("%-14s %10.0f %12.0f %12.0f %10v\n", proto, s.ControlMsgs, s.ControlBytes, s.RouteEvents, s.Recovered)
-	}
+	_, err := sweep(e, e.specs[:1], protocols, e.trials, []int{5},
+		func(o harness.Options, flaps int) (harness.FlapResult, error) {
+			return harness.RunFlap(o, flaps, 500*time.Millisecond, 4*time.Second)
+		}, harness.SummarizeFlaps,
+		func(_ topology.Spec, proto harness.Protocol, _ int, s harness.FlapSummary) {
+			emitf("%-14s %10.0f %12.0f %12.0f %10v\n", proto, s.ControlMsgs, s.ControlBytes, s.RouteEvents, s.Recovered)
+		})
 	emitf("\n")
-	return nil
+	return err
 }
 
-func configComparison(specs []topology.Spec, _ int, _ int64) error {
-	for _, spec := range specs {
+func configComparison(e *env) error {
+	for _, spec := range e.specs {
 		topo, err := topology.Build(spec)
 		if err != nil {
 			return err

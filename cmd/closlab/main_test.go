@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/topology"
 )
 
 // validateFlags rejects contradictory combinations before any fabric is
@@ -21,6 +23,7 @@ func TestValidateFlags(t *testing.T) {
 		trials     int
 		parallel   int
 		flows      int
+		pods       int
 		wantErr    string // empty means the combination is accepted
 	}{
 		{name: "defaults", experiment: "all", engine: "packet", trials: 1, parallel: 1},
@@ -42,6 +45,18 @@ func TestValidateFlags(t *testing.T) {
 			engine: "packet", trials: 1, parallel: 1, flows: 10, wantErr: "-flows only applies"},
 		{name: "bench-out outside benches", set: []string{"bench-out"}, experiment: "workload",
 			engine: "packet", trials: 1, parallel: 1, wantErr: "-bench-out only applies to -experiment bench-fluid"},
+		{name: "one topology", set: []string{"pods"}, experiment: "all", engine: "packet", trials: 1, parallel: 1, pods: 4},
+		{name: "unsupported pods", set: []string{"pods"}, experiment: "all", engine: "packet", trials: 1, parallel: 1,
+			pods: 3, wantErr: "-pods"},
+		{name: "out with artifacts", set: []string{"out"}, experiment: "chaos", engine: "packet", trials: 1, parallel: 1},
+		{name: "out with all", set: []string{"out"}, experiment: "all", engine: "packet", trials: 1, parallel: 1},
+		{name: "out with opt-in artifacts", set: []string{"out"}, experiment: "artifacts", engine: "packet", trials: 1, parallel: 1},
+		{name: "out without artifacts", set: []string{"out"}, experiment: "convergence", engine: "packet", trials: 1, parallel: 1,
+			wantErr: "-out does not apply"},
+		{name: "out with bench-fluid", set: []string{"out"}, experiment: "bench-fluid", engine: "packet", trials: 1, parallel: 1,
+			wantErr: "-out does not apply"},
+		{name: "unknown experiment", experiment: "nonsense", engine: "packet", trials: 1, parallel: 1,
+			wantErr: "unknown -experiment"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -49,7 +64,7 @@ func TestValidateFlags(t *testing.T) {
 			for _, f := range tc.set {
 				set[f] = true
 			}
-			err := validateFlags(set, tc.experiment, tc.engine, tc.trials, tc.parallel, tc.flows)
+			err := validateFlags(set, tc.experiment, tc.engine, tc.trials, tc.parallel, tc.flows, tc.pods)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -87,6 +102,62 @@ func TestUnknownExperimentRejected(t *testing.T) {
 		}
 		if _, err := os.Stat(filepath.Join(dir, "out")); !os.IsNotExist(err) {
 			t.Errorf("-experiment %q created the output directory", name)
+		}
+	}
+}
+
+// TestFailureSweepRunsOnce pins the sharing between Figs. 4, 5 and 6: they
+// are three columns of the same RunFailure cells, so one process (as under
+// -experiment all) sweeps them once however many of the figures it prints.
+func TestFailureSweepRunsOnce(t *testing.T) {
+	e := &env{specs: []topology.Spec{topology.TwoPodSpec()}, trials: 1, seed: 1}
+	for _, c := range campaigns {
+		switch c.name {
+		case "convergence", "blastradius", "overhead":
+			if err := runCampaign(c, e); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+	}
+	if e.failureSweeps != 1 {
+		t.Errorf("three failure figures ran the sweep %d times, want 1", e.failureSweeps)
+	}
+	if want := len(protocols) * len(topology.AllFailureCases()); len(e.failures) != want {
+		t.Errorf("sweep holds %d cells, want %d", len(e.failures), want)
+	}
+}
+
+// TestPoolWidthLeavesArtifactsIdentical is the CLI-level pool-identity
+// check: the trial pool's width must not leak into a single byte of stdout
+// or of the artifact files.
+func TestPoolWidthLeavesArtifactsIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full chaos campaigns in -short mode")
+	}
+	run := func(parallel string) map[string][]byte {
+		dir := t.TempDir()
+		stdout, stderr, err := closlab(t, dir, "-experiment", "chaos", "-pods", "2", "-trials", "2",
+			"-parallel", parallel, "-out", "out")
+		if err != nil {
+			t.Fatalf("-parallel %s: %v\n%s", parallel, err, stderr)
+		}
+		got := map[string][]byte{"stdout": stdout}
+		for _, name := range []string{"chaos-timeline.csv", "chaos-summary.json"} {
+			data, err := os.ReadFile(filepath.Join(dir, "out", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[name] = data
+		}
+		return got
+	}
+	seq, par := run("1"), run("4")
+	for name, want := range seq {
+		if len(want) == 0 {
+			t.Errorf("%s is empty", name)
+		}
+		if !bytes.Equal(want, par[name]) {
+			t.Errorf("%s differs between -parallel 1 and -parallel 4", name)
 		}
 	}
 }

@@ -1,11 +1,9 @@
 package harness
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/trafficgen"
 )
 
 // This file runs fault-injection campaigns: a chaos.Spec is applied to a
@@ -30,9 +28,7 @@ const reconvergenceGap = 250 * time.Millisecond
 // ChaosResult is one campaign trial. Counter fields are deltas over the
 // campaign window (injection through settle), not process lifetimes.
 type ChaosResult struct {
-	Protocol Protocol
-	Pods     int
-	Scenario string
+	CellID
 
 	// FaultActions is the number of injector actions executed.
 	FaultActions int
@@ -100,25 +96,23 @@ func snapshotCounters(f *Fabric) chaosCounters {
 	return c
 }
 
-// countReconvergences clusters post-injection route events into waves: a
-// gap longer than reconvergenceGap starts a new episode. The count is the
-// "how many times did the network have to re-decide" number the flap-storm
-// dampening claim is about.
-func countReconvergences(f *Fabric, startAt time.Duration) int {
-	waves := 0
+// routeChurn counts the post-injection route events and clusters them into
+// reconvergence waves: a gap longer than reconvergenceGap starts a new
+// episode. The wave count is the "how many times did the network have to
+// re-decide" number the flap-storm dampening claim is about.
+func routeChurn(f *Fabric, startAt time.Duration) (updates, waves int) {
 	var last time.Duration
-	have := false
 	for _, e := range f.Log.Events {
 		if e.Kind != "route" || e.At < startAt {
 			continue
 		}
-		if !have || e.At-last > reconvergenceGap {
+		if updates == 0 || e.At-last > reconvergenceGap {
 			waves++
 		}
+		updates++
 		last = e.At
-		have = true
 	}
-	return waves
+	return updates, waves
 }
 
 // RunChaos executes one campaign trial: warm up, start the probe flow,
@@ -127,63 +121,37 @@ func countReconvergences(f *Fabric, startAt time.Duration) int {
 // column (VID 11 → VID 14, port picked by PickFlowPort), the same path the
 // catalog's faults target.
 func RunChaos(opts Options, spec chaos.Spec) (ChaosResult, error) {
-	f, err := Build(opts)
+	f, probe, err := warmWithProbe(opts, false)
 	if err != nil {
 		return ChaosResult{}, err
-	}
-	srcStack, srcDev, err := f.ServerStack(11, 1)
-	if err != nil {
-		return ChaosResult{}, err
-	}
-	dstStack, dstDev, err := f.ServerStack(14, 1)
-	if err != nil {
-		return ChaosResult{}, err
-	}
-	cfg := trafficgen.DefaultConfig(srcDev.IP, dstDev.IP)
-	cfg.SrcPort = PickFlowPort(f, cfg)
-	sender := trafficgen.NewSender(srcStack, cfg)
-	receiver := trafficgen.NewReceiver(dstStack, cfg.DstPort)
-
-	if err := f.WarmUp(WarmupTime); err != nil {
-		return ChaosResult{}, err
-	}
-	sender.Start()
-	// Lead-in so the flow is established pre-campaign, with a random
-	// phase offset so trials sample timer phase (as in RunLoss).
-	lead := time.Second + time.Duration(f.Sim.Rand().Int63n(int64(time.Second)))
-	f.Sim.RunFor(lead)
-	preLoss := sender.Sent() - receiver.Report(sender).Received
-	if preLoss > 2 { // ARP warm-up may cost a packet at the margins
-		return ChaosResult{}, fmt.Errorf("harness: probe lossy before campaign (%d lost)", preLoss)
 	}
 
 	before := snapshotCounters(f)
 	f.Log.Reset()
 	startAt := f.Sim.Now()
-	startSeq := sender.Seq()
+	startSeq := probe.sender.Seq()
 	inj, err := chaos.Apply(f.Sim, spec)
 	if err != nil {
 		return ChaosResult{}, err
 	}
 	f.Sim.RunFor(spec.Horizon() + ChaosSettleTime)
-	endSeq := sender.Seq()
-	sender.Stop()
+	endSeq := probe.sender.Seq()
+	probe.sender.Stop()
 	f.Sim.RunFor(time.Second) // drain in-flight packets
 
 	after := snapshotCounters(f)
 	a := f.Log.Analyze(startAt)
-	missing, longest := receiver.Missing(startSeq, endSeq)
+	updates, waves := routeChurn(f, startAt)
+	missing, longest := probe.receiver.Missing(startSeq, endSeq)
 	res := ChaosResult{
-		Protocol:            opts.Protocol,
-		Pods:                opts.Spec.Pods,
-		Scenario:            spec.Name,
+		CellID:              CellID{opts.Protocol, opts.Spec.Pods, spec.Name},
 		FaultActions:        len(inj.Events()),
 		ProbeSent:           endSeq - startSeq,
 		ProbeLost:           missing,
-		BlackholeTime:       time.Duration(missing) * cfg.Interval,
-		MaxOutage:           time.Duration(longest) * cfg.Interval,
-		RouteUpdates:        countRouteUpdates(f, startAt),
-		Reconvergences:      countReconvergences(f, startAt),
+		BlackholeTime:       time.Duration(missing) * probe.cfg.Interval,
+		MaxOutage:           time.Duration(longest) * probe.cfg.Interval,
+		RouteUpdates:        updates,
+		Reconvergences:      waves,
 		ControlMsgs:         a.ControlMessages,
 		ControlBytes:        a.ControlBytes,
 		NeighborsLost:       after.neighborsLost - before.neighborsLost,
@@ -199,54 +167,43 @@ func RunChaos(opts Options, spec chaos.Spec) (ChaosResult, error) {
 	return res, nil
 }
 
-func countRouteUpdates(f *Fabric, startAt time.Duration) int {
-	n := 0
-	for _, e := range f.Log.Events {
-		if e.Kind == "route" && e.At >= startAt {
-			n++
-		}
-	}
-	return n
-}
-
-// ChaosSummary aggregates trials of one (protocol, pods, scenario) cell.
-// It is a flat comparable struct on purpose: the parallel-vs-sequential
-// determinism test compares summaries with ==.
+// ChaosSummary aggregates trials of one (protocol, pods, scenario) cell; its
+// json tags are the chaos-summary.json schema. It is a flat comparable
+// struct on purpose: the parallel-vs-sequential determinism test compares
+// summaries with ==.
 type ChaosSummary struct {
-	Protocol Protocol
-	Pods     int
-	Scenario string
-	Trials   int
+	CellID
+	Trials int `json:"trials"`
 
-	FaultActions int // per trial (identical across trials by construction)
+	FaultActions int `json:"fault_actions"` // per trial (identical across trials by construction)
 
-	ProbeLossRateMean float64
-	BlackholeMsMean   float64
-	BlackholeMsMax    float64
-	MaxOutageMsMean   float64
-	MaxOutageMsMax    float64
+	ProbeLossRateMean float64 `json:"probe_loss_rate_mean"`
+	BlackholeMsMean   float64 `json:"blackhole_ms_mean"`
+	BlackholeMsMax    float64 `json:"blackhole_ms_max"`
+	MaxOutageMsMean   float64 `json:"max_outage_ms_mean"`
+	MaxOutageMsMax    float64 `json:"max_outage_ms_max"`
 
-	RouteUpdatesMean   float64
-	ReconvergencesMean float64
-	ReconvergencesMax  int
-	ControlMsgsMean    float64
-	ControlBytesMean   float64
+	RouteUpdatesMean   float64 `json:"route_updates_mean"`
+	ReconvergencesMean float64 `json:"reconvergences_mean"`
+	ReconvergencesMax  int     `json:"reconvergences_max"`
+	ControlMsgsMean    float64 `json:"control_msgs_mean"`
+	ControlBytesMean   float64 `json:"control_bytes_mean"`
 
-	NeighborsLostMean     float64
-	NeighborsAcceptedMean float64
-	HellosDampenedMean    float64
-	AcceptResetsMean      float64
+	NeighborsLostMean     float64 `json:"neighbors_lost_mean"`
+	NeighborsAcceptedMean float64 `json:"neighbors_accepted_mean"`
+	HellosDampenedMean    float64 `json:"hellos_dampened_mean"`
+	AcceptResetsMean      float64 `json:"accept_resets_mean"`
 
-	SessionResetsMean       float64
-	SessionsEstablishedMean float64
-	BFDDownMean             float64
-	BFDUpMean               float64
+	SessionResetsMean       float64 `json:"session_resets_mean"`
+	SessionsEstablishedMean float64 `json:"sessions_established_mean"`
+	BFDDownMean             float64 `json:"bfd_down_transitions_mean"`
+	BFDUpMean               float64 `json:"bfd_up_transitions_mean"`
 
 	// ReconvPerUp is the dampening headline: reconvergence episodes per
 	// accepted up-transition (MR-MTP neighbors accepted, or BGP sessions
 	// re-established). ≤1 means each readmission cost at most one
 	// convergence episode; flap-chasing protocols exceed it.
-	ReconvPerUp float64
+	ReconvPerUp float64 `json:"reconvergences_per_up_transition"`
 }
 
 // upTransitions is the protocol-appropriate "accepted an adjacency back"
@@ -265,9 +222,7 @@ func SummarizeChaos(rs []ChaosResult) ChaosSummary {
 		return ChaosSummary{}
 	}
 	s := ChaosSummary{
-		Protocol:     rs[0].Protocol,
-		Pods:         rs[0].Pods,
-		Scenario:     rs[0].Scenario,
+		CellID:       rs[0].CellID,
 		Trials:       len(rs),
 		FaultActions: rs[0].FaultActions,
 	}
@@ -309,19 +264,6 @@ func SummarizeChaos(rs []ChaosResult) ChaosSummary {
 		s.ReconvPerUp = reconv / ups
 	}
 	return s
-}
-
-// RunChaosTrials fans n seeds of one campaign cell over the trial pool and
-// pools the results. Per-trial results are returned in trial order so
-// callers can export a representative injector timeline.
-func RunChaosTrials(opts Options, spec chaos.Spec, n int) (ChaosSummary, []ChaosResult, error) {
-	rs, err := runTrials(opts, n, func(o Options) (ChaosResult, error) {
-		return RunChaos(o, spec)
-	})
-	if err != nil {
-		return ChaosSummary{}, nil, err
-	}
-	return SummarizeChaos(rs), rs, nil
 }
 
 // ChaosCatalog returns the named scenario campaigns, one per scenario

@@ -194,39 +194,41 @@ func TestChaosParallelMatchesSequential(t *testing.T) {
 	old := Workers
 	defer func() { Workers = old }()
 
+	trial := func(o Options) (ChaosResult, error) { return RunChaos(o, spec) }
 	Workers = 1
-	seq, seqTrials, err := RunChaosTrials(opts, spec, 4)
+	seq, err := RunCell(opts, 4, trial, SummarizeChaos)
 	if err != nil {
 		t.Fatal(err)
 	}
 	Workers = 4
-	par, parTrials, err := RunChaosTrials(opts, spec, 4)
+	par, err := RunCell(opts, 4, trial, SummarizeChaos)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// ChaosSummary is flat and comparable by design, so bit-identity is
 	// a single ==.
-	if seq != par {
-		t.Errorf("parallel summary differs from sequential:\nseq: %+v\npar: %+v", seq, par)
+	if seq.Summary != par.Summary {
+		t.Errorf("parallel summary differs from sequential:\nseq: %+v\npar: %+v", seq.Summary, par.Summary)
 	}
-	if len(seqTrials) != len(parTrials) {
-		t.Fatalf("trial counts differ: %d vs %d", len(seqTrials), len(parTrials))
+	if len(seq.Trials) != len(par.Trials) {
+		t.Fatalf("trial counts differ: %d vs %d", len(seq.Trials), len(par.Trials))
 	}
 }
 
 func TestChaosArtifactsByteIdentical(t *testing.T) {
 	spec := catalogSpec(t, "correlated-uplinks")
 	render := func() ([]byte, []byte) {
-		var runs []ChaosRun
+		var cells []Cell[ChaosSummary, ChaosResult]
 		for _, proto := range []Protocol{ProtoMRMTP, ProtoBGPBFD} {
-			sum, trials, err := RunChaosTrials(DefaultOptions(topology.TwoPodSpec(), proto, 11), spec, 2)
+			c, err := RunCell(DefaultOptions(topology.TwoPodSpec(), proto, 11), 2,
+				func(o Options) (ChaosResult, error) { return RunChaos(o, spec) }, SummarizeChaos)
 			if err != nil {
 				t.Fatal(err)
 			}
-			runs = append(runs, ChaosRun{Summary: sum, Trials: trials})
+			cells = append(cells, c)
 		}
-		csv := RenderChaosTimelineCSV(runs)
-		js, err := RenderChaosSummaryJSON(runs)
+		csv := RenderChaosTimelineCSV(cells)
+		js, err := RenderSummaryJSON(cells)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,11 +22,8 @@ type CongestionResult struct {
 // protocol's load balancing uses the fabric's parallel capacity — the
 // purpose the paper assigns to MR-MTP's hash (§III.C) and to ECMP.
 func RunCongestion(opts Options, flows int, linkBps int64, duration time.Duration) (CongestionResult, error) {
-	f, err := Build(opts)
+	f, err := warm(opts)
 	if err != nil {
-		return CongestionResult{}, err
-	}
-	if err := f.WarmUp(WarmupTime); err != nil {
 		return CongestionResult{}, err
 	}
 	for _, link := range f.Sim.Links() {

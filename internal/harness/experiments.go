@@ -2,14 +2,11 @@ package harness
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/capture"
 	"repro/internal/flowhash"
 	"repro/internal/ipv4"
-	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/trafficgen"
 )
@@ -36,22 +33,46 @@ type FailureResult struct {
 	UpdatedNodes []string
 }
 
-// RunFailure measures convergence time, blast radius and control overhead
-// for one failure case (Figs. 4, 5, 6). The failure instant is offset by a
-// random fraction of a keep-alive period so trial averages sample timer
-// phase like the paper's repeated runs.
-func RunFailure(opts Options, tc topology.FailureCase) (FailureResult, error) {
+// warm builds the fabric and runs it to steady state: the bring-up every
+// experiment starts from. Experiments that must register endpoints on the
+// cold fabric (the probe flow, the trace fleet) call Build and WarmUp
+// themselves, because registration order relative to warm-up fixes MAC and
+// event order.
+func warm(opts Options) (*Fabric, error) {
 	f, err := Build(opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := f.WarmUp(WarmupTime); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// drawPhase draws a random fraction of a keep-alive period. Experiments
+// offset their injection instant by it so trial averages sample timer phase
+// like the paper's repeated runs.
+func (f *Fabric) drawPhase() time.Duration {
+	return time.Duration(f.Sim.Rand().Int63n(int64(time.Second)))
+}
+
+// RunFailure measures convergence time, blast radius and control overhead
+// for one failure case (Figs. 4, 5, 6).
+func RunFailure(opts Options, tc topology.FailureCase) (FailureResult, error) {
+	return measureFailure(opts, tc, func(f *Fabric) (time.Duration, error) { return f.Fail(tc) })
+}
+
+// measureFailure is the Fig. 4–6 measurement around any injection: warm up,
+// wait out a random timer phase, inject, observe the settle window, and read
+// convergence, blast radius and overhead off the metrics log.
+func measureFailure(opts Options, tc topology.FailureCase, inject func(*Fabric) (time.Duration, error)) (FailureResult, error) {
+	f, err := warm(opts)
 	if err != nil {
 		return FailureResult{}, err
 	}
-	if err := f.WarmUp(WarmupTime); err != nil {
-		return FailureResult{}, err
-	}
-	phase := time.Duration(f.Sim.Rand().Int63n(int64(time.Second)))
-	f.Sim.RunFor(phase)
+	f.Sim.RunFor(f.drawPhase())
 	f.Log.Reset()
-	failAt, err := f.Fail(tc)
+	failAt, err := inject(f)
 	if err != nil {
 		return FailureResult{}, err
 	}
@@ -77,55 +98,72 @@ type LossResult struct {
 	Report   trafficgen.Report
 }
 
-// RunLoss measures packet loss across a failure. Traffic flows between the
-// server at ToR VID 11 and the server at ToR VID 14 (paper §VI.D); reverse
-// selects the far-from-failure sender of Fig. 8. The flow's source port is
-// chosen so both protocols hash it across the monitored TC1–TC4 column.
-func RunLoss(opts Options, tc topology.FailureCase, reverse bool) (LossResult, error) {
+// probeFlow is the UDP flow between the server at ToR VID 11 and the server
+// at ToR VID 14 (paper §VI.D) that the loss and chaos experiments watch. Its
+// source port is chosen so both protocols hash it across the monitored
+// TC1–TC4 column.
+type probeFlow struct {
+	cfg      trafficgen.Config
+	sender   *trafficgen.Sender
+	receiver *trafficgen.Receiver
+}
+
+// warmWithProbe builds the fabric with the probe flow's endpoints registered,
+// warms it, and starts the flow with a lead-in — one second plus a random
+// timer phase — so it is established (and ARP resolved) before anything is
+// injected. reverse sends VID 14 → VID 11 instead.
+func warmWithProbe(opts Options, reverse bool) (*Fabric, *probeFlow, error) {
 	f, err := Build(opts)
 	if err != nil {
-		return LossResult{}, err
+		return nil, nil, err
 	}
 	srcStack, srcDev, err := f.ServerStack(11, 1)
 	if err != nil {
-		return LossResult{}, err
+		return nil, nil, err
 	}
 	dstStack, dstDev, err := f.ServerStack(14, 1)
 	if err != nil {
-		return LossResult{}, err
+		return nil, nil, err
 	}
 	if reverse {
 		srcStack, dstStack = dstStack, srcStack
 		srcDev, dstDev = dstDev, srcDev
 	}
-	cfg := trafficgen.DefaultConfig(srcDev.IP, dstDev.IP)
-	cfg.SrcPort = PickFlowPort(f, cfg)
-	sender := trafficgen.NewSender(srcStack, cfg)
-	receiver := trafficgen.NewReceiver(dstStack, cfg.DstPort)
+	p := &probeFlow{cfg: trafficgen.DefaultConfig(srcDev.IP, dstDev.IP)}
+	p.cfg.SrcPort = PickFlowPort(f, p.cfg)
+	p.sender = trafficgen.NewSender(srcStack, p.cfg)
+	p.receiver = trafficgen.NewReceiver(dstStack, p.cfg.DstPort)
 
 	if err := f.WarmUp(WarmupTime); err != nil {
-		return LossResult{}, err
+		return nil, nil, err
 	}
-	sender.Start()
-	// Lead-in so the flow is established (and ARP resolved) pre-failure,
-	// with a random phase offset as in RunFailure.
-	lead := time.Second + time.Duration(f.Sim.Rand().Int63n(int64(time.Second)))
-	f.Sim.RunFor(lead)
-	preLoss := sender.Sent() - receiver.Report(sender).Received
+	p.sender.Start()
+	f.Sim.RunFor(time.Second + f.drawPhase())
+	preLoss := p.sender.Sent() - p.receiver.Report(p.sender).Received
 	if preLoss > 2 { // ARP warm-up may cost a packet at the margins
-		return LossResult{}, fmt.Errorf("harness: flow lossy before failure (%d lost)", preLoss)
+		return nil, nil, fmt.Errorf("harness: probe flow lossy before injection (%d lost)", preLoss)
+	}
+	return f, p, nil
+}
+
+// RunLoss measures packet loss across a failure on the probe flow; reverse
+// selects the far-from-failure sender of Fig. 8.
+func RunLoss(opts Options, tc topology.FailureCase, reverse bool) (LossResult, error) {
+	f, probe, err := warmWithProbe(opts, reverse)
+	if err != nil {
+		return LossResult{}, err
 	}
 	if _, err := f.Fail(tc); err != nil {
 		return LossResult{}, err
 	}
 	f.Sim.RunFor(SettleTime)
-	sender.Stop()
+	probe.sender.Stop()
 	f.Sim.RunFor(time.Second) // drain in-flight packets
 	return LossResult{
 		Protocol: opts.Protocol,
 		Pods:     opts.Spec.Pods,
 		Case:     tc,
-		Report:   receiver.Report(sender),
+		Report:   probe.receiver.Report(probe.sender),
 	}, nil
 }
 
@@ -172,11 +210,8 @@ func (k KeepAliveResult) TotalKeepAliveBytes() int {
 // RunKeepAlive captures an idle fabric's keep-alive traffic on the
 // L-1-1 ↔ S-1-1 link for the window.
 func RunKeepAlive(opts Options, window time.Duration) (KeepAliveResult, error) {
-	f, err := Build(opts)
+	f, err := warm(opts)
 	if err != nil {
-		return KeepAliveResult{}, err
-	}
-	if err := f.WarmUp(WarmupTime); err != nil {
 		return KeepAliveResult{}, err
 	}
 	fp, err := f.Topo.FailurePoint(topology.TC1)
@@ -194,11 +229,8 @@ func RunKeepAlive(opts Options, window time.Duration) (KeepAliveResult, error) {
 	}, nil
 }
 
-// --- multi-trial averaging -------------------------------------------------
-
-// FailureSummary averages FailureResult trials and keeps the per-trial
-// spread (the paper plots run averages; the spread shows how much the
-// timer phase mattered).
+// FailureSummary averages FailureResult trials, as the paper plots run
+// averages.
 type FailureSummary struct {
 	Protocol     Protocol
 	Pods         int
@@ -207,8 +239,6 @@ type FailureSummary struct {
 	Convergence  time.Duration // mean
 	BlastRadius  float64       // mean
 	ControlBytes float64       // mean
-	// ConvergenceMS summarizes per-trial convergence in milliseconds.
-	ConvergenceMS stats.Summary
 }
 
 // SummarizeFailures averages per-trial results (all trials must share the
@@ -218,47 +248,37 @@ func SummarizeFailures(rs []FailureResult) FailureSummary {
 		return FailureSummary{}
 	}
 	s := FailureSummary{Protocol: rs[0].Protocol, Pods: rs[0].Pods, Case: rs[0].Case, Trials: len(rs)}
-	convMS := make([]float64, 0, len(rs))
 	var conv time.Duration
 	for _, r := range rs {
 		conv += r.Convergence
-		convMS = append(convMS, float64(r.Convergence)/float64(time.Millisecond))
 		s.BlastRadius += float64(r.BlastRadius)
 		s.ControlBytes += float64(r.ControlBytes)
 	}
 	s.Convergence = conv / time.Duration(len(rs))
 	s.BlastRadius /= float64(len(rs))
 	s.ControlBytes /= float64(len(rs))
-	s.ConvergenceMS = stats.Summarize(convMS)
 	return s
 }
 
-// RunFailureTrials runs n seeds of one configuration and averages, like the
-// paper's "values averaged over multiple runs". Trials fan out over the
-// runTrials worker pool; the summary is identical to a sequential run.
+// RunFailureTrials is RunCell over RunFailure, reduced to the summary.
 func RunFailureTrials(opts Options, tc topology.FailureCase, n int) (FailureSummary, error) {
-	rs, err := runTrials(opts, n, func(o Options) (FailureResult, error) {
-		return RunFailure(o, tc)
-	})
-	if err != nil {
-		return FailureSummary{}, err
-	}
-	return SummarizeFailures(rs), nil
+	c, err := RunCell(opts, n, func(o Options) (FailureResult, error) { return RunFailure(o, tc) }, SummarizeFailures)
+	return c.Summary, err
 }
 
-// RunLossTrials averages packet loss over n seeds.
-func RunLossTrials(opts Options, tc topology.FailureCase, reverse bool, n int) (float64, error) {
-	rs, err := runTrials(opts, n, func(o Options) (LossResult, error) {
-		return RunLoss(o, tc, reverse)
-	})
-	if err != nil {
-		return 0, err
-	}
+// MeanLost averages the packets lost over loss trials (Figs. 7, 8).
+func MeanLost(rs []LossResult) float64 {
 	var total float64
 	for _, r := range rs {
 		total += float64(r.Report.Lost)
 	}
-	return total / float64(n), nil
+	return total / float64(len(rs))
+}
+
+// RunLossTrials is RunCell over RunLoss, reduced to the mean loss.
+func RunLossTrials(opts Options, tc topology.FailureCase, reverse bool, n int) (float64, error) {
+	c, err := RunCell(opts, n, func(o Options) (LossResult, error) { return RunLoss(o, tc, reverse) }, MeanLost)
+	return c.Summary, err
 }
 
 // FlapSummary averages FlapResult trials.
@@ -272,69 +292,21 @@ type FlapSummary struct {
 	Recovered bool
 }
 
-// RunFlapTrials averages flap churn over n seeds.
-func RunFlapTrials(opts Options, flaps int, downTime, upTime time.Duration, n int) (FlapSummary, error) {
-	rs, err := runTrials(opts, n, func(o Options) (FlapResult, error) {
-		return RunFlap(o, flaps, downTime, upTime)
-	})
-	if err != nil {
-		return FlapSummary{}, err
+// SummarizeFlaps averages flap churn over trials.
+func SummarizeFlaps(rs []FlapResult) FlapSummary {
+	if len(rs) == 0 {
+		return FlapSummary{}
 	}
-	s := FlapSummary{Protocol: opts.Protocol, Trials: n, Recovered: true}
+	n := float64(len(rs))
+	s := FlapSummary{Protocol: rs[0].Protocol, Trials: len(rs), Recovered: true}
 	for _, r := range rs {
 		s.ControlMsgs += float64(r.ControlMsgs)
 		s.ControlBytes += float64(r.ControlBytes)
 		s.RouteEvents += float64(r.RouteEvents)
 		s.Recovered = s.Recovered && r.Recovered
 	}
-	s.ControlMsgs /= float64(n)
-	s.ControlBytes /= float64(n)
-	s.RouteEvents /= float64(n)
-	return s, nil
-}
-
-// --- table rendering --------------------------------------------------------
-
-// Grid renders experiment values as the paper's figure grids: one row per
-// test case, one column per protocol configuration.
-type Grid struct {
-	Title   string
-	Columns []string
-	Rows    map[string]map[string]string // row -> column -> value
-	order   []string
-}
-
-// NewGrid creates a grid with the protocol columns.
-func NewGrid(title string, columns []string) *Grid {
-	return &Grid{Title: title, Columns: columns, Rows: make(map[string]map[string]string)}
-}
-
-// Set stores a cell.
-func (g *Grid) Set(row, col, value string) {
-	if g.Rows[row] == nil {
-		g.Rows[row] = make(map[string]string)
-		g.order = append(g.order, row)
-	}
-	g.Rows[row][col] = value
-}
-
-// Render prints the grid.
-func (g *Grid) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", g.Title)
-	fmt.Fprintf(&b, "%-8s", "case")
-	for _, c := range g.Columns {
-		fmt.Fprintf(&b, " %16s", c)
-	}
-	b.WriteByte('\n')
-	rows := append([]string(nil), g.order...)
-	sort.Strings(rows)
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-8s", r)
-		for _, c := range g.Columns {
-			fmt.Fprintf(&b, " %16s", g.Rows[r][c])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
+	s.ControlMsgs /= n
+	s.ControlBytes /= n
+	s.RouteEvents /= n
+	return s
 }

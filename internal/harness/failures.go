@@ -40,33 +40,9 @@ func (f *Fabric) RestoreNode(name string) error {
 
 // RunNodeFailure measures convergence/blast/overhead when a whole device
 // dies (default: the pod spine S-1-1, the worst single-router loss for the
-// monitored column).
+// monitored column). The result carries no failure case.
 func RunNodeFailure(opts Options, victim string) (FailureResult, error) {
-	f, err := Build(opts)
-	if err != nil {
-		return FailureResult{}, err
-	}
-	if err := f.WarmUp(WarmupTime); err != nil {
-		return FailureResult{}, err
-	}
-	phase := time.Duration(f.Sim.Rand().Int63n(int64(time.Second)))
-	f.Sim.RunFor(phase)
-	f.Log.Reset()
-	failAt, err := f.FailNode(victim)
-	if err != nil {
-		return FailureResult{}, err
-	}
-	f.Sim.RunFor(SettleTime)
-	a := f.Log.Analyze(failAt)
-	return FailureResult{
-		Protocol:     opts.Protocol,
-		Pods:         opts.Spec.Pods,
-		Convergence:  a.Convergence,
-		BlastRadius:  a.BlastRadius,
-		ControlBytes: a.ControlBytes,
-		ControlMsgs:  a.ControlMessages,
-		UpdatedNodes: a.UpdatedNodes,
-	}, nil
+	return measureFailure(opts, 0, func(f *Fabric) (time.Duration, error) { return f.FailNode(victim) })
 }
 
 // FlapResult summarizes a flapping-interface run: how much control-plane
@@ -88,11 +64,8 @@ type FlapResult struct {
 // reconvergence per flap. The interface is finally left up and the fabric
 // given time to stabilize.
 func RunFlap(opts Options, flaps int, downTime, upTime time.Duration) (FlapResult, error) {
-	f, err := Build(opts)
+	f, err := warm(opts)
 	if err != nil {
-		return FlapResult{}, err
-	}
-	if err := f.WarmUp(WarmupTime); err != nil {
 		return FlapResult{}, err
 	}
 	fp, err := f.Topo.FailurePoint(topology.TC1)
@@ -108,23 +81,15 @@ func RunFlap(opts Options, flaps int, downTime, upTime time.Duration) (FlapResul
 		f.Sim.RunFor(upTime)
 	}
 	// Count churn during the flapping window only.
-	msgs, bytes, routes := 0, 0, 0
-	for _, e := range f.Log.Events {
-		switch e.Kind {
-		case "control":
-			msgs++
-			bytes += e.Bytes
-		case "route":
-			routes++
-		}
-	}
+	a := f.Log.Analyze(0)
+	routes, _ := routeChurn(f, 0)
 	// Let the final up period stick and verify recovery.
 	f.Sim.RunFor(30 * time.Second)
 	return FlapResult{
 		Protocol:     opts.Protocol,
 		Flaps:        flaps,
-		ControlMsgs:  msgs,
-		ControlBytes: bytes,
+		ControlMsgs:  a.ControlMessages,
+		ControlBytes: a.ControlBytes,
 		RouteEvents:  routes,
 		Recovered:    f.CheckConverged() == nil,
 	}, nil

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/fluid"
 	"repro/internal/flowhash"
+	"repro/internal/fluid"
 	"repro/internal/ipstack"
 	"repro/internal/ipv4"
 	"repro/internal/netaddr"
@@ -62,11 +62,11 @@ func (f *Fabric) buildFluidPlan(w WorkloadConfig) (*fluidPlan, error) {
 }
 
 // pathFunc resolves a flow onto the solver's directed links by walking the
-// fabric's forwarding state: server access link, then nextHopPort decisions
-// leaf-to-leaf, then the destination access link. The returned slice is
-// reused across calls (the solver copies on group creation). Resolution
-// fails — demoting the flow's group to its stale path, or abandoning an
-// unlaunched flow — when a forwarding table has no next hop, e.g. mid-fault.
+// fabric's forwarding state: server access link, then the walk leaf-to-leaf,
+// then the destination access link. The returned slice is reused across
+// calls (the solver copies on group creation). Resolution fails — demoting
+// the flow's group to its stale path, or abandoning an unlaunched flow —
+// when a forwarding table has no next hop, e.g. mid-fault.
 func (f *Fabric) pathFunc(plan *fluidPlan, dstPort uint16) workload.PathFunc {
 	servers := f.Topo.Servers
 	path := make([]fluid.LinkID, 0, 8)
@@ -91,30 +91,43 @@ func (f *Fabric) pathFunc(plan *fluidPlan, dstPort uint16) workload.PathFunc {
 			return nil, 0, false
 		}
 		dstLeaf := dst.Ports[1].Peer.Device
-		dstRoot := byte(dstLeaf.VID)
-		dev := src.Ports[1].Peer.Device
-		for hop := 0; dev != dstLeaf; hop++ {
-			if hop >= 6 { // longest valid folded-Clos walk is leaf-spine-root-spine-leaf
-				return nil, 0, false
-			}
-			port, ok := f.nextHopPort(dev, dstRoot, dst.IP, key)
-			if !ok {
-				return nil, 0, false
-			}
-			tp := dev.Ports[port]
-			if tp == nil || tp.Peer == nil || tp.Peer.Device.Tier == topology.TierServer {
-				return nil, 0, false
-			}
-			if !add(f.Sim.Node(dev.Name).Port(port)) {
-				return nil, 0, false
-			}
-			dev = tp.Peer.Device
+		mapped := true
+		// The longest valid folded-Clos walk is leaf-spine-root-spine-leaf.
+		reached := f.walk(src.Ports[1].Peer.Device, dstLeaf, dst.IP, key, 6, func(dev *topology.Device, out *topology.Port) {
+			mapped = mapped && add(f.Sim.Node(dev.Name).Port(out.Index))
+		})
+		if !reached || !mapped {
+			return nil, 0, false
 		}
 		if !add(f.Sim.Node(dstLeaf.Name).Port(dst.Ports[1].Peer.Index)) {
 			return nil, 0, false
 		}
 		return path, latency, true
 	}
+}
+
+// walk replays the fabric's forwarding decisions for a flow hop by hop from
+// one device to the leaf `to`, calling visit with each device and the egress
+// port it picks. It reports whether the walk arrived; it stops early where the
+// fabric would drop the packet — a table with no next hop (e.g. mid-fault), a
+// port leading nowhere or down into a rack — or after maxHops.
+func (f *Fabric) walk(from, to *topology.Device, toIP netaddr.IPv4, key flowhash.Key, maxHops int, visit func(dev *topology.Device, out *topology.Port)) bool {
+	for hops := 0; from != to; hops++ {
+		if hops >= maxHops {
+			return false
+		}
+		port, ok := f.nextHopPort(from, byte(to.VID), toIP, key)
+		if !ok {
+			return false
+		}
+		out := from.Ports[port]
+		if out == nil || out.Peer == nil || out.Peer.Device.Tier == topology.TierServer {
+			return false
+		}
+		visit(from, out)
+		from = out.Peer.Device
+	}
+	return true
 }
 
 // nextHopPort replicates one router's forwarding decision for a flow: the

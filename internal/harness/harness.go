@@ -45,6 +45,9 @@ func (p Protocol) String() string {
 	return fmt.Sprintf("Protocol(%d)", int(p))
 }
 
+// MarshalText makes a Protocol marshal as its name in the JSON artifacts.
+func (p Protocol) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
 // Options configures a fabric build.
 type Options struct {
 	Spec topology.Spec

@@ -74,3 +74,32 @@ func runTrials[T any](opts Options, n int, fn func(o Options) (T, error)) ([]T, 
 	}
 	return results, nil
 }
+
+// CellID names one data point of a campaign: which protocol, on which
+// topology, under which scenario. Result and summary types embed it, so the
+// json tags here are the first three keys of every *-summary.json entry.
+type CellID struct {
+	Protocol Protocol `json:"protocol"`
+	Pods     int      `json:"pods"`
+	Scenario string   `json:"scenario"`
+}
+
+// Cell is one data point of an experiment — a (protocol, topology, scenario)
+// combination — as the pooled summary plus the per-trial results behind it,
+// in trial order. Every experiment family's artifacts render from cells.
+type Cell[S, R any] struct {
+	Summary S
+	Trials  []R
+}
+
+// RunCell runs n seeds of one configuration over the trial pool and pools
+// them with summarize, like the paper's "values averaged over multiple
+// runs". Pooling is in trial order, so the cell is identical whatever the
+// pool width.
+func RunCell[S, R any](opts Options, n int, trial func(Options) (R, error), summarize func([]R) S) (Cell[S, R], error) {
+	rs, err := runTrials(opts, n, trial)
+	if err != nil {
+		return Cell[S, R]{}, err
+	}
+	return Cell[S, R]{Summary: summarize(rs), Trials: rs}, nil
+}

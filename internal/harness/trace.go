@@ -30,46 +30,32 @@ import (
 // event timeline alongside the injector's fault actions.
 const AccusationEventKind = chaos.Kind("accusation")
 
-// TraceConfig parameterizes a trace campaign.
-type TraceConfig struct {
-	// Flows is the number of ECMP flow variants probed per ordered leaf
+// The trace campaign's parameters. Only the fleet width varies, and only in
+// the in-package tests (one flow per leaf pair keeps hop-attribution
+// assertions on a small deterministic fleet), so it is newTraceRun's
+// argument and the rest are constants.
+const (
+	// traceFlows is the number of ECMP flow variants probed per ordered leaf
 	// pair (each pins one source port, and so one hashed path).
-	Flows int
-	// Round is one prober's probe interval (every TTL is probed once per
-	// round).
-	Round time.Duration
-	// SweepPeriod is the localizer's sweep interval.
-	SweepPeriod time.Duration
-	// LeadIn is how long probers run before the localizer is armed and the
-	// faults are injected — long enough to fill RTT baselines (MinSent).
-	LeadIn time.Duration
-	// Settle extends the observation window past the campaign horizon.
-	Settle time.Duration
-	// HopSamplePeriod spaces the per-hop statistic samples exported to
+	traceFlows = 4
+	// traceRound is one prober's probe interval (every TTL is probed once
+	// per round).
+	traceRound = 50 * time.Millisecond
+	// traceSweepPeriod is the localizer's sweep interval.
+	traceSweepPeriod = 100 * time.Millisecond
+	// traceLeadIn is how long probers run before the localizer is armed and
+	// the faults are injected — long enough to fill RTT baselines (MinSent).
+	traceLeadIn = 2 * time.Second
+	// traceSettle extends the observation window past the campaign horizon.
+	traceSettle = 2 * time.Second
+	// traceHopSamplePeriod spaces the per-hop statistic samples exported to
 	// trace-hops.csv.
-	HopSamplePeriod time.Duration
-	// CoverMemory is how long a cell's past covers stay in its blame set,
-	// so a fault that already triggered rerouting is still blamed on the
-	// path the lost probes actually took.
-	CoverMemory time.Duration
-	// Localizer carries the accusation thresholds.
-	Localizer pathtrace.LocalizerConfig
-}
-
-// DefaultTraceConfig returns the campaign parameters the trace experiment
-// runs with.
-func DefaultTraceConfig() TraceConfig {
-	return TraceConfig{
-		Flows:           4,
-		Round:           50 * time.Millisecond,
-		SweepPeriod:     100 * time.Millisecond,
-		LeadIn:          2 * time.Second,
-		Settle:          2 * time.Second,
-		HopSamplePeriod: time.Second,
-		CoverMemory:     time.Second,
-		Localizer:       pathtrace.DefaultLocalizerConfig(),
-	}
-}
+	traceHopSamplePeriod = time.Second
+	// traceCoverMemory is how long a cell's past covers stay in its blame
+	// set, so a fault that already triggered rerouting is still blamed on
+	// the path the lost probes actually took.
+	traceCoverMemory = time.Second
+)
 
 // TraceScenario is one catalog entry: a gray-failure campaign plus the
 // directed links a correct localization may accuse.
@@ -202,7 +188,6 @@ type TraceHopSample struct {
 // localizer.
 type traceRun struct {
 	f          *Fabric
-	cfg        TraceConfig
 	tracer     *pathtrace.Tracer
 	loc        *pathtrace.Localizer
 	vants      []traceVantage // by prober ID
@@ -212,15 +197,14 @@ type traceRun struct {
 }
 
 // newTraceRun registers the prober fleet on a built (not yet warm) fabric:
-// every ordered leaf pair at cfg.Flows ECMP variants, probing from the
+// every ordered leaf pair at `flows` ECMP variants, probing from the
 // source ToR's gateway address with a TTL budget matching the pair's hop
 // distance (2 intra-pod, 4 cross-pod).
-func newTraceRun(f *Fabric, cfg TraceConfig) *traceRun {
+func newTraceRun(f *Fabric, flows int) *traceRun {
 	run := &traceRun{
 		f:       f,
-		cfg:     cfg,
 		tracer:  &pathtrace.Tracer{},
-		loc:     pathtrace.NewLocalizer(cfg.Localizer),
+		loc:     pathtrace.NewLocalizer(pathtrace.DefaultLocalizerConfig()),
 		history: make(map[int][]stampedCover),
 	}
 	for _, src := range f.Topo.Leaves {
@@ -239,7 +223,7 @@ func newTraceRun(f *Fabric, cfg TraceConfig) *traceRun {
 			if dst.Pod == src.Pod {
 				maxTTL = 2
 			}
-			for flow := 0; flow < cfg.Flows; flow++ {
+			for flow := 0; flow < flows; flow++ {
 				run.tracer.AddProber(pathtrace.ProberConfig{
 					Src:    topology.LeafGatewayIP(src),
 					Dst:    topology.LeafGatewayIP(dst),
@@ -272,9 +256,9 @@ func (run *traceRun) start() {
 		var tick func()
 		tick = func() {
 			p.Tick()
-			sim.Schedule(run.cfg.Round, tick)
+			sim.Schedule(traceRound, tick)
 		}
-		offset := run.cfg.Round * time.Duration(i) / time.Duration(n)
+		offset := traceRound * time.Duration(i) / time.Duration(n)
 		sim.Schedule(offset, tick)
 	}
 }
@@ -286,20 +270,6 @@ func (run *traceRun) probeKey(i int) flowhash.Key {
 		Src: p.Cfg.Src, Dst: p.Cfg.Dst, Proto: ipv4.ProtoUDP,
 		SrcPort: p.SrcPort(), DstPort: pathtrace.TracePort,
 	}
-}
-
-// nextHop replicates one device's forwarding decision for a flow — the
-// shared nextHopPort helper mapped back onto the topology.
-func (run *traceRun) nextHop(dev *topology.Device, dstRoot byte, dstIP netaddr.IPv4, key flowhash.Key) (next *topology.Device, ingressIP netaddr.IPv4, ok bool) {
-	port, ok := run.f.nextHopPort(dev, dstRoot, dstIP, key)
-	if !ok {
-		return nil, netaddr.IPv4{}, false
-	}
-	tp := dev.Ports[port]
-	if tp == nil || tp.Peer == nil || tp.Peer.Device.Tier == topology.TierServer {
-		return nil, netaddr.IPv4{}, false
-	}
-	return tp.Peer.Device, tp.Peer.IP, true
 }
 
 // hopAddr is the address the probe reply from this hop will carry:
@@ -322,20 +292,11 @@ func (run *traceRun) hopAddr(v traceVantage, dev *topology.Device, ingressIP net
 func (run *traceRun) forwardWalk(i, maxTTL int) (hops []tracePathHop, links []pathtrace.DirectedLink) {
 	v := run.vants[i]
 	key := run.probeKey(i)
-	dstRoot := byte(v.dst.VID)
-	dev := v.src
-	for step := 0; step < maxTTL; step++ {
-		next, inIP, ok := run.nextHop(dev, dstRoot, key.Dst, key)
-		if !ok {
-			return hops, links
-		}
+	run.f.walk(v.src, v.dst, key.Dst, key, maxTTL, func(dev *topology.Device, out *topology.Port) {
+		next := out.Peer.Device
 		links = append(links, pathtrace.DirectedLink{From: dev.Name, To: next.Name})
-		hops = append(hops, tracePathHop{dev: next, addr: run.hopAddr(v, next, inIP)})
-		dev = next
-		if dev == v.dst {
-			break
-		}
-	}
+		hops = append(hops, tracePathHop{dev: next, addr: run.hopAddr(v, next, out.Peer.IP)})
+	})
 	return hops, links
 }
 
@@ -347,17 +308,10 @@ func (run *traceRun) replyWalk(i int, hop tracePathHop) []pathtrace.DirectedLink
 	v := run.vants[i]
 	vantage := topology.LeafGatewayIP(v.src)
 	key := flowhash.Key{Src: hop.addr, Dst: vantage, Proto: ipv4.ProtoICMP}
-	srcRoot := byte(v.src.VID)
-	dev := hop.dev
 	var links []pathtrace.DirectedLink
-	for steps := 0; dev != v.src && steps < pathtrace.MaxTTL; steps++ {
-		next, _, ok := run.nextHop(dev, srcRoot, vantage, key)
-		if !ok {
-			return links
-		}
-		links = append(links, pathtrace.DirectedLink{From: dev.Name, To: next.Name})
-		dev = next
-	}
+	run.f.walk(hop.dev, v.src, vantage, key, pathtrace.MaxTTL, func(dev *topology.Device, out *topology.Port) {
+		links = append(links, pathtrace.DirectedLink{From: dev.Name, To: out.Peer.Device.Name})
+	})
 	return links
 }
 
@@ -385,7 +339,7 @@ func (run *traceRun) coverFor(i, ttl int, hops []tracePathHop, links []pathtrace
 func (run *traceRun) updateHistory(key int, now time.Duration, cover []pathtrace.DirectedLink) []pathtrace.DirectedLink {
 	hist := append(run.history[key], stampedCover{at: now, links: cover})
 	cut := 0
-	for cut < len(hist)-1 && now-hist[cut].at > run.cfg.CoverMemory {
+	for cut < len(hist)-1 && now-hist[cut].at > traceCoverMemory {
 		cut++
 	}
 	hist = hist[cut:]
@@ -435,7 +389,7 @@ func (run *traceRun) sweep() {
 	for _, a := range run.loc.Sweep(now, cells) {
 		run.f.Log.Accusation(a.At, "localizer", a.Link.String())
 	}
-	if now-run.lastSample >= run.cfg.HopSamplePeriod {
+	if now-run.lastSample >= traceHopSamplePeriod {
 		run.sample(now, cells)
 	}
 }
@@ -459,9 +413,7 @@ type TraceAccusation struct {
 
 // TraceResult is one campaign trial.
 type TraceResult struct {
-	Protocol Protocol
-	Pods     int
-	Scenario string
+	CellID
 
 	Probers int
 	Cells   int
@@ -491,15 +443,10 @@ type TraceResult struct {
 	Events []chaos.Event
 }
 
-// RunTrace executes one trace campaign trial with the default config.
+// RunTrace executes one trace campaign trial: build, register the prober
+// fleet, warm up, probe through a lead-in, arm the localizer, inject the
+// scenario, sweep to the horizon plus settle, and score.
 func RunTrace(opts Options, sc TraceScenario) (TraceResult, error) {
-	return RunTraceCfg(opts, sc, DefaultTraceConfig())
-}
-
-// RunTraceCfg executes one trace campaign trial: build, register the
-// prober fleet, warm up, probe through a lead-in, arm the localizer,
-// inject the scenario, sweep to the horizon plus settle, and score.
-func RunTraceCfg(opts Options, sc TraceScenario, cfg TraceConfig) (TraceResult, error) {
 	if opts.MultiTier != nil {
 		return TraceResult{}, fmt.Errorf("harness: trace campaigns support the standard three-tier specs only")
 	}
@@ -507,26 +454,26 @@ func RunTraceCfg(opts Options, sc TraceScenario, cfg TraceConfig) (TraceResult, 
 	if err != nil {
 		return TraceResult{}, err
 	}
-	run := newTraceRun(f, cfg)
+	run := newTraceRun(f, traceFlows)
 	if err := f.WarmUp(WarmupTime); err != nil {
 		return TraceResult{}, err
 	}
 	run.start()
-	f.Sim.RunFor(cfg.LeadIn)
+	f.Sim.RunFor(traceLeadIn)
 	run.arm()
 	var sweep func()
 	sweep = func() {
 		run.sweep()
-		f.Sim.Schedule(cfg.SweepPeriod, sweep)
+		f.Sim.Schedule(traceSweepPeriod, sweep)
 	}
-	f.Sim.Schedule(cfg.SweepPeriod, sweep)
+	f.Sim.Schedule(traceSweepPeriod, sweep)
 
 	applyAt := f.Sim.Now()
 	inj, err := chaos.Apply(f.Sim, sc.Spec)
 	if err != nil {
 		return TraceResult{}, err
 	}
-	f.Sim.RunFor(sc.Spec.Horizon() + cfg.Settle)
+	f.Sim.RunFor(sc.Spec.Horizon() + traceSettle)
 
 	firstStart := sc.Spec.Faults[0].Start.D()
 	for _, fault := range sc.Spec.Faults[1:] {
@@ -535,9 +482,7 @@ func RunTraceCfg(opts Options, sc TraceScenario, cfg TraceConfig) (TraceResult, 
 		}
 	}
 	res := TraceResult{
-		Protocol:   opts.Protocol,
-		Pods:       opts.Spec.Pods,
-		Scenario:   sc.Spec.Name,
+		CellID:     CellID{opts.Protocol, opts.Spec.Pods, sc.Spec.Name},
 		Probers:    len(run.tracer.Probers()),
 		InjectedAt: applyAt + firstStart,
 		Samples:    run.samples,
@@ -607,29 +552,28 @@ func accusationEvent(a TraceAccusation) chaos.Event {
 	}
 }
 
-// TraceSummary aggregates trials of one (protocol, pods, scenario) cell.
-// It is a flat comparable struct on purpose, like ChaosSummary: the
-// pooling determinism test compares summaries with ==.
+// TraceSummary aggregates trials of one (protocol, pods, scenario) cell; its
+// json tags are the trace-summary.json schema. It is a flat comparable
+// struct on purpose, like ChaosSummary: the pooling determinism test
+// compares summaries with ==.
 type TraceSummary struct {
-	Protocol Protocol
-	Pods     int
-	Scenario string
-	Trials   int
+	CellID
+	Trials int `json:"trials"`
 
-	Probers int // per trial (identical across trials by construction)
+	Probers int `json:"probers"` // per trial (identical across trials by construction)
 
 	// Localized counts trials whose accepted link was accused;
 	// FalseAccusals sums wrong verdicts across all trials.
-	Localized     int
-	FalseAccusals int
+	Localized     int `json:"localized_trials"`
+	FalseAccusals int `json:"false_accusals"`
 
 	// Time-to-localization over the localized trials, in milliseconds.
-	TTLocMsMean float64
-	TTLocMsMax  float64
+	TTLocMsMean float64 `json:"time_to_localize_ms_mean"`
+	TTLocMsMax  float64 `json:"time_to_localize_ms_max"`
 
-	AccusationsMean   float64
-	ProbeLossRateMean float64
-	TraceRepliesMean  float64
+	AccusationsMean   float64 `json:"accusations_mean"`
+	ProbeLossRateMean float64 `json:"probe_loss_rate_mean"`
+	TraceRepliesMean  float64 `json:"trace_replies_mean"`
 }
 
 // SummarizeTrace pools per-trial results in trial order, so parallel and
@@ -639,11 +583,9 @@ func SummarizeTrace(rs []TraceResult) TraceSummary {
 		return TraceSummary{}
 	}
 	s := TraceSummary{
-		Protocol: rs[0].Protocol,
-		Pods:     rs[0].Pods,
-		Scenario: rs[0].Scenario,
-		Trials:   len(rs),
-		Probers:  rs[0].Probers,
+		CellID:  rs[0].CellID,
+		Trials:  len(rs),
+		Probers: rs[0].Probers,
 	}
 	n := float64(len(rs))
 	var ttlSum float64
@@ -667,16 +609,4 @@ func SummarizeTrace(rs []TraceResult) TraceSummary {
 		s.TTLocMsMean = ttlSum / float64(s.Localized)
 	}
 	return s
-}
-
-// RunTraceTrials fans n seeds of one campaign cell over the trial pool and
-// pools the results, returning per-trial results in trial order.
-func RunTraceTrials(opts Options, sc TraceScenario, n int) (TraceSummary, []TraceResult, error) {
-	rs, err := runTrials(opts, n, func(o Options) (TraceResult, error) {
-		return RunTrace(o, sc)
-	})
-	if err != nil {
-		return TraceSummary{}, nil, err
-	}
-	return SummarizeTrace(rs), rs, nil
 }

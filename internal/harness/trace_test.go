@@ -11,14 +11,6 @@ import (
 	"repro/internal/topology"
 )
 
-// traceTestCfg probes one flow per leaf pair: hop-attribution assertions
-// want a small deterministic fleet, not ECMP sweep width.
-func traceTestCfg() TraceConfig {
-	cfg := DefaultTraceConfig()
-	cfg.Flows = 1
-	return cfg
-}
-
 // buildTraceRun builds a warm fabric with the prober fleet started and two
 // seconds of probing behind it.
 func buildTraceRun(t *testing.T, proto Protocol, seed int64) (*Fabric, *traceRun) {
@@ -27,7 +19,9 @@ func buildTraceRun(t *testing.T, proto Protocol, seed int64) (*Fabric, *traceRun
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := newTraceRun(f, traceTestCfg())
+	// One flow per leaf pair: hop-attribution assertions want a small
+	// deterministic fleet, not ECMP sweep width.
+	run := newTraceRun(f, 1)
 	if err := f.WarmUp(WarmupTime); err != nil {
 		t.Fatal(err)
 	}
@@ -209,33 +203,34 @@ func TestTraceParallelMatchesSequential(t *testing.T) {
 	old := Workers
 	defer func() { Workers = old }()
 
-	render := func(s TraceSummary, rs []TraceResult) [][]byte {
-		runs := []TraceRun{{Summary: s, Trials: rs}}
-		js, err := RenderTraceSummaryJSON(runs)
+	trial := func(o Options) (TraceResult, error) { return RunTrace(o, sc) }
+	render := func(c Cell[TraceSummary, TraceResult]) [][]byte {
+		cells := []Cell[TraceSummary, TraceResult]{c}
+		js, err := RenderSummaryJSON(cells)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return [][]byte{
-			RenderTraceHopsCSV(runs), RenderTraceAccusationsCSV(runs),
-			RenderTraceTimelineCSV(runs), js,
+			RenderTraceHopsCSV(cells), RenderTraceAccusationsCSV(cells),
+			RenderTraceTimelineCSV(cells), js,
 		}
 	}
 
 	Workers = 1
-	seq, seqTrials, err := RunTraceTrials(opts, sc, 3)
+	seq, err := RunCell(opts, 3, trial, SummarizeTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
 	Workers = 4
-	par, parTrials, err := RunTraceTrials(opts, sc, 3)
+	par, err := RunCell(opts, 3, trial, SummarizeTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// TraceSummary is flat and comparable by design, like ChaosSummary.
-	if seq != par {
-		t.Errorf("parallel summary differs from sequential:\nseq: %+v\npar: %+v", seq, par)
+	if seq.Summary != par.Summary {
+		t.Errorf("parallel summary differs from sequential:\nseq: %+v\npar: %+v", seq.Summary, par.Summary)
 	}
-	seqArts, parArts := render(seq, seqTrials), render(par, parTrials)
+	seqArts, parArts := render(seq), render(par)
 	for i := range seqArts {
 		if !bytes.Equal(seqArts[i], parArts[i]) {
 			t.Errorf("artifact %d differs between worker counts", i)

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/chaos"
@@ -51,12 +50,13 @@ type WorkloadConfig struct {
 	// analytic fluid model, or the hybrid split — short flows and flows
 	// overlapping the fault window on packets, the rest fluid.
 	Engine workload.Mode
-	// FluidCutoff demotes flows below this many bytes to the packet path
-	// in hybrid mode (default 10 kB: the websearch mix's mice).
-	FluidCutoff int
 	// RateInterval is the fluid rate-recomputation cadence (default 5 ms).
 	RateInterval time.Duration
 }
+
+// fluidCutoff demotes flows below this many bytes to the packet path in
+// hybrid mode: the websearch mix's mice.
+const fluidCutoff = 10_000
 
 // DefaultWorkloadConfig is the published experiment: a websearch mix on the
 // random pattern, links at 200 Mb/s with 64-frame queues, and (mid-failure
@@ -93,10 +93,8 @@ func (w WorkloadConfig) Scenario() string {
 
 // WorkloadResult is one trial's outcome.
 type WorkloadResult struct {
-	Protocol Protocol
-	Pods     int
-	Scenario string
-	Engine   string
+	CellID
+	Engine string
 
 	Report workload.Report
 	// GroupLoads is the per-uplink byte spread of every router's
@@ -152,17 +150,13 @@ func (f *Fabric) UplinkGroups() []workload.Group {
 
 // RunWorkload drives one workload trial over a warm fabric.
 func RunWorkload(opts Options, w WorkloadConfig) (WorkloadResult, error) {
-	f, err := Build(opts)
+	f, err := warm(opts)
 	if err != nil {
-		return WorkloadResult{}, err
-	}
-	if err := f.WarmUp(WarmupTime); err != nil {
 		return WorkloadResult{}, err
 	}
 	// Sample timer phase like the other experiments, then shape the links
 	// only after the fabric is converged so warm-up stays cheap.
-	phase := time.Duration(f.Sim.Rand().Int63n(int64(time.Second)))
-	f.Sim.RunFor(phase)
+	f.Sim.RunFor(f.drawPhase())
 	if w.LinkBps > 0 {
 		for _, link := range f.Sim.Links() {
 			link.SetBandwidth(w.LinkBps, w.LinkQueue)
@@ -189,10 +183,7 @@ func RunWorkload(opts Options, w WorkloadConfig) (WorkloadResult, error) {
 		}
 		cfg.Solver = plan.solver
 		cfg.PathOf = f.pathFunc(plan, cfg.DstPort)
-		cfg.FluidCutoff = w.FluidCutoff
-		if cfg.FluidCutoff <= 0 {
-			cfg.FluidCutoff = 10_000
-		}
+		cfg.FluidCutoff = fluidCutoff
 		cfg.RateInterval = w.RateInterval
 		if w.MidFailure || w.Chaos != nil {
 			// Flows predicted to straddle the fault keep packet fidelity:
@@ -240,9 +231,7 @@ func RunWorkload(opts Options, w WorkloadConfig) (WorkloadResult, error) {
 	loads := meter.Read()
 	imb, jain := workload.ImbalanceSummary(loads)
 	res := WorkloadResult{
-		Protocol:    opts.Protocol,
-		Pods:        opts.Spec.Pods,
-		Scenario:    w.Scenario(),
+		CellID:      CellID{opts.Protocol, opts.Spec.Pods, w.Scenario()},
 		Engine:      w.Engine.String(),
 		Report:      engine.Report(nil),
 		GroupLoads:  loads,
@@ -269,44 +258,60 @@ func (f *Fabric) repathFluid(w WorkloadConfig, engine *workload.Engine) {
 	f.Sim.After(time.Second, engine.Repath)
 }
 
-// WorkloadBucket aggregates one flow-size class across trials.
-type WorkloadBucket struct {
-	Label     string
-	Flows     int
-	Completed int
-	// FCT summarizes the pooled per-flow completion times (ms).
-	FCT stats.Summary
+// FCT summarizes pooled per-flow completion times in milliseconds.
+type FCT struct {
+	N    int     `json:"-"`
+	Mean float64 `json:"mean_ms"`
+	P50  float64 `json:"p50_ms"`
+	P95  float64 `json:"p95_ms"`
+	P99  float64 `json:"p99_ms"`
+	Max  float64 `json:"max_ms"`
 }
 
-// WorkloadSummary aggregates trials of one (protocol, pods, scenario) cell.
-type WorkloadSummary struct {
-	Protocol Protocol
-	Pods     int
-	Scenario string
-	Engine   string
-	Trials   int
+// WorkloadBucket aggregates one flow-size class across trials. FCT is
+// embedded so its fields sit beside the counts in workload-summary.json.
+type WorkloadBucket struct {
+	Label     string `json:"label"`
+	Flows     int    `json:"flows"`
+	Completed int    `json:"completed"`
+	FCT
+}
 
-	Flows          int // across all trials
-	Completed      int
-	Abandoned      int
-	Incomplete     int
-	CompletionRate float64
-	PacketsSent    uint64
-	Retransmits    uint64
+// UplinkImbalance pools every busy uplink group's max/mean byte ratio from
+// every trial (N groups); JainMean averages the per-trial Jain means.
+type UplinkImbalance struct {
+	Mean     float64 `json:"max_over_mean_mean"`
+	P95      float64 `json:"max_over_mean_p95"`
+	Max      float64 `json:"max_over_mean_max"`
+	N        int     `json:"groups"`
+	JainMean float64 `json:"jain_mean"`
+}
+
+// WorkloadSummary aggregates trials of one (protocol, pods, scenario) cell;
+// its json tags are the workload-summary.json schema.
+type WorkloadSummary struct {
+	CellID
+	Engine string `json:"engine"`
+	Trials int    `json:"trials"`
+
+	Flows          int     `json:"flows"` // across all trials
+	Completed      int     `json:"completed"`
+	Abandoned      int     `json:"abandoned"`
+	Incomplete     int     `json:"incomplete"`
+	CompletionRate float64 `json:"completion_rate"`
+	PacketsSent    uint64  `json:"packets_sent"`
+	Retransmits    uint64  `json:"retransmits"`
 	// FluidFlows counts flows routed through the fluid model (0 in packet
 	// mode); PeakConcurrent is the largest in-flight flow count of any
 	// trial, the scale axis of the million-flow experiment.
-	FluidFlows     int
-	PeakConcurrent int
+	FluidFlows     int `json:"fluid_flows"`
+	PeakConcurrent int `json:"peak_concurrent"`
 
-	Buckets []WorkloadBucket
-	// Imbalance pools every busy uplink group's max/mean ratio from every
-	// trial; JainMean averages the per-trial Jain means.
-	Imbalance stats.Summary
-	JainMean  float64
-	Drops     float64 // mean per trial
-	PeakQueue int     // max across trials
-	PeakUtil  float64 // max across trials
+	Buckets   []WorkloadBucket `json:"fct_buckets"`
+	Imbalance UplinkImbalance  `json:"uplink_imbalance"`
+	Drops     float64          `json:"mean_drops_per_trial"`
+	PeakQueue int              `json:"peak_queue"` // max across trials
+	PeakUtil  float64          `json:"peak_util"`  // max across trials
 }
 
 // SummarizeWorkload pools per-trial results (all trials must share the
@@ -317,11 +322,9 @@ func SummarizeWorkload(rs []WorkloadResult) WorkloadSummary {
 		return WorkloadSummary{}
 	}
 	s := WorkloadSummary{
-		Protocol: rs[0].Protocol,
-		Pods:     rs[0].Pods,
-		Scenario: rs[0].Scenario,
-		Engine:   rs[0].Engine,
-		Trials:   len(rs),
+		CellID: rs[0].CellID,
+		Engine: rs[0].Engine,
+		Trials: len(rs),
 	}
 	nBuckets := len(rs[0].Report.Buckets)
 	fcts := make([][]float64, nBuckets)
@@ -364,7 +367,11 @@ func SummarizeWorkload(rs []WorkloadResult) WorkloadSummary {
 		}
 	}
 	for i := 0; i < nBuckets; i++ {
-		b := WorkloadBucket{Label: rs[0].Report.Buckets[i].Label, FCT: stats.Summarize(fcts[i])}
+		fct := stats.Summarize(fcts[i])
+		b := WorkloadBucket{
+			Label: rs[0].Report.Buckets[i].Label,
+			FCT:   FCT{N: fct.N, Mean: fct.Mean, P50: fct.P50, P95: fct.P95, P99: fct.P99, Max: fct.Max},
+		}
 		for _, r := range rs {
 			b.Flows += r.Report.Buckets[i].Flows
 			b.Completed += r.Report.Buckets[i].Completed
@@ -374,40 +381,8 @@ func SummarizeWorkload(rs []WorkloadResult) WorkloadSummary {
 	if s.Flows > 0 {
 		s.CompletionRate = float64(s.Completed) / float64(s.Flows)
 	}
-	s.Imbalance = stats.Summarize(ratios)
-	s.JainMean = jain / float64(len(rs))
+	imb := stats.Summarize(ratios)
+	s.Imbalance = UplinkImbalance{Mean: imb.Mean, P95: imb.P95, Max: imb.Max, N: imb.N, JainMean: jain / float64(len(rs))}
 	s.Drops = drops / float64(len(rs))
 	return s
-}
-
-// RunWorkloadTrials fans n seeds of one workload cell over the trial pool
-// and pools the results. The per-trial results are returned too (in trial
-// order) so callers can export telemetry from a representative run.
-func RunWorkloadTrials(opts Options, w WorkloadConfig, n int) (WorkloadSummary, []WorkloadResult, error) {
-	rs, err := runTrials(opts, n, func(o Options) (WorkloadResult, error) {
-		return RunWorkload(o, w)
-	})
-	if err != nil {
-		return WorkloadSummary{}, nil, err
-	}
-	return SummarizeWorkload(rs), rs, nil
-}
-
-// RenderWorkload formats a summary as the experiment's text block.
-func RenderWorkload(s WorkloadSummary) string {
-	out := fmt.Sprintf("%s %dP %s: completed %d/%d (%.1f%%), abandoned %d, incomplete %d, retx %d, drops %.0f, peak queue %d, peak util %.2f\n",
-		s.Protocol, s.Pods, s.Scenario, s.Completed, s.Flows, 100*s.CompletionRate,
-		s.Abandoned, s.Incomplete, s.Retransmits, s.Drops, s.PeakQueue, s.PeakUtil)
-	if s.Engine != "" && s.Engine != "packet" {
-		out += fmt.Sprintf("  engine %s: %d fluid flows, peak concurrency %d\n",
-			s.Engine, s.FluidFlows, s.PeakConcurrent)
-	}
-	out += fmt.Sprintf("  %-10s %6s %6s %9s %9s %9s %9s\n", "bucket", "flows", "done", "mean(ms)", "p50", "p95", "p99")
-	for _, b := range s.Buckets {
-		out += fmt.Sprintf("  %-10s %6d %6d %9.2f %9.2f %9.2f %9.2f\n",
-			b.Label, b.Flows, b.Completed, b.FCT.Mean, b.FCT.P50, b.FCT.P95, b.FCT.P99)
-	}
-	out += fmt.Sprintf("  uplink imbalance max/mean: mean=%.3f p95=%.3f worst=%.3f (n=%d groups), jain=%.3f\n",
-		s.Imbalance.Mean, s.Imbalance.P95, s.Imbalance.Max, s.Imbalance.N, s.JainMean)
-	return out
 }

@@ -117,20 +117,21 @@ func TestWorkloadTrialsDeterministicAcrossPool(t *testing.T) {
 	opts := DefaultOptions(topology.TwoPodSpec(), ProtoBGP, 7)
 	w := smallWorkload()
 	w.Flows = 12
+	trial := func(o Options) (WorkloadResult, error) { return RunWorkload(o, w) }
 	var seq, par WorkloadSummary
 	withWorkers(t, 1, func() {
-		s, _, err := RunWorkloadTrials(opts, w, 2)
+		c, err := RunCell(opts, 2, trial, SummarizeWorkload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq = s
+		seq = c.Summary
 	})
 	withWorkers(t, 4, func() {
-		s, _, err := RunWorkloadTrials(opts, w, 2)
+		c, err := RunCell(opts, 2, trial, SummarizeWorkload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par = s
+		par = c.Summary
 	})
 	if !reflect.DeepEqual(seq, par) {
 		t.Errorf("summary differs between sequential and parallel pools:\n%+v\n%+v", seq, par)
@@ -143,9 +144,7 @@ func TestWorkloadTrialsDeterministicAcrossPool(t *testing.T) {
 func TestSummarizeWorkloadPoolsBuckets(t *testing.T) {
 	mk := func(fct float64) WorkloadResult {
 		return WorkloadResult{
-			Protocol: ProtoMRMTP,
-			Pods:     2,
-			Scenario: "steady",
+			CellID: CellID{ProtoMRMTP, 2, "steady"},
 			Report: workload.Report{
 				Flows: 1, Completed: 1, PacketsSent: 4,
 				Buckets: []workload.BucketReport{{Label: "S", Flows: 1, Completed: 1, FCTms: []float64{fct}}},
