@@ -17,12 +17,12 @@ test:
 vet:
 	$(GO) vet ./...
 
-# lint enforces the determinism contract (DESIGN.md §8), the hot-path
-# contract (DESIGN.md §9), and the resource-lifetime contract (DESIGN.md
-# §14) with the repo's own analyzers — map iteration order,
-# wall-clock/global-rand use, panics in packet-processing code, hot-path
-# allocation discipline, frame ownership, trial purity, justified escape
-# hatches, and pooled-resource lifetimes.
+# lint enforces the determinism contract (DESIGN.md §8) and the hot-path
+# contract (DESIGN.md §9) with the repo's own analyzers — map iteration
+# order, wall-clock/global-rand use, panics in packet-processing code,
+# hot-path allocation discipline, frame ownership, trial purity, and
+# justified, still-live escape hatches. Pool discipline is not a lint rule:
+# `make invariants` enforces it at runtime (DESIGN.md §14).
 # staticcheck runs too when installed; it is not vendored, so a bare
 # container skips it rather than failing.
 lint:
@@ -34,15 +34,16 @@ lint:
 	fi
 
 # analyzers runs everything under tools/ — the lint passes' golden-fixture
-# suites plus the loader/callgraph infrastructure tests — and the
-# simlint driver's exit-status/schema tests (also covered by `make test`;
-# this target is the fast inner loop when writing a pass).
+# suites — and the simlint driver's exit-status/schema tests (also covered
+# by `make test`; this target is the fast inner loop when writing a pass).
 analyzers:
 	$(GO) test ./tools/... ./cmd/simlint/...
 
 # invariants runs the suite with runtime assertions compiled in: event-heap
-# ordering, MR-MTP VID-table consistency, and FIB next-hop validity panic on
-# violation instead of silently corrupting a result.
+# ordering, MR-MTP VID-table consistency, FIB next-hop validity, and the
+# pool ledgers (freelist poisoning, frame-arena double-Put and
+# recycled-in-flight checks) panic on violation instead of silently
+# corrupting a result.
 invariants:
 	$(GO) test -tags invariants ./...
 

@@ -1,7 +1,7 @@
 // Command simlint is the repo's lint driver: a multichecker that runs the
 // custom analyzers under tools/analyzers over the module and fails if any
-// site violates the determinism contract (DESIGN.md §8), the hot-path
-// contract (DESIGN.md §9), or the resource-lifetime contract (DESIGN.md §14).
+// site violates the determinism contract (DESIGN.md §8) or the hot-path
+// contract (DESIGN.md §9).
 //
 // Usage:
 //
@@ -21,17 +21,12 @@
 //	framealias   the packet-processing packages plus simnet (frame
 //	             ownership at the Port.Send boundary)
 //	justify      every package (a bare //simlint marker is wrong anywhere)
-//	lifetime     reads the whole module, reports in repro/internal/...
-//	             (pooled-resource lifetimes: the event freelist and the
-//	             frame arena)
-//	unusedmarker runs last; reports justification markers that no analyzer
-//	             consulted during this run — stale suppressions whose
-//	             finding has moved or disappeared
+//	unusedmarker every package, last; reports justification markers that no
+//	             analyzer consulted during this run — stale suppressions
+//	             whose finding has moved or disappeared
 //
-// lifetime is a module pass: it builds a cross-package call graph and
-// per-function summaries from every loaded package, then reports only
-// inside its scope. unusedmarker is scoped per marker: a marker only counts
-// as stale in packages where the analyzer that honors it actually ran (see
+// unusedmarker is scoped per marker: a marker only counts as stale in
+// packages where the analyzer that honors it actually ran (see
 // markerApplies).
 //
 // Diagnostics print as file:line:col: message (analyzer); with -json they
@@ -54,7 +49,6 @@ import (
 	"repro/tools/analyzers/analysis"
 	"repro/tools/analyzers/framealias"
 	"repro/tools/analyzers/justify"
-	"repro/tools/analyzers/lifetime"
 	"repro/tools/analyzers/load"
 	"repro/tools/analyzers/maporder"
 	"repro/tools/analyzers/panicpath"
@@ -88,7 +82,8 @@ func isInternal(importPath string) bool {
 
 func anyPkg(string) bool { return true }
 
-// checks pairs each per-package analyzer with its package scope.
+// checks pairs each analyzer with its package scope; every package runs
+// its applicable rows in this order.
 var checks = []struct {
 	analyzer *analysis.Analyzer
 	applies  func(importPath string) bool
@@ -100,28 +95,18 @@ var checks = []struct {
 	{allocfree.Analyzer, isHotPkg},
 	{framealias.Analyzer, isHotPkg},
 	{justify.Analyzer, anyPkg},
-}
-
-// moduleChecks pairs each module pass with its reporting scope; the pass
-// itself always reads every loaded package.
-var moduleChecks = []struct {
-	analyzer *analysis.ModuleAnalyzer
-	reportIn func(importPath string) bool
-}{
-	{lifetime.Analyzer, isInternal},
 	// unusedmarker must stay last: it audits the consultations every
-	// other analyzer recorded during this run.
-	{justify.UnusedMarkers, anyPkg},
+	// other analyzer recorded on the package.
+	{justify.UnusedMarkers(markerApplies), anyPkg},
 }
 
 // markerApplies tells unusedmarker where each justification marker is within
 // some analyzer's sight; a marker outside its analyzer's package scope is
-// unreachable, not stale. This table mirrors checks/moduleChecks above.
+// unreachable, not stale. This table mirrors checks above.
 func markerApplies(importPath, marker string) bool {
 	switch marker {
 	case analysis.SuppressionComment, // maporder, walltime, sharedstate
-		analysis.SharedComment,   // sharedstate
-		analysis.LifetimeComment: // lifetime
+		analysis.SharedComment: // sharedstate
 		return isInternal(importPath)
 	case analysis.AllocComment, analysis.FrameOwnComment: // allocfree, framealias
 		return isHotPkg(importPath)
@@ -160,7 +145,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "simlint:", err)
 		os.Exit(2)
 	}
-	justify.UnusedApplies = markerApplies
 	analysis.ResetMarkerUsage()
 
 	var findings []finding
@@ -194,41 +178,6 @@ func main() {
 			}
 			if _, err := c.analyzer.Run(pass); err != nil {
 				fmt.Fprintf(os.Stderr, "simlint: %s on %s: %v\n", name, pkg.ImportPath, err)
-				os.Exit(2)
-			}
-		}
-	}
-
-	// Module passes see every loaded package at once; the loader parses all
-	// targets into one FileSet, so positions compare across units.
-	if len(pkgs) > 0 {
-		units := make([]*analysis.PackageUnit, len(pkgs))
-		for i, pkg := range pkgs {
-			units[i] = &analysis.PackageUnit{
-				ImportPath: pkg.ImportPath,
-				Files:      pkg.Files,
-				Pkg:        pkg.Types,
-				TypesInfo:  pkg.Info,
-			}
-		}
-		fset := pkgs[0].Fset
-		for _, mc := range moduleChecks {
-			name := mc.analyzer.Name
-			pass := &analysis.ModulePass{
-				Analyzer: mc.analyzer,
-				Fset:     fset,
-				Units:    units,
-				ReportIn: mc.reportIn,
-				Report: func(d analysis.Diagnostic) {
-					pos := fset.Position(d.Pos)
-					findings = append(findings, finding{
-						File: relFile(pos.Filename), Line: pos.Line, Col: pos.Column,
-						Message: d.Message, Analyzer: name,
-					})
-				},
-			}
-			if _, err := mc.analyzer.Run(pass); err != nil {
-				fmt.Fprintf(os.Stderr, "simlint: %s: %v\n", name, err)
 				os.Exit(2)
 			}
 		}

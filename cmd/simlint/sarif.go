@@ -72,12 +72,6 @@ func sarifLog(findings []finding) sarifFile {
 			ShortDescription: sarifMessage{Text: c.analyzer.Doc},
 		})
 	}
-	for _, mc := range moduleChecks {
-		rules = append(rules, sarifRule{
-			ID:               mc.analyzer.Name,
-			ShortDescription: sarifMessage{Text: mc.analyzer.Doc},
-		})
-	}
 	results := make([]sarifResult, 0, len(findings))
 	for _, f := range findings {
 		results = append(results, sarifResult{

@@ -1,31 +1,15 @@
 // Package bad seeds known findings for the simlint driver tests: one
-// walltime violation and one bare justification marker, so the exit-status
+// walltime violation and one bare justification marker (a justify finding,
+// and an unusedmarker one since it suppresses nothing), so the exit-status
 // and output-schema tests know exactly what to expect.
 package bad
 
 import "time"
 
 // Stamp reads the wall clock: a walltime finding on the time.Now line, and
-// a justify finding on the bare marker below it.
+// the justify and unusedmarker findings on the bare marker below it.
 func Stamp() time.Time {
 	t := time.Now()
 	//simlint:deterministic
 	return t
-}
-
-// FramePool is a toy arena seeding a lifetime finding.
-//
-//simlint:pool acquire=Get release=Put
-type FramePool struct{ free [][]byte }
-
-func (p *FramePool) Get(n int) []byte { return make([]byte, n) }
-func (p *FramePool) Put(b []byte)     { p.free = append(p.free, b) }
-
-// ReadAfterPut returns a byte from a buffer already handed back to the pool:
-// the seeded use-after-release the lifetime analyzer must rediscover.
-func ReadAfterPut(p *FramePool) byte {
-	b := p.Get(8)
-	b[0] = 1
-	p.Put(b)
-	return b[0]
 }

@@ -137,6 +137,39 @@ func TestDownIfaceBlackholes(t *testing.T) {
 	}
 }
 
+// TestBlackholedTxReclaimsFrame runs transmit's dead-egress reclaim, the one
+// frame-pool site no end-to-end path reaches: FIB.Lookup already withholds
+// next hops whose interface is down, so routeOut (transmit's only caller)
+// counts NoRoute instead. The test resolves ARP, downs the egress, and hands
+// transmit the stale next hop directly; under -tags invariants a second Put
+// of the frame there would trip the pool's double-Put assertion.
+func TestBlackholedTxReclaimsFrame(t *testing.T) {
+	l := newLAN(t)
+	l.h1.SendUDP(l.sub1.Host(1), l.sub2.Host(1), 9, 7, []byte("prime"))
+	l.sim.RunFor(10 * time.Millisecond)
+	gw := l.sub1.Host(254)
+	if _, ok := l.h1.arpTable[gw]; !ok {
+		t.Fatal("gateway ARP entry not resolved")
+	}
+	egress := l.h1.ifaces[1]
+	egress.Port.Fail()
+	l.sim.RunFor(10 * time.Millisecond)
+
+	before := l.sim.FrameStats()
+	_, frame := l.h1.newIPFrame(l.sub1.Host(1), l.sub2.Host(1), ipv4.ProtoUDP, ipv4.DefaultTTL, 8)
+	l.h1.transmit(egress, gw, frame)
+	after := l.sim.FrameStats()
+	if l.h1.Stats.BlackholedTx != 1 {
+		t.Errorf("BlackholedTx = %d, want 1", l.h1.Stats.BlackholedTx)
+	}
+	if got := after.Returned - before.Returned; got != 1 {
+		t.Errorf("pool Returned grew by %d, want 1", got)
+	}
+	if after.InUse != before.InUse {
+		t.Errorf("pool InUse %d -> %d, want unchanged (the frame was reclaimed)", before.InUse, after.InUse)
+	}
+}
+
 func TestPortDownCallback(t *testing.T) {
 	l := newLAN(t)
 	var downs []int

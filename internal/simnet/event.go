@@ -35,8 +35,8 @@ const (
 
 	// evFreed poisons records sitting on the freelist. Every alloc caller
 	// assigns a real kind, so under -tags invariants a record dispatched or
-	// released while still poisoned is a freelist-discipline bug (the
-	// dynamic complement to the lifetime analyzer, DESIGN.md §14).
+	// released while still poisoned is a freelist-discipline bug
+	// (DESIGN.md §14).
 	evFreed eventKind = 0xFF
 )
 

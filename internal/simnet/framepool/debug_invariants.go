@@ -8,8 +8,8 @@ import "repro/internal/invariant"
 // generation counter, bumped each time it is returned. A stale handle — a
 // reference taken before a Put — no longer matches the buffer's current
 // generation, and Check panics instead of letting the reuse silently
-// corrupt a frame in flight. This is the dynamic complement to the static
-// lifetime analyzer (DESIGN.md §14).
+// corrupt a frame in flight. This ledger is the enforcement of the pool
+// discipline (DESIGN.md §14).
 
 type debugState struct {
 	free map[*byte]bool   // buffers currently sitting in a bucket

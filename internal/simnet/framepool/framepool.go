@@ -13,9 +13,13 @@
 // never change simulation output, only allocation counts.
 //
 // The discipline — every Get is balanced by exactly one Put once the buffer
-// is provably dead, never while an alias can still be read — is enforced
-// statically by the lifetime analyzer (tools/analyzers/lifetime, DESIGN.md
-// §14) and dynamically by generation poisoning under -tags invariants.
+// is provably dead, never while an alias can still be read — has one
+// enforcement, the runtime ledger (DESIGN.md §14): under -tags invariants a
+// second Put of the same buffer panics, and a buffer returned while a
+// delivery event still holds it panics when Sim.Step reaches that event.
+// The AllocsPerRun budgets and the framepool rows of workload-telemetry.csv
+// (pinned by closlab's TestGoldenArtifacts) catch a missing Put. The one
+// static check is framealias, which rejects a Put after Port.Send.
 package framepool
 
 // classSizes are the bucket capacities, chosen around the repo's frame
@@ -46,8 +50,6 @@ type Stats struct {
 
 // Pool is a size-bucketed freelist of frame buffers. It is not safe for
 // concurrent use; each Sim owns its own pool.
-//
-//simlint:pool acquire=Get release=Put
 type Pool struct {
 	buckets [len(classSizes)][][]byte
 	stats   Stats
@@ -122,9 +124,10 @@ func (p *Pool) Get(n int) []byte {
 // Put returns a dead buffer to the pool. The caller must hold the only
 // live reference: returning a buffer that a scheduled event, a pending
 // queue, or a protocol handler can still read is the corruption the
-// lifetime analyzer exists to reject. Put accepts foreign buffers (ones
-// born from make rather than Get) and nil (a no-op), so drop paths need
-// not track a buffer's origin.
+// -tags invariants build panics on (a double Put here, a buffer recycled
+// in flight at delivery). Put accepts foreign buffers (ones born from make
+// rather than Get) and nil (a no-op), so drop paths need not track a
+// buffer's origin.
 //
 //simlint:hotpath
 func (p *Pool) Put(b []byte) {

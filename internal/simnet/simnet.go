@@ -119,7 +119,7 @@ func (s *Sim) Events() uint64 { return s.events }
 
 // Frames returns the simulation's frame-buffer pool. Protocol stacks draw
 // TX buffers from it and return provably-dead buffers; the ownership rules
-// are enforced by the lifetime analyzer (DESIGN.md §14).
+// are enforced at runtime under -tags invariants (DESIGN.md §14).
 func (s *Sim) Frames() *framepool.Pool { return s.frames }
 
 // FrameStats reports the frame pool's occupancy counters.

@@ -45,8 +45,7 @@ type LinkSeries struct {
 	lastFluid uint64
 }
 
-// PoolSample is one observation of the engine's frame-pool occupancy:
-// the runtime counterpart of the lifetime analyzer's leak-on-path check.
+// PoolSample is one observation of the engine's frame-pool occupancy.
 // A monotonic InUse climb on a closed workload is a leaked buffer.
 //
 // Peak is the running maximum of the sampled InUse values (not the pool's

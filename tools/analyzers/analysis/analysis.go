@@ -70,18 +70,6 @@ const (
 	// SharedComment exempts one package-level variable from the sharedstate
 	// analyzer, with a required justification.
 	SharedComment = "//simlint:shared"
-	// LifetimeComment exempts one pooled-resource lifetime violation site
-	// from the lifetime analyzer, with a required justification (typically:
-	// the apparent use-after-release is guarded by a generation check, or
-	// the leak is intentional warm-up).
-	LifetimeComment = "//simlint:lifetime"
-	// PoolComment declares a pooled-resource type for the lifetime
-	// analyzer. It must appear in the type's doc comment, carrying the
-	// acquire and release method names:
-	//
-	//	//simlint:pool acquire=Get release=Put
-	//	type Pool struct { ... }
-	PoolComment = "//simlint:pool"
 )
 
 // Markers is the registry of every directive the suite understands, used by
@@ -97,8 +85,6 @@ var Markers = []struct {
 	{AllocComment, false},
 	{FrameOwnComment, false},
 	{SharedComment, false},
-	{LifetimeComment, false},
-	{PoolComment, true},
 }
 
 // markerMatches reports whether comment text is marker, optionally followed

@@ -81,41 +81,6 @@ func runPackage(t *testing.T, a *analysis.Analyzer, pkg *load.Package) {
 	checkDiagnostics(t, a.Name, pkg.Fset, diags, wants)
 }
 
-// RunModule loads each fixture package and applies the module analyzer to it
-// as a one-package module, failing t on any mismatch between diagnostics and
-// `// want` expectations. Interprocedural behavior is exercised within the
-// fixture package: its helpers, closures, and types are all the analyzer
-// sees, plus the export data of anything the fixture imports.
-func RunModule(t *testing.T, testdata string, a *analysis.ModuleAnalyzer, pkgs ...string) {
-	t.Helper()
-	for _, name := range pkgs {
-		pkg, err := load.LoadDir(filepath.Join(testdata, "src", name))
-		if err != nil {
-			t.Fatalf("loading fixture %s: %v", name, err)
-		}
-		var wants []*expectation
-		for _, f := range pkg.Files {
-			wants = append(wants, parseExpectations(t, pkg.Fset, f)...)
-		}
-		var diags []analysis.Diagnostic
-		pass := &analysis.ModulePass{
-			Analyzer: a,
-			Fset:     pkg.Fset,
-			Units: []*analysis.PackageUnit{{
-				ImportPath: pkg.ImportPath,
-				Files:      pkg.Files,
-				Pkg:        pkg.Types,
-				TypesInfo:  pkg.Info,
-			}},
-			Report: func(d analysis.Diagnostic) { diags = append(diags, d) },
-		}
-		if _, err := a.Run(pass); err != nil {
-			t.Fatalf("%s: analyzer failed: %v", a.Name, err)
-		}
-		checkDiagnostics(t, a.Name, pkg.Fset, diags, wants)
-	}
-}
-
 // checkDiagnostics matches reported diagnostics against expectations
 // one-to-one: every diagnostic must hit a same-line want and vice versa.
 func checkDiagnostics(t *testing.T, name string, fset *token.FileSet, diags []analysis.Diagnostic, wants []*expectation) {

@@ -14,7 +14,8 @@
 //     the aliasing bug this pass exists to catch);
 //   - mutation after handoff: at a source position after the Send, a member
 //     is written through — index assignment, copy destination, append
-//     reuse, or an in-place marshal helper (PutHeader, ipv4.Forward).
+//     reuse, an in-place marshal helper (PutHeader, ipv4.Forward), or a
+//     release to the frame arena (Put), which lets the next Get rewrite it.
 //
 // The escape hatch is `//simlint:frameown <why>` on the offending line (or
 // the line above); the justification text is mandatory.
@@ -36,9 +37,10 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// mutators are in-place marshal helpers that write through their first
-// argument; calling one on a handed-off buffer is a mutation.
-var mutators = map[string]bool{"PutHeader": true, "Forward": true}
+// mutators write through their first argument: the in-place marshal helpers,
+// and the frame arena's Put, which hands the bytes to the next Get. Calling
+// one on a handed-off buffer is a mutation.
+var mutators = map[string]bool{"PutHeader": true, "Forward": true, "Put": true}
 
 func run(pass *analysis.Pass) (any, error) {
 	for _, f := range pass.Files {

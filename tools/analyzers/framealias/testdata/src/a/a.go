@@ -3,7 +3,10 @@
 // handoff. Copies, pre-handoff writes, and justified sites pass.
 package a
 
-import "repro/internal/simnet"
+import (
+	"repro/internal/simnet"
+	"repro/internal/simnet/framepool"
+)
 
 type state struct {
 	last    []byte
@@ -56,6 +59,13 @@ func marshalAfter(p *simnet.Port, buf []byte) {
 	var h hdr
 	p.Send(buf)
 	h.PutHeader(buf) // want `frame buf is rewritten by PutHeader after being handed to simnet`
+}
+
+// releaseAfter recycles a buffer the network still holds: the arena would
+// hand its bytes to the next Get while the delivery event is in flight.
+func releaseAfter(p *simnet.Port, frames *framepool.Pool, buf []byte) {
+	p.Send(buf)
+	frames.Put(buf) // want `frame buf is rewritten by Put after being handed to simnet`
 }
 
 // sendCopy is the blessed pattern: the handed-off buffer is a fresh copy,

@@ -15,7 +15,7 @@ func reasoned() {
 func bare() {
 	//simlint:shared // want `requires a written justification`
 	_ = 0
-	//simlint:lifetime // want `requires a written justification`
+	//simlint:alloc // want `requires a written justification`
 	_ = 1
 	//simlint:frameown // want `requires a written justification`
 	_ = 2

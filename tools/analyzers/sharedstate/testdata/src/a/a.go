@@ -119,8 +119,8 @@ func (p *prober) record(ttl int, ok bool) {
 }
 
 // Package-level prober bookkeeping is exactly the bug the rule exists for:
-// a global ID well and a global reply-matching table would be racy under
-// the partitioned engine and leak state between trials.
+// a global ID well and a global reply-matching table would be racy across
+// the parallel trial workers and leak state between trials.
 var nextProberID int // want `package-level var nextProberID is written by this package`
 
 var replyTable = map[uint16]int{} // want `package-level var replyTable has a type with mutable indirection`
@@ -135,7 +135,7 @@ func register(tr *tracer, p prober) {
 // The flow-level solver's rate table and path-group index are instance
 // state: fields of a solver owned by one trial. Rates are recomputed every
 // epoch, so a package-level table would bleed allocations between trials
-// and race under the partitioned engine.
+// and race across the parallel trial workers.
 
 type pathGroup struct {
 	rate    float64
