@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint analyzers invariants race bench bench-hotpath bench-fluid closbench fluid-smoke figures fuzz-smoke chaos-smoke trace-smoke check
+.PHONY: all build test vet lint analyzers invariants race bench bench-hotpath bench-fluid closbench closbench-digest fluid-smoke figures fuzz-smoke chaos-smoke trace-smoke check
 
 all: check
 
@@ -79,6 +79,15 @@ bench-fluid:
 closbench:
 	$(GO) run ./bench
 
+# closbench-digest is the CI tripwire for simulated results: one repetition
+# per process of the packet workload at seed 1, passing only when the
+# driver's result object (the last stdout line) says "correct":true — every
+# flow completed and sim_digest equals bench/golden.json. A change that moves
+# a simulated statistic fails here, in the PR that moved it. The timings the
+# run also prints are not judged.
+closbench-digest:
+	$(GO) run ./bench -workload packet-fct -reps 1 | tail -n 1 | grep -q '"correct":true'
+
 # fluid-smoke is the race-enabled tripwire wired into `make check`: one
 # hybrid workload trial end to end — path resolution, rate reallocation,
 # demotion to the packet path, and the engine-tagged artifacts.
@@ -104,12 +113,14 @@ chaos-smoke:
 trace-smoke:
 	$(GO) run -race ./cmd/closlab -experiment trace -pods 2 -trials 1 -out /tmp/closlab-trace-smoke
 
-# fuzz-smoke gives each wire-decoder fuzz target a short budget on top of
-# its checked-in seed corpus — a regression tripwire, not a campaign.
+# fuzz-smoke gives each wire-decoder fuzz target, and the differential
+# target holding the checksum kernel to the 16-bit reference loop, a short
+# budget on top of its seed corpus — a regression tripwire, not a campaign.
 FUZZ_TIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZ_TIME) ./internal/ethernet
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZ_TIME) ./internal/ipv4
+	$(GO) test -run '^$$' -fuzz FuzzChecksum -fuzztime $(FUZZ_TIME) ./internal/ipv4
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZ_TIME) ./internal/udp
 	$(GO) test -run '^$$' -fuzz FuzzParseMessage -fuzztime $(FUZZ_TIME) ./internal/mrmtp
 	$(GO) test -run '^$$' -fuzz FuzzParseMessage -fuzztime $(FUZZ_TIME) ./internal/bgp

@@ -15,6 +15,8 @@
 // the workload experiment between the packet engine, the analytic fluid
 // model, and the hybrid split (-engine hybrid -flows 1000000 is the
 // million-flow configuration); -flows overrides the flow count.
+// -cpuprofile and -memprofile write pprof profiles of the run (off by
+// default; they never touch stdout or the artifact files).
 package main
 
 import (
@@ -23,6 +25,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -137,6 +141,8 @@ func main() {
 	engine := flag.String("engine", "packet", "workload flow transport: packet|fluid|hybrid")
 	flows := flag.Int("flows", 0, "override the workload flow count (0 = the published 160)")
 	experiment := flag.String("experiment", "all", experimentNames())
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write a pprof allocation profile of the run to this file")
 	flag.Parse()
 
 	// Reject contradictory flag combinations with usage before anything
@@ -144,7 +150,7 @@ func main() {
 	// worse than an error, because the artifacts look valid.
 	set := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := validateFlags(set, *experiment, *engine, *trials, *parallel, *flows, *pods); err != nil {
+	if err := validateFlags(set, *experiment, *engine, *trials, *parallel, *flows, *pods, *cpuProfile, *memProfile); err != nil {
 		_, _ = fmt.Fprintf(os.Stderr, "closlab: %v\n\n", err) // best effort: exiting anyway
 		flag.Usage()
 		os.Exit(2)
@@ -158,6 +164,10 @@ func main() {
 			e.specs = append(e.specs, spec)
 		}
 	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fatalf("%v", err)
+	}
 	for _, c := range campaigns {
 		if *experiment == c.name || *experiment == "all" && !c.optIn {
 			if err := runCampaign(c, e); err != nil {
@@ -165,12 +175,51 @@ func main() {
 			}
 		}
 	}
+	if err := stopProfiles(); err != nil {
+		fatalf("%v", err)
+	}
+}
+
+// startProfiles begins the requested profiles (an empty name means off) and
+// returns the function that finishes them: it stops the CPU profile and
+// writes the allocation profile — every allocation since process start, the
+// `go tool pprof -sample_index=alloc_space` view — after a final GC.
+func startProfiles(cpuProfile, memProfile string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuProfile != "" {
+		if cpu, err = os.Create(cpuProfile); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memProfile == "" {
+			return nil
+		}
+		mem, err := os.Create(memProfile)
+		if err != nil {
+			return err
+		}
+		runtime.GC()
+		if err := pprof.Lookup("allocs").WriteTo(mem, 0); err != nil {
+			return err
+		}
+		return mem.Close()
+	}, nil
 }
 
 // validateFlags rejects flag values and combinations that would misbehave,
 // silently or late. set holds the flags explicitly passed on the command
 // line, so defaults never trip a check.
-func validateFlags(set map[string]bool, experiment, engine string, trials, parallel, flows, pods int) error {
+func validateFlags(set map[string]bool, experiment, engine string, trials, parallel, flows, pods int, cpuProfile, memProfile string) error {
 	if trials < 1 {
 		return fmt.Errorf("-trials %d: need at least one trial", trials)
 	}
@@ -194,6 +243,17 @@ func validateFlags(set map[string]bool, experiment, engine string, trials, paral
 	}
 	if set["bench-out"] && experiment != "bench-fluid" {
 		return fmt.Errorf("-bench-out only applies to -experiment bench-fluid (got %q)", experiment)
+	}
+	// A profile flag that would lose its profile: passed with no file
+	// name, or both aimed at one file (the second write replaces the first).
+	if set["cpuprofile"] && cpuProfile == "" {
+		return fmt.Errorf("-cpuprofile: need a file name")
+	}
+	if set["memprofile"] && memProfile == "" {
+		return fmt.Errorf("-memprofile: need a file name")
+	}
+	if cpuProfile != "" && cpuProfile == memProfile {
+		return fmt.Errorf("-cpuprofile and -memprofile both name %q: give each profile its own file", cpuProfile)
 	}
 	// A typo must exit non-zero naming every registered experiment, not
 	// masquerade as a successful empty run. "all" is always known and

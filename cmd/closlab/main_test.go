@@ -24,6 +24,7 @@ func TestValidateFlags(t *testing.T) {
 		parallel   int
 		flows      int
 		pods       int
+		cpu, mem   string
 		wantErr    string // empty means the combination is accepted
 	}{
 		{name: "defaults", experiment: "all", engine: "packet", trials: 1, parallel: 1},
@@ -57,6 +58,12 @@ func TestValidateFlags(t *testing.T) {
 			wantErr: "-out does not apply"},
 		{name: "unknown experiment", experiment: "nonsense", engine: "packet", trials: 1, parallel: 1,
 			wantErr: "unknown -experiment"},
+		{name: "both profiles", set: []string{"cpuprofile", "memprofile"}, experiment: "workload", engine: "packet",
+			trials: 1, parallel: 1, cpu: "cpu.prof", mem: "mem.prof"},
+		{name: "profile without a file", set: []string{"memprofile"}, experiment: "workload", engine: "packet",
+			trials: 1, parallel: 1, wantErr: "-memprofile: need a file name"},
+		{name: "profiles sharing a file", set: []string{"cpuprofile", "memprofile"}, experiment: "workload", engine: "packet",
+			trials: 1, parallel: 1, cpu: "p.prof", mem: "p.prof", wantErr: "give each profile its own file"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -64,7 +71,7 @@ func TestValidateFlags(t *testing.T) {
 			for _, f := range tc.set {
 				set[f] = true
 			}
-			err := validateFlags(set, tc.experiment, tc.engine, tc.trials, tc.parallel, tc.flows, tc.pods)
+			err := validateFlags(set, tc.experiment, tc.engine, tc.trials, tc.parallel, tc.flows, tc.pods, tc.cpu, tc.mem)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

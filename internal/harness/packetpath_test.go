@@ -1,0 +1,135 @@
+package harness
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/netaddr"
+	"repro/internal/topology"
+	"repro/internal/udp"
+	"repro/internal/workload"
+)
+
+// TestPacketPathAllocFree is the single-owner rule end to end (DESIGN.md
+// §7): on a warm 4-PoD fabric one 1000-byte datagram from a host in the
+// first rack to a listening host in the last — composed once, forwarded in
+// place at every hop, lent to the listener and returned to the pool —
+// allocates nothing, under MR-MTP (encapsulation at the ToRs) and under
+// BGP/ECMP (IP forwarding at every router) alike.
+func TestPacketPathAllocFree(t *testing.T) {
+	for _, proto := range []Protocol{ProtoMRMTP, ProtoBGP} {
+		t.Run(proto.String(), func(t *testing.T) {
+			f, err := warm(DefaultOptions(topology.FourPodSpec(), proto, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, dst := f.Topo.Servers[0], f.Topo.Servers[len(f.Topo.Servers)-1]
+			got := 0
+			f.Stacks[dst.Name].ListenUDP(9, func(_, _ netaddr.IPv4, _ udp.Datagram) { got++ })
+			payload := make([]byte, 1000)
+			op := func() {
+				f.Stacks[src.Name].SendUDP(src.IP, dst.IP, 4000, 9, payload)
+				f.Sim.RunFor(600 * time.Microsecond)
+			}
+			for i := 0; i < 3; i++ { // ARP resolves at both racks on the first sends
+				op()
+				f.Sim.RunFor(time.Millisecond)
+			}
+			if got == 0 {
+				t.Fatal("datagram never delivered")
+			}
+			before := got
+			// The protocols' own timers fire inside the measured windows
+			// too; AllocsPerRun's integer average absorbs the odd control
+			// message, while a per-packet allocation reads as >= 1.
+			avg := testing.AllocsPerRun(200, op)
+			if got-before < 200 {
+				t.Fatalf("delivered %d of 200 measured datagrams", got-before)
+			}
+			if avg > 0 {
+				t.Errorf("host-to-host datagram allocates %.0f/op, want 0", avg)
+			}
+		})
+	}
+}
+
+// TestFramePoolDrains is the property the framepool telemetry rows exist to
+// show: a closed packet workload borrows its buffers. The load crosses a TC2
+// failure on 64-frame queues, so frames die on every path there is — tail
+// drop, carrier loss, blackholed transmit, delivery, duplicate delivery —
+// and when the last flow completes the pool must hold what it held before
+// Engine.Start. Only TCP deliveries keep their frame (BGP's sessions; the
+// endpoint may retain payload), so those are counted out exactly; what is
+// left is control frames in flight at the two snapshot instants.
+func TestFramePoolDrains(t *testing.T) {
+	for _, proto := range []Protocol{ProtoMRMTP, ProtoBGPBFD} {
+		t.Run(proto.String(), func(t *testing.T) {
+			f, err := warm(DefaultOptions(topology.TwoPodSpec(), proto, 7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := DefaultWorkloadConfig()
+			for _, link := range f.Sim.Links() {
+				link.SetBandwidth(w.LinkBps, w.LinkQueue)
+			}
+			engine, err := workload.New(f.Sim, f.WorkloadHosts(), workload.Config{
+				Pattern:        workload.PatternRandom,
+				Sizes:          workload.FixedSize(60_000),
+				Flows:          200,
+				MeanArrival:    300 * time.Microsecond,
+				PacketSize:     w.PacketSize,
+				PacketInterval: w.PacketInterval,
+				DstPort:        49000,
+				// An RTO inside the queueing delay re-offers packets that are
+				// merely late, so the sinks see duplicates as well.
+				RTO:       2 * time.Millisecond,
+				MaxRounds: 1000,
+				Seed:      7,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sampler := workload.NewSampler(f.Sim, w.SampleInterval)
+			for _, link := range f.Sim.Links() {
+				sampler.Watch(link)
+			}
+			tcpKept := func() (n uint64) {
+				for _, s := range f.Stacks {
+					n += s.TCP.Stats.SegmentsRecv
+				}
+				return n
+			}
+
+			inUse, kept := f.Sim.FrameStats().InUse, tcpKept()
+			engine.Start()
+			sampler.Start()
+			f.Sim.RunFor(10 * time.Millisecond)
+			if _, err := f.Fail(topology.TC2); err != nil {
+				t.Fatal(err)
+			}
+			for start := f.Sim.Now(); !engine.Done() && f.Sim.Now()-start < 30*time.Second; {
+				f.Sim.RunFor(50 * time.Millisecond)
+			}
+			sampler.Stop()
+			// Late duplicates of the final repair round may still be queued.
+			f.Sim.RunFor(20 * time.Millisecond)
+
+			rep := engine.Report(nil)
+			if rep.Completed != rep.Flows {
+				t.Fatalf("completed %d/%d flows", rep.Completed, rep.Flows)
+			}
+			if sampler.TotalDrops() == 0 || rep.Retransmits == 0 || rep.Duplicates == 0 {
+				t.Fatalf("run too gentle to exercise the drop paths: %d tail drops, %d retransmits, %d duplicates",
+					sampler.TotalDrops(), rep.Retransmits, rep.Duplicates)
+			}
+			grew := f.Sim.FrameStats().InUse - inUse - int(tcpKept()-kept)
+			// At most one keep-alive per link direction is on the wire at
+			// either instant; a leak on any data path is thousands.
+			slack := 2 * len(f.Sim.Links())
+			if grew < -slack || grew > slack {
+				t.Errorf("pool InUse grew by %d over %d packets (TCP deliveries counted out), want 0 ± %d control frames in flight",
+					grew, rep.PacketsSent, slack)
+			}
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arp"
 	"repro/internal/ethernet"
 	"repro/internal/ipv4"
 	"repro/internal/netaddr"
@@ -22,31 +23,46 @@ func rxFrame(t *testing.T, dstMAC netaddr.MAC, src, dst netaddr.IPv4, payload []
 	return f.Marshal()
 }
 
+// pooledCopy draws a pool buffer holding wire: delivery consumes the frame it
+// is handed (HandleFrame Puts it or sends it on), so a test that delivers the
+// same bytes repeatedly must draw a frame per delivery, as Port.Send's
+// callers do.
+func (l *lan) pooledCopy(wire []byte) []byte {
+	frame := l.sim.Frames().Get(len(wire))
+	copy(frame, wire)
+	return frame
+}
+
 // TestHandleFrameRxAllocs pins the local-delivery RX budget: Ethernet, IPv4
-// and UDP parsing all alias the received frame, so handing a datagram to a
-// listener allocates nothing. A defensive copy anywhere in the demux chain
-// shows up here as a fraction of an allocation per op.
+// and UDP parsing all alias the received frame, and the frame goes back to
+// the pool when the listener returns, so a delivered datagram allocates
+// nothing and leaves the pool where it was. A defensive copy anywhere in the
+// demux chain, or a delivery that keeps its buffer, shows up here.
 func TestHandleFrameRxAllocs(t *testing.T) {
 	l := newLAN(t)
 	var delivered int
 	l.h2.ListenUDP(7777, func(src, dst netaddr.IPv4, dg udp.Datagram) { delivered++ })
-	frame := rxFrame(t, l.h2.Node.Port(1).MAC, l.sub2.Host(9), l.sub2.Host(1), []byte("ka"))
+	wire := rxFrame(t, l.h2.Node.Port(1).MAC, l.sub2.Host(9), l.sub2.Host(1), []byte("ka"))
 	port := l.h2.Node.Port(1)
+	inUse := l.sim.FrameStats().InUse
 	avg := testing.AllocsPerRun(200, func() {
-		l.h2.HandleFrame(port, frame)
+		l.h2.HandleFrame(port, l.pooledCopy(wire))
 	})
 	if delivered == 0 {
 		t.Fatal("test frame never reached the UDP listener")
 	}
 	if avg > 0 {
-		t.Errorf("RX local delivery allocates %.1f/op, want 0 (parsers alias the frame)", avg)
+		t.Errorf("RX local delivery allocates %.1f/op, want 0 (parsers alias the frame, delivery recycles it)", avg)
+	}
+	if got := l.sim.FrameStats().InUse; got != inUse {
+		t.Errorf("pool InUse %d after the deliveries, want %d: a delivered UDP frame was not returned", got, inUse)
 	}
 }
 
-// TestHandleFrameForwardAllocs pins the router forwarding RX budget: one
-// allocation for the fresh outbound frame buffer (the received frame belongs
-// to its own delivery), plus transmit-side event bookkeeping that amortizes
-// to zero once the simulator freelists warm up.
+// TestHandleFrameForwardAllocs pins the router forwarding budget: the
+// received buffer is sent on as it is, and the event bookkeeping amortizes to
+// zero once the simulator freelists warm up, so a forwarded packet allocates
+// nothing.
 func TestHandleFrameForwardAllocs(t *testing.T) {
 	l := newLAN(t)
 	// Sink the probe datagrams so h2 consumes them instead of answering
@@ -56,11 +72,11 @@ func TestHandleFrameForwardAllocs(t *testing.T) {
 	// fast path, then drain the warm-up traffic.
 	l.h1.SendUDP(l.sub1.Host(1), l.sub2.Host(1), 9, 7, []byte("prime"))
 	l.sim.RunFor(10 * time.Millisecond)
-	frame := rxFrame(t, l.r.Node.Port(1).MAC, l.sub1.Host(1), l.sub2.Host(1), []byte("fw"))
+	wire := rxFrame(t, l.r.Node.Port(1).MAC, l.sub1.Host(1), l.sub2.Host(1), []byte("fw"))
 	port := l.r.Node.Port(1)
 	forwarded := l.r.Stats.IPForwarded
 	avg := testing.AllocsPerRun(200, func() {
-		l.r.HandleFrame(port, frame)
+		l.r.HandleFrame(port, l.pooledCopy(wire))
 		// Drain the delivery events so the sim's event freelist recycles
 		// instead of growing with the queue.
 		for l.sim.Step() {
@@ -69,7 +85,39 @@ func TestHandleFrameForwardAllocs(t *testing.T) {
 	if l.r.Stats.IPForwarded == forwarded {
 		t.Fatal("test frame was never forwarded")
 	}
-	if avg > 2 {
-		t.Errorf("RX forward allocates %.1f/op, want <= 2 (frame copy + delivery slack)", avg)
+	if avg > 0 {
+		t.Errorf("RX forward allocates %.1f/op, want 0 (in-place transit, no frame copy)", avg)
 	}
+}
+
+// TestDroppedFramesReturnToPool drives the drop dispositions that end a
+// frame's life inside the stack: each is the last owner, so the pool must
+// end where it started.
+func TestDroppedFramesReturnToPool(t *testing.T) {
+	l := newLAN(t)
+	port := l.h1.Node.Port(1)
+	inUse := l.sim.FrameStats().InUse
+	check := func(what string) {
+		t.Helper()
+		if got := l.sim.FrameStats().InUse; got != inUse {
+			t.Errorf("%s: pool InUse %d, want %d", what, got, inUse)
+		}
+	}
+	l.h1.HandleFrame(port, l.pooledCopy(make([]byte, ethernet.HeaderLen-1)))
+	check("runt frame")
+	l.h1.HandleFrame(port, l.pooledCopy(rxFrame(t, netaddr.MAC{2, 0, 0, 0, 0, 9}, l.sub1.Host(9), l.sub1.Host(1), []byte("x"))))
+	check("frame for another MAC")
+
+	// A datagram queued behind ARP whose answer arrives after the interface
+	// died: the resolved queue has nowhere to go.
+	l.h1.SendUDP(l.sub1.Host(1), l.sub2.Host(1), 9, 7, []byte("queued"))
+	if got := l.sim.FrameStats().InUse; got != inUse+1 {
+		t.Fatalf("pool InUse %d with one frame parked behind ARP, want %d", got, inUse+1)
+	}
+	port.Fail()
+	gw := l.r.Node.Port(1)
+	reply := arp.Packet{Op: arp.OpReply, SenderMAC: gw.MAC, SenderIP: l.sub1.Host(254), TargetMAC: port.MAC, TargetIP: l.sub1.Host(1)}
+	f := ethernet.Frame{Dst: port.MAC, Src: gw.MAC, EtherType: ethernet.TypeARP, Payload: reply.Marshal()}
+	l.h1.HandleFrame(port, l.pooledCopy(f.Marshal()))
+	check("ARP queue resolved onto a dead interface")
 }

@@ -36,7 +36,12 @@ type Stats struct {
 	BlackholedTx uint64 // packets that died because the chosen port was down
 }
 
-// UDPHandler receives a delivered datagram.
+// UDPHandler receives a delivered datagram. The datagram is a borrow:
+// dg.Payload aliases the received frame, which the stack returns to the
+// frame pool as soon as the handler returns, so a handler must decode or
+// copy what it keeps. Under -tags invariants the returned buffer is
+// poisoned, and a listener that retained the slice reads 0xDB garbage
+// instead of the next packet's bytes.
 type UDPHandler func(src, dst netaddr.IPv4, dg udp.Datagram)
 
 // ICMPHandler receives a delivered (non-echo-request) ICMP message.
@@ -75,8 +80,9 @@ type Stack struct {
 
 	// frames is the owning simulation's frame-buffer pool: TX buffers come
 	// from it, and received or dropped buffers that are provably dead go
-	// back. Locally delivered packets are NOT recycled — their payload
-	// slices alias into the UDP/TCP handlers, which may retain them.
+	// back. A forwarded packet keeps its received buffer; a delivered UDP
+	// datagram is lent to its handler and then recycled. TCP and ICMP
+	// deliveries are NOT recycled — their handlers may retain the payload.
 	frames *framepool.Pool
 }
 
@@ -151,8 +157,9 @@ func (s *Stack) SendICMP(src, dst netaddr.IPv4, m icmp.Message) {
 }
 
 // SendUDP emits a datagram from a local address. The Ethernet, IPv4, and
-// UDP layers are composed into a single buffer: per-packet cost is one
-// allocation, which keeps the hot BFD/traffic-generator paths cheap.
+// UDP layers are composed into a single pooled buffer, and payload is copied
+// into it before SendUDP returns, so callers may reuse one scratch payload
+// for every packet.
 //
 //simlint:hotpath
 func (s *Stack) SendUDP(src, dst netaddr.IPv4, srcPort, dstPort uint16, payload []byte) {
@@ -191,10 +198,12 @@ func (s *Stack) PortUp(p *simnet.Port) {
 func (s *Stack) HandleFrame(p *simnet.Port, frame []byte) {
 	f, err := ethernet.Unmarshal(frame)
 	if err != nil {
+		s.frames.Put(frame) // runt frame: nothing was parsed out of it
 		return
 	}
 	if f.Dst != p.MAC && !f.Dst.IsBroadcast() {
-		return // not for us
+		s.frames.Put(frame) // not for us: dropped unread
+		return
 	}
 	switch f.EtherType {
 	case ethernet.TypeARP:
@@ -203,9 +212,9 @@ func (s *Stack) HandleFrame(p *simnet.Port, frame []byte) {
 		s.handleARP(p, f)
 		s.frames.Put(frame)
 	case ethernet.TypeIPv4:
-		if s.handleIPv4(p, f.Payload) {
-			// Forwarded, errored or expired: every byte the stack needed has
-			// been copied out, so the received buffer can be recycled.
+		if s.handleIPv4(p, frame, f.Payload) {
+			// Errored, expired, or delivered to a borrower that has
+			// returned: no alias is left, so the buffer can be recycled.
 			s.frames.Put(frame)
 		}
 	}
@@ -248,42 +257,45 @@ func (s *Stack) handleARP(p *simnet.Port, f ethernet.Frame) {
 	}
 }
 
-// handleIPv4 consumes a received IPv4 payload (aliasing into the delivered
-// frame). It reports whether the frame is spent — no live alias remains, so
-// the caller may recycle the buffer. Local delivery returns false: payload
-// slices flow into the UDP/TCP handlers, which may retain them.
-func (s *Stack) handleIPv4(p *simnet.Port, payload []byte) bool {
+// handleIPv4 consumes a received IPv4 packet: payload is frame's Ethernet
+// payload. It reports whether the frame is spent — no live alias remains, so
+// the caller may recycle the buffer. A forwarded packet returns false
+// because the buffer itself travels on (routeOut owns it from here), and so
+// do TCP and ICMP deliveries, whose handlers may retain the payload.
+func (s *Stack) handleIPv4(p *simnet.Port, frame, payload []byte) bool {
 	pkt, err := ipv4.Unmarshal(payload)
 	if err != nil {
 		return true
 	}
 	if s.IsLocal(pkt.Header.Dst) {
-		s.deliver(pkt, payload)
-		return false
+		return s.deliver(pkt, payload)
 	}
-	// Forward: copy into a fresh frame buffer (the received frame belongs
-	// to its own delivery) and decrement the TTL in place.
-	buf := s.frames.Get(ethernet.HeaderLen + len(payload))
-	copy(buf[ethernet.HeaderLen:], payload)
-	if err := ipv4.Forward(buf[ethernet.HeaderLen:]); err != nil {
+	// Forward in place: the handler owns a delivered frame, so the TTL is
+	// decremented where the packet lies and the same buffer is re-sent, its
+	// old Ethernet header serving as the header room transmit fills.
+	if err := ipv4.Forward(payload); err != nil {
 		s.Stats.TTLExpired++
 		// Tell the source, like a router does (traceroute depends on
-		// this); the reply originates from the receiving interface. The
-		// ICMP quote copies out of payload before we return.
+		// this); the reply originates from the receiving interface. Forward
+		// left the expired packet untouched, and the ICMP quote copies out
+		// of it before we return.
 		if ifc := s.ifaces[p.Index]; ifc != nil && !pkt.Header.Src.IsZero() {
 			s.SendICMP(ifc.IP, pkt.Header.Src, icmp.TimeExceeded(payload))
 		}
-		s.frames.Put(buf)
 		return true
 	}
 	s.Stats.IPForwarded++
-	s.routeOut(pkt.Header, buf)
-	return true
+	s.routeOut(pkt.Header, frame)
+	return false
 }
 
 // deliver consumes a locally destined packet. wire holds the original
-// wire-format bytes so error replies (port-unreachable) can quote them.
-func (s *Stack) deliver(pkt ipv4.Packet, wire []byte) {
+// wire-format bytes so error replies (port-unreachable) can quote them. It
+// reports whether the frame behind wire is spent: every UDP disposition is
+// (the handler borrows the datagram only until it returns; a bad checksum
+// parses nothing out; the closed-port ICMP quote is copied), TCP and ICMP
+// are not (the endpoint and the listeners may retain payload slices).
+func (s *Stack) deliver(pkt ipv4.Packet, wire []byte) bool {
 	s.Stats.IPDelivered++
 	switch pkt.Header.Protocol {
 	case ipv4.ProtoTCP:
@@ -291,7 +303,7 @@ func (s *Stack) deliver(pkt ipv4.Packet, wire []byte) {
 	case ipv4.ProtoUDP:
 		dg, err := udp.Unmarshal(pkt.Header.Src, pkt.Header.Dst, pkt.Payload)
 		if err != nil {
-			return
+			return true
 		}
 		if h := s.udpHandlers[dg.DstPort]; h != nil {
 			h(pkt.Header.Src, pkt.Header.Dst, dg)
@@ -300,19 +312,21 @@ func (s *Stack) deliver(pkt ipv4.Packet, wire []byte) {
 			// traceroute probe reads this as "destination reached".
 			s.SendICMP(pkt.Header.Dst, pkt.Header.Src, icmp.PortUnreachable(wire))
 		}
+		return true
 	case ipv4.ProtoICMP:
 		m, err := icmp.Unmarshal(pkt.Payload)
 		if err != nil {
-			return
+			return false
 		}
 		if m.Type == icmp.TypeEchoRequest {
 			s.SendICMP(pkt.Header.Dst, pkt.Header.Src, icmp.EchoReplyTo(m))
-			return
+			return false
 		}
 		for _, h := range s.icmpHandlers {
 			h(pkt.Header.Src, m)
 		}
 	}
+	return false
 }
 
 // sendTCPSegment is the TCP endpoint's output path.
@@ -371,11 +385,10 @@ func (s *Stack) NextHopFor(dst netaddr.IPv4, k FlowKey) (NextHop, bool) {
 	return r.Pick(k), true
 }
 
-// newIPFrame allocates the single buffer carrying a locally originated
-// packet — Ethernet header room, IPv4 header, transportLen transport bytes —
-// and fills in the IP header. transmit writes the Ethernet header in place
-// once the next hop's MAC is known, so the whole TX path costs this one
-// allocation.
+// newIPFrame draws the single buffer carrying a locally originated packet —
+// Ethernet header room, IPv4 header, transportLen transport bytes — and
+// fills in the IP header. transmit writes the Ethernet header in place once
+// the next hop's MAC is known, so the whole TX path costs this one Get.
 func (s *Stack) newIPFrame(src, dst netaddr.IPv4, proto, ttl byte, transportLen int) (ipv4.Header, []byte) {
 	s.ipID++
 	h := ipv4.Header{ID: s.ipID, TTL: ttl, Protocol: proto, Src: src, Dst: dst}
@@ -466,6 +479,9 @@ func (s *Stack) flushARPPending(ip netaddr.IPv4) {
 	delete(s.arpPending, ip)
 	e := s.arpTable[ip]
 	if e.ifc == nil || !e.ifc.Usable() {
+		for _, frame := range pending {
+			s.frames.Put(frame) // resolved onto a dead interface: the queue dies with it
+		}
 		return
 	}
 	for _, frame := range pending {

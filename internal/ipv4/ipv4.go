@@ -8,8 +8,10 @@
 package ipv4
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/netaddr"
 )
@@ -57,18 +59,46 @@ var (
 )
 
 // Checksum computes the RFC 1071 internet checksum over b.
+func Checksum(b []byte) uint16 { return ChecksumSeeded(0, b) }
+
+// ChecksumSeeded is the one Internet-checksum kernel of the repo: IPv4
+// headers and ICMP messages use it with a zero seed (Checksum); UDP and TCP
+// seed it with the sum of their pseudo-header's 16-bit words. Since 2^16 ≡ 1
+// (mod 0xffff), a big-endian word of any width is congruent to the sum of
+// its 16-bit columns, so b is summed eight bytes at a time into a uint64
+// with end-around carry, the 2-byte and odd-byte tails are added, and the
+// total is folded down to 16 bits. The result is bit-for-bit that of the
+// textbook 16-bit loop (ones'-complement zero stays 0xffff only for
+// all-zero input).
 //
 //simlint:hotpath
-func Checksum(b []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(b[i])<<8 | uint32(b[i+1])
+func ChecksumSeeded(seed uint64, b []byte) uint16 {
+	sum, carry := seed, uint64(0)
+	for len(b) >= 32 {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[8:]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[16:]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[24:]), carry)
+		b = b[32:]
 	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
+	for len(b) >= 8 {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b), carry)
+		b = b[8:]
 	}
+	var tail uint64 // at most three 16-bit words and a byte: no overflow
+	for len(b) >= 2 {
+		tail += uint64(binary.BigEndian.Uint16(b))
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		tail += uint64(b[0]) << 8
+	}
+	sum, carry = bits.Add64(sum, tail, carry)
+	sum, carry = bits.Add64(sum, 0, carry)
+	sum += carry
+	sum = sum>>32 + sum&0xffffffff
 	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
+		sum = sum>>16 + sum&0xffff
 	}
 	return ^uint16(sum)
 }

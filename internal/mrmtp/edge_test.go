@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ethernet"
 	"repro/internal/netaddr"
+	"repro/internal/simnet"
 )
 
 // sendControl injects a control message into the column as if it came from
@@ -128,5 +129,37 @@ func TestDataFromUnadmittedNeighborDropped(t *testing.T) {
 	c.sim.RunFor(5 * time.Millisecond)
 	if c.spine.Stats.DataForwarded != before {
 		t.Error("spine forwarded data from a not-yet-re-admitted neighbor")
+	}
+}
+
+// TestDroppedFramesReturnToPool drives HandleFrame's drop dispositions
+// directly: each one is the frame's last owner, so the pool must end where
+// it started.
+func TestDroppedFramesReturnToPool(t *testing.T) {
+	c := newColumn(t)
+	uplink := c.spine.Node.Port(3)
+	hello := ethernet.Frame{Dst: netaddr.Broadcast, Src: c.top.Node.Port(1).MAC,
+		EtherType: ethernet.TypeMRMTP, Payload: []byte{TypeHello}}
+	notMRMTP, empty := hello, hello
+	notMRMTP.EtherType = ethernet.TypeIPv4
+	empty.Payload = nil
+	cases := []struct {
+		name string
+		port *simnet.Port
+		wire []byte
+	}{
+		{"runt frame", uplink, make([]byte, ethernet.HeaderLen-1)},
+		{"not MR-MTP", uplink, notMRMTP.Marshal()},
+		{"empty message", uplink, empty.Marshal()},
+		{"no adjacency", c.spine.Node.AddPort(), hello.Marshal()}, // a port added after Start
+	}
+	for _, tc := range cases {
+		inUse := c.sim.FrameStats().InUse
+		frame := c.sim.Frames().Get(len(tc.wire))
+		copy(frame, tc.wire)
+		c.spine.HandleFrame(tc.port, frame)
+		if got := c.sim.FrameStats().InUse; got != inUse {
+			t.Errorf("%s: pool InUse %d after the drop, want %d", tc.name, got, inUse)
+		}
 	}
 }

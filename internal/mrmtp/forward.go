@@ -82,7 +82,7 @@ func (r *Router) ingressIP(ipWire []byte) {
 	// The TTL decrement mutates the received frame in place: ownership of
 	// a delivered frame passes to the handler, Forward leaves the buffer
 	// untouched on the expiry path (TimeExceeded quotes the original
-	// bytes), and MarshalData copies the packet into the encapsulation.
+	// bytes), and encapFrame copies the packet into the fabric frame.
 	if err := ipv4.Forward(ipWire); err != nil {
 		r.Stats.DataDropped++
 		reply := ipv4.Packet{
@@ -96,36 +96,36 @@ func (r *Router) ingressIP(ipWire []byte) {
 		return
 	}
 	// Paper §III.D: derive the destination ToR VID from the destination
-	// IP address with the §III.A algorithm. The encapsulation buffer is
-	// pooled: sendOn copies it into the outbound frame (and the drop paths
-	// retain nothing), so it is reclaimed as soon as forwardData returns.
+	// IP address with the §III.A algorithm.
 	dstRoot := byte(dst[2])
-	enc := r.encapData(r.rootVID, dstRoot, DataTTL, ipWire)
-	r.forwardData(enc, dstRoot, flowhash.FromIPPacket(ipWire))
-	r.frames.Put(enc)
+	r.forwardData(r.encapFrame(dstRoot, DataTTL, ipWire), dstRoot, flowhash.FromIPPacket(ipWire))
 }
 
-// encapData is MarshalData drawing from the frame pool: the 4-byte MR-MTP
-// header followed by the raw IP packet.
-func (r *Router) encapData(srcRoot, dstRoot, ttl byte, ipPacket []byte) []byte {
-	b := r.frames.Get(DataHeaderLen + len(ipPacket))
+// encapFrame composes a whole fabric frame in one pool buffer: Ethernet
+// header room (sendFrame fills it once the egress port is chosen), the
+// 4-byte MR-MTP data header sourced from this ToR, and a copy of the raw IP
+// packet, which stays the caller's.
+func (r *Router) encapFrame(dstRoot, ttl byte, ipPacket []byte) []byte {
+	frame := r.frames.Get(ethernet.HeaderLen + DataHeaderLen + len(ipPacket))
+	b := frame[ethernet.HeaderLen:]
 	b[0] = TypeData
 	b[1] = ttl
-	b[2] = srcRoot
+	b[2] = r.rootVID
 	b[3] = dstRoot
 	copy(b[DataHeaderLen:], ipPacket)
-	return b
+	return frame
 }
 
 // handleData forwards (or delivers) an encapsulated packet arriving on a
-// fabric port. It reports whether the delivered frame is spent — every byte
-// the router needed has been copied out, so the caller may recycle the
-// buffer. Gateway-addressed and trace-reply dispositions return false: those
-// paths hand aliasing slices to listeners that have not been audited for
-// retention.
+// fabric port: payload is raw's Ethernet payload. It reports whether the
+// delivered frame is spent — every byte the router needed has been copied
+// out, so the caller may recycle the buffer. Transit returns false because
+// the buffer itself travels on; gateway-addressed and trace-reply
+// dispositions return false because those paths hand aliasing slices to
+// listeners that have not been audited for retention.
 //
 //simlint:hotpath
-func (r *Router) handleData(p *simnet.Port, payload []byte) bool {
+func (r *Router) handleData(raw, payload []byte) bool {
 	h, ipWire, err := ParseData(payload)
 	if err != nil {
 		r.Stats.DataDropped++
@@ -157,25 +157,27 @@ func (r *Router) handleData(p *simnet.Port, payload []byte) bool {
 		r.sendTraceReply(h, ipWire) //simlint:alloc TTL expiry is off the fast path; reply construction allocates
 		return false
 	}
-	// In-place decrement: the delivered frame is ours, and sendOn copies
-	// the payload into a fresh outbound frame.
+	// Transit in place: the delivered frame is ours, so the encapsulation
+	// TTL is decremented where it lies and the same buffer is sent on.
 	payload[1] = h.TTL - 1
-	r.forwardData(payload, h.DstRoot, flowhash.FromIPPacket(ipWire))
-	return true
+	r.forwardData(raw, h.DstRoot, flowhash.FromIPPacket(ipWire))
+	return false
 }
 
 // forwardData routes an encapsulated packet: down the tree when the VID
-// table knows the root, otherwise up by load-balanced default.
+// table knows the root, otherwise up by load-balanced default. frame is a
+// whole fabric frame (Ethernet header room + MR-MTP data payload) that
+// forwardData takes ownership of: it is sent, or Put on the drop path.
 //
 //simlint:hotpath
-func (r *Router) forwardData(payload []byte, dstRoot byte, key flowhash.Key) {
+func (r *Router) forwardData(frame []byte, dstRoot byte, key flowhash.Key) {
 	// Downward: a VID entry's acquisition port points at the root.
 	for _, vidKey := range r.byRoot[dstRoot] {
 		e := r.entries[vidKey]
 		adj := r.adjs[e.port]
 		if adj != nil && adj.state == adjUp && adj.port.Up() {
 			r.Stats.DataForwarded++
-			r.sendOn(adj, payload)
+			r.sendFrame(adj, frame)
 			return
 		}
 	}
@@ -194,23 +196,26 @@ func (r *Router) forwardData(payload []byte, dstRoot byte, key flowhash.Key) {
 	r.eligScratch = eligible
 	if len(eligible) == 0 || r.downstream[dstRoot] || (r.Cfg.Tier == 1 && dstRoot == r.rootVID) {
 		r.Stats.DataDropped++
+		r.frames.Put(frame) // no route: the packet dies here
 		return
 	}
 	adj := eligible[int(key.Hash())%len(eligible)]
 	r.Stats.DataForwarded++
-	r.sendOn(adj, payload)
+	r.sendFrame(adj, frame)
 }
 
 // deliverToRack sends an IP packet to a server behind this ToR, resolving
-// the server's MAC on demand.
+// the server's MAC on demand. ipWire is copied into a pooled rack frame
+// before deliverToRack returns, so the caller keeps its buffer.
 func (r *Router) deliverToRack(ipWire []byte, dst netaddr.IPv4) {
+	frame := r.newFrame(ipWire)
 	if e, ok := r.arpCache[dst]; ok {
-		port := r.Node.Port(e.port)
-		f := ethernet.Frame{Dst: e.mac, Src: port.MAC, EtherType: ethernet.TypeIPv4, Payload: ipWire}
-		port.Send(f.Marshal())
+		r.sendToRack(e, frame)
 		return
 	}
-	r.arpPending[dst] = append(r.arpPending[dst], append([]byte(nil), ipWire...)) //simlint:alloc ARP-miss slow path; the copy detaches the queued packet from the delivered frame
+	// ARP miss: ownership moves to arpPending until flushRackPending hands
+	// the frame off.
+	r.arpPending[dst] = append(r.arpPending[dst], frame) //simlint:alloc ARP-miss slow path; the queue drains at resolution
 	for _, p := range r.Node.Ports[1:] {
 		if !r.isServerPort(p.Index) {
 			continue
@@ -230,9 +235,15 @@ func (r *Router) flushRackPending(ip netaddr.IPv4) {
 	}
 	delete(r.arpPending, ip)
 	e := r.arpCache[ip]
-	port := r.Node.Port(e.port)
-	for _, wire := range pending {
-		f := ethernet.Frame{Dst: e.mac, Src: port.MAC, EtherType: ethernet.TypeIPv4, Payload: wire}
-		port.Send(f.Marshal())
+	for _, frame := range pending {
+		r.sendToRack(e, frame)
 	}
+}
+
+// sendToRack fills the Ethernet header of a composed rack frame (header
+// room + IP packet) for a resolved server and sends it.
+func (r *Router) sendToRack(e arpEntry, frame []byte) {
+	port := r.Node.Port(e.port)
+	ethernet.PutHeader(frame, e.mac, port.MAC, ethernet.TypeIPv4)
+	port.Send(frame)
 }

@@ -185,16 +185,17 @@ type Router struct {
 
 	// ToR data-plane state (rack-side ARP).
 	arpCache   map[netaddr.IPv4]arpEntry
-	arpPending map[netaddr.IPv4][][]byte
+	arpPending map[netaddr.IPv4][][]byte // composed rack frames (see deliverToRack) awaiting resolution
 
 	// icmpListeners receive ICMP messages addressed to the ToR's own
 	// gateway address (path-trace replies), excluding echo requests,
 	// which the ToR answers itself.
 	icmpListeners []ICMPListener
 
-	// frames is the owning simulation's frame-buffer pool: outbound frames
-	// and encapsulation buffers come from it, and received data-plane
-	// frames whose bytes have all been copied out go back (DESIGN.md §14).
+	// frames is the owning simulation's frame-buffer pool: composed
+	// outbound frames come from it, a transit data frame is sent on in the
+	// buffer it arrived in, and received frames whose bytes have all been
+	// copied out go back (DESIGN.md §7, §14).
 	frames *framepool.Pool
 
 	Stats Stats
@@ -289,18 +290,34 @@ func (r *Router) scheduleAdvertise(adj *adjacency) {
 
 // --- transmission helpers -------------------------------------------------
 
-// sendOn transmits an MR-MTP payload on an adjacency, stamping lastTx so the
-// hello timer can suppress redundant keep-alives.
+// sendOn transmits an MR-MTP control payload on an adjacency. The payload
+// is copied into a pooled frame, so callers may reuse it afterwards (the
+// cached ADVERTISE is shared across ports and intervals).
 //
 //simlint:hotpath
 func (r *Router) sendOn(adj *adjacency, payload []byte) {
+	r.sendFrame(adj, r.newFrame(payload))
+}
+
+// newFrame draws a pooled frame holding a copy of payload behind Ethernet
+// header room, which the send helpers fill once the egress port is known.
+func (r *Router) newFrame(payload []byte) []byte {
+	frame := r.frames.Get(ethernet.HeaderLen + len(payload))
+	copy(frame[ethernet.HeaderLen:], payload)
+	return frame
+}
+
+// sendFrame transmits a composed fabric frame — Ethernet header room, then
+// the MR-MTP payload — on an adjacency, taking ownership of it. It writes
+// the broadcast-addressed header (§VII.F) with the egress port as source,
+// which on a transit frame overwrites the previous hop's, and stamps lastTx
+// so the hello timer can suppress redundant keep-alives.
+//
+//simlint:hotpath
+func (r *Router) sendFrame(adj *adjacency, frame []byte) {
 	adj.lastTx = r.sim().Now()
-	// Build the broadcast-addressed frame (§VII.F) in a pooled buffer; the
-	// payload is copied, so callers may reuse or recycle it afterwards.
-	buf := r.frames.Get(ethernet.HeaderLen + len(payload))
-	ethernet.PutHeader(buf, netaddr.Broadcast, adj.port.MAC, ethernet.TypeMRMTP)
-	copy(buf[ethernet.HeaderLen:], payload)
-	adj.port.Send(buf)
+	ethernet.PutHeader(frame, netaddr.Broadcast, adj.port.MAC, ethernet.TypeMRMTP)
+	adj.port.Send(frame)
 }
 
 // sendMsg marshals and transmits a control message, dropping it if it
@@ -390,6 +407,7 @@ func (r *Router) PortUp(p *simnet.Port) {}
 func (r *Router) HandleFrame(p *simnet.Port, raw []byte) {
 	f, err := ethernet.Unmarshal(raw)
 	if err != nil {
+		r.frames.Put(raw) // runt frame: nothing was parsed out of it
 		return
 	}
 	if r.isServerPort(p.Index) {
@@ -400,10 +418,12 @@ func (r *Router) HandleFrame(p *simnet.Port, raw []byte) {
 		return
 	}
 	if f.EtherType != ethernet.TypeMRMTP || len(f.Payload) == 0 {
+		r.frames.Put(raw) // not MR-MTP, or an empty message: dropped unread
 		return
 	}
 	adj := r.adjs[p.Index]
 	if adj == nil {
+		r.frames.Put(raw) // no adjacency on this port: dropped unread
 		return
 	}
 	now := r.sim().Now()
@@ -436,6 +456,7 @@ func (r *Router) HandleFrame(p *simnet.Port, raw []byte) {
 					adj.advertised = m.VIDs
 				}
 			}
+			r.frames.Put(raw) // dampened: ParseMessage copied what was kept
 			return
 		}
 		// The accepting frame itself is processed normally below — it is
@@ -448,16 +469,17 @@ func (r *Router) HandleFrame(p *simnet.Port, raw []byte) {
 	}
 
 	if f.Payload[0] == TypeData {
-		if r.handleData(p, f.Payload) {
+		if r.handleData(raw, f.Payload) {
 			r.frames.Put(raw)
 		}
 		return
 	}
-	m, err := ParseMessage(f.Payload)
-	if err != nil {
-		return
+	// Control messages decode into value types (ParseMessage copies VIDs
+	// and roots), so the frame is dead once handleControl returns.
+	if m, err := ParseMessage(f.Payload); err == nil {
+		r.handleControl(adj, m)
 	}
-	r.handleControl(adj, m)
+	r.frames.Put(raw)
 }
 
 func (r *Router) adjacencyUp(adj *adjacency) {

@@ -31,13 +31,15 @@ func (r *Router) ListenICMP(h ICMPListener) {
 // is the probe entry point: ttl selects the hop under test (1 = first
 // spine), and the caller controls every inner header field, in particular
 // the IP ID a reply quotes back and the UDP source port the fabric hashes.
+// ipWire is borrowed — it is copied into the fabric frame — so a prober may
+// re-inject one buffer.
 func (r *Router) InjectData(ipWire []byte, ttl byte) {
 	pkt, err := ipv4.Unmarshal(ipWire)
 	if err != nil || r.Cfg.Tier != 1 {
 		return
 	}
 	dstRoot := pkt.Header.Dst[2]
-	r.forwardData(MarshalData(r.rootVID, dstRoot, ttl, ipWire), dstRoot, flowhash.FromIPPacket(ipWire))
+	r.forwardData(r.encapFrame(dstRoot, ttl, ipWire), dstRoot, flowhash.FromIPPacket(ipWire))
 }
 
 // NextDataHop returns the port forwardData would choose for a packet to
@@ -113,7 +115,7 @@ func (r *Router) sendFromGateway(dst netaddr.IPv4, icmpWire []byte) {
 		r.deliverToRack(wire, dst)
 		return
 	}
-	r.forwardData(MarshalData(r.rootVID, dst[2], DataTTL, wire), dst[2], flowhash.FromIPPacket(wire))
+	r.forwardData(r.encapFrame(dst[2], DataTTL, wire), dst[2], flowhash.FromIPPacket(wire))
 }
 
 // sendTraceReply answers an encapsulation-TTL expiry with time-exceeded
@@ -147,5 +149,5 @@ func (r *Router) sendTraceReply(h DataHeader, ipWire []byte) {
 	}
 	wire := reply.Marshal()
 	r.Stats.TraceReplies++
-	r.forwardData(MarshalData(r.rootVID, h.SrcRoot, DataTTL, wire), h.SrcRoot, flowhash.FromIPPacket(wire))
+	r.forwardData(r.encapFrame(h.SrcRoot, DataTTL, wire), h.SrcRoot, flowhash.FromIPPacket(wire))
 }

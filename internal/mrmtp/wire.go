@@ -152,9 +152,9 @@ func ParseMessage(b []byte) (Message, error) {
 }
 
 // MarshalData builds a data frame payload: the 4-byte MR-MTP header
-// followed by the raw IP packet. The hot TX path uses the pooled
-// Router.encapData instead; this allocating variant serves tests and
-// non-hot callers.
+// followed by the raw IP packet — ParseData's inverse. Routers compose the
+// same bytes straight into a pooled frame (Router.encapFrame); this
+// allocating form is the codec the tests and fuzzers round-trip.
 func MarshalData(srcRoot, dstRoot byte, ttl byte, ipPacket []byte) []byte {
 	b := make([]byte, DataHeaderLen+len(ipPacket))
 	b[0] = TypeData

@@ -8,8 +8,9 @@ import "repro/internal/invariant"
 // generation counter, bumped each time it is returned. A stale handle — a
 // reference taken before a Put — no longer matches the buffer's current
 // generation, and Check panics instead of letting the reuse silently
-// corrupt a frame in flight. This ledger is the enforcement of the pool
-// discipline (DESIGN.md §14).
+// corrupt a frame in flight. A returned buffer is also scribbled with
+// Poison, which turns a read through a retained alias into visible garbage.
+// This ledger is the enforcement of the pool discipline (DESIGN.md §14).
 
 type debugState struct {
 	free map[*byte]bool   // buffers currently sitting in a bucket
@@ -28,11 +29,22 @@ func (p *Pool) trackGet(b []byte) {
 	delete(p.dbg.free, base(b))
 }
 
+// Poison is the byte a returned buffer is filled with under -tags
+// invariants. Get zeroes what it hands out, so poison never reaches a
+// frame; it only reaches a reader that kept a slice across the Put — a UDP
+// listener retaining dg.Payload past its return sees Poison, not the next
+// packet's bytes.
+const Poison = 0xDB
+
 func (p *Pool) trackPut(b []byte) {
 	k := base(b)
 	invariant.Assert(!p.dbg.free[k], "framepool: double Put of the same buffer")
 	p.dbg.free[k] = true
 	p.dbg.gen[k]++
+	b = b[:cap(b)]
+	for i := range b {
+		b[i] = Poison
+	}
 }
 
 // Handle captures a buffer's identity and generation for a later staleness

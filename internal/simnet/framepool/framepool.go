@@ -1,12 +1,14 @@
 // Package framepool recycles frame buffers for the packet hot path.
 //
-// The simulator's TX paths compose each frame into a single []byte whose
-// ownership then flows through Port.Send into the delivery event and on to
-// the receiving handler (DESIGN.md §7). Those buffers die constantly — a
-// transit router copies the payload onward and the received frame is spent;
-// a dropped frame dies inside the simulator — and at workload scale the
-// churn is pure garbage-collector pressure. The pool gives dead buffers
-// back to the next transmission instead.
+// A frame has exactly one owner at every instant (DESIGN.md §7). A TX path
+// composes it into a single []byte drawn from the pool; Port.Send takes
+// ownership into the delivery event; delivery hands it to the receiving
+// handler, which either sends the same buffer on (transit: the TTL is
+// decremented in place) or is its last owner and Puts it. A dropped frame
+// dies inside the simulator, which Puts it. A UDP listener is not an owner
+// but a borrower: the datagram's payload is valid until the handler
+// returns, then the stack Puts the frame. Only TCP and ICMP deliveries
+// leave the pool for good (their handlers may retain the payload).
 //
 // Get returns a zeroed buffer of exactly the requested length, so a pooled
 // buffer is indistinguishable from a fresh make([]byte, n): recycling can
@@ -15,11 +17,14 @@
 // The discipline — every Get is balanced by exactly one Put once the buffer
 // is provably dead, never while an alias can still be read — has one
 // enforcement, the runtime ledger (DESIGN.md §14): under -tags invariants a
-// second Put of the same buffer panics, and a buffer returned while a
-// delivery event still holds it panics when Sim.Step reaches that event.
-// The AllocsPerRun budgets and the framepool rows of workload-telemetry.csv
-// (pinned by closlab's TestGoldenArtifacts) catch a missing Put. The one
-// static check is framealias, which rejects a Put after Port.Send.
+// second Put of the same buffer panics, a buffer returned while a delivery
+// event still holds it panics when Sim.Step reaches that event, and a
+// returned buffer is filled with Poison so that a borrower which kept a
+// slice reads garbage it can be tested for. A missing Put shows as InUse
+// not returning to its baseline once traffic stops (TestFramePoolDrains,
+// the AllocsPerRun budgets, and the framepool rows of
+// workload-telemetry.csv pinned by closlab's TestGoldenArtifacts). The one
+// static check is framealias, which rejects a write or Put after Port.Send.
 package framepool
 
 // classSizes are the bucket capacities, chosen around the repo's frame
@@ -32,11 +37,12 @@ var classSizes = [...]int{64, 128, 256, 512, 1024, 2048, 4096}
 // CSV so a leak-on-path regression is visible at runtime too.
 type Stats struct {
 	// InUse is Gets minus Puts: the number of lent buffers not yet
-	// returned. Frames that end their life outside the simulator (local
-	// delivery hands ownership to protocol handlers, which may retain the
-	// payload) are never Put, so a busy run holds a steady nonzero level;
-	// a monotonic climb on a closed workload is a leak. Foreign buffers
-	// entering via Put can push it below zero.
+	// returned — frames in flight, queued behind ARP, or delivered to a
+	// TCP/ICMP handler (those are never Put). Data and BFD packets are UDP
+	// and come back, so on a closed workload InUse returns to its
+	// pre-traffic level give or take control frames; a level that climbs
+	// with packets sent is a leak. Foreign buffers entering via Put can
+	// push it below zero.
 	InUse int
 	// Peak is the high-water mark of InUse.
 	Peak int

@@ -59,3 +59,24 @@ func TestZeroHandleChecksClean(t *testing.T) {
 	p.Check(Handle{})      // zero handle: no-op
 	p.Check(p.Handle(nil)) // nil buffer: no-op
 }
+
+func TestPutPoisonsAndGetZeroes(t *testing.T) {
+	// A reader holding a slice across Put sees Poison, never stale frame
+	// bytes; the next borrower of the buffer still gets zeroes.
+	p := New()
+	b := p.Get(100)
+	for i := range b {
+		b[i] = 0xAA
+	}
+	p.Put(b)
+	for i, v := range b[:cap(b)] {
+		if v != Poison {
+			t.Fatalf("byte %d of a returned buffer = %#x, want Poison %#x", i, v, Poison)
+		}
+	}
+	for i, v := range p.Get(128) {
+		if v != 0 {
+			t.Fatalf("byte %d of the recycled buffer = %#x, want 0", i, v)
+		}
+	}
+}

@@ -89,28 +89,18 @@ func Unmarshal(src, dst netaddr.IPv4, b []byte) (Datagram, error) {
 }
 
 // pseudoChecksum computes the transport checksum including the IPv4
-// pseudo-header. Shared with package tcp via identical construction. The
-// pseudo-header words are summed directly rather than materialized: this
-// runs once per simulated packet, so it must not allocate.
+// pseudo-header, whose 16-bit words seed the shared kernel rather than being
+// materialized: this runs once per simulated packet, so it must not allocate.
 //
 //simlint:hotpath
 func pseudoChecksum(src, dst netaddr.IPv4, proto byte, segment []byte) uint16 {
-	sum := uint32(src[0])<<8 | uint32(src[1])
-	sum += uint32(src[2])<<8 | uint32(src[3])
-	sum += uint32(dst[0])<<8 | uint32(dst[1])
-	sum += uint32(dst[2])<<8 | uint32(dst[3])
-	sum += uint32(proto)
-	sum += uint32(uint16(len(segment)))
-	for i := 0; i+1 < len(segment); i += 2 {
-		sum += uint32(segment[i])<<8 | uint32(segment[i+1])
-	}
-	if len(segment)%2 == 1 {
-		sum += uint32(segment[len(segment)-1]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
-	}
-	return ^uint16(sum)
+	seed := uint64(src[0])<<8 | uint64(src[1])
+	seed += uint64(src[2])<<8 | uint64(src[3])
+	seed += uint64(dst[0])<<8 | uint64(dst[1])
+	seed += uint64(dst[2])<<8 | uint64(dst[3])
+	seed += uint64(proto)
+	seed += uint64(uint16(len(segment)))
+	return ipv4.ChecksumSeeded(seed, segment)
 }
 
 // PseudoChecksum exposes the transport pseudo-header checksum for other

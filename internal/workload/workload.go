@@ -126,8 +126,8 @@ type Config struct {
 	// Start: ModeHybrid demotes flows whose predicted lifetime overlaps
 	// it, keeping packet fidelity where reconvergence dynamics matter.
 	// Zero values mean no window.
-	DemoteFrom   time.Duration
-	DemoteUntil  time.Duration
+	DemoteFrom  time.Duration
+	DemoteUntil time.Duration
 	// Solver is the shared fluid rate allocator, its links pre-registered
 	// by the harness; PathOf resolves flow paths onto those links. Both
 	// are required outside ModePacket.
@@ -164,12 +164,17 @@ type Flow struct {
 
 	launchedAt time.Duration
 	launched   bool
-	fluid      bool     // routed through the fluid model (decided at generation)
-	pending    []uint32 // sequences queued for (re)transmission
-	rounds     int
-	retx       int
-	received   int
-	dups       int // arrivals of sequences already delivered
+	fluid      bool // routed through the fluid model (decided at generation)
+	// The send queue is the first pass, a counter (sequences next..Packets-1
+	// have not been offered yet), followed by the current repair round:
+	// repair[head:]. The repair slice is refilled in place each RTO.
+	next     uint32
+	repair   []uint32
+	head     int
+	rounds   int
+	retx     int
+	received int
+	dups     int // arrivals of sequences already delivered
 	// gotMask allocates lazily at launch, and only on the packet path —
 	// a million fluid flows carry no packet-runtime state.
 	gotMask []uint64
@@ -205,6 +210,10 @@ type Engine struct {
 	fluidTimer *simnet.Timer
 	phantoms   []phantomFlow
 
+	// payload is the one data-packet buffer every transmission is written
+	// into: SendUDP copies it into the frame before returning.
+	payload []byte
+
 	// PacketsSent counts data transmissions including repairs;
 	// Retransmits the repair subset.
 	PacketsSent uint64
@@ -234,11 +243,13 @@ func New(sim *simnet.Sim, hosts []Host, cfg Config) (*Engine, error) {
 		sim = hosts[0].Stack.Node.Sim
 	}
 	e := &Engine{
-		sim:   sim,
-		hosts: hosts,
-		cfg:   cfg,
-		byID:  make(map[uint32]*Flow, cfg.Flows),
+		sim:     sim,
+		hosts:   hosts,
+		cfg:     cfg,
+		byID:    make(map[uint32]*Flow, cfg.Flows),
+		payload: make([]byte, cfg.PacketSize),
 	}
+	putU32(e.payload[0:], Magic)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	pair := e.pairer(rng)
 	var at time.Duration
@@ -450,10 +461,6 @@ func (e *Engine) launch(f *Flow) {
 	f.launchedAt = e.sim.Now()
 	f.launched = true
 	f.gotMask = make([]uint64, (f.Packets+63)/64)
-	f.pending = f.pending[:0]
-	for seq := 0; seq < f.Packets; seq++ {
-		f.pending = append(f.pending, uint32(seq))
-	}
 	if e.cfg.Mode == ModeHybrid {
 		// The flow's real packets ride the residual serializer; its fair
 		// share must still squeeze the fluid allocation, so the solver
@@ -472,26 +479,30 @@ func (e *Engine) tick(f *Flow) {
 	if f.Done || f.Abandoned {
 		return
 	}
-	if len(f.pending) == 0 {
-		missing := f.missing()
-		if len(missing) == 0 {
+	if f.queued() == 0 {
+		f.refillRepair()
+		if len(f.repair) == 0 {
 			return // completion races the check; the receive path recorded it
 		}
 		if f.rounds >= e.cfg.MaxRounds {
 			f.Abandoned = true
-
 			return
 		}
 		f.rounds++
-		f.retx += len(missing)
-		e.Retransmits += uint64(len(missing))
-		f.pending = missing
+		f.retx += len(f.repair)
+		e.Retransmits += uint64(len(f.repair))
 	}
-	seq := f.pending[0]
-	f.pending = f.pending[1:]
+	var seq uint32
+	if f.next < uint32(f.Packets) {
+		seq = f.next
+		f.next++
+	} else {
+		seq = f.repair[f.head]
+		f.head++
+	}
 	e.sendData(f, seq)
 	wait := e.cfg.PacketInterval
-	if len(f.pending) == 0 {
+	if f.queued() == 0 {
 		wait = e.cfg.RTO
 	}
 	if f.timer != nil {
@@ -501,28 +512,33 @@ func (e *Engine) tick(f *Flow) {
 	}
 }
 
-// missing lists the sequences the receiver has not delivered, in order. The
-// sender reading receiver state directly is the idealized-SACK shortcut
-// documented in the package comment.
-func (f *Flow) missing() []uint32 {
-	var out []uint32
+// queued is the number of sequences waiting for transmission.
+func (f *Flow) queued() int {
+	return f.Packets - int(f.next) + len(f.repair) - f.head
+}
+
+// refillRepair starts a repair round: the flow's repair slice is refilled
+// with the sequences the receiver has not delivered, in order. The sender
+// reading receiver state directly is the idealized-SACK shortcut documented
+// in the package comment.
+func (f *Flow) refillRepair() {
+	f.repair, f.head = f.repair[:0], 0
 	for seq := uint32(0); seq < uint32(f.Packets); seq++ {
 		if !f.got(seq) {
-			out = append(out, seq)
+			f.repair = append(f.repair, seq)
 		}
 	}
-	return out
 }
 
 func (e *Engine) sendData(f *Flow, seq uint32) {
 	e.PacketsSent++
-	payload := make([]byte, e.cfg.PacketSize)
-	putU32(payload[0:], Magic)
-	putU32(payload[4:], f.ID)
-	putU32(payload[8:], seq)
-	putU32(payload[12:], uint32(f.Packets))
+	// Only the header differs between packets; the rest of the scratch
+	// payload stays zero, as a fresh buffer's would be.
+	putU32(e.payload[4:], f.ID)
+	putU32(e.payload[8:], seq)
+	putU32(e.payload[12:], uint32(f.Packets))
 	src, dst := e.hosts[f.Src], e.hosts[f.Dst]
-	src.Stack.SendUDP(src.IP, dst.IP, f.SrcPort, e.cfg.DstPort, payload)
+	src.Stack.SendUDP(src.IP, dst.IP, f.SrcPort, e.cfg.DstPort, e.payload)
 }
 
 // onDatagram is the receive path, running on the destination host's events.

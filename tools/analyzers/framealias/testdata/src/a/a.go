@@ -68,6 +68,16 @@ func releaseAfter(p *simnet.Port, frames *framepool.Pool, buf []byte) {
 	frames.Put(buf) // want `frame buf is rewritten by Put after being handed to simnet`
 }
 
+// resendInPlace is in-place transit: a handler owns the frame delivered to
+// it, so it may rewrite a header field through a payload alias and send the
+// same buffer on — after which the buffer is the network's again.
+func resendInPlace(p *simnet.Port, raw []byte) {
+	payload := raw[14:]
+	payload[1]--
+	p.Send(raw)
+	payload[1] = 0 // want `frame payload is mutated after being handed to simnet`
+}
+
 // sendCopy is the blessed pattern: the handed-off buffer is a fresh copy,
 // so the original stays ours.
 func sendCopy(p *simnet.Port, buf []byte) {
