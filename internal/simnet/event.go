@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/invariant"
@@ -18,9 +19,11 @@ import (
 //     its original deadline.
 //   - Fired and cancelled events go on a freelist and are reused; a
 //     generation counter on each record invalidates stale Timer handles.
-//   - Frame delivery and egress-queue bookkeeping are dedicated event kinds
-//     carrying their operands in the record itself, so Port.Send schedules
-//     no closures.
+//   - Frame delivery is a dedicated event kind carrying its operands in the
+//     record itself, so Port.Send schedules no closures.
+//   - An egress-queue slot coming free is not an event at all: Port.Send
+//     records the key the release would have carried and the queue depth is
+//     read off the dispatch frontier (see passMark).
 //
 // The heap itself stores (at, seq) inline next to the event pointer, so the
 // sift comparisons stay within the contiguous slice instead of dereferencing
@@ -29,9 +32,8 @@ import (
 type eventKind uint8
 
 const (
-	evFunc      eventKind = iota // run fn
-	evFrame                      // deliver frame from src to dst over link
-	evQueueFree                  // decrement dir.queued (egress serialization)
+	evFunc  eventKind = iota // run fn
+	evFrame                  // deliver frame from src to dst over link
 
 	// evFreed poisons records sitting on the freelist. Every alloc caller
 	// assigns a real kind, so under -tags invariants a record dispatched or
@@ -50,11 +52,10 @@ type event struct {
 	kind eventKind
 	fn   func() // evFunc
 
-	// evFrame operands; dir doubles as the evQueueFree operand.
+	// evFrame operands.
 	src, dst *Port
 	link     *Link
 	frame    []byte
-	dir      *dirState
 
 	// fh is the frame's pool generation at transmit time (zero-sized in
 	// release builds): Step asserts the buffer was not recycled while the
@@ -71,7 +72,7 @@ type event struct {
 //   - prio encodes the owning node and event class: 0 for control events
 //     (scheduled from outside any node's context — harness code, chaos
 //     closures, workload launches), (node+1)<<2|1 for a node's local events
-//     (timers, egress bookkeeping), (node+1)<<2|2 for frame deliveries to
+//     (timers, egress-queue releases), (node+1)<<2|2 for frame deliveries to
 //     the node. At one instant, control runs first, then each node's locals
 //     before its frame arrivals, nodes in ID order.
 //   - tie breaks frame-vs-frame ties by the transmit key (source node,
@@ -136,7 +137,7 @@ func (s *Sim) release(ev *event) {
 	ev.gen++
 	ev.kind = evFreed
 	ev.fn = nil
-	ev.src, ev.dst, ev.link, ev.frame, ev.dir = nil, nil, nil, nil, nil
+	ev.src, ev.dst, ev.link, ev.frame = nil, nil, nil, nil
 	ev.fh = framepool.Handle{}
 	s.free = append(s.free, ev) //simlint:alloc freelist growth is amortized; capacity stabilizes at peak in-flight events
 }
@@ -277,6 +278,55 @@ func (s *Sim) heapRemove(i int) {
 	}
 }
 
+// --- dispatch frontier ------------------------------------------------------
+
+// passMark records how far dispatch has got in the total order. An
+// egress-queue release is not scheduled; it is a key (relKey) that counts as
+// a free slot once the order has passed it, which is exactly when the heap
+// would have popped it: at the first event dispatched after the release was
+// recorded whose key is larger, or when a RunUntil horizon reaches its
+// instant.
+//
+// Dispatch keys almost always increase, and then the frontier is one mark,
+// the event being dispatched. They can step back within an instant — a
+// frame handler arms a zero-delay timer, a zero-latency wire delivers to a
+// lower-numbered node — and a release recorded after the larger key went by
+// must not be counted against it. So the frontier keeps every mark that no
+// later mark has reached (keys decreasing, born increasing, all at the
+// current instant), and a release is judged by the largest mark made after
+// it was recorded.
+type passMark struct {
+	key  heapEntry // ev unused
+	born uint64    // Sim.seq when the mark was made; later releases have seq > born
+}
+
+// advance moves the frontier to k, dropping the marks k has reached.
+func (s *Sim) advance(k heapEntry) {
+	k.ev = nil
+	f := s.frontier
+	n := len(f)
+	for n > 0 && !entryLess(&k, &f[n-1].key) {
+		n--
+	}
+	s.frontier = append(f[:n], passMark{key: k, born: s.seq}) //simlint:alloc grows only while dispatch keys step back within one instant; one mark otherwise
+}
+
+// passed reports whether the dispatch order has gone by the release key r.
+func (s *Sim) passed(r *relKey) bool {
+	if r.at != s.now {
+		return r.at < s.now
+	}
+	// Every mark is at s.now. The first one made after r was recorded is the
+	// largest such key.
+	for i := range s.frontier {
+		if m := &s.frontier[i]; m.born >= r.seq {
+			k := heapEntry{at: r.at, prio: r.prio, seq: r.seq}
+			return entryLess(&k, &m.key)
+		}
+	}
+	return false
+}
+
 // --- public scheduling API --------------------------------------------------
 
 // At schedules fn at absolute virtual time t and returns a cancellable,
@@ -375,6 +425,7 @@ func (s *Sim) Step() bool {
 	ev := e.ev
 	s.now = e.at
 	s.events++
+	s.advance(e)
 	// Attribute the dispatch to the event's owning node so everything it
 	// schedules inherits that node's ordering key.
 	prev := s.curOwner
@@ -395,10 +446,6 @@ func (s *Sim) Step() bool {
 		}
 		s.release(ev)
 		s.deliver(src, dst, link, frame)
-	case evQueueFree:
-		dir := ev.dir
-		s.release(ev)
-		dir.queued--
 	default:
 		if invariant.Enabled {
 			invariant.Assert(false, "simnet: dispatching event with unknown kind (freed record left in heap?)")
@@ -414,8 +461,11 @@ func (s *Sim) RunUntil(t time.Duration) {
 	for len(s.queue) > 0 && s.queue[0].at <= t {
 		s.Step()
 	}
-	if t > s.now {
+	if t >= s.now {
+		// Nothing at or before t is left, so every queue release up to t has
+		// happened too: the horizon is a mark above any key at t.
 		s.now = t
+		s.advance(heapEntry{at: t, prio: math.MaxUint32, tie: math.MaxUint64, seq: math.MaxUint64})
 	}
 }
 

@@ -49,6 +49,7 @@ type Sim struct {
 	now       time.Duration
 	queue     []heapEntry // indexed min-heap ordered by (at, prio, tie, seq)
 	free      []*event    // recycled event records
+	frontier  []passMark  // how far dispatch has got in that order (see passMark)
 	seq       uint64
 	seed      int64 // base seed; derives the per-node and per-direction streams
 	rng       *rand.Rand
@@ -340,7 +341,9 @@ func (p *Port) Send(frame []byte) {
 	// behind earlier frames, then occupies the wire for its bit time.
 	delay := link.Latency + jitter
 	if link.bandwidth > 0 {
-		if link.maxQueue > 0 && d.queued >= link.maxQueue {
+		// Reading the depth also expires the releases the order has passed,
+		// which is what keeps an unbounded queue's ring from growing.
+		if q := sim.queued(d); link.maxQueue > 0 && q >= link.maxQueue {
 			d.overflows++
 			d.overflowBytes += uint64(len(frame))
 			if sim.Trace != nil {
@@ -372,11 +375,11 @@ func (p *Port) Send(frame []byte) {
 			start = d.busyUntil
 		}
 		d.busyUntil = start + txTime
-		d.queued++
 		delay = d.busyUntil - sim.now + link.Latency + jitter
-		free := sim.schedule(d.busyUntil)
-		free.kind = evQueueFree
-		free.dir = d
+		// The slot frees when the frame has left: the key of the local
+		// event that used to say so, in the sender's context.
+		sim.seq++
+		d.rel.push(relKey{at: d.busyUntil, prio: sim.ctxPrio(), seq: sim.seq}, link.maxQueue)
 	}
 	// The delivery is keyed to the dst node's frame class, tied by (src
 	// node, src port, per-direction tx counter) — see heapEntry.
@@ -517,7 +520,7 @@ func (l *Link) Overflowed() uint64 { return l.dirA.overflows + l.dirB.overflows 
 
 type dirState struct {
 	busyUntil     time.Duration
-	queued        int
+	rel           relRing // egress-queue releases not yet passed: the queue depth
 	overflows     uint64
 	overflowBytes uint64
 
@@ -624,7 +627,7 @@ type LinkStats struct {
 func (l *Link) Stats(from *Port) LinkStats {
 	d := l.dir(from)
 	return LinkStats{
-		Queued: d.queued, Overflows: d.overflows, OverflowBytes: d.overflowBytes,
+		Queued: from.Node.Sim.queued(d), Overflows: d.overflows, OverflowBytes: d.overflowBytes,
 		Lost: d.lost, Corrupted: d.corrupted, FluidBps: d.fluidBps,
 	}
 }
