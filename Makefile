@@ -64,7 +64,7 @@ bench:
 # encap, IP ingress, RX decap, forwarding, keep-alive) pin the per-frame
 # allocation counts the pooled buffers bought.
 bench-hotpath:
-	$(GO) test -bench 'EventLoop|FrameDelivery|TimerResetChurn' -benchtime 1000x -benchmem -run 'Allocs$$' ./internal/simnet ./internal/ipstack ./internal/mrmtp
+	$(GO) test -bench 'EventLoop|FrameDelivery|TimerResetChurn|ShapedLinkBacklog' -benchtime 1000x -benchmem -run 'Allocs$$' ./internal/simnet ./internal/ipstack ./internal/mrmtp
 
 # bench-fluid compares the packet engine against the hybrid flow-level
 # engine at 10^3..10^6 flows on the 2-PoD fabric and writes

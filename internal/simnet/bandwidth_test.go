@@ -220,3 +220,64 @@ func TestFluidBytesIntegration(t *testing.T) {
 		t.Fatalf("FluidLoad = %d, want 0", got)
 	}
 }
+
+// poolSink is the last owner of every frame it receives.
+type poolSink struct {
+	sim *Sim
+	rx  int
+}
+
+func (h *poolSink) Start()         {}
+func (h *poolSink) PortDown(*Port) {}
+func (h *poolSink) PortUp(*Port)   {}
+func (h *poolSink) HandleFrame(_ *Port, f []byte) {
+	h.rx++
+	h.sim.Frames().Put(f)
+}
+
+// TestShapedSendAllocs pins the shaped-link budget: with a standing backlog
+// a Send and the delivery it eventually causes touch only the direction's
+// two rings, and a tail drop touches nothing, so neither allocates once the
+// rings and the frame pool are warm.
+func TestShapedSendAllocs(t *testing.T) {
+	s := New(1)
+	a, b := s.AddNode("a"), s.AddNode("b")
+	sink := &poolSink{sim: s}
+	b.Handler = sink
+	link := s.ConnectLatency(a.AddPort(), b.AddPort(), 10*time.Microsecond)
+	link.SetBandwidth(1_000_000_000, 64) // a 1250-byte frame takes 10 µs
+	port := a.Port(1)
+	send := func() { port.Send(s.Frames().Get(1250)) }
+
+	for i := 0; i < 32; i++ {
+		send()
+	}
+	step := func() {
+		send()
+		s.RunFor(10 * time.Microsecond) // one frame leaves, one arrives
+	}
+	for i := 0; i < 100; i++ {
+		step()
+	}
+	if q := link.Stats(port).Queued; q != 32 {
+		t.Fatalf("standing backlog is %d frames, want 32", q)
+	}
+	rx := sink.rx
+	if avg := testing.AllocsPerRun(200, step); avg > 0 {
+		t.Errorf("Send + delivery behind a backlog allocates %.1f/op, want 0", avg)
+	}
+	if sink.rx-rx < 200 {
+		t.Fatalf("only %d deliveries in 200 steps", sink.rx-rx)
+	}
+
+	for link.Stats(port).Queued < 64 {
+		send()
+	}
+	drops := link.Overflowed()
+	if avg := testing.AllocsPerRun(200, send); avg > 0 {
+		t.Errorf("tail drop allocates %.1f/op, want 0", avg)
+	}
+	if link.Overflowed()-drops < 200 {
+		t.Fatalf("only %d tail drops in 200 sends into a full queue", link.Overflowed()-drops)
+	}
+}

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -47,5 +48,28 @@ func BenchmarkTimerResetChurn(b *testing.B) {
 			s.RunFor(2 * time.Millisecond)
 			t = s.After(time.Millisecond, func() {})
 		}
+	}
+}
+
+func BenchmarkShapedLinkBacklog(b *testing.B) {
+	// The packet engine's regime: 16 shaped directions, each with a 64-deep
+	// standing backlog. One iteration sends a frame and dispatches a delivery.
+	s := New(1)
+	var ports []*Port
+	for i := 0; i < 8; i++ {
+		x, y := s.AddNode(fmt.Sprintf("x%d", i)), s.AddNode(fmt.Sprintf("y%d", i))
+		x.Handler, y.Handler = &poolSink{sim: s}, &poolSink{sim: s}
+		l := s.ConnectLatency(x.AddPort(), y.AddPort(), 10*time.Microsecond)
+		l.SetBandwidth(1_000_000_000, 128)
+		ports = append(ports, x.Port(1), y.Port(1))
+	}
+	for i := 0; i < 64*len(ports); i++ {
+		ports[i%len(ports)].Send(s.Frames().Get(1250))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ports[i%len(ports)].Send(s.Frames().Get(1250))
+		s.Step()
 	}
 }

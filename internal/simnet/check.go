@@ -12,7 +12,9 @@ const smallHeapScan = 64
 // around index i. Callers guard with invariant.Enabled; the checks are:
 //
 //   - parent ≤ child under entryLess for every inspected pair,
-//   - every inspected entry's event back-pointer (ev.idx) matches its slot.
+//   - every inspected entry's event back-pointer (ev.idx) matches its slot,
+//   - an inspected entry that stands for a busy direction carries exactly
+//     the key of that direction's earliest frame in flight.
 func (s *Sim) checkHeap(i int) {
 	q := s.queue
 	n := len(q)
@@ -58,6 +60,16 @@ func (s *Sim) checkEntry(j int) {
 			"simnet: heap entry %d back-pointer is %d (at=%v seq=%d)",
 			j, q[j].ev.idx, q[j].at, q[j].seq)
 	}
+	if d := q[j].ev.dir; q[j].ev.kind == evWire {
+		if d.fly.n == 0 {
+			invariant.Assert(false, "simnet: idle direction's wire record left in the heap")
+		} else if head := d.fly.at(0); q[j].at != head.at || q[j].prio != d.prio || q[j].tie != head.tie {
+			//simlint:alloc invariant failure path; boxes only when the heap is already corrupt
+			invariant.Assertf(false,
+				"simnet: heap entry %d (at=%v tie=%#x) is not its direction's next delivery (at=%v tie=%#x)",
+				j, q[j].at, q[j].tie, head.at, head.tie)
+		}
+	}
 	if j > 0 {
 		parent := (j - 1) / 2
 		if entryLess(&q[j], &q[parent]) {
@@ -66,5 +78,28 @@ func (s *Sim) checkEntry(j int) {
 				"simnet: heap order broken: entry %d (at=%v seq=%d) < parent %d (at=%v seq=%d)",
 				j, q[j].at, q[j].seq, parent, q[parent].at, q[parent].seq)
 		}
+	}
+}
+
+// checkWire validates direction d after its flight ring changed around
+// position i: the ring is sorted by (at, tie) — all of it while it is small,
+// else i against its neighbours — and the direction's wire record is in the
+// heap exactly while the ring is non-empty (checkHeap compares its key with
+// the ring's head).
+func (s *Sim) checkWire(d *dirState, i int) {
+	r := &d.fly
+	invariant.Assert((r.n > 0) == (d.ev.idx >= 0), "simnet: direction's wire record in the heap does not match frames in flight")
+	lo, hi := 1, r.n
+	if r.n > smallHeapScan {
+		lo, hi = i, i+2
+		if lo < 1 {
+			lo = 1
+		}
+		if hi > r.n {
+			hi = r.n
+		}
+	}
+	for j := lo; j < hi; j++ {
+		invariant.Assert(r.at(j-1).before(r.at(j)), "simnet: flight ring out of (at, tie) order")
 	}
 }

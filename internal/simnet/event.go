@@ -10,7 +10,7 @@ import (
 )
 
 // The scheduling core is an indexed binary min-heap of recycled event
-// records. Three properties keep the hot paths (hello/BFD timer churn, frame
+// records. Four properties keep the hot paths (hello/BFD timer churn, frame
 // delivery) allocation-free and the heap small:
 //
 //   - Every event knows its heap index, so Timer.Stop removes it from the
@@ -19,21 +19,24 @@ import (
 //     its original deadline.
 //   - Fired and cancelled events go on a freelist and are reused; a
 //     generation counter on each record invalidates stale Timer handles.
-//   - Frame delivery is a dedicated event kind carrying its operands in the
-//     record itself, so Port.Send schedules no closures.
+//   - Frames in flight are not in the heap one by one. A link direction
+//     delivers in (at, tie) order, so it keeps its own frames in a ring and
+//     the heap holds one permanent record per busy direction, keyed to the
+//     ring's head (wire.go). Port.Send schedules no closures and, on a wire
+//     that is already busy, touches the heap not at all.
 //   - An egress-queue slot coming free is not an event at all: Port.Send
 //     records the key the release would have carried and the queue depth is
 //     read off the dispatch frontier (see passMark).
 //
-// The heap itself stores (at, seq) inline next to the event pointer, so the
-// sift comparisons stay within the contiguous slice instead of dereferencing
-// a pointer per compared element.
+// The heap itself stores the ordering key inline next to the event pointer,
+// so the sift comparisons stay within the contiguous slice instead of
+// dereferencing a pointer per compared element.
 
 type eventKind uint8
 
 const (
-	evFunc  eventKind = iota // run fn
-	evFrame                  // deliver frame from src to dst over link
+	evFunc eventKind = iota // run fn
+	evWire                  // deliver the head of dir's flight ring; the record is dir's own and never freed
 
 	// evFreed poisons records sitting on the freelist. Every alloc caller
 	// assigns a real kind, so under -tags invariants a record dispatched or
@@ -50,24 +53,16 @@ type event struct {
 	gen uint32 // bumped on release; validates Timer handles
 
 	kind eventKind
-	fn   func() // evFunc
-
-	// evFrame operands.
-	src, dst *Port
-	link     *Link
-	frame    []byte
-
-	// fh is the frame's pool generation at transmit time (zero-sized in
-	// release builds): Step asserts the buffer was not recycled while the
-	// delivery was in flight.
-	fh framepool.Handle
+	fn   func()    // evFunc
+	dir  *dirState // evWire
 }
 
-// heapEntry is one slot of the scheduling heap. Events are totally ordered
-// by (at, prio, tie, seq). The key is built from who an event belongs to,
-// not from when it happened to be scheduled, so same-instant order is a
-// property of the fabric rather than of the interleaving that led up to it;
-// every checked-in artifact and golden digest depends on this exact order.
+// orderKey is an event's place in the dispatch order. Events are totally
+// ordered by (at, prio, tie, seq). The key is built from who an event
+// belongs to, not from when it happened to be scheduled, so same-instant
+// order is a property of the fabric rather than of the interleaving that led
+// up to it; every checked-in artifact and golden digest depends on this
+// exact order.
 //
 //   - prio encodes the owning node and event class: 0 for control events
 //     (scheduled from outside any node's context — harness code, chaos
@@ -79,13 +74,21 @@ type event struct {
 //     source port, per-direction transmit counter), so two frames reaching
 //     one node at the same instant order by sender, not by enqueue order.
 //   - seq (scheduling order) breaks what remains: same-node same-class
-//     events fire in the order they were scheduled.
-type heapEntry struct {
+//     events fire in the order they were scheduled. (prio, tie) is unique
+//     per frame, so frame entries carry seq 0; Port.Send still draws one so
+//     that every other event's seq is independent of how frames are kept.
+type orderKey struct {
 	at   time.Duration
 	prio uint32
 	tie  uint64
 	seq  uint64
-	ev   *event
+}
+
+// heapEntry is one slot of the scheduling heap: the key inline, so sift
+// comparisons stay within the slice, and the record it schedules.
+type heapEntry struct {
+	orderKey
+	ev *event
 }
 
 // Event classes within prio (low two bits).
@@ -100,7 +103,9 @@ func nodePrio(node int32, class uint32) uint32 {
 	return uint32(node+1)<<2 | class
 }
 
-func entryLess(a, b *heapEntry) bool {
+func entryLess(a, b *heapEntry) bool { return a.less(&b.orderKey) }
+
+func (a *orderKey) less(b *orderKey) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -132,13 +137,12 @@ func (s *Sim) alloc() *event {
 func (s *Sim) release(ev *event) {
 	if invariant.Enabled {
 		invariant.Assert(ev.kind != evFreed, "simnet: double release of event record")
+		invariant.Assert(ev.kind != evWire, "simnet: releasing a direction's permanent wire record")
 		invariant.Assert(ev.idx < 0, "simnet: releasing an event still in the heap")
 	}
 	ev.gen++
 	ev.kind = evFreed
 	ev.fn = nil
-	ev.src, ev.dst, ev.link, ev.frame = nil, nil, nil, nil
-	ev.fh = framepool.Handle{}
 	s.free = append(s.free, ev) //simlint:alloc freelist growth is amortized; capacity stabilizes at peak in-flight events
 }
 
@@ -156,19 +160,12 @@ func (s *Sim) ctxPrio() uint32 {
 // current execution context. Scheduling in the past is a programming error
 // and panics.
 func (s *Sim) schedule(at time.Duration) *event {
-	return s.scheduleKeyed(at, s.ctxPrio(), 0)
-}
-
-// scheduleKeyed allocates and enqueues an event with an explicit ordering
-// key (frame deliveries carry the dst node's frame class and a transmit tie
-// key instead of the sender's context).
-func (s *Sim) scheduleKeyed(at time.Duration, prio uint32, tie uint64) *event {
 	if at < s.now {
 		panic(fmt.Sprintf("simnet: scheduling event at %v before now %v", at, s.now)) //simlint:alloc unreachable except on programmer error; the panic path may allocate
 	}
 	ev := s.alloc()
 	s.seq++
-	s.heapPush(heapEntry{at: at, prio: prio, tie: tie, seq: s.seq, ev: ev})
+	s.heapPush(heapEntry{orderKey{at: at, prio: s.ctxPrio(), seq: s.seq}, ev})
 	return ev
 }
 
@@ -235,10 +232,10 @@ func (s *Sim) heapFix(i int) {
 	}
 }
 
-// heapPop removes and returns the earliest entry.
-func (s *Sim) heapPop() heapEntry {
+// heapPop removes the earliest entry.
+func (s *Sim) heapPop() {
 	q := s.queue
-	e := q[0]
+	q[0].ev.idx = -1
 	last := len(q) - 1
 	q[0] = q[last]
 	q[last] = heapEntry{}
@@ -246,11 +243,9 @@ func (s *Sim) heapPop() heapEntry {
 	if last > 0 {
 		s.siftDown(0)
 	}
-	e.ev.idx = -1
 	if invariant.Enabled {
 		s.checkHeap(0)
 	}
-	return e
 }
 
 // heapRemove removes the entry at index i.
@@ -296,19 +291,18 @@ func (s *Sim) heapRemove(i int) {
 // current instant), and a release is judged by the largest mark made after
 // it was recorded.
 type passMark struct {
-	key  heapEntry // ev unused
-	born uint64    // Sim.seq when the mark was made; later releases have seq > born
+	key  orderKey
+	born uint64 // Sim.seq when the mark was made; later releases have seq > born
 }
 
 // advance moves the frontier to k, dropping the marks k has reached.
-func (s *Sim) advance(k heapEntry) {
-	k.ev = nil
+func (s *Sim) advance(k *orderKey) {
 	f := s.frontier
 	n := len(f)
-	for n > 0 && !entryLess(&k, &f[n-1].key) {
+	for n > 0 && !k.less(&f[n-1].key) {
 		n--
 	}
-	s.frontier = append(f[:n], passMark{key: k, born: s.seq}) //simlint:alloc grows only while dispatch keys step back within one instant; one mark otherwise
+	s.frontier = append(f[:n], passMark{*k, s.seq}) //simlint:alloc grows only while dispatch keys step back within one instant; one mark otherwise
 }
 
 // passed reports whether the dispatch order has gone by the release key r.
@@ -320,8 +314,8 @@ func (s *Sim) passed(r *relKey) bool {
 	// largest such key.
 	for i := range s.frontier {
 		if m := &s.frontier[i]; m.born >= r.seq {
-			k := heapEntry{at: r.at, prio: r.prio, seq: r.seq}
-			return entryLess(&k, &m.key)
+			k := orderKey{at: r.at, prio: r.prio, seq: r.seq}
+			return k.less(&m.key)
 		}
 	}
 	return false
@@ -421,11 +415,25 @@ func (s *Sim) Step() bool {
 	if len(s.queue) == 0 {
 		return false
 	}
-	e := s.heapPop()
+	e := s.queue[0]
 	ev := e.ev
-	s.now = e.at
+	// The heap is made consistent before anything is dispatched: a busy
+	// direction's record is re-keyed to its next frame in place, everything
+	// else leaves the heap.
+	var frame []byte
+	var fh framepool.Handle
+	if ev.kind == evWire {
+		frame, fh = s.takeFlight(ev.dir)
+	} else {
+		s.heapPop()
+	}
 	s.events++
-	s.advance(e)
+	if f := s.frontier; len(f) == 1 && s.now < e.at {
+		f[0].key, f[0].born = e.orderKey, s.seq // the clock moves on: one mark replaces another
+	} else {
+		s.advance(&e.orderKey)
+	}
+	s.now = e.at
 	// Attribute the dispatch to the event's owning node so everything it
 	// schedules inherits that node's ordering key.
 	prev := s.curOwner
@@ -439,13 +447,12 @@ func (s *Sim) Step() bool {
 		fn := ev.fn
 		s.release(ev)
 		fn()
-	case evFrame:
-		src, dst, link, frame := ev.src, ev.dst, ev.link, ev.frame
+	case evWire:
 		if invariant.Enabled {
-			s.frames.Check(ev.fh)
+			s.frames.Check(fh)
 		}
-		s.release(ev)
-		s.deliver(src, dst, link, frame)
+		d := ev.dir
+		s.deliver(d.src, d.dst, d.link, frame)
 	default:
 		if invariant.Enabled {
 			invariant.Assert(false, "simnet: dispatching event with unknown kind (freed record left in heap?)")
@@ -465,7 +472,7 @@ func (s *Sim) RunUntil(t time.Duration) {
 		// Nothing at or before t is left, so every queue release up to t has
 		// happened too: the horizon is a mark above any key at t.
 		s.now = t
-		s.advance(heapEntry{at: t, prio: math.MaxUint32, tie: math.MaxUint64, seq: math.MaxUint64})
+		s.advance(&orderKey{at: t, prio: math.MaxUint32, tie: math.MaxUint64, seq: math.MaxUint64})
 	}
 }
 

@@ -343,7 +343,11 @@ func (p *Port) Send(frame []byte) {
 	if link.bandwidth > 0 {
 		// Reading the depth also expires the releases the order has passed,
 		// which is what keeps an unbounded queue's ring from growing.
-		if q := sim.queued(d); link.maxQueue > 0 && q >= link.maxQueue {
+		q := sim.queued(d)
+		if invariant.Enabled {
+			invariant.Assert(q >= 0 && (link.maxQueue == 0 || q <= link.maxQueue), "simnet: egress-queue depth outside [0, maxQueue] (or the bound was lowered under a backlog)")
+		}
+		if link.maxQueue > 0 && q >= link.maxQueue {
 			d.overflows++
 			d.overflowBytes += uint64(len(frame))
 			if sim.Trace != nil {
@@ -382,21 +386,22 @@ func (p *Port) Send(frame []byte) {
 		d.rel.push(relKey{at: d.busyUntil, prio: sim.ctxPrio(), seq: sim.seq}, link.maxQueue)
 	}
 	// The delivery is keyed to the dst node's frame class, tied by (src
-	// node, src port, per-direction tx counter) — see heapEntry.
+	// node, src port, per-direction tx counter) — see heapEntry. It joins
+	// the direction's flight ring, and draws a seq as any scheduled event.
+	at := sim.now + delay
+	if at < sim.now {
+		panic(fmt.Sprintf("simnet: frame on %s would arrive at %v, before now %v", p.Name(), at, sim.now)) //simlint:alloc unreachable except on a negative latency; the panic path may allocate
+	}
 	d.txSeq++
+	sim.seq++
 	tie := uint64(uint32(p.Node.id))<<40 | uint64(uint16(p.Index))<<32 | uint64(d.txSeq)
-	dst := p.Peer()
-	ev := sim.scheduleKeyed(sim.now+delay, nodePrio(dst.Node.id, classFrame), tie)
-	ev.kind = evFrame
-	ev.src = p
-	ev.dst = dst
-	ev.link = link
-	ev.frame = frame
+	var fh framepool.Handle
 	if invariant.Enabled {
 		// Snapshot the buffer's pool generation: Step re-checks it at
 		// delivery time, catching a Put while the frame was in flight.
-		ev.fh = sim.frames.Handle(frame)
+		fh = sim.frames.Handle(frame)
 	}
+	sim.launch(d, at, tie, frame, fh)
 }
 
 // deliver completes a frame's flight: the receiving port's status is checked
@@ -519,6 +524,14 @@ func (l *Link) Corrupted() uint64 { return l.dirA.corrupted + l.dirB.corrupted }
 func (l *Link) Overflowed() uint64 { return l.dirA.overflows + l.dirB.overflows }
 
 type dirState struct {
+	// The wire: frames in flight in delivery order, and the one heap record
+	// that stands for whichever is due next (wire.go).
+	fly      flightRing
+	ev       event
+	src, dst *Port
+	link     *Link
+	prio     uint32 // dst node's frame class: the same for every frame
+
 	busyUntil     time.Duration
 	rel           relRing // egress-queue releases not yet passed: the queue depth
 	overflows     uint64
@@ -701,6 +714,8 @@ func (s *Sim) ConnectLatency(a, b *Port, latency time.Duration) *Link {
 		panic("simnet: cannot connect a node to itself")
 	}
 	l := &Link{A: a, B: b, Latency: latency}
+	l.dirA.wire(l, a, b)
+	l.dirB.wire(l, b, a)
 	a.Link = l
 	b.Link = l
 	s.links = append(s.links, l)

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/invariant"
+	"repro/internal/simnet/framepool"
 )
 
 // A link direction is a FIFO: frames leave the transmitter at busyUntil,
@@ -19,35 +20,54 @@ type relKey struct {
 	prio uint32
 }
 
+// ring is the bookkeeping of a circular buffer: where the oldest entry
+// sits and how many there are. relRing and flightRing pair it with a slice.
+type ring struct{ head, n int }
+
+// slot is the buffer index of the i-th oldest entry in a buffer of size.
+func (r *ring) slot(i, size int) int {
+	j := r.head + i
+	if j >= size {
+		j -= size
+	}
+	return j
+}
+
+// drop forgets the oldest entry.
+func (r *ring) drop(size int) {
+	r.head = r.slot(1, size)
+	r.n--
+}
+
+// ringGrow is the capacity a full ring of cap entries grows to, on a
+// direction whose occupancy is bounded by limit (0: not bounded). Most
+// directions never hold more than a few frames, and one that does is on its
+// way to a full queue, so there are two sizes below the bound, not a
+// doubling ladder: the ladder allocated twice the bound to get there.
+func ringGrow(cap, limit int) int {
+	switch {
+	case cap == 0:
+		return 8
+	case cap < limit:
+		return limit
+	}
+	return 2 * cap
+}
+
 // relRing is a direction's pending releases, oldest first. at never
 // decreases along it and seq always increases.
 type relRing struct {
-	buf  []relKey
-	head int
-	n    int
+	ring
+	buf []relKey
 }
 
-func (r *relRing) at(i int) *relKey {
-	j := r.head + i
-	if j >= len(r.buf) {
-		j -= len(r.buf)
-	}
-	return &r.buf[j]
-}
+func (r *relRing) at(i int) *relKey { return &r.buf[r.slot(i, len(r.buf))] }
 
-// push appends k. An empty ring is sized for a queue bound of maxQueue
-// frames, which a bounded queue never outgrows while transmit times are
-// positive.
+// push appends k. maxQueue is the direction's queue bound, which the ring
+// never outgrows while transmit times are positive.
 func (r *relRing) push(k relKey, maxQueue int) {
 	if r.n == len(r.buf) {
-		size := 2 * len(r.buf)
-		if size == 0 {
-			size = maxQueue
-			if size <= 0 {
-				size = 8
-			}
-		}
-		buf := make([]relKey, size) //simlint:alloc once per direction when the queue is bounded, amortized doubling when it is not
+		buf := make([]relKey, ringGrow(len(r.buf), maxQueue)) //simlint:alloc at most twice per direction when the queue is bounded, amortized doubling when it is not
 		for i := 0; i < r.n; i++ {
 			buf[i] = *r.at(i)
 		}
@@ -57,16 +77,8 @@ func (r *relRing) push(k relKey, maxQueue int) {
 		last := r.at(r.n - 1)
 		invariant.Assert(last.at <= k.at && last.seq < k.seq, "simnet: egress-queue release recorded out of order")
 	}
-	*r.at(r.n) = k
 	r.n++
-}
-
-func (r *relRing) pop() {
-	r.head++
-	if r.head == len(r.buf) {
-		r.head = 0
-	}
-	r.n--
+	*r.at(r.n - 1) = k
 }
 
 // queued is the depth of d's egress queue: the frames sent on d whose
@@ -74,7 +86,7 @@ func (r *relRing) pop() {
 func (s *Sim) queued(d *dirState) int {
 	r := &d.rel
 	for r.n > 0 && s.passed(r.at(0)) {
-		r.pop()
+		r.drop(len(r.buf))
 	}
 	n := r.n
 	// Releases pass in ring order unless several share an instant and differ
@@ -87,4 +99,106 @@ func (s *Sim) queued(d *dirState) int {
 		}
 	}
 	return n
+}
+
+// flight is one frame in flight. Within a direction prio is constant, so
+// (at, tie) is the whole of its place in the dispatch order.
+type flight struct {
+	at    time.Duration
+	tie   uint64
+	frame []byte
+	// fh is the frame's pool generation at transmit time (zero-sized in
+	// release builds): Step asserts the buffer was not recycled while the
+	// delivery was in flight.
+	fh framepool.Handle
+}
+
+func (a *flight) before(b *flight) bool {
+	return a.at < b.at || a.at == b.at && a.tie < b.tie
+}
+
+// flightRing is a direction's frames in flight, sorted by (at, tie).
+type flightRing struct {
+	ring
+	buf []flight
+}
+
+func (r *flightRing) at(i int) *flight { return &r.buf[r.slot(i, len(r.buf))] }
+
+// wire binds a direction to its endpoints and readies its heap record.
+func (d *dirState) wire(l *Link, src, dst *Port) {
+	d.link, d.src, d.dst = l, src, dst
+	d.prio = nodePrio(dst.Node.id, classFrame)
+	d.ev = event{idx: -1, kind: evWire, dir: d}
+}
+
+// launch puts fl in flight on d. A wire delivers in the order it was fed
+// unless jitter or a latency change lets a later frame overtake, so the
+// insertion point is almost always the tail; either way the heap hears of
+// it only when the direction's next delivery changed.
+func (s *Sim) launch(d *dirState, at time.Duration, tie uint64, frame []byte, fh framepool.Handle) {
+	r := &d.fly
+	if r.n == len(r.buf) {
+		// A full egress queue plus what the wire itself holds.
+		bound := d.link.maxQueue
+		if bound > 0 {
+			bound += 8
+		}
+		buf := make([]flight, ringGrow(len(r.buf), bound)) //simlint:alloc at most twice per direction up to the queue bound; doubles only when more frames are in flight than that
+		for i := 0; i < r.n; i++ {
+			buf[i] = *r.at(i)
+		}
+		r.buf, r.head = buf, 0
+	}
+	i := r.n
+	r.n++
+	for ; i > 0; i-- {
+		if prev := r.at(i - 1); prev.at < at || prev.at == at && prev.tie < tie {
+			break
+		}
+		*r.at(i) = *r.at(i - 1)
+	}
+	// Field by field: a struct literal is built on the stack and copied with
+	// wider loads than it was stored with, which stalls the pipeline.
+	slot := r.at(i)
+	slot.at, slot.tie, slot.frame, slot.fh = at, tie, frame, fh
+	switch {
+	case i > 0:
+	case d.ev.idx < 0:
+		s.heapPush(heapEntry{orderKey{at: at, prio: d.prio, tie: tie}, &d.ev})
+	default:
+		e := &s.queue[d.ev.idx]
+		e.at, e.tie = at, tie
+		s.heapFix(int(d.ev.idx))
+	}
+	if invariant.Enabled {
+		s.checkWire(d, i)
+	}
+}
+
+// takeFlight removes the frame d's heap record (the root) stands for and
+// re-keys the record to the next one, or pops it when the wire is idle.
+func (s *Sim) takeFlight(d *dirState) ([]byte, framepool.Handle) {
+	if invariant.Enabled {
+		invariant.Assert(d.ev.idx == 0 && d.fly.n > 0, "simnet: dispatching a direction that is not the heap's root or has nothing in flight")
+	}
+	r := &d.fly
+	head := r.at(0)
+	frame, fh := head.frame, head.fh
+	head.frame = nil // the ring must not keep a delivered buffer alive
+	r.drop(len(r.buf))
+	if r.n == 0 {
+		s.heapPop()
+	} else {
+		next := r.at(0)
+		s.queue[0].at, s.queue[0].tie = next.at, next.tie
+		s.siftDown(0)
+		if invariant.Enabled {
+			s.checkHeap(int(d.ev.idx))
+		}
+	}
+	if invariant.Enabled {
+		s.checkWire(d, 0)
+	}
+	return frame, fh
 }
