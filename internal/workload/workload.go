@@ -214,6 +214,10 @@ type Engine struct {
 	// into: SendUDP copies it into the frame before returning.
 	payload []byte
 
+	// finished counts flows that are Done or Abandoned, so that Done() — the
+	// harness polls it every 50 ms of simulated time — is not a scan.
+	finished int
+
 	// PacketsSent counts data transmissions including repairs;
 	// Retransmits the repair subset.
 	PacketsSent uint64
@@ -425,6 +429,7 @@ func (e *Engine) applyCompletions(cs []fluid.Completion) {
 		f := e.flows[c.ID-1]
 		f.Done = true
 		f.FCT = c.FCT
+		e.finished++
 	}
 }
 
@@ -439,6 +444,7 @@ func (e *Engine) admitFluid(f *Flow, at time.Duration) {
 	path, lat, ok := e.cfg.PathOf(f)
 	if !ok {
 		f.Abandoned = true
+		e.finished++
 		return
 	}
 	e.cfg.Solver.Admit(f.ID, int64(f.Bytes), path, lat, at)
@@ -486,6 +492,7 @@ func (e *Engine) tick(f *Flow) {
 		}
 		if f.rounds >= e.cfg.MaxRounds {
 			f.Abandoned = true
+			e.finished++
 			return
 		}
 		f.rounds++
@@ -561,18 +568,14 @@ func (e *Engine) onDatagram(dg udp.Datagram) {
 	if f.received == f.Packets && !f.Done {
 		f.Done = true
 		f.FCT = e.sim.Now() - f.launchedAt
+		if !f.Abandoned { // a straggler can complete a flow the sender gave up on
+			e.finished++
+		}
 	}
 }
 
 // Done reports whether every flow has finished (completed or abandoned).
-func (e *Engine) Done() bool {
-	for _, f := range e.flows {
-		if !f.Done && !f.Abandoned {
-			return false
-		}
-	}
-	return true
-}
+func (e *Engine) Done() bool { return e.finished == len(e.flows) }
 
 // Flows exposes the schedule in generation order (read-only by convention).
 func (e *Engine) Flows() []*Flow { return e.flows }

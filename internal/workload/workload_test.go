@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fluid"
 	"repro/internal/ipstack"
 	"repro/internal/netaddr"
 	"repro/internal/simnet"
@@ -198,6 +199,100 @@ func TestEngineRepairsAcrossOutage(t *testing.T) {
 	}
 	if maxFCT < 250 {
 		t.Errorf("max FCT %.1fms does not reflect the ~300ms outage", maxFCT)
+	}
+}
+
+// finishedScan is the scan Engine.Done's counter replaced.
+func finishedScan(e *Engine) int {
+	n := 0
+	for _, f := range e.flows {
+		if f.Done || f.Abandoned {
+			n++
+		}
+	}
+	return n
+}
+
+// TestDoneCounterMatchesScan holds Engine.Done's completion counter against
+// the scan it replaced, mid-run and at the end of a packet, a fluid and a
+// hybrid run in which flows finish by every route: delivered, completed by
+// the solver, abandoned for want of a path, abandoned after MaxRounds into
+// a blackhole.
+func TestDoneCounterMatchesScan(t *testing.T) {
+	for _, mode := range []Mode{ModePacket, ModeFluid, ModeHybrid} {
+		w := newRig(t, 1)
+		cfg := smallConfig(5)
+		cfg.Flows = 40
+		cfg.Sizes = WebSearchMix()
+		cfg.Mode = mode
+		cfg.FluidCutoff = 20_000
+		cfg.RTO = 2 * time.Millisecond
+		cfg.MaxRounds = 3
+		if mode != ModePacket {
+			cfg.Solver = fluid.New(fluid.Config{RateCapBps: 1e8})
+			link := cfg.Solver.AddLink(1_000_000_000, func(int64, time.Duration) {})
+			cfg.PathOf = func(f *Flow) ([]fluid.LinkID, time.Duration, bool) {
+				return []fluid.LinkID{link}, 200 * time.Microsecond, f.ID%7 != 0
+			}
+		}
+		e, err := New(nil, w.hosts, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(when string) {
+			t.Helper()
+			if scan := finishedScan(e); e.finished != scan {
+				t.Fatalf("%s, %s: counter says %d flows finished, scan says %d", mode, when, e.finished, scan)
+			}
+		}
+		e.Start()
+		w.sim.RunFor(20 * time.Millisecond)
+		check("before the outage")
+		w.router.Port(2).Fail() // three 2 ms repair rounds give up inside it
+		w.sim.RunFor(30 * time.Millisecond)
+		check("in the outage")
+		w.router.Port(2).Restore()
+		w.sim.RunFor(5 * time.Second)
+		check("at the end")
+		if !e.Done() {
+			t.Fatalf("%s: engine not done; %d of %d finished", mode, e.finished, len(e.flows))
+		}
+		r := e.Report(nil)
+		if mode != ModeFluid && r.Abandoned == 0 {
+			t.Errorf("%s: the outage abandoned no packet flow; the MaxRounds exit went untested", mode)
+		}
+		if mode != ModePacket && r.Abandoned == 0 {
+			t.Errorf("%s: no flow was abandoned for want of a path", mode)
+		}
+	}
+}
+
+// TestDoneCountsStragglerOnce covers the one flow state two sites reach: the
+// sender gives up after MaxRounds while its packets are still on a slow
+// wire, and their arrival then completes the flow it abandoned.
+func TestDoneCountsStragglerOnce(t *testing.T) {
+	w := newRig(t, 1)
+	w.sim.Links()[1].Latency = 50 * time.Millisecond // longer than every repair round together
+	cfg := smallConfig(5)
+	cfg.RTO = 2 * time.Millisecond
+	cfg.MaxRounds = 3
+	e, err := New(nil, w.hosts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	w.sim.RunFor(time.Second)
+	both := 0
+	for _, f := range e.flows {
+		if f.Done && f.Abandoned {
+			both++
+		}
+	}
+	if both == 0 {
+		t.Fatal("no flow was both abandoned and then completed; the rig no longer builds the case")
+	}
+	if scan := finishedScan(e); e.finished != scan || !e.Done() {
+		t.Fatalf("counter says %d of %d flows finished, scan says %d", e.finished, len(e.flows), scan)
 	}
 }
 
