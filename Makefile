@@ -80,13 +80,16 @@ closbench:
 	$(GO) run ./bench
 
 # closbench-digest is the CI tripwire for simulated results: one repetition
-# per process of the packet workload at seed 1, passing only when the
-# driver's result object (the last stdout line) says "correct":true — every
-# flow completed and sim_digest equals bench/golden.json. A change that moves
-# a simulated statistic fails here, in the PR that moved it. The timings the
-# run also prints are not judged.
+# per process of the packet workload and of the hybrid one at seed 1, each
+# passing only when the driver's result object (the last stdout line) says
+# "correct":true — every flow completed and sim_digest equals
+# bench/golden.json. hybrid-million is the only workload whose packets
+# serialize on the capacity a fluid reservation leaves (fluidBps in
+# Port.Send). A change that moves a simulated statistic fails here, in the PR
+# that moved it. The timings the runs also print are not judged.
 closbench-digest:
 	$(GO) run ./bench -workload packet-fct -reps 1 | tail -n 1 | grep -q '"correct":true'
+	$(GO) run ./bench -workload hybrid-million -reps 1 | tail -n 1 | grep -q '"correct":true'
 
 # fluid-smoke is the race-enabled tripwire wired into `make check`: one
 # hybrid workload trial end to end — path resolution, rate reallocation,

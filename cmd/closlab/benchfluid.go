@@ -20,7 +20,12 @@ type fluidBenchRow struct {
 	Skipped bool   `json:"skipped,omitempty"`
 	Reason  string `json:"reason,omitempty"`
 
-	Completed      int `json:"completed,omitempty"`
+	Completed int `json:"completed,omitempty"`
+	// Abandoned flows gave up after MaxRounds repair rounds (or found no
+	// path): a packet row that completes a fraction of its flows well
+	// inside MaxRun collapsed under its own retransmissions, it did not run
+	// out of simulated time.
+	Abandoned      int `json:"abandoned,omitempty"`
 	PeakConcurrent int `json:"peak_concurrent,omitempty"`
 	// VirtualSeconds is the simulated time the trial covered; WallSeconds
 	// the real time it took.
@@ -60,7 +65,7 @@ func benchFluid(e *env) error {
 	}
 	emitf("Flow-level engine — %d-PoD MR-MTP fabric, 100 kB flows (GOMAXPROCS=%d):\n",
 		spec.Pods, out.GOMAXPROCS)
-	emitf("%8s %9s %11s %11s %13s %15s\n", "engine", "flows", "virtual_s", "wall_s", "flows/s", "ns/sim_s")
+	emitf("%8s %9s %9s %11s %11s %13s %15s\n", "engine", "flows", "abandoned", "virtual_s", "wall_s", "flows/s", "ns/sim_s")
 	counts := []int{1_000, 10_000, 100_000, 1_000_000}
 	for _, engine := range []workload.Mode{workload.ModePacket, workload.ModeHybrid} {
 		for _, n := range counts {
@@ -101,6 +106,7 @@ func benchFluid(e *env) error {
 				}
 			}
 			row.Completed = res.Report.Completed
+			row.Abandoned = res.Report.Abandoned
 			row.PeakConcurrent = res.Report.PeakConcurrent
 			row.VirtualSeconds = virtual.Seconds()
 			row.WallSeconds = wall.Seconds()
@@ -111,8 +117,8 @@ func benchFluid(e *env) error {
 				row.NsWallPerSimSec = int64(float64(wall.Nanoseconds()) / virtual.Seconds())
 			}
 			out.Results = append(out.Results, row)
-			emitf("%8s %9d %11.2f %11.2f %13.0f %15d\n",
-				row.Engine, n, row.VirtualSeconds, row.WallSeconds, row.FlowsPerWallSec, row.NsWallPerSimSec)
+			emitf("%8s %9d %9d %11.2f %11.2f %13.0f %15d\n",
+				row.Engine, n, row.Abandoned, row.VirtualSeconds, row.WallSeconds, row.FlowsPerWallSec, row.NsWallPerSimSec)
 		}
 	}
 	data, err := json.MarshalIndent(out, "", "  ")

@@ -100,6 +100,7 @@ func (s *Sim) checkWire(d *dirState, i int) {
 		}
 	}
 	for j := lo; j < hi; j++ {
-		invariant.Assert(r.at(j-1).before(r.at(j)), "simnet: flight ring out of (at, tie) order")
+		a, b := r.at(j-1), r.at(j)
+		invariant.Assert(a.at < b.at || a.at == b.at && a.tie < b.tie, "simnet: flight ring out of (at, tie) order")
 	}
 }

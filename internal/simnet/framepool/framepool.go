@@ -2,13 +2,14 @@
 //
 // A frame has exactly one owner at every instant (DESIGN.md §7). A TX path
 // composes it into a single []byte drawn from the pool; Port.Send takes
-// ownership into the delivery event; delivery hands it to the receiving
-// handler, which either sends the same buffer on (transit: the TTL is
-// decremented in place) or is its last owner and Puts it. A dropped frame
-// dies inside the simulator, which Puts it. A UDP listener is not an owner
-// but a borrower: the datagram's payload is valid until the handler
-// returns, then the stack Puts the frame. Only TCP and ICMP deliveries
-// leave the pool for good (their handlers may retain the payload).
+// ownership onto the wire (the direction's flight ring); delivery hands it
+// to the receiving handler, which either sends the same buffer on (transit:
+// the TTL is decremented in place) or is its last owner and Puts it. A
+// dropped frame dies inside the simulator, which Puts it. A UDP listener is
+// not an owner but a borrower: the datagram's payload is valid until the
+// handler returns, then the stack Puts the frame. Only TCP and ICMP
+// deliveries leave the pool for good (their handlers may retain the
+// payload).
 //
 // Get returns a zeroed buffer of exactly the requested length, so a pooled
 // buffer is indistinguishable from a fresh make([]byte, n): recycling can

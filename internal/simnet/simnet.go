@@ -115,7 +115,11 @@ func (s *Sim) Now() time.Duration { return s.now }
 // Rand exposes the simulation's deterministic random source.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
-// Events returns the number of events processed so far.
+// Events returns the number of events dispatched so far: timer and control
+// callbacks and frame deliveries, i.e. the times Step returned true. An
+// egress-queue slot coming free on a shaped link is accounted, not
+// dispatched (see passMark), and is not counted; a fabric of unshaped links
+// never had such events, so its count is what it always was.
 func (s *Sim) Events() uint64 { return s.events }
 
 // Frames returns the simulation's frame-buffer pool. Protocol stacks draw
@@ -267,9 +271,9 @@ func (p *Port) Peer() *Port {
 // after the link latency and checked against the receiving port's status at
 // arrival time (frames in flight when a failure hits are lost).
 //
-// Send takes ownership of frame: the slice rides in the scheduled delivery
-// event, so the caller must neither retain nor modify it afterwards (the
-// framealias lint rule).
+// Send takes ownership of frame: the slice rides in the direction's flight
+// ring until delivery, so the caller must neither retain nor modify it
+// afterwards (the framealias lint rule).
 //
 //simlint:hotpath
 func (p *Port) Send(frame []byte) {

@@ -113,10 +113,6 @@ type flight struct {
 	fh framepool.Handle
 }
 
-func (a *flight) before(b *flight) bool {
-	return a.at < b.at || a.at == b.at && a.tie < b.tie
-}
-
 // flightRing is a direction's frames in flight, sorted by (at, tie).
 type flightRing struct {
 	ring
