@@ -302,7 +302,12 @@ func (s *Sim) advance(k *orderKey) {
 	for n > 0 && !k.less(&f[n-1].key) {
 		n--
 	}
-	s.frontier = append(f[:n], passMark{*k, s.seq}) //simlint:alloc grows only while dispatch keys step back within one instant; one mark otherwise
+	f = append(f[:n], passMark{}) //simlint:alloc grows only while dispatch keys step back within one instant; one mark otherwise
+	// Filled in field by field: a struct literal is built on the stack and
+	// copied with wider loads than it was stored with, which stalls the
+	// pipeline on every event.
+	f[n].key, f[n].born = *k, s.seq
+	s.frontier = f
 }
 
 // passed reports whether the dispatch order has gone by the release key r.
@@ -428,11 +433,7 @@ func (s *Sim) Step() bool {
 		s.heapPop()
 	}
 	s.events++
-	if f := s.frontier; len(f) == 1 && s.now < e.at {
-		f[0].key, f[0].born = e.orderKey, s.seq // the clock moves on: one mark replaces another
-	} else {
-		s.advance(&e.orderKey)
-	}
+	s.advance(&e.orderKey)
 	s.now = e.at
 	// Attribute the dispatch to the event's owning node so everything it
 	// schedules inherits that node's ordering key.
