@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint analyzers invariants race bench bench-hotpath bench-fluid closbench closbench-digest fluid-smoke figures fuzz-smoke chaos-smoke trace-smoke check
+.PHONY: all build test vet lint analyzers invariants race closbench closbench-digest fluid-smoke figures fuzz-smoke chaos-smoke trace-smoke check
 
 all: check
 
@@ -53,27 +53,6 @@ invariants:
 race:
 	$(GO) test -race ./...
 
-# bench regenerates the paper's figures (one trial per cell; raise
-# -benchtime for averaged numbers).
-bench:
-	$(GO) test -bench 'Fig|Ablation|Scale' -benchtime 1x -run '^$$' .
-
-# bench-hotpath records the frame arena's alloc win instead of asserting
-# it from memory: the event-loop/delivery/timer benchmarks print ns/op and
-# allocs/op for the hottest paths, and the AllocsPerRun budget tests (TX
-# encap, IP ingress, RX decap, forwarding, keep-alive) pin the per-frame
-# allocation counts the pooled buffers bought.
-bench-hotpath:
-	$(GO) test -bench 'EventLoop|FrameDelivery|TimerResetChurn|ShapedLinkBacklog' -benchtime 1000x -benchmem -run 'Allocs$$' ./internal/simnet ./internal/ipstack ./internal/mrmtp
-
-# bench-fluid compares the packet engine against the hybrid flow-level
-# engine at 10^3..10^6 flows on the 2-PoD fabric and writes
-# BENCH_fluid.json (flows per wall-second, ns per simulated second; packet
-# rows stop at 10^4 where per-packet event cost becomes the bottleneck the
-# fluid engine removes).
-bench-fluid:
-	$(GO) run ./cmd/closlab -experiment bench-fluid -pods 2
-
 # closbench runs the benchmark of record (BENCHMARK.json): four end-to-end
 # workloads plus per-layer probes; see bench/README.md for flags and output.
 closbench:
@@ -97,7 +76,9 @@ closbench-digest:
 fluid-smoke:
 	$(GO) run -race ./cmd/closlab -experiment workload -engine hybrid -pods 2 -trials 1 -flows 60 -out /tmp/closlab-fluid-smoke
 
-# figures prints the full evaluation grids via the CLI driver.
+# figures prints every result the repo documents — Figs. 4-10, the
+# listings, the ablation and scale tables, the workload/chaos/trace
+# campaigns — via the CLI driver.
 figures:
 	$(GO) run ./cmd/closlab -experiment all
 

@@ -45,40 +45,38 @@ func closlab(t *testing.T, dir string, args ...string) (stdout, stderr []byte, e
 	return out.Bytes(), errb.Bytes(), err
 }
 
-// TestGoldenArtifacts pins every byte the experiments produce at -pods 2
-// -trials 1 -seed 1: the workload, chaos and trace artifact files and printed
-// tables (directory out), then the stdout of every figure experiment and the
-// raw logs and captures of -experiment artifacts (directory figs). Same seed →
-// same bytes is the repo's contract, so a change that is not meant to move
-// simulated behaviour must leave this test green; one that is meant to reruns
-// it with -update-golden and says so.
+// TestGoldenArtifacts pins every byte every campaign produces at -pods 2
+// -trials 1 -seed 1: each row's stdout and the files it writes. The run list
+// is the campaigns table itself, so a row cannot be added unpinned. Same
+// seed → same bytes is the repo's contract, so a change that is not meant to
+// move simulated behaviour must leave this test green; one that is meant to
+// reruns it with -update-golden and says so.
 func TestGoldenArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	// A relative -out keeps the temp path out of the printed summary. The
-	// figure experiments write no files and so take no -out.
-	runs := []struct {
-		exp, dir string
-		writes   bool
-	}{
-		{"workload", "out", true}, {"chaos", "out", true}, {"trace", "out", true},
-		{"convergence", "figs", false}, {"blastradius", "figs", false}, {"overhead", "figs", false},
-		{"loss-near", "figs", false}, {"loss-far", "figs", false}, {"keepalive", "figs", false},
-		{"config", "figs", false}, {"nodefail", "figs", false}, {"flap", "figs", false},
-		{"artifacts", "figs", true},
-	}
-	for _, r := range runs {
-		args := []string{"-experiment", r.exp, "-pods", "2", "-trials", "1", "-seed", "1"}
-		if r.writes {
-			args = append(args, "-out", r.dir)
+	for _, c := range campaigns {
+		args := []string{"-experiment", c.name, "-trials", "1", "-seed", "1"}
+		if c.name != "scale" { // owns its fabric sizes and rejects -pods
+			args = append(args, "-pods", "2")
+		}
+		// The file-writing campaigns of -experiment all share out/, as that
+		// command leaves it; everything else lands in figs/. A relative
+		// -out keeps the temp path out of the printed summary, and a row
+		// that writes no files takes no -out.
+		sub := "figs"
+		if len(c.artifacts) > 0 {
+			if !c.optIn {
+				sub = "out"
+			}
+			args = append(args, "-out", sub)
 		}
 		stdout, stderr, err := closlab(t, dir, args...)
 		if err != nil {
-			t.Fatalf("closlab -experiment %s: %v\n%s", r.exp, err, stderr)
+			t.Fatalf("closlab -experiment %s: %v\n%s", c.name, err, stderr)
 		}
-		if err := os.MkdirAll(filepath.Join(dir, r.dir), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, r.dir, r.exp+".stdout"), stdout, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, sub, c.name+".stdout"), stdout, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,20 +1,26 @@
-// Command closlab reruns the paper's experiments and prints each figure's
-// data as a grid (rows: failure cases TC1–TC4; columns: protocol
-// configurations), for the 2-PoD and 4-PoD topologies.
+// Command closlab is the one generator of the repository's simulated
+// results: it reruns the paper's experiments and prints each figure's data
+// as a grid (rows: failure cases TC1–TC4; columns: protocol configurations)
+// for the 2-PoD and 4-PoD topologies, then the listings, the §IX extensions
+// and the workload, chaos and trace campaigns. Everything it prints is
+// virtual time — it reads no wall clock; speed numbers come from `go run
+// ./bench` — so the same flags give the same bytes on any host.
 //
 // Usage:
 //
 //	closlab -experiment convergence            # Fig. 4 (ms); Figs. 5-10 likewise
+//	closlab -experiment tables -pods 4         # Listings 1-5, table sizes, traceroute
 //	closlab -experiment workload -out dir      # FCT + load balance under load
-//	closlab -experiment all                    # every virtual-time figure and campaign
+//	closlab -experiment all                    # every figure, table and campaign
 //	closlab -help                              # every experiment name and flag
 //
-// Flags -trials and -seed control averaging, -pods restricts the topology,
-// and -parallel bounds how many trials run concurrently (the figures do not
-// depend on it: trial seeds derive from trial indices). -engine switches
-// the workload experiment between the packet engine, the analytic fluid
-// model, and the hybrid split (-engine hybrid -flows 1000000 is the
-// million-flow configuration); -flows overrides the flow count.
+// Flags -trials and -seed control averaging, -pods restricts the topology
+// (scale sweeps its own fabric sizes and rejects it), and -parallel bounds
+// how many trials run concurrently (the figures do not depend on it: trial
+// seeds derive from trial indices). -engine switches the workload
+// experiment between the packet engine, the analytic fluid model, and the
+// hybrid split (-engine hybrid -flows 1000000 is the million-flow
+// configuration); -flows overrides the flow count.
 // -cpuprofile and -memprofile write pprof profiles of the run (off by
 // default; they never touch stdout or the artifact files).
 package main
@@ -54,13 +60,12 @@ var chaosProtocols = []harness.Protocol{harness.ProtoMRMTP, harness.ProtoBGPBFD}
 
 // env is the command line as the campaigns see it.
 type env struct {
-	specs    []topology.Spec
-	trials   int
-	seed     int64
-	out      string // -out: artifact directory
-	benchOut string
-	engine   workload.Mode
-	flows    int
+	specs  []topology.Spec
+	trials int
+	seed   int64
+	out    string // -out: artifact directory
+	engine workload.Mode
+	flows  int
 
 	// failures memoizes the Fig. 4–6 sweep: the three figures are three
 	// columns of the same cells, so a process computes them once.
@@ -75,9 +80,8 @@ type env struct {
 // Run* it sweeps) with no hand-maintained list to fall out of date.
 type campaign struct {
 	name string
-	// optIn campaigns run only when named: "all" exists to regenerate the
-	// paper's virtual-time figures, and these measure wall time or dump raw
-	// testbed logs instead.
+	// optIn campaigns run only when named: "all" prints results, and these
+	// dump raw testbed logs and captures instead.
 	optIn bool
 	// artifacts names the files the campaign writes under -out; a campaign
 	// with none rejects -out.
@@ -88,7 +92,7 @@ type campaign struct {
 var campaigns = []campaign{
 	{name: "convergence", run: failureFigure("Fig. 4 — network convergence time (ms)",
 		func(s harness.FailureSummary) string {
-			return fmt.Sprintf("%.1f", float64(s.Convergence)/float64(time.Millisecond))
+			return fmt.Sprintf("%.1f", millis(s.Convergence))
 		})},
 	{name: "blastradius", run: failureFigure("Fig. 5 — blast radius (routers updating tables)",
 		func(s harness.FailureSummary) string { return fmt.Sprintf("%.0f", s.BlastRadius) })},
@@ -100,6 +104,9 @@ var campaigns = []campaign{
 	{name: "config", run: configComparison},
 	{name: "nodefail", run: nodeFailure},
 	{name: "flap", run: flapChurn},
+	{name: "tables", run: tables},
+	{name: "ablation", run: ablationSweeps},
+	{name: "scale", run: scale},
 	cellCampaign("workload", dataPlaneProtocols, workloadConfigs,
 		harness.RunWorkload, harness.SummarizeWorkload, harness.RenderWorkload,
 		"workload-{fct,imbalance,telemetry}.csv and workload-summary.json",
@@ -116,7 +123,6 @@ var campaigns = []campaign{
 		csv("trace-hops.csv", harness.RenderTraceHopsCSV),
 		csv("trace-accusations.csv", harness.RenderTraceAccusationsCSV),
 		csv("trace-timeline.csv", harness.RenderTraceTimelineCSV)),
-	{name: "bench-fluid", optIn: true, run: benchFluid},
 	{name: "artifacts", optIn: true, run: rawArtifacts,
 		artifacts: []string{"{mrmtp,bgp,bgp-bfd}-logs.txt", "{mrmtp,bgp,bgp-bfd}-capture.pcap"}},
 }
@@ -137,7 +143,6 @@ func main() {
 	out := flag.String("out", "closlab-artifacts", "output directory for the experiments that write artifact files")
 	parallel := flag.Int("parallel", harness.Workers,
 		"concurrent trials per data point (1 = sequential; results are identical either way)")
-	benchOut := flag.String("bench-out", "BENCH_fluid.json", "output file for -experiment bench-fluid")
 	engine := flag.String("engine", "packet", "workload flow transport: packet|fluid|hybrid")
 	flows := flag.Int("flows", 0, "override the workload flow count (0 = the published 160)")
 	experiment := flag.String("experiment", "all", experimentNames())
@@ -157,7 +162,7 @@ func main() {
 	}
 	harness.Workers = *parallel
 
-	e := &env{trials: *trials, seed: *seed, out: *out, benchOut: *benchOut, flows: *flows}
+	e := &env{trials: *trials, seed: *seed, out: *out, flows: *flows}
 	e.engine, _ = workload.ModeByName(*engine)
 	for _, spec := range []topology.Spec{topology.TwoPodSpec(), topology.FourPodSpec()} {
 		if *pods == 0 || *pods == spec.Pods {
@@ -236,13 +241,13 @@ func validateFlags(set map[string]bool, experiment, engine string, trials, paral
 		return fmt.Errorf("-engine %q: want packet, fluid or hybrid", engine)
 	}
 	if set["engine"] && experiment != "workload" {
-		return fmt.Errorf("-engine only applies to -experiment workload (got %q); bench-fluid runs both engines itself", experiment)
+		return fmt.Errorf("-engine only applies to -experiment workload (got %q)", experiment)
 	}
 	if set["flows"] && experiment != "workload" {
 		return fmt.Errorf("-flows only applies to -experiment workload (got %q)", experiment)
 	}
-	if set["bench-out"] && experiment != "bench-fluid" {
-		return fmt.Errorf("-bench-out only applies to -experiment bench-fluid (got %q)", experiment)
+	if set["pods"] && experiment == "scale" {
+		return fmt.Errorf("-pods does not apply to -experiment scale: it sweeps its own fabric sizes")
 	}
 	// A profile flag that would lose its profile: passed with no file
 	// name, or both aimed at one file (the second write replaces the first).

@@ -30,8 +30,6 @@ func TestValidateFlags(t *testing.T) {
 		{name: "defaults", experiment: "all", engine: "packet", trials: 1, parallel: 1},
 		{name: "workload hybrid", set: []string{"engine", "flows"}, experiment: "workload",
 			engine: "hybrid", trials: 3, parallel: 2, flows: 500},
-		{name: "bench-fluid with bench-out", set: []string{"bench-out"}, experiment: "bench-fluid",
-			engine: "packet", trials: 1, parallel: 1},
 		{name: "zero trials", experiment: "all", engine: "packet", trials: 0, parallel: 1,
 			wantErr: "-trials"},
 		{name: "zero parallel", experiment: "all", engine: "packet", trials: 1, parallel: 0,
@@ -44,17 +42,15 @@ func TestValidateFlags(t *testing.T) {
 			engine: "fluid", trials: 1, parallel: 1, wantErr: "-engine only applies"},
 		{name: "flows outside workload", set: []string{"flows"}, experiment: "all",
 			engine: "packet", trials: 1, parallel: 1, flows: 10, wantErr: "-flows only applies"},
-		{name: "bench-out outside benches", set: []string{"bench-out"}, experiment: "workload",
-			engine: "packet", trials: 1, parallel: 1, wantErr: "-bench-out only applies to -experiment bench-fluid"},
 		{name: "one topology", set: []string{"pods"}, experiment: "all", engine: "packet", trials: 1, parallel: 1, pods: 4},
 		{name: "unsupported pods", set: []string{"pods"}, experiment: "all", engine: "packet", trials: 1, parallel: 1,
 			pods: 3, wantErr: "-pods"},
+		{name: "pods with scale", set: []string{"pods"}, experiment: "scale", engine: "packet", trials: 1, parallel: 1,
+			pods: 2, wantErr: "-pods does not apply"},
 		{name: "out with artifacts", set: []string{"out"}, experiment: "chaos", engine: "packet", trials: 1, parallel: 1},
 		{name: "out with all", set: []string{"out"}, experiment: "all", engine: "packet", trials: 1, parallel: 1},
 		{name: "out with opt-in artifacts", set: []string{"out"}, experiment: "artifacts", engine: "packet", trials: 1, parallel: 1},
 		{name: "out without artifacts", set: []string{"out"}, experiment: "convergence", engine: "packet", trials: 1, parallel: 1,
-			wantErr: "-out does not apply"},
-		{name: "out with bench-fluid", set: []string{"out"}, experiment: "bench-fluid", engine: "packet", trials: 1, parallel: 1,
 			wantErr: "-out does not apply"},
 		{name: "unknown experiment", experiment: "nonsense", engine: "packet", trials: 1, parallel: 1,
 			wantErr: "unknown -experiment"},
@@ -64,6 +60,17 @@ func TestValidateFlags(t *testing.T) {
 			trials: 1, parallel: 1, wantErr: "-memprofile: need a file name"},
 		{name: "profiles sharing a file", set: []string{"cpuprofile", "memprofile"}, experiment: "workload", engine: "packet",
 			trials: 1, parallel: 1, cpu: "p.prof", mem: "p.prof", wantErr: "give each profile its own file"},
+	}
+	// The listing and extension rows print to stdout only and run the packet
+	// data path: each rejects the workload and artifact flags.
+	for _, row := range []string{"tables", "ablation", "scale"} {
+		for _, f := range []struct{ flag, wantErr string }{
+			{"engine", "-engine only applies"}, {"flows", "-flows only applies"}, {"out", "-out does not apply"},
+		} {
+			tc := cases[0] // "defaults": valid values, no flag set
+			tc.name, tc.set, tc.experiment, tc.wantErr = f.flag+" with "+row, []string{f.flag}, row, f.wantErr
+			cases = append(cases, tc)
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -92,9 +99,9 @@ func TestValidateFlags(t *testing.T) {
 // is not registered exits non-zero naming the registered ones, before any
 // fabric is built or output directory created.
 func TestUnknownExperimentRejected(t *testing.T) {
-	// The retired sharded-engine bench is spelled in two pieces so a
-	// repo-wide grep for the names that PR removed stays empty.
-	for _, name := range []string{"", "nonsense", "bench-" + "partition"} {
+	// The retired benches are spelled in two pieces so a repo-wide grep for
+	// the names their PRs removed stays empty.
+	for _, name := range []string{"", "nonsense", "bench-" + "partition", "bench-" + "fluid"} {
 		dir := t.TempDir()
 		stdout, stderr, err := closlab(t, dir, "-experiment", name, "-pods", "2", "-out", "out")
 		var exit *exec.ExitError

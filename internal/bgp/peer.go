@@ -52,7 +52,6 @@ type Peer struct {
 	// MsgSent/MsgRecv count BGP messages on this session (the MsgSent /
 	// MsgRcvd columns of `show ip bgp summary`).
 	MsgSent, MsgRecv uint64
-	establishedAt    time.Duration
 
 	holdTimer      *simnet.Timer
 	keepaliveTimer *simnet.Timer
@@ -174,7 +173,6 @@ func (p *Peer) maybeEstablish() {
 		return
 	}
 	p.State = StateEstablished
-	p.establishedAt = p.sim().Now()
 	p.sp.Stats.SessionsEstablished++
 	p.startKeepalive()
 	p.touchHold()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 )
 
 // RenderSummary prints the speaker's session table in the style of FRR's
@@ -70,12 +69,4 @@ func (s *Speaker) RenderRIB() string {
 		}
 	}
 	return b.String()
-}
-
-// Uptime reports how long the peer has been established (zero if down).
-func (p *Peer) Uptime() time.Duration {
-	if p.State != StateEstablished {
-		return 0
-	}
-	return p.sim().Now() - p.establishedAt
 }

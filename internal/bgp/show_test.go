@@ -29,9 +29,6 @@ func TestRenderSummary(t *testing.T) {
 	if p.MsgSent == 0 || p.MsgRecv == 0 {
 		t.Errorf("message counters: sent=%d recv=%d", p.MsgSent, p.MsgRecv)
 	}
-	if p.Uptime() <= 0 {
-		t.Errorf("uptime = %v, want > 0", p.Uptime())
-	}
 }
 
 func TestRenderSummaryDownSession(t *testing.T) {
@@ -46,9 +43,6 @@ func TestRenderSummaryDownSession(t *testing.T) {
 	out := spine.sp.RenderSummary()
 	if !strings.Contains(out, "established 0") {
 		t.Errorf("summary should show the dead session:\n%s", out)
-	}
-	if spine.sp.Peers()[0].Uptime() != 0 {
-		t.Error("down peer reports nonzero uptime")
 	}
 }
 

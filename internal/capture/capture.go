@@ -147,17 +147,6 @@ func (c *Capture) TapAll(sim *simnet.Sim) {
 // Reset clears the captured frames.
 func (c *Capture) Reset() { c.Frames = nil }
 
-// Filter returns the frames of a class within [from, to).
-func (c *Capture) Filter(class Class, from, to time.Duration) []Frame {
-	var out []Frame
-	for _, f := range c.Frames {
-		if f.Class == class && f.At >= from && f.At < to {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // ClassStats summarizes one class of traffic.
 type ClassStats struct {
 	Count int

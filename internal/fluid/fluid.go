@@ -135,10 +135,6 @@ func (s *Solver) Active() int { return s.active }
 // Peak returns the high-water mark of Active since creation.
 func (s *Solver) Peak() int { return s.peak }
 
-// Groups returns the number of path groups created so far (phantom and
-// fluid).
-func (s *Solver) Groups() int { return len(s.groups) }
-
 // pathKey renders a path (plus the phantom/fluid kind, which must never
 // share a group) into the lookup key.
 func (s *Solver) pathKey(path []LinkID, phantom bool) string {

@@ -18,9 +18,12 @@ type CongestionResult struct {
 
 // RunCongestion drives `flows` parallel flows from the rack at VID 11 to
 // the rack at VID 14 for the duration, with every fabric link limited to
-// linkBps (64-frame queues). The delivered fraction measures how well the
-// protocol's load balancing uses the fabric's parallel capacity — the
-// purpose the paper assigns to MR-MTP's hash (§III.C) and to ECMP.
+// linkBps (64-frame queues). Each flow offers one 1000-byte packet per
+// 1.2 ms (≈ 6.7 Mb/s; 32 flows ≈ 213 Mb/s). Once the offer exceeds the
+// uplinks' rate, Delivered is the capacity of the uplinks the hash uses:
+// more than one link's worth shows the load balancing spreading flows — the
+// purpose the paper assigns to MR-MTP's hash (§III.C) and to ECMP — while
+// Delivered/Offered is only capacity over offer, the same for any protocol.
 func RunCongestion(opts Options, flows int, linkBps int64, duration time.Duration) (CongestionResult, error) {
 	f, err := warm(opts)
 	if err != nil {

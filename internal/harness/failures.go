@@ -26,23 +26,19 @@ func (f *Fabric) FailNode(name string) (time.Duration, error) {
 	return at, nil
 }
 
-// RestoreNode brings every interface of a device back up.
-func (f *Fabric) RestoreNode(name string) error {
-	node := f.Sim.Node(name)
-	if node == nil {
-		return fmt.Errorf("harness: no node %s", name)
-	}
-	for _, p := range node.Ports[1:] {
-		p.Restore()
-	}
-	return nil
-}
-
 // RunNodeFailure measures convergence/blast/overhead when a whole device
 // dies (default: the pod spine S-1-1, the worst single-router loss for the
 // monitored column). The result carries no failure case.
 func RunNodeFailure(opts Options, victim string) (FailureResult, error) {
 	return measureFailure(opts, 0, func(f *Fabric) (time.Duration, error) { return f.FailNode(victim) })
+}
+
+// RunPortFailure measures convergence/blast/overhead when one named
+// interface fails, for fabrics whose column the TC1–TC4 failure points do
+// not name (the four-tier fabric's zone spines). The result carries no
+// failure case.
+func RunPortFailure(opts Options, fp topology.FailurePoint) (FailureResult, error) {
+	return measureFailure(opts, 0, func(f *Fabric) (time.Duration, error) { return f.FailPoint(fp) })
 }
 
 // FlapResult summarizes a flapping-interface run: how much control-plane

@@ -51,8 +51,8 @@ func TestNodeCrashAndRebootRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Sim.RunFor(2 * time.Second)
-	if err := f.RestoreNode("S-1-1"); err != nil {
-		t.Fatal(err)
+	for _, p := range f.Sim.Node("S-1-1").Ports[1:] {
+		p.Restore()
 	}
 	f.Sim.RunFor(5 * time.Second)
 	if err := f.CheckConverged(); err != nil {

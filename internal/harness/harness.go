@@ -346,8 +346,18 @@ func (f *Fabric) Fail(tc topology.FailureCase) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
+	return f.FailPoint(fp)
+}
+
+// FailPoint fails one named interface and returns the virtual time of the
+// event.
+func (f *Fabric) FailPoint(fp topology.FailurePoint) (time.Duration, error) {
+	node := f.Sim.Node(fp.Device)
+	if node == nil || fp.Port < 1 || fp.Port >= len(node.Ports) {
+		return 0, fmt.Errorf("harness: no interface %s eth%d", fp.Device, fp.Port)
+	}
 	at := f.Sim.Now()
-	f.Sim.Node(fp.Device).Port(fp.Port).Fail()
+	node.Port(fp.Port).Fail()
 	if f.Opts.Journal != nil {
 		f.Opts.Journal.FailureInjected(at, fp.Device, fp.Port)
 	}

@@ -20,12 +20,19 @@ func fourTier() topology.MultiTierSpec {
 	}
 }
 
-func buildMultiTier(t *testing.T, proto Protocol) *Fabric {
-	t.Helper()
+// zoneSpineUplink is A-1-1's uplink to T-1, the 4-tier analogue of TC3.
+var zoneSpineUplink = topology.FailurePoint{Device: "A-1-1", Port: 1}
+
+func fourTierOptions(proto Protocol) Options {
 	opts := DefaultOptions(topology.Spec{}, proto, 42)
 	mt := fourTier()
 	opts.MultiTier = &mt
-	f, err := Build(opts)
+	return opts
+}
+
+func buildMultiTier(t *testing.T, proto Protocol) *Fabric {
+	t.Helper()
+	f, err := Build(fourTierOptions(proto))
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -140,8 +147,10 @@ func TestMultiTierFailureRecovery(t *testing.T) {
 	// MR-MTP reconverges with the same dead-timer characteristics.
 	f := buildMultiTier(t, ProtoMRMTP)
 	f.Log.Reset()
-	failAt := f.Sim.Now()
-	f.Sim.Node("A-1-1").Port(1).Fail() // A-1-1's uplink to T-1
+	failAt, err := f.FailPoint(zoneSpineUplink) // A-1-1's uplink to T-1
+	if err != nil {
+		t.Fatal(err)
+	}
 	f.Sim.RunFor(2 * time.Second)
 	a := f.Log.Analyze(failAt)
 	if a.Convergence > 150*time.Millisecond {
@@ -159,6 +168,24 @@ func TestMultiTierFailureRecovery(t *testing.T) {
 	f.Sim.RunFor(100 * time.Millisecond)
 	if got != 20 {
 		t.Errorf("delivered %d/20 after zone-spine uplink failure", got)
+	}
+}
+
+func TestRunPortFailureFourTier(t *testing.T) {
+	// The same failure through the shared measurement (random timer phase,
+	// full settle window): the 4-tier cell of `closlab -experiment scale`.
+	opts := fourTierOptions(ProtoMRMTP)
+	r, err := RunPortFailure(opts, zoneSpineUplink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Convergence <= 0 || r.Convergence > 150*time.Millisecond || r.BlastRadius != 1 {
+		t.Errorf("4-tier zone-spine uplink: convergence %v, blast radius %d (%v); want one dead timer and the one zone spine that must avoid T-1", r.Convergence, r.BlastRadius, r.UpdatedNodes)
+	}
+	for _, fp := range []topology.FailurePoint{{Device: "A-9-9", Port: 1}, {Device: "A-1-1", Port: 0}, {Device: "A-1-1", Port: 99}} {
+		if _, err := RunPortFailure(opts, fp); err == nil {
+			t.Errorf("RunPortFailure(%+v) succeeded, want an error naming the interface", fp)
+		}
 	}
 }
 

@@ -128,10 +128,6 @@ func (s *Stack) AddIface(port *simnet.Port, ip netaddr.IPv4, subnet netaddr.Pref
 // Iface returns the interface on a port index, or nil.
 func (s *Stack) Iface(index int) *Iface { return s.ifaces[index] }
 
-// Ifaces returns all interfaces in ascending port order. Callers must not
-// mutate the returned slice.
-func (s *Stack) Ifaces() []*Iface { return s.ifaceList }
-
 // IsLocal reports whether ip is one of the stack's addresses.
 func (s *Stack) IsLocal(ip netaddr.IPv4) bool { return s.localIPs[ip] != nil }
 

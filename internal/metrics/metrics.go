@@ -140,32 +140,6 @@ func (a Analysis) String() string {
 		strings.Join(a.UpdatedNodes, ","))
 }
 
-// TimelineEntry is one human-readable post-failure event.
-type TimelineEntry struct {
-	At   time.Duration
-	What string
-}
-
-// Timeline renders the post-failure events in order, for operator-facing
-// output (the examples print it as a reconvergence narrative).
-func (l *Log) Timeline(failureAt time.Duration) []TimelineEntry {
-	var out []TimelineEntry
-	for _, e := range l.Events {
-		if e.At < failureAt {
-			continue
-		}
-		switch e.Kind {
-		case "route":
-			out = append(out, TimelineEntry{e.At, e.Node + " updated its routing table"})
-		case "control":
-			out = append(out, TimelineEntry{e.At, fmt.Sprintf("%s sent a %d-byte update", e.Node, e.Bytes)})
-		case "accuse":
-			out = append(out, TimelineEntry{e.At, fmt.Sprintf("%s accused link %s", e.Node, e.Detail)})
-		}
-	}
-	return out
-}
-
 // Tee fans events out to several recorders (e.g. the in-memory Log and a
 // raw text journal).
 type Tee []Recorder

@@ -240,9 +240,6 @@ func New(node *simnet.Node, cfg Config, rec metrics.Recorder) *Router {
 	return r
 }
 
-// RootVID returns the ToR's derived VID (0 on spines).
-func (r *Router) RootVID() byte { return r.rootVID }
-
 func (r *Router) sim() *simnet.Sim { return r.Node.Sim }
 
 func (r *Router) isServerPort(i int) bool {
@@ -593,18 +590,6 @@ func (r *Router) VIDs() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// EntryPort returns the acquisition port for a VID, or 0.
-func (r *Router) EntryPort(vid string) int {
-	v, err := ParseVID(vid)
-	if err != nil {
-		return 0
-	}
-	if e, ok := r.entries[v.Key()]; ok {
-		return e.port
-	}
-	return 0
 }
 
 // RenderVIDTable prints the table in the paper's Listing 5 layout: one row

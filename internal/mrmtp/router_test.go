@@ -63,9 +63,6 @@ func newColumn(t *testing.T) *column {
 
 func TestColumnTreeFormation(t *testing.T) {
 	c := newColumn(t)
-	if got := c.tor.RootVID(); got != 11 {
-		t.Fatalf("tor root VID = %d, want 11 (derived from 192.168.11.0/24)", got)
-	}
 	// The suffix is the port the JOIN arrived on at the *parent* (each
 	// ToR's port 1), per §III.B.
 	wantSpine := []string{"11.1", "12.1"}

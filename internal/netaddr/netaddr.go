@@ -26,23 +26,6 @@ func (m MAC) String() string {
 // IsBroadcast reports whether m is the all-ones broadcast address.
 func (m MAC) IsBroadcast() bool { return m == Broadcast }
 
-// ParseMAC parses the aa:bb:cc:dd:ee:ff form.
-func ParseMAC(s string) (MAC, error) {
-	var m MAC
-	parts := strings.Split(s, ":")
-	if len(parts) != 6 {
-		return m, fmt.Errorf("netaddr: malformed MAC %q", s)
-	}
-	for i, p := range parts {
-		v, err := strconv.ParseUint(p, 16, 8)
-		if err != nil {
-			return m, fmt.Errorf("netaddr: malformed MAC %q: %v", s, err)
-		}
-		m[i] = byte(v)
-	}
-	return m, nil
-}
-
 // IPv4 is a 32-bit IP address stored in network byte order.
 type IPv4 [4]byte
 

@@ -12,24 +12,6 @@ func TestMACString(t *testing.T) {
 	}
 }
 
-func TestParseMACRoundTrip(t *testing.T) {
-	f := func(m MAC) bool {
-		got, err := ParseMAC(m.String())
-		return err == nil && got == m
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestParseMACErrors(t *testing.T) {
-	for _, s := range []string{"", "aa:bb:cc:dd:ee", "aa:bb:cc:dd:ee:ff:00", "zz:bb:cc:dd:ee:ff", "aabbccddeeff"} {
-		if _, err := ParseMAC(s); err == nil {
-			t.Errorf("ParseMAC(%q) succeeded, want error", s)
-		}
-	}
-}
-
 func TestBroadcast(t *testing.T) {
 	if !Broadcast.IsBroadcast() {
 		t.Error("Broadcast.IsBroadcast() = false")

@@ -479,9 +479,3 @@ func (s *Sim) RunUntil(t time.Duration) {
 
 // RunFor advances the simulation by d.
 func (s *Sim) RunFor(d time.Duration) { s.RunUntil(s.now + d) }
-
-// RunUntilIdle drains the event queue, but never past the maxTime horizon
-// (protocol keep-alives re-arm forever, so a pure drain would not finish).
-func (s *Sim) RunUntilIdle(maxTime time.Duration) {
-	s.RunUntil(maxTime)
-}

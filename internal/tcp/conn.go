@@ -181,9 +181,6 @@ type Conn struct {
 	onState func(State)
 }
 
-// LocalAddr returns the connection's local IP.
-func (c *Conn) LocalAddr() netaddr.IPv4 { return c.key.localIP }
-
 // RemoteAddr returns the connection's remote IP.
 func (c *Conn) RemoteAddr() netaddr.IPv4 { return c.key.remoteIP }
 

@@ -308,7 +308,3 @@ func LeafGatewayIP(leaf *Device) netaddr.IPv4 { return leaf.ServerSubnet.Host(25
 // DeriveVID implements the paper's §III.A VID derivation: the third byte of
 // the subnet IP the ToR shares with its servers.
 func DeriveVID(subnet netaddr.Prefix) int { return int(subnet.IP[2]) }
-
-// DeriveVIDFromIP maps a server address to its ToR's VID, the lookup a
-// source ToR performs for every packet it encapsulates (paper §III.D).
-func DeriveVIDFromIP(ip netaddr.IPv4) int { return int(ip[2]) }

@@ -146,9 +146,6 @@ func TestVIDDerivation(t *testing.T) {
 	if got := DeriveVID(netaddr.MakePrefix(netaddr.MakeIPv4(192, 168, 11, 0), 24)); got != 11 {
 		t.Errorf("DeriveVID = %d, want 11", got)
 	}
-	if got := DeriveVIDFromIP(netaddr.MakeIPv4(192, 168, 14, 1)); got != 14 {
-		t.Errorf("DeriveVIDFromIP = %d, want 14", got)
-	}
 }
 
 func TestFailurePoints(t *testing.T) {

@@ -99,18 +99,6 @@ func CacheMix() SizeDist {
 	}
 }
 
-// MixByName resolves a distribution name for CLI flags.
-func MixByName(name string) (SizeDist, error) {
-	switch name {
-	case "websearch":
-		return WebSearchMix(), nil
-	case "cache":
-		return CacheMix(), nil
-	default:
-		return nil, fmt.Errorf("workload: unknown size mix %q (want websearch or cache)", name)
-	}
-}
-
 // Pattern selects how flow endpoints are paired.
 type Pattern int
 
@@ -138,18 +126,4 @@ func (p Pattern) String() string {
 		return "incast"
 	}
 	return fmt.Sprintf("Pattern(%d)", int(p))
-}
-
-// PatternByName resolves a pattern name for CLI flags.
-func PatternByName(name string) (Pattern, error) {
-	switch name {
-	case "random":
-		return PatternRandom, nil
-	case "permutation":
-		return PatternPermutation, nil
-	case "incast":
-		return PatternIncast, nil
-	default:
-		return 0, fmt.Errorf("workload: unknown pattern %q (want random, permutation or incast)", name)
-	}
 }

@@ -22,7 +22,6 @@ import (
 	"repro/internal/ipstack"
 	"repro/internal/netaddr"
 	"repro/internal/simnet"
-	"repro/internal/stats"
 	"repro/internal/udp"
 )
 
@@ -184,9 +183,6 @@ type Flow struct {
 	Abandoned bool
 	FCT       time.Duration // valid when Done
 }
-
-// Fluid reports whether the flow was routed through the fluid model.
-func (f *Flow) Fluid() bool { return f.fluid }
 
 func (f *Flow) got(seq uint32) bool { return f.gotMask[seq/64]&(1<<(seq%64)) != 0 }
 func (f *Flow) mark(seq uint32)     { f.gotMask[seq/64] |= 1 << (seq % 64) }
@@ -710,15 +706,6 @@ func (e *Engine) peakConcurrent() int {
 		}
 	}
 	return peak
-}
-
-// Summaries reduces each bucket's FCT sample to descriptive statistics.
-func (r Report) Summaries() []stats.Summary {
-	out := make([]stats.Summary, len(r.Buckets))
-	for i, b := range r.Buckets {
-		out[i] = stats.Summarize(b.FCTms)
-	}
-	return out
 }
 
 func putU32(b []byte, v uint32) {
