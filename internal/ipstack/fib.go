@@ -10,6 +10,7 @@ package ipstack
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -38,42 +39,111 @@ type Route struct {
 	Metric   int
 }
 
-// FIB is a longest-prefix-match forwarding table.
+// FIB is a longest-prefix-match forwarding table. The zero value is an
+// empty table ready for use.
+//
+// routes keeps installation order: Len, Render and the equal-metric
+// tie-break of Lookup read it. Beside it sits an exact-match index, one
+// probe per prefix length present, instead of a trie: a fabric router holds
+// two lengths (its /31 links and the /24 racks) and a server two (its rack
+// and the default), so a lookup is two hash probes however many racks the
+// fabric has.
 type FIB struct {
 	routes []Route
-	live   []NextHop // Lookup's scratch: reused so per-packet lookups do not allocate
+	// head maps a prefix (fibKey) to the position in routes of its
+	// earliest-installed route; next[i] is the position of the next route
+	// with the same prefix (another Proto), or -1. Positions along a chain
+	// ascend.
+	head map[uint64]int32
+	next []int32
+	lens uint64    // bit b set: some route has a /b prefix
+	live []NextHop // Lookup's scratch: reused so per-packet lookups do not allocate
+}
+
+// canonical is the form every prefix takes inside the FIB: Bits clamped to
+// 0..32 and the address masked down to it, so that a route is always
+// matchable by the destinations its prefix names.
+func canonical(p netaddr.Prefix) netaddr.Prefix {
+	return netaddr.MakePrefix(p.IP, max(0, min(p.Bits, 32)))
+}
+
+// fibKey packs a canonical prefix (network address as a uint32, length)
+// into the index key.
+func fibKey(network uint32, bits int) uint64 { return uint64(bits)<<32 | uint64(network) }
+
+// find returns the position of the route for a canonical prefix installed
+// by proto, or -1.
+func (f *FIB) find(prefix netaddr.Prefix, proto string) int {
+	i, ok := f.head[fibKey(prefix.IP.Uint32(), prefix.Bits)]
+	if !ok {
+		return -1
+	}
+	for ; i >= 0; i = f.next[i] {
+		if f.routes[i].Proto == proto {
+			return int(i)
+		}
+	}
+	return -1
+}
+
+// index enters routes[i], the highest position so far, at the tail of its
+// prefix's chain.
+func (f *FIB) index(i int) {
+	p := f.routes[i].Prefix
+	k := fibKey(p.IP.Uint32(), p.Bits)
+	f.next = append(f.next, -1)
+	if j, ok := f.head[k]; ok {
+		for f.next[j] >= 0 {
+			j = f.next[j]
+		}
+		f.next[j] = int32(i)
+		return
+	}
+	if f.head == nil {
+		f.head = make(map[uint64]int32)
+	}
+	f.head[k] = int32(i)
+	f.lens |= 1 << p.Bits
 }
 
 // Replace installs a route, replacing any same-prefix route from the same
-// protocol.
+// protocol. The prefix is stored in canonical form — host bits cleared, Bits
+// clamped to 0..32 — rather than refused: Get and Remove canonicalise their
+// argument the same way, so every spelling of a prefix names one route.
 func (f *FIB) Replace(r Route) {
-	for i := range f.routes {
-		if f.routes[i].Prefix == r.Prefix && f.routes[i].Proto == r.Proto {
-			f.routes[i] = r
-			return
-		}
+	r.Prefix = canonical(r.Prefix)
+	if i := f.find(r.Prefix, r.Proto); i >= 0 {
+		f.routes[i] = r
+		return
 	}
 	f.routes = append(f.routes, r)
+	f.index(len(f.routes) - 1)
 }
 
 // Remove deletes the route for prefix installed by proto. It reports
-// whether a route was removed.
+// whether a route was removed. Every later route moves down one position,
+// so the index is rebuilt; removal happens on withdrawal only.
 func (f *FIB) Remove(prefix netaddr.Prefix, proto string) bool {
-	for i := range f.routes {
-		if f.routes[i].Prefix == prefix && f.routes[i].Proto == proto {
-			f.routes = append(f.routes[:i], f.routes[i+1:]...)
-			return true
-		}
+	i := f.find(canonical(prefix), proto)
+	if i < 0 {
+		return false
 	}
-	return false
+	f.routes = append(f.routes[:i], f.routes[i+1:]...)
+	clear(f.head)
+	f.next = f.next[:0]
+	f.lens = 0
+	for i := range f.routes {
+		f.index(i)
+	}
+	return true
 }
 
-// Get returns the route for an exact prefix+proto, or nil.
+// Get returns the route for an exact prefix+proto, or nil. The pointer
+// aims into the FIB's own storage: it is valid until the next Replace that
+// installs a new route, or any Remove; callers read it at once.
 func (f *FIB) Get(prefix netaddr.Prefix, proto string) *Route {
-	for i := range f.routes {
-		if f.routes[i].Prefix == prefix && f.routes[i].Proto == proto {
-			return &f.routes[i]
-		}
+	if i := f.find(canonical(prefix), proto); i >= 0 {
+		return &f.routes[i]
 	}
 	return nil
 }
@@ -83,9 +153,10 @@ func (f *FIB) Get(prefix netaddr.Prefix, proto string) *Route {
 func (f *FIB) Len() int { return len(f.routes) }
 
 // Lookup performs longest-prefix-match for dst, preferring more-specific
-// prefixes, then lower metrics. Next hops whose interface is down are
-// filtered out (kernel dead-nexthop behaviour); a route with no usable next
-// hops is skipped entirely.
+// prefixes, then lower metrics, then the earliest-installed route. Next hops
+// whose interface is down are filtered out (kernel dead-nexthop behaviour);
+// a route with no usable next hops is skipped entirely, so a dead
+// more-specific route falls through to the next shorter prefix.
 //
 // The returned route's NextHops slice is scratch space owned by the FIB: it
 // is valid until the next Lookup call. Per-packet callers (routeOut) consume
@@ -93,36 +164,38 @@ func (f *FIB) Len() int { return len(f.routes) }
 //
 //simlint:hotpath
 func (f *FIB) Lookup(dst netaddr.IPv4) (Route, bool) {
-	best := -1
-	for i, r := range f.routes {
-		if !r.Prefix.Contains(dst) {
+	d := dst.Uint32()
+	for lens := f.lens; lens != 0; {
+		b := bits.Len64(lens) - 1 // longest length not yet probed
+		lens &^= 1 << b
+		i, ok := f.head[fibKey(d&uint32(^uint64(0)<<(32-b)), b)]
+		if !ok {
 			continue
 		}
-		if !r.usable() {
+		best := -1
+		for ; i >= 0; i = f.next[i] {
+			if f.routes[i].usable() && (best < 0 || f.routes[i].Metric < f.routes[best].Metric) {
+				best = int(i)
+			}
+		}
+		if best < 0 {
 			continue
 		}
-		if best < 0 ||
-			r.Prefix.Bits > f.routes[best].Prefix.Bits ||
-			(r.Prefix.Bits == f.routes[best].Prefix.Bits && r.Metric < f.routes[best].Metric) {
-			best = i
+		r := f.routes[best]
+		live := f.live[:0]
+		for _, nh := range r.NextHops {
+			if nh.Iface.Usable() {
+				live = append(live, nh)
+			}
 		}
+		f.live = live
+		r.NextHops = live
+		return r, true
 	}
-	if best < 0 {
-		return Route{}, false
-	}
-	r := f.routes[best]
-	live := f.live[:0]
-	for _, nh := range r.NextHops {
-		if nh.Iface.Usable() {
-			live = append(live, nh)
-		}
-	}
-	f.live = live
-	r.NextHops = live
-	return r, true
+	return Route{}, false
 }
 
-func (r Route) usable() bool {
+func (r *Route) usable() bool {
 	for _, nh := range r.NextHops {
 		if nh.Iface.Usable() {
 			return true
