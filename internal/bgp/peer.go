@@ -124,14 +124,21 @@ func (p *Peer) send(msg []byte) {
 	p.conn.Send(msg)
 }
 
+// onData parses the delivered bytes where they lie; only a message cut
+// short by the segment boundary is copied and kept for the next delivery.
 func (p *Peer) onData(data []byte) {
-	p.recvBuf = append(p.recvBuf, data...)
-	msgs, rest, err := SplitStream(p.recvBuf)
+	if len(p.recvBuf) > 0 {
+		data = append(p.recvBuf, data...)
+	}
+	msgs, rest, err := SplitStream(data)
 	if err != nil {
 		p.reset(true)
 		return
 	}
-	p.recvBuf = append([]byte(nil), rest...)
+	p.recvBuf = nil
+	if len(rest) > 0 {
+		p.recvBuf = append(p.recvBuf, rest...)
+	}
 	for _, raw := range msgs {
 		m, err := ParseMessage(raw)
 		if err != nil {
@@ -314,7 +321,8 @@ func (p *Peer) queue(prefix netaddr.Prefix, announce bool) {
 }
 
 // flush emits one UPDATE per pending announcement and one aggregate
-// withdrawal, then clears the queue.
+// withdrawal, then clears the queue. pending and order are emptied in place
+// and reused by the next flush: with MRAI 0 every queued prefix is a flush.
 func (p *Peer) flush() {
 	if p.State != StateEstablished || len(p.pending) == 0 {
 		return
@@ -344,8 +352,8 @@ func (p *Peer) flush() {
 		p.sendUpdate(Update{Withdrawn: withdrawn})
 		p.sp.Stats.WithdrawalsSent++
 	}
-	p.pending = nil
-	p.order = nil
+	clear(p.pending)
+	p.order = p.order[:0]
 }
 
 func (p *Peer) sendUpdate(u Update) {

@@ -1,6 +1,8 @@
 package bgp
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -73,6 +75,14 @@ type Speaker struct {
 	adjIn    map[netaddr.Prefix]map[netaddr.IPv4]pathEntry
 	adv      map[netaddr.Prefix]*advState
 	recorder metrics.Recorder
+
+	// Working sets of the decision process, reused from one received UPDATE
+	// to the next so that a message allocates only what it leaves behind in
+	// the RIBs. deciding marks them taken: see takeDirty.
+	dirty    []netaddr.Prefix  // prefixes whose Adj-RIB-In changed
+	best     []pathEntry       // decide: the minimum-length paths
+	nhs      []ipstack.NextHop // decide: the candidate next-hop set
+	deciding bool
 
 	// Stats counts protocol activity for the experiments.
 	Stats struct {
@@ -184,8 +194,18 @@ func (s *Speaker) portUp(port *simnet.Port) {
 	}
 }
 
-// originateLocal seeds the Adj-RIB-Out with the speaker's own networks.
-// Called once a session is ready; local networks always win best-path.
+// decide runs the decision process for one prefix whose Adj-RIB-In changed,
+// in three steps whose order is the order of their side effects: select the
+// best paths (shortest AS path; the set is sorted by neighbor address, its
+// first member is the exported one); bring the FIB in line with them
+// (multipath if ECMP, removal when no path is left), reporting a RouteUpdate
+// only when the entry really changed; then re-advertise or withdraw toward
+// every peer, which queues and, with MRAI 0, sends UPDATEs on the spot.
+// Locally originated prefixes are skipped: they always win.
+//
+// decide is not re-entrant: it works in the speaker's scratch (best, nhs).
+// Nothing it calls comes back into the speaker — sending is asynchronous —
+// and takeDirty asserts as much under -tags invariants.
 func (s *Speaker) decide(prefix netaddr.Prefix) {
 	if s.isLocalNetwork(prefix) {
 		return // local origination never changes
@@ -193,7 +213,7 @@ func (s *Speaker) decide(prefix netaddr.Prefix) {
 	entries := s.adjIn[prefix]
 
 	// Best-path: shortest AS path, then lowest neighbor address.
-	var best []pathEntry
+	best := s.best[:0]
 	bestLen := -1
 	//simlint:deterministic every minimum-length path is collected whatever the encounter order; the set is sorted by neighbor below
 	for _, e := range entries {
@@ -205,9 +225,11 @@ func (s *Speaker) decide(prefix netaddr.Prefix) {
 			best = append(best, e)
 		}
 	}
-	sort.Slice(best, func(i, j int) bool {
-		return best[i].nextHop.Uint32() < best[j].nextHop.Uint32()
+	// Next hops are unique per peer, so the order is total.
+	slices.SortFunc(best, func(a, b pathEntry) int {
+		return cmp.Compare(a.nextHop.Uint32(), b.nextHop.Uint32())
 	})
+	s.best = best
 
 	// Install the FIB entry (multipath if ECMP).
 	changed := false
@@ -222,12 +244,14 @@ func (s *Speaker) decide(prefix netaddr.Prefix) {
 		} else if n > s.Cfg.MaxPaths {
 			n = s.Cfg.MaxPaths
 		}
-		nhs := make([]ipstack.NextHop, 0, n)
+		nhs := s.nhs[:0]
 		for _, e := range best[:n] {
 			nhs = append(nhs, ipstack.NextHop{Via: e.nextHop, Iface: e.peer.Iface})
 		}
+		s.nhs = nhs
 		r := ipstack.Route{Prefix: prefix, NextHops: nhs, Proto: ipstack.ProtoBGP, Metric: 20}
 		if !sameRoute(s.Stack.FIB.Get(prefix, ipstack.ProtoBGP), r) {
+			r.NextHops = slices.Clone(nhs) // the FIB keeps it; the scratch is reused
 			s.Stack.FIB.Replace(r)
 			changed = true
 		}
@@ -289,7 +313,9 @@ func (s *Speaker) advertise(prefix netaddr.Prefix, path []uint16) {
 		s.adv[prefix] = st
 	}
 	pathChanged := !pathsEqual(st.path, path)
-	st.path = append([]uint16(nil), path...)
+	if pathChanged {
+		st.path = append(st.path[:0], path...)
+	}
 	for _, p := range s.peers {
 		if p.State != StateEstablished {
 			continue
@@ -380,23 +406,47 @@ func (s *Speaker) syncPeer(p *Peer) {
 // sortPrefixes orders prefixes by address, then mask length — the canonical
 // iteration order wherever a per-prefix action emits protocol messages.
 func sortPrefixes(prefixes []netaddr.Prefix) {
-	sort.Slice(prefixes, func(i, j int) bool {
-		if prefixes[i].IP != prefixes[j].IP {
-			return prefixes[i].IP.Uint32() < prefixes[j].IP.Uint32()
+	slices.SortFunc(prefixes, func(a, b netaddr.Prefix) int {
+		if c := cmp.Compare(a.IP.Uint32(), b.IP.Uint32()); c != 0 {
+			return c
 		}
-		return prefixes[i].Bits < prefixes[j].Bits
+		return cmp.Compare(a.Bits, b.Bits)
 	})
+}
+
+// takeDirty hands out the empty dirty-prefix scratch; decideAll gives it
+// back. The pair brackets every use of the decision scratch, so one assertion
+// here covers re-entry into handleUpdate, peerDown and decide alike.
+func (s *Speaker) takeDirty() []netaddr.Prefix {
+	if invariant.Enabled {
+		invariant.Assertf(!s.deciding, "bgp %s: decision process re-entered while its scratch is in use", s.Stack.Node.Name)
+	}
+	s.deciding = true
+	return s.dirty[:0]
+}
+
+// decideAll runs the decision process over the dirty prefixes, each once,
+// in prefix order: decisions can queue UPDATEs, and their wire order must be
+// a function of the input, not of map iteration or arrival order.
+func (s *Speaker) decideAll(dirty []netaddr.Prefix) {
+	sortPrefixes(dirty)
+	dirty = slices.Compact(dirty)
+	for _, prefix := range dirty {
+		s.decide(prefix)
+	}
+	s.dirty = dirty[:0]
+	s.deciding = false
 }
 
 // handleUpdate processes a received UPDATE from peer p.
 func (s *Speaker) handleUpdate(p *Peer, u Update) {
 	s.Stats.UpdatesRecv++
-	dirty := make(map[netaddr.Prefix]bool)
+	dirty := s.takeDirty()
 	for _, w := range u.Withdrawn {
 		if entries := s.adjIn[w]; entries != nil {
 			if _, had := entries[p.Neighbor]; had {
 				delete(entries, p.Neighbor)
-				dirty[w] = true
+				dirty = append(dirty, w)
 			}
 		}
 	}
@@ -408,20 +458,10 @@ func (s *Speaker) handleUpdate(p *Peer, u Update) {
 				s.adjIn[prefix] = entries
 			}
 			entries[p.Neighbor] = pathEntry{peer: p, asPath: u.ASPath, nextHop: p.Neighbor}
-			dirty[prefix] = true
+			dirty = append(dirty, prefix)
 		}
 	}
-	// Decide in prefix order: decisions can queue UPDATEs, and their wire
-	// order must be a function of the input, not of map iteration.
-	changed := make([]netaddr.Prefix, 0, len(dirty))
-	//simlint:deterministic key collection only; sortPrefixes orders the slice before decisions run
-	for prefix := range dirty {
-		changed = append(changed, prefix)
-	}
-	sortPrefixes(changed)
-	for _, prefix := range changed {
-		s.decide(prefix)
-	}
+	s.decideAll(dirty)
 }
 
 func asPathContains(path []uint16, as uint16) bool {
@@ -435,8 +475,8 @@ func asPathContains(path []uint16, as uint16) bool {
 
 // peerDown clears a dead peer's routes and reconverges.
 func (s *Speaker) peerDown(p *Peer) {
-	var dirty []netaddr.Prefix
-	//simlint:deterministic per-prefix deletions are independent; the dirty list is sorted before any decision runs
+	dirty := s.takeDirty()
+	//simlint:deterministic per-prefix deletions are independent; decideAll sorts the dirty list before any decision runs
 	for prefix, entries := range s.adjIn {
 		if _, had := entries[p.Neighbor]; had {
 			delete(entries, p.Neighbor)
@@ -448,10 +488,7 @@ func (s *Speaker) peerDown(p *Peer) {
 	for _, st := range s.adv {
 		st.sentTo[p.Neighbor] = false
 	}
-	sortPrefixes(dirty)
-	for _, prefix := range dirty {
-		s.decide(prefix)
-	}
+	s.decideAll(dirty)
 }
 
 // RIB returns the prefixes with at least one Adj-RIB-In path (testing aid).

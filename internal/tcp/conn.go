@@ -221,18 +221,17 @@ func (c *Conn) Send(data []byte) {
 	}
 }
 
+// pushPending transmits everything queued, in MSS chunks. pending is emptied
+// in place, and processAck moves unacked down instead of slicing it forward,
+// so both keep their backing arrays from one message to the next.
 func (c *Conn) pushPending() {
-	for len(c.pending) > 0 {
-		n := len(c.pending)
-		if n > MSS {
-			n = MSS
-		}
-		chunk := c.pending[:n]
+	for off := 0; off < len(c.pending); off += MSS {
+		chunk := c.pending[off:min(off+MSS, len(c.pending))]
 		c.sendSegment(FlagACK|FlagPSH, c.sndNxt, c.rcvNxt, chunk)
 		c.unacked = append(c.unacked, chunk...)
-		c.sndNxt += uint32(n)
-		c.pending = c.pending[n:]
+		c.sndNxt += uint32(len(chunk))
 	}
+	c.pending = c.pending[:0]
 	c.armRetransmit()
 }
 
@@ -363,7 +362,7 @@ func (c *Conn) processAck(seg Segment) {
 	}
 	if seqLT(c.sndUna, seg.Ack) && seqLEQ(seg.Ack, c.sndNxt) {
 		advanced := seg.Ack - c.sndUna
-		c.unacked = c.unacked[advanced:]
+		c.unacked = c.unacked[:copy(c.unacked, c.unacked[advanced:])]
 		c.sndUna = seg.Ack
 		c.retries = 0
 		c.armRetransmit()
