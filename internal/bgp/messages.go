@@ -79,15 +79,19 @@ const (
 	NotifFSMError    byte = 5
 )
 
+// marker is the all-ones synchronisation field every header starts with.
+var marker = [16]byte{
+	0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+	0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+}
+
+func put16(b []byte, v int) { b[0], b[1] = byte(v>>8), byte(v) }
+
 // marshalHeader prepends the 19-byte header to a body.
 func marshalHeader(msgType byte, body []byte) []byte {
 	msg := make([]byte, HeaderLen+len(body))
-	for i := 0; i < 16; i++ {
-		msg[i] = 0xff
-	}
-	l := uint16(len(msg))
-	msg[16] = byte(l >> 8)
-	msg[17] = byte(l)
+	copy(msg, marker[:])
+	put16(msg[16:], len(msg))
 	msg[18] = msgType
 	copy(msg[HeaderLen:], body)
 	return msg
@@ -114,14 +118,11 @@ func MarshalNotification(n Notification) []byte {
 	return marshalHeader(TypeNotification, []byte{n.Code, n.Subcode})
 }
 
-// prefixWire renders a prefix in the packed (len, truncated-address) NLRI
+// appendPrefix appends a prefix in the packed (len, truncated-address) NLRI
 // encoding.
-func prefixWire(p netaddr.Prefix) []byte {
-	nbytes := (p.Bits + 7) / 8
-	out := make([]byte, 1+nbytes)
-	out[0] = byte(p.Bits)
-	copy(out[1:], p.IP[:nbytes])
-	return out
+func appendPrefix(b []byte, p netaddr.Prefix) []byte {
+	b = append(b, byte(p.Bits))
+	return append(b, p.IP[:(p.Bits+7)/8]...)
 }
 
 func parsePrefixes(b []byte) ([]netaddr.Prefix, error) {
@@ -152,33 +153,44 @@ const (
 
 // MarshalUpdate renders an UPDATE message.
 func MarshalUpdate(u Update) []byte {
-	var withdrawn []byte
+	// One prefix behind a five-hop path is 52 bytes: the usual message
+	// fits without growing.
+	return appendUpdate(make([]byte, 0, 64), u)
+}
+
+// appendUpdate appends the wire form of u to b. A sender marshals every
+// UPDATE into one reused buffer (Conn.Send copies); the three length fields
+// are patched once what they count is in place.
+func appendUpdate(b []byte, u Update) []byte {
+	start := len(b)
+	b = append(b, marker[:]...)
+	b = append(b, 0, 0, TypeUpdate)
+	withdrawn := len(b)
+	b = append(b, 0, 0)
 	for _, p := range u.Withdrawn {
-		withdrawn = append(withdrawn, prefixWire(p)...)
+		b = appendPrefix(b, p)
 	}
-	var attrs []byte
+	put16(b[withdrawn:], len(b)-withdrawn-2)
+	attrs := len(b)
+	b = append(b, 0, 0)
 	if len(u.NLRI) > 0 {
 		// ORIGIN: flags 0x40 (well-known transitive), len 1.
-		attrs = append(attrs, 0x40, attrOrigin, 1, u.Origin)
+		b = append(b, 0x40, attrOrigin, 1, u.Origin)
 		// AS_PATH: one AS_SEQUENCE segment.
-		pathLen := 2 + 2*len(u.ASPath)
-		attrs = append(attrs, 0x40, attrASPath, byte(pathLen), 2, byte(len(u.ASPath)))
+		b = append(b, 0x40, attrASPath, byte(2+2*len(u.ASPath)), 2, byte(len(u.ASPath)))
 		for _, as := range u.ASPath {
-			attrs = append(attrs, byte(as>>8), byte(as))
+			b = append(b, byte(as>>8), byte(as))
 		}
 		// NEXT_HOP.
-		attrs = append(attrs, 0x40, attrNextHop, 4)
-		attrs = append(attrs, u.NextHop[:]...)
+		b = append(b, 0x40, attrNextHop, 4)
+		b = append(b, u.NextHop[:]...)
 	}
-	body := make([]byte, 0, 4+len(withdrawn)+len(attrs)+8)
-	body = append(body, byte(len(withdrawn)>>8), byte(len(withdrawn)))
-	body = append(body, withdrawn...)
-	body = append(body, byte(len(attrs)>>8), byte(len(attrs)))
-	body = append(body, attrs...)
+	put16(b[attrs:], len(b)-attrs-2)
 	for _, p := range u.NLRI {
-		body = append(body, prefixWire(p)...)
+		b = appendPrefix(b, p)
 	}
-	return marshalHeader(TypeUpdate, body)
+	put16(b[start+16:], len(b)-start)
+	return b
 }
 
 // Parsed is a decoded BGP message.

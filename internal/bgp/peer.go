@@ -357,7 +357,8 @@ func (p *Peer) flush() {
 }
 
 func (p *Peer) sendUpdate(u Update) {
-	msg := MarshalUpdate(u)
+	msg := appendUpdate(p.sp.msg[:0], u)
+	p.sp.msg = msg
 	p.send(msg)
 	p.sp.Stats.UpdatesSent++
 	p.sp.recorder.ControlMessage(p.sim().Now(), p.sp.Stack.Node.Name, len(msg)+L2Overhead)

@@ -83,6 +83,10 @@ type Speaker struct {
 	best     []pathEntry       // decide: the minimum-length paths
 	nhs      []ipstack.NextHop // decide: the candidate next-hop set
 	deciding bool
+	// The sending side's: one UPDATE is marshalled and handed to TCP, which
+	// copies it, before the next is built.
+	wirePath []uint16 // exportPath: our ASN in front of the exported path
+	msg      []byte   // sendUpdate: the marshalled message
 
 	// Stats counts protocol activity for the experiments.
 	Stats struct {
@@ -363,11 +367,11 @@ func (s *Speaker) exportAllowed(p *Peer, path []uint16) bool {
 	return true
 }
 
-// exportPath builds the path to put on the wire toward a peer.
+// exportPath builds the path to put on the wire toward a peer, in scratch
+// the next call overwrites.
 func (s *Speaker) exportPath(path []uint16) []uint16 {
-	out := make([]uint16, 0, len(path)+1)
-	out = append(out, s.Cfg.ASN)
-	return append(out, path...)
+	s.wirePath = append(append(s.wirePath[:0], s.Cfg.ASN), path...)
+	return s.wirePath
 }
 
 // currentExport returns the path we advertise for prefix, or nil if none.

@@ -45,11 +45,13 @@ const (
 
 // Endpoint is the per-node TCP instance. The owning IP stack feeds it
 // received segments via Input and provides the outbound path via the output
-// function handed to NewEndpoint.
+// function handed to NewEndpoint. output borrows segment for the call: the
+// next segment is rendered into the same buffer (segBuf).
 type Endpoint struct {
 	sim    *simnet.Sim
 	rng    *rand.Rand
 	output func(src, dst netaddr.IPv4, segment []byte)
+	segBuf []byte
 
 	listeners map[uint16]func(*Conn)
 	conns     map[connKey]*Conn
@@ -269,7 +271,8 @@ func (c *Conn) sendSegment(flags byte, seq, ack uint32, payload []byte) {
 	if flags&FlagACK != 0 && len(payload) == 0 && flags&(FlagSYN|FlagRST) == 0 {
 		c.ep.Stats.PureAcksSent++
 	}
-	c.ep.output(c.key.localIP, c.key.remoteIP, seg.Marshal(c.key.localIP, c.key.remoteIP))
+	c.ep.segBuf = seg.marshalInto(c.ep.segBuf, c.key.localIP, c.key.remoteIP)
+	c.ep.output(c.key.localIP, c.key.remoteIP, c.ep.segBuf)
 }
 
 func (c *Conn) armRetransmit() {

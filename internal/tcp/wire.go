@@ -65,13 +65,23 @@ var (
 
 // Marshal renders the segment, computing the checksum over the IPv4
 // pseudo-header.
-func (s *Segment) Marshal(src, dst netaddr.IPv4) []byte {
+func (s *Segment) Marshal(src, dst netaddr.IPv4) []byte { return s.marshalInto(nil, src, dst) }
+
+// marshalInto is Marshal into buf's backing array when the segment fits it,
+// a fresh buffer otherwise. An Endpoint renders every segment it sends into
+// one buffer, because its output copies the bytes into a frame at once.
+func (s *Segment) marshalInto(buf []byte, src, dst netaddr.IPv4) []byte {
 	optLen := tsOptionLen
 	if s.Flags&FlagSYN != 0 {
 		optLen += mssOptionLen
 	}
 	hlen := baseHeaderLen + optLen
-	b := make([]byte, hlen+len(s.Payload))
+	n := hlen + len(s.Payload)
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	b := buf[:n]
+	clear(b[16:baseHeaderLen]) // checksum and urgent pointer: summed as zero, sent as zero
 	be16(b[0:], s.SrcPort)
 	be16(b[2:], s.DstPort)
 	be32(b[4:], s.Seq)
