@@ -277,9 +277,15 @@ func (f *Fabric) Start() {
 // metrics log so only post-failure events are analyzed (the paper likewise
 // measures from the failure instant). It returns an error if the fabric did
 // not converge, so experiments never run on a half-built network.
+//
+// No caller can read bring-up's events — they are Reset before WarmUp
+// returns — so the Log does not retain them in the first place. The Journal
+// half of the recorder tee is an artifact and still hears everything.
 func (f *Fabric) WarmUp(d time.Duration) error {
+	f.Log.Discard(true)
 	f.Start()
 	f.Sim.RunFor(d)
+	f.Log.Discard(false)
 	if err := f.CheckConverged(); err != nil {
 		return err
 	}

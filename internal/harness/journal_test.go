@@ -69,6 +69,11 @@ func TestJournalBGP(t *testing.T) {
 	if err := f.WarmUp(WarmupTime); err != nil {
 		t.Fatal(err)
 	}
+	// Bring-up is journalled — the journal is an artifact — while the
+	// in-memory log, Reset before anyone can read it, retains none of it.
+	if len(journal.Lines) == 0 || len(f.Log.Events) != 0 {
+		t.Errorf("after warm-up: %d journal lines, %d log events; want some and none", len(journal.Lines), len(f.Log.Events))
+	}
 	journal.Lines = nil
 	if _, err := f.Fail(topology.TC2); err != nil {
 		t.Fatal(err)

@@ -45,26 +45,40 @@ type Event struct {
 	Detail string
 }
 
-// Log is an append-only Recorder retaining every event.
+// Log is an append-only Recorder retaining every event, except while
+// Discard is on.
 type Log struct {
-	Events []Event
+	Events  []Event
+	discard bool
+}
+
+// Discard turns retention off (true) and back on (false). It is for a phase
+// whose events are going to be Reset before anyone can read them — the
+// harness's warm-up, where a big fabric otherwise grows the slice to tens of
+// megabytes for nothing. Events recorded before the call stay.
+func (l *Log) Discard(on bool) { l.discard = on }
+
+func (l *Log) add(e Event) {
+	if !l.discard {
+		l.Events = append(l.Events, e)
+	}
 }
 
 // Accusation records a gray-failure localization verdict from the
 // observability plane (DESIGN.md §12): node's localizer accused the
 // directed link named by detail.
 func (l *Log) Accusation(at time.Duration, node, detail string) {
-	l.Events = append(l.Events, Event{At: at, Node: node, Kind: "accuse", Detail: detail})
+	l.add(Event{At: at, Node: node, Kind: "accuse", Detail: detail})
 }
 
 // RouteUpdate implements Recorder.
 func (l *Log) RouteUpdate(at time.Duration, node string) {
-	l.Events = append(l.Events, Event{At: at, Node: node, Kind: "route"})
+	l.add(Event{At: at, Node: node, Kind: "route"})
 }
 
 // ControlMessage implements Recorder.
 func (l *Log) ControlMessage(at time.Duration, node string, bytes int) {
-	l.Events = append(l.Events, Event{At: at, Node: node, Kind: "control", Bytes: bytes})
+	l.add(Event{At: at, Node: node, Kind: "control", Bytes: bytes})
 }
 
 // Reset discards all recorded events (the harness calls this once the

@@ -60,6 +60,20 @@ func TestReset(t *testing.T) {
 	}
 }
 
+func TestDiscard(t *testing.T) {
+	var l Log
+	l.RouteUpdate(time.Millisecond, "kept")
+	l.Discard(true)
+	l.RouteUpdate(2*time.Millisecond, "x")
+	l.ControlMessage(2*time.Millisecond, "x", 85)
+	l.Accusation(2*time.Millisecond, "x", "a->b")
+	l.Discard(false)
+	l.ControlMessage(3*time.Millisecond, "kept", 85)
+	if len(l.Events) != 2 || l.Events[0].Node != "kept" || l.Events[1].Node != "kept" {
+		t.Errorf("events = %+v, want the two recorded outside the Discard window", l.Events)
+	}
+}
+
 func TestNopRecorder(t *testing.T) {
 	var n Nop
 	n.RouteUpdate(0, "x")
