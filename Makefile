@@ -59,16 +59,20 @@ closbench:
 	$(GO) run ./bench
 
 # closbench-digest is the CI tripwire for simulated results: one repetition
-# per process of the packet workload and of the hybrid one at seed 1, each
-# passing only when the driver's result object (the last stdout line) says
-# "correct":true — every flow completed and sim_digest equals
-# bench/golden.json. hybrid-million is the only workload whose packets
-# serialize on the capacity a fluid reservation leaves (fluidBps in
-# Port.Send). A change that moves a simulated statistic fails here, in the PR
-# that moved it. The timings the runs also print are not judged.
+# per process of every workload at seed 1, each passing only when the
+# driver's result object (the last stdout line) says "correct":true — every
+# operation succeeded and sim_digest equals bench/golden.json. packet-fct and
+# hybrid-million pin the data path (hybrid-million is the only workload whose
+# packets serialize on the capacity a fluid reservation leaves: fluidBps in
+# Port.Send); fabric-scale and convergence-grid pin the control plane — BGP
+# decision order, FIB tie-breaks and the event count of every bring-up. A
+# change that moves a simulated statistic fails here, in the PR that moved
+# it. The timings the runs also print are not judged.
 closbench-digest:
 	$(GO) run ./bench -workload packet-fct -reps 1 | tail -n 1 | grep -q '"correct":true'
 	$(GO) run ./bench -workload hybrid-million -reps 1 | tail -n 1 | grep -q '"correct":true'
+	$(GO) run ./bench -workload fabric-scale -reps 1 | tail -n 1 | grep -q '"correct":true'
+	$(GO) run ./bench -workload convergence-grid -reps 1 | tail -n 1 | grep -q '"correct":true'
 
 # fluid-smoke is the race-enabled tripwire wired into `make check`: one
 # hybrid workload trial end to end — path resolution, rate reallocation,
