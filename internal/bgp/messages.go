@@ -9,6 +9,7 @@
 package bgp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -85,13 +86,11 @@ var marker = [16]byte{
 	0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
 }
 
-func put16(b []byte, v int) { b[0], b[1] = byte(v>>8), byte(v) }
-
 // marshalHeader prepends the 19-byte header to a body.
 func marshalHeader(msgType byte, body []byte) []byte {
 	msg := make([]byte, HeaderLen+len(body))
 	copy(msg, marker[:])
-	put16(msg[16:], len(msg))
+	binary.BigEndian.PutUint16(msg[16:], uint16(len(msg)))
 	msg[18] = msgType
 	copy(msg[HeaderLen:], body)
 	return msg
@@ -170,7 +169,7 @@ func appendUpdate(b []byte, u Update) []byte {
 	for _, p := range u.Withdrawn {
 		b = appendPrefix(b, p)
 	}
-	put16(b[withdrawn:], len(b)-withdrawn-2)
+	binary.BigEndian.PutUint16(b[withdrawn:], uint16(len(b)-withdrawn-2))
 	attrs := len(b)
 	b = append(b, 0, 0)
 	if len(u.NLRI) > 0 {
@@ -185,11 +184,11 @@ func appendUpdate(b []byte, u Update) []byte {
 		b = append(b, 0x40, attrNextHop, 4)
 		b = append(b, u.NextHop[:]...)
 	}
-	put16(b[attrs:], len(b)-attrs-2)
+	binary.BigEndian.PutUint16(b[attrs:], uint16(len(b)-attrs-2))
 	for _, p := range u.NLRI {
 		b = appendPrefix(b, p)
 	}
-	put16(b[start+16:], len(b)-start)
+	binary.BigEndian.PutUint16(b[start+16:], uint16(len(b)-start))
 	return b
 }
 

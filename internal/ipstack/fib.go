@@ -44,10 +44,10 @@ type Route struct {
 //
 // routes keeps installation order: Len, Render and the equal-metric
 // tie-break of Lookup read it. Beside it sits an exact-match index, one
-// probe per prefix length present, instead of a trie: a fabric router holds
-// two lengths (its /31 links and the /24 racks) and a server two (its rack
-// and the default), so a lookup is two hash probes however many racks the
-// fabric has.
+// probe per prefix length present, instead of a trie: a fabric router's
+// routes are all /24s (links and racks alike, as in the paper's Listing 3)
+// and a server has its rack and the default, so a lookup is one or two hash
+// probes however many racks the fabric has.
 type FIB struct {
 	routes []Route
 	// head maps a prefix (fibKey) to the position in routes of its
@@ -168,6 +168,8 @@ func (f *FIB) Lookup(dst netaddr.IPv4) (Route, bool) {
 	for lens := f.lens; lens != 0; {
 		b := bits.Len64(lens) - 1 // longest length not yet probed
 		lens &^= 1 << b
+		// Masked here rather than through netaddr.MakePrefix: the round
+		// trip through a byte array doubles the cost of a lookup.
 		i, ok := f.head[fibKey(d&uint32(^uint64(0)<<(32-b)), b)]
 		if !ok {
 			continue
