@@ -151,19 +151,31 @@ func DefaultConfig(seed int64) Config {
 	}
 }
 
-// Flow is one generated transfer. Schedule fields are fixed at generation;
-// runtime fields fill in as the simulation runs.
+// Flow is one generated transfer: one slot of the engine's schedule, which is
+// a slice of values — a flow's ID is its index plus one. Schedule fields are
+// fixed at generation; the rest fill in as the simulation runs.
 type Flow struct {
 	ID       uint32
-	Src, Dst int // host indices
 	SrcPort  uint16
+	launched bool
+	fluid    bool // routed through the fluid model (decided at generation)
+	Src, Dst int  // host indices
 	Bytes    int
 	Packets  int
 	Start    time.Duration // offset from Engine.Start
 
 	launchedAt time.Duration
-	launched   bool
-	fluid      bool // routed through the fluid model (decided at generation)
+	// pkt is made by launch, and only on the packet path — a million fluid
+	// flows carry no packet-runtime state.
+	pkt *packetState
+
+	FCT       time.Duration // valid when Done
+	Done      bool
+	Abandoned bool
+}
+
+// packetState is a packet-path flow's sender and receiver runtime.
+type packetState struct {
 	// The send queue is the first pass, a counter (sequences next..Packets-1
 	// have not been offered yet), followed by the current repair round:
 	// repair[head:]. The repair slice is refilled in place each RTO.
@@ -174,26 +186,19 @@ type Flow struct {
 	retx     int
 	received int
 	dups     int // arrivals of sequences already delivered
-	// gotMask allocates lazily at launch, and only on the packet path —
-	// a million fluid flows carry no packet-runtime state.
-	gotMask []uint64
-	timer   *simnet.Timer
-
-	Done      bool
-	Abandoned bool
-	FCT       time.Duration // valid when Done
+	gotMask  []uint64
+	timer    *simnet.Timer
 }
 
-func (f *Flow) got(seq uint32) bool { return f.gotMask[seq/64]&(1<<(seq%64)) != 0 }
-func (f *Flow) mark(seq uint32)     { f.gotMask[seq/64] |= 1 << (seq % 64) }
+func (ps *packetState) got(seq uint32) bool { return ps.gotMask[seq/64]&(1<<(seq%64)) != 0 }
+func (ps *packetState) mark(seq uint32)     { ps.gotMask[seq/64] |= 1 << (seq % 64) }
 
 // Engine generates, transmits and accounts a workload over one simulation.
 type Engine struct {
 	sim   *simnet.Sim
 	hosts []Host
 	cfg   Config
-	flows []*Flow
-	byID  map[uint32]*Flow
+	flows []Flow // the schedule in generation order; never grows after New
 
 	base    time.Duration // virtual time of Start
 	started bool
@@ -246,7 +251,7 @@ func New(sim *simnet.Sim, hosts []Host, cfg Config) (*Engine, error) {
 		sim:     sim,
 		hosts:   hosts,
 		cfg:     cfg,
-		byID:    make(map[uint32]*Flow, cfg.Flows),
+		flows:   make([]Flow, cfg.Flows),
 		payload: make([]byte, cfg.PacketSize),
 	}
 	putU32(e.payload[0:], Magic)
@@ -261,7 +266,8 @@ func New(sim *simnet.Sim, hosts []Host, cfg Config) (*Engine, error) {
 			bytes = 1
 		}
 		pkts := (bytes + cfg.PacketSize - 1) / cfg.PacketSize
-		f := &Flow{
+		f := &e.flows[i]
+		*f = Flow{
 			ID:      uint32(i + 1),
 			Src:     src,
 			Dst:     dst,
@@ -271,13 +277,6 @@ func New(sim *simnet.Sim, hosts []Host, cfg Config) (*Engine, error) {
 			Start:   at,
 		}
 		f.fluid = e.routeFluid(f)
-		e.flows = append(e.flows, f)
-		if !f.fluid {
-			// The receive path only ever looks up packet flows; keeping
-			// fluid flows out of the map keeps its footprint bounded by
-			// packet-path concurrency, not total flow count.
-			e.byID[f.ID] = f
-		}
 	}
 	seen := make(map[*ipstack.Stack]bool)
 	for _, h := range hosts {
@@ -371,11 +370,11 @@ func (e *Engine) Start() {
 	}
 	e.started = true
 	e.base = e.sim.Now()
-	for _, f := range e.flows {
+	for i := range e.flows {
+		f := &e.flows[i]
 		if f.fluid {
 			continue // admitted by the tick's schedule cursor, no per-flow event
 		}
-		f := f
 		e.sim.At(e.base+f.Start, func() { e.launch(f) })
 	}
 	if e.cfg.Mode != ModePacket {
@@ -398,7 +397,7 @@ func (e *Engine) fluidTick() {
 	now := e.sim.Now()
 	e.applyCompletions(e.cfg.Solver.Advance(now))
 	for e.cursor < len(e.flows) && e.base+e.flows[e.cursor].Start <= now {
-		f := e.flows[e.cursor]
+		f := &e.flows[e.cursor]
 		e.cursor++
 		if f.fluid {
 			e.admitFluid(f, e.base+f.Start)
@@ -422,7 +421,7 @@ func (e *Engine) fluidTick() {
 // applyCompletions marks flows the solver reports finished.
 func (e *Engine) applyCompletions(cs []fluid.Completion) {
 	for _, c := range cs {
-		f := e.flows[c.ID-1]
+		f := &e.flows[c.ID-1]
 		f.Done = true
 		f.FCT = c.FCT
 		e.finished++
@@ -454,7 +453,7 @@ func (e *Engine) Repath() {
 		return
 	}
 	e.cfg.Solver.Repath(func(id uint32) ([]fluid.LinkID, time.Duration, bool) {
-		return e.cfg.PathOf(e.flows[id-1])
+		return e.cfg.PathOf(&e.flows[id-1])
 	})
 	e.applyCompletions(e.cfg.Solver.Reallocate(e.sim.Now()))
 }
@@ -462,7 +461,7 @@ func (e *Engine) Repath() {
 func (e *Engine) launch(f *Flow) {
 	f.launchedAt = e.sim.Now()
 	f.launched = true
-	f.gotMask = make([]uint64, (f.Packets+63)/64)
+	f.pkt = &packetState{gotMask: make([]uint64, (f.Packets+63)/64)}
 	if e.cfg.Mode == ModeHybrid {
 		// The flow's real packets ride the residual serializer; its fair
 		// share must still squeeze the fluid allocation, so the solver
@@ -481,54 +480,56 @@ func (e *Engine) tick(f *Flow) {
 	if f.Done || f.Abandoned {
 		return
 	}
-	if f.queued() == 0 {
-		f.refillRepair()
-		if len(f.repair) == 0 {
+	ps := f.pkt
+	if ps.queued(f.Packets) == 0 {
+		ps.refillRepair(f.Packets)
+		if len(ps.repair) == 0 {
 			return // completion races the check; the receive path recorded it
 		}
-		if f.rounds >= e.cfg.MaxRounds {
+		if ps.rounds >= e.cfg.MaxRounds {
 			f.Abandoned = true
 			e.finished++
 			return
 		}
-		f.rounds++
-		f.retx += len(f.repair)
-		e.Retransmits += uint64(len(f.repair))
+		ps.rounds++
+		ps.retx += len(ps.repair)
+		e.Retransmits += uint64(len(ps.repair))
 	}
 	var seq uint32
-	if f.next < uint32(f.Packets) {
-		seq = f.next
-		f.next++
+	if ps.next < uint32(f.Packets) {
+		seq = ps.next
+		ps.next++
 	} else {
-		seq = f.repair[f.head]
-		f.head++
+		seq = ps.repair[ps.head]
+		ps.head++
 	}
 	e.sendData(f, seq)
 	wait := e.cfg.PacketInterval
-	if f.queued() == 0 {
+	if ps.queued(f.Packets) == 0 {
 		wait = e.cfg.RTO
 	}
-	if f.timer != nil {
-		f.timer.Reset(wait)
+	if ps.timer != nil {
+		ps.timer.Reset(wait)
 	} else {
-		f.timer = e.sim.After(wait, func() { e.tick(f) })
+		ps.timer = e.sim.After(wait, func() { e.tick(f) })
 	}
 }
 
-// queued is the number of sequences waiting for transmission.
-func (f *Flow) queued() int {
-	return f.Packets - int(f.next) + len(f.repair) - f.head
+// queued is the number of sequences of a packets-long flow waiting for
+// transmission.
+func (ps *packetState) queued(packets int) int {
+	return packets - int(ps.next) + len(ps.repair) - ps.head
 }
 
 // refillRepair starts a repair round: the flow's repair slice is refilled
 // with the sequences the receiver has not delivered, in order. The sender
 // reading receiver state directly is the idealized-SACK shortcut documented
 // in the package comment.
-func (f *Flow) refillRepair() {
-	f.repair, f.head = f.repair[:0], 0
-	for seq := uint32(0); seq < uint32(f.Packets); seq++ {
-		if !f.got(seq) {
-			f.repair = append(f.repair, seq)
+func (ps *packetState) refillRepair(packets int) {
+	ps.repair, ps.head = ps.repair[:0], 0
+	for seq := uint32(0); seq < uint32(packets); seq++ {
+		if !ps.got(seq) {
+			ps.repair = append(ps.repair, seq)
 		}
 	}
 }
@@ -545,23 +546,30 @@ func (e *Engine) sendData(f *Flow, seq uint32) {
 }
 
 // onDatagram is the receive path, running on the destination host's events.
+// The port is an open listener and the bytes come off the wire: an ID outside
+// the schedule, or of a flow with no packet state (fluid, or not launched
+// yet), is ignored like any other stray datagram.
 func (e *Engine) onDatagram(dg udp.Datagram) {
 	p := dg.Payload
 	if len(p) < wireHeaderLen || u32(p) != Magic {
 		return
 	}
-	f := e.byID[u32(p[4:])]
-	seq := u32(p[8:])
-	if f == nil || seq >= uint32(f.Packets) {
+	id, seq := u32(p[4:]), u32(p[8:])
+	if id-1 >= uint32(len(e.flows)) { // id 0 wraps past every length
 		return
 	}
-	if f.got(seq) {
-		f.dups++
+	f := &e.flows[id-1]
+	ps := f.pkt
+	if ps == nil || seq >= uint32(f.Packets) {
 		return
 	}
-	f.mark(seq)
-	f.received++
-	if f.received == f.Packets && !f.Done {
+	if ps.got(seq) {
+		ps.dups++
+		return
+	}
+	ps.mark(seq)
+	ps.received++
+	if ps.received == f.Packets && !f.Done {
 		f.Done = true
 		f.FCT = e.sim.Now() - f.launchedAt
 		if !f.Abandoned { // a straggler can complete a flow the sender gave up on
@@ -572,9 +580,6 @@ func (e *Engine) onDatagram(dg udp.Datagram) {
 
 // Done reports whether every flow has finished (completed or abandoned).
 func (e *Engine) Done() bool { return e.finished == len(e.flows) }
-
-// Flows exposes the schedule in generation order (read-only by convention).
-func (e *Engine) Flows() []*Flow { return e.flows }
 
 // --- reporting --------------------------------------------------------------
 
@@ -640,40 +645,56 @@ func (e *Engine) Report(buckets []Bucket) Report {
 		Flows:       len(e.flows),
 		PacketsSent: e.PacketsSent,
 		Retransmits: e.Retransmits,
+		Buckets:     make([]BucketReport, len(buckets)),
 	}
-	for _, f := range e.flows {
+	for i, b := range buckets {
+		r.Buckets[i].Label = b.Label
+	}
+	// One visit for the counts, so that the second fills FCT samples made at
+	// their final size.
+	for i := range e.flows {
+		f := &e.flows[i]
+		br := &r.Buckets[bucketOf(buckets, f.Bytes)]
+		br.Flows++
 		switch {
 		case f.Done:
 			r.Completed++
+			br.Completed++
 		case f.Abandoned:
 			r.Abandoned++
 		}
-		r.Duplicates += uint64(f.dups)
+		if f.pkt != nil {
+			r.Duplicates += uint64(f.pkt.dups)
+		}
 		if f.fluid {
 			r.FluidFlows++
 		}
 	}
 	r.Incomplete = r.Flows - r.Completed - r.Abandoned
 	r.PeakConcurrent = e.peakConcurrent()
-	for _, b := range buckets {
-		r.Buckets = append(r.Buckets, BucketReport{Label: b.Label})
-	}
-	for _, f := range e.flows {
-		idx := len(buckets) - 1
-		for i, b := range buckets {
-			if f.Bytes <= b.MaxBytes {
-				idx = i
-				break
-			}
+	for i := range r.Buckets {
+		if n := r.Buckets[i].Completed; n > 0 {
+			r.Buckets[i].FCTms = make([]float64, 0, n)
 		}
-		br := &r.Buckets[idx]
-		br.Flows++
-		if f.Done {
-			br.Completed++
+	}
+	for i := range e.flows {
+		if f := &e.flows[i]; f.Done {
+			br := &r.Buckets[bucketOf(buckets, f.Bytes)]
 			br.FCTms = append(br.FCTms, float64(f.FCT)/float64(time.Millisecond))
 		}
 	}
 	return r
+}
+
+// bucketOf is the size class of a flow: the first bucket that holds it, the
+// last when none does.
+func bucketOf(buckets []Bucket, bytes int) int {
+	for i, b := range buckets {
+		if bytes <= b.MaxBytes {
+			return i
+		}
+	}
+	return len(buckets) - 1
 }
 
 // peakConcurrent sweeps launch/completion instants to find the maximum
@@ -683,7 +704,8 @@ func (e *Engine) Report(buckets []Bucket) Report {
 func (e *Engine) peakConcurrent() int {
 	starts := make([]time.Duration, 0, len(e.flows))
 	ends := make([]time.Duration, 0, len(e.flows))
-	for _, f := range e.flows {
+	for i := range e.flows {
+		f := &e.flows[i]
 		if !f.launched {
 			continue
 		}
@@ -692,7 +714,11 @@ func (e *Engine) peakConcurrent() int {
 			ends = append(ends, f.launchedAt+f.FCT)
 		}
 	}
-	slices.Sort(starts)
+	// Launches are in time order as generated: packet flows launch at
+	// base+Start and fluid admissions are backdated to it.
+	if !slices.IsSorted(starts) {
+		slices.Sort(starts)
+	}
 	slices.Sort(ends)
 	cur, peak, j := 0, 0, 0
 	for _, s := range starts {

@@ -70,7 +70,7 @@ type rig struct {
 	router *simnet.Node
 }
 
-func newRig(t *testing.T, seed int64) *rig {
+func newRig(t testing.TB, seed int64) *rig {
 	t.Helper()
 	sim := simnet.New(seed)
 	a, r, b := sim.AddNode("h-a"), sim.AddNode("router"), sim.AddNode("h-b")
