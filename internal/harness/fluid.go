@@ -23,9 +23,9 @@ import (
 // fluidPlan is the per-trial binding of solver links to fabric ports.
 type fluidPlan struct {
 	solver *fluid.Solver
-	// ids maps each transmit direction (keyed by its from-port) to the
-	// solver link reserved for it. Lookup-only after construction.
-	ids map[*simnet.Port]fluid.LinkID
+	// ids[device ordinal][port index] is the solver link reserved for the
+	// transmit direction leaving that port, -1 where none is registered.
+	ids [][]fluid.LinkID
 	// serial is the one-packet store-and-forward delay per hop, part of
 	// each path's fixed latency offset.
 	serial time.Duration
@@ -46,14 +46,21 @@ func (f *Fabric) buildFluidPlan(w WorkloadConfig) (*fluidPlan, error) {
 	capBps := float64(w.PacketSize*8) / w.PacketInterval.Seconds()
 	plan := &fluidPlan{
 		solver: fluid.New(fluid.Config{RateCapBps: capBps}),
-		ids:    make(map[*simnet.Port]fluid.LinkID),
+		ids:    make([][]fluid.LinkID, len(f.bound)),
 		serial: time.Duration(int64(w.PacketSize) * 8 * int64(time.Second) / w.LinkBps),
+	}
+	for ord, b := range f.bound {
+		plan.ids[ord] = make([]fluid.LinkID, len(b.node.Ports))
+		for i := range plan.ids[ord] {
+			plan.ids[ord][i] = -1
+		}
 	}
 	for _, link := range f.Sim.Links() {
 		link := link
 		for _, from := range []*simnet.Port{link.A, link.B} {
 			from := from
-			plan.ids[from] = plan.solver.AddLink(w.LinkBps, func(bps int64, at time.Duration) {
+			ord := f.Topo.Devices[from.Node.Name].Ordinal
+			plan.ids[ord][from.Index] = plan.solver.AddLink(w.LinkBps, func(bps int64, at time.Duration) {
 				link.SetFluidLoad(from, bps, at)
 			})
 		}
@@ -78,28 +85,26 @@ func (f *Fabric) pathFunc(plan *fluidPlan, dstPort uint16) workload.PathFunc {
 		}
 		path = path[:0]
 		var latency time.Duration
-		add := func(from *simnet.Port) bool {
-			id, ok := plan.ids[from]
-			if !ok {
+		add := func(from *topology.Port) bool {
+			ord := from.Device.Ordinal
+			id := plan.ids[ord][from.Index]
+			if id < 0 {
 				return false
 			}
 			path = append(path, id)
-			latency += from.Link.Latency + plan.serial
+			latency += f.bound[ord].node.Ports[from.Index].Link.Latency + plan.serial
 			return true
 		}
-		if !add(f.Sim.Node(src.Name).Port(1)) {
+		if !add(src.Ports[1]) {
 			return nil, 0, false
 		}
-		dstLeaf := dst.Ports[1].Peer.Device
+		dstLeaf := dst.Ports[1].Peer
 		mapped := true
 		// The longest valid folded-Clos walk is leaf-spine-root-spine-leaf.
-		reached := f.walk(src.Ports[1].Peer.Device, dstLeaf, dst.IP, key, 6, func(dev *topology.Device, out *topology.Port) {
-			mapped = mapped && add(f.Sim.Node(dev.Name).Port(out.Index))
+		reached := f.walk(src.Ports[1].Peer.Device, dstLeaf.Device, dst.IP, key, 6, func(_ *topology.Device, out *topology.Port) {
+			mapped = mapped && add(out)
 		})
-		if !reached || !mapped {
-			return nil, 0, false
-		}
-		if !add(f.Sim.Node(dstLeaf.Name).Port(dst.Ports[1].Peer.Index)) {
+		if !reached || !mapped || !add(dstLeaf) {
 			return nil, 0, false
 		}
 		return path, latency, true
@@ -135,11 +140,12 @@ func (f *Fabric) walk(from, to *topology.Device, toIP netaddr.IPv4, key flowhash
 // dstRoot drives the MR-MTP VID walk, dstIP the BGP FIB lookup; both planes
 // hash the same flow key their data path would.
 func (f *Fabric) nextHopPort(dev *topology.Device, dstRoot byte, dstIP netaddr.IPv4, key flowhash.Key) (int, bool) {
+	b := &f.bound[dev.Ordinal]
 	if f.Opts.Protocol == ProtoMRMTP {
-		return f.Routers[dev.Name].NextDataHop(dstRoot, key)
+		return b.router.NextDataHop(dstRoot, key)
 	}
 	var nh ipstack.NextHop
-	nh, ok := f.Stacks[dev.Name].NextHopFor(dstIP, key)
+	nh, ok := b.stack.NextHopFor(dstIP, key)
 	if !ok {
 		return 0, false
 	}

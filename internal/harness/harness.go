@@ -102,8 +102,20 @@ type Fabric struct {
 	Routers  map[string]*mrmtp.Router  // MR-MTP mode
 	Stacks   map[string]*ipstack.Stack // servers always; routers in BGP modes
 
+	// bound is what the path walk reads of a device, indexed by
+	// topology.Device.Ordinal so that resolving a flow hashes no name. The
+	// name-keyed maps above stay for the CLI and for tests.
+	bound []binding
+
 	started  bool
 	probeSeq uint16 // last ICMP probe ID handed out (Ping/Traceroute)
+}
+
+// binding is one device's simulator node and forwarding plane.
+type binding struct {
+	node   *simnet.Node
+	router *mrmtp.Router  // MR-MTP mode, routers only
+	stack  *ipstack.Stack // servers always; routers in BGP modes
 }
 
 // nextProbeID issues a fresh ICMP echo ID. The counter lives on the fabric
@@ -180,6 +192,10 @@ func Build(opts Options) (*Fabric, error) {
 		f.buildBGP(opts.Protocol == ProtoBGPBFD)
 	default:
 		return nil, fmt.Errorf("harness: unknown protocol %d", int(opts.Protocol))
+	}
+	f.bound = make([]binding, len(names))
+	for _, name := range names {
+		f.bound[topo.Devices[name].Ordinal] = binding{f.Sim.Node(name), f.Routers[name], f.Stacks[name]}
 	}
 	return f, nil
 }

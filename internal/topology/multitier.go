@@ -78,6 +78,7 @@ func BuildMultiTier(spec MultiTierSpec) (*Topology, error) {
 	add := func(d *Device, level int) *Device {
 		d.Ports = []*Port{nil}
 		d.Level = level
+		d.Ordinal = len(t.Devices)
 		t.Devices[d.Name] = d
 		return d
 	}

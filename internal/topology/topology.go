@@ -115,6 +115,9 @@ type Device struct {
 	Pod   int // 1-based; 0 for top spines
 	Index int // 1-based within (tier, pod)
 	ASN   uint32
+	// Ordinal is the device's dense rank in creation order, 0-based: the
+	// index of per-device tables that must not hash the name.
+	Ordinal int
 
 	// Leaf-only fields.
 	VID          int            // ToR VID derived from the server subnet (paper §III.A)
@@ -213,6 +216,7 @@ func Build(spec Spec) (*Topology, error) {
 	add := func(d *Device) *Device {
 		d.Ports = []*Port{nil}
 		d.Level = int(d.Tier)
+		d.Ordinal = len(t.Devices)
 		t.Devices[d.Name] = d
 		return d
 	}
