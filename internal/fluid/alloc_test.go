@@ -1,0 +1,28 @@
+package fluid
+
+import "testing"
+
+// TestAdmitAllocs pins what admitting a flow onto a path the solver already
+// knows costs in allocations: nothing. The path key is rendered into solver
+// scratch and probed without becoming a string, and the admission waits in
+// the pending list (grown here before the measurement) until Reallocate
+// files it. Before the key stayed bytes it was one string per Admit.
+func TestAdmitAllocs(t *testing.T) {
+	s := New(Config{RateCapBps: 66e6})
+	path := []LinkID{s.AddLink(1e9, nil), s.AddLink(1e9, nil), s.AddLink(1e9, nil)}
+	id := uint32(0)
+	admit := func() {
+		id++
+		s.Admit(id, 100_000, path, 0, 0)
+	}
+	for i := 0; i < 512; i++ {
+		admit()
+	}
+	s.Reallocate(0)
+	if avg := testing.AllocsPerRun(200, admit); avg != 0 {
+		t.Errorf("Admit on an existing group allocates %.0f, want 0", avg)
+	}
+	if len(s.groups) != 1 || s.Active() != int(id) {
+		t.Fatalf("%d groups and %d active flows after %d admissions on one path", len(s.groups), s.Active(), id)
+	}
+}

@@ -16,7 +16,7 @@
 // Scale comes from aggregation: flows sharing an identical resolved path
 // form one *path group*. Rates, service curves and progressive filling run
 // per group (a Clos fabric has few distinct paths), while per-flow state is
-// one 32-byte heap entry — so a million concurrent flows cost one heap push
+// one 24-byte heap entry — so a million concurrent flows cost one heap push
 // and one pop each, not a million timers.
 //
 // Determinism: groups and links live in slices in creation order, maps are
@@ -27,6 +27,7 @@ package fluid
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/invariant"
@@ -136,8 +137,10 @@ func (s *Solver) Active() int { return s.active }
 func (s *Solver) Peak() int { return s.peak }
 
 // pathKey renders a path (plus the phantom/fluid kind, which must never
-// share a group) into the lookup key.
-func (s *Solver) pathKey(path []LinkID, phantom bool) string {
+// share a group) into the lookup key. The bytes are the solver's scratch:
+// probing with s.index[string(key)] does not allocate, and only the insert of
+// a new group keeps a copy.
+func (s *Solver) pathKey(path []LinkID, phantom bool) []byte {
 	b := s.keyBuf[:0]
 	if phantom {
 		b = append(b, 'P')
@@ -148,19 +151,19 @@ func (s *Solver) pathKey(path []LinkID, phantom bool) string {
 		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
 	}
 	s.keyBuf = b
-	return string(b)
+	return b
 }
 
 // groupFor finds or creates the group owning (path, phantom).
 func (s *Solver) groupFor(path []LinkID, latency time.Duration, phantom bool) (*group, int32) {
 	key := s.pathKey(path, phantom)
-	if gi, ok := s.index[key]; ok {
+	if gi, ok := s.index[string(key)]; ok {
 		return s.groups[gi], gi
 	}
 	g := &group{path: append([]LinkID(nil), path...), latency: latency, phantom: phantom}
 	gi := int32(len(s.groups))
 	s.groups = append(s.groups, g)
-	s.index[key] = gi
+	s.index[string(key)] = gi
 	for _, lid := range path {
 		s.links[lid].groups = append(s.links[lid].groups, gi)
 	}
@@ -379,6 +382,12 @@ func (s *Solver) resolvePending(now time.Duration) []Completion {
 			continue
 		}
 		s.seq++
+		if len(g.heap) == cap(g.heap) {
+			// Doubling: append's rule for large slices grows by a quarter,
+			// and a group that fills over many epochs then allocates about
+			// five times what it ends up holding.
+			g.heap = slices.Grow(g.heap, len(g.heap)+1)
+		}
 		g.heap = append(g.heap, member{threshold: threshold, admitted: p.at, id: p.id, seq: s.seq})
 		siftUp(g.heap, len(g.heap)-1)
 	}
@@ -420,7 +429,7 @@ func (s *Solver) Repath(resolve func(id uint32) (path []LinkID, latency time.Dur
 		if !ok || samePath(g.path, newPath) {
 			continue
 		}
-		delete(s.index, s.pathKey(g.path, false))
+		delete(s.index, string(s.pathKey(g.path, false)))
 		for _, lid := range g.path {
 			s.links[lid].groups = removeGroup(s.links[lid].groups, int32(gi))
 		}
