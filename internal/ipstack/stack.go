@@ -370,6 +370,10 @@ func (s *Stack) SendIPRaw(ipWire []byte) {
 // hash-picked member otherwise (Pick over a single entry is that entry, so
 // the two forms agree). The returned value is a copy, safe to retain across
 // FIB lookups.
+//
+// The choice is spelled out here and again in routeOut, its twin: routeOut
+// calling this function read 8 % slower per forwarded packet (the flow key
+// built for every single-next-hop route, and a call that does not inline).
 func (s *Stack) NextHopFor(dst netaddr.IPv4, k FlowKey) (NextHop, bool) {
 	r, ok := s.FIB.Lookup(dst)
 	if !ok || len(r.NextHops) == 0 {
@@ -405,6 +409,8 @@ func (s *Stack) routeOut(h ipv4.Header, frame []byte) {
 		s.frames.Put(frame) // the packet dies here; reclaim its buffer
 		return
 	}
+	// The same choice as NextHopFor, its twin, with the flow key built only
+	// when there is a group to hash over.
 	nh := r.NextHops[0]
 	if len(r.NextHops) > 1 {
 		nh = r.Pick(flowKeyOf(h, frame[ethernet.HeaderLen:]))

@@ -164,21 +164,36 @@ func (r *Router) handleData(raw, payload []byte) bool {
 	return false
 }
 
-// forwardData routes an encapsulated packet: down the tree when the VID
-// table knows the root, otherwise up by load-balanced default. frame is a
-// whole fabric frame (Ethernet header room + MR-MTP data payload) that
-// forwardData takes ownership of: it is sent, or Put on the drop path.
+// forwardData routes an encapsulated packet to the adjacency nextDataAdj
+// picks. frame is a whole fabric frame (Ethernet header room + MR-MTP data
+// payload) that forwardData takes ownership of: it is sent, or Put on the
+// drop path.
 //
 //simlint:hotpath
 func (r *Router) forwardData(frame []byte, dstRoot byte, key flowhash.Key) {
+	adj := r.nextDataAdj(dstRoot, key)
+	if adj == nil {
+		r.Stats.DataDropped++
+		r.frames.Put(frame) // no route: the packet dies here
+		return
+	}
+	r.Stats.DataForwarded++
+	r.sendFrame(adj, frame)
+}
+
+// nextDataAdj is the data-plane forwarding decision, the one forwardData
+// sends on and NextDataHop reports: down the tree when the VID table knows
+// the root, otherwise up by load-balanced default. It returns nil where the
+// packet dies.
+//
+//simlint:hotpath
+func (r *Router) nextDataAdj(dstRoot byte, key flowhash.Key) *adjacency {
 	// Downward: a VID entry's acquisition port points at the root.
 	for _, vidKey := range r.byRoot[dstRoot] {
 		e := r.entries[vidKey]
 		adj := r.adjs[e.port]
 		if adj != nil && adj.state == adjUp && adj.port.Up() {
-			r.Stats.DataForwarded++
-			r.sendFrame(adj, frame)
-			return
+			return adj
 		}
 	}
 	// Upward: hash across live uplinks not marked unreachable for the
@@ -195,13 +210,9 @@ func (r *Router) forwardData(frame []byte, dstRoot byte, key flowhash.Key) {
 	}
 	r.eligScratch = eligible
 	if len(eligible) == 0 || r.downstream[dstRoot] || (r.Cfg.Tier == 1 && dstRoot == r.rootVID) {
-		r.Stats.DataDropped++
-		r.frames.Put(frame) // no route: the packet dies here
-		return
+		return nil
 	}
-	adj := eligible[int(key.Hash())%len(eligible)]
-	r.Stats.DataForwarded++
-	r.sendFrame(adj, frame)
+	return eligible[int(key.Hash())%len(eligible)]
 }
 
 // deliverToRack sends an IP packet to a server behind this ToR, resolving

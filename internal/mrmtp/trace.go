@@ -43,31 +43,16 @@ func (r *Router) InjectData(ipWire []byte, ttl byte) {
 }
 
 // NextDataHop returns the port forwardData would choose for a packet to
-// dstRoot carrying flow key — the same VID-table walk and uplink hash,
-// without sending anything. ok is false when forwardData would drop. Path
+// dstRoot carrying flow key — the same decision (nextDataAdj), without
+// sending anything. ok is false when forwardData would drop. Path
 // enumeration composes this across devices to predict a probe's hop
 // sequence.
 func (r *Router) NextDataHop(dstRoot byte, key flowhash.Key) (port int, ok bool) {
-	for _, vidKey := range r.byRoot[dstRoot] {
-		e := r.entries[vidKey]
-		adj := r.adjs[e.port]
-		if adj != nil && adj.state == adjUp && adj.port.Up() {
-			return e.port, true
-		}
-	}
-	ups := r.uplinks()
-	eligible := r.eligScratch[:0]
-	for _, adj := range ups {
-		marks := r.unreachable[adj.port.Index]
-		if !marks[dstRoot] && !marks[DefaultRoot] {
-			eligible = append(eligible, adj)
-		}
-	}
-	r.eligScratch = eligible
-	if len(eligible) == 0 || r.downstream[dstRoot] || (r.Cfg.Tier == 1 && dstRoot == r.rootVID) {
+	adj := r.nextDataAdj(dstRoot, key)
+	if adj == nil {
 		return 0, false
 	}
-	return eligible[int(key.Hash())%len(eligible)].port.Index, true
+	return adj.port.Index, true
 }
 
 // handleLocal consumes a fabric-delivered IP packet addressed to the ToR's
