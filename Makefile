@@ -101,10 +101,11 @@ chaos-smoke:
 trace-smoke:
 	$(GO) run -race ./cmd/closlab -experiment trace -pods 2 -trials 1 -out /tmp/closlab-trace-smoke
 
-# fuzz-smoke gives each wire-decoder fuzz target, and the differential
-# targets holding the checksum kernel to the 16-bit reference loop and the
-# indexed FIB to the linear scan, a short budget on top of its seed corpus —
-# a regression tripwire, not a campaign.
+# fuzz-smoke gives each wire-decoder fuzz target, the differential targets
+# holding the checksum kernel to the 16-bit reference loop and the indexed FIB
+# to the linear scan, and the workload receive path (an open UDP port on every
+# host) a short budget on top of its seed corpus — a regression tripwire, not
+# a campaign.
 FUZZ_TIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZ_TIME) ./internal/ethernet
@@ -114,5 +115,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseMessage -fuzztime $(FUZZ_TIME) ./internal/mrmtp
 	$(GO) test -run '^$$' -fuzz FuzzParseMessage -fuzztime $(FUZZ_TIME) ./internal/bgp
 	$(GO) test -run '^$$' -fuzz FuzzFIBLookup -fuzztime $(FUZZ_TIME) ./internal/ipstack
+	$(GO) test -run '^$$' -fuzz FuzzOnDatagram -fuzztime $(FUZZ_TIME) ./internal/workload
 
 check: build vet lint test race trace-smoke fluid-smoke

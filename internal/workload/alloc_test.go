@@ -1,0 +1,64 @@
+package workload
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/fluid"
+	"repro/internal/invariant"
+)
+
+// fluidRunAllocs is what a whole ModeFluid engine costs in heap objects for
+// the given number of flows — New, the run to completion and Report — on one
+// uncontended solver link, so that only the engine's and the solver's own
+// bookkeeping is counted. The rig under it is built outside the measurement.
+func fluidRunAllocs(t *testing.T, flows int) float64 {
+	t.Helper()
+	const runs = 3
+	rigs := make([]*rig, runs+1) // AllocsPerRun warms up with one extra call
+	for i := range rigs {
+		rigs[i] = newRig(t, 1)
+	}
+	call := 0
+	return testing.AllocsPerRun(runs, func() {
+		w := rigs[call]
+		call++
+		solver := fluid.New(fluid.Config{RateCapBps: 66e6})
+		path := []fluid.LinkID{solver.AddLink(1e15, nil)}
+		cfg := DefaultConfig(1)
+		cfg.Mode = ModeFluid
+		cfg.Flows = flows
+		cfg.Sizes = FixedSize(100_000)
+		cfg.MeanArrival = 2 * time.Second / time.Duration(flows)
+		cfg.RateInterval = 50 * time.Millisecond
+		cfg.Solver = solver
+		cfg.PathOf = func(*Flow) ([]fluid.LinkID, time.Duration, bool) { return path, 0, true }
+		e, err := New(w.sim, w.hosts, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Start()
+		for i := 0; i < 60 && !e.Done(); i++ {
+			w.sim.RunFor(time.Second)
+		}
+		if r := e.Report(nil); r.Completed != flows || r.FluidFlows != flows {
+			t.Fatalf("completed %d and carried %d of %d flows as fluid", r.Completed, r.FluidFlows, flows)
+		}
+	})
+}
+
+// TestFluidFlowAllocs pins the flat flow table: a fluid flow is a slot in the
+// schedule and a member of its path group's heap, never a heap object of its
+// own. Ten times the flows cost the same objects plus 13 doubling steps of the
+// slices that hold them (the group heap, the solver's pending and completion
+// lists). Both figures are the measured ones with no slack; with one Flow
+// object per flow and a string per Admit they were 4 097 and 40 181.
+func TestFluidFlowAllocs(t *testing.T) {
+	if invariant.Enabled || raceEnabled {
+		t.Skip("budget measured without -tags invariants and without -race")
+	}
+	small, large := fluidRunAllocs(t, 2_000), fluidRunAllocs(t, 20_000)
+	if small != 60 || large != 73 {
+		t.Errorf("a fluid run allocates %.0f objects for 2 000 flows and %.0f for 20 000, want 60 and 73", small, large)
+	}
+}

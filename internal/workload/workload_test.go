@@ -267,6 +267,54 @@ func TestDoneCounterMatchesScan(t *testing.T) {
 	}
 }
 
+// TestReportFCTsInGenerationOrder holds Report's two passes to the plain scan
+// they replaced: each bucket's FCT sample lists its completed flows in
+// flow-generation order — the artifacts and the benchmark's digest hash them
+// in that order — in a slice made at exactly the counted size.
+func TestReportFCTsInGenerationOrder(t *testing.T) {
+	w := newRig(t, 1)
+	cfg := smallConfig(5)
+	cfg.Flows = 60
+	cfg.Sizes = WebSearchMix()
+	cfg.Mode = ModeHybrid
+	cfg.FluidCutoff = 20_000
+	cfg.Solver = fluid.New(fluid.Config{RateCapBps: 1e8})
+	link := cfg.Solver.AddLink(1_000_000_000, nil)
+	cfg.PathOf = func(f *Flow) ([]fluid.LinkID, time.Duration, bool) {
+		return []fluid.LinkID{link}, 200 * time.Microsecond, f.ID%7 != 0
+	}
+	e, err := New(nil, w.hosts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	w.sim.RunFor(5 * time.Second)
+	buckets := DefaultBuckets()
+	r := e.Report(buckets)
+	want := make([][]float64, len(buckets))
+	for i := range e.flows {
+		if f := &e.flows[i]; f.Done {
+			b := bucketOf(buckets, f.Bytes)
+			want[b] = append(want[b], float64(f.FCT)/float64(time.Millisecond))
+		}
+	}
+	busy := 0
+	for i, br := range r.Buckets {
+		if !reflect.DeepEqual(br.FCTms, want[i]) {
+			t.Errorf("bucket %s: FCTs %v, want generation order %v", br.Label, br.FCTms, want[i])
+		}
+		if br.Completed != len(want[i]) || cap(br.FCTms) != len(want[i]) {
+			t.Errorf("bucket %s: %d completed in a sample of capacity %d, want %d and %d", br.Label, br.Completed, cap(br.FCTms), len(want[i]), len(want[i]))
+		}
+		if len(want[i]) > 1 {
+			busy++
+		}
+	}
+	if busy < 2 || r.Completed == r.Flows {
+		t.Fatalf("%d buckets hold more than one FCT and %d of %d flows completed: the mix no longer spreads over buckets and outcomes", busy, r.Completed, r.Flows)
+	}
+}
+
 // TestDoneCountsStragglerOnce covers the one flow state two sites reach: the
 // sender gives up after MaxRounds while its packets are still on a slow
 // wire, and their arrival then completes the flow it abandoned.
