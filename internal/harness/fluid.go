@@ -98,13 +98,13 @@ func (f *Fabric) pathFunc(plan *fluidPlan, dstPort uint16) workload.PathFunc {
 		if !add(src.Ports[1]) {
 			return nil, 0, false
 		}
-		dstLeaf := dst.Ports[1].Peer
+		dstAccess := dst.Ports[1].Peer // the destination leaf's port down to the server
 		mapped := true
 		// The longest valid folded-Clos walk is leaf-spine-root-spine-leaf.
-		reached := f.walk(src.Ports[1].Peer.Device, dstLeaf.Device, dst.IP, key, 6, func(_ *topology.Device, out *topology.Port) {
+		reached := f.walk(src.Ports[1].Peer.Device, dstAccess.Device, dst.IP, key, 6, func(_ *topology.Device, out *topology.Port) {
 			mapped = mapped && add(out)
 		})
-		if !reached || !mapped || !add(dstLeaf) {
+		if !reached || !mapped || !add(dstAccess) {
 			return nil, 0, false
 		}
 		return path, latency, true

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fluid"
 	"repro/internal/udp"
 )
 
@@ -19,17 +18,7 @@ type receiveRig struct {
 func newReceiveRig(t testing.TB) receiveRig {
 	t.Helper()
 	w := newRig(t, 1)
-	cfg := smallConfig(5)
-	cfg.Flows = 40
-	cfg.Sizes = WebSearchMix()
-	cfg.Mode = ModeHybrid
-	cfg.FluidCutoff = 20_000
-	cfg.Solver = fluid.New(fluid.Config{RateCapBps: 1e8})
-	link := cfg.Solver.AddLink(1_000_000_000, nil)
-	cfg.PathOf = func(*Flow) ([]fluid.LinkID, time.Duration, bool) {
-		return []fluid.LinkID{link}, 200 * time.Microsecond, true
-	}
-	e, err := New(nil, w.hosts, cfg)
+	e, err := New(nil, w.hosts, hybridConfig(40, func(*Flow) bool { return true }))
 	if err != nil {
 		t.Fatal(err)
 	}

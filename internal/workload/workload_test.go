@@ -103,6 +103,23 @@ func smallConfig(seed int64) Config {
 	return cfg
 }
 
+// hybridConfig is smallConfig as a hybrid run of a websearch mix — mice on
+// packets, the rest fluid — over one uncontended solver link; resolves says
+// which flows find a path.
+func hybridConfig(flows int, resolves func(*Flow) bool) Config {
+	cfg := smallConfig(5)
+	cfg.Flows = flows
+	cfg.Sizes = WebSearchMix()
+	cfg.Mode = ModeHybrid
+	cfg.FluidCutoff = 20_000
+	cfg.Solver = fluid.New(fluid.Config{RateCapBps: 1e8})
+	path := []fluid.LinkID{cfg.Solver.AddLink(1_000_000_000, nil)}
+	cfg.PathOf = func(f *Flow) ([]fluid.LinkID, time.Duration, bool) {
+		return path, 200 * time.Microsecond, resolves(f)
+	}
+	return cfg
+}
+
 func TestEngineCompletesAllFlows(t *testing.T) {
 	w := newRig(t, 1)
 	e, err := New(nil, w.hosts, smallConfig(3))
@@ -273,17 +290,7 @@ func TestDoneCounterMatchesScan(t *testing.T) {
 // in that order — in a slice made at exactly the counted size.
 func TestReportFCTsInGenerationOrder(t *testing.T) {
 	w := newRig(t, 1)
-	cfg := smallConfig(5)
-	cfg.Flows = 60
-	cfg.Sizes = WebSearchMix()
-	cfg.Mode = ModeHybrid
-	cfg.FluidCutoff = 20_000
-	cfg.Solver = fluid.New(fluid.Config{RateCapBps: 1e8})
-	link := cfg.Solver.AddLink(1_000_000_000, nil)
-	cfg.PathOf = func(f *Flow) ([]fluid.LinkID, time.Duration, bool) {
-		return []fluid.LinkID{link}, 200 * time.Microsecond, f.ID%7 != 0
-	}
-	e, err := New(nil, w.hosts, cfg)
+	e, err := New(nil, w.hosts, hybridConfig(60, func(f *Flow) bool { return f.ID%7 != 0 }))
 	if err != nil {
 		t.Fatal(err)
 	}
