@@ -155,7 +155,7 @@ func newBenchColumn(b testing.TB) *column {
 // simulator freelists warm up.
 func TestHelloKeepAliveAllocs(t *testing.T) {
 	bc := newBenchColumn(t)
-	adj := bc.tor.adjs[1] // fabric uplink toward the spine
+	adj := bc.tor.adj(1) // fabric uplink toward the spine
 	if adj == nil || adj.state != adjUp {
 		t.Fatal("uplink adjacency not up after warm-up")
 	}

@@ -2,46 +2,33 @@ package mrmtp
 
 import "repro/internal/invariant"
 
-// checkVIDTable validates the VID table's cross-index consistency after a
-// mutation batch (offer installation, neighbor loss, staged UPDATEs).
-// Callers guard with invariant.Enabled. The invariants:
+// checkVIDTable validates the VID table after a mutation batch (offer
+// installation, neighbor loss, staged UPDATEs). Callers guard with
+// invariant.Enabled. The invariants:
 //
-//   - entries and the byRoot index describe exactly the same key set, and
-//     no root's key list contains a duplicate (a VID acquired twice);
-//   - every indexed entry stores the VID its key claims, under the root
-//     byRoot filed it under;
-//   - every entry's port has a live (adjUp) adjacency: frames are only
+//   - every row is filed under its VID's own root, and no VID is held
+//     twice;
+//   - size equals the number of rows;
+//   - every row's port has a live (adjUp) adjacency: frames are only
 //     processed on up adjacencies, and neighborDown must purge the port's
-//     entries before it returns.
+//     rows before it returns.
 func (r *Router) checkVIDTable() {
 	total := 0
-	//simlint:deterministic diagnostic sweep in -tags invariants builds; assertions are order-independent
-	for root, keys := range r.byRoot {
-		invariant.Assertf(len(keys) > 0,
-			"mrmtp %s: byRoot[%d] exists but is empty", r.Node.Name, root)
-		seen := make(map[string]bool, len(keys))
-		for _, key := range keys {
-			invariant.Assertf(!seen[key],
-				"mrmtp %s: byRoot[%d] lists VID %q twice", r.Node.Name, root, key)
-			seen[key] = true
-			e, ok := r.entries[key]
-			invariant.Assertf(ok,
-				"mrmtp %s: byRoot[%d] lists VID %q but the table does not hold it",
-				r.Node.Name, root, key)
-			if !ok {
-				continue
+	for root, rows := range r.table {
+		for i, e := range rows {
+			invariant.Assertf(int(e.vid.Root()) == root,
+				"mrmtp %s: VID %s filed under root %d", r.Node.Name, e.vid, root)
+			for _, earlier := range rows[:i] {
+				invariant.Assertf(!earlier.vid.Equal(e.vid),
+					"mrmtp %s: VID %s held twice", r.Node.Name, e.vid)
 			}
-			invariant.Assertf(e.vid.Key() == key,
-				"mrmtp %s: entry keyed %q stores VID %s", r.Node.Name, key, e.vid)
-			invariant.Assertf(e.vid.Root() == root,
-				"mrmtp %s: VID %s indexed under root %d", r.Node.Name, e.vid, root)
-			adj := r.adjs[e.port]
+			adj := r.adj(e.port)
 			invariant.Assertf(adj != nil && adj.state == adjUp,
 				"mrmtp %s: VID %s held via port %d, which has no live adjacency",
 				r.Node.Name, e.vid, e.port)
 		}
-		total += len(keys)
+		total += len(rows)
 	}
-	invariant.Assertf(total == len(r.entries),
-		"mrmtp %s: byRoot indexes %d keys, table holds %d", r.Node.Name, total, len(r.entries))
+	invariant.Assertf(total == r.size,
+		"mrmtp %s: table holds %d rows, size says %d", r.Node.Name, total, r.size)
 }

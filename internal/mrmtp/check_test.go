@@ -9,17 +9,12 @@ import (
 )
 
 func tableRouter() *Router {
-	r := &Router{
-		Node:    &simnet.Node{Name: "test"},
-		entries: make(map[string]vidEntry),
-		byRoot:  make(map[byte][]string),
-		adjs:    make(map[int]*adjacency),
+	return &Router{
+		Node:  &simnet.Node{Name: "test"},
+		table: [][]vidEntry{11: {{vid: VID{11, 1}, port: 1}}},
+		size:  1,
+		adjs:  []*adjacency{{state: adjUp}},
 	}
-	r.adjs[1] = &adjacency{state: adjUp}
-	v := VID{11, 1}
-	r.entries[v.Key()] = vidEntry{vid: v, port: 1}
-	r.byRoot[v.Root()] = []string{v.Key()}
-	return r
 }
 
 func wantTablePanic(t *testing.T, r *Router) {
@@ -37,19 +32,23 @@ func TestVIDTableCheckDetectsCorruption(t *testing.T) {
 	tableRouter().checkVIDTable() // sanity: a consistent table passes
 
 	r := tableRouter()
-	delete(r.entries, VID{11, 1}.Key()) // byRoot lists a key the table lost
+	r.table[11][0].vid = VID{12, 1} // row filed under another root
 	wantTablePanic(t, r)
 
 	r = tableRouter()
-	keys := r.byRoot[11]
-	r.byRoot[11] = append(keys, keys[0]) // duplicate index entry
+	r.table[11] = append(r.table[11], r.table[11][0]) // VID held twice
+	r.size++
 	wantTablePanic(t, r)
 
 	r = tableRouter()
-	r.adjs[1].state = adjFailed // entry held via a dead port
+	r.size++ // size counts a row the table lost
 	wantTablePanic(t, r)
 
 	r = tableRouter()
-	delete(r.byRoot, 11) // table entry the index no longer covers
+	r.adjs[0].state = adjFailed // row held via a dead port
+	wantTablePanic(t, r)
+
+	r = tableRouter()
+	r.table[11][0].port = 2 // row held via a port with no adjacency
 	wantTablePanic(t, r)
 }

@@ -18,7 +18,7 @@ import (
 
 func TestDefaultRootWithdrawnWhenLastUplinkDies(t *testing.T) {
 	c := newColumn(t)
-	if c.spine.lostSent[DefaultRoot] || c.tor.unreachable[1][DefaultRoot] {
+	if c.spine.lostSent.has(DefaultRoot) || c.tor.UnreachableVia(1, DefaultRoot) {
 		t.Fatal("up-default withdrawn in steady state")
 	}
 
@@ -26,13 +26,13 @@ func TestDefaultRootWithdrawnWhenLastUplinkDies(t *testing.T) {
 	// leaves the spine with no up-path at all.
 	c.spine.Node.Port(3).Fail()
 	c.sim.RunFor(300 * time.Millisecond)
-	if !c.spine.lostSent[DefaultRoot] {
+	if !c.spine.lostSent.has(DefaultRoot) {
 		t.Error("spine did not withdraw its up-default after losing the last uplink")
 	}
-	if !c.tor.unreachable[1][DefaultRoot] {
+	if !c.tor.UnreachableVia(1, DefaultRoot) {
 		t.Error("tor did not mark the spine's up-default unreachable")
 	}
-	if !c.tor2.unreachable[1][DefaultRoot] {
+	if !c.tor2.UnreachableVia(1, DefaultRoot) {
 		t.Error("tor2 did not mark the spine's up-default unreachable")
 	}
 
@@ -59,7 +59,7 @@ func TestDefaultRootRestoredWhenUplinkReturns(t *testing.T) {
 	c := newColumn(t)
 	c.spine.Node.Port(3).Fail()
 	c.sim.RunFor(300 * time.Millisecond)
-	if !c.tor.unreachable[1][DefaultRoot] {
+	if !c.tor.UnreachableVia(1, DefaultRoot) {
 		t.Fatal("withdrawal did not propagate")
 	}
 
@@ -67,10 +67,10 @@ func TestDefaultRootRestoredWhenUplinkReturns(t *testing.T) {
 	// spine reevaluates its written-off roots and announces FOUND{0}.
 	c.spine.Node.Port(3).Restore()
 	c.sim.RunFor(time.Second)
-	if c.spine.lostSent[DefaultRoot] {
+	if c.spine.lostSent.has(DefaultRoot) {
 		t.Error("spine kept its up-default withdrawn after uplink recovery")
 	}
-	if c.tor.unreachable[1][DefaultRoot] || c.tor2.unreachable[1][DefaultRoot] {
+	if c.tor.UnreachableVia(1, DefaultRoot) || c.tor2.UnreachableVia(1, DefaultRoot) {
 		t.Error("ToRs still mark the spine's up-default unreachable after FOUND")
 	}
 }
@@ -86,9 +86,9 @@ func TestSingleUplinkLossKeepsDefaultRoot(t *testing.T) {
 	spineN := sim.AddNode("spine")
 	topN := sim.AddNode("top")
 	top2N := sim.AddNode("top2")
-	sim.Connect(torN.AddPort(), spineN.AddPort())   // spine port 1 (down)
-	sim.Connect(spineN.AddPort(), topN.AddPort())   // spine port 2 (up)
-	sim.Connect(spineN.AddPort(), top2N.AddPort())  // spine port 3 (up)
+	sim.Connect(torN.AddPort(), spineN.AddPort())  // spine port 1 (down)
+	sim.Connect(spineN.AddPort(), topN.AddPort())  // spine port 2 (up)
+	sim.Connect(spineN.AddPort(), top2N.AddPort()) // spine port 3 (up)
 	torCfg := DefaultConfig(1, 3)
 	torCfg.RackSubnet = rack(11)
 	tor := New(torN, torCfg, log)
@@ -100,20 +100,20 @@ func TestSingleUplinkLossKeepsDefaultRoot(t *testing.T) {
 
 	spine.Node.Port(2).Fail()
 	sim.RunFor(300 * time.Millisecond)
-	if spine.lostSent[DefaultRoot] {
+	if spine.lostSent.has(DefaultRoot) {
 		t.Error("spine withdrew its up-default while a live uplink remained")
 	}
-	if tor.unreachable[1][DefaultRoot] {
+	if tor.UnreachableVia(1, DefaultRoot) {
 		t.Error("tor marked the up-default despite a surviving spine uplink")
 	}
 
 	// The second uplink going too completes the withdrawal.
 	spine.Node.Port(3).Fail()
 	sim.RunFor(300 * time.Millisecond)
-	if !spine.lostSent[DefaultRoot] {
+	if !spine.lostSent.has(DefaultRoot) {
 		t.Error("spine kept its up-default after the last uplink died")
 	}
-	if !tor.unreachable[1][DefaultRoot] {
+	if !tor.UnreachableVia(1, DefaultRoot) {
 		t.Error("tor did not learn the withdrawal")
 	}
 }

@@ -189,10 +189,8 @@ func (r *Router) forwardData(frame []byte, dstRoot byte, key flowhash.Key) {
 //simlint:hotpath
 func (r *Router) nextDataAdj(dstRoot byte, key flowhash.Key) *adjacency {
 	// Downward: a VID entry's acquisition port points at the root.
-	for _, vidKey := range r.byRoot[dstRoot] {
-		e := r.entries[vidKey]
-		adj := r.adjs[e.port]
-		if adj != nil && adj.state == adjUp && adj.port.Up() {
+	for _, e := range r.held(dstRoot) {
+		if adj := r.adj(e.port); adj != nil && adj.state == adjUp && adj.port.Up() {
 			return adj
 		}
 	}
@@ -203,13 +201,12 @@ func (r *Router) nextDataAdj(dstRoot byte, key flowhash.Key) *adjacency {
 	ups := r.uplinks()
 	eligible := r.eligScratch[:0]
 	for _, adj := range ups {
-		marks := r.unreachable[adj.port.Index]
-		if !marks[dstRoot] && !marks[DefaultRoot] {
+		if !adj.unreachable.has(dstRoot) && !adj.unreachable.has(DefaultRoot) {
 			eligible = append(eligible, adj)
 		}
 	}
 	r.eligScratch = eligible
-	if len(eligible) == 0 || r.downstream[dstRoot] || (r.Cfg.Tier == 1 && dstRoot == r.rootVID) {
+	if len(eligible) == 0 || r.downstream.has(dstRoot) || (r.Cfg.Tier == 1 && dstRoot == r.rootVID) {
 		return nil
 	}
 	return eligible[int(key.Hash())%len(eligible)]

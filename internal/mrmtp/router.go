@@ -1,7 +1,10 @@
 package mrmtp
 
 import (
+	"bytes"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -103,16 +106,39 @@ type adjacency struct {
 	advertised []VID
 	// requested tracks parent VIDs we have an outstanding JOIN for.
 	requested map[string]bool
-	// offered tracks child VIDs we assigned over this port.
-	offered map[string]bool
-	// accepted tracks child VIDs the neighbor confirmed (tree children).
-	accepted map[string]bool
+
+	// unreachable records "this port cannot be used for traffic destined to
+	// this root VID" (the paper's §VII.B description of what ToRs note after
+	// a failure update).
+	unreachable rootSet
+	// reported holds, for the reachability batch being applied, the roots
+	// whose change this neighbor itself reported: it is not told what it
+	// already knows. Whoever calls applyReachability fills it, and
+	// applyReachability clears it.
+	reported rootSet
 }
 
 // vidEntry is one VID table row: the VID and its acquisition port.
 type vidEntry struct {
 	vid  VID
 	port int
+}
+
+// rootSet is a set of root VIDs (DefaultRoot included), one bit each.
+type rootSet [4]uint64
+
+func (s *rootSet) add(root byte)     { s[root>>6] |= 1 << (root & 63) }
+func (s *rootSet) remove(root byte)  { s[root>>6] &^= 1 << (root & 63) }
+func (s rootSet) has(root byte) bool { return s[root>>6]&(1<<(root&63)) != 0 }
+
+// appendTo appends the members to out in ascending order.
+func (s rootSet) appendTo(out []byte) []byte {
+	for w, word := range s {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, byte(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	return out
 }
 
 // Stats counts router activity.
@@ -149,14 +175,16 @@ type Router struct {
 	rec     metrics.Recorder
 	rootVID byte
 
-	entries map[string]vidEntry // VID table, keyed by VID
-	byRoot  map[byte][]string   // root -> VID keys
-	adjs    map[int]*adjacency
-	// adjList holds the same adjacencies in ascending port order. Every
-	// sweep over the neighbor set (uplink selection, re-advertise fan-out,
-	// update propagation) iterates this slice, never the map: frame send
-	// order must not depend on map iteration order.
-	adjList []*adjacency
+	// table is the VID table, the whole routing state: table[root] holds
+	// the root's (VID, acquisition port) rows in acquisition order — the
+	// downward choice takes the first live one — and is grown to the highest
+	// root held. size counts the rows.
+	table [][]vidEntry
+	size  int
+	// adjs holds the fabric adjacencies in ascending port order, which is
+	// the order every sweep over the neighbor set sends in. Fabric ports are
+	// numbered from 1 without gaps, so port p is adjs[p-1]; see adj.
+	adjs []*adjacency
 
 	// advWire caches the marshalled ADVERTISE (identical on every port),
 	// invalidated whenever the VID table changes. The periodic
@@ -168,16 +196,12 @@ type Router struct {
 	upScratch   []*adjacency
 	eligScratch []*adjacency
 
-	// unreachable[port][root] records "this port cannot be used for
-	// traffic destined to this root VID" (the paper's §VII.B description
-	// of what ToRs note after a failure update).
-	unreachable map[int]map[byte]bool
 	// downstream marks roots learned via lower-tier neighbors: they must
 	// never be chased through the default up-forwarding path.
-	downstream map[byte]bool
+	downstream rootSet
 	// lostSent marks roots we have propagated LOST for and not yet
 	// recovered.
-	lostSent map[byte]bool
+	lostSent rootSet
 
 	// staged reachability updates awaiting coalesced processing.
 	staged        []stagedUpdate
@@ -202,7 +226,7 @@ type Router struct {
 }
 
 type stagedUpdate struct {
-	port int
+	adj  *adjacency
 	sub  byte
 	root byte
 }
@@ -220,18 +244,12 @@ func New(node *simnet.Node, cfg Config, rec metrics.Recorder) *Router {
 		rec = metrics.Nop{}
 	}
 	r := &Router{
-		Node:        node,
-		Cfg:         cfg,
-		rec:         rec,
-		entries:     make(map[string]vidEntry),
-		byRoot:      make(map[byte][]string),
-		adjs:        make(map[int]*adjacency),
-		unreachable: make(map[int]map[byte]bool),
-		downstream:  make(map[byte]bool),
-		lostSent:    make(map[byte]bool),
-		arpCache:    make(map[netaddr.IPv4]arpEntry),
-		arpPending:  make(map[netaddr.IPv4][][]byte),
-		frames:      node.Sim.Frames(),
+		Node:       node,
+		Cfg:        cfg,
+		rec:        rec,
+		arpCache:   make(map[netaddr.IPv4]arpEntry),
+		arpPending: make(map[netaddr.IPv4][][]byte),
+		frames:     node.Sim.Frames(),
 	}
 	if cfg.Tier == 1 {
 		r.rootVID = byte(topology.DeriveVID(cfg.RackSubnet))
@@ -246,6 +264,14 @@ func (r *Router) isServerPort(i int) bool {
 	return r.Cfg.ServerPort > 0 && i >= r.Cfg.ServerPort
 }
 
+// adj returns the adjacency on a fabric port, or nil for any other index.
+func (r *Router) adj(port int) *adjacency {
+	if port < 1 || port > len(r.adjs) {
+		return nil
+	}
+	return r.adjs[port-1]
+}
+
 // Start implements simnet.Handler: announce on every fabric port and start
 // the hello machinery.
 func (r *Router) Start() {
@@ -253,14 +279,8 @@ func (r *Router) Start() {
 		if r.isServerPort(p.Index) {
 			continue
 		}
-		adj := &adjacency{
-			port:      p,
-			requested: make(map[string]bool),
-			offered:   make(map[string]bool),
-			accepted:  make(map[string]bool),
-		}
-		r.adjs[p.Index] = adj
-		r.adjList = append(r.adjList, adj) // Ports is index-ascending
+		adj := &adjacency{port: p, requested: make(map[string]bool)}
+		r.adjs = append(r.adjs, adj) // Ports is index-ascending, server ports last
 		r.sendAdvertise(adj)
 		r.scheduleHello(adj)
 		r.scheduleAdvertise(adj)
@@ -275,9 +295,6 @@ func (r *Router) scheduleAdvertise(adj *adjacency) {
 		return
 	}
 	adj.advTimer = r.sim().After(r.Cfg.AdvertiseInterval, func() {
-		if r.adjs[adj.port.Index] != adj {
-			return
-		}
 		if adj.state == adjUp {
 			r.sendAdvertise(adj)
 		}
@@ -345,24 +362,23 @@ func (r *Router) sendAdvertise(adj *adjacency) {
 }
 
 // joinableVIDs lists the VIDs this device extends to upper-tier joiners:
-// the ToR's own root VID, or every acquired VID on a spine.
+// the ToR's own root VID, or every acquired VID on a spine, in byte order.
 func (r *Router) joinableVIDs() []VID {
 	if r.Cfg.Tier == 1 {
 		return []VID{{r.rootVID}}
 	}
-	out := make([]VID, 0, len(r.entries))
-	for _, e := range r.entries {
-		out = append(out, e.vid)
+	out := make([]VID, 0, r.size)
+	for _, rows := range r.table {
+		for _, e := range rows {
+			out = append(out, e.vid)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i], out[j]) < 0 })
 	return out
 }
 
 func (r *Router) scheduleHello(adj *adjacency) {
 	adj.helloTimer = r.sim().After(r.Cfg.HelloInterval, func() {
-		if r.adjs[adj.port.Index] != adj {
-			return
-		}
 		// Keep-alive only when nothing else was sent in the interval
 		// (paper §IV.B: any MR-MTP message serves as a keep-alive).
 		if r.sim().Now()-adj.lastTx >= r.Cfg.HelloInterval {
@@ -390,7 +406,7 @@ func (r *Router) armDead(adj *adjacency) {
 // PortDown implements simnet.Handler: local carrier loss is an immediate
 // neighbor-down (no dead timer involved).
 func (r *Router) PortDown(p *simnet.Port) {
-	if adj := r.adjs[p.Index]; adj != nil && adj.state == adjUp {
+	if adj := r.adj(p.Index); adj != nil && adj.state == adjUp {
 		r.neighborDown(adj)
 	}
 }
@@ -418,7 +434,7 @@ func (r *Router) HandleFrame(p *simnet.Port, raw []byte) {
 		r.frames.Put(raw) // not MR-MTP, or an empty message: dropped unread
 		return
 	}
-	adj := r.adjs[p.Index]
+	adj := r.adj(p.Index)
 	if adj == nil {
 		r.frames.Put(raw) // no adjacency on this port: dropped unread
 		return
@@ -502,28 +518,15 @@ func (r *Router) neighborDown(adj *adjacency) {
 	}
 	adj.advertised = nil
 	adj.requested = make(map[string]bool)
-	adj.offered = make(map[string]bool)
-	adj.accepted = make(map[string]bool)
 
-	port := adj.port.Index
-	affected := make(map[byte]bool)
-	var doomed []string
-	for key, e := range r.entries {
-		if e.port == port {
-			doomed = append(doomed, key)
+	// Marks recorded against the dead port are stale either way.
+	affected := adj.unreachable
+	adj.unreachable = rootSet{}
+	for root := range r.table {
+		if r.dropVia(byte(root), adj) {
+			affected.add(byte(root))
 		}
 	}
-	sort.Strings(doomed)
-	for _, key := range doomed {
-		affected[r.entries[key].vid.Root()] = true
-		r.removeEntry(key)
-	}
-	// Marks recorded against the dead port are stale either way.
-	//simlint:deterministic accumulates into the affected set; per-root outputs are sorted in applyReachability
-	for root := range r.unreachable[port] {
-		affected[root] = true
-	}
-	delete(r.unreachable, port)
 
 	// Losing the last live uplink kills default up-forwarding for every
 	// root this device cannot name: spines hold no VID entries for
@@ -533,10 +536,10 @@ func (r *Router) neighborDown(adj *adjacency) {
 	// to stop hashing flows through us.
 	wasUplink := adj.neighborTier > r.Cfg.Tier || adj.neighborTier == 0
 	if wasUplink && !r.topTier() && len(r.uplinks()) == 0 {
-		affected[DefaultRoot] = true
+		affected.add(DefaultRoot)
 	}
 
-	r.processReachability(affected, port, true)
+	r.applyReachability(affected)
 	if invariant.Enabled {
 		r.checkVIDTable()
 	}
@@ -544,49 +547,71 @@ func (r *Router) neighborDown(adj *adjacency) {
 
 // --- VID table ------------------------------------------------------------
 
+// held returns the root's rows in acquisition order.
+func (r *Router) held(root byte) []vidEntry {
+	if int(root) >= len(r.table) {
+		return nil
+	}
+	return r.table[root]
+}
+
+func (r *Router) hasEntry(v VID) bool {
+	for _, e := range r.held(v.Root()) {
+		if e.vid.Equal(v) {
+			return true
+		}
+	}
+	return false
+}
+
 func (r *Router) addEntry(v VID, port int, fromTier int) bool {
-	key := v.Key()
-	if _, dup := r.entries[key]; dup {
+	if r.hasEntry(v) {
 		return false
 	}
-	r.entries[key] = vidEntry{vid: v.Clone(), port: port}
-	r.byRoot[v.Root()] = append(r.byRoot[v.Root()], key)
+	root := v.Root()
+	if n := int(root) + 1; n > len(r.table) {
+		r.table = slices.Grow(r.table, n-len(r.table))[:n]
+	}
+	r.table[root] = append(r.table[root], vidEntry{vid: v.Clone(), port: port})
+	r.size++
 	r.advWire = nil
 	if fromTier < r.Cfg.Tier {
-		r.downstream[v.Root()] = true
+		r.downstream.add(root)
 	}
 	return true
 }
 
-func (r *Router) removeEntry(key string) {
-	e, ok := r.entries[key]
-	if !ok {
-		return
-	}
-	delete(r.entries, key)
-	r.advWire = nil
-	// Allow a future re-JOIN of the parent tree through the same port
-	// (recovery after Slow-to-Accept re-admits the neighbor).
-	if adj := r.adjs[e.port]; adj != nil && len(e.vid) > 1 {
+// dropVia removes the root's rows acquired via the adjacency — dead branches
+// of a broken tree — and reports whether there were any.
+func (r *Router) dropVia(root byte, adj *adjacency) bool {
+	rows := r.held(root)
+	kept := rows[:0]
+	for _, e := range rows {
+		if e.port != adj.port.Index {
+			kept = append(kept, e)
+			continue
+		}
+		// Allow a future re-JOIN of the parent tree through the same port
+		// (recovery after Slow-to-Accept re-admits the neighbor).
 		delete(adj.requested, e.vid[:len(e.vid)-1].Key())
 	}
-	keys := r.byRoot[e.vid.Root()]
-	for i, k := range keys {
-		if k == key {
-			r.byRoot[e.vid.Root()] = append(keys[:i], keys[i+1:]...)
-			break
-		}
+	if len(kept) == len(rows) {
+		return false
 	}
-	if len(r.byRoot[e.vid.Root()]) == 0 {
-		delete(r.byRoot, e.vid.Root())
-	}
+	clear(rows[len(kept):])
+	r.table[root] = kept
+	r.size -= len(rows) - len(kept)
+	r.advWire = nil
+	return true
 }
 
 // VIDs returns the table contents sorted by VID (testing and Listing 5).
 func (r *Router) VIDs() []string {
-	out := make([]string, 0, len(r.entries))
-	for _, e := range r.entries {
-		out = append(out, e.vid.String())
+	out := make([]string, 0, r.size)
+	for _, rows := range r.table {
+		for _, e := range rows {
+			out = append(out, e.vid.String())
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -595,32 +620,31 @@ func (r *Router) VIDs() []string {
 // RenderVIDTable prints the table in the paper's Listing 5 layout: one row
 // per port with the VIDs acquired on it.
 func (r *Router) RenderVIDTable() string {
-	byPort := make(map[int][]string)
-	//simlint:deterministic groups entries by port; every per-port list is sorted before rendering
-	for _, e := range r.entries {
-		byPort[e.port] = append(byPort[e.port], e.vid.String())
+	byPort := make([][]string, len(r.adjs)+1)
+	for _, rows := range r.table {
+		for _, e := range rows {
+			byPort[e.port] = append(byPort[e.port], e.vid.String())
+		}
 	}
-	ports := make([]int, 0, len(byPort))
-	for p := range byPort {
-		ports = append(ports, p)
-	}
-	sort.Ints(ports)
 	var b strings.Builder
-	for _, p := range ports {
-		sort.Strings(byPort[p])
-		fmt.Fprintf(&b, "eth%d\t%s\n", p, strings.Join(byPort[p], ", "))
+	for p, vids := range byPort {
+		if len(vids) > 0 {
+			sort.Strings(vids)
+			fmt.Fprintf(&b, "eth%d\t%s\n", p, strings.Join(vids, ", "))
+		}
 	}
 	return b.String()
 }
 
 // UnreachableVia reports whether traffic for root must avoid the port.
 func (r *Router) UnreachableVia(port int, root byte) bool {
-	return r.unreachable[port][root]
+	adj := r.adj(port)
+	return adj != nil && adj.unreachable.has(root)
 }
 
 // TableSize returns the number of VID entries — the paper's routing-table
 // size comparison (Listing 3 vs Listing 5).
-func (r *Router) TableSize() int { return len(r.entries) }
+func (r *Router) TableSize() int { return r.size }
 
 // --- control plane --------------------------------------------------------
 
@@ -642,7 +666,7 @@ func (r *Router) handleControl(adj *adjacency, m Message) {
 		// Handshake complete; nothing further to record.
 	case TypeUpdate:
 		r.Stats.UpdatesRecv++
-		r.stageUpdate(adj.port.Index, m.Sub, m.Roots)
+		r.stageUpdate(adj, m.Sub, m.Roots)
 	}
 }
 
@@ -677,8 +701,7 @@ const maxJoinRetries = 25
 // haveViaPort reports whether we already hold a child VID of parent
 // acquired on the port.
 func (r *Router) haveViaPort(parent VID, port int) bool {
-	for _, key := range r.byRoot[parent.Root()] {
-		e := r.entries[key]
+	for _, e := range r.held(parent.Root()) {
 		if e.port == port && e.vid.HasPrefix(parent) && len(e.vid) == len(parent)+1 {
 			return true
 		}
@@ -724,9 +747,7 @@ func (r *Router) handleJoin(adj *adjacency, parents []VID) {
 		if !r.holds(parent) {
 			continue
 		}
-		child := parent.Extend(adj.port.Index)
-		offers = append(offers, child)
-		adj.offered[child.Key()] = true
+		offers = append(offers, parent.Extend(adj.port.Index))
 	}
 	if len(offers) == 0 {
 		return
@@ -742,20 +763,19 @@ func (r *Router) holds(v VID) bool {
 	if r.Cfg.Tier == 1 {
 		return len(v) == 1 && v[0] == r.rootVID
 	}
-	_, ok := r.entries[v.Key()]
-	return ok
+	return r.hasEntry(v)
 }
 
 // handleOffer installs assigned VIDs and confirms with ACCEPT.
 func (r *Router) handleOffer(adj *adjacency, vids []VID) {
-	recovered := make(map[byte]bool)
+	var recovered rootSet
 	added := false
 	for _, v := range vids {
 		wasReachable := r.reachable(v.Root())
 		if r.addEntry(v, adj.port.Index, adj.neighborTier) {
 			added = true
 			if !wasReachable {
-				recovered[v.Root()] = true
+				recovered.add(v.Root())
 			}
 		}
 		delete(adj.requested, v[:len(v)-1].Key())
@@ -764,15 +784,14 @@ func (r *Router) handleOffer(adj *adjacency, vids []VID) {
 	r.sendMsg(adj, &m)
 	if added {
 		// Our joinable set grew: tell upper tiers.
-		for _, other := range r.adjList {
+		for _, other := range r.adjs {
 			if other != adj && other.state == adjUp {
 				r.sendAdvertise(other)
 			}
 		}
 	}
-	if len(recovered) > 0 {
-		r.processReachability(recovered, adj.port.Index, false)
-	}
+	adj.reported = recovered // the offering neighbor knows
+	r.applyReachability(recovered)
 	if invariant.Enabled {
 		r.checkVIDTable()
 	}
@@ -780,11 +799,6 @@ func (r *Router) handleOffer(adj *adjacency, vids []VID) {
 
 // handleAccept finalizes the parent side of the handshake.
 func (r *Router) handleAccept(adj *adjacency, vids []VID) {
-	for _, v := range vids {
-		if adj.offered[v.Key()] {
-			adj.accepted[v.Key()] = true
-		}
-	}
 	m := Message{Type: TypeAck, VIDs: vids}
 	r.sendMsg(adj, &m)
 }
@@ -799,10 +813,10 @@ func (r *Router) uplinks() []*adjacency {
 	if r.topTier() {
 		return nil
 	}
-	// adjList is port-ascending, so the result needs no sorting — the
+	// adjs is port-ascending, so the result needs no sorting — the
 	// per-packet up-forwarding path stays allocation- and sort-free.
 	out := r.upScratch[:0]
-	for _, adj := range r.adjList {
+	for _, adj := range r.adjs {
 		if adj.state != adjUp || !adj.port.Up() {
 			continue
 		}
@@ -826,18 +840,16 @@ func (r *Router) reachable(root byte) bool {
 	if r.Cfg.Tier == 1 && root == r.rootVID {
 		return true
 	}
-	for _, key := range r.byRoot[root] {
-		e := r.entries[key]
-		if adj := r.adjs[e.port]; adj != nil && adj.state == adjUp && adj.port.Up() {
+	for _, e := range r.held(root) {
+		if adj := r.adj(e.port); adj != nil && adj.state == adjUp && adj.port.Up() {
 			return true
 		}
 	}
-	if r.topTier() || r.downstream[root] {
+	if r.topTier() || r.downstream.has(root) {
 		return false
 	}
 	for _, adj := range r.uplinks() {
-		marks := r.unreachable[adj.port.Index]
-		if !marks[root] && !marks[DefaultRoot] {
+		if !adj.unreachable.has(root) && !adj.unreachable.has(DefaultRoot) {
 			return true
 		}
 	}
@@ -847,9 +859,9 @@ func (r *Router) reachable(root byte) bool {
 // stageUpdate queues a received reachability update for coalesced
 // processing, so the LOST reports arriving from every meshed-tree branch of
 // the same failure are evaluated as one event.
-func (r *Router) stageUpdate(port int, sub byte, roots []byte) {
+func (r *Router) stageUpdate(adj *adjacency, sub byte, roots []byte) {
 	for _, root := range roots {
-		r.staged = append(r.staged, stagedUpdate{port: port, sub: sub, root: root})
+		r.staged = append(r.staged, stagedUpdate{adj: adj, sub: sub, root: root})
 	}
 	if r.coalesceTimer == nil {
 		r.coalesceTimer = r.sim().After(r.Cfg.Coalesce, r.processStaged)
@@ -861,70 +873,43 @@ func (r *Router) processStaged() {
 	staged := r.staged
 	r.staged = nil
 
-	affected := make(map[byte]bool)
-	fromPorts := make(map[byte]map[int]bool)
+	var affected rootSet
 	for _, u := range staged {
-		affected[u.root] = true
-		if fromPorts[u.root] == nil {
-			fromPorts[u.root] = make(map[int]bool)
-		}
-		fromPorts[u.root][u.port] = true
-		marks := r.unreachable[u.port]
+		affected.add(u.root)
+		u.adj.reported.add(u.root)
 		if u.sub == UpdateLost {
-			if marks == nil {
-				marks = make(map[byte]bool)
-				r.unreachable[u.port] = marks
-			}
-			marks[u.root] = true
-			// Entries for the root acquired via the reporting port are
-			// dead branches of the broken tree.
-			for _, key := range append([]string(nil), r.byRoot[u.root]...) {
-				if r.entries[key].port == u.port {
-					r.removeEntry(key)
-				}
-			}
-		} else if marks != nil {
-			delete(marks, u.root)
+			u.adj.unreachable.add(u.root)
+			r.dropVia(u.root, u.adj)
+		} else {
+			u.adj.unreachable.remove(u.root)
 		}
 	}
-	r.applyReachability(affected, fromPorts)
+	r.applyReachability(affected)
 	if invariant.Enabled {
 		r.checkVIDTable()
 	}
 }
 
-// processReachability handles locally detected changes (neighbor loss or
-// recovery) for the affected roots.
-func (r *Router) processReachability(affected map[byte]bool, sourcePort int, lost bool) {
-	if len(affected) == 0 {
-		return
-	}
-	fromPorts := make(map[byte]map[int]bool)
-	//simlint:deterministic independent per-root map fill; no ordering escapes
-	for root := range affected {
-		fromPorts[root] = map[int]bool{sourcePort: true}
-	}
-	r.applyReachability(affected, fromPorts)
-}
-
-// applyReachability decides, per root, whether this device absorbs the
-// change (it still has a usable path: a forwarding-table update the paper
+// applyReachability decides, per affected root, whether this device absorbs
+// the change (it still has a usable path: a forwarding-table update the paper
 // counts in the blast radius) or must propagate it (it became a relay with
 // no choice of its own: "spines along the way only forward the update").
-func (r *Router) applyReachability(affected map[byte]bool, fromPorts map[byte]map[int]bool) {
+// UPDATEs go out in ascending root order on every live adjacency that did
+// not itself report the change; the reported sets are spent on return.
+func (r *Router) applyReachability(affected rootSet) {
 	var lostRoots, foundRoots []byte
 	absorbed := false
-	//simlint:deterministic per-root decisions are independent; the lost/found slices are sorted before any message is sent
-	for root := range affected {
+	var buf [256]byte
+	for _, root := range affected.appendTo(buf[:0]) {
 		nowReachable := r.reachable(root)
-		wasLost := r.lostSent[root]
+		wasLost := r.lostSent.has(root)
 		switch {
 		case !nowReachable && !wasLost:
 			lostRoots = append(lostRoots, root)
-			r.lostSent[root] = true
+			r.lostSent.add(root)
 		case nowReachable && wasLost:
 			foundRoots = append(foundRoots, root)
-			delete(r.lostSent, root)
+			r.lostSent.remove(root)
 			absorbed = true
 		case nowReachable:
 			absorbed = true
@@ -933,29 +918,25 @@ func (r *Router) applyReachability(affected map[byte]bool, fromPorts map[byte]ma
 	if absorbed && len(lostRoots) == 0 {
 		r.rec.RouteUpdate(r.sim().Now(), r.Node.Name)
 	}
-	sort.Slice(lostRoots, func(i, j int) bool { return lostRoots[i] < lostRoots[j] })
-	sort.Slice(foundRoots, func(i, j int) bool { return foundRoots[i] < foundRoots[j] })
-	if len(lostRoots) > 0 {
-		r.propagate(UpdateLost, lostRoots, fromPorts)
-	}
-	if len(foundRoots) > 0 {
-		r.propagate(UpdateFound, foundRoots, fromPorts)
+	r.propagate(UpdateLost, lostRoots)
+	r.propagate(UpdateFound, foundRoots)
+	for _, adj := range r.adjs {
+		adj.reported = rootSet{}
 	}
 }
 
-// propagate sends an UPDATE on every live adjacency that did not itself
-// report the change.
-func (r *Router) propagate(sub byte, roots []byte, fromPorts map[byte]map[int]bool) {
-	for _, adj := range r.adjList {
+// propagate sends an UPDATE for the roots on every live adjacency, leaving
+// out what the neighbor reported itself.
+func (r *Router) propagate(sub byte, roots []byte) {
+	for _, adj := range r.adjs {
 		if adj.state != adjUp || !adj.port.Up() {
 			continue
 		}
 		var send []byte
 		for _, root := range roots {
-			if fromPorts[root][adj.port.Index] {
-				continue
+			if !adj.reported.has(root) {
+				send = append(send, root)
 			}
-			send = append(send, root)
 		}
 		if len(send) == 0 {
 			continue
@@ -973,22 +954,20 @@ func (r *Router) propagate(sub byte, roots []byte, fromPorts map[byte]map[int]bo
 // reevaluateLostRoots checks, after an adjacency recovery, whether any
 // written-off roots are reachable again and announces the recovery.
 func (r *Router) reevaluateLostRoots() {
-	recovered := make(map[byte]bool)
-	//simlint:deterministic accumulates into the recovered set; processReachability sorts before sending
-	for root := range r.lostSent {
+	var recovered rootSet
+	var buf [256]byte
+	for _, root := range r.lostSent.appendTo(buf[:0]) {
 		if r.reachable(root) {
-			recovered[root] = true
+			recovered.add(root)
 		}
 	}
-	if len(recovered) > 0 {
-		r.processReachability(recovered, 0, false)
-	}
+	r.applyReachability(recovered)
 }
 
 // NeighborState reports the adjacency state on a port ("down", "up",
 // "failed"), the operational visibility a `show mtp neighbors` would give.
 func (r *Router) NeighborState(port int) string {
-	adj := r.adjs[port]
+	adj := r.adj(port)
 	if adj == nil {
 		return "none"
 	}

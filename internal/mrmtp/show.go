@@ -2,7 +2,6 @@ package mrmtp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -10,19 +9,14 @@ import (
 // equivalent of `show ip bgp summary`, with Quick-to-Detect state instead
 // of an FSM column.
 func (r *Router) RenderNeighbors() string {
-	ports := make([]int, 0, len(r.adjs))
-	for p := range r.adjs {
-		ports = append(ports, p)
-	}
-	sort.Ints(ports)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-6s %-8s %-6s %-10s %-10s\n", "port", "state", "tier", "lastRx", "lastTx")
-	for _, p := range ports {
-		adj := r.adjs[p]
+	for _, adj := range r.adjs {
 		tier := "?"
 		if adj.neighborTier > 0 {
 			tier = fmt.Sprint(adj.neighborTier)
 		}
+		p := adj.port.Index
 		fmt.Fprintf(&b, "eth%-3d %-8s %-6s %-10v %-10v\n",
 			p, r.NeighborState(p), tier, adj.lastRx, adj.lastTx)
 	}
@@ -33,28 +27,20 @@ func (r *Router) RenderNeighbors() string {
 // describes as "a certain port cannot be used for traffic destined to
 // VID 11" (§VII.B). Empty in a healthy fabric.
 func (r *Router) RenderUnreachable() string {
-	ports := make([]int, 0, len(r.unreachable))
-	for p, marks := range r.unreachable {
-		if len(marks) > 0 {
-			ports = append(ports, p)
-		}
-	}
-	if len(ports) == 0 {
-		return "no unreachable VIDs recorded\n"
-	}
-	sort.Ints(ports)
 	var b strings.Builder
-	for _, p := range ports {
-		roots := make([]int, 0, len(r.unreachable[p]))
-		for root := range r.unreachable[p] {
-			roots = append(roots, int(root))
+	for _, adj := range r.adjs {
+		roots := adj.unreachable.appendTo(nil)
+		if len(roots) == 0 {
+			continue
 		}
-		sort.Ints(roots)
 		parts := make([]string, len(roots))
 		for i, root := range roots {
 			parts[i] = fmt.Sprint(root)
 		}
-		fmt.Fprintf(&b, "eth%d\tcannot reach VIDs %s\n", p, strings.Join(parts, ", "))
+		fmt.Fprintf(&b, "eth%d\tcannot reach VIDs %s\n", adj.port.Index, strings.Join(parts, ", "))
+	}
+	if b.Len() == 0 {
+		return "no unreachable VIDs recorded\n"
 	}
 	return b.String()
 }
@@ -62,7 +48,7 @@ func (r *Router) RenderUnreachable() string {
 // Summary returns a one-line state digest for dashboards and tests.
 func (r *Router) Summary() string {
 	up := 0
-	for _, adj := range r.adjList {
+	for _, adj := range r.adjs {
 		if adj.state == adjUp {
 			up++
 		}
@@ -72,5 +58,5 @@ func (r *Router) Summary() string {
 		role = fmt.Sprintf("ToR VID %d (%s)", r.rootVID, r.Cfg.RackSubnet)
 	}
 	return fmt.Sprintf("%s: %s, %d VIDs, %d/%d neighbors up",
-		r.Node.Name, role, r.TableSize(), up, len(r.adjs))
+		r.Node.Name, role, r.size, up, len(r.adjs))
 }
