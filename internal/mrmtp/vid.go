@@ -90,9 +90,6 @@ func (v VID) Equal(w VID) bool {
 // Key returns a comparable map key for the VID.
 func (v VID) Key() string { return string(v) }
 
-// Depth returns the number of hops from the root (a root VID has depth 0).
-func (v VID) Depth() int { return len(v) - 1 }
-
 // HasPrefix reports whether p is an ancestor of (or equal to) v in the tree.
 func (v VID) HasPrefix(p VID) bool {
 	if len(p) > len(v) {

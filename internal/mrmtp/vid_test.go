@@ -58,9 +58,6 @@ func TestVIDExtend(t *testing.T) {
 	if grand.Root() != 11 {
 		t.Errorf("Root = %d, want 11", grand.Root())
 	}
-	if grand.Depth() != 2 {
-		t.Errorf("Depth = %d, want 2", grand.Depth())
-	}
 	// Extend must not alias the parent.
 	if child.String() != "11.1" {
 		t.Error("Extend mutated the parent VID")

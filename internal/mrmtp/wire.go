@@ -3,9 +3,6 @@ package mrmtp
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/ethernet"
-	"repro/internal/netaddr"
 )
 
 // Message type bytes. HELLO is 0x06 so that the keep-alive frame carries
@@ -177,17 +174,4 @@ func ParseData(b []byte) (DataHeader, []byte, error) {
 		return DataHeader{}, nil, ErrMalformed
 	}
 	return DataHeader{TTL: b[1], SrcRoot: b[2], DstRoot: b[3]}, b[DataHeaderLen:], nil
-}
-
-// frame wraps an MR-MTP payload in the broadcast-addressed Ethernet frame
-// the paper uses (§VII.F: broadcast destination avoids ARP on the
-// point-to-point links).
-func frame(src netaddr.MAC, payload []byte) []byte {
-	f := ethernet.Frame{
-		Dst:       netaddr.Broadcast,
-		Src:       src,
-		EtherType: ethernet.TypeMRMTP,
-		Payload:   payload,
-	}
-	return f.Marshal()
 }

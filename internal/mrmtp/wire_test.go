@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/ethernet"
 	"repro/internal/netaddr"
 )
 
@@ -25,8 +26,11 @@ func TestHelloIsOneByte(t *testing.T) {
 	if len(b) != 1 || b[0] != 0x06 {
 		t.Fatalf("hello = % x, want the single byte 06 of Fig. 10", b)
 	}
-	// Full frame: 15 bytes at layer 2 with broadcast addressing.
-	fr := frame(netaddr.MAC{0x6a}, b)
+	// Full frame: 15 bytes at layer 2 with broadcast addressing (§VII.F:
+	// a broadcast destination avoids ARP on the point-to-point links).
+	f := ethernet.Frame{Dst: netaddr.Broadcast, Src: netaddr.MAC{0x6a},
+		EtherType: ethernet.TypeMRMTP, Payload: b}
+	fr := f.Marshal()
 	if len(fr) != 15 {
 		t.Errorf("hello frame = %d bytes, want 15", len(fr))
 	}
