@@ -53,6 +53,12 @@ func (s MultiTierSpec) Validate() error {
 	case s.Zones*s.PodsPerZone*s.LeavesPerPod > 245:
 		return fmt.Errorf("topology: %d leaves exceed the single-byte VID space",
 			s.Zones*s.PodsPerZone*s.LeavesPerPod)
+	case s.UplinksPerZone+s.PodsPerZone > maxPorts:
+		return tooWide("zone spine", s.UplinksPerZone+s.PodsPerZone)
+	case s.UplinksPerSpine+s.LeavesPerPod > maxPorts:
+		return tooWide("pod spine", s.UplinksPerSpine+s.LeavesPerPod)
+	case s.SpinesPerPod+s.ServersPerLeaf > maxPorts:
+		return tooWide("leaf", s.SpinesPerPod+s.ServersPerLeaf)
 	}
 	return nil
 }

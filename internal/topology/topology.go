@@ -100,8 +100,23 @@ func (s Spec) Validate() error {
 		// ToR VIDs are derived from the third byte of 192.168.x.0/24
 		// (paper §III.A) starting at 11, so 245 leaves fit.
 		return fmt.Errorf("topology: %d leaves exceed the single-byte VID space", s.Pods*s.LeavesPerPod)
+	case s.UplinksPerSpine+s.LeavesPerPod > maxPorts:
+		return tooWide("pod spine", s.UplinksPerSpine+s.LeavesPerPod)
+	case s.SpinesPerPod+s.ServersPerLeaf > maxPorts:
+		return tooWide("leaf", s.SpinesPerPod+s.ServersPerLeaf)
 	}
 	return nil
+}
+
+// maxPorts is the widest device a fabric may hold: a child VID appends the
+// port its JOIN arrived on as one byte (paper §III.B), so on a wider device
+// two ports would hand out the same VID. Top spines need no case of their
+// own: they have one port per pod (or zone), which the leaf cap bounds.
+const maxPorts = 255
+
+func tooWide(class string, ports int) error {
+	return fmt.Errorf("topology: a %s would have %d ports, more than the %d a VID's port byte can name",
+		class, ports, maxPorts)
 }
 
 // Device is one node in the fabric.
