@@ -1,15 +1,10 @@
 // Package netaddr provides the MAC and IPv4 address types shared by every
 // protocol stack in the repository. It is a small, allocation-free subset of
 // what net/netip offers, tailored to the simulator: addresses are comparable
-// array values so they can key maps, and parsing is strict.
+// array values so they can key maps.
 package netaddr
 
-import (
-	"errors"
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // MAC is a 48-bit Ethernet hardware address.
 type MAC [6]byte
@@ -53,26 +48,6 @@ func (ip IPv4) String() string {
 // IsZero reports whether ip is the unspecified address.
 func (ip IPv4) IsZero() bool { return ip == IPv4Zero }
 
-// ParseIPv4 parses a dotted-quad string.
-func ParseIPv4(s string) (IPv4, error) {
-	var ip IPv4
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return ip, fmt.Errorf("netaddr: malformed IPv4 %q", s)
-	}
-	for i, p := range parts {
-		if p == "" || (len(p) > 1 && p[0] == '0') {
-			return ip, fmt.Errorf("netaddr: malformed IPv4 %q", s)
-		}
-		v, err := strconv.ParseUint(p, 10, 8)
-		if err != nil {
-			return ip, fmt.Errorf("netaddr: malformed IPv4 %q: %v", s, err)
-		}
-		ip[i] = byte(v)
-	}
-	return ip, nil
-}
-
 // Prefix is an IPv4 CIDR prefix.
 type Prefix struct {
 	IP   IPv4 // network address (low bits zero)
@@ -101,31 +76,6 @@ func (p Prefix) Contains(ip IPv4) bool {
 
 // String renders the a.b.c.d/len form.
 func (p Prefix) String() string { return fmt.Sprintf("%s/%d", p.IP, p.Bits) }
-
-// Overlaps reports whether the two prefixes share any address.
-func (p Prefix) Overlaps(q Prefix) bool {
-	return p.Contains(q.IP) || q.Contains(p.IP)
-}
-
-// ParsePrefix parses the a.b.c.d/len form.
-func ParsePrefix(s string) (Prefix, error) {
-	slash := strings.IndexByte(s, '/')
-	if slash < 0 {
-		return Prefix{}, fmt.Errorf("netaddr: malformed prefix %q", s)
-	}
-	ip, err := ParseIPv4(s[:slash])
-	if err != nil {
-		return Prefix{}, err
-	}
-	bits, err := strconv.Atoi(s[slash+1:])
-	if err != nil || bits < 0 || bits > 32 {
-		return Prefix{}, fmt.Errorf("netaddr: malformed prefix length in %q", s)
-	}
-	if ip.Uint32()&^maskFor(bits) != 0 {
-		return Prefix{}, errors.New("netaddr: prefix has host bits set: " + s)
-	}
-	return Prefix{IP: ip, Bits: bits}, nil
-}
 
 // Host returns the n-th host address inside the prefix (n=1 is the first
 // usable address). It panics if n does not fit in the host part; topology
