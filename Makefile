@@ -103,9 +103,12 @@ trace-smoke:
 
 # fuzz-smoke gives each wire-decoder fuzz target, the differential targets
 # holding the checksum kernel to the 16-bit reference loop and the indexed FIB
-# to the linear scan, and the workload receive path (an open UDP port on every
-# host) a short budget on top of its seed corpus — a regression tripwire, not
-# a campaign.
+# to the linear scan, the workload receive path (an open UDP port on every
+# host) and the one stateful target — arbitrary frame sequences into warm
+# MR-MTP routers — a short budget on top of its seed corpus: a regression
+# tripwire, not a campaign. FuzzRouterFrames brings a fabric up per input, so
+# its minimizer is capped or it would spend the whole budget shrinking the
+# first input it keeps.
 FUZZ_TIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZ_TIME) ./internal/ethernet
@@ -113,6 +116,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChecksum -fuzztime $(FUZZ_TIME) ./internal/ipv4
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZ_TIME) ./internal/udp
 	$(GO) test -run '^$$' -fuzz FuzzParseMessage -fuzztime $(FUZZ_TIME) ./internal/mrmtp
+	$(GO) test -run '^$$' -fuzz FuzzRouterFrames -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./internal/mrmtp
 	$(GO) test -run '^$$' -fuzz FuzzParseMessage -fuzztime $(FUZZ_TIME) ./internal/bgp
 	$(GO) test -run '^$$' -fuzz FuzzFIBLookup -fuzztime $(FUZZ_TIME) ./internal/ipstack
 	$(GO) test -run '^$$' -fuzz FuzzOnDatagram -fuzztime $(FUZZ_TIME) ./internal/workload
