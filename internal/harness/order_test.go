@@ -23,27 +23,14 @@ import (
 // emission — so a change of representation may not move the hashes below.
 // They were recorded on b1829f9, before the one-table refactor of ISSUE 21.
 func TestControlOrderPinned(t *testing.T) {
-	twoPod := DefaultOptions(topology.TwoPodSpec(), ProtoMRMTP, 42)
-	var twoPodPoints []topology.FailurePoint
-	topo, err := topology.Build(twoPod.Spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range topology.AllFailureCases() {
-		fp, err := topo.FailurePoint(tc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		twoPodPoints = append(twoPodPoints, fp)
-	}
 	for _, tc := range []struct {
 		name   string
 		opts   Options
-		points []topology.FailurePoint
+		points []topology.FailurePoint // nil = TC1-TC4
 		frames int
 		hash   uint64
 	}{
-		{"two-pod", twoPod, twoPodPoints, 22448, 0x101e04defd877089},
+		{"two-pod", DefaultOptions(topology.TwoPodSpec(), ProtoMRMTP, 42), nil, 22448, 0x101e04defd877089},
 		// The four-tier analogues of TC1-TC4, one tier further up: both ends
 		// of L-1-1-1 / S-1-1-1, then the pod spine's and the zone spine's
 		// uplinks, then the far end of the latter.
@@ -89,6 +76,15 @@ func runControlOrder(t *testing.T, opts Options, points []topology.FailurePoint)
 	}
 	if err := f.WarmUp(WarmupTime); err != nil {
 		t.Fatal(err)
+	}
+	if points == nil {
+		for _, tc := range topology.AllFailureCases() {
+			fp, err := f.Topo.FailurePoint(tc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			points = append(points, fp)
+		}
 	}
 	for _, fp := range points {
 		if _, err := f.FailPoint(fp); err != nil {

@@ -3,8 +3,8 @@ package mrmtp
 import "repro/internal/invariant"
 
 // checkVIDTable validates the VID table after a mutation batch (offer
-// installation, neighbor loss, staged UPDATEs). Callers guard with
-// invariant.Enabled. The invariants:
+// installation, neighbor loss, staged UPDATEs). The router's own callers
+// guard with invariant.Enabled. The invariants:
 //
 //   - every row is filed under its VID's own root, and no VID is held
 //     twice;

@@ -193,29 +193,35 @@ func TestSpecValidation(t *testing.T) {
 // saying which device class and how many ports, rather than build a fabric
 // whose child VIDs collide.
 func TestSpecRejectsWideDevices(t *testing.T) {
-	three := Spec{Pods: 2, LeavesPerPod: 2, SpinesPerPod: 2, UplinksPerSpine: 2, ServersPerLeaf: 1}
-	four := MultiTierSpec{Zones: 2, PodsPerZone: 2, LeavesPerPod: 2, SpinesPerPod: 2,
-		UplinksPerSpine: 2, UplinksPerZone: 2, ServersPerLeaf: 1}
-	type validator interface{ Validate() error }
+	three := func(edit func(*Spec)) error {
+		s := TwoPodSpec()
+		edit(&s)
+		return s.Validate()
+	}
+	four := func(edit func(*MultiTierSpec)) error {
+		s := MultiTierSpec{Zones: 2, PodsPerZone: 2, LeavesPerPod: 2, SpinesPerPod: 2,
+			UplinksPerSpine: 2, UplinksPerZone: 2, ServersPerLeaf: 1}
+		edit(&s)
+		return s.Validate()
+	}
 	for _, tc := range []struct {
 		name string
-		spec validator
+		err  error
 		want string // "" = accepted
 	}{
-		{"pod spine at the limit", func() Spec { s := three; s.UplinksPerSpine = 253; return s }(), ""},
-		{"pod spine", func() Spec { s := three; s.UplinksPerSpine = 300; return s }(), "pod spine would have 302 ports"},
-		{"leaf uplinks", func() Spec { s := three; s.SpinesPerPod = 255; return s }(), "leaf would have 256 ports"},
-		{"leaf servers", func() Spec { s := three; s.ServersPerLeaf = 254; return s }(), "leaf would have 256 ports"},
-		{"four-tier pod spine", func() MultiTierSpec { s := four; s.UplinksPerSpine = 300; return s }(), "pod spine would have 302 ports"},
-		{"four-tier zone spine", func() MultiTierSpec { s := four; s.UplinksPerZone = 254; return s }(), "zone spine would have 256 ports"},
-		{"four-tier leaf", func() MultiTierSpec { s := four; s.SpinesPerPod = 255; return s }(), "leaf would have 256 ports"},
+		{"pod spine at the limit", three(func(s *Spec) { s.UplinksPerSpine = 253 }), ""},
+		{"pod spine", three(func(s *Spec) { s.UplinksPerSpine = 300 }), "pod spine would have 302 ports"},
+		{"leaf uplinks", three(func(s *Spec) { s.SpinesPerPod = 255 }), "leaf would have 256 ports"},
+		{"leaf servers", three(func(s *Spec) { s.ServersPerLeaf = 254 }), "leaf would have 256 ports"},
+		{"four-tier pod spine", four(func(s *MultiTierSpec) { s.UplinksPerSpine = 300 }), "pod spine would have 302 ports"},
+		{"four-tier zone spine", four(func(s *MultiTierSpec) { s.UplinksPerZone = 254 }), "zone spine would have 256 ports"},
+		{"four-tier leaf", four(func(s *MultiTierSpec) { s.SpinesPerPod = 255 }), "leaf would have 256 ports"},
 	} {
-		err := tc.spec.Validate()
 		switch {
-		case tc.want == "" && err != nil:
-			t.Errorf("%s: rejected: %v", tc.name, err)
-		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
-			t.Errorf("%s: Validate() = %v, want an error containing %q", tc.name, err, tc.want)
+		case tc.want == "" && tc.err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, tc.err)
+		case tc.want != "" && (tc.err == nil || !strings.Contains(tc.err.Error(), tc.want)):
+			t.Errorf("%s: Validate() = %v, want an error containing %q", tc.name, tc.err, tc.want)
 		}
 	}
 }
