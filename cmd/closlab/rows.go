@@ -170,15 +170,12 @@ func scale(e *env) error {
 	if err != nil {
 		return err
 	}
-	fourTier := topology.MultiTierSpec{Zones: 2, PodsPerZone: 2, LeavesPerPod: 2,
+	fourTier := topology.Spec{Pods: 4, Zones: 2, LeavesPerPod: 2,
 		SpinesPerPod: 2, UplinksPerSpine: 2, UplinksPerZone: 2, ServersPerLeaf: 1}
-	_, err = sweep(e, []topology.Spec{{}}, mrmtpOnly, e.trials, []topology.FailurePoint{{Device: "A-1-1", Port: 1}},
-		func(o harness.Options, fp topology.FailurePoint) (harness.FailureResult, error) {
-			o.MultiTier = &fourTier
-			return harness.RunPortFailure(o, fp)
-		}, harness.SummarizeFailures,
-		func(_ topology.Spec, _ harness.Protocol, fp topology.FailurePoint, s harness.FailureSummary) {
-			row("4-tier (2 zones x 2 PoDs)", fmt.Sprintf("%s eth%d", fp.Device, fp.Port), s)
+	_, err = sweep(e, []topology.Spec{fourTier}, mrmtpOnly, e.trials, []topology.FailurePoint{{Device: "A-1-1", Port: 1}},
+		harness.RunPortFailure, harness.SummarizeFailures,
+		func(spec topology.Spec, _ harness.Protocol, fp topology.FailurePoint, s harness.FailureSummary) {
+			row(fmt.Sprintf("4-tier (%d zones x %d PoDs)", spec.Zones, spec.Pods/spec.Zones), fmt.Sprintf("%s eth%d", fp.Device, fp.Port), s)
 		})
 	emitf("\n")
 	return err

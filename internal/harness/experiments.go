@@ -169,23 +169,37 @@ func RunLoss(opts Options, tc topology.FailureCase, reverse bool) (LossResult, e
 
 // PickFlowPort finds a UDP source port whose flow hash selects the first
 // uplink at every branching tier, steering the probe flow across the
-// monitored L-1-1/S-1-1/T-1 column for both protocols (which share the
-// flowhash function).
+// monitored TC1–TC4 column for both protocols (which share the flowhash
+// function).
 func PickFlowPort(f *Fabric, cfg trafficgen.Config) uint16 {
-	s := f.Opts.Spec.SpinesPerPod
-	u := f.Opts.Spec.UplinksPerSpine
 	for port := cfg.SrcPort; port < cfg.SrcPort+4096; port++ {
 		k := flowhash.Key{
 			Src: cfg.Src, Dst: cfg.Dst,
 			Proto:   ipv4.ProtoUDP,
 			SrcPort: port, DstPort: cfg.DstPort,
 		}
-		h := int(k.Hash())
-		if h%s == 0 && h%u == 0 {
+		if picksFirstUplinks(f.Topo, int(k.Hash())) {
 			return port
 		}
 	}
 	return cfg.SrcPort
+}
+
+// picksFirstUplinks reports whether a flow hash selects uplink 1 of every
+// device on the way up from the first leaf: h mod the device's uplink count.
+func picksFirstUplinks(topo *topology.Topology, h int) bool {
+	for d := topo.Leaves[0]; d.Ports[1].IsUplink(); d = d.Ports[1].Peer.Device {
+		uplinks := 0
+		for _, p := range d.Ports[1:] {
+			if p.IsUplink() {
+				uplinks++
+			}
+		}
+		if h%uplinks != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // KeepAliveResult summarizes idle-fabric wire traffic on one link over a

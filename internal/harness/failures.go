@@ -34,8 +34,8 @@ func RunNodeFailure(opts Options, victim string) (FailureResult, error) {
 }
 
 // RunPortFailure measures convergence/blast/overhead when one named
-// interface fails, for fabrics whose column the TC1–TC4 failure points do
-// not name (the four-tier fabric's zone spines). The result carries no
+// interface fails, for interfaces the TC1–TC4 failure points do not name (a
+// zone spine's uplink in the four-tier fabric). The result carries no
 // failure case.
 func RunPortFailure(opts Options, fp topology.FailurePoint) (FailureResult, error) {
 	return measureFailure(opts, 0, func(f *Fabric) (time.Duration, error) { return f.FailPoint(fp) })

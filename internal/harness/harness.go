@@ -50,12 +50,9 @@ func (p Protocol) MarshalText() ([]byte, error) { return []byte(p.String()), nil
 
 // Options configures a fabric build.
 type Options struct {
-	Spec topology.Spec
-	// MultiTier, when non-nil, selects the four-tier fabric of the
-	// paper's §IX scaling study instead of Spec.
-	MultiTier *topology.MultiTierSpec
-	Protocol  Protocol
-	Seed      int64
+	Spec     topology.Spec
+	Protocol Protocol
+	Seed     int64
 
 	// BGPTimers defaults to the paper's 1 s/3 s with MRAI 0.
 	BGPTimers bgp.Timers
@@ -128,13 +125,7 @@ func (f *Fabric) nextProbeID() uint16 {
 
 // Build realizes the fabric. Call Start (or WarmUp) before experiments.
 func Build(opts Options) (*Fabric, error) {
-	var topo *topology.Topology
-	var err error
-	if opts.MultiTier != nil {
-		topo, err = topology.BuildMultiTier(*opts.MultiTier)
-	} else {
-		topo, err = topology.Build(opts.Spec)
-	}
+	topo, err := topology.Build(opts.Spec)
 	if err != nil {
 		return nil, err
 	}
@@ -266,9 +257,16 @@ func (f *Fabric) buildBGP(withBFD bool) {
 	}
 }
 
-// routerID derives a unique BGP identifier per device.
+// routerID derives a unique identifier per router: 10.<level>.<pod>.<index>.
+// Zone and top spines belong to no pod, and a zone spine's index repeats in
+// every zone, so their last two bytes are the 16-bit creation rank instead —
+// which for a top spine is its index, the tops being built first.
 func routerID(d *topology.Device) netaddr.IPv4 {
-	return netaddr.MakeIPv4(10, byte(d.Tier), byte(d.Pod), byte(d.Index))
+	hi, lo := d.Pod, d.Index
+	if d.Pod == 0 {
+		hi, lo = (d.Ordinal+1)>>8, (d.Ordinal+1)&0xff
+	}
+	return netaddr.MakeIPv4(10, byte(d.Level), byte(hi), byte(lo))
 }
 
 // recorder returns the metrics sink for protocol daemons, teeing into the
@@ -321,24 +319,17 @@ func (f *Fabric) CheckConverged() error {
 				return fmt.Errorf("harness: %s holds %d VIDs, want %d (one per ToR)", d.Name, r.TableSize(), leaves)
 			}
 		}
-		leavesPerPod := f.Opts.Spec.LeavesPerPod
-		if f.Opts.MultiTier != nil {
-			leavesPerPod = f.Opts.MultiTier.LeavesPerPod
-		}
 		for _, d := range f.Topo.Spines {
 			r := f.Routers[d.Name]
-			if r.TableSize() != leavesPerPod {
-				return fmt.Errorf("harness: %s holds %d VIDs, want %d", d.Name, r.TableSize(), leavesPerPod)
+			if want := f.Opts.Spec.LeavesPerPod; r.TableSize() != want {
+				return fmt.Errorf("harness: %s holds %d VIDs, want %d", d.Name, r.TableSize(), want)
 			}
 		}
-		if f.Opts.MultiTier != nil {
-			// Zone spines hold one VID per leaf in their zone.
-			perZone := f.Opts.MultiTier.PodsPerZone * f.Opts.MultiTier.LeavesPerPod
-			for _, d := range f.Topo.Aggs {
-				r := f.Routers[d.Name]
-				if r.TableSize() != perZone {
-					return fmt.Errorf("harness: %s holds %d VIDs, want %d", d.Name, r.TableSize(), perZone)
-				}
+		// Zone spines hold one VID per leaf in their zone.
+		for _, d := range f.Topo.Aggs {
+			r := f.Routers[d.Name]
+			if want := leaves / f.Opts.Spec.Zones; r.TableSize() != want {
+				return fmt.Errorf("harness: %s holds %d VIDs, want %d", d.Name, r.TableSize(), want)
 			}
 		}
 		return nil

@@ -12,9 +12,9 @@ import (
 
 // fourTier is a 2-zone, 2-pods-per-zone, four-tier fabric: 8 leaves,
 // 8 pod spines, 8 zone spines, 8 super spines = 32 routers.
-func fourTier() topology.MultiTierSpec {
-	return topology.MultiTierSpec{
-		Zones: 2, PodsPerZone: 2, LeavesPerPod: 2,
+func fourTier() topology.Spec {
+	return topology.Spec{
+		Pods: 4, Zones: 2, LeavesPerPod: 2,
 		SpinesPerPod: 2, UplinksPerSpine: 2, UplinksPerZone: 2,
 		ServersPerLeaf: 1,
 	}
@@ -23,14 +23,9 @@ func fourTier() topology.MultiTierSpec {
 // zoneSpineUplink is A-1-1's uplink to T-1, the 4-tier analogue of TC3.
 var zoneSpineUplink = topology.FailurePoint{Device: "A-1-1", Port: 1}
 
-func fourTierOptions(proto Protocol) Options {
-	opts := DefaultOptions(topology.Spec{}, proto, 42)
-	mt := fourTier()
-	opts.MultiTier = &mt
-	return opts
-}
+func fourTierOptions(proto Protocol) Options { return DefaultOptions(fourTier(), proto, 42) }
 
-func buildMultiTier(t *testing.T, proto Protocol) *Fabric {
+func warmFourTier(t *testing.T, proto Protocol) *Fabric {
 	t.Helper()
 	f, err := Build(fourTierOptions(proto))
 	if err != nil {
@@ -43,7 +38,7 @@ func buildMultiTier(t *testing.T, proto Protocol) *Fabric {
 }
 
 func TestMultiTierTopologyShape(t *testing.T) {
-	topo, err := topology.BuildMultiTier(fourTier())
+	topo, err := topology.Build(fourTier())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,18 +68,18 @@ func TestMultiTierTopologyShape(t *testing.T) {
 func TestMultiTierSpecValidation(t *testing.T) {
 	bad := fourTier()
 	bad.Zones = 1
-	if _, err := topology.BuildMultiTier(bad); err == nil {
+	if _, err := topology.Build(bad); err == nil {
 		t.Error("single-zone multi-tier accepted")
 	}
 	bad = fourTier()
 	bad.UplinksPerZone = 0
-	if _, err := topology.BuildMultiTier(bad); err == nil {
+	if _, err := topology.Build(bad); err == nil {
 		t.Error("zero zone uplinks accepted")
 	}
 }
 
 func TestMultiTierMRMTPConverges(t *testing.T) {
-	f := buildMultiTier(t, ProtoMRMTP)
+	f := warmFourTier(t, ProtoMRMTP)
 	if err := f.CheckConverged(); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +97,7 @@ func TestMultiTierMRMTPConverges(t *testing.T) {
 }
 
 func TestMultiTierMRMTPCrossZoneTraffic(t *testing.T) {
-	f := buildMultiTier(t, ProtoMRMTP)
+	f := warmFourTier(t, ProtoMRMTP)
 	// VID 11 is in zone 1; VID 18 (the last leaf) is in zone 2.
 	src, srcDev, err := f.ServerStack(11, 1)
 	if err != nil {
@@ -124,7 +119,7 @@ func TestMultiTierMRMTPCrossZoneTraffic(t *testing.T) {
 }
 
 func TestMultiTierBGPConverges(t *testing.T) {
-	f := buildMultiTier(t, ProtoBGP)
+	f := warmFourTier(t, ProtoBGP)
 	if err := f.CheckConverged(); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +140,7 @@ func TestMultiTierBGPConverges(t *testing.T) {
 func TestMultiTierFailureRecovery(t *testing.T) {
 	// Fail a zone spine's uplink (the 4-tier analogue of TC3) and verify
 	// MR-MTP reconverges with the same dead-timer characteristics.
-	f := buildMultiTier(t, ProtoMRMTP)
+	f := warmFourTier(t, ProtoMRMTP)
 	f.Log.Reset()
 	failAt, err := f.FailPoint(zoneSpineUplink) // A-1-1's uplink to T-1
 	if err != nil {
@@ -190,7 +185,7 @@ func TestRunPortFailureFourTier(t *testing.T) {
 }
 
 func TestMultiTierListing2Config(t *testing.T) {
-	topo, err := topology.BuildMultiTier(fourTier())
+	topo, err := topology.Build(fourTier())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,5 +199,83 @@ func TestMultiTierListing2Config(t *testing.T) {
 	}
 	if _, err := topology.ParseConfig(blob); err != nil {
 		t.Errorf("multi-tier config does not round-trip: %v", err)
+	}
+}
+
+// TestFourTierFailureCases: TC1–TC4 resolve on the four-tier fabric to the
+// same column one name longer, and the failure and loss experiments run on
+// it like on any other. MR-MTP's advantage where the far end must time the
+// failure out — TC2, TC4 for the near sender — holds one tier up.
+func TestFourTierFailureCases(t *testing.T) {
+	topo, err := topology.Build(fourTier())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tc, want := range map[topology.FailureCase]topology.FailurePoint{
+		topology.TC1: {Device: "L-1-1-1", Port: 1},
+		topology.TC2: {Device: "S-1-1-1", Port: 3},
+		topology.TC3: {Device: "S-1-1-1", Port: 1},
+		topology.TC4: {Device: "A-1-1", Port: 3},
+	} {
+		if got, err := topo.FailurePoint(tc); err != nil || got != want {
+			t.Errorf("FailurePoint(%v) = %+v, %v; want %+v", tc, got, err, want)
+		}
+	}
+	lost := make(map[Protocol]map[topology.FailureCase]uint64)
+	for _, proto := range []Protocol{ProtoMRMTP, ProtoBGP} {
+		lost[proto] = make(map[topology.FailureCase]uint64)
+		for _, tc := range topology.AllFailureCases() {
+			if _, err := RunFailure(fourTierOptions(proto), tc); err != nil {
+				t.Errorf("RunFailure(%v, %v): %v", proto, tc, err)
+			}
+			r, err := RunLoss(fourTierOptions(proto), tc, false)
+			if err != nil {
+				t.Fatalf("RunLoss(%v, %v): %v", proto, tc, err)
+			}
+			lost[proto][tc] = r.Report.Lost
+		}
+	}
+	for _, tc := range []topology.FailureCase{topology.TC2, topology.TC4} {
+		if m, b := lost[ProtoMRMTP][tc], lost[ProtoBGP][tc]; m > b {
+			t.Errorf("%v: MR-MTP lost %d packets, BGP/ECMP %d; want no more", tc, m, b)
+		}
+	}
+	t.Logf("packets lost: %v", lost)
+}
+
+// TestRouterIDsUnique: the identifier is a BGP Router-ID and the address an
+// MR-MTP router answers path-trace probes from, so no two routers of a
+// fabric may share one — zone spines included, which sit in no pod and
+// repeat their index in every zone.
+func TestRouterIDsUnique(t *testing.T) {
+	for _, spec := range []topology.Spec{
+		topology.TwoPodSpec(), topology.FourPodSpec(),
+		{Pods: 24, LeavesPerPod: 4, SpinesPerPod: 4, UplinksPerSpine: 2, ServersPerLeaf: 1},
+		fourTier(),
+		{Pods: 6, Zones: 3, LeavesPerPod: 3, SpinesPerPod: 2, UplinksPerSpine: 3, UplinksPerZone: 2, ServersPerLeaf: 2},
+		// More top spines than a byte counts.
+		{Pods: 1, LeavesPerPod: 1, SpinesPerPod: 16, UplinksPerSpine: 17},
+	} {
+		topo, err := topology.Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[netaddr.IPv4]string)
+		for _, d := range topo.Routers() {
+			id := routerID(d)
+			if prev, dup := seen[id]; dup {
+				t.Errorf("%+v: %s and %s share router ID %s", spec, prev, d.Name, id)
+			}
+			seen[id] = d.Name
+		}
+	}
+	// The paper's fabrics keep the IDs their golden pcaps carry.
+	topo, _ := topology.Build(topology.TwoPodSpec())
+	for name, want := range map[string]netaddr.IPv4{
+		"L-2-1": netaddr.MakeIPv4(10, 1, 2, 1), "S-1-2": netaddr.MakeIPv4(10, 2, 1, 2), "T-4": netaddr.MakeIPv4(10, 3, 0, 4),
+	} {
+		if got := routerID(topo.Device(name)); got != want {
+			t.Errorf("routerID(%s) = %s, want %s", name, got, want)
+		}
 	}
 }

@@ -447,7 +447,7 @@ type TraceResult struct {
 // fleet, warm up, probe through a lead-in, arm the localizer, inject the
 // scenario, sweep to the horizon plus settle, and score.
 func RunTrace(opts Options, sc TraceScenario) (TraceResult, error) {
-	if opts.MultiTier != nil {
+	if opts.Spec.Zones != 0 {
 		return TraceResult{}, fmt.Errorf("harness: trace campaigns support the standard three-tier specs only")
 	}
 	f, err := Build(opts)

@@ -3,18 +3,19 @@ package topology
 import "fmt"
 
 // FailureCase identifies one of the paper's four interface-failure test
-// points (Fig. 3). All four sit on the L-1-1 / S-1-1 / T-1 column; TC1/TC2
-// are the two ends of the leaf↔spine link and TC3/TC4 the two ends of the
-// spine↔top link. The *end* matters: the device owning the failed interface
-// detects it immediately, the other end only via protocol timers.
+// points (Fig. 3). All four sit on the fabric's first column — L-1-1 / S-1-1
+// / T-1 in the paper's fabrics: TC1/TC2 are the two ends of the first leaf's
+// first uplink and TC3/TC4 the two ends of that spine's first uplink. The
+// *end* matters: the device owning the failed interface detects it
+// immediately, the other end only via protocol timers.
 type FailureCase int
 
 // The paper's failure test cases.
 const (
 	TC1 FailureCase = iota + 1 // L-1-1's uplink interface to S-1-1
 	TC2                        // S-1-1's downlink interface to L-1-1
-	TC3                        // S-1-1's uplink interface to T-1
-	TC4                        // T-1's downlink interface to S-1-1
+	TC3                        // S-1-1's uplink interface to T-1 (to A-1-1 under a zone tier)
+	TC4                        // the downlink interface at the other end of TC3's link
 )
 
 func (c FailureCase) String() string {
@@ -35,33 +36,20 @@ type FailurePoint struct {
 
 // FailurePoint resolves a test case against this fabric.
 func (t *Topology) FailurePoint(c FailureCase) (FailurePoint, error) {
-	leaf := t.Devices["L-1-1"]
-	spine := t.Devices["S-1-1"]
-	top := t.Devices["T-1"]
-	if leaf == nil || spine == nil || top == nil {
-		return FailurePoint{}, fmt.Errorf("topology: fabric lacks the L-1-1/S-1-1/T-1 column")
-	}
-	find := func(from *Device, to *Device) (int, error) {
-		for _, p := range from.Ports[1:] {
-			if p.Peer.Device == to {
-				return p.Index, nil
-			}
-		}
-		return 0, fmt.Errorf("topology: %s has no link to %s", from.Name, to.Name)
-	}
+	leafUp := t.Leaves[0].Ports[1]
+	spineUp := leafUp.Peer.Device.Ports[1]
+	var p *Port
 	switch c {
 	case TC1:
-		idx, err := find(leaf, spine)
-		return FailurePoint{leaf.Name, idx}, err
+		p = leafUp
 	case TC2:
-		idx, err := find(spine, leaf)
-		return FailurePoint{spine.Name, idx}, err
+		p = leafUp.Peer
 	case TC3:
-		idx, err := find(spine, top)
-		return FailurePoint{spine.Name, idx}, err
+		p = spineUp
 	case TC4:
-		idx, err := find(top, spine)
-		return FailurePoint{top.Name, idx}, err
+		p = spineUp.Peer
+	default:
+		return FailurePoint{}, fmt.Errorf("topology: unknown failure case %d", int(c))
 	}
-	return FailurePoint{}, fmt.Errorf("topology: unknown failure case %d", int(c))
+	return FailurePoint{p.Device.Name, p.Index}, nil
 }

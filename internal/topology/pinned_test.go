@@ -31,11 +31,11 @@ func TestFabricWiringPinned(t *testing.T) {
 			return Build(Spec{Pods: 3, LeavesPerPod: 4, SpinesPerPod: 3, UplinksPerSpine: 2, ServersPerLeaf: 2})
 		}, 0x8dad0de01d541c7e},
 		{"four-tier 2x2", func() (*Topology, error) {
-			return BuildMultiTier(MultiTierSpec{Zones: 2, PodsPerZone: 2, LeavesPerPod: 2,
+			return Build(Spec{Pods: 4, Zones: 2, LeavesPerPod: 2,
 				SpinesPerPod: 2, UplinksPerSpine: 2, UplinksPerZone: 2, ServersPerLeaf: 1})
 		}, 0xcc3f3fb18c6eb56b},
 		{"irregular four-tier", func() (*Topology, error) {
-			return BuildMultiTier(MultiTierSpec{Zones: 3, PodsPerZone: 2, LeavesPerPod: 3,
+			return Build(Spec{Pods: 6, Zones: 3, LeavesPerPod: 3,
 				SpinesPerPod: 2, UplinksPerSpine: 3, UplinksPerZone: 2, ServersPerLeaf: 2})
 		}, 0xa94b7cab27f6650a},
 	} {

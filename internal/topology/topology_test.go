@@ -8,6 +8,12 @@ import (
 	"repro/internal/netaddr"
 )
 
+// fourTierSpec is the 2-zone, 2-pods-per-zone fabric of the §IX experiments.
+func fourTierSpec() Spec {
+	return Spec{Pods: 4, LeavesPerPod: 2, SpinesPerPod: 2, UplinksPerSpine: 2, ServersPerLeaf: 1,
+		Zones: 2, UplinksPerZone: 2}
+}
+
 func build(t *testing.T, spec Spec) *Topology {
 	t.Helper()
 	topo, err := Build(spec)
@@ -180,6 +186,13 @@ func TestSpecValidation(t *testing.T) {
 		{Pods: 2, LeavesPerPod: 2, SpinesPerPod: 0, UplinksPerSpine: 2},
 		{Pods: 2, LeavesPerPod: 2, SpinesPerPod: 2, UplinksPerSpine: 0},
 		{Pods: 130, LeavesPerPod: 2, SpinesPerPod: 2, UplinksPerSpine: 2}, // VID overflow
+		// The zone tier: at least two zones, dividing the pods, and both
+		// of its fields or neither.
+		{Pods: 4, LeavesPerPod: 2, SpinesPerPod: 2, UplinksPerSpine: 2, Zones: 1, UplinksPerZone: 2},
+		{Pods: 4, LeavesPerPod: 2, SpinesPerPod: 2, UplinksPerSpine: 2, Zones: 3, UplinksPerZone: 2},
+		{Pods: 4, LeavesPerPod: 2, SpinesPerPod: 2, UplinksPerSpine: 2, Zones: 2},
+		{Pods: 4, LeavesPerPod: 2, SpinesPerPod: 2, UplinksPerSpine: 2, UplinksPerZone: 2},
+		{Pods: 4, LeavesPerPod: 2, SpinesPerPod: 2, UplinksPerSpine: 2, Zones: 2, UplinksPerZone: -1},
 	}
 	for _, s := range bad {
 		if _, err := Build(s); err == nil {
@@ -198,9 +211,8 @@ func TestSpecRejectsWideDevices(t *testing.T) {
 		edit(&s)
 		return s.Validate()
 	}
-	four := func(edit func(*MultiTierSpec)) error {
-		s := MultiTierSpec{Zones: 2, PodsPerZone: 2, LeavesPerPod: 2, SpinesPerPod: 2,
-			UplinksPerSpine: 2, UplinksPerZone: 2, ServersPerLeaf: 1}
+	four := func(edit func(*Spec)) error {
+		s := fourTierSpec()
 		edit(&s)
 		return s.Validate()
 	}
@@ -213,9 +225,9 @@ func TestSpecRejectsWideDevices(t *testing.T) {
 		{"pod spine", three(func(s *Spec) { s.UplinksPerSpine = 300 }), "pod spine would have 302 ports"},
 		{"leaf uplinks", three(func(s *Spec) { s.SpinesPerPod = 255 }), "leaf would have 256 ports"},
 		{"leaf servers", three(func(s *Spec) { s.ServersPerLeaf = 254 }), "leaf would have 256 ports"},
-		{"four-tier pod spine", four(func(s *MultiTierSpec) { s.UplinksPerSpine = 300 }), "pod spine would have 302 ports"},
-		{"four-tier zone spine", four(func(s *MultiTierSpec) { s.UplinksPerZone = 254 }), "zone spine would have 256 ports"},
-		{"four-tier leaf", four(func(s *MultiTierSpec) { s.SpinesPerPod = 255 }), "leaf would have 256 ports"},
+		{"four-tier pod spine", four(func(s *Spec) { s.UplinksPerSpine = 300 }), "pod spine would have 302 ports"},
+		{"four-tier zone spine", four(func(s *Spec) { s.UplinksPerZone = 254 }), "zone spine would have 256 ports"},
+		{"four-tier leaf", four(func(s *Spec) { s.SpinesPerPod = 255 }), "leaf would have 256 ports"},
 	} {
 		switch {
 		case tc.want == "" && tc.err != nil:
@@ -227,13 +239,18 @@ func TestSpecRejectsWideDevices(t *testing.T) {
 }
 
 func TestBuildPropertyAnySaneSpecVerifies(t *testing.T) {
-	f := func(pods, leaves, spines, uplinks uint8) bool {
+	f := func(pods, leaves, spines, uplinks, zones, zoneUplinks uint8) bool {
 		spec := Spec{
 			Pods:            int(pods%6) + 1,
 			LeavesPerPod:    int(leaves%4) + 1,
 			SpinesPerPod:    int(spines%3) + 1,
 			UplinksPerSpine: int(uplinks%3) + 1,
 			ServersPerLeaf:  1,
+		}
+		// Half the draws add a zone tier, with the drawn pods in each zone.
+		if z := int(zones % 6); z >= 2 {
+			spec.Pods *= z
+			spec.Zones, spec.UplinksPerZone = z, int(zoneUplinks%3)+1
 		}
 		topo, err := Build(spec)
 		if err != nil {
@@ -243,6 +260,40 @@ func TestBuildPropertyAnySaneSpecVerifies(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestVerifyCatchesMiswiring: Verify holds a four-tier fabric to the plane
+// rule, the zone boundaries and the addressing plan. The first defect keeps
+// the wiring symmetric and every link one level apart, so only the rule
+// itself can see it.
+func TestVerifyCatchesMiswiring(t *testing.T) {
+	swapPeers := func(a, b *Port) {
+		a.Peer, b.Peer = b.Peer, a.Peer
+		a.Peer.Peer, b.Peer.Peer = a, b
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(*Topology)
+		want   string
+	}{
+		{"a pod spine's two uplinks swapped", func(topo *Topology) {
+			sp := topo.Device("S-1-1-1")
+			swapPeers(sp.Ports[1], sp.Ports[2])
+		}, "S-1-1-1 uplink 1 reaches A-1-3:eth3, want A-1-1:eth3"},
+		{"a pod spine uplink re-homed into the other zone", func(topo *Topology) {
+			swapPeers(topo.Device("S-1-1-1").Ports[1], topo.Device("S-2-1-1").Ports[1])
+		}, "S-1-1-1 uplink 1 reaches A-2-1:eth3, want A-1-1:eth3"},
+		{"a link subnet used twice", func(topo *Topology) {
+			a, b := topo.Device("S-1-1-1").Ports[1], topo.Device("S-1-1-1").Ports[2]
+			b.Subnet, b.Peer.Subnet, b.IP, b.Peer.IP = a.Subnet, a.Subnet, a.IP, a.Peer.IP
+		}, "subnet 172.16.8.0/24 reused by S-1-1-1:eth1 and S-1-1-1:eth2"},
+	} {
+		topo := build(t, fourTierSpec())
+		tc.damage(topo)
+		if err := topo.Verify(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Verify() = %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -9,22 +9,42 @@ import (
 // (item 7 of their automation suite): every experiment starts from a fabric
 // that has been proven well-formed.
 func (t *Topology) Verify() error {
-	spec := t.Spec
-	if got, want := len(t.Tops), spec.TopSpines(); got != want {
-		return fmt.Errorf("topology: %d top spines, want %d", got, want)
+	levels := t.Spec.levels()
+	top := len(levels) - 1
+	tiers := [][]*Device{t.Leaves, t.Spines, t.Aggs, t.Tops}
+	if top == 2 {
+		tiers = [][]*Device{t.Leaves, t.Spines, t.Tops}
 	}
-	if got, want := len(t.Spines), spec.Pods*spec.SpinesPerPod; got != want {
-		return fmt.Errorf("topology: %d pod spines, want %d", got, want)
+	// Tier k is blocks[k] blocks of width[k] switches each.
+	width, blocks := make([]int, top+1), make([]int, top+1)
+	width[0], blocks[top] = 1, 1
+	for k := 1; k <= top; k++ {
+		width[k] = width[k-1] * levels[k-1].up
+		blocks[top-k] = blocks[top-k+1] * levels[top-k+1].down
 	}
-	if got, want := len(t.Leaves), spec.Pods*spec.LeavesPerPod; got != want {
-		return fmt.Errorf("topology: %d leaves, want %d", got, want)
+	devices := len(t.Servers)
+	for k, tier := range tiers {
+		l := levels[k]
+		if got, want := len(tier), blocks[k]*width[k]; got != want {
+			return fmt.Errorf("topology: %d devices of class %s, want %d", got, l.class, want)
+		}
+		for _, d := range tier {
+			if got, want := len(d.Ports)-1, l.up+l.down; got != want {
+				return fmt.Errorf("topology: %s has %d ports, want %d", d.Name, got, want)
+			}
+		}
+		devices += len(tier)
 	}
-	if got, want := len(t.Servers), spec.Pods*spec.LeavesPerPod*spec.ServersPerLeaf; got != want {
+	if got, want := len(t.Servers), len(t.Leaves)*levels[0].down; got != want {
 		return fmt.Errorf("topology: %d servers, want %d", got, want)
+	}
+	if listed := len(t.Routers()) + len(t.Servers); listed != devices || listed != len(t.Devices) {
+		return fmt.Errorf("topology: %d devices by name, %d in the device lists, %d in the tiers the spec has",
+			len(t.Devices), listed, devices)
 	}
 
 	// Every port wired exactly once, both directions agreeing.
-	for _, d := range t.sortedDevices() {
+	for _, d := range append(t.Routers(), t.Servers...) {
 		for _, p := range d.Ports[1:] {
 			if p.Peer == nil {
 				return fmt.Errorf("topology: unwired port %s", p.Name())
@@ -38,55 +58,40 @@ func (t *Topology) Verify() error {
 		}
 	}
 
-	// Leaves: uplink ports 1..SpinesPerPod reach each pod spine once, in
-	// spine order (MR-MTP's VID suffixes depend on this numbering).
-	for _, leaf := range t.Leaves {
-		for s := 1; s <= spec.SpinesPerPod; s++ {
-			peer := leaf.Ports[s].Peer.Device
-			want := fmt.Sprintf("S-%d-%d", leaf.Pod, s)
-			if peer.Name != want {
-				return fmt.Errorf("topology: %s port %d reaches %s, want %s", leaf.Name, s, peer.Name, want)
+	// The plane rule, at every tier: uplink v of switch i of a block reaches
+	// switch i+(v-1)·width of the enclosing block on that switch's downlink
+	// port for this child (MR-MTP's VID suffixes are these port numbers).
+	// Uplinks and downlinks are equal in number and wiring is symmetric, so
+	// this places every downlink too. ASNs follow the block numbering.
+	for k, tier := range tiers {
+		l := levels[k]
+		for j, d := range tier {
+			b, i := j/width[k], j%width[k]
+			for v := 1; v <= l.up; v++ {
+				parent, child := b/levels[k+1].down, b%levels[k+1].down
+				want := tiers[k+1][parent*width[k+1]+i+(v-1)*width[k]].Ports[levels[k+1].up+child+1]
+				if got := d.Ports[v].Peer; got != want {
+					return fmt.Errorf("topology: %s uplink %d reaches %s, want %s", d.Name, v, got.Name(), want.Name())
+				}
 			}
-		}
-		if leaf.ServerPort != spec.SpinesPerPod+1 {
-			return fmt.Errorf("topology: %s server port %d, want %d", leaf.Name, leaf.ServerPort, spec.SpinesPerPod+1)
-		}
-		if DeriveVID(leaf.ServerSubnet) != leaf.VID {
-			return fmt.Errorf("topology: %s VID %d does not match subnet %s", leaf.Name, leaf.VID, leaf.ServerSubnet)
-		}
-	}
-
-	// Pod spines: uplink u reaches top spine s+(u-1)·SpinesPerPod (the
-	// plane wiring of Fig. 2); downlinks reach every leaf in the pod.
-	for _, sp := range t.Spines {
-		for u := 1; u <= spec.UplinksPerSpine; u++ {
-			want := fmt.Sprintf("T-%d", sp.Index+(u-1)*spec.SpinesPerPod)
-			if got := sp.Ports[u].Peer.Device.Name; got != want {
-				return fmt.Errorf("topology: %s uplink %d reaches %s, want %s", sp.Name, u, got, want)
+			if k == 0 {
+				continue // leaf ASNs are unique rather than planned: below
 			}
-		}
-		for lf := 1; lf <= spec.LeavesPerPod; lf++ {
-			want := fmt.Sprintf("L-%d-%d", sp.Pod, lf)
-			if got := sp.Ports[spec.UplinksPerSpine+lf].Peer.Device.Name; got != want {
-				return fmt.Errorf("topology: %s downlink %d reaches %s, want %s", sp.Name, lf, got, want)
+			want := BaseASNTop // Listing 1: top spines share one, each pod's spines another
+			switch {
+			case k == 1:
+				want += uint32(b + 1)
+			case k < top:
+				want = baseASNZone + uint32(b+1)
 			}
-		}
-	}
-
-	// Top spines: port p reaches pod p, always the same spine plane.
-	for _, top := range t.Tops {
-		plane := (top.Index-1)%spec.SpinesPerPod + 1
-		for p := 1; p <= spec.Pods; p++ {
-			peer := top.Ports[p].Peer.Device
-			if peer.Pod != p || peer.Index != plane {
-				return fmt.Errorf("topology: %s port %d reaches %s, want S-%d-%d", top.Name, p, peer.Name, p, plane)
+			if d.ASN != want {
+				return fmt.Errorf("topology: %s ASN %d, want %d", d.Name, d.ASN, want)
 			}
 		}
 	}
 
 	// Addressing: router-to-router link subnets unique; higher tier is .1.
 	subnets := make(map[string]string)
-	vids := make(map[int]string)
 	for _, l := range t.Links {
 		if l.A.Device.Tier == TierServer {
 			continue
@@ -100,30 +105,26 @@ func (t *Topology) Verify() error {
 			return fmt.Errorf("topology: link %s-%s addressing violates the .1-upper/.2-lower rule", l.A.Name(), l.B.Name())
 		}
 	}
+
+	// Leaves: the rack port follows the uplinks, the VID is the rack
+	// subnet's third byte, and VIDs and ASNs are unique.
+	vids := make(map[int]string)
+	asns := make(map[uint32]string)
 	for _, leaf := range t.Leaves {
+		if leaf.ServerPort != levels[0].up+1 {
+			return fmt.Errorf("topology: %s server port %d, want %d", leaf.Name, leaf.ServerPort, levels[0].up+1)
+		}
+		if DeriveVID(leaf.ServerSubnet) != leaf.VID {
+			return fmt.Errorf("topology: %s VID %d does not match subnet %s", leaf.Name, leaf.VID, leaf.ServerSubnet)
+		}
 		if prev, dup := vids[leaf.VID]; dup {
 			return fmt.Errorf("topology: VID %d reused by %s and %s", leaf.VID, prev, leaf.Name)
 		}
 		vids[leaf.VID] = leaf.Name
-	}
-
-	// ASN plan (Listing 1): top spines share, pods share per pod, leaves unique.
-	asn := make(map[uint32]string)
-	for _, leaf := range t.Leaves {
-		if prev, dup := asn[leaf.ASN]; dup {
+		if prev, dup := asns[leaf.ASN]; dup {
 			return fmt.Errorf("topology: leaf ASN %d reused by %s and %s", leaf.ASN, prev, leaf.Name)
 		}
-		asn[leaf.ASN] = leaf.Name
-	}
-	for _, sp := range t.Spines {
-		if want := BaseASNTop + uint32(sp.Pod); sp.ASN != want {
-			return fmt.Errorf("topology: %s ASN %d, want %d", sp.Name, sp.ASN, want)
-		}
-	}
-	for _, top := range t.Tops {
-		if top.ASN != BaseASNTop {
-			return fmt.Errorf("topology: %s ASN %d, want %d", top.Name, top.ASN, BaseASNTop)
-		}
+		asns[leaf.ASN] = leaf.Name
 	}
 	return nil
 }
