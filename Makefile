@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint analyzers invariants race closbench closbench-digest fluid-smoke figures fuzz-smoke chaos-smoke trace-smoke check
+.PHONY: all build test vet fmt-check lint analyzers invariants race closbench closbench-digest fluid-smoke figures fuzz-smoke chaos-smoke trace-smoke check
 
 all: check
 
@@ -16,6 +16,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when a tracked Go file is not gofmt-clean. The analyzer
+# fixtures under testdata/ align their `// want` comments by hand and stay
+# exempt.
+fmt-check:
+	@out="$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l)"; \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # lint enforces the determinism contract (DESIGN.md §8) and the hot-path
 # contract (DESIGN.md §9) with the repo's own analyzers — map iteration
@@ -121,4 +128,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFIBLookup -fuzztime $(FUZZ_TIME) ./internal/ipstack
 	$(GO) test -run '^$$' -fuzz FuzzOnDatagram -fuzztime $(FUZZ_TIME) ./internal/workload
 
-check: build vet lint test race trace-smoke fluid-smoke
+check: fmt-check build vet lint test race trace-smoke fluid-smoke

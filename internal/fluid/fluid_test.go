@@ -87,7 +87,7 @@ func TestRateCap(t *testing.T) {
 	s := New(Config{RateCapBps: 5e6})
 	l := s.AddLink(100_000_000, nil)
 	s.Advance(0)
-	s.Admit(1, 1 << 30, []LinkID{l}, 0, 0)
+	s.Admit(1, 1<<30, []LinkID{l}, 0, 0)
 	s.Reallocate(0)
 	approx(t, s.groups[0].rate, 5e6, 1, "capped rate")
 }
