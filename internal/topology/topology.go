@@ -105,16 +105,14 @@ type level struct {
 // levels lists the router tiers bottom-up. It is all that Validate's port
 // check, Build and Verify know about a fabric's shape.
 func (s Spec) levels() []level {
-	ls := []level{
-		{TierLeaf, "L", "leaf", s.SpinesPerPod, s.ServersPerLeaf},
-		{TierSpine, "S", "pod spine", s.UplinksPerSpine, s.LeavesPerPod},
-	}
+	leaf := level{TierLeaf, "L", "leaf", s.SpinesPerPod, s.ServersPerLeaf}
+	spine := level{TierSpine, "S", "pod spine", s.UplinksPerSpine, s.LeavesPerPod}
 	if s.Zones == 0 {
-		return append(ls, level{TierTop, "T", "top spine", 0, s.Pods})
+		return []level{leaf, spine, {TierTop, "T", "top spine", 0, s.Pods}}
 	}
-	return append(ls,
-		level{TierSpine, "A", "zone spine", s.UplinksPerZone, s.Pods / s.Zones},
-		level{TierTop, "T", "top spine", 0, s.Zones})
+	return []level{leaf, spine,
+		{TierSpine, "A", "zone spine", s.UplinksPerZone, s.Pods / s.Zones},
+		{TierTop, "T", "top spine", 0, s.Zones}}
 }
 
 // Validate rejects impossible specs.
