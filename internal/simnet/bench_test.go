@@ -51,6 +51,32 @@ func BenchmarkTimerResetChurn(b *testing.B) {
 	}
 }
 
+func BenchmarkMixedHorizon(b *testing.B) {
+	// A control-plane fabric's two horizons at once: N hello timers that
+	// re-arm themselves every 50 ms, spread evenly over the period, and
+	// frames due 100 µs out. One iteration is 100 µs of it: a frame sent and
+	// delivered, and N/500 timers fired and re-armed.
+	for _, n := range []int{500, 8000} {
+		b.Run(fmt.Sprintf("timers=%d", n), func(b *testing.B) {
+			s := New(1)
+			x, y := s.AddNode("x"), s.AddNode("y")
+			y.Handler = &poolSink{sim: s}
+			s.ConnectLatency(x.AddPort(), y.AddPort(), 100*time.Microsecond)
+			const hello = 50 * time.Millisecond
+			for i := 0; i < n; i++ {
+				var tm *Timer
+				tm = s.After(hello*time.Duration(i)/time.Duration(n), func() { tm.Reset(hello) })
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x.Port(1).Send(s.Frames().Get(85))
+				s.RunFor(100 * time.Microsecond)
+			}
+		})
+	}
+}
+
 func BenchmarkShapedLinkBacklog(b *testing.B) {
 	// The packet engine's regime: 16 shaped directions, each with a 64-deep
 	// standing backlog. One iteration sends a frame and dispatches a delivery.

@@ -3,33 +3,58 @@ package simnet
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"repro/internal/invariant"
 	"repro/internal/simnet/framepool"
 )
 
-// The scheduling core is an indexed binary min-heap of recycled event
-// records. Four properties keep the hot paths (hello/BFD timer churn, frame
-// delivery) allocation-free and the heap small:
+// The scheduling core is split by how far ahead an event is due, because a
+// fabric's events come in two horizons: frame deliveries 100 µs out, and
+// keep-alive timers 50 ms to 9 s out. In one binary heap every frame climbed
+// past all the timers on the way in and sank past them on the way out, and
+// every timer pop sank through all of both. There are three structures:
 //
-//   - Every event knows its heap index, so Timer.Stop removes it from the
-//     heap immediately and Timer.Reset re-times it in place (sift-up/down)
-//     instead of abandoning a tombstone that would sit in the queue until
-//     its original deadline.
+//   - The wire heap (Sim.wires) holds nothing but the permanent records of
+//     busy link directions. Frames in flight are not queued one by one: a
+//     direction delivers in (at, tie) order, so it keeps its own frames in a
+//     ring and one record, keyed to the ring's head, stands for it (wire.go).
+//     Port.Send schedules no closures and, on a wire that is already busy,
+//     touches no heap at all; on a control-plane fabric a handful of
+//     directions are busy at once, so the heap is two to four levels deep.
+//   - The calendar (Sim.cal) holds the timers of later bins. A bin is
+//     at>>binShift (1.05 ms). The next wheelBins bins (1.07 s) are a wheel
+//     of unordered doubly-linked lists threaded through the event records,
+//     with an occupancy bitmap to skip the empty ones; what lies beyond is
+//     in an overflow heap. Arming, stopping and re-arming a far timer is a
+//     list link or unlink: no sift.
+//   - The near heap (Sim.near) holds every timer whose bin is not after the
+//     calendar's current one. When it runs dry, turn advances the calendar
+//     to its next occupied bin and empties that bin into it.
+//
+// Dispatch takes the smaller of the wire root and the near root. That is the
+// minimum of everything scheduled because every timer outside the near heap
+// has at>>binShift greater than the current bin, hence a larger at than any
+// timer in it, and it is why a bin need not be sorted: (at, prio, tie, seq)
+// is a strict total order, so whatever structure yields the minimum yields
+// the same sequence, and a bin is only ever emptied whole into a heap that
+// does sort.
+//
+// Around that:
+//
+//   - Every record knows where it is (loc, and idx within a heap), so
+//     Timer.Stop removes it at once and Timer.Reset moves it to the place
+//     its new deadline belongs; nothing is abandoned as a tombstone to sit
+//     in the queue until its original deadline.
 //   - Fired and cancelled events go on a freelist and are reused; a
 //     generation counter on each record invalidates stale Timer handles.
-//   - Frames in flight are not in the heap one by one. A link direction
-//     delivers in (at, tie) order, so it keeps its own frames in a ring and
-//     the heap holds one permanent record per busy direction, keyed to the
-//     ring's head (wire.go). Port.Send schedules no closures and, on a wire
-//     that is already busy, touches the heap not at all.
 //   - An egress-queue slot coming free is not an event at all: Port.Send
 //     records the key the release would have carried and the queue depth is
 //     read off the dispatch frontier (see passMark).
 //
-// The heap itself stores the ordering key inline next to the event pointer,
-// so the sift comparisons stay within the contiguous slice instead of
+// A heap stores the ordering key inline next to the event pointer, so the
+// sift comparisons stay within the contiguous slice instead of
 // dereferencing a pointer per compared element.
 
 type eventKind uint8
@@ -45,16 +70,35 @@ const (
 	evFreed eventKind = 0xFF
 )
 
-// event is a scheduled occurrence's payload. Its timing lives in the heap
-// entry; the record only tracks where it sits (idx) and which incarnation it
-// is (gen).
+// eventLoc says which structure holds a scheduled evFunc record. A wire
+// record lives in the wire heap or nowhere and is told apart by idx alone.
+type eventLoc uint8
+
+const (
+	locNone  eventLoc = iota // not scheduled
+	locNear                  // Sim.near
+	locWheel                 // on the calendar wheel's list for its bin
+	locOver                  // calendar.over
+)
+
+// event is a scheduled occurrence: its payload, where it sits, and which
+// incarnation it is (gen).
 type event struct {
-	idx int32  // position in Sim.queue, -1 when not scheduled
+	idx int32  // position in the heap that holds it, -1 when in none
 	gen uint32 // bumped on release; validates Timer handles
 
 	kind eventKind
+	loc  eventLoc
 	fn   func()    // evFunc
 	dir  *dirState // evWire
+
+	// key is an evFunc record's place in the order. A heap entry carries a
+	// copy; on the wheel this is the only one. (A wire record's key is its
+	// ring's head.)
+	key orderKey
+	// next and prev thread the record onto its bin's list while loc is
+	// locWheel.
+	next, prev *event
 }
 
 // orderKey is an event's place in the dispatch order. Events are totally
@@ -84,12 +128,16 @@ type orderKey struct {
 	seq  uint64
 }
 
-// heapEntry is one slot of the scheduling heap: the key inline, so sift
+// heapEntry is one slot of a scheduling heap: the key inline, so sift
 // comparisons stay within the slice, and the record it schedules.
 type heapEntry struct {
 	orderKey
 	ev *event
 }
+
+// eventHeap is an indexed binary min-heap ordered by (at, prio, tie, seq):
+// every entry's record holds the entry's position in idx.
+type eventHeap []heapEntry
 
 // Event classes within prio (low two bits).
 const (
@@ -138,7 +186,7 @@ func (s *Sim) release(ev *event) {
 	if invariant.Enabled {
 		invariant.Assert(ev.kind != evFreed, "simnet: double release of event record")
 		invariant.Assert(ev.kind != evWire, "simnet: releasing a direction's permanent wire record")
-		invariant.Assert(ev.idx < 0, "simnet: releasing an event still in the heap")
+		invariant.Assert(ev.idx < 0 && ev.loc == locNone, "simnet: releasing an event still scheduled")
 	}
 	ev.gen++
 	ev.kind = evFreed
@@ -156,101 +204,101 @@ func (s *Sim) ctxPrio() uint32 {
 	return nodePrio(s.curOwner, classLocal)
 }
 
-// schedule allocates and enqueues an event at absolute time at, keyed to the
-// current execution context. Scheduling in the past is a programming error
-// and panics.
-func (s *Sim) schedule(at time.Duration) *event {
+// schedule allocates and enqueues an event that runs fn at absolute time at,
+// keyed to the current execution context. Scheduling in the past is a
+// programming error and panics.
+func (s *Sim) schedule(at time.Duration, fn func()) *event {
 	if at < s.now {
 		panic(fmt.Sprintf("simnet: scheduling event at %v before now %v", at, s.now)) //simlint:alloc unreachable except on programmer error; the panic path may allocate
 	}
 	ev := s.alloc()
+	ev.kind, ev.fn = evFunc, fn
 	s.seq++
-	s.heapPush(heapEntry{orderKey{at: at, prio: s.ctxPrio(), seq: s.seq}, ev})
+	ev.key = orderKey{at: at, prio: s.ctxPrio(), seq: s.seq}
+	s.arm(ev)
 	return ev
 }
 
 // --- indexed min-heap -------------------------------------------------------
 
-func (s *Sim) heapPush(e heapEntry) {
-	e.ev.idx = int32(len(s.queue))
-	s.queue = append(s.queue, e) //simlint:alloc heap growth is amortized; capacity stabilizes at peak queue depth
-	s.siftUp(int(e.ev.idx))
+func (s *Sim) heapPush(h *eventHeap, e heapEntry) {
+	e.ev.idx = int32(len(*h))
+	*h = append(*h, e) //simlint:alloc heap growth is amortized; capacity stabilizes at the heap's peak depth
+	h.siftUp(int(e.ev.idx))
 	if invariant.Enabled {
-		s.checkHeap(int(e.ev.idx))
+		s.checkHeap(h, int(e.ev.idx))
 	}
 }
 
-func (s *Sim) siftUp(i int) {
-	q := s.queue
-	e := q[i]
+func (h eventHeap) siftUp(i int) {
+	e := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !entryLess(&e, &q[parent]) {
+		if !entryLess(&e, &h[parent]) {
 			break
 		}
-		q[i] = q[parent]
-		q[i].ev.idx = int32(i)
+		h[i] = h[parent]
+		h[i].ev.idx = int32(i)
 		i = parent
 	}
-	q[i] = e
+	h[i] = e
 	e.ev.idx = int32(i)
 }
 
-func (s *Sim) siftDown(i int) {
-	q := s.queue
-	n := len(q)
-	e := q[i]
+func (h eventHeap) siftDown(i int) {
+	n := len(h)
+	e := h[i]
 	for {
 		l := 2*i + 1
 		if l >= n {
 			break
 		}
 		c := l
-		if r := l + 1; r < n && entryLess(&q[r], &q[l]) {
+		if r := l + 1; r < n && entryLess(&h[r], &h[l]) {
 			c = r
 		}
-		if !entryLess(&q[c], &e) {
+		if !entryLess(&h[c], &e) {
 			break
 		}
-		q[i] = q[c]
-		q[i].ev.idx = int32(i)
+		h[i] = h[c]
+		h[i].ev.idx = int32(i)
 		i = c
 	}
-	q[i] = e
+	h[i] = e
 	e.ev.idx = int32(i)
 }
 
 // heapFix restores heap order after the entry at index i was re-timed.
-func (s *Sim) heapFix(i int) {
-	ev := s.queue[i].ev
-	s.siftDown(i)
+func (s *Sim) heapFix(h *eventHeap, i int) {
+	ev := (*h)[i].ev
+	h.siftDown(i)
 	if int(ev.idx) == i {
-		s.siftUp(i)
+		h.siftUp(i)
 	}
 	if invariant.Enabled {
-		s.checkHeap(int(ev.idx))
+		s.checkHeap(h, int(ev.idx))
 	}
 }
 
 // heapPop removes the earliest entry.
-func (s *Sim) heapPop() {
-	q := s.queue
+func (s *Sim) heapPop(h *eventHeap) {
+	q := *h
 	q[0].ev.idx = -1
 	last := len(q) - 1
 	q[0] = q[last]
 	q[last] = heapEntry{}
-	s.queue = q[:last]
+	*h = q[:last]
 	if last > 0 {
-		s.siftDown(0)
+		h.siftDown(0)
 	}
 	if invariant.Enabled {
-		s.checkHeap(0)
+		s.checkHeap(h, 0)
 	}
 }
 
 // heapRemove removes the entry at index i.
-func (s *Sim) heapRemove(i int) {
-	q := s.queue
+func (s *Sim) heapRemove(h *eventHeap, i int) {
+	q := *h
 	last := len(q) - 1
 	ev := q[i].ev
 	if i != last {
@@ -258,18 +306,164 @@ func (s *Sim) heapRemove(i int) {
 		q[i] = q[last]
 		moved.idx = int32(i)
 		q[last] = heapEntry{}
-		s.queue = q[:last]
-		s.siftDown(i)
+		*h = q[:last]
+		h.siftDown(i)
 		if int(moved.idx) == i {
-			s.siftUp(i)
+			h.siftUp(i)
 		}
 	} else {
 		q[last] = heapEntry{}
-		s.queue = q[:last]
+		*h = q[:last]
 	}
 	ev.idx = -1
 	if invariant.Enabled {
-		s.checkHeap(i)
+		s.checkHeap(h, i)
+	}
+}
+
+// --- calendar of far timers --------------------------------------------------
+
+const (
+	// binShift makes a bin 2^20 ns (1.05 ms) and wheelBins makes the wheel
+	// 1.07 s long: hello, BFD and keep-alive intervals land on the wheel,
+	// hold timers and pre-armed workload launches in the overflow heap. A
+	// wheel of 4096 bins of 2^18 ns measured equal on both control-plane
+	// workloads and allocated 2 % more (DESIGN.md §7).
+	binShift  = 20
+	wheelBins = 1024
+)
+
+// binOf is the calendar bin an instant falls in.
+func binOf(at time.Duration) int64 { return int64(at) >> binShift }
+
+// calendar holds the timers due in bins after cur: those of the next
+// wheelBins-1 bins on the wheel, under slot bin%wheelBins, the rest in over.
+// A timer armed for the overflow stays there when the wheel comes within
+// reach of it; turn looks at both.
+type calendar struct {
+	cur    int64                  // every timer of a bin ≤ cur is in Sim.near
+	wheelN int                    // timers on the wheel
+	heads  [wheelBins]*event      // per slot, an unordered list of the timers of one bin
+	occ    [wheelBins / 64]uint64 // bit per slot: its list is not empty
+	over   eventHeap              // timers armed wheelBins or more bins ahead
+}
+
+// arm puts a keyed evFunc record where its deadline belongs.
+func (s *Sim) arm(ev *event) {
+	c := &s.cal
+	b := binOf(ev.key.at)
+	switch {
+	case b <= c.cur:
+		ev.loc = locNear
+		s.heapPush(&s.near, heapEntry{ev.key, ev})
+	case b-c.cur < wheelBins:
+		slot := b & (wheelBins - 1)
+		head := c.heads[slot]
+		ev.loc, ev.next = locWheel, head
+		if head != nil {
+			head.prev = ev
+		}
+		c.heads[slot] = ev
+		c.occ[slot>>6] |= 1 << (slot & 63)
+		c.wheelN++
+		if invariant.Enabled {
+			s.checkWheel(slot)
+		}
+	default:
+		ev.loc = locOver
+		s.heapPush(&c.over, heapEntry{ev.key, ev})
+	}
+}
+
+// disarm takes a scheduled evFunc record out of whichever structure holds it.
+func (s *Sim) disarm(ev *event) {
+	c := &s.cal
+	loc := ev.loc
+	ev.loc = locNone
+	switch loc {
+	case locNear:
+		s.heapRemove(&s.near, int(ev.idx))
+	case locOver:
+		s.heapRemove(&c.over, int(ev.idx))
+	case locWheel:
+		slot := binOf(ev.key.at) & (wheelBins - 1)
+		if ev.next != nil {
+			ev.next.prev = ev.prev
+		}
+		if ev.prev != nil {
+			ev.prev.next = ev.next
+		} else {
+			c.heads[slot] = ev.next
+			if ev.next == nil {
+				c.occ[slot>>6] &^= 1 << (slot & 63)
+			}
+		}
+		ev.next, ev.prev = nil, nil
+		c.wheelN--
+		if invariant.Enabled {
+			s.checkWheel(slot)
+		}
+	}
+}
+
+// nextBin is the first occupied bin of the wheel after cur. The wheel must
+// not be empty.
+func (c *calendar) nextBin() int64 {
+	start := uint64(c.cur+1) & (wheelBins - 1)
+	w, off := start>>6, start&63
+	if m := c.occ[w] >> off; m != 0 {
+		return c.cur + 1 + int64(bits.TrailingZeros64(m))
+	}
+	// Word by word round the wheel; the last step is the first word again,
+	// for the bits below off.
+	skipped := 64 - off
+	for {
+		w = (w + 1) % uint64(len(c.occ))
+		if m := c.occ[w]; m != 0 {
+			return c.cur + 1 + int64(skipped) + int64(bits.TrailingZeros64(m))
+		}
+		skipped += 64
+	}
+}
+
+// turn advances the calendar to its next occupied bin and moves that bin's
+// timers into the near heap. It runs when the near heap is empty and the
+// calendar is not, and dispatches nothing.
+func (s *Sim) turn() {
+	c := &s.cal
+	b := int64(math.MaxInt64)
+	if c.wheelN > 0 {
+		b = c.nextBin()
+	}
+	if len(c.over) > 0 {
+		if o := binOf(c.over[0].at); o < b {
+			b = o
+		}
+	}
+	c.cur = b
+	slot := b & (wheelBins - 1)
+	// Every wheel timer lies fewer than wheelBins bins after the old cur
+	// and after the new one, so a slot holds one bin: this list is all of
+	// bin b and nothing else.
+	ev := c.heads[slot]
+	c.heads[slot] = nil
+	c.occ[slot>>6] &^= 1 << (slot & 63)
+	for ev != nil {
+		next := ev.next
+		ev.next, ev.prev = nil, nil
+		ev.loc = locNear
+		c.wheelN--
+		s.heapPush(&s.near, heapEntry{ev.key, ev})
+		ev = next
+	}
+	for len(c.over) > 0 && binOf(c.over[0].at) <= b {
+		e := c.over[0]
+		s.heapPop(&c.over)
+		e.ev.loc = locNear
+		s.heapPush(&s.near, e)
+	}
+	if invariant.Enabled {
+		s.checkWheel(slot)
 	}
 }
 
@@ -331,9 +525,7 @@ func (s *Sim) passed(r *relKey) bool {
 // At schedules fn at absolute virtual time t and returns a cancellable,
 // re-armable handle.
 func (s *Sim) At(t time.Duration, fn func()) *Timer {
-	ev := s.schedule(t)
-	ev.kind = evFunc
-	ev.fn = fn
+	ev := s.schedule(t, fn)
 	return &Timer{sim: s, ev: ev, gen: ev.gen, fn: fn}
 }
 
@@ -345,9 +537,7 @@ func (s *Sim) After(d time.Duration, fn func()) *Timer {
 // Schedule runs fn d from now. It is the fire-and-forget variant of After
 // for callers that never stop or re-arm the event: no handle is allocated.
 func (s *Sim) Schedule(d time.Duration, fn func()) {
-	ev := s.schedule(s.now + d)
-	ev.kind = evFunc
-	ev.fn = fn
+	s.schedule(s.now+d, fn)
 }
 
 // Timer is a handle to a scheduled event. The callback is retained by the
@@ -364,7 +554,7 @@ type Timer struct {
 // may have been recycled for an unrelated event; the generation check
 // detects that).
 func (t *Timer) pending() bool {
-	return t.ev != nil && t.ev.gen == t.gen && t.ev.idx >= 0
+	return t.ev != nil && t.ev.gen == t.gen && t.ev.loc != locNone
 }
 
 // Stop cancels the timer if it has not fired, removing its event from the
@@ -378,14 +568,15 @@ func (t *Timer) Stop() bool {
 	}
 	ev := t.ev
 	t.ev = nil
-	t.sim.heapRemove(int(ev.idx))
+	t.sim.disarm(ev)
 	t.sim.release(ev)
 	return true
 }
 
 // Reset re-arms the timer to fire d from now with the original callback. A
-// pending event is re-timed in place (no allocation, no heap garbage); a
-// fired or stopped timer is scheduled afresh.
+// pending event keeps its record and moves to where the new deadline belongs
+// (no allocation, nothing left behind); a fired or stopped timer is
+// scheduled afresh.
 //
 //simlint:hotpath
 func (t *Timer) Reset(d time.Duration) {
@@ -395,42 +586,64 @@ func (t *Timer) Reset(d time.Duration) {
 		panic(fmt.Sprintf("simnet: resetting timer to %v before now %v", at, s.now)) //simlint:alloc unreachable except on programmer error; the panic path may allocate
 	}
 	if t.pending() {
-		i := int(t.ev.idx)
+		ev := t.ev
+		s.disarm(ev)
 		s.seq++
-		s.queue[i].at = at
-		s.queue[i].prio = s.ctxPrio()
-		s.queue[i].tie = 0
-		s.queue[i].seq = s.seq
-		s.heapFix(i)
+		ev.key = orderKey{at: at, prio: s.ctxPrio(), seq: s.seq}
+		s.arm(ev)
 		return
 	}
-	ev := s.schedule(at)
-	ev.kind = evFunc
-	ev.fn = t.fn
+	ev := s.schedule(at, t.fn)
 	t.ev = ev
 	t.gen = ev.gen
 }
 
 // --- event loop -------------------------------------------------------------
 
+// head returns the heap whose root is the next event in the order, nil when
+// nothing is scheduled. It turns the calendar when the near heap is dry.
+func (s *Sim) head() *eventHeap {
+	if len(s.near) == 0 && (s.cal.wheelN > 0 || len(s.cal.over) > 0) {
+		s.turn()
+	}
+	switch {
+	case len(s.wires) == 0:
+		if len(s.near) == 0 {
+			return nil
+		}
+		return &s.near
+	case len(s.near) == 0 || entryLess(&s.wires[0], &s.near[0]):
+		return &s.wires
+	}
+	return &s.near
+}
+
 // Step processes the next event. It reports false when the queue is empty.
 //
 //simlint:hotpath
 func (s *Sim) Step() bool {
-	if len(s.queue) == 0 {
+	h := s.head()
+	if h == nil {
 		return false
 	}
-	e := s.queue[0]
+	s.dispatch(h)
+	return true
+}
+
+// dispatch processes the root of h, which head returned.
+func (s *Sim) dispatch(h *eventHeap) {
+	e := (*h)[0]
 	ev := e.ev
-	// The heap is made consistent before anything is dispatched: a busy
-	// direction's record is re-keyed to its next frame in place, everything
-	// else leaves the heap.
+	// The queue is made consistent before anything is dispatched: a busy
+	// direction's record is re-keyed to its next frame in place, a timer
+	// leaves the near heap.
 	var frame []byte
 	var fh framepool.Handle
 	if ev.kind == evWire {
 		frame, fh = s.takeFlight(ev.dir)
 	} else {
-		s.heapPop()
+		s.heapPop(&s.near)
+		ev.loc = locNone
 	}
 	s.events++
 	s.advance(&e.orderKey)
@@ -456,18 +669,17 @@ func (s *Sim) Step() bool {
 		s.deliver(d.src, d.dst, d.link, frame)
 	default:
 		if invariant.Enabled {
-			invariant.Assert(false, "simnet: dispatching event with unknown kind (freed record left in heap?)")
+			invariant.Assert(false, "simnet: dispatching event with unknown kind (freed record left in the queue?)")
 		}
 	}
 	s.curOwner = prev
-	return true
 }
 
 // RunUntil processes every event scheduled at or before t, then advances the
 // clock to exactly t.
 func (s *Sim) RunUntil(t time.Duration) {
-	for len(s.queue) > 0 && s.queue[0].at <= t {
-		s.Step()
+	for h := s.head(); h != nil && (*h)[0].at <= t; h = s.head() {
+		s.dispatch(h)
 	}
 	if t >= s.now {
 		// Nothing at or before t is left, so every queue release up to t has

@@ -47,9 +47,11 @@ type Handler interface {
 // all protocol code runs on the event loop goroutine.
 type Sim struct {
 	now       time.Duration
-	queue     []heapEntry // indexed min-heap ordered by (at, prio, tie, seq)
-	free      []*event    // recycled event records
-	frontier  []passMark  // how far dispatch has got in that order (see passMark)
+	wires     eventHeap  // the queue (event.go), by horizon: the records of busy link directions,
+	near      eventHeap  // the timers of the calendar's current bin and before,
+	cal       calendar   // and the timers of later bins
+	free      []*event   // recycled event records
+	frontier  []passMark // how far dispatch has got in the (at, prio, tie, seq) order (see passMark)
 	seq       uint64
 	seed      int64 // base seed; derives the per-node and per-direction streams
 	rng       *rand.Rand
@@ -64,7 +66,7 @@ type Sim struct {
 
 	// curOwner is the node whose event is being dispatched (-1 outside
 	// dispatch, i.e. control context). Schedules inherit it as their
-	// ordering key (see heapEntry).
+	// ordering key (see orderKey).
 	curOwner int32
 
 	// LocalDetectDelay is the time between an interface failure and the
@@ -390,7 +392,7 @@ func (p *Port) Send(frame []byte) {
 		d.rel.push(relKey{at: d.busyUntil, prio: sim.ctxPrio(), seq: sim.seq}, link.maxQueue)
 	}
 	// The delivery is keyed to the dst node's frame class, tied by (src
-	// node, src port, per-direction tx counter) — see heapEntry. It joins
+	// node, src port, per-direction tx counter) — see orderKey. It joins
 	// the direction's flight ring, and draws a seq as any scheduled event.
 	at := sim.now + delay
 	if at < sim.now {

@@ -9,7 +9,7 @@ import (
 
 // A link direction is a FIFO: frames leave the transmitter at busyUntil,
 // which only grows. What the direction has pending is therefore kept in
-// order on the direction itself instead of being sorted by the global heap.
+// order on the direction itself instead of being sorted by a heap.
 
 // relKey is the ordering key of one egress-queue release: the local event
 // that, scheduled at the instant the frame has left the transmitter, would
@@ -121,7 +121,7 @@ type flightRing struct {
 
 func (r *flightRing) at(i int) *flight { return &r.buf[r.slot(i, len(r.buf))] }
 
-// wire binds a direction to its endpoints and readies its heap record.
+// wire binds a direction to its endpoints and readies its wire-heap record.
 func (d *dirState) wire(l *Link, src, dst *Port) {
 	d.link, d.src, d.dst = l, src, dst
 	d.prio = nodePrio(dst.Node.id, classFrame)
@@ -130,8 +130,8 @@ func (d *dirState) wire(l *Link, src, dst *Port) {
 
 // launch puts fl in flight on d. A wire delivers in the order it was fed
 // unless jitter or a latency change lets a later frame overtake, so the
-// insertion point is almost always the tail; either way the heap hears of
-// it only when the direction's next delivery changed.
+// insertion point is almost always the tail; either way the wire heap hears
+// of it only when the direction's next delivery changed.
 func (s *Sim) launch(d *dirState, at time.Duration, tie uint64, frame []byte, fh framepool.Handle) {
 	r := &d.fly
 	if r.n == len(r.buf) {
@@ -161,22 +161,22 @@ func (s *Sim) launch(d *dirState, at time.Duration, tie uint64, frame []byte, fh
 	switch {
 	case i > 0:
 	case d.ev.idx < 0:
-		s.heapPush(heapEntry{orderKey{at: at, prio: d.prio, tie: tie}, &d.ev})
+		s.heapPush(&s.wires, heapEntry{orderKey{at: at, prio: d.prio, tie: tie}, &d.ev})
 	default:
-		e := &s.queue[d.ev.idx]
+		e := &s.wires[d.ev.idx]
 		e.at, e.tie = at, tie
-		s.heapFix(int(d.ev.idx))
+		s.heapFix(&s.wires, int(d.ev.idx))
 	}
 	if invariant.Enabled {
 		s.checkWire(d, i)
 	}
 }
 
-// takeFlight removes the frame d's heap record (the root) stands for and
-// re-keys the record to the next one, or pops it when the wire is idle.
+// takeFlight removes the frame d's record (the wire heap's root) stands for
+// and re-keys the record to the next one, or pops it when the wire is idle.
 func (s *Sim) takeFlight(d *dirState) ([]byte, framepool.Handle) {
 	if invariant.Enabled {
-		invariant.Assert(d.ev.idx == 0 && d.fly.n > 0, "simnet: dispatching a direction that is not the heap's root or has nothing in flight")
+		invariant.Assert(d.ev.idx == 0 && d.fly.n > 0, "simnet: dispatching a direction that is not the wire heap's root or has nothing in flight")
 	}
 	r := &d.fly
 	head := r.at(0)
@@ -184,13 +184,13 @@ func (s *Sim) takeFlight(d *dirState) ([]byte, framepool.Handle) {
 	head.frame = nil // the ring must not keep a delivered buffer alive
 	r.drop(len(r.buf))
 	if r.n == 0 {
-		s.heapPop()
+		s.heapPop(&s.wires)
 	} else {
 		next := r.at(0)
-		s.queue[0].at, s.queue[0].tie = next.at, next.tie
-		s.siftDown(0)
+		s.wires[0].at, s.wires[0].tie = next.at, next.tie
+		s.wires.siftDown(0)
 		if invariant.Enabled {
-			s.checkHeap(int(d.ev.idx))
+			s.checkHeap(&s.wires, int(d.ev.idx))
 		}
 	}
 	if invariant.Enabled {
