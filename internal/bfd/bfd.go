@@ -57,9 +57,17 @@ type ControlPacket struct {
 // ErrMalformed reports an undecodable control packet.
 var ErrMalformed = errors.New("bfd: malformed control packet")
 
-// Marshal renders the packet.
+// Marshal renders the packet into a new buffer.
 func (p *ControlPacket) Marshal() []byte {
-	b := make([]byte, PacketLen)
+	var b [PacketLen]byte
+	p.Put(&b)
+	return b[:]
+}
+
+// Put renders the packet into b; a session transmits from one buffer of its
+// own this way.
+func (p *ControlPacket) Put(b *[PacketLen]byte) {
+	*b = [PacketLen]byte{}
 	b[0] = 1 << 5 // version 1, no diagnostic
 	b[1] = byte(p.State) << 6
 	b[2] = p.DetectMult
@@ -69,7 +77,6 @@ func (p *ControlPacket) Marshal() []byte {
 	be32(b[12:], p.DesiredMinTx)
 	be32(b[16:], p.RequiredMinRx)
 	// Required Min Echo RX = 0 (no echo function).
-	return b
 }
 
 // Unmarshal parses a control packet.
@@ -124,6 +131,7 @@ type Session struct {
 	yourDisc    uint32
 	txTimer     *simnet.Timer
 	detectTimer *simnet.Timer
+	txBuf       [PacketLen]byte // the control packet being sent; SendUDP copies it
 
 	// OnDown fires when an Up session falls to Down (detect timeout or
 	// remote signaling); BGP's Peer.BFDDown is wired here.
@@ -229,7 +237,8 @@ func (s *Session) transmit() {
 		RequiredMinRx: uint32(s.cfg.TxInterval / time.Microsecond),
 	}
 	s.Stats.Sent++
-	s.stack.SendUDP(s.local, s.remote, 49152, udp.PortBFDControl, pkt.Marshal())
+	pkt.Put(&s.txBuf)
+	s.stack.SendUDP(s.local, s.remote, 49152, udp.PortBFDControl, s.txBuf[:])
 }
 
 func (s *Session) armDetect() {

@@ -144,11 +144,11 @@ func TestLocalFailureAlsoDetected(t *testing.T) {
 	}
 }
 
-// TestTransmitAllocs pins the keep-alive budget. Each control packet costs
-// the 24-byte marshal buffer and nothing else: the frame comes from the
-// pool and returns to it when the peer's listener has decoded the packet,
-// and event bookkeeping amortizes to zero once the simulator freelists warm
-// up (DESIGN.md §9). The 100ms-interval BFD churn dominates
+// TestTransmitAllocs pins the keep-alive budget. A control packet costs
+// nothing: it is rendered into the session's own buffer, the frame comes
+// from the pool and returns to it when the peer's listener has decoded the
+// packet, and event bookkeeping amortizes to zero once the simulator
+// freelists warm up (DESIGN.md §9). The 100ms-interval BFD churn dominates
 // the BGP/BFD configuration's event count, so a regression here slows every
 // figure run.
 func TestTransmitAllocs(t *testing.T) {
@@ -161,7 +161,7 @@ func TestTransmitAllocs(t *testing.T) {
 		// return: the periodic timers re-arm forever.)
 		pn.sim.RunFor(300 * time.Microsecond)
 	})
-	if avg > 1 {
-		t.Errorf("BFD transmit allocates %.1f/op, want <= 1 (the marshalled control packet; its frame is pooled and the receiving listener gives it back)", avg)
+	if avg != 0 {
+		t.Errorf("BFD transmit allocates %.1f/op, want 0 (the control packet is the session's buffer; its frame is pooled and the receiving listener gives it back)", avg)
 	}
 }

@@ -65,25 +65,31 @@ func marshalVIDs(b []byte, vids []VID) []byte {
 	return b
 }
 
-func parseVIDs(b []byte) ([]VID, []byte, error) {
+// parseVIDs decodes a counted VID list. The VIDs are sub-slices of one copy
+// of the list's bytes, each capped at its own length, so a message costs two
+// allocations however many VIDs it carries and the caller may retain them.
+func parseVIDs(b []byte) ([]VID, error) {
 	if len(b) < 1 {
-		return nil, nil, ErrMalformed
+		return nil, ErrMalformed
 	}
 	n := int(b[0])
-	b = b[1:]
 	vids := make([]VID, 0, n)
+	if n == 0 {
+		return vids, nil
+	}
+	b = append([]byte(nil), b[1:]...)
 	for i := 0; i < n; i++ {
 		if len(b) < 1 {
-			return nil, nil, ErrMalformed
+			return nil, ErrMalformed
 		}
 		l := int(b[0])
 		if l == 0 || len(b) < 1+l {
-			return nil, nil, ErrMalformed
+			return nil, ErrMalformed
 		}
-		vids = append(vids, VID(append([]byte(nil), b[1:1+l]...)))
+		vids = append(vids, VID(b[1:1+l:1+l]))
 		b = b[1+l:]
 	}
-	return vids, b, nil
+	return vids, nil
 }
 
 // Marshal renders a control message body (the Ethernet payload). An
@@ -121,14 +127,14 @@ func ParseMessage(b []byte) (Message, error) {
 			return Message{}, ErrMalformed
 		}
 		m.Tier = int(b[1])
-		vids, _, err := parseVIDs(b[2:])
+		vids, err := parseVIDs(b[2:])
 		if err != nil {
 			return Message{}, err
 		}
 		m.VIDs = vids
 		return m, nil
 	case TypeJoin, TypeOffer, TypeAccept, TypeAck:
-		vids, _, err := parseVIDs(b[1:])
+		vids, err := parseVIDs(b[1:])
 		if err != nil {
 			return Message{}, err
 		}

@@ -109,6 +109,37 @@ func TestAdvertiseRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestParseAdvertiseAllocs pins what a periodic ADVERTISE costs its
+// receiver: the []VID and one copy of the list's bytes, whether it carries
+// one VID or the 24 a fabric-scale spine hears. The VIDs may be retained
+// (adjacency.advertised does): they do not alias the frame, and appending
+// to one cannot reach its neighbour.
+func TestParseAdvertiseAllocs(t *testing.T) {
+	for _, n := range []int{1, 24} {
+		in := Message{Type: TypeAdvertise, Tier: 2}
+		for i := 0; i < n; i++ {
+			in.VIDs = append(in.VIDs, VID{byte(11 + i), 1, 2})
+		}
+		wire := mustWire(t, in)
+		var out Message
+		if got := testing.AllocsPerRun(100, func() { out, _ = ParseMessage(wire) }); got != 2 {
+			t.Errorf("parsing an ADVERTISE of %d VIDs costs %v allocations, want 2", n, got)
+		}
+		for i := range wire {
+			wire[i] = 0xEE // the frame goes back to the pool
+		}
+		grown := append(out.VIDs[0], 9)
+		for i, v := range out.VIDs {
+			if !v.Equal(in.VIDs[i]) {
+				t.Fatalf("VID %d of %d reads %v after the frame was recycled and its neighbour appended to, want %v", i, n, v, in.VIDs[i])
+			}
+		}
+		if !grown.Equal(VID{11, 1, 2, 9}) {
+			t.Errorf("appended VID = %v", grown)
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	bad := [][]byte{
 		{},

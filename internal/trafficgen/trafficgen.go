@@ -50,6 +50,9 @@ type Sender struct {
 	sent  uint64
 	stop  bool
 	timer *simnet.Timer
+	// payload is every packet's payload: the magic, the sequence number
+	// tick rewrites, zero padding. SendUDP copies it into the frame.
+	payload []byte
 }
 
 // NewSender binds a sender to a server stack.
@@ -57,7 +60,9 @@ func NewSender(stack *ipstack.Stack, cfg Config) *Sender {
 	if cfg.Size < headerLen {
 		cfg.Size = headerLen
 	}
-	return &Sender{stack: stack, cfg: cfg}
+	s := &Sender{stack: stack, cfg: cfg, payload: make([]byte, cfg.Size)}
+	be32(s.payload, Magic)
+	return s
 }
 
 // Start begins transmitting until Stop.
@@ -76,12 +81,10 @@ func (s *Sender) tick() {
 	if s.stop {
 		return
 	}
-	payload := make([]byte, s.cfg.Size)
-	be32(payload[0:], Magic)
-	be64(payload[4:], s.seq)
+	be64(s.payload[4:], s.seq)
 	s.seq++
 	s.sent++
-	s.stack.SendUDP(s.cfg.Src, s.cfg.Dst, s.cfg.SrcPort, s.cfg.DstPort, payload)
+	s.stack.SendUDP(s.cfg.Src, s.cfg.Dst, s.cfg.SrcPort, s.cfg.DstPort, s.payload)
 	if s.timer != nil {
 		s.timer.Reset(s.cfg.Interval)
 	} else {
@@ -89,19 +92,25 @@ func (s *Sender) tick() {
 	}
 }
 
-// Receiver analyzes the flow at the destination server.
+// maxSeq bounds the sequence numbers a Receiver accounts for: two million
+// words of bitset, and 14 hours of the default flow. A sender counts up from
+// zero, so a packet beyond it is a corrupted one and is ignored.
+const maxSeq = 1 << 24
+
+// Receiver analyzes the flow at the destination server. The zero value is
+// an analyzer that has seen nothing.
 type Receiver struct {
 	received   uint64
 	duplicates uint64
 	outOfOrder uint64
-	seen       map[uint64]bool
+	seen       []uint64 // bit seq%64 of word seq/64: seq has arrived
 	lastSeq    uint64
 	haveLast   bool
 }
 
 // NewReceiver registers the analyzer on the destination stack and port.
 func NewReceiver(stack *ipstack.Stack, port uint16) *Receiver {
-	r := &Receiver{seen: make(map[uint64]bool)}
+	r := &Receiver{}
 	stack.ListenUDP(port, func(src, dst netaddr.IPv4, dg udp.Datagram) {
 		r.packet(dg.Payload)
 	})
@@ -113,11 +122,20 @@ func (r *Receiver) packet(payload []byte) {
 		return
 	}
 	seq := u64(payload[4:])
-	if r.seen[seq] {
+	if seq >= maxSeq {
+		return
+	}
+	if r.has(seq) {
 		r.duplicates++
 		return
 	}
-	r.seen[seq] = true
+	w := int(seq >> 6)
+	if w >= len(r.seen) {
+		grown := make([]uint64, max(2*len(r.seen), w+1, 16))
+		copy(grown, r.seen)
+		r.seen = grown
+	}
+	r.seen[w] |= 1 << (seq & 63)
 	r.received++
 	if r.haveLast && seq < r.lastSeq {
 		r.outOfOrder++
@@ -126,6 +144,12 @@ func (r *Receiver) packet(payload []byte) {
 		r.lastSeq = seq
 		r.haveLast = true
 	}
+}
+
+// has reports whether seq has arrived.
+func (r *Receiver) has(seq uint64) bool {
+	w := seq >> 6
+	return w < uint64(len(r.seen)) && r.seen[w]&(1<<(seq&63)) != 0
 }
 
 // Seq returns the next sequence number the sender will transmit; a probe
@@ -140,7 +164,7 @@ func (s *Sender) Seq() uint64 { return s.seq }
 func (r *Receiver) Missing(from, to uint64) (total, longest uint64) {
 	var run uint64
 	for seq := from; seq < to; seq++ {
-		if r.seen[seq] {
+		if r.has(seq) {
 			run = 0
 			continue
 		}

@@ -81,7 +81,6 @@ func TestLossWindowCounted(t *testing.T) {
 
 func TestDuplicateDetection(t *testing.T) {
 	var r Receiver
-	r.seen = make(map[uint64]bool)
 	pkt := func(seq uint64) []byte {
 		b := make([]byte, headerLen)
 		be32(b, Magic)
@@ -110,7 +109,6 @@ func TestReorderedDeliveryAccounting(t *testing.T) {
 	// are each delivered twice; the late copies arrive after higher
 	// sequences, which must count them as duplicates, not out-of-order.
 	var r Receiver
-	r.seen = make(map[uint64]bool)
 	pkt := func(seq uint64) []byte {
 		b := make([]byte, headerLen)
 		be32(b, Magic)
@@ -146,7 +144,6 @@ func TestShuffledDeliveryProperty(t *testing.T) {
 		n := 2 + rng.Intn(200)
 		perm := rng.Perm(n)
 		var r Receiver
-		r.seen = make(map[uint64]bool)
 		wantOOO := uint64(0)
 		max := -1
 		for _, seq := range perm {
@@ -174,7 +171,6 @@ func TestShuffledDeliveryProperty(t *testing.T) {
 
 func TestNonGeneratorTrafficIgnored(t *testing.T) {
 	var r Receiver
-	r.seen = make(map[uint64]bool)
 	r.packet([]byte("not a generator packet"))
 	r.packet([]byte{1, 2})
 	if r.received != 0 {
@@ -197,7 +193,6 @@ func TestReportLostNeverNegative(t *testing.T) {
 	// If the analyzer somehow sees more than sent (e.g. duplicates of a
 	// short run), Lost must clamp at zero.
 	var r Receiver
-	r.seen = make(map[uint64]bool)
 	r.received = 10
 	s := &Sender{sent: 5}
 	if rep := r.Report(s); rep.Lost != 0 {
@@ -212,5 +207,60 @@ func TestPayloadPadding(t *testing.T) {
 	s := NewSender(w.src, cfg)
 	if s.cfg.Size != headerLen {
 		t.Errorf("size = %d, want clamped to %d", s.cfg.Size, headerLen)
+	}
+}
+
+// TestProbeFlowAllocs pins the steady state of a flow: a packet sent,
+// routed, received and accounted costs no allocation. The payload is the
+// sender's one buffer (SendUDP copies it into a pooled frame) and the
+// receiver's bitset, 1024 sequence numbers to start with, is not outgrown
+// inside the measured window.
+func TestProbeFlowAllocs(t *testing.T) {
+	w := newWire(t)
+	cfg := DefaultConfig(w.srcIP, w.dstIP)
+	s := NewSender(w.src, cfg)
+	r := NewReceiver(w.dst, cfg.DstPort)
+	s.Start()
+	w.sim.RunFor(time.Second) // ARP resolved, pools and rings grown
+	before := s.Sent()
+	if got := testing.AllocsPerRun(50, func() { w.sim.RunFor(10 * cfg.Interval) }); got != 0 {
+		t.Errorf("ten packets end to end cost %v allocations, want 0", got)
+	}
+	if sent := s.Sent() - before; sent != 510 {
+		t.Errorf("measured window carried %d packets, want 510", sent)
+	}
+	if rep := r.Report(s); rep.Lost > 1 || rep.Duplicated != 0 { // the last one may be in flight
+		t.Errorf("report %+v", rep)
+	}
+}
+
+// TestMissingBeyondWhatArrived scans windows that end past the highest
+// sequence received, and past the bitset: those packets are missing.
+func TestMissingBeyondWhatArrived(t *testing.T) {
+	var r Receiver
+	pkt := func(seq uint64) []byte {
+		b := make([]byte, headerLen)
+		be32(b, Magic)
+		be64(b[4:], seq)
+		return b
+	}
+	for _, seq := range []uint64{0, 1, 5, 63, 64, 2000} {
+		r.packet(pkt(seq))
+	}
+	for _, tc := range []struct{ from, to, total, longest uint64 }{
+		{0, 6, 3, 3},
+		{60, 70, 8, 5},
+		{1990, 2010, 19, 10},
+		{5000, 5100, 100, 100}, // wholly past the bitset
+		{3, 3, 0, 0},
+	} {
+		if total, longest := r.Missing(tc.from, tc.to); total != tc.total || longest != tc.longest {
+			t.Errorf("Missing(%d, %d) = %d, %d; want %d, %d", tc.from, tc.to, total, longest, tc.total, tc.longest)
+		}
+	}
+	r.packet(pkt(maxSeq)) // a corrupted sequence number must not size the bitset
+	r.packet(pkt(1 << 63))
+	if r.received != 6 || len(r.seen) > 64 {
+		t.Errorf("received = %d with %d bitset words after two absurd sequence numbers", r.received, len(r.seen))
 	}
 }
