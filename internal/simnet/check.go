@@ -78,9 +78,9 @@ func (s *Sim) checkEntry(h *eventHeap, j int) {
 		}
 	} else {
 		invariant.Assert(q[j].orderKey == ev.key, "simnet: heap entry's key is not its record's")
-		switch b := binOf(q[j].at); h {
+		switch h {
 		case &s.near:
-			invariant.Assert(ev.loc == locNear && b <= s.cal.cur, "simnet: near-heap entry is of a bin after the calendar's current one (or its record says it is elsewhere)")
+			invariant.Assert(ev.loc == locNear && binOf(q[j].at) <= s.cal.cur, "simnet: near-heap entry is of a bin after the calendar's current one (or its record says it is elsewhere)")
 		case &s.cal.over:
 			// That its bin is after cur holds between turns only; checkWheel
 			// asserts it of the root.
@@ -111,14 +111,14 @@ func (s *Sim) checkWheel(slot int64) {
 	c := &s.cal
 	invariant.Assert(len(c.over) == 0 || binOf(c.over[0].at) > c.cur, "simnet: overflow timer of a bin the calendar has reached")
 	n := c.checkSlot(slot)
-	invariant.Assert((n > 0) == (c.occ[slot>>6]&(1<<(slot&63)) != 0), "simnet: calendar bitmap bit does not match its slot's list")
+	invariant.Assert((n > 0) == c.occupied(slot), "simnet: calendar bitmap bit does not match its slot's list")
 	invariant.Assert(c.wheelN >= n, "simnet: calendar wheel count below what one slot holds")
 	if c.wheelN > smallHeapScan {
 		return
 	}
 	total := 0
 	for sl := int64(0); sl < wheelBins; sl++ {
-		if c.occ[sl>>6]&(1<<(sl&63)) != 0 {
+		if c.occupied(sl) {
 			total += c.checkSlot(sl)
 		}
 	}
@@ -132,7 +132,7 @@ func (c *calendar) checkSlot(slot int64) int {
 	for ev := c.heads[slot]; ev != nil; prev, ev = ev, ev.next {
 		b := binOf(ev.key.at)
 		invariant.Assert(ev.loc == locWheel && ev.kind == evFunc && ev.idx < 0, "simnet: record on a calendar list is not a wheel timer")
-		invariant.Assert(b&(wheelBins-1) == slot && b > c.cur && b-c.cur < wheelBins, "simnet: wheel timer not on the list of its own bin (or its bin is outside the wheel)")
+		invariant.Assert(slotOf(b) == slot && b > c.cur && b-c.cur < wheelBins, "simnet: wheel timer not on the list of its own bin (or its bin is outside the wheel)")
 		invariant.Assert(ev.prev == prev, "simnet: calendar list back-link broken")
 		n++
 	}

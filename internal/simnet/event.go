@@ -333,8 +333,10 @@ const (
 	wheelBins = 1024
 )
 
-// binOf is the calendar bin an instant falls in.
+// binOf is the calendar bin an instant falls in, slotOf the wheel slot a bin
+// maps to.
 func binOf(at time.Duration) int64 { return int64(at) >> binShift }
+func slotOf(bin int64) int64       { return bin & (wheelBins - 1) }
 
 // calendar holds the timers due in bins after cur: those of the next
 // wheelBins-1 bins on the wheel, under slot bin%wheelBins, the rest in over.
@@ -348,6 +350,8 @@ type calendar struct {
 	over   eventHeap              // timers armed wheelBins or more bins ahead
 }
 
+func (c *calendar) occupied(slot int64) bool { return c.occ[slot>>6]&(1<<(slot&63)) != 0 }
+
 // arm puts a keyed evFunc record where its deadline belongs.
 func (s *Sim) arm(ev *event) {
 	c := &s.cal
@@ -357,7 +361,7 @@ func (s *Sim) arm(ev *event) {
 		ev.loc = locNear
 		s.heapPush(&s.near, heapEntry{ev.key, ev})
 	case b-c.cur < wheelBins:
-		slot := b & (wheelBins - 1)
+		slot := slotOf(b)
 		head := c.heads[slot]
 		ev.loc, ev.next = locWheel, head
 		if head != nil {
@@ -386,7 +390,7 @@ func (s *Sim) disarm(ev *event) {
 	case locOver:
 		s.heapRemove(&c.over, int(ev.idx))
 	case locWheel:
-		slot := binOf(ev.key.at) & (wheelBins - 1)
+		slot := slotOf(binOf(ev.key.at))
 		if ev.next != nil {
 			ev.next.prev = ev.prev
 		}
@@ -409,7 +413,7 @@ func (s *Sim) disarm(ev *event) {
 // nextBin is the first occupied bin of the wheel after cur. The wheel must
 // not be empty.
 func (c *calendar) nextBin() int64 {
-	start := uint64(c.cur+1) & (wheelBins - 1)
+	start := uint64(slotOf(c.cur + 1))
 	w, off := start>>6, start&63
 	if m := c.occ[w] >> off; m != 0 {
 		return c.cur + 1 + int64(bits.TrailingZeros64(m))
@@ -441,7 +445,7 @@ func (s *Sim) turn() {
 		}
 	}
 	c.cur = b
-	slot := b & (wheelBins - 1)
+	slot := slotOf(b)
 	// Every wheel timer lies fewer than wheelBins bins after the old cur
 	// and after the new one, so a slot holds one bin: this list is all of
 	// bin b and nothing else.

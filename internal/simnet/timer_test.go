@@ -163,10 +163,7 @@ func TestTimerOnRunUntilHorizon(t *testing.T) {
 func TestCalendarEdges(t *testing.T) {
 	const bin = time.Duration(1) << binShift
 	const span = wheelBins * bin
-	bit := func(s *Sim, b int64) bool {
-		slot := b & (wheelBins - 1)
-		return s.cal.occ[slot>>6]&(1<<(slot&63)) != 0
-	}
+	bit := func(s *Sim, b int64) bool { return s.cal.occupied(slotOf(b)) }
 	for _, tc := range []struct {
 		name string
 		run  func(t *testing.T, s *Sim)
