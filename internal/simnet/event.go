@@ -222,26 +222,31 @@ func (s *Sim) schedule(at time.Duration, fn func()) *event {
 // --- indexed min-heap -------------------------------------------------------
 
 func (s *Sim) heapPush(h *eventHeap, e heapEntry) {
-	e.ev.idx = int32(len(*h))
-	*h = append(*h, e) //simlint:alloc heap growth is amortized; capacity stabilizes at the heap's peak depth
-	h.siftUp(int(e.ev.idx))
+	n := len(*h)
+	*h = append(*h, heapEntry{}) //simlint:alloc heap growth is amortized; capacity stabilizes at the heap's peak depth
+	h.siftUp(n, &e)
 	if invariant.Enabled {
 		s.checkHeap(h, int(e.ev.idx))
 	}
 }
 
-func (h eventHeap) siftUp(i int) {
-	e := h[i]
+// siftUp settles e into the hole at index i or above it.
+func (h eventHeap) siftUp(i int, e *heapEntry) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !entryLess(&e, &h[parent]) {
+		if !entryLess(e, &h[parent]) {
 			break
 		}
 		h[i] = h[parent]
 		h[i].ev.idx = int32(i)
 		i = parent
 	}
-	h[i] = e
+	// Field by field: heapPush's e is a literal its caller built on the stack
+	// with 8-byte stores, and copying it whole loads it back 16 bytes at a
+	// time, which stalls the pipeline on every frame launched onto an idle
+	// wire (8 % of a fabric-scale profile).
+	slot := &h[i]
+	slot.at, slot.prio, slot.tie, slot.seq, slot.ev = e.at, e.prio, e.tie, e.seq, e.ev
 	e.ev.idx = int32(i)
 }
 
@@ -273,7 +278,8 @@ func (s *Sim) heapFix(h *eventHeap, i int) {
 	ev := (*h)[i].ev
 	h.siftDown(i)
 	if int(ev.idx) == i {
-		h.siftUp(i)
+		e := (*h)[i]
+		h.siftUp(i, &e)
 	}
 	if invariant.Enabled {
 		s.checkHeap(h, int(ev.idx))
@@ -309,7 +315,8 @@ func (s *Sim) heapRemove(h *eventHeap, i int) {
 		*h = q[:last]
 		h.siftDown(i)
 		if int(moved.idx) == i {
-			h.siftUp(i)
+			e := (*h)[i]
+			h.siftUp(i, &e)
 		}
 	} else {
 		q[last] = heapEntry{}
