@@ -47,7 +47,8 @@ analyzers:
 	$(GO) test ./tools/... ./cmd/simlint/...
 
 # invariants runs the suite with runtime assertions compiled in: event-heap
-# ordering, MR-MTP VID-table consistency, FIB next-hop validity, and the
+# ordering, MR-MTP VID-table consistency, FIB next-hop validity, the path
+# walk's memoised hops against the live tables (./internal/harness), and the
 # pool ledgers (freelist poisoning, frame-arena double-Put and
 # recycled-in-flight checks) panic on violation instead of silently
 # corrupting a result.

@@ -16,8 +16,8 @@
 // Scale comes from aggregation: flows sharing an identical resolved path
 // form one *path group*. Rates, service curves and progressive filling run
 // per group (a Clos fabric has few distinct paths), while per-flow state is
-// one 24-byte heap entry — so a million concurrent flows cost one heap push
-// and one pop each, not a million timers.
+// one 24-byte queue entry — so a million concurrent flows cost one push and
+// one pop each, not a million timers.
 //
 // Determinism: groups and links live in slices in creation order, maps are
 // lookup-only (never ranged), and every float operation runs in a fixed
@@ -62,7 +62,7 @@ type Completion struct {
 }
 
 // member is one fluid flow inside a path group: the cumulative-service
-// level at which it completes, keyed for the group's min-heap.
+// level at which it completes, the key of the group's member queue.
 type member struct {
 	threshold float64 // group service (bytes) at which this flow is done
 	admitted  time.Duration
@@ -81,7 +81,13 @@ type group struct {
 	n       int     // active flows
 	rate    float64 // per-flow bps from the last Reallocate
 	service float64 // cumulative per-flow bytes served
-	heap    []member
+
+	// The member queue (see push): run[head:] is a FIFO of the members that
+	// arrived in memberLess order, heap a min-heap of the rest. The queue's
+	// minimum is the smaller of run[head] and heap[0].
+	run  []member
+	head int
+	heap []member
 
 	frozen bool // progressive-filling scratch
 }
@@ -234,9 +240,8 @@ func (s *Solver) Advance(now time.Duration) []Completion {
 		if dt > 0 {
 			g.service = prev + g.rate/8*dt
 		}
-		for len(g.heap) > 0 && g.heap[0].threshold <= g.service {
-			m := g.heap[0]
-			popMin(&g.heap)
+		for !g.empty() && g.min().threshold <= g.service {
+			m := g.pop()
 			over := (m.threshold - prev) * 8 / g.rate // seconds into the epoch
 			if over < 0 {
 				over = 0
@@ -382,14 +387,7 @@ func (s *Solver) resolvePending(now time.Duration) []Completion {
 			continue
 		}
 		s.seq++
-		if len(g.heap) == cap(g.heap) {
-			// Doubling: append's rule for large slices grows by a quarter,
-			// and a group that fills over many epochs then allocates about
-			// five times what it ends up holding.
-			g.heap = slices.Grow(g.heap, len(g.heap)+1)
-		}
-		g.heap = append(g.heap, member{threshold: threshold, admitted: p.at, id: p.id, seq: s.seq})
-		siftUp(g.heap, len(g.heap)-1)
+		g.push(member{threshold: threshold, admitted: p.at, id: p.id, seq: s.seq})
 	}
 	s.pending = s.pending[:0]
 	s.resolved = out
@@ -422,10 +420,10 @@ func (s *Solver) freeze(g *group) {
 // groups matching the tables they were resolved against.
 func (s *Solver) Repath(resolve func(id uint32) (path []LinkID, latency time.Duration, ok bool)) {
 	for gi, g := range s.groups {
-		if g.phantom || len(g.heap) == 0 {
+		if g.phantom || g.empty() {
 			continue
 		}
-		newPath, lat, ok := resolve(g.heap[0].id)
+		newPath, lat, ok := resolve(g.min().id)
 		if !ok || samePath(g.path, newPath) {
 			continue
 		}
@@ -462,13 +460,75 @@ func removeGroup(gs []int32, gi int32) []int32 {
 	return gs
 }
 
-// --- member min-heap (threshold, then admission seq) ------------------------
+// --- member queue (threshold, then admission seq) ---------------------------
 
+// memberLess is the order members complete in. seq is unique, so the order
+// is strict and total: whatever structure yields its minimum pops the same
+// sequence.
 func memberLess(a, b member) bool {
 	if a.threshold != b.threshold {
 		return a.threshold < b.threshold
 	}
 	return a.seq < b.seq
+}
+
+// push files a member. One that does not sort before the last of the run
+// joins the run, which therefore stays sorted and costs a store to push and
+// an index to pop; any other goes on the heap. The thresholds decide: flows
+// of one size admitted to a group at one rate arrive in completion order and
+// never see the heap, a mix of sizes mostly does. Both slices double when
+// full — append's rule for large slices grows by a quarter, and a group that
+// fills over many epochs then allocates about five times what it ends up
+// holding — except that a run whose consumed head has passed half its
+// capacity is moved down instead.
+func (g *group) push(m member) {
+	if g.head == len(g.run) {
+		g.run, g.head = g.run[:0], 0
+	}
+	n := len(g.run)
+	if n > 0 && memberLess(m, g.run[n-1]) {
+		if len(g.heap) == cap(g.heap) {
+			g.heap = slices.Grow(g.heap, len(g.heap)+1)
+		}
+		g.heap = append(g.heap, m)
+		siftUp(g.heap, len(g.heap)-1)
+		return
+	}
+	if n == cap(g.run) {
+		if g.head > n/2 {
+			g.run, g.head = g.run[:copy(g.run, g.run[g.head:])], 0
+		} else {
+			g.run = slices.Grow(g.run, n+1)
+		}
+	}
+	g.run = append(g.run, m)
+}
+
+func (g *group) empty() bool { return g.head == len(g.run) && len(g.heap) == 0 }
+
+// fromRun reports whether the queue's minimum is the run's head rather than
+// the heap's root. The queue must not be empty.
+func (g *group) fromRun() bool {
+	return len(g.heap) == 0 || (g.head < len(g.run) && memberLess(g.run[g.head], g.heap[0]))
+}
+
+// min returns the queue's minimum, which must exist.
+func (g *group) min() *member {
+	if g.fromRun() {
+		return &g.run[g.head]
+	}
+	return &g.heap[0]
+}
+
+// pop removes and returns the queue's minimum, which must exist.
+func (g *group) pop() member {
+	if g.fromRun() {
+		g.head++
+		return g.run[g.head-1]
+	}
+	m := g.heap[0]
+	popMin(&g.heap)
+	return m
 }
 
 func siftUp(h []member, i int) {

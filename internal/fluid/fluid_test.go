@@ -1,7 +1,9 @@
 package fluid
 
 import (
+	"container/heap"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -285,5 +287,152 @@ func TestMillionMembers(t *testing.T) {
 		if c.ID != uint32(i+1) {
 			t.Fatalf("completion %d has ID %d, want %d (admission-order tie-break)", i, c.ID, i+1)
 		}
+	}
+}
+
+// plainHeap is the member queue as it was before the run: every member on
+// one binary heap under memberLess. It stays as the oracle of the queue that
+// replaced it.
+type plainHeap []member
+
+func (h plainHeap) Len() int           { return len(h) }
+func (h plainHeap) Less(i, j int) bool { return memberLess(h[i], h[j]) }
+func (h plainHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *plainHeap) Push(x any)        { *h = append(*h, x.(member)) }
+func (h *plainHeap) Pop() any {
+	old := *h
+	m := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return m
+}
+
+// TestMemberQueueMatchesHeap drives a group's queue and the plain heap with
+// the same 10⁵ members — random thresholds from a small set so that ties are
+// common, ascending stretches (which the run keeps), descending ones (which
+// it cannot), pops interleaved with the pushes, a drain to empty in the
+// middle so that the run restarts and compacts — and compares every popped
+// member, and every minimum Repath would pick its representative from.
+func TestMemberQueueMatchesHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	var g group
+	var oracle plainHeap
+	seq, pushed, popped, viaRun := uint32(0), 0, 0, 0
+	top := 0.0 // the largest threshold pushed so far
+	push := func(threshold float64) {
+		seq++
+		m := member{threshold: threshold, admitted: time.Duration(seq), id: seq ^ 0x5a5a, seq: seq}
+		inHeap := len(g.heap)
+		g.push(m)
+		if len(g.heap) == inHeap {
+			viaRun++
+		}
+		top = max(top, threshold)
+		heap.Push(&oracle, m)
+		pushed++
+	}
+	pop := func() {
+		if g.empty() != (len(oracle) == 0) {
+			t.Fatalf("after %d pushes and %d pops the queue says empty=%v, the heap holds %d", pushed, popped, g.empty(), len(oracle))
+		}
+		if g.empty() {
+			return
+		}
+		want := heap.Pop(&oracle).(member)
+		if rep := *g.min(); rep != want {
+			t.Fatalf("pop %d: the queue's minimum is %+v, the heap's %+v", popped, rep, want)
+		}
+		if got := g.pop(); got != want {
+			t.Fatalf("pop %d: the queue yields %+v, the heap %+v", popped, got, want)
+		}
+		popped++
+	}
+	base := 0.0
+	for pushed < 100_000 {
+		n := 1 + rng.Intn(400)
+		if rng.Intn(2) == 0 {
+			base = top // the next stretch starts where the run can take it
+		}
+		switch shape := rng.Intn(4); shape {
+		case 0: // random, with ties
+			for i := 0; i < n; i++ {
+				push(base + float64(rng.Intn(50)))
+			}
+		case 1: // ascending, equal neighbours included
+			for i := 0; i < n; i++ {
+				base += float64(rng.Intn(3))
+				push(base)
+			}
+		case 2: // descending
+			for i := 0; i < n; i++ {
+				push(base + float64(n-i))
+			}
+		case 3: // pushes and pops interleaved
+			for i := 0; i < n; i++ {
+				push(base + float64(rng.Intn(2000)))
+				if rng.Intn(3) > 0 {
+					pop()
+				}
+			}
+		}
+		for k := rng.Intn(n); k > 0; k-- {
+			pop()
+		}
+		if pushed > 50_000 && pushed < 50_400 {
+			for !g.empty() {
+				pop()
+			}
+			pop() // both empty
+		}
+	}
+	for len(oracle) > 0 {
+		pop()
+	}
+	pop()
+	if popped != pushed {
+		t.Fatalf("%d members pushed, %d popped", pushed, popped)
+	}
+	if viaRun < pushed/10 || viaRun > pushed*9/10 {
+		t.Errorf("%d of %d members went through the run: the script exercises one structure only", viaRun, pushed)
+	}
+}
+
+// BenchmarkMemberQueue times a member's whole stay — admission, the push
+// its threshold earns, the pop — for 10⁵ flows on one path whose thresholds
+// ascend (flows of one size or growing: every member joins the run) or are
+// random (a mix of sizes: most go to the heap). One solver serves every
+// iteration, so the queue's slices are at their final size after the first.
+func BenchmarkMemberQueue(b *testing.B) {
+	const n = 100_000
+	rng := rand.New(rand.NewSource(24))
+	sizes := map[string][]int64{"ascending": make([]int64, n), "random": make([]int64, n)}
+	for i := 0; i < n; i++ {
+		sizes["ascending"][i] = int64(1000 + i)
+		sizes["random"][i] = 1000 + rng.Int63n(10_000_000)
+	}
+	for _, name := range []string{"ascending", "random"} {
+		b.Run(name, func(b *testing.B) {
+			s := New(Config{RateCapBps: 66e6})
+			path := []LinkID{s.AddLink(1e15, nil)} // every flow runs at the cap: 10 MB takes 1.2 s
+			now := time.Duration(0)
+			s.Advance(now)
+			round := func() {
+				for id, bytes := range sizes[name] {
+					s.Admit(uint32(id+1), bytes, path, 0, now)
+				}
+				s.Reallocate(now)
+				now += 2 * time.Second
+				if got := s.Advance(now); len(got) != n {
+					b.Fatalf("%d of %d members completed", len(got), n)
+				}
+				s.Reallocate(now)
+			}
+			round()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/member")
+		})
 	}
 }

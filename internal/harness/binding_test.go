@@ -1,7 +1,7 @@
 package harness
 
 import (
-	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -84,106 +84,292 @@ func TestBindingMatchesNames(t *testing.T) {
 // TestFluidPathIsPacketPath makes the packet the oracle of the walk: the
 // links pathFunc resolves a 5-tuple onto must be, in order, the link
 // directions that carry a datagram with that 5-tuple from the source server
-// to the destination — on a healthy fabric and again once the protocols have
-// routed around TC2. A flow the walk refuses must be one the fabric drops.
+// to the destination, and a flow the walk refuses must be one the fabric
+// drops. One resolve closure — one warm hop memo — is held per fabric across
+// every fault: healthy, the instant after the failure (inside
+// LocalDetectDelay: the port is down and its owner has not heard), 60 ms on
+// (MR-MTP has updated, the failed port's peer and BFD have not timed out),
+// a second on, the instant after the restore, a second on (MR-MTP has
+// re-accepted), and settled; for each of TC1–TC4 and the loss of a whole
+// spine. A memo that outlives the state it was filled from sends the walk
+// where the packet does not go.
 func TestFluidPathIsPacketPath(t *testing.T) {
-	const dstPort, flows = 49000, 120
 	for _, proto := range []Protocol{ProtoMRMTP, ProtoBGPBFD} {
 		t.Run(proto.String(), func(t *testing.T) {
-			f, err := warm(DefaultOptions(topology.FourPodSpec(), proto, 1))
-			if err != nil {
-				t.Fatal(err)
+			t.Run("4-pod", func(t *testing.T) {
+				walkAcrossFaults(t, DefaultOptions(topology.FourPodSpec(), proto, 1))
+			})
+			if proto != ProtoMRMTP {
+				return
 			}
-			plan, err := f.buildFluidPlan(DefaultWorkloadConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			resolve := f.pathFunc(plan, dstPort)
-			from := make(map[fluid.LinkID]*simnet.Port)
-			for ord, ids := range plan.ids {
-				for idx, id := range ids {
-					if id >= 0 {
-						from[id] = f.bound[ord].node.Ports[idx]
-					}
-				}
-			}
-
-			// The payload names the probe, so a tap tells this datagram from
-			// the last one's and from every control frame.
-			marker := []byte("walk-oracle-0000")
-			probes := 0
-			var carried []*simnet.Port
-			for _, link := range f.Sim.Links() {
-				link.Tap(func(_ time.Duration, p *simnet.Port, frame []byte) {
-					if bytes.HasSuffix(frame, marker) {
-						carried = append(carried, p)
-					}
-				})
-			}
-			delivered := 0
-			for _, srv := range f.Topo.Servers {
-				f.Stacks[srv.Name].ListenUDP(dstPort, func(_, _ netaddr.IPv4, dg udp.Datagram) {
-					if bytes.Equal(dg.Payload, marker) {
-						delivered++
-					}
-				})
-			}
-
-			rng := rand.New(rand.NewSource(20))
-			servers := f.Topo.Servers
-			check := func(state string) {
-				resolved, viaFailed := 0, 0
-				for i := 0; i < flows; i++ {
-					fl := workload.Flow{ID: uint32(i + 1), Src: rng.Intn(len(servers)), SrcPort: uint16(20000 + rng.Intn(40000))}
-					for fl.Dst = fl.Src; fl.Dst == fl.Src; {
-						fl.Dst = rng.Intn(len(servers))
-					}
-					src, dst := servers[fl.Src], servers[fl.Dst]
-					path, _, ok := resolve(&fl)
-					var want []*simnet.Port
-					for _, id := range path {
-						want = append(want, from[id])
-					}
-
-					probes++
-					marker[len(marker)-2], marker[len(marker)-1] = byte(probes>>8), byte(probes)
-					carried, delivered = carried[:0], 0
-					f.Stacks[src.Name].SendUDP(src.IP, dst.IP, fl.SrcPort, dstPort, marker)
-					f.Sim.RunFor(5 * time.Millisecond)
-
-					if !ok {
-						if delivered != 0 {
-							t.Errorf("%s: %s→%s:%d was refused by the walk and delivered by the fabric", state, src.Name, dst.Name, fl.SrcPort)
-						}
-						continue
-					}
-					resolved++
-					if delivered != 1 {
-						t.Fatalf("%s: %s→%s:%d resolved onto %d links but the datagram was delivered %d times", state, src.Name, dst.Name, fl.SrcPort, len(path), delivered)
-					}
-					if !slices.Equal(want, carried) {
-						t.Fatalf("%s: %s→%s:%d: walk crosses %v, packet crossed %v", state, src.Name, dst.Name, fl.SrcPort, portNames(want), portNames(carried))
-					}
-					for _, p := range want {
-						if p.Node.Name == "S-1-1" {
-							viaFailed++
-						}
-					}
-				}
-				if resolved < 100 {
-					t.Errorf("%s: only %d of %d flows resolved", state, resolved, flows)
-				}
-				if viaFailed == 0 {
-					t.Errorf("%s: no flow crossed S-1-1, the device TC2 fails a port of", state)
-				}
-			}
-			check("healthy")
-			if _, err := f.Fail(topology.TC2); err != nil {
-				t.Fatal(err)
-			}
-			f.Sim.RunFor(time.Second)
-			check("one second after TC2")
+			t.Run("4-tier", func(t *testing.T) { walkAcrossFaults(t, fourTierOptions(proto)) })
+			t.Run("cold link", walkAcrossFirstContact)
 		})
+	}
+}
+
+func walkAcrossFaults(t *testing.T, opts Options) {
+	f, err := warm(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := newWalkOracle(t, f)
+	o.check("healthy", nil)
+	portOf := func(tc topology.FailureCase) []*simnet.Port {
+		fp, err := f.Topo.FailurePoint(tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []*simnet.Port{f.Sim.Node(fp.Device).Port(fp.Port)}
+	}
+	spine := f.Topo.Leaves[0].Ports[1].Peer.Device.Name
+	faults := []struct {
+		name  string
+		ports []*simnet.Port
+	}{
+		{"TC1", portOf(topology.TC1)}, {"TC2", portOf(topology.TC2)},
+		{"TC3", portOf(topology.TC3)}, {"TC4", portOf(topology.TC4)},
+		{"node " + spine, f.Sim.Node(spine).Ports[1:]},
+	}
+	for _, fault := range faults {
+		if o.crossing(fault.ports) == 0 {
+			t.Errorf("%s: no healthy flow crosses the ports about to fail", fault.name)
+		}
+		for _, inject := range []struct {
+			name string
+			do   func(*simnet.Port)
+		}{{"fail", (*simnet.Port).Fail}, {"restore", (*simnet.Port).Restore}} {
+			at := f.Sim.Now()
+			for _, p := range fault.ports {
+				inject.do(p)
+			}
+			where := fault.name + " " + inject.name
+			o.check(where+", the instant after", fault.ports)
+			f.Sim.RunUntil(at + 60*time.Millisecond)
+			o.check(where+" +60 ms", fault.ports)
+			f.Sim.RunUntil(at + time.Second)
+			o.check(where+" +1 s", fault.ports)
+		}
+		f.Sim.RunFor(20 * time.Second) // BGP sessions re-establish
+		if resolved := o.check(fault.name+" settled", nil); resolved != len(o.flows) {
+			t.Errorf("%s settled: %d of %d flows resolve", fault.name, resolved, len(o.flows))
+		}
+	}
+}
+
+// walkAcrossFirstContact holds the memo across the one transition a warm
+// fabric never repeats: an adjacency whose first frame is not an ADVERTISE.
+// The spine end of a leaf-spine link is down from before the fabric starts,
+// so neither end has heard the other; once it is restored the keep-alives
+// cross, and for one link round trip the spine counts the leaf — tier not yet
+// learned — among its uplinks. No datagram fits in that window, so here the
+// memo is held to the live tables, every (device, root) entry at every 50 µs
+// step, and to the packet before and after.
+func walkAcrossFirstContact(t *testing.T) {
+	f, err := Build(DefaultOptions(topology.FourPodSpec(), ProtoMRMTP, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := f.Topo.FailurePoint(topology.TC2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	port := f.Sim.Node(fp.Device).Port(fp.Port)
+	port.Fail()
+	f.Start()
+	f.Sim.RunFor(WarmupTime)
+	o := newWalkOracle(t, f)
+	o.check("never joined", []*simnet.Port{port})
+	port.Restore()
+	// The window exists if the spine, up on a keep-alive, at some step offers
+	// a remote root one port more than it does once the leaf has said what
+	// it is.
+	spine, remote := f.Routers[fp.Device], byte(f.Topo.Leaves[len(f.Topo.Leaves)-1].VID)
+	widest := 0
+	for step := 0; step < 4000; step++ {
+		f.Sim.RunFor(50 * time.Microsecond)
+		o.sweepHops("first contact")
+		widest = max(widest, len(spine.DataCandidates(remote, nil)))
+	}
+	if widest <= len(spine.DataCandidates(remote, nil)) {
+		t.Error("the spine never counted the unheard leaf among its uplinks: the scenario no longer opens the window it is here for")
+	}
+	f.Sim.RunFor(time.Second)
+	if resolved := o.check("joined", nil); resolved != len(o.flows) {
+		t.Errorf("joined: %d of %d flows resolve", resolved, len(o.flows))
+	}
+	if err := f.CheckConverged(); err != nil {
+		t.Error(err)
+	}
+}
+
+// walkOracle sends one datagram per flow and compares the link directions
+// that carried it with the walk's.
+type walkOracle struct {
+	t       *testing.T
+	f       *Fabric
+	resolve workload.PathFunc
+	from    map[fluid.LinkID]*simnet.Port
+	flows   []workload.Flow
+
+	probes    uint16
+	carried   map[uint16][]*simnet.Port
+	delivered map[uint16]int
+}
+
+const (
+	walkDstPort = 49000
+	// The payload names the probe, so a tap tells each datagram from the
+	// others and from every control frame.
+	walkMarker = "walk-oracle-id"
+)
+
+func newWalkOracle(t *testing.T, f *Fabric) *walkOracle {
+	plan, err := f.buildFluidPlan(DefaultWorkloadConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := &walkOracle{
+		t: t, f: f, resolve: f.pathFunc(plan, walkDstPort),
+		from:    make(map[fluid.LinkID]*simnet.Port),
+		carried: make(map[uint16][]*simnet.Port), delivered: make(map[uint16]int),
+	}
+	for ord, ids := range plan.ids {
+		for idx, id := range ids {
+			if id >= 0 {
+				o.from[id] = f.bound[ord].node.Ports[idx]
+			}
+		}
+	}
+	probe := func(b []byte) (uint16, bool) {
+		n := len(b) - 2
+		if n < len(walkMarker) || string(b[n-len(walkMarker):n]) != walkMarker {
+			return 0, false
+		}
+		return uint16(b[n])<<8 | uint16(b[n+1]), true
+	}
+	for _, link := range f.Sim.Links() {
+		link.Tap(func(_ time.Duration, p *simnet.Port, frame []byte) {
+			if id, ok := probe(frame); ok {
+				o.carried[id] = append(o.carried[id], p)
+			}
+		})
+	}
+	servers := f.Topo.Servers
+	for _, srv := range servers {
+		f.Stacks[srv.Name].ListenUDP(walkDstPort, func(_, _ netaddr.IPv4, dg udp.Datagram) {
+			if id, ok := probe(dg.Payload); ok {
+				o.delivered[id]++
+			}
+		})
+	}
+	o.flows = seededFlows(20, 120, 0, len(servers))
+	return o
+}
+
+// seededFlows draws n flows with random source ports between distinct
+// servers of index first and above.
+func seededFlows(seed int64, n, first, servers int) []workload.Flow {
+	rng := rand.New(rand.NewSource(seed))
+	flows := make([]workload.Flow, n)
+	for i := range flows {
+		fl := &flows[i]
+		fl.ID, fl.Src, fl.SrcPort = uint32(i+1), first+rng.Intn(servers-first), uint16(20000+rng.Intn(40000))
+		for fl.Dst = fl.Src; fl.Dst == fl.Src; {
+			fl.Dst = first + rng.Intn(servers-first)
+		}
+	}
+	return flows
+}
+
+// ports maps a resolved path back to the ports it leaves.
+func (o *walkOracle) ports(path []fluid.LinkID) []*simnet.Port {
+	out := make([]*simnet.Port, len(path))
+	for i, id := range path {
+		out[i] = o.from[id]
+	}
+	return out
+}
+
+// crossing counts the flows whose current walk leaves or enters one of ports.
+func (o *walkOracle) crossing(ports []*simnet.Port) int {
+	n := 0
+	for i := range o.flows {
+		path, _, _ := o.resolve(&o.flows[i])
+		if slices.ContainsFunc(o.ports(path), func(p *simnet.Port) bool {
+			return slices.Contains(ports, p) || slices.Contains(ports, p.Peer())
+		}) {
+			n++
+		}
+	}
+	return n
+}
+
+// check resolves every flow at this instant, sends every flow's datagram at
+// this instant, runs 5 ms and compares, returning how many flows resolved. A
+// resolved flow must be delivered over exactly the walk's links — unless it
+// was sent into one of the failed ports, whose peer cannot know yet: then it
+// must have followed the walk up to there.
+func (o *walkOracle) check(state string, failed []*simnet.Port) (resolved int) {
+	servers := o.f.Topo.Servers
+	first := o.probes + 1
+	want := make([][]*simnet.Port, len(o.flows))
+	for i := range o.flows {
+		fl := &o.flows[i]
+		if path, _, ok := o.resolve(fl); ok {
+			want[i] = o.ports(path)
+		}
+		o.probes++
+		delete(o.carried, o.probes)
+		delete(o.delivered, o.probes)
+		src, dst := servers[fl.Src], servers[fl.Dst]
+		payload := append([]byte(walkMarker), byte(o.probes>>8), byte(o.probes))
+		o.f.Stacks[src.Name].SendUDP(src.IP, dst.IP, fl.SrcPort, walkDstPort, payload)
+	}
+	o.f.Sim.RunFor(5 * time.Millisecond)
+	for i, fl := range o.flows {
+		id := first + uint16(i)
+		carried, delivered := o.carried[id], o.delivered[id]
+		what := fmt.Sprintf("%s: %s→%s:%d", state, servers[fl.Src].Name, servers[fl.Dst].Name, fl.SrcPort)
+		switch {
+		case want[i] == nil:
+			if delivered != 0 {
+				o.t.Errorf("%s was refused by the walk and delivered by the fabric over %v", what, portNames(carried))
+			}
+			continue
+		case delivered == 1:
+			if !slices.Equal(want[i], carried) {
+				o.t.Fatalf("%s: walk crosses %v, packet crossed %v", what, portNames(want[i]), portNames(carried))
+			}
+		case delivered == 0 && len(carried) > 0 && len(carried) <= len(want[i]) &&
+			slices.Equal(want[i][:len(carried)], carried) && slices.Contains(failed, carried[len(carried)-1].Peer()):
+			// Lost at a failed port the sender cannot see is down.
+		default:
+			o.t.Fatalf("%s: walk crosses %v, the datagram was delivered %d times over %v", what, portNames(want[i]), delivered, portNames(carried))
+		}
+		resolved++
+	}
+	o.sweepHops(state)
+	return resolved
+}
+
+// sweepHops holds every entry of the hop memo that claims to be current to
+// the live tables, then fills or refreshes every (router, leaf) entry, so
+// that the next sweep finds whatever a missing version bump leaves behind.
+func (o *walkOracle) sweepHops(state string) {
+	f := o.f
+	for _, dev := range f.Topo.Routers() {
+		b := &f.bound[dev.Ordinal]
+		for _, leaf := range f.Topo.Leaves {
+			root, ip := byte(leaf.VID), leaf.ServerSubnet.Host(1)
+			if f.hops != nil && f.hops[dev.Ordinal] != nil {
+				e := f.hops[dev.Ordinal][root]
+				if live := b.hopCandidates(root, ip, nil); e.stamp == f.hopStamp(b) && !slices.Equal(e.cands, live) {
+					o.t.Fatalf("%s: %s's memoised hop toward %s is %v and claims to be current; its tables say %v", state, dev.Name, leaf.Name, e.cands, live)
+				}
+			}
+			f.nextHopPort(dev, root, ip, 0)
+		}
 	}
 }
 

@@ -2,11 +2,12 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/flowhash"
 	"repro/internal/fluid"
-	"repro/internal/ipstack"
+	"repro/internal/invariant"
 	"repro/internal/ipv4"
 	"repro/internal/netaddr"
 	"repro/internal/simnet"
@@ -26,9 +27,10 @@ type fluidPlan struct {
 	// ids[device ordinal][port index] is the solver link reserved for the
 	// transmit direction leaving that port, -1 where none is registered.
 	ids [][]fluid.LinkID
-	// serial is the one-packet store-and-forward delay per hop, part of
-	// each path's fixed latency offset.
-	serial time.Duration
+	// delay[device ordinal][port index] is what crossing that link adds to a
+	// path's fixed latency offset: its propagation delay plus the one-packet
+	// store-and-forward delay of a hop.
+	delay [][]time.Duration
 }
 
 // buildFluidPlan registers both directions of every fabric link with a fresh
@@ -44,13 +46,15 @@ func (f *Fabric) buildFluidPlan(w WorkloadConfig) (*fluidPlan, error) {
 		return nil, fmt.Errorf("fluid engine needs PacketSize and PacketInterval for the pacing-equivalent rate cap")
 	}
 	capBps := float64(w.PacketSize*8) / w.PacketInterval.Seconds()
+	serial := time.Duration(int64(w.PacketSize) * 8 * int64(time.Second) / w.LinkBps)
 	plan := &fluidPlan{
 		solver: fluid.New(fluid.Config{RateCapBps: capBps}),
 		ids:    make([][]fluid.LinkID, len(f.bound)),
-		serial: time.Duration(int64(w.PacketSize) * 8 * int64(time.Second) / w.LinkBps),
+		delay:  make([][]time.Duration, len(f.bound)),
 	}
 	for ord, b := range f.bound {
 		plan.ids[ord] = make([]fluid.LinkID, len(b.node.Ports))
+		plan.delay[ord] = make([]time.Duration, len(b.node.Ports))
 		for i := range plan.ids[ord] {
 			plan.ids[ord][i] = -1
 		}
@@ -63,6 +67,7 @@ func (f *Fabric) buildFluidPlan(w WorkloadConfig) (*fluidPlan, error) {
 			plan.ids[ord][from.Index] = plan.solver.AddLink(w.LinkBps, func(bps int64, at time.Duration) {
 				link.SetFluidLoad(from, bps, at)
 			})
+			plan.delay[ord][from.Index] = link.Latency + serial
 		}
 	}
 	return plan, nil
@@ -92,7 +97,7 @@ func (f *Fabric) pathFunc(plan *fluidPlan, dstPort uint16) workload.PathFunc {
 				return false
 			}
 			path = append(path, id)
-			latency += f.bound[ord].node.Ports[from.Index].Link.Latency + plan.serial
+			latency += plan.delay[ord][from.Index]
 			return true
 		}
 		if !add(src.Ports[1]) {
@@ -100,7 +105,9 @@ func (f *Fabric) pathFunc(plan *fluidPlan, dstPort uint16) workload.PathFunc {
 		}
 		dstAccess := dst.Ports[1].Peer // the destination leaf's port down to the server
 		mapped := true
-		// The longest valid folded-Clos walk is leaf-spine-root-spine-leaf.
+		// Six hops cross the deepest fabric Build makes: seven devices from
+		// leaf to leaf over a four-tier top (four hops, five devices, in the
+		// three-tier fabrics).
 		reached := f.walk(src.Ports[1].Peer.Device, dstAccess.Device, dst.IP, key, 6, func(_ *topology.Device, out *topology.Port) {
 			mapped = mapped && add(out)
 		})
@@ -112,16 +119,19 @@ func (f *Fabric) pathFunc(plan *fluidPlan, dstPort uint16) workload.PathFunc {
 }
 
 // walk replays the fabric's forwarding decisions for a flow hop by hop from
-// one device to the leaf `to`, calling visit with each device and the egress
+// one device to the leaf `to` (toIP an address in its rack), calling visit with each device and the egress
 // port it picks. It reports whether the walk arrived; it stops early where the
 // fabric would drop the packet — a table with no next hop (e.g. mid-fault), a
-// port leading nowhere or down into a rack — or after maxHops.
+// port leading nowhere or down into a rack — or after maxHops. The 5-tuple is
+// hashed here, once: every hop indexes its candidates with the same hash, as
+// every router on a packet's way computes the same one.
 func (f *Fabric) walk(from, to *topology.Device, toIP netaddr.IPv4, key flowhash.Key, maxHops int, visit func(dev *topology.Device, out *topology.Port)) bool {
+	hash := key.Hash()
 	for hops := 0; from != to; hops++ {
 		if hops >= maxHops {
 			return false
 		}
-		port, ok := f.nextHopPort(from, byte(to.VID), toIP, key)
+		port, ok := f.nextHopPort(from, byte(to.VID), toIP, hash)
 		if !ok {
 			return false
 		}
@@ -135,19 +145,73 @@ func (f *Fabric) walk(from, to *topology.Device, toIP netaddr.IPv4, key flowhash
 	return true
 }
 
-// nextHopPort replicates one router's forwarding decision for a flow: the
-// protocol's own next-hop selection, returned as the egress port index.
-// dstRoot drives the MR-MTP VID walk, dstIP the BGP FIB lookup; both planes
-// hash the same flow key their data path would.
-func (f *Fabric) nextHopPort(dev *topology.Device, dstRoot byte, dstIP netaddr.IPv4, key flowhash.Key) (int, bool) {
+// hopEntry memoises one device's forwarding decision toward one leaf: the
+// ordered egress ports the plane hashes a packet across — installation order
+// of the live next hops for BGP, the down entry's port or the eligible
+// uplinks in port order for MR-MTP — so that a flow's hop is
+// cands[hash % len(cands)], the arithmetic both planes do. stamp is the
+// hopStamp cands was filled at, 0 on an entry never filled: the plane's
+// version and the simulator's port flips only grow, so their sum stands still
+// exactly while neither has moved. The flips are in it because both planes
+// read Port.Up directly, and a failed port's owner hears of it (and bumps its
+// own version) only LocalDetectDelay later.
+type hopEntry struct {
+	stamp uint64
+	cands []uint16
+}
+
+// nextHopPort replicates one router's forwarding decision for a flow, returned
+// as the egress port index: the flow's hash picks among the candidates the
+// protocol's own next-hop selection offers toward the leaf whose root VID is
+// dstRoot and whose rack holds dstIP (the VID drives MR-MTP, the address the
+// BGP FIB). The candidates are memoised per (device, leaf) and recomputed
+// when the device's forwarding state or any port's carrier has changed since;
+// under -tags invariants every hit is recomputed and compared.
+//
+//simlint:hotpath
+func (f *Fabric) nextHopPort(dev *topology.Device, dstRoot byte, dstIP netaddr.IPv4, hash uint32) (int, bool) {
 	b := &f.bound[dev.Ordinal]
-	if f.Opts.Protocol == ProtoMRMTP {
-		return b.router.NextDataHop(dstRoot, key)
+	if f.hops == nil {
+		f.hops = make([][]hopEntry, len(f.bound)) //simlint:alloc once per fabric, on its first walk
 	}
-	var nh ipstack.NextHop
-	nh, ok := b.stack.NextHopFor(dstIP, key)
-	if !ok {
+	if f.hops[dev.Ordinal] == nil {
+		f.hops[dev.Ordinal] = make([]hopEntry, f.Topo.Leaves[len(f.Topo.Leaves)-1].VID+1) //simlint:alloc one row per device the walks cross, on first use; columns are root VIDs
+	}
+	e := &f.hops[dev.Ordinal][dstRoot]
+	if stamp := f.hopStamp(b); e.stamp != stamp {
+		e.cands = b.hopCandidates(dstRoot, dstIP, e.cands[:0])
+		e.stamp = stamp
+	} else if invariant.Enabled {
+		live := b.hopCandidates(dstRoot, dstIP, nil) //simlint:alloc invariants build only
+		invariant.Assertf(slices.Equal(live, e.cands), "harness: %s's memoised hop toward root %d is %v, its tables say %v", dev.Name, dstRoot, e.cands, live)
+	}
+	if len(e.cands) == 0 {
 		return 0, false
 	}
-	return nh.Iface.Port.Index, true
+	return int(e.cands[hash%uint32(len(e.cands))]), true
+}
+
+// hopStamp is what a hopEntry filled now is stamped with: one more than the
+// sum of the device's forwarding-state version — everything its plane's
+// next-hop selection reads except the ports' carrier state — and the
+// simulator's count of carrier changes.
+func (f *Fabric) hopStamp(b *binding) uint64 {
+	if b.router != nil {
+		return 1 + b.router.Version() + f.Sim.PortFlips()
+	}
+	return 1 + b.stack.FIB.Version() + f.Sim.PortFlips()
+}
+
+// hopCandidates appends the egress ports the device's plane hashes a packet
+// toward (dstRoot, dstIP) across, in the order the hash indexes them; nothing
+// where the packet dies.
+func (b *binding) hopCandidates(dstRoot byte, dstIP netaddr.IPv4, out []uint16) []uint16 {
+	if b.router != nil {
+		return b.router.DataCandidates(dstRoot, out)
+	}
+	r, _ := b.stack.FIB.Lookup(dstIP)
+	for _, nh := range r.NextHops {
+		out = append(out, uint16(nh.Iface.Port.Index))
+	}
+	return out
 }

@@ -103,6 +103,10 @@ type Fabric struct {
 	// topology.Device.Ordinal so that resolving a flow hashes no name. The
 	// name-keyed maps above stay for the CLI and for tests.
 	bound []binding
+	// hops is the path walk's memo (nextHopPort): hops[device ordinal][root
+	// VID] is that device's decision toward that leaf. Nothing of it exists
+	// until a walk is made, and then a row only for a device a walk crosses.
+	hops [][]hopEntry
 
 	started  bool
 	probeSeq uint16 // last ICMP probe ID handed out (Ping/Traceroute)

@@ -23,8 +23,9 @@ import (
 // the first accusation of the faulted directed link — plus the count of
 // false accusals. The harness owns all topology knowledge: it predicts each
 // probe's hop sequence by composing the protocols' own next-hop decisions
-// (mrmtp.NextDataHop, ipstack.NextHopFor), so the coverage matrix tracks
-// reroutes as they happen.
+// (Fabric.walk: the probe's hash over mrmtp.Router.DataCandidates or the live
+// next hops of ipstack.FIB.Lookup), so the coverage matrix tracks reroutes as
+// they happen.
 
 // AccusationEventKind tags localizer verdicts merged into a campaign's
 // event timeline alongside the injector's fault actions.

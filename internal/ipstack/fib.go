@@ -58,7 +58,16 @@ type FIB struct {
 	next []int32
 	lens uint64    // bit b set: some route has a /b prefix
 	live []NextHop // Lookup's scratch: reused so per-packet lookups do not allocate
+	// version counts Replace and Remove, the only mutators: with the ports'
+	// carrier state it is everything Lookup reads (see Version).
+	version uint64
 }
+
+// Version changes whenever the table does. Lookup is a function of the
+// table and of which interfaces are Usable — carrier state, which
+// simnet.Sim.PortFlips versions — so a caller may keep a Lookup result for
+// as long as both counts stand still.
+func (f *FIB) Version() uint64 { return f.version }
 
 // canonical is the form every prefix takes inside the FIB: Bits clamped to
 // 0..32 and the address masked down to it, so that a route is always
@@ -112,6 +121,7 @@ func (f *FIB) index(i int) {
 // argument the same way, so every spelling of a prefix names one route.
 func (f *FIB) Replace(r Route) {
 	r.Prefix = canonical(r.Prefix)
+	f.version++
 	if i := f.find(r.Prefix, r.Proto); i >= 0 {
 		f.routes[i] = r
 		return
@@ -128,6 +138,7 @@ func (f *FIB) Remove(prefix netaddr.Prefix, proto string) bool {
 	if i < 0 {
 		return false
 	}
+	f.version++
 	f.routes = append(f.routes[:i], f.routes[i+1:]...)
 	clear(f.head)
 	f.next = f.next[:0]

@@ -365,26 +365,6 @@ func (s *Stack) SendIPRaw(ipWire []byte) {
 	s.routeOut(pkt.Header, frame)
 }
 
-// NextHopFor returns the next hop routeOut would choose for a packet to dst
-// carrying flow key k: the sole next hop when the route has one, the
-// hash-picked member otherwise (Pick over a single entry is that entry, so
-// the two forms agree). The returned value is a copy, safe to retain across
-// FIB lookups.
-//
-// The choice is spelled out here and again in routeOut, its twin: routeOut
-// calling this function read 8 % slower per forwarded packet (the flow key
-// built for every single-next-hop route, and a call that does not inline).
-func (s *Stack) NextHopFor(dst netaddr.IPv4, k FlowKey) (NextHop, bool) {
-	r, ok := s.FIB.Lookup(dst)
-	if !ok || len(r.NextHops) == 0 {
-		return NextHop{}, false
-	}
-	if len(r.NextHops) == 1 {
-		return r.NextHops[0], true
-	}
-	return r.Pick(k), true
-}
-
 // newIPFrame draws the single buffer carrying a locally originated packet —
 // Ethernet header room, IPv4 header, transportLen transport bytes — and
 // fills in the IP header. transmit writes the Ethernet header in place once
@@ -409,8 +389,11 @@ func (s *Stack) routeOut(h ipv4.Header, frame []byte) {
 		s.frames.Put(frame) // the packet dies here; reclaim its buffer
 		return
 	}
-	// The same choice as NextHopFor, its twin, with the flow key built only
-	// when there is a group to hash over.
+	// Pick over the live next hops in installation order, with the flow key
+	// built only when there is a group to hash over (Pick over one entry is
+	// that entry). The harness's path walk makes the same choice from the same
+	// Lookup: harness.Fabric.hopCandidates keeps the live next hops' ports and
+	// indexes them by the same hash.
 	nh := r.NextHops[0]
 	if len(r.NextHops) > 1 {
 		nh = r.Pick(flowKeyOf(h, frame[ethernet.HeaderLen:]))

@@ -83,22 +83,3 @@ func TestUnhandledUDPPortUnreachable(t *testing.T) {
 		t.Fatalf("closed port: errs=%d, want 1 port-unreachable", errs)
 	}
 }
-
-// TestNextHopFor mirrors routeOut's selection and copies the scratch entry.
-func TestNextHopFor(t *testing.T) {
-	l := newLAN(t)
-	k := FlowKey{Src: l.sub1.Host(1), Dst: l.sub2.Host(1), Proto: ipv4.ProtoUDP, SrcPort: 1, DstPort: 2}
-	nh, ok := l.h1.NextHopFor(l.sub2.Host(1), k)
-	if !ok || nh.Via != l.sub1.Host(254) {
-		t.Fatalf("NextHopFor = %+v,%v, want via %s", nh, ok, l.sub1.Host(254))
-	}
-	// The router reaches h2's subnet via a connected route (no gateway).
-	rnh, ok := l.r.NextHopFor(l.sub2.Host(1), k)
-	if !ok || !rnh.Via.IsZero() || rnh.Iface == nil {
-		t.Fatalf("router NextHopFor = %+v,%v, want connected iface", rnh, ok)
-	}
-	if _, ok := l.h1.NextHopFor(netaddr.IPv4{}, k); ok {
-		// The default route covers everything, so use a stack with no FIB.
-		t.Log("default route matched the zero address (expected)")
-	}
-}

@@ -182,34 +182,53 @@ func (r *Router) forwardData(frame []byte, dstRoot byte, key flowhash.Key) {
 }
 
 // nextDataAdj is the data-plane forwarding decision, the one forwardData
-// sends on and NextDataHop reports: down the tree when the VID table knows
-// the root, otherwise up by load-balanced default. It returns nil where the
-// packet dies.
+// sends on and NextDataHop reports: the flow's hash picks among
+// dataCandidates. It returns nil where the packet dies.
 //
 //simlint:hotpath
 func (r *Router) nextDataAdj(dstRoot byte, key flowhash.Key) *adjacency {
+	switch cands := r.dataCandidates(dstRoot); len(cands) {
+	case 0:
+		return nil
+	case 1:
+		return cands[0] // any hash modulo 1
+	default:
+		return cands[int(key.Hash())%len(cands)]
+	}
+}
+
+// dataCandidates lists, in the order the hash indexes them, the adjacencies a
+// packet to dstRoot may leave on: the one that leads down the tree when the
+// VID table knows the root, otherwise the uplinks open to it in port order;
+// none where the packet dies. It reads the VID table, downstream, every
+// adjacency's state, neighborTier and unreachable marks — whose writers bump
+// fwdVersion — and the ports' carrier state. The result is the
+// router's scratch, valid until the next call.
+//
+//simlint:hotpath
+func (r *Router) dataCandidates(dstRoot byte) []*adjacency {
+	eligible := r.eligScratch[:0]
 	// Downward: a VID entry's acquisition port points at the root.
 	for _, e := range r.held(dstRoot) {
 		if adj := r.adj(e.port); adj != nil && adj.state == adjUp && adj.port.Up() {
-			return adj
+			r.eligScratch = append(eligible, adj)
+			return r.eligScratch
 		}
+	}
+	if r.downstream.has(dstRoot) || (r.Cfg.Tier == 1 && dstRoot == r.rootVID) {
+		return nil
 	}
 	// Upward: hash across live uplinks not marked unreachable for the
 	// destination root (§III.C load balancing). A DefaultRoot mark means
 	// the uplink's device withdrew its entire up-default, so it is out
 	// for every root it cannot name.
-	ups := r.uplinks()
-	eligible := r.eligScratch[:0]
-	for _, adj := range ups {
+	for _, adj := range r.uplinks() {
 		if !adj.unreachable.has(dstRoot) && !adj.unreachable.has(DefaultRoot) {
 			eligible = append(eligible, adj)
 		}
 	}
 	r.eligScratch = eligible
-	if len(eligible) == 0 || r.downstream.has(dstRoot) || (r.Cfg.Tier == 1 && dstRoot == r.rootVID) {
-		return nil
-	}
-	return eligible[int(key.Hash())%len(eligible)]
+	return eligible
 }
 
 // deliverToRack sends an IP packet to a server behind this ToR, resolving

@@ -199,6 +199,12 @@ type Router struct {
 	// downstream marks roots learned via lower-tier neighbors: they must
 	// never be chased through the default up-forwarding path.
 	downstream rootSet
+	// fwdVersion counts the changes to what dataCandidates reads: table and
+	// downstream (addEntry, dropVia), an adjacency's state (adjacencyUp,
+	// neighborDown), its unreachable marks (processStaged, neighborDown) and
+	// its neighborTier (learnTier). A writer of any of them bumps it; the
+	// ports' carrier state is versioned by simnet.Sim.PortFlips.
+	fwdVersion uint64
 	// lostSent marks roots we have propagated LOST for and not yet
 	// recovered.
 	lostSent rootSet
@@ -465,7 +471,7 @@ func (r *Router) HandleFrame(p *simnet.Port, raw []byte) {
 			// not be repeated once both ends are past dampening).
 			if f.Payload[0] == TypeAdvertise {
 				if m, err := ParseMessage(f.Payload); err == nil {
-					adj.neighborTier = m.Tier
+					r.learnTier(adj, m.Tier)
 					adj.advertised = m.VIDs
 				}
 			}
@@ -497,6 +503,7 @@ func (r *Router) HandleFrame(p *simnet.Port, raw []byte) {
 
 func (r *Router) adjacencyUp(adj *adjacency) {
 	adj.state = adjUp
+	r.fwdVersion++
 	adj.consecutive = 0
 	r.armDead(adj)
 	r.sendAdvertise(adj)
@@ -512,6 +519,7 @@ func (r *Router) adjacencyUp(adj *adjacency) {
 func (r *Router) neighborDown(adj *adjacency) {
 	r.Stats.NeighborsLost++
 	adj.state = adjFailed
+	r.fwdVersion++ // the state, and the marks cleared below
 	adj.consecutive = 0
 	if adj.deadTimer != nil {
 		adj.deadTimer.Stop()
@@ -575,6 +583,7 @@ func (r *Router) addEntry(v VID, port int, fromTier int) bool {
 	r.table[root] = append(r.table[root], vidEntry{vid: v.Clone(), port: port})
 	r.size++
 	r.advWire = nil
+	r.fwdVersion++
 	if fromTier < r.Cfg.Tier {
 		r.downstream.add(root)
 	}
@@ -602,6 +611,7 @@ func (r *Router) dropVia(root byte, adj *adjacency) bool {
 	r.table[root] = kept
 	r.size -= len(rows) - len(kept)
 	r.advWire = nil
+	r.fwdVersion++
 	return true
 }
 
@@ -653,7 +663,7 @@ func (r *Router) handleControl(adj *adjacency, m Message) {
 	case TypeHello:
 		// Liveness already refreshed.
 	case TypeAdvertise:
-		adj.neighborTier = m.Tier
+		r.learnTier(adj, m.Tier)
 		adj.advertised = m.VIDs
 		r.maybeJoin(adj)
 	case TypeJoin:
@@ -667,6 +677,16 @@ func (r *Router) handleControl(adj *adjacency, m Message) {
 	case TypeUpdate:
 		r.Stats.UpdatesRecv++
 		r.stageUpdate(adj, m.Sub, m.Roots)
+	}
+}
+
+// learnTier records the tier a neighbor advertises. A changed tier changes
+// which adjacencies are uplinks — an unheard one counts as up until it says
+// otherwise — so it is a forwarding-state change.
+func (r *Router) learnTier(adj *adjacency, tier int) {
+	if adj.neighborTier != tier {
+		adj.neighborTier = tier
+		r.fwdVersion++
 	}
 }
 
@@ -874,6 +894,7 @@ func (r *Router) processStaged() {
 	r.staged = nil
 
 	var affected rootSet
+	r.fwdVersion++ // the unreachable marks
 	for _, u := range staged {
 		affected.add(u.root)
 		u.adj.reported.add(u.root)

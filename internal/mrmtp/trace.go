@@ -55,6 +55,20 @@ func (r *Router) NextDataHop(dstRoot byte, key flowhash.Key) (port int, ok bool)
 	return adj.port.Index, true
 }
 
+// DataCandidates appends the egress ports of dataCandidates(dstRoot), in the
+// order nextDataAdj's hash indexes them: what a caller keeps to make the
+// same pick without the tables, for as long as Version and the simulator's
+// port flips stand still.
+func (r *Router) DataCandidates(dstRoot byte, ports []uint16) []uint16 {
+	for _, adj := range r.dataCandidates(dstRoot) {
+		ports = append(ports, uint16(adj.port.Index))
+	}
+	return ports
+}
+
+// Version counts the changes to the state dataCandidates reads (fwdVersion).
+func (r *Router) Version() uint64 { return r.fwdVersion }
+
 // handleLocal consumes a fabric-delivered IP packet addressed to the ToR's
 // own gateway IP: echo requests are answered, unclaimed UDP earns
 // port-unreachable (the "probe reached its destination" signal), and other

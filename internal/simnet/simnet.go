@@ -82,6 +82,11 @@ type Sim struct {
 	Trace func(at time.Duration, format string, args ...any)
 
 	events uint64 // total events processed, for stats
+
+	// portFlips counts Port.Fail and Port.Restore: the instants Port.Up
+	// changes its answer, which is LocalDetectDelay before a handler hears of
+	// it (see PortFlips).
+	portFlips uint64
 }
 
 // New creates a simulator seeded for deterministic runs.
@@ -123,6 +128,13 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // dispatched (see passMark), and is not counted; a fabric of unshaped links
 // never had such events, so its count is what it always was.
 func (s *Sim) Events() uint64 { return s.events }
+
+// PortFlips returns how many times any port's Up answer has changed. A
+// forwarding decision that reads Port.Up directly — every data-path decision
+// does, so that a dead local interface is avoided at once — is a function of
+// this count and the protocol's own tables; the handler hooks alone run
+// LocalDetectDelay too late to version it.
+func (s *Sim) PortFlips() uint64 { return s.portFlips }
 
 // Frames returns the simulation's frame-buffer pool. Protocol stacks draw
 // TX buffers from it and return provably-dead buffers; the ownership rules
@@ -440,6 +452,7 @@ func (p *Port) Fail() {
 	}
 	p.up = false
 	sim := p.Node.Sim
+	sim.portFlips++
 	sim.tracef("%s: interface FAILED", p.Name())
 	sim.Schedule(sim.LocalDetectDelay, func() {
 		if p.Node.Handler != nil && !p.up {
@@ -455,6 +468,7 @@ func (p *Port) Restore() {
 	}
 	p.up = true
 	sim := p.Node.Sim
+	sim.portFlips++
 	sim.tracef("%s: interface restored", p.Name())
 	sim.Schedule(sim.LocalDetectDelay, func() {
 		if p.Node.Handler != nil && p.up {

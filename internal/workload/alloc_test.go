@@ -48,11 +48,14 @@ func fluidRunAllocs(t *testing.T, flows int) float64 {
 }
 
 // TestFluidFlowAllocs pins the flat flow table: a fluid flow is a slot in the
-// schedule and a member of its path group's heap, never a heap object of its
+// schedule and a member of its path group's queue, never a heap object of its
 // own. Ten times the flows cost the same objects plus 13 doubling steps of the
-// slices that hold them (the group heap, the solver's pending and completion
+// slices that hold them (the group's run, the solver's pending and completion
 // lists). Both figures are the measured ones with no slack; with one Flow
-// object per flow and a string per Admit they were 4 097 and 40 181.
+// object per flow and a string per Admit they were 4 097 and 40 181. The run
+// and Report's sized completion list left both where they were: flows of one
+// size never reach the group's heap, the run doubles exactly as the heap did,
+// and the completions a launch can observe are one slice at either size.
 func TestFluidFlowAllocs(t *testing.T) {
 	if invariant.Enabled || raceEnabled {
 		t.Skip("budget measured without -tags invariants and without -race")

@@ -701,23 +701,39 @@ func bucketOf(buckets []Bucket, bytes int) int {
 // overlap. Flows that never finished keep their slot to the end of the run
 // (their launch still counts; nothing ever releases it), which makes the
 // figure an honest concurrency high-water mark even on overloaded runs.
+//
+// The sweep only ever asks whether a completion lies at or before a launch,
+// so a completion after the last launch cannot change the peak and is left
+// out of the sort: a million fluid flows launched over two seconds and
+// drained over hundreds sort the few completions of those two seconds.
 func (e *Engine) peakConcurrent() int {
 	starts := make([]time.Duration, 0, len(e.flows))
-	ends := make([]time.Duration, 0, len(e.flows))
 	for i := range e.flows {
-		f := &e.flows[i]
-		if !f.launched {
-			continue
+		if f := &e.flows[i]; f.launched {
+			starts = append(starts, f.launchedAt)
 		}
-		starts = append(starts, f.launchedAt)
-		if f.Done {
-			ends = append(ends, f.launchedAt+f.FCT)
-		}
+	}
+	if len(starts) == 0 {
+		return 0
 	}
 	// Launches are in time order as generated: packet flows launch at
 	// base+Start and fluid admissions are backdated to it.
 	if !slices.IsSorted(starts) {
 		slices.Sort(starts)
+	}
+	last := starts[len(starts)-1]
+	// Counted first, so that ends is made at its final size.
+	n := 0
+	for i := range e.flows {
+		if _, ok := e.flows[i].endedBy(last); ok {
+			n++
+		}
+	}
+	ends := make([]time.Duration, 0, n)
+	for i := range e.flows {
+		if end, ok := e.flows[i].endedBy(last); ok {
+			ends = append(ends, end)
+		}
 	}
 	slices.Sort(ends)
 	cur, peak, j := 0, 0, 0
@@ -732,6 +748,13 @@ func (e *Engine) peakConcurrent() int {
 		}
 	}
 	return peak
+}
+
+// endedBy returns the flow's completion instant and whether it has one at
+// or before t.
+func (f *Flow) endedBy(t time.Duration) (time.Duration, bool) {
+	end := f.launchedAt + f.FCT
+	return end, f.launched && f.Done && end <= t
 }
 
 func putU32(b []byte, v uint32) {

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -527,5 +529,129 @@ func TestLoadMeterIndices(t *testing.T) {
 	}
 	if jain < 0.799 || jain > 0.801 {
 		t.Errorf("jain mean = %v", jain)
+	}
+}
+
+// peakConcurrentFullSort is peakConcurrent as it was before it left the
+// completions no launch can observe out of the sort: every completion
+// collected and sorted. It stays as the oracle.
+func peakConcurrentFullSort(e *Engine) int {
+	var starts, ends []time.Duration
+	for i := range e.flows {
+		f := &e.flows[i]
+		if !f.launched {
+			continue
+		}
+		starts = append(starts, f.launchedAt)
+		if f.Done {
+			ends = append(ends, f.launchedAt+f.FCT)
+		}
+	}
+	slices.Sort(starts)
+	slices.Sort(ends)
+	cur, peak, j := 0, 0, 0
+	for _, s := range starts {
+		for j < len(ends) && ends[j] <= s {
+			cur--
+			j++
+		}
+		cur++
+		peak = max(peak, cur)
+	}
+	return peak
+}
+
+// TestPeakConcurrentMatchesFullSort holds the sweep to the full sort it
+// replaced: on seeded flow tables built to sit on its edges — completions at
+// the very instant of a launch and of the last launch, launches out of order,
+// flows unlaunched, unfinished, all finished before the last launch, none
+// finished — and on packet, fluid and hybrid runs read before, inside and
+// after an outage that leaves flows incomplete and then abandoned.
+func TestPeakConcurrentMatchesFullSort(t *testing.T) {
+	check := func(what string, e *Engine) {
+		t.Helper()
+		if got, want := e.peakConcurrent(), peakConcurrentFullSort(e); got != want {
+			t.Fatalf("%s: peak concurrency %d, the full sort says %d", what, got, want)
+		}
+	}
+	check("no flows", &Engine{})
+	rng := rand.New(rand.NewSource(24))
+	for table := 0; table < 400; table++ {
+		e := &Engine{flows: make([]Flow, rng.Intn(60))}
+		grain := time.Duration(1 + rng.Intn(5)) // coarse instants: ties everywhere
+		spread, long := 1+rng.Intn(40), rng.Intn(3) == 0
+		for i := range e.flows {
+			f := &e.flows[i]
+			f.launched = rng.Intn(8) > 0
+			f.launchedAt = time.Duration(rng.Intn(spread)) * grain
+			if table%2 == 0 {
+				f.launchedAt = time.Duration(i*spread/len(e.flows)) * grain // in order, as an engine launches
+			}
+			f.Done = f.launched && rng.Intn(5) > 0
+			f.FCT = time.Duration(rng.Intn(spread/2+1)) * grain
+			if long {
+				f.FCT += time.Duration(spread) * grain // nothing ends before the last launch
+			}
+		}
+		check(fmt.Sprintf("table %d", table), e)
+	}
+
+	for _, mode := range []Mode{ModePacket, ModeFluid, ModeHybrid} {
+		for seed := int64(1); seed <= 3; seed++ {
+			w := newRig(t, seed)
+			cfg := smallConfig(seed)
+			cfg.Flows = 40
+			cfg.Sizes = WebSearchMix()
+			cfg.Mode = mode
+			cfg.FluidCutoff = 20_000
+			cfg.RTO = 2 * time.Millisecond
+			cfg.MaxRounds = 3
+			if mode != ModePacket {
+				cfg.Solver = fluid.New(fluid.Config{RateCapBps: 1e8})
+				link := cfg.Solver.AddLink(1_000_000_000, func(int64, time.Duration) {})
+				cfg.PathOf = func(f *Flow) ([]fluid.LinkID, time.Duration, bool) {
+					return []fluid.LinkID{link}, 200 * time.Microsecond, f.ID%7 != 0
+				}
+			}
+			e, err := New(nil, w.hosts, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("%s seed %d", mode, seed)
+			check(what+" unstarted", e)
+			e.Start()
+			w.sim.RunFor(20 * time.Millisecond)
+			check(what+" before the outage", e)
+			w.router.Port(2).Fail()
+			w.sim.RunFor(30 * time.Millisecond)
+			check(what+" in the outage", e)
+			w.router.Port(2).Restore()
+			w.sim.RunFor(5 * time.Second)
+			check(what+" at the end", e)
+			if r := e.Report(nil); r.PeakConcurrent < 2 || r.PeakConcurrent > r.Flows {
+				t.Errorf("%s: Report says %d of %d flows were in flight at once", what, r.PeakConcurrent, r.Flows)
+			}
+		}
+		// Sparse arrivals: every flow but the last is over before the last launch.
+		w := newRig(t, 9)
+		cfg := smallConfig(9)
+		cfg.Flows = 20
+		cfg.MeanArrival = 50 * time.Millisecond
+		cfg.Mode = mode
+		if mode != ModePacket {
+			cfg.Solver = fluid.New(fluid.Config{RateCapBps: 1e8})
+			link := cfg.Solver.AddLink(1_000_000_000, nil)
+			cfg.PathOf = func(*Flow) ([]fluid.LinkID, time.Duration, bool) { return []fluid.LinkID{link}, 0, true }
+		}
+		e, err := New(nil, w.hosts, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Start()
+		w.sim.RunFor(10 * time.Second)
+		check(mode.String()+" sparse", e)
+		if !e.Done() {
+			t.Fatalf("%s sparse: engine not done", mode)
+		}
 	}
 }
