@@ -14,7 +14,8 @@ import (
 // a campaigns row (or all), every Test/Benchmark/Fuzz identifier a func in
 // some _test.go of the module (a trailing * makes it a prefix), every `make
 // target` (after a backtick or at the start of a line, as in a code block)
-// a Makefile target, and every `go run ./dir` an existing directory.
+// a Makefile target, and every `go run ./dir` and every internal/<pkg> an
+// existing directory.
 func TestDocsNameRealThings(t *testing.T) {
 	const root = "../.."
 	funcDecl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
@@ -45,6 +46,10 @@ func TestDocsNameRealThings(t *testing.T) {
 		t.Fatal(err)
 	}
 	makefile := "\n" + string(mk)
+	isDir := func(dir string) bool {
+		info, err := os.Stat(filepath.Join(root, dir))
+		return err == nil && info.IsDir()
+	}
 	checks := []struct {
 		what   string
 		re     *regexp.Regexp
@@ -70,10 +75,8 @@ func TestDocsNameRealThings(t *testing.T) {
 		{"make target", regexp.MustCompile("(?m)(?:^|`)make ([a-z][a-z0-9-]*)"), func(target string) bool {
 			return strings.Contains(makefile, "\n"+target+":")
 		}},
-		{"go run directory", regexp.MustCompile(`go run (\./[\w./-]+)`), func(dir string) bool {
-			info, err := os.Stat(filepath.Join(root, dir))
-			return err == nil && info.IsDir()
-		}},
+		{"go run directory", regexp.MustCompile(`go run (\./[\w./-]+)`), isDir},
+		{"package", regexp.MustCompile(`\b(internal/\w+)`), isDir},
 	}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(filepath.Join(root, doc))

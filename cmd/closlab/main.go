@@ -39,7 +39,7 @@ import (
 	"repro/internal/capture"
 	"repro/internal/chaos"
 	"repro/internal/harness"
-	"repro/internal/routerlog"
+	"repro/internal/metrics"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -386,7 +386,8 @@ func workloadConfigs(e *env) []harness.WorkloadConfig {
 
 // rawArtifacts runs a TC1 failure per protocol and writes the raw testbed
 // artifacts a FABRIC user would collect: per-router text logs (§VI.B) and
-// a Wireshark-compatible pcap of every link.
+// a Wireshark-compatible pcap of every link. It brings the fabric up itself
+// rather than through WarmUp, which would drop bring-up from the log.
 func rawArtifacts(e *env) error {
 	for _, proto := range protocols {
 		name := map[harness.Protocol]string{
@@ -394,16 +395,15 @@ func rawArtifacts(e *env) error {
 			harness.ProtoBGP:    "bgp",
 			harness.ProtoBGPBFD: "bgp-bfd",
 		}[proto]
-		journal := &routerlog.Journal{}
-		opts := harness.DefaultOptions(e.specs[0], proto, e.seed)
-		opts.Journal = journal
-		f, err := harness.Build(opts)
+		f, err := harness.Build(harness.DefaultOptions(e.specs[0], proto, e.seed))
 		if err != nil {
 			return err
 		}
-		var rec capture.Recorder
-		rec.TapAll(f.Sim)
-		if err := f.WarmUp(harness.WarmupTime); err != nil {
+		var c capture.Capture
+		c.TapAll(f.Sim)
+		f.Start()
+		f.Sim.RunFor(harness.WarmupTime)
+		if err := f.CheckConverged(); err != nil {
 			return err
 		}
 		if _, err := f.Fail(topology.TC1); err != nil {
@@ -412,11 +412,11 @@ func rawArtifacts(e *env) error {
 		f.Sim.RunFor(5 * time.Second)
 
 		logPath := filepath.Join(e.out, name+"-logs.txt")
-		if err := os.WriteFile(logPath, []byte(journal.Render()), 0o644); err != nil {
+		if err := os.WriteFile(logPath, []byte(metrics.Render(f.Log.Events)), 0o644); err != nil {
 			return err
 		}
 		var pcap bytes.Buffer
-		if err := rec.WritePCAP(&pcap); err != nil {
+		if err := c.WritePCAP(&pcap); err != nil {
 			return err
 		}
 		pcapPath := filepath.Join(e.out, name+"-capture.pcap")
@@ -424,7 +424,7 @@ func rawArtifacts(e *env) error {
 			return err
 		}
 		emitf("%s: wrote %s (%d log lines) and %s (%d frames)\n",
-			proto, logPath, len(journal.Lines), pcapPath, rec.Count())
+			proto, logPath, len(f.Log.Events), pcapPath, c.Count())
 	}
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/invariant"
-	"repro/internal/metrics"
 	"repro/internal/netaddr"
 )
 
@@ -35,7 +34,7 @@ func TestUpdateFanoutAllocs(t *testing.T) {
 	for _, r := range tn.routers {
 		r.sp.Cfg.Timers.Keepalive = time.Hour
 		r.sp.Cfg.Timers.Hold = 0
-		r.sp.recorder = metrics.Nop{}
+		r.sp.log = nil
 	}
 	tn.sim.Start()
 	tn.sim.RunFor(3 * time.Second)

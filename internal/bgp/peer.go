@@ -361,5 +361,5 @@ func (p *Peer) sendUpdate(u Update) {
 	p.sp.msg = msg
 	p.send(msg)
 	p.sp.Stats.UpdatesSent++
-	p.sp.recorder.ControlMessage(p.sim().Now(), p.sp.Stack.Node.Name, len(msg)+L2Overhead)
+	p.sp.log.ControlMessage(p.sim().Now(), p.sp.Stack.Node.Name, len(msg)+L2Overhead)
 }

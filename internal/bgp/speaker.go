@@ -69,12 +69,12 @@ type Speaker struct {
 	Stack *ipstack.Stack
 	Cfg   Config
 
-	sim      *simnet.Sim
-	peers    []*Peer
-	byIP     map[netaddr.IPv4]*Peer // by neighbor address
-	adjIn    map[netaddr.Prefix]map[netaddr.IPv4]pathEntry
-	adv      map[netaddr.Prefix]*advState
-	recorder metrics.Recorder
+	sim   *simnet.Sim
+	peers []*Peer
+	byIP  map[netaddr.IPv4]*Peer // by neighbor address
+	adjIn map[netaddr.Prefix]map[netaddr.IPv4]pathEntry
+	adv   map[netaddr.Prefix]*advState
+	log   *metrics.Log // nil records nothing
 
 	// Working sets of the decision process, reused from one received UPDATE
 	// to the next so that a message allocates only what it leaves behind in
@@ -103,23 +103,20 @@ type Speaker struct {
 	}
 }
 
-// New creates a speaker on the stack and hooks interface events. The
-// recorder may be nil.
-func New(stack *ipstack.Stack, cfg Config, rec metrics.Recorder) *Speaker {
+// New creates a speaker on the stack and hooks interface events. The log
+// may be nil.
+func New(stack *ipstack.Stack, cfg Config, log *metrics.Log) *Speaker {
 	if cfg.MaxPaths == 0 {
 		cfg.MaxPaths = 8
 	}
-	if rec == nil {
-		rec = metrics.Nop{}
-	}
 	s := &Speaker{
-		Stack:    stack,
-		Cfg:      cfg,
-		sim:      stack.Node.Sim,
-		byIP:     make(map[netaddr.IPv4]*Peer),
-		adjIn:    make(map[netaddr.Prefix]map[netaddr.IPv4]pathEntry),
-		adv:      make(map[netaddr.Prefix]*advState),
-		recorder: rec,
+		Stack: stack,
+		Cfg:   cfg,
+		sim:   stack.Node.Sim,
+		byIP:  make(map[netaddr.IPv4]*Peer),
+		adjIn: make(map[netaddr.Prefix]map[netaddr.IPv4]pathEntry),
+		adv:   make(map[netaddr.Prefix]*advState),
+		log:   log,
 	}
 	stack.OnPortDown = s.portDown
 	stack.OnPortUp = s.portUp
@@ -261,7 +258,7 @@ func (s *Speaker) decide(prefix netaddr.Prefix) {
 		}
 	}
 	if changed {
-		s.recorder.RouteUpdate(s.sim.Now(), s.Stack.Node.Name)
+		s.log.RouteUpdate(s.sim.Now(), s.Stack.Node.Name)
 	}
 
 	// Re-advertise if the exported path changed.

@@ -114,7 +114,7 @@ type Frame struct {
 	At    time.Duration
 	Link  string // "a:eth1<->b:eth2"
 	From  string // transmitting port name
-	Len   int
+	Raw   []byte // a copy: the sender's buffer goes back to the frame pool
 	Class Class
 }
 
@@ -131,7 +131,7 @@ func (c *Capture) Tap(l *simnet.Link) {
 			At:    at,
 			Link:  name,
 			From:  from.Name(),
-			Len:   len(raw),
+			Raw:   append([]byte(nil), raw...),
 			Class: Classify(raw),
 		})
 	})
@@ -143,9 +143,6 @@ func (c *Capture) TapAll(sim *simnet.Sim) {
 		c.Tap(l)
 	}
 }
-
-// Reset clears the captured frames.
-func (c *Capture) Reset() { c.Frames = nil }
 
 // ClassStats summarizes one class of traffic.
 type ClassStats struct {
@@ -162,7 +159,7 @@ func (c *Capture) Summary(from, to time.Duration) map[Class]ClassStats {
 		}
 		s := out[f.Class]
 		s.Count++
-		s.Bytes += f.Len
+		s.Bytes += len(f.Raw)
 		out[f.Class] = s
 	}
 	return out

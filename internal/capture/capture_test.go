@@ -1,6 +1,7 @@
 package capture
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -128,9 +129,39 @@ func TestTapAndSummary(t *testing.T) {
 	if got := c.Summary(0, 1500*time.Microsecond)[ClassMTPHello].Count; got != 1 {
 		t.Errorf("windowed count = %d, want 1", got)
 	}
-	c.Reset()
-	if len(c.Frames) != 0 {
-		t.Error("Reset left frames behind")
+}
+
+// recycler is a receiver that returns every frame to the simulation's pool,
+// as the protocol handlers do once they have read it.
+type recycler struct{ sim *simnet.Sim }
+
+func (recycler) Start()                                 {}
+func (r recycler) HandleFrame(_ *simnet.Port, f []byte) { r.sim.Frames().Put(f) }
+func (recycler) PortDown(*simnet.Port)                  {}
+func (recycler) PortUp(*simnet.Port)                    {}
+
+// TestTapCopiesPooledFrame sends two frames in one pooled buffer, recycled
+// between them: the first capture must still hold the first frame's bytes.
+func TestTapCopiesPooledFrame(t *testing.T) {
+	sim := simnet.New(1)
+	a, b := sim.AddNode("a"), sim.AddNode("b")
+	b.Handler = recycler{sim}
+	var c Capture
+	c.Tap(sim.Connect(a.AddPort(), b.AddPort()))
+	first, second := ethFrame(ethernet.TypeMRMTP, []byte{0x06}), ethFrame(ethernet.TypeMRMTP, []byte{0x07})
+	for i, want := range [][]byte{first, second} {
+		sim.After(time.Duration(i+1)*time.Millisecond, func() {
+			buf := sim.Frames().Get(len(want))
+			copy(buf, want)
+			a.Port(1).Send(buf)
+		})
+	}
+	sim.RunFor(10 * time.Millisecond)
+	if c.Count() != 2 {
+		t.Fatalf("captured %d frames, want 2", c.Count())
+	}
+	if !bytes.Equal(c.Frames[0].Raw, first) || !bytes.Equal(c.Frames[1].Raw, second) {
+		t.Errorf("captured % x then % x, want % x then % x", c.Frames[0].Raw, c.Frames[1].Raw, first, second)
 	}
 }
 

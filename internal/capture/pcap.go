@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"time"
-
-	"repro/internal/simnet"
 )
 
 // This file writes captures in the classic libpcap format so simulated
@@ -23,36 +21,11 @@ const (
 	pcapSnapLen  = 65535
 )
 
-// Recorder retains raw frames (not just metadata) for pcap export. Attach
-// with the same Tap/TapAll pattern as Capture.
-type Recorder struct {
-	frames []rawFrame
-}
+// Count returns the number of captured frames.
+func (c *Capture) Count() int { return len(c.Frames) }
 
-type rawFrame struct {
-	at  time.Duration
-	raw []byte
-}
-
-// Tap attaches the recorder to a link.
-func (r *Recorder) Tap(l *simnet.Link) {
-	l.Tap(func(at time.Duration, from *simnet.Port, raw []byte) {
-		r.frames = append(r.frames, rawFrame{at: at, raw: append([]byte(nil), raw...)})
-	})
-}
-
-// TapAll attaches the recorder to every link in the simulation.
-func (r *Recorder) TapAll(sim *simnet.Sim) {
-	for _, l := range sim.Links() {
-		r.Tap(l)
-	}
-}
-
-// Count returns the number of recorded frames.
-func (r *Recorder) Count() int { return len(r.frames) }
-
-// WritePCAP writes the recorded frames as a libpcap file.
-func (r *Recorder) WritePCAP(w io.Writer) error {
+// WritePCAP writes the captured frames as a libpcap file.
+func (c *Capture) WritePCAP(w io.Writer) error {
 	hdr := make([]byte, 24)
 	le := binary.LittleEndian
 	le.PutUint32(hdr[0:], pcapMagic)
@@ -65,15 +38,15 @@ func (r *Recorder) WritePCAP(w io.Writer) error {
 		return err
 	}
 	rec := make([]byte, 16)
-	for _, f := range r.frames {
-		le.PutUint32(rec[0:], uint32(f.at/time.Second))
-		le.PutUint32(rec[4:], uint32(f.at%time.Second/time.Microsecond))
-		le.PutUint32(rec[8:], uint32(len(f.raw)))
-		le.PutUint32(rec[12:], uint32(len(f.raw)))
+	for _, f := range c.Frames {
+		le.PutUint32(rec[0:], uint32(f.At/time.Second))
+		le.PutUint32(rec[4:], uint32(f.At%time.Second/time.Microsecond))
+		le.PutUint32(rec[8:], uint32(len(f.Raw)))
+		le.PutUint32(rec[12:], uint32(len(f.Raw)))
 		if _, err := w.Write(rec); err != nil {
 			return err
 		}
-		if _, err := w.Write(f.raw); err != nil {
+		if _, err := w.Write(f.Raw); err != nil {
 			return err
 		}
 	}

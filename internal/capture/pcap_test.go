@@ -14,18 +14,18 @@ func TestPCAPRoundTrip(t *testing.T) {
 	sim := simnet.New(1)
 	a, b := sim.AddNode("a"), sim.AddNode("b")
 	link := sim.Connect(a.AddPort(), b.AddPort())
-	var rec Recorder
-	rec.Tap(link)
+	var c Capture
+	c.Tap(link)
 	hello := ethFrame(ethernet.TypeMRMTP, []byte{0x06})
 	sim.After(1500*time.Microsecond, func() { a.Port(1).Send(hello) })
 	sim.After(3*time.Millisecond, func() { b.Port(1).Send(hello) })
 	sim.RunFor(10 * time.Millisecond)
-	if rec.Count() != 2 {
-		t.Fatalf("recorded %d frames, want 2", rec.Count())
+	if c.Count() != 2 {
+		t.Fatalf("recorded %d frames, want 2", c.Count())
 	}
 
 	var buf bytes.Buffer
-	if err := rec.WritePCAP(&buf); err != nil {
+	if err := c.WritePCAP(&buf); err != nil {
 		t.Fatal(err)
 	}
 	frames, err := ReadPCAP(&buf)
@@ -48,9 +48,9 @@ func TestPCAPRoundTrip(t *testing.T) {
 }
 
 func TestPCAPHeaderShape(t *testing.T) {
-	var rec Recorder
+	var c Capture
 	var buf bytes.Buffer
-	if err := rec.WritePCAP(&buf); err != nil {
+	if err := c.WritePCAP(&buf); err != nil {
 		t.Fatal(err)
 	}
 	hdr := buf.Bytes()
@@ -74,9 +74,9 @@ func TestReadPCAPErrors(t *testing.T) {
 		t.Error("bad magic accepted")
 	}
 	// Valid header, truncated record.
-	var rec Recorder
+	var c Capture
 	var buf bytes.Buffer
-	_ = rec.WritePCAP(&buf)
+	_ = c.WritePCAP(&buf)
 	buf.Write([]byte{1, 2, 3}) // partial record header
 	if _, err := ReadPCAP(&buf); err == nil {
 		t.Error("truncated record accepted")
@@ -88,8 +88,8 @@ func TestPCAPFromHarnessTraffic(t *testing.T) {
 	sim := simnet.New(2)
 	a, b := sim.AddNode("a"), sim.AddNode("b")
 	link := sim.Connect(a.AddPort(), b.AddPort())
-	var rec Recorder
-	rec.Tap(link)
+	var c Capture
+	c.Tap(link)
 	for i := 0; i < 20; i++ {
 		i := i
 		sim.After(time.Duration(i)*time.Millisecond, func() {
@@ -100,7 +100,7 @@ func TestPCAPFromHarnessTraffic(t *testing.T) {
 	}
 	sim.RunFor(time.Second)
 	var buf bytes.Buffer
-	if err := rec.WritePCAP(&buf); err != nil {
+	if err := c.WritePCAP(&buf); err != nil {
 		t.Fatal(err)
 	}
 	frames, err := ReadPCAP(&buf)

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/metrics"
 )
 
 // This file runs fault-injection campaigns: a chaos.Spec is applied to a
@@ -103,7 +104,7 @@ func snapshotCounters(f *Fabric) chaosCounters {
 func routeChurn(f *Fabric, startAt time.Duration) (updates, waves int) {
 	var last time.Duration
 	for _, e := range f.Log.Events {
-		if e.Kind != "route" || e.At < startAt {
+		if e.Kind != metrics.KindRoute || e.At < startAt {
 			continue
 		}
 		if updates == 0 || e.At-last > reconvergenceGap {

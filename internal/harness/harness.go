@@ -18,7 +18,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mrmtp"
 	"repro/internal/netaddr"
-	"repro/internal/routerlog"
 	"repro/internal/simnet"
 	"repro/internal/topology"
 )
@@ -67,10 +66,6 @@ type Options struct {
 	// BGPNoFastFailover disables interface tracking in the BGP speakers
 	// (`no bgp fast-external-failover`), for the ablation benchmarks.
 	BGPNoFastFailover bool
-	// Journal, when non-nil, additionally records raw text logs of every
-	// protocol event and failure injection — the paper's log-collection
-	// methodology (§VI.B), re-analyzable with the routerlog package.
-	Journal *routerlog.Journal
 }
 
 // DefaultOptions returns the paper's configuration for a protocol/topology.
@@ -217,7 +212,7 @@ func (f *Fabric) buildMRMTP() {
 			cfg.ServerPort = d.ServerPort
 			cfg.RackSubnet = d.ServerSubnet
 		}
-		f.Routers[d.Name] = mrmtp.New(f.Sim.Node(d.Name), cfg, f.recorder())
+		f.Routers[d.Name] = mrmtp.New(f.Sim.Node(d.Name), cfg, f.Log)
 	}
 }
 
@@ -236,7 +231,7 @@ func (f *Fabric) buildBGP(withBFD bool) {
 		if d.Tier == topology.TierLeaf {
 			cfg.Networks = []netaddr.Prefix{d.ServerSubnet}
 		}
-		sp := bgp.New(stack, cfg, f.recorder())
+		sp := bgp.New(stack, cfg, f.Log)
 		f.Speakers[d.Name] = sp
 		var mgr *bfd.Manager
 		if withBFD {
@@ -273,15 +268,6 @@ func routerID(d *topology.Device) netaddr.IPv4 {
 	return netaddr.MakeIPv4(10, byte(d.Level), byte(hi), byte(lo))
 }
 
-// recorder returns the metrics sink for protocol daemons, teeing into the
-// raw-log journal when one is configured.
-func (f *Fabric) recorder() metrics.Recorder {
-	if f.Opts.Journal != nil {
-		return metrics.Tee{f.Log, f.Opts.Journal}
-	}
-	return f.Log
-}
-
 // Start launches every protocol daemon.
 func (f *Fabric) Start() {
 	if f.started {
@@ -297,8 +283,9 @@ func (f *Fabric) Start() {
 // not converge, so experiments never run on a half-built network.
 //
 // No caller can read bring-up's events — they are Reset before WarmUp
-// returns — so the Log does not retain them in the first place. The Journal
-// half of the recorder tee is an artifact and still hears everything.
+// returns — so the Log does not retain them in the first place. A caller
+// that wants them (closlab's artifacts) runs Start, RunFor and
+// CheckConverged itself.
 func (f *Fabric) WarmUp(d time.Duration) error {
 	f.Log.Discard(true)
 	f.Start()
@@ -366,8 +353,8 @@ func (f *Fabric) Fail(tc topology.FailureCase) (time.Duration, error) {
 	return f.FailPoint(fp)
 }
 
-// FailPoint fails one named interface and returns the virtual time of the
-// event.
+// FailPoint fails one named interface, records the failure in the Log, and
+// returns the virtual time of the event.
 func (f *Fabric) FailPoint(fp topology.FailurePoint) (time.Duration, error) {
 	node := f.Sim.Node(fp.Device)
 	if node == nil || fp.Port < 1 || fp.Port >= len(node.Ports) {
@@ -375,9 +362,7 @@ func (f *Fabric) FailPoint(fp topology.FailurePoint) (time.Duration, error) {
 	}
 	at := f.Sim.Now()
 	node.Port(fp.Port).Fail()
-	if f.Opts.Journal != nil {
-		f.Opts.Journal.FailureInjected(at, fp.Device, fp.Port)
-	}
+	f.Log.FailureInjected(at, fp.Device, fp.Port)
 	return at, nil
 }
 

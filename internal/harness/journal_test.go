@@ -1,93 +1,102 @@
 package harness
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
-	"repro/internal/routerlog"
+	"repro/internal/metrics"
 	"repro/internal/topology"
 )
 
-func TestLogPipelineCrossValidatesMetrics(t *testing.T) {
-	// Run a TC1 failure with the raw-log journal attached, then recompute
-	// the §VI metrics *from the rendered text logs* and compare with the
-	// in-memory measurement. This validates the whole methodology chain
-	// the paper used: script-stamped failure time, print-statement update
-	// records, offline parsing.
-	journal := &routerlog.Journal{}
-	opts := DefaultOptions(topology.TwoPodSpec(), ProtoMRMTP, 19)
-	opts.Journal = journal
-	f, err := Build(opts)
+// failureJournal warms a fabric, fails tc and lets it settle. It returns the
+// failure window as the testbed would have collected it — the rendered text
+// log — and the in-memory analysis of the same window.
+func failureJournal(tb testing.TB, proto Protocol, seed int64, tc topology.FailureCase) (string, metrics.Analysis) {
+	tb.Helper()
+	f, err := Build(DefaultOptions(topology.TwoPodSpec(), proto, seed))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := f.WarmUp(WarmupTime); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	journal.Lines = nil // start the "log collection" at steady state
-	failAt, err := f.Fail(topology.TC1)
+	failAt, err := f.Fail(tc)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	f.Sim.RunFor(SettleTime)
+	return metrics.Render(f.Log.Events), f.Log.Analyze(failAt)
+}
 
-	mem := f.Log.Analyze(failAt)
-
-	lines, err := routerlog.Parse(journal.Render())
+// analyzeJournal is the paper's offline step: parse the text log and measure
+// from the failure line it finds.
+func analyzeJournal(t *testing.T, text string) metrics.Analysis {
+	t.Helper()
+	events, err := metrics.Parse(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromLogs, err := routerlog.Analyze(lines)
-	if err != nil {
-		t.Fatal(err)
+	for _, e := range events {
+		if e.Kind == metrics.KindFailure {
+			l := metrics.Log{Events: events}
+			return l.Analyze(e.At)
+		}
 	}
-	if fromLogs.FailureAt != failAt {
-		t.Errorf("log failure time %v != injected %v", fromLogs.FailureAt, failAt)
-	}
-	// Text logs carry microsecond precision; allow a 1µs rounding skew.
-	diff := fromLogs.Convergence - mem.Convergence
-	if diff < -time.Microsecond || diff > time.Microsecond {
-		t.Errorf("convergence from logs %v != in-memory %v", fromLogs.Convergence, mem.Convergence)
-	}
-	if fromLogs.ControlBytes != mem.ControlBytes || fromLogs.ControlMsgs != mem.ControlMessages {
-		t.Errorf("control from logs %d B/%d != in-memory %d B/%d",
-			fromLogs.ControlBytes, fromLogs.ControlMsgs, mem.ControlBytes, mem.ControlMessages)
-	}
-	if fromLogs.BlastRadius != mem.BlastRadius {
-		t.Errorf("blast from logs %d != in-memory %d", fromLogs.BlastRadius, mem.BlastRadius)
+	t.Fatal("no failure line in the journal")
+	return metrics.Analysis{}
+}
+
+func TestLogPipelineCrossValidatesMetrics(t *testing.T) {
+	// Run a TC1 failure per protocol, then recompute the §VI metrics *from
+	// the rendered text logs* and compare with the in-memory measurement.
+	// This validates the whole methodology chain the paper used:
+	// script-stamped failure time, print-statement update records, offline
+	// parsing.
+	for _, proto := range []Protocol{ProtoMRMTP, ProtoBGP, ProtoBGPBFD} {
+		text, mem := failureJournal(t, proto, 19, topology.TC1)
+		fromLogs := analyzeJournal(t, text)
+		// Text logs carry microsecond precision; allow a 1µs rounding skew.
+		near := func(a, b time.Duration) bool { return a-b <= time.Microsecond && b-a <= time.Microsecond }
+		if !near(fromLogs.FailureAt, mem.FailureAt) || !near(fromLogs.Convergence, mem.Convergence) {
+			t.Errorf("%s: failure/convergence from logs %v/%v != in-memory %v/%v",
+				proto, fromLogs.FailureAt, fromLogs.Convergence, mem.FailureAt, mem.Convergence)
+		}
+		fromLogs.FailureAt, fromLogs.Convergence = mem.FailureAt, mem.Convergence
+		if !reflect.DeepEqual(fromLogs, mem) {
+			t.Errorf("%s: analysis from logs %+v != in-memory %+v", proto, fromLogs, mem)
+		}
+		if mem.ControlMessages == 0 || mem.BlastRadius == 0 {
+			t.Errorf("%s: TC1 produced an empty analysis %+v", proto, mem)
+		}
 	}
 }
 
 func TestJournalBGP(t *testing.T) {
-	journal := &routerlog.Journal{}
-	opts := DefaultOptions(topology.TwoPodSpec(), ProtoBGP, 23)
-	opts.Journal = journal
-	f, err := Build(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.WarmUp(WarmupTime); err != nil {
-		t.Fatal(err)
-	}
-	// Bring-up is journalled — the journal is an artifact — while the
-	// in-memory log, Reset before anyone can read it, retains none of it.
-	if len(journal.Lines) == 0 || len(f.Log.Events) != 0 {
-		t.Errorf("after warm-up: %d journal lines, %d log events; want some and none", len(journal.Lines), len(f.Log.Events))
-	}
-	journal.Lines = nil
-	if _, err := f.Fail(topology.TC2); err != nil {
-		t.Fatal(err)
-	}
-	f.Sim.RunFor(SettleTime)
-	lines, err := routerlog.Parse(journal.Render())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := routerlog.Analyze(lines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.ControlMsgs == 0 || a.BlastRadius == 0 {
+	text, _ := failureJournal(t, ProtoBGP, 23, topology.TC2)
+	if a := analyzeJournal(t, text); a.ControlMessages == 0 || a.BlastRadius == 0 {
 		t.Errorf("BGP log analysis empty: %+v", a)
 	}
+}
+
+// FuzzParseJournal: whatever Parse accepts renders and parses back to the
+// same events, time-sorted as Render writes them.
+func FuzzParseJournal(f *testing.F) {
+	text, _ := failureJournal(f, ProtoMRMTP, 19, topology.TC1)
+	f.Add(text)
+	f.Fuzz(func(t *testing.T, text string) {
+		events, err := metrics.Parse(text)
+		if err != nil {
+			return
+		}
+		again, err := metrics.Parse(metrics.Render(events))
+		if err != nil {
+			t.Fatalf("Parse rejects what Render wrote: %v", err)
+		}
+		sort.SliceStable(events, func(i, k int) bool { return events[i].At < events[k].At })
+		if !reflect.DeepEqual(again, events) {
+			t.Fatalf("round trip = %+v, want %+v", again, events)
+		}
+	})
 }

@@ -22,9 +22,7 @@ func TrialSeed(base int64, i int) int64 { return base + int64(i)*7919 }
 // runTrials evaluates fn for trial indices [0, n) on a bounded worker pool
 // and returns the results ordered by index. Each invocation receives a copy
 // of opts with the trial's derived seed. Trials run sequentially on the
-// calling goroutine when the pool is sized out (Workers <= 1) or when a
-// journal is attached: a journal is shared mutable state, and interleaving
-// trials would scramble its event order.
+// calling goroutine when the pool is sized out (Workers <= 1).
 //
 // On error the lowest-indexed failure is returned, which is the one a
 // sequential stop-at-first-failure loop would have seen.
@@ -41,7 +39,7 @@ func runTrials[T any](opts Options, n int, fn func(o Options) (T, error)) ([]T, 
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 || opts.Journal != nil {
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			run(i)
 			if errs[i] != nil {

@@ -382,14 +382,12 @@ func (run *traceRun) arm() {
 	run.sample(now, cells)
 }
 
-// sweep is one localization pass: rebuild the coverage matrix, let the
-// localizer judge it, and log any accusation as a metrics event.
+// sweep is one localization pass: rebuild the coverage matrix and let the
+// localizer judge it (it keeps its accusations).
 func (run *traceRun) sweep() {
 	now := run.f.Sim.Now()
 	cells := run.collectCells(now)
-	for _, a := range run.loc.Sweep(now, cells) {
-		run.f.Log.Accusation(a.At, "localizer", a.Link.String())
-	}
+	run.loc.Sweep(now, cells)
 	if now-run.lastSample >= traceHopSamplePeriod {
 		run.sample(now, cells)
 	}

@@ -1,52 +1,45 @@
 // Package metrics collects the paper's performance measurements: network
 // convergence time, control overhead in layer-2 bytes, and blast radius
 // (the number of routers that updated their routing tables after a failure).
-// It is the in-process equivalent of the paper's log-parsing pipeline: the
-// protocols emit timestamped events, the harness brackets them around a
-// failure injection, and the computations in this package turn them into
-// the numbers plotted in Figs. 4-6.
+// Its Log is the one record of protocol events: the protocols and the
+// harness's failure injection append timestamped events, the computations in
+// this package turn them into the numbers plotted in Figs. 4-6, and
+// journal.go renders the same events as the testbed's raw router logs and
+// parses them back (§VI.B).
 package metrics
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"time"
 )
 
-// Recorder receives protocol events. Both the BGP speaker and the MR-MTP
-// router report through this interface.
-type Recorder interface {
-	// RouteUpdate reports that node changed its routing/VID table.
-	RouteUpdate(at time.Duration, node string)
-	// ControlMessage reports that node transmitted an update-class
-	// control message of the given layer-2 size. Keep-alives are NOT
-	// reported here; they are measured separately (Figs. 9-10).
-	ControlMessage(at time.Duration, node string, l2Bytes int)
-}
+// Kind says what an Event records.
+type Kind uint8
 
-// Nop is a Recorder that discards everything.
-type Nop struct{}
-
-// RouteUpdate implements Recorder.
-func (Nop) RouteUpdate(time.Duration, string) {}
-
-// ControlMessage implements Recorder.
-func (Nop) ControlMessage(time.Duration, string, int) {}
+// The event kinds. Each documents what Event.N holds for it.
+const (
+	// KindRoute: Node changed its routing/VID table. N is 0.
+	KindRoute Kind = iota
+	// KindControl: Node transmitted an update-class control message; N is
+	// its layer-2 size in bytes. Keep-alives are NOT recorded here; they
+	// are measured from the wire (Figs. 9-10).
+	KindControl
+	// KindFailure: the harness failed Node's interface ethN, the instant
+	// the paper's bash script stamped when it ran `ip link set down`.
+	KindFailure
+)
 
 // Event is one recorded protocol event.
 type Event struct {
-	At    time.Duration
-	Node  string
-	Kind  string // "route", "control", or "accuse"
-	Bytes int
-	// Detail carries kind-specific payload: for "accuse" events, the
-	// accused directed link ("From->To").
-	Detail string
+	At   time.Duration
+	Node string
+	Kind Kind
+	N    int // per Kind: bytes sent (control), failed port (failure), 0 (route)
 }
 
-// Log is an append-only Recorder retaining every event, except while
-// Discard is on.
+// Log is an append-only record retaining every event, except while Discard
+// is on. Its recording methods do nothing on a nil *Log, so a protocol
+// daemon built without one records nothing.
 type Log struct {
 	Events  []Event
 	discard bool
@@ -59,26 +52,25 @@ type Log struct {
 func (l *Log) Discard(on bool) { l.discard = on }
 
 func (l *Log) add(e Event) {
-	if !l.discard {
+	if l != nil && !l.discard {
 		l.Events = append(l.Events, e)
 	}
 }
 
-// Accusation records a gray-failure localization verdict from the
-// observability plane (DESIGN.md §12): node's localizer accused the
-// directed link named by detail.
-func (l *Log) Accusation(at time.Duration, node, detail string) {
-	l.add(Event{At: at, Node: node, Kind: "accuse", Detail: detail})
-}
-
-// RouteUpdate implements Recorder.
+// RouteUpdate records that node changed its routing/VID table.
 func (l *Log) RouteUpdate(at time.Duration, node string) {
-	l.add(Event{At: at, Node: node, Kind: "route"})
+	l.add(Event{At: at, Node: node, Kind: KindRoute})
 }
 
-// ControlMessage implements Recorder.
+// ControlMessage records that node transmitted an update-class control
+// message of the given layer-2 size.
 func (l *Log) ControlMessage(at time.Duration, node string, bytes int) {
-	l.add(Event{At: at, Node: node, Kind: "control", Bytes: bytes})
+	l.add(Event{At: at, Node: node, Kind: KindControl, N: bytes})
+}
+
+// FailureInjected records that node's interface eth<port> was failed.
+func (l *Log) FailureInjected(at time.Duration, node string, port int) {
+	l.add(Event{At: at, Node: node, Kind: KindFailure, N: port})
 }
 
 // Reset discards all recorded events (the harness calls this once the
@@ -119,13 +111,13 @@ func (l *Log) Analyze(failureAt time.Duration) Analysis {
 			continue
 		}
 		switch e.Kind {
-		case "route":
+		case KindRoute:
 			updated[e.Node] = true
 			if e.At > lastRoute {
 				lastRoute = e.At
 			}
-		case "control":
-			a.ControlBytes += e.Bytes
+		case KindControl:
+			a.ControlBytes += e.N
 			a.ControlMessages++
 			if e.At > lastControl {
 				lastControl = e.At
@@ -145,29 +137,4 @@ func (l *Log) Analyze(failureAt time.Duration) Analysis {
 	}
 	sort.Strings(a.UpdatedNodes)
 	return a
-}
-
-// String renders a one-line summary.
-func (a Analysis) String() string {
-	return fmt.Sprintf("convergence=%v blast=%d control=%dB/%dmsg [%s]",
-		a.Convergence, a.BlastRadius, a.ControlBytes, a.ControlMessages,
-		strings.Join(a.UpdatedNodes, ","))
-}
-
-// Tee fans events out to several recorders (e.g. the in-memory Log and a
-// raw text journal).
-type Tee []Recorder
-
-// RouteUpdate implements Recorder.
-func (t Tee) RouteUpdate(at time.Duration, node string) {
-	for _, r := range t {
-		r.RouteUpdate(at, node)
-	}
-}
-
-// ControlMessage implements Recorder.
-func (t Tee) ControlMessage(at time.Duration, node string, bytes int) {
-	for _, r := range t {
-		r.ControlMessage(at, node, bytes)
-	}
 }

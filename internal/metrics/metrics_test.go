@@ -1,6 +1,10 @@
 package metrics
 
 import (
+	"fmt"
+	"math"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,6 +13,7 @@ import (
 
 func TestAnalyzeBasics(t *testing.T) {
 	var l Log
+	l.FailureInjected(100*time.Millisecond, "L-1-1", 1) // counts toward nothing
 	l.RouteUpdate(100*time.Millisecond, "S-1-1")
 	l.ControlMessage(110*time.Millisecond, "S-1-1", 18)
 	l.RouteUpdate(120*time.Millisecond, "L-1-2")
@@ -66,28 +71,11 @@ func TestDiscard(t *testing.T) {
 	l.Discard(true)
 	l.RouteUpdate(2*time.Millisecond, "x")
 	l.ControlMessage(2*time.Millisecond, "x", 85)
-	l.Accusation(2*time.Millisecond, "x", "a->b")
+	l.FailureInjected(2*time.Millisecond, "x", 1)
 	l.Discard(false)
 	l.ControlMessage(3*time.Millisecond, "kept", 85)
 	if len(l.Events) != 2 || l.Events[0].Node != "kept" || l.Events[1].Node != "kept" {
 		t.Errorf("events = %+v, want the two recorded outside the Discard window", l.Events)
-	}
-}
-
-func TestNopRecorder(t *testing.T) {
-	var n Nop
-	n.RouteUpdate(0, "x")
-	n.ControlMessage(0, "x", 1)
-}
-
-func TestAnalysisString(t *testing.T) {
-	var l Log
-	l.RouteUpdate(time.Millisecond, "n1")
-	s := l.Analyze(0).String()
-	for _, want := range []string{"blast=1", "n1"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("String() = %q missing %q", s, want)
-		}
 	}
 }
 
@@ -108,6 +96,121 @@ func TestAnalyzeProperties(t *testing.T) {
 			}
 		}
 		return a.ControlBytes == want && a.BlastRadius == 0
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestNilLogRecordsNothing(t *testing.T) {
+	var l *Log
+	l.RouteUpdate(time.Millisecond, "x")
+	l.ControlMessage(time.Millisecond, "x", 85)
+	l.FailureInjected(time.Millisecond, "x", 1)
+}
+
+func TestRenderParseRoundTrip(t *testing.T) {
+	var l Log
+	l.FailureInjected(16*time.Second+123*time.Microsecond, "L-1-1", 1)
+	l.ControlMessage(16*time.Second+100*time.Millisecond, "S-1-1", 18)
+	l.RouteUpdate(16*time.Second+101*time.Millisecond, "L-1-2")
+	text := Render(l.Events)
+	want := "16.000123 L-1-1 interface eth1 down (failure injected)\n" +
+		"16.100000 S-1-1 update message sent bytes=18\n" +
+		"16.101000 L-1-2 routing table updated\n"
+	if text != want {
+		t.Errorf("Render =\n%s\nwant\n%s", text, want)
+	}
+	// Kind, node, number and the microsecond survive the text round trip.
+	events, err := Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(events, l.Events) {
+		t.Errorf("Parse(Render) = %+v, want %+v", events, l.Events)
+	}
+}
+
+func TestRenderSortsByTime(t *testing.T) {
+	var l Log
+	l.RouteUpdate(2*time.Second, "b")
+	l.RouteUpdate(1*time.Second, "a")
+	events, err := Parse(Render(l.Events))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if events[0].Node != "a" || events[1].Node != "b" {
+		t.Errorf("events not time-sorted: %+v", events)
+	}
+	if l.Events[0].Node != "b" {
+		t.Error("Render reordered the log it was given")
+	}
+}
+
+func TestParseErrors(t *testing.T) {
+	for _, bad := range []string{
+		"justoneword",
+		"abc node routing table updated",
+		"1.-5 node routing table updated", // was 0.95 s
+		"1.+5 node routing table updated",
+		"-1.5 node routing table updated", // was -0.5 s
+		"+1.5 node routing table updated",
+		"1.5- node routing table updated",
+		"9223372037 node routing table updated", // past the largest Duration
+		"9223372036.999999 node routing table updated",
+		"1.5 node link flapped",
+		"1.5 node routing table updated twice",
+		"1.5 node update message sent bytes=",
+		"1.5 node update message sent bytes=-5",
+		"1.5 node interface eth down (failure injected)",
+	} {
+		// The bad line is line 3: a good line and a blank one go first.
+		_, err := Parse("0.000001 node routing table updated\n\n" + bad + "\n")
+		if err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("Parse(%q): err = %v, want one naming line 3", bad, err)
+		}
+	}
+	events, err := Parse("\n\n")
+	if err != nil || len(events) != 0 {
+		t.Error("blank lines should be skipped")
+	}
+}
+
+// TestJournalRoundTrip: any event sequence at non-negative times renders and
+// parses back to itself, time-sorted and truncated to microseconds, and the
+// log-derived analysis is the in-memory one.
+func TestJournalRoundTrip(t *testing.T) {
+	type rawEvent struct {
+		At         int64
+		Node, Kind uint8
+		N          uint16
+	}
+	f := func(raw []rawEvent, failIdx uint8) bool {
+		var orig, truncated Log
+		for _, r := range raw {
+			e := Event{At: time.Duration(r.At & math.MaxInt64), Node: fmt.Sprintf("R-%d", r.Node%8), Kind: Kind(r.Kind % 3)}
+			if e.Kind != KindRoute {
+				e.N = int(r.N)
+			}
+			orig.Events = append(orig.Events, e)
+			e.At = e.At.Truncate(time.Microsecond)
+			truncated.Events = append(truncated.Events, e)
+		}
+		want := append([]Event(nil), orig.Events...)
+		sort.SliceStable(want, func(i, k int) bool { return want[i].At < want[k].At })
+		for i := range want {
+			want[i].At = want[i].At.Truncate(time.Microsecond)
+		}
+		got, err := Parse(Render(orig.Events))
+		if err != nil || !reflect.DeepEqual(got, want) {
+			return false
+		}
+		var failAt time.Duration
+		if len(want) > 0 {
+			failAt = want[int(failIdx)%len(want)].At
+		}
+		parsed := Log{Events: got}
+		return reflect.DeepEqual(parsed.Analyze(failAt), truncated.Analyze(failAt))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/flowhash"
-	"repro/internal/metrics"
 	"repro/internal/simnet"
 )
 
@@ -22,8 +21,8 @@ func TestDownwardChoiceIsFirstAcquired(t *testing.T) {
 	sim.Connect(torN.AddPort(), spineN.AddPort())
 	torCfg := DefaultConfig(1, 2)
 	torCfg.RackSubnet = rack(11)
-	New(torN, torCfg, metrics.Nop{})
-	spine := New(spineN, DefaultConfig(2, 2), metrics.Nop{})
+	New(torN, torCfg, nil)
+	spine := New(spineN, DefaultConfig(2, 2), nil)
 	sim.Start()
 	sim.RunFor(2 * time.Second)
 

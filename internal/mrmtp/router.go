@@ -172,7 +172,7 @@ type Router struct {
 	Node *simnet.Node
 	Cfg  Config
 
-	rec     metrics.Recorder
+	log     *metrics.Log // nil records nothing
 	rootVID byte
 
 	// table is the VID table, the whole routing state: table[root] holds
@@ -245,14 +245,11 @@ type arpEntry struct {
 // New attaches an MR-MTP router to a node. For ToRs (tier 1) the config
 // must carry ServerPort and RackSubnet; the VID is derived from the third
 // byte of the rack subnet as in §III.A.
-func New(node *simnet.Node, cfg Config, rec metrics.Recorder) *Router {
-	if rec == nil {
-		rec = metrics.Nop{}
-	}
+func New(node *simnet.Node, cfg Config, log *metrics.Log) *Router {
 	r := &Router{
 		Node:       node,
 		Cfg:        cfg,
-		rec:        rec,
+		log:        log,
 		arpCache:   make(map[netaddr.IPv4]arpEntry),
 		arpPending: make(map[netaddr.IPv4][][]byte),
 		frames:     node.Sim.Frames(),
@@ -937,7 +934,7 @@ func (r *Router) applyReachability(affected rootSet) {
 		}
 	}
 	if absorbed && len(lostRoots) == 0 {
-		r.rec.RouteUpdate(r.sim().Now(), r.Node.Name)
+		r.log.RouteUpdate(r.sim().Now(), r.Node.Name)
 	}
 	r.propagate(UpdateLost, lostRoots)
 	r.propagate(UpdateFound, foundRoots)
@@ -968,7 +965,7 @@ func (r *Router) propagate(sub byte, roots []byte) {
 			continue
 		}
 		r.Stats.UpdatesSent++
-		r.rec.ControlMessage(r.sim().Now(), r.Node.Name, ethernet.HeaderLen+len(payload))
+		r.log.ControlMessage(r.sim().Now(), r.Node.Name, ethernet.HeaderLen+len(payload))
 	}
 }
 
