@@ -114,9 +114,11 @@ trace-smoke:
 # to the linear scan and the event queue to the single heap it replaced, the
 # workload receive path (an open UDP port on every host), the text-log
 # journal's parser (whatever it accepts renders and parses back unchanged)
-# and the one stateful target — arbitrary frame sequences into warm MR-MTP
-# routers — a short budget on top of its seed corpus: a regression tripwire,
-# not a campaign.
+# and the two stateful targets — arbitrary frame sequences into warm MR-MTP
+# routers, and arbitrary UPDATE, withdrawal and session down/up sequences
+# into a BGP speaker held to the map-of-maps Adj-RIB-In it replaced — a
+# short budget on top of its seed corpus: a regression tripwire, not a
+# campaign.
 # FuzzRouterFrames brings a fabric up per input and FuzzQueueOrder's inputs
 # are scripts a kilobyte long, so their minimizers are capped or they would
 # spend the whole budget shrinking the first input they keep.
@@ -129,6 +131,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseMessage -fuzztime $(FUZZ_TIME) ./internal/mrmtp
 	$(GO) test -run '^$$' -fuzz FuzzRouterFrames -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./internal/mrmtp
 	$(GO) test -run '^$$' -fuzz FuzzParseMessage -fuzztime $(FUZZ_TIME) ./internal/bgp
+	$(GO) test -run '^$$' -fuzz FuzzSpeakerSequence -fuzztime $(FUZZ_TIME) ./internal/bgp
 	$(GO) test -run '^$$' -fuzz FuzzFIBLookup -fuzztime $(FUZZ_TIME) ./internal/ipstack
 	$(GO) test -run '^$$' -fuzz FuzzOnDatagram -fuzztime $(FUZZ_TIME) ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzParseJournal -fuzztime $(FUZZ_TIME) ./internal/harness

@@ -1,7 +1,9 @@
 package bgp
 
 import (
+	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,11 +19,12 @@ import (
 // parked so nothing else happens on the clock. The figure is the measured
 // one with no slack. The working sets of handleUpdate, decide and flush, the
 // marshalled UPDATE and the rendered TCP segment are speaker-, peer- and
-// endpoint-owned scratch, so the hub's side of it allocates nothing; the six
-// per receiver are the two frames of the exchange (UPDATE and ACK: a frame
-// delivered to TCP never returns to the pool), the payload copy TCP hands to
-// OnData, SplitStream's message list, and the AS path (kept by the
-// Adj-RIB-In) and NLRI list that parseUpdate builds. It was 195 on b663e43.
+// endpoint-owned scratch, so the hub's side of it allocates nothing. On the
+// receiving side TCP lends the payload to onData, which decodes it into the
+// peer's scratch, and the table copies the AS path into the slot it already
+// holds for that peer. The two per receiver are the frames of the exchange,
+// UPDATE and ACK: a frame delivered to TCP never returns to the pool. It was
+// 195 on b663e43 and 42 before the table and the borrowed payload.
 func TestUpdateFanoutAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("checkFIB allocates after every decision under -tags invariants")
@@ -54,7 +57,106 @@ func TestUpdateFanoutAllocs(t *testing.T) {
 	if got := hub.sp.Stats.UpdatesSent - sent; got != 7*uint64(run) {
 		t.Fatalf("hub sent %d UPDATEs over %d runs, want 7 per run", got, run)
 	}
-	if avg != 42 {
-		t.Errorf("one UPDATE fanned out to seven peers allocates %.0f, want 42", avg)
+	if avg != 14 {
+		t.Errorf("one UPDATE fanned out to seven peers allocates %.0f, want 14", avg)
+	}
+}
+
+// TestKeepaliveSendAllocs pins a KEEPALIVE at zero allocations from end to
+// end: the message is one package-level value that Conn.Send copies, the
+// segment is rendered into the endpoint's buffer, and the receiver reads the
+// payload where TCP lends it. The frame pool is stocked first because the
+// two frames of the exchange (KEEPALIVE and ACK) are delivered to TCP and
+// never come back to it; what this pins is that nothing else allocates.
+func TestKeepaliveSendAllocs(t *testing.T) {
+	tn := newTestNet()
+	leaf := tn.router("leaf", 64601, true, rack11)
+	spine := tn.router("spine", 64513, true)
+	tn.link(leaf, spine)
+	for _, r := range tn.routers {
+		r.sp.Cfg.Timers.Keepalive = time.Hour
+		r.sp.Cfg.Timers.Hold = 0
+		r.sp.log = nil
+	}
+	tn.sim.Start()
+	tn.sim.RunFor(3 * time.Second)
+	p := leaf.sp.Peers()[0]
+	if p.State != StateEstablished {
+		t.Fatal("session not established")
+	}
+	pool := tn.sim.Frames()
+	stock := make([][]byte, 256)
+	for i := range stock {
+		stock[i] = pool.Get(128)
+	}
+	for _, b := range stock {
+		pool.Put(b)
+	}
+	recv := spine.sp.Stats.KeepalivesRecv
+	avg := testing.AllocsPerRun(100, func() {
+		p.send(keepalive[:])
+		tn.sim.RunFor(time.Millisecond)
+	})
+	if got := spine.sp.Stats.KeepalivesRecv - recv; got != 101 {
+		t.Fatalf("spine received %d KEEPALIVEs, want 101", got)
+	}
+	if avg != 0 {
+		t.Errorf("a KEEPALIVE send allocates %.1f, want 0", avg)
+	}
+}
+
+// TestOnDataIsBorrow holds onData to the borrow TCP lends it, as
+// capture's TestTapCopiesPooledFrame holds a tap to its pooled frame: the
+// delivered bytes are scribbled over once onData returns, and neither the
+// table nor the partial message kept in recvBuf may change. A second
+// delivery then completes that message over the peer's reused decode
+// scratch, so a path kept by reference would show there.
+func TestOnDataIsBorrow(t *testing.T) {
+	tn := newTestNet()
+	leaf := tn.router("leaf", 64601, true, rack11)
+	spine := tn.router("spine", 64513, true)
+	tn.link(leaf, spine)
+	tn.sim.Start()
+	tn.sim.RunFor(3 * time.Second)
+	p := spine.sp.Peers()[0]
+	if p.State != StateEstablished {
+		t.Fatal("session not established")
+	}
+	rack12, rack13 := prefix(192, 168, 12, 0, 24), prefix(192, 168, 13, 0, 24)
+	first := MarshalUpdate(Update{ASPath: []uint16{64601, 64901}, NextHop: p.Neighbor, NLRI: []netaddr.Prefix{rack12}})
+	second := MarshalUpdate(Update{ASPath: []uint16{64601, 64902, 64903}, NextHop: p.Neighbor, NLRI: []netaddr.Prefix{rack13}})
+	const cut = 30 // past the header: the body is what is cut
+	delivery := append(append([]byte(nil), first...), second[:cut]...)
+	p.onData(delivery)
+	rib := spine.sp.RenderRIB()
+	if !strings.Contains(rib, "64601 64901") {
+		t.Fatalf("first UPDATE not in the RIB:\n%s", rib)
+	}
+	if !bytes.Equal(p.recvBuf, second[:cut]) {
+		t.Fatalf("recvBuf = % x, want the cut message % x", p.recvBuf, second[:cut])
+	}
+	for i := range delivery {
+		delivery[i] = 0xEE
+	}
+	if got := spine.sp.RenderRIB(); got != rib {
+		t.Errorf("RIB changed when the delivered bytes were reused:\n%s\nwas\n%s", got, rib)
+	}
+	if !bytes.Equal(p.recvBuf, second[:cut]) {
+		t.Errorf("recvBuf changed when the delivered bytes were reused: % x", p.recvBuf)
+	}
+
+	rest := append([]byte(nil), second[cut:]...)
+	p.onData(rest)
+	for i := range rest {
+		rest[i] = 0xEE
+	}
+	rib = spine.sp.RenderRIB()
+	for _, want := range []string{"192.168.12.0/24", "64601 64901\n", "192.168.13.0/24", "64601 64902 64903\n"} {
+		if !strings.Contains(rib, want) {
+			t.Errorf("RIB lacks %q after the second delivery:\n%s", want, rib)
+		}
+	}
+	if len(p.recvBuf) != 0 {
+		t.Errorf("recvBuf = % x after a complete message, want empty", p.recvBuf)
 	}
 }

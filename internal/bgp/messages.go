@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/netaddr"
 )
@@ -110,7 +111,15 @@ func MarshalOpen(o Open) []byte {
 }
 
 // MarshalKeepalive renders the 19-byte KEEPALIVE.
-func MarshalKeepalive() []byte { return marshalHeader(TypeKeepalive, nil) }
+func MarshalKeepalive() []byte { return slices.Clone(keepalive[:]) }
+
+// keepalive is the one KEEPALIVE every session sends, a value nothing
+// writes: Conn.Send copies what it is given.
+var keepalive = [HeaderLen]byte{
+	0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+	0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+	0, HeaderLen, TypeKeepalive,
+}
 
 // MarshalNotification renders a NOTIFICATION message.
 func MarshalNotification(n Notification) []byte {
@@ -124,8 +133,8 @@ func appendPrefix(b []byte, p netaddr.Prefix) []byte {
 	return append(b, p.IP[:(p.Bits+7)/8]...)
 }
 
-func parsePrefixes(b []byte) ([]netaddr.Prefix, error) {
-	var out []netaddr.Prefix
+// appendPrefixes appends the prefixes of a packed NLRI field to out.
+func appendPrefixes(out []netaddr.Prefix, b []byte) ([]netaddr.Prefix, error) {
 	for len(b) > 0 {
 		bits := int(b[0])
 		if bits > 32 {
@@ -202,95 +211,105 @@ type Parsed struct {
 
 // ParseMessage decodes one complete wire message (header included).
 func ParseMessage(msg []byte) (Parsed, error) {
+	var m Parsed
+	if err := m.decode(msg); err != nil {
+		return Parsed{}, err
+	}
+	return m, nil
+}
+
+// decode decodes one complete wire message into m. An UPDATE is decoded
+// over m.Update's slices, so a session that decodes every message into one
+// Parsed allocates only while those slices grow; what outlives the message
+// must be copied out of it. Fields of the other message types keep their
+// last values.
+func (m *Parsed) decode(msg []byte) error {
 	if len(msg) < HeaderLen {
-		return Parsed{}, ErrTruncated
+		return ErrTruncated
 	}
 	for i := 0; i < 16; i++ {
 		if msg[i] != 0xff {
-			return Parsed{}, ErrBadMarker
+			return ErrBadMarker
 		}
 	}
 	l := int(uint16(msg[16])<<8 | uint16(msg[17]))
 	if l != len(msg) || l > MaxMessageLen {
-		return Parsed{}, ErrTruncated
+		return ErrTruncated
 	}
-	p := Parsed{Type: msg[18]}
+	m.Type = msg[18]
 	body := msg[HeaderLen:]
-	switch p.Type {
+	switch m.Type {
 	case TypeOpen:
 		if len(body) < 10 {
-			return Parsed{}, ErrMalformed
+			return ErrMalformed
 		}
-		p.Open.Version = body[0]
-		p.Open.AS = uint16(body[1])<<8 | uint16(body[2])
-		p.Open.HoldTime = uint16(body[3])<<8 | uint16(body[4])
-		copy(p.Open.RouterID[:], body[5:9])
+		m.Open.Version = body[0]
+		m.Open.AS = uint16(body[1])<<8 | uint16(body[2])
+		m.Open.HoldTime = uint16(body[3])<<8 | uint16(body[4])
+		copy(m.Open.RouterID[:], body[5:9])
 	case TypeKeepalive:
 		if len(body) != 0 {
-			return Parsed{}, ErrMalformed
+			return ErrMalformed
 		}
 	case TypeNotification:
 		if len(body) < 2 {
-			return Parsed{}, ErrMalformed
+			return ErrMalformed
 		}
-		p.Notification = Notification{Code: body[0], Subcode: body[1]}
+		m.Notification = Notification{Code: body[0], Subcode: body[1]}
 	case TypeUpdate:
-		u, err := parseUpdate(body)
-		if err != nil {
-			return Parsed{}, err
-		}
-		p.Update = u
+		return m.Update.decode(body)
 	default:
-		return Parsed{}, fmt.Errorf("bgp: unknown message type %d", p.Type)
+		return fmt.Errorf("bgp: unknown message type %d", m.Type)
 	}
-	return p, nil
+	return nil
 }
 
-func parseUpdate(body []byte) (Update, error) {
-	var u Update
+// decode fills u from an UPDATE body, appending to u's emptied slices.
+func (u *Update) decode(body []byte) error {
+	*u = Update{Withdrawn: u.Withdrawn[:0], ASPath: u.ASPath[:0], NLRI: u.NLRI[:0]}
 	if len(body) < 2 {
-		return u, ErrMalformed
+		return ErrMalformed
 	}
 	wlen := int(uint16(body[0])<<8 | uint16(body[1]))
 	body = body[2:]
 	if len(body) < wlen {
-		return u, ErrMalformed
+		return ErrMalformed
 	}
 	var err error
-	if u.Withdrawn, err = parsePrefixes(body[:wlen]); err != nil {
-		return u, err
+	if u.Withdrawn, err = appendPrefixes(u.Withdrawn, body[:wlen]); err != nil {
+		return err
 	}
 	body = body[wlen:]
 	if len(body) < 2 {
-		return u, ErrMalformed
+		return ErrMalformed
 	}
 	alen := int(uint16(body[0])<<8 | uint16(body[1]))
 	body = body[2:]
 	if len(body) < alen {
-		return u, ErrMalformed
+		return ErrMalformed
 	}
 	attrs := body[:alen]
 	for len(attrs) > 0 {
 		if len(attrs) < 3 {
-			return u, ErrMalformed
+			return ErrMalformed
 		}
 		flags, code := attrs[0], attrs[1]
 		var vlen int
 		var val []byte
 		if flags&0x10 != 0 { // extended length
 			if len(attrs) < 4 {
-				return u, ErrMalformed
+				return ErrMalformed
 			}
 			vlen = int(uint16(attrs[2])<<8 | uint16(attrs[3]))
 			if len(attrs) < 4+vlen {
-				return u, ErrMalformed
+				return ErrMalformed
 			}
 			val = attrs[4 : 4+vlen]
 			attrs = attrs[4+vlen:]
 		} else {
 			vlen = int(attrs[2])
 			if len(attrs) < 3+vlen {
-				return u, ErrMalformed
+				return ErrMalformed
 			}
 			val = attrs[3 : 3+vlen]
 			attrs = attrs[3+vlen:]
@@ -298,42 +317,65 @@ func parseUpdate(body []byte) (Update, error) {
 		switch code {
 		case attrOrigin:
 			if len(val) != 1 {
-				return u, ErrMalformed
+				return ErrMalformed
 			}
 			u.Origin = val[0]
 		case attrASPath:
 			if len(val) < 2 || val[0] != 2 || len(val) != 2+2*int(val[1]) {
-				return u, ErrMalformed
+				return ErrMalformed
 			}
 			for i := 0; i < int(val[1]); i++ {
 				u.ASPath = append(u.ASPath, uint16(val[2+2*i])<<8|uint16(val[3+2*i]))
 			}
 		case attrNextHop:
 			if len(val) != 4 {
-				return u, ErrMalformed
+				return ErrMalformed
 			}
 			copy(u.NextHop[:], val)
 		}
 	}
-	if u.NLRI, err = parsePrefixes(body[alen:]); err != nil {
-		return u, err
+	u.NLRI, err = appendPrefixes(u.NLRI, body[alen:])
+	return err
+}
+
+// messageLen returns the length of the message at the front of a TCP byte
+// stream: 0 while its header or body is incomplete, ErrMalformed when the
+// header's length field is out of range.
+func messageLen(buf []byte) (int, error) {
+	if len(buf) < HeaderLen {
+		return 0, nil
 	}
-	return u, nil
+	l := int(uint16(buf[16])<<8 | uint16(buf[17]))
+	if l < HeaderLen || l > MaxMessageLen {
+		return 0, ErrMalformed
+	}
+	if len(buf) < l {
+		return 0, nil
+	}
+	return l, nil
+}
+
+// completeLen returns how many bytes at the front of a TCP byte stream are
+// complete messages, or ErrMalformed when any header before the first
+// incomplete message is out of range.
+func completeLen(buf []byte) (int, error) {
+	n := 0
+	for {
+		l, err := messageLen(buf[n:])
+		if l == 0 {
+			return n, err
+		}
+		n += l
+	}
 }
 
 // SplitStream extracts complete messages from a TCP byte stream, returning
 // the parsed messages and the unconsumed tail.
 func SplitStream(buf []byte) (msgs [][]byte, rest []byte, err error) {
 	for {
-		if len(buf) < HeaderLen {
-			return msgs, buf, nil
-		}
-		l := int(uint16(buf[16])<<8 | uint16(buf[17]))
-		if l < HeaderLen || l > MaxMessageLen {
-			return msgs, buf, ErrMalformed
-		}
-		if len(buf) < l {
-			return msgs, buf, nil
+		l, err := messageLen(buf)
+		if l == 0 {
+			return msgs, buf, err
 		}
 		msgs = append(msgs, buf[:l])
 		buf = buf[l:]

@@ -38,15 +38,20 @@ func (s SessionState) String() string {
 // Peer is one eBGP session.
 type Peer struct {
 	sp       *Speaker
+	idx      int // position in sp.peers: the peer's column in the table
 	Iface    *ipstack.Iface
 	LocalIP  netaddr.IPv4
 	Neighbor netaddr.IPv4
 	RemoteAS uint16
 	State    SessionState
 
-	passive      bool
-	conn         *tcp.Conn
+	passive bool
+	conn    *tcp.Conn
+	// recvBuf holds a message cut short by a segment boundary, copied out
+	// of the borrowed delivery; in is what each received message is decoded
+	// into.
 	recvBuf      []byte
+	in           Parsed
 	openReceived bool
 
 	// MsgSent/MsgRecv count BGP messages on this session (the MsgSent /
@@ -124,32 +129,38 @@ func (p *Peer) send(msg []byte) {
 	p.conn.Send(msg)
 }
 
-// onData parses the delivered bytes where they lie; only a message cut
-// short by the segment boundary is copied and kept for the next delivery.
+// onData reads the delivered bytes where they lie: TCP lends them until
+// onData returns. Messages are decoded one at a time into the peer's
+// scratch, and only a message cut short by the segment boundary is copied,
+// into recvBuf, to be completed by the next delivery. A malformed header
+// anywhere in the complete part resets the session before any message is
+// handled.
 func (p *Peer) onData(data []byte) {
 	if len(p.recvBuf) > 0 {
-		data = append(p.recvBuf, data...)
+		p.recvBuf = append(p.recvBuf, data...)
+		data = p.recvBuf
 	}
-	msgs, rest, err := SplitStream(data)
+	n, err := completeLen(data)
 	if err != nil {
 		p.reset(true)
 		return
 	}
-	p.recvBuf = nil
-	if len(rest) > 0 {
-		p.recvBuf = append(p.recvBuf, rest...)
-	}
-	for _, raw := range msgs {
-		m, err := ParseMessage(raw)
-		if err != nil {
+	conn := p.conn
+	for msgs := data[:n]; len(msgs) > 0; {
+		l, _ := messageLen(msgs)
+		if err := p.in.decode(msgs[:l]); err != nil {
 			p.reset(true)
 			return
 		}
-		p.handle(m)
+		msgs = msgs[l:]
+		p.handle(&p.in)
+	}
+	if p.conn == conn { // else the session was reset: nothing carries over
+		p.recvBuf = append(p.recvBuf[:0], data[n:]...)
 	}
 }
 
-func (p *Peer) handle(m Parsed) {
+func (p *Peer) handle(m *Parsed) {
 	p.MsgRecv++
 	p.touchHold()
 	switch m.Type {
@@ -160,7 +171,7 @@ func (p *Peer) handle(m Parsed) {
 			return
 		}
 		p.openReceived = true
-		p.send(MarshalKeepalive())
+		p.send(keepalive[:])
 		p.sp.Stats.KeepalivesSent++
 		p.maybeEstablish()
 	case TypeKeepalive:
@@ -196,7 +207,7 @@ func (p *Peer) startKeepalive() {
 		if p.State != StateEstablished {
 			return
 		}
-		p.send(MarshalKeepalive())
+		p.send(keepalive[:])
 		p.sp.Stats.KeepalivesSent++
 		p.keepaliveTimer.Reset(interval)
 	})

@@ -20,9 +20,8 @@ func (s *Speaker) RenderSummary() string {
 	})
 	for _, p := range peers {
 		pfx := 0
-		//simlint:deterministic pure counter; the total is independent of iteration order
-		for _, entries := range s.adjIn {
-			if _, ok := entries[p.Neighbor]; ok {
+		for _, rt := range s.rows {
+			if rt.path(p.idx) != nil {
 				pfx++
 			}
 		}
@@ -39,22 +38,22 @@ func (s *Speaker) RenderSummary() string {
 func (s *Speaker) RenderRIB() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-20s %-16s %s\n", "Network", "Next Hop", "Path")
-	prefixes := s.RIB()
-	for _, prefix := range prefixes {
-		entries := s.adjIn[prefix]
+	for _, rt := range s.rows {
 		type row struct {
 			nh   string
 			path string
 			plen int
 		}
 		var rows []row
-		//simlint:deterministic rows are fully sorted by (path length, next hop) before rendering
-		for _, e := range entries {
-			parts := make([]string, len(e.asPath))
-			for i, as := range e.asPath {
-				parts[i] = fmt.Sprint(as)
+		for i, path := range rt.paths {
+			if path == nil {
+				continue
 			}
-			rows = append(rows, row{e.nextHop.String(), strings.Join(parts, " "), len(e.asPath)})
+			parts := make([]string, len(path))
+			for j, as := range path {
+				parts[j] = fmt.Sprint(as)
+			}
+			rows = append(rows, row{s.peers[i].Neighbor.String(), strings.Join(parts, " "), len(path)})
 		}
 		sort.Slice(rows, func(i, j int) bool {
 			if rows[i].plen != rows[j].plen {
@@ -62,7 +61,7 @@ func (s *Speaker) RenderRIB() string {
 			}
 			return rows[i].nh < rows[j].nh
 		})
-		name := prefix.String()
+		name := rt.prefix.String()
 		for _, r := range rows {
 			fmt.Fprintf(&b, "%-20s %-16s %s\n", name, r.nh, r.path)
 			name = "" // only the first path repeats the prefix, like FRR

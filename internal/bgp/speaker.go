@@ -3,7 +3,6 @@ package bgp
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/invariant"
@@ -51,17 +50,78 @@ type Config struct {
 	Networks []netaddr.Prefix
 }
 
-// pathEntry is an Adj-RIB-In record.
-type pathEntry struct {
-	peer    *Peer
-	asPath  []uint16
-	nextHop netaddr.IPv4
+// route is one prefix's row of the speaker's table: every peer's offer
+// (the Adj-RIB-In), the path we export and the peers that heard it. Rows are
+// indexed by peer position (Peer.idx), so no part of the table is keyed by
+// neighbor address.
+type route struct {
+	prefix netaddr.Prefix
+	// paths[i] is the AS path peers[i] offers, nil when it offers none. A
+	// slot keeps its backing array while the peer replaces its path.
+	paths [][]uint16
+	// exported is the path we advertise, without our prepended ASN;
+	// exporting says whether we advertise the prefix at all. A row that does
+	// not export holds an empty exported and an empty sentTo.
+	exported  []uint16
+	exporting bool
+	sentTo    peerSet
 }
 
-// advState tracks what was last advertised for a prefix and to whom.
-type advState struct {
-	path   []uint16 // path as advertised (without our prepended ASN)
-	sentTo map[netaddr.IPv4]bool
+// path returns the AS path peer position i offers, or nil.
+func (rt *route) path(i int) []uint16 {
+	if i < len(rt.paths) {
+		return rt.paths[i]
+	}
+	return nil
+}
+
+// setPath copies path into peer position i's slot.
+func (rt *route) setPath(i int, path []uint16) {
+	if i >= len(rt.paths) {
+		rt.paths = slices.Grow(rt.paths, i+1-len(rt.paths))[:i+1]
+	}
+	slot := rt.paths[i]
+	if slot == nil {
+		slot = make([]uint16, 0, len(path)) // non-nil even for an empty path
+	}
+	rt.paths[i] = append(slot[:0], path...)
+}
+
+// dropPath removes peer position i's path and reports whether there was one.
+func (rt *route) dropPath(i int) bool {
+	if rt.path(i) == nil {
+		return false
+	}
+	rt.paths[i] = nil
+	return true
+}
+
+// hasPaths reports whether any peer offers a path.
+func (rt *route) hasPaths() bool {
+	for _, path := range rt.paths {
+		if path != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// peerSet is a set of peer positions, one bit each.
+type peerSet []uint64
+
+func (s peerSet) has(i int) bool { return i>>6 < len(s) && s[i>>6]&(1<<(i&63)) != 0 }
+
+func (s *peerSet) add(i int) {
+	for len(*s) <= i>>6 {
+		*s = append(*s, 0)
+	}
+	(*s)[i>>6] |= 1 << (i & 63)
+}
+
+func (s peerSet) remove(i int) {
+	if i>>6 < len(s) {
+		s[i>>6] &^= 1 << (i & 63)
+	}
 }
 
 // Speaker is a BGP routing daemon bound to one router's IP stack.
@@ -70,17 +130,19 @@ type Speaker struct {
 	Cfg   Config
 
 	sim   *simnet.Sim
-	peers []*Peer
-	byIP  map[netaddr.IPv4]*Peer // by neighbor address
-	adjIn map[netaddr.Prefix]map[netaddr.IPv4]pathEntry
-	adv   map[netaddr.Prefix]*advState
-	log   *metrics.Log // nil records nothing
+	peers []*Peer                // peers[i].idx == i
+	byIP  map[netaddr.IPv4]*Peer // session lookup by neighbor address
+	// rows is the routing state, one table: a row per prefix ever heard,
+	// sorted by comparePrefixes — the order of every sweep that emits
+	// messages — and found by binary search.
+	rows []*route
+	log  *metrics.Log // nil records nothing
 
 	// Working sets of the decision process, reused from one received UPDATE
 	// to the next so that a message allocates only what it leaves behind in
 	// the RIBs. deciding marks them taken: see takeDirty.
 	dirty    []netaddr.Prefix  // prefixes whose Adj-RIB-In changed
-	best     []pathEntry       // decide: the minimum-length paths
+	best     []*Peer           // decide: the peers offering a minimum-length path
 	nhs      []ipstack.NextHop // decide: the candidate next-hop set
 	deciding bool
 	// The sending side's: one UPDATE is marshalled and handed to TCP, which
@@ -114,8 +176,6 @@ func New(stack *ipstack.Stack, cfg Config, log *metrics.Log) *Speaker {
 		Cfg:   cfg,
 		sim:   stack.Node.Sim,
 		byIP:  make(map[netaddr.IPv4]*Peer),
-		adjIn: make(map[netaddr.Prefix]map[netaddr.IPv4]pathEntry),
-		adv:   make(map[netaddr.Prefix]*advState),
 		log:   log,
 	}
 	stack.OnPortDown = s.portDown
@@ -130,6 +190,7 @@ func New(stack *ipstack.Stack, cfg Config, log *metrics.Log) *Speaker {
 func (s *Speaker) AddPeer(iface *ipstack.Iface, neighbor netaddr.IPv4, remoteAS uint16) *Peer {
 	p := &Peer{
 		sp:       s,
+		idx:      len(s.peers),
 		Iface:    iface,
 		LocalIP:  iface.IP,
 		Neighbor: neighbor,
@@ -211,24 +272,24 @@ func (s *Speaker) decide(prefix netaddr.Prefix) {
 	if s.isLocalNetwork(prefix) {
 		return // local origination never changes
 	}
-	entries := s.adjIn[prefix]
+	rt := s.find(prefix)
 
 	// Best-path: shortest AS path, then lowest neighbor address.
 	best := s.best[:0]
 	bestLen := -1
-	//simlint:deterministic every minimum-length path is collected whatever the encounter order; the set is sorted by neighbor below
-	for _, e := range entries {
-		if bestLen < 0 || len(e.asPath) < bestLen {
-			best = best[:0]
-			best = append(best, e)
-			bestLen = len(e.asPath)
-		} else if len(e.asPath) == bestLen {
-			best = append(best, e)
+	for i, path := range rt.paths {
+		switch {
+		case path == nil:
+		case bestLen < 0 || len(path) < bestLen:
+			best = append(best[:0], s.peers[i])
+			bestLen = len(path)
+		case len(path) == bestLen:
+			best = append(best, s.peers[i])
 		}
 	}
 	// Next hops are unique per peer, so the order is total.
-	slices.SortFunc(best, func(a, b pathEntry) int {
-		return cmp.Compare(a.nextHop.Uint32(), b.nextHop.Uint32())
+	slices.SortFunc(best, func(a, b *Peer) int {
+		return cmp.Compare(a.Neighbor.Uint32(), b.Neighbor.Uint32())
 	})
 	s.best = best
 
@@ -246,8 +307,8 @@ func (s *Speaker) decide(prefix netaddr.Prefix) {
 			n = s.Cfg.MaxPaths
 		}
 		nhs := s.nhs[:0]
-		for _, e := range best[:n] {
-			nhs = append(nhs, ipstack.NextHop{Via: e.nextHop, Iface: e.peer.Iface})
+		for _, p := range best[:n] {
+			nhs = append(nhs, ipstack.NextHop{Via: p.Neighbor, Iface: p.Iface})
 		}
 		s.nhs = nhs
 		r := ipstack.Route{Prefix: prefix, NextHops: nhs, Proto: ipstack.ProtoBGP, Metric: 20}
@@ -263,12 +324,12 @@ func (s *Speaker) decide(prefix netaddr.Prefix) {
 
 	// Re-advertise if the exported path changed.
 	if len(best) == 0 {
-		s.withdraw(prefix)
+		s.withdraw(rt)
 	} else {
-		s.advertise(prefix, best[0].asPath)
+		s.advertise(rt, rt.paths[best[0].idx])
 	}
 	if invariant.Enabled {
-		s.checkFIB(prefix)
+		s.checkFIB(rt)
 	}
 }
 
@@ -293,63 +354,47 @@ func (s *Speaker) isLocalNetwork(p netaddr.Prefix) bool {
 	return false
 }
 
-func pathsEqual(a, b []uint16) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// advertise exports prefix with the given (un-prepended) path to every
-// eligible peer, if it differs from what that peer last heard.
-func (s *Speaker) advertise(prefix netaddr.Prefix, path []uint16) {
-	st := s.adv[prefix]
-	if st == nil {
-		st = &advState{sentTo: make(map[netaddr.IPv4]bool)}
-		s.adv[prefix] = st
-	}
-	pathChanged := !pathsEqual(st.path, path)
+// advertise exports the row's prefix with the given (un-prepended) path to
+// every eligible peer, if it differs from what that peer last heard.
+func (s *Speaker) advertise(rt *route, path []uint16) {
+	rt.exporting = true
+	pathChanged := !slices.Equal(rt.exported, path)
 	if pathChanged {
-		st.path = append(st.path[:0], path...)
+		rt.exported = append(rt.exported[:0], path...)
 	}
-	for _, p := range s.peers {
+	for i, p := range s.peers {
 		if p.State != StateEstablished {
 			continue
 		}
 		if !s.exportAllowed(p, path) {
 			// The peer's AS sits in the path; if it previously heard
 			// this prefix from us, withdraw it.
-			if st.sentTo[p.Neighbor] {
-				p.queueWithdraw(prefix)
-				st.sentTo[p.Neighbor] = false
+			if rt.sentTo.has(i) {
+				p.queueWithdraw(rt.prefix)
+				rt.sentTo.remove(i)
 			}
 			continue
 		}
-		if pathChanged || !st.sentTo[p.Neighbor] {
-			p.queueAdvertise(prefix)
-			st.sentTo[p.Neighbor] = true
+		if pathChanged || !rt.sentTo.has(i) {
+			p.queueAdvertise(rt.prefix)
+			rt.sentTo.add(i)
 		}
 	}
 }
 
-// withdraw retracts prefix from every peer that heard it.
-func (s *Speaker) withdraw(prefix netaddr.Prefix) {
-	st := s.adv[prefix]
-	if st == nil {
+// withdraw retracts the row's prefix from every peer that heard it.
+func (s *Speaker) withdraw(rt *route) {
+	if !rt.exporting {
 		return
 	}
-	for _, p := range s.peers {
-		if st.sentTo[p.Neighbor] && p.State == StateEstablished {
-			p.queueWithdraw(prefix)
+	for i, p := range s.peers {
+		if rt.sentTo.has(i) && p.State == StateEstablished {
+			p.queueWithdraw(rt.prefix)
 		}
-		st.sentTo[p.Neighbor] = false
 	}
-	delete(s.adv, prefix)
+	clear(rt.sentTo)
+	rt.exported = rt.exported[:0]
+	rt.exporting = false
 }
 
 // exportAllowed implements sender-side AS-path loop suppression: never
@@ -376,44 +421,56 @@ func (s *Speaker) currentExport(prefix netaddr.Prefix) ([]uint16, bool) {
 	if s.isLocalNetwork(prefix) {
 		return nil, true // originate with empty path (prepended at send)
 	}
-	if st := s.adv[prefix]; st != nil {
-		return st.path, true
+	if rt := s.find(prefix); rt != nil && rt.exporting {
+		return rt.exported, true
 	}
 	return nil, false
 }
 
 // syncPeer pushes the full table to a newly established peer, in prefix
-// order: the advertisement sequence lands on the wire, so it must not
-// inherit map iteration order.
+// order: the advertisement sequence lands on the wire, so it follows rows.
 func (s *Speaker) syncPeer(p *Peer) {
 	for _, n := range s.Cfg.Networks {
 		p.queueAdvertise(n)
 	}
-	prefixes := make([]netaddr.Prefix, 0, len(s.adv))
-	//simlint:deterministic key collection only; sortPrefixes orders the slice before any advertisement is queued
-	for prefix := range s.adv {
-		prefixes = append(prefixes, prefix)
-	}
-	sortPrefixes(prefixes)
-	for _, prefix := range prefixes {
-		st := s.adv[prefix]
-		if s.exportAllowed(p, st.path) {
-			p.queueAdvertise(prefix)
-			st.sentTo[p.Neighbor] = true
+	for _, rt := range s.rows {
+		if rt.exporting && s.exportAllowed(p, rt.exported) {
+			p.queueAdvertise(rt.prefix)
+			rt.sentTo.add(p.idx)
 		}
 	}
 }
 
-// sortPrefixes orders prefixes by address, then mask length — the canonical
-// iteration order wherever a per-prefix action emits protocol messages.
-func sortPrefixes(prefixes []netaddr.Prefix) {
-	slices.SortFunc(prefixes, func(a, b netaddr.Prefix) int {
-		if c := cmp.Compare(a.IP.Uint32(), b.IP.Uint32()); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Bits, b.Bits)
-	})
+// comparePrefixes orders prefixes by address, then mask length — the
+// canonical iteration order wherever a per-prefix action emits protocol
+// messages.
+func comparePrefixes(a, b netaddr.Prefix) int {
+	if c := cmp.Compare(a.IP.Uint32(), b.IP.Uint32()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Bits, b.Bits)
 }
+
+// find returns the prefix's row, or nil.
+func (s *Speaker) find(prefix netaddr.Prefix) *route {
+	if i, ok := slices.BinarySearchFunc(s.rows, prefix, rowOrder); ok {
+		return s.rows[i]
+	}
+	return nil
+}
+
+// route returns the prefix's row, inserting it in its place on first use.
+func (s *Speaker) route(prefix netaddr.Prefix) *route {
+	i, ok := slices.BinarySearchFunc(s.rows, prefix, rowOrder)
+	if ok {
+		return s.rows[i]
+	}
+	rt := &route{prefix: prefix, paths: make([][]uint16, len(s.peers))}
+	s.rows = slices.Insert(s.rows, i, rt)
+	return rt
+}
+
+func rowOrder(rt *route, prefix netaddr.Prefix) int { return comparePrefixes(rt.prefix, prefix) }
 
 // takeDirty hands out the empty dirty-prefix scratch; decideAll gives it
 // back. The pair brackets every use of the decision scratch, so one assertion
@@ -430,7 +487,7 @@ func (s *Speaker) takeDirty() []netaddr.Prefix {
 // in prefix order: decisions can queue UPDATEs, and their wire order must be
 // a function of the input, not of map iteration or arrival order.
 func (s *Speaker) decideAll(dirty []netaddr.Prefix) {
-	sortPrefixes(dirty)
+	slices.SortFunc(dirty, comparePrefixes)
 	dirty = slices.Compact(dirty)
 	for _, prefix := range dirty {
 		s.decide(prefix)
@@ -439,26 +496,19 @@ func (s *Speaker) decideAll(dirty []netaddr.Prefix) {
 	s.deciding = false
 }
 
-// handleUpdate processes a received UPDATE from peer p.
+// handleUpdate processes a received UPDATE from peer p. u may be the
+// peer's decode scratch: the table copies the AS path it keeps.
 func (s *Speaker) handleUpdate(p *Peer, u Update) {
 	s.Stats.UpdatesRecv++
 	dirty := s.takeDirty()
 	for _, w := range u.Withdrawn {
-		if entries := s.adjIn[w]; entries != nil {
-			if _, had := entries[p.Neighbor]; had {
-				delete(entries, p.Neighbor)
-				dirty = append(dirty, w)
-			}
+		if rt := s.find(w); rt != nil && rt.dropPath(p.idx) {
+			dirty = append(dirty, w)
 		}
 	}
 	if len(u.NLRI) > 0 && !asPathContains(u.ASPath, s.Cfg.ASN) {
 		for _, prefix := range u.NLRI {
-			entries := s.adjIn[prefix]
-			if entries == nil {
-				entries = make(map[netaddr.IPv4]pathEntry)
-				s.adjIn[prefix] = entries
-			}
-			entries[p.Neighbor] = pathEntry{peer: p, asPath: u.ASPath, nextHop: p.Neighbor}
+			s.route(prefix).setPath(p.idx, u.ASPath)
 			dirty = append(dirty, prefix)
 		}
 	}
@@ -477,29 +527,24 @@ func asPathContains(path []uint16, as uint16) bool {
 // peerDown clears a dead peer's routes and reconverges.
 func (s *Speaker) peerDown(p *Peer) {
 	dirty := s.takeDirty()
-	//simlint:deterministic per-prefix deletions are independent; decideAll sorts the dirty list before any decision runs
-	for prefix, entries := range s.adjIn {
-		if _, had := entries[p.Neighbor]; had {
-			delete(entries, p.Neighbor)
-			dirty = append(dirty, prefix)
+	for _, rt := range s.rows {
+		if rt.dropPath(p.idx) {
+			dirty = append(dirty, rt.prefix)
 		}
-	}
-	// Forget what we sent them; a future session gets a full re-sync.
-	//simlint:deterministic clears one per-peer flag per entry; no ordering escapes
-	for _, st := range s.adv {
-		st.sentTo[p.Neighbor] = false
+		// Forget what we sent them; a future session gets a full re-sync.
+		rt.sentTo.remove(p.idx)
 	}
 	s.decideAll(dirty)
 }
 
-// RIB returns the prefixes with at least one Adj-RIB-In path (testing aid).
+// RIB returns the prefixes with at least one Adj-RIB-In path, in prefix
+// order (testing aid).
 func (s *Speaker) RIB() []netaddr.Prefix {
 	var out []netaddr.Prefix
-	for prefix, entries := range s.adjIn {
-		if len(entries) > 0 {
-			out = append(out, prefix)
+	for _, rt := range s.rows {
+		if rt.hasPaths() {
+			out = append(out, rt.prefix)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].IP.Uint32() < out[j].IP.Uint32() })
 	return out
 }

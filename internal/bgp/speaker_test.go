@@ -61,6 +61,20 @@ func (tn *testNet) link(a, b *rtr) {
 
 var rack11 = netaddr.MakePrefix(netaddr.MakeIPv4(192, 168, 11, 0), 24)
 
+// offered returns the AS paths the speaker's peers offer for prefix, in
+// peer order.
+func offered(sp *Speaker, prefix netaddr.Prefix) [][]uint16 {
+	var out [][]uint16
+	if rt := sp.find(prefix); rt != nil {
+		for _, path := range rt.paths {
+			if path != nil {
+				out = append(out, path)
+			}
+		}
+	}
+	return out
+}
+
 func TestSessionEstablishment(t *testing.T) {
 	tn := newTestNet()
 	leaf := tn.router("leaf", 64601, true, rack11)
@@ -90,13 +104,13 @@ func TestASPathGrowsPerTier(t *testing.T) {
 	tn.link(spine, top)
 	tn.sim.Start()
 	tn.sim.RunFor(3 * time.Second)
-	entries := top.sp.adjIn[rack11]
+	entries := offered(top.sp, rack11)
 	if len(entries) != 1 {
 		t.Fatalf("top Adj-RIB-In entries = %d, want 1", len(entries))
 	}
-	for _, e := range entries {
-		if len(e.asPath) != 2 || e.asPath[0] != 64513 || e.asPath[1] != 64601 {
-			t.Errorf("AS path at top = %v, want [64513 64601]", e.asPath)
+	for _, path := range entries {
+		if len(path) != 2 || path[0] != 64513 || path[1] != 64601 {
+			t.Errorf("AS path at top = %v, want [64513 64601]", path)
 		}
 	}
 }
@@ -112,11 +126,11 @@ func TestSenderSideLoopSuppression(t *testing.T) {
 	tn.sim.RunFor(3 * time.Second)
 	// The top spine must not re-advertise the prefix back toward the
 	// spine (its AS is on the path), so the spine keeps exactly one path.
-	if got := len(spine.sp.adjIn[rack11]); got != 1 {
+	if got := len(offered(spine.sp, rack11)); got != 1 {
 		t.Errorf("spine has %d paths for the rack prefix, want 1 (no echo from top)", got)
 	}
 	// And the leaf must never learn its own prefix.
-	if len(leaf.sp.adjIn[rack11]) != 0 {
+	if len(offered(leaf.sp, rack11)) != 0 {
 		t.Error("leaf learned its own prefix back")
 	}
 }
@@ -330,5 +344,28 @@ func TestMRAIBatchesUpdates(t *testing.T) {
 	tn.sim.RunFor(30 * time.Second)
 	if leaf.sp.Stats.UpdatesSent == first {
 		t.Error("queued change never flushed after MRAI expiry")
+	}
+}
+
+// TestRIBInPrefixOrder: RIB, and RenderRIB with it, lists prefixes by
+// address and then mask length. 10.1.0.0/16 and 10.1.0.0/24 share an
+// address, so an order by address alone left them in whatever order the
+// table was walked; on fifty fresh speakers, learned in either order, the
+// /16 must come first every time.
+func TestRIBInPrefixOrder(t *testing.T) {
+	wide, narrow := prefix(10, 1, 0, 0, 16), prefix(10, 1, 0, 0, 24)
+	for i := 0; i < 50; i++ {
+		tn := newTestNet()
+		spine := tn.router("spine", 64513, true)
+		tn.link(tn.router("leaf", 64601, true), spine)
+		nlri := []netaddr.Prefix{narrow, wide}
+		if i%2 == 1 {
+			nlri[0], nlri[1] = nlri[1], nlri[0]
+		}
+		p := spine.sp.Peers()[0]
+		spine.sp.handleUpdate(p, Update{ASPath: []uint16{64601}, NextHop: p.Neighbor, NLRI: nlri})
+		if got := spine.sp.RIB(); len(got) != 2 || got[0] != wide || got[1] != narrow {
+			t.Fatalf("speaker %d: RIB() = %v, want [%v %v]", i, got, wide, narrow)
+		}
 	}
 }

@@ -104,7 +104,7 @@ func New(node *simnet.Node) *Stack {
 		udpHandlers: make(map[uint16]UDPHandler),
 		frames:      node.Sim.Frames(),
 	}
-	s.TCP = tcp.NewEndpoint(node.Sim, node.Rand(), s.sendTCPSegment)
+	s.TCP = tcp.NewEndpoint(node.Sim, node.Rand, s.sendTCPSegment)
 	node.Handler = s
 	return s
 }

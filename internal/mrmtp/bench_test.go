@@ -1,6 +1,7 @@
 package mrmtp
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -169,5 +170,37 @@ func TestHelloKeepAliveAllocs(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Errorf("hello keep-alive allocates %.1f/op, want 0 (pooled frame, recycled by the receiver)", avg)
+	}
+}
+
+// TestAdvertiseReceiveAllocs pins the periodic re-ADVERTISE at zero: the
+// receiver compares it in place with the one it stored, finds it unchanged,
+// and returns the frame to the pool. Both directions of a warm column are
+// measured: a spine hearing its ToR (one VID, a tree it already joined) and
+// the top hearing the spine (two).
+func TestAdvertiseReceiveAllocs(t *testing.T) {
+	bc := newBenchColumn(t)
+	for _, tc := range []struct {
+		from *Router
+		port int
+		to   *adjacency
+	}{
+		{bc.tor, 1, bc.spine.adj(1)},
+		{bc.spine, 3, bc.top.adj(1)},
+	} {
+		before := fmt.Sprint(tc.to.advertised)
+		if len(tc.to.advertised) == 0 {
+			t.Fatalf("%s: nothing advertised after warm-up", tc.from.Node.Name)
+		}
+		avg := testing.AllocsPerRun(200, func() {
+			tc.from.sendAdvertise(tc.from.adj(tc.port))
+			bc.sim.RunFor(300 * time.Microsecond)
+		})
+		if avg != 0 {
+			t.Errorf("an unchanged ADVERTISE from %s allocates %.1f/op, want 0", tc.from.Node.Name, avg)
+		}
+		if got := fmt.Sprint(tc.to.advertised); got != before {
+			t.Errorf("%s's ADVERTISE changed its neighbor's record: %s, was %s", tc.from.Node.Name, got, before)
+		}
 	}
 }

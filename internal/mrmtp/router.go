@@ -102,8 +102,12 @@ type adjacency struct {
 	helloTimer   *simnet.Timer
 	advTimer     *simnet.Timer
 
-	// advertised is the latest VID set the neighbor offered to extend.
+	// advertised is the latest VID set the neighbor offered to extend,
+	// decoded over the adjacency's own storage: the VIDs are sub-slices of
+	// advBytes, and both are overwritten by the next ADVERTISE that differs.
+	// Whatever must outlive that copies the VIDs (maybeJoin's want list).
 	advertised []VID
+	advBytes   []byte
 	// requested tracks parent VIDs we have an outstanding JOIN for.
 	requested map[string]bool
 
@@ -467,12 +471,9 @@ func (r *Router) HandleFrame(p *simnet.Port, raw []byte) {
 			// the moment the neighbor is accepted (the advertise may
 			// not be repeated once both ends are past dampening).
 			if f.Payload[0] == TypeAdvertise {
-				if m, err := ParseMessage(f.Payload); err == nil {
-					r.learnTier(adj, m.Tier)
-					adj.advertised = m.VIDs
-				}
+				r.learnAdvertise(adj, f.Payload)
 			}
-			r.frames.Put(raw) // dampened: ParseMessage copied what was kept
+			r.frames.Put(raw) // dampened: learnAdvertise copied what was kept
 			return
 		}
 		// The accepting frame itself is processed normally below — it is
@@ -484,14 +485,24 @@ func (r *Router) HandleFrame(p *simnet.Port, raw []byte) {
 		r.armDead(adj)
 	}
 
-	if f.Payload[0] == TypeData {
+	switch f.Payload[0] {
+	case TypeData:
 		if r.handleData(raw, f.Payload) {
 			r.frames.Put(raw)
 		}
 		return
+	case TypeAdvertise:
+		// The periodic re-ADVERTISE is the steady state's most frequent
+		// control message, and it is read where it lies.
+		if r.learnAdvertise(adj, f.Payload) {
+			r.maybeJoin(adj)
+		}
+		r.frames.Put(raw)
+		return
 	}
-	// Control messages decode into value types (ParseMessage copies VIDs
-	// and roots), so the frame is dead once handleControl returns.
+	// The other control messages decode into value types (ParseMessage
+	// copies VIDs and roots), so the frame is dead once handleControl
+	// returns.
 	if m, err := ParseMessage(f.Payload); err == nil {
 		r.handleControl(adj, m)
 	}
@@ -521,7 +532,7 @@ func (r *Router) neighborDown(adj *adjacency) {
 	if adj.deadTimer != nil {
 		adj.deadTimer.Stop()
 	}
-	adj.advertised = nil
+	adj.advertised = adj.advertised[:0]
 	adj.requested = make(map[string]bool)
 
 	// Marks recorded against the dead port are stale either way.
@@ -659,10 +670,6 @@ func (r *Router) handleControl(adj *adjacency, m Message) {
 	switch m.Type {
 	case TypeHello:
 		// Liveness already refreshed.
-	case TypeAdvertise:
-		r.learnTier(adj, m.Tier)
-		adj.advertised = m.VIDs
-		r.maybeJoin(adj)
 	case TypeJoin:
 		r.handleJoin(adj, m.VIDs)
 	case TypeOffer:
@@ -675,6 +682,28 @@ func (r *Router) handleControl(adj *adjacency, m Message) {
 		r.Stats.UpdatesRecv++
 		r.stageUpdate(adj, m.Sub, m.Roots)
 	}
+}
+
+// learnAdvertise records a received ADVERTISE (the Ethernet payload) on the
+// adjacency and reports whether it was well formed. It reads the message
+// where it lies: one whose tier and VID list equal the stored ones changes
+// nothing, and one that differs is decoded over the adjacency's storage.
+// Bytes after the VID list are ignored, as ParseMessage ignores them.
+func (r *Router) learnAdvertise(adj *adjacency, b []byte) bool {
+	if len(b) < 2 {
+		return false
+	}
+	tier := int(b[1])
+	if tier == adj.neighborTier && sameVIDs(b[2:], adj.advertised) {
+		return true
+	}
+	vids, buf, ok := decodeVIDs(b[2:], adj.advertised, adj.advBytes)
+	if !ok {
+		return false
+	}
+	adj.advertised, adj.advBytes = vids, buf
+	r.learnTier(adj, tier)
+	return true
 }
 
 // learnTier records the tier a neighbor advertises. A changed tier changes
@@ -698,7 +727,8 @@ func (r *Router) maybeJoin(adj *adjacency) {
 		if r.haveViaPort(v, adj.port.Index) || adj.requested[v.Key()] {
 			continue
 		}
-		want = append(want, v)
+		// A copy: the next ADVERTISE overwrites v, and the retry keeps want.
+		want = append(want, v.Clone())
 		adj.requested[v.Key()] = true
 	}
 	if len(want) == 0 {

@@ -1,6 +1,7 @@
 package mrmtp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 )
@@ -65,31 +66,67 @@ func marshalVIDs(b []byte, vids []VID) []byte {
 	return b
 }
 
-// parseVIDs decodes a counted VID list. The VIDs are sub-slices of one copy
-// of the list's bytes, each capped at its own length, so a message costs two
-// allocations however many VIDs it carries and the caller may retain them.
+// parseVIDs decodes a counted VID list into fresh storage: a message costs
+// two allocations however many VIDs it carries, and the caller may retain
+// them.
 func parseVIDs(b []byte) ([]VID, error) {
-	if len(b) < 1 {
+	vids, _, ok := decodeVIDs(b, nil, nil)
+	if !ok {
 		return nil, ErrMalformed
 	}
-	n := int(b[0])
-	vids := make([]VID, 0, n)
-	if n == 0 {
-		return vids, nil
-	}
-	b = append([]byte(nil), b[1:]...)
-	for i := 0; i < n; i++ {
-		if len(b) < 1 {
-			return nil, ErrMalformed
-		}
-		l := int(b[0])
-		if l == 0 || len(b) < 1+l {
-			return nil, ErrMalformed
-		}
-		vids = append(vids, VID(b[1:1+l:1+l]))
-		b = b[1+l:]
-	}
 	return vids, nil
+}
+
+// decodeVIDs decodes the counted VID list at the front of b over vids and
+// buf, which grow only when the list is longer than what they hold. The
+// VIDs are sub-slices of one copy of the list's bytes in buf, each capped at
+// its own length so that appending to one cannot reach its neighbour. Bytes
+// after the list are not read. A malformed list writes nothing and returns
+// ok false.
+func decodeVIDs(b []byte, vids []VID, buf []byte) (_ []VID, _ []byte, ok bool) {
+	if len(b) < 1 {
+		return vids, buf, false
+	}
+	n, end := int(b[0]), 1
+	for i := 0; i < n; i++ {
+		if end >= len(b) {
+			return vids, buf, false
+		}
+		l := int(b[end])
+		if l == 0 || len(b) < end+1+l {
+			return vids, buf, false
+		}
+		end += 1 + l
+	}
+	buf = append(buf[:0], b[1:end]...)
+	if cap(vids) < n {
+		// Doubling: a list that lengthens one VID at a time, as a spine's
+		// does during bring-up, costs amortised O(1) per ADVERTISE.
+		vids = make([]VID, 0, max(n, 2*cap(vids)))
+	}
+	vids = vids[:0]
+	for off := 0; off < len(buf); {
+		l := int(buf[off])
+		vids = append(vids, VID(buf[off+1:off+1+l:off+1+l]))
+		off += 1 + l
+	}
+	return vids, buf, true
+}
+
+// sameVIDs reports whether the counted VID list at the front of b encodes
+// exactly vids, reading no further than the list.
+func sameVIDs(b []byte, vids []VID) bool {
+	if len(b) < 1 || int(b[0]) != len(vids) {
+		return false
+	}
+	b = b[1:]
+	for _, v := range vids {
+		if len(b) < 1+len(v) || int(b[0]) != len(v) || !bytes.Equal(b[1:1+len(v)], v) {
+			return false
+		}
+		b = b[1+len(v):]
+	}
+	return true
 }
 
 // Marshal renders a control message body (the Ethernet payload). An

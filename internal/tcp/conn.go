@@ -49,7 +49,7 @@ const (
 // next segment is rendered into the same buffer (segBuf).
 type Endpoint struct {
 	sim    *simnet.Sim
-	rng    *rand.Rand
+	stream func() *rand.Rand
 	output func(src, dst netaddr.IPv4, segment []byte)
 	segBuf []byte
 
@@ -74,16 +74,19 @@ type connKey struct {
 }
 
 // NewEndpoint creates a TCP endpoint that transmits segments through output.
-// rng supplies initial sequence numbers; the owning stack passes its node's
-// stream so draws are independent of global event interleaving. A nil rng
-// falls back to the sim's control stream.
-func NewEndpoint(sim *simnet.Sim, rng *rand.Rand, output func(src, dst netaddr.IPv4, segment []byte)) *Endpoint {
-	if rng == nil {
-		rng = sim.Rand()
+// stream returns the generator of initial sequence numbers, the same one on
+// every call; the owning stack passes its node's stream so draws are
+// independent of global event interleaving. It is called only when a
+// connection draws its ISS, so a node's lazily built stream is never built
+// for an endpoint that opens no connection. A nil stream falls back to the
+// sim's control stream.
+func NewEndpoint(sim *simnet.Sim, stream func() *rand.Rand, output func(src, dst netaddr.IPv4, segment []byte)) *Endpoint {
+	if stream == nil {
+		stream = sim.Rand
 	}
 	return &Endpoint{
 		sim:       sim,
-		rng:       rng,
+		stream:    stream,
 		output:    output,
 		listeners: make(map[uint16]func(*Conn)),
 		conns:     make(map[connKey]*Conn),
@@ -113,7 +116,7 @@ func (e *Endpoint) newConn(k connKey) *Conn {
 	c := &Conn{
 		ep:  e,
 		key: k,
-		iss: uint32(e.rng.Int63()),
+		iss: uint32(e.stream().Int63()),
 	}
 	c.sndUna = c.iss
 	e.conns[k] = c
@@ -189,7 +192,9 @@ func (c *Conn) RemoteAddr() netaddr.IPv4 { return c.key.remoteIP }
 // State returns the connection state.
 func (c *Conn) State() State { return c.state }
 
-// OnData registers the in-order stream delivery callback.
+// OnData registers the in-order stream delivery callback. fn borrows the
+// bytes it is handed: they are the received segment's payload, valid until
+// fn returns, and what fn keeps it must copy.
 func (c *Conn) OnData(fn func([]byte)) { c.onData = fn }
 
 // OnState registers a callback invoked on every state transition
@@ -382,7 +387,6 @@ func (c *Conn) acceptData(seg Segment) {
 	c.rcvNxt += uint32(len(seg.Payload))
 	c.sendSegment(FlagACK, c.sndNxt, c.rcvNxt, nil)
 	if c.onData != nil {
-		data := append([]byte(nil), seg.Payload...)
-		c.onData(data)
+		c.onData(seg.Payload)
 	}
 }

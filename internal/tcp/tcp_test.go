@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -299,5 +300,48 @@ func TestDuplicateDataNotDeliveredTwice(t *testing.T) {
 	w.sim.RunFor(5 * time.Second)
 	if string(got) != "once" {
 		t.Errorf("got %q, want exactly one delivery", got)
+	}
+}
+
+// TestStreamBuiltAtFirstDraw: an endpoint asks for its ISS stream when it
+// opens or accepts a connection, and the streams it is given are built on
+// first request, as simnet.Node.Rand builds a node's. An endpoint that only
+// listens and answers a stray segment builds none (a fabric's servers never
+// connect at all), and the first draw is the one an eagerly built stream
+// would have made.
+func TestStreamBuiltAtFirstDraw(t *testing.T) {
+	w := newWirePair(t)
+	built := map[*Endpoint]int{}
+	for _, e := range []*Endpoint{w.a, w.b} {
+		var rng *rand.Rand
+		e.stream = func() *rand.Rand {
+			if rng == nil {
+				built[e]++
+				rng = rand.New(rand.NewSource(5))
+			}
+			return rng
+		}
+	}
+	w.b.Listen(179, func(*Conn) {})
+	stray := Segment{SrcPort: 40000, DstPort: 180, Seq: 9, Flags: FlagACK}
+	w.b.Input(ipA, ipB, stray.Marshal(ipA, ipB)) // no listener: answered with a RST, no ISS
+	w.sim.RunFor(10 * time.Millisecond)
+	if built[w.b] != 0 || built[w.a] != 0 {
+		t.Fatalf("streams built before any connection: server %d, client %d", built[w.b], built[w.a])
+	}
+	c := w.a.Dial(ipA, ipB, 179)
+	w.sim.RunFor(10 * time.Millisecond)
+	if c.State() != StateEstablished || built[w.a] != 1 || built[w.b] != 1 {
+		t.Fatalf("after one connection: state %v, streams built: client %d, server %d; want established, 1, 1",
+			c.State(), built[w.a], built[w.b])
+	}
+	if want := uint32(rand.New(rand.NewSource(5)).Int63()); c.iss != want {
+		t.Errorf("client ISS = %d, want the stream's first draw %d", c.iss, want)
+	}
+	c2 := w.a.Dial(ipA, ipB, 179)
+	rng := rand.New(rand.NewSource(5))
+	rng.Int63()
+	if want := uint32(rng.Int63()); c2.iss != want || built[w.a] != 1 {
+		t.Errorf("second client ISS = %d from %d streams built, want the second draw %d from one", c2.iss, built[w.a], want)
 	}
 }
