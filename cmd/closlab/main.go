@@ -116,13 +116,13 @@ var campaigns = []campaign{
 	cellCampaign("chaos", chaosProtocols, func(*env) []chaos.Spec { return harness.ChaosCatalog() },
 		harness.RunChaos, harness.SummarizeChaos, harness.RenderChaos,
 		"chaos-timeline.csv and chaos-summary.json",
-		csv("chaos-timeline.csv", harness.RenderChaosTimelineCSV)),
-	cellCampaign("trace", dataPlaneProtocols, func(*env) []harness.TraceScenario { return harness.TraceCatalog() },
+		csv("chaos-timeline.csv", harness.RenderTimelineCSV[harness.ChaosSummary, harness.ChaosResult])),
+	cellCampaign("trace", dataPlaneProtocols, func(*env) []chaos.Spec { return harness.TraceCatalog() },
 		harness.RunTrace, harness.SummarizeTrace, harness.RenderTrace,
 		"trace-hops.csv, trace-accusations.csv, trace-timeline.csv and trace-summary.json",
 		csv("trace-hops.csv", harness.RenderTraceHopsCSV),
 		csv("trace-accusations.csv", harness.RenderTraceAccusationsCSV),
-		csv("trace-timeline.csv", harness.RenderTraceTimelineCSV)),
+		csv("trace-timeline.csv", harness.RenderTimelineCSV[harness.TraceSummary, harness.TraceResult])),
 	{name: "artifacts", optIn: true, run: rawArtifacts,
 		artifacts: []string{"{mrmtp,bgp,bgp-bfd}-logs.txt", "{mrmtp,bgp,bgp-bfd}-capture.pcap"}},
 }

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	simlint [-json|-sarif] [packages]
+//	simlint [-sarif] [packages]
 //
 // With no arguments it checks ./... . Each analyzer applies only to the
 // packages where its rule is a contract rather than a style preference:
@@ -29,11 +29,9 @@
 // packages where the analyzer that honors it actually ran (see
 // markerApplies).
 //
-// Diagnostics print as file:line:col: message (analyzer); with -json they
-// are emitted instead as a JSON array of {file,line,col,analyzer,message}
-// objects on stdout, and with -sarif as a SARIF 2.1.0 log for code-scanning
-// upload. The exit status is 1 if anything was reported, 2 on operational
-// failure.
+// Diagnostics print as file:line:col: message (analyzer); with -sarif they
+// are emitted instead as a SARIF 2.1.0 log for code-scanning upload. The
+// exit status is 1 if anything was reported, 2 on operational failure.
 package main
 
 import (
@@ -116,21 +114,16 @@ func markerApplies(importPath, marker string) bool {
 
 // finding is one printable diagnostic.
 type finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 }
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array instead of text")
 	sarifOut := flag.Bool("sarif", false, "emit diagnostics as a SARIF 2.1.0 log instead of text")
 	flag.Parse()
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "simlint: -json and -sarif are mutually exclusive")
-		os.Exit(2)
-	}
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -196,25 +189,14 @@ func main() {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	switch {
-	case *jsonOut:
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []finding{}
-		}
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(os.Stderr, "simlint:", err)
-			os.Exit(2)
-		}
-	case *sarifOut:
+	if *sarifOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(sarifLog(findings)); err != nil {
 			fmt.Fprintln(os.Stderr, "simlint:", err)
 			os.Exit(2)
 		}
-	default:
+	} else {
 		for _, f := range findings {
 			fmt.Printf("%s:%d:%d: %s (%s)\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
 		}

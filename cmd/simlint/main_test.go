@@ -3,8 +3,8 @@ package main
 // Driver-level tests: build the simlint binary once, run it against the
 // mini-modules under testdata/modules (each declares `module repro` so the
 // per-analyzer package scopes apply), and pin the exit-status contract
-// (0 clean / 1 findings / 2 operational error) and the -json and -sarif
-// output schemas.
+// (0 clean / 1 findings / 2 operational error) and the -sarif output
+// schema.
 
 import (
 	"encoding/json"
@@ -53,13 +53,10 @@ func TestExitStatus(t *testing.T) {
 		exit   int
 	}{
 		{"clean-text", "clean", nil, 0},
-		{"clean-json", "clean", []string{"-json"}, 0},
 		{"clean-sarif", "clean", []string{"-sarif"}, 0},
 		{"dirty-text", "dirty", nil, 1},
-		{"dirty-json", "dirty", []string{"-json"}, 1},
 		{"dirty-sarif", "dirty", []string{"-sarif"}, 1},
 		{"bad-pattern", "clean", []string{"./does/not/exist/..."}, 2},
-		{"json-and-sarif", "clean", []string{"-json", "-sarif"}, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -67,46 +64,6 @@ func TestExitStatus(t *testing.T) {
 				t.Errorf("exit = %d, want %d", exit, c.exit)
 			}
 		})
-	}
-}
-
-func TestJSONSchema(t *testing.T) {
-	bin := buildSimlint(t)
-
-	out, exit := runSimlint(t, bin, "dirty", "-json")
-	if exit != 1 {
-		t.Fatalf("exit = %d, want 1", exit)
-	}
-	var got []finding
-	if err := json.Unmarshal([]byte(out), &got); err != nil {
-		t.Fatalf("-json output is not a findings array: %v\n%s", err, out)
-	}
-	if len(got) != 3 {
-		t.Fatalf("got %d findings, want 3: %+v", len(got), got)
-	}
-	wantAnalyzers := []string{"walltime", "justify", "unusedmarker"}
-	for i, f := range got {
-		if f.Analyzer != wantAnalyzers[i] {
-			t.Errorf("finding %d analyzer = %q, want %q", i, f.Analyzer, wantAnalyzers[i])
-		}
-		if f.File != filepath.Join("internal", "bad", "bad.go") {
-			t.Errorf("finding %d file = %q", i, f.File)
-		}
-		if f.Line <= 0 || f.Col <= 0 || f.Message == "" {
-			t.Errorf("finding %d incomplete: %+v", i, f)
-		}
-	}
-	if got[0].Line >= got[1].Line {
-		t.Errorf("findings not sorted by line: %d then %d", got[0].Line, got[1].Line)
-	}
-
-	// A clean run still emits a well-formed (empty) array.
-	out, exit = runSimlint(t, bin, "clean", "-json")
-	if exit != 0 {
-		t.Fatalf("clean exit = %d, want 0", exit)
-	}
-	if err := json.Unmarshal([]byte(out), &got); err != nil || len(got) != 0 {
-		t.Fatalf("clean -json = %q (err %v), want []", out, err)
 	}
 }
 
@@ -146,7 +103,13 @@ func TestSARIFSchema(t *testing.T) {
 	if len(run.Results) != 3 {
 		t.Fatalf("got %d results, want 3: %+v", len(run.Results), run.Results)
 	}
+	// Results come sorted by position: the first two sit on distinct lines.
+	wantRules := []string{"walltime", "justify", "unusedmarker"}
+	prevLine := 0
 	for i, r := range run.Results {
+		if r.RuleID != wantRules[i] {
+			t.Errorf("result %d ruleId = %q, want %q", i, r.RuleID, wantRules[i])
+		}
 		if !rules[r.RuleID] {
 			t.Errorf("result %d ruleId %q not in rule table", i, r.RuleID)
 		}
@@ -166,5 +129,9 @@ func TestSARIFSchema(t *testing.T) {
 		if loc.Region.StartLine <= 0 || loc.Region.StartColumn <= 0 {
 			t.Errorf("result %d region incomplete: %+v", i, loc.Region)
 		}
+		if i == 1 && loc.Region.StartLine <= prevLine {
+			t.Errorf("results not sorted by line: %d then %d", prevLine, loc.Region.StartLine)
+		}
+		prevLine = loc.Region.StartLine
 	}
 }

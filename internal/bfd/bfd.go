@@ -107,15 +107,17 @@ func u32(b []byte) uint32 {
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }
 
-// Config parameterizes a session. The paper's profile: TxInterval 100 ms,
-// DetectMult 3 (a 300 ms detection time).
+// txInterval is the session's transmit interval, the paper's 100 ms.
+const txInterval = 100 * time.Millisecond
+
+// Config parameterizes a session. The paper's profile: DetectMult 3 (a
+// 300 ms detection time at txInterval).
 type Config struct {
-	TxInterval time.Duration
 	DetectMult int
 }
 
 // DefaultConfig returns the paper's lowerIntervals profile.
-func DefaultConfig() Config { return Config{TxInterval: 100 * time.Millisecond, DetectMult: 3} }
+func DefaultConfig() Config { return Config{DetectMult: 3} }
 
 // Session is one BFD adjacency. Create with NewSession; it starts
 // transmitting when the stack starts (or immediately if already running).
@@ -208,15 +210,15 @@ func (m *Manager) input(src, dst netaddr.IPv4, dg udp.Datagram) {
 func (s *Session) State() State { return s.state }
 
 func (s *Session) detectTime() time.Duration {
-	return time.Duration(s.cfg.DetectMult) * s.cfg.TxInterval
+	return time.Duration(s.cfg.DetectMult) * txInterval
 }
 
 func (s *Session) scheduleTx() {
 	// RFC 5880 §6.8.7 requires jitter (75-100% of the interval) to avoid
 	// self-synchronization; the node's seeded stream keeps it deterministic
 	// per run and independent of how the other nodes' draws interleave.
-	jitter := time.Duration(s.stack.Node.Rand().Int63n(int64(s.cfg.TxInterval / 4)))
-	d := s.cfg.TxInterval - jitter
+	jitter := time.Duration(s.stack.Node.Rand().Int63n(int64(txInterval / 4)))
+	d := txInterval - jitter
 	if s.txTimer != nil {
 		s.txTimer.Reset(d)
 		return
@@ -233,8 +235,8 @@ func (s *Session) transmit() {
 		DetectMult:    byte(s.cfg.DetectMult),
 		MyDisc:        s.myDisc,
 		YourDisc:      s.yourDisc,
-		DesiredMinTx:  uint32(s.cfg.TxInterval / time.Microsecond),
-		RequiredMinRx: uint32(s.cfg.TxInterval / time.Microsecond),
+		DesiredMinTx:  uint32(txInterval / time.Microsecond),
+		RequiredMinRx: uint32(txInterval / time.Microsecond),
 	}
 	s.Stats.Sent++
 	pkt.Put(&s.txBuf)

@@ -89,7 +89,7 @@ func TestDetectionWithin300ms(t *testing.T) {
 	pn.sb.OnDown = func() { downAt = pn.sim.Now() }
 	failAt := pn.sim.Now()
 	// Fail a's interface: b stops hearing control packets and must
-	// detect within DetectMult × TxInterval (plus scheduling slack).
+	// detect within DetectMult × txInterval (plus scheduling slack).
 	pn.a.Node.Port(1).Fail()
 	pn.sim.RunFor(time.Second)
 	if downAt == 0 {

@@ -278,12 +278,11 @@ func (p *Peer) scheduleRetry() {
 	if p.passive {
 		return // the active side re-dials
 	}
-	retry := p.sp.Cfg.Timers.ConnectRetry
 	if p.retryTimer != nil {
-		p.retryTimer.Reset(retry)
+		p.retryTimer.Reset(connectRetry)
 		return
 	}
-	p.retryTimer = p.sim().After(retry, func() {
+	p.retryTimer = p.sim().After(connectRetry, func() {
 		if p.State == StateIdle && p.Iface.Usable() {
 			p.connect()
 		} else if p.State == StateIdle {

@@ -17,21 +17,22 @@ import (
 // `timers bgp 1 3` (keepalive 1 s, hold 3 s) and FRR's datacenter profile,
 // whose MRAI is zero.
 type Timers struct {
-	Keepalive    time.Duration
-	Hold         time.Duration
-	MRAI         time.Duration // minimum interval between UPDATE bursts per peer
-	ConnectRetry time.Duration
+	Keepalive time.Duration
+	Hold      time.Duration
+	MRAI      time.Duration // minimum interval between UPDATE bursts per peer
 }
 
 // DefaultTimers returns the paper's configuration.
 func DefaultTimers() Timers {
 	return Timers{
-		Keepalive:    1 * time.Second,
-		Hold:         3 * time.Second,
-		MRAI:         0,
-		ConnectRetry: 2 * time.Second,
+		Keepalive: 1 * time.Second,
+		Hold:      3 * time.Second,
+		MRAI:      0,
 	}
 }
+
+// connectRetry is how long an idle active peer waits before dialing again.
+const connectRetry = 2 * time.Second
 
 // Config configures one BGP speaker.
 type Config struct {

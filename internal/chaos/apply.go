@@ -21,19 +21,15 @@ type Event struct {
 // the log is in virtual-time order and — for a given spec and seed —
 // identical run to run.
 type Injector struct {
-	Spec Spec
+	// Events is the log. A campaign may append its own rows (the trace
+	// campaign's verdicts) from simulator events, which keeps the order.
+	Events []Event
 
-	sim    *simnet.Sim
-	events []Event
-}
-
-// Events returns a copy of the injector log so far.
-func (in *Injector) Events() []Event {
-	return append([]Event(nil), in.events...)
+	sim *simnet.Sim
 }
 
 func (in *Injector) record(k Kind, action, target, detail string) {
-	in.events = append(in.events, Event{
+	in.Events = append(in.Events, Event{
 		At: in.sim.Now(), Kind: k, Action: action, Target: target, Detail: detail,
 	})
 }
@@ -63,7 +59,7 @@ func Apply(sim *simnet.Sim, spec Spec) (*Injector, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	in := &Injector{Spec: spec, sim: sim}
+	in := &Injector{sim: sim}
 	for i := range spec.Faults {
 		f := spec.Faults[i]
 		var err error

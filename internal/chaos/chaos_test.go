@@ -173,7 +173,7 @@ func TestFlapStormSchedule(t *testing.T) {
 		t.Error("port still down after the storm")
 	}
 	// Six actions logged, alternating fail/restore, in time order.
-	evs := in.Events()
+	evs := in.Events
 	if len(evs) != 6 {
 		t.Fatalf("injector logged %d events, want 6: %+v", len(evs), evs)
 	}
@@ -253,7 +253,7 @@ func TestOneWayCarrierFault(t *testing.T) {
 	if hs["c"].rx != 1 {
 		t.Errorf("peer received %d frames, want 1 (victim TX unaffected)", hs["c"].rx)
 	}
-	evs := in.Events()
+	evs := in.Events
 	if len(evs) != 2 || evs[0].Action != "carrier-fault" || evs[1].Action != "carrier-restore" {
 		t.Errorf("injector log = %+v, want carrier-fault then carrier-restore", evs)
 	}
@@ -308,7 +308,7 @@ func TestDrainRollsThroughNodes(t *testing.T) {
 	if len(hs["a"].ups) == 1 && len(hs["c"].downs) == 1 && hs["c"].downs[0] < hs["a"].ups[0] {
 		t.Errorf("drains overlap: c down at %v before a up at %v", hs["c"].downs[0], hs["a"].ups[0])
 	}
-	evs := in.Events()
+	evs := in.Events
 	if len(evs) != 4 {
 		t.Fatalf("injector logged %d events, want 4: %+v", len(evs), evs)
 	}
@@ -336,7 +336,7 @@ func TestInjectorLogDeterminism(t *testing.T) {
 		}
 		s.Start()
 		s.RunFor(spec.Horizon() + 50*time.Millisecond)
-		return in.Events()
+		return in.Events
 	}
 	first, second := run(), run()
 	if !reflect.DeepEqual(first, second) {

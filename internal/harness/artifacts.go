@@ -169,47 +169,33 @@ func RenderWorkloadTelemetryCSV(cells []Cell[WorkloadSummary, WorkloadResult]) [
 	return []byte(b.String())
 }
 
-// timelineHeader is the shared event-timeline CSV schema: injector fault
-// actions and localizer accusation events interleave in the same rows, with
-// accused_link filled only on accusation events.
-const timelineHeader = "protocol,pods,scenario,trial,t_us,kind,action,target,detail,accused_link\n"
-
-// writeTimelineRows renders one trial's event log.
-func writeTimelineRows(b *strings.Builder, proto Protocol, pods int, scenario string, trial int, events []chaos.Event) {
-	for _, ev := range events {
-		accused := ""
-		if ev.Kind == AccusationEventKind {
-			accused = ev.Target
-		}
-		_, _ = fmt.Fprintf(b, "%s,%d,%s,%d,%d,%s,%s,%s,%s,%s\n",
-			proto, pods, scenario, trial,
-			ev.At/time.Microsecond, ev.Kind, ev.Action, ev.Target, ev.Detail, accused)
-	}
+// timelined is a campaign trial that carries an injector log.
+type timelined interface {
+	timeline() (CellID, []chaos.Event)
 }
 
-// RenderChaosTimelineCSV renders every trial's injector log as CSV:
-// one row per fault action actually executed, in virtual-time order.
-func RenderChaosTimelineCSV(cells []Cell[ChaosSummary, ChaosResult]) []byte {
-	var b strings.Builder
-	_, _ = b.WriteString(timelineHeader)
-	for _, c := range cells {
-		s := c.Summary
-		for ti, tr := range c.Trials {
-			writeTimelineRows(&b, s.Protocol, s.Pods, s.Scenario, ti, tr.Events)
-		}
-	}
-	return []byte(b.String())
-}
+func (r ChaosResult) timeline() (CellID, []chaos.Event) { return r.CellID, r.Events }
+func (r TraceResult) timeline() (CellID, []chaos.Event) { return r.CellID, r.Events }
 
-// RenderTraceTimelineCSV renders every trial's merged event log — injector
-// fault actions and accusation events — in the shared timeline schema.
-func RenderTraceTimelineCSV(cells []Cell[TraceSummary, TraceResult]) []byte {
+// RenderTimelineCSV renders every trial's event timeline as CSV, one row per
+// event in virtual-time order: the fault actions actually executed and, in
+// a trace campaign, the localizer's verdicts between them, with
+// accused_link filled only on those.
+func RenderTimelineCSV[S any, R timelined](cells []Cell[S, R]) []byte {
 	var b strings.Builder
-	_, _ = b.WriteString(timelineHeader)
+	_, _ = b.WriteString("protocol,pods,scenario,trial,t_us,kind,action,target,detail,accused_link\n")
 	for _, c := range cells {
-		s := c.Summary
 		for ti, tr := range c.Trials {
-			writeTimelineRows(&b, s.Protocol, s.Pods, s.Scenario, ti, tr.Events)
+			id, events := tr.timeline()
+			for _, ev := range events {
+				accused := ""
+				if ev.Kind == AccusationEventKind {
+					accused = ev.Target
+				}
+				_, _ = fmt.Fprintf(&b, "%s,%d,%s,%d,%d,%s,%s,%s,%s,%s\n",
+					id.Protocol, id.Pods, id.Scenario, ti,
+					ev.At/time.Microsecond, ev.Kind, ev.Action, ev.Target, ev.Detail, accused)
+			}
 		}
 	}
 	return []byte(b.String())

@@ -146,7 +146,7 @@ func RunChaos(opts Options, spec chaos.Spec) (ChaosResult, error) {
 	missing, longest := probe.receiver.Missing(startSeq, endSeq)
 	res := ChaosResult{
 		CellID:              CellID{opts.Protocol, opts.Spec.Pods, spec.Name},
-		FaultActions:        len(inj.Events()),
+		FaultActions:        len(inj.Events),
 		ProbeSent:           endSeq - startSeq,
 		ProbeLost:           missing,
 		BlackholeTime:       time.Duration(missing) * probe.cfg.Interval,
@@ -163,7 +163,7 @@ func RunChaos(opts Options, spec chaos.Spec) (ChaosResult, error) {
 		SessionsEstablished: after.sessionsEstablished - before.sessionsEstablished,
 		BFDDownTransitions:  after.bfdDown - before.bfdDown,
 		BFDUpTransitions:    after.bfdUp - before.bfdUp,
-		Events:              inj.Events(),
+		Events:              inj.Events,
 	}
 	return res, nil
 }

@@ -227,7 +227,7 @@ func TestChaosArtifactsByteIdentical(t *testing.T) {
 			}
 			cells = append(cells, c)
 		}
-		csv := RenderChaosTimelineCSV(cells)
+		csv := RenderTimelineCSV(cells)
 		js, err := RenderSummaryJSON(cells)
 		if err != nil {
 			t.Fatal(err)

@@ -98,23 +98,57 @@ func TestCongestionLoadBalancingUsesBothPlanes(t *testing.T) {
 	// Delivering more than a single plane could is proof the hash spreads
 	// load over both, under both protocols (paper §III.C's stated purpose).
 	const (
+		flows          = 32
 		duration       = 3 * time.Second
 		singlePlaneCap = 3100 // 1000 pkt/s × 3 s + slack
 	)
 	for _, proto := range []Protocol{ProtoMRMTP, ProtoBGP} {
-		r, err := RunCongestion(DefaultOptions(topology.TwoPodSpec(), proto, 63), 32, 8_000_000, duration)
+		f, err := warm(DefaultOptions(topology.TwoPodSpec(), proto, 63))
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("%v: offered %d, delivered %d packets, %d tail-dropped", proto, r.Offered, r.Delivered, r.Overflow)
-		if r.Delivered <= singlePlaneCap {
+		setFabricBandwidth(f, 8_000_000, 64)
+		src, srcDev, err := f.ServerStack(11, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, dstDev, err := f.ServerStack(14, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var senders []*trafficgen.Sender
+		var receivers []*trafficgen.Receiver
+		for i := 0; i < flows; i++ {
+			cfg := trafficgen.DefaultConfig(srcDev.IP, dstDev.IP)
+			cfg.SrcPort = 42000 + uint16(i)
+			cfg.DstPort = 47000 + uint16(i)
+			cfg.Interval = 1200 * time.Microsecond
+			cfg.Size = 1000
+			receivers = append(receivers, trafficgen.NewReceiver(dst, cfg.DstPort))
+			s := trafficgen.NewSender(src, cfg)
+			senders = append(senders, s)
+			s.Start()
+		}
+		f.Sim.RunFor(duration)
+		var offered, delivered, overflow uint64
+		for i, s := range senders {
+			s.Stop()
+			rep := receivers[i].Report(s)
+			offered += rep.Sent
+			delivered += rep.Received
+		}
+		for _, link := range f.Sim.Links() {
+			overflow += link.Overflowed()
+		}
+		t.Logf("%v: offered %d, delivered %d packets, %d tail-dropped", proto, offered, delivered, overflow)
+		if delivered <= singlePlaneCap {
 			t.Errorf("%v: delivered %d packets <= single-plane capacity %d; load balancing is not using both planes",
-				proto, r.Delivered, singlePlaneCap)
+				proto, delivered, singlePlaneCap)
 		}
-		if r.Delivered > 2*singlePlaneCap {
-			t.Errorf("%v: delivered %d packets, more than two 8 Mb/s planes can carry", proto, r.Delivered)
+		if delivered > 2*singlePlaneCap {
+			t.Errorf("%v: delivered %d packets, more than two 8 Mb/s planes can carry", proto, delivered)
 		}
-		if r.Overflow == 0 {
+		if overflow == 0 {
 			t.Errorf("%v: a 13x oversubscription tail-dropped nothing", proto)
 		}
 	}

@@ -12,7 +12,8 @@ import (
 // flapping, using the same measurement pipeline.
 
 // FailNode fails every interface of a device at once (a crash or power
-// event). The node itself sees all ports down; every neighbor discovers
+// event), each through FailPoint, so the Log holds one failure event per
+// interface. The node itself sees all ports down; every neighbor discovers
 // through its own timers, exactly as with single-interface failures.
 func (f *Fabric) FailNode(name string) (time.Duration, error) {
 	node := f.Sim.Node(name)
@@ -20,8 +21,10 @@ func (f *Fabric) FailNode(name string) (time.Duration, error) {
 		return 0, fmt.Errorf("harness: no node %s", name)
 	}
 	at := f.Sim.Now()
-	for _, p := range node.Ports[1:] {
-		p.Fail()
+	for port := 1; port < len(node.Ports); port++ {
+		if _, err := f.FailPoint(topology.FailurePoint{Device: name, Port: port}); err != nil {
+			return 0, err
+		}
 	}
 	return at, nil
 }
@@ -68,12 +71,13 @@ func RunFlap(opts Options, flaps int, downTime, upTime time.Duration) (FlapResul
 	if err != nil {
 		return FlapResult{}, err
 	}
-	port := f.Sim.Node(fp.Device).Port(fp.Port)
 	f.Log.Reset()
 	for i := 0; i < flaps; i++ {
-		port.Fail()
+		if _, err := f.FailPoint(fp); err != nil {
+			return FlapResult{}, err
+		}
 		f.Sim.RunFor(downTime)
-		port.Restore()
+		f.Sim.Node(fp.Device).Port(fp.Port).Restore()
 		f.Sim.RunFor(upTime)
 	}
 	// Count churn during the flapping window only.

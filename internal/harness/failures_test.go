@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/netaddr"
 	"repro/internal/topology"
 	"repro/internal/udp"
@@ -21,6 +23,47 @@ func TestNodeFailureSpine(t *testing.T) {
 			t.Errorf("%v: spine crash affected nobody", proto)
 		}
 		t.Logf("%v S-1-1 crash: convergence=%v blast=%d control=%dB", proto, r.Convergence, r.BlastRadius, r.ControlBytes)
+	}
+}
+
+// TestNodeFailureLogsEveryPort: a crash is one failure event per interface
+// in the Log, stamped at the crash instant, and the text journal carries
+// them through Render and Parse like a single-interface failure.
+func TestNodeFailureLogsEveryPort(t *testing.T) {
+	f := buildAndWarm(t, topology.TwoPodSpec(), ProtoMRMTP)
+	at, err := f.FailNode("S-1-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Sim.RunFor(time.Second)
+	failures := func(events []metrics.Event) []metrics.Event {
+		var out []metrics.Event
+		for _, e := range events {
+			if e.Kind == metrics.KindFailure {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	var want []metrics.Event
+	for port := 1; port < len(f.Sim.Node("S-1-1").Ports); port++ {
+		want = append(want, metrics.Event{At: at, Node: "S-1-1", Kind: metrics.KindFailure, N: port})
+	}
+	if len(want) < 2 {
+		t.Fatalf("S-1-1 has %d interfaces", len(want))
+	}
+	if got := failures(f.Log.Events); !reflect.DeepEqual(got, want) {
+		t.Errorf("failure events = %+v, want %+v", got, want)
+	}
+	parsed, err := metrics.Parse(metrics.Render(f.Log.Events))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		want[i].At = at.Truncate(time.Microsecond) // the journal's resolution
+	}
+	if got := failures(parsed); !reflect.DeepEqual(got, want) {
+		t.Errorf("failure events after Render/Parse = %+v, want %+v", got, want)
 	}
 }
 

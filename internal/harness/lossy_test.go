@@ -4,14 +4,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/simnet"
 	"repro/internal/topology"
 )
 
-// setLoss applies a frame loss probability to every fabric link (the rack
-// links stay clean so convergence checks are not confused by probe loss).
+// setLoss drops frames with the given probability on both directions of
+// every link, rack links included (so the pings of
+// TestMRMTPLossyFailureRecovery retry).
 func setLoss(f *Fabric, rate float64) {
 	for _, link := range f.Sim.Links() {
-		link.SetLossRate(rate)
+		link.Impair(link.A, simnet.Impairment{LossRate: rate})
+		link.Impair(link.B, simnet.Impairment{LossRate: rate})
 	}
 }
 

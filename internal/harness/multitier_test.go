@@ -65,19 +65,6 @@ func TestMultiTierTopologyShape(t *testing.T) {
 	}
 }
 
-func TestMultiTierSpecValidation(t *testing.T) {
-	bad := fourTier()
-	bad.Zones = 1
-	if _, err := topology.Build(bad); err == nil {
-		t.Error("single-zone multi-tier accepted")
-	}
-	bad = fourTier()
-	bad.UplinksPerZone = 0
-	if _, err := topology.Build(bad); err == nil {
-		t.Error("zero zone uplinks accepted")
-	}
-}
-
 func TestMultiTierMRMTPConverges(t *testing.T) {
 	f := warmFourTier(t, ProtoMRMTP)
 	if err := f.CheckConverged(); err != nil {

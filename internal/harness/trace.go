@@ -27,8 +27,8 @@ import (
 // next hops of ipstack.FIB.Lookup), so the coverage matrix tracks reroutes as
 // they happen.
 
-// AccusationEventKind tags localizer verdicts merged into a campaign's
-// event timeline alongside the injector's fault actions.
+// AccusationEventKind tags the localizer verdicts a trace campaign appends
+// to its injector's log, beside the fault actions, as it makes them.
 const AccusationEventKind = chaos.Kind("accusation")
 
 // The trace campaign's parameters. Only the fleet width varies, and only in
@@ -45,7 +45,7 @@ const (
 	// traceSweepPeriod is the localizer's sweep interval.
 	traceSweepPeriod = 100 * time.Millisecond
 	// traceLeadIn is how long probers run before the localizer is armed and
-	// the faults are injected — long enough to fill RTT baselines (MinSent).
+	// the faults are injected — long enough to fill RTT baselines.
 	traceLeadIn = 2 * time.Second
 	// traceSettle extends the observation window past the campaign horizon.
 	traceSettle = 2 * time.Second
@@ -58,71 +58,53 @@ const (
 	traceCoverMemory = time.Second
 )
 
-// TraceScenario is one catalog entry: a gray-failure campaign plus the
-// directed links a correct localization may accuse.
-type TraceScenario struct {
-	Spec   chaos.Spec
-	Accept []pathtrace.DirectedLink
-}
-
 // TraceCatalog returns the gray-failure scenarios the trace experiment
 // scores, all targeting the monitored L-1-1/S-1-1/T-1 column (present in
-// every standard spec). Loss rates sit well above the localizer's
-// LossThreshold so the signal clears detection within a few EWMA rounds;
+// every standard spec). Loss rates sit well above the localizer's loss
+// threshold so the signal clears detection within a few EWMA rounds;
 // horizons leave room for the persistence streak to mature before scoring
-// ends.
-func TraceCatalog() []TraceScenario {
+// ends. Each fault's impaired direction is the link a correct verdict
+// names (acceptedLinks).
+func TraceCatalog() []chaos.Spec {
 	const start = chaos.Duration(500 * time.Millisecond)
-	return []TraceScenario{
+	return []chaos.Spec{
 		{
 			// Gray spine uplink: 30% loss on S-1-1 → T-1 only.
-			Spec: chaos.Spec{
-				Name: "trace-gray-spine",
-				Faults: []chaos.Fault{{
-					Kind: chaos.GrayLoss, Link: chaos.LinkRef{Device: "S-1-1", Peer: "T-1"},
-					Start: start, Duration: chaos.Duration(6 * time.Second), LossRate: 0.3,
-				}},
-			},
-			Accept: []pathtrace.DirectedLink{{From: "S-1-1", To: "T-1"}},
+			Name: "trace-gray-spine",
+			Faults: []chaos.Fault{{
+				Kind: chaos.GrayLoss, Link: chaos.LinkRef{Device: "S-1-1", Peer: "T-1"},
+				Start: start, Duration: chaos.Duration(6 * time.Second), LossRate: 0.3,
+			}},
 		},
 		{
 			// Gray leaf uplink: the same loss one tier down.
-			Spec: chaos.Spec{
-				Name: "trace-gray-leaf",
-				Faults: []chaos.Fault{{
-					Kind: chaos.GrayLoss, Link: chaos.LinkRef{Device: "L-1-1", Peer: "S-1-1"},
-					Start: start, Duration: chaos.Duration(6 * time.Second), LossRate: 0.3,
-				}},
-			},
-			Accept: []pathtrace.DirectedLink{{From: "L-1-1", To: "S-1-1"}},
+			Name: "trace-gray-leaf",
+			Faults: []chaos.Fault{{
+				Kind: chaos.GrayLoss, Link: chaos.LinkRef{Device: "L-1-1", Peer: "S-1-1"},
+				Start: start, Duration: chaos.Duration(6 * time.Second), LossRate: 0.3,
+			}},
 		},
 		{
 			// Gray downlink: loss on the top spine's transmit side, hitting
 			// reply paths and cross-pod down-traffic instead of the uplink
 			// direction.
-			Spec: chaos.Spec{
-				Name: "trace-gray-down",
-				Faults: []chaos.Fault{{
-					Kind: chaos.GrayLoss, Link: chaos.LinkRef{Device: "T-1", Peer: "S-1-1"},
-					Start: start, Duration: chaos.Duration(6 * time.Second), LossRate: 0.3,
-				}},
-			},
-			Accept: []pathtrace.DirectedLink{{From: "T-1", To: "S-1-1"}},
+			Name: "trace-gray-down",
+			Faults: []chaos.Fault{{
+				Kind: chaos.GrayLoss, Link: chaos.LinkRef{Device: "T-1", Peer: "S-1-1"},
+				Start: start, Duration: chaos.Duration(6 * time.Second), LossRate: 0.3,
+			}},
 		},
 		{
 			// Corrupted and delayed frames on the leaf uplink: the latency
 			// anomaly path (corruption shows as loss, the added latency as
 			// RTT inflation).
-			Spec: chaos.Spec{
-				Name: "trace-hello-impair",
-				Faults: []chaos.Fault{{
-					Kind: chaos.LinkImpair, Link: chaos.LinkRef{Device: "L-1-1", Peer: "S-1-1"},
-					Start: start, Duration: chaos.Duration(6 * time.Second),
-					CorruptRate: 0.25, ExtraLatency: chaos.Duration(30 * time.Millisecond),
-					Jitter: chaos.Duration(30 * time.Millisecond),
-				}},
-			},
-			Accept: []pathtrace.DirectedLink{{From: "L-1-1", To: "S-1-1"}},
+			Name: "trace-hello-impair",
+			Faults: []chaos.Fault{{
+				Kind: chaos.LinkImpair, Link: chaos.LinkRef{Device: "L-1-1", Peer: "S-1-1"},
+				Start: start, Duration: chaos.Duration(6 * time.Second),
+				CorruptRate: 0.25, ExtraLatency: chaos.Duration(30 * time.Millisecond),
+				Jitter: chaos.Duration(30 * time.Millisecond),
+			}},
 		},
 		{
 			// Silent one-way blackhole at the top tier: every S-1-1 → T-1
@@ -133,16 +115,28 @@ func TraceCatalog() []TraceScenario {
 			// hashing into the dark link for the whole fault, while BGP
 			// stays dark until T-1's hold timer expires, so both protocols
 			// expose a localizable window.
-			Spec: chaos.Spec{
-				Name: "trace-blackhole-up",
-				Faults: []chaos.Fault{{
-					Kind: chaos.GrayLoss, Link: chaos.LinkRef{Device: "S-1-1", Peer: "T-1"},
-					Start: start, Duration: chaos.Duration(6 * time.Second), LossRate: 1.0,
-				}},
-			},
-			Accept: []pathtrace.DirectedLink{{From: "S-1-1", To: "T-1"}},
+			Name: "trace-blackhole-up",
+			Faults: []chaos.Fault{{
+				Kind: chaos.GrayLoss, Link: chaos.LinkRef{Device: "S-1-1", Peer: "T-1"},
+				Start: start, Duration: chaos.Duration(6 * time.Second), LossRate: 1.0,
+			}},
 		},
 	}
+}
+
+// acceptedLinks returns the directed links a correct verdict on spec may
+// name: each fault's impaired direction, Link.Device → Link.Peer, since a
+// gray-loss or impair fault impairs the port on Device. Any other fault kind
+// is refused — the scorer has no rule for what it should accuse.
+func acceptedLinks(spec chaos.Spec) (map[pathtrace.DirectedLink]bool, error) {
+	accept := make(map[pathtrace.DirectedLink]bool, len(spec.Faults))
+	for _, f := range spec.Faults {
+		if f.Kind != chaos.GrayLoss && f.Kind != chaos.LinkImpair {
+			return nil, fmt.Errorf("harness: trace campaigns score gray-loss and impair faults only, not %s", f.Kind)
+		}
+		accept[pathtrace.DirectedLink{From: f.Link.Device, To: f.Link.Peer}] = true
+	}
+	return accept, nil
 }
 
 // mrmtpProbeTransport injects probes at an MR-MTP ToR: the hop limit rides
@@ -185,16 +179,23 @@ type TraceHopSample struct {
 	pathtrace.HopSnapshot
 }
 
-// traceRun owns one campaign's prober fleet, coverage history, and
-// localizer.
+// traceRun owns one campaign's prober fleet, coverage history, localizer,
+// and the result it scores as the sweeps run.
 type traceRun struct {
 	f          *Fabric
 	tracer     *pathtrace.Tracer
 	loc        *pathtrace.Localizer
 	vants      []traceVantage // by prober ID
 	history    map[int][]stampedCover
-	samples    []TraceHopSample
 	lastSample time.Duration
+
+	// Set when the faults are applied: the injector whose log each verdict
+	// joins and the links a correct verdict names.
+	inj    *chaos.Injector
+	accept map[pathtrace.DirectedLink]bool
+	// res fills as the run goes: hop samples from arm on, verdicts as the
+	// sweeps make them.
+	res TraceResult
 }
 
 // newTraceRun registers the prober fleet on a built (not yet warm) fabric:
@@ -205,7 +206,7 @@ func newTraceRun(f *Fabric, flows int) *traceRun {
 	run := &traceRun{
 		f:       f,
 		tracer:  &pathtrace.Tracer{},
-		loc:     pathtrace.NewLocalizer(pathtrace.DefaultLocalizerConfig()),
+		loc:     pathtrace.NewLocalizer(),
 		history: make(map[int][]stampedCover),
 	}
 	for _, src := range f.Topo.Leaves {
@@ -382,12 +383,30 @@ func (run *traceRun) arm() {
 	run.sample(now, cells)
 }
 
-// sweep is one localization pass: rebuild the coverage matrix and let the
-// localizer judge it (it keeps its accusations).
+// sweep is one localization pass: rebuild the coverage matrix, let the
+// localizer judge it, and score each verdict as it is made — into the
+// result, and as an accuse row into the injector's log, which so stays in
+// dispatch order.
 func (run *traceRun) sweep() {
 	now := run.f.Sim.Now()
 	cells := run.collectCells(now)
-	run.loc.Sweep(now, cells)
+	res := &run.res
+	for _, a := range run.loc.Sweep(now, cells) {
+		ta := TraceAccusation{Accusation: a, Correct: run.accept[a.Link]}
+		detail := "false"
+		if ta.Correct {
+			detail = "correct"
+			if !res.Localized {
+				res.Localized, res.TimeToLocalize = true, a.At-res.InjectedAt
+			}
+		} else {
+			res.FalseAccusals++
+		}
+		res.Accusations = append(res.Accusations, ta)
+		run.inj.Events = append(run.inj.Events, chaos.Event{
+			At: a.At, Kind: AccusationEventKind, Action: "accuse", Target: a.Link.String(), Detail: detail,
+		})
+	}
 	if now-run.lastSample >= traceHopSamplePeriod {
 		run.sample(now, cells)
 	}
@@ -396,17 +415,13 @@ func (run *traceRun) sweep() {
 func (run *traceRun) sample(now time.Duration, cells []pathtrace.Cell) {
 	run.lastSample = now
 	for i := range cells {
-		run.samples = append(run.samples, TraceHopSample{At: now, HopSnapshot: cells[i].HopSnapshot})
+		run.res.Samples = append(run.res.Samples, TraceHopSample{At: now, HopSnapshot: cells[i].HopSnapshot})
 	}
 }
 
 // TraceAccusation is one localizer verdict scored against the scenario.
 type TraceAccusation struct {
-	At      time.Duration
-	Link    string
-	Cells   int
-	Ratio   float64
-	Latency bool
+	pathtrace.Accusation
 	Correct bool
 }
 
@@ -437,17 +452,22 @@ type TraceResult struct {
 
 	// Samples is the per-hop statistics export (trace-hops.csv).
 	Samples []TraceHopSample
-	// Events merges the injector log with accusation pseudo-events, in
-	// virtual-time order.
+	// Events is the injector log, each verdict's accuse row appended when
+	// it was made: one virtual-time-ordered timeline.
 	Events []chaos.Event
 }
 
 // RunTrace executes one trace campaign trial: build, register the prober
 // fleet, warm up, probe through a lead-in, arm the localizer, inject the
-// scenario, sweep to the horizon plus settle, and score.
-func RunTrace(opts Options, sc TraceScenario) (TraceResult, error) {
+// spec, and sweep to the horizon plus settle, scoring each verdict as it is
+// made.
+func RunTrace(opts Options, spec chaos.Spec) (TraceResult, error) {
 	if opts.Spec.Zones != 0 {
 		return TraceResult{}, fmt.Errorf("harness: trace campaigns support the standard three-tier specs only")
+	}
+	accept, err := acceptedLinks(spec)
+	if err != nil {
+		return TraceResult{}, err
 	}
 	f, err := Build(opts)
 	if err != nil {
@@ -460,32 +480,32 @@ func RunTrace(opts Options, sc TraceScenario) (TraceResult, error) {
 	run.start()
 	f.Sim.RunFor(traceLeadIn)
 	run.arm()
+
+	// The faults are scheduled before the first sweep: at a shared instant
+	// the fault action dispatches, and enters the log, first.
+	if run.inj, err = chaos.Apply(f.Sim, spec); err != nil {
+		return TraceResult{}, err
+	}
+	run.accept = accept
+	firstStart := spec.Faults[0].Start.D()
+	for _, fault := range spec.Faults[1:] {
+		if s := fault.Start.D(); s < firstStart {
+			firstStart = s
+		}
+	}
+	run.res.InjectedAt = f.Sim.Now() + firstStart
 	var sweep func()
 	sweep = func() {
 		run.sweep()
 		f.Sim.Schedule(traceSweepPeriod, sweep)
 	}
 	f.Sim.Schedule(traceSweepPeriod, sweep)
+	f.Sim.RunFor(spec.Horizon() + traceSettle)
 
-	applyAt := f.Sim.Now()
-	inj, err := chaos.Apply(f.Sim, sc.Spec)
-	if err != nil {
-		return TraceResult{}, err
-	}
-	f.Sim.RunFor(sc.Spec.Horizon() + traceSettle)
-
-	firstStart := sc.Spec.Faults[0].Start.D()
-	for _, fault := range sc.Spec.Faults[1:] {
-		if s := fault.Start.D(); s < firstStart {
-			firstStart = s
-		}
-	}
-	res := TraceResult{
-		CellID:     CellID{opts.Protocol, opts.Spec.Pods, sc.Spec.Name},
-		Probers:    len(run.tracer.Probers()),
-		InjectedAt: applyAt + firstStart,
-		Samples:    run.samples,
-	}
+	res := run.res
+	res.CellID = CellID{opts.Protocol, opts.Spec.Pods, spec.Name}
+	res.Probers = len(run.tracer.Probers())
+	res.Events = run.inj.Events
 	snaps := run.tracer.Snapshot()
 	res.Cells = len(snaps)
 	for _, s := range snaps {
@@ -498,57 +518,7 @@ func RunTrace(opts Options, sc TraceScenario) (TraceResult, error) {
 			res.TraceReplies += r.Stats.TraceReplies
 		}
 	}
-	accept := make(map[string]bool, len(sc.Accept))
-	for _, l := range sc.Accept {
-		accept[l.String()] = true
-	}
-	for _, a := range run.loc.Accusations() {
-		ta := TraceAccusation{
-			At: a.At, Link: a.Link.String(), Cells: a.Cells,
-			Ratio: a.Ratio, Latency: a.Latency, Correct: accept[a.Link.String()],
-		}
-		if ta.Correct {
-			if !res.Localized {
-				res.Localized = true
-				res.TimeToLocalize = ta.At - res.InjectedAt
-			}
-		} else {
-			res.FalseAccusals++
-		}
-		res.Accusations = append(res.Accusations, ta)
-	}
-	res.Events = mergeTraceEvents(inj.Events(), res.Accusations)
 	return res, nil
-}
-
-// mergeTraceEvents interleaves the injector log with accusation
-// pseudo-events by virtual time (fault actions first on ties, matching
-// their scheduling precedence).
-func mergeTraceEvents(faults []chaos.Event, accs []TraceAccusation) []chaos.Event {
-	out := make([]chaos.Event, 0, len(faults)+len(accs))
-	j := 0
-	for _, ev := range faults {
-		for j < len(accs) && accs[j].At < ev.At {
-			out = append(out, accusationEvent(accs[j]))
-			j++
-		}
-		out = append(out, ev)
-	}
-	for ; j < len(accs); j++ {
-		out = append(out, accusationEvent(accs[j]))
-	}
-	return out
-}
-
-func accusationEvent(a TraceAccusation) chaos.Event {
-	detail := "false"
-	if a.Correct {
-		detail = "correct"
-	}
-	return chaos.Event{
-		At: a.At, Kind: AccusationEventKind, Action: "accuse",
-		Target: a.Link, Detail: detail,
-	}
 }
 
 // TraceSummary aggregates trials of one (protocol, pods, scenario) cell; its

@@ -2,10 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/pathtrace"
 	"repro/internal/simnet"
 	"repro/internal/topology"
@@ -172,23 +174,110 @@ func TestTraceCampaignLocalizesCatalog(t *testing.T) {
 		for _, sc := range TraceCatalog() {
 			r, err := RunTrace(DefaultOptions(topology.TwoPodSpec(), proto, 31), sc)
 			if err != nil {
-				t.Fatalf("%s %s: %v", proto, sc.Spec.Name, err)
+				t.Fatalf("%s %s: %v", proto, sc.Name, err)
 			}
 			if !r.Localized {
-				t.Errorf("%s %s: not localized (accusations: %+v)", proto, sc.Spec.Name, r.Accusations)
+				t.Errorf("%s %s: not localized (accusations: %+v)", proto, sc.Name, r.Accusations)
 			}
 			if r.FalseAccusals != 0 {
-				t.Errorf("%s %s: %d false accusals: %+v", proto, sc.Spec.Name, r.FalseAccusals, r.Accusations)
+				t.Errorf("%s %s: %d false accusals: %+v", proto, sc.Name, r.FalseAccusals, r.Accusations)
 			}
 			if r.Localized && r.TimeToLocalize <= 0 {
-				t.Errorf("%s %s: non-positive time-to-localize %v", proto, sc.Spec.Name, r.TimeToLocalize)
+				t.Errorf("%s %s: non-positive time-to-localize %v", proto, sc.Name, r.TimeToLocalize)
 			}
 			if r.ProbesSent == 0 || r.RepliesReceived == 0 {
 				t.Errorf("%s %s: probe fleet idle (sent %d, received %d)",
-					proto, sc.Spec.Name, r.ProbesSent, r.RepliesReceived)
+					proto, sc.Name, r.ProbesSent, r.RepliesReceived)
 			}
 		}
 	}
+}
+
+// TestTraceAcceptsImpairedDirection holds the scorer's accepted links to the
+// simulator: for every catalog spec, the directions carrying an impairment
+// once the faults have fired are exactly the links a correct verdict may
+// name. Every other fault kind is refused with an error naming it.
+func TestTraceAcceptsImpairedDirection(t *testing.T) {
+	for _, spec := range TraceCatalog() {
+		accept, err := acceptedLinks(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		f, err := Build(DefaultOptions(topology.TwoPodSpec(), ProtoMRMTP, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := chaos.Apply(f.Sim, spec); err != nil {
+			t.Fatal(err)
+		}
+		f.Sim.RunFor(spec.Faults[0].Start.D() + time.Millisecond)
+		impaired := make(map[pathtrace.DirectedLink]bool)
+		for _, l := range f.Sim.Links() {
+			for _, from := range []*simnet.Port{l.A, l.B} {
+				if l.Impaired(from) != (simnet.Impairment{}) {
+					impaired[pathtrace.DirectedLink{From: from.Node.Name, To: from.Peer().Node.Name}] = true
+				}
+			}
+		}
+		if !reflect.DeepEqual(accept, impaired) {
+			t.Errorf("%s: accepts %v, the faults impair %v", spec.Name, accept, impaired)
+		}
+	}
+	for _, spec := range ChaosCatalog() {
+		kind := spec.Faults[0].Kind
+		if kind == chaos.GrayLoss || kind == chaos.LinkImpair {
+			continue
+		}
+		_, err := RunTrace(DefaultOptions(topology.TwoPodSpec(), ProtoMRMTP, 1), spec)
+		if err == nil || !strings.Contains(err.Error(), string(kind)) {
+			t.Errorf("%s: RunTrace error %v, want one naming %q", spec.Name, err, kind)
+		}
+	}
+}
+
+// TestTraceVerdictFollowsTiedFaultAction: a verdict joins the injector's log
+// when the sweep makes it, so a fault action at the same instant — scheduled
+// at Apply, before any sweep — comes first. The second run adds a fault that
+// re-installs the first one's profile at the first verdict's instant: the
+// simulation is unchanged, and a fault action now shares the verdict's tick.
+func TestTraceVerdictFollowsTiedFaultAction(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full trace campaigns in -short mode")
+	}
+	opts := DefaultOptions(topology.TwoPodSpec(), ProtoMRMTP, 31)
+	spec := TraceCatalog()[0] // trace-gray-spine
+	first, err := RunTrace(opts, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Accusations) == 0 {
+		t.Fatal("no verdict to tie a fault action to")
+	}
+	fault := spec.Faults[0]
+	at := first.Accusations[0].At
+	tied := fault
+	tied.Start = chaos.Duration(at - (first.InjectedAt - fault.Start.D()))
+	tied.Duration = chaos.Duration(fault.End() - tied.Start.D())
+	spec.Faults = append(spec.Faults, tied)
+	second, err := RunTrace(opts, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(second.Accusations, first.Accusations) {
+		t.Fatalf("re-installing the same profile moved the verdicts: %+v, was %+v", second.Accusations, first.Accusations)
+	}
+	tiedAction := second.Events[0] // the first fault's impair action, at the verdict's instant
+	tiedAction.At = at
+	for i, ev := range second.Events {
+		if ev.Kind != AccusationEventKind {
+			continue
+		}
+		if ev.At != at || i == 0 || second.Events[i-1] != tiedAction {
+			t.Errorf("timeline %+v: want the tied impair action right before the verdict at %v", second.Events, at)
+		}
+		return
+	}
+	t.Fatalf("no verdict in the timeline %+v", second.Events)
 }
 
 // TestTraceParallelMatchesSequential pins trial pooling: worker count must
@@ -212,7 +301,7 @@ func TestTraceParallelMatchesSequential(t *testing.T) {
 		}
 		return [][]byte{
 			RenderTraceHopsCSV(cells), RenderTraceAccusationsCSV(cells),
-			RenderTraceTimelineCSV(cells), js,
+			RenderTimelineCSV(cells), js,
 		}
 	}
 

@@ -88,7 +88,7 @@ func TestJoinRetryKeepsItsVIDs(t *testing.T) {
 	sim.Start()
 	deliver(top, 1, mustWire(t, Message{Type: TypeAdvertise, Tier: 2, VIDs: []VID{{11, 1}}}))
 	deliver(top, 1, mustWire(t, Message{Type: TypeAdvertise, Tier: 2, VIDs: []VID{{10, 1}, {11, 1}}}))
-	sim.RunFor(cfg.JoinRetry + time.Millisecond)
+	sim.RunFor(joinRetry + time.Millisecond)
 	if got, want := fmt.Sprint(joins), "[[11.1] [10.1] [11.1] [10.1]]"; got != want {
 		t.Errorf("JOINs sent: %s, want %s (two, then their retries)", got, want)
 	}

@@ -49,37 +49,37 @@ type Config struct {
 	// required before a failed neighbor is believed up again (3 in the
 	// paper).
 	AcceptHellos int
-
-	// Coalesce is the hold-down applied to received reachability
-	// updates so that simultaneous LOST reports (one per meshed tree
-	// branch) are processed as one batch.
-	Coalesce time.Duration
-
-	// JoinRetry is the retransmission interval for the join handshake
-	// (the "request-response and accept-acknowledge" reliability of
-	// §III.C).
-	JoinRetry time.Duration
-
-	// AdvertiseInterval is the period of the background re-ADVERTISE on
-	// live adjacencies. One small frame per second makes tree formation
-	// robust to frame loss without a reliable transport, completing the
-	// §III.C reliability story.
-	AdvertiseInterval time.Duration
 }
 
 // DefaultConfig returns the paper's timer profile for a device.
 func DefaultConfig(tier, topTier int) Config {
 	return Config{
-		Tier:              tier,
-		TopTier:           topTier,
-		HelloInterval:     50 * time.Millisecond,
-		DeadInterval:      100 * time.Millisecond,
-		AcceptHellos:      3,
-		Coalesce:          200 * time.Microsecond,
-		JoinRetry:         200 * time.Millisecond,
-		AdvertiseInterval: time.Second,
+		Tier:          tier,
+		TopTier:       topTier,
+		HelloInterval: 50 * time.Millisecond,
+		DeadInterval:  100 * time.Millisecond,
+		AcceptHellos:  3,
 	}
 }
+
+// The router's internal timers, which no fabric configures.
+const (
+	// coalesce is the hold-down applied to received reachability updates
+	// so that simultaneous LOST reports (one per meshed tree branch) are
+	// processed as one batch.
+	coalesce = 200 * time.Microsecond
+
+	// joinRetry is the retransmission interval for the join handshake
+	// (the "request-response and accept-acknowledge" reliability of
+	// §III.C).
+	joinRetry = 200 * time.Millisecond
+
+	// advertiseInterval is the period of the background re-ADVERTISE on
+	// live adjacencies. One small frame per second makes tree formation
+	// robust to frame loss without a reliable transport, completing the
+	// §III.C reliability story.
+	advertiseInterval = time.Second
+)
 
 // adjacency states.
 type adjState int
@@ -298,14 +298,11 @@ func (r *Router) Start() {
 // a lost ADVERTISE (or JOIN/OFFER) never wedges tree formation: the next
 // announcement restarts the handshake.
 func (r *Router) scheduleAdvertise(adj *adjacency) {
-	if r.Cfg.AdvertiseInterval <= 0 {
-		return
-	}
-	adj.advTimer = r.sim().After(r.Cfg.AdvertiseInterval, func() {
+	adj.advTimer = r.sim().After(advertiseInterval, func() {
 		if adj.state == adjUp {
 			r.sendAdvertise(adj)
 		}
-		adj.advTimer.Reset(r.Cfg.AdvertiseInterval)
+		adj.advTimer.Reset(advertiseInterval)
 	})
 }
 
@@ -765,7 +762,7 @@ func (r *Router) armJoinRetry(adj *adjacency, want []VID, budget int) {
 		}
 		return
 	}
-	r.sim().Schedule(r.Cfg.JoinRetry, func() {
+	r.sim().Schedule(joinRetry, func() {
 		if adj.state != adjUp {
 			return
 		}
@@ -911,7 +908,7 @@ func (r *Router) stageUpdate(adj *adjacency, sub byte, roots []byte) {
 		r.staged = append(r.staged, stagedUpdate{adj: adj, sub: sub, root: root})
 	}
 	if r.coalesceTimer == nil {
-		r.coalesceTimer = r.sim().After(r.Cfg.Coalesce, r.processStaged)
+		r.coalesceTimer = r.sim().After(coalesce, r.processStaged)
 	}
 }
 

@@ -51,68 +51,51 @@ type Accusation struct {
 	Latency bool
 }
 
-// LocalizerConfig tunes the accusation thresholds.
-type LocalizerConfig struct {
-	// LossThreshold is the loss EWMA at which a cell turns anomalous.
-	LossThreshold float64
-	// LatencyThreshold is the RTT-P50 inflation over the armed baseline at
+// The accusation thresholds, tuned for the repo's probe cadence (50 ms
+// rounds, EWMA alpha 0.25): a sustained one-way gray loss well above
+// lossThreshold crosses it within a few rounds, while one-off drops during
+// reconvergence stay below it.
+const (
+	// lossThreshold is the loss EWMA at which a cell turns anomalous.
+	lossThreshold = 0.15
+	// latencyThreshold is the RTT-P50 inflation over the armed baseline at
 	// which a cell turns anomalous.
-	LatencyThreshold time.Duration
-	// HealthyLoss is the loss EWMA at or below which a cell casts a healthy
+	latencyThreshold = 10 * time.Millisecond
+	// healthyLoss is the loss EWMA at or below which a cell casts a healthy
 	// vote for the links it covers.
-	HealthyLoss float64
-	// MinSent is the probe count a cell needs before its stats are
+	healthyLoss = 0.08
+	// minSent is the probe count a cell needs before its stats are
 	// believed in either direction.
-	MinSent uint64
-	// MinCells is the number of distinct anomalous cells that must blame a
+	minSent = 8
+	// minCells is the number of distinct anomalous cells that must blame a
 	// link before it is accusable.
-	MinCells int
-	// MinRatio is the fraction of all anomalous cells a link must explain.
-	MinRatio float64
-	// MinPurity is the minimum anomalous share of a link's votes,
+	minCells = 2
+	// minRatio is the fraction of all anomalous cells a link must explain.
+	minRatio = 0.5
+	// minPurity is the minimum anomalous share of a link's votes,
 	// blame/(blame+healthy). A link most of whose crossers are clean is
 	// exonerated however much absolute blame it carries; a dip from a few
 	// noisy EWMAs is not enough to clear a link every lossy cell accuses.
-	MinPurity float64
-	// PersistSweeps is how many consecutive sweeps the same link must top
+	minPurity = 0.6
+	// persistSweeps is how many consecutive sweeps the same link must top
 	// the ranking before it is accused. It absorbs the window where a
 	// fresh fault flips formerly healthy cells one sweep at a time.
-	PersistSweeps int
-}
-
-// DefaultLocalizerConfig returns thresholds tuned for the repo's probe
-// cadence (50 ms rounds, EWMA alpha 0.25): a sustained one-way gray loss
-// well above LossThreshold crosses it within a few rounds, while one-off
-// drops during reconvergence stay below it.
-func DefaultLocalizerConfig() LocalizerConfig {
-	return LocalizerConfig{
-		LossThreshold:    0.15,
-		LatencyThreshold: 10 * time.Millisecond,
-		HealthyLoss:      0.08,
-		MinSent:          8,
-		MinCells:         2,
-		MinRatio:         0.5,
-		MinPurity:        0.6,
-		PersistSweeps:    3,
-	}
-}
+	persistSweeps = 3
+)
 
 // Localizer accumulates sweep-to-sweep state: RTT baselines armed before
 // the campaign, the current leader's streak, and links already accused
 // (each link is accused at most once until cleared).
 type Localizer struct {
-	cfg         LocalizerConfig
-	baseline    map[int]time.Duration // prober<<5|ttl -> armed RTT P50
-	streakLink  DirectedLink
-	streak      int
-	accusedSet  map[DirectedLink]bool
-	accusations []Accusation
+	baseline   map[int]time.Duration // prober<<5|ttl -> armed RTT P50
+	streakLink DirectedLink
+	streak     int
+	accusedSet map[DirectedLink]bool
 }
 
-// NewLocalizer builds a localizer with the given thresholds.
-func NewLocalizer(cfg LocalizerConfig) *Localizer {
+// NewLocalizer builds a localizer.
+func NewLocalizer() *Localizer {
 	return &Localizer{
-		cfg:        cfg,
 		baseline:   make(map[int]time.Duration),
 		accusedSet: make(map[DirectedLink]bool),
 	}
@@ -133,13 +116,13 @@ func (l *Localizer) Arm(now time.Duration, cells []Cell) {
 
 // anomalous classifies a cell against the thresholds.
 func (l *Localizer) anomalous(c *Cell) (anom, latency bool) {
-	if c.Sent < l.cfg.MinSent {
+	if c.Sent < minSent {
 		return false, false
 	}
-	if c.LossEWMA >= l.cfg.LossThreshold {
+	if c.LossEWMA >= lossThreshold {
 		return true, false
 	}
-	if base, ok := l.baseline[cellKey(c)]; ok && c.Seen && c.RTTP50-base >= l.cfg.LatencyThreshold {
+	if base, ok := l.baseline[cellKey(c)]; ok && c.Seen && c.RTTP50-base >= latencyThreshold {
 		return true, true
 	}
 	return false, false
@@ -153,11 +136,11 @@ func (l *Localizer) resetStreak() {
 // Sweep evaluates one coverage-matrix snapshot and returns the newly
 // accused link, if the matrix isolates one. Every anomalous cell blames
 // its suspicion set; every healthy cell votes for its current cover. A
-// link is a candidate when it carries MinCells of blame and its purity —
-// blame over blame-plus-healthy — clears MinPurity. Candidates rank by
+// link is a candidate when it carries minCells of blame and its purity —
+// blame over blame-plus-healthy — clears minPurity. Candidates rank by
 // blame desc, then healthy votes asc (purer first), then name; the leader
-// must explain MinRatio of all anomalous cells and keep its lead for
-// PersistSweeps consecutive sweeps. Anything short of that — an exact tie
+// must explain minRatio of all anomalous cells and keep its lead for
+// persistSweeps consecutive sweeps. Anything short of that — an exact tie
 // between the top two, a weak or flapping leader — defers to a later
 // sweep rather than risking a false accusal. Cells must arrive in a
 // deterministic order; everything else in here is collect-then-sort, so
@@ -180,13 +163,13 @@ func (l *Localizer) Sweep(now time.Duration, cells []Cell) []Accusation {
 			}
 			continue
 		}
-		if c.Sent >= l.cfg.MinSent && c.LossEWMA <= l.cfg.HealthyLoss {
+		if c.Sent >= minSent && c.LossEWMA <= healthyLoss {
 			for _, link := range c.Cover {
 				healthy[link]++
 			}
 		}
 	}
-	if anomCount < l.cfg.MinCells {
+	if anomCount < minCells {
 		l.resetStreak()
 		return nil
 	}
@@ -194,10 +177,10 @@ func (l *Localizer) Sweep(now time.Duration, cells []Cell) []Accusation {
 	candidates := make([]DirectedLink, 0, len(suspicion))
 	//simlint:deterministic collect-then-sort: candidates are fully ordered below before any use
 	for link, n := range suspicion {
-		if n < l.cfg.MinCells {
+		if n < minCells {
 			continue
 		}
-		if purity := float64(n) / float64(n+healthy[link]); purity < l.cfg.MinPurity {
+		if purity := float64(n) / float64(n+healthy[link]); purity < minPurity {
 			continue
 		}
 		candidates = append(candidates, link)
@@ -226,7 +209,7 @@ func (l *Localizer) Sweep(now time.Duration, cells []Cell) []Accusation {
 	}
 	n := suspicion[top]
 	ratio := float64(n) / float64(anomCount)
-	if ratio < l.cfg.MinRatio {
+	if ratio < minRatio {
 		l.resetStreak()
 		return nil
 	}
@@ -235,7 +218,7 @@ func (l *Localizer) Sweep(now time.Duration, cells []Cell) []Accusation {
 	} else {
 		l.streak++
 	}
-	if l.streak < l.cfg.PersistSweeps {
+	if l.streak < persistSweeps {
 		return nil
 	}
 	if l.accusedSet[top] {
@@ -248,11 +231,5 @@ func (l *Localizer) Sweep(now time.Duration, cells []Cell) []Accusation {
 		Latency: latencyVotes[top]*2 > n,
 	}
 	l.accusedSet[top] = true
-	l.accusations = append(l.accusations, a)
 	return []Accusation{a}
-}
-
-// Accusations returns every accusation made so far, in order.
-func (l *Localizer) Accusations() []Accusation {
-	return append([]Accusation(nil), l.accusations...)
 }

@@ -184,7 +184,7 @@ func mkCell(prober, ttl int, sent uint64, loss float64, cover ...DirectedLink) C
 }
 
 func TestLocalizerIsolatesLossyLink(t *testing.T) {
-	l := NewLocalizer(DefaultLocalizerConfig())
+	l := NewLocalizer()
 	bad := DirectedLink{"S-1-1", "T-1"}
 	down := DirectedLink{"T-1", "S-1-1"}
 	up2 := DirectedLink{"S-1-2", "T-2"}
@@ -205,7 +205,7 @@ func TestLocalizerIsolatesLossyLink(t *testing.T) {
 
 	// Fault: cells crossing S-1-1->T-1 go lossy; the reverse direction
 	// stays covered by a healthy cross-traffic cell (purity 1/2 under
-	// MinPurity), while leaf is half-exonerated by the clean TTL-1 cell —
+	// minPurity), while leaf is half-exonerated by the clean TTL-1 cell —
 	// only the lossy direction survives the candidate filter.
 	lossy := []Cell{
 		mkCell(0, 1, 60, 0, leaf),
@@ -213,10 +213,10 @@ func TestLocalizerIsolatesLossyLink(t *testing.T) {
 		mkCell(1, 2, 60, 0.85, bad),
 		mkCell(2, 2, 60, 0, down),
 	}
-	// The leader must persist for PersistSweeps consecutive sweeps before
+	// The leader must persist for persistSweeps consecutive sweeps before
 	// it is accused.
 	now := 200 * time.Millisecond
-	for i := 1; i < DefaultLocalizerConfig().PersistSweeps; i++ {
+	for i := 1; i < persistSweeps; i++ {
 		if acc := l.Sweep(now, lossy); acc != nil {
 			t.Fatalf("sweep %d accused %v before the streak matured", i, acc)
 		}
@@ -233,29 +233,26 @@ func TestLocalizerIsolatesLossyLink(t *testing.T) {
 	if acc := l.Sweep(now+100*time.Millisecond, lossy); acc != nil {
 		t.Errorf("re-accused %v", acc)
 	}
-	if got := l.Accusations(); len(got) != 1 || got[0].Link != bad {
-		t.Errorf("Accusations() = %v", got)
-	}
 }
 
 func TestLocalizerAmbiguityDefers(t *testing.T) {
-	l := NewLocalizer(DefaultLocalizerConfig())
+	l := NewLocalizer()
 	a := DirectedLink{"S-1-1", "T-1"}
 	b := DirectedLink{"T-1", "S-2-1"}
 	l.Arm(0, nil)
 	// Two anomalous cells blame the same pair: neither link dominates, so
 	// no accusation, no matter how many sweeps the tie persists.
 	tied := []Cell{mkCell(0, 2, 60, 0.9, a, b), mkCell(1, 2, 60, 0.9, a, b)}
-	for i := 0; i < 2*DefaultLocalizerConfig().PersistSweeps; i++ {
+	for i := 0; i < 2*persistSweeps; i++ {
 		if acc := l.Sweep(time.Duration(i+1)*100*time.Millisecond, tied); acc != nil {
 			t.Fatalf("ambiguous evidence accused %v", acc)
 		}
 	}
 	// A third cell crossing only `a` breaks the tie; the new leader still
-	// has to hold its lead for PersistSweeps sweeps.
+	// has to hold its lead for persistSweeps sweeps.
 	split := append(tied, mkCell(2, 2, 60, 0.9, a))
 	var acc []Accusation
-	for i := 0; i < DefaultLocalizerConfig().PersistSweeps; i++ {
+	for i := 0; i < persistSweeps; i++ {
 		if acc = l.Sweep(time.Duration(i+30)*100*time.Millisecond, split); acc != nil {
 			break
 		}
@@ -272,7 +269,7 @@ func TestLocalizerBlameOutlivesReroute(t *testing.T) {
 	// the running; the detour ties it on blame but collects healthy votes
 	// from the clean cells now crossing it, so the faulty link ranks purer
 	// and wins.
-	l := NewLocalizer(DefaultLocalizerConfig())
+	l := NewLocalizer()
 	faulty := DirectedLink{"S-1-1", "T-1"}
 	detour := DirectedLink{"S-1-2", "T-2"}
 	l.Arm(0, []Cell{mkCell(0, 2, 40, 0, faulty), mkCell(1, 2, 40, 0, faulty)})
@@ -284,7 +281,7 @@ func TestLocalizerBlameOutlivesReroute(t *testing.T) {
 	}
 	cells := []Cell{mk(0, 0.6), mk(1, 0.55), mkCell(2, 2, 60, 0, detour)}
 	var acc []Accusation
-	for i := 0; i < DefaultLocalizerConfig().PersistSweeps; i++ {
+	for i := 0; i < persistSweeps; i++ {
 		if acc = l.Sweep(time.Duration(i+10)*100*time.Millisecond, cells); acc != nil {
 			break
 		}
@@ -295,8 +292,7 @@ func TestLocalizerBlameOutlivesReroute(t *testing.T) {
 }
 
 func TestLocalizerLatencyAnomaly(t *testing.T) {
-	cfg := DefaultLocalizerConfig()
-	l := NewLocalizer(cfg)
+	l := NewLocalizer()
 	link := DirectedLink{"L-1-1", "S-1-1"}
 	base := []Cell{mkCell(0, 1, 40, 0, link), mkCell(1, 1, 40, 0, link)}
 	base[0].RTTP50 = 200 * time.Microsecond
@@ -307,7 +303,7 @@ func TestLocalizerLatencyAnomaly(t *testing.T) {
 	slow[0].RTTP50 = 30 * time.Millisecond
 	slow[1].RTTP50 = 32 * time.Millisecond
 	var acc []Accusation
-	for i := 0; i < cfg.PersistSweeps; i++ {
+	for i := 0; i < persistSweeps; i++ {
 		if acc = l.Sweep(time.Duration(i+10)*100*time.Millisecond, slow); acc != nil {
 			break
 		}
@@ -318,16 +314,15 @@ func TestLocalizerLatencyAnomaly(t *testing.T) {
 }
 
 func TestLocalizerThresholds(t *testing.T) {
-	cfg := DefaultLocalizerConfig()
-	l := NewLocalizer(cfg)
+	l := NewLocalizer()
 	a := DirectedLink{"A", "B"}
-	// One anomalous cell is below MinCells: no accusation ever.
+	// One anomalous cell is below minCells: no accusation ever.
 	cells := []Cell{mkCell(0, 1, 100, 0.9, a)}
 	l.Arm(0, nil)
 	if acc := l.Sweep(2*time.Second, cells); acc != nil {
 		t.Errorf("single-cell evidence accused %v", acc)
 	}
-	// Under MinSent the cell is ignored entirely.
+	// Under minSent the cell is ignored entirely.
 	young := []Cell{mkCell(0, 1, 2, 1, a), mkCell(1, 1, 2, 1, a)}
 	if acc := l.Sweep(3*time.Second, young); acc != nil {
 		t.Errorf("under-sampled evidence accused %v", acc)

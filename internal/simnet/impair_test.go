@@ -226,7 +226,8 @@ func TestImpairPreservesCleanRNGOrder(t *testing.T) {
 		a.Handler, b.Handler = ha, hb
 		link := s.Connect(a.AddPort(), b.AddPort())
 		// A lossy link makes delivery depend on the RNG stream.
-		link.SetLossRate(0.5)
+		link.Impair(a.Port(1), Impairment{LossRate: 0.5})
+		link.Impair(b.Port(1), Impairment{LossRate: 0.5})
 		if touchImpairment {
 			other := s.Connect(a.AddPort(), b.AddPort())
 			other.Impair(a.Port(2), Impairment{LossRate: 0.9, CorruptRate: 0.9, Jitter: time.Millisecond})
@@ -281,7 +282,10 @@ func TestLossInstalledMidRunSparesFramesInFlight(t *testing.T) {
 	ha.onRx, hb.onRx = bounce, bounce
 
 	a.Port(1).Send([]byte("p"))
-	s.At(120*time.Microsecond, func() { link.SetLossRate(1.0) })
+	s.At(120*time.Microsecond, func() {
+		link.Impair(a.Port(1), Impairment{LossRate: 1})
+		link.Impair(b.Port(1), Impairment{LossRate: 1})
+	})
 	s.RunUntil(time.Millisecond)
 
 	// Sent at 0, 50µs and 100µs (the last in flight when loss lands at

@@ -309,19 +309,12 @@ func (p *Port) Send(frame []byte) {
 	for _, tap := range link.taps {
 		tap(sim.now, p, frame)
 	}
-	if link.lossRate > 0 && d.rand(p).Float64() < link.lossRate {
-		d.lost++
-		if sim.Trace != nil {
-			sim.tracef("%s: frame lost in transit (%d bytes)", p.Name(), len(frame)) //simlint:alloc trace-only, guarded by Trace != nil
-		}
-		sim.frames.Put(frame) // taps copy what they keep; the lost frame is dead
-		return
-	}
-	// Per-direction impairments (fault injection beyond uniform loss): the
-	// flag check keeps the unimpaired TX path free of extra RNG draws, so
-	// clean runs consume no randomness at all. Draws come from the
-	// direction's private stream, so loss decisions depend only on this
-	// direction's transmit order — not on global event interleaving.
+	// Per-direction impairments (the one fault-injection path): the flag
+	// check keeps the unimpaired TX path free of extra RNG draws, so clean
+	// runs consume no randomness at all. Draws come from the direction's
+	// private stream, so loss decisions depend only on this direction's
+	// transmit order — not on global event interleaving. Taps have already
+	// copied what they keep, so a dropped frame goes straight back.
 	jitter := time.Duration(0)
 	if d.impaired {
 		if d.imp.Down {
@@ -516,10 +509,6 @@ type Link struct {
 	Latency time.Duration
 	taps    []CaptureFunc
 
-	// lossRate is the probability of dropping each frame in flight
-	// (fault injection for protocol-robustness tests).
-	lossRate float64
-
 	// bandwidth, when nonzero, serializes frames at this many bits per
 	// second per direction; frames queue FIFO behind the transmitter.
 	bandwidth int64
@@ -532,7 +521,7 @@ type Link struct {
 	dirA, dirB dirState
 }
 
-// Lost counts frames dropped by loss injection (uniform and per-direction),
+// Lost counts frames dropped by an impairment (loss or a one-way Down),
 // both directions combined.
 func (l *Link) Lost() uint64 { return l.dirA.lost + l.dirB.lost }
 
@@ -644,7 +633,7 @@ type LinkStats struct {
 	Overflows     uint64
 	OverflowBytes uint64
 	// Lost counts frames dropped in this direction by loss injection
-	// (uniform link loss, asymmetric impairment loss, or a one-way Down).
+	// (impairment loss or a one-way Down).
 	Lost uint64
 	// Corrupted counts frames that had a byte flipped in this direction.
 	Corrupted uint64
@@ -668,9 +657,6 @@ func (l *Link) Stats(from *Port) LinkStats {
 // Bandwidth returns the link's per-direction capacity in bits per second
 // (0 for an ideal, unshaped link).
 func (l *Link) Bandwidth() int64 { return l.bandwidth }
-
-// SetLossRate makes the link drop each frame with probability p (0..1).
-func (l *Link) SetLossRate(p float64) { l.lossRate = p }
 
 // SetBandwidth models link capacity: frames serialize at bps bits per
 // second per direction and queue FIFO (tail-dropping beyond maxQueue

@@ -179,6 +179,11 @@ func TestFailurePoints(t *testing.T) {
 }
 
 func TestSpecValidation(t *testing.T) {
+	fourTier := func(edit func(*Spec)) Spec {
+		s := fourTierSpec()
+		edit(&s)
+		return s
+	}
 	bad := []Spec{
 		{},
 		{Pods: 0, LeavesPerPod: 2, SpinesPerPod: 2, UplinksPerSpine: 2},
@@ -193,6 +198,9 @@ func TestSpecValidation(t *testing.T) {
 		{Pods: 4, LeavesPerPod: 2, SpinesPerPod: 2, UplinksPerSpine: 2, Zones: 2},
 		{Pods: 4, LeavesPerPod: 2, SpinesPerPod: 2, UplinksPerSpine: 2, UplinksPerZone: 2},
 		{Pods: 4, LeavesPerPod: 2, SpinesPerPod: 2, UplinksPerSpine: 2, Zones: 2, UplinksPerZone: -1},
+		// The four-tier fabric with a single zone, and with no zone uplinks.
+		fourTier(func(s *Spec) { s.Zones = 1 }),
+		fourTier(func(s *Spec) { s.UplinksPerZone = 0 }),
 	}
 	for _, s := range bad {
 		if _, err := Build(s); err == nil {
