@@ -24,12 +24,12 @@ fmt-check:
 	@out="$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l)"; \
 	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
-# lint enforces the determinism contract (DESIGN.md §8) and the hot-path
-# contract (DESIGN.md §9) with the repo's own analyzers — map iteration
-# order, wall-clock/global-rand use, panics in packet-processing code,
-# hot-path allocation discipline, frame ownership, trial purity, and
-# justified, still-live escape hatches. Pool discipline is not a lint rule:
-# `make invariants` enforces it at runtime (DESIGN.md §14).
+# lint enforces the determinism contract (DESIGN.md §8) with the repo's own
+# analyzers — map iteration order, wall-clock/global-rand use, panics in
+# packet-processing code, trial purity, and justified, still-live escape
+# hatches. The hot-path contract (DESIGN.md §9) is not a lint rule: the
+# allocation budgets in `make test` hold it, and `make invariants` enforces
+# pool discipline at runtime (DESIGN.md §14).
 # staticcheck runs too when installed; it is not vendored, so a bare
 # container skips it rather than failing.
 lint:
@@ -40,9 +40,10 @@ lint:
 		echo "staticcheck not installed; skipping" ; \
 	fi
 
-# analyzers runs everything under tools/ — the lint passes' golden-fixture
-# suites — and the simlint driver's exit-status/schema tests (also covered
-# by `make test`; this target is the fast inner loop when writing a pass).
+# analyzers runs everything under tools/ — the six lint passes'
+# golden-fixture suites — and the simlint driver's exit-status/schema tests
+# (also covered by `make test`; this target is the fast inner loop when
+# writing a pass).
 analyzers:
 	$(GO) test ./tools/... ./cmd/simlint/...
 

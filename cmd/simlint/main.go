@@ -1,7 +1,7 @@
 // Command simlint is the repo's lint driver: a multichecker that runs the
 // custom analyzers under tools/analyzers over the module and fails if any
-// site violates the determinism contract (DESIGN.md §8) or the hot-path
-// contract (DESIGN.md §9).
+// site violates the determinism contract (DESIGN.md §8). The hot-path
+// contract (DESIGN.md §9) is held by allocation budgets in the tests.
 //
 // Usage:
 //
@@ -16,18 +16,12 @@
 //	panicpath    the packet-processing packages (mrmtp, ipstack, ethernet,
 //	             ipv4, udp, tcp); cmd/ stays out of scope — its writers
 //	             return errors, which the errcheck sweep makes them handle
-//	allocfree    the packet-processing packages plus simnet (hot-path
-//	             roots are the //simlint:hotpath annotations)
-//	framealias   the packet-processing packages plus simnet (frame
-//	             ownership at the Port.Send boundary)
 //	justify      every package (a bare //simlint marker is wrong anywhere)
-//	unusedmarker every package, last; reports justification markers that no
-//	             analyzer consulted during this run — stale suppressions
-//	             whose finding has moved or disappeared
-//
-// unusedmarker is scoped per marker: a marker only counts as stale in
-// packages where the analyzer that honors it actually ran (see
-// markerApplies).
+//	unusedmarker repro/internal/..., last; reports justification markers
+//	             that no analyzer consulted during this run — stale
+//	             suppressions whose finding has moved or disappeared. Both
+//	             markers belong to analyzers scoped to repro/internal/...,
+//	             so a marker elsewhere is out of sight, not stale.
 //
 // Diagnostics print as file:line:col: message (analyzer); with -sarif they
 // are emitted instead as a SARIF 2.1.0 log for code-scanning upload. The
@@ -43,9 +37,7 @@ import (
 	"sort"
 	"strings"
 
-	"repro/tools/analyzers/allocfree"
 	"repro/tools/analyzers/analysis"
-	"repro/tools/analyzers/framealias"
 	"repro/tools/analyzers/justify"
 	"repro/tools/analyzers/load"
 	"repro/tools/analyzers/maporder"
@@ -55,7 +47,7 @@ import (
 )
 
 // packetPkgs are the packages whose code runs per simulated packet; they
-// carry the panicpath rule and, together with simnet, the hot-path rules.
+// carry the panicpath rule.
 var packetPkgs = map[string]bool{
 	"repro/internal/mrmtp":    true,
 	"repro/internal/ipstack":  true,
@@ -66,13 +58,6 @@ var packetPkgs = map[string]bool{
 }
 
 func isPacketPkg(p string) bool { return packetPkgs[p] }
-
-// isHotPkg additionally covers the simulator core and its frame arena:
-// Port.Send, frame delivery, and buffer recycling are the innermost loop of
-// every experiment.
-func isHotPkg(p string) bool {
-	return packetPkgs[p] || p == "repro/internal/simnet" || p == "repro/internal/simnet/framepool"
-}
 
 func isInternal(importPath string) bool {
 	return strings.HasPrefix(importPath, "repro/internal/")
@@ -90,26 +75,10 @@ var checks = []struct {
 	{walltime.Analyzer, isInternal},
 	{sharedstate.Analyzer, isInternal},
 	{panicpath.Analyzer, isPacketPkg},
-	{allocfree.Analyzer, isHotPkg},
-	{framealias.Analyzer, isHotPkg},
 	{justify.Analyzer, anyPkg},
 	// unusedmarker must stay last: it audits the consultations every
 	// other analyzer recorded on the package.
-	{justify.UnusedMarkers(markerApplies), anyPkg},
-}
-
-// markerApplies tells unusedmarker where each justification marker is within
-// some analyzer's sight; a marker outside its analyzer's package scope is
-// unreachable, not stale. This table mirrors checks above.
-func markerApplies(importPath, marker string) bool {
-	switch marker {
-	case analysis.SuppressionComment, // maporder, walltime, sharedstate
-		analysis.SharedComment: // sharedstate
-		return isInternal(importPath)
-	case analysis.AllocComment, analysis.FrameOwnComment: // allocfree, framealias
-		return isHotPkg(importPath)
-	}
-	return false
+	{justify.UnusedMarkers, isInternal},
 }
 
 // finding is one printable diagnostic.

@@ -95,7 +95,7 @@ func TestSARIFSchema(t *testing.T) {
 		}
 		rules[r.ID] = true
 	}
-	for _, want := range []string{"maporder", "walltime", "sharedstate", "panicpath", "allocfree", "framealias", "justify", "unusedmarker"} {
+	for _, want := range []string{"maporder", "walltime", "sharedstate", "panicpath", "justify", "unusedmarker"} {
 		if !rules[want] {
 			t.Errorf("rule table missing %s (have %v)", want, rules)
 		}

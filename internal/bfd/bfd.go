@@ -138,8 +138,6 @@ type Session struct {
 	// OnDown fires when an Up session falls to Down (detect timeout or
 	// remote signaling); BGP's Peer.BFDDown is wired here.
 	OnDown func()
-	// OnUp fires when the session reaches Up.
-	OnUp func()
 
 	// Stats for the keep-alive overhead experiment. UpTransitions and
 	// DownTransitions count entries into/out of the Up state (chaos
@@ -291,8 +289,5 @@ func (s *Session) handle(pkt ControlPacket) {
 	}
 	if was != StateUp && s.state == StateUp {
 		s.Stats.UpTransitions++
-		if s.OnUp != nil {
-			s.OnUp()
-		}
 	}
 }

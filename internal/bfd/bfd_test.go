@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/ipstack"
 	"repro/internal/netaddr"
 	"repro/internal/simnet"
@@ -121,11 +122,10 @@ func TestSessionRecovers(t *testing.T) {
 	if pn.sb.State() == StateUp {
 		t.Fatal("b still Up during outage")
 	}
-	var upAgain bool
-	pn.sb.OnUp = func() { upAgain = true }
+	ups := pn.sb.Stats.UpTransitions
 	pn.a.Node.Port(1).Restore()
 	pn.sim.RunFor(2 * time.Second)
-	if !upAgain || pn.sb.State() != StateUp || pn.sa.State() != StateUp {
+	if pn.sb.Stats.UpTransitions != ups+1 || pn.sb.State() != StateUp || pn.sa.State() != StateUp {
 		t.Errorf("session did not recover: a=%v b=%v", pn.sa.State(), pn.sb.State())
 	}
 }
@@ -154,14 +154,14 @@ func TestLocalFailureAlsoDetected(t *testing.T) {
 func TestTransmitAllocs(t *testing.T) {
 	pn := newPair(t)
 	pn.sim.RunFor(2 * time.Second) // sessions Up, ARP resolved, freelists warm
-	avg := testing.AllocsPerRun(200, func() {
+	allocs, bytes := budget.PerRun(200, func() {
 		pn.sa.transmit()
 		// Run past the link latency so the delivery fires and its event
 		// record recycles instead of queueing. (A full drain would never
 		// return: the periodic timers re-arm forever.)
 		pn.sim.RunFor(300 * time.Microsecond)
 	})
-	if avg != 0 {
-		t.Errorf("BFD transmit allocates %.1f/op, want 0 (the control packet is the session's buffer; its frame is pooled and the receiving listener gives it back)", avg)
+	if allocs != 0 || bytes != 0 {
+		t.Errorf("BFD transmit allocates %d objects and %d B per op, want 0 and 0 (the control packet is the session's buffer; its frame is pooled and the receiving listener gives it back)", allocs, bytes)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/invariant"
 	"repro/internal/netaddr"
 )
@@ -49,7 +50,7 @@ func TestUpdateFanoutAllocs(t *testing.T) {
 	nlri := []netaddr.Prefix{rack11}
 	sent := hub.sp.Stats.UpdatesSent
 	run := 0
-	avg := testing.AllocsPerRun(100, func() {
+	allocs, bytes := budget.PerRun(100, func() {
 		hub.sp.handleUpdate(from, Update{ASPath: paths[run%2], NextHop: from.Neighbor, NLRI: nlri})
 		run++
 		tn.sim.RunFor(5 * time.Millisecond)
@@ -57,8 +58,8 @@ func TestUpdateFanoutAllocs(t *testing.T) {
 	if got := hub.sp.Stats.UpdatesSent - sent; got != 7*uint64(run) {
 		t.Fatalf("hub sent %d UPDATEs over %d runs, want 7 per run", got, run)
 	}
-	if avg != 14 {
-		t.Errorf("one UPDATE fanned out to seven peers allocates %.0f, want 14", avg)
+	if allocs != 14 || bytes != 14*128 {
+		t.Errorf("one UPDATE fanned out to seven peers allocates %d objects and %d B, want 14 and 14 × 128", allocs, bytes)
 	}
 }
 
@@ -93,15 +94,15 @@ func TestKeepaliveSendAllocs(t *testing.T) {
 		pool.Put(b)
 	}
 	recv := spine.sp.Stats.KeepalivesRecv
-	avg := testing.AllocsPerRun(100, func() {
+	allocs, bytes := budget.PerRun(100, func() {
 		p.send(keepalive[:])
 		tn.sim.RunFor(time.Millisecond)
 	})
 	if got := spine.sp.Stats.KeepalivesRecv - recv; got != 101 {
 		t.Fatalf("spine received %d KEEPALIVEs, want 101", got)
 	}
-	if avg != 0 {
-		t.Errorf("a KEEPALIVE send allocates %.1f, want 0", avg)
+	if allocs != 0 || bytes != 0 {
+		t.Errorf("a KEEPALIVE send allocates %d objects and %d B, want 0 and 0", allocs, bytes)
 	}
 }
 

@@ -1,0 +1,24 @@
+// Package budget measures what a call costs the heap. The allocation budgets
+// that hold the hot-path contract (DESIGN.md §9) are tests built on PerRun.
+package budget
+
+import "runtime"
+
+// PerRun is testing.AllocsPerRun that reads bytes as well as objects: it
+// calls f once to warm up, then runs times, and returns the heap objects and
+// the bytes those runs allocated, each divided by runs with the remainder
+// dropped. The bytes are what make an amortized append visible: a slice that
+// grows every so many calls reads 0 objects per run, but the doublings copy
+// the slice each time, so it costs bytes on every run on average.
+func PerRun(runs int, f func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	mallocs, total := m.Mallocs, m.TotalAlloc
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m)
+	return (m.Mallocs - mallocs) / uint64(runs), (m.TotalAlloc - total) / uint64(runs)
+}

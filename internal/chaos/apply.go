@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/simnet"
 )
 
@@ -26,6 +27,14 @@ type Injector struct {
 	Events []Event
 
 	sim *simnet.Sim
+	log *metrics.Log
+}
+
+// fail fails a port and records the failure in the Log at this instant, as
+// the harness's FailPoint does for the failures it injects itself.
+func (in *Injector) fail(p *simnet.Port) {
+	p.Fail()
+	in.log.FailureInjected(in.sim.Now(), p.Node.Name, p.Index)
 }
 
 func (in *Injector) record(k Kind, action, target, detail string) {
@@ -54,12 +63,13 @@ func resolvePort(sim *simnet.Sim, ref LinkRef) (*simnet.Port, error) {
 // and schedules all fault actions relative to the current virtual time.
 // Resolution is eager: a spec naming a missing device or link fails here,
 // before anything is scheduled. The returned Injector accumulates the
-// action log as the simulation runs the campaign.
-func Apply(sim *simnet.Sim, spec Spec) (*Injector, error) {
+// action log as the simulation runs the campaign; every port a fault action
+// fails is also a failure event in log (nil records nothing).
+func Apply(sim *simnet.Sim, spec Spec, log *metrics.Log) (*Injector, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	in := &Injector{sim: sim}
+	in := &Injector{sim: sim, log: log}
 	for i := range spec.Faults {
 		f := spec.Faults[i]
 		var err error
@@ -93,7 +103,7 @@ func (in *Injector) applyFlapStorm(f Fault) error {
 		at := f.Start.D() + time.Duration(i)*f.Period.D()
 		flap := i + 1
 		in.sim.Schedule(at, func() {
-			port.Fail()
+			in.fail(port)
 			in.record(FlapStorm, "fail", port.Name(), fmt.Sprintf("flap %d/%d", flap, f.Flaps))
 		})
 		in.sim.Schedule(at+down, func() {
@@ -165,7 +175,7 @@ func (in *Injector) applyCorrelated(f Fault) error {
 		port := p
 		at := f.Start.D() + time.Duration(i)*f.Stagger.D()
 		in.sim.Schedule(at, func() {
-			port.Fail()
+			in.fail(port)
 			in.record(Correlated, "fail", port.Name(), "")
 		})
 		in.sim.Schedule(at+f.Duration.D(), func() {
@@ -190,7 +200,7 @@ func (in *Injector) applyDrain(f Fault) error {
 		at := f.Start.D() + time.Duration(i)*f.Stagger.D()
 		in.sim.Schedule(at, func() {
 			for _, p := range node.Ports[1:] {
-				p.Fail()
+				in.fail(p)
 			}
 			in.record(Drain, "drain", node.Name, fmt.Sprintf("%d ports", len(node.Ports)-1))
 		})

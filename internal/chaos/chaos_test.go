@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/simnet"
 )
 
@@ -129,7 +130,7 @@ func TestApplyRejectsUnresolvableTargets(t *testing.T) {
 		{Name: "no-link", Faults: []Fault{{Kind: OneWay, Link: LinkRef{"a", "c"}, Duration: Duration(time.Second)}}},
 		{Name: "no-drain-node", Faults: []Fault{{Kind: Drain, Nodes: []string{"zz"}, Duration: Duration(time.Second)}}},
 	} {
-		if _, err := Apply(s, spec); err == nil {
+		if _, err := Apply(s, spec, nil); err == nil {
 			t.Errorf("%s: applied, want resolution error", spec.Name)
 		}
 	}
@@ -141,7 +142,8 @@ func TestFlapStormSchedule(t *testing.T) {
 		Kind: FlapStorm, Link: LinkRef{"a", "b"}, Start: Duration(10 * time.Millisecond),
 		Flaps: 3, Period: Duration(100 * time.Millisecond), Duty: 0.4,
 	}}}
-	in, err := Apply(s, spec)
+	log := &metrics.Log{}
+	in, err := Apply(s, spec, log)
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
@@ -189,6 +191,24 @@ func TestFlapStormSchedule(t *testing.T) {
 			t.Errorf("events out of order: %v after %v", ev.At, evs[i-1].At)
 		}
 	}
+	// Each fail action is a failure in the Log at its instant, and the
+	// journal renders and parses it back.
+	wantLog := failures("a", 1, wantDowns...)
+	if !reflect.DeepEqual(log.Events, wantLog) {
+		t.Errorf("Log = %+v, want %+v", log.Events, wantLog)
+	}
+	if parsed, err := metrics.Parse(metrics.Render(log.Events)); err != nil || !reflect.DeepEqual(parsed, wantLog) {
+		t.Errorf("journal round trip = %+v, %v, want %+v", parsed, err, wantLog)
+	}
+}
+
+// failures is the Log of node's interface eth<port> failed at each instant.
+func failures(node string, port int, at ...time.Duration) []metrics.Event {
+	out := make([]metrics.Event, len(at))
+	for i, a := range at {
+		out[i] = metrics.Event{At: a, Node: node, Kind: metrics.KindFailure, N: port}
+	}
+	return out
 }
 
 func TestGrayLossWindow(t *testing.T) {
@@ -197,7 +217,7 @@ func TestGrayLossWindow(t *testing.T) {
 		Kind: GrayLoss, Link: LinkRef{"a", "b"}, Start: Duration(10 * time.Millisecond),
 		Duration: Duration(100 * time.Millisecond), LossRate: 1,
 	}}}
-	if _, err := Apply(s, spec); err != nil {
+	if _, err := Apply(s, spec, nil); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
 	a := s.Node("a").Port(1)
@@ -230,7 +250,7 @@ func TestOneWayCarrierFault(t *testing.T) {
 		Kind: OneWay, Link: LinkRef{"b", "c"}, Start: Duration(10 * time.Millisecond),
 		Duration: Duration(100 * time.Millisecond),
 	}}}
-	in, err := Apply(s, spec)
+	in, err := Apply(s, spec, nil)
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
@@ -266,7 +286,8 @@ func TestCorrelatedStagger(t *testing.T) {
 		Start: Duration(10 * time.Millisecond), Duration: Duration(100 * time.Millisecond),
 		Stagger: Duration(5 * time.Millisecond),
 	}}}
-	if _, err := Apply(s, spec); err != nil {
+	log := &metrics.Log{}
+	if _, err := Apply(s, spec, log); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
 	s.Start()
@@ -283,6 +304,10 @@ func TestCorrelatedStagger(t *testing.T) {
 	if got, want := h.ups[0], 110*time.Millisecond+detect; got != want {
 		t.Errorf("first restore at %v, want %v", got, want)
 	}
+	want := append(failures("b", 1, 10*time.Millisecond), failures("b", 2, 15*time.Millisecond)...)
+	if !reflect.DeepEqual(log.Events, want) {
+		t.Errorf("Log = %+v, want %+v", log.Events, want)
+	}
 }
 
 func TestDrainRollsThroughNodes(t *testing.T) {
@@ -291,7 +316,8 @@ func TestDrainRollsThroughNodes(t *testing.T) {
 		Kind: Drain, Nodes: []string{"a", "c"}, Start: Duration(10 * time.Millisecond),
 		Duration: Duration(50 * time.Millisecond), Stagger: Duration(200 * time.Millisecond),
 	}}}
-	in, err := Apply(s, spec)
+	log := &metrics.Log{}
+	in, err := Apply(s, spec, log)
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
@@ -315,6 +341,10 @@ func TestDrainRollsThroughNodes(t *testing.T) {
 	if evs[0].Action != "drain" || evs[0].Target != "a" || evs[1].Action != "undrain" {
 		t.Errorf("unexpected log order: %+v", evs)
 	}
+	want := append(failures("a", 1, 10*time.Millisecond), failures("c", 1, 210*time.Millisecond)...)
+	if !reflect.DeepEqual(log.Events, want) {
+		t.Errorf("Log = %+v, want %+v", log.Events, want)
+	}
 }
 
 // TestInjectorLogDeterminism applies the same multi-fault spec twice on
@@ -330,7 +360,7 @@ func TestInjectorLogDeterminism(t *testing.T) {
 	}}
 	run := func() []Event {
 		s, _ := fabric(t)
-		in, err := Apply(s, spec)
+		in, err := Apply(s, spec, nil)
 		if err != nil {
 			t.Fatalf("Apply: %v", err)
 		}

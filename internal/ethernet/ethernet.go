@@ -38,10 +38,8 @@ type Frame struct {
 var ErrTruncated = errors.New("ethernet: truncated frame")
 
 // Marshal renders the frame to wire format.
-//
-//simlint:hotpath
 func (f *Frame) Marshal() []byte {
-	b := make([]byte, HeaderLen+len(f.Payload)) //simlint:alloc this IS the frame buffer; ownership passes to Port.Send
+	b := make([]byte, HeaderLen+len(f.Payload))
 	PutHeader(b, f.Dst, f.Src, f.EtherType)
 	copy(b[HeaderLen:], f.Payload)
 	return b
@@ -50,8 +48,6 @@ func (f *Frame) Marshal() []byte {
 // PutHeader writes the Ethernet II header into b[:HeaderLen]. It lets
 // callers that pre-allocated header room in front of a payload frame it
 // without another allocation and copy.
-//
-//simlint:hotpath
 func PutHeader(b []byte, dst, src netaddr.MAC, etherType uint16) {
 	copy(b[0:6], dst[:])
 	copy(b[6:12], src[:])
@@ -60,8 +56,6 @@ func PutHeader(b []byte, dst, src netaddr.MAC, etherType uint16) {
 }
 
 // Unmarshal parses a wire-format frame. The payload aliases b.
-//
-//simlint:hotpath
 func Unmarshal(b []byte) (Frame, error) {
 	if len(b) < HeaderLen {
 		return Frame{}, ErrTruncated

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/budget"
 	"repro/internal/netaddr"
 )
 
@@ -26,6 +27,22 @@ func TestUnmarshalTruncated(t *testing.T) {
 		if _, err := Unmarshal(make([]byte, n)); err != ErrTruncated {
 			t.Errorf("Unmarshal(%d bytes) err = %v, want ErrTruncated", n, err)
 		}
+	}
+}
+
+// TestCodecAllocs pins the codec's budget: Marshal allocates the frame it
+// returns and nothing else, PutHeader and Unmarshal allocate nothing.
+func TestCodecAllocs(t *testing.T) {
+	f := Frame{Dst: netaddr.Broadcast, EtherType: TypeIPv4, Payload: make([]byte, 50)}
+	var wire []byte
+	if allocs, bytes := budget.PerRun(100, func() { wire = f.Marshal() }); allocs != 1 || bytes != 64 {
+		t.Errorf("Marshal allocates %d objects and %d B per op, want 1 and 64 (the frame)", allocs, bytes)
+	}
+	if allocs, bytes := budget.PerRun(100, func() {
+		PutHeader(wire, f.Dst, f.Src, f.EtherType)
+		f, _ = Unmarshal(wire)
+	}); allocs != 0 || bytes != 0 {
+		t.Errorf("PutHeader and Unmarshal allocate %d objects and %d B per op, want 0 and 0", allocs, bytes)
 	}
 }
 

@@ -1,6 +1,10 @@
 package fluid
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/budget"
+)
 
 // TestAdmitAllocs pins what admitting a flow onto a path the solver already
 // knows costs in allocations: nothing. The path key is rendered into solver
@@ -19,8 +23,8 @@ func TestAdmitAllocs(t *testing.T) {
 		admit()
 	}
 	s.Reallocate(0)
-	if avg := testing.AllocsPerRun(200, admit); avg != 0 {
-		t.Errorf("Admit on an existing group allocates %.0f, want 0", avg)
+	if allocs, bytes := budget.PerRun(200, admit); allocs != 0 || bytes != 0 {
+		t.Errorf("Admit on an existing group allocates %d objects and %d B per op, want 0 and 0", allocs, bytes)
 	}
 	if len(s.groups) != 1 || s.Active() != int(id) {
 		t.Fatalf("%d groups and %d active flows after %d admissions on one path", len(s.groups), s.Active(), id)

@@ -131,7 +131,7 @@ func RunChaos(opts Options, spec chaos.Spec) (ChaosResult, error) {
 	f.Log.Reset()
 	startAt := f.Sim.Now()
 	startSeq := probe.sender.Seq()
-	inj, err := chaos.Apply(f.Sim, spec)
+	inj, err := chaos.Apply(f.Sim, spec, f.Log)
 	if err != nil {
 		return ChaosResult{}, err
 	}

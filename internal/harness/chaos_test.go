@@ -53,7 +53,7 @@ func TestChaosCatalogValidatesAndApplies(t *testing.T) {
 			t.Errorf("%s: non-positive horizon", spec.Name)
 		}
 		// Every catalog target must resolve on the standard fabric.
-		if _, err := chaos.Apply(f.Sim, spec); err != nil {
+		if _, err := chaos.Apply(f.Sim, spec, f.Log); err != nil {
 			t.Errorf("%s does not apply to TwoPodSpec: %v", spec.Name, err)
 		}
 	}

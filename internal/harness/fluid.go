@@ -167,22 +167,20 @@ type hopEntry struct {
 // BGP FIB). The candidates are memoised per (device, leaf) and recomputed
 // when the device's forwarding state or any port's carrier has changed since;
 // under -tags invariants every hit is recomputed and compared.
-//
-//simlint:hotpath
 func (f *Fabric) nextHopPort(dev *topology.Device, dstRoot byte, dstIP netaddr.IPv4, hash uint32) (int, bool) {
 	b := &f.bound[dev.Ordinal]
 	if f.hops == nil {
-		f.hops = make([][]hopEntry, len(f.bound)) //simlint:alloc once per fabric, on its first walk
+		f.hops = make([][]hopEntry, len(f.bound))
 	}
 	if f.hops[dev.Ordinal] == nil {
-		f.hops[dev.Ordinal] = make([]hopEntry, f.Topo.Leaves[len(f.Topo.Leaves)-1].VID+1) //simlint:alloc one row per device the walks cross, on first use; columns are root VIDs
+		f.hops[dev.Ordinal] = make([]hopEntry, f.Topo.Leaves[len(f.Topo.Leaves)-1].VID+1)
 	}
 	e := &f.hops[dev.Ordinal][dstRoot]
 	if stamp := f.hopStamp(b); e.stamp != stamp {
 		e.cands = b.hopCandidates(dstRoot, dstIP, e.cands[:0])
 		e.stamp = stamp
 	} else if invariant.Enabled {
-		live := b.hopCandidates(dstRoot, dstIP, nil) //simlint:alloc invariants build only
+		live := b.hopCandidates(dstRoot, dstIP, nil)
 		invariant.Assertf(slices.Equal(live, e.cands), "harness: %s's memoised hop toward root %d is %v, its tables say %v", dev.Name, dstRoot, e.cands, live)
 	}
 	if len(e.cands) == 0 {

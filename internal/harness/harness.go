@@ -116,7 +116,7 @@ type binding struct {
 
 // nextProbeID issues a fresh ICMP echo ID. The counter lives on the fabric
 // rather than at package level so concurrent trials — each with its own
-// Fabric — never share state (the sharedstate lint rule, DESIGN.md §9).
+// Fabric — never share state (the sharedstate lint rule, DESIGN.md §8).
 func (f *Fabric) nextProbeID() uint16 {
 	f.probeSeq++
 	return f.probeSeq

@@ -1,10 +1,15 @@
 package harness
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
+	"repro/internal/budget"
 	"repro/internal/netaddr"
+	"repro/internal/simnet/framepool"
 	"repro/internal/topology"
 	"repro/internal/udp"
 	"repro/internal/workload"
@@ -39,15 +44,12 @@ func TestPacketPathAllocFree(t *testing.T) {
 				t.Fatal("datagram never delivered")
 			}
 			before := got
-			// The protocols' own timers fire inside the measured windows
-			// too; AllocsPerRun's integer average absorbs the odd control
-			// message, while a per-packet allocation reads as >= 1.
-			avg := testing.AllocsPerRun(200, op)
+			allocs, bytes := budget.PerRun(200, op)
 			if got-before < 200 {
 				t.Fatalf("delivered %d of 200 measured datagrams", got-before)
 			}
-			if avg > 0 {
-				t.Errorf("host-to-host datagram allocates %.0f/op, want 0", avg)
+			if allocs != 0 || bytes != 0 {
+				t.Errorf("host-to-host datagram allocates %d objects and %d B per op, want 0 and 0", allocs, bytes)
 			}
 		})
 	}
@@ -60,7 +62,10 @@ func TestPacketPathAllocFree(t *testing.T) {
 // and when the last flow completes the pool must hold what it held before
 // Engine.Start. Only TCP deliveries keep their frame (BGP's sessions; the
 // endpoint may retain payload), so those are counted out exactly; what is
-// left is control frames in flight at the two snapshot instants.
+// left is control frames in flight at the two snapshot instants. Nor may
+// any state in the fabric keep a slice of a buffer the pool took back: a
+// sender holding an alias of a frame it handed to Port.Send fails here even
+// if it never reads it.
 func TestFramePoolDrains(t *testing.T) {
 	for _, proto := range []Protocol{ProtoMRMTP, ProtoBGPBFD} {
 		t.Run(proto.String(), func(t *testing.T) {
@@ -130,6 +135,69 @@ func TestFramePoolDrains(t *testing.T) {
 				t.Errorf("pool InUse grew by %d over %d packets (TCP deliveries counted out), want 0 ± %d control frames in flight",
 					grew, rep.PacketsSent, slack)
 			}
+			// Nothing keeps a frame it sent or gave back. A kept alias
+			// shows only while its buffer sits in the pool, between a Put
+			// and the next Get, so the state is read at several instants.
+			for i := 0; i < 20; i++ {
+				if kept := keptFrames(f, f.Sim.Frames()); len(kept) > 0 {
+					t.Fatalf("at %v these fields hold a buffer back in the pool: %v", f.Sim.Now(), kept)
+				}
+				f.Sim.RunFor(time.Millisecond)
+			}
 		})
 	}
+}
+
+// keptFrames walks everything reachable from root — pointers, interfaces,
+// struct fields, slice, array and map elements, but not the pool — and
+// names each field holding a byte slice that is, or reslices, a buffer the
+// pool holds: an alias kept after its frame was returned.
+func keptFrames(root any, pool *framepool.Pool) []string {
+	type visit struct {
+		ptr unsafe.Pointer
+		typ reflect.Type
+	}
+	seen := map[visit]bool{{unsafe.Pointer(pool), reflect.TypeOf(pool)}: true}
+	kept := map[string]bool{}
+	var walk func(v reflect.Value, field string)
+	walk = func(v reflect.Value, field string) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if key := (visit{v.UnsafePointer(), v.Type()}); !v.IsNil() && !seen[key] {
+				seen[key] = true
+				walk(v.Elem(), field)
+			}
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem(), field)
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i), v.Type().String()+"."+v.Type().Field(i).Name)
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				walk(it.Value(), field)
+			}
+		case reflect.Slice:
+			if v.Type().Elem().Kind() == reflect.Uint8 {
+				if pool.Holds(unsafe.Slice((*byte)(v.UnsafePointer()), v.Cap())) {
+					kept[field] = true
+				}
+				return
+			}
+			fallthrough
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i), field)
+			}
+		}
+	}
+	walk(reflect.ValueOf(root), "")
+	fields := make([]string, 0, len(kept))
+	for f := range kept {
+		fields = append(fields, f)
+	}
+	sort.Strings(fields)
+	return fields
 }

@@ -53,13 +53,17 @@ func (r *resolveRig) resolveAll(tb testing.TB) {
 	}
 }
 
-// mallocs counts the heap objects one call of fn allocates.
-func mallocs(fn func()) uint64 {
+// allocated counts the heap objects and bytes one call of fn allocates, on
+// one P as budget.PerRun measures, so that no other goroutine allocates
+// meanwhile. The cold and refilled memos are one-shot states, which
+// PerRun's warm-up call would use up.
+func allocated(fn func()) (objects, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	fn()
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // TestPathResolveAllocs pins what the hop memo costs in heap objects. Cold,
@@ -67,8 +71,8 @@ func mallocs(fn func()) uint64 {
 // cross and one candidate list per (device, leaf) pair they ask about —
 // counted from the memo itself, so the budget is the memo's size and not a
 // number to retune; no row exists for a device no walk crossed. Warm, they
-// cost nothing. After a flip every entry is refilled in the list it already
-// has: nothing again.
+// cost nothing, not a byte. After a flip every entry is refilled in the list
+// it already has: nothing again.
 func TestPathResolveAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("under -tags invariants every hit is re-derived into a fresh list")
@@ -83,7 +87,7 @@ func TestPathResolveAllocs(t *testing.T) {
 				buf = r.f.bound[dev.Ordinal].hopCandidates(byte(leaf.VID), leaf.ServerSubnet.Host(1), buf[:0])
 			}
 		}
-		cold := mallocs(func() { r.resolveAll(t) })
+		cold, _ := allocated(func() { r.resolveAll(t) })
 		rows, lists := 0, 0
 		for _, dev := range r.f.Topo.Devices {
 			hops := r.f.hops[dev.Ordinal]
@@ -106,12 +110,12 @@ func TestPathResolveAllocs(t *testing.T) {
 		if cold != uint64(1+rows+lists) {
 			t.Errorf("%s: resolving 1 000 flows cold allocates %d objects, want the table + %d rows + %d candidate lists", proto, cold, rows, lists)
 		}
-		if warm := mallocs(func() { r.resolveAll(t) }); warm != 0 {
-			t.Errorf("%s: resolving 1 000 flows on a warm memo allocates %d objects, want 0", proto, warm)
+		if objects, bytes := allocated(func() { r.resolveAll(t) }); objects != 0 || bytes != 0 {
+			t.Errorf("%s: resolving 1 000 flows on a warm memo allocates %d objects and %d B, want 0 and 0", proto, objects, bytes)
 		}
 		r.flip()
-		if refill := mallocs(func() { r.resolveAll(t) }); refill != 0 {
-			t.Errorf("%s: refilling the memo after a port flip allocates %d objects, want 0", proto, refill)
+		if objects, bytes := allocated(func() { r.resolveAll(t) }); objects != 0 || bytes != 0 {
+			t.Errorf("%s: refilling the memo after a port flip allocates %d objects and %d B, want 0 and 0", proto, objects, bytes)
 		}
 	}
 }

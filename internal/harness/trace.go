@@ -483,7 +483,7 @@ func RunTrace(opts Options, spec chaos.Spec) (TraceResult, error) {
 
 	// The faults are scheduled before the first sweep: at a shared instant
 	// the fault action dispatches, and enters the log, first.
-	if run.inj, err = chaos.Apply(f.Sim, spec); err != nil {
+	if run.inj, err = chaos.Apply(f.Sim, spec, f.Log); err != nil {
 		return TraceResult{}, err
 	}
 	run.accept = accept

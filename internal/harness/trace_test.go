@@ -207,7 +207,7 @@ func TestTraceAcceptsImpairedDirection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := chaos.Apply(f.Sim, spec); err != nil {
+		if _, err := chaos.Apply(f.Sim, spec, f.Log); err != nil {
 			t.Fatal(err)
 		}
 		f.Sim.RunFor(spec.Faults[0].Start.D() + time.Millisecond)

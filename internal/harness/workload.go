@@ -208,7 +208,7 @@ func RunWorkload(opts Options, w WorkloadConfig) (WorkloadResult, error) {
 	switch {
 	case w.Chaos != nil:
 		f.Sim.RunFor(w.FailAfter)
-		if _, err := chaos.Apply(f.Sim, *w.Chaos); err != nil {
+		if _, err := chaos.Apply(f.Sim, *w.Chaos, f.Log); err != nil {
 			return WorkloadResult{}, err
 		}
 		f.repathFluid(w, engine)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/arp"
+	"repro/internal/budget"
 	"repro/internal/ethernet"
 	"repro/internal/ipv4"
 	"repro/internal/netaddr"
@@ -45,14 +46,14 @@ func TestHandleFrameRxAllocs(t *testing.T) {
 	wire := rxFrame(t, l.h2.Node.Port(1).MAC, l.sub2.Host(9), l.sub2.Host(1), []byte("ka"))
 	port := l.h2.Node.Port(1)
 	inUse := l.sim.FrameStats().InUse
-	avg := testing.AllocsPerRun(200, func() {
+	allocs, bytes := budget.PerRun(200, func() {
 		l.h2.HandleFrame(port, l.pooledCopy(wire))
 	})
 	if delivered == 0 {
 		t.Fatal("test frame never reached the UDP listener")
 	}
-	if avg > 0 {
-		t.Errorf("RX local delivery allocates %.1f/op, want 0 (parsers alias the frame, delivery recycles it)", avg)
+	if allocs != 0 || bytes != 0 {
+		t.Errorf("RX local delivery allocates %d objects and %d B per op, want 0 and 0 (parsers alias the frame, delivery recycles it)", allocs, bytes)
 	}
 	if got := l.sim.FrameStats().InUse; got != inUse {
 		t.Errorf("pool InUse %d after the deliveries, want %d: a delivered UDP frame was not returned", got, inUse)
@@ -75,7 +76,7 @@ func TestHandleFrameForwardAllocs(t *testing.T) {
 	wire := rxFrame(t, l.r.Node.Port(1).MAC, l.sub1.Host(1), l.sub2.Host(1), []byte("fw"))
 	port := l.r.Node.Port(1)
 	forwarded := l.r.Stats.IPForwarded
-	avg := testing.AllocsPerRun(200, func() {
+	allocs, bytes := budget.PerRun(200, func() {
 		l.r.HandleFrame(port, l.pooledCopy(wire))
 		// Drain the delivery events so the sim's event freelist recycles
 		// instead of growing with the queue.
@@ -85,8 +86,8 @@ func TestHandleFrameForwardAllocs(t *testing.T) {
 	if l.r.Stats.IPForwarded == forwarded {
 		t.Fatal("test frame was never forwarded")
 	}
-	if avg > 0 {
-		t.Errorf("RX forward allocates %.1f/op, want 0 (in-place transit, no frame copy)", avg)
+	if allocs != 0 || bytes != 0 {
+		t.Errorf("RX forward allocates %d objects and %d B per op, want 0 and 0 (in-place transit, no frame copy)", allocs, bytes)
 	}
 }
 

@@ -172,8 +172,6 @@ func (f *FIB) Len() int { return len(f.routes) }
 // The returned route's NextHops slice is scratch space owned by the FIB: it
 // is valid until the next Lookup call. Per-packet callers (routeOut) consume
 // it immediately; anyone who needs to keep it must copy.
-//
-//simlint:hotpath
 func (f *FIB) Lookup(dst netaddr.IPv4) (Route, bool) {
 	d := dst.Uint32()
 	for lens := f.lens; lens != 0; {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/budget"
 	"repro/internal/netaddr"
 	"repro/internal/simnet"
 )
@@ -234,8 +235,8 @@ func TestFIBLookupAllocs(t *testing.T) {
 		t.Fatalf("Lookup(%v) = %+v %v, want the two-way ECMP rack route", dst, r, ok)
 	}
 	for _, d := range []netaddr.IPv4{dst, netaddr.MakeIPv4(172, 16, 7, 1), netaddr.MakeIPv4(8, 8, 8, 8)} {
-		if avg := testing.AllocsPerRun(200, func() { f.Lookup(d) }); avg != 0 {
-			t.Errorf("Lookup(%v) allocates %.1f/op, want 0", d, avg)
+		if allocs, bytes := budget.PerRun(200, func() { f.Lookup(d) }); allocs != 0 || bytes != 0 {
+			t.Errorf("Lookup(%v) allocates %d objects and %d B per op, want 0 and 0", d, allocs, bytes)
 		}
 	}
 }

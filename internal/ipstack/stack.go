@@ -156,8 +156,6 @@ func (s *Stack) SendICMP(src, dst netaddr.IPv4, m icmp.Message) {
 // UDP layers are composed into a single pooled buffer, and payload is copied
 // into it before SendUDP returns, so callers may reuse one scratch payload
 // for every packet.
-//
-//simlint:hotpath
 func (s *Stack) SendUDP(src, dst netaddr.IPv4, srcPort, dstPort uint16, payload []byte) {
 	h, frame := s.newIPFrame(src, dst, ipv4.ProtoUDP, ipv4.DefaultTTL, udp.HeaderLen+len(payload))
 	dgm := frame[ethernet.HeaderLen+ipv4.HeaderLen:]
@@ -189,8 +187,6 @@ func (s *Stack) PortUp(p *simnet.Port) {
 }
 
 // HandleFrame implements simnet.Handler.
-//
-//simlint:hotpath
 func (s *Stack) HandleFrame(p *simnet.Port, frame []byte) {
 	f, err := ethernet.Unmarshal(frame)
 	if err != nil {
@@ -326,8 +322,6 @@ func (s *Stack) deliver(pkt ipv4.Packet, wire []byte) bool {
 }
 
 // sendTCPSegment is the TCP endpoint's output path.
-//
-//simlint:hotpath
 func (s *Stack) sendTCPSegment(src, dst netaddr.IPv4, segment []byte) {
 	s.sendIP(src, dst, ipv4.ProtoTCP, segment)
 }
@@ -339,8 +333,6 @@ func (s *Stack) SendIP(src, dst netaddr.IPv4, proto byte, payload []byte) {
 
 // SendIPTTL emits a locally originated IP packet with an explicit TTL
 // (traceroute probes).
-//
-//simlint:hotpath
 func (s *Stack) SendIPTTL(src, dst netaddr.IPv4, proto, ttl byte, payload []byte) {
 	h, frame := s.newIPFrame(src, dst, proto, ttl, len(payload))
 	copy(frame[ethernet.HeaderLen+ipv4.HeaderLen:], payload)
@@ -421,9 +413,9 @@ func (s *Stack) transmit(ifc *Iface, nextHop netaddr.IPv4, frame []byte) {
 	e, ok := s.arpTable[nextHop]
 	if !ok {
 		// Queue behind an ARP request on every interface whose subnet
-		// covers the target (a rack subnet can span several ports).
-		//simlint:frameown ARP miss returns before the Send below; ownership moves to arpPending until flushARPPending hands it off
-		s.arpPending[nextHop] = append(s.arpPending[nextHop], frame) //simlint:alloc ARP-miss slow path; the queue drains at resolution
+		// covers the target (a rack subnet can span several ports). The
+		// queue owns the frame until flushARPPending sends it.
+		s.arpPending[nextHop] = append(s.arpPending[nextHop], frame)
 		asked := false
 		for _, cand := range s.ifaceList {
 			if cand.Subnet.Contains(nextHop) && cand.Usable() {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/flowhash"
 	"repro/internal/ipv4"
 	"repro/internal/simnet"
@@ -74,14 +75,14 @@ func TestForwardDataAllocs(t *testing.T) {
 	wire := ip.Marshal()
 	payload := MarshalData(12, 11, DataTTL, wire)
 	key := flowhash.FromIPPacket(wire)
-	avg := testing.AllocsPerRun(200, func() {
+	allocs, bytes := budget.PerRun(200, func() {
 		bc.spine.forwardData(bc.spine.newFrame(payload), 11, key)
 		// Run past the link latency so the ToR consumes the frame and the
 		// buffer and its event record recycle instead of queueing.
 		bc.sim.RunFor(300 * time.Microsecond)
 	})
-	if avg > 0 {
-		t.Errorf("forwardData allocates %.1f/op, want 0 (the frame travels on in its own buffer)", avg)
+	if allocs != 0 || bytes != 0 {
+		t.Errorf("forwardData allocates %d objects and %d B per op, want 0 and 0 (the frame travels on in its own buffer)", allocs, bytes)
 	}
 }
 
@@ -95,7 +96,7 @@ func TestIngressIPAllocs(t *testing.T) {
 	ip := ipv4.Packet{Header: ipv4.Header{Protocol: ipv4.ProtoUDP, TTL: 64,
 		Src: rack(11).Host(1), Dst: rack(13).Host(1)}}
 	forwarded := bc.tor.Stats.DataForwarded
-	avg := testing.AllocsPerRun(200, func() {
+	allocs, bytes := budget.PerRun(200, func() {
 		// Marshal inside the loop (counted): ingressIP mutates the TTL of
 		// the packet it was handed.
 		bc.tor.ingressIP(ip.Marshal())
@@ -104,8 +105,8 @@ func TestIngressIPAllocs(t *testing.T) {
 	if bc.tor.Stats.DataForwarded == forwarded {
 		t.Fatal("test packet never entered the fabric")
 	}
-	if avg > 1 {
-		t.Errorf("ingressIP allocates %.1f/op, want <= 1 (the test's packet; one pooled frame, no second copy)", avg)
+	if allocs != 1 || bytes != 24 {
+		t.Errorf("ingressIP allocates %d objects and %d B per op, want 1 and 24 (the test's 20-byte packet in its size class; one pooled frame, no second copy)", allocs, bytes)
 	}
 }
 
@@ -161,15 +162,15 @@ func TestHelloKeepAliveAllocs(t *testing.T) {
 		t.Fatal("uplink adjacency not up after warm-up")
 	}
 	hello := []byte{TypeHello}
-	avg := testing.AllocsPerRun(200, func() {
+	allocs, bytes := budget.PerRun(200, func() {
 		bc.tor.sendOn(adj, hello)
 		// Run past the link latency so the delivery fires and its event
 		// record recycles instead of queueing. (A full drain would never
 		// return: the hello timers re-arm forever.)
 		bc.sim.RunFor(300 * time.Microsecond)
 	})
-	if avg > 0 {
-		t.Errorf("hello keep-alive allocates %.1f/op, want 0 (pooled frame, recycled by the receiver)", avg)
+	if allocs != 0 || bytes != 0 {
+		t.Errorf("hello keep-alive allocates %d objects and %d B per op, want 0 and 0 (pooled frame, recycled by the receiver)", allocs, bytes)
 	}
 }
 
@@ -192,12 +193,12 @@ func TestAdvertiseReceiveAllocs(t *testing.T) {
 		if len(tc.to.advertised) == 0 {
 			t.Fatalf("%s: nothing advertised after warm-up", tc.from.Node.Name)
 		}
-		avg := testing.AllocsPerRun(200, func() {
+		allocs, bytes := budget.PerRun(200, func() {
 			tc.from.sendAdvertise(tc.from.adj(tc.port))
 			bc.sim.RunFor(300 * time.Microsecond)
 		})
-		if avg != 0 {
-			t.Errorf("an unchanged ADVERTISE from %s allocates %.1f/op, want 0", tc.from.Node.Name, avg)
+		if allocs != 0 || bytes != 0 {
+			t.Errorf("an unchanged ADVERTISE from %s allocates %d objects and %d B per op, want 0 and 0", tc.from.Node.Name, allocs, bytes)
 		}
 		if got := fmt.Sprint(tc.to.advertised); got != before {
 			t.Errorf("%s's ADVERTISE changed its neighbor's record: %s, was %s", tc.from.Node.Name, got, before)

@@ -20,8 +20,6 @@ import (
 func (r *Router) GatewayIP() netaddr.IPv4 { return r.Cfg.RackSubnet.Host(254) }
 
 // handleRackFrame processes server-side traffic at a ToR.
-//
-//simlint:hotpath
 func (r *Router) handleRackFrame(p *simnet.Port, f ethernet.Frame) {
 	switch f.EtherType {
 	case ethernet.TypeARP:
@@ -59,8 +57,6 @@ func (r *Router) handleRackARP(p *simnet.Port, f ethernet.Frame) {
 }
 
 // ingressIP handles an IP packet entering the fabric from a server.
-//
-//simlint:hotpath
 func (r *Router) ingressIP(ipWire []byte) {
 	pkt, err := ipv4.Unmarshal(ipWire)
 	if err != nil {
@@ -123,8 +119,6 @@ func (r *Router) encapFrame(dstRoot, ttl byte, ipPacket []byte) []byte {
 // the buffer itself travels on; gateway-addressed and trace-reply
 // dispositions return false because those paths hand aliasing slices to
 // listeners that have not been audited for retention.
-//
-//simlint:hotpath
 func (r *Router) handleData(raw, payload []byte) bool {
 	h, ipWire, err := ParseData(payload)
 	if err != nil {
@@ -142,7 +136,7 @@ func (r *Router) handleData(raw, payload []byte) bool {
 		r.Stats.DataDelivered++
 		if pkt.Header.Dst == r.GatewayIP() {
 			// Addressed to the ToR itself: trace probes and their replies.
-			r.handleLocal(ipWire, pkt) //simlint:alloc gateway-addressed control traffic, off the forwarding fast path
+			r.handleLocal(ipWire, pkt)
 			return false
 		}
 		// deliverToRack copies ipWire (into the rack frame or the ARP
@@ -154,7 +148,7 @@ func (r *Router) handleData(raw, payload []byte) bool {
 		r.Stats.DataDropped++
 		// Expired probes earn a time-exceeded reply, like an IP router
 		// (path tracing depends on it); other expiries stay silent drops.
-		r.sendTraceReply(h, ipWire) //simlint:alloc TTL expiry is off the fast path; reply construction allocates
+		r.sendTraceReply(h, ipWire)
 		return false
 	}
 	// Transit in place: the delivered frame is ours, so the encapsulation
@@ -168,8 +162,6 @@ func (r *Router) handleData(raw, payload []byte) bool {
 // picks. frame is a whole fabric frame (Ethernet header room + MR-MTP data
 // payload) that forwardData takes ownership of: it is sent, or Put on the
 // drop path.
-//
-//simlint:hotpath
 func (r *Router) forwardData(frame []byte, dstRoot byte, key flowhash.Key) {
 	adj := r.nextDataAdj(dstRoot, key)
 	if adj == nil {
@@ -184,8 +176,6 @@ func (r *Router) forwardData(frame []byte, dstRoot byte, key flowhash.Key) {
 // nextDataAdj is the data-plane forwarding decision, the one forwardData
 // sends on and NextDataHop reports: the flow's hash picks among
 // dataCandidates. It returns nil where the packet dies.
-//
-//simlint:hotpath
 func (r *Router) nextDataAdj(dstRoot byte, key flowhash.Key) *adjacency {
 	switch cands := r.dataCandidates(dstRoot); len(cands) {
 	case 0:
@@ -204,8 +194,6 @@ func (r *Router) nextDataAdj(dstRoot byte, key flowhash.Key) *adjacency {
 // adjacency's state, neighborTier and unreachable marks — whose writers bump
 // fwdVersion — and the ports' carrier state. The result is the
 // router's scratch, valid until the next call.
-//
-//simlint:hotpath
 func (r *Router) dataCandidates(dstRoot byte) []*adjacency {
 	eligible := r.eligScratch[:0]
 	// Downward: a VID entry's acquisition port points at the root.
@@ -242,7 +230,7 @@ func (r *Router) deliverToRack(ipWire []byte, dst netaddr.IPv4) {
 	}
 	// ARP miss: ownership moves to arpPending until flushRackPending hands
 	// the frame off.
-	r.arpPending[dst] = append(r.arpPending[dst], frame) //simlint:alloc ARP-miss slow path; the queue drains at resolution
+	r.arpPending[dst] = append(r.arpPending[dst], frame)
 	for _, p := range r.Node.Ports[1:] {
 		if !r.isServerPort(p.Index) {
 			continue

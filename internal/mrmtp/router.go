@@ -311,8 +311,6 @@ func (r *Router) scheduleAdvertise(adj *adjacency) {
 // sendOn transmits an MR-MTP control payload on an adjacency. The payload
 // is copied into a pooled frame, so callers may reuse it afterwards (the
 // cached ADVERTISE is shared across ports and intervals).
-//
-//simlint:hotpath
 func (r *Router) sendOn(adj *adjacency, payload []byte) {
 	r.sendFrame(adj, r.newFrame(payload))
 }
@@ -330,8 +328,6 @@ func (r *Router) newFrame(payload []byte) []byte {
 // the broadcast-addressed header (§VII.F) with the egress port as source,
 // which on a transit frame overwrites the previous hop's, and stamps lastTx
 // so the hello timer can suppress redundant keep-alives.
-//
-//simlint:hotpath
 func (r *Router) sendFrame(adj *adjacency, frame []byte) {
 	adj.lastTx = r.sim().Now()
 	ethernet.PutHeader(frame, netaddr.Broadcast, adj.port.MAC, ethernet.TypeMRMTP)

@@ -3,6 +3,8 @@ package simnet
 import (
 	"testing"
 	"time"
+
+	"repro/internal/budget"
 )
 
 func TestSerializationDelay(t *testing.T) {
@@ -263,8 +265,8 @@ func TestShapedSendAllocs(t *testing.T) {
 		t.Fatalf("standing backlog is %d frames, want 32", q)
 	}
 	rx := sink.rx
-	if avg := testing.AllocsPerRun(200, step); avg > 0 {
-		t.Errorf("Send + delivery behind a backlog allocates %.1f/op, want 0", avg)
+	if allocs, bytes := budget.PerRun(200, step); allocs != 0 || bytes != 0 {
+		t.Errorf("Send + delivery behind a backlog allocates %d objects and %d B per op, want 0 and 0", allocs, bytes)
 	}
 	if sink.rx-rx < 200 {
 		t.Fatalf("only %d deliveries in 200 steps", sink.rx-rx)
@@ -274,8 +276,8 @@ func TestShapedSendAllocs(t *testing.T) {
 		send()
 	}
 	drops := link.Overflowed()
-	if avg := testing.AllocsPerRun(200, send); avg > 0 {
-		t.Errorf("tail drop allocates %.1f/op, want 0", avg)
+	if allocs, bytes := budget.PerRun(200, send); allocs != 0 || bytes != 0 {
+		t.Errorf("tail drop allocates %d objects and %d B per op, want 0 and 0", allocs, bytes)
 	}
 	if link.Overflowed()-drops < 200 {
 		t.Fatalf("only %d tail drops in 200 sends into a full queue", link.Overflowed()-drops)

@@ -61,7 +61,6 @@ func (s *Sim) checkEntry(h *eventHeap, j int) {
 	q := *h
 	ev := q[j].ev
 	if int(ev.idx) != j {
-		//simlint:alloc invariant failure path; boxes only when the heap is already corrupt
 		invariant.Assertf(false,
 			"simnet: heap entry %d back-pointer is %d (at=%v seq=%d)",
 			j, ev.idx, q[j].at, q[j].seq)
@@ -71,7 +70,6 @@ func (s *Sim) checkEntry(h *eventHeap, j int) {
 		if d := ev.dir; d.fly.n == 0 {
 			invariant.Assert(false, "simnet: idle direction's wire record left in the heap")
 		} else if head := d.fly.at(0); q[j].at != head.at || q[j].prio != d.prio || q[j].tie != head.tie {
-			//simlint:alloc invariant failure path; boxes only when the heap is already corrupt
 			invariant.Assertf(false,
 				"simnet: heap entry %d (at=%v tie=%#x) is not its direction's next delivery (at=%v tie=%#x)",
 				j, q[j].at, q[j].tie, head.at, head.tie)
@@ -92,7 +90,6 @@ func (s *Sim) checkEntry(h *eventHeap, j int) {
 	if j > 0 {
 		parent := (j - 1) / 2
 		if entryLess(&q[j], &q[parent]) {
-			//simlint:alloc invariant failure path; boxes only when the heap is already corrupt
 			invariant.Assertf(false,
 				"simnet: heap order broken: entry %d (at=%v seq=%d) < parent %d (at=%v seq=%d)",
 				j, q[j].at, q[j].seq, parent, q[parent].at, q[parent].seq)

@@ -177,7 +177,7 @@ func (s *Sim) alloc() *event {
 		}
 		return ev
 	}
-	return &event{idx: -1} //simlint:alloc freelist warm-up; steady state recycles records
+	return &event{idx: -1}
 }
 
 // release recycles a record that is no longer scheduled. The generation bump
@@ -191,7 +191,7 @@ func (s *Sim) release(ev *event) {
 	ev.gen++
 	ev.kind = evFreed
 	ev.fn = nil
-	s.free = append(s.free, ev) //simlint:alloc freelist growth is amortized; capacity stabilizes at peak in-flight events
+	s.free = append(s.free, ev)
 }
 
 // ctxPrio derives the prio key for an event scheduled in the current
@@ -209,7 +209,7 @@ func (s *Sim) ctxPrio() uint32 {
 // programming error and panics.
 func (s *Sim) schedule(at time.Duration, fn func()) *event {
 	if at < s.now {
-		panic(fmt.Sprintf("simnet: scheduling event at %v before now %v", at, s.now)) //simlint:alloc unreachable except on programmer error; the panic path may allocate
+		panic(fmt.Sprintf("simnet: scheduling event at %v before now %v", at, s.now))
 	}
 	ev := s.alloc()
 	ev.kind, ev.fn = evFunc, fn
@@ -223,7 +223,7 @@ func (s *Sim) schedule(at time.Duration, fn func()) *event {
 
 func (s *Sim) heapPush(h *eventHeap, e heapEntry) {
 	n := len(*h)
-	*h = append(*h, heapEntry{}) //simlint:alloc heap growth is amortized; capacity stabilizes at the heap's peak depth
+	*h = append(*h, heapEntry{})
 	h.siftUp(n, &e)
 	if invariant.Enabled {
 		s.checkHeap(h, int(e.ev.idx))
@@ -507,7 +507,7 @@ func (s *Sim) advance(k *orderKey) {
 	for n > 0 && !k.less(&f[n-1].key) {
 		n--
 	}
-	f = append(f[:n], passMark{}) //simlint:alloc grows only while dispatch keys step back within one instant; one mark otherwise
+	f = append(f[:n], passMark{})
 	// Filled in field by field: a struct literal is built on the stack and
 	// copied with wider loads than it was stored with, which stalls the
 	// pipeline on every event.
@@ -571,8 +571,6 @@ func (t *Timer) pending() bool {
 // Stop cancels the timer if it has not fired, removing its event from the
 // queue at once. It reports whether the call prevented the timer from
 // firing.
-//
-//simlint:hotpath
 func (t *Timer) Stop() bool {
 	if t == nil || !t.pending() {
 		return false
@@ -588,13 +586,11 @@ func (t *Timer) Stop() bool {
 // pending event keeps its record and moves to where the new deadline belongs
 // (no allocation, nothing left behind); a fired or stopped timer is
 // scheduled afresh.
-//
-//simlint:hotpath
 func (t *Timer) Reset(d time.Duration) {
 	s := t.sim
 	at := s.now + d
 	if at < s.now {
-		panic(fmt.Sprintf("simnet: resetting timer to %v before now %v", at, s.now)) //simlint:alloc unreachable except on programmer error; the panic path may allocate
+		panic(fmt.Sprintf("simnet: resetting timer to %v before now %v", at, s.now))
 	}
 	if t.pending() {
 		ev := t.ev
@@ -630,8 +626,6 @@ func (s *Sim) head() *eventHeap {
 }
 
 // Step processes the next event. It reports false when the queue is empty.
-//
-//simlint:hotpath
 func (s *Sim) Step() bool {
 	h := s.head()
 	if h == nil {

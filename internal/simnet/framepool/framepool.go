@@ -23,9 +23,8 @@
 // returned buffer is filled with Poison so that a borrower which kept a
 // slice reads garbage it can be tested for. A missing Put shows as InUse
 // not returning to its baseline once traffic stops (TestFramePoolDrains,
-// the AllocsPerRun budgets, and the framepool rows of
-// workload-telemetry.csv pinned by closlab's TestGoldenArtifacts). The one
-// static check is framealias, which rejects a write or Put after Port.Send.
+// the allocation budgets of DESIGN.md §9, and the framepool rows of
+// workload-telemetry.csv pinned by closlab's TestGoldenArtifacts).
 package framepool
 
 // classSizes are the bucket capacities, chosen around the repo's frame
@@ -95,8 +94,6 @@ func putClass(c int) int {
 // Get returns a zeroed buffer of length n, recycling a returned one when
 // the size class has stock. The caller owns the buffer until it hands it
 // off (Port.Send takes ownership) or returns it with Put.
-//
-//simlint:hotpath
 func (p *Pool) Get(n int) []byte {
 	if n <= 0 {
 		return nil
@@ -118,12 +115,12 @@ func (p *Pool) Get(n int) []byte {
 			return b
 		}
 		p.stats.Fresh++
-		b := make([]byte, n, classSizes[ci]) //simlint:alloc bucket warm-up; steady state recycles buffers
+		b := make([]byte, n, classSizes[ci])
 		p.trackGet(b)
 		return b
 	}
 	p.stats.Fresh++
-	b := make([]byte, n) //simlint:alloc oversized frames bypass the pool by design
+	b := make([]byte, n)
 	p.trackGet(b)
 	return b
 }
@@ -135,8 +132,6 @@ func (p *Pool) Get(n int) []byte {
 // in flight at delivery). Put accepts foreign buffers (ones born from make
 // rather than Get) and nil (a no-op), so drop paths need not track a
 // buffer's origin.
-//
-//simlint:hotpath
 func (p *Pool) Put(b []byte) {
 	if cap(b) == 0 {
 		return
@@ -148,8 +143,27 @@ func (p *Pool) Put(b []byte) {
 	p.trackPut(b)
 	p.stats.InUse--
 	p.stats.Returned++
-	p.buckets[ci] = append(p.buckets[ci], b[:0]) //simlint:alloc bucket growth is amortized; capacity stabilizes at peak dead-buffer churn
+	p.buckets[ci] = append(p.buckets[ci], b[:0])
 }
 
 // Stats returns a snapshot of the pool's occupancy counters.
 func (p *Pool) Stats() Stats { return p.stats }
+
+// Holds reports whether b is, or reslices, a buffer the pool holds: a slice
+// kept after its frame was returned, which reads whatever the buffer carries
+// next. A reslice b[i:] ends where its buffer does, so the last byte of the
+// capacity identifies the buffer.
+func (p *Pool) Holds(b []byte) bool {
+	if cap(b) == 0 {
+		return false
+	}
+	end := &b[:cap(b)][cap(b)-1]
+	for _, bucket := range p.buckets {
+		for _, held := range bucket {
+			if &held[:cap(held)][cap(held)-1] == end {
+				return true
+			}
+		}
+	}
+	return false
+}

@@ -2,6 +2,8 @@ package framepool
 
 import (
 	"testing"
+
+	"repro/internal/budget"
 )
 
 func TestGetReturnsZeroedExactLength(t *testing.T) {
@@ -96,6 +98,24 @@ func TestGetZero(t *testing.T) {
 	}
 	if s := p.Stats(); s.InUse != 0 {
 		t.Errorf("Get(0) counted: %+v", s)
+	}
+}
+
+// TestGetPutAllocs pins the pool's budget: once every class has stock, a
+// Get and its Put allocate nothing, whatever the size.
+func TestGetPutAllocs(t *testing.T) {
+	p := New()
+	sizes := []int{1, 100, 200, 500, 1000, 1500, 4096} // one per class
+	cycle := func() {
+		for _, n := range sizes {
+			p.Put(p.Get(n))
+		}
+	}
+	if allocs, bytes := budget.PerRun(200, cycle); allocs != 0 || bytes != 0 {
+		t.Errorf("Get and Put allocate %d objects and %d B per op, want 0 and 0", allocs, bytes)
+	}
+	if s := p.Stats(); s.Fresh != uint64(len(sizes)) {
+		t.Errorf("%d fresh buffers for %d sizes", s.Fresh, len(sizes))
 	}
 }
 

@@ -77,10 +77,6 @@ type Sim struct {
 	// created without an explicit latency.
 	DefaultLatency time.Duration
 
-	// Trace, when non-nil, receives a line for every noteworthy event
-	// (frame drops, failures). Used by examples and debugging.
-	Trace func(at time.Duration, format string, args ...any)
-
 	events uint64 // total events processed, for stats
 
 	// portFlips counts Port.Fail and Port.Restore: the instants Port.Up
@@ -143,12 +139,6 @@ func (s *Sim) Frames() *framepool.Pool { return s.frames }
 
 // FrameStats reports the frame pool's occupancy counters.
 func (s *Sim) FrameStats() framepool.Stats { return s.frames.Stats() }
-
-func (s *Sim) tracef(format string, args ...any) {
-	if s.Trace != nil {
-		s.Trace(s.now, format, args...)
-	}
-}
 
 // Node is one device: a router, switch, or server.
 type Node struct {
@@ -287,18 +277,12 @@ func (p *Port) Peer() *Port {
 //
 // Send takes ownership of frame: the slice rides in the direction's flight
 // ring until delivery, so the caller must neither retain nor modify it
-// afterwards (the framealias lint rule).
-//
-//simlint:hotpath
+// afterwards. A write shows in the bytes delivered, and a Put before the
+// delivery panics under -tags invariants (DESIGN.md §14).
 func (p *Port) Send(frame []byte) {
 	sim := p.Node.Sim
 	if !p.up || p.Link == nil {
 		p.Counters.TxDropped++
-		// The Trace-nil guard sits out here so the disabled-tracing fast
-		// path neither renders the port name nor boxes the arguments.
-		if sim.Trace != nil {
-			sim.tracef("%s: tx drop (port down), %d bytes", p.Name(), len(frame)) //simlint:alloc trace-only, guarded by Trace != nil
-		}
 		sim.frames.Put(frame) // dropped at the transmitter: no one else holds it
 		return
 	}
@@ -319,17 +303,11 @@ func (p *Port) Send(frame []byte) {
 	if d.impaired {
 		if d.imp.Down {
 			d.lost++
-			if sim.Trace != nil {
-				sim.tracef("%s: frame lost (one-way carrier down), %d bytes", p.Name(), len(frame)) //simlint:alloc trace-only, guarded by Trace != nil
-			}
 			sim.frames.Put(frame)
 			return
 		}
 		if d.imp.LossRate > 0 && d.rand(p).Float64() < d.imp.LossRate {
 			d.lost++
-			if sim.Trace != nil {
-				sim.tracef("%s: frame lost (impairment), %d bytes", p.Name(), len(frame)) //simlint:alloc trace-only, guarded by Trace != nil
-			}
 			sim.frames.Put(frame)
 			return
 		}
@@ -339,9 +317,6 @@ func (p *Port) Send(frame []byte) {
 			// checksumless MAC.
 			frame[d.rand(p).Intn(len(frame))] ^= 0xFF
 			d.corrupted++
-			if sim.Trace != nil {
-				sim.tracef("%s: frame corrupted in transit (%d bytes)", p.Name(), len(frame)) //simlint:alloc trace-only, guarded by Trace != nil
-			}
 		}
 		jitter = d.imp.ExtraLatency
 		if d.imp.Jitter > 0 {
@@ -361,9 +336,6 @@ func (p *Port) Send(frame []byte) {
 		if link.maxQueue > 0 && q >= link.maxQueue {
 			d.overflows++
 			d.overflowBytes += uint64(len(frame))
-			if sim.Trace != nil {
-				sim.tracef("%s: egress queue overflow (%d bytes)", p.Name(), len(frame)) //simlint:alloc trace-only, guarded by Trace != nil
-			}
 			sim.frames.Put(frame)
 			return
 		}
@@ -401,7 +373,7 @@ func (p *Port) Send(frame []byte) {
 	// the direction's flight ring, and draws a seq as any scheduled event.
 	at := sim.now + delay
 	if at < sim.now {
-		panic(fmt.Sprintf("simnet: frame on %s would arrive at %v, before now %v", p.Name(), at, sim.now)) //simlint:alloc unreachable except on a negative latency; the panic path may allocate
+		panic(fmt.Sprintf("simnet: frame on %s would arrive at %v, before now %v", p.Name(), at, sim.now))
 	}
 	d.txSeq++
 	sim.seq++
@@ -417,14 +389,9 @@ func (p *Port) Send(frame []byte) {
 
 // deliver completes a frame's flight: the receiving port's status is checked
 // at arrival time, so frames in flight when a failure hits are lost.
-//
-//simlint:hotpath
 func (s *Sim) deliver(src, dst *Port, link *Link, frame []byte) {
 	if !dst.up || !src.up || src.Link != link {
 		dst.Counters.RxDropped++
-		if s.Trace != nil {
-			s.tracef("%s: rx drop (port down at arrival), %d bytes", dst.Name(), len(frame)) //simlint:alloc trace-only, guarded by Trace != nil
-		}
 		s.frames.Put(frame)
 		return
 	}
@@ -446,7 +413,6 @@ func (p *Port) Fail() {
 	p.up = false
 	sim := p.Node.Sim
 	sim.portFlips++
-	sim.tracef("%s: interface FAILED", p.Name())
 	sim.Schedule(sim.LocalDetectDelay, func() {
 		if p.Node.Handler != nil && !p.up {
 			p.Node.Handler.PortDown(p)
@@ -462,7 +428,6 @@ func (p *Port) Restore() {
 	p.up = true
 	sim := p.Node.Sim
 	sim.portFlips++
-	sim.tracef("%s: interface restored", p.Name())
 	sim.Schedule(sim.LocalDetectDelay, func() {
 		if p.Node.Handler != nil && p.up {
 			p.Node.Handler.PortUp(p)
@@ -480,7 +445,6 @@ func (p *Port) Restore() {
 // (BFD). A port that is already administratively down reports nothing.
 func (p *Port) CarrierFault() {
 	sim := p.Node.Sim
-	sim.tracef("%s: one-way carrier fault", p.Name())
 	sim.Schedule(sim.LocalDetectDelay, func() {
 		if p.Node.Handler != nil && p.up {
 			p.Node.Handler.PortDown(p)
@@ -491,7 +455,6 @@ func (p *Port) CarrierFault() {
 // CarrierRestore reports carrier recovery after a CarrierFault.
 func (p *Port) CarrierRestore() {
 	sim := p.Node.Sim
-	sim.tracef("%s: one-way carrier restored", p.Name())
 	sim.Schedule(sim.LocalDetectDelay, func() {
 		if p.Node.Handler != nil && p.up {
 			p.Node.Handler.PortUp(p)
@@ -573,7 +536,7 @@ type dirState struct {
 // rand returns the direction's private stream, creating it on first use.
 func (d *dirState) rand(from *Port) *rand.Rand {
 	if d.rng == nil {
-		d.rng = rand.New(rand.NewSource(streamSeed(from.Node.Sim.seed, from.Node.Name, uint64(from.Index)+1))) //simlint:alloc one-time per-direction stream setup; only impaired/lossy paths reach it
+		d.rng = rand.New(rand.NewSource(streamSeed(from.Node.Sim.seed, from.Node.Name, uint64(from.Index)+1)))
 	}
 	return d.rng
 }

@@ -3,6 +3,8 @@ package simnet
 import (
 	"testing"
 	"time"
+
+	"repro/internal/budget"
 )
 
 // The tests in this file pin the stop/reset/fire orderings of the Timer
@@ -35,6 +37,29 @@ func TestTimerResetAfterStop(t *testing.T) {
 	s.RunFor(5 * time.Millisecond)
 	if count != 1 {
 		t.Errorf("after Stop then Reset, count = %d, want 1", count)
+	}
+}
+
+// TestTimerAllocs pins the keep-alive timer's budget at nothing: a pending
+// timer moved near and far (into the calendar), stopped, re-armed from the
+// freelist and fired by Step reuses the records it already has.
+func TestTimerAllocs(t *testing.T) {
+	s := New(1)
+	fired := 0
+	tm := s.After(time.Millisecond, func() { fired++ })
+	cycle := func() {
+		tm.Reset(time.Second)
+		tm.Reset(time.Millisecond)
+		tm.Stop()
+		tm.Reset(time.Millisecond)
+		for s.Step() {
+		}
+	}
+	if allocs, bytes := budget.PerRun(200, cycle); allocs != 0 || bytes != 0 {
+		t.Errorf("Reset, Stop and Step allocate %d objects and %d B per op, want 0 and 0", allocs, bytes)
+	}
+	if fired != 201 {
+		t.Errorf("timer fired %d times in 201 cycles", fired)
 	}
 }
 

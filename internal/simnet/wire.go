@@ -67,7 +67,7 @@ func (r *relRing) at(i int) *relKey { return &r.buf[r.slot(i, len(r.buf))] }
 // never outgrows while transmit times are positive.
 func (r *relRing) push(k relKey, maxQueue int) {
 	if r.n == len(r.buf) {
-		buf := make([]relKey, ringGrow(len(r.buf), maxQueue)) //simlint:alloc at most twice per direction when the queue is bounded, amortized doubling when it is not
+		buf := make([]relKey, ringGrow(len(r.buf), maxQueue))
 		for i := 0; i < r.n; i++ {
 			buf[i] = *r.at(i)
 		}
@@ -140,7 +140,7 @@ func (s *Sim) launch(d *dirState, at time.Duration, tie uint64, frame []byte, fh
 		if bound > 0 {
 			bound += 8
 		}
-		buf := make([]flight, ringGrow(len(r.buf), bound)) //simlint:alloc at most twice per direction up to the queue bound; doubles only when more frames are in flight than that
+		buf := make([]flight, ringGrow(len(r.buf), bound))
 		for i := 0; i < r.n; i++ {
 			buf[i] = *r.at(i)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/ipstack"
 	"repro/internal/netaddr"
 	"repro/internal/simnet"
@@ -223,8 +224,8 @@ func TestProbeFlowAllocs(t *testing.T) {
 	s.Start()
 	w.sim.RunFor(time.Second) // ARP resolved, pools and rings grown
 	before := s.Sent()
-	if got := testing.AllocsPerRun(50, func() { w.sim.RunFor(10 * cfg.Interval) }); got != 0 {
-		t.Errorf("ten packets end to end cost %v allocations, want 0", got)
+	if allocs, bytes := budget.PerRun(50, func() { w.sim.RunFor(10 * cfg.Interval) }); allocs != 0 || bytes != 0 {
+		t.Errorf("ten packets end to end allocate %d objects and %d B, want 0 and 0", allocs, bytes)
 	}
 	if sent := s.Sent() - before; sent != 510 {
 		t.Errorf("measured window carried %d packets, want 510", sent)

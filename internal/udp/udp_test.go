@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/budget"
 	"repro/internal/netaddr"
 )
 
@@ -22,6 +23,24 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCodecAllocs pins the codec's budget: Marshal allocates the datagram
+// it returns and nothing else, PutHeader and Unmarshal (with the checksum
+// over the pseudo-header) allocate nothing.
+func TestCodecAllocs(t *testing.T) {
+	d := Datagram{SrcPort: 49152, DstPort: PortBFDControl, Payload: make([]byte, 100)}
+	var wire []byte
+	if allocs, bytes := budget.PerRun(100, func() { wire = d.Marshal(srcIP, dstIP) }); allocs != 1 || bytes != 112 {
+		t.Errorf("Marshal allocates %d objects and %d B per op, want 1 and 112 (the 108-byte datagram in its size class)", allocs, bytes)
+	}
+	var err error
+	if allocs, bytes := budget.PerRun(100, func() {
+		d.PutHeader(srcIP, dstIP, wire)
+		d, err = Unmarshal(srcIP, dstIP, wire)
+	}); allocs != 0 || bytes != 0 || err != nil {
+		t.Errorf("PutHeader and Unmarshal allocate %d objects and %d B per op (err %v), want 0 and 0", allocs, bytes, err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/fluid"
 	"repro/internal/invariant"
 )
@@ -12,15 +13,15 @@ import (
 // the given number of flows — New, the run to completion and Report — on one
 // uncontended solver link, so that only the engine's and the solver's own
 // bookkeeping is counted. The rig under it is built outside the measurement.
-func fluidRunAllocs(t *testing.T, flows int) float64 {
+func fluidRunAllocs(t *testing.T, flows int) (allocs, bytes uint64) {
 	t.Helper()
 	const runs = 3
-	rigs := make([]*rig, runs+1) // AllocsPerRun warms up with one extra call
+	rigs := make([]*rig, runs+1) // PerRun warms up with one extra call
 	for i := range rigs {
 		rigs[i] = newRig(t, 1)
 	}
 	call := 0
-	return testing.AllocsPerRun(runs, func() {
+	return budget.PerRun(runs, func() {
 		w := rigs[call]
 		call++
 		solver := fluid.New(fluid.Config{RateCapBps: 66e6})
@@ -57,11 +58,13 @@ func fluidRunAllocs(t *testing.T, flows int) float64 {
 // size never reach the group's heap, the run doubles exactly as the heap did,
 // and the completions a launch can observe are one slice at either size.
 func TestFluidFlowAllocs(t *testing.T) {
-	if invariant.Enabled || raceEnabled {
+	if invariant.Enabled || budget.Race {
 		t.Skip("budget measured without -tags invariants and without -race")
 	}
-	small, large := fluidRunAllocs(t, 2_000), fluidRunAllocs(t, 20_000)
-	if small != 60 || large != 73 {
-		t.Errorf("a fluid run allocates %.0f objects for 2 000 flows and %.0f for 20 000, want 60 and 73", small, large)
+	small, smallBytes := fluidRunAllocs(t, 2_000)
+	large, largeBytes := fluidRunAllocs(t, 20_000)
+	if small != 60 || smallBytes != 231_610 || large != 73 || largeBytes != 2_211_109 {
+		t.Errorf("a fluid run allocates %d objects and %d B for 2 000 flows and %d and %d B for 20 000, want 60 and 231 610, 73 and 2 211 109",
+			small, smallBytes, large, largeBytes)
 	}
 }

@@ -9,9 +9,6 @@
 //   - directives that match no registered marker (`//simlint:sharde`), which
 //     would otherwise silence nothing and rot silently.
 //
-// Declarative markers (currently //simlint:hotpath) label a site for another
-// analyzer rather than suppressing a finding, and need no reason.
-//
 // The per-site analyzers also reject bare markers they find attached to a
 // real finding; this check additionally catches stale annotations whose
 // finding has since moved or disappeared.
@@ -19,6 +16,7 @@ package justify
 
 import (
 	"go/ast"
+	"slices"
 	"strings"
 
 	"repro/tools/analyzers/analysis"
@@ -46,35 +44,35 @@ func run(pass *analysis.Pass) (any, error) {
 }
 
 func checkComment(pass *analysis.Pass, c *ast.Comment) {
-	text := c.Text
-	if !strings.HasPrefix(text, prefix) {
-		return
-	}
-	word := text
-	if i := strings.IndexAny(text, " \t"); i >= 0 {
-		word = text[:i]
-	}
-	for _, m := range analysis.Markers {
-		if word != m.Comment {
-			continue
-		}
-		if m.Declarative {
-			return
-		}
-		reason := strings.TrimSpace(text[len(word):])
+	word, ok := directive(c.Text)
+	switch {
+	case !ok:
+	case !slices.Contains(analysis.Markers, word):
+		pass.Reportf(c.Pos(), "unknown simlint directive %s (known: %s)", word, knownList())
+	default:
+		reason := strings.TrimSpace(c.Text[len(word):])
 		if reason == "" || strings.HasPrefix(reason, "//") {
 			pass.Reportf(c.Pos(), "%s requires a written justification; say why the site is safe", word)
 		}
-		return
 	}
-	pass.Reportf(c.Pos(), "unknown simlint directive %s (known: %s)", word, knownList())
+}
+
+// directive returns the marker word of a //simlint: comment.
+func directive(text string) (string, bool) {
+	if !strings.HasPrefix(text, prefix) {
+		return "", false
+	}
+	if i := strings.IndexAny(text, " \t"); i >= 0 {
+		return text[:i], true
+	}
+	return text, true
 }
 
 // knownList renders the registered markers for the unknown-directive message.
 func knownList() string {
 	names := make([]string, len(analysis.Markers))
 	for i, m := range analysis.Markers {
-		names[i] = strings.TrimPrefix(m.Comment, prefix)
+		names[i] = strings.TrimPrefix(m, prefix)
 	}
 	return strings.Join(names, ", ")
 }

@@ -35,5 +35,5 @@ func TestUnusedMarkers(t *testing.T) {
 		t.Fatalf("walltime: %v", err)
 	}
 
-	analysistest.Run(t, analysistest.TestData(), justify.UnusedMarkers(nil), "stale")
+	analysistest.Run(t, analysistest.TestData(), justify.UnusedMarkers, "stale")
 }

@@ -1,5 +1,5 @@
 // Package sharedstate enforces the parallel trial harness's purity contract
-// (DESIGN.md §9): code that runs inside harness.runTrials workers must not
+// (DESIGN.md §8): code that runs inside harness.runTrials workers must not
 // reach package-level mutable state, so concurrent trials are data-race-free
 // by construction rather than by -race luck. Because any internal package
 // can be pulled into a trial, the rule is structural: a package-level var is
