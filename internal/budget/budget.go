@@ -10,8 +10,13 @@ import "runtime"
 // dropped. The bytes are what make an amortized append visible: a slice that
 // grows every so many calls reads 0 objects per run, but the doublings copy
 // the slice each time, so it costs bytes on every run on average.
+//
+// It collects once before the warm-up: the process's first collection
+// allocates the collector's worker goroutines on the heap, and a run that
+// happened to trigger it would read them.
 func PerRun(runs int, f func()) (allocs, bytes uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
 	f()
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)

@@ -83,7 +83,7 @@ func TestMultiServerRackAcrossFabric(t *testing.T) {
 func setFabricBandwidth(f *Fabric, bps int64, queue int) {
 	for _, link := range f.Sim.Links() {
 		// Rack links carry a server on one side.
-		if link.A.Node.Meta["tier"] == "server" || link.B.Node.Meta["tier"] == "server" {
+		if f.Topo.Devices[link.A.Node.Name].Tier == topology.TierServer || f.Topo.Devices[link.B.Node.Name].Tier == topology.TierServer {
 			continue
 		}
 		link.SetBandwidth(bps, queue)

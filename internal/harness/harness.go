@@ -154,7 +154,6 @@ func Build(opts Options) (*Fabric, error) {
 		for range dev.Ports[1:] {
 			n.AddPort()
 		}
-		n.Meta["tier"] = dev.Tier.String()
 	}
 	for _, l := range topo.Links {
 		f.Sim.Connect(

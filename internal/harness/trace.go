@@ -52,10 +52,6 @@ const (
 	// traceHopSamplePeriod spaces the per-hop statistic samples exported to
 	// trace-hops.csv.
 	traceHopSamplePeriod = time.Second
-	// traceCoverMemory is how long a cell's past covers stay in its blame
-	// set, so a fault that already triggered rerouting is still blamed on
-	// the path the lost probes actually took.
-	traceCoverMemory = time.Second
 )
 
 // TraceCatalog returns the gray-failure scenarios the trace experiment
@@ -167,26 +163,19 @@ type tracePathHop struct {
 	addr netaddr.IPv4
 }
 
-// stampedCover is one sweep's predicted cover for a cell.
-type stampedCover struct {
-	at    time.Duration
-	links []pathtrace.DirectedLink
-}
-
 // TraceHopSample is one exported per-hop statistics row.
 type TraceHopSample struct {
 	At time.Duration
 	pathtrace.HopSnapshot
 }
 
-// traceRun owns one campaign's prober fleet, coverage history, localizer,
-// and the result it scores as the sweeps run.
+// traceRun owns one campaign's prober fleet, localizer, and the result it
+// scores as the sweeps run.
 type traceRun struct {
 	f          *Fabric
 	tracer     *pathtrace.Tracer
 	loc        *pathtrace.Localizer
 	vants      []traceVantage // by prober ID
-	history    map[int][]stampedCover
 	lastSample time.Duration
 
 	// Set when the faults are applied: the injector whose log each verdict
@@ -204,10 +193,9 @@ type traceRun struct {
 // distance (2 intra-pod, 4 cross-pod).
 func newTraceRun(f *Fabric, flows int) *traceRun {
 	run := &traceRun{
-		f:       f,
-		tracer:  &pathtrace.Tracer{},
-		loc:     pathtrace.NewLocalizer(),
-		history: make(map[int][]stampedCover),
+		f:      f,
+		tracer: &pathtrace.Tracer{},
+		loc:    pathtrace.NewLocalizer(),
 	}
 	for _, src := range f.Topo.Leaves {
 		node := f.Sim.Node(src.Name)
@@ -335,40 +323,14 @@ func (run *traceRun) coverFor(i, ttl int, hops []tracePathHop, links []pathtrace
 	return append(cover, run.replyWalk(i, hops[n-1])...)
 }
 
-// updateHistory folds a cell's current cover into its rolling cover
-// history (pruned to CoverMemory) and returns the union — the cell's blame
-// set — in first-seen order.
-func (run *traceRun) updateHistory(key int, now time.Duration, cover []pathtrace.DirectedLink) []pathtrace.DirectedLink {
-	hist := append(run.history[key], stampedCover{at: now, links: cover})
-	cut := 0
-	for cut < len(hist)-1 && now-hist[cut].at > traceCoverMemory {
-		cut++
-	}
-	hist = hist[cut:]
-	run.history[key] = hist
-	var blame []pathtrace.DirectedLink
-	seen := make(map[pathtrace.DirectedLink]bool)
-	for _, h := range hist {
-		for _, l := range h.links {
-			if !seen[l] {
-				seen[l] = true
-				blame = append(blame, l)
-			}
-		}
-	}
-	return blame
-}
-
 // collectCells builds the coverage matrix: every prober's per-TTL rollups
 // joined with the predicted covers, in deterministic prober-major order.
-func (run *traceRun) collectCells(now time.Duration) []pathtrace.Cell {
+func (run *traceRun) collectCells() []pathtrace.Cell {
 	var cells []pathtrace.Cell
 	for i, p := range run.tracer.Probers() {
 		hops, links := run.forwardWalk(i, p.Cfg.MaxTTL)
 		for _, s := range p.Snapshot() {
-			cover := run.coverFor(i, s.TTL, hops, links)
-			blame := run.updateHistory(s.Prober<<5|s.TTL, now, cover)
-			cells = append(cells, pathtrace.Cell{HopSnapshot: s, Cover: cover, Blame: blame})
+			cells = append(cells, pathtrace.Cell{HopSnapshot: s, Cover: run.coverFor(i, s.TTL, hops, links)})
 		}
 	}
 	return cells
@@ -378,7 +340,7 @@ func (run *traceRun) collectCells(now time.Duration) []pathtrace.Cell {
 // hop-statistics sample.
 func (run *traceRun) arm() {
 	now := run.f.Sim.Now()
-	cells := run.collectCells(now)
+	cells := run.collectCells()
 	run.loc.Arm(now, cells)
 	run.sample(now, cells)
 }
@@ -389,7 +351,7 @@ func (run *traceRun) arm() {
 // dispatch order.
 func (run *traceRun) sweep() {
 	now := run.f.Sim.Now()
-	cells := run.collectCells(now)
+	cells := run.collectCells()
 	res := &run.res
 	for _, a := range run.loc.Sweep(now, cells) {
 		ta := TraceAccusation{Accusation: a, Correct: run.accept[a.Link]}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/chaos"
@@ -100,10 +101,6 @@ type WorkloadResult struct {
 	// GroupLoads is the per-uplink byte spread of every router's
 	// equal-cost uplink group over the run.
 	GroupLoads []workload.GroupLoad
-	// Imbalance summarizes max/mean ratios across busy groups; JainMean
-	// averages their Jain fairness indices.
-	Imbalance stats.Summary
-	JainMean  float64
 
 	Drops     uint64 // egress tail-drops across all links
 	PeakQueue int
@@ -163,19 +160,14 @@ func RunWorkload(opts Options, w WorkloadConfig) (WorkloadResult, error) {
 		}
 	}
 
-	cfg := workload.Config{
-		Pattern:        w.Pattern,
-		Sizes:          w.Sizes,
-		Flows:          w.Flows,
-		MeanArrival:    w.MeanArrival,
-		PacketSize:     w.PacketSize,
-		PacketInterval: w.PacketInterval,
-		DstPort:        49000,
-		RTO:            100 * time.Millisecond,
-		MaxRounds:      60,
-		Seed:           opts.Seed,
-		Mode:           w.Engine,
-	}
+	cfg := workload.DefaultConfig(opts.Seed)
+	cfg.Pattern = w.Pattern
+	cfg.Sizes = w.Sizes
+	cfg.Flows = w.Flows
+	cfg.MeanArrival = w.MeanArrival
+	cfg.PacketSize = w.PacketSize
+	cfg.PacketInterval = w.PacketInterval
+	cfg.Mode = w.Engine
 	if w.Engine != workload.ModePacket {
 		plan, perr := f.buildFluidPlan(w)
 		if perr != nil {
@@ -229,14 +221,11 @@ func RunWorkload(opts Options, w WorkloadConfig) (WorkloadResult, error) {
 	sampler.Stop()
 
 	loads := meter.Read()
-	imb, jain := workload.ImbalanceSummary(loads)
 	res := WorkloadResult{
 		CellID:      CellID{opts.Protocol, opts.Spec.Pods, w.Scenario()},
 		Engine:      w.Engine.String(),
 		Report:      engine.Report(nil),
 		GroupLoads:  loads,
-		Imbalance:   imb,
-		JainMean:    jain,
 		Drops:       sampler.TotalDrops(),
 		PeakQueue:   sampler.PeakQueue(),
 		PeakUtil:    sampler.PeakUtil(),
@@ -345,19 +334,20 @@ func SummarizeWorkload(rs []WorkloadResult) WorkloadSummary {
 		for i, b := range r.Report.Buckets {
 			fcts[i] = append(fcts[i], b.FCTms...)
 		}
+		// Idle groups carry no signal: the ratios pool every busy group, and
+		// each trial adds the mean Jain index of its busy groups.
+		var trialJain float64
+		busyGroups := 0
 		for _, gl := range r.GroupLoads {
-			busy := false
-			for _, b := range gl.Bytes {
-				if b > 0 {
-					busy = true
-					break
-				}
-			}
-			if busy {
+			if slices.ContainsFunc(gl.Bytes, func(b uint64) bool { return b > 0 }) {
 				ratios = append(ratios, gl.MaxOverMean)
+				trialJain += gl.Jain
+				busyGroups++
 			}
 		}
-		jain += r.JainMean
+		if busyGroups > 0 {
+			jain += trialJain / float64(busyGroups)
+		}
 		drops += float64(r.Drops)
 		if r.PeakQueue > s.PeakQueue {
 			s.PeakQueue = r.PeakQueue

@@ -43,14 +43,13 @@ func TestRunWorkloadSteadyState(t *testing.T) {
 	}
 	// Every leaf and pod spine forwarded something, so the imbalance view
 	// must have busy groups with sane indices.
-	if res.Imbalance.N == 0 {
-		t.Fatal("no busy uplink groups measured")
+	for _, gl := range res.GroupLoads {
+		if gl.MaxOverMean < 1 || gl.Jain <= 0 || gl.Jain > 1 {
+			t.Errorf("group %s: max/mean %v, Jain %v; want at least 1 and in (0,1]", gl.Name, gl.MaxOverMean, gl.Jain)
+		}
 	}
-	if res.Imbalance.Min < 1 {
-		t.Errorf("max/mean ratio %v < 1 is impossible", res.Imbalance.Min)
-	}
-	if res.JainMean <= 0 || res.JainMean > 1 {
-		t.Errorf("Jain mean %v outside (0,1]", res.JainMean)
+	if imb := SummarizeWorkload([]WorkloadResult{res}).Imbalance; imb.N == 0 || imb.JainMean <= 0 || imb.JainMean > 1 {
+		t.Errorf("imbalance summary %+v: want busy groups and a Jain mean in (0,1]", imb)
 	}
 	if res.PeakUtil <= 0 {
 		t.Error("shaped links should report nonzero utilization")
@@ -153,8 +152,7 @@ func TestSummarizeWorkloadPoolsBuckets(t *testing.T) {
 				{Name: "L-1-1", Bytes: []uint64{3, 1}, MaxOverMean: 1.5, Jain: 0.8},
 				{Name: "L-1-2", Bytes: []uint64{0, 0}, MaxOverMean: 1, Jain: 1},
 			},
-			JainMean: 0.8,
-			Drops:    2,
+			Drops: 2,
 		}
 	}
 	s := SummarizeWorkload([]WorkloadResult{mk(1), mk(3)})
@@ -164,9 +162,15 @@ func TestSummarizeWorkloadPoolsBuckets(t *testing.T) {
 	if s.Buckets[0].FCT.N != 2 || s.Buckets[0].FCT.Mean != 2 {
 		t.Errorf("pooled FCT summary = %+v, want n=2 mean=2", s.Buckets[0].FCT)
 	}
-	// Idle groups are excluded from the pooled imbalance sample.
-	if s.Imbalance.N != 2 || s.Imbalance.Mean != 1.5 {
-		t.Errorf("imbalance = %+v, want n=2 mean=1.5", s.Imbalance)
+	// Idle groups are excluded from the pooled imbalance sample and from
+	// each trial's Jain mean; a trial with no busy group adds 0.
+	if s.Imbalance.N != 2 || s.Imbalance.Mean != 1.5 || s.Imbalance.JainMean != 0.8 {
+		t.Errorf("imbalance = %+v, want n=2 mean=1.5 jain=0.8", s.Imbalance)
+	}
+	idle := mk(2)
+	idle.GroupLoads = idle.GroupLoads[1:]
+	if imb := SummarizeWorkload([]WorkloadResult{mk(1), idle}).Imbalance; imb.N != 1 || imb.JainMean != 0.4 {
+		t.Errorf("imbalance with an idle trial = %+v, want n=1 jain=0.4", imb)
 	}
 	if s.Drops != 2 {
 		t.Errorf("drops = %v, want mean 2", s.Drops)

@@ -1,6 +1,7 @@
 package pathtrace
 
 import (
+	"slices"
 	"sort"
 	"time"
 )
@@ -20,22 +21,10 @@ import (
 // and the reply path back from that hop.
 type Cell struct {
 	HopSnapshot
-	// Cover is the set of directed links the cell's probes cross right now;
-	// a healthy cell exonerates exactly these.
+	// Cover is the set of directed links the cell's probes cross right now:
+	// a healthy cell exonerates exactly these, an anomalous one blames every
+	// link of its covers over the last coverMemory.
 	Cover []DirectedLink
-	// Blame, when non-nil, is the suspicion set an anomalous cell accuses —
-	// typically the union of its recent covers, so a fault that already
-	// triggered rerouting still blames the path the lost probes actually
-	// took. Nil means Cover.
-	Blame []DirectedLink
-}
-
-// blame returns the suspicion set.
-func (c *Cell) blame() []DirectedLink {
-	if c.Blame != nil {
-		return c.Blame
-	}
-	return c.Cover
 }
 
 // Accusation is one localization verdict.
@@ -81,13 +70,62 @@ const (
 	// the ranking before it is accused. It absorbs the window where a
 	// fresh fault flips formerly healthy cells one sweep at a time.
 	persistSweeps = 3
+	// coverMemory is how long a link stays in a cell's blame set after its
+	// last cover, so a fault that already triggered rerouting is still
+	// blamed on the path the lost probes actually took.
+	coverMemory = time.Second
 )
 
-// Localizer accumulates sweep-to-sweep state: RTT baselines armed before
-// the campaign, the current leader's streak, and links already accused
-// (each link is accused at most once until cleared).
+// cellState is what the localizer keeps per cell: the armed RTT baseline
+// and the blame set, each blamed link with the last time a cover held it.
+type cellState struct {
+	baseline time.Duration
+	armed    bool
+	links    []DirectedLink
+	seen     []time.Duration
+}
+
+// remember folds the cell's current cover into its blame set, forgets the
+// links no cover has held within coverMemory, and returns the rest.
+func (s *cellState) remember(now time.Duration, cover []DirectedLink) []DirectedLink {
+	for _, link := range cover {
+		if i := slices.Index(s.links, link); i >= 0 {
+			s.seen[i] = now
+		} else {
+			s.links = append(s.links, link)
+			s.seen = append(s.seen, now)
+		}
+	}
+	kept := 0
+	for i, at := range s.seen {
+		if now-at <= coverMemory {
+			s.links[kept], s.seen[kept] = s.links[i], at
+			kept++
+		}
+	}
+	s.links, s.seen = s.links[:kept], s.seen[:kept]
+	return s.links
+}
+
+// anomalous classifies a cell against the thresholds.
+func (s *cellState) anomalous(c *Cell) (anom, latency bool) {
+	if c.Sent < minSent {
+		return false, false
+	}
+	if c.LossEWMA >= lossThreshold {
+		return true, false
+	}
+	if s.armed && c.Seen && c.RTTP50-s.baseline >= latencyThreshold {
+		return true, true
+	}
+	return false, false
+}
+
+// Localizer accumulates sweep-to-sweep state: each cell's RTT baseline and
+// blame set, the current leader's streak, and links already accused (each
+// link is accused at most once until cleared).
 type Localizer struct {
-	baseline   map[int]time.Duration // prober<<5|ttl -> armed RTT P50
+	cells      []cellState // by cellKey, grown on demand
 	streakLink DirectedLink
 	streak     int
 	accusedSet map[DirectedLink]bool
@@ -95,37 +133,33 @@ type Localizer struct {
 
 // NewLocalizer builds a localizer.
 func NewLocalizer() *Localizer {
-	return &Localizer{
-		baseline:   make(map[int]time.Duration),
-		accusedSet: make(map[DirectedLink]bool),
-	}
+	return &Localizer{accusedSet: make(map[DirectedLink]bool)}
 }
 
+// cellKey is a cell's identity: prober and TTL (at most MaxTTL, 5 bits).
 func cellKey(c *Cell) int { return c.Prober<<5 | c.TTL }
 
-// Arm records the healthy baseline: per-cell RTT P50s for the latency
-// anomaly test. Call it after warm-up, before fault injection.
+// state returns the cell's state, growing the table to hold it.
+func (l *Localizer) state(c *Cell) *cellState {
+	k := cellKey(c)
+	if k >= len(l.cells) {
+		l.cells = append(l.cells, make([]cellState, k+1-len(l.cells))...)
+	}
+	return &l.cells[k]
+}
+
+// Arm records the healthy baseline — per-cell RTT P50s for the latency
+// anomaly test — and remembers each cover. Call it after warm-up, before
+// fault injection.
 func (l *Localizer) Arm(now time.Duration, cells []Cell) {
 	for i := range cells {
 		c := &cells[i]
+		s := l.state(c)
+		s.remember(now, c.Cover)
 		if c.Seen {
-			l.baseline[cellKey(c)] = c.RTTP50
+			s.baseline, s.armed = c.RTTP50, true
 		}
 	}
-}
-
-// anomalous classifies a cell against the thresholds.
-func (l *Localizer) anomalous(c *Cell) (anom, latency bool) {
-	if c.Sent < minSent {
-		return false, false
-	}
-	if c.LossEWMA >= lossThreshold {
-		return true, false
-	}
-	if base, ok := l.baseline[cellKey(c)]; ok && c.Seen && c.RTTP50-base >= latencyThreshold {
-		return true, true
-	}
-	return false, false
 }
 
 func (l *Localizer) resetStreak() {
@@ -135,7 +169,7 @@ func (l *Localizer) resetStreak() {
 
 // Sweep evaluates one coverage-matrix snapshot and returns the newly
 // accused link, if the matrix isolates one. Every anomalous cell blames
-// its suspicion set; every healthy cell votes for its current cover. A
+// its remembered covers; every healthy cell votes for its current cover. A
 // link is a candidate when it carries minCells of blame and its purity —
 // blame over blame-plus-healthy — clears minPurity. Candidates rank by
 // blame desc, then healthy votes asc (purer first), then name; the leader
@@ -152,10 +186,12 @@ func (l *Localizer) Sweep(now time.Duration, cells []Cell) []Accusation {
 	anomCount := 0
 	for i := range cells {
 		c := &cells[i]
-		anom, latency := l.anomalous(c)
+		s := l.state(c)
+		blame := s.remember(now, c.Cover)
+		anom, latency := s.anomalous(c)
 		if anom {
 			anomCount++
-			for _, link := range c.blame() {
+			for _, link := range blame {
 				suspicion[link]++
 				if latency {
 					latencyVotes[link]++

@@ -1,6 +1,8 @@
 package pathtrace
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -265,30 +267,106 @@ func TestLocalizerAmbiguityDefers(t *testing.T) {
 func TestLocalizerBlameOutlivesReroute(t *testing.T) {
 	// A protocol that reroutes before the loss EWMA crosses threshold
 	// leaves anomalous cells whose *current* cover no longer contains the
-	// faulty link. Blame (the recent-cover union) keeps the faulty link in
-	// the running; the detour ties it on blame but collects healthy votes
-	// from the clean cells now crossing it, so the faulty link ranks purer
-	// and wins.
+	// faulty link. The localizer remembers each cell's covers for
+	// coverMemory, so the faulty link, covered only when the localizer was
+	// armed, stays blamed; the detour ties it on blame but collects healthy
+	// votes from the clean cell now crossing it, so the faulty link ranks
+	// purer and wins. The streak matures on a sweep exactly coverMemory
+	// after the arm: the memory still holds the link there.
 	l := NewLocalizer()
 	faulty := DirectedLink{"S-1-1", "T-1"}
 	detour := DirectedLink{"S-1-2", "T-2"}
 	l.Arm(0, []Cell{mkCell(0, 2, 40, 0, faulty), mkCell(1, 2, 40, 0, faulty)})
 
-	mk := func(prober int, loss float64) Cell {
-		c := mkCell(prober, 2, 60, loss, detour)
-		c.Blame = []DirectedLink{faulty, detour}
-		return c
-	}
-	cells := []Cell{mk(0, 0.6), mk(1, 0.55), mkCell(2, 2, 60, 0, detour)}
+	cells := []Cell{mkCell(0, 2, 60, 0.6, detour), mkCell(1, 2, 60, 0.55, detour), mkCell(2, 2, 60, 0, detour)}
 	var acc []Accusation
-	for i := 0; i < persistSweeps; i++ {
-		if acc = l.Sweep(time.Duration(i+10)*100*time.Millisecond, cells); acc != nil {
-			break
-		}
+	for i := persistSweeps - 1; i >= 0; i-- {
+		acc = l.Sweep(coverMemory-time.Duration(i)*100*time.Millisecond, cells)
 	}
 	if len(acc) != 1 || acc[0].Link != faulty {
 		t.Fatalf("accused %v, want %v", acc, faulty)
 	}
+	// A sweep later the arm's covers are forgotten and only the detour is
+	// blamed.
+	if blame := l.state(&cells[0]).remember(coverMemory+100*time.Millisecond, cells[0].Cover); !slices.Equal(blame, []DirectedLink{detour}) {
+		t.Errorf("blame past coverMemory = %v, want only %v", blame, detour)
+	}
+}
+
+// coverHistory is the blame memory the trace harness kept before the
+// localizer held it, kept as the oracle: every cover with the time it was
+// seen, pruned from the oldest while older than coverMemory (the newest
+// always stays), and the union of what remains.
+type coverHistory []coverEntry
+
+type coverEntry struct {
+	at    time.Duration
+	links []DirectedLink
+}
+
+func (h *coverHistory) update(now time.Duration, cover []DirectedLink) []DirectedLink {
+	hist := append(*h, coverEntry{now, cover})
+	cut := 0
+	for cut < len(hist)-1 && now-hist[cut].at > coverMemory {
+		cut++
+	}
+	*h = hist[cut:]
+	var blame []DirectedLink
+	seen := make(map[DirectedLink]bool)
+	for _, e := range *h {
+		for _, l := range e.links {
+			if !seen[l] {
+				seen[l] = true
+				blame = append(blame, l)
+			}
+		}
+	}
+	return blame
+}
+
+// TestBlameMemoryMatchesHistory holds the per-link last-seen times to the
+// cover history they replaced: random cover sequences over a small link
+// alphabet, on 100 ms steps so a link last covered exactly coverMemory ago
+// is common, into three cells of one localizer, each cell skipping some
+// steps. After every step the two blame sets must be equal as sets.
+func TestBlameMemoryMatchesHistory(t *testing.T) {
+	alphabet := []DirectedLink{
+		{"L-1-1", "S-1-1"}, {"S-1-1", "T-1"}, {"T-1", "S-2-1"}, {"S-2-1", "L-2-1"}, {"S-1-2", "T-2"},
+	}
+	rng := rand.New(rand.NewSource(30))
+	for seq := 0; seq < 300; seq++ {
+		l := NewLocalizer()
+		cells := []Cell{mkCell(0, 1, 0, 0), mkCell(0, 2, 0, 0), mkCell(3, 1, 0, 0)}
+		oracles := make([]coverHistory, len(cells))
+		for step := 0; step < 60; step++ {
+			now := time.Duration(step) * 100 * time.Millisecond
+			for ci := range cells {
+				if rng.Intn(4) == 0 {
+					continue
+				}
+				var cover []DirectedLink
+				for _, link := range alphabet {
+					if rng.Intn(4) == 0 {
+						cover = append(cover, link)
+					}
+				}
+				got := l.state(&cells[ci]).remember(now, cover)
+				want := oracles[ci].update(now, cover)
+				if len(got) != len(want) || !containsAll(got, want) {
+					t.Fatalf("sequence %d, cell %d at %v: blame %v, the cover history says %v", seq, ci, now, got, want)
+				}
+			}
+		}
+	}
+}
+
+func containsAll(set, elems []DirectedLink) bool {
+	for _, e := range elems {
+		if !slices.Contains(set, e) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestLocalizerLatencyAnomaly(t *testing.T) {

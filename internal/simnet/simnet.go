@@ -147,10 +147,6 @@ type Node struct {
 	Ports   []*Port // index 0 unused; ports are 1-based like the paper's VID port numbers
 	Handler Handler
 
-	// Meta carries harness-level labels (tier, pod, VID) without the
-	// simulator depending on topology types.
-	Meta map[string]string
-
 	// id is the node's rank in creation order: the heap ordering key, the
 	// source component of frame tie keys, and the seed of its ports' MACs.
 	id int32
@@ -164,7 +160,7 @@ func (s *Sim) AddNode(name string) *Node {
 		panic("simnet: duplicate node name " + name)
 	}
 	id := int32(len(s.nodeOrder))
-	n := &Node{Name: name, Sim: s, Ports: []*Port{nil}, Meta: make(map[string]string), id: id}
+	n := &Node{Name: name, Sim: s, Ports: []*Port{nil}, id: id}
 	s.nodes[name] = n
 	s.nodeOrder = append(s.nodeOrder, n)
 	return n

@@ -63,8 +63,8 @@ func TestFluidFlowAllocs(t *testing.T) {
 	}
 	small, smallBytes := fluidRunAllocs(t, 2_000)
 	large, largeBytes := fluidRunAllocs(t, 20_000)
-	if small != 60 || smallBytes != 231_610 || large != 73 || largeBytes != 2_211_109 {
-		t.Errorf("a fluid run allocates %d objects and %d B for 2 000 flows and %d and %d B for 20 000, want 60 and 231 610, 73 and 2 211 109",
+	if small != 60 || smallBytes != 231_610 || large != 72 || largeBytes != 2_210_874 {
+		t.Errorf("a fluid run allocates %d objects and %d B for 2 000 flows and %d and %d B for 20 000, want 60 and 231 610, 72 and 2 210 874",
 			small, smallBytes, large, largeBytes)
 	}
 }

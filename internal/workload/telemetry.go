@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/simnet"
-	"repro/internal/stats"
 )
 
 // LinkSample is one observation of one transmit direction of a link.
@@ -268,31 +267,4 @@ func (m *LoadMeter) Read() []GroupLoad {
 		out = append(out, gl)
 	}
 	return out
-}
-
-// ImbalanceSummary reduces group imbalance indices to descriptive
-// statistics, ignoring idle groups (they carry no signal).
-func ImbalanceSummary(loads []GroupLoad) (maxOverMean stats.Summary, jainMean float64) {
-	var ratios []float64
-	var jains float64
-	n := 0
-	for _, gl := range loads {
-		idle := true
-		for _, b := range gl.Bytes {
-			if b > 0 {
-				idle = false
-				break
-			}
-		}
-		if idle {
-			continue
-		}
-		ratios = append(ratios, gl.MaxOverMean)
-		jains += gl.Jain
-		n++
-	}
-	if n > 0 {
-		jainMean = jains / float64(n)
-	}
-	return stats.Summarize(ratios), jainMean
 }

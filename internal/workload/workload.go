@@ -147,7 +147,7 @@ func DefaultConfig(seed int64) Config {
 		DstPort:        49000,
 		RTO:            100 * time.Millisecond,
 		MaxRounds:      60,
-		Seed:           1,
+		Seed:           seed,
 	}
 }
 

@@ -122,6 +122,32 @@ func hybridConfig(flows int, resolves func(*Flow) bool) Config {
 	return cfg
 }
 
+// TestDefaultConfigSeedsTheSchedule: DefaultConfig's seed drives the flow
+// schedule — two seeds draw different arrivals and pairings, one seed the
+// same schedule twice.
+func TestDefaultConfigSeedsTheSchedule(t *testing.T) {
+	schedule := func(seed int64) (starts []time.Duration, pairs [][2]int) {
+		e, err := New(nil, newRig(t, 1).hosts, DefaultConfig(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range e.flows {
+			starts = append(starts, f.Start)
+			pairs = append(pairs, [2]int{f.Src, f.Dst})
+		}
+		return starts, pairs
+	}
+	starts1, pairs1 := schedule(1)
+	starts2, pairs2 := schedule(2)
+	if slices.Equal(starts1, starts2) || slices.Equal(pairs1, pairs2) {
+		t.Error("seeds 1 and 2 drew the same arrivals or the same pairings")
+	}
+	again, pairsAgain := schedule(2)
+	if !slices.Equal(starts2, again) || !slices.Equal(pairs2, pairsAgain) {
+		t.Error("seed 2 drew two different schedules")
+	}
+}
+
 func TestEngineCompletesAllFlows(t *testing.T) {
 	w := newRig(t, 1)
 	e, err := New(nil, w.hosts, smallConfig(3))
@@ -520,15 +546,8 @@ func TestLoadMeterIndices(t *testing.T) {
 	if got := loads[0].Jain; got < 0.799 || got > 0.801 {
 		t.Errorf("jain = %v, want 0.8", got)
 	}
-	if loads[1].MaxOverMean != 1 || loads[1].Jain != 1 {
-		t.Errorf("idle group = %+v, want neutral indices", loads[1])
-	}
-	summary, jain := ImbalanceSummary(loads)
-	if summary.N != 1 {
-		t.Errorf("idle group included in summary: %+v", summary)
-	}
-	if jain < 0.799 || jain > 0.801 {
-		t.Errorf("jain mean = %v", jain)
+	if loads[1].MaxOverMean != 1 || loads[1].Jain != 1 || slices.ContainsFunc(loads[1].Bytes, func(b uint64) bool { return b > 0 }) {
+		t.Errorf("idle group = %+v, want neutral indices over no bytes", loads[1])
 	}
 }
 
