@@ -29,7 +29,7 @@ fmt-check:
 # packet-processing code, trial purity, and justified, still-live escape
 # hatches. The hot-path contract (DESIGN.md §9) is not a lint rule: the
 # allocation budgets in `make test` hold it, and `make invariants` enforces
-# pool discipline at runtime (DESIGN.md §14).
+# pool discipline at runtime (DESIGN.md §13).
 # staticcheck runs too when installed; it is not vendored, so a bare
 # container skips it rather than failing.
 lint:
@@ -83,9 +83,9 @@ closbench-digest:
 	$(GO) run ./bench -workload fabric-scale -reps 1 | tail -n 1 | grep -q '"correct":true'
 	$(GO) run ./bench -workload convergence-grid -reps 1 | tail -n 1 | grep -q '"correct":true'
 
-# fluid-smoke is the race-enabled tripwire wired into `make check`: one
-# hybrid workload trial end to end — path resolution, rate reallocation,
-# demotion to the packet path, and the engine-tagged artifacts.
+# fluid-smoke is a race-enabled tripwire: one hybrid workload trial end to
+# end — path resolution, rate reallocation, demotion to the packet path, and
+# the engine-tagged artifacts.
 fluid-smoke:
 	$(GO) run -race ./cmd/closlab -experiment workload -engine hybrid -pods 2 -trials 1 -flows 60 -out /tmp/closlab-fluid-smoke
 
@@ -138,4 +138,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseJournal -fuzztime $(FUZZ_TIME) ./internal/harness
 	$(GO) test -run '^$$' -fuzz FuzzQueueOrder -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./internal/simnet
 
-check: fmt-check build vet lint test race trace-smoke fluid-smoke
+# check runs locally what CI's check, lint and three smoke jobs (chaos,
+# trace, fluid) run; invariants, analyzers, fuzz-smoke and closbench-digest
+# are their own targets, as they are their own CI jobs.
+check: fmt-check build vet lint test race chaos-smoke trace-smoke fluid-smoke

@@ -6,7 +6,7 @@
 //
 //	topogen -pods 4                      # emit the 4-PoD Listing-2 JSON
 //	topogen -pods 8 -leaves 4 -spines 4  # scale-out fabric (paper §IX)
-//	topogen -pods 8 -servers-per-tor 2   # clos_tinet_scale.py flag spelling
+//	topogen -pods 8 -servers 2           # two servers per rack
 //	topogen -validate config.json        # check an existing file
 //	topogen -pods 4 -summary             # device/link inventory only
 package main
@@ -25,14 +25,9 @@ func main() {
 	spines := flag.Int("spines", 2, "tier-2 spines per PoD")
 	uplinks := flag.Int("uplinks", 2, "uplinks per tier-2 spine")
 	servers := flag.Int("servers", 1, "servers per rack")
-	serversPerTor := flag.Int("servers-per-tor", 0,
-		"alias for -servers (the clos_tinet_scale.py spelling); overrides -servers when set")
 	summary := flag.Bool("summary", false, "print the fabric inventory instead of JSON")
 	validate := flag.String("validate", "", "validate an existing Listing-2 JSON file")
 	flag.Parse()
-	if *serversPerTor > 0 {
-		*servers = *serversPerTor
-	}
 
 	if *validate != "" {
 		data, err := os.ReadFile(*validate)

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/metrics"
@@ -97,8 +98,10 @@ func (in *Injector) applyFlapStorm(f Fault) error {
 	if err != nil {
 		return err
 	}
-	// Each cycle: down for (1-Duty)·Period, then up for the rest.
-	down := time.Duration((1 - f.Duty) * float64(f.Period.D()))
+	// Each cycle: down for (1-Duty)·Period, then up for the rest. The product
+	// is rounded: truncating it restores a 0.8-duty, 1 s storm 1 ns before
+	// its 200 ms (0.2 is not exact in binary).
+	down := time.Duration(math.Round((1 - f.Duty) * float64(f.Period.D())))
 	for i := 0; i < f.Flaps; i++ {
 		at := f.Start.D() + time.Duration(i)*f.Period.D()
 		flap := i + 1

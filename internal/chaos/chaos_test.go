@@ -152,7 +152,7 @@ func TestFlapStormSchedule(t *testing.T) {
 
 	// Each cycle: down at start, up after (1-0.4)·100ms = 60ms.
 	h := hs["a"]
-	detect := s.LocalDetectDelay
+	detect := simnet.LocalDetectDelay
 	wantDowns := []time.Duration{10 * time.Millisecond, 110 * time.Millisecond, 210 * time.Millisecond}
 	wantUps := []time.Duration{70 * time.Millisecond, 170 * time.Millisecond, 270 * time.Millisecond}
 	if len(h.downs) != 3 || len(h.ups) != 3 {
@@ -199,6 +199,47 @@ func TestFlapStormSchedule(t *testing.T) {
 	}
 	if parsed, err := metrics.Parse(metrics.Render(log.Events)); err != nil || !reflect.DeepEqual(parsed, wantLog) {
 		t.Errorf("journal round trip = %+v, %v, want %+v", parsed, err, wantLog)
+	}
+}
+
+// The harness catalog's two storms restore each flap exactly Period·(1−Duty)
+// after its fail. flap-storm's (1−0.8)·1 s is 199 999 999.99999997 ns in
+// floating point, so truncating the product restored it 1 ns early.
+func TestFlapStormDownTimeIsExact(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		flaps  int
+		period time.Duration
+		duty   float64
+		down   time.Duration
+	}{
+		{"flap-storm", 6, time.Second, 0.8, 200 * time.Millisecond},
+		{"flap-burst", 8, 250 * time.Millisecond, 0.4, 150 * time.Millisecond},
+	} {
+		s, _ := fabric(t)
+		spec := Spec{Name: c.name, Faults: []Fault{{
+			Kind: FlapStorm, Link: LinkRef{"a", "b"}, Start: Duration(500 * time.Millisecond),
+			Flaps: c.flaps, Period: Duration(c.period), Duty: c.duty,
+		}}}
+		in, err := Apply(s, spec, nil)
+		if err != nil {
+			t.Fatalf("%s: Apply: %v", c.name, err)
+		}
+		s.Start()
+		s.RunFor(spec.Horizon())
+		evs := in.Events
+		if len(evs) != 2*c.flaps {
+			t.Fatalf("%s: injector logged %d events, want %d", c.name, len(evs), 2*c.flaps)
+		}
+		for i := 0; i < len(evs); i += 2 {
+			fail, restore := evs[i], evs[i+1]
+			if fail.Action != "fail" || restore.Action != "restore" {
+				t.Fatalf("%s: events %d-%d are %s/%s, want fail/restore", c.name, i, i+1, fail.Action, restore.Action)
+			}
+			if got := restore.At - fail.At; got != c.down {
+				t.Errorf("%s: flap %d restores %v after its fail at %v, want %v", c.name, i/2+1, got, fail.At, c.down)
+			}
+		}
 	}
 }
 
@@ -294,7 +335,7 @@ func TestCorrelatedStagger(t *testing.T) {
 	s.RunFor(spec.Horizon() + 50*time.Millisecond)
 
 	h := hs["b"]
-	detect := s.LocalDetectDelay
+	detect := simnet.LocalDetectDelay
 	if len(h.downs) != 2 || len(h.ups) != 2 {
 		t.Fatalf("b saw %d downs / %d ups, want 2/2", len(h.downs), len(h.ups))
 	}

@@ -415,7 +415,7 @@ func (s *Solver) freeze(g *group) {
 // failure that moved the forwarding decision moves the group's reservation
 // with it. Groups whose representative no longer resolves keep their stale
 // path; the hybrid demotion window exists precisely so few fluid flows
-// straddle such events (DESIGN.md §15, fidelity limits). The group's old
+// straddle such events (DESIGN.md §14, fidelity limits). The group's old
 // path key is retired, so later admissions on either path form or join
 // groups matching the tables they were resolved against.
 func (s *Solver) Repath(resolve func(id uint32) (path []LinkID, latency time.Duration, ok bool)) {

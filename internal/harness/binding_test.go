@@ -48,7 +48,7 @@ func TestBindingMatchesNames(t *testing.T) {
 					t.Fatalf("%s: %s has router %v and stack %v, want exactly one forwarding plane", where, name, b.router, b.stack)
 				}
 			}
-			plan, err := f.buildFluidPlan(DefaultWorkloadConfig())
+			plan, err := f.buildFluidPlan(DefaultWorkloadConfig().LinkBps, workload.DefaultConfig(0))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,13 +64,13 @@ func TestBindingMatchesNames(t *testing.T) {
 						t.Fatalf("%s: %s is filed under link ID %d (seen before: %v)", where, port.Name(), id, seen[id])
 					}
 					seen[id] = true
-					peer := port.Link.Other(port)
-					out, back := port.Link.FluidLoad(port), port.Link.FluidLoad(peer)
+					peer := port.Peer()
+					out, back := port.Link.Stats(port).FluidBps, port.Link.Stats(peer).FluidBps
 					plan.solver.Admit(uint32(len(seen)), 1_000_000, []fluid.LinkID{id}, 0, 0)
 					plan.solver.Reallocate(0)
-					if port.Link.FluidLoad(port) <= out || port.Link.FluidLoad(peer) != back {
+					if port.Link.Stats(port).FluidBps <= out || port.Link.Stats(peer).FluidBps != back {
 						t.Fatalf("%s: a flow admitted on %s's link ID %d moved the load leaving it %d→%d and the load entering it %d→%d",
-							where, port.Name(), id, out, port.Link.FluidLoad(port), back, port.Link.FluidLoad(peer))
+							where, port.Name(), id, out, port.Link.Stats(port).FluidBps, back, port.Link.Stats(peer).FluidBps)
 					}
 				}
 			}
@@ -225,7 +225,7 @@ const (
 )
 
 func newWalkOracle(t *testing.T, f *Fabric) *walkOracle {
-	plan, err := f.buildFluidPlan(DefaultWorkloadConfig())
+	plan, err := f.buildFluidPlan(DefaultWorkloadConfig().LinkBps, workload.DefaultConfig(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,11 +14,6 @@ import (
 // flap storms, and the QDSA accept/reject transitions that show whether
 // Slow-to-Accept actually dampens.
 
-// ChaosSettleTime bounds the post-campaign observation window, matching
-// SettleTime's rationale: plain BGP's 3 s hold timer is the slowest
-// detector, and dissemination needs headroom after the last fault clears.
-const ChaosSettleTime = SettleTime
-
 // reconvergenceGap separates reconvergence waves: route events closer
 // together than this belong to one convergence episode, a larger gap
 // starts a new one. A quarter second sits well above any single episode's
@@ -135,7 +130,7 @@ func RunChaos(opts Options, spec chaos.Spec) (ChaosResult, error) {
 	if err != nil {
 		return ChaosResult{}, err
 	}
-	f.Sim.RunFor(spec.Horizon() + ChaosSettleTime)
+	f.Sim.RunFor(spec.Horizon() + SettleTime)
 	endSeq := probe.sender.Seq()
 	probe.sender.Stop()
 	f.Sim.RunFor(time.Second) // drain in-flight packets

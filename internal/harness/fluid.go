@@ -33,20 +33,18 @@ type fluidPlan struct {
 	delay [][]time.Duration
 }
 
-// buildFluidPlan registers both directions of every fabric link with a fresh
-// solver. The apply hooks reserve the committed share on the wire, so packet
-// and fluid traffic compete for the same capacity. The per-flow rate cap
-// mirrors the packet engine's pacing (one packet per PacketInterval), which
-// is what keeps uncongested-path FCTs comparable across engines.
-func (f *Fabric) buildFluidPlan(w WorkloadConfig) (*fluidPlan, error) {
-	if w.LinkBps <= 0 {
+// buildFluidPlan registers both directions of every fabric link, each of
+// linkBps, with a fresh solver. The apply hooks reserve the committed share on
+// the wire, so packet and fluid traffic compete for the same capacity. The
+// per-flow rate cap mirrors the packet engine's pacing (one cfg.PacketSize
+// packet per cfg.PacketInterval), which is what keeps uncongested-path FCTs
+// comparable across engines.
+func (f *Fabric) buildFluidPlan(linkBps int64, cfg workload.Config) (*fluidPlan, error) {
+	if linkBps <= 0 {
 		return nil, fmt.Errorf("fluid engine needs rate-limited links (LinkBps > 0): an unshaped fabric has no capacities to allocate")
 	}
-	if w.PacketSize <= 0 || w.PacketInterval <= 0 {
-		return nil, fmt.Errorf("fluid engine needs PacketSize and PacketInterval for the pacing-equivalent rate cap")
-	}
-	capBps := float64(w.PacketSize*8) / w.PacketInterval.Seconds()
-	serial := time.Duration(int64(w.PacketSize) * 8 * int64(time.Second) / w.LinkBps)
+	capBps := float64(cfg.PacketSize*8) / cfg.PacketInterval.Seconds()
+	serial := time.Duration(int64(cfg.PacketSize) * 8 * int64(time.Second) / linkBps)
 	plan := &fluidPlan{
 		solver: fluid.New(fluid.Config{RateCapBps: capBps}),
 		ids:    make([][]fluid.LinkID, len(f.bound)),
@@ -64,7 +62,7 @@ func (f *Fabric) buildFluidPlan(w WorkloadConfig) (*fluidPlan, error) {
 		for _, from := range []*simnet.Port{link.A, link.B} {
 			from := from
 			ord := f.Topo.Devices[from.Node.Name].Ordinal
-			plan.ids[ord][from.Index] = plan.solver.AddLink(w.LinkBps, func(bps int64, at time.Duration) {
+			plan.ids[ord][from.Index] = plan.solver.AddLink(linkBps, func(bps int64, at time.Duration) {
 				link.SetFluidLoad(from, bps, at)
 			})
 			plan.delay[ord][from.Index] = link.Latency + serial

@@ -153,7 +153,7 @@ func TestHybridMatchesPacketFCT(t *testing.T) {
 		// The published arrival rate: a busy-but-stable fabric. The gate
 		// compares the engines in the steady-state regime where the
 		// packet engine is not loss-driven — a lossless fluid model has
-		// no analogue of RTO-quantized repair tails (DESIGN.md §15).
+		// no analogue of RTO-quantized repair tails (DESIGN.md §14).
 		w.MaxRun = 60 * time.Second
 		opts := DefaultOptions(topology.TwoPodSpec(), ProtoMRMTP, 7)
 

@@ -204,9 +204,7 @@ func (f *Fabric) buildMRMTP() {
 		// time-exceeded reply attributable to this hop (same ID space as
 		// the BGP fabric's router IDs).
 		cfg.Identity = routerID(d)
-		if f.Opts.MTPAccept > 0 {
-			cfg.AcceptHellos = f.Opts.MTPAccept
-		}
+		cfg.AcceptHellos = f.Opts.MTPAccept
 		if d.Tier == topology.TierLeaf {
 			cfg.ServerPort = d.ServerPort
 			cfg.RackSubnet = d.ServerSubnet

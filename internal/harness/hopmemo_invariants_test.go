@@ -20,7 +20,7 @@ func TestHopMemoCheckDetectsCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := f.buildFluidPlan(DefaultWorkloadConfig())
+		plan, err := f.buildFluidPlan(DefaultWorkloadConfig().LinkBps, workload.DefaultConfig(0))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,17 +50,17 @@ func TestMultiTierTopologyShape(t *testing.T) {
 	}
 	// Plane wiring spot checks: pod spine S-1-1-1 uplinks to A-1-1, A-1-3;
 	// zone spine A-1-1 uplinks to T-1, T-5.
-	sp := topo.Device("S-1-1-1")
+	sp := topo.Devices["S-1-1-1"]
 	if sp.Ports[1].Peer.Device.Name != "A-1-1" || sp.Ports[2].Peer.Device.Name != "A-1-3" {
 		t.Errorf("S-1-1-1 uplinks: %s, %s", sp.Ports[1].Peer.Device.Name, sp.Ports[2].Peer.Device.Name)
 	}
-	agg := topo.Device("A-1-1")
+	agg := topo.Devices["A-1-1"]
 	if agg.Ports[1].Peer.Device.Name != "T-1" || agg.Ports[2].Peer.Device.Name != "T-5" {
 		t.Errorf("A-1-1 uplinks: %s, %s", agg.Ports[1].Peer.Device.Name, agg.Ports[2].Peer.Device.Name)
 	}
 	// Level sequence along a path: 1,2,3,4.
-	leaf := topo.Device("L-1-1-1")
-	if leaf.Level != 1 || sp.Level != 2 || agg.Level != 3 || topo.Device("T-1").Level != 4 {
+	leaf := topo.Devices["L-1-1-1"]
+	if leaf.Level != 1 || sp.Level != 2 || agg.Level != 3 || topo.Devices["T-1"].Level != 4 {
 		t.Error("levels wrong along the column")
 	}
 }
@@ -261,7 +261,7 @@ func TestRouterIDsUnique(t *testing.T) {
 	for name, want := range map[string]netaddr.IPv4{
 		"L-2-1": netaddr.MakeIPv4(10, 1, 2, 1), "S-1-2": netaddr.MakeIPv4(10, 2, 1, 2), "T-4": netaddr.MakeIPv4(10, 3, 0, 4),
 	} {
-		if got := routerID(topo.Device(name)); got != want {
+		if got := routerID(topo.Devices[name]); got != want {
 			t.Errorf("routerID(%s) = %s, want %s", name, got, want)
 		}
 	}

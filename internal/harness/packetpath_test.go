@@ -77,20 +77,15 @@ func TestFramePoolDrains(t *testing.T) {
 			for _, link := range f.Sim.Links() {
 				link.SetBandwidth(w.LinkBps, w.LinkQueue)
 			}
-			engine, err := workload.New(f.Sim, f.WorkloadHosts(), workload.Config{
-				Pattern:        workload.PatternRandom,
-				Sizes:          workload.FixedSize(60_000),
-				Flows:          200,
-				MeanArrival:    300 * time.Microsecond,
-				PacketSize:     w.PacketSize,
-				PacketInterval: w.PacketInterval,
-				DstPort:        49000,
-				// An RTO inside the queueing delay re-offers packets that are
-				// merely late, so the sinks see duplicates as well.
-				RTO:       2 * time.Millisecond,
-				MaxRounds: 1000,
-				Seed:      7,
-			})
+			cfg := workload.DefaultConfig(7)
+			cfg.Sizes = workload.FixedSize(60_000)
+			cfg.Flows = 200
+			cfg.MeanArrival = 300 * time.Microsecond
+			// An RTO inside the queueing delay re-offers packets that are
+			// merely late, so the sinks see duplicates as well.
+			cfg.RTO = 2 * time.Millisecond
+			cfg.MaxRounds = 1000
+			engine, err := workload.New(f.Sim, f.WorkloadHosts(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -27,7 +27,7 @@ func newResolveRig(tb testing.TB, proto Protocol) *resolveRig {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	plan, err := f.buildFluidPlan(DefaultWorkloadConfig())
+	plan, err := f.buildFluidPlan(DefaultWorkloadConfig().LinkBps, workload.DefaultConfig(0))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -17,30 +16,22 @@ import (
 // state and with a failure injected while flows are in flight. It is the
 // stress test the paper's single-probe methodology (§VI.D) does not cover.
 
-// WorkloadConfig parameterizes a workload run on a fabric.
+// WorkloadConfig parameterizes a workload run on a fabric. Packet size and
+// pacing are workload.DefaultConfig's.
 type WorkloadConfig struct {
-	Flows          int
-	Pattern        workload.Pattern
-	Sizes          workload.SizeDist
-	MeanArrival    time.Duration
-	PacketSize     int
-	PacketInterval time.Duration
+	Flows       int
+	Pattern     workload.Pattern
+	Sizes       workload.SizeDist
+	MeanArrival time.Duration
 
 	// LinkBps rate-limits every link (0 leaves links ideal); LinkQueue
 	// bounds each egress queue in frames.
 	LinkBps   int64
 	LinkQueue int
 
-	// MidFailure injects FailCase once FailAfter of traffic has run.
+	// MidFailure injects workloadFailCase once FailAfter of traffic has run.
 	MidFailure bool
-	FailCase   topology.FailureCase
 	FailAfter  time.Duration
-
-	// Chaos, when set, applies a fault-injection campaign FailAfter into
-	// the run instead of the single clean FailCase — flows under flap
-	// storms, gray loss or drains rather than one `ip link set down`.
-	// It takes precedence over MidFailure.
-	Chaos *chaos.Spec
 
 	// MaxRun caps the virtual time spent waiting for flows to finish.
 	MaxRun time.Duration
@@ -59,33 +50,30 @@ type WorkloadConfig struct {
 // hybrid mode: the websearch mix's mice.
 const fluidCutoff = 10_000
 
-// DefaultWorkloadConfig is the published experiment: a websearch mix on the
-// random pattern, links at 200 Mb/s with 64-frame queues, and (mid-failure
-// scenario) the TC2 failure — the case where the paper measures the largest
-// packet-loss gap between the protocols.
+// workloadFailCase is the mid-failure scenario's failure: TC2, the case where
+// the paper measures the largest packet-loss gap between the protocols.
+const workloadFailCase = topology.TC2
+
+// DefaultWorkloadConfig is the published experiment: workload.DefaultConfig's
+// websearch mix on the random pattern, links at 200 Mb/s with 64-frame
+// queues, and (mid-failure scenario) workloadFailCase 400 ms into the load.
 func DefaultWorkloadConfig() WorkloadConfig {
+	mix := workload.DefaultConfig(0)
 	return WorkloadConfig{
-		Flows:          160,
-		Pattern:        workload.PatternRandom,
-		Sizes:          workload.WebSearchMix(),
-		MeanArrival:    8 * time.Millisecond,
-		PacketSize:     1000,
-		PacketInterval: 120 * time.Microsecond,
+		Flows:          mix.Flows,
+		Pattern:        mix.Pattern,
+		Sizes:          mix.Sizes,
+		MeanArrival:    mix.MeanArrival,
 		LinkBps:        200_000_000,
 		LinkQueue:      64,
-		FailCase:       topology.TC2,
 		FailAfter:      400 * time.Millisecond,
 		MaxRun:         30 * time.Second,
 		SampleInterval: 10 * time.Millisecond,
 	}
 }
 
-// Scenario names the workload scenario, e.g. "steady", "midfail" or
-// "chaos:flap-storm".
+// Scenario names the workload scenario: "steady" or "midfail".
 func (w WorkloadConfig) Scenario() string {
-	if w.Chaos != nil {
-		return "chaos:" + w.Chaos.Name
-	}
 	if w.MidFailure {
 		return "midfail"
 	}
@@ -154,10 +142,8 @@ func RunWorkload(opts Options, w WorkloadConfig) (WorkloadResult, error) {
 	// Sample timer phase like the other experiments, then shape the links
 	// only after the fabric is converged so warm-up stays cheap.
 	f.Sim.RunFor(f.drawPhase())
-	if w.LinkBps > 0 {
-		for _, link := range f.Sim.Links() {
-			link.SetBandwidth(w.LinkBps, w.LinkQueue)
-		}
+	for _, link := range f.Sim.Links() {
+		link.SetBandwidth(w.LinkBps, w.LinkQueue)
 	}
 
 	cfg := workload.DefaultConfig(opts.Seed)
@@ -165,11 +151,9 @@ func RunWorkload(opts Options, w WorkloadConfig) (WorkloadResult, error) {
 	cfg.Sizes = w.Sizes
 	cfg.Flows = w.Flows
 	cfg.MeanArrival = w.MeanArrival
-	cfg.PacketSize = w.PacketSize
-	cfg.PacketInterval = w.PacketInterval
 	cfg.Mode = w.Engine
 	if w.Engine != workload.ModePacket {
-		plan, perr := f.buildFluidPlan(w)
+		plan, perr := f.buildFluidPlan(w.LinkBps, cfg)
 		if perr != nil {
 			return WorkloadResult{}, perr
 		}
@@ -177,7 +161,7 @@ func RunWorkload(opts Options, w WorkloadConfig) (WorkloadResult, error) {
 		cfg.PathOf = f.pathFunc(plan, cfg.DstPort)
 		cfg.FluidCutoff = fluidCutoff
 		cfg.RateInterval = w.RateInterval
-		if w.MidFailure || w.Chaos != nil {
+		if w.MidFailure {
 			// Flows predicted to straddle the fault keep packet fidelity:
 			// demote from injection until reconvergence has settled.
 			cfg.DemoteFrom = w.FailAfter
@@ -197,25 +181,14 @@ func RunWorkload(opts Options, w WorkloadConfig) (WorkloadResult, error) {
 	engine.Start()
 	sampler.Start()
 	start := f.Sim.Now()
-	switch {
-	case w.Chaos != nil:
+	if w.MidFailure {
 		f.Sim.RunFor(w.FailAfter)
-		if _, err := chaos.Apply(f.Sim, *w.Chaos, f.Log); err != nil {
-			return WorkloadResult{}, err
-		}
-		f.repathFluid(w, engine)
-	case w.MidFailure:
-		f.Sim.RunFor(w.FailAfter)
-		if _, err := f.Fail(w.FailCase); err != nil {
+		if _, err := f.Fail(workloadFailCase); err != nil {
 			return WorkloadResult{}, err
 		}
 		f.repathFluid(w, engine)
 	}
-	maxRun := w.MaxRun
-	if maxRun <= 0 {
-		maxRun = 30 * time.Second
-	}
-	for !engine.Done() && f.Sim.Now()-start < maxRun {
+	for !engine.Done() && f.Sim.Now()-start < w.MaxRun {
 		f.Sim.RunFor(50 * time.Millisecond)
 	}
 	sampler.Stop()

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -79,36 +78,6 @@ func TestRunWorkloadMidFailureRepairs(t *testing.T) {
 	}
 	if res.Report.Retransmits == 0 {
 		t.Error("expected retransmits repairing packets lost to the failure")
-	}
-}
-
-func TestRunWorkloadUnderChaos(t *testing.T) {
-	w := smallWorkload()
-	// A compressed flap-burst on L-1-1's uplink, timed to overlap the
-	// arrival window (the catalog's 500 ms lead-in would outlive these
-	// short flows).
-	w.Chaos = &chaos.Spec{Name: "flap-burst", Faults: []chaos.Fault{{
-		Kind: chaos.FlapStorm, Link: chaos.LinkRef{Device: "L-1-1", Peer: "S-1-1"},
-		Start: chaos.Duration(10 * time.Millisecond), Flaps: 4,
-		Period: chaos.Duration(100 * time.Millisecond), Duty: 0.5,
-	}}}
-	w.MeanArrival = 10 * time.Millisecond
-	w.FailAfter = 20 * time.Millisecond
-	res, err := RunWorkload(DefaultOptions(topology.TwoPodSpec(), ProtoMRMTP, 42), w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Scenario != "chaos:flap-burst" {
-		t.Errorf("scenario = %q, want chaos:flap-burst", res.Scenario)
-	}
-	// The storm takes one of two equal-cost uplinks in and out; the
-	// engine's retransmission machinery must still land every flow.
-	if res.Report.Completed != res.Report.Flows {
-		t.Fatalf("completed %d/%d flows under the flap storm, want all",
-			res.Report.Completed, res.Report.Flows)
-	}
-	if res.Report.Retransmits == 0 {
-		t.Error("expected retransmits repairing packets lost to the storm")
 	}
 }
 

@@ -23,11 +23,8 @@ const (
 // HeaderLen is the fixed ICMP header size.
 const HeaderLen = 8
 
-// Destination-unreachable codes used here.
-const (
-	CodeNetUnreach  byte = 0
-	CodePortUnreach byte = 3
-)
+// CodePortUnreach is the one destination-unreachable code used here.
+const CodePortUnreach byte = 3
 
 // Message is a decoded ICMP message. For echo messages, ID/Seq hold the
 // identifier and sequence number; for errors, Payload holds the original

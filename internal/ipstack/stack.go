@@ -365,7 +365,7 @@ func (s *Stack) newIPFrame(src, dst netaddr.IPv4, proto, ttl byte, transportLen 
 	s.ipID++
 	h := ipv4.Header{ID: s.ipID, TTL: ttl, Protocol: proto, Src: src, Dst: dst}
 	// Drawn from the frame pool: in steady state the TX path allocates
-	// nothing at all (DESIGN.md §7, §14).
+	// nothing at all (DESIGN.md §7, §13).
 	frame := s.frames.Get(ethernet.HeaderLen + ipv4.HeaderLen + transportLen)
 	h.PutHeader(frame[ethernet.HeaderLen:], transportLen)
 	return h, frame

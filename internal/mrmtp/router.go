@@ -229,7 +229,7 @@ type Router struct {
 	// frames is the owning simulation's frame-buffer pool: composed
 	// outbound frames come from it, a transit data frame is sent on in the
 	// buffer it arrived in, and received frames whose bytes have all been
-	// copied out go back (DESIGN.md §7, §14).
+	// copied out go back (DESIGN.md §7, §13).
 	frames *framepool.Pool
 
 	Stats Stats

@@ -218,8 +218,8 @@ func TestFluidBytesIntegration(t *testing.T) {
 	if got := link.FluidBytes(from, time.Second); got != 300_000 {
 		t.Fatalf("FluidBytes(1s) = %d, want 300000", got)
 	}
-	if got := link.FluidLoad(from); got != 0 {
-		t.Fatalf("FluidLoad = %d, want 0", got)
+	if got := link.Stats(from).FluidBps; got != 0 {
+		t.Fatalf("FluidBps = %d, want 0", got)
 	}
 }
 

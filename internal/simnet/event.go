@@ -66,7 +66,7 @@ const (
 	// evFreed poisons records sitting on the freelist. Every alloc caller
 	// assigns a real kind, so under -tags invariants a record dispatched or
 	// released while still poisoned is a freelist-discipline bug
-	// (DESIGN.md §14).
+	// (DESIGN.md §13).
 	evFreed eventKind = 0xFF
 )
 
@@ -335,7 +335,7 @@ const (
 	// 1.07 s long: hello, BFD and keep-alive intervals land on the wheel,
 	// hold timers and pre-armed workload launches in the overflow heap. A
 	// wheel of 4096 bins of 2^18 ns measured equal on both control-plane
-	// workloads and allocated 2 % more (DESIGN.md §7).
+	// workloads and allocated 2 % more.
 	binShift  = 20
 	wheelBins = 1024
 )

@@ -44,13 +44,13 @@ func TestFailIdempotent(t *testing.T) {
 	b.Port(1).Fail()
 	b.Port(1).Fail()
 	b.Port(1).Fail()
-	s.RunFor(s.LocalDetectDelay + time.Millisecond)
+	s.RunFor(LocalDetectDelay + time.Millisecond)
 	if len(hb.downs) != 1 {
 		t.Errorf("downs = %v, want exactly one PortDown", hb.downs)
 	}
 	b.Port(1).Restore()
 	b.Port(1).Restore()
-	s.RunFor(s.LocalDetectDelay + time.Millisecond)
+	s.RunFor(LocalDetectDelay + time.Millisecond)
 	if len(hb.ups) != 1 {
 		t.Errorf("ups = %v, want exactly one PortUp", hb.ups)
 	}
@@ -63,9 +63,9 @@ func TestFailIdempotent(t *testing.T) {
 func TestRestoreBeforeDetectDelaySuppressesPortDown(t *testing.T) {
 	s, _, b, _, hb := pair(t)
 	b.Port(1).Fail()
-	s.RunFor(s.LocalDetectDelay / 2)
+	s.RunFor(LocalDetectDelay / 2)
 	b.Port(1).Restore()
-	s.RunFor(2 * s.LocalDetectDelay)
+	s.RunFor(2 * LocalDetectDelay)
 	if len(hb.downs) != 0 {
 		t.Errorf("downs = %v, want none for a sub-detect-delay blip", hb.downs)
 	}

@@ -10,7 +10,7 @@ import "repro/internal/invariant"
 // generation, and Check panics instead of letting the reuse silently
 // corrupt a frame in flight. A returned buffer is also scribbled with
 // Poison, which turns a read through a retained alias into visible garbage.
-// This ledger is the enforcement of the pool discipline (DESIGN.md §14).
+// This ledger is the enforcement of the pool discipline (DESIGN.md §13).
 
 type debugState struct {
 	free map[*byte]bool   // buffers currently sitting in a bucket

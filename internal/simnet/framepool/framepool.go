@@ -17,7 +17,7 @@
 //
 // The discipline — every Get is balanced by exactly one Put once the buffer
 // is provably dead, never while an alias can still be read — has one
-// enforcement, the runtime ledger (DESIGN.md §14): under -tags invariants a
+// enforcement, the runtime ledger (DESIGN.md §13): under -tags invariants a
 // second Put of the same buffer panics, a buffer returned while a delivery
 // event still holds it panics when Sim.Step reaches that event, and a
 // returned buffer is filled with Poison so that a borrower which kept a

@@ -175,7 +175,7 @@ func TestCarrierFaultOneSided(t *testing.T) {
 	s, _, b, ha, hb := pair(t)
 
 	b.Port(1).CarrierFault()
-	s.RunFor(s.LocalDetectDelay + time.Millisecond)
+	s.RunFor(LocalDetectDelay + time.Millisecond)
 	if len(hb.downs) != 1 {
 		t.Fatalf("victim downs = %v, want one PortDown", hb.downs)
 	}
@@ -190,7 +190,7 @@ func TestCarrierFaultOneSided(t *testing.T) {
 	}
 
 	b.Port(1).CarrierRestore()
-	s.RunFor(s.LocalDetectDelay + time.Millisecond)
+	s.RunFor(LocalDetectDelay + time.Millisecond)
 	if len(hb.ups) != 1 {
 		t.Errorf("victim ups = %v, want one PortUp", hb.ups)
 	}
@@ -204,12 +204,12 @@ func TestCarrierFaultOneSided(t *testing.T) {
 func TestCarrierFaultOnDownPort(t *testing.T) {
 	s, _, b, _, hb := pair(t)
 	b.Port(1).Fail()
-	s.RunFor(s.LocalDetectDelay + time.Millisecond)
+	s.RunFor(LocalDetectDelay + time.Millisecond)
 	hb.downs, hb.ups = nil, nil
 
 	b.Port(1).CarrierFault()
 	b.Port(1).CarrierRestore()
-	s.RunFor(s.LocalDetectDelay + time.Millisecond)
+	s.RunFor(LocalDetectDelay + time.Millisecond)
 	if len(hb.downs) != 0 || len(hb.ups) != 0 {
 		t.Errorf("admin-down port reported carrier events: downs=%v ups=%v", hb.downs, hb.ups)
 	}

@@ -43,6 +43,10 @@ type Handler interface {
 	PortUp(p *Port)
 }
 
+// LocalDetectDelay is the time between an interface failure and the owning
+// node's PortDown callback (carrier-loss interrupt latency).
+const LocalDetectDelay = 1 * time.Millisecond
+
 // Sim is a single simulation instance. It is not safe for concurrent use;
 // all protocol code runs on the event loop goroutine.
 type Sim struct {
@@ -69,10 +73,6 @@ type Sim struct {
 	// ordering key (see orderKey).
 	curOwner int32
 
-	// LocalDetectDelay is the time between an interface failure and the
-	// owning node's PortDown callback (carrier-loss interrupt latency).
-	LocalDetectDelay time.Duration
-
 	// DefaultLatency is the one-way propagation delay applied to links
 	// created without an explicit latency.
 	DefaultLatency time.Duration
@@ -88,13 +88,12 @@ type Sim struct {
 // New creates a simulator seeded for deterministic runs.
 func New(seed int64) *Sim {
 	return &Sim{
-		seed:             seed,
-		rng:              rand.New(rand.NewSource(seed)),
-		nodes:            make(map[string]*Node),
-		frames:           framepool.New(),
-		LocalDetectDelay: 1 * time.Millisecond,
-		DefaultLatency:   100 * time.Microsecond,
-		curOwner:         -1,
+		seed:           seed,
+		rng:            rand.New(rand.NewSource(seed)),
+		nodes:          make(map[string]*Node),
+		frames:         framepool.New(),
+		DefaultLatency: 100 * time.Microsecond,
+		curOwner:       -1,
 	}
 }
 
@@ -134,7 +133,7 @@ func (s *Sim) PortFlips() uint64 { return s.portFlips }
 
 // Frames returns the simulation's frame-buffer pool. Protocol stacks draw
 // TX buffers from it and return provably-dead buffers; the ownership rules
-// are enforced at runtime under -tags invariants (DESIGN.md §14).
+// are enforced at runtime under -tags invariants (DESIGN.md §13).
 func (s *Sim) Frames() *framepool.Pool { return s.frames }
 
 // FrameStats reports the frame pool's occupancy counters.
@@ -274,7 +273,7 @@ func (p *Port) Peer() *Port {
 // Send takes ownership of frame: the slice rides in the direction's flight
 // ring until delivery, so the caller must neither retain nor modify it
 // afterwards. A write shows in the bytes delivered, and a Put before the
-// delivery panics under -tags invariants (DESIGN.md §14).
+// delivery panics under -tags invariants (DESIGN.md §13).
 func (p *Port) Send(frame []byte) {
 	sim := p.Node.Sim
 	if !p.up || p.Link == nil {
@@ -400,8 +399,8 @@ func (s *Sim) deliver(src, dst *Port, link *Link, frame []byte) {
 
 // Fail injects an interface failure on this port, as the paper's bash
 // script does with `ip link set down` on the target node: the local node
-// gets PortDown after the simulator's LocalDetectDelay; the peer notices
-// nothing at the physical layer.
+// gets PortDown LocalDetectDelay later; the peer notices nothing at the
+// physical layer.
 func (p *Port) Fail() {
 	if !p.up {
 		return
@@ -409,7 +408,7 @@ func (p *Port) Fail() {
 	p.up = false
 	sim := p.Node.Sim
 	sim.portFlips++
-	sim.Schedule(sim.LocalDetectDelay, func() {
+	sim.Schedule(LocalDetectDelay, func() {
 		if p.Node.Handler != nil && !p.up {
 			p.Node.Handler.PortDown(p)
 		}
@@ -424,7 +423,7 @@ func (p *Port) Restore() {
 	p.up = true
 	sim := p.Node.Sim
 	sim.portFlips++
-	sim.Schedule(sim.LocalDetectDelay, func() {
+	sim.Schedule(LocalDetectDelay, func() {
 		if p.Node.Handler != nil && p.up {
 			p.Node.Handler.PortUp(p)
 		}
@@ -441,7 +440,7 @@ func (p *Port) Restore() {
 // (BFD). A port that is already administratively down reports nothing.
 func (p *Port) CarrierFault() {
 	sim := p.Node.Sim
-	sim.Schedule(sim.LocalDetectDelay, func() {
+	sim.Schedule(LocalDetectDelay, func() {
 		if p.Node.Handler != nil && p.up {
 			p.Node.Handler.PortDown(p)
 		}
@@ -451,7 +450,7 @@ func (p *Port) CarrierFault() {
 // CarrierRestore reports carrier recovery after a CarrierFault.
 func (p *Port) CarrierRestore() {
 	sim := p.Node.Sim
-	sim.Schedule(sim.LocalDetectDelay, func() {
+	sim.Schedule(LocalDetectDelay, func() {
 		if p.Node.Handler != nil && p.up {
 			p.Node.Handler.PortUp(p)
 		}
@@ -636,10 +635,6 @@ func (l *Link) SetFluidLoad(from *Port, bps int64, at time.Duration) {
 	d.fluidBps = bps
 }
 
-// FluidLoad returns the direction's current fluid reservation in bits per
-// second.
-func (l *Link) FluidLoad(from *Port) int64 { return l.dir(from).fluidBps }
-
 // FluidBytes returns the bytes the direction's fluid reservation has
 // carried up to the instant at (monotone in at).
 func (l *Link) FluidBytes(from *Port, at time.Duration) uint64 {
@@ -693,11 +688,3 @@ func (s *Sim) Links() []*Link { return s.links }
 // Tap registers a capture hook on the link; it sees frames from both
 // directions at their transmit timestamps.
 func (l *Link) Tap(fn CaptureFunc) { l.taps = append(l.taps, fn) }
-
-// Other returns the port opposite p on this link.
-func (l *Link) Other(p *Port) *Port {
-	if l.A == p {
-		return l.B
-	}
-	return l.A
-}

@@ -264,8 +264,8 @@ func TestPortNamesAndPeers(t *testing.T) {
 	if a.Port(1).Peer() != b.Port(1) {
 		t.Error("Peer mismatch")
 	}
-	if a.Port(1).Link.Other(a.Port(1)) != b.Port(1) {
-		t.Error("Other mismatch")
+	if b.Port(1).Peer() != a.Port(1) {
+		t.Error("Peer mismatch from the far end")
 	}
 }
 

@@ -20,9 +20,8 @@ import (
 	"repro/internal/udp"
 )
 
-// Flag bits.
+// Flag bits. FIN (bit 0) is absent: Close aborts with RST.
 const (
-	FlagFIN = 1 << 0
 	FlagSYN = 1 << 1
 	FlagRST = 1 << 2
 	FlagPSH = 1 << 3
@@ -37,8 +36,6 @@ const (
 	mssOptionLen  = 4
 	// HeaderLen is the header size of a regular (non-SYN) segment.
 	HeaderLen = baseHeaderLen + tsOptionLen
-	// SynHeaderLen is the header size of SYN/SYN-ACK segments.
-	SynHeaderLen = baseHeaderLen + mssOptionLen + tsOptionLen
 )
 
 // MSS is the maximum segment payload. 1460 matches Ethernet; BGP messages

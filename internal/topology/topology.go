@@ -226,9 +226,6 @@ func (t *Topology) Routers() []*Device {
 	return out
 }
 
-// Device returns a device by name, or nil.
-func (t *Topology) Device(name string) *Device { return t.Devices[name] }
-
 // LeafByVID returns the ToR with the given VID, or nil.
 func (t *Topology) LeafByVID(vid int) *Device {
 	for _, l := range t.Leaves {

@@ -44,7 +44,7 @@ func TestToRVIDsMatchFig2(t *testing.T) {
 	topo := build(t, TwoPodSpec())
 	want := map[string]int{"L-1-1": 11, "L-1-2": 12, "L-2-1": 13, "L-2-2": 14}
 	for name, vid := range want {
-		leaf := topo.Device(name)
+		leaf := topo.Devices[name]
 		if leaf == nil || leaf.VID != vid {
 			t.Errorf("%s VID = %v, want %d", name, leaf, vid)
 		}
@@ -69,7 +69,7 @@ func TestPlaneWiringMatchesFig2(t *testing.T) {
 		{"S-2-1", 1, "T-1"}, {"S-2-1", 2, "T-3"},
 	}
 	for _, c := range cases {
-		got := topo.Device(c.spine).Ports[c.uplink].Peer.Device.Name
+		got := topo.Devices[c.spine].Ports[c.uplink].Peer.Device.Name
 		if got != c.top {
 			t.Errorf("%s uplink %d reaches %s, want %s", c.spine, c.uplink, got, c.top)
 		}
@@ -80,7 +80,7 @@ func TestLeafUplinkPortNumbers(t *testing.T) {
 	// MR-MTP offers VID <tor>.<port>; ToR port 1 must face S-p-1 so S1_1
 	// acquires 11.1 as in Fig. 2.
 	topo := build(t, TwoPodSpec())
-	leaf := topo.Device("L-1-1")
+	leaf := topo.Devices["L-1-1"]
 	if leaf.Ports[1].Peer.Device.Name != "S-1-1" || leaf.Ports[2].Peer.Device.Name != "S-1-2" {
 		t.Errorf("L-1-1 uplinks: port1->%s port2->%s, want S-1-1, S-1-2",
 			leaf.Ports[1].Peer.Device.Name, leaf.Ports[2].Peer.Device.Name)
@@ -92,13 +92,13 @@ func TestLeafUplinkPortNumbers(t *testing.T) {
 
 func TestASNPlanMatchesListing1(t *testing.T) {
 	topo := build(t, FourPodSpec())
-	if topo.Device("T-1").ASN != 64512 {
-		t.Errorf("T-1 ASN = %d, want 64512", topo.Device("T-1").ASN)
+	if topo.Devices["T-1"].ASN != 64512 {
+		t.Errorf("T-1 ASN = %d, want 64512", topo.Devices["T-1"].ASN)
 	}
 	// T-1's four neighbors are the plane-1 spines of pods 1..4 with ASNs
 	// 64513..64516, exactly the remote-as lines of Listing 1.
 	seen := make(map[uint32]bool)
-	for _, p := range topo.Device("T-1").Ports[1:] {
+	for _, p := range topo.Devices["T-1"].Ports[1:] {
 		seen[p.Peer.Device.ASN] = true
 	}
 	for asn := uint32(64513); asn <= 64516; asn++ {
@@ -119,7 +119,7 @@ func TestASNPlanMatchesListing1(t *testing.T) {
 func TestLinkAddressing(t *testing.T) {
 	topo := build(t, TwoPodSpec())
 	// Spot-check the .1-upper/.2-lower rule on a leaf uplink.
-	leaf := topo.Device("L-1-1")
+	leaf := topo.Devices["L-1-1"]
 	up := leaf.Ports[1]
 	if up.IP != up.Subnet.Host(2) || up.Peer.IP != up.Subnet.Host(1) {
 		t.Errorf("leaf %s IP=%s peer=%s subnet=%s; want leaf .2, spine .1", leaf.Name, up.IP, up.Peer.IP, up.Subnet)
@@ -131,8 +131,8 @@ func TestLinkAddressing(t *testing.T) {
 
 func TestServersShareLeafSubnet(t *testing.T) {
 	topo := build(t, TwoPodSpec())
-	srv := topo.Device("H-1-1-1")
-	leaf := topo.Device("L-1-1")
+	srv := topo.Devices["H-1-1-1"]
+	leaf := topo.Devices["L-1-1"]
 	if srv == nil {
 		t.Fatal("no server H-1-1-1")
 	}
@@ -171,8 +171,8 @@ func TestFailurePoints(t *testing.T) {
 	// The two ends of a TC pair must be the same physical link.
 	p1, _ := topo.FailurePoint(TC1)
 	p2, _ := topo.FailurePoint(TC2)
-	a := topo.Device(p1.Device).Ports[p1.Port]
-	b := topo.Device(p2.Device).Ports[p2.Port]
+	a := topo.Devices[p1.Device].Ports[p1.Port]
+	b := topo.Devices[p2.Device].Ports[p2.Port]
 	if a.Peer != b {
 		t.Error("TC1 and TC2 are not two ends of the same link")
 	}
@@ -286,14 +286,14 @@ func TestVerifyCatchesMiswiring(t *testing.T) {
 		want   string
 	}{
 		{"a pod spine's two uplinks swapped", func(topo *Topology) {
-			sp := topo.Device("S-1-1-1")
+			sp := topo.Devices["S-1-1-1"]
 			swapPeers(sp.Ports[1], sp.Ports[2])
 		}, "S-1-1-1 uplink 1 reaches A-1-3:eth3, want A-1-1:eth3"},
 		{"a pod spine uplink re-homed into the other zone", func(topo *Topology) {
-			swapPeers(topo.Device("S-1-1-1").Ports[1], topo.Device("S-2-1-1").Ports[1])
+			swapPeers(topo.Devices["S-1-1-1"].Ports[1], topo.Devices["S-2-1-1"].Ports[1])
 		}, "S-1-1-1 uplink 1 reaches A-2-1:eth3, want A-1-1:eth3"},
 		{"a link subnet used twice", func(topo *Topology) {
-			a, b := topo.Device("S-1-1-1").Ports[1], topo.Device("S-1-1-1").Ports[2]
+			a, b := topo.Devices["S-1-1-1"].Ports[1], topo.Devices["S-1-1-1"].Ports[2]
 			b.Subnet, b.Peer.Subnet, b.IP, b.Peer.IP = a.Subnet, a.Subnet, a.IP, a.Peer.IP
 		}, "subnet 172.16.8.0/24 reused by S-1-1-1:eth1 and S-1-1-1:eth2"},
 	} {

@@ -75,11 +75,8 @@ type Sampler struct {
 	timer    *simnet.Timer
 }
 
-// NewSampler creates a sampler polling every interval once started.
+// NewSampler creates a sampler polling every interval (positive) once started.
 func NewSampler(sim *simnet.Sim, interval time.Duration) *Sampler {
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
-	}
 	return &Sampler{sim: sim, interval: interval}
 }
 

@@ -130,7 +130,7 @@ func register(tr *tracer, p prober) {
 	replyTable[p.flows] = tr.add(p)
 }
 
-// --- fluid-engine shapes (DESIGN.md §15) ------------------------------------
+// --- fluid-engine shapes (DESIGN.md §14) ------------------------------------
 //
 // The flow-level solver's rate table and path-group index are instance
 // state: fields of a solver owned by one trial. Rates are recomputed every
