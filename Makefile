@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt-check lint analyzers invariants race closbench closbench-digest fluid-smoke figures fuzz-smoke chaos-smoke trace-smoke check
+.PHONY: all build test vet fmt-check lint analyzers invariants race closbench closbench-digest fluid-smoke figures fuzz-smoke check
 
 all: check
 
@@ -58,7 +58,9 @@ invariants:
 
 # race runs the full suite under the race detector. The parallel trial
 # harness (internal/harness/pool.go) is the main concurrency in the repo;
-# this target is what validates it.
+# this target is what validates it. TestGoldenArtifacts re-executes the
+# race-built test binary for every campaign row, so the chaos and trace
+# campaigns run end to end under the detector here as well.
 race:
 	$(GO) test -race ./...
 
@@ -95,21 +97,6 @@ fluid-smoke:
 figures:
 	$(GO) run ./cmd/closlab -experiment all
 
-# chaos-smoke runs one short fault-injection campaign per scenario class
-# under the race detector: the full catalog on the 2-PoD fabric, one trial
-# per cell, artifacts to a scratch directory. A tripwire for the injector
-# and the per-direction impairment plumbing, not a statistics run.
-chaos-smoke:
-	$(GO) run -race ./cmd/closlab -experiment chaos -pods 2 -trials 1 -out /tmp/closlab-chaos-smoke
-
-# trace-smoke runs the in-fabric observability campaign under the race
-# detector: every trace-catalog gray-failure scenario against both
-# protocols on the 2-PoD fabric, one trial per cell, artifacts to a
-# scratch directory. A tripwire for the prober fleet, the localizer, and
-# the trace artifact writers, not a statistics run.
-trace-smoke:
-	$(GO) run -race ./cmd/closlab -experiment trace -pods 2 -trials 1 -out /tmp/closlab-trace-smoke
-
 # fuzz-smoke gives each wire-decoder fuzz target, the differential targets
 # holding the checksum kernel to the 16-bit reference loop, the indexed FIB
 # to the linear scan and the event queue to the single heap it replaced, the
@@ -138,7 +125,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseJournal -fuzztime $(FUZZ_TIME) ./internal/harness
 	$(GO) test -run '^$$' -fuzz FuzzQueueOrder -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./internal/simnet
 
-# check runs locally what CI's check, lint and three smoke jobs (chaos,
-# trace, fluid) run; invariants, analyzers, fuzz-smoke and closbench-digest
-# are their own targets, as they are their own CI jobs.
-check: fmt-check build vet lint test race chaos-smoke trace-smoke fluid-smoke
+# check runs locally what CI's check, lint and fluid-smoke jobs run (the
+# chaos and trace campaigns run under the race detector inside `race`, as
+# rows of TestGoldenArtifacts); invariants, analyzers, fuzz-smoke and
+# closbench-digest are their own targets, as they are their own CI jobs.
+check: fmt-check build vet lint test race fluid-smoke

@@ -14,10 +14,10 @@
 //	closlab -experiment all                    # every figure, table and campaign
 //	closlab -help                              # every experiment name and flag
 //
-// Flags -trials and -seed control averaging, -pods restricts the topology
-// (scale sweeps its own fabric sizes and rejects it), and -parallel bounds
-// how many trials run concurrently (the figures do not depend on it: trial
-// seeds derive from trial indices). -engine switches the workload
+// Flags -trials and -seed control averaging, and -pods restricts the
+// topology (scale sweeps its own fabric sizes and rejects it). Trials run
+// GOMAXPROCS at a time; the figures do not depend on it, because trial seeds
+// derive from trial indices. -engine switches the workload
 // experiment between the packet engine, the analytic fluid model, and the
 // hybrid split (-engine hybrid -flows 1000000 is the million-flow
 // configuration); -flows overrides the flow count.
@@ -41,6 +41,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/topology"
+	"repro/internal/trafficgen"
 	"repro/internal/workload"
 )
 
@@ -70,8 +71,14 @@ type env struct {
 	// failures memoizes the Fig. 4–6 sweep: the three figures are three
 	// columns of the same cells, so a process computes them once.
 	// failureSweeps counts the computations.
-	failures      []harness.Cell[harness.FailureSummary, harness.FailureResult]
+	failures      []failureCell
 	failureSweeps int
+}
+
+// failureCell is one cell of the Fig. 4–6 sweep at its place in the grid.
+type failureCell struct {
+	row, col string
+	summary  harness.FailureSummary
 }
 
 // campaign is one -experiment value. The table below is the whole registry:
@@ -141,8 +148,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "base random seed")
 	pods := flag.Int("pods", 0, "restrict to one topology size (2 or 4); 0 = both")
 	out := flag.String("out", "closlab-artifacts", "output directory for the experiments that write artifact files")
-	parallel := flag.Int("parallel", harness.Workers,
-		"concurrent trials per data point (1 = sequential; results are identical either way)")
 	engine := flag.String("engine", "packet", "workload flow transport: packet|fluid|hybrid")
 	flows := flag.Int("flows", 0, "override the workload flow count (0 = the published 160)")
 	experiment := flag.String("experiment", "all", experimentNames())
@@ -155,12 +160,11 @@ func main() {
 	// worse than an error, because the artifacts look valid.
 	set := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := validateFlags(set, *experiment, *engine, *trials, *parallel, *flows, *pods, *cpuProfile, *memProfile); err != nil {
+	if err := validateFlags(set, *experiment, *engine, *trials, *flows, *pods, *cpuProfile, *memProfile); err != nil {
 		_, _ = fmt.Fprintf(os.Stderr, "closlab: %v\n\n", err) // best effort: exiting anyway
 		flag.Usage()
 		os.Exit(2)
 	}
-	harness.Workers = *parallel
 
 	e := &env{trials: *trials, seed: *seed, out: *out, flows: *flows}
 	e.engine, _ = workload.ModeByName(*engine)
@@ -224,12 +228,9 @@ func startProfiles(cpuProfile, memProfile string) (stop func() error, err error)
 // validateFlags rejects flag values and combinations that would misbehave,
 // silently or late. set holds the flags explicitly passed on the command
 // line, so defaults never trip a check.
-func validateFlags(set map[string]bool, experiment, engine string, trials, parallel, flows, pods int, cpuProfile, memProfile string) error {
+func validateFlags(set map[string]bool, experiment, engine string, trials, flows, pods int, cpuProfile, memProfile string) error {
 	if trials < 1 {
 		return fmt.Errorf("-trials %d: need at least one trial", trials)
-	}
-	if parallel < 1 {
-		return fmt.Errorf("-parallel %d: need at least one worker", parallel)
 	}
 	if flows < 0 {
 		return fmt.Errorf("-flows %d: a flow count cannot be negative", flows)
@@ -457,11 +458,15 @@ func columns(specs []topology.Spec) []string {
 
 // failureCells runs the Fig. 4–6 sweep — every (topology, protocol, failure
 // case) cell of RunFailure — the first time a figure asks for it.
-func (e *env) failureCells() ([]harness.Cell[harness.FailureSummary, harness.FailureResult], error) {
+func (e *env) failureCells() ([]failureCell, error) {
 	if e.failures == nil {
 		e.failureSweeps++
-		cells, err := sweep(e, e.specs, protocols, e.trials, topology.AllFailureCases(),
-			harness.RunFailure, harness.SummarizeFailures, nil)
+		var cells []failureCell
+		_, err := sweep(e, e.specs, protocols, e.trials, topology.AllFailureCases(),
+			harness.RunFailure, harness.SummarizeFailures,
+			func(spec topology.Spec, proto harness.Protocol, tc topology.FailureCase, s harness.FailureSummary) {
+				cells = append(cells, failureCell{tc.String(), column(proto, spec.Pods), s})
+			})
 		if err != nil {
 			return nil, err
 		}
@@ -479,8 +484,7 @@ func failureFigure(title string, value func(harness.FailureSummary) string) func
 		}
 		grid := harness.NewGrid(title, columns(e.specs))
 		for _, c := range cells {
-			s := c.Summary
-			grid.Set(s.Case.String(), column(s.Protocol, s.Pods), value(s))
+			grid.Set(c.row, c.col, value(c.summary))
 		}
 		emitf("%s\n", grid.Render())
 		return nil
@@ -491,7 +495,7 @@ func lossFigure(title string, reverse bool) func(*env) error {
 	return func(e *env) error {
 		grid := harness.NewGrid(title, columns(e.specs))
 		_, err := sweep(e, e.specs, protocols, e.trials, topology.AllFailureCases(),
-			func(o harness.Options, tc topology.FailureCase) (harness.LossResult, error) {
+			func(o harness.Options, tc topology.FailureCase) (trafficgen.Report, error) {
 				return harness.RunLoss(o, tc, reverse)
 			}, harness.MeanLost,
 			func(spec topology.Spec, proto harness.Protocol, tc topology.FailureCase, lost float64) {

@@ -21,45 +21,42 @@ func TestValidateFlags(t *testing.T) {
 		experiment string
 		engine     string
 		trials     int
-		parallel   int
 		flows      int
 		pods       int
 		cpu, mem   string
 		wantErr    string // empty means the combination is accepted
 	}{
-		{name: "defaults", experiment: "all", engine: "packet", trials: 1, parallel: 1},
+		{name: "defaults", experiment: "all", engine: "packet", trials: 1},
 		{name: "workload hybrid", set: []string{"engine", "flows"}, experiment: "workload",
-			engine: "hybrid", trials: 3, parallel: 2, flows: 500},
-		{name: "zero trials", experiment: "all", engine: "packet", trials: 0, parallel: 1,
+			engine: "hybrid", trials: 3, flows: 500},
+		{name: "zero trials", experiment: "all", engine: "packet", trials: 0,
 			wantErr: "-trials"},
-		{name: "zero parallel", experiment: "all", engine: "packet", trials: 1, parallel: 0,
-			wantErr: "-parallel"},
-		{name: "negative flows", experiment: "workload", engine: "packet", trials: 1, parallel: 1,
+		{name: "negative flows", experiment: "workload", engine: "packet", trials: 1,
 			flows: -1, wantErr: "-flows"},
-		{name: "unknown engine", experiment: "workload", engine: "quantum", trials: 1, parallel: 1,
+		{name: "unknown engine", experiment: "workload", engine: "quantum", trials: 1,
 			wantErr: "-engine"},
 		{name: "engine outside workload", set: []string{"engine"}, experiment: "failover",
-			engine: "fluid", trials: 1, parallel: 1, wantErr: "-engine only applies"},
+			engine: "fluid", trials: 1, wantErr: "-engine only applies"},
 		{name: "flows outside workload", set: []string{"flows"}, experiment: "all",
-			engine: "packet", trials: 1, parallel: 1, flows: 10, wantErr: "-flows only applies"},
-		{name: "one topology", set: []string{"pods"}, experiment: "all", engine: "packet", trials: 1, parallel: 1, pods: 4},
-		{name: "unsupported pods", set: []string{"pods"}, experiment: "all", engine: "packet", trials: 1, parallel: 1,
+			engine: "packet", trials: 1, flows: 10, wantErr: "-flows only applies"},
+		{name: "one topology", set: []string{"pods"}, experiment: "all", engine: "packet", trials: 1, pods: 4},
+		{name: "unsupported pods", set: []string{"pods"}, experiment: "all", engine: "packet", trials: 1,
 			pods: 3, wantErr: "-pods"},
-		{name: "pods with scale", set: []string{"pods"}, experiment: "scale", engine: "packet", trials: 1, parallel: 1,
+		{name: "pods with scale", set: []string{"pods"}, experiment: "scale", engine: "packet", trials: 1,
 			pods: 2, wantErr: "-pods does not apply"},
-		{name: "out with artifacts", set: []string{"out"}, experiment: "chaos", engine: "packet", trials: 1, parallel: 1},
-		{name: "out with all", set: []string{"out"}, experiment: "all", engine: "packet", trials: 1, parallel: 1},
-		{name: "out with opt-in artifacts", set: []string{"out"}, experiment: "artifacts", engine: "packet", trials: 1, parallel: 1},
-		{name: "out without artifacts", set: []string{"out"}, experiment: "convergence", engine: "packet", trials: 1, parallel: 1,
+		{name: "out with artifacts", set: []string{"out"}, experiment: "chaos", engine: "packet", trials: 1},
+		{name: "out with all", set: []string{"out"}, experiment: "all", engine: "packet", trials: 1},
+		{name: "out with opt-in artifacts", set: []string{"out"}, experiment: "artifacts", engine: "packet", trials: 1},
+		{name: "out without artifacts", set: []string{"out"}, experiment: "convergence", engine: "packet", trials: 1,
 			wantErr: "-out does not apply"},
-		{name: "unknown experiment", experiment: "nonsense", engine: "packet", trials: 1, parallel: 1,
+		{name: "unknown experiment", experiment: "nonsense", engine: "packet", trials: 1,
 			wantErr: "unknown -experiment"},
 		{name: "both profiles", set: []string{"cpuprofile", "memprofile"}, experiment: "workload", engine: "packet",
-			trials: 1, parallel: 1, cpu: "cpu.prof", mem: "mem.prof"},
+			trials: 1, cpu: "cpu.prof", mem: "mem.prof"},
 		{name: "profile without a file", set: []string{"memprofile"}, experiment: "workload", engine: "packet",
-			trials: 1, parallel: 1, wantErr: "-memprofile: need a file name"},
+			trials: 1, wantErr: "-memprofile: need a file name"},
 		{name: "profiles sharing a file", set: []string{"cpuprofile", "memprofile"}, experiment: "workload", engine: "packet",
-			trials: 1, parallel: 1, cpu: "p.prof", mem: "p.prof", wantErr: "give each profile its own file"},
+			trials: 1, cpu: "p.prof", mem: "p.prof", wantErr: "give each profile its own file"},
 	}
 	// The listing and extension rows print to stdout only and run the packet
 	// data path: each rejects the workload and artifact flags.
@@ -78,7 +75,7 @@ func TestValidateFlags(t *testing.T) {
 			for _, f := range tc.set {
 				set[f] = true
 			}
-			err := validateFlags(set, tc.experiment, tc.engine, tc.trials, tc.parallel, tc.flows, tc.pods, tc.cpu, tc.mem)
+			err := validateFlags(set, tc.experiment, tc.engine, tc.trials, tc.flows, tc.pods, tc.cpu, tc.mem)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -148,12 +145,12 @@ func TestPoolWidthLeavesArtifactsIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full chaos campaigns in -short mode")
 	}
-	run := func(parallel string) map[string][]byte {
+	run := func(procs string) map[string][]byte {
+		t.Setenv("GOMAXPROCS", procs)
 		dir := t.TempDir()
-		stdout, stderr, err := closlab(t, dir, "-experiment", "chaos", "-pods", "2", "-trials", "2",
-			"-parallel", parallel, "-out", "out")
+		stdout, stderr, err := closlab(t, dir, "-experiment", "chaos", "-pods", "2", "-trials", "2", "-out", "out")
 		if err != nil {
-			t.Fatalf("-parallel %s: %v\n%s", parallel, err, stderr)
+			t.Fatalf("GOMAXPROCS=%s: %v\n%s", procs, err, stderr)
 		}
 		got := map[string][]byte{"stdout": stdout}
 		for _, name := range []string{"chaos-timeline.csv", "chaos-summary.json"} {
@@ -171,7 +168,7 @@ func TestPoolWidthLeavesArtifactsIdentical(t *testing.T) {
 			t.Errorf("%s is empty", name)
 		}
 		if !bytes.Equal(want, par[name]) {
-			t.Errorf("%s differs between -parallel 1 and -parallel 4", name)
+			t.Errorf("%s differs between GOMAXPROCS=1 and GOMAXPROCS=4", name)
 		}
 	}
 }

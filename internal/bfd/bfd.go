@@ -144,7 +144,6 @@ type Session struct {
 	// campaigns use them to measure per-flap detection churn).
 	Stats struct {
 		Sent            uint64
-		Recv            uint64
 		UpTransitions   uint64
 		DownTransitions uint64
 	}
@@ -185,9 +184,6 @@ func (m *Manager) Add(local, remote netaddr.IPv4, cfg Config) *Session {
 	s.armDetect()
 	return s
 }
-
-// Session returns the session toward remote, or nil.
-func (m *Manager) Session(remote netaddr.IPv4) *Session { return m.sessions[remote] }
 
 // Sessions returns every session in creation order.
 func (m *Manager) Sessions() []*Session { return append([]*Session(nil), m.order...) }
@@ -263,7 +259,6 @@ func (s *Session) timeout() {
 }
 
 func (s *Session) handle(pkt ControlPacket) {
-	s.Stats.Recv++
 	s.yourDisc = pkt.MyDisc
 	s.armDetect()
 	was := s.state

@@ -360,7 +360,6 @@ func (p *Peer) flush() {
 	}
 	if len(withdrawn) > 0 {
 		p.sendUpdate(Update{Withdrawn: withdrawn})
-		p.sp.Stats.WithdrawalsSent++
 	}
 	clear(p.pending)
 	p.order = p.order[:0]

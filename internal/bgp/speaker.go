@@ -153,12 +153,11 @@ type Speaker struct {
 
 	// Stats counts protocol activity for the experiments.
 	Stats struct {
-		UpdatesSent     uint64
-		UpdatesRecv     uint64
-		KeepalivesSent  uint64
-		KeepalivesRecv  uint64
-		WithdrawalsSent uint64
-		SessionResets   uint64
+		UpdatesSent    uint64
+		UpdatesRecv    uint64
+		KeepalivesSent uint64
+		KeepalivesRecv uint64
+		SessionResets  uint64
 		// SessionsEstablished counts transitions into Established,
 		// including re-establishments after a reset — with SessionResets
 		// it exposes per-flap session churn under chaos campaigns.

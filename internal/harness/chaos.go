@@ -125,13 +125,13 @@ func RunChaos(opts Options, spec chaos.Spec) (ChaosResult, error) {
 	before := snapshotCounters(f)
 	f.Log.Reset()
 	startAt := f.Sim.Now()
-	startSeq := probe.sender.Seq()
+	startSeq := probe.sender.Sent()
 	inj, err := chaos.Apply(f.Sim, spec, f.Log)
 	if err != nil {
 		return ChaosResult{}, err
 	}
 	f.Sim.RunFor(spec.Horizon() + SettleTime)
-	endSeq := probe.sender.Seq()
+	endSeq := probe.sender.Sent()
 	probe.sender.Stop()
 	f.Sim.RunFor(time.Second) // drain in-flight packets
 

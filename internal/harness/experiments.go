@@ -23,21 +23,14 @@ const SettleTime = 10 * time.Second
 
 // FailureResult is one trial of the Fig. 4/5/6 experiments.
 type FailureResult struct {
-	Protocol     Protocol
-	Pods         int
-	Case         topology.FailureCase
 	Convergence  time.Duration
 	BlastRadius  int
 	ControlBytes int
-	ControlMsgs  int
 	UpdatedNodes []string
 }
 
 // warm builds the fabric and runs it to steady state: the bring-up every
-// experiment starts from. Experiments that must register endpoints on the
-// cold fabric (the probe flow, the trace fleet) call Build and WarmUp
-// themselves, because registration order relative to warm-up fixes MAC and
-// event order.
+// experiment starts from.
 func warm(opts Options) (*Fabric, error) {
 	f, err := Build(opts)
 	if err != nil {
@@ -59,13 +52,13 @@ func (f *Fabric) drawPhase() time.Duration {
 // RunFailure measures convergence time, blast radius and control overhead
 // for one failure case (Figs. 4, 5, 6).
 func RunFailure(opts Options, tc topology.FailureCase) (FailureResult, error) {
-	return measureFailure(opts, tc, func(f *Fabric) (time.Duration, error) { return f.Fail(tc) })
+	return measureFailure(opts, func(f *Fabric) (time.Duration, error) { return f.Fail(tc) })
 }
 
 // measureFailure is the Fig. 4–6 measurement around any injection: warm up,
 // wait out a random timer phase, inject, observe the settle window, and read
 // convergence, blast radius and overhead off the metrics log.
-func measureFailure(opts Options, tc topology.FailureCase, inject func(*Fabric) (time.Duration, error)) (FailureResult, error) {
+func measureFailure(opts Options, inject func(*Fabric) (time.Duration, error)) (FailureResult, error) {
 	f, err := warm(opts)
 	if err != nil {
 		return FailureResult{}, err
@@ -79,23 +72,11 @@ func measureFailure(opts Options, tc topology.FailureCase, inject func(*Fabric) 
 	f.Sim.RunFor(SettleTime)
 	a := f.Log.Analyze(failAt)
 	return FailureResult{
-		Protocol:     opts.Protocol,
-		Pods:         opts.Spec.Pods,
-		Case:         tc,
 		Convergence:  a.Convergence,
 		BlastRadius:  a.BlastRadius,
 		ControlBytes: a.ControlBytes,
-		ControlMsgs:  a.ControlMessages,
 		UpdatedNodes: a.UpdatedNodes,
 	}, nil
-}
-
-// LossResult is one trial of the Fig. 7/8 experiments.
-type LossResult struct {
-	Protocol Protocol
-	Pods     int
-	Case     topology.FailureCase
-	Report   trafficgen.Report
 }
 
 // probeFlow is the UDP flow between the server at ToR VID 11 and the server
@@ -108,12 +89,12 @@ type probeFlow struct {
 	receiver *trafficgen.Receiver
 }
 
-// warmWithProbe builds the fabric with the probe flow's endpoints registered,
-// warms it, and starts the flow with a lead-in — one second plus a random
-// timer phase — so it is established (and ARP resolved) before anything is
-// injected. reverse sends VID 14 → VID 11 instead.
+// warmWithProbe warms the fabric, registers the probe flow's endpoints, and
+// starts the flow with a lead-in — one second plus a random timer phase — so
+// it is established (and ARP resolved) before anything is injected. reverse
+// sends VID 14 → VID 11 instead.
 func warmWithProbe(opts Options, reverse bool) (*Fabric, *probeFlow, error) {
-	f, err := Build(opts)
+	f, err := warm(opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -133,10 +114,6 @@ func warmWithProbe(opts Options, reverse bool) (*Fabric, *probeFlow, error) {
 	p.cfg.SrcPort = PickFlowPort(f, p.cfg)
 	p.sender = trafficgen.NewSender(srcStack, p.cfg)
 	p.receiver = trafficgen.NewReceiver(dstStack, p.cfg.DstPort)
-
-	if err := f.WarmUp(WarmupTime); err != nil {
-		return nil, nil, err
-	}
 	p.sender.Start()
 	f.Sim.RunFor(time.Second + f.drawPhase())
 	preLoss := p.sender.Sent() - p.receiver.Report(p.sender).Received
@@ -148,23 +125,18 @@ func warmWithProbe(opts Options, reverse bool) (*Fabric, *probeFlow, error) {
 
 // RunLoss measures packet loss across a failure on the probe flow; reverse
 // selects the far-from-failure sender of Fig. 8.
-func RunLoss(opts Options, tc topology.FailureCase, reverse bool) (LossResult, error) {
+func RunLoss(opts Options, tc topology.FailureCase, reverse bool) (trafficgen.Report, error) {
 	f, probe, err := warmWithProbe(opts, reverse)
 	if err != nil {
-		return LossResult{}, err
+		return trafficgen.Report{}, err
 	}
 	if _, err := f.Fail(tc); err != nil {
-		return LossResult{}, err
+		return trafficgen.Report{}, err
 	}
 	f.Sim.RunFor(SettleTime)
 	probe.sender.Stop()
 	f.Sim.RunFor(time.Second) // drain in-flight packets
-	return LossResult{
-		Protocol: opts.Protocol,
-		Pods:     opts.Spec.Pods,
-		Case:     tc,
-		Report:   probe.receiver.Report(probe.sender),
-	}, nil
+	return probe.receiver.Report(probe.sender), nil
 }
 
 // PickFlowPort finds a UDP source port whose flow hash selects the first
@@ -205,9 +177,7 @@ func picksFirstUplinks(topo *topology.Topology, h int) bool {
 // KeepAliveResult summarizes idle-fabric wire traffic on one link over a
 // window (Figs. 9 and 10).
 type KeepAliveResult struct {
-	Protocol Protocol
-	Window   time.Duration
-	Summary  map[capture.Class]capture.ClassStats
+	Summary map[capture.Class]capture.ClassStats
 }
 
 // TotalKeepAliveBytes sums the liveness-related classes.
@@ -236,32 +206,24 @@ func RunKeepAlive(opts Options, window time.Duration) (KeepAliveResult, error) {
 	cap.Tap(f.Sim.Node(fp.Device).Port(fp.Port).Link)
 	start := f.Sim.Now()
 	f.Sim.RunFor(window)
-	return KeepAliveResult{
-		Protocol: opts.Protocol,
-		Window:   window,
-		Summary:  cap.Summary(start, start+window),
-	}, nil
+	return KeepAliveResult{Summary: cap.Summary(start, start+window)}, nil
 }
 
 // FailureSummary averages FailureResult trials, as the paper plots run
 // averages.
 type FailureSummary struct {
-	Protocol     Protocol
-	Pods         int
-	Case         topology.FailureCase
 	Trials       int
 	Convergence  time.Duration // mean
 	BlastRadius  float64       // mean
 	ControlBytes float64       // mean
 }
 
-// SummarizeFailures averages per-trial results (all trials must share the
-// protocol/pods/case).
+// SummarizeFailures averages per-trial results of one cell.
 func SummarizeFailures(rs []FailureResult) FailureSummary {
 	if len(rs) == 0 {
 		return FailureSummary{}
 	}
-	s := FailureSummary{Protocol: rs[0].Protocol, Pods: rs[0].Pods, Case: rs[0].Case, Trials: len(rs)}
+	s := FailureSummary{Trials: len(rs)}
 	var conv time.Duration
 	for _, r := range rs {
 		conv += r.Convergence
@@ -281,24 +243,22 @@ func RunFailureTrials(opts Options, tc topology.FailureCase, n int) (FailureSumm
 }
 
 // MeanLost averages the packets lost over loss trials (Figs. 7, 8).
-func MeanLost(rs []LossResult) float64 {
+func MeanLost(rs []trafficgen.Report) float64 {
 	var total float64
 	for _, r := range rs {
-		total += float64(r.Report.Lost)
+		total += float64(r.Lost)
 	}
 	return total / float64(len(rs))
 }
 
 // RunLossTrials is RunCell over RunLoss, reduced to the mean loss.
 func RunLossTrials(opts Options, tc topology.FailureCase, reverse bool, n int) (float64, error) {
-	c, err := RunCell(opts, n, func(o Options) (LossResult, error) { return RunLoss(o, tc, reverse) }, MeanLost)
+	c, err := RunCell(opts, n, func(o Options) (trafficgen.Report, error) { return RunLoss(o, tc, reverse) }, MeanLost)
 	return c.Summary, err
 }
 
 // FlapSummary averages FlapResult trials.
 type FlapSummary struct {
-	Protocol     Protocol
-	Trials       int
 	ControlMsgs  float64 // mean
 	ControlBytes float64 // mean
 	RouteEvents  float64 // mean
@@ -312,7 +272,7 @@ func SummarizeFlaps(rs []FlapResult) FlapSummary {
 		return FlapSummary{}
 	}
 	n := float64(len(rs))
-	s := FlapSummary{Protocol: rs[0].Protocol, Trials: len(rs), Recovered: true}
+	s := FlapSummary{Recovered: true}
 	for _, r := range rs {
 		s.ControlMsgs += float64(r.ControlMsgs)
 		s.ControlBytes += float64(r.ControlBytes)

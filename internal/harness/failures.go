@@ -31,24 +31,21 @@ func (f *Fabric) FailNode(name string) (time.Duration, error) {
 
 // RunNodeFailure measures convergence/blast/overhead when a whole device
 // dies (default: the pod spine S-1-1, the worst single-router loss for the
-// monitored column). The result carries no failure case.
+// monitored column).
 func RunNodeFailure(opts Options, victim string) (FailureResult, error) {
-	return measureFailure(opts, 0, func(f *Fabric) (time.Duration, error) { return f.FailNode(victim) })
+	return measureFailure(opts, func(f *Fabric) (time.Duration, error) { return f.FailNode(victim) })
 }
 
 // RunPortFailure measures convergence/blast/overhead when one named
 // interface fails, for interfaces the TC1–TC4 failure points do not name (a
-// zone spine's uplink in the four-tier fabric). The result carries no
-// failure case.
+// zone spine's uplink in the four-tier fabric).
 func RunPortFailure(opts Options, fp topology.FailurePoint) (FailureResult, error) {
-	return measureFailure(opts, 0, func(f *Fabric) (time.Duration, error) { return f.FailPoint(fp) })
+	return measureFailure(opts, func(f *Fabric) (time.Duration, error) { return f.FailPoint(fp) })
 }
 
 // FlapResult summarizes a flapping-interface run: how much control-plane
 // churn the fabric suffered while one interface bounced.
 type FlapResult struct {
-	Protocol     Protocol
-	Flaps        int
 	ControlMsgs  int
 	ControlBytes int
 	RouteEvents  int
@@ -86,8 +83,6 @@ func RunFlap(opts Options, flaps int, downTime, upTime time.Duration) (FlapResul
 	// Let the final up period stick and verify recovery.
 	f.Sim.RunFor(30 * time.Second)
 	return FlapResult{
-		Protocol:     opts.Protocol,
-		Flaps:        flaps,
 		ControlMsgs:  a.ControlMessages,
 		ControlBytes: a.ControlBytes,
 		RouteEvents:  routes,

@@ -303,7 +303,7 @@ func TestFig7PacketLossNearSender(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v %v: %v", proto, tc, err)
 		}
-		return r.Report.Lost
+		return r.Lost
 	}
 	mtpTC1, mtpTC2 := near(ProtoMRMTP, topology.TC1), near(ProtoMRMTP, topology.TC2)
 	bgpTC2 := near(ProtoBGP, topology.TC2)
@@ -332,7 +332,7 @@ func TestFig8PacketLossFarSender(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v %v: %v", proto, tc, err)
 		}
-		return r.Report.Lost
+		return r.Lost
 	}
 	mtpTC1 := lossFor(ProtoMRMTP, topology.TC1)
 	mtpTC2 := lossFor(ProtoMRMTP, topology.TC2)

@@ -219,7 +219,7 @@ func TestFourTierFailureCases(t *testing.T) {
 			if err != nil {
 				t.Fatalf("RunLoss(%v, %v): %v", proto, tc, err)
 			}
-			lost[proto][tc] = r.Report.Lost
+			lost[proto][tc] = r.Lost
 		}
 	}
 	for _, tc := range []topology.FailureCase{topology.TC2, topology.TC4} {

@@ -5,13 +5,14 @@ import (
 	"sync"
 )
 
-// Workers is the number of concurrent trials the multi-trial runners use.
-// Trials are independent simulations, so they scale out to physical
-// parallelism; set 1 to force sequential execution. The figures are
+// Workers is the number of concurrent trials the multi-trial runners use:
+// GOMAXPROCS, which the environment variable of that name sets. Trials are
+// independent simulations, so they scale out to physical parallelism; set
+// 1 to force sequential execution. The figures are
 // identical either way: each trial's seed is a pure function of its index
 // (TrialSeed) and results are collected by index, so a parallel run and a
 // sequential run of the same configuration summarize bit-identically.
-var Workers = runtime.GOMAXPROCS(0) //simlint:shared parallelism knob set by main before trials start, read-only inside runTrials
+var Workers = runtime.GOMAXPROCS(0) //simlint:shared parallelism knob set by bench before trials start, read-only inside runTrials
 
 // TrialSeed derives trial i's seed from the base seed. The stride is a
 // prime, so that trials sample distinct timer phases instead of clustering,

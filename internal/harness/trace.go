@@ -187,7 +187,7 @@ type traceRun struct {
 	res TraceResult
 }
 
-// newTraceRun registers the prober fleet on a built (not yet warm) fabric:
+// newTraceRun registers the prober fleet on a warm fabric:
 // every ordered leaf pair at `flows` ECMP variants, probing from the
 // source ToR's gateway address with a TTL budget matching the pair's hop
 // distance (2 intra-pod, 4 cross-pod).
@@ -419,8 +419,8 @@ type TraceResult struct {
 	Events []chaos.Event
 }
 
-// RunTrace executes one trace campaign trial: build, register the prober
-// fleet, warm up, probe through a lead-in, arm the localizer, inject the
+// RunTrace executes one trace campaign trial: warm up, register the prober
+// fleet, probe through a lead-in, arm the localizer, inject the
 // spec, and sweep to the horizon plus settle, scoring each verdict as it is
 // made.
 func RunTrace(opts Options, spec chaos.Spec) (TraceResult, error) {
@@ -431,14 +431,11 @@ func RunTrace(opts Options, spec chaos.Spec) (TraceResult, error) {
 	if err != nil {
 		return TraceResult{}, err
 	}
-	f, err := Build(opts)
+	f, err := warm(opts)
 	if err != nil {
 		return TraceResult{}, err
 	}
 	run := newTraceRun(f, traceFlows)
-	if err := f.WarmUp(WarmupTime); err != nil {
-		return TraceResult{}, err
-	}
 	run.start()
 	f.Sim.RunFor(traceLeadIn)
 	run.arm()

@@ -17,16 +17,13 @@ import (
 // seconds of probing behind it.
 func buildTraceRun(t *testing.T, proto Protocol, seed int64) (*Fabric, *traceRun) {
 	t.Helper()
-	f, err := Build(DefaultOptions(topology.TwoPodSpec(), proto, seed))
+	f, err := warm(DefaultOptions(topology.TwoPodSpec(), proto, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// One flow per leaf pair: hop-attribution assertions want a small
 	// deterministic fleet, not ECMP sweep width.
 	run := newTraceRun(f, 1)
-	if err := f.WarmUp(WarmupTime); err != nil {
-		t.Fatal(err)
-	}
 	run.start()
 	f.Sim.RunFor(2 * time.Second)
 	return f, run

@@ -27,7 +27,6 @@ func (i *Iface) Usable() bool { return i.Port.Up() }
 
 // Stats counts stack-level events for the experiments.
 type Stats struct {
-	IPDelivered  uint64
 	IPForwarded  uint64
 	NoRoute      uint64
 	TTLExpired   uint64
@@ -288,7 +287,6 @@ func (s *Stack) handleIPv4(p *simnet.Port, frame, payload []byte) bool {
 // parses nothing out; the closed-port ICMP quote is copied), TCP and ICMP
 // are not (the endpoint and the listeners may retain payload slices).
 func (s *Stack) deliver(pkt ipv4.Packet, wire []byte) bool {
-	s.Stats.IPDelivered++
 	switch pkt.Header.Protocol {
 	case ipv4.ProtoTCP:
 		s.TCP.Input(pkt.Header.Src, pkt.Header.Dst, pkt.Payload)

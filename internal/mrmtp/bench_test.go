@@ -110,13 +110,6 @@ func TestIngressIPAllocs(t *testing.T) {
 	}
 }
 
-func BenchmarkVIDKey(b *testing.B) {
-	v := VID{11, 1, 2, 3}
-	for i := 0; i < b.N; i++ {
-		_ = v.Key()
-	}
-}
-
 // newBenchColumn reuses the test fabric for benchmarks and alloc tests.
 func newBenchColumn(b testing.TB) *column {
 	b.Helper()

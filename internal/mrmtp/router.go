@@ -108,8 +108,8 @@ type adjacency struct {
 	// Whatever must outlive that copies the VIDs (maybeJoin's want list).
 	advertised []VID
 	advBytes   []byte
-	// requested tracks parent VIDs we have an outstanding JOIN for.
-	requested map[string]bool
+	// requested holds the parent VIDs we have an outstanding JOIN for.
+	requested []VID
 
 	// unreachable records "this port cannot be used for traffic destined to
 	// this root VID" (the paper's §VII.B description of what ToRs note after
@@ -148,7 +148,6 @@ func (s rootSet) appendTo(out []byte) []byte {
 // Stats counts router activity.
 type Stats struct {
 	HellosSent    uint64
-	JoinsSent     uint64
 	OffersSent    uint64
 	UpdatesSent   uint64
 	UpdatesRecv   uint64
@@ -286,7 +285,7 @@ func (r *Router) Start() {
 		if r.isServerPort(p.Index) {
 			continue
 		}
-		adj := &adjacency{port: p, requested: make(map[string]bool)}
+		adj := &adjacency{port: p}
 		r.adjs = append(r.adjs, adj) // Ports is index-ascending, server ports last
 		r.sendAdvertise(adj)
 		r.scheduleHello(adj)
@@ -526,7 +525,7 @@ func (r *Router) neighborDown(adj *adjacency) {
 		adj.deadTimer.Stop()
 	}
 	adj.advertised = adj.advertised[:0]
-	adj.requested = make(map[string]bool)
+	adj.requested = adj.requested[:0]
 
 	// Marks recorded against the dead port are stale either way.
 	affected := adj.unreachable
@@ -603,7 +602,7 @@ func (r *Router) dropVia(root byte, adj *adjacency) bool {
 		}
 		// Allow a future re-JOIN of the parent tree through the same port
 		// (recovery after Slow-to-Accept re-admits the neighbor).
-		delete(adj.requested, e.vid[:len(e.vid)-1].Key())
+		adj.unrequest(e.vid[:len(e.vid)-1])
 	}
 	if len(kept) == len(rows) {
 		return false
@@ -717,17 +716,18 @@ func (r *Router) maybeJoin(adj *adjacency) {
 	}
 	var want []VID
 	for _, v := range adj.advertised {
-		if r.haveViaPort(v, adj.port.Index) || adj.requested[v.Key()] {
+		if r.haveViaPort(v, adj.port.Index) || slices.ContainsFunc(adj.requested, v.Equal) {
 			continue
 		}
-		// A copy: the next ADVERTISE overwrites v, and the retry keeps want.
-		want = append(want, v.Clone())
-		adj.requested[v.Key()] = true
+		// A copy: the next ADVERTISE overwrites v, and the retry and
+		// requested keep it.
+		v = v.Clone()
+		want = append(want, v)
+		adj.requested = append(adj.requested, v)
 	}
 	if len(want) == 0 {
 		return
 	}
-	r.Stats.JoinsSent++
 	m := Message{Type: TypeJoin, VIDs: want}
 	r.sendMsg(adj, &m)
 	r.armJoinRetry(adj, want, maxJoinRetries)
@@ -737,6 +737,13 @@ func (r *Router) maybeJoin(adj *adjacency) {
 // handshake, so a parent that lost the tree meanwhile does not attract an
 // endless retry stream.
 const maxJoinRetries = 25
+
+// unrequest forgets the outstanding JOIN for parent, if there is one.
+func (adj *adjacency) unrequest(parent VID) {
+	if i := slices.IndexFunc(adj.requested, parent.Equal); i >= 0 {
+		adj.requested = slices.Delete(adj.requested, i, i+1)
+	}
+}
 
 // haveViaPort reports whether we already hold a child VID of parent
 // acquired on the port.
@@ -754,7 +761,7 @@ func (r *Router) haveViaPort(parent VID, port int) bool {
 func (r *Router) armJoinRetry(adj *adjacency, want []VID, budget int) {
 	if budget <= 0 {
 		for _, v := range want {
-			delete(adj.requested, v.Key()) // give up; a new ADVERTISE may retry
+			adj.unrequest(v) // give up; a new ADVERTISE may retry
 		}
 		return
 	}
@@ -766,13 +773,14 @@ func (r *Router) armJoinRetry(adj *adjacency, want []VID, budget int) {
 		for _, v := range want {
 			if !r.haveViaPort(v, adj.port.Index) {
 				missing = append(missing, v)
-				adj.requested[v.Key()] = true
+				if !slices.ContainsFunc(adj.requested, v.Equal) {
+					adj.requested = append(adj.requested, v)
+				}
 			}
 		}
 		if len(missing) == 0 {
 			return
 		}
-		r.Stats.JoinsSent++
 		m := Message{Type: TypeJoin, VIDs: missing}
 		r.sendMsg(adj, &m)
 		r.armJoinRetry(adj, missing, budget-1)
@@ -818,7 +826,7 @@ func (r *Router) handleOffer(adj *adjacency, vids []VID) {
 				recovered.add(v.Root())
 			}
 		}
-		delete(adj.requested, v[:len(v)-1].Key())
+		adj.unrequest(v[:len(v)-1])
 	}
 	m := Message{Type: TypeAccept, VIDs: vids}
 	r.sendMsg(adj, &m)

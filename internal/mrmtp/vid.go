@@ -87,9 +87,6 @@ func (v VID) Equal(w VID) bool {
 	return true
 }
 
-// Key returns a comparable map key for the VID.
-func (v VID) Key() string { return string(v) }
-
 // HasPrefix reports whether p is an ancestor of (or equal to) v in the tree.
 func (v VID) HasPrefix(p VID) bool {
 	if len(p) > len(v) {

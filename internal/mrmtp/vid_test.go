@@ -83,16 +83,3 @@ func TestVIDHasPrefix(t *testing.T) {
 		t.Error("HasPrefix accepts non-ancestors")
 	}
 }
-
-func TestVIDKeyUniqueness(t *testing.T) {
-	f := func(a, b []byte) bool {
-		va, vb := VID(a), VID(b)
-		if va.Equal(vb) {
-			return va.Key() == vb.Key()
-		}
-		return va.Key() != vb.Key()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}

@@ -81,18 +81,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Mean returns the arithmetic mean (0 for an empty sample).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // String renders "mean=… [min=…, p50=…, p95=…, p99=…, p999=…, max=…] n=…".
 func (s Summary) String() string {
 	return fmt.Sprintf("mean=%.2f [min=%.2f p50=%.2f p95=%.2f p99=%.2f p999=%.2f max=%.2f] n=%d",

@@ -59,10 +59,8 @@ type Endpoint struct {
 
 	// Stats counts segments for the overhead experiments.
 	Stats struct {
-		SegmentsSent uint64
 		SegmentsRecv uint64
 		Retransmits  uint64
-		PureAcksSent uint64
 	}
 }
 
@@ -160,7 +158,6 @@ func (e *Endpoint) sendRST(src, dst netaddr.IPv4, in Segment) {
 		Seq: in.Ack, Ack: in.Seq + uint32(len(in.Payload)),
 		Flags: FlagRST | FlagACK,
 	}
-	e.Stats.SegmentsSent++
 	e.output(src, dst, rst.Marshal(src, dst))
 }
 
@@ -252,7 +249,6 @@ func (c *Conn) Close() {
 	}
 	seg := Segment{SrcPort: c.key.localPort, DstPort: c.key.remotePort,
 		Seq: c.sndNxt, Ack: c.rcvNxt, Flags: FlagRST | FlagACK}
-	c.ep.Stats.SegmentsSent++
 	c.ep.output(c.key.localIP, c.key.remoteIP, seg.Marshal(c.key.localIP, c.key.remoteIP))
 	c.teardown()
 }
@@ -271,10 +267,6 @@ func (c *Conn) sendSegment(flags byte, seq, ack uint32, payload []byte) {
 		Seq: seq, Ack: ack, Flags: flags,
 		TSVal:   uint32(c.ep.sim.Now() / time.Millisecond),
 		Payload: payload,
-	}
-	c.ep.Stats.SegmentsSent++
-	if flags&FlagACK != 0 && len(payload) == 0 && flags&(FlagSYN|FlagRST) == 0 {
-		c.ep.Stats.PureAcksSent++
 	}
 	c.ep.segBuf = seg.marshalInto(c.ep.segBuf, c.key.localIP, c.key.remoteIP)
 	c.ep.output(c.key.localIP, c.key.remoteIP, c.ep.segBuf)

@@ -46,7 +46,6 @@ func DefaultConfig(src, dst netaddr.IPv4) Config {
 type Sender struct {
 	stack *ipstack.Stack
 	cfg   Config
-	seq   uint64
 	sent  uint64
 	stop  bool
 	timer *simnet.Timer
@@ -74,15 +73,16 @@ func (s *Sender) Start() {
 // Stop halts transmission after the current packet.
 func (s *Sender) Stop() { s.stop = true }
 
-// Sent returns the number of packets transmitted so far.
+// Sent returns the number of packets transmitted so far. Sequence numbers
+// count up from zero, so it is also the next one to go out: a probe window
+// is the half-open range [Sent at start, Sent at end).
 func (s *Sender) Sent() uint64 { return s.sent }
 
 func (s *Sender) tick() {
 	if s.stop {
 		return
 	}
-	be64(s.payload[4:], s.seq)
-	s.seq++
+	be64(s.payload[4:], s.sent)
 	s.sent++
 	s.stack.SendUDP(s.cfg.Src, s.cfg.Dst, s.cfg.SrcPort, s.cfg.DstPort, s.payload)
 	if s.timer != nil {
@@ -151,10 +151,6 @@ func (r *Receiver) has(seq uint64) bool {
 	w := seq >> 6
 	return w < uint64(len(r.seen)) && r.seen[w]&(1<<(seq&63)) != 0
 }
-
-// Seq returns the next sequence number the sender will transmit; a probe
-// window is the half-open range [Seq at start, Seq at end).
-func (s *Sender) Seq() uint64 { return s.seq }
 
 // Missing scans the half-open sequence window [from, to) and returns how
 // many of those packets never arrived plus the length of the longest

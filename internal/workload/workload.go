@@ -183,7 +183,6 @@ type packetState struct {
 	repair   []uint32
 	head     int
 	rounds   int
-	retx     int
 	received int
 	dups     int // arrivals of sequences already delivered
 	gotMask  []uint64
@@ -492,7 +491,6 @@ func (e *Engine) tick(f *Flow) {
 			return
 		}
 		ps.rounds++
-		ps.retx += len(ps.repair)
 		e.Retransmits += uint64(len(ps.repair))
 	}
 	var seq uint32
