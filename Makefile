@@ -60,9 +60,13 @@ invariants:
 # harness (internal/harness/pool.go) is the main concurrency in the repo;
 # this target is what validates it. TestGoldenArtifacts re-executes the
 # race-built test binary for every campaign row, so the chaos and trace
-# campaigns run end to end under the detector here as well.
+# campaigns run end to end under the detector here as well. The trials of a
+# cell fork one warm snapshot on several goroutines (internal/harness/fork.go);
+# TestForkConcurrent does that ten times over, so a write to the snapshot
+# that one schedule hides shows under another.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run '^TestForkConcurrent$$' ./internal/harness
 
 # closbench runs the benchmark of record (BENCHMARK.json): four end-to-end
 # workloads plus per-layer probes; see bench/README.md for flags and output.

@@ -8,6 +8,7 @@ package bfd
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"repro/internal/ipstack"
@@ -217,10 +218,12 @@ func (s *Session) scheduleTx() {
 		s.txTimer.Reset(d)
 		return
 	}
-	s.txTimer = s.sim.After(d, func() {
-		s.transmit()
-		s.scheduleTx()
-	})
+	s.txTimer = s.sim.After(d, s.txDue)
+}
+
+func (s *Session) txDue() {
+	s.transmit()
+	s.scheduleTx()
 }
 
 func (s *Session) transmit() {
@@ -285,4 +288,41 @@ func (s *Session) handle(pkt ControlPacket) {
 	if was != StateUp && s.state == StateUp {
 		s.Stats.UpTransitions++
 	}
+}
+
+// Fork copies the manager for a fork of its simulation, onto the copy of
+// its stack, which must be forked first: every session with its state,
+// timers and counters, and the manager's listener on the stack. A session's
+// OnDown hook belongs to whoever set it (the harness wires BGP's
+// Peer.BFDDown), and the fork fails at Finish if the copy has none where
+// the source had one.
+func (m *Manager) Fork(fk *simnet.Forker) *Manager {
+	stack := simnet.Lookup(fk, m.stack)
+	nm := &Manager{
+		stack:    stack,
+		sessions: make(map[netaddr.IPv4]*Session, len(m.sessions)),
+		order:    make([]*Session, len(m.order)),
+		nextDisc: m.nextDisc,
+	}
+	stack.ListenUDP(udp.PortBFDControl, nm.input)
+	for i, s := range m.order {
+		ns := &Session{
+			stack: stack, sim: fk.Sim(), cfg: s.cfg, local: s.local, remote: s.remote,
+			state: s.state, myDisc: s.myDisc, yourDisc: s.yourDisc,
+			txBuf: s.txBuf, Stats: s.Stats,
+		}
+		ns.txTimer = fk.Timer(s.txTimer, ns.txDue)
+		ns.detectTimer = fk.Timer(s.detectTimer, ns.timeout)
+		nm.order[i] = ns
+		nm.sessions[ns.remote] = ns
+	}
+	fk.Check(func() error {
+		for i, s := range m.order {
+			if (s.OnDown == nil) != (nm.order[i].OnDown == nil) {
+				return fmt.Errorf("bfd %s: the fork of the session to %s lacks its OnDown hook", stack.Node.Name, s.remote)
+			}
+		}
+		return nil
+	})
+	return nm
 }

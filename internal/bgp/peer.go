@@ -94,7 +94,17 @@ func (p *Peer) attach(conn *tcp.Conn) {
 	p.recvBuf = nil
 	p.openReceived = false
 	conn.OnData(p.onData)
-	conn.OnState(func(st tcp.State) {
+	conn.OnState(p.connState(conn))
+	if conn.State() == tcp.StateEstablished {
+		p.sendOpen()
+	} else if p.State == StateIdle {
+		p.State = StateConnect
+	}
+}
+
+// connState is the session's OnState hook on conn.
+func (p *Peer) connState(conn *tcp.Conn) func(tcp.State) {
+	return func(st tcp.State) {
 		switch st {
 		case tcp.StateEstablished:
 			p.sendOpen()
@@ -103,11 +113,6 @@ func (p *Peer) attach(conn *tcp.Conn) {
 				p.reset(false)
 			}
 		}
-	})
-	if conn.State() == tcp.StateEstablished {
-		p.sendOpen()
-	} else if p.State == StateIdle {
-		p.State = StateConnect
 	}
 }
 
@@ -203,14 +208,16 @@ func (p *Peer) startKeepalive() {
 		p.keepaliveTimer.Reset(interval)
 		return
 	}
-	p.keepaliveTimer = p.sim().After(interval, func() {
-		if p.State != StateEstablished {
-			return
-		}
-		p.send(keepalive[:])
-		p.sp.Stats.KeepalivesSent++
-		p.keepaliveTimer.Reset(interval)
-	})
+	p.keepaliveTimer = p.sim().After(interval, p.keepaliveDue)
+}
+
+func (p *Peer) keepaliveDue() {
+	if p.State != StateEstablished {
+		return
+	}
+	p.send(keepalive[:])
+	p.sp.Stats.KeepalivesSent++
+	p.keepaliveTimer.Reset(p.sp.Cfg.Timers.Keepalive)
 }
 
 func (p *Peer) touchHold() {
@@ -225,12 +232,14 @@ func (p *Peer) touchHold() {
 		p.holdTimer.Reset(hold)
 		return
 	}
-	p.holdTimer = p.sim().After(hold, func() {
-		if p.State == StateEstablished || p.State == StateOpenSent {
-			p.send(MarshalNotification(Notification{Code: NotifHoldExpired}))
-			p.reset(false)
-		}
-	})
+	p.holdTimer = p.sim().After(hold, p.holdExpired)
+}
+
+func (p *Peer) holdExpired() {
+	if p.State == StateEstablished || p.State == StateOpenSent {
+		p.send(MarshalNotification(Notification{Code: NotifHoldExpired}))
+		p.reset(false)
+	}
 }
 
 // BFDDown is invoked by the BFD integration when the neighbor's liveness
@@ -282,13 +291,15 @@ func (p *Peer) scheduleRetry() {
 		p.retryTimer.Reset(connectRetry)
 		return
 	}
-	p.retryTimer = p.sim().After(connectRetry, func() {
-		if p.State == StateIdle && p.Iface.Usable() {
-			p.connect()
-		} else if p.State == StateIdle {
-			p.scheduleRetry()
-		}
-	})
+	p.retryTimer = p.sim().After(connectRetry, p.retryDue)
+}
+
+func (p *Peer) retryDue() {
+	if p.State == StateIdle && p.Iface.Usable() {
+		p.connect()
+	} else if p.State == StateIdle {
+		p.scheduleRetry()
+	}
 }
 
 // queueAdvertise schedules prefix for advertisement under MRAI pacing.
@@ -320,13 +331,15 @@ func (p *Peer) queue(prefix netaddr.Prefix, announce bool) {
 		if p.mraiTimer != nil {
 			p.mraiTimer.Reset(p.sp.Cfg.Timers.MRAI)
 		} else {
-			p.mraiTimer = p.sim().After(p.sp.Cfg.Timers.MRAI, func() {
-				p.mraiArmed = false
-				if len(p.pending) > 0 {
-					p.flush()
-				}
-			})
+			p.mraiTimer = p.sim().After(p.sp.Cfg.Timers.MRAI, p.mraiDue)
 		}
+	}
+}
+
+func (p *Peer) mraiDue() {
+	p.mraiArmed = false
+	if len(p.pending) > 0 {
+		p.flush()
 	}
 }
 

@@ -29,9 +29,18 @@ type FailureResult struct {
 	UpdatedNodes []string
 }
 
-// warm builds the fabric and runs it to steady state: the bring-up every
-// experiment starts from.
+// warm returns the fabric built and run to steady state: the bring-up every
+// experiment starts from. Inside the trial pool it is a fork of the memo's
+// snapshot for opts (see warmMemo); anywhere else a bring-up of its own.
 func warm(opts Options) (*Fabric, error) {
+	if opts.pooled {
+		return memo.warm(opts)
+	}
+	return bringUp(opts)
+}
+
+// bringUp is Build plus WarmUp(WarmupTime).
+func bringUp(opts Options) (*Fabric, error) {
 	f, err := Build(opts)
 	if err != nil {
 		return nil, err

@@ -66,6 +66,10 @@ type Options struct {
 	// BGPNoFastFailover disables interface tracking in the BGP speakers
 	// (`no bgp fast-external-failover`), for the ablation benchmarks.
 	BGPNoFastFailover bool
+
+	// pooled marks a trial the pool runs (runTrials sets it): its bring-up
+	// is served by the memo.
+	pooled bool
 }
 
 // DefaultOptions returns the paper's configuration for a protocol/topology.

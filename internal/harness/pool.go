@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 )
@@ -22,17 +23,23 @@ func TrialSeed(base int64, i int) int64 { return base + int64(i)*7919 }
 
 // runTrials evaluates fn for trial indices [0, n) on a bounded worker pool
 // and returns the results ordered by index. Each invocation receives a copy
-// of opts with the trial's derived seed. Trials run sequentially on the
-// calling goroutine when the pool is sized out (Workers <= 1).
+// of opts with the trial's derived seed, marked pooled so that its bring-up
+// comes from the memo. Trials run sequentially on the calling goroutine
+// when the pool is sized out (Workers <= 1). n < 1 is an error: no trial is
+// no measurement, and a summary of none would read as one.
 //
 // On error the lowest-indexed failure is returned, which is the one a
 // sequential stop-at-first-failure loop would have seen.
 func runTrials[T any](opts Options, n int, fn func(o Options) (T, error)) ([]T, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("harness: %d trials requested, want at least 1", n)
+	}
 	results := make([]T, n)
 	errs := make([]error, n)
 	run := func(i int) {
 		o := opts
 		o.Seed = TrialSeed(opts.Seed, i)
+		o.pooled = true
 		results[i], errs[i] = fn(o)
 	}
 
@@ -94,7 +101,7 @@ type Cell[S, R any] struct {
 // RunCell runs n seeds of one configuration over the trial pool and pools
 // them with summarize, like the paper's "values averaged over multiple
 // runs". Pooling is in trial order, so the cell is identical whatever the
-// pool width.
+// pool width. n < 1 is an error.
 func RunCell[S, R any](opts Options, n int, trial func(Options) (R, error), summarize func([]R) S) (Cell[S, R], error) {
 	rs, err := runTrials(opts, n, trial)
 	if err != nil {

@@ -110,3 +110,99 @@ func TestParallelTrialsDeterministic(t *testing.T) {
 		t.Errorf("parallel loss %v differs from sequential %v", parLoss, seqLoss)
 	}
 }
+
+// TestRunnersRejectNoTrials: a cell of no trials is an error, not a NaN mean
+// loss or a summary that reads as "converged in 0 s".
+func TestRunnersRejectNoTrials(t *testing.T) {
+	opts := DefaultOptions(topology.TwoPodSpec(), ProtoMRMTP, 1)
+	for _, n := range []int{0, -1} {
+		if lost, err := RunLossTrials(opts, topology.TC1, false, n); err == nil {
+			t.Errorf("RunLossTrials(n=%d) = %v, want an error", n, lost)
+		}
+		if s, err := RunFailureTrials(opts, topology.TC1, n); err == nil {
+			t.Errorf("RunFailureTrials(n=%d) = %+v, want an error", n, s)
+		}
+		if _, err := RunCell(opts, n, func(Options) (int, error) { return 1, nil }, func([]int) int { return 0 }); err == nil {
+			t.Errorf("RunCell(n=%d) succeeded, want an error", n)
+		}
+	}
+}
+
+// TestWarmMemoScope holds the memo to its scope: one bring-up per
+// configuration and trial seed within a sweep, none carried into the next,
+// and no part in a bring-up made outside the trial pool.
+func TestWarmMemoScope(t *testing.T) {
+	// bench's grid loop at tiny scale: spec, protocol, failure case, then
+	// the failure and the near and far loss cells.
+	const n = 1
+	specs := []topology.Spec{topology.TwoPodSpec()}
+	protos := []Protocol{ProtoMRMTP, ProtoBGP, ProtoBGPBFD}
+	grid := func() {
+		for _, spec := range specs {
+			for _, proto := range protos {
+				opts := DefaultOptions(spec, proto, 1)
+				for _, tc := range topology.AllFailureCases() {
+					if _, err := RunFailureTrials(opts, tc, n); err != nil {
+						t.Fatal(err)
+					}
+					for _, reverse := range []bool{false, true} {
+						if _, err := RunLossTrials(opts, tc, reverse, n); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+		}
+	}
+	cells := len(specs) * len(protos) * len(topology.AllFailureCases()) * 3
+	for pass := 1; pass <= 2; pass++ {
+		w0, f0 := memo.counts()
+		grid()
+		w1, f1 := memo.counts()
+		if got, want := w1-w0, len(specs)*len(protos)*n; got != want {
+			t.Errorf("pass %d made %d bring-ups, want %d (specs × protocols × trials)", pass, got, want)
+		}
+		if got, want := f1-f0, cells*n; got != want {
+			t.Errorf("pass %d made %d forks, want %d (one per trial)", pass, got, want)
+		}
+	}
+
+	// A direct RunWorkload call brings its own fabric up.
+	memo.mu.Lock()
+	config, entries := memo.config, len(memo.entries)
+	memo.mu.Unlock()
+	w0, f0 := memo.counts()
+	w := DefaultWorkloadConfig()
+	w.Flows = 20
+	if _, err := RunWorkload(DefaultOptions(topology.TwoPodSpec(), ProtoMRMTP, 1), w); err != nil {
+		t.Fatal(err)
+	}
+	if w1, f1 := memo.counts(); w1 != w0 || f1 != f0 {
+		t.Errorf("a direct RunWorkload made %d bring-ups and %d forks through the memo, want none", w1-w0, f1-f0)
+	}
+	memo.mu.Lock()
+	if memo.config != config || len(memo.entries) != entries {
+		t.Errorf("a direct RunWorkload changed the memo: %d entries, was %d", len(memo.entries), entries)
+	}
+	memo.mu.Unlock()
+
+	// A change of configuration empties the memo.
+	a := DefaultOptions(topology.TwoPodSpec(), ProtoMRMTP, 11)
+	b := a
+	b.MTPAccept = 1
+	for _, opts := range []Options{a, b} {
+		if _, err := RunFailureTrials(opts, topology.TC2, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	memo.mu.Lock()
+	defer memo.mu.Unlock()
+	if len(memo.entries) != 2 {
+		t.Errorf("memo holds %d snapshots after a 2-trial cell, want 2", len(memo.entries))
+	}
+	for key := range memo.entries {
+		if key.MTPAccept != b.MTPAccept {
+			t.Errorf("memo still holds a snapshot of the previous configuration (seed %d)", key.Seed)
+		}
+	}
+}

@@ -10,7 +10,9 @@ package ipstack
 
 import (
 	"fmt"
+	"maps"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -252,4 +254,25 @@ func (f *FIB) Render() string {
 		}
 	}
 	return b.String()
+}
+
+// fork copies the table for a forked stack, each next hop's interface
+// replaced by its copy.
+func (f *FIB) fork(iface func(*Iface) *Iface) FIB {
+	c := FIB{
+		routes:  make([]Route, len(f.routes), cap(f.routes)),
+		head:    maps.Clone(f.head),
+		next:    slices.Clone(f.next),
+		lens:    f.lens,
+		version: f.version,
+	}
+	for i, r := range f.routes {
+		nhs := make([]NextHop, len(r.NextHops))
+		for j, nh := range r.NextHops {
+			nhs[j] = NextHop{Via: nh.Via, Iface: iface(nh.Iface)}
+		}
+		r.NextHops = nhs
+		c.routes[i] = r
+	}
+	return c
 }

@@ -291,3 +291,38 @@ func TestFIBCanonicalPrefix(t *testing.T) {
 		t.Errorf("Bits -3 was not clamped to the default route: Lookup = %+v %v", r, ok)
 	}
 }
+
+// TestFIBForkOwnsItsRoutes: a forked table names the copies of its
+// interfaces, and neither table's later writes reach the other.
+func TestFIBForkOwnsItsRoutes(t *testing.T) {
+	f, dst := fabricFIB(t, 4, 8)
+	before := f.Render()
+	copies := make(map[*Iface]*Iface)
+	c := f.fork(func(ifc *Iface) *Iface {
+		if copies[ifc] == nil {
+			cp := *ifc
+			copies[ifc] = &cp
+		}
+		return copies[ifc]
+	})
+	for _, r := range f.routes {
+		for _, nh := range r.NextHops {
+			if copies[nh.Iface] == nil {
+				t.Fatalf("the source's route %s names a copied interface", r.Prefix)
+			}
+		}
+	}
+	for _, r := range c.routes {
+		for _, nh := range r.NextHops {
+			if copies[nh.Iface] != nil {
+				t.Fatalf("the fork's route %s names a source interface", r.Prefix)
+			}
+		}
+	}
+	r, _ := c.Lookup(dst)
+	c.Replace(Route{Prefix: r.Prefix, Proto: ProtoBGP, Metric: 20, NextHops: r.NextHops[:1]})
+	c.Remove(netaddr.MakePrefix(netaddr.MakeIPv4(192, 168, 0, 0), 24), ProtoBGP)
+	if got := f.Render(); got != before {
+		t.Errorf("writes to the fork changed the source:\n%s\nwas\n%s", got, before)
+	}
+}

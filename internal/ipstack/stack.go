@@ -467,3 +467,75 @@ func (s *Stack) flushARPPending(ip netaddr.IPv4) {
 
 // String identifies the stack in logs.
 func (s *Stack) String() string { return fmt.Sprintf("ipstack(%s)", s.Node.Name) }
+
+// Fork copies the stack for a fork of its simulation — interfaces, FIB,
+// ARP table and queue, counters, TCP endpoint — and attaches the copy to
+// the node's copy. The copy's interfaces are bound to the originals in fk,
+// for the daemons' copies to find. UDP and ICMP listeners and the carrier
+// and start hooks belong to whoever installed them, which installs them
+// again on the copy; Finish fails if one is missing.
+func (s *Stack) Fork(fk *simnet.Forker) *Stack {
+	node := fk.Node(s.Node)
+	ns := &Stack{
+		Node:        node,
+		ifaces:      make(map[int]*Iface, len(s.ifaces)),
+		ifaceList:   make([]*Iface, len(s.ifaceList)),
+		localIPs:    make(map[netaddr.IPv4]*Iface, len(s.localIPs)),
+		arpTable:    make(map[netaddr.IPv4]arpEntry, len(s.arpTable)),
+		arpPending:  make(map[netaddr.IPv4][][]byte, len(s.arpPending)),
+		udpHandlers: make(map[uint16]UDPHandler),
+		Stats:       s.Stats,
+		ipID:        s.ipID,
+		frames:      node.Sim.Frames(),
+	}
+	for i, ifc := range s.ifaceList {
+		nifc := &Iface{Port: fk.Port(ifc.Port), IP: ifc.IP, Subnet: ifc.Subnet}
+		ns.ifaceList[i] = nifc
+		ns.ifaces[ifc.Port.Index] = nifc
+		fk.Bind(ifc, nifc)
+	}
+	iface := func(ifc *Iface) *Iface { return simnet.Lookup(fk, ifc) }
+	//simlint:deterministic map copy
+	for ip, ifc := range s.localIPs {
+		ns.localIPs[ip] = iface(ifc)
+	}
+	//simlint:deterministic map copy
+	for ip, e := range s.arpTable {
+		ns.arpTable[ip] = arpEntry{mac: e.mac, ifc: iface(e.ifc)}
+	}
+	//simlint:deterministic map copy
+	for ip, frames := range s.arpPending {
+		q := make([][]byte, len(frames))
+		for i, f := range frames {
+			q[i] = ns.frames.Clone(f)
+		}
+		ns.arpPending[ip] = q
+	}
+	ns.FIB = s.FIB.fork(iface)
+	ns.TCP = s.TCP.Fork(fk, node.Rand, ns.sendTCPSegment)
+	node.Handler = ns
+	fk.Bind(s, ns)
+	fk.Check(func() error {
+		missing := len(s.icmpHandlers) - len(ns.icmpHandlers)
+		//simlint:deterministic counts only
+		for port := range s.udpHandlers {
+			if ns.udpHandlers[port] == nil {
+				missing++
+			}
+		}
+		for _, hook := range [][2]bool{
+			{s.OnPortDown != nil, ns.OnPortDown != nil},
+			{s.OnPortUp != nil, ns.OnPortUp != nil},
+			{s.OnStart != nil, ns.OnStart != nil},
+		} {
+			if hook[0] != hook[1] {
+				missing++
+			}
+		}
+		if missing != 0 || len(ns.udpHandlers) != len(s.udpHandlers) {
+			return fmt.Errorf("ipstack %s: fork lacks %d listener or hook(s) of the source", s.Node.Name, missing)
+		}
+		return nil
+	})
+	return ns
+}

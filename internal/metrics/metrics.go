@@ -9,6 +9,7 @@
 package metrics
 
 import (
+	"slices"
 	"sort"
 	"time"
 )
@@ -71,6 +72,11 @@ func (l *Log) ControlMessage(at time.Duration, node string, bytes int) {
 // FailureInjected records that node's interface eth<port> was failed.
 func (l *Log) FailureInjected(at time.Duration, node string, port int) {
 	l.add(Event{At: at, Node: node, Kind: KindFailure, N: port})
+}
+
+// Fork returns a copy of the log: its events and its retention setting.
+func (l *Log) Fork() *Log {
+	return &Log{Events: slices.Clone(l.Events), discard: l.discard}
 }
 
 // Reset discards all recorded events (the harness calls this once the

@@ -216,6 +216,10 @@ type Router struct {
 	staged        []stagedUpdate
 	coalesceTimer *simnet.Timer
 
+	// joins are the JOIN retransmissions armed and not yet due, in arming
+	// order (armJoinRetry).
+	joins []*pendingJoin
+
 	// ToR data-plane state (rack-side ARP).
 	arpCache   map[netaddr.IPv4]arpEntry
 	arpPending map[netaddr.IPv4][][]byte // composed rack frames (see deliverToRack) awaiting resolution
@@ -297,12 +301,14 @@ func (r *Router) Start() {
 // a lost ADVERTISE (or JOIN/OFFER) never wedges tree formation: the next
 // announcement restarts the handshake.
 func (r *Router) scheduleAdvertise(adj *adjacency) {
-	adj.advTimer = r.sim().After(advertiseInterval, func() {
-		if adj.state == adjUp {
-			r.sendAdvertise(adj)
-		}
-		adj.advTimer.Reset(advertiseInterval)
-	})
+	adj.advTimer = r.sim().After(advertiseInterval, func() { r.advertiseDue(adj) })
+}
+
+func (r *Router) advertiseDue(adj *adjacency) {
+	if adj.state == adjUp {
+		r.sendAdvertise(adj)
+	}
+	adj.advTimer.Reset(advertiseInterval)
 }
 
 // --- transmission helpers -------------------------------------------------
@@ -377,15 +383,17 @@ func (r *Router) joinableVIDs() []VID {
 }
 
 func (r *Router) scheduleHello(adj *adjacency) {
-	adj.helloTimer = r.sim().After(r.Cfg.HelloInterval, func() {
-		// Keep-alive only when nothing else was sent in the interval
-		// (paper §IV.B: any MR-MTP message serves as a keep-alive).
-		if r.sim().Now()-adj.lastTx >= r.Cfg.HelloInterval {
-			r.Stats.HellosSent++
-			r.sendOn(adj, []byte{TypeHello})
-		}
-		adj.helloTimer.Reset(r.Cfg.HelloInterval)
-	})
+	adj.helloTimer = r.sim().After(r.Cfg.HelloInterval, func() { r.helloDue(adj) })
+}
+
+func (r *Router) helloDue(adj *adjacency) {
+	// Keep-alive only when nothing else was sent in the interval
+	// (paper §IV.B: any MR-MTP message serves as a keep-alive).
+	if r.sim().Now()-adj.lastTx >= r.Cfg.HelloInterval {
+		r.Stats.HellosSent++
+		r.sendOn(adj, []byte{TypeHello})
+	}
+	adj.helloTimer.Reset(r.Cfg.HelloInterval)
 }
 
 func (r *Router) armDead(adj *adjacency) {
@@ -393,11 +401,13 @@ func (r *Router) armDead(adj *adjacency) {
 		adj.deadTimer.Reset(r.Cfg.DeadInterval)
 		return
 	}
-	adj.deadTimer = r.sim().After(r.Cfg.DeadInterval, func() {
-		if adj.state == adjUp {
-			r.neighborDown(adj)
-		}
-	})
+	adj.deadTimer = r.sim().After(r.Cfg.DeadInterval, func() { r.deadDue(adj) })
+}
+
+func (r *Router) deadDue(adj *adjacency) {
+	if adj.state == adjUp {
+		r.neighborDown(adj)
+	}
 }
 
 // --- simnet.Handler -------------------------------------------------------
@@ -765,26 +775,41 @@ func (r *Router) armJoinRetry(adj *adjacency, want []VID, budget int) {
 		}
 		return
 	}
-	r.sim().Schedule(joinRetry, func() {
-		if adj.state != adjUp {
-			return
-		}
-		var missing []VID
-		for _, v := range want {
-			if !r.haveViaPort(v, adj.port.Index) {
-				missing = append(missing, v)
-				if !slices.ContainsFunc(adj.requested, v.Equal) {
-					adj.requested = append(adj.requested, v)
-				}
+	jr := &pendingJoin{adj: adj, want: want, budget: budget}
+	jr.timer = r.sim().After(joinRetry, func() { r.retryJoin(jr) })
+	r.joins = append(r.joins, jr)
+}
+
+// pendingJoin is an armed JOIN retransmission: the VIDs it re-requests on
+// the adjacency and the retries left after it.
+type pendingJoin struct {
+	adj    *adjacency
+	want   []VID
+	budget int
+	timer  *simnet.Timer
+}
+
+func (r *Router) retryJoin(jr *pendingJoin) {
+	r.joins = slices.DeleteFunc(r.joins, func(p *pendingJoin) bool { return p == jr })
+	adj := jr.adj
+	if adj.state != adjUp {
+		return
+	}
+	var missing []VID
+	for _, v := range jr.want {
+		if !r.haveViaPort(v, adj.port.Index) {
+			missing = append(missing, v)
+			if !slices.ContainsFunc(adj.requested, v.Equal) {
+				adj.requested = append(adj.requested, v)
 			}
 		}
-		if len(missing) == 0 {
-			return
-		}
-		m := Message{Type: TypeJoin, VIDs: missing}
-		r.sendMsg(adj, &m)
-		r.armJoinRetry(adj, missing, budget-1)
-	})
+	}
+	if len(missing) == 0 {
+		return
+	}
+	m := Message{Type: TypeJoin, VIDs: missing}
+	r.sendMsg(adj, &m)
+	r.armJoinRetry(adj, missing, jr.budget-1)
 }
 
 // handleJoin answers a join request: derive each child VID by appending the

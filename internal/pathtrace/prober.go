@@ -1,6 +1,7 @@
 package pathtrace
 
 import (
+	"sort"
 	"time"
 
 	"repro/internal/icmp"
@@ -166,6 +167,7 @@ func (p *Prober) HandleReply(from netaddr.IPv4, ipID uint16, reached bool) {
 // virtual time. RTT quantiles are computed over the rolling window.
 func (p *Prober) Snapshot() []HopSnapshot {
 	out := make([]HopSnapshot, len(p.hops))
+	var sorted []float64 // one hop's window, sorted; reused hop to hop
 	for i := range p.hops {
 		h := &p.hops[i]
 		s := HopSnapshot{
@@ -180,9 +182,10 @@ func (p *Prober) Snapshot() []HopSnapshot {
 			n = rttWindow
 		}
 		if n > 0 {
-			window := h.rtts[:n]
-			s.RTTP50 = time.Duration(stats.Percentile(window, 50) * float64(time.Second))
-			s.RTTP95 = time.Duration(stats.Percentile(window, 95) * float64(time.Second))
+			sorted = append(sorted[:0], h.rtts[:n]...)
+			sort.Float64s(sorted)
+			s.RTTP50 = time.Duration(stats.SortedPercentile(sorted, 50) * float64(time.Second))
+			s.RTTP95 = time.Duration(stats.SortedPercentile(sorted, 95) * float64(time.Second))
 		}
 		out[i] = s
 	}

@@ -167,3 +167,35 @@ func (p *Pool) Holds(b []byte) bool {
 	}
 	return false
 }
+
+// Fork returns a pool for a copy of the simulation that owns p: p's
+// counters, and a free stock of fresh buffers with the capacities of p's,
+// so that the copy's Gets recycle and fall through to the allocator exactly
+// where p's would.
+func (p *Pool) Fork() *Pool {
+	q := &Pool{stats: p.stats, dbg: newDebugState()}
+	for i, bucket := range p.buckets {
+		if len(bucket) == 0 {
+			continue
+		}
+		stock := make([][]byte, len(bucket), cap(bucket))
+		for j, b := range bucket {
+			stock[j] = make([]byte, 0, cap(b))
+			q.trackPut(stock[j])
+		}
+		q.buckets[i] = stock
+	}
+	return q
+}
+
+// Clone copies b, a buffer the source of a Fork has lent out, for the
+// fork's pool: same length and capacity, and not counted, since the fork's
+// counters already count the buffer as in use.
+func (p *Pool) Clone(b []byte) []byte {
+	if b == nil {
+		return nil
+	}
+	c := make([]byte, len(b), cap(b))
+	copy(c, b)
+	return c
+}

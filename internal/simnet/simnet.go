@@ -58,7 +58,7 @@ type Sim struct {
 	frontier  []passMark // how far dispatch has got in the (at, prio, tie, seq) order (see passMark)
 	seq       uint64
 	seed      int64 // base seed; derives the per-node and per-direction streams
-	rng       *rand.Rand
+	rng       *stream
 	nodes     map[string]*Node
 	nodeOrder []*Node // insertion order, for deterministic iteration
 	links     []*Link
@@ -89,7 +89,7 @@ type Sim struct {
 func New(seed int64) *Sim {
 	return &Sim{
 		seed:           seed,
-		rng:            rand.New(rand.NewSource(seed)),
+		rng:            newStream(seed),
 		nodes:          make(map[string]*Node),
 		frames:         framepool.New(),
 		DefaultLatency: 100 * time.Microsecond,
@@ -115,7 +115,7 @@ func streamSeed(base int64, name string, salt uint64) int64 {
 func (s *Sim) Now() time.Duration { return s.now }
 
 // Rand exposes the simulation's deterministic random source.
-func (s *Sim) Rand() *rand.Rand { return s.rng }
+func (s *Sim) Rand() *rand.Rand { return s.rng.rand() }
 
 // Events returns the number of events dispatched so far: timer and control
 // callbacks and frame deliveries, i.e. the times Step returned true. An
@@ -150,7 +150,7 @@ type Node struct {
 	// source component of frame tie keys, and the seed of its ports' MACs.
 	id int32
 
-	rng *rand.Rand // lazily built per-node stream (see Rand)
+	rng *stream // lazily built per-node stream (see Rand)
 }
 
 // AddNode creates a node. Names must be unique.
@@ -171,9 +171,9 @@ func (s *Sim) AddNode(name string) *Node {
 // source, so draw sequences depend only on the node's own event order.
 func (n *Node) Rand() *rand.Rand {
 	if n.rng == nil {
-		n.rng = rand.New(rand.NewSource(streamSeed(n.Sim.seed, n.Name, 0)))
+		n.rng = newStream(streamSeed(n.Sim.seed, n.Name, 0))
 	}
-	return n.rng
+	return n.rng.rand()
 }
 
 // Node returns a node by name, or nil.
@@ -522,7 +522,7 @@ type dirState struct {
 
 	// rng is the direction's private stream for loss/corruption/jitter
 	// draws, lazily derived from (sim seed, sending port).
-	rng *rand.Rand
+	rng *stream
 	// txSeq counts scheduled transmissions: the per-direction component of
 	// the frame tie key.
 	txSeq uint32
@@ -531,10 +531,14 @@ type dirState struct {
 // rand returns the direction's private stream, creating it on first use.
 func (d *dirState) rand(from *Port) *rand.Rand {
 	if d.rng == nil {
-		d.rng = rand.New(rand.NewSource(streamSeed(from.Node.Sim.seed, from.Node.Name, uint64(from.Index)+1)))
+		d.rng = newStream(streamSeed(from.Node.Sim.seed, from.Node.Name, uint64(from.Index)+1))
 	}
-	return d.rng
+	return d.rng.rand()
 }
+
+// Rand returns the private stream of the direction transmitting from p:
+// its loss, corruption and jitter draws.
+func (l *Link) Rand(from *Port) *rand.Rand { return l.dir(from).rand(from) }
 
 // Impairment is a per-direction fault profile: every field applies to
 // frames transmitted in one direction of a link, leaving the reverse

@@ -50,21 +50,34 @@ func Summarize(xs []float64) Summary {
 	if len(xs) > 1 {
 		s.StdDev = math.Sqrt(sq / float64(len(xs)-1))
 	}
-	s.P50 = Percentile(xs, 50)
-	s.P95 = Percentile(xs, 95)
-	s.P99 = Percentile(xs, 99)
-	s.P999 = Percentile(xs, 99.9)
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	s.P50 = SortedPercentile(sorted, 50)
+	s.P95 = SortedPercentile(sorted, 95)
+	s.P99 = SortedPercentile(sorted, 99)
+	s.P999 = SortedPercentile(sorted, 99.9)
 	return s
 }
 
 // Percentile returns the p-th percentile (0..100) using linear
-// interpolation between closest ranks. It does not modify xs.
+// interpolation between closest ranks. It does not modify xs. It sorts a
+// copy of xs on every call; a caller reading several quantiles of one
+// sample sorts once and reads them with SortedPercentile.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	return SortedPercentile(sorted, p)
+}
+
+// SortedPercentile is Percentile of a sample already sorted in ascending
+// order.
+func SortedPercentile(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
 	if p <= 0 {
 		return sorted[0]
 	}

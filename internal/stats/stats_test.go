@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/budget"
 )
 
 func TestSummarizeKnown(t *testing.T) {
@@ -200,5 +202,35 @@ func TestSummarizeConstantSamples(t *testing.T) {
 		if s.StdDev != 0 {
 			t.Errorf("n=%d: stddev = %v, want exactly 0", n, s.StdDev)
 		}
+	}
+}
+
+// TestSortedPercentileMatchesPercentile holds the sorted-sample read to
+// Percentile, the copy-and-sort oracle, at arbitrary ranks.
+func TestSortedPercentileMatchesPercentile(t *testing.T) {
+	f := func(raw []int16, p uint16) bool {
+		xs := make([]float64, len(raw))
+		for i, v := range raw {
+			xs[i] = float64(v)
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		q := float64(p%1100)/10 - 2 // spans below 0 and above 100
+		return SortedPercentile(sorted, q) == Percentile(xs, q)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSummarizeSortsOnce: every quantile comes from one sorted copy, the
+// one object Summarize allocates.
+func TestSummarizeSortsOnce(t *testing.T) {
+	xs := make([]float64, 1000)
+	for i := range xs {
+		xs[i] = float64((i * 7919) % 1000)
+	}
+	if allocs, bytes := budget.PerRun(50, func() { Summarize(xs) }); allocs != 1 || bytes != 8*1024 {
+		t.Errorf("Summarize of 1000 samples: %d objects, %d bytes per call; want 1 and 8192 (one sorted copy)", allocs, bytes)
 	}
 }

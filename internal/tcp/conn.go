@@ -3,6 +3,7 @@ package tcp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/netaddr"
@@ -382,3 +383,55 @@ func (c *Conn) acceptData(seg Segment) {
 		c.onData(seg.Payload)
 	}
 }
+
+// Fork copies the endpoint for a fork of its simulation: every connection
+// with its state, buffers and retransmission timer, which stays armed where
+// it was. stream and output are the copy's, the forked stack's. A listener's
+// accept callback and a connection's OnData and OnState hooks belong to the
+// daemon that installed them, which installs them again on the copy; the
+// fork fails at Finish if one is missing.
+func (e *Endpoint) Fork(fk *simnet.Forker, stream func() *rand.Rand, output func(src, dst netaddr.IPv4, segment []byte)) *Endpoint {
+	ne := NewEndpoint(fk.Sim(), stream, output)
+	ne.portSeq = e.portSeq
+	ne.Stats = e.Stats
+	//simlint:deterministic each connection is copied on its own; the timers it claims keep their keys, so claim order is not dispatch order
+	for k, c := range e.conns {
+		nc := &Conn{
+			ep: ne, key: k, state: c.state,
+			iss: c.iss, sndUna: c.sndUna, sndNxt: c.sndNxt, rcvNxt: c.rcvNxt,
+			unacked: slices.Clone(c.unacked), pending: slices.Clone(c.pending),
+			retries: c.retries,
+		}
+		if c.acceptFn != nil {
+			nc.acceptFn = ne.accept
+		}
+		nc.retransTimer = fk.Timer(c.retransTimer, nc.retransmit)
+		ne.conns[k] = nc
+		fk.Bind(c, nc)
+	}
+	fk.Check(func() error {
+		missing := 0
+		//simlint:deterministic counts only
+		for port := range e.listeners {
+			if ne.listeners[port] == nil {
+				missing++
+			}
+		}
+		//simlint:deterministic counts only
+		for k, c := range e.conns {
+			nc := ne.conns[k]
+			if (c.onData == nil) != (nc.onData == nil) || (c.onState == nil) != (nc.onState == nil) {
+				missing++
+			}
+		}
+		if missing > 0 || len(ne.listeners) != len(e.listeners) {
+			return fmt.Errorf("tcp: fork lacks %d listener or connection hook(s) of the source", missing)
+		}
+		return nil
+	})
+	return ne
+}
+
+// accept hands an established connection to its port's listener: the
+// accept callback of a connection the copy's Fork made.
+func (e *Endpoint) accept(c *Conn) { e.listeners[c.key.localPort](c) }

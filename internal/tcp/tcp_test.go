@@ -345,3 +345,44 @@ func TestStreamBuiltAtFirstDraw(t *testing.T) {
 		t.Errorf("second client ISS = %d from %d streams built, want the second draw %d from one", c2.iss, built[w.a], want)
 	}
 }
+
+// TestForkOwnsItsBuffers: a forked connection retransmits the bytes it held
+// at the fork, whatever the source sends and is acknowledged meanwhile.
+func TestForkOwnsItsBuffers(t *testing.T) {
+	w := newWirePair(t)
+	w.b.Listen(179, func(*Conn) {})
+	c := w.a.Dial(ipA, ipB, 179)
+	w.sim.RunFor(10 * time.Millisecond)
+	w.cut = true
+	c.Send([]byte("held-at-the-fork"))
+	w.sim.RunFor(time.Millisecond)
+
+	fk := w.sim.Fork()
+	var resent []byte
+	na := w.a.Fork(fk, nil, func(src, dst netaddr.IPv4, seg []byte) {
+		if s, err := Unmarshal(src, dst, seg); err == nil {
+			resent = append(resent, s.Payload...)
+		}
+	})
+	nb := w.b.Fork(fk, nil, func(netaddr.IPv4, netaddr.IPv4, []byte) {})
+	nb.Listen(179, func(*Conn) {})
+	copySim, err := fk.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if na.Stats != w.a.Stats {
+		t.Errorf("fork's counters %+v, source's %+v", na.Stats, w.a.Stats)
+	}
+
+	// The source retransmits, is acknowledged and sends more into the
+	// buffer the acknowledgement emptied; then the copy's retransmission
+	// timer fires.
+	w.cut = false
+	w.sim.RunFor(time.Second)
+	c.Send([]byte("overwritten-here"))
+	w.sim.RunFor(time.Second)
+	copySim.RunFor(300 * time.Millisecond)
+	if string(resent) != "held-at-the-fork" {
+		t.Errorf("the fork retransmitted %q, want the bytes it held at the fork", resent)
+	}
+}
