@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt-check lint analyzers invariants race closbench closbench-digest fluid-smoke figures fuzz-smoke check
+.PHONY: all build test vet fmt-check lint analyzers invariants race closbench closbench-digest fluid-smoke figures fuzz-smoke loc check
 
 all: check
 
@@ -128,6 +128,15 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOnDatagram -fuzztime $(FUZZ_TIME) ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzParseJournal -fuzztime $(FUZZ_TIME) ./internal/harness
 	$(GO) test -run '^$$' -fuzz FuzzQueueOrder -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./internal/simnet
+
+# loc prints the non-test Go line counts (testdata/ left out) of the four
+# source trees, of internal/ + cmd/ together and of each internal/ package:
+# the sizes a change that deletes code quotes before and after.
+LOC_COUNT = find $(1) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l
+loc:
+	@for d in internal cmd tools bench; do printf '%-22s %6d\n' $$d "$$($(call LOC_COUNT,$$d))"; done
+	@printf '%-22s %6d\n' 'internal + cmd' "$$($(call LOC_COUNT,internal cmd))"
+	@for d in internal/*/; do printf '  %-20s %6d\n' "$${d%/}" "$$($(call LOC_COUNT,$$d))"; done
 
 # check runs locally what CI's check, lint and fluid-smoke jobs run (the
 # chaos and trace campaigns run under the race detector inside `race`, as

@@ -290,14 +290,12 @@ func (s *Session) handle(pkt ControlPacket) {
 	}
 }
 
-// Fork copies the manager for a fork of its simulation, onto the copy of
-// its stack, which must be forked first: every session with its state,
-// timers and counters, and the manager's listener on the stack. A session's
-// OnDown hook belongs to whoever set it (the harness wires BGP's
-// Peer.BFDDown), and the fork fails at Finish if the copy has none where
-// the source had one.
-func (m *Manager) Fork(fk *simnet.Forker) *Manager {
-	stack := simnet.Lookup(fk, m.stack)
+// Fork copies the manager for a fork of its simulation onto stack, the copy
+// of its stack: every session with its state, timers and counters, and the
+// manager's listener on the stack. A session's OnDown hook belongs to
+// whoever set it (the harness wires BGP's Peer.BFDDown), and the fork fails
+// at Finish if the copy has none where the source had one.
+func (m *Manager) Fork(fk *simnet.Forker, stack *ipstack.Stack) *Manager {
 	nm := &Manager{
 		stack:    stack,
 		sessions: make(map[netaddr.IPv4]*Session, len(m.sessions)),

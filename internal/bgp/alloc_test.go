@@ -31,9 +31,9 @@ func TestUpdateFanoutAllocs(t *testing.T) {
 		t.Skip("checkFIB allocates after every decision under -tags invariants")
 	}
 	tn := newTestNet()
-	hub := tn.router("hub", 64512, true)
+	hub := tn.router("hub", 64512)
 	for i := 0; i < 8; i++ {
-		tn.link(tn.router(fmt.Sprintf("n%d", i), 64601+uint16(i), true), hub)
+		tn.link(tn.router(fmt.Sprintf("n%d", i), 64601+uint16(i)), hub)
 	}
 	for _, r := range tn.routers {
 		r.sp.Cfg.Timers.Keepalive = time.Hour
@@ -71,8 +71,8 @@ func TestUpdateFanoutAllocs(t *testing.T) {
 // never come back to it; what this pins is that nothing else allocates.
 func TestKeepaliveSendAllocs(t *testing.T) {
 	tn := newTestNet()
-	leaf := tn.router("leaf", 64601, true, rack11)
-	spine := tn.router("spine", 64513, true)
+	leaf := tn.router("leaf", 64601, rack11)
+	spine := tn.router("spine", 64513)
 	tn.link(leaf, spine)
 	for _, r := range tn.routers {
 		r.sp.Cfg.Timers.Keepalive = time.Hour
@@ -114,8 +114,8 @@ func TestKeepaliveSendAllocs(t *testing.T) {
 // scratch, so a path kept by reference would show there.
 func TestOnDataIsBorrow(t *testing.T) {
 	tn := newTestNet()
-	leaf := tn.router("leaf", 64601, true, rack11)
-	spine := tn.router("spine", 64513, true)
+	leaf := tn.router("leaf", 64601, rack11)
+	spine := tn.router("spine", 64513)
 	tn.link(leaf, spine)
 	tn.sim.Start()
 	tn.sim.RunFor(3 * time.Second)

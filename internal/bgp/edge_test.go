@@ -11,8 +11,8 @@ import (
 func TestWrongASRejected(t *testing.T) {
 	// A neighbor whose OPEN carries an unexpected AS must not establish.
 	tn := newTestNet()
-	leaf := tn.router("leaf", 64601, true, rack11)
-	spine := tn.router("spine", 64513, true)
+	leaf := tn.router("leaf", 64601, rack11)
+	spine := tn.router("spine", 64513)
 	// Misconfigure: leaf expects 64599 from the spine.
 	pa := leaf.stack.Node.AddPort()
 	pb := spine.stack.Node.AddPort()
@@ -31,13 +31,12 @@ func TestWrongASRejected(t *testing.T) {
 }
 
 func TestMaxPathsCapsECMP(t *testing.T) {
-	// A destination with 3 equal paths but MaxPaths=2 installs only 2.
+	// A destination with maxPaths+1 equal paths installs maxPaths of them.
 	tn := newTestNet()
-	dst := tn.router("dst", 64602, true, netaddr.MakePrefix(netaddr.MakeIPv4(192, 168, 14, 0), 24))
-	src := tn.router("src", 64601, true)
-	src.sp.Cfg.MaxPaths = 2
-	for i := 0; i < 3; i++ {
-		mid := tn.router(string(rune('a'+i)), 64513, true)
+	dst := tn.router("dst", 64602, netaddr.MakePrefix(netaddr.MakeIPv4(192, 168, 14, 0), 24))
+	src := tn.router("src", 64601)
+	for i := 0; i < maxPaths+1; i++ {
+		mid := tn.router(string(rune('a'+i)), 64513)
 		tn.link(src, mid)
 		tn.link(dst, mid)
 	}
@@ -48,8 +47,8 @@ func TestMaxPathsCapsECMP(t *testing.T) {
 	if r == nil {
 		t.Fatal("no route learned")
 	}
-	if len(r.NextHops) != 2 {
-		t.Errorf("installed %d next hops, want MaxPaths=2", len(r.NextHops))
+	if len(r.NextHops) != maxPaths {
+		t.Errorf("installed %d next hops, want maxPaths=%d", len(r.NextHops), maxPaths)
 	}
 }
 
@@ -57,8 +56,8 @@ func TestCorruptStreamResetsSession(t *testing.T) {
 	// Feed garbage into an established session's stream: the FSM must
 	// reset rather than wedge, and then recover on its own.
 	tn := newTestNet()
-	leaf := tn.router("leaf", 64601, true, rack11)
-	spine := tn.router("spine", 64513, true)
+	leaf := tn.router("leaf", 64601, rack11)
+	spine := tn.router("spine", 64513)
 	tn.link(leaf, spine)
 	tn.sim.Start()
 	tn.sim.RunFor(3 * time.Second)
@@ -79,8 +78,8 @@ func TestCorruptStreamResetsSession(t *testing.T) {
 
 func TestHoldTimeZeroDisablesHoldTimer(t *testing.T) {
 	tn := newTestNet()
-	leaf := tn.router("leaf", 64601, true, rack11)
-	spine := tn.router("spine", 64513, true)
+	leaf := tn.router("leaf", 64601, rack11)
+	spine := tn.router("spine", 64513)
 	leaf.sp.Cfg.Timers.Hold = 0
 	spine.sp.Cfg.Timers.Hold = 0
 	tn.link(leaf, spine)
@@ -100,8 +99,8 @@ func TestHoldTimeZeroDisablesHoldTimer(t *testing.T) {
 
 func TestSessionResetClearsAdjRIBIn(t *testing.T) {
 	tn := newTestNet()
-	leaf := tn.router("leaf", 64601, true, rack11)
-	spine := tn.router("spine", 64513, true)
+	leaf := tn.router("leaf", 64601, rack11)
+	spine := tn.router("spine", 64513)
 	tn.link(leaf, spine)
 	tn.sim.Start()
 	tn.sim.RunFor(3 * time.Second)

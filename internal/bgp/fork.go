@@ -5,19 +5,21 @@ import (
 	"maps"
 	"slices"
 
+	"repro/internal/ipstack"
+	"repro/internal/metrics"
 	"repro/internal/netaddr"
 	"repro/internal/simnet"
 )
 
-// Fork copies the speaker for a fork of its simulation, onto the copy of
-// its stack, which must be forked first: the table, every session with its
-// timers, MRAI queue and partial message, and the counters. The copy
-// installs its own carrier, start and accept hooks on the stack and its
-// data and state hooks on each session's connection. A Peer.OnDown hook
-// belongs to whoever set it, and the fork fails at Finish if the copy has
-// none where the source had one.
-func (s *Speaker) Fork(fk *simnet.Forker) *Speaker {
-	stack := simnet.Lookup(fk, s.Stack)
+// Fork copies the speaker for a fork of its simulation onto stack, the copy
+// of its stack, and log, the copy of its log: the table, every session with
+// its timers, MRAI queue and partial message, and the counters. A session's
+// copy takes its interface and connection from stack. The copy installs its
+// own carrier, start and accept hooks on the stack and its data and state
+// hooks on each session's connection. A Peer.OnDown hook belongs to whoever
+// set it, and the fork fails at Finish if the copy has none where the source
+// had one, or the stack's copy lacks a session's connection.
+func (s *Speaker) Fork(fk *simnet.Forker, stack *ipstack.Stack, log *metrics.Log) *Speaker {
 	ns := &Speaker{
 		Stack: stack,
 		Cfg:   s.Cfg,
@@ -25,7 +27,7 @@ func (s *Speaker) Fork(fk *simnet.Forker) *Speaker {
 		peers: make([]*Peer, len(s.peers)),
 		byIP:  make(map[netaddr.IPv4]*Peer, len(s.byIP)),
 		rows:  make([]*route, len(s.rows), cap(s.rows)),
-		log:   simnet.Lookup(fk, s.log),
+		log:   log,
 		Stats: s.Stats,
 	}
 	ns.Cfg.Networks = slices.Clone(s.Cfg.Networks)
@@ -40,13 +42,13 @@ func (s *Speaker) Fork(fk *simnet.Forker) *Speaker {
 		np := &Peer{
 			sp:           ns,
 			idx:          p.idx,
-			Iface:        simnet.Lookup(fk, p.Iface),
+			Iface:        stack.Iface(p.Iface.Port.Index),
 			LocalIP:      p.LocalIP,
 			Neighbor:     p.Neighbor,
 			RemoteAS:     p.RemoteAS,
 			State:        p.State,
 			passive:      p.passive,
-			conn:         simnet.Lookup(fk, p.conn),
+			conn:         stack.TCP.Counterpart(p.conn),
 			recvBuf:      slices.Clone(p.recvBuf),
 			openReceived: p.openReceived,
 			MsgSent:      p.MsgSent,
@@ -65,13 +67,14 @@ func (s *Speaker) Fork(fk *simnet.Forker) *Speaker {
 		}
 		ns.peers[i] = np
 		ns.byIP[np.Neighbor] = np
-		fk.Bind(p, np)
 	}
-	fk.Bind(s, ns)
 	fk.Check(func() error {
 		for i, p := range s.peers {
 			if (p.OnDown == nil) != (ns.peers[i].OnDown == nil) {
 				return fmt.Errorf("bgp %s: the fork of the session to %s lacks its OnDown hook", s.Stack.Node.Name, p.Neighbor)
+			}
+			if (p.conn == nil) != (ns.peers[i].conn == nil) {
+				return fmt.Errorf("bgp %s: the stack's copy has no copy of the connection to %s", s.Stack.Node.Name, p.Neighbor)
 			}
 		}
 		return nil

@@ -19,8 +19,6 @@ import (
 // peer for Peer.queue. FuzzSpeakerSequence holds the table to it.
 type oracle struct {
 	asn      uint16
-	ecmp     bool
-	maxPaths int
 	networks []netaddr.Prefix
 	peers    []*oraclePeer
 	adjIn    map[netaddr.Prefix]map[netaddr.IPv4]oraclePath
@@ -94,14 +92,8 @@ func (o *oracle) decide(prefix netaddr.Prefix) {
 		o.withdraw(prefix)
 		return
 	}
-	n := len(best)
-	if !o.ecmp {
-		n = 1
-	} else if n > o.maxPaths {
-		n = o.maxPaths
-	}
 	var nhs []ipstack.NextHop
-	for _, e := range best[:n] {
+	for _, e := range best[:min(len(best), maxPaths)] {
 		nhs = append(nhs, ipstack.NextHop{Via: e.nextHop, Iface: e.peer.iface})
 	}
 	o.fib[prefix] = nhs
@@ -284,16 +276,15 @@ type speakerRig struct {
 	buf Update // the speaker's UPDATEs are decoded into one reused Update, as Peer.in
 }
 
-func newSpeakerRig(npeers int, ecmp bool, maxPaths int, peerAS, order []byte) *speakerRig {
+func newSpeakerRig(npeers int, peerAS, order []byte) *speakerRig {
 	sim := simnet.New(1)
 	stack := ipstack.New(sim.AddNode("r"))
 	local := fuzzPrefixes[len(fuzzPrefixes)-1]
-	cfg := Config{ASN: fuzzASN, Timers: DefaultTimers(), ECMP: ecmp, MaxPaths: maxPaths,
-		Networks: []netaddr.Prefix{local}}
+	cfg := Config{ASN: fuzzASN, Timers: DefaultTimers(), Networks: []netaddr.Prefix{local}}
 	cfg.Timers.MRAI = 1 << 62
 	rig := &speakerRig{
 		sp: New(stack, cfg, nil),
-		or: &oracle{asn: fuzzASN, ecmp: ecmp, maxPaths: maxPaths, networks: cfg.Networks,
+		or: &oracle{asn: fuzzASN, networks: cfg.Networks,
 			adjIn: make(map[netaddr.Prefix]map[netaddr.IPv4]oraclePath),
 			adv:   make(map[netaddr.Prefix]*oracleAdv),
 			fib:   make(map[netaddr.Prefix][]ipstack.NextHop)},
@@ -389,12 +380,11 @@ func (rig *speakerRig) diff() string {
 // drive the speaker and the oracle above, and after every event the two must
 // agree on the FIB, the exported path of every prefix, the RIB's prefixes and
 // every peer's queue of advertisements and withdrawals in order. The header
-// is the peer count, the ECMP flag and path limit, then a byte per peer for
-// its AS (peers may share one, as same-pod spines do) and one for its
-// address rank.
+// is the peer count, then a byte per peer for its AS (peers may share one, as
+// same-pod spines do) and one for its address rank.
 func FuzzSpeakerSequence(f *testing.F) {
-	hdr := func(npeers, ecmp byte, as ...byte) []byte {
-		b := []byte{npeers - 1, ecmp}
+	hdr := func(npeers byte, as ...byte) []byte {
+		b := []byte{npeers - 1}
 		for i := byte(0); i < npeers; i++ {
 			b = append(b, as[i], npeers-i) // addresses descend with position
 		}
@@ -418,24 +408,23 @@ func FuzzSpeakerSequence(f *testing.F) {
 	// gone and its withdrawal sent, peer 1, offering its own, must not be
 	// sent a second one.
 	flush := []byte{opFlush, 0}
-	f.Add(seq(hdr(2, 1, 0, 1), update(0, mask(3), 1), withdraw(0, mask(3)), flush, update(1, mask(3), 2)))
+	f.Add(seq(hdr(2, 0, 1), update(0, mask(3), 1), withdraw(0, mask(3)), flush, update(1, mask(3), 2)))
 	// Peer position 0 alone offers the path.
-	f.Add(seq(hdr(3, 1, 0, 1, 2), update(0, mask(0, 11, 12), 1, 5)))
+	f.Add(seq(hdr(3, 0, 1, 2), update(0, mask(0, 11, 12), 1, 5)))
 	// ECMP ties, a shorter path, loss and return of the session that had it.
-	f.Add(seq(hdr(4, 3, 0, 0, 1, 2), update(0, mask(1, 2), 1, 5), update(1, mask(1, 2), 1, 6),
+	f.Add(seq(hdr(4, 0, 0, 1, 2), update(0, mask(1, 2), 1, 5), update(1, mask(1, 2), 1, 6),
 		update(2, mask(2), 2), []byte{opDown, 2}, flush, update(3, mask(1), 0, 7),
 		[]byte{opUp, 2}, update(2, mask(1, 2, 15), 2, 6)))
-	// ECMP off, eight peers, a prefix withdrawn and re-announced by each.
-	f.Add(seq(hdr(8, 0, 0, 1, 2, 3, 0, 1, 2, 3), update(5, mask(13, 14), 2, 5), update(6, mask(13), 3),
+	// Eight peers, a prefix withdrawn and re-announced by each.
+	f.Add(seq(hdr(8, 0, 1, 2, 3, 0, 1, 2, 3), update(5, mask(13, 14), 2, 5), update(6, mask(13), 3),
 		withdraw(6, mask(13)), []byte{opDown, 5, opDown, 0, opUp, 0}, update(7, mask(12, 13), 4, 8, 8)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 {
+		if len(data) < 1 {
 			return
 		}
 		npeers := int(data[0]%8) + 1
-		ecmp, maxPaths := data[1]&1 != 0, int(data[1]>>1%4)+1
-		data = data[2:]
+		data = data[1:]
 		if len(data) < 2*npeers {
 			return
 		}
@@ -450,7 +439,7 @@ func FuzzSpeakerSequence(f *testing.F) {
 			}
 		}
 		data = data[2*npeers:]
-		rig := newSpeakerRig(npeers, ecmp, maxPaths, peerAS, order)
+		rig := newSpeakerRig(npeers, peerAS, order)
 		for i := range npeers {
 			rig.up(i)
 		}

@@ -16,10 +16,10 @@ import (
 )
 
 // TestDecideOrderPinned pins the order in which the decision process emits
-// UPDATEs. A three-tier fabric (2 tops, 3 PoDs x 2 spines x 2 leaves, one
-// leaf without ECMP) is brought up, loses and regains a leaf uplink (fast
-// failover), loses a whole rack to remote-side failures (hold timer, then
-// fabric-wide withdrawal and FIB removal), and loses a spine-top link; every
+// UPDATEs. A three-tier fabric (2 tops, 3 PoDs x 2 spines x 2 leaves) is
+// brought up, loses and regains a leaf uplink (fast failover), loses a whole
+// rack to remote-side failures (hold timer, then fabric-wide withdrawal and
+// FIB removal), and loses a spine-top link; every
 // TCP segment whose payload starts with a BGP UPDATE is hashed at transmit
 // time with its instant, its sending port and its stream bytes. The sequence
 // is a function of best-path selection, the peer fan-out order, the dirty-
@@ -49,17 +49,15 @@ func runDecideOrder(mrai time.Duration) (updates int, digest string) {
 	tn := newTestNet()
 	tn.sim = simnet.New(19)
 	rack := func(n byte) netaddr.Prefix { return netaddr.MakePrefix(netaddr.MakeIPv4(192, 168, n, 0), 24) }
-	tops := []*rtr{tn.router("T-1", 64512, true), tn.router("T-2", 64512, true)}
+	tops := []*rtr{tn.router("T-1", 64512), tn.router("T-2", 64512)}
 	var leaves, spines []*rtr
 	for pod := byte(1); pod <= 3; pod++ {
 		podSpines := []*rtr{
-			tn.router(fmt.Sprintf("S-%d-1", pod), 64512+uint16(pod), true),
-			tn.router(fmt.Sprintf("S-%d-2", pod), 64512+uint16(pod), true),
+			tn.router(fmt.Sprintf("S-%d-1", pod), 64512+uint16(pod)),
+			tn.router(fmt.Sprintf("S-%d-2", pod), 64512+uint16(pod)),
 		}
 		for i := byte(1); i <= 2; i++ {
-			// L-1-2 installs a single path: decide's non-ECMP truncation.
-			ecmp := !(pod == 1 && i == 2)
-			leaf := tn.router(fmt.Sprintf("L-%d-%d", pod, i), 64600+uint16(pod)*10+uint16(i), ecmp, rack(pod*10+i))
+			leaf := tn.router(fmt.Sprintf("L-%d-%d", pod, i), 64600+uint16(pod)*10+uint16(i), rack(pod*10+i))
 			for _, s := range podSpines {
 				tn.link(leaf, s)
 			}

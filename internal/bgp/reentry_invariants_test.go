@@ -9,7 +9,7 @@ import "testing"
 // path calling back into handleUpdate or peerDown from inside decide — must
 // panic under -tags invariants instead of silently sharing the slices.
 func TestDecisionReentryAsserts(t *testing.T) {
-	sp := newTestNet().router("r", 64512, true).sp
+	sp := newTestNet().router("r", 64512).sp
 	sp.takeDirty()
 	defer func() {
 		if recover() == nil {

@@ -8,8 +8,8 @@ import (
 
 func TestRenderSummary(t *testing.T) {
 	tn := newTestNet()
-	leaf := tn.router("leaf", 64601, true, rack11)
-	spine := tn.router("spine", 64513, true)
+	leaf := tn.router("leaf", 64601, rack11)
+	spine := tn.router("spine", 64513)
 	tn.link(leaf, spine)
 	tn.sim.Start()
 	tn.sim.RunFor(5 * time.Second)
@@ -33,8 +33,8 @@ func TestRenderSummary(t *testing.T) {
 
 func TestRenderSummaryDownSession(t *testing.T) {
 	tn := newTestNet()
-	leaf := tn.router("leaf", 64601, true, rack11)
-	spine := tn.router("spine", 64513, true)
+	leaf := tn.router("leaf", 64601, rack11)
+	spine := tn.router("spine", 64513)
 	tn.link(leaf, spine)
 	tn.sim.Start()
 	tn.sim.RunFor(2 * time.Second)
@@ -48,9 +48,9 @@ func TestRenderSummaryDownSession(t *testing.T) {
 
 func TestRenderRIB(t *testing.T) {
 	tn := newTestNet()
-	leaf := tn.router("leaf", 64601, true, rack11)
-	spine := tn.router("spine", 64513, true)
-	top := tn.router("top", 64512, true)
+	leaf := tn.router("leaf", 64601, rack11)
+	spine := tn.router("spine", 64513)
+	top := tn.router("top", 64512)
 	tn.link(leaf, spine)
 	tn.link(spine, top)
 	tn.sim.Start()

@@ -39,9 +39,6 @@ type Config struct {
 	ASN      uint16
 	RouterID netaddr.IPv4
 	Timers   Timers
-	// ECMP enables multipath installation (the paper's "BGP with ECMP").
-	ECMP     bool
-	MaxPaths int
 	// DisableFastFailover keeps sessions up across a local carrier loss
 	// until the hold timer expires, like FRR with
 	// `no bgp fast-external-failover`. Default off: interface tracking
@@ -50,6 +47,10 @@ type Config struct {
 	// Networks are locally originated prefixes (the leaf's rack subnet).
 	Networks []netaddr.Prefix
 }
+
+// maxPaths caps the equal-cost next hops a prefix installs (FRR's
+// maximum-paths): the paper's "BGP with ECMP" is the only mode.
+const maxPaths = 8
 
 // route is one prefix's row of the speaker's table: every peer's offer
 // (the Adj-RIB-In), the path we export and the peers that heard it. Rows are
@@ -168,9 +169,6 @@ type Speaker struct {
 // New creates a speaker on the stack and hooks interface events. The log
 // may be nil.
 func New(stack *ipstack.Stack, cfg Config, log *metrics.Log) *Speaker {
-	if cfg.MaxPaths == 0 {
-		cfg.MaxPaths = 8
-	}
 	s := &Speaker{
 		Stack: stack,
 		Cfg:   cfg,
@@ -293,21 +291,15 @@ func (s *Speaker) decide(prefix netaddr.Prefix) {
 	})
 	s.best = best
 
-	// Install the FIB entry (multipath if ECMP).
+	// Install the FIB entry: the best paths, up to maxPaths of them.
 	changed := false
 	if len(best) == 0 {
 		if s.Stack.FIB.Remove(prefix, ipstack.ProtoBGP) {
 			changed = true
 		}
 	} else {
-		n := len(best)
-		if !s.Cfg.ECMP {
-			n = 1
-		} else if n > s.Cfg.MaxPaths {
-			n = s.Cfg.MaxPaths
-		}
 		nhs := s.nhs[:0]
-		for _, p := range best[:n] {
+		for _, p := range best[:min(len(best), maxPaths)] {
 			nhs = append(nhs, ipstack.NextHop{Via: p.Neighbor, Iface: p.Iface})
 		}
 		s.nhs = nhs

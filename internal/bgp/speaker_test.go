@@ -27,14 +27,13 @@ func newTestNet() *testNet {
 	return &testNet{sim: simnet.New(11), log: &metrics.Log{}, routers: make(map[string]*rtr)}
 }
 
-func (tn *testNet) router(name string, asn uint16, ecmp bool, networks ...netaddr.Prefix) *rtr {
+func (tn *testNet) router(name string, asn uint16, networks ...netaddr.Prefix) *rtr {
 	node := tn.sim.AddNode(name)
 	stack := ipstack.New(node)
 	cfg := Config{
 		ASN:      asn,
 		RouterID: netaddr.MakeIPv4(10, 0, byte(len(tn.routers)), 1),
 		Timers:   DefaultTimers(),
-		ECMP:     ecmp,
 		Networks: networks,
 	}
 	r := &rtr{stack: stack, sp: New(stack, cfg, tn.log)}
@@ -77,8 +76,8 @@ func offered(sp *Speaker, prefix netaddr.Prefix) [][]uint16 {
 
 func TestSessionEstablishment(t *testing.T) {
 	tn := newTestNet()
-	leaf := tn.router("leaf", 64601, true, rack11)
-	spine := tn.router("spine", 64513, true)
+	leaf := tn.router("leaf", 64601, rack11)
+	spine := tn.router("spine", 64513)
 	tn.link(leaf, spine)
 	tn.sim.Start()
 	tn.sim.RunFor(2 * time.Second)
@@ -97,9 +96,9 @@ func TestSessionEstablishment(t *testing.T) {
 
 func TestASPathGrowsPerTier(t *testing.T) {
 	tn := newTestNet()
-	leaf := tn.router("leaf", 64601, true, rack11)
-	spine := tn.router("spine", 64513, true)
-	top := tn.router("top", 64512, true)
+	leaf := tn.router("leaf", 64601, rack11)
+	spine := tn.router("spine", 64513)
+	top := tn.router("top", 64512)
 	tn.link(leaf, spine)
 	tn.link(spine, top)
 	tn.sim.Start()
@@ -117,9 +116,9 @@ func TestASPathGrowsPerTier(t *testing.T) {
 
 func TestSenderSideLoopSuppression(t *testing.T) {
 	tn := newTestNet()
-	leaf := tn.router("leaf", 64601, true, rack11)
-	spine := tn.router("spine", 64513, true)
-	top := tn.router("top", 64512, true)
+	leaf := tn.router("leaf", 64601, rack11)
+	spine := tn.router("spine", 64513)
+	top := tn.router("top", 64512)
 	tn.link(leaf, spine)
 	tn.link(spine, top)
 	tn.sim.Start()
@@ -136,14 +135,14 @@ func TestSenderSideLoopSuppression(t *testing.T) {
 }
 
 // diamond builds src -- {s1, s2} -- dst and returns the four routers.
-func diamond(tn *testNet, ecmp bool) (src, s1, s2, dst *rtr) {
+func diamond(tn *testNet) (src, s1, s2, dst *rtr) {
 	// Both spines share an ASN, like same-pod spines in the paper's
 	// Listing 1 plan; this is what prevents leaf-transit detours.
-	src = tn.router("src", 64601, ecmp, rack11)
-	s1 = tn.router("s1", 64513, ecmp)
-	s2 = tn.router("s2", 64513, ecmp)
+	src = tn.router("src", 64601, rack11)
+	s1 = tn.router("s1", 64513)
+	s2 = tn.router("s2", 64513)
 	rack14 := netaddr.MakePrefix(netaddr.MakeIPv4(192, 168, 14, 0), 24)
-	dst = tn.router("dst", 64602, ecmp, rack14)
+	dst = tn.router("dst", 64602, rack14)
 	tn.link(src, s1)
 	tn.link(src, s2)
 	tn.link(dst, s1)
@@ -153,7 +152,7 @@ func diamond(tn *testNet, ecmp bool) (src, s1, s2, dst *rtr) {
 
 func TestECMPInstallsMultipath(t *testing.T) {
 	tn := newTestNet()
-	src, _, _, _ := diamond(tn, true)
+	src, _, _, _ := diamond(tn)
 	tn.sim.Start()
 	tn.sim.RunFor(5 * time.Second)
 	rack14 := netaddr.MakePrefix(netaddr.MakeIPv4(192, 168, 14, 0), 24)
@@ -166,21 +165,9 @@ func TestECMPInstallsMultipath(t *testing.T) {
 	}
 }
 
-func TestECMPDisabledInstallsSinglePath(t *testing.T) {
-	tn := newTestNet()
-	src, _, _, _ := diamond(tn, false)
-	tn.sim.Start()
-	tn.sim.RunFor(5 * time.Second)
-	rack14 := netaddr.MakePrefix(netaddr.MakeIPv4(192, 168, 14, 0), 24)
-	r := src.stack.FIB.Get(rack14, ipstack.ProtoBGP)
-	if r == nil || len(r.NextHops) != 1 {
-		t.Fatalf("next hops = %v, want exactly 1", r)
-	}
-}
-
 func TestLocalPortDownFailsOverImmediately(t *testing.T) {
 	tn := newTestNet()
-	src, _, _, _ := diamond(tn, true)
+	src, _, _, _ := diamond(tn)
 	tn.sim.Start()
 	tn.sim.RunFor(5 * time.Second)
 	rack14 := netaddr.MakePrefix(netaddr.MakeIPv4(192, 168, 14, 0), 24)
@@ -196,7 +183,7 @@ func TestLocalPortDownFailsOverImmediately(t *testing.T) {
 
 func TestRemoteFailureDetectedByHoldTimer(t *testing.T) {
 	tn := newTestNet()
-	src, s1, _, dst := diamond(tn, true)
+	src, s1, _, dst := diamond(tn)
 	tn.sim.Start()
 	tn.sim.RunFor(5 * time.Second)
 	// Fail s1's port toward dst (dst side keeps carrier): s1 must hold
@@ -230,9 +217,9 @@ func TestRemoteFailureDetectedByHoldTimer(t *testing.T) {
 
 func TestWithdrawalsPropagate(t *testing.T) {
 	tn := newTestNet()
-	leaf := tn.router("leaf", 64601, true, rack11)
-	spine := tn.router("spine", 64513, true)
-	top := tn.router("top", 64512, true)
+	leaf := tn.router("leaf", 64601, rack11)
+	spine := tn.router("spine", 64513)
+	top := tn.router("top", 64512)
 	tn.link(leaf, spine)
 	tn.link(spine, top)
 	tn.sim.Start()
@@ -254,8 +241,8 @@ func TestWithdrawalsPropagate(t *testing.T) {
 
 func TestKeepalivesFlow(t *testing.T) {
 	tn := newTestNet()
-	leaf := tn.router("leaf", 64601, true, rack11)
-	spine := tn.router("spine", 64513, true)
+	leaf := tn.router("leaf", 64601, rack11)
+	spine := tn.router("spine", 64513)
 	tn.link(leaf, spine)
 	tn.sim.Start()
 	tn.sim.RunFor(10 * time.Second)
@@ -271,8 +258,8 @@ func TestKeepalivesFlow(t *testing.T) {
 
 func TestSessionReestablishesAfterRestore(t *testing.T) {
 	tn := newTestNet()
-	leaf := tn.router("leaf", 64601, true, rack11)
-	spine := tn.router("spine", 64513, true)
+	leaf := tn.router("leaf", 64601, rack11)
+	spine := tn.router("spine", 64513)
 	tn.link(leaf, spine)
 	tn.sim.Start()
 	tn.sim.RunFor(2 * time.Second)
@@ -293,8 +280,8 @@ func TestSessionReestablishesAfterRestore(t *testing.T) {
 
 func TestControlMessagesRecorded(t *testing.T) {
 	tn := newTestNet()
-	leaf := tn.router("leaf", 64601, true, rack11)
-	spine := tn.router("spine", 64513, true)
+	leaf := tn.router("leaf", 64601, rack11)
+	spine := tn.router("spine", 64513)
 	tn.link(leaf, spine)
 	tn.sim.Start()
 	tn.sim.RunFor(2 * time.Second)
@@ -312,8 +299,8 @@ func TestMRAIBatchesUpdates(t *testing.T) {
 	// With a large MRAI, a second change during the interval must not
 	// produce an immediate second UPDATE.
 	tn := newTestNet()
-	leaf := tn.router("leaf", 64601, true, rack11)
-	spine := tn.router("spine", 64513, true)
+	leaf := tn.router("leaf", 64601, rack11)
+	spine := tn.router("spine", 64513)
 	tn.link(leaf, spine)
 	leaf.sp.Cfg.Timers.MRAI = 30 * time.Second
 	spine.sp.Cfg.Timers.MRAI = 30 * time.Second
@@ -356,8 +343,8 @@ func TestRIBInPrefixOrder(t *testing.T) {
 	wide, narrow := prefix(10, 1, 0, 0, 16), prefix(10, 1, 0, 0, 24)
 	for i := 0; i < 50; i++ {
 		tn := newTestNet()
-		spine := tn.router("spine", 64513, true)
-		tn.link(tn.router("leaf", 64601, true), spine)
+		spine := tn.router("spine", 64513)
+		tn.link(tn.router("leaf", 64601), spine)
 		nlri := []netaddr.Prefix{narrow, wide}
 		if i%2 == 1 {
 			nlri[0], nlri[1] = nlri[1], nlri[0]

@@ -48,7 +48,7 @@ func TestBindingMatchesNames(t *testing.T) {
 					t.Fatalf("%s: %s has router %v and stack %v, want exactly one forwarding plane", where, name, b.router, b.stack)
 				}
 			}
-			plan, err := f.buildFluidPlan(DefaultWorkloadConfig().LinkBps, workload.DefaultConfig(0))
+			plan, err := f.buildFluidPlan(DefaultWorkloadConfig().LinkBps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,7 +225,7 @@ const (
 )
 
 func newWalkOracle(t *testing.T, f *Fabric) *walkOracle {
-	plan, err := f.buildFluidPlan(DefaultWorkloadConfig().LinkBps, workload.DefaultConfig(0))
+	plan, err := f.buildFluidPlan(DefaultWorkloadConfig().LinkBps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,9 @@ func coldRunLoss(opts Options, tc topology.FailureCase, reverse bool) (trafficge
 		srcDev, dstDev = dstDev, srcDev
 	}
 	cfg := trafficgen.DefaultConfig(srcDev.IP, dstDev.IP)
-	cfg.SrcPort = PickFlowPort(f, cfg)
+	if cfg.SrcPort, err = PickFlowPort(f, cfg); err != nil {
+		return trafficgen.Report{}, err
+	}
 	sender := trafficgen.NewSender(srcStack, cfg)
 	receiver := trafficgen.NewReceiver(dstStack, cfg.DstPort)
 

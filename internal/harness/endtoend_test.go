@@ -123,7 +123,11 @@ func TestKeepAliveSuppressionUnderLoad(t *testing.T) {
 	_, dstDev, _ := f.ServerStack(14, 1)
 	cfg := trafficgen.DefaultConfig(srcDev.IP, dstDev.IP)
 	cfg.Interval = time.Millisecond // 1000 pps: saturate the keep-alive window
-	cfg.SrcPort = PickFlowPort(f, cfg)
+	port, err := PickFlowPort(f, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.SrcPort = port
 	sender := trafficgen.NewSender(src, cfg)
 	leaf := f.Routers["L-1-1"]
 	idleStart := leaf.Stats.HellosSent

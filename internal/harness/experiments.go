@@ -120,7 +120,9 @@ func warmWithProbe(opts Options, reverse bool) (*Fabric, *probeFlow, error) {
 		srcDev, dstDev = dstDev, srcDev
 	}
 	p := &probeFlow{cfg: trafficgen.DefaultConfig(srcDev.IP, dstDev.IP)}
-	p.cfg.SrcPort = PickFlowPort(f, p.cfg)
+	if p.cfg.SrcPort, err = PickFlowPort(f, p.cfg); err != nil {
+		return nil, nil, err
+	}
 	p.sender = trafficgen.NewSender(srcStack, p.cfg)
 	p.receiver = trafficgen.NewReceiver(dstStack, p.cfg.DstPort)
 	p.sender.Start()
@@ -151,8 +153,9 @@ func RunLoss(opts Options, tc topology.FailureCase, reverse bool) (trafficgen.Re
 // PickFlowPort finds a UDP source port whose flow hash selects the first
 // uplink at every branching tier, steering the probe flow across the
 // monitored TC1–TC4 column for both protocols (which share the flowhash
-// function).
-func PickFlowPort(f *Fabric, cfg trafficgen.Config) uint16 {
+// function). It fails when none of the 4096 ports from cfg.SrcPort does: the
+// probe would then measure another path.
+func PickFlowPort(f *Fabric, cfg trafficgen.Config) (uint16, error) {
 	for port := cfg.SrcPort; port < cfg.SrcPort+4096; port++ {
 		k := flowhash.Key{
 			Src: cfg.Src, Dst: cfg.Dst,
@@ -160,10 +163,10 @@ func PickFlowPort(f *Fabric, cfg trafficgen.Config) uint16 {
 			SrcPort: port, DstPort: cfg.DstPort,
 		}
 		if picksFirstUplinks(f.Topo, int(k.Hash())) {
-			return port
+			return port, nil
 		}
 	}
-	return cfg.SrcPort
+	return 0, fmt.Errorf("harness: no source port in [%d, %d) steers %v -> %v across the first uplinks", cfg.SrcPort, int(cfg.SrcPort)+4096, cfg.Src, cfg.Dst)
 }
 
 // picksFirstUplinks reports whether a flow hash selects uplink 1 of every

@@ -36,15 +36,15 @@ type fluidPlan struct {
 // buildFluidPlan registers both directions of every fabric link, each of
 // linkBps, with a fresh solver. The apply hooks reserve the committed share on
 // the wire, so packet and fluid traffic compete for the same capacity. The
-// per-flow rate cap mirrors the packet engine's pacing (one cfg.PacketSize
-// packet per cfg.PacketInterval), which is what keeps uncongested-path FCTs
-// comparable across engines.
-func (f *Fabric) buildFluidPlan(linkBps int64, cfg workload.Config) (*fluidPlan, error) {
+// per-flow rate cap mirrors the packet engine's pacing (one
+// workload.PacketSize packet per workload.PacketInterval), which is what keeps
+// uncongested-path FCTs comparable across engines.
+func (f *Fabric) buildFluidPlan(linkBps int64) (*fluidPlan, error) {
 	if linkBps <= 0 {
 		return nil, fmt.Errorf("fluid engine needs rate-limited links (LinkBps > 0): an unshaped fabric has no capacities to allocate")
 	}
-	capBps := float64(cfg.PacketSize*8) / cfg.PacketInterval.Seconds()
-	serial := time.Duration(int64(cfg.PacketSize) * 8 * int64(time.Second) / linkBps)
+	capBps := float64(workload.PacketSize*8) / workload.PacketInterval.Seconds()
+	serial := time.Duration(int64(workload.PacketSize) * 8 * int64(time.Second) / linkBps)
 	plan := &fluidPlan{
 		solver: fluid.New(fluid.Config{RateCapBps: capBps}),
 		ids:    make([][]fluid.LinkID, len(f.bound)),

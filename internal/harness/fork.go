@@ -30,7 +30,6 @@ func (f *Fabric) fork() (*Fabric, error) {
 		started:  f.started,
 		probeSeq: f.probeSeq,
 	}
-	fk.Bind(f.Log, g.Log)
 	// Stacks first: the daemons' copies attach to the stacks' copies.
 	for i, b := range f.bound {
 		nb := binding{node: fk.Node(b.node)}
@@ -39,7 +38,7 @@ func (f *Fabric) fork() (*Fabric, error) {
 			g.Stacks[b.node.Name] = nb.stack
 		}
 		if b.router != nil {
-			nb.router = b.router.Fork(fk)
+			nb.router = b.router.Fork(fk, g.Log)
 			g.Routers[b.node.Name] = nb.router
 		}
 		g.bound[i] = nb
@@ -49,10 +48,11 @@ func (f *Fabric) fork() (*Fabric, error) {
 		if sp == nil {
 			continue
 		}
-		nsp := sp.Fork(fk)
+		stack := g.Stacks[d.Name]
+		nsp := sp.Fork(fk, stack, g.Log)
 		g.Speakers[d.Name] = nsp
 		if mgr := f.BFDs[d.Name]; mgr != nil {
-			nm := mgr.Fork(fk)
+			nm := mgr.Fork(fk, stack)
 			g.BFDs[d.Name] = nm
 			// Build adds a peer and its BFD session per fabric port, in the
 			// same order, so the i-th session is the i-th peer's.

@@ -226,7 +226,6 @@ func (f *Fabric) buildBGP(withBFD bool) {
 			ASN:                 uint16(d.ASN),
 			RouterID:            routerID(d),
 			Timers:              f.Opts.BGPTimers,
-			ECMP:                true,
 			DisableFastFailover: f.Opts.BGPNoFastFailover,
 		}
 		if d.Tier == topology.TierLeaf {

@@ -401,7 +401,11 @@ func TestDataSuppressesKeepAlives(t *testing.T) {
 	_, dstDev, _ := f.ServerStack(12, 1) // same pod: crosses L-1-1's uplinks
 	cfg := trafficgen.DefaultConfig(srcDev.IP, dstDev.IP)
 	cfg.Interval = 5 * time.Millisecond
-	cfg.SrcPort = PickFlowPort(f, cfg)
+	port, err := PickFlowPort(f, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.SrcPort = port
 	sender := trafficgen.NewSender(src, cfg)
 	leaf := f.Routers["L-1-1"]
 	before := leaf.Stats.HellosSent

@@ -20,7 +20,7 @@ func TestHopMemoCheckDetectsCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := f.buildFluidPlan(DefaultWorkloadConfig().LinkBps, workload.DefaultConfig(0))
+		plan, err := f.buildFluidPlan(DefaultWorkloadConfig().LinkBps)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,7 +27,7 @@ func newResolveRig(tb testing.TB, proto Protocol) *resolveRig {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	plan, err := f.buildFluidPlan(DefaultWorkloadConfig().LinkBps, workload.DefaultConfig(0))
+	plan, err := f.buildFluidPlan(DefaultWorkloadConfig().LinkBps)
 	if err != nil {
 		tb.Fatal(err)
 	}

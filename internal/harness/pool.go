@@ -9,7 +9,7 @@ import (
 // Workers is the number of concurrent trials the multi-trial runners use:
 // GOMAXPROCS, which the environment variable of that name sets. Trials are
 // independent simulations, so they scale out to physical parallelism; set
-// 1 to force sequential execution. The figures are
+// 1 (or less) to force sequential execution. The figures are
 // identical either way: each trial's seed is a pure function of its index
 // (TrialSeed) and results are collected by index, so a parallel run and a
 // sequential run of the same configuration summarize bit-identically.
@@ -21,12 +21,12 @@ var Workers = runtime.GOMAXPROCS(0) //simlint:shared parallelism knob set by ben
 // runner's determinism rests on.
 func TrialSeed(base int64, i int) int64 { return base + int64(i)*7919 }
 
-// runTrials evaluates fn for trial indices [0, n) on a bounded worker pool
-// and returns the results ordered by index. Each invocation receives a copy
+// runTrials evaluates fn for trial indices [0, n) on a pool of Workers
+// goroutines (at least one, at most n) and returns the results ordered by
+// index; one worker is the sequential run. Each invocation receives a copy
 // of opts with the trial's derived seed, marked pooled so that its bring-up
-// comes from the memo. Trials run sequentially on the calling goroutine
-// when the pool is sized out (Workers <= 1). n < 1 is an error: no trial is
-// no measurement, and a summary of none would read as one.
+// comes from the memo. n < 1 is an error: no trial is no measurement, and a
+// summary of none would read as one.
 //
 // On error the lowest-indexed failure is returned, which is the one a
 // sequential stop-at-first-failure loop would have seen.
@@ -36,27 +36,7 @@ func runTrials[T any](opts Options, n int, fn func(o Options) (T, error)) ([]T, 
 	}
 	results := make([]T, n)
 	errs := make([]error, n)
-	run := func(i int) {
-		o := opts
-		o.Seed = TrialSeed(opts.Seed, i)
-		o.pooled = true
-		results[i], errs[i] = fn(o)
-	}
-
-	workers := Workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			run(i)
-			if errs[i] != nil {
-				return nil, errs[i]
-			}
-		}
-		return results, nil
-	}
-
+	workers := min(max(Workers, 1), n)
 	var wg sync.WaitGroup
 	idx := make(chan int)
 	wg.Add(workers)
@@ -64,7 +44,10 @@ func runTrials[T any](opts Options, n int, fn func(o Options) (T, error)) ([]T, 
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				run(i)
+				o := opts
+				o.Seed = TrialSeed(opts.Seed, i)
+				o.pooled = true
+				results[i], errs[i] = fn(o)
 			}
 		}()
 	}

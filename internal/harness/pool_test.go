@@ -30,21 +30,26 @@ func TestTrialSeedDerivation(t *testing.T) {
 	}
 }
 
+// TestRunTrialsOrdersResultsByIndex runs the pool at width 4, at width 1 (the
+// sequential run) and at width 0, which must clamp to 1 rather than leave the
+// trials unserved.
 func TestRunTrialsOrdersResultsByIndex(t *testing.T) {
 	opts := Options{Seed: 5}
-	withWorkers(t, 4, func() {
-		rs, err := runTrials(opts, 8, func(o Options) (int64, error) {
-			return o.Seed, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, got := range rs {
-			if want := TrialSeed(5, i); got != want {
-				t.Errorf("trial %d saw seed %d, want %d", i, got, want)
+	for _, width := range []int{4, 1, 0} {
+		withWorkers(t, width, func() {
+			rs, err := runTrials(opts, 8, func(o Options) (int64, error) {
+				return o.Seed, nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	})
+			for i, got := range rs {
+				if want := TrialSeed(5, i); got != want {
+					t.Errorf("width %d: trial %d saw seed %d, want %d", width, i, got, want)
+				}
+			}
+		})
+	}
 }
 
 func TestRunTrialsReturnsLowestIndexedError(t *testing.T) {

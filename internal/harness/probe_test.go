@@ -4,7 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/flowhash"
+	"repro/internal/ipv4"
 	"repro/internal/topology"
+	"repro/internal/trafficgen"
 )
 
 func TestPingBothFabrics(t *testing.T) {
@@ -84,5 +87,44 @@ func TestTracerouteMRMTPShowsOneHop(t *testing.T) {
 	}
 	if !hops[1].Reached {
 		t.Error("destination never reached")
+	}
+}
+
+// TestPickFlowPortSteersFirstUplinks holds PickFlowPort's structural rule to
+// each plane's own forwarding: on the 2- and 4-PoD fabrics, the probe flow on
+// the port it picks leaves every device on its way up from L-1-1 by port 1,
+// as Fabric.walk replays the hops.
+func TestPickFlowPortSteersFirstUplinks(t *testing.T) {
+	for _, spec := range []topology.Spec{topology.TwoPodSpec(), topology.FourPodSpec()} {
+		for _, proto := range []Protocol{ProtoMRMTP, ProtoBGP} {
+			f := buildAndWarm(t, spec, proto)
+			_, srcDev, err := f.ServerStack(11, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, dstDev, err := f.ServerStack(14, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := trafficgen.DefaultConfig(srcDev.IP, dstDev.IP)
+			port, err := PickFlowPort(f, cfg)
+			if err != nil {
+				t.Fatalf("%d PoDs, %v: %v", spec.Pods, proto, err)
+			}
+			key := flowhash.Key{Src: cfg.Src, Dst: cfg.Dst, Proto: ipv4.ProtoUDP, SrcPort: port, DstPort: cfg.DstPort}
+			ups := 0
+			arrived := f.walk(srcDev.Ports[1].Peer.Device, dstDev.Ports[1].Peer.Device, dstDev.IP, key, 6, func(dev *topology.Device, out *topology.Port) {
+				if !out.IsUplink() {
+					return
+				}
+				ups++
+				if out.Index != 1 {
+					t.Errorf("%d PoDs, %v, source port %d: %s leaves by port %d, want 1", spec.Pods, proto, port, dev.Name, out.Index)
+				}
+			})
+			if !arrived || ups == 0 {
+				t.Errorf("%d PoDs, %v: the walk arrived %v after %d up hops", spec.Pods, proto, arrived, ups)
+			}
+		}
 	}
 }

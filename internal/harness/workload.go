@@ -153,12 +153,12 @@ func RunWorkload(opts Options, w WorkloadConfig) (WorkloadResult, error) {
 	cfg.MeanArrival = w.MeanArrival
 	cfg.Mode = w.Engine
 	if w.Engine != workload.ModePacket {
-		plan, perr := f.buildFluidPlan(w.LinkBps, cfg)
+		plan, perr := f.buildFluidPlan(w.LinkBps)
 		if perr != nil {
 			return WorkloadResult{}, perr
 		}
 		cfg.Solver = plan.solver
-		cfg.PathOf = f.pathFunc(plan, cfg.DstPort)
+		cfg.PathOf = f.pathFunc(plan, workload.DstPort)
 		cfg.FluidCutoff = fluidCutoff
 		cfg.RateInterval = w.RateInterval
 		if w.MidFailure {

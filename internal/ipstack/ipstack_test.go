@@ -77,6 +77,29 @@ func TestARPQueueDrainsWithoutLoss(t *testing.T) {
 	}
 }
 
+// TestForkRefusesHeldFrames: a frame awaiting ARP resolution is not settled
+// state, so the stack holding one makes a fork fail; once it drained, the
+// same stacks fork.
+func TestForkRefusesHeldFrames(t *testing.T) {
+	l := newLAN(t)
+	fork := func() error {
+		fk := l.sim.Fork()
+		for _, s := range []*Stack{l.h1, l.r, l.h2} {
+			s.Fork(fk)
+		}
+		_, err := fk.Finish()
+		return err
+	}
+	l.h1.SendUDP(l.sub1.Host(1), l.sub2.Host(1), 9, 7, []byte("held"))
+	if err := fork(); err == nil || !strings.Contains(err.Error(), "ARP") {
+		t.Fatalf("fork with a frame awaiting ARP: err = %v, want a refusal", err)
+	}
+	l.sim.RunFor(10 * time.Millisecond)
+	if err := fork(); err != nil {
+		t.Fatalf("fork after the frame drained: %v", err)
+	}
+}
+
 func TestTCPOverStack(t *testing.T) {
 	l := newLAN(t)
 	var got []byte

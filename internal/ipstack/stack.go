@@ -469,11 +469,12 @@ func (s *Stack) flushARPPending(ip netaddr.IPv4) {
 func (s *Stack) String() string { return fmt.Sprintf("ipstack(%s)", s.Node.Name) }
 
 // Fork copies the stack for a fork of its simulation — interfaces, FIB,
-// ARP table and queue, counters, TCP endpoint — and attaches the copy to
-// the node's copy. The copy's interfaces are bound to the originals in fk,
-// for the daemons' copies to find. UDP and ICMP listeners and the carrier
-// and start hooks belong to whoever installed them, which installs them
-// again on the copy; Finish fails if one is missing.
+// ARP table, counters, TCP endpoint — and attaches the copy to the node's
+// copy. A daemon's copy finds its interfaces on the copy by port index
+// (Iface). UDP and ICMP listeners and the carrier and start hooks belong to
+// whoever installed them, which installs them again on the copy; Finish
+// fails if one is missing. A snapshot holds only what a bring-up leaves
+// settled, so Finish also fails if a frame awaits ARP resolution.
 func (s *Stack) Fork(fk *simnet.Forker) *Stack {
 	node := fk.Node(s.Node)
 	ns := &Stack{
@@ -482,7 +483,7 @@ func (s *Stack) Fork(fk *simnet.Forker) *Stack {
 		ifaceList:   make([]*Iface, len(s.ifaceList)),
 		localIPs:    make(map[netaddr.IPv4]*Iface, len(s.localIPs)),
 		arpTable:    make(map[netaddr.IPv4]arpEntry, len(s.arpTable)),
-		arpPending:  make(map[netaddr.IPv4][][]byte, len(s.arpPending)),
+		arpPending:  make(map[netaddr.IPv4][][]byte),
 		udpHandlers: make(map[uint16]UDPHandler),
 		Stats:       s.Stats,
 		ipID:        s.ipID,
@@ -492,9 +493,13 @@ func (s *Stack) Fork(fk *simnet.Forker) *Stack {
 		nifc := &Iface{Port: fk.Port(ifc.Port), IP: ifc.IP, Subnet: ifc.Subnet}
 		ns.ifaceList[i] = nifc
 		ns.ifaces[ifc.Port.Index] = nifc
-		fk.Bind(ifc, nifc)
 	}
-	iface := func(ifc *Iface) *Iface { return simnet.Lookup(fk, ifc) }
+	iface := func(ifc *Iface) *Iface {
+		if ifc == nil {
+			return nil
+		}
+		return ns.Iface(ifc.Port.Index)
+	}
 	//simlint:deterministic map copy
 	for ip, ifc := range s.localIPs {
 		ns.localIPs[ip] = iface(ifc)
@@ -503,19 +508,13 @@ func (s *Stack) Fork(fk *simnet.Forker) *Stack {
 	for ip, e := range s.arpTable {
 		ns.arpTable[ip] = arpEntry{mac: e.mac, ifc: iface(e.ifc)}
 	}
-	//simlint:deterministic map copy
-	for ip, frames := range s.arpPending {
-		q := make([][]byte, len(frames))
-		for i, f := range frames {
-			q[i] = ns.frames.Clone(f)
-		}
-		ns.arpPending[ip] = q
-	}
 	ns.FIB = s.FIB.fork(iface)
 	ns.TCP = s.TCP.Fork(fk, node.Rand, ns.sendTCPSegment)
 	node.Handler = ns
-	fk.Bind(s, ns)
 	fk.Check(func() error {
+		if len(s.arpPending) > 0 {
+			return fmt.Errorf("ipstack %s: %d address(es) hold frames awaiting ARP resolution, which a fork does not copy", s.Node.Name, len(s.arpPending))
+		}
 		missing := len(s.icmpHandlers) - len(ns.icmpHandlers)
 		//simlint:deterministic counts only
 		for port := range s.udpHandlers {

@@ -25,7 +25,7 @@ func TestDefaultRootWithdrawnWhenLastUplinkDies(t *testing.T) {
 	// The column spine has a single uplink (port 3 to the top): failing it
 	// leaves the spine with no up-path at all.
 	c.spine.Node.Port(3).Fail()
-	c.sim.RunFor(300 * time.Millisecond)
+	c.runFor(t, 300*time.Millisecond)
 	if !c.spine.lostSent.has(DefaultRoot) {
 		t.Error("spine did not withdraw its up-default after losing the last uplink")
 	}
@@ -45,7 +45,7 @@ func TestDefaultRootWithdrawnWhenLastUplinkDies(t *testing.T) {
 	f := ethernet.Frame{Dst: netaddr.Broadcast, Src: c.server.Port(1).MAC,
 		EtherType: ethernet.TypeIPv4, Payload: ip.Marshal()}
 	c.server.Port(1).Send(f.Marshal())
-	c.sim.RunFor(10 * time.Millisecond)
+	c.runFor(t, 10*time.Millisecond)
 	if c.tor.Stats.DataDropped != torDropBefore+1 {
 		t.Errorf("tor dropped %d packets, want %d",
 			c.tor.Stats.DataDropped, torDropBefore+1)
@@ -58,7 +58,7 @@ func TestDefaultRootWithdrawnWhenLastUplinkDies(t *testing.T) {
 func TestDefaultRootRestoredWhenUplinkReturns(t *testing.T) {
 	c := newColumn(t)
 	c.spine.Node.Port(3).Fail()
-	c.sim.RunFor(300 * time.Millisecond)
+	c.runFor(t, 300*time.Millisecond)
 	if !c.tor.UnreachableVia(1, DefaultRoot) {
 		t.Fatal("withdrawal did not propagate")
 	}
@@ -66,7 +66,7 @@ func TestDefaultRootRestoredWhenUplinkReturns(t *testing.T) {
 	// Restore: the adjacency re-passes Slow-to-Accept (3 hellos), then the
 	// spine reevaluates its written-off roots and announces FOUND{0}.
 	c.spine.Node.Port(3).Restore()
-	c.sim.RunFor(time.Second)
+	c.runFor(t, time.Second)
 	if c.spine.lostSent.has(DefaultRoot) {
 		t.Error("spine kept its up-default withdrawn after uplink recovery")
 	}
@@ -93,13 +93,14 @@ func TestSingleUplinkLossKeepsDefaultRoot(t *testing.T) {
 	torCfg.RackSubnet = rack(11)
 	tor := New(torN, torCfg, log)
 	spine := New(spineN, DefaultConfig(2, 3), log)
-	New(topN, DefaultConfig(3, 3), log)
-	New(top2N, DefaultConfig(3, 3), log)
+	top := New(topN, DefaultConfig(3, 3), log)
+	top2 := New(top2N, DefaultConfig(3, 3), log)
+	runFor := func(d time.Duration) { runHeld(t, sim, d, tor, spine, top, top2) }
 	sim.Start()
-	sim.RunFor(2 * time.Second)
+	runFor(2 * time.Second)
 
 	spine.Node.Port(2).Fail()
-	sim.RunFor(300 * time.Millisecond)
+	runFor(300 * time.Millisecond)
 	if spine.lostSent.has(DefaultRoot) {
 		t.Error("spine withdrew its up-default while a live uplink remained")
 	}
@@ -109,7 +110,7 @@ func TestSingleUplinkLossKeepsDefaultRoot(t *testing.T) {
 
 	// The second uplink going too completes the withdrawal.
 	spine.Node.Port(3).Fail()
-	sim.RunFor(300 * time.Millisecond)
+	runFor(300 * time.Millisecond)
 	if !spine.lostSent.has(DefaultRoot) {
 		t.Error("spine kept its up-default after the last uplink died")
 	}

@@ -67,12 +67,12 @@ func TestStaleLostThenFound(t *testing.T) {
 	// the uplink's eligibility.
 	c := newColumn(t)
 	sendControl(c, c.top, 1, Message{Type: TypeUpdate, Sub: UpdateLost, Roots: []byte{12}})
-	c.sim.RunFor(10 * time.Millisecond)
+	c.runFor(t, 10*time.Millisecond)
 	if !c.spine.UnreachableVia(3, 12) {
 		t.Fatal("LOST not recorded")
 	}
 	sendControl(c, c.top, 1, Message{Type: TypeUpdate, Sub: UpdateFound, Roots: []byte{12}})
-	c.sim.RunFor(10 * time.Millisecond)
+	c.runFor(t, 10*time.Millisecond)
 	if c.spine.UnreachableVia(3, 12) {
 		t.Error("FOUND did not clear the unreachable mark")
 	}

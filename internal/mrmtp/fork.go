@@ -4,21 +4,26 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/metrics"
 	"repro/internal/netaddr"
 	"repro/internal/simnet"
 )
 
 // Fork copies the router for a fork of its simulation and attaches the copy
-// to the node's copy: the VID table, every adjacency with its timers and
-// the advertisement it holds, staged updates, pending JOIN retries, the
-// rack-side ARP state and the counters. ICMP listeners belong to whoever
-// registered them, and the fork fails at Finish if the copy lacks one.
-func (r *Router) Fork(fk *simnet.Forker) *Router {
+// to the node's copy, logging to log, the copy of its log: the VID table,
+// every adjacency with its timers and the advertisement it holds, and the
+// counters. ICMP listeners belong to whoever registered them, and the fork
+// fails at Finish if the copy lacks one.
+//
+// A snapshot holds only what a bring-up leaves settled. Staged updates and
+// JOIN retries are pending timers the copy does not claim, which Finish
+// refuses; rack ARP state, which has no timer, is refused here.
+func (r *Router) Fork(fk *simnet.Forker, log *metrics.Log) *Router {
 	node := fk.Node(r.Node)
 	nr := &Router{
 		Node:       node,
 		Cfg:        r.Cfg,
-		log:        simnet.Lookup(fk, r.log),
+		log:        log,
 		rootVID:    r.rootVID,
 		table:      make([][]vidEntry, len(r.table), cap(r.table)),
 		size:       r.size,
@@ -27,9 +32,8 @@ func (r *Router) Fork(fk *simnet.Forker) *Router {
 		downstream: r.downstream,
 		fwdVersion: r.fwdVersion,
 		lostSent:   r.lostSent,
-		staged:     make([]stagedUpdate, len(r.staged), cap(r.staged)),
-		arpCache:   make(map[netaddr.IPv4]arpEntry, len(r.arpCache)),
-		arpPending: make(map[netaddr.IPv4][][]byte, len(r.arpPending)),
+		arpCache:   make(map[netaddr.IPv4]arpEntry),
+		arpPending: make(map[netaddr.IPv4][][]byte),
 		frames:     node.Sim.Frames(),
 		Stats:      r.Stats,
 	}
@@ -43,39 +47,18 @@ func (r *Router) Fork(fk *simnet.Forker) *Router {
 		}
 		nr.table[root] = nrows
 	}
-	copies := make(map[*adjacency]*adjacency, len(r.adjs))
 	for i, adj := range r.adjs {
 		nadj := adj.fork(fk)
 		nadj.deadTimer = fk.Timer(adj.deadTimer, func() { nr.deadDue(nadj) })
 		nadj.helloTimer = fk.Timer(adj.helloTimer, func() { nr.helloDue(nadj) })
 		nadj.advTimer = fk.Timer(adj.advTimer, func() { nr.advertiseDue(nadj) })
 		nr.adjs[i] = nadj
-		copies[adj] = nadj
-	}
-	for i, u := range r.staged {
-		nr.staged[i] = stagedUpdate{adj: copies[u.adj], sub: u.sub, root: u.root}
-	}
-	nr.coalesceTimer = fk.Timer(r.coalesceTimer, nr.processStaged)
-	for _, jr := range r.joins {
-		njr := &pendingJoin{adj: copies[jr.adj], want: cloneVIDs(jr.want), budget: jr.budget}
-		njr.timer = fk.Timer(jr.timer, func() { nr.retryJoin(njr) })
-		nr.joins = append(nr.joins, njr)
-	}
-	//simlint:deterministic map copy
-	for ip, e := range r.arpCache {
-		nr.arpCache[ip] = e
-	}
-	//simlint:deterministic map copy
-	for ip, frames := range r.arpPending {
-		q := make([][]byte, len(frames))
-		for i, f := range frames {
-			q[i] = nr.frames.Clone(f)
-		}
-		nr.arpPending[ip] = q
 	}
 	node.Handler = nr
-	fk.Bind(r, nr)
 	fk.Check(func() error {
+		if len(r.arpCache) > 0 || len(r.arpPending) > 0 {
+			return fmt.Errorf("mrmtp %s: the rack ARP cache holds %d server(s) and %d await resolution, which a fork does not copy", r.Node.Name, len(r.arpCache), len(r.arpPending))
+		}
 		if len(nr.icmpListeners) != len(r.icmpListeners) {
 			return fmt.Errorf("mrmtp %s: the fork has %d ICMP listener(s), the source %d", r.Node.Name, len(nr.icmpListeners), len(r.icmpListeners))
 		}

@@ -81,14 +81,7 @@ func (r *Router) ingressIP(ipWire []byte) {
 	// bytes), and encapFrame copies the packet into the fabric frame.
 	if err := ipv4.Forward(ipWire); err != nil {
 		r.Stats.DataDropped++
-		reply := ipv4.Packet{
-			Header: ipv4.Header{
-				TTL: ipv4.DefaultTTL, Protocol: ipv4.ProtoICMP,
-				Src: r.GatewayIP(), Dst: pkt.Header.Src,
-			},
-			Payload: marshalICMP(icmp.TimeExceeded(ipWire)),
-		}
-		r.deliverToRack(reply.Marshal(), pkt.Header.Src)
+		r.originate(r.GatewayIP(), pkt.Header.Src, pkt.Header.Src[2], icmp.TimeExceeded(ipWire))
 		return
 	}
 	// Paper §III.D: derive the destination ToR VID from the destination
@@ -190,10 +183,11 @@ func (r *Router) nextDataAdj(dstRoot byte, key flowhash.Key) *adjacency {
 // dataCandidates lists, in the order the hash indexes them, the adjacencies a
 // packet to dstRoot may leave on: the one that leads down the tree when the
 // VID table knows the root, otherwise the uplinks open to it in port order;
-// none where the packet dies. It reads the VID table, downstream, every
-// adjacency's state, neighborTier and unreachable marks — whose writers bump
-// fwdVersion — and the ports' carrier state. The result is the
-// router's scratch, valid until the next call.
+// none where the packet dies. reachable reads the same list, so a root with
+// none (a ToR's own aside) is one this device announces LOST. It reads the
+// VID table, downstream, every adjacency's state, neighborTier and
+// unreachable marks — whose writers bump fwdVersion — and the ports' carrier
+// state. The result is the router's scratch, valid until the next call.
 func (r *Router) dataCandidates(dstRoot byte) []*adjacency {
 	eligible := r.eligScratch[:0]
 	// Downward: a VID entry's acquisition port points at the root.
@@ -219,6 +213,23 @@ func (r *Router) dataCandidates(dstRoot byte) []*adjacency {
 	return eligible
 }
 
+// originate sends an ICMP message the router builds itself, from src to
+// dst: straight to the rack when dst sits behind this ToR, encapsulated into
+// the fabric toward root otherwise. Only a ToR has a rack; a spine's zero
+// RackSubnet would contain every address.
+func (r *Router) originate(src, dst netaddr.IPv4, root byte, msg icmp.Message) {
+	pkt := ipv4.Packet{
+		Header:  ipv4.Header{TTL: ipv4.DefaultTTL, Protocol: ipv4.ProtoICMP, Src: src, Dst: dst},
+		Payload: msg.Marshal(),
+	}
+	wire := pkt.Marshal()
+	if r.Cfg.Tier == 1 && r.Cfg.RackSubnet.Contains(dst) {
+		r.deliverToRack(wire, dst)
+		return
+	}
+	r.forwardData(r.encapFrame(root, DataTTL, wire), root, flowhash.FromIPPacket(wire))
+}
+
 // deliverToRack sends an IP packet to a server behind this ToR, resolving
 // the server's MAC on demand. ipWire is copied into a pooled rack frame
 // before deliverToRack returns, so the caller keeps its buffer.
@@ -240,8 +251,6 @@ func (r *Router) deliverToRack(ipWire []byte, dst netaddr.IPv4) {
 		p.Send(f.Marshal())
 	}
 }
-
-func marshalICMP(m icmp.Message) []byte { return m.Marshal() }
 
 func (r *Router) flushRackPending(ip netaddr.IPv4) {
 	pending := r.arpPending[ip]

@@ -78,7 +78,8 @@ func FuzzParseVID(f *testing.F) {
 // unsolicited OFFERs, roots up to 255, UPDATEs for roots nobody holds, JOINs
 // for unknown parents, truncated messages — no router may panic, every VID
 // table must pass checkVIDTable (which the routers also run after each
-// mutation batch under -tags invariants), and the frame pool must balance:
+// mutation batch under -tags invariants), every router's reachable must agree
+// with reachableOracle after every frame, and the frame pool must balance:
 // control frames are only ever borrowed. A sequence with a data frame in it
 // skips the balance, because data may rightly stay out (behind ARP, or kept
 // by a trace reply); TestFramePoolDrains accounts for those.
@@ -151,6 +152,7 @@ func FuzzRouterFrames(f *testing.F) {
 			copy(frame[ethernet.HeaderLen:], payload)
 			port.Node.Handler.HandleFrame(port, frame)
 			c.sim.RunFor(pauses[sel>>2&3])
+			holdReachability(t, routers...)
 		}
 		c.sim.RunFor(300 * time.Millisecond) // join retries, dead timers, coalesced batches
 

@@ -216,10 +216,6 @@ type Router struct {
 	staged        []stagedUpdate
 	coalesceTimer *simnet.Timer
 
-	// joins are the JOIN retransmissions armed and not yet due, in arming
-	// order (armJoinRetry).
-	joins []*pendingJoin
-
 	// ToR data-plane state (rack-side ARP).
 	arpCache   map[netaddr.IPv4]arpEntry
 	arpPending map[netaddr.IPv4][][]byte // composed rack frames (see deliverToRack) awaiting resolution
@@ -552,8 +548,7 @@ func (r *Router) neighborDown(adj *adjacency) {
 	// sweep above finds nothing to withdraw. DefaultRoot stands in for
 	// that whole class, producing the LOST that tells downstream devices
 	// to stop hashing flows through us.
-	wasUplink := adj.neighborTier > r.Cfg.Tier || adj.neighborTier == 0
-	if wasUplink && !r.topTier() && len(r.uplinks()) == 0 {
+	if r.upward(adj) && !r.topTier() && len(r.uplinks()) == 0 {
 		affected.add(DefaultRoot)
 	}
 
@@ -775,28 +770,17 @@ func (r *Router) armJoinRetry(adj *adjacency, want []VID, budget int) {
 		}
 		return
 	}
-	jr := &pendingJoin{adj: adj, want: want, budget: budget}
-	jr.timer = r.sim().After(joinRetry, func() { r.retryJoin(jr) })
-	r.joins = append(r.joins, jr)
+	r.sim().After(joinRetry, func() { r.retryJoin(adj, want, budget) })
 }
 
-// pendingJoin is an armed JOIN retransmission: the VIDs it re-requests on
-// the adjacency and the retries left after it.
-type pendingJoin struct {
-	adj    *adjacency
-	want   []VID
-	budget int
-	timer  *simnet.Timer
-}
-
-func (r *Router) retryJoin(jr *pendingJoin) {
-	r.joins = slices.DeleteFunc(r.joins, func(p *pendingJoin) bool { return p == jr })
-	adj := jr.adj
+// retryJoin re-requests, while the adjacency is up, the VIDs of want it has
+// not acquired; budget is the retries left after this one.
+func (r *Router) retryJoin(adj *adjacency, want []VID, budget int) {
 	if adj.state != adjUp {
 		return
 	}
 	var missing []VID
-	for _, v := range jr.want {
+	for _, v := range want {
 		if !r.haveViaPort(v, adj.port.Index) {
 			missing = append(missing, v)
 			if !slices.ContainsFunc(adj.requested, v.Equal) {
@@ -809,7 +793,7 @@ func (r *Router) retryJoin(jr *pendingJoin) {
 	}
 	m := Message{Type: TypeJoin, VIDs: missing}
 	r.sendMsg(adj, &m)
-	r.armJoinRetry(adj, missing, jr.budget-1)
+	r.armJoinRetry(adj, missing, budget-1)
 }
 
 // handleJoin answers a join request: derive each child VID by appending the
@@ -890,12 +874,7 @@ func (r *Router) uplinks() []*adjacency {
 	// per-packet up-forwarding path stays allocation- and sort-free.
 	out := r.upScratch[:0]
 	for _, adj := range r.adjs {
-		if adj.state != adjUp || !adj.port.Up() {
-			continue
-		}
-		// neighborTier 0 means "not yet learned": optimistic, so early
-		// traffic still flows during fabric bring-up.
-		if adj.neighborTier > r.Cfg.Tier || adj.neighborTier == 0 {
+		if adj.state == adjUp && adj.port.Up() && r.upward(adj) {
 			out = append(out, adj)
 		}
 	}
@@ -903,30 +882,21 @@ func (r *Router) uplinks() []*adjacency {
 	return out
 }
 
+// upward reports whether the adjacency leads to a higher tier. A
+// neighborTier of 0 means "not yet learned": optimistic, so early traffic
+// still flows during fabric bring-up.
+func (r *Router) upward(adj *adjacency) bool {
+	return adj.neighborTier > r.Cfg.Tier || adj.neighborTier == 0
+}
+
 func (r *Router) topTier() bool { return r.Cfg.Tier >= r.Cfg.TopTier }
 
 // reachable reports whether this device can still forward traffic for the
-// root: it is the root itself, holds a live VID entry for it, or may use
-// default up-forwarding (unless the root is downstream or every uplink is
-// marked unreachable for it).
+// root: it is the root itself, or the data plane has somewhere to send it.
+// The LOST and FOUND it announces are thereby the forwarding rule's own
+// verdict, not a second statement of it.
 func (r *Router) reachable(root byte) bool {
-	if r.Cfg.Tier == 1 && root == r.rootVID {
-		return true
-	}
-	for _, e := range r.held(root) {
-		if adj := r.adj(e.port); adj != nil && adj.state == adjUp && adj.port.Up() {
-			return true
-		}
-	}
-	if r.topTier() || r.downstream.has(root) {
-		return false
-	}
-	for _, adj := range r.uplinks() {
-		if !adj.unreachable.has(root) && !adj.unreachable.has(DefaultRoot) {
-			return true
-		}
-	}
-	return false
+	return (r.Cfg.Tier == 1 && root == r.rootVID) || len(r.dataCandidates(root)) > 0
 }
 
 // stageUpdate queues a received reachability update for coalesced

@@ -167,7 +167,7 @@ func TestLostUpdateRemovesVIDs(t *testing.T) {
 	// Kill the ToR-spine link at the ToR side; the spine detects via dead
 	// timer and must tell the top spine, which loses tree 11 entirely.
 	c.tor.Node.Port(1).Fail()
-	c.sim.RunFor(300 * time.Millisecond)
+	c.runFor(t, 300*time.Millisecond)
 	if got := c.spine.VIDs(); !equalStrings(got, []string{"12.1"}) {
 		t.Errorf("spine VIDs = %v, want [12.1]", got)
 	}

@@ -72,7 +72,9 @@ func (r *Router) Version() uint64 { return r.fwdVersion }
 // handleLocal consumes a fabric-delivered IP packet addressed to the ToR's
 // own gateway IP: echo requests are answered, unclaimed UDP earns
 // port-unreachable (the "probe reached its destination" signal), and other
-// ICMP — the trace replies — goes to the registered listeners.
+// ICMP — the trace replies — goes to the registered listeners. A reply goes
+// from the gateway address toward the root the source address derives, as
+// ingressIP derives a destination's (paper §III.A).
 func (r *Router) handleLocal(ipWire []byte, pkt ipv4.Packet) {
 	switch pkt.Header.Protocol {
 	case ipv4.ProtoICMP:
@@ -81,7 +83,7 @@ func (r *Router) handleLocal(ipWire []byte, pkt ipv4.Packet) {
 			return
 		}
 		if m.Type == icmp.TypeEchoRequest {
-			r.sendFromGateway(pkt.Header.Src, marshalICMP(icmp.EchoReplyTo(m)))
+			r.originate(r.GatewayIP(), pkt.Header.Src, pkt.Header.Src[2], icmp.EchoReplyTo(m))
 			return
 		}
 		for _, h := range r.icmpListeners {
@@ -92,29 +94,9 @@ func (r *Router) handleLocal(ipWire []byte, pkt ipv4.Packet) {
 			return
 		}
 		if !pkt.Header.Src.IsZero() {
-			r.sendFromGateway(pkt.Header.Src, marshalICMP(icmp.PortUnreachable(ipWire)))
+			r.originate(r.GatewayIP(), pkt.Header.Src, pkt.Header.Src[2], icmp.PortUnreachable(ipWire))
 		}
 	}
-}
-
-// sendFromGateway emits an ICMP message sourced from the ToR's gateway
-// address: straight to the rack when the destination sits behind this ToR,
-// encapsulated into the fabric otherwise. The destination root derives from
-// the address exactly as ingressIP derives it (paper §III.A).
-func (r *Router) sendFromGateway(dst netaddr.IPv4, icmpWire []byte) {
-	reply := ipv4.Packet{
-		Header: ipv4.Header{
-			TTL: ipv4.DefaultTTL, Protocol: ipv4.ProtoICMP,
-			Src: r.GatewayIP(), Dst: dst,
-		},
-		Payload: icmpWire,
-	}
-	wire := reply.Marshal()
-	if r.Cfg.RackSubnet.Contains(dst) {
-		r.deliverToRack(wire, dst)
-		return
-	}
-	r.forwardData(r.encapFrame(dst[2], DataTTL, wire), dst[2], flowhash.FromIPPacket(wire))
 }
 
 // sendTraceReply answers an encapsulation-TTL expiry with time-exceeded
@@ -139,14 +121,6 @@ func (r *Router) sendTraceReply(h DataHeader, ipWire []byte) {
 	default:
 		return
 	}
-	reply := ipv4.Packet{
-		Header: ipv4.Header{
-			TTL: ipv4.DefaultTTL, Protocol: ipv4.ProtoICMP,
-			Src: r.Cfg.Identity, Dst: pkt.Header.Src,
-		},
-		Payload: marshalICMP(icmp.TimeExceeded(ipWire)),
-	}
-	wire := reply.Marshal()
 	r.Stats.TraceReplies++
-	r.forwardData(r.encapFrame(h.SrcRoot, DataTTL, wire), h.SrcRoot, flowhash.FromIPPacket(wire))
+	r.originate(r.Cfg.Identity, pkt.Header.Src, h.SrcRoot, icmp.TimeExceeded(ipWire))
 }

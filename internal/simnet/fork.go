@@ -67,7 +67,9 @@ func (st *stream) fork() *stream {
 // Forker makes a deep copy of a simulation that has not been dispatching
 // since it was last run: Sim.Fork copies the engine's own state, and the
 // protocol components copy theirs through the forker, which maps every
-// node, port, link and pending timer of the source to its copy.
+// node, port, link and pending timer of the source to its copy. A component
+// that holds another's object — a daemon its stack, say — is handed that
+// object's copy by whoever drives the fork.
 //
 // The engine cannot copy a callback: a pending event's fn closes over the
 // component that scheduled it. So the copy's queue starts empty, and each
@@ -83,7 +85,6 @@ func (st *stream) fork() *stream {
 type Forker struct {
 	src, dst *Sim
 	claimed  map[*event]struct{}
-	objs     map[any]any
 	checks   []func() error
 	errs     []error
 }
@@ -113,10 +114,10 @@ func (s *Sim) Fork() *Forker {
 	for _, n := range s.nodeOrder {
 		ports += len(n.Ports)
 	}
-	// A component binds an object or two and claims a timer or two per port
-	// (interface, connection, session, adjacency) and per node.
+	// A component claims a timer or two per port (connection, session,
+	// adjacency) and per node.
 	size := 2*ports + 2*len(s.nodeOrder)
-	fk := &Forker{src: s, dst: d, claimed: make(map[*event]struct{}, size), objs: make(map[any]any, size)}
+	fk := &Forker{src: s, dst: d, claimed: make(map[*event]struct{}, size)}
 	if s.curOwner != -1 {
 		fk.failf("simnet: fork while dispatching an event of node %d", s.curOwner)
 	}
@@ -203,23 +204,6 @@ func (fk *Forker) Timer(t *Timer, fn func()) *Timer {
 	fk.dst.arm(ev)
 	nt.ev, nt.gen = ev, ev.gen
 	return nt
-}
-
-// Bind records that cp is the copy of orig, for Lookup.
-func (fk *Forker) Bind(orig, cp any) { fk.objs[orig] = cp }
-
-// Lookup returns the copy Bind recorded for orig; a nil orig gives nil. An
-// orig with no copy is a fork error.
-func Lookup[T comparable](fk *Forker, orig T) T {
-	var zero T
-	if orig == zero {
-		return zero
-	}
-	cp, ok := fk.objs[orig].(T)
-	if !ok {
-		fk.failf("simnet: no copy of %T was made", orig)
-	}
-	return cp
 }
 
 // Check defers fn to Finish, for a condition that holds only once every

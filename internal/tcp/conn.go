@@ -407,7 +407,6 @@ func (e *Endpoint) Fork(fk *simnet.Forker, stream func() *rand.Rand, output func
 		}
 		nc.retransTimer = fk.Timer(c.retransTimer, nc.retransmit)
 		ne.conns[k] = nc
-		fk.Bind(c, nc)
 	}
 	fk.Check(func() error {
 		missing := 0
@@ -430,6 +429,16 @@ func (e *Endpoint) Fork(fk *simnet.Forker, stream func() *rand.Rand, output func
 		return nil
 	})
 	return ne
+}
+
+// Counterpart returns the endpoint's connection under c's key, or nil; nil
+// gives nil. Asked of a fork's endpoint about a connection of the source, it
+// returns that connection's copy.
+func (e *Endpoint) Counterpart(c *Conn) *Conn {
+	if c == nil {
+		return nil
+	}
+	return e.conns[c.key]
 }
 
 // accept hands an established connection to its port's listener: the

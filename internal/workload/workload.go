@@ -98,12 +98,6 @@ type Config struct {
 	Flows int
 	// MeanArrival is the mean inter-arrival gap of the Poisson process.
 	MeanArrival time.Duration
-	// PacketSize is the UDP payload carried per data packet.
-	PacketSize int
-	// PacketInterval paces consecutive packets of one flow.
-	PacketInterval time.Duration
-	// DstPort is the well-known workload port every host listens on.
-	DstPort uint16
 	// RTO is the repair-round timer: one RTO after its last transmission
 	// an incomplete flow re-offers its missing sequences.
 	RTO time.Duration
@@ -134,20 +128,27 @@ type Config struct {
 	PathOf PathFunc
 }
 
+// The packet engine's framing, shared by every run.
+const (
+	// PacketSize is the UDP payload carried per data packet.
+	PacketSize = 1000
+	// PacketInterval paces consecutive packets of one flow.
+	PacketInterval = 120 * time.Microsecond
+	// DstPort is the well-known workload port every host listens on.
+	DstPort uint16 = 49000
+)
+
 // DefaultConfig is the mix the harness experiments run: websearch sizes on
 // the random pattern at a load that keeps a 2-PoD fabric busy but stable.
 func DefaultConfig(seed int64) Config {
 	return Config{
-		Pattern:        PatternRandom,
-		Sizes:          WebSearchMix(),
-		Flows:          160,
-		MeanArrival:    8 * time.Millisecond,
-		PacketSize:     1000,
-		PacketInterval: 120 * time.Microsecond,
-		DstPort:        49000,
-		RTO:            100 * time.Millisecond,
-		MaxRounds:      60,
-		Seed:           seed,
+		Pattern:     PatternRandom,
+		Sizes:       WebSearchMix(),
+		Flows:       160,
+		MeanArrival: 8 * time.Millisecond,
+		RTO:         100 * time.Millisecond,
+		MaxRounds:   60,
+		Seed:        seed,
 	}
 }
 
@@ -232,8 +233,8 @@ func New(sim *simnet.Sim, hosts []Host, cfg Config) (*Engine, error) {
 	if len(hosts) < 2 {
 		return nil, fmt.Errorf("workload: need at least 2 hosts, got %d", len(hosts))
 	}
-	if cfg.Flows < 1 || cfg.PacketSize < wireHeaderLen || cfg.Sizes == nil {
-		return nil, fmt.Errorf("workload: bad config: %d flows, %dB packets", cfg.Flows, cfg.PacketSize)
+	if cfg.Flows < 1 || cfg.Sizes == nil {
+		return nil, fmt.Errorf("workload: bad config: %d flows", cfg.Flows)
 	}
 	if cfg.Mode != ModePacket {
 		if cfg.Solver == nil || cfg.PathOf == nil {
@@ -251,7 +252,7 @@ func New(sim *simnet.Sim, hosts []Host, cfg Config) (*Engine, error) {
 		hosts:   hosts,
 		cfg:     cfg,
 		flows:   make([]Flow, cfg.Flows),
-		payload: make([]byte, cfg.PacketSize),
+		payload: make([]byte, PacketSize),
 	}
 	putU32(e.payload[0:], Magic)
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -264,7 +265,7 @@ func New(sim *simnet.Sim, hosts []Host, cfg Config) (*Engine, error) {
 		if bytes < 1 {
 			bytes = 1
 		}
-		pkts := (bytes + cfg.PacketSize - 1) / cfg.PacketSize
+		pkts := (bytes + PacketSize - 1) / PacketSize
 		f := &e.flows[i]
 		*f = Flow{
 			ID:      uint32(i + 1),
@@ -283,7 +284,7 @@ func New(sim *simnet.Sim, hosts []Host, cfg Config) (*Engine, error) {
 			continue
 		}
 		seen[h.Stack] = true
-		h.Stack.ListenUDP(cfg.DstPort, func(_, _ netaddr.IPv4, dg udp.Datagram) {
+		h.Stack.ListenUDP(DstPort, func(_, _ netaddr.IPv4, dg udp.Datagram) {
 			e.onDatagram(dg)
 		})
 	}
@@ -350,14 +351,10 @@ func (e *Engine) routeFluid(f *Flow) bool {
 // estimateDuration pessimistically predicts a flow's lifetime for the
 // fault-window overlap test: twice the pacing-bound transfer time (the
 // packet sender cannot beat one packet per PacketInterval, and the fluid
-// cap matches it). Without pacing there is no sound a-priori bound, so
-// everything near the window demotes.
+// cap matches it).
 func (e *Engine) estimateDuration(f *Flow) time.Duration {
-	if e.cfg.PacketInterval > 0 && e.cfg.PacketSize > 0 {
-		per := float64(f.Bytes) / float64(e.cfg.PacketSize)
-		return time.Duration(2 * per * float64(e.cfg.PacketInterval))
-	}
-	return 1 << 62
+	per := float64(f.Bytes) / float64(PacketSize)
+	return time.Duration(2 * per * float64(PacketInterval))
 }
 
 // Start schedules every packet flow's launch and, outside ModePacket, the
@@ -502,7 +499,7 @@ func (e *Engine) tick(f *Flow) {
 		ps.head++
 	}
 	e.sendData(f, seq)
-	wait := e.cfg.PacketInterval
+	wait := PacketInterval
 	if ps.queued(f.Packets) == 0 {
 		wait = e.cfg.RTO
 	}
@@ -540,7 +537,7 @@ func (e *Engine) sendData(f *Flow, seq uint32) {
 	putU32(e.payload[8:], seq)
 	putU32(e.payload[12:], uint32(f.Packets))
 	src, dst := e.hosts[f.Src], e.hosts[f.Dst]
-	src.Stack.SendUDP(src.IP, dst.IP, f.SrcPort, e.cfg.DstPort, e.payload)
+	src.Stack.SendUDP(src.IP, dst.IP, f.SrcPort, DstPort, e.payload)
 }
 
 // onDatagram is the receive path, running on the destination host's events.
