@@ -101,16 +101,17 @@ fluid-smoke:
 figures:
 	$(GO) run ./cmd/closlab -experiment all
 
-# fuzz-smoke gives each wire-decoder fuzz target, the differential targets
-# holding the checksum kernel to the 16-bit reference loop, the indexed FIB
-# to the linear scan and the event queue to the single heap it replaced, the
-# workload receive path (an open UDP port on every host), the text-log
-# journal's parser (whatever it accepts renders and parses back unchanged)
-# and the two stateful targets — arbitrary frame sequences into warm MR-MTP
-# routers, and arbitrary UPDATE, withdrawal and session down/up sequences
-# into a BGP speaker held to the map-of-maps Adj-RIB-In it replaced — a
-# short budget on top of its seed corpus: a regression tripwire, not a
-# campaign.
+# fuzz-smoke runs all 16 fuzz targets: each wire decoder (Ethernet, IPv4,
+# UDP, ICMP, the MR-MTP message, data-frame and VID parsers, the BGP message
+# parser and stream splitter), the differential targets holding the checksum
+# kernel to the 16-bit reference loop, the indexed FIB to the linear scan
+# and the event queue to the single heap it replaced, the workload receive
+# path (an open UDP port on every host), the text-log journal's parser
+# (whatever it accepts renders and parses back unchanged) and the two
+# stateful targets — arbitrary frame sequences into warm MR-MTP routers, and
+# arbitrary UPDATE, withdrawal and session down/up sequences into a BGP
+# speaker held to the map-of-maps Adj-RIB-In it replaced. Each gets a short
+# budget on top of its seed corpus: a regression tripwire, not a campaign.
 # FuzzRouterFrames brings a fabric up per input and FuzzQueueOrder's inputs
 # are scripts a kilobyte long, so their minimizers are capped or they would
 # spend the whole budget shrinking the first input they keep.
@@ -120,9 +121,13 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZ_TIME) ./internal/ipv4
 	$(GO) test -run '^$$' -fuzz FuzzChecksum -fuzztime $(FUZZ_TIME) ./internal/ipv4
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZ_TIME) ./internal/udp
+	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZ_TIME) ./internal/icmp
 	$(GO) test -run '^$$' -fuzz FuzzParseMessage -fuzztime $(FUZZ_TIME) ./internal/mrmtp
+	$(GO) test -run '^$$' -fuzz FuzzParseData -fuzztime $(FUZZ_TIME) ./internal/mrmtp
+	$(GO) test -run '^$$' -fuzz FuzzParseVID -fuzztime $(FUZZ_TIME) ./internal/mrmtp
 	$(GO) test -run '^$$' -fuzz FuzzRouterFrames -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./internal/mrmtp
 	$(GO) test -run '^$$' -fuzz FuzzParseMessage -fuzztime $(FUZZ_TIME) ./internal/bgp
+	$(GO) test -run '^$$' -fuzz FuzzSplitStream -fuzztime $(FUZZ_TIME) ./internal/bgp
 	$(GO) test -run '^$$' -fuzz FuzzSpeakerSequence -fuzztime $(FUZZ_TIME) ./internal/bgp
 	$(GO) test -run '^$$' -fuzz FuzzFIBLookup -fuzztime $(FUZZ_TIME) ./internal/ipstack
 	$(GO) test -run '^$$' -fuzz FuzzOnDatagram -fuzztime $(FUZZ_TIME) ./internal/workload

@@ -512,11 +512,11 @@ func lossFigure(title string, reverse bool) func(*env) error {
 func keepAlive(e *env) error {
 	const window = 10 * time.Second
 	_, err := sweep(e, e.specs[:1], protocols, 1, []time.Duration{window},
-		harness.RunKeepAlive, single[harness.KeepAliveResult],
-		func(_ topology.Spec, proto harness.Protocol, _ time.Duration, r harness.KeepAliveResult) {
+		harness.RunKeepAlive, single[map[capture.Class]capture.ClassStats],
+		func(_ topology.Spec, proto harness.Protocol, _ time.Duration, summary map[capture.Class]capture.ClassStats) {
 			emitf("Figs. 9-10 — idle-link capture, %s, %v on L-1-1<->S-1-1:\n", proto, window)
-			emitf("%s\n", capture.Render(r.Summary))
-			emitf("liveness bytes total: %d\n\n", r.TotalKeepAliveBytes())
+			emitf("%s\n", capture.Render(summary))
+			emitf("liveness bytes total: %d\n\n", capture.LivenessBytes(summary))
 		})
 	return err
 }
@@ -525,8 +525,8 @@ func nodeFailure(e *env) error {
 	emitf("Extended failure cases (paper §IX) — whole-router crash of S-1-1:\n")
 	emitf("%-14s %6s %14s %8s %12s\n", "protocol", "pods", "convergence", "blast", "ctl bytes")
 	_, err := sweep(e, e.specs, protocols, 1, []string{"S-1-1"},
-		harness.RunNodeFailure, single[harness.FailureResult],
-		func(spec topology.Spec, proto harness.Protocol, _ string, r harness.FailureResult) {
+		harness.RunNodeFailure, single[metrics.Analysis],
+		func(spec topology.Spec, proto harness.Protocol, _ string, r metrics.Analysis) {
 			emitf("%-14s %6d %14v %8d %12d\n", proto, spec.Pods, r.Convergence.Round(100*time.Microsecond), r.BlastRadius, r.ControlBytes)
 		})
 	emitf("\n")

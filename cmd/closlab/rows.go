@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/metrics"
 	"repro/internal/topology"
 )
 
@@ -122,7 +123,7 @@ func ablationSweeps(e *env) error {
 	emitf("%-28s %-8s %-14s %-5s %16s\n", "sweep", "value", "protocol", "case", "convergence ms")
 	for _, a := range ablations {
 		_, err := sweep(e, specs, []harness.Protocol{a.proto}, e.trials, []ablation{a},
-			func(o harness.Options, a ablation) (harness.FailureResult, error) {
+			func(o harness.Options, a ablation) (metrics.Analysis, error) {
 				a.set(&o)
 				return harness.RunFailure(o, a.tc)
 			}, harness.SummarizeFailures,

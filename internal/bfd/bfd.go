@@ -7,6 +7,7 @@
 package bfd
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -73,10 +74,10 @@ func (p *ControlPacket) Put(b *[PacketLen]byte) {
 	b[1] = byte(p.State) << 6
 	b[2] = p.DetectMult
 	b[3] = PacketLen
-	be32(b[4:], p.MyDisc)
-	be32(b[8:], p.YourDisc)
-	be32(b[12:], p.DesiredMinTx)
-	be32(b[16:], p.RequiredMinRx)
+	binary.BigEndian.PutUint32(b[4:], p.MyDisc)
+	binary.BigEndian.PutUint32(b[8:], p.YourDisc)
+	binary.BigEndian.PutUint32(b[12:], p.DesiredMinTx)
+	binary.BigEndian.PutUint32(b[16:], p.RequiredMinRx)
 	// Required Min Echo RX = 0 (no echo function).
 }
 
@@ -88,24 +89,14 @@ func Unmarshal(b []byte) (ControlPacket, error) {
 	var p ControlPacket
 	p.State = State(b[1] >> 6)
 	p.DetectMult = b[2]
-	p.MyDisc = u32(b[4:])
-	p.YourDisc = u32(b[8:])
-	p.DesiredMinTx = u32(b[12:])
-	p.RequiredMinRx = u32(b[16:])
+	p.MyDisc = binary.BigEndian.Uint32(b[4:])
+	p.YourDisc = binary.BigEndian.Uint32(b[8:])
+	p.DesiredMinTx = binary.BigEndian.Uint32(b[12:])
+	p.RequiredMinRx = binary.BigEndian.Uint32(b[16:])
 	if p.DetectMult == 0 {
 		return ControlPacket{}, ErrMalformed
 	}
 	return p, nil
-}
-
-func be32(b []byte, v uint32) {
-	b[0] = byte(v >> 24)
-	b[1] = byte(v >> 16)
-	b[2] = byte(v >> 8)
-	b[3] = byte(v)
-}
-func u32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }
 
 // txInterval is the session's transmit interval, the paper's 100 ms.

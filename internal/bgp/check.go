@@ -1,6 +1,8 @@
 package bgp
 
 import (
+	"slices"
+
 	"repro/internal/invariant"
 	"repro/internal/ipstack"
 )
@@ -15,7 +17,7 @@ import (
 //     some peer actually advertised.
 func (s *Speaker) checkFIB(rt *route) {
 	prefix := rt.prefix
-	if s.isLocalNetwork(prefix) {
+	if slices.Contains(s.Cfg.Networks, prefix) {
 		return
 	}
 	name := s.Stack.Node.Name

@@ -267,7 +267,7 @@ func (s *Speaker) portUp(port *simnet.Port) {
 // Nothing it calls comes back into the speaker — sending is asynchronous —
 // and takeDirty asserts as much under -tags invariants.
 func (s *Speaker) decide(prefix netaddr.Prefix) {
-	if s.isLocalNetwork(prefix) {
+	if slices.Contains(s.Cfg.Networks, prefix) {
 		return // local origination never changes
 	}
 	rt := s.find(prefix)
@@ -337,15 +337,6 @@ func sameRoute(a *ipstack.Route, b ipstack.Route) bool {
 	return true
 }
 
-func (s *Speaker) isLocalNetwork(p netaddr.Prefix) bool {
-	for _, n := range s.Cfg.Networks {
-		if n == p {
-			return true
-		}
-	}
-	return false
-}
-
 // advertise exports the row's prefix with the given (un-prepended) path to
 // every eligible peer, if it differs from what that peer last heard.
 func (s *Speaker) advertise(rt *route, path []uint16) {
@@ -358,9 +349,11 @@ func (s *Speaker) advertise(rt *route, path []uint16) {
 		if p.State != StateEstablished {
 			continue
 		}
-		if !s.exportAllowed(p, path) {
-			// The peer's AS sits in the path; if it previously heard
-			// this prefix from us, withdraw it.
+		if slices.Contains(path, p.RemoteAS) {
+			// Sender-side AS-path loop suppression: never offer a peer a
+			// path already containing its AS (it would reject it anyway;
+			// FRR's `as-path loop-detection` behaviour on eBGP fabrics).
+			// If it previously heard this prefix from us, withdraw it.
 			if rt.sentTo.has(i) {
 				p.queueWithdraw(rt.prefix)
 				rt.sentTo.remove(i)
@@ -389,18 +382,6 @@ func (s *Speaker) withdraw(rt *route) {
 	rt.exporting = false
 }
 
-// exportAllowed implements sender-side AS-path loop suppression: never
-// offer a peer a path already containing its AS (it would reject it
-// anyway; FRR's `as-path loop-detection` behaviour on eBGP fabrics).
-func (s *Speaker) exportAllowed(p *Peer, path []uint16) bool {
-	for _, as := range path {
-		if as == p.RemoteAS {
-			return false
-		}
-	}
-	return true
-}
-
 // exportPath builds the path to put on the wire toward a peer, in scratch
 // the next call overwrites.
 func (s *Speaker) exportPath(path []uint16) []uint16 {
@@ -410,7 +391,7 @@ func (s *Speaker) exportPath(path []uint16) []uint16 {
 
 // currentExport returns the path we advertise for prefix, or nil if none.
 func (s *Speaker) currentExport(prefix netaddr.Prefix) ([]uint16, bool) {
-	if s.isLocalNetwork(prefix) {
+	if slices.Contains(s.Cfg.Networks, prefix) {
 		return nil, true // originate with empty path (prepended at send)
 	}
 	if rt := s.find(prefix); rt != nil && rt.exporting {
@@ -426,7 +407,7 @@ func (s *Speaker) syncPeer(p *Peer) {
 		p.queueAdvertise(n)
 	}
 	for _, rt := range s.rows {
-		if rt.exporting && s.exportAllowed(p, rt.exported) {
+		if rt.exporting && !slices.Contains(rt.exported, p.RemoteAS) {
 			p.queueAdvertise(rt.prefix)
 			rt.sentTo.add(p.idx)
 		}
@@ -498,22 +479,13 @@ func (s *Speaker) handleUpdate(p *Peer, u Update) {
 			dirty = append(dirty, w)
 		}
 	}
-	if len(u.NLRI) > 0 && !asPathContains(u.ASPath, s.Cfg.ASN) {
+	if len(u.NLRI) > 0 && !slices.Contains(u.ASPath, s.Cfg.ASN) {
 		for _, prefix := range u.NLRI {
 			s.route(prefix).setPath(p.idx, u.ASPath)
 			dirty = append(dirty, prefix)
 		}
 	}
 	s.decideAll(dirty)
-}
-
-func asPathContains(path []uint16, as uint16) bool {
-	for _, a := range path {
-		if a == as {
-			return true
-		}
-	}
-	return false
 }
 
 // peerDown clears a dead peer's routes and reconverges.

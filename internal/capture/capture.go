@@ -165,6 +165,16 @@ func (c *Capture) Summary(from, to time.Duration) map[Class]ClassStats {
 	return out
 }
 
+// LivenessBytes sums a summary's liveness-related classes: BGP keepalives,
+// BFD, bare TCP acknowledgements and MR-MTP hellos.
+func LivenessBytes(summary map[Class]ClassStats) int {
+	total := 0
+	for _, cl := range []Class{ClassBGPKeepalive, ClassBFD, ClassTCPAck, ClassMTPHello} {
+		total += summary[cl].Bytes
+	}
+	return total
+}
+
 // Render prints a per-class table, largest byte counts first.
 func Render(summary map[Class]ClassStats) string {
 	type row struct {

@@ -14,13 +14,6 @@ import (
 // flap storms, and the QDSA accept/reject transitions that show whether
 // Slow-to-Accept actually dampens.
 
-// reconvergenceGap separates reconvergence waves: route events closer
-// together than this belong to one convergence episode, a larger gap
-// starts a new one. A quarter second sits well above any single episode's
-// internal spacing (update fan-out is sub-millisecond on an idle fabric)
-// and well below the campaign's fault spacing.
-const reconvergenceGap = 250 * time.Millisecond
-
 // ChaosResult is one campaign trial. Counter fields are deltas over the
 // campaign window (injection through settle), not process lifetimes.
 type ChaosResult struct {
@@ -37,11 +30,8 @@ type ChaosResult struct {
 	BlackholeTime time.Duration
 	MaxOutage     time.Duration
 
-	// Control-plane churn from the metrics log.
-	RouteUpdates   int
-	Reconvergences int
-	ControlMsgs    int
-	ControlBytes   int
+	// Control-plane churn: the metrics log's analysis of the window.
+	metrics.Analysis
 
 	// QDSA transitions summed over all MR-MTP routers (zero in BGP modes).
 	NeighborsLost     uint64
@@ -92,34 +82,21 @@ func snapshotCounters(f *Fabric) chaosCounters {
 	return c
 }
 
-// routeChurn counts the post-injection route events and clusters them into
-// reconvergence waves: a gap longer than reconvergenceGap starts a new
-// episode. The wave count is the "how many times did the network have to
-// re-decide" number the flap-storm dampening claim is about.
-func routeChurn(f *Fabric, startAt time.Duration) (updates, waves int) {
-	var last time.Duration
-	for _, e := range f.Log.Events {
-		if e.Kind != metrics.KindRoute || e.At < startAt {
-			continue
-		}
-		if updates == 0 || e.At-last > reconvergenceGap {
-			waves++
-		}
-		updates++
-		last = e.At
-	}
-	return updates, waves
-}
-
 // RunChaos executes one campaign trial: warm up, start the probe flow,
 // apply the spec, run to the horizon plus settle, and report loss, churn
 // and transition deltas. The probe crosses the monitored L-1-1/S-1-1/T-1
 // column (VID 11 → VID 14, port picked by PickFlowPort), the same path the
 // catalog's faults target.
 func RunChaos(opts Options, spec chaos.Spec) (ChaosResult, error) {
+	r, _, err := runChaos(opts, spec)
+	return r, err
+}
+
+// runChaos is RunChaos that also returns the log its result analyzed.
+func runChaos(opts Options, spec chaos.Spec) (ChaosResult, *metrics.Log, error) {
 	f, probe, err := warmWithProbe(opts, false)
 	if err != nil {
-		return ChaosResult{}, err
+		return ChaosResult{}, nil, err
 	}
 
 	before := snapshotCounters(f)
@@ -128,7 +105,7 @@ func RunChaos(opts Options, spec chaos.Spec) (ChaosResult, error) {
 	startSeq := probe.sender.Sent()
 	inj, err := chaos.Apply(f.Sim, spec, f.Log)
 	if err != nil {
-		return ChaosResult{}, err
+		return ChaosResult{}, nil, err
 	}
 	f.Sim.RunFor(spec.Horizon() + SettleTime)
 	endSeq := probe.sender.Sent()
@@ -136,20 +113,15 @@ func RunChaos(opts Options, spec chaos.Spec) (ChaosResult, error) {
 	f.Sim.RunFor(time.Second) // drain in-flight packets
 
 	after := snapshotCounters(f)
-	a := f.Log.Analyze(startAt)
-	updates, waves := routeChurn(f, startAt)
 	missing, longest := probe.receiver.Missing(startSeq, endSeq)
-	res := ChaosResult{
+	return ChaosResult{
 		CellID:              CellID{opts.Protocol, opts.Spec.Pods, spec.Name},
 		FaultActions:        len(inj.Events),
 		ProbeSent:           endSeq - startSeq,
 		ProbeLost:           missing,
 		BlackholeTime:       time.Duration(missing) * probe.cfg.Interval,
 		MaxOutage:           time.Duration(longest) * probe.cfg.Interval,
-		RouteUpdates:        updates,
-		Reconvergences:      waves,
-		ControlMsgs:         a.ControlMessages,
-		ControlBytes:        a.ControlBytes,
+		Analysis:            f.Log.Analyze(startAt),
 		NeighborsLost:       after.neighborsLost - before.neighborsLost,
 		NeighborsAccepted:   after.neighborsAccepted - before.neighborsAccepted,
 		HellosDampened:      after.hellosDampened - before.hellosDampened,
@@ -159,8 +131,7 @@ func RunChaos(opts Options, spec chaos.Spec) (ChaosResult, error) {
 		BFDDownTransitions:  after.bfdDown - before.bfdDown,
 		BFDUpTransitions:    after.bfdUp - before.bfdUp,
 		Events:              inj.Events,
-	}
-	return res, nil
+	}, f.Log, nil
 }
 
 // ChaosSummary aggregates trials of one (protocol, pods, scenario) cell; its
@@ -238,12 +209,12 @@ func SummarizeChaos(rs []ChaosResult) ChaosSummary {
 		if mo > s.MaxOutageMsMax {
 			s.MaxOutageMsMax = mo
 		}
-		s.RouteUpdatesMean += float64(r.RouteUpdates) / n
-		s.ReconvergencesMean += float64(r.Reconvergences) / n
-		if r.Reconvergences > s.ReconvergencesMax {
-			s.ReconvergencesMax = r.Reconvergences
+		s.RouteUpdatesMean += float64(r.RouteEvents) / n
+		s.ReconvergencesMean += float64(r.Waves) / n
+		if r.Waves > s.ReconvergencesMax {
+			s.ReconvergencesMax = r.Waves
 		}
-		s.ControlMsgsMean += float64(r.ControlMsgs) / n
+		s.ControlMsgsMean += float64(r.ControlMessages) / n
 		s.ControlBytesMean += float64(r.ControlBytes) / n
 		s.NeighborsLostMean += float64(r.NeighborsLost) / n
 		s.NeighborsAcceptedMean += float64(r.NeighborsAccepted) / n
@@ -254,7 +225,7 @@ func SummarizeChaos(rs []ChaosResult) ChaosSummary {
 		s.BFDDownMean += float64(r.BFDDownTransitions) / n
 		s.BFDUpMean += float64(r.BFDUpTransitions) / n
 		ups += float64(r.upTransitions())
-		reconv += float64(r.Reconvergences)
+		reconv += float64(r.Waves)
 	}
 	if ups > 0 {
 		s.ReconvPerUp = reconv / ups

@@ -24,7 +24,7 @@ func catalogSpec(t *testing.T, name string) chaos.Spec {
 
 func runChaosCell(t *testing.T, name string, proto Protocol) ChaosResult {
 	t.Helper()
-	r, err := RunChaos(DefaultOptions(topology.TwoPodSpec(), proto, 42), catalogSpec(t, name))
+	r, err := runChaosChecked(t, DefaultOptions(topology.TwoPodSpec(), proto, 42), catalogSpec(t, name))
 	if err != nil {
 		t.Fatalf("%s %s: %v", name, proto, err)
 	}
@@ -70,9 +70,9 @@ func TestChaosFlapStormDampening(t *testing.T) {
 	if mr.NeighborsAccepted == 0 {
 		t.Fatal("storm produced no accepted up-transitions")
 	}
-	if uint64(mr.Reconvergences) > mr.NeighborsAccepted {
+	if uint64(mr.Waves) > mr.NeighborsAccepted {
 		t.Errorf("MR-MTP reconverged %d times for %d accepted up-transitions (want ≤1 per accept)",
-			mr.Reconvergences, mr.NeighborsAccepted)
+			mr.Waves, mr.NeighborsAccepted)
 	}
 	if mr.HellosDampened == 0 {
 		t.Error("Slow-to-Accept dampened no hellos during the storm")
@@ -101,16 +101,16 @@ func TestChaosFlapBurstDampening(t *testing.T) {
 	if mr.NeighborsAccepted >= flaps {
 		t.Errorf("MR-MTP accepted %d up-transitions over %d burst flaps, want dampening", mr.NeighborsAccepted, flaps)
 	}
-	if uint64(mr.Reconvergences) > mr.NeighborsAccepted+1 {
-		t.Errorf("MR-MTP reconverged %d times for %d accepts", mr.Reconvergences, mr.NeighborsAccepted)
+	if uint64(mr.Waves) > mr.NeighborsAccepted+1 {
+		t.Errorf("MR-MTP reconverged %d times for %d accepts", mr.Waves, mr.NeighborsAccepted)
 	}
 	if mr.HellosDampened < flaps {
 		t.Errorf("only %d hellos dampened over %d flaps", mr.HellosDampened, flaps)
 	}
 
 	bgp := runChaosCell(t, "flap-burst", ProtoBGPBFD)
-	if mr.RouteUpdates >= bgp.RouteUpdates {
-		t.Errorf("MR-MTP churned %d route updates vs BGP's %d, want fewer", mr.RouteUpdates, bgp.RouteUpdates)
+	if mr.RouteEvents >= bgp.RouteEvents {
+		t.Errorf("MR-MTP churned %d route updates vs BGP's %d, want fewer", mr.RouteEvents, bgp.RouteEvents)
 	}
 }
 
@@ -142,8 +142,8 @@ func TestChaosCorrelatedWithdrawal(t *testing.T) {
 		t.Errorf("MR-MTP blackhole %v after correlated uplink loss, want ms-scale via DefaultRoot withdrawal", mr.BlackholeTime)
 	}
 	bgp := runChaosCell(t, "correlated-uplinks", ProtoBGPBFD)
-	if mr.RouteUpdates >= bgp.RouteUpdates {
-		t.Errorf("MR-MTP route updates %d vs BGP %d, want cheaper convergence", mr.RouteUpdates, bgp.RouteUpdates)
+	if mr.RouteEvents >= bgp.RouteEvents {
+		t.Errorf("MR-MTP route updates %d vs BGP %d, want cheaper convergence", mr.RouteEvents, bgp.RouteEvents)
 	}
 }
 
@@ -165,11 +165,11 @@ func TestChaosGrayLossHitsBothProtocols(t *testing.T) {
 func TestChaosResultDeterminism(t *testing.T) {
 	spec := catalogSpec(t, "flap-burst")
 	opts := DefaultOptions(topology.TwoPodSpec(), ProtoMRMTP, 7)
-	a, err := RunChaos(opts, spec)
+	a, err := runChaosChecked(t, opts, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunChaos(opts, spec)
+	b, err := runChaosChecked(t, opts, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestChaosParallelMatchesSequential(t *testing.T) {
 	old := Workers
 	defer func() { Workers = old }()
 
-	trial := func(o Options) (ChaosResult, error) { return RunChaos(o, spec) }
+	trial := func(o Options) (ChaosResult, error) { return runChaosChecked(t, o, spec) }
 	Workers = 1
 	seq, err := RunCell(opts, 4, trial, SummarizeChaos)
 	if err != nil {
@@ -221,7 +221,7 @@ func TestChaosArtifactsByteIdentical(t *testing.T) {
 		var cells []Cell[ChaosSummary, ChaosResult]
 		for _, proto := range []Protocol{ProtoMRMTP, ProtoBGPBFD} {
 			c, err := RunCell(DefaultOptions(topology.TwoPodSpec(), proto, 11), 2,
-				func(o Options) (ChaosResult, error) { return RunChaos(o, spec) }, SummarizeChaos)
+				func(o Options) (ChaosResult, error) { return runChaosChecked(t, o, spec) }, SummarizeChaos)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/capture"
 	"repro/internal/flowhash"
 	"repro/internal/ipv4"
+	"repro/internal/metrics"
 	"repro/internal/topology"
 	"repro/internal/trafficgen"
 )
@@ -20,14 +21,6 @@ const WarmupTime = 15 * time.Second
 // reconvergence in the paper's configurations is plain BGP's 3 s hold
 // timer; 10 s leaves room for dissemination.
 const SettleTime = 10 * time.Second
-
-// FailureResult is one trial of the Fig. 4/5/6 experiments.
-type FailureResult struct {
-	Convergence  time.Duration
-	BlastRadius  int
-	ControlBytes int
-	UpdatedNodes []string
-}
 
 // warm returns the fabric built and run to steady state: the bring-up every
 // experiment starts from. Inside the trial pool it is a fork of the memo's
@@ -60,32 +53,26 @@ func (f *Fabric) drawPhase() time.Duration {
 
 // RunFailure measures convergence time, blast radius and control overhead
 // for one failure case (Figs. 4, 5, 6).
-func RunFailure(opts Options, tc topology.FailureCase) (FailureResult, error) {
+func RunFailure(opts Options, tc topology.FailureCase) (metrics.Analysis, error) {
 	return measureFailure(opts, func(f *Fabric) (time.Duration, error) { return f.Fail(tc) })
 }
 
 // measureFailure is the Fig. 4–6 measurement around any injection: warm up,
-// wait out a random timer phase, inject, observe the settle window, and read
-// convergence, blast radius and overhead off the metrics log.
-func measureFailure(opts Options, inject func(*Fabric) (time.Duration, error)) (FailureResult, error) {
+// wait out a random timer phase, inject, observe the settle window, and
+// return the metrics log's analysis from the injection on.
+func measureFailure(opts Options, inject func(*Fabric) (time.Duration, error)) (metrics.Analysis, error) {
 	f, err := warm(opts)
 	if err != nil {
-		return FailureResult{}, err
+		return metrics.Analysis{}, err
 	}
 	f.Sim.RunFor(f.drawPhase())
 	f.Log.Reset()
 	failAt, err := inject(f)
 	if err != nil {
-		return FailureResult{}, err
+		return metrics.Analysis{}, err
 	}
 	f.Sim.RunFor(SettleTime)
-	a := f.Log.Analyze(failAt)
-	return FailureResult{
-		Convergence:  a.Convergence,
-		BlastRadius:  a.BlastRadius,
-		ControlBytes: a.ControlBytes,
-		UpdatedNodes: a.UpdatedNodes,
-	}, nil
+	return f.Log.Analyze(failAt), nil
 }
 
 // probeFlow is the UDP flow between the server at ToR VID 11 and the server
@@ -186,43 +173,26 @@ func picksFirstUplinks(topo *topology.Topology, h int) bool {
 	return true
 }
 
-// KeepAliveResult summarizes idle-fabric wire traffic on one link over a
-// window (Figs. 9 and 10).
-type KeepAliveResult struct {
-	Summary map[capture.Class]capture.ClassStats
-}
-
-// TotalKeepAliveBytes sums the liveness-related classes.
-func (k KeepAliveResult) TotalKeepAliveBytes() int {
-	total := 0
-	for _, cl := range []capture.Class{
-		capture.ClassBGPKeepalive, capture.ClassBFD, capture.ClassTCPAck, capture.ClassMTPHello,
-	} {
-		total += k.Summary[cl].Bytes
-	}
-	return total
-}
-
 // RunKeepAlive captures an idle fabric's keep-alive traffic on the
-// L-1-1 ↔ S-1-1 link for the window.
-func RunKeepAlive(opts Options, window time.Duration) (KeepAliveResult, error) {
+// L-1-1 ↔ S-1-1 link for the window and summarizes it per class (Figs. 9
+// and 10).
+func RunKeepAlive(opts Options, window time.Duration) (map[capture.Class]capture.ClassStats, error) {
 	f, err := warm(opts)
 	if err != nil {
-		return KeepAliveResult{}, err
+		return nil, err
 	}
 	fp, err := f.Topo.FailurePoint(topology.TC1)
 	if err != nil {
-		return KeepAliveResult{}, err
+		return nil, err
 	}
 	var cap capture.Capture
 	cap.Tap(f.Sim.Node(fp.Device).Port(fp.Port).Link)
 	start := f.Sim.Now()
 	f.Sim.RunFor(window)
-	return KeepAliveResult{Summary: cap.Summary(start, start+window)}, nil
+	return cap.Summary(start, start+window), nil
 }
 
-// FailureSummary averages FailureResult trials, as the paper plots run
-// averages.
+// FailureSummary averages failure trials, as the paper plots run averages.
 type FailureSummary struct {
 	Trials       int
 	Convergence  time.Duration // mean
@@ -231,7 +201,7 @@ type FailureSummary struct {
 }
 
 // SummarizeFailures averages per-trial results of one cell.
-func SummarizeFailures(rs []FailureResult) FailureSummary {
+func SummarizeFailures(rs []metrics.Analysis) FailureSummary {
 	if len(rs) == 0 {
 		return FailureSummary{}
 	}
@@ -250,7 +220,7 @@ func SummarizeFailures(rs []FailureResult) FailureSummary {
 
 // RunFailureTrials is RunCell over RunFailure, reduced to the summary.
 func RunFailureTrials(opts Options, tc topology.FailureCase, n int) (FailureSummary, error) {
-	c, err := RunCell(opts, n, func(o Options) (FailureResult, error) { return RunFailure(o, tc) }, SummarizeFailures)
+	c, err := RunCell(opts, n, func(o Options) (metrics.Analysis, error) { return RunFailure(o, tc) }, SummarizeFailures)
 	return c.Summary, err
 }
 
@@ -286,7 +256,7 @@ func SummarizeFlaps(rs []FlapResult) FlapSummary {
 	n := float64(len(rs))
 	s := FlapSummary{Recovered: true}
 	for _, r := range rs {
-		s.ControlMsgs += float64(r.ControlMsgs)
+		s.ControlMsgs += float64(r.ControlMessages)
 		s.ControlBytes += float64(r.ControlBytes)
 		s.RouteEvents += float64(r.RouteEvents)
 		s.Recovered = s.Recovered && r.Recovered

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/topology"
 )
 
@@ -32,24 +33,22 @@ func (f *Fabric) FailNode(name string) (time.Duration, error) {
 // RunNodeFailure measures convergence/blast/overhead when a whole device
 // dies (default: the pod spine S-1-1, the worst single-router loss for the
 // monitored column).
-func RunNodeFailure(opts Options, victim string) (FailureResult, error) {
+func RunNodeFailure(opts Options, victim string) (metrics.Analysis, error) {
 	return measureFailure(opts, func(f *Fabric) (time.Duration, error) { return f.FailNode(victim) })
 }
 
 // RunPortFailure measures convergence/blast/overhead when one named
 // interface fails, for interfaces the TC1–TC4 failure points do not name (a
 // zone spine's uplink in the four-tier fabric).
-func RunPortFailure(opts Options, fp topology.FailurePoint) (FailureResult, error) {
+func RunPortFailure(opts Options, fp topology.FailurePoint) (metrics.Analysis, error) {
 	return measureFailure(opts, func(f *Fabric) (time.Duration, error) { return f.FailPoint(fp) })
 }
 
-// FlapResult summarizes a flapping-interface run: how much control-plane
-// churn the fabric suffered while one interface bounced.
+// FlapResult is a flapping-interface run: the log's analysis of the
+// control-plane churn while one interface bounced, and whether the fabric
+// converged again afterwards.
 type FlapResult struct {
-	ControlMsgs  int
-	ControlBytes int
-	RouteEvents  int
-	// Recovered reports whether the fabric was converged again at the end.
+	metrics.Analysis
 	Recovered bool
 }
 
@@ -79,13 +78,7 @@ func RunFlap(opts Options, flaps int, downTime, upTime time.Duration) (FlapResul
 	}
 	// Count churn during the flapping window only.
 	a := f.Log.Analyze(0)
-	routes, _ := routeChurn(f, 0)
 	// Let the final up period stick and verify recovery.
 	f.Sim.RunFor(30 * time.Second)
-	return FlapResult{
-		ControlMsgs:  a.ControlMessages,
-		ControlBytes: a.ControlBytes,
-		RouteEvents:  routes,
-		Recovered:    f.CheckConverged() == nil,
-	}, nil
+	return FlapResult{Analysis: a, Recovered: f.CheckConverged() == nil}, nil
 }

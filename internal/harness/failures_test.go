@@ -116,7 +116,7 @@ func TestFlapDampeningMRMTPvsBGP(t *testing.T) {
 	if !mtp.Recovered {
 		t.Error("MR-MTP fabric did not recover after flapping stopped")
 	}
-	t.Logf("MR-MTP flap churn: %d msgs / %d bytes / %d route events", mtp.ControlMsgs, mtp.ControlBytes, mtp.RouteEvents)
+	t.Logf("MR-MTP flap churn: %d msgs / %d bytes / %d route events", mtp.ControlMessages, mtp.ControlBytes, mtp.RouteEvents)
 
 	bgp, err := RunFlap(DefaultOptions(topology.TwoPodSpec(), ProtoBGP, 3), 5, 500*time.Millisecond, 4*time.Second)
 	if err != nil {
@@ -125,7 +125,7 @@ func TestFlapDampeningMRMTPvsBGP(t *testing.T) {
 	if !bgp.Recovered {
 		t.Error("BGP fabric did not recover after flapping stopped")
 	}
-	t.Logf("BGP flap churn: %d msgs / %d bytes / %d route events", bgp.ControlMsgs, bgp.ControlBytes, bgp.RouteEvents)
+	t.Logf("BGP flap churn: %d msgs / %d bytes / %d route events", bgp.ControlMessages, bgp.ControlBytes, bgp.RouteEvents)
 	if bgp.ControlBytes <= mtp.ControlBytes {
 		t.Errorf("BGP churn (%d B) should exceed MR-MTP churn (%d B)", bgp.ControlBytes, mtp.ControlBytes)
 	}

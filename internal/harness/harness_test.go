@@ -354,8 +354,8 @@ func TestFig9KeepAliveBGPBFD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bfdStats := r.Summary[capture.ClassBFD]
-	kaStats := r.Summary[capture.ClassBGPKeepalive]
+	bfdStats := r[capture.ClassBFD]
+	kaStats := r[capture.ClassBGPKeepalive]
 	if bfdStats.Count < 100 {
 		t.Errorf("BFD frames in 10s = %d, want ~150+ (100ms interval, both directions)", bfdStats.Count)
 	}
@@ -368,7 +368,7 @@ func TestFig9KeepAliveBGPBFD(t *testing.T) {
 	if got := kaStats.Bytes / max(kaStats.Count, 1); got != 85 {
 		t.Errorf("BGP keepalive frame size = %d bytes, want 85 (Fig. 9)", got)
 	}
-	if r.Summary[capture.ClassTCPAck].Count == 0 {
+	if r[capture.ClassTCPAck].Count == 0 {
 		t.Error("no TCP acknowledgements captured; the paper counts them as BGP overhead")
 	}
 }
@@ -378,7 +378,7 @@ func TestFig10KeepAliveMRMTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello := r.Summary[capture.ClassMTPHello]
+	hello := r[capture.ClassMTPHello]
 	if hello.Count < 300 {
 		t.Errorf("MR-MTP hellos in 10s = %d, want ~400 (50ms both directions)", hello.Count)
 	}
@@ -387,7 +387,7 @@ func TestFig10KeepAliveMRMTP(t *testing.T) {
 	}
 	// No IP-world liveness machinery in the MR-MTP fabric.
 	for _, cl := range []capture.Class{capture.ClassBFD, capture.ClassBGPKeepalive, capture.ClassTCPAck} {
-		if r.Summary[cl].Count != 0 {
+		if r[cl].Count != 0 {
 			t.Errorf("unexpected %s frames in MR-MTP fabric", cl)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,10 +33,8 @@ var journalText = [...]struct {
 // <node> <text>", sorted by time, ties in recording order. Times are
 // truncated to the microsecond.
 func Render(events []Event) string {
-	sorted := append([]Event(nil), events...)
-	sort.SliceStable(sorted, func(i, k int) bool { return sorted[i].At < sorted[k].At })
 	var b strings.Builder
-	for _, e := range sorted {
+	for _, e := range byTime(events) {
 		t := journalText[e.Kind]
 		fmt.Fprintf(&b, "%d.%06d %s %s", e.At/time.Second, e.At%time.Second/time.Microsecond, e.Node, t.prefix)
 		if t.hasN {
@@ -45,6 +44,13 @@ func Render(events []Event) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// byTime returns a copy of events sorted by time, ties in recording order.
+func byTime(events []Event) []Event {
+	sorted := slices.Clone(events)
+	sort.SliceStable(sorted, func(i, k int) bool { return sorted[i].At < sorted[k].At })
+	return sorted
 }
 
 // Parse reads logs rendered by Render back into events (the "download and

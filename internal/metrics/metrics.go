@@ -2,10 +2,10 @@
 // convergence time, control overhead in layer-2 bytes, and blast radius
 // (the number of routers that updated their routing tables after a failure).
 // Its Log is the one record of protocol events: the protocols and the
-// harness's failure injection append timestamped events, the computations in
-// this package turn them into the numbers plotted in Figs. 4-6, and
-// journal.go renders the same events as the testbed's raw router logs and
-// parses them back (§VI.B).
+// harness's failure injection append timestamped events, Analyze — the log's
+// one reader — turns them into the numbers plotted in Figs. 4-6 and the
+// chaos campaigns' reconvergence waves, and journal.go renders the same
+// events as the testbed's raw router logs and parses them back (§VI.B).
 package metrics
 
 import (
@@ -83,6 +83,13 @@ func (l *Log) Fork() *Log {
 // fabric reaches steady state, so only post-failure events are analyzed).
 func (l *Log) Reset() { l.Events = nil }
 
+// WaveGap separates reconvergence waves: route events closer together than
+// this belong to one convergence episode, a larger gap starts a new one. A
+// quarter second sits well above any single episode's internal spacing
+// (update fan-out is sub-millisecond on an idle fabric) and well below a
+// chaos campaign's fault spacing.
+const WaveGap = 250 * time.Millisecond
+
 // Analysis summarizes the events after a failure, exactly as §VI of the
 // paper computes its metrics.
 type Analysis struct {
@@ -104,6 +111,15 @@ type Analysis struct {
 	ControlMessages int
 	// UpdatedNodes lists the routers in the blast radius, sorted.
 	UpdatedNodes []string
+	// RouteEvents counts routing-table changes.
+	RouteEvents int
+	// Waves counts reconvergence waves: a route event more than WaveGap
+	// after the previous route event starts a new one. It is the "how many
+	// times did the network have to re-decide" number the flap-storm
+	// dampening claim is about. Events are taken in time order — the order
+	// a simulation records them in — so a journal parsed back (time-sorted)
+	// has the waves of the log it was rendered from.
+	Waves int
 }
 
 // Analyze computes the post-failure summary from events recorded at or
@@ -118,10 +134,17 @@ func (l *Log) Analyze(failureAt time.Duration) Analysis {
 		}
 		switch e.Kind {
 		case KindRoute:
-			updated[e.Node] = true
-			if e.At > lastRoute {
-				lastRoute = e.At
+			if a.RouteEvents > 0 && e.At < lastRoute {
+				// Out of time order: waves are counted in time order, and
+				// every other figure is order-free.
+				return (&Log{Events: byTime(l.Events)}).Analyze(failureAt)
 			}
+			if a.RouteEvents == 0 || e.At-lastRoute > WaveGap {
+				a.Waves++
+			}
+			a.RouteEvents++
+			lastRoute = e.At
+			updated[e.Node] = true
 		case KindControl:
 			a.ControlBytes += e.N
 			a.ControlMessages++

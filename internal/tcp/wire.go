@@ -13,6 +13,7 @@
 package tcp
 
 import (
+	"encoding/binary"
 	"errors"
 
 	"repro/internal/ipv4"
@@ -79,17 +80,17 @@ func (s *Segment) marshalInto(buf []byte, src, dst netaddr.IPv4) []byte {
 	}
 	b := buf[:n]
 	clear(b[16:baseHeaderLen]) // checksum and urgent pointer: summed as zero, sent as zero
-	be16(b[0:], s.SrcPort)
-	be16(b[2:], s.DstPort)
-	be32(b[4:], s.Seq)
-	be32(b[8:], s.Ack)
+	binary.BigEndian.PutUint16(b[0:], s.SrcPort)
+	binary.BigEndian.PutUint16(b[2:], s.DstPort)
+	binary.BigEndian.PutUint32(b[4:], s.Seq)
+	binary.BigEndian.PutUint32(b[8:], s.Ack)
 	b[12] = byte(hlen/4) << 4
 	b[13] = s.Flags
 	w := s.Window
 	if w == 0 {
 		w = 65535
 	}
-	be16(b[14:], w)
+	binary.BigEndian.PutUint16(b[14:], w)
 	o := baseHeaderLen
 	if s.Flags&FlagSYN != 0 {
 		mss := s.MSSOption
@@ -97,16 +98,16 @@ func (s *Segment) marshalInto(buf []byte, src, dst netaddr.IPv4) []byte {
 			mss = MSS
 		}
 		b[o], b[o+1] = 2, 4 // MSS option
-		be16(b[o+2:], mss)
+		binary.BigEndian.PutUint16(b[o+2:], mss)
 		o += mssOptionLen
 	}
 	b[o], b[o+1] = 1, 1 // NOP padding
 	b[o+2], b[o+3] = 8, 10
-	be32(b[o+4:], s.TSVal)
-	be32(b[o+8:], s.TSEcr)
+	binary.BigEndian.PutUint32(b[o+4:], s.TSVal)
+	binary.BigEndian.PutUint32(b[o+8:], s.TSEcr)
 	copy(b[hlen:], s.Payload)
 	ck := udp.PseudoChecksum(src, dst, ipv4.ProtoTCP, b)
-	be16(b[16:], ck)
+	binary.BigEndian.PutUint16(b[16:], ck)
 	return b
 }
 
@@ -123,12 +124,12 @@ func Unmarshal(src, dst netaddr.IPv4, b []byte) (Segment, error) {
 		return Segment{}, ErrBadChecksum
 	}
 	var s Segment
-	s.SrcPort = u16(b[0:])
-	s.DstPort = u16(b[2:])
-	s.Seq = u32(b[4:])
-	s.Ack = u32(b[8:])
+	s.SrcPort = binary.BigEndian.Uint16(b[0:])
+	s.DstPort = binary.BigEndian.Uint16(b[2:])
+	s.Seq = binary.BigEndian.Uint32(b[4:])
+	s.Ack = binary.BigEndian.Uint32(b[8:])
 	s.Flags = b[13]
-	s.Window = u16(b[14:])
+	s.Window = binary.BigEndian.Uint16(b[14:])
 	// Walk options.
 	opts := b[baseHeaderLen:hlen]
 	for len(opts) > 0 {
@@ -145,12 +146,12 @@ func Unmarshal(src, dst netaddr.IPv4, b []byte) (Segment, error) {
 			switch opts[0] {
 			case 2:
 				if len(body) == 4 {
-					s.MSSOption = u16(body[2:])
+					s.MSSOption = binary.BigEndian.Uint16(body[2:])
 				}
 			case 8:
 				if len(body) == 10 {
-					s.TSVal = u32(body[2:])
-					s.TSEcr = u32(body[6:])
+					s.TSVal = binary.BigEndian.Uint32(body[2:])
+					s.TSEcr = binary.BigEndian.Uint32(body[6:])
 				}
 			}
 			opts = opts[opts[1]:]
@@ -158,18 +159,6 @@ func Unmarshal(src, dst netaddr.IPv4, b []byte) (Segment, error) {
 	}
 	s.Payload = b[hlen:]
 	return s, nil
-}
-
-func be16(b []byte, v uint16) { b[0] = byte(v >> 8); b[1] = byte(v) }
-func be32(b []byte, v uint32) {
-	b[0] = byte(v >> 24)
-	b[1] = byte(v >> 16)
-	b[2] = byte(v >> 8)
-	b[3] = byte(v)
-}
-func u16(b []byte) uint16 { return uint16(b[0])<<8 | uint16(b[1]) }
-func u32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }
 
 // seqLT reports a < b in 32-bit sequence space.

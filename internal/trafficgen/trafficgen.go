@@ -6,6 +6,7 @@
 package trafficgen
 
 import (
+	"encoding/binary"
 	"time"
 
 	"repro/internal/ipstack"
@@ -60,7 +61,7 @@ func NewSender(stack *ipstack.Stack, cfg Config) *Sender {
 		cfg.Size = headerLen
 	}
 	s := &Sender{stack: stack, cfg: cfg, payload: make([]byte, cfg.Size)}
-	be32(s.payload, Magic)
+	binary.BigEndian.PutUint32(s.payload, Magic)
 	return s
 }
 
@@ -82,7 +83,7 @@ func (s *Sender) tick() {
 	if s.stop {
 		return
 	}
-	be64(s.payload[4:], s.sent)
+	binary.BigEndian.PutUint64(s.payload[4:], s.sent)
 	s.sent++
 	s.stack.SendUDP(s.cfg.Src, s.cfg.Dst, s.cfg.SrcPort, s.cfg.DstPort, s.payload)
 	if s.timer != nil {
@@ -118,10 +119,10 @@ func NewReceiver(stack *ipstack.Stack, port uint16) *Receiver {
 }
 
 func (r *Receiver) packet(payload []byte) {
-	if len(payload) < headerLen || u32(payload) != Magic {
+	if len(payload) < headerLen || binary.BigEndian.Uint32(payload) != Magic {
 		return
 	}
-	seq := u64(payload[4:])
+	seq := binary.BigEndian.Uint64(payload[4:])
 	if seq >= maxSeq {
 		return
 	}
@@ -194,23 +195,4 @@ func (r *Receiver) Report(s *Sender) Report {
 		rep.Lost = rep.Sent - rep.Received
 	}
 	return rep
-}
-
-func be32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
-}
-func be64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (56 - 8*i))
-	}
-}
-func u32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-func u64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -44,9 +45,9 @@ func newReceiveRig(t testing.TB) receiveRig {
 
 func dataPacket(magic, id, seq uint32) []byte {
 	p := make([]byte, wireHeaderLen)
-	putU32(p[0:], magic)
-	putU32(p[4:], id)
-	putU32(p[8:], seq)
+	binary.BigEndian.PutUint32(p[0:], magic)
+	binary.BigEndian.PutUint32(p[4:], id)
+	binary.BigEndian.PutUint32(p[8:], seq)
 	return p
 }
 
@@ -113,7 +114,7 @@ func FuzzOnDatagram(f *testing.F) {
 		if e.finished != before+1 || len(payload) < wireHeaderLen {
 			t.Fatalf("finished %d→%d on a %d-byte payload", before, e.finished, len(payload))
 		}
-		fl := &e.flows[u32(payload[4:])-1]
+		fl := &e.flows[binary.BigEndian.Uint32(payload[4:])-1]
 		if fl.fluid || fl.pkt == nil || !fl.Done || fl.pkt.received != fl.Packets {
 			t.Fatalf("payload %x finished flow %+v", payload, *fl)
 		}

@@ -13,6 +13,7 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -233,12 +234,18 @@ func New(sim *simnet.Sim, hosts []Host, cfg Config) (*Engine, error) {
 	if len(hosts) < 2 {
 		return nil, fmt.Errorf("workload: need at least 2 hosts, got %d", len(hosts))
 	}
-	if cfg.Flows < 1 || cfg.Sizes == nil {
-		return nil, fmt.Errorf("workload: bad config: %d flows", cfg.Flows)
+	if cfg.Flows < 1 {
+		return nil, fmt.Errorf("workload: need at least 1 flow, got %d", cfg.Flows)
+	}
+	if cfg.Sizes == nil {
+		return nil, fmt.Errorf("workload: no flow size distribution (Sizes is nil)")
 	}
 	if cfg.Mode != ModePacket {
-		if cfg.Solver == nil || cfg.PathOf == nil {
-			return nil, fmt.Errorf("workload: %s mode needs Solver and PathOf wired", cfg.Mode)
+		if cfg.Solver == nil {
+			return nil, fmt.Errorf("workload: %s mode needs a Solver", cfg.Mode)
+		}
+		if cfg.PathOf == nil {
+			return nil, fmt.Errorf("workload: %s mode needs a PathOf", cfg.Mode)
 		}
 		if cfg.RateInterval <= 0 {
 			cfg.RateInterval = 5 * time.Millisecond
@@ -254,7 +261,7 @@ func New(sim *simnet.Sim, hosts []Host, cfg Config) (*Engine, error) {
 		flows:   make([]Flow, cfg.Flows),
 		payload: make([]byte, PacketSize),
 	}
-	putU32(e.payload[0:], Magic)
+	binary.BigEndian.PutUint32(e.payload[0:], Magic)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	pair := e.pairer(rng)
 	var at time.Duration
@@ -533,9 +540,9 @@ func (e *Engine) sendData(f *Flow, seq uint32) {
 	e.PacketsSent++
 	// Only the header differs between packets; the rest of the scratch
 	// payload stays zero, as a fresh buffer's would be.
-	putU32(e.payload[4:], f.ID)
-	putU32(e.payload[8:], seq)
-	putU32(e.payload[12:], uint32(f.Packets))
+	binary.BigEndian.PutUint32(e.payload[4:], f.ID)
+	binary.BigEndian.PutUint32(e.payload[8:], seq)
+	binary.BigEndian.PutUint32(e.payload[12:], uint32(f.Packets))
 	src, dst := e.hosts[f.Src], e.hosts[f.Dst]
 	src.Stack.SendUDP(src.IP, dst.IP, f.SrcPort, DstPort, e.payload)
 }
@@ -546,10 +553,10 @@ func (e *Engine) sendData(f *Flow, seq uint32) {
 // yet), is ignored like any other stray datagram.
 func (e *Engine) onDatagram(dg udp.Datagram) {
 	p := dg.Payload
-	if len(p) < wireHeaderLen || u32(p) != Magic {
+	if len(p) < wireHeaderLen || binary.BigEndian.Uint32(p) != Magic {
 		return
 	}
-	id, seq := u32(p[4:]), u32(p[8:])
+	id, seq := binary.BigEndian.Uint32(p[4:]), binary.BigEndian.Uint32(p[8:])
 	if id-1 >= uint32(len(e.flows)) { // id 0 wraps past every length
 		return
 	}
@@ -750,12 +757,4 @@ func (e *Engine) peakConcurrent() int {
 func (f *Flow) endedBy(t time.Duration) (time.Duration, bool) {
 	end := f.launchedAt + f.FCT
 	return end, f.launched && f.Done && end <= t
-}
-
-func putU32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
-}
-
-func u32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }

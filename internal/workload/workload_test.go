@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -145,6 +146,39 @@ func TestDefaultConfigSeedsTheSchedule(t *testing.T) {
 	again, pairsAgain := schedule(2)
 	if !slices.Equal(starts2, again) || !slices.Equal(pairs2, pairsAgain) {
 		t.Error("seed 2 drew two different schedules")
+	}
+}
+
+// TestNewRefusals: every configuration New refuses is refused with an error
+// naming its own fault.
+func TestNewRefusals(t *testing.T) {
+	two := make([]Host, 2)
+	with := func(edit func(*Config)) Config {
+		cfg := DefaultConfig(1)
+		edit(&cfg)
+		return cfg
+	}
+	path := func(*Flow) ([]fluid.LinkID, time.Duration, bool) { return nil, 0, false }
+	for _, c := range []struct {
+		name  string
+		hosts []Host
+		cfg   Config
+		want  string
+	}{
+		{"no hosts", nil, DefaultConfig(1), "need at least 2 hosts, got 0"},
+		{"one host", make([]Host, 1), DefaultConfig(1), "need at least 2 hosts, got 1"},
+		{"no flows", two, with(func(c *Config) { c.Flows = 0 }), "need at least 1 flow, got 0"},
+		{"negative flows", two, with(func(c *Config) { c.Flows = -3 }), "need at least 1 flow, got -3"},
+		{"no size distribution", two, with(func(c *Config) { c.Sizes = nil }), "no flow size distribution"},
+		{"fluid without Solver", two, with(func(c *Config) { c.Mode, c.PathOf = ModeFluid, path }), "fluid mode needs a Solver"},
+		{"hybrid without Solver", two, with(func(c *Config) { c.Mode, c.PathOf = ModeHybrid, path }), "hybrid mode needs a Solver"},
+		{"fluid without PathOf", two, with(func(c *Config) { c.Mode, c.Solver = ModeFluid, &fluid.Solver{} }), "fluid mode needs a PathOf"},
+		{"hybrid without PathOf", two, with(func(c *Config) { c.Mode, c.Solver = ModeHybrid, &fluid.Solver{} }), "hybrid mode needs a PathOf"},
+	} {
+		e, err := New(nil, c.hosts, c.cfg)
+		if e != nil || err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: New = %v, %v; want a refusal containing %q", c.name, e, err, c.want)
+		}
 	}
 }
 
