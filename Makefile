@@ -101,14 +101,15 @@ fluid-smoke:
 figures:
 	$(GO) run ./cmd/closlab -experiment all
 
-# fuzz-smoke runs all 16 fuzz targets: each wire decoder (Ethernet, IPv4,
+# fuzz-smoke runs all 17 fuzz targets: each wire decoder (Ethernet, IPv4,
 # UDP, ICMP, the MR-MTP message, data-frame and VID parsers, the BGP message
 # parser and stream splitter), the differential targets holding the checksum
 # kernel to the 16-bit reference loop, the indexed FIB to the linear scan
 # and the event queue to the single heap it replaced, the workload receive
 # path (an open UDP port on every host), the text-log journal's parser
-# (whatever it accepts renders and parses back unchanged) and the two
-# stateful targets — arbitrary frame sequences into warm MR-MTP routers, and
+# (whatever it accepts renders and parses back unchanged), the chaos spec
+# parser (whatever it accepts round-trips, and applies to a three-node line
+# under traffic without a panic) and the two stateful targets — arbitrary frame sequences into warm MR-MTP routers, and
 # arbitrary UPDATE, withdrawal and session down/up sequences into a BGP
 # speaker held to the map-of-maps Adj-RIB-In it replaced. Each gets a short
 # budget on top of its seed corpus: a regression tripwire, not a campaign.
@@ -132,6 +133,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFIBLookup -fuzztime $(FUZZ_TIME) ./internal/ipstack
 	$(GO) test -run '^$$' -fuzz FuzzOnDatagram -fuzztime $(FUZZ_TIME) ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzParseJournal -fuzztime $(FUZZ_TIME) ./internal/harness
+	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime $(FUZZ_TIME) ./internal/chaos
 	$(GO) test -run '^$$' -fuzz FuzzQueueOrder -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./internal/simnet
 
 # loc prints the non-test Go line counts (testdata/ left out) of the four

@@ -46,15 +46,19 @@ func closlab(t *testing.T, dir string, args ...string) (stdout, stderr []byte, e
 }
 
 // TestGoldenArtifacts pins every byte every campaign produces at -pods 2
-// -trials 1 -seed 1: each row's stdout and the files it writes. The run list
-// is the campaigns table itself, so a row cannot be added unpinned. Same
-// seed → same bytes is the repo's contract, so a change that is not meant to
-// move simulated behaviour must leave this test green; one that is meant to
-// reruns it with -update-golden and says so.
+// -trials 1 -seed 1 (-trials only on the rows that take it): each row's
+// stdout and the files it writes. The run list is the campaigns table
+// itself, so a row cannot be added unpinned. Same seed → same bytes is the
+// repo's contract, so a change that is not meant to move simulated
+// behaviour must leave this test green; one that is meant to reruns it with
+// -update-golden and says so.
 func TestGoldenArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	for _, c := range campaigns {
-		args := []string{"-experiment", c.name, "-trials", "1", "-seed", "1"}
+		args := []string{"-experiment", c.name, "-seed", "1"}
+		if !c.once { // the rows that run once reject -trials
+			args = append(args, "-trials", "1")
+		}
 		if c.name != "scale" { // owns its fabric sizes and rejects -pods
 			args = append(args, "-pods", "2")
 		}

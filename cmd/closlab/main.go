@@ -14,13 +14,13 @@
 //	closlab -experiment all                    # every figure, table and campaign
 //	closlab -help                              # every experiment name and flag
 //
-// Flags -trials and -seed control averaging, and -pods restricts the
-// topology (scale sweeps its own fabric sizes and rejects it). Trials run
-// GOMAXPROCS at a time; the figures do not depend on it, because trial seeds
-// derive from trial indices. -engine switches the workload
-// experiment between the packet engine, the analytic fluid model, and the
-// hybrid split (-engine hybrid -flows 1000000 is the million-flow
-// configuration); -flows overrides the flow count.
+// Flags -trials and -seed control averaging (the rows that run once reject
+// -trials), and -pods restricts the topology (scale sweeps its own fabric
+// sizes and rejects it). Trials run GOMAXPROCS at a time; the figures do
+// not depend on it, because trial seeds derive from trial indices. -engine
+// switches the workload experiment between the packet engine, the analytic
+// fluid model, and the hybrid split (-engine hybrid -flows 1000000 is the
+// million-flow configuration); -flows overrides the flow count.
 // -cpuprofile and -memprofile write pprof profiles of the run (off by
 // default; they never touch stdout or the artifact files).
 package main
@@ -93,7 +93,9 @@ type campaign struct {
 	// artifacts names the files the campaign writes under -out; a campaign
 	// with none rejects -out.
 	artifacts []string
-	run       func(*env) error
+	// once campaigns run one trial per cell and reject -trials.
+	once bool
+	run  func(*env) error
 }
 
 var campaigns = []campaign{
@@ -107,11 +109,11 @@ var campaigns = []campaign{
 		func(s harness.FailureSummary) string { return fmt.Sprintf("%.0f", s.ControlBytes) })},
 	{name: "loss-near", run: lossFigure("Fig. 7 — packets lost, sender near failure (ToR 11 -> ToR 14)", false)},
 	{name: "loss-far", run: lossFigure("Fig. 8 — packets lost, sender far from failure (ToR 14 -> ToR 11)", true)},
-	{name: "keepalive", run: keepAlive},
-	{name: "config", run: configComparison},
-	{name: "nodefail", run: nodeFailure},
+	{name: "keepalive", once: true, run: keepAlive},
+	{name: "config", once: true, run: configComparison},
+	{name: "nodefail", once: true, run: nodeFailure},
 	{name: "flap", run: flapChurn},
-	{name: "tables", run: tables},
+	{name: "tables", once: true, run: tables},
 	{name: "ablation", run: ablationSweeps},
 	{name: "scale", run: scale},
 	cellCampaign("workload", dataPlaneProtocols, workloadConfigs,
@@ -130,7 +132,7 @@ var campaigns = []campaign{
 		csv("trace-hops.csv", harness.RenderTraceHopsCSV),
 		csv("trace-accusations.csv", harness.RenderTraceAccusationsCSV),
 		csv("trace-timeline.csv", harness.RenderTimelineCSV[harness.TraceSummary, harness.TraceResult])),
-	{name: "artifacts", optIn: true, run: rawArtifacts,
+	{name: "artifacts", optIn: true, once: true, run: rawArtifacts,
 		artifacts: []string{"{mrmtp,bgp,bgp-bfd}-logs.txt", "{mrmtp,bgp,bgp-bfd}-capture.pcap"}},
 }
 
@@ -264,10 +266,10 @@ func validateFlags(set map[string]bool, experiment, engine string, trials, flows
 	// A typo must exit non-zero naming every registered experiment, not
 	// masquerade as a successful empty run. "all" is always known and
 	// includes campaigns that write files.
-	known, writes := experiment == "all", experiment == "all"
+	known, writes, once := experiment == "all", experiment == "all", false
 	for _, c := range campaigns {
 		if c.name == experiment {
-			known, writes = true, len(c.artifacts) > 0
+			known, writes, once = true, len(c.artifacts) > 0, c.once
 		}
 	}
 	if !known {
@@ -275,6 +277,9 @@ func validateFlags(set map[string]bool, experiment, engine string, trials, flows
 	}
 	if set["out"] && !writes {
 		return fmt.Errorf("-out does not apply to -experiment %s: it writes no artifact files", experiment)
+	}
+	if set["trials"] && once {
+		return fmt.Errorf("-trials does not apply to -experiment %s: it runs once", experiment)
 	}
 	return nil
 }
@@ -524,9 +529,10 @@ func keepAlive(e *env) error {
 func nodeFailure(e *env) error {
 	emitf("Extended failure cases (paper §IX) — whole-router crash of S-1-1:\n")
 	emitf("%-14s %6s %14s %8s %12s\n", "protocol", "pods", "convergence", "blast", "ctl bytes")
-	_, err := sweep(e, e.specs, protocols, 1, []string{"S-1-1"},
-		harness.RunNodeFailure, single[metrics.Analysis],
-		func(spec topology.Spec, proto harness.Protocol, _ string, r metrics.Analysis) {
+	crash := chaos.Fault{Kind: chaos.Down, Nodes: []string{"S-1-1"}}
+	_, err := sweep(e, e.specs, protocols, 1, []chaos.Fault{crash},
+		harness.RunFault, single[metrics.Analysis],
+		func(spec topology.Spec, proto harness.Protocol, _ chaos.Fault, r metrics.Analysis) {
 			emitf("%-14s %6d %14v %8d %12d\n", proto, spec.Pods, r.Convergence.Round(100*time.Microsecond), r.BlastRadius, r.ControlBytes)
 		})
 	emitf("\n")

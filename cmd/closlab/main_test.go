@@ -69,6 +69,12 @@ func TestValidateFlags(t *testing.T) {
 			cases = append(cases, tc)
 		}
 	}
+	// The rows that run once reject -trials rather than ignore it.
+	for _, row := range []string{"tables", "keepalive", "nodefail", "config", "artifacts"} {
+		tc := cases[0]
+		tc.name, tc.set, tc.experiment, tc.trials, tc.wantErr = "trials with "+row, []string{"trials"}, row, 3, "-trials does not apply"
+		cases = append(cases, tc)
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			set := make(map[string]bool, len(tc.set))

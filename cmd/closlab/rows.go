@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/topology"
@@ -173,10 +174,12 @@ func scale(e *env) error {
 	}
 	fourTier := topology.Spec{Pods: 4, Zones: 2, LeavesPerPod: 2,
 		SpinesPerPod: 2, UplinksPerSpine: 2, UplinksPerZone: 2, ServersPerLeaf: 1}
-	_, err = sweep(e, []topology.Spec{fourTier}, mrmtpOnly, e.trials, []topology.FailurePoint{{Device: "A-1-1", Port: 1}},
-		harness.RunPortFailure, harness.SummarizeFailures,
-		func(spec topology.Spec, _ harness.Protocol, fp topology.FailurePoint, s harness.FailureSummary) {
-			row(fmt.Sprintf("4-tier (%d zones x %d PoDs)", spec.Zones, spec.Pods/spec.Zones), fmt.Sprintf("%s eth%d", fp.Device, fp.Port), s)
+	// A-1-1's first uplink, eth1, goes to T-1.
+	zoneUplink := chaos.Fault{Kind: chaos.Down, Link: chaos.LinkRef{Device: "A-1-1", Peer: "T-1"}}
+	_, err = sweep(e, []topology.Spec{fourTier}, mrmtpOnly, e.trials, []chaos.Fault{zoneUplink},
+		harness.RunFault, harness.SummarizeFailures,
+		func(spec topology.Spec, _ harness.Protocol, _ chaos.Fault, s harness.FailureSummary) {
+			row(fmt.Sprintf("4-tier (%d zones x %d PoDs)", spec.Zones, spec.Pods/spec.Zones), "A-1-1 eth1", s)
 		})
 	emitf("\n")
 	return err

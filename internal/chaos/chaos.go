@@ -1,12 +1,14 @@
-// Package chaos is a deterministic fault-injection campaign engine for the
-// simulator. A campaign is a Spec: a named list of composable fault
-// primitives — flap storms, gray (one-way) loss, hello corruption/delay,
-// one-way carrier faults, correlated multi-link failures, and rolling
-// maintenance drains — each scheduled at a virtual-time offset from the
-// moment the spec is applied. Specs round-trip through JSON so campaigns
-// can be checked in, diffed, and replayed; Apply resolves every target
-// eagerly, schedules the faults as simulator events, and returns an
-// Injector whose log records every action at the virtual time it fired.
+// Package chaos is the simulator's one fault injector: every failure an
+// experiment injects, from the paper's single `ip link set down` to a
+// campaign, is a Spec — a named list of composable fault primitives
+// (interfaces or whole nodes going down, flap storms, gray (one-way) loss,
+// hello corruption/delay, one-way carrier faults, correlated multi-link
+// failures, and rolling maintenance drains), each due at a virtual-time
+// offset from the moment the spec is applied. Specs round-trip through JSON
+// so campaigns can be checked in, diffed, and replayed; Apply resolves every
+// target eagerly, performs the actions due at offset zero at once and
+// schedules the rest as simulator events, and returns an Injector whose log
+// records every action at the virtual time it fired.
 //
 // Everything is seed-reproducible: the package draws no randomness of its
 // own (probabilistic behavior lives in simnet's impairment layer, which
@@ -17,6 +19,8 @@ package chaos
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 )
 
@@ -50,6 +54,10 @@ const (
 	// Duration, rolling through the list Stagger apart — the maintenance
 	// workflow that reboots one switch at a time.
 	Drain Kind = "drain"
+	// Down is the paper's failure: the Device-side interface of Link, or
+	// every interface of each node in Nodes (a crash), goes down at Start
+	// and stays down. It takes no Duration.
+	Down Kind = "down"
 )
 
 // validKind reports whether k names a primitive. A switch rather than a
@@ -57,7 +65,7 @@ const (
 // sharedstate lint rule).
 func validKind(k Kind) bool {
 	switch k {
-	case FlapStorm, GrayLoss, LinkImpair, OneWay, Correlated, Drain:
+	case FlapStorm, GrayLoss, LinkImpair, OneWay, Correlated, Drain, Down:
 		return true
 	}
 	return false
@@ -116,7 +124,8 @@ type Fault struct {
 	Kind Kind `json:"kind"`
 
 	// Link targets single-link kinds (flap-storm, gray-loss, impair,
-	// oneway); Links targets correlated; Nodes targets drain.
+	// oneway, down); Links targets correlated; Nodes targets drain and
+	// down.
 	Link  LinkRef   `json:"link,omitempty"`
 	Links []LinkRef `json:"links,omitempty"`
 	Nodes []string  `json:"nodes,omitempty"`
@@ -141,24 +150,41 @@ type Fault struct {
 
 // End returns the fault's last scheduled action time (relative to apply).
 func (f Fault) End() time.Duration {
+	end, _ := f.end()
+	return end
+}
+
+// end is End, and false when the last action lies past the largest
+// time.Duration. It assumes the offsets Validate checks are non-negative.
+func (f Fault) end() (time.Duration, bool) {
 	switch f.Kind {
 	case FlapStorm:
-		return f.Start.D() + time.Duration(f.Flaps)*f.Period.D()
-	case Correlated:
+		return addMul(f.Start.D(), f.Flaps, f.Period.D())
+	case Correlated, Drain:
 		n := len(f.Links)
-		if n == 0 {
-			return f.Start.D()
+		if f.Kind == Drain {
+			n = len(f.Nodes)
 		}
-		return f.Start.D() + time.Duration(n-1)*f.Stagger.D() + f.Duration.D()
-	case Drain:
-		n := len(f.Nodes)
 		if n == 0 {
-			return f.Start.D()
+			return f.Start.D(), true
 		}
-		return f.Start.D() + time.Duration(n-1)*f.Stagger.D() + f.Duration.D()
+		last, ok := addMul(f.Start.D(), n-1, f.Stagger.D())
+		if !ok {
+			return last, false
+		}
+		return addMul(last, 1, f.Duration.D())
 	default:
-		return f.Start.D() + f.Duration.D()
+		return addMul(f.Start.D(), 1, f.Duration.D())
 	}
+}
+
+// addMul returns a + n·b, and false when the sum overflows. a, n and b are
+// non-negative.
+func addMul(a time.Duration, n int, b time.Duration) (time.Duration, bool) {
+	if n > 0 && b > (math.MaxInt64-a)/time.Duration(n) {
+		return a + time.Duration(n)*b, false
+	}
+	return a + time.Duration(n)*b, true
 }
 
 // Validate checks one fault's shape.
@@ -168,6 +194,11 @@ func (f Fault) Validate() error {
 	}
 	if f.Start < 0 {
 		return fmt.Errorf("chaos: %s: negative start %v", f.Kind, f.Start.D())
+	}
+	// A frame cannot arrive before it was sent, and simnet draws jitter
+	// only when it is positive.
+	if f.ExtraLatency < 0 || f.Jitter < 0 {
+		return fmt.Errorf("chaos: %s: negative extra_latency %v or jitter %v", f.Kind, f.ExtraLatency.D(), f.Jitter.D())
 	}
 	needLink := func() error {
 		if f.Link.Device == "" || f.Link.Peer == "" {
@@ -253,10 +284,8 @@ func (f Fault) Validate() error {
 		if len(f.Nodes) < 1 {
 			return fmt.Errorf("chaos: drain needs at least one node")
 		}
-		for _, n := range f.Nodes {
-			if n == "" {
-				return fmt.Errorf("chaos: drain node name empty")
-			}
+		if slices.Contains(f.Nodes, "") {
+			return fmt.Errorf("chaos: drain node name empty")
 		}
 		if err := needDuration(); err != nil {
 			return err
@@ -264,6 +293,24 @@ func (f Fault) Validate() error {
 		if f.Stagger < 0 {
 			return fmt.Errorf("chaos: drain stagger must be non-negative")
 		}
+	case Down:
+		if (f.Link == LinkRef{}) == (len(f.Nodes) == 0) {
+			return fmt.Errorf("chaos: down needs a link or nodes, not both")
+		}
+		if len(f.Nodes) == 0 {
+			if err := needLink(); err != nil {
+				return err
+			}
+		}
+		if slices.Contains(f.Nodes, "") {
+			return fmt.Errorf("chaos: down node name empty")
+		}
+		if f.Duration != 0 {
+			return fmt.Errorf("chaos: down takes no duration: it stays down")
+		}
+	}
+	if _, ok := f.end(); !ok {
+		return fmt.Errorf("chaos: %s: last action overflows time.Duration", f.Kind)
 	}
 	return nil
 }

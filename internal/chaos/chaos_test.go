@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -102,11 +103,35 @@ func TestValidateRejectsBadFaults(t *testing.T) {
 		{"one link correlated", Fault{Kind: Correlated, Links: []LinkRef{{"a", "b"}}, Duration: Duration(time.Second)}},
 		{"no nodes", Fault{Kind: Drain, Duration: Duration(time.Second)}},
 		{"negative start", Fault{Kind: OneWay, Link: LinkRef{"a", "b"}, Start: Duration(-time.Second), Duration: Duration(time.Second)}},
+		// A frame on a:eth1 would be due before it was sent: simnet panics.
+		{"negative latency", Fault{Kind: LinkImpair, Link: LinkRef{"a", "b"}, Duration: Duration(time.Second), ExtraLatency: Duration(-50 * time.Millisecond)}},
+		// simnet draws jitter only when it is positive: ignored, silently.
+		{"negative jitter", Fault{Kind: LinkImpair, Link: LinkRef{"a", "b"}, Duration: Duration(time.Second), LossRate: 0.1, Jitter: Duration(-time.Millisecond)}},
+		// Four periods of 2562047h pass the largest time.Duration: Horizon
+		// read 0 and Apply scheduled in the past.
+		{"overflowing end", Fault{Kind: FlapStorm, Link: LinkRef{"a", "b"}, Flaps: 4, Period: Duration(2562047 * time.Hour), Duty: 0.5}},
+		{"overflowing stagger", Fault{Kind: Drain, Nodes: []string{"a", "b"}, Duration: Duration(time.Second), Stagger: Duration(math.MaxInt64)}},
+		{"down without target", Fault{Kind: Down}},
+		{"down on a link and nodes", Fault{Kind: Down, Link: LinkRef{"a", "b"}, Nodes: []string{"c"}}},
+		{"down on half a link", Fault{Kind: Down, Link: LinkRef{Device: "a"}}},
+		{"down with a duration", Fault{Kind: Down, Link: LinkRef{"a", "b"}, Duration: Duration(time.Second)}},
 	}
 	for _, c := range cases {
 		if err := c.f.Validate(); err == nil {
 			t.Errorf("%s: validated, want error", c.name)
 		}
+	}
+}
+
+// TestApplyRejectsEndPastMaxDuration: a spec whose end fits a
+// time.Duration may still not fit once it is offset from the instant it is
+// applied at.
+func TestApplyRejectsEndPastMaxDuration(t *testing.T) {
+	s, _ := fabric(t)
+	s.RunFor(time.Second)
+	spec := Spec{Name: "late", Faults: []Fault{{Kind: Down, Link: LinkRef{"a", "b"}, Start: Duration(math.MaxInt64 - time.Millisecond)}}}
+	if _, err := Apply(s, spec, nil); err == nil {
+		t.Error("applied a fault due past the largest time.Duration")
 	}
 }
 
@@ -412,5 +437,53 @@ func TestInjectorLogDeterminism(t *testing.T) {
 	first, second := run(), run()
 	if !reflect.DeepEqual(first, second) {
 		t.Errorf("injector logs diverged:\n%+v\n%+v", first, second)
+	}
+}
+
+// TestDownActsAtOnce: a Down due at offset zero has failed its port, and
+// logged the failure, before Apply returns — `ip link set down` acts when it
+// is typed, with no simulator event in between. One due later, here a crash
+// of b, waits for its instant and fails every port in port order. Nothing
+// comes back up.
+func TestDownActsAtOnce(t *testing.T) {
+	s, hs := fabric(t)
+	s.Start()
+	s.RunFor(5 * time.Millisecond)
+	log := &metrics.Log{}
+	now := Spec{Name: "now", Faults: []Fault{{Kind: Down, Link: LinkRef{"a", "b"}}}}
+	later := Spec{Name: "later", Faults: []Fault{{Kind: Down, Nodes: []string{"b"}, Start: Duration(time.Millisecond)}}}
+	in, err := Apply(s, now, log)
+	if err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	if s.Node("a").Port(1).Up() {
+		t.Error("a:eth1 still up after Apply of a Down at offset 0")
+	}
+	if want := failures("a", 1, 5*time.Millisecond); !reflect.DeepEqual(log.Events, want) {
+		t.Errorf("Log after Apply = %+v, want %+v", log.Events, want)
+	}
+	if len(in.Events) != 1 || in.Events[0].Action != "fail" || in.Events[0].Target != "a:eth1" {
+		t.Errorf("injector log = %+v, want one fail of a:eth1", in.Events)
+	}
+	if _, err := Apply(s, later, log); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	if !s.Node("b").Port(1).Up() {
+		t.Error("b:eth1 down before its 1ms offset")
+	}
+	s.RunFor(time.Second)
+	for _, p := range []*simnet.Port{s.Node("a").Port(1), s.Node("b").Port(1), s.Node("b").Port(2)} {
+		if p.Up() {
+			t.Errorf("%s came back up", p.Name())
+		}
+	}
+	want := failures("a", 1, 5*time.Millisecond)
+	want = append(want, failures("b", 1, 6*time.Millisecond)...)
+	want = append(want, failures("b", 2, 6*time.Millisecond)...)
+	if !reflect.DeepEqual(log.Events, want) {
+		t.Errorf("Log = %+v, want %+v", log.Events, want)
+	}
+	if len(hs["a"].downs) != 1 || len(hs["a"].ups) != 0 {
+		t.Errorf("a saw downs=%v ups=%v, want one down", hs["a"].downs, hs["a"].ups)
 	}
 }

@@ -138,7 +138,7 @@ func TestCongestionLoadBalancingUsesBothPlanes(t *testing.T) {
 			delivered += rep.Received
 		}
 		for _, link := range f.Sim.Links() {
-			overflow += link.Overflowed()
+			overflow += link.Stats(link.A).Overflows + link.Stats(link.B).Overflows
 		}
 		t.Logf("%v: offered %d, delivered %d packets, %d tail-dropped", proto, offered, delivered, overflow)
 		if delivered <= singlePlaneCap {
@@ -172,7 +172,7 @@ func TestCongestionQueueOverflowCounted(t *testing.T) {
 	f.Sim.RunFor(2 * time.Second)
 	var overflowed uint64
 	for _, link := range f.Sim.Links() {
-		overflowed += link.Overflowed()
+		overflowed += link.Stats(link.A).Overflows + link.Stats(link.B).Overflows
 	}
 	if overflowed == 0 {
 		t.Error("16x oversubscription with 8-frame queues overflowed nothing")

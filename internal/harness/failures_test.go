@@ -1,10 +1,12 @@
 package harness
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/metrics"
 	"repro/internal/netaddr"
 	"repro/internal/topology"
@@ -15,7 +17,7 @@ func TestNodeFailureSpine(t *testing.T) {
 	// Losing a whole pod spine must converge and keep the fabric usable:
 	// every prefix stays reachable through the surviving plane.
 	for _, proto := range []Protocol{ProtoMRMTP, ProtoBGP} {
-		r, err := RunNodeFailure(DefaultOptions(topology.TwoPodSpec(), proto, 9), "S-1-1")
+		r, err := RunFault(DefaultOptions(topology.TwoPodSpec(), proto, 9), crash("S-1-1"))
 		if err != nil {
 			t.Fatalf("%v: %v", proto, err)
 		}
@@ -26,12 +28,18 @@ func TestNodeFailureSpine(t *testing.T) {
 	}
 }
 
+// crash is the fault of a whole device dying: every interface down.
+func crash(node string) chaos.Fault {
+	return chaos.Fault{Kind: chaos.Down, Nodes: []string{node}}
+}
+
 // TestNodeFailureLogsEveryPort: a crash is one failure event per interface
-// in the Log, stamped at the crash instant, and the text journal carries
-// them through Render and Parse like a single-interface failure.
+// in the Log, in port order, stamped at the crash instant, and the text
+// journal carries them through Render and Parse like a single-interface
+// failure.
 func TestNodeFailureLogsEveryPort(t *testing.T) {
 	f := buildAndWarm(t, topology.TwoPodSpec(), ProtoMRMTP)
-	at, err := f.FailNode("S-1-1")
+	at, err := f.Inject(crash("S-1-1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +75,76 @@ func TestNodeFailureLogsEveryPort(t *testing.T) {
 	}
 }
 
+// TestFailAddsNoEvent: Fail is `ip link set down` typed at the prompt. It
+// dispatches no event, it logs one failure naming the interface
+// FailurePoint names, and from there the fabric runs event for event as one
+// whose port was failed by hand — so the event counts the benchmark pins do
+// not depend on how a failure is injected.
+func TestFailAddsNoEvent(t *testing.T) {
+	for _, spec := range []topology.Spec{topology.TwoPodSpec(), topology.FourPodSpec(), fourTier()} {
+		warm, err := bringUp(DefaultOptions(spec, ProtoMRMTP, 42))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range topology.AllFailureCases() {
+			fp, err := warm.Topo.FailurePoint(tc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaFail, err := warm.fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			byHand, err := warm.fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%d-pod %d-zone %v", spec.Pods, max(spec.Zones, 1), tc)
+			before := viaFail.Sim.Events()
+			at, err := viaFail.Fail(tc)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got := viaFail.Sim.Events(); got != before {
+				t.Errorf("%s: Fail dispatched %d events", name, got-before)
+			}
+			if viaFail.Sim.Node(fp.Device).Port(fp.Port).Up() {
+				t.Errorf("%s: %s eth%d still up after Fail returned", name, fp.Device, fp.Port)
+			}
+			want := []metrics.Event{{At: at, Node: fp.Device, Kind: metrics.KindFailure, N: fp.Port}}
+			if !reflect.DeepEqual(viaFail.Log.Events, want) {
+				t.Errorf("%s: Log = %+v, want %+v", name, viaFail.Log.Events, want)
+			}
+			byHand.Sim.Node(fp.Device).Port(fp.Port).Fail()
+			viaFail.Sim.RunFor(time.Second)
+			byHand.Sim.RunFor(time.Second)
+			if got, want := viaFail.Sim.Events(), byHand.Sim.Events(); got != want {
+				t.Errorf("%s: %d events a second after Fail, %d after failing the port by hand", name, got, want)
+			}
+		}
+	}
+}
+
+// TestRunFlapRejectsEmptyShapes: no flap, or a zero down or up time,
+// measures nothing, so RunFlap refuses it rather than report a recovered
+// fabric.
+func TestRunFlapRejectsEmptyShapes(t *testing.T) {
+	opts := DefaultOptions(topology.TwoPodSpec(), ProtoMRMTP, 3)
+	for _, c := range []struct {
+		flaps    int
+		down, up time.Duration
+	}{{0, 500 * time.Millisecond, 4 * time.Second}, {5, 0, 4 * time.Second}, {5, 500 * time.Millisecond, 0}} {
+		if _, err := RunFlap(opts, c.flaps, c.down, c.up); err == nil {
+			t.Errorf("RunFlap(%d flaps, down %v, up %v) succeeded, want an error", c.flaps, c.down, c.up)
+		}
+	}
+}
+
 func TestNodeFailureTopSpineTrafficSurvives(t *testing.T) {
 	// Crash T-1 and verify cross-pod traffic still flows after
 	// reconvergence (over T-2..T-4).
 	f := buildAndWarm(t, topology.TwoPodSpec(), ProtoMRMTP)
-	if _, err := f.FailNode("T-1"); err != nil {
+	if _, err := f.Inject(crash("T-1")); err != nil {
 		t.Fatal(err)
 	}
 	f.Sim.RunFor(2 * time.Second)
@@ -90,7 +163,7 @@ func TestNodeFailureTopSpineTrafficSurvives(t *testing.T) {
 
 func TestNodeCrashAndRebootRecovers(t *testing.T) {
 	f := buildAndWarm(t, topology.TwoPodSpec(), ProtoMRMTP)
-	if _, err := f.FailNode("S-1-1"); err != nil {
+	if _, err := f.Inject(crash("S-1-1")); err != nil {
 		t.Fatal(err)
 	}
 	f.Sim.RunFor(2 * time.Second)

@@ -1,10 +1,10 @@
 // Package harness orchestrates the paper's experiments: it realizes a
 // folded-Clos topology in the simulator, deploys one of the three protocol
-// configurations (MR-MTP, BGP/ECMP, BGP/ECMP/BFD), injects interface
-// failures at the paper's TC1–TC4 points, and collects the metrics of
-// Figs. 4–10. It is the in-process equivalent of the paper's FABRIC
-// automation scripts (topology bring-up, software deployment, failure
-// injection, log collection and parsing).
+// configurations (MR-MTP, BGP/ECMP, BGP/ECMP/BFD), injects failures — the
+// paper's TC1–TC4 interfaces and every other fault, each a chaos.Fault —
+// and collects the metrics of Figs. 4–10. It is the in-process equivalent
+// of the paper's FABRIC automation scripts (topology bring-up, software
+// deployment, failure injection, log collection and parsing).
 package harness
 
 import (
@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/bfd"
 	"repro/internal/bgp"
+	"repro/internal/chaos"
 	"repro/internal/ipstack"
 	"repro/internal/metrics"
 	"repro/internal/mrmtp"
@@ -343,27 +344,34 @@ func (f *Fabric) CheckConverged() error {
 	return nil
 }
 
-// Fail injects the interface failure for a test case and returns the
-// virtual time of the event.
+// Fail brings down the interface of a test case, `ip link set down` on it,
+// and returns the virtual time of the failure.
 func (f *Fabric) Fail(tc topology.FailureCase) (time.Duration, error) {
-	fp, err := f.Topo.FailurePoint(tc)
+	link, err := f.caseLink(tc)
 	if err != nil {
 		return 0, err
 	}
-	return f.FailPoint(fp)
+	return f.Inject(chaos.Fault{Kind: chaos.Down, Link: link})
 }
 
-// FailPoint fails one named interface, records the failure in the Log, and
-// returns the virtual time of the event.
-func (f *Fabric) FailPoint(fp topology.FailurePoint) (time.Duration, error) {
-	node := f.Sim.Node(fp.Device)
-	if node == nil || fp.Port < 1 || fp.Port >= len(node.Ports) {
-		return 0, fmt.Errorf("harness: no interface %s eth%d", fp.Device, fp.Port)
+// caseLink names a test case's interface as a chaos target: its device and
+// the device at the far end of its link (the only link between the two).
+func (f *Fabric) caseLink(tc topology.FailureCase) (chaos.LinkRef, error) {
+	fp, err := f.Topo.FailurePoint(tc)
+	if err != nil {
+		return chaos.LinkRef{}, err
 	}
+	peer := f.Topo.Devices[fp.Device].Ports[fp.Port].Peer.Device
+	return chaos.LinkRef{Device: fp.Device, Peer: peer.Name}, nil
+}
+
+// Inject applies one fault to the running fabric now — every interface it
+// fails is a failure event in the Log — and returns the virtual time it was
+// applied at. A fault starting at once acts before Inject returns.
+func (f *Fabric) Inject(fault chaos.Fault) (time.Duration, error) {
 	at := f.Sim.Now()
-	node.Port(fp.Port).Fail()
-	f.Log.FailureInjected(at, fp.Device, fp.Port)
-	return at, nil
+	_, err := chaos.Apply(f.Sim, chaos.Spec{Name: string(fault.Kind), Faults: []chaos.Fault{fault}}, f.Log)
+	return at, err
 }
 
 // ServerStack returns the IP stack of the n-th server behind the ToR with

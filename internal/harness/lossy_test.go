@@ -133,7 +133,7 @@ func TestLossInjectionActuallyDrops(t *testing.T) {
 	f.Sim.RunFor(5 * time.Second)
 	var lost uint64
 	for _, l := range f.Sim.Links() {
-		lost += l.Lost()
+		lost += l.Stats(l.A).Lost + l.Stats(l.B).Lost
 	}
 	if lost == 0 {
 		t.Error("50% loss rate dropped nothing")

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/netaddr"
 	"repro/internal/topology"
 	"repro/internal/udp"
@@ -22,6 +23,12 @@ func fourTier() topology.Spec {
 
 // zoneSpineUplink is A-1-1's uplink to T-1, the 4-tier analogue of TC3.
 var zoneSpineUplink = topology.FailurePoint{Device: "A-1-1", Port: 1}
+
+// downFault is the chaos.Down of one named interface of f.
+func downFault(f *Fabric, fp topology.FailurePoint) chaos.Fault {
+	peer := f.Sim.Node(fp.Device).Port(fp.Port).Peer().Node.Name
+	return chaos.Fault{Kind: chaos.Down, Link: chaos.LinkRef{Device: fp.Device, Peer: peer}}
+}
 
 func fourTierOptions(proto Protocol) Options { return DefaultOptions(fourTier(), proto, 42) }
 
@@ -129,7 +136,7 @@ func TestMultiTierFailureRecovery(t *testing.T) {
 	// MR-MTP reconverges with the same dead-timer characteristics.
 	f := warmFourTier(t, ProtoMRMTP)
 	f.Log.Reset()
-	failAt, err := f.FailPoint(zoneSpineUplink) // A-1-1's uplink to T-1
+	failAt, err := f.Inject(downFault(f, zoneSpineUplink)) // A-1-1's uplink to T-1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,20 +160,25 @@ func TestMultiTierFailureRecovery(t *testing.T) {
 	}
 }
 
-func TestRunPortFailureFourTier(t *testing.T) {
+func TestRunFaultFourTier(t *testing.T) {
 	// The same failure through the shared measurement (random timer phase,
 	// full settle window): the 4-tier cell of `closlab -experiment scale`.
 	opts := fourTierOptions(ProtoMRMTP)
-	r, err := RunPortFailure(opts, zoneSpineUplink)
+	r, err := RunFault(opts, chaos.Fault{Kind: chaos.Down, Link: chaos.LinkRef{Device: "A-1-1", Peer: "T-1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Convergence <= 0 || r.Convergence > 150*time.Millisecond || r.BlastRadius != 1 {
 		t.Errorf("4-tier zone-spine uplink: convergence %v, blast radius %d (%v); want one dead timer and the one zone spine that must avoid T-1", r.Convergence, r.BlastRadius, r.UpdatedNodes)
 	}
-	for _, fp := range []topology.FailurePoint{{Device: "A-9-9", Port: 1}, {Device: "A-1-1", Port: 0}, {Device: "A-1-1", Port: 99}} {
-		if _, err := RunPortFailure(opts, fp); err == nil {
-			t.Errorf("RunPortFailure(%+v) succeeded, want an error naming the interface", fp)
+	for _, fault := range []chaos.Fault{
+		{Kind: chaos.Down, Link: chaos.LinkRef{Device: "A-9-9", Peer: "T-1"}},
+		{Kind: chaos.Down, Link: chaos.LinkRef{Device: "A-1-1", Peer: "T-9"}},
+		{Kind: chaos.Down, Link: chaos.LinkRef{Device: "A-1-1", Peer: "L-1-1-1"}},
+		{Kind: chaos.Down, Nodes: []string{"A-9-9"}},
+	} {
+		if _, err := RunFault(opts, fault); err == nil {
+			t.Errorf("RunFault(%+v) succeeded, want an error naming the target", fault)
 		}
 	}
 }

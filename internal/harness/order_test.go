@@ -87,7 +87,7 @@ func runControlOrder(t *testing.T, opts Options, points []topology.FailurePoint)
 		}
 	}
 	for _, fp := range points {
-		if _, err := f.FailPoint(fp); err != nil {
+		if _, err := f.Inject(downFault(f, fp)); err != nil {
 			t.Fatal(err)
 		}
 		f.Sim.RunFor(2 * time.Second)

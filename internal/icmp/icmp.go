@@ -90,11 +90,6 @@ func TimeExceeded(origIP []byte) Message {
 	return Message{Type: TypeTimeExceeded, Payload: quote(origIP)}
 }
 
-// DestUnreachable builds the no-route error (code 0: network unreachable).
-func DestUnreachable(origIP []byte) Message {
-	return Message{Type: TypeDestUnreach, Payload: quote(origIP)}
-}
-
 // PortUnreachable builds the error a host sends when a UDP datagram arrives
 // for a port nobody listens on (code 3). For a UDP traceroute probe this is
 // the "destination reached" signal: intermediate hops answer time-exceeded,

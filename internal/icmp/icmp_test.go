@@ -84,15 +84,6 @@ func TestQuotedEchoRejectsNonEcho(t *testing.T) {
 	}
 }
 
-func TestDestUnreachable(t *testing.T) {
-	orig := probePacket(t, 1, 1)
-	m := DestUnreachable(orig)
-	out, err := Unmarshal(m.Marshal())
-	if err != nil || out.Type != TypeDestUnreach {
-		t.Errorf("unreachable round trip: %+v %v", out, err)
-	}
-}
-
 func TestShortQuote(t *testing.T) {
 	// Quoting a packet shorter than header+8 must not panic.
 	m := TimeExceeded([]byte{0x45, 0, 0, 20})

@@ -119,7 +119,7 @@ func TestTCPOverStack(t *testing.T) {
 
 func TestNoRouteCounted(t *testing.T) {
 	l := newLAN(t)
-	l.r.SendIP(l.sub1.Host(254), netaddr.MakeIPv4(99, 99, 99, 99), ipv4.ProtoUDP, []byte("x"))
+	l.r.SendIPTTL(l.sub1.Host(254), netaddr.MakeIPv4(99, 99, 99, 99), ipv4.ProtoUDP, ipv4.DefaultTTL, []byte("x"))
 	l.sim.RunFor(time.Millisecond)
 	if l.r.Stats.NoRoute != 1 {
 		t.Errorf("NoRoute = %d, want 1", l.r.Stats.NoRoute)
@@ -138,7 +138,7 @@ func TestTTLExpiry(t *testing.T) {
 	ib := sb.AddIface(nb.Port(1), sub.Host(2), sub)
 	sa.AddDefaultRoute(sub.Host(2), ia)
 	sb.AddDefaultRoute(sub.Host(1), ib)
-	sa.SendIP(sub.Host(1), netaddr.MakeIPv4(99, 0, 0, 1), ipv4.ProtoUDP, []byte("loop"))
+	sa.SendIPTTL(sub.Host(1), netaddr.MakeIPv4(99, 0, 0, 1), ipv4.ProtoUDP, ipv4.DefaultTTL, []byte("loop"))
 	sim.RunFor(time.Second)
 	if sa.Stats.TTLExpired+sb.Stats.TTLExpired != 1 {
 		t.Errorf("TTL expiries = %d, want exactly 1", sa.Stats.TTLExpired+sb.Stats.TTLExpired)

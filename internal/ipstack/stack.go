@@ -324,11 +324,6 @@ func (s *Stack) sendTCPSegment(src, dst netaddr.IPv4, segment []byte) {
 	s.sendIP(src, dst, ipv4.ProtoTCP, segment)
 }
 
-// SendIP emits a locally originated IP packet.
-func (s *Stack) SendIP(src, dst netaddr.IPv4, proto byte, payload []byte) {
-	s.SendIPTTL(src, dst, proto, ipv4.DefaultTTL, payload)
-}
-
 // SendIPTTL emits a locally originated IP packet with an explicit TTL
 // (traceroute probes).
 func (s *Stack) SendIPTTL(src, dst netaddr.IPv4, proto, ttl byte, payload []byte) {

@@ -85,8 +85,8 @@ func TestQueueOverflowTailDrops(t *testing.T) {
 		a.Port(1).Send(make([]byte, 1000))
 	}
 	s.RunFor(time.Second)
-	if link.Overflowed() != 6 {
-		t.Errorf("overflowed = %d, want 6 (10 offered, 4 queue slots)", link.Overflowed())
+	if got := link.Stats(a.Port(1)).Overflows; got != 6 {
+		t.Errorf("overflowed = %d, want 6 (10 offered, 4 queue slots)", got)
 	}
 	if got := b.Port(1).Counters.RxFrames; got != 4 {
 		t.Errorf("delivered = %d, want 4", got)
@@ -127,9 +127,6 @@ func TestLinkStatsPerDirection(t *testing.T) {
 	}
 	if fwd.Queued != 0 || rev.Queued != 0 {
 		t.Errorf("queues not drained: fwd=%d rev=%d", fwd.Queued, rev.Queued)
-	}
-	if link.Overflowed() != fwd.Overflows+rev.Overflows {
-		t.Errorf("link total %d != sum of directions %d", link.Overflowed(), fwd.Overflows+rev.Overflows)
 	}
 	if got := link.Bandwidth(); got != 8_000_000 {
 		t.Errorf("Bandwidth() = %d, want 8000000", got)
@@ -275,11 +272,11 @@ func TestShapedSendAllocs(t *testing.T) {
 	for link.Stats(port).Queued < 64 {
 		send()
 	}
-	drops := link.Overflowed()
+	drops := link.Stats(port).Overflows
 	if allocs, bytes := budget.PerRun(200, send); allocs != 0 || bytes != 0 {
 		t.Errorf("tail drop allocates %d objects and %d B per op, want 0 and 0", allocs, bytes)
 	}
-	if link.Overflowed()-drops < 200 {
-		t.Fatalf("only %d tail drops in 200 sends into a full queue", link.Overflowed()-drops)
+	if got := link.Stats(port).Overflows - drops; got < 200 {
+		t.Fatalf("only %d tail drops in 200 sends into a full queue", got)
 	}
 }

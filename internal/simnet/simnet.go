@@ -479,17 +479,6 @@ type Link struct {
 	dirA, dirB dirState
 }
 
-// Lost counts frames dropped by an impairment (loss or a one-way Down),
-// both directions combined.
-func (l *Link) Lost() uint64 { return l.dirA.lost + l.dirB.lost }
-
-// Corrupted counts frames that had a byte flipped by a corruption
-// impairment, both directions combined.
-func (l *Link) Corrupted() uint64 { return l.dirA.corrupted + l.dirB.corrupted }
-
-// Overflowed counts tail-dropped frames, both directions combined.
-func (l *Link) Overflowed() uint64 { return l.dirA.overflows + l.dirB.overflows }
-
 type dirState struct {
 	// The wire: frames in flight in delivery order, and the one heap record
 	// that stands for whichever is due next (wire.go).
@@ -576,12 +565,6 @@ func (l *Link) Impair(from *Port, imp Impairment) {
 
 // Impaired returns the direction's current fault profile.
 func (l *Link) Impaired(from *Port) Impairment { return l.dir(from).imp }
-
-// ClearImpairments restores both directions to a clean wire.
-func (l *Link) ClearImpairments() {
-	l.Impair(l.A, Impairment{})
-	l.Impair(l.B, Impairment{})
-}
 
 // LinkStats is a snapshot of one transmit direction of a link: the egress
 // queue owned by the sending port. The workload telemetry samples it over

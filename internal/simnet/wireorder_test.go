@@ -266,7 +266,7 @@ func runWireOrderScenario() []uint64 {
 
 	l3.Impair(s3.node.Port(1), Impairment{ExtraLatency: 40 * us})
 	run(20, control)
-	l3.ClearImpairments() // later frames now overtake the delayed ones
+	l3.Impair(s3.node.Port(1), Impairment{}) // later frames now overtake the delayed ones
 	lz.Impair(hub.node.Port(5), Impairment{ExtraLatency: 25 * us, Jitter: 5 * us})
 	run(40, control)
 	sc.endPhase() // 2: ExtraLatency set and cleared
@@ -275,7 +275,7 @@ func runWireOrderScenario() []uint64 {
 	l3.SetFluidLoad(s3.node.Port(1), gig/3, s.Now())
 	run(30, control)
 	l1.Latency = 10 * us
-	lz.ClearImpairments()
+	lz.Impair(hub.node.Port(5), Impairment{})
 	l3.SetFluidLoad(s3.node.Port(1), 0, s.Now())
 	run(20, control)
 	sc.endPhase() // 3: Latency changed mid-run, a fluid reservation slows the serializer
