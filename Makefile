@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt-check lint analyzers invariants race closbench closbench-digest fluid-smoke figures fuzz-smoke loc check
+.PHONY: all build test vet fmt-check lint analyzers invariants race closbench closbench-digest identity fluid-smoke figures fuzz-smoke loc check
 
 all: check
 
@@ -88,6 +88,26 @@ closbench-digest:
 	$(GO) run ./bench -workload hybrid-million -reps 1 | tail -n 1 | grep -q '"correct":true'
 	$(GO) run ./bench -workload fabric-scale -reps 1 | tail -n 1 | grep -q '"correct":true'
 	$(GO) run ./bench -workload convergence-grid -reps 1 | tail -n 1 | grep -q '"correct":true'
+
+# identity is the check of a change meant to move no simulated byte:
+# `make identity PARENT=<rev>` builds cmd/closlab at PARENT (from git
+# archive, in a temp dir) and from the working tree, runs each with
+# `-experiment all -seed 1`, and fails unless their stdout and -out trees
+# are identical. The two runs write the same -out path in turn, since
+# stdout prints it.
+identity:
+	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<rev>" >&2; exit 2; }
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/src" && git archive "$(PARENT)" | tar -x -C "$$tmp/src" && \
+	(cd "$$tmp/src" && $(GO) build -o "$$tmp/parent" ./cmd/closlab) && \
+	$(GO) build -o "$$tmp/change" ./cmd/closlab || exit 1; \
+	for b in parent change; do \
+		"$$tmp/$$b" -experiment all -seed 1 -out "$$tmp/out" > "$$tmp/$$b.stdout" || exit 1; \
+		mv "$$tmp/out" "$$tmp/$$b.out"; \
+	done; \
+	cmp "$$tmp/parent.stdout" "$$tmp/change.stdout" && \
+	diff -r "$$tmp/parent.out" "$$tmp/change.out" && \
+	echo "identity: closlab -experiment all -seed 1 is byte-identical to $(PARENT)"
 
 # fluid-smoke is a race-enabled tripwire: one hybrid workload trial end to
 # end — path resolution, rate reallocation, demotion to the packet path, and

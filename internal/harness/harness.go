@@ -9,6 +9,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -300,28 +301,15 @@ func (f *Fabric) WarmUp(d time.Duration) error {
 }
 
 // CheckConverged verifies steady state: all BGP sessions established and
-// every router holding a route to every rack subnet, or every MR-MTP top
-// spine holding one VID per ToR (the paper's Fig. 2 end state).
+// every router holding a route to every rack subnet, or every MR-MTP router
+// holding exactly the VIDs of the meshed trees over the live links (the
+// paper's Fig. 2 end state).
 func (f *Fabric) CheckConverged() error {
 	if f.Opts.Protocol == ProtoMRMTP {
-		leaves := len(f.Topo.Leaves)
-		for _, d := range f.Topo.Tops {
-			r := f.Routers[d.Name]
-			if r.TableSize() != leaves {
-				return fmt.Errorf("harness: %s holds %d VIDs, want %d (one per ToR)", d.Name, r.TableSize(), leaves)
-			}
-		}
-		for _, d := range f.Topo.Spines {
-			r := f.Routers[d.Name]
-			if want := f.Opts.Spec.LeavesPerPod; r.TableSize() != want {
-				return fmt.Errorf("harness: %s holds %d VIDs, want %d", d.Name, r.TableSize(), want)
-			}
-		}
-		// Zone spines hold one VID per leaf in their zone.
-		for _, d := range f.Topo.Aggs {
-			r := f.Routers[d.Name]
-			if want := leaves / f.Opts.Spec.Zones; r.TableSize() != want {
-				return fmt.Errorf("harness: %s holds %d VIDs, want %d", d.Name, r.TableSize(), want)
+		trees := f.Topo.MeshedTrees(f.portUp)
+		for _, d := range f.Topo.Routers() {
+			if got, want := f.Routers[d.Name].VIDs(), trees.VIDs(d); !slices.Equal(got, want) {
+				return fmt.Errorf("harness: %s holds VIDs %v, want %v", d.Name, got, want)
 			}
 		}
 		return nil
@@ -342,6 +330,11 @@ func (f *Fabric) CheckConverged() error {
 		}
 	}
 	return nil
+}
+
+// portUp reports whether a fabric port is up in the simulator.
+func (f *Fabric) portUp(p *topology.Port) bool {
+	return f.bound[p.Device.Ordinal].node.Port(p.Index).Up()
 }
 
 // Fail brings down the interface of a test case, `ip link set down` on it,

@@ -190,13 +190,14 @@ type traceRun struct {
 // newTraceRun registers the prober fleet on a warm fabric:
 // every ordered leaf pair at `flows` ECMP variants, probing from the
 // source ToR's gateway address with a TTL budget matching the pair's hop
-// distance (2 intra-pod, 4 cross-pod).
+// distance over the fabric's meshed trees, every link up.
 func newTraceRun(f *Fabric, flows int) *traceRun {
 	run := &traceRun{
 		f:      f,
 		tracer: &pathtrace.Tracer{},
 		loc:    pathtrace.NewLocalizer(),
 	}
+	trees := f.Topo.MeshedTrees(func(*topology.Port) bool { return true })
 	for _, src := range f.Topo.Leaves {
 		node := f.Sim.Node(src.Name)
 		var tr pathtrace.Transport
@@ -209,10 +210,7 @@ func newTraceRun(f *Fabric, flows int) *traceRun {
 			if dst == src {
 				continue
 			}
-			maxTTL := 4
-			if dst.Pod == src.Pod {
-				maxTTL = 2
-			}
+			maxTTL, _ := trees.Hops(src, dst)
 			for flow := 0; flow < flows; flow++ {
 				run.tracer.AddProber(pathtrace.ProberConfig{
 					Src:    topology.LeafGatewayIP(src),

@@ -116,6 +116,21 @@ func TestProberLossAccounting(t *testing.T) {
 	}
 }
 
+func TestProberSurvivesRoundWrap(t *testing.T) {
+	// probeID keeps 11 bits of the round, which wraps at round 2048 —
+	// 102.4 s of 50 ms rounds. Replies past the wrap still match their slot.
+	_, p, _, clock := newFakeTrace(3, 3)
+	for i := 0; i < 2100; i++ {
+		p.Tick()
+		clock.now += 50 * time.Millisecond
+	}
+	for _, c := range p.Snapshot() {
+		if c.Lost != 0 || c.LossEWMA != 0 {
+			t.Errorf("ttl %d: %d lost (EWMA %f) on a clean path after 2100 rounds", c.TTL, c.Lost, c.LossEWMA)
+		}
+	}
+}
+
 func TestProberRTTQuantiles(t *testing.T) {
 	tr := &Tracer{}
 	clock := &fakeClock{}

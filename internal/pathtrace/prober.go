@@ -148,7 +148,10 @@ func (p *Prober) HandleReply(from netaddr.IPv4, ipID uint16, reached bool) {
 	}
 	h := &p.hops[ttl-1]
 	slot := &h.pend[int(round)%grace]
-	if !slot.used || slot.answered || slot.round != round {
+	// The IP ID carries only the round's low 11 bits, so the slot's round
+	// is compared as the ID it was sent under: from round 2048 on the full
+	// counter no longer equals the decoded one.
+	if !slot.used || slot.answered || probeID(slot.round, ttl) != ipID {
 		return // aged out or duplicate
 	}
 	slot.answered = true
