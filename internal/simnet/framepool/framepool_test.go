@@ -1,9 +1,11 @@
 package framepool
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/budget"
+	"repro/internal/invariant"
 )
 
 func TestGetReturnsZeroedExactLength(t *testing.T) {
@@ -116,6 +118,92 @@ func TestGetPutAllocs(t *testing.T) {
 	}
 	if s := p.Stats(); s.Fresh != uint64(len(sizes)) {
 		t.Errorf("%d fresh buffers for %d sizes", s.Fresh, len(sizes))
+	}
+}
+
+// eagerFork is the Fork that allocated the source's whole stock up front: a
+// fresh buffer per free buffer of p, with its capacity, in its bucket. It is
+// the oracle of TestForkMatchesEagerFork.
+func eagerFork(p *Pool) *Pool {
+	q := &Pool{stats: p.stats, dbg: newDebugState()}
+	for i, bucket := range p.buckets {
+		if len(bucket) == 0 {
+			continue
+		}
+		stock := make([][]byte, len(bucket), cap(bucket))
+		for j, b := range bucket {
+			stock[j] = make([]byte, 0, cap(b))
+			q.trackPut(stock[j])
+		}
+		q.buckets[i] = stock
+	}
+	return q
+}
+
+// TestForkMatchesEagerFork drives the same random Get, Put and Fork script
+// into pools forked by Fork and by eagerFork, forks of forks included, and
+// compares every pool's Stats after every step: what a fork owes is
+// counted exactly as the stock it no longer copies.
+func TestForkMatchesEagerFork(t *testing.T) {
+	sizes := []int{1, 60, 64, 65, 100, 128, 200, 500, 1000, 1500, 2048, 4000, 4096, 5000}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		type world struct {
+			lazy, eager *Pool
+			lazyHeld    [][]byte
+			eagerHeld   [][]byte
+		}
+		worlds := []*world{{lazy: New(), eager: New()}}
+		for step := 0; step < 3000; step++ {
+			w := worlds[rng.Intn(len(worlds))]
+			switch op := rng.Intn(20); {
+			case op == 0 && len(worlds) < 8:
+				worlds = append(worlds, &world{lazy: w.lazy.Fork(), eager: eagerFork(w.eager)})
+			case op < 11 || len(w.lazyHeld) == 0:
+				n := sizes[rng.Intn(len(sizes))]
+				w.lazyHeld = append(w.lazyHeld, w.lazy.Get(n))
+				w.eagerHeld = append(w.eagerHeld, w.eager.Get(n))
+			default:
+				i := rng.Intn(len(w.lazyHeld))
+				w.lazy.Put(w.lazyHeld[i])
+				w.eager.Put(w.eagerHeld[i])
+				last := len(w.lazyHeld) - 1
+				w.lazyHeld[i], w.eagerHeld[i] = w.lazyHeld[last], w.eagerHeld[last]
+				w.lazyHeld, w.eagerHeld = w.lazyHeld[:last], w.eagerHeld[:last]
+			}
+			for i, w := range worlds {
+				if got, want := w.lazy.Stats(), w.eager.Stats(); got != want {
+					t.Fatalf("seed %d step %d pool %d: Fork stats %+v, eager fork %+v", seed, step, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestForkAllocs pins what a fork costs: one Pool (272 B, a 288 B size
+// class) whatever stock the source holds, because the stock is owed rather
+// than copied.
+func TestForkAllocs(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("the invariants ledger allocates its maps per pool")
+	}
+	for _, stock := range []int{0, 1000} {
+		p := New()
+		held := make([][]byte, stock)
+		for i := range held {
+			held[i] = p.Get(1 + i%4096)
+		}
+		for _, b := range held {
+			p.Put(b)
+		}
+		var q *Pool
+		allocs, bytes := budget.PerRun(100, func() { q = p.Fork() })
+		if allocs != 1 || bytes != 288 {
+			t.Errorf("forking a pool stocked with %d buffers allocates %d objects and %d B, want 1 and 288", stock, allocs, bytes)
+		}
+		if q.Stats() != p.Stats() {
+			t.Errorf("fork stats %+v, source %+v", q.Stats(), p.Stats())
+		}
 	}
 }
 
