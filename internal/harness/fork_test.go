@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/capture"
+	"repro/internal/invariant"
 	"repro/internal/metrics"
 	"repro/internal/topology"
 )
@@ -236,6 +238,44 @@ func TestForkConcurrent(t *testing.T) {
 		wg.Wait()
 		for i := 1; i < n; i++ {
 			compareFingerprints(t, fmt.Sprintf("%s fork %d", proto, i), fps[i], fps[0])
+		}
+	}
+}
+
+// TestForkAllocs pins what one fork of a warm snapshot costs the heap, per
+// fabric and protocol: the measured figure, with no slack. The frame pool's
+// stock is owed rather than copied, so a figure here moves with the state
+// the components keep, not with the frames a bring-up happened to return.
+// The race detector and the invariants ledger allocate on their own
+// account, so the figures are the plain build's.
+func TestForkAllocs(t *testing.T) {
+	if budget.Race || invariant.Enabled {
+		t.Skip("measured in the plain build")
+	}
+	for _, tc := range []struct {
+		name          string
+		spec          topology.Spec
+		proto         Protocol
+		allocs, bytes uint64
+	}{
+		{"2pod", topology.TwoPodSpec(), ProtoMRMTP, 822, 104432},
+		{"2pod", topology.TwoPodSpec(), ProtoBGP, 1468, 128552},
+		{"2pod", topology.TwoPodSpec(), ProtoBGPBFD, 1823, 147504},
+		{"4pod", topology.FourPodSpec(), ProtoMRMTP, 1565, 195120},
+		{"4pod", topology.FourPodSpec(), ProtoBGP, 3203, 266280},
+		{"4pod", topology.FourPodSpec(), ProtoBGPBFD, 3878, 302480},
+	} {
+		snap, err := bringUp(DefaultOptions(tc.spec, tc.proto, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs, bytes := budget.PerRun(20, func() {
+			if _, err := snap.fork(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != tc.allocs || bytes != tc.bytes {
+			t.Errorf("%s/%s: a fork allocates %d objects and %d B, want %d and %d", tc.name, tc.proto, allocs, bytes, tc.allocs, tc.bytes)
 		}
 	}
 }

@@ -60,14 +60,17 @@ func TestPacketPathAllocFree(t *testing.T) {
 // failure on 64-frame queues, so frames die on every path there is — tail
 // drop, carrier loss, blackholed transmit, delivery, duplicate delivery —
 // and when the last flow completes the pool must hold what it held before
-// Engine.Start. Only TCP deliveries keep their frame (BGP's sessions; the
-// endpoint may retain payload), so those are counted out exactly; what is
-// left is control frames in flight at the two snapshot instants. Nor may
-// any state in the fabric keep a slice of a buffer the pool took back: a
-// sender holding an alias of a frame it handed to Port.Send fails here even
-// if it never reads it.
+// Engine.Start, give or take the control frames in flight at the two
+// snapshot instants: every delivered frame comes back, BGP's TCP segments
+// included. Nor may any state in the fabric keep a slice of a buffer the
+// pool took back: a sender holding an alias of a frame it handed to
+// Port.Send fails here even if it never reads it. The walk must reach the
+// byte slices a BGP session keeps between deliveries — the peer's partial
+// message and decode scratch, the connection's send buffers — or it could
+// not see one of them holding a returned frame.
 func TestFramePoolDrains(t *testing.T) {
-	for _, proto := range []Protocol{ProtoMRMTP, ProtoBGPBFD} {
+	sessionFields := []string{"bgp.Peer.recvBuf", "bgp.Peer.in", "tcp.Conn.unacked", "tcp.Conn.pending"}
+	for _, proto := range []Protocol{ProtoMRMTP, ProtoBGP, ProtoBGPBFD} {
 		t.Run(proto.String(), func(t *testing.T) {
 			f, err := warm(DefaultOptions(topology.TwoPodSpec(), proto, 7))
 			if err != nil {
@@ -93,14 +96,7 @@ func TestFramePoolDrains(t *testing.T) {
 			for _, link := range f.Sim.Links() {
 				sampler.Watch(link)
 			}
-			tcpKept := func() (n uint64) {
-				for _, s := range f.Stacks {
-					n += s.TCP.Stats.SegmentsRecv
-				}
-				return n
-			}
-
-			inUse, kept := f.Sim.FrameStats().InUse, tcpKept()
+			inUse := f.Sim.FrameStats().InUse
 			engine.Start()
 			sampler.Start()
 			f.Sim.RunFor(10 * time.Millisecond)
@@ -122,20 +118,26 @@ func TestFramePoolDrains(t *testing.T) {
 				t.Fatalf("run too gentle to exercise the drop paths: %d tail drops, %d retransmits, %d duplicates",
 					sampler.TotalDrops(), rep.Retransmits, rep.Duplicates)
 			}
-			grew := f.Sim.FrameStats().InUse - inUse - int(tcpKept()-kept)
+			grew := f.Sim.FrameStats().InUse - inUse
 			// At most one keep-alive per link direction is on the wire at
 			// either instant; a leak on any data path is thousands.
 			slack := 2 * len(f.Sim.Links())
 			if grew < -slack || grew > slack {
-				t.Errorf("pool InUse grew by %d over %d packets (TCP deliveries counted out), want 0 ± %d control frames in flight",
+				t.Errorf("pool InUse grew by %d over %d packets, want 0 ± %d control frames in flight",
 					grew, rep.PacketsSent, slack)
 			}
 			// Nothing keeps a frame it sent or gave back. A kept alias
 			// shows only while its buffer sits in the pool, between a Put
 			// and the next Get, so the state is read at several instants.
 			for i := 0; i < 20; i++ {
-				if kept := keptFrames(f, f.Sim.Frames()); len(kept) > 0 {
+				kept, scanned := keptFrames(f, f.Sim.Frames())
+				if len(kept) > 0 {
 					t.Fatalf("at %v these fields hold a buffer back in the pool: %v", f.Sim.Now(), kept)
+				}
+				for _, field := range sessionFields {
+					if proto != ProtoMRMTP && !scanned[field] {
+						t.Fatalf("the walk never reached %s", field)
+					}
 				}
 				f.Sim.RunFor(time.Millisecond)
 			}
@@ -146,16 +148,19 @@ func TestFramePoolDrains(t *testing.T) {
 // keptFrames walks everything reachable from root — pointers, interfaces,
 // struct fields, slice, array and map elements, but not the pool — and
 // names each field holding a byte slice that is, or reslices, a buffer the
-// pool holds: an alias kept after its frame was returned.
-func keptFrames(root any, pool *framepool.Pool) []string {
+// pool holds: an alias kept after its frame was returned. scanned is every
+// field it reached, byte slice or not.
+func keptFrames(root any, pool *framepool.Pool) (kept []string, scanned map[string]bool) {
 	type visit struct {
 		ptr unsafe.Pointer
 		typ reflect.Type
 	}
 	seen := map[visit]bool{{unsafe.Pointer(pool), reflect.TypeOf(pool)}: true}
-	kept := map[string]bool{}
+	held := map[string]bool{}
+	scanned = map[string]bool{}
 	var walk func(v reflect.Value, field string)
 	walk = func(v reflect.Value, field string) {
+		scanned[field] = true
 		switch v.Kind() {
 		case reflect.Pointer:
 			if key := (visit{v.UnsafePointer(), v.Type()}); !v.IsNil() && !seen[key] {
@@ -177,7 +182,7 @@ func keptFrames(root any, pool *framepool.Pool) []string {
 		case reflect.Slice:
 			if v.Type().Elem().Kind() == reflect.Uint8 {
 				if pool.Holds(unsafe.Slice((*byte)(v.UnsafePointer()), v.Cap())) {
-					kept[field] = true
+					held[field] = true
 				}
 				return
 			}
@@ -189,10 +194,9 @@ func keptFrames(root any, pool *framepool.Pool) []string {
 		}
 	}
 	walk(reflect.ValueOf(root), "")
-	fields := make([]string, 0, len(kept))
-	for f := range kept {
-		fields = append(fields, f)
+	for f := range held {
+		kept = append(kept, f)
 	}
-	sort.Strings(fields)
-	return fields
+	sort.Strings(kept)
+	return kept, scanned
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/arp"
 	"repro/internal/budget"
 	"repro/internal/ethernet"
+	"repro/internal/icmp"
 	"repro/internal/ipv4"
 	"repro/internal/netaddr"
 	"repro/internal/udp"
@@ -92,8 +93,8 @@ func TestHandleFrameForwardAllocs(t *testing.T) {
 }
 
 // TestDroppedFramesReturnToPool drives the drop dispositions that end a
-// frame's life inside the stack: each is the last owner, so the pool must
-// end where it started.
+// frame's life inside the stack, and simnet's for a node with no handler:
+// each is the last owner, so the pool must end where it started.
 func TestDroppedFramesReturnToPool(t *testing.T) {
 	l := newLAN(t)
 	port := l.h1.Node.Port(1)
@@ -108,6 +109,21 @@ func TestDroppedFramesReturnToPool(t *testing.T) {
 	check("runt frame")
 	l.h1.HandleFrame(port, l.pooledCopy(rxFrame(t, netaddr.MAC{2, 0, 0, 0, 0, 9}, l.sub1.Host(9), l.sub1.Host(1), []byte("x"))))
 	check("frame for another MAC")
+	badICMP := ipv4.Packet{
+		Header:  ipv4.Header{TTL: ipv4.DefaultTTL, Protocol: ipv4.ProtoICMP, Src: l.sub1.Host(9), Dst: l.sub1.Host(1)},
+		Payload: []byte{icmp.TypeEchoReply, 0, 0xde, 0xad, 0, 1, 0, 1}, // checksum does not verify
+	}
+	f := ethernet.Frame{Dst: port.MAC, Src: netaddr.MAC{0xaa, 0, 0, 0, 0, 1}, EtherType: ethernet.TypeIPv4, Payload: badICMP.Marshal()}
+	l.h1.HandleFrame(port, l.pooledCopy(f.Marshal()))
+	check("malformed ICMP delivered")
+
+	// A node with no handler is the last owner of what reaches it.
+	bare := l.sim.AddNode("bare")
+	spare := l.h1.Node.AddPort()
+	l.sim.Connect(spare, bare.AddPort())
+	spare.Send(l.pooledCopy(f.Marshal()))
+	l.sim.RunFor(time.Millisecond)
+	check("frame delivered to a node with no handler")
 
 	// A datagram queued behind ARP whose answer arrives after the interface
 	// died: the resolved queue has nowhere to go.
@@ -118,7 +134,47 @@ func TestDroppedFramesReturnToPool(t *testing.T) {
 	port.Fail()
 	gw := l.r.Node.Port(1)
 	reply := arp.Packet{Op: arp.OpReply, SenderMAC: gw.MAC, SenderIP: l.sub1.Host(254), TargetMAC: port.MAC, TargetIP: l.sub1.Host(1)}
-	f := ethernet.Frame{Dst: port.MAC, Src: gw.MAC, EtherType: ethernet.TypeARP, Payload: reply.Marshal()}
+	f = ethernet.Frame{Dst: port.MAC, Src: gw.MAC, EtherType: ethernet.TypeARP, Payload: reply.Marshal()}
 	l.h1.HandleFrame(port, l.pooledCopy(f.Marshal()))
 	check("ARP queue resolved onto a dead interface")
+}
+
+// TestTimeExceededAllocs pins what a router's answer to an expired packet
+// costs through SendICMP: two fresh slices, the 28-byte quote (32 B) and the
+// marshalled 36-byte message (48 B), which sendIP copies into one pooled
+// frame that comes back when the source's stack has read the reply. The
+// expired packet's own frame goes back as soon as the reply is sent. The
+// measured figure, with no slack: composing the reply in the pooled frame
+// would bring it to zero.
+func TestTimeExceededAllocs(t *testing.T) {
+	l := newLAN(t)
+	in := l.r.Node.Port(1)
+	src, dst := l.sub1.Host(1), l.sub2.Host(1)
+	dg := udp.Datagram{SrcPort: 5555, DstPort: 7777, Payload: []byte("probe")}
+	ip := ipv4.Packet{
+		Header:  ipv4.Header{TTL: 1, Protocol: ipv4.ProtoUDP, Src: src, Dst: dst},
+		Payload: dg.Marshal(src, dst),
+	}
+	f := ethernet.Frame{Dst: in.MAC, Src: l.h1.Node.Port(1).MAC, EtherType: ethernet.TypeIPv4, Payload: ip.Marshal()}
+	wire := f.Marshal()
+	replies := 0
+	l.h1.ListenICMP(func(_ netaddr.IPv4, m icmp.Message) {
+		if m.Type == icmp.TypeTimeExceeded {
+			replies++
+		}
+	})
+	inUse := l.sim.FrameStats().InUse
+	allocs, bytes := budget.PerRun(200, func() {
+		l.r.HandleFrame(in, l.pooledCopy(wire))
+		l.sim.RunFor(time.Millisecond)
+	})
+	if replies != 201 {
+		t.Fatalf("h1 heard %d time-exceeded replies, want 201", replies)
+	}
+	if got := l.sim.FrameStats().InUse; got != inUse {
+		t.Errorf("pool InUse %d after the replies, want %d", got, inUse)
+	}
+	if allocs != 2 || bytes != 80 {
+		t.Errorf("a time-exceeded reply allocates %d objects and %d B, want 2 and 32 + 48", allocs, bytes)
+	}
 }

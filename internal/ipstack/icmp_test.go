@@ -1,6 +1,7 @@
 package ipstack
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -10,10 +11,18 @@ import (
 	"repro/internal/udp"
 )
 
+// kept copies what an ICMPHandler keeps of m: the payload is a borrow of
+// the delivered frame, which goes back to the pool when the handler
+// returns.
+func kept(m icmp.Message) icmp.Message {
+	m.Payload = bytes.Clone(m.Payload)
+	return m
+}
+
 func TestEchoRequestAnswered(t *testing.T) {
 	l := newLAN(t)
 	var got []icmp.Message
-	l.h1.ListenICMP(func(src netaddr.IPv4, m icmp.Message) { got = append(got, m) })
+	l.h1.ListenICMP(func(src netaddr.IPv4, m icmp.Message) { got = append(got, kept(m)) })
 	l.h1.SendICMP(l.sub1.Host(1), l.sub2.Host(1), icmp.EchoRequest(42, 7, []byte("hi")))
 	l.sim.RunFor(10 * time.Millisecond)
 	if len(got) != 1 || got[0].Type != icmp.TypeEchoReply || got[0].ID != 42 || got[0].Seq != 7 {
@@ -29,7 +38,7 @@ func TestTTLExpiryGeneratesTimeExceeded(t *testing.T) {
 	var got []icmp.Message
 	var from netaddr.IPv4
 	l.h1.ListenICMP(func(src netaddr.IPv4, m icmp.Message) {
-		got = append(got, m)
+		got = append(got, kept(m))
 		from = src
 	})
 	probe := icmp.EchoRequest(9, 1, nil)

@@ -43,7 +43,9 @@ type Stats struct {
 // instead of the next packet's bytes.
 type UDPHandler func(src, dst netaddr.IPv4, dg udp.Datagram)
 
-// ICMPHandler receives a delivered (non-echo-request) ICMP message.
+// ICMPHandler receives a delivered (non-echo-request) ICMP message. Like a
+// UDPHandler it borrows: m.Payload aliases the received frame, which the
+// stack returns to the frame pool once every handler has returned.
 type ICMPHandler func(src netaddr.IPv4, m icmp.Message)
 
 // Stack is the per-node IP stack. It implements simnet.Handler.
@@ -78,10 +80,9 @@ type Stack struct {
 	ipID  uint16
 
 	// frames is the owning simulation's frame-buffer pool: TX buffers come
-	// from it, and received or dropped buffers that are provably dead go
-	// back. A forwarded packet keeps its received buffer; a delivered UDP
-	// datagram is lent to its handler and then recycled. TCP and ICMP
-	// deliveries are NOT recycled — their handlers may retain the payload.
+	// from it, and received or dropped buffers go back once dead. A
+	// forwarded packet keeps its received buffer; a delivered packet — UDP,
+	// TCP or ICMP — is lent to its handlers and recycled when they return.
 	frames *framepool.Pool
 }
 
@@ -204,7 +205,7 @@ func (s *Stack) HandleFrame(p *simnet.Port, frame []byte) {
 		s.frames.Put(frame)
 	case ethernet.TypeIPv4:
 		if s.handleIPv4(p, frame, f.Payload) {
-			// Errored, expired, or delivered to a borrower that has
+			// Errored, expired, or delivered to borrowers that have
 			// returned: no alias is left, so the buffer can be recycled.
 			s.frames.Put(frame)
 		}
@@ -250,16 +251,16 @@ func (s *Stack) handleARP(p *simnet.Port, f ethernet.Frame) {
 
 // handleIPv4 consumes a received IPv4 packet: payload is frame's Ethernet
 // payload. It reports whether the frame is spent — no live alias remains, so
-// the caller may recycle the buffer. A forwarded packet returns false
-// because the buffer itself travels on (routeOut owns it from here), and so
-// do TCP and ICMP deliveries, whose handlers may retain the payload.
+// the caller may recycle the buffer. Only a forwarded packet returns false:
+// the buffer itself travels on (routeOut owns it from here).
 func (s *Stack) handleIPv4(p *simnet.Port, frame, payload []byte) bool {
 	pkt, err := ipv4.Unmarshal(payload)
 	if err != nil {
 		return true
 	}
 	if s.IsLocal(pkt.Header.Dst) {
-		return s.deliver(pkt, payload)
+		s.deliver(pkt, payload)
+		return true
 	}
 	// Forward in place: the handler owns a delivered frame, so the TTL is
 	// decremented where the packet lies and the same buffer is re-sent, its
@@ -281,19 +282,19 @@ func (s *Stack) handleIPv4(p *simnet.Port, frame, payload []byte) bool {
 }
 
 // deliver consumes a locally destined packet. wire holds the original
-// wire-format bytes so error replies (port-unreachable) can quote them. It
-// reports whether the frame behind wire is spent: every UDP disposition is
-// (the handler borrows the datagram only until it returns; a bad checksum
-// parses nothing out; the closed-port ICMP quote is copied), TCP and ICMP
-// are not (the endpoint and the listeners may retain payload slices).
-func (s *Stack) deliver(pkt ipv4.Packet, wire []byte) bool {
+// wire-format bytes so error replies (port-unreachable) can quote them. The
+// frame behind wire is spent when deliver returns: the UDP and ICMP
+// handlers and TCP's OnData borrow what they are handed only until they
+// return, a packet that does not parse leaves nothing behind, and every
+// reply copies what it quotes.
+func (s *Stack) deliver(pkt ipv4.Packet, wire []byte) {
 	switch pkt.Header.Protocol {
 	case ipv4.ProtoTCP:
 		s.TCP.Input(pkt.Header.Src, pkt.Header.Dst, pkt.Payload)
 	case ipv4.ProtoUDP:
 		dg, err := udp.Unmarshal(pkt.Header.Src, pkt.Header.Dst, pkt.Payload)
 		if err != nil {
-			return true
+			return
 		}
 		if h := s.udpHandlers[dg.DstPort]; h != nil {
 			h(pkt.Header.Src, pkt.Header.Dst, dg)
@@ -302,21 +303,19 @@ func (s *Stack) deliver(pkt ipv4.Packet, wire []byte) bool {
 			// traceroute probe reads this as "destination reached".
 			s.SendICMP(pkt.Header.Dst, pkt.Header.Src, icmp.PortUnreachable(wire))
 		}
-		return true
 	case ipv4.ProtoICMP:
 		m, err := icmp.Unmarshal(pkt.Payload)
 		if err != nil {
-			return false
+			return
 		}
 		if m.Type == icmp.TypeEchoRequest {
 			s.SendICMP(pkt.Header.Dst, pkt.Header.Src, icmp.EchoReplyTo(m))
-			return false
+			return
 		}
 		for _, h := range s.icmpHandlers {
 			h(pkt.Header.Src, m)
 		}
 	}
-	return false
 }
 
 // sendTCPSegment is the TCP endpoint's output path.

@@ -27,7 +27,7 @@ func probeWire(src, dst netaddr.IPv4, id uint16, ttl byte, srcPort, dstPort uint
 func TestSendIPRawPreservesID(t *testing.T) {
 	l := newLAN(t)
 	var got []icmp.Message
-	l.h1.ListenICMP(func(src netaddr.IPv4, m icmp.Message) { got = append(got, m) })
+	l.h1.ListenICMP(func(src netaddr.IPv4, m icmp.Message) { got = append(got, kept(m)) })
 	wire := probeWire(l.sub1.Host(1), l.sub2.Host(1), 0xbeef, ipv4.DefaultTTL, 33501, 33434)
 	l.h1.SendIPRaw(wire)
 	l.sim.RunFor(10 * time.Millisecond)
@@ -50,7 +50,7 @@ func TestSendIPRawTTLExpiry(t *testing.T) {
 	l := newLAN(t)
 	var gotSrc netaddr.IPv4
 	var got []icmp.Message
-	l.h1.ListenICMP(func(src netaddr.IPv4, m icmp.Message) { gotSrc, got = src, append(got, m) })
+	l.h1.ListenICMP(func(src netaddr.IPv4, m icmp.Message) { gotSrc, got = src, append(got, kept(m)) })
 	wire := probeWire(l.sub1.Host(1), l.sub2.Host(1), 7, 1, 33502, 33434)
 	l.h1.SendIPRaw(wire)
 	l.sim.RunFor(10 * time.Millisecond)

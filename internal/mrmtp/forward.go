@@ -108,10 +108,10 @@ func (r *Router) encapFrame(dstRoot, ttl byte, ipPacket []byte) []byte {
 // handleData forwards (or delivers) an encapsulated packet arriving on a
 // fabric port: payload is raw's Ethernet payload. It reports whether the
 // delivered frame is spent — every byte the router needed has been copied
-// out, so the caller may recycle the buffer. Transit returns false because
-// the buffer itself travels on; gateway-addressed and trace-reply
-// dispositions return false because those paths hand aliasing slices to
-// listeners that have not been audited for retention.
+// out, so the caller may recycle the buffer. Only transit returns false,
+// because the buffer itself travels on; the ICMP listeners of a
+// gateway-addressed packet borrow it only until they return, and every
+// reply copies what it quotes.
 func (r *Router) handleData(raw, payload []byte) bool {
 	h, ipWire, err := ParseData(payload)
 	if err != nil {
@@ -130,7 +130,7 @@ func (r *Router) handleData(raw, payload []byte) bool {
 		if pkt.Header.Dst == r.GatewayIP() {
 			// Addressed to the ToR itself: trace probes and their replies.
 			r.handleLocal(ipWire, pkt)
-			return false
+			return true
 		}
 		// deliverToRack copies ipWire (into the rack frame or the ARP
 		// pending queue) before returning.
@@ -142,7 +142,7 @@ func (r *Router) handleData(raw, payload []byte) bool {
 		// Expired probes earn a time-exceeded reply, like an IP router
 		// (path tracing depends on it); other expiries stay silent drops.
 		r.sendTraceReply(h, ipWire)
-		return false
+		return true
 	}
 	// Transit in place: the delivered frame is ours, so the encapsulation
 	// TTL is decremented where it lies and the same buffer is sent on.

@@ -17,7 +17,9 @@ import (
 // Identity, and the destination ToR answers port-unreachable from its
 // gateway address. The replies ride the fabric like any other packet.
 
-// ICMPListener receives ICMP messages addressed to the ToR's gateway IP.
+// ICMPListener receives ICMP messages addressed to the ToR's gateway IP. It
+// borrows: m.Payload aliases the received frame, which the router returns
+// to the frame pool once every listener has returned.
 type ICMPListener func(src netaddr.IPv4, m icmp.Message)
 
 // ListenICMP registers a listener for gateway-addressed ICMP (path-trace
