@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt-check lint analyzers invariants race closbench closbench-digest identity fluid-smoke figures fuzz-smoke loc check
+.PHONY: all build test vet fmt-check lint analyzers invariants race closbench closbench-digest identity bench-pairs fluid-smoke figures fuzz-smoke loc check
 
 all: check
 
@@ -108,6 +108,59 @@ identity:
 	cmp "$$tmp/parent.stdout" "$$tmp/change.stdout" && \
 	diff -r "$$tmp/parent.out" "$$tmp/change.out" && \
 	echo "identity: closlab -experiment all -seed 1 is byte-identical to $(PARENT)"
+
+# bench-pairs is a speed claim's evidence in one command: `make bench-pairs
+# PARENT=<rev> WORKLOAD=<name> [N=10] [SEED=1]` builds bench at PARENT (from
+# git archive, in a temp dir) and from the working tree, runs N pairs of
+# `-workload WORKLOAD -seed SEED -reps 3`, the parent first in odd pairs and
+# the change first in even ones, and prints every run's correct flag and
+# five end-to-end values, then per metric each side's median and quartiles,
+# the change of the median and how many pairs the change won. It fails if a
+# run is not correct.
+N ?= 10
+SEED ?= 1
+BENCH_METRICS = wall_ref cpu_ref work_per_ref alloc_mb setup_s
+bench-pairs:
+	@test -n "$(PARENT)" && test -n "$(WORKLOAD)" || { echo "usage: make bench-pairs PARENT=<rev> WORKLOAD=<name> [N=10] [SEED=1]" >&2; exit 2; }
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/src" && git archive "$(PARENT)" | tar -x -C "$$tmp/src" && \
+	(cd "$$tmp/src" && $(GO) build -o "$$tmp/parent" ./bench) && \
+	$(GO) build -o "$$tmp/change" ./bench || exit 1; \
+	echo "pair side correct $(BENCH_METRICS)"; \
+	i=1; while [ $$i -le $(N) ]; do \
+		if [ $$((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi; \
+		for b in $$order; do \
+			"$$tmp/$$b" -workload "$(WORKLOAD)" -seed $(SEED) -reps 3 -out "$$tmp/$$b.json" 2>/dev/null | tail -n 1 | \
+			awk -v pair=$$i -v side=$$b -v names="$(BENCH_METRICS)" '{ \
+				line = pair " " side " " ($$0 ~ /"correct":true/ ? "true" : "false"); \
+				n = split(names, m, " "); \
+				for (k = 1; k <= n; k++) { \
+					v = "NA"; \
+					if (match($$0, "\"" m[k] "\":[{]\"value\":[-+.0-9eE]+")) { v = substr($$0, RSTART, RLENGTH); sub(/.*:/, "", v) } \
+					line = line " " v; \
+				} \
+				print line }' | tee -a "$$tmp/runs"; \
+		done; \
+		i=$$((i + 1)); \
+	done; \
+	awk -v names="$(BENCH_METRICS)" ' \
+		function q(side, k, p,   n, a, i, j, t, x) { \
+			n = cnt[side, k]; for (i = 1; i <= n; i++) a[i] = val[side, k, i]; \
+			for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t } \
+			x = 1 + (n - 1) * p; i = int(x); return i >= n ? a[n] : a[i] + (x - i) * (a[i + 1] - a[i]) } \
+		BEGIN { nm = split(names, m, " ") } \
+		{ if ($$3 != "true") bad++; \
+		  for (k = 1; k <= nm; k++) { val[$$2, k, ++cnt[$$2, k]] = $$(k + 3); at[$$1, $$2, k] = $$(k + 3) } \
+		  pairs[$$1] = 1 } \
+		END { printf "\n%-13s %30s %30s %9s %6s\n", "metric", "parent median [q1 q3]", "change median [q1 q3]", "change", "wins"; \
+		  for (k = 1; k <= nm; k++) { \
+			won = 0; total = 0; \
+			for (p in pairs) { total++; d = at[p, "change", k] - at[p, "parent", k]; if (m[k] == "work_per_ref" ? d > 0 : d < 0) won++ } \
+			pm = q("parent", k, .5); cm = q("change", k, .5); \
+			printf "%-13s %11.4g [%7.4g %7.4g] %11.4g [%7.4g %7.4g] %+8.2f%% %3d/%d\n", m[k], \
+				pm, q("parent", k, .25), q("parent", k, .75), cm, q("change", k, .25), q("change", k, .75), \
+				pm ? 100 * (cm - pm) / pm : 0, won, total } \
+		  if (bad) { printf "%d run(s) not correct\n", bad; exit 1 } }' "$$tmp/runs"
 
 # fluid-smoke is a race-enabled tripwire: one hybrid workload trial end to
 # end — path resolution, rate reallocation, demotion to the packet path, and

@@ -258,12 +258,12 @@ func TestForkAllocs(t *testing.T) {
 		proto         Protocol
 		allocs, bytes uint64
 	}{
-		{"2pod", topology.TwoPodSpec(), ProtoMRMTP, 822, 104432},
-		{"2pod", topology.TwoPodSpec(), ProtoBGP, 1468, 128552},
-		{"2pod", topology.TwoPodSpec(), ProtoBGPBFD, 1823, 147504},
-		{"4pod", topology.FourPodSpec(), ProtoMRMTP, 1565, 195120},
-		{"4pod", topology.FourPodSpec(), ProtoBGP, 3203, 266280},
-		{"4pod", topology.FourPodSpec(), ProtoBGPBFD, 3878, 302480},
+		{"2pod", topology.TwoPodSpec(), ProtoMRMTP, 822, 105840},
+		{"2pod", topology.TwoPodSpec(), ProtoBGP, 1468, 134184},
+		{"2pod", topology.TwoPodSpec(), ProtoBGPBFD, 1823, 153136},
+		{"4pod", topology.FourPodSpec(), ProtoMRMTP, 1565, 197936},
+		{"4pod", topology.FourPodSpec(), ProtoBGP, 3203, 276136},
+		{"4pod", topology.FourPodSpec(), ProtoBGPBFD, 3878, 312336},
 	} {
 		snap, err := bringUp(DefaultOptions(tc.spec, tc.proto, 1))
 		if err != nil {

@@ -40,11 +40,21 @@ type Message struct {
 // ErrMalformed reports an undecodable ICMP message.
 var ErrMalformed = errors.New("icmp: malformed message")
 
+// Len is the message's wire length.
+func (m *Message) Len() int { return HeaderLen + len(m.Payload) }
+
 // Marshal renders the message with a valid checksum.
 func (m *Message) Marshal() []byte {
-	b := make([]byte, HeaderLen+len(m.Payload))
-	b[0] = m.Type
-	b[1] = m.Code
+	b := make([]byte, m.Len())
+	m.MarshalInto(b)
+	return b
+}
+
+// MarshalInto renders the message with a valid checksum into b[:m.Len()],
+// so a sender can compose it inside the frame that carries it.
+func (m *Message) MarshalInto(b []byte) {
+	b = b[:m.Len()]
+	b[0], b[1], b[2], b[3] = m.Type, m.Code, 0, 0
 	b[4] = byte(m.ID >> 8)
 	b[5] = byte(m.ID)
 	b[6] = byte(m.Seq >> 8)
@@ -53,7 +63,6 @@ func (m *Message) Marshal() []byte {
 	ck := ipv4.Checksum(b)
 	b[2] = byte(ck >> 8)
 	b[3] = byte(ck)
-	return b
 }
 
 // Unmarshal parses and validates a message.
@@ -98,13 +107,12 @@ func PortUnreachable(origIP []byte) Message {
 	return Message{Type: TypeDestUnreach, Code: CodePortUnreach, Payload: quote(origIP)}
 }
 
-func quote(origIP []byte) []byte {
-	n := ipv4.HeaderLen + 8
-	if n > len(origIP) {
-		n = len(origIP)
-	}
-	return append([]byte(nil), origIP[:n]...)
-}
+// Quote returns the part of the wire-format packet origIP an error message
+// quotes: its header plus the first 8 payload bytes (RFC 792). The result
+// aliases origIP; TimeExceeded and PortUnreachable quote a copy.
+func Quote(origIP []byte) []byte { return origIP[:min(len(origIP), ipv4.HeaderLen+8)] }
+
+func quote(origIP []byte) []byte { return append([]byte(nil), Quote(origIP)...) }
 
 // QuotedEcho extracts the echo ID/Seq from an error message's quoted
 // original packet, which is how traceroute matches a time-exceeded reply

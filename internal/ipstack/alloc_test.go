@@ -139,42 +139,53 @@ func TestDroppedFramesReturnToPool(t *testing.T) {
 	check("ARP queue resolved onto a dead interface")
 }
 
-// TestTimeExceededAllocs pins what a router's answer to an expired packet
-// costs through SendICMP: two fresh slices, the 28-byte quote (32 B) and the
-// marshalled 36-byte message (48 B), which sendIP copies into one pooled
-// frame that comes back when the source's stack has read the reply. The
-// expired packet's own frame goes back as soon as the reply is sent. The
-// measured figure, with no slack: composing the reply in the pooled frame
-// would bring it to zero.
+// icmpReplyBudget delivers wire to port of the stack at, 200 times plus a
+// warm-up, and pins what each delivery and the ICMP error it draws cost: the
+// reply is composed straight into one pooled frame, its quote copied out of
+// the received one, so nothing at all. The frames come back too: the
+// received one once the reply is sent, the reply's once h1 has read it.
+func icmpReplyBudget(t *testing.T, l *lan, at *Stack, port int, wire []byte, typ byte) {
+	t.Helper()
+	replies := 0
+	l.h1.ListenICMP(func(_ netaddr.IPv4, m icmp.Message) {
+		if m.Type == typ {
+			replies++
+		}
+	})
+	in := at.Node.Port(port)
+	inUse := l.sim.FrameStats().InUse
+	allocs, bytes := budget.PerRun(200, func() {
+		at.HandleFrame(in, l.pooledCopy(wire))
+		l.sim.RunFor(time.Millisecond)
+	})
+	if replies != 201 {
+		t.Fatalf("h1 heard %d ICMP type %d replies, want 201", replies, typ)
+	}
+	if got := l.sim.FrameStats().InUse; got != inUse {
+		t.Errorf("pool InUse %d after the replies, want %d", got, inUse)
+	}
+	if allocs != 0 || bytes != 0 {
+		t.Errorf("an ICMP type %d reply allocates %d objects and %d B, want 0 and 0", typ, allocs, bytes)
+	}
+}
+
+// TestTimeExceededAllocs pins a router's answer to an expired packet.
 func TestTimeExceededAllocs(t *testing.T) {
 	l := newLAN(t)
-	in := l.r.Node.Port(1)
 	src, dst := l.sub1.Host(1), l.sub2.Host(1)
 	dg := udp.Datagram{SrcPort: 5555, DstPort: 7777, Payload: []byte("probe")}
 	ip := ipv4.Packet{
 		Header:  ipv4.Header{TTL: 1, Protocol: ipv4.ProtoUDP, Src: src, Dst: dst},
 		Payload: dg.Marshal(src, dst),
 	}
-	f := ethernet.Frame{Dst: in.MAC, Src: l.h1.Node.Port(1).MAC, EtherType: ethernet.TypeIPv4, Payload: ip.Marshal()}
-	wire := f.Marshal()
-	replies := 0
-	l.h1.ListenICMP(func(_ netaddr.IPv4, m icmp.Message) {
-		if m.Type == icmp.TypeTimeExceeded {
-			replies++
-		}
-	})
-	inUse := l.sim.FrameStats().InUse
-	allocs, bytes := budget.PerRun(200, func() {
-		l.r.HandleFrame(in, l.pooledCopy(wire))
-		l.sim.RunFor(time.Millisecond)
-	})
-	if replies != 201 {
-		t.Fatalf("h1 heard %d time-exceeded replies, want 201", replies)
-	}
-	if got := l.sim.FrameStats().InUse; got != inUse {
-		t.Errorf("pool InUse %d after the replies, want %d", got, inUse)
-	}
-	if allocs != 2 || bytes != 80 {
-		t.Errorf("a time-exceeded reply allocates %d objects and %d B, want 2 and 32 + 48", allocs, bytes)
-	}
+	f := ethernet.Frame{Dst: l.r.Node.Port(1).MAC, Src: l.h1.Node.Port(1).MAC, EtherType: ethernet.TypeIPv4, Payload: ip.Marshal()}
+	icmpReplyBudget(t, l, l.r, 1, f.Marshal(), icmp.TypeTimeExceeded)
+}
+
+// TestPortUnreachableAllocs pins a host's answer to a datagram for a port
+// nobody listens on, from across the router.
+func TestPortUnreachableAllocs(t *testing.T) {
+	l := newLAN(t)
+	wire := rxFrame(t, l.h2.Node.Port(1).MAC, l.sub1.Host(1), l.sub2.Host(1), []byte("closed"))
+	icmpReplyBudget(t, l, l.h2, 1, wire, icmp.TypeDestUnreach)
 }

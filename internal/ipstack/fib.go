@@ -219,13 +219,9 @@ func (r *Route) usable() bool {
 
 // FlowKey is the 5-tuple ECMP hashes on. It is shared with MR-MTP's uplink
 // load balancing (paper §III.C mentions "a hash algorithm to load balance
-// traffic from a downstream router to upstream routers") via flowhash.
+// traffic from a downstream router to upstream routers") via flowhash. A
+// flow takes the live next hop at Hash() modulo their count (Stack.send).
 type FlowKey = flowhash.Key
-
-// Pick selects a next hop for the flow from an ECMP group.
-func (r Route) Pick(k FlowKey) NextHop {
-	return r.NextHops[int(k.Hash())%len(r.NextHops)]
-}
 
 // Render prints the FIB in `ip route` style, matching the paper's
 // Listing 3 (kernel routing table at a tier-2 spine).

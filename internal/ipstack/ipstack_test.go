@@ -6,6 +6,8 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/arp"
+	"repro/internal/ethernet"
 	"repro/internal/ipv4"
 	"repro/internal/netaddr"
 	"repro/internal/simnet"
@@ -193,6 +195,31 @@ func TestBlackholedTxReclaimsFrame(t *testing.T) {
 	}
 }
 
+// TestBlackholedTxCountsARPQueue: frames queued behind ARP whose answer
+// arrives after the interface it was learnt on died are dropped by
+// flushARPPending, and each counts in BlackholedTx as a frame sent toward a
+// dead port does.
+func TestBlackholedTxCountsARPQueue(t *testing.T) {
+	l := newLAN(t)
+	for range 3 {
+		l.h1.SendUDP(l.sub1.Host(1), l.sub2.Host(1), 9, 7, []byte("queued"))
+	}
+	port := l.h1.Node.Port(1)
+	port.Fail()
+	before := l.sim.FrameStats()
+	gw := l.r.Node.Port(1)
+	reply := arp.Packet{Op: arp.OpReply, SenderMAC: gw.MAC, SenderIP: l.sub1.Host(254), TargetMAC: port.MAC, TargetIP: l.sub1.Host(1)}
+	f := ethernet.Frame{Dst: port.MAC, Src: gw.MAC, EtherType: ethernet.TypeARP, Payload: reply.Marshal()}
+	l.h1.HandleFrame(port, l.pooledCopy(f.Marshal()))
+	after := l.sim.FrameStats()
+	if l.h1.Stats.BlackholedTx != 3 {
+		t.Errorf("BlackholedTx = %d, want 3", l.h1.Stats.BlackholedTx)
+	}
+	if got := after.InUse - before.InUse; got != -3 {
+		t.Errorf("pool InUse moved by %d, want -3 (the queue reclaimed, the ARP frame drawn and returned)", got)
+	}
+}
+
 func TestPortDownCallback(t *testing.T) {
 	l := newLAN(t)
 	var downs []int
@@ -281,8 +308,8 @@ func TestECMPPickDeterministicAndBalanced(t *testing.T) {
 			Src: netaddr.MakeIPv4(192, 168, 11, 1), Dst: netaddr.MakeIPv4(192, 168, 14, 1),
 			Proto: ipv4.ProtoUDP, SrcPort: uint16(port), DstPort: 7,
 		}
-		nh := r.Pick(k)
-		if again := r.Pick(k); again != nh {
+		nh := oraclePick(r, k)
+		if again := oraclePick(r, k); again != nh {
 			t.Fatal("Pick not deterministic for a flow")
 		}
 		counts[nh.Iface.Port.Index]++

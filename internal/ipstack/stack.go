@@ -7,6 +7,7 @@ import (
 	"repro/internal/arp"
 	"repro/internal/ethernet"
 	"repro/internal/icmp"
+	"repro/internal/invariant"
 	"repro/internal/ipv4"
 	"repro/internal/netaddr"
 	"repro/internal/simnet"
@@ -63,6 +64,13 @@ type Stack struct {
 
 	arpTable   map[netaddr.IPv4]arpEntry
 	arpPending map[netaddr.IPv4][][]byte // queued frames (see routeOut) awaiting resolution
+	// arpGen counts arpTable writes: with FIB.Version and Sim.PortFlips it
+	// versions everything a memo entry records (see memoStamp).
+	arpGen uint64
+
+	// memo holds the forwarding decision for recently routed destinations,
+	// direct-mapped by address (memoSlot). A fork starts with it cold.
+	memo [memoSlots]memoEntry
 
 	udpHandlers  map[uint16]UDPHandler
 	icmpHandlers []ICMPHandler
@@ -84,6 +92,38 @@ type Stack struct {
 	// forwarded packet keeps its received buffer; a delivered packet — UDP,
 	// TCP or ICMP — is lent to its handlers and recycled when they return.
 	frames *framepool.Pool
+}
+
+// memoSlots is the size of a stack's next-hop memo. Eight slots hold the
+// destinations a fabric router or server routes toward between forwarding
+// changes; sixteen were no faster and cost 6 % more heap where every trial
+// forks a fabric.
+const memoSlots = 8
+
+// memoEntry is a stack's forwarding decision toward one destination, filled
+// from IsLocal, FIB.Lookup and the neighbour rule transmit applies, and
+// trusted while memoStamp stands still. stamp is 0 on a slot never filled;
+// the counts the stamp sums only grow, so the sum is unchanged exactly while
+// none of them has moved.
+type memoEntry struct {
+	stamp uint64
+	// hops are the live next hops of dst's route in installation order,
+	// which the flow hash indexes as Lookup's did; empty when no route
+	// matches.
+	hops  []memoHop
+	dst   netaddr.IPv4
+	local bool
+}
+
+// memoHop is one next hop and the neighbour it resolved to: port and mac
+// are where transmit sends a frame toward gw, and port is nil where it
+// would not (no ARP entry yet, or a dead egress), so the frame takes
+// transmit itself.
+type memoHop struct {
+	ifc  *Iface
+	port *simnet.Port
+	gw   netaddr.IPv4
+	mac  netaddr.MAC
 }
 
 // arpEntry records a resolved neighbor and the interface it answered on —
@@ -147,9 +187,13 @@ func (s *Stack) ListenUDP(port uint16, h UDPHandler) { s.udpHandlers[port] = h }
 // requests are answered by the stack itself and not dispatched).
 func (s *Stack) ListenICMP(h ICMPHandler) { s.icmpHandlers = append(s.icmpHandlers, h) }
 
-// SendICMP emits an ICMP message from a local address.
+// SendICMP emits an ICMP message from a local address. The message is
+// marshalled straight into the pooled frame that carries it, so m.Payload
+// may alias a received frame (an error's quote, an echo's data).
 func (s *Stack) SendICMP(src, dst netaddr.IPv4, m icmp.Message) {
-	s.sendIP(src, dst, ipv4.ProtoICMP, m.Marshal())
+	h, frame := s.newIPFrame(src, dst, ipv4.ProtoICMP, ipv4.DefaultTTL, m.Len())
+	m.MarshalInto(frame[ethernet.HeaderLen+ipv4.HeaderLen:])
+	s.routeOut(h, frame)
 }
 
 // SendUDP emits a datagram from a local address. The Ethernet, IPv4, and
@@ -223,6 +267,7 @@ func (s *Stack) handleARP(p *simnet.Port, f ethernet.Frame) {
 	}
 	// Learn the sender either way (gratuitous and request learning).
 	s.arpTable[pkt.SenderIP] = arpEntry{mac: pkt.SenderMAC, ifc: ifc}
+	s.arpGen++
 	s.flushARPPending(pkt.SenderIP)
 	if pkt.Op != arp.OpRequest {
 		return
@@ -258,7 +303,7 @@ func (s *Stack) handleIPv4(p *simnet.Port, frame, payload []byte) bool {
 	if err != nil {
 		return true
 	}
-	if s.IsLocal(pkt.Header.Dst) {
+	if s.isLocal(pkt.Header.Dst) {
 		s.deliver(pkt, payload)
 		return true
 	}
@@ -272,7 +317,7 @@ func (s *Stack) handleIPv4(p *simnet.Port, frame, payload []byte) bool {
 		// left the expired packet untouched, and the ICMP quote copies out
 		// of it before we return.
 		if ifc := s.ifaces[p.Index]; ifc != nil && !pkt.Header.Src.IsZero() {
-			s.SendICMP(ifc.IP, pkt.Header.Src, icmp.TimeExceeded(payload))
+			s.SendICMP(ifc.IP, pkt.Header.Src, icmp.Message{Type: icmp.TypeTimeExceeded, Payload: icmp.Quote(payload)})
 		}
 		return true
 	}
@@ -286,7 +331,7 @@ func (s *Stack) handleIPv4(p *simnet.Port, frame, payload []byte) bool {
 // frame behind wire is spent when deliver returns: the UDP and ICMP
 // handlers and TCP's OnData borrow what they are handed only until they
 // return, a packet that does not parse leaves nothing behind, and every
-// reply copies what it quotes.
+// reply copies what it quotes into its own frame.
 func (s *Stack) deliver(pkt ipv4.Packet, wire []byte) {
 	switch pkt.Header.Protocol {
 	case ipv4.ProtoTCP:
@@ -301,7 +346,7 @@ func (s *Stack) deliver(pkt ipv4.Packet, wire []byte) {
 		} else if !pkt.Header.Src.IsZero() {
 			// Closed port: answer port-unreachable like a real host. A UDP
 			// traceroute probe reads this as "destination reached".
-			s.SendICMP(pkt.Header.Dst, pkt.Header.Src, icmp.PortUnreachable(wire))
+			s.SendICMP(pkt.Header.Dst, pkt.Header.Src, icmp.Message{Type: icmp.TypeDestUnreach, Code: icmp.CodePortUnreach, Payload: icmp.Quote(wire)})
 		}
 	case ipv4.ProtoICMP:
 		m, err := icmp.Unmarshal(pkt.Payload)
@@ -320,7 +365,7 @@ func (s *Stack) deliver(pkt ipv4.Packet, wire []byte) {
 
 // sendTCPSegment is the TCP endpoint's output path.
 func (s *Stack) sendTCPSegment(src, dst netaddr.IPv4, segment []byte) {
-	s.sendIP(src, dst, ipv4.ProtoTCP, segment)
+	s.SendIPTTL(src, dst, ipv4.ProtoTCP, ipv4.DefaultTTL, segment)
 }
 
 // SendIPTTL emits a locally originated IP packet with an explicit TTL
@@ -329,10 +374,6 @@ func (s *Stack) SendIPTTL(src, dst netaddr.IPv4, proto, ttl byte, payload []byte
 	h, frame := s.newIPFrame(src, dst, proto, ttl, len(payload))
 	copy(frame[ethernet.HeaderLen+ipv4.HeaderLen:], payload)
 	s.routeOut(h, frame)
-}
-
-func (s *Stack) sendIP(src, dst netaddr.IPv4, proto byte, payload []byte) {
-	s.SendIPTTL(src, dst, proto, ipv4.DefaultTTL, payload)
 }
 
 // SendIPRaw emits a caller-built wire-format IPv4 packet through the normal
@@ -365,28 +406,99 @@ func (s *Stack) newIPFrame(src, dst netaddr.IPv4, proto, ttl byte, transportLen 
 
 // routeOut forwards an outbound frame buffer: the wire-format IP packet
 // described by h starts at frame[ethernet.HeaderLen:], and the Ethernet
-// header room in front is filled by transmit.
+// header room in front is filled on the way out.
 func (s *Stack) routeOut(h ipv4.Header, frame []byte) {
-	r, ok := s.FIB.Lookup(h.Dst)
-	if !ok {
+	// The flow hash picks among the live next hops, and is computed only
+	// when there is a group to hash over. The harness's path walk makes the
+	// same choice from the same Lookup: harness.Fabric.hopCandidates keeps
+	// the live next hops' ports and indexes them by the same hash.
+	hops := s.route(h.Dst).hops
+	if len(hops) == 0 {
 		s.Stats.NoRoute++
 		s.frames.Put(frame) // the packet dies here; reclaim its buffer
 		return
 	}
-	// Pick over the live next hops in installation order, with the flow key
-	// built only when there is a group to hash over (Pick over one entry is
-	// that entry). The harness's path walk makes the same choice from the same
-	// Lookup: harness.Fabric.hopCandidates keeps the live next hops' ports and
-	// indexes them by the same hash.
-	nh := r.NextHops[0]
-	if len(r.NextHops) > 1 {
-		nh = r.Pick(flowKeyOf(h, frame[ethernet.HeaderLen:]))
+	nh := &hops[0]
+	if len(hops) > 1 {
+		nh = &hops[int(flowKeyOf(h, frame[ethernet.HeaderLen:]).Hash())%len(hops)]
 	}
+	if nh.port == nil {
+		s.transmit(nh.ifc, nh.gw, frame)
+		return
+	}
+	ethernet.PutHeader(frame, nh.mac, nh.port.MAC, ethernet.TypeIPv4)
+	nh.port.Send(frame)
+}
+
+// memoSlot is the memo slot of dst: a multiplicative hash, since the
+// addresses a fabric routes toward differ in their middle bytes.
+func memoSlot(dst netaddr.IPv4) uint32 { return dst.Uint32() * 0x9e3779b1 >> 29 }
+
+// memoStamp is what an entry filled now is stamped with: one more than the
+// sum of the counts of everything a decision reads — FIB changes (AddIface
+// included, through its connected route), carrier changes and ARP writes.
+func (s *Stack) memoStamp() uint64 { return 1 + s.FIB.Version() + s.Node.Sim.PortFlips() + s.arpGen }
+
+// cached returns the memo entry of dst if its slot holds dst at the current
+// stamp, else nil. Under -tags invariants an entry returned is filled again
+// and compared.
+func (s *Stack) cached(dst netaddr.IPv4) *memoEntry {
+	e := &s.memo[memoSlot(dst)]
+	if e.stamp != s.memoStamp() || e.dst != dst {
+		return nil
+	}
+	if invariant.Enabled && !s.memoHolds(e) {
+		invariant.Assertf(false, "ipstack: %s's memoised decision toward %s is %+v, its tables say otherwise", s.Node.Name, dst, *e)
+	}
+	return e
+}
+
+// route returns the memo entry of dst, filled anew unless it is current.
+func (s *Stack) route(dst netaddr.IPv4) *memoEntry {
+	if e := s.cached(dst); e != nil {
+		return e
+	}
+	e := &s.memo[memoSlot(dst)]
+	*e = memoEntry{stamp: s.memoStamp(), hops: e.hops[:0], dst: dst, local: s.IsLocal(dst)}
+	r, _ := s.FIB.Lookup(dst)
+	for _, nh := range r.NextHops {
+		e.hops = append(e.hops, s.resolve(nh, dst))
+	}
+	return e
+}
+
+// isLocal is IsLocal, read from the memo where dst's entry is current. A
+// miss fills nothing: a packet delivered here needs no next hop, and on a
+// router with more neighbours than slots it would evict one that does.
+func (s *Stack) isLocal(dst netaddr.IPv4) bool {
+	if e := s.cached(dst); e != nil {
+		return e.local
+	}
+	return s.IsLocal(dst)
+}
+
+// memoHolds reports whether e is what route would fill now.
+func (s *Stack) memoHolds(e *memoEntry) bool {
+	r, _ := s.FIB.Lookup(e.dst)
+	if e.local != s.IsLocal(e.dst) || len(e.hops) != len(r.NextHops) {
+		return false
+	}
+	for i, nh := range r.NextHops {
+		if e.hops[i] != s.resolve(nh, e.dst) {
+			return false
+		}
+	}
+	return true
+}
+
+// resolve pairs the next hop nh toward dst with its neighbour.
+func (s *Stack) resolve(nh NextHop, dst netaddr.IPv4) memoHop {
 	gw := nh.Via
 	if gw.IsZero() {
-		gw = h.Dst // directly connected: resolve the final destination
+		gw = dst // directly connected: resolve the final destination
 	}
-	s.transmit(nh.Iface, gw, frame)
+	port, mac, _ := s.neighbour(nh.Iface, gw)
+	return memoHop{ifc: nh.Iface, port: port, gw: gw, mac: mac}
 }
 
 // flowKeyOf extracts the ECMP 5-tuple. Port numbers live at the same offset
@@ -401,9 +513,28 @@ func flowKeyOf(h ipv4.Header, wire []byte) FlowKey {
 	return k
 }
 
-func (s *Stack) transmit(ifc *Iface, nextHop netaddr.IPv4, frame []byte) {
+// neighbour is where a frame to the next hop nextHop via ifc leaves: the
+// egress port and destination MAC. The egress is the interface nextHop's ARP
+// entry was learnt on while it is up, else ifc. port is nil when nextHop has
+// no ARP entry (known false) or the egress is down.
+func (s *Stack) neighbour(ifc *Iface, nextHop netaddr.IPv4) (port *simnet.Port, mac netaddr.MAC, known bool) {
 	e, ok := s.arpTable[nextHop]
 	if !ok {
+		return nil, netaddr.MAC{}, false
+	}
+	out := e.ifc
+	if out == nil || !out.Usable() {
+		out = ifc
+	}
+	if !out.Usable() {
+		return nil, netaddr.MAC{}, true
+	}
+	return out.Port, e.mac, true
+}
+
+func (s *Stack) transmit(ifc *Iface, nextHop netaddr.IPv4, frame []byte) {
+	port, mac, known := s.neighbour(ifc, nextHop)
+	if !known {
 		// Queue behind an ARP request on every interface whose subnet
 		// covers the target (a rack subnet can span several ports). The
 		// queue owns the frame until flushARPPending sends it.
@@ -420,17 +551,13 @@ func (s *Stack) transmit(ifc *Iface, nextHop netaddr.IPv4, frame []byte) {
 		}
 		return
 	}
-	out := e.ifc
-	if out == nil || !out.Usable() {
-		out = ifc
-	}
-	if !out.Usable() {
+	if port == nil {
 		s.Stats.BlackholedTx++
 		s.frames.Put(frame)
 		return
 	}
-	ethernet.PutHeader(frame, e.mac, out.Port.MAC, ethernet.TypeIPv4)
-	out.Port.Send(frame)
+	ethernet.PutHeader(frame, mac, port.MAC, ethernet.TypeIPv4)
+	port.Send(frame)
 }
 
 func (s *Stack) sendARPRequest(ifc *Iface, target netaddr.IPv4) {
@@ -449,6 +576,7 @@ func (s *Stack) flushARPPending(ip netaddr.IPv4) {
 	e := s.arpTable[ip]
 	if e.ifc == nil || !e.ifc.Usable() {
 		for _, frame := range pending {
+			s.Stats.BlackholedTx++
 			s.frames.Put(frame) // resolved onto a dead interface: the queue dies with it
 		}
 		return
