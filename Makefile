@@ -174,11 +174,12 @@ fluid-smoke:
 figures:
 	$(GO) run ./cmd/closlab -experiment all
 
-# fuzz-smoke runs all 17 fuzz targets: each wire decoder (Ethernet, IPv4,
+# fuzz-smoke runs all 18 fuzz targets: each wire decoder (Ethernet, IPv4,
 # UDP, ICMP, the MR-MTP message, data-frame and VID parsers, the BGP message
 # parser and stream splitter), the differential targets holding the checksum
-# kernel to the 16-bit reference loop, the indexed FIB to the linear scan
-# and the event queue to the single heap it replaced, the workload receive
+# kernel to the 16-bit reference loop, the split flow hash (a pair's prefix
+# finished with the ports) to the byte-at-a-time FNV-1a, the indexed FIB to
+# the linear scan and the event queue to the single heap it replaced, the workload receive
 # path (an open UDP port on every host), the text-log journal's parser
 # (whatever it accepts renders and parses back unchanged), the chaos spec
 # parser (whatever it accepts round-trips, and applies to a three-node line
@@ -194,6 +195,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZ_TIME) ./internal/ethernet
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZ_TIME) ./internal/ipv4
 	$(GO) test -run '^$$' -fuzz FuzzChecksum -fuzztime $(FUZZ_TIME) ./internal/ipv4
+	$(GO) test -run '^$$' -fuzz FuzzHashSplit -fuzztime $(FUZZ_TIME) ./internal/flowhash
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZ_TIME) ./internal/udp
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZ_TIME) ./internal/icmp
 	$(GO) test -run '^$$' -fuzz FuzzParseMessage -fuzztime $(FUZZ_TIME) ./internal/mrmtp

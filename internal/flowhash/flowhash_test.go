@@ -124,3 +124,46 @@ func TestSameFlowSameHashAcrossEncap(t *testing.T) {
 		t.Error("flow hash changed after TTL decrement; ECMP would re-path mid-flight")
 	}
 }
+
+// referenceHash is the hash as first written: FNV-1a fed one byte at a time
+// over the whole 5-tuple, then fmix32.
+func referenceHash(k Key) uint32 {
+	h := uint32(2166136261)
+	feed := func(b byte) { h = (h ^ uint32(b)) * 16777619 }
+	for _, b := range k.Src {
+		feed(b)
+	}
+	for _, b := range k.Dst {
+		feed(b)
+	}
+	feed(k.Proto)
+	feed(byte(k.SrcPort >> 8))
+	feed(byte(k.SrcPort))
+	feed(byte(k.DstPort >> 8))
+	feed(byte(k.DstPort))
+	h ^= h >> 16
+	h *= 0x85ebca6b
+	h ^= h >> 13
+	h *= 0xc2b2ae35
+	h ^= h >> 16
+	return h
+}
+
+// FuzzHashSplit holds the split hash — a pair's Prefix, finished with a
+// flow's ports — and Hash, which is defined by it, to the byte-at-a-time
+// reference on any key.
+func FuzzHashSplit(f *testing.F) {
+	f.Add(uint32(0xc0a80b01), uint32(0xc0a80e01), byte(17), uint16(40001), uint16(47000))
+	f.Add(uint32(0), uint32(0), byte(0), uint16(0), uint16(0))
+	f.Add(^uint32(0), ^uint32(0), byte(255), ^uint16(0), ^uint16(0))
+	f.Fuzz(func(t *testing.T, src, dst uint32, proto byte, srcPort, dstPort uint16) {
+		k := Key{Src: netaddr.IPv4FromUint32(src), Dst: netaddr.IPv4FromUint32(dst), Proto: proto, SrcPort: srcPort, DstPort: dstPort}
+		want := referenceHash(k)
+		if got := k.Prefix().Finish(srcPort, dstPort); got != want {
+			t.Fatalf("%+v: Prefix().Finish() = %#x, reference %#x", k, got, want)
+		}
+		if got := k.Hash(); got != want {
+			t.Fatalf("%+v: Hash() = %#x, reference %#x", k, got, want)
+		}
+	})
+}

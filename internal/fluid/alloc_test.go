@@ -7,10 +7,11 @@ import (
 )
 
 // TestAdmitAllocs pins what admitting a flow onto a path the solver already
-// knows costs in allocations: nothing. The path key is rendered into solver
-// scratch and probed without becoming a string, and the admission waits in
-// the pending list (grown here before the measurement) until Reallocate
-// files it. Before the key stayed bytes it was one string per Admit.
+// knows costs in allocations: nothing. The path is hashed to a 64-bit key and
+// confirmed against the group's own path, and the admission waits in the
+// pending list (grown here before the measurement) until Reallocate files
+// it. When the key was a rendered string it was one string per Admit, until
+// the bytes were probed without becoming one.
 func TestAdmitAllocs(t *testing.T) {
 	s := New(Config{RateCapBps: 66e6})
 	path := []LinkID{s.AddLink(1e9, nil), s.AddLink(1e9, nil), s.AddLink(1e9, nil)}

@@ -77,6 +77,9 @@ type group struct {
 	path    []LinkID
 	latency time.Duration // fixed per-flow FCT offset (propagation + store-and-forward)
 	phantom bool
+	// next is the group after this one in its index chain (see Solver.head),
+	// -1 at the chain's end.
+	next int32
 
 	n       int     // active flows
 	rate    float64 // per-flow bps from the last Reallocate
@@ -110,8 +113,11 @@ type Solver struct {
 	cfg    Config
 	links  []*link
 	groups []*group
-	index  map[string]int32 // path key -> group index (lookup only, never ranged)
-	keyBuf []byte
+	// head maps a pathHash to the first group of the chain indexed under it
+	// (group.next links the rest). A group is indexed under its own kind and
+	// path from its creation until Repath retires that key, and each key
+	// names at most one group: lookup only, never ranged.
+	head map[uint64]int32
 
 	completions []Completion
 	pending     []pendingAdmit
@@ -124,7 +130,7 @@ type Solver struct {
 
 // New creates an empty solver.
 func New(cfg Config) *Solver {
-	return &Solver{cfg: cfg, index: make(map[string]int32)}
+	return &Solver{cfg: cfg, head: make(map[uint64]int32)}
 }
 
 // AddLink registers one direction of capacity capBps. apply, when non-nil,
@@ -142,38 +148,77 @@ func (s *Solver) Active() int { return s.active }
 // Peak returns the high-water mark of Active since creation.
 func (s *Solver) Peak() int { return s.peak }
 
-// pathKey renders a path (plus the phantom/fluid kind, which must never
-// share a group) into the lookup key. The bytes are the solver's scratch:
-// probing with s.index[string(key)] does not allocate, and only the insert of
-// a new group keeps a copy.
-func (s *Solver) pathKey(path []LinkID, phantom bool) []byte {
-	b := s.keyBuf[:0]
+// pathHash mixes a path and its kind (phantom or fluid, which must never
+// share a group) into the index key. Distinct paths may collide: a lookup
+// confirms its match with samePath.
+func pathHash(path []LinkID, phantom bool) uint64 {
+	h := uint64(14695981039346656037)
 	if phantom {
-		b = append(b, 'P')
-	} else {
-		b = append(b, 'F')
+		h++
 	}
 	for _, id := range path {
-		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+		h = (h ^ uint64(uint32(id))) * 1099511628211
 	}
-	s.keyBuf = b
-	return b
+	return h
 }
 
-// groupFor finds or creates the group owning (path, phantom).
+// indexed returns the group indexed under (path, phantom), or -1.
+func (s *Solver) indexed(h uint64, path []LinkID, phantom bool) int32 {
+	gi, ok := s.head[h]
+	if !ok {
+		return -1
+	}
+	for ; gi >= 0; gi = s.groups[gi].next {
+		if g := s.groups[gi]; g.phantom == phantom && samePath(g.path, path) {
+			return gi
+		}
+	}
+	return -1
+}
+
+// groupFor finds or creates the group owning (path, phantom). A new group
+// heads its key's chain.
 func (s *Solver) groupFor(path []LinkID, latency time.Duration, phantom bool) (*group, int32) {
-	key := s.pathKey(path, phantom)
-	if gi, ok := s.index[string(key)]; ok {
+	h := pathHash(path, phantom)
+	if gi := s.indexed(h, path, phantom); gi >= 0 {
 		return s.groups[gi], gi
 	}
-	g := &group{path: append([]LinkID(nil), path...), latency: latency, phantom: phantom}
+	next, ok := s.head[h]
+	if !ok {
+		next = -1
+	}
+	g := &group{path: append([]LinkID(nil), path...), latency: latency, phantom: phantom, next: next}
 	gi := int32(len(s.groups))
 	s.groups = append(s.groups, g)
-	s.index[string(key)] = gi
+	s.head[h] = gi
 	for _, lid := range path {
 		s.links[lid].groups = append(s.links[lid].groups, gi)
 	}
 	return g, gi
+}
+
+// retire drops the fluid key path from the index, whichever group it names:
+// the group on it, or none.
+func (s *Solver) retire(path []LinkID) {
+	h := pathHash(path, false)
+	gi := s.indexed(h, path, false)
+	if gi < 0 {
+		return
+	}
+	next := s.groups[gi].next
+	if s.head[h] == gi {
+		if next < 0 {
+			delete(s.head, h)
+		} else {
+			s.head[h] = next
+		}
+		return
+	}
+	prev := s.head[h]
+	for s.groups[prev].next != gi {
+		prev = s.groups[prev].next
+	}
+	s.groups[prev].next = next
 }
 
 // pendingAdmit is a flow admitted since the last Reallocate: it counts
@@ -427,7 +472,7 @@ func (s *Solver) Repath(resolve func(id uint32) (path []LinkID, latency time.Dur
 		if !ok || samePath(g.path, newPath) {
 			continue
 		}
-		delete(s.index, string(s.pathKey(g.path, false)))
+		s.retire(g.path)
 		for _, lid := range g.path {
 			s.links[lid].groups = removeGroup(s.links[lid].groups, int32(gi))
 		}

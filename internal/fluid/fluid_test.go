@@ -221,6 +221,41 @@ func TestRepath(t *testing.T) {
 	}
 }
 
+// TestRepathKeepsPhantomPath pins a known gap (EXPERIMENTS.md, known delta
+// 6): Repath moves fluid groups only, so a packet-path flow's phantom demand
+// stays on the path it was admitted on after a failure moves the packets —
+// and hybrid mode sends exactly the flows that straddle a failure to the
+// packet path. Here the fluid group follows the resolver to link b while the
+// phantom keeps squeezing link a, which then carries no fluid at all.
+func TestRepathKeepsPhantomPath(t *testing.T) {
+	s := New(Config{})
+	a := s.AddLink(100_000_000, nil)
+	b := s.AddLink(100_000_000, nil)
+	s.Advance(0)
+	s.Admit(7, 1<<30, []LinkID{a}, 0, 0)
+	h := s.AdmitPhantom([]LinkID{a})
+	s.Reallocate(0)
+
+	var asked []uint32
+	s.Repath(func(id uint32) ([]LinkID, time.Duration, bool) {
+		asked = append(asked, id)
+		return []LinkID{b}, 0, true
+	})
+	if len(asked) != 1 || asked[0] != 7 {
+		t.Fatalf("Repath resolved flows %v, want only the fluid group's representative 7", asked)
+	}
+	if p := s.groups[h].path; len(p) != 1 || p[0] != a {
+		t.Fatalf("the phantom group's path after Repath is %v, want it left on link %d", p, a)
+	}
+	s.Advance(time.Millisecond)
+	s.Reallocate(time.Millisecond)
+	if g := s.links[a].groups; len(g) != 1 || g[0] != int32(h) || s.links[b].lastApplied != 100_000_000 {
+		t.Fatalf("after Repath link a serves groups %v, link b carries %d bps: want the phantom alone on a and the fluid flow on all of b",
+			g, s.links[b].lastApplied)
+	}
+	approx(t, s.groups[h].rate, 100e6, 1, "the phantom's share of link a")
+}
+
 // The same admission sequence produces bit-identical completions — the
 // determinism contract the hybrid engine's artifacts rest on.
 func TestDeterministicReplay(t *testing.T) {

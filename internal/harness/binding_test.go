@@ -82,17 +82,18 @@ func TestBindingMatchesNames(t *testing.T) {
 }
 
 // TestFluidPathIsPacketPath makes the packet the oracle of the walk: the
-// links pathFunc resolves a 5-tuple onto must be, in order, the link
+// links a path resolver resolves a 5-tuple onto must be, in order, the link
 // directions that carry a datagram with that 5-tuple from the source server
 // to the destination, and a flow the walk refuses must be one the fabric
-// drops. One resolve closure — one warm hop memo — is held per fabric across
-// every fault: healthy, the instant after the failure (inside
+// drops. One resolver — one warm hop memo and whole-path memo — is held per
+// fabric across every fault: healthy, the instant after the failure (inside
 // LocalDetectDelay: the port is down and its owner has not heard), 60 ms on
 // (MR-MTP has updated, the failed port's peer and BFD have not timed out),
 // a second on, the instant after the restore, a second on (MR-MTP has
 // re-accepted), and settled; for each of TC1–TC4 and the loss of a whole
 // spine. A memo that outlives the state it was filled from sends the walk
-// where the packet does not go.
+// where the packet does not go. After each phase every entry of both memos
+// that claims to be current is re-derived from the live tables.
 func TestFluidPathIsPacketPath(t *testing.T) {
 	for _, proto := range []Protocol{ProtoMRMTP, ProtoBGPBFD} {
 		t.Run(proto.String(), func(t *testing.T) {
@@ -206,11 +207,11 @@ func walkAcrossFirstContact(t *testing.T) {
 // walkOracle sends one datagram per flow and compares the link directions
 // that carried it with the walk's.
 type walkOracle struct {
-	t       *testing.T
-	f       *Fabric
-	resolve workload.PathFunc
-	from    map[fluid.LinkID]*simnet.Port
-	flows   []workload.Flow
+	t        *testing.T
+	f        *Fabric
+	resolver *pathResolver
+	from     map[fluid.LinkID]*simnet.Port
+	flows    []workload.Flow
 
 	probes    uint16
 	carried   map[uint16][]*simnet.Port
@@ -229,8 +230,9 @@ func newWalkOracle(t *testing.T, f *Fabric) *walkOracle {
 	if err != nil {
 		t.Fatal(err)
 	}
+	resolver := f.newPathResolver(plan, walkDstPort)
 	o := &walkOracle{
-		t: t, f: f, resolve: f.pathFunc(plan, walkDstPort),
+		t: t, f: f, resolver: resolver,
 		from:    make(map[fluid.LinkID]*simnet.Port),
 		carried: make(map[uint16][]*simnet.Port), delivered: make(map[uint16]int),
 	}
@@ -295,7 +297,7 @@ func (o *walkOracle) ports(path []fluid.LinkID) []*simnet.Port {
 func (o *walkOracle) crossing(ports []*simnet.Port) int {
 	n := 0
 	for i := range o.flows {
-		path, _, _ := o.resolve(&o.flows[i])
+		path, _, _ := o.resolver.resolve(&o.flows[i])
 		if slices.ContainsFunc(o.ports(path), func(p *simnet.Port) bool {
 			return slices.Contains(ports, p) || slices.Contains(ports, p.Peer())
 		}) {
@@ -316,7 +318,7 @@ func (o *walkOracle) check(state string, failed []*simnet.Port) (resolved int) {
 	want := make([][]*simnet.Port, len(o.flows))
 	for i := range o.flows {
 		fl := &o.flows[i]
-		if path, _, ok := o.resolve(fl); ok {
+		if path, _, ok := o.resolver.resolve(fl); ok {
 			want[i] = o.ports(path)
 		}
 		o.probes++
@@ -349,8 +351,29 @@ func (o *walkOracle) check(state string, failed []*simnet.Port) (resolved int) {
 		}
 		resolved++
 	}
+	o.sweepPaths(state)
 	o.sweepHops(state)
 	return resolved
+}
+
+// sweepPaths holds every whole-path memo entry that claims to be current to a
+// walk made now with the entry's residue for a hash: every flow between the
+// pair whose hash leaves that residue walks the same way.
+func (o *walkOracle) sweepPaths(state string) {
+	r := o.resolver
+	for pair := range r.prefix {
+		src, dst := pair/r.servers, pair%r.servers
+		for res := uint32(0); res < r.residues; res++ {
+			e := r.entry(src, dst, res)
+			if !r.current(e) {
+				continue
+			}
+			if path, latency, ok := r.walk(src, dst, res); !ok || !slices.Equal(path, e.ids[:e.links]) || latency != e.latency {
+				o.t.Fatalf("%s: the memoised path from %s to %s at residue %d is %v (%v) and claims to be current; a walk says %v (%v, reached %v)",
+					state, o.f.Topo.Servers[src].Name, o.f.Topo.Servers[dst].Name, res, o.ports(e.ids[:e.links]), e.latency, o.ports(path), latency, ok)
+			}
+		}
+	}
 }
 
 // sweepHops holds every entry of the hop memo that claims to be current to

@@ -71,60 +71,221 @@ func (f *Fabric) buildFluidPlan(linkBps int64) (*fluidPlan, error) {
 	return plan, nil
 }
 
-// pathFunc resolves a flow onto the solver's directed links by walking the
-// fabric's forwarding state: server access link, then the walk leaf-to-leaf,
-// then the destination access link. The returned slice is reused across
-// calls (the solver copies on group creation). Resolution fails — demoting
-// the flow's group to its stale path, or abandoning an unlaunched flow —
-// when a forwarding table has no next hop, e.g. mid-fault.
-func (f *Fabric) pathFunc(plan *fluidPlan, dstPort uint16) workload.PathFunc {
-	servers := f.Topo.Servers
-	path := make([]fluid.LinkID, 0, 8)
-	return func(fl *workload.Flow) ([]fluid.LinkID, time.Duration, bool) {
-		src, dst := servers[fl.Src], servers[fl.Dst]
-		key := flowhash.Key{
-			Src: src.IP, Dst: dst.IP, Proto: ipv4.ProtoUDP,
-			SrcPort: fl.SrcPort, DstPort: dstPort,
-		}
-		path = path[:0]
-		var latency time.Duration
-		add := func(from *topology.Port) bool {
-			ord := from.Device.Ordinal
-			id := plan.ids[ord][from.Index]
-			if id < 0 {
-				return false
-			}
-			path = append(path, id)
-			latency += plan.delay[ord][from.Index]
-			return true
-		}
-		if !add(src.Ports[1]) {
-			return nil, 0, false
-		}
-		dstAccess := dst.Ports[1].Peer // the destination leaf's port down to the server
-		mapped := true
-		// Six hops cross the deepest fabric Build makes: seven devices from
-		// leaf to leaf over a four-tier top (four hops, five devices, in the
-		// three-tier fabrics).
-		reached := f.walk(src.Ports[1].Peer.Device, dstAccess.Device, dst.IP, key, 6, func(_ *topology.Device, out *topology.Port) {
-			mapped = mapped && add(out)
-		})
-		if !reached || !mapped || !add(dstAccess) {
-			return nil, 0, false
-		}
-		return path, latency, true
+// A resolved path's bounds: six hops cross the deepest fabric Build makes —
+// seven devices from leaf to leaf over a four-tier top (four hops, five
+// devices, in the three-tier fabrics) — and a path is their links plus the
+// two access links.
+const (
+	maxWalkHops  = 6
+	maxPathLinks = maxWalkHops + 2
+	// maxMemoPaths bounds the whole-path memo's table, in entries of 120 B;
+	// on a fabric whose servers² × residues exceed it every flow is walked.
+	maxMemoPaths = 1 << 14
+)
+
+// pathResolver resolves flows onto the solver's directed links (resolve),
+// one per fluid plan. Besides the hop memo every walk shares (Fabric.hops) it
+// keeps a whole-path memo: every flow between two servers whose hash leaves
+// the same residue modulo residues crosses the same links, for as long as
+// the forwarding state of every device on the way stands still.
+type pathResolver struct {
+	f       *Fabric
+	plan    *fluidPlan
+	dstPort uint16
+	servers int
+
+	// residues is the whole-path memo's modulus (memoResidues), 0 where the
+	// fabric is too wide for the memo. Both tables are made on the first
+	// resolve, like the hop memo: prefix[src*servers+dst] is the flow hash's
+	// state after the pair's addresses and protocol, and
+	// paths[(src*servers+dst)*residues + hash%residues] the pair's path at
+	// that residue (nil without the memo).
+	residues uint32
+	prefix   []flowhash.Partial
+	paths    []memoPath
+
+	// The last walk's scratch: its links, and the ordinals of the devices
+	// that made its hops' decisions.
+	path    []fluid.LinkID
+	crossed [maxWalkHops]int32
+	hops    int
+}
+
+// memoPath is one whole-path memo entry: the path and latency of a walk, and
+// the devices whose decisions made it, each with the hopStamp its hop memo
+// entry was current at. It is current while every one of those stamps is
+// still the device's hopStamp: then no hop's memo entry has been refilled
+// since, and a walk now would hit each of them and pick as this one did.
+// links 0 marks an entry never filled.
+type memoPath struct {
+	stamps  [maxWalkHops]uint64
+	latency time.Duration
+	devs    [maxWalkHops]int32
+	ids     [maxPathLinks]fluid.LinkID
+	hops    uint8
+	links   uint8
+}
+
+func (f *Fabric) newPathResolver(plan *fluidPlan, dstPort uint16) *pathResolver {
+	r := &pathResolver{
+		f: f, plan: plan, dstPort: dstPort, servers: len(f.Topo.Servers),
+		path: make([]fluid.LinkID, 0, maxPathLinks),
 	}
+	if res := memoResidues(f.Topo); res > 0 && r.servers*r.servers*int(res) <= maxMemoPaths {
+		r.residues = res
+	}
+	return r
+}
+
+// memoResidues is the modulus of the whole-path memo's key: lcm(1..K) for K
+// the widest router's port count, so that a hop choosing among any number of
+// candidates up to K picks by the residue alone. 0 when it exceeds
+// maxMemoPaths.
+func memoResidues(t *topology.Topology) uint32 {
+	k := 0
+	for _, d := range t.Routers() {
+		k = max(k, len(d.Ports)-1)
+	}
+	r := uint32(1)
+	for c := uint32(2); c <= uint32(k); c++ {
+		a, b := r, c
+		for b != 0 {
+			a, b = b, a%b
+		}
+		if r = r / a * c; r > maxMemoPaths {
+			return 0
+		}
+	}
+	return r
+}
+
+// resolve resolves a flow onto the solver's directed links: server access
+// link, then the walk leaf-to-leaf, then the destination access link. The
+// returned slice is the resolver's, valid until the next call (the solver
+// copies on group creation). Resolution fails — demoting the flow's group to
+// its stale path, or abandoning an unlaunched flow — when a forwarding table
+// has no next hop, e.g. mid-fault.
+//
+// A current whole-path entry answers without a walk; under -tags invariants
+// every such hit is walked again and compared. A miss walks, and files the
+// path if every hop chose among a number of candidates that divides
+// residues: hash % n is then (hash % residues) % n, fixed by the key. Failed
+// walks are not filed.
+func (r *pathResolver) resolve(fl *workload.Flow) ([]fluid.LinkID, time.Duration, bool) {
+	if r.prefix == nil {
+		r.makeTables()
+	}
+	hash := r.prefix[fl.Src*r.servers+fl.Dst].Finish(fl.SrcPort, r.dstPort)
+	if r.paths == nil {
+		return r.walk(fl.Src, fl.Dst, hash)
+	}
+	e := r.entry(fl.Src, fl.Dst, hash)
+	if r.current(e) {
+		if invariant.Enabled {
+			path, latency, ok := r.walk(fl.Src, fl.Dst, hash)
+			invariant.Assertf(ok && slices.Equal(path, e.ids[:e.links]) && latency == e.latency,
+				"harness: memoised path %v (%v) for flow %d, the walk says %v (%v, reached %v)", e.ids[:e.links], e.latency, fl.ID, path, latency, ok)
+		}
+		return e.ids[:e.links:e.links], e.latency, true
+	}
+	path, latency, ok := r.walk(fl.Src, fl.Dst, hash)
+	if ok {
+		r.file(e, fl.Dst, path, latency)
+	}
+	return path, latency, ok
+}
+
+func (r *pathResolver) makeTables() {
+	servers := r.f.Topo.Servers
+	r.prefix = make([]flowhash.Partial, r.servers*r.servers)
+	for i, src := range servers {
+		for j, dst := range servers {
+			key := flowhash.Key{Src: src.IP, Dst: dst.IP, Proto: ipv4.ProtoUDP}
+			r.prefix[i*r.servers+j] = key.Prefix()
+		}
+	}
+	if r.residues > 0 {
+		r.paths = make([]memoPath, len(r.prefix)*int(r.residues))
+	}
+}
+
+// entry returns the whole-path memo's entry for a flow between servers src
+// and dst with the given hash.
+func (r *pathResolver) entry(src, dst int, hash uint32) *memoPath {
+	return &r.paths[(src*r.servers+dst)*int(r.residues)+int(hash%r.residues)]
+}
+
+// current reports whether e holds a path and every device on it still has
+// the forwarding state the path was walked over.
+func (r *pathResolver) current(e *memoPath) bool {
+	for i, ord := range e.devs[:e.hops] {
+		if r.f.hopStamp(&r.f.bound[ord]) != e.stamps[i] {
+			return false
+		}
+	}
+	return e.links > 0
+}
+
+// file stores the walk just made toward server dst in e, unless one of its
+// hops chose among a number of candidates that does not divide residues.
+// Each hop's memo entry is current: the walk has just read it.
+func (r *pathResolver) file(e *memoPath, dst int, path []fluid.LinkID, latency time.Duration) {
+	hops := r.f.hops
+	root := byte(r.f.Topo.Servers[dst].Ports[1].Peer.Device.VID)
+	for _, ord := range r.crossed[:r.hops] {
+		if r.residues%uint32(len(hops[ord][root].cands)) != 0 {
+			return
+		}
+	}
+	for i, ord := range r.crossed[:r.hops] {
+		e.devs[i], e.stamps[i] = ord, hops[ord][root].stamp
+	}
+	e.hops = uint8(r.hops)
+	e.latency = latency
+	e.links = uint8(copy(e.ids[:], path))
+}
+
+// walk resolves the flow between servers src and dst with the given hash by
+// walking the fabric's forwarding state, into the resolver's scratch.
+func (r *pathResolver) walk(src, dst int, hash uint32) ([]fluid.LinkID, time.Duration, bool) {
+	plan := r.plan
+	from, to := r.f.Topo.Servers[src], r.f.Topo.Servers[dst]
+	r.path, r.hops = r.path[:0], 0
+	var latency time.Duration
+	add := func(from *topology.Port) bool {
+		ord := from.Device.Ordinal
+		id := plan.ids[ord][from.Index]
+		if id < 0 {
+			return false
+		}
+		r.path = append(r.path, id)
+		latency += plan.delay[ord][from.Index]
+		return true
+	}
+	if !add(from.Ports[1]) {
+		return nil, 0, false
+	}
+	dstAccess := to.Ports[1].Peer // the destination leaf's port down to the server
+	mapped := true
+	reached := r.f.walk(from.Ports[1].Peer.Device, dstAccess.Device, to.IP, hash, maxWalkHops, func(dev *topology.Device, out *topology.Port) {
+		r.crossed[r.hops] = int32(dev.Ordinal)
+		r.hops++
+		mapped = mapped && add(out)
+	})
+	if !reached || !mapped || !add(dstAccess) {
+		return nil, 0, false
+	}
+	return r.path, latency, true
 }
 
 // walk replays the fabric's forwarding decisions for a flow hop by hop from
 // one device to the leaf `to` (toIP an address in its rack), calling visit with each device and the egress
 // port it picks. It reports whether the walk arrived; it stops early where the
 // fabric would drop the packet — a table with no next hop (e.g. mid-fault), a
-// port leading nowhere or down into a rack — or after maxHops. The 5-tuple is
-// hashed here, once: every hop indexes its candidates with the same hash, as
-// every router on a packet's way computes the same one.
-func (f *Fabric) walk(from, to *topology.Device, toIP netaddr.IPv4, key flowhash.Key, maxHops int, visit func(dev *topology.Device, out *topology.Port)) bool {
-	hash := key.Hash()
+// port leading nowhere or down into a rack — or after maxHops. hash is the
+// flow's 5-tuple hash: every hop indexes its candidates with it, as every
+// router on a packet's way computes the same one.
+func (f *Fabric) walk(from, to *topology.Device, toIP netaddr.IPv4, hash uint32, maxHops int, visit func(dev *topology.Device, out *topology.Port)) bool {
 	for hops := 0; from != to; hops++ {
 		if hops >= maxHops {
 			return false

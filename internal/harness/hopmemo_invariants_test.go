@@ -3,6 +3,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestHopMemoCheckDetectsCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resolve := f.pathFunc(plan, 49000)
+		resolve := f.newPathResolver(plan, 49000).resolve
 		servers := f.Topo.Servers
 		fl := workload.Flow{ID: 1, Src: 0, Dst: len(servers) - 1, SrcPort: 20000}
 		if _, _, ok := resolve(&fl); !ok {
@@ -49,6 +50,50 @@ func TestHopMemoCheckDetectsCorruption(t *testing.T) {
 			e.cands = append(e.cands[:0], good...)
 		}
 		if _, _, ok := resolve(&fl); !ok {
+			t.Fatalf("%s: the restored memo refuses the flow", proto)
+		}
+	}
+}
+
+// TestPathMemoCheckDetectsCorruption edits a whole-path memo entry by hand,
+// its stamps left current, and expects the walk every hit gets under this tag
+// to panic: for both planes, with two links swapped and with the latency
+// moved.
+func TestPathMemoCheckDetectsCorruption(t *testing.T) {
+	for _, proto := range []Protocol{ProtoMRMTP, ProtoBGPBFD} {
+		f, err := warm(DefaultOptions(topology.FourPodSpec(), proto, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := f.buildFluidPlan(DefaultWorkloadConfig().LinkBps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := f.newPathResolver(plan, 49000)
+		fl := workload.Flow{ID: 1, Src: 0, Dst: len(f.Topo.Servers) - 1, SrcPort: 20000}
+		path, _, ok := r.resolve(&fl)
+		if !ok {
+			t.Fatalf("%s: a healthy fabric refuses the flow", proto)
+		}
+		var e *memoPath
+		for i := range r.paths {
+			if r.paths[i].links > 0 {
+				e = &r.paths[i]
+			}
+		}
+		if e == nil || !r.current(e) || !slices.Equal(e.ids[:e.links], path) {
+			t.Fatalf("%s: the flow's path %v was not filed", proto, path)
+		}
+		for _, corrupt := range []func(){
+			func() { e.ids[1], e.ids[2] = e.ids[2], e.ids[1] },
+			func() { e.latency++ },
+		} {
+			good := *e
+			corrupt()
+			mustPanic(t, "memoised path", func() { r.resolve(&fl) })
+			*e = good
+		}
+		if _, _, ok := r.resolve(&fl); !ok {
 			t.Fatalf("%s: the restored memo refuses the flow", proto)
 		}
 	}

@@ -2,11 +2,14 @@ package harness
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/flowhash"
 	"repro/internal/fluid"
 	"repro/internal/invariant"
+	"repro/internal/ipv4"
 	"repro/internal/simnet"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -16,10 +19,10 @@ import (
 // random flows and a port whose flapping moves nothing but the simulator's
 // flip count: a server's, which no forwarding decision reads.
 type resolveRig struct {
-	f       *Fabric
-	resolve workload.PathFunc
-	flows   []workload.Flow
-	spare   *simnet.Port
+	f        *Fabric
+	resolver *pathResolver
+	flows    []workload.Flow
+	spare    *simnet.Port
 }
 
 func newResolveRig(tb testing.TB, proto Protocol) *resolveRig {
@@ -32,8 +35,9 @@ func newResolveRig(tb testing.TB, proto Protocol) *resolveRig {
 		tb.Fatal(err)
 	}
 	servers := f.Topo.Servers
+	resolver := f.newPathResolver(plan, 49000)
 	return &resolveRig{
-		f: f, resolve: f.pathFunc(plan, 49000),
+		f: f, resolver: resolver,
 		flows: seededFlows(24, 1000, 1, len(servers)), // server 0 keeps out of it: its port is the one that flaps
 		spare: f.Sim.Node(servers[0].Name).Port(1),
 	}
@@ -47,7 +51,7 @@ func (r *resolveRig) flip() {
 
 func (r *resolveRig) resolveAll(tb testing.TB) {
 	for i := range r.flows {
-		if _, _, ok := r.resolve(&r.flows[i]); !ok {
+		if _, _, ok := r.resolver.resolve(&r.flows[i]); !ok {
 			tb.Fatalf("flow %d does not resolve on a healthy fabric", i)
 		}
 	}
@@ -66,13 +70,14 @@ func allocated(fn func()) (objects, bytes uint64) {
 	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
-// TestPathResolveAllocs pins what the hop memo costs in heap objects. Cold,
-// a thousand flows cost the table of rows, one row per device their walks
-// cross and one candidate list per (device, leaf) pair they ask about —
-// counted from the memo itself, so the budget is the memo's size and not a
-// number to retune; no row exists for a device no walk crossed. Warm, they
-// cost nothing, not a byte. After a flip every entry is refilled in the list
-// it already has: nothing again.
+// TestPathResolveAllocs pins what the two memos cost in heap objects. Cold,
+// a thousand flows cost the hop memo's table of rows, one row per device
+// their walks cross and one candidate list per (device, leaf) pair they ask
+// about, and the whole-path memo's two tables (hash prefixes and paths, whose
+// entries are filled in place) — counted from the memos themselves, so the
+// budget is their size and not a number to retune; no row exists for a
+// device no walk crossed. Warm, they cost nothing, not a byte. After a flip
+// every entry is refilled where it is: nothing again.
 func TestPathResolveAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("under -tags invariants every hit is re-derived into a fresh list")
@@ -107,8 +112,20 @@ func TestPathResolveAllocs(t *testing.T) {
 		if routers := len(r.f.Topo.Routers()); rows == 0 || rows > routers || lists > rows*len(r.f.Topo.Leaves) {
 			t.Errorf("%s: %d rows and %d filled entries for %d routers and %d leaves", proto, rows, lists, routers, len(r.f.Topo.Leaves))
 		}
-		if cold != uint64(1+rows+lists) {
-			t.Errorf("%s: resolving 1 000 flows cold allocates %d objects, want the table + %d rows + %d candidate lists", proto, cold, rows, lists)
+		res := r.resolver
+		if res.residues != 12 || len(res.prefix) != len(r.f.Topo.Servers)*len(r.f.Topo.Servers) || len(res.paths) != len(res.prefix)*12 {
+			t.Fatalf("%s: %d residues, %d prefixes and %d memo paths for %d servers, want 12, servers² and servers² × 12",
+				proto, res.residues, len(res.prefix), len(res.paths), len(r.f.Topo.Servers))
+		}
+		tables := 0
+		if res.prefix != nil {
+			tables++
+		}
+		if res.paths != nil {
+			tables++
+		}
+		if cold != uint64(1+rows+lists+tables) {
+			t.Errorf("%s: resolving 1 000 flows cold allocates %d objects, want the table + %d rows + %d candidate lists + the whole-path memo's %d tables", proto, cold, rows, lists, tables)
 		}
 		if objects, bytes := allocated(func() { r.resolveAll(t) }); objects != 0 || bytes != 0 {
 			t.Errorf("%s: resolving 1 000 flows on a warm memo allocates %d objects and %d B, want 0 and 0", proto, objects, bytes)
@@ -147,10 +164,127 @@ func BenchmarkPathResolve(b *testing.B) {
 							b.StartTimer()
 						}
 					}
-					sink, _, _ = r.resolve(&r.flows[i%len(r.flows)])
+					sink, _, _ = r.resolver.resolve(&r.flows[i%len(r.flows)])
 				}
 				_ = sink
 			})
 		}
 	}
+}
+
+// TestPathMemoMatchesWalk holds every resolution to a walk made at once with
+// the flow's whole 5-tuple hash: on the 4-PoD and four-tier fabrics, on a
+// 2-PoD fabric with four spines per pod, whose leaves hash across four
+// uplinks — the fabric where a residue too coarse for a hop's candidate
+// count would hand one flow another's path — and on one with eight, too
+// wide for the memo (lcm(1..9) residues for 16 pairs), where every flow is
+// walked. One resolver per fabric is held from cold through warm, and across
+// the fail and restore of TC2 from the instant after each to a second on.
+// Where the memo is kept some resolutions must be hits, or it is not under
+// test.
+func TestPathMemoMatchesWalk(t *testing.T) {
+	wide := topology.Spec{Pods: 2, LeavesPerPod: 2, SpinesPerPod: 4, UplinksPerSpine: 2, ServersPerLeaf: 1}
+	wider := wide
+	wider.SpinesPerPod = 8
+	for _, c := range []struct {
+		name     string
+		opts     Options
+		residues uint32
+	}{
+		{"4-pod MR-MTP", DefaultOptions(topology.FourPodSpec(), ProtoMRMTP, 1), 12},
+		{"4-pod BGP/ECMP/BFD", DefaultOptions(topology.FourPodSpec(), ProtoBGPBFD, 1), 12},
+		{"4-tier MR-MTP", fourTierOptions(ProtoMRMTP), 12},
+		{"4 spines per pod MR-MTP", DefaultOptions(wide, ProtoMRMTP, 1), 60},
+		{"4 spines per pod BGP/ECMP/BFD", DefaultOptions(wide, ProtoBGPBFD, 1), 60},
+		{"8 spines per pod MR-MTP", DefaultOptions(wider, ProtoMRMTP, 1), 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f, err := warm(c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := f.buildFluidPlan(DefaultWorkloadConfig().LinkBps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := f.newPathResolver(plan, walkDstPort)
+			if r.residues != c.residues {
+				t.Fatalf("the memo's key has %d residues, want %d", r.residues, c.residues)
+			}
+			servers := f.Topo.Servers
+			flows := seededFlows(31, 2000, 0, len(servers))
+			hits := 0
+			check := func(state string) {
+				for i := range flows {
+					fl := &flows[i]
+					key := flowhash.Key{Src: servers[fl.Src].IP, Dst: servers[fl.Dst].IP, Proto: ipv4.ProtoUDP, SrcPort: fl.SrcPort, DstPort: walkDstPort}
+					hash := key.Hash()
+					if r.paths != nil && r.current(r.entry(fl.Src, fl.Dst, hash)) {
+						hits++
+					}
+					path, latency, ok := r.resolve(fl)
+					got := slices.Clone(path)
+					want, wantLatency, wantOK := r.walk(fl.Src, fl.Dst, hash)
+					if ok != wantOK || !slices.Equal(got, want) || latency != wantLatency {
+						t.Fatalf("%s: %s→%s:%d resolves onto %v (%v, %v), a walk with its hash onto %v (%v, %v)",
+							state, servers[fl.Src].Name, servers[fl.Dst].Name, fl.SrcPort, got, latency, ok, want, wantLatency, wantOK)
+					}
+				}
+			}
+			check("cold")
+			check("warm")
+			fp, err := f.Topo.FailurePoint(topology.TC2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			port := f.Sim.Node(fp.Device).Port(fp.Port)
+			for _, inject := range []struct {
+				name string
+				do   func(*simnet.Port)
+			}{{"fail", (*simnet.Port).Fail}, {"restore", (*simnet.Port).Restore}} {
+				at := f.Sim.Now()
+				inject.do(port)
+				check("TC2 " + inject.name + ", the instant after")
+				f.Sim.RunUntil(at + 60*time.Millisecond)
+				check("TC2 " + inject.name + " +60 ms")
+				f.Sim.RunUntil(at + time.Second)
+				check("TC2 " + inject.name + " +1 s")
+			}
+			if c.opts.Protocol != ProtoMRMTP {
+				lastHopEdit(t, f, r, flows)
+				check("a FIB edit at the last deciding hop")
+			}
+			if (r.residues == 0 && r.paths != nil) || (r.residues > 0 && hits < len(flows)) {
+				t.Errorf("%d whole-path hits in %d resolutions, %d memo entries", hits, 8*len(flows), len(r.paths))
+			}
+		})
+	}
+}
+
+// lastHopEdit changes the forwarding state of one device alone — no port
+// flip, no other device told: the last device to decide a memoised path
+// routes the path's destination rack the way it routes the flow's source.
+// Only that device's stamp can tell the path is stale.
+func lastHopEdit(t *testing.T, f *Fabric, r *pathResolver, flows []workload.Flow) {
+	t.Helper()
+	servers := f.Topo.Servers
+	for i := range flows {
+		fl := &flows[i]
+		key := flowhash.Key{Src: servers[fl.Src].IP, Dst: servers[fl.Dst].IP, Proto: ipv4.ProtoUDP, SrcPort: fl.SrcPort, DstPort: walkDstPort}
+		e := r.entry(fl.Src, fl.Dst, key.Hash())
+		if !r.current(e) || e.hops < 2 {
+			continue
+		}
+		fib := &f.bound[e.devs[e.hops-1]].stack.FIB
+		back, _ := fib.Lookup(servers[fl.Src].IP)
+		hops := slices.Clone(back.NextHops)
+		route, ok := fib.Lookup(servers[fl.Dst].IP)
+		if !ok {
+			t.Fatalf("%s has no route to %s", f.bound[e.devs[e.hops-1]].node.Name, servers[fl.Dst].Name)
+		}
+		route.NextHops = hops
+		fib.Replace(route)
+		return
+	}
+	t.Fatal("no memoised path crosses two deciding hops")
 }

@@ -113,7 +113,7 @@ func TestPickFlowPortSteersFirstUplinks(t *testing.T) {
 			}
 			key := flowhash.Key{Src: cfg.Src, Dst: cfg.Dst, Proto: ipv4.ProtoUDP, SrcPort: port, DstPort: cfg.DstPort}
 			ups := 0
-			arrived := f.walk(srcDev.Ports[1].Peer.Device, dstDev.Ports[1].Peer.Device, dstDev.IP, key, 6, func(dev *topology.Device, out *topology.Port) {
+			arrived := f.walk(srcDev.Ports[1].Peer.Device, dstDev.Ports[1].Peer.Device, dstDev.IP, key.Hash(), 6, func(dev *topology.Device, out *topology.Port) {
 				if !out.IsUplink() {
 					return
 				}

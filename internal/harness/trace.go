@@ -280,7 +280,7 @@ func (run *traceRun) hopAddr(v traceVantage, dev *topology.Device, ingressIP net
 func (run *traceRun) forwardWalk(i, maxTTL int) (hops []tracePathHop, links []pathtrace.DirectedLink) {
 	v := run.vants[i]
 	key := run.probeKey(i)
-	run.f.walk(v.src, v.dst, key.Dst, key, maxTTL, func(dev *topology.Device, out *topology.Port) {
+	run.f.walk(v.src, v.dst, key.Dst, key.Hash(), maxTTL, func(dev *topology.Device, out *topology.Port) {
 		next := out.Peer.Device
 		links = append(links, pathtrace.DirectedLink{From: dev.Name, To: next.Name})
 		hops = append(hops, tracePathHop{dev: next, addr: run.hopAddr(v, next, out.Peer.IP)})
@@ -297,7 +297,7 @@ func (run *traceRun) replyWalk(i int, hop tracePathHop) []pathtrace.DirectedLink
 	vantage := topology.LeafGatewayIP(v.src)
 	key := flowhash.Key{Src: hop.addr, Dst: vantage, Proto: ipv4.ProtoICMP}
 	var links []pathtrace.DirectedLink
-	run.f.walk(hop.dev, v.src, vantage, key, pathtrace.MaxTTL, func(dev *topology.Device, out *topology.Port) {
+	run.f.walk(hop.dev, v.src, vantage, key.Hash(), pathtrace.MaxTTL, func(dev *topology.Device, out *topology.Port) {
 		links = append(links, pathtrace.DirectedLink{From: dev.Name, To: out.Peer.Device.Name})
 	})
 	return links

@@ -158,7 +158,7 @@ func RunWorkload(opts Options, w WorkloadConfig) (WorkloadResult, error) {
 			return WorkloadResult{}, perr
 		}
 		cfg.Solver = plan.solver
-		cfg.PathOf = f.pathFunc(plan, workload.DstPort)
+		cfg.PathOf = f.newPathResolver(plan, workload.DstPort).resolve
 		cfg.FluidCutoff = fluidCutoff
 		cfg.RateInterval = w.RateInterval
 		if w.MidFailure {

@@ -58,15 +58,17 @@ func fluidRunAllocs(t *testing.T, flows int) (allocs, bytes uint64) {
 // size never reach the group's heap, the run doubles exactly as the heap did,
 // and the completions a launch can observe are one slice at either size.
 // The bytes fell by 32 when packet size, pacing and port left Config for
-// constants: the Engine holds its Config by value.
+// constants: the Engine holds its Config by value. The solver's index of
+// path groups lost its string keys and their scratch buffer for 64-bit keys
+// chained through the groups: two objects and 96 B fewer.
 func TestFluidFlowAllocs(t *testing.T) {
 	if invariant.Enabled || budget.Race {
 		t.Skip("budget measured without -tags invariants and without -race")
 	}
 	small, smallBytes := fluidRunAllocs(t, 2_000)
 	large, largeBytes := fluidRunAllocs(t, 20_000)
-	if small != 60 || smallBytes != 231_578 || large != 72 || largeBytes != 2_210_842 {
-		t.Errorf("a fluid run allocates %d objects and %d B for 2 000 flows and %d and %d B for 20 000, want 60 and 231 578, 72 and 2 210 842",
+	if small != 58 || smallBytes != 231_482 || large != 70 || largeBytes != 2_210_746 {
+		t.Errorf("a fluid run allocates %d objects and %d B for 2 000 flows and %d and %d B for 20 000, want 58 and 231 482, 70 and 2 210 746",
 			small, smallBytes, large, largeBytes)
 	}
 }
