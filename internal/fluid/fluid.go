@@ -85,12 +85,15 @@ type group struct {
 	rate    float64 // per-flow bps from the last Reallocate
 	service float64 // cumulative per-flow bytes served
 
-	// The member queue (see push): run[head:] is a FIFO of the members that
-	// arrived in memberLess order, heap a min-heap of the rest. The queue's
-	// minimum is the smaller of run[head] and heap[0].
-	run  []member
-	head int
-	heap []member
+	// The member queue (see push): the run is a FIFO of the members that
+	// arrived in memberLess order, heap a min-heap of the rest. The run is a
+	// chain of the Solver's blocks (see blockPool) from first, whose members
+	// start at head, to last, whose end at tail; 0 for both when it is
+	// empty. The queue's minimum is the smaller of the run's head member and
+	// heap[0].
+	first, last int32
+	head, tail  int
+	heap        []member
 
 	frozen bool // progressive-filling scratch
 }
@@ -113,6 +116,7 @@ type Solver struct {
 	cfg    Config
 	links  []*link
 	groups []*group
+	blocks blockPool // the member blocks of every group's run
 	// head maps a pathHash to the first group of the chain indexed under it
 	// (group.next links the rest). A group is indexed under its own kind and
 	// path from its creation until Repath retires that key, and each key
@@ -285,8 +289,8 @@ func (s *Solver) Advance(now time.Duration) []Completion {
 		if dt > 0 {
 			g.service = prev + g.rate/8*dt
 		}
-		for !g.empty() && g.min().threshold <= g.service {
-			m := g.pop()
+		for !g.empty() && g.min(&s.blocks).threshold <= g.service {
+			m := g.pop(&s.blocks)
 			over := (m.threshold - prev) * 8 / g.rate // seconds into the epoch
 			if over < 0 {
 				over = 0
@@ -432,7 +436,7 @@ func (s *Solver) resolvePending(now time.Duration) []Completion {
 			continue
 		}
 		s.seq++
-		g.push(member{threshold: threshold, admitted: p.at, id: p.id, seq: s.seq})
+		g.push(member{threshold: threshold, admitted: p.at, id: p.id, seq: s.seq}, &s.blocks)
 	}
 	s.pending = s.pending[:0]
 	s.resolved = out
@@ -468,7 +472,7 @@ func (s *Solver) Repath(resolve func(id uint32) (path []LinkID, latency time.Dur
 		if g.phantom || g.empty() {
 			continue
 		}
-		newPath, lat, ok := resolve(g.min().id)
+		newPath, lat, ok := resolve(g.min(&s.blocks).id)
 		if !ok || samePath(g.path, newPath) {
 			continue
 		}
@@ -521,17 +525,12 @@ func memberLess(a, b member) bool {
 // joins the run, which therefore stays sorted and costs a store to push and
 // an index to pop; any other goes on the heap. The thresholds decide: flows
 // of one size admitted to a group at one rate arrive in completion order and
-// never see the heap, a mix of sizes mostly does. Both slices double when
+// never see the heap, a mix of sizes mostly does. The heap doubles when
 // full — append's rule for large slices grows by a quarter, and a group that
 // fills over many epochs then allocates about five times what it ends up
-// holding — except that a run whose consumed head has passed half its
-// capacity is moved down instead.
-func (g *group) push(m member) {
-	if g.head == len(g.run) {
-		g.run, g.head = g.run[:0], 0
-	}
-	n := len(g.run)
-	if n > 0 && memberLess(m, g.run[n-1]) {
+// holding. The run grows a block at a time from p and copies no member.
+func (g *group) push(m member, p *blockPool) {
+	if g.last != 0 && memberLess(m, p.block(g.last)[g.tail-1]) {
 		if len(g.heap) == cap(g.heap) {
 			g.heap = slices.Grow(g.heap, len(g.heap)+1)
 		}
@@ -539,41 +538,91 @@ func (g *group) push(m member) {
 		siftUp(g.heap, len(g.heap)-1)
 		return
 	}
-	if n == cap(g.run) {
-		if g.head > n/2 {
-			g.run, g.head = g.run[:copy(g.run, g.run[g.head:])], 0
-		} else {
-			g.run = slices.Grow(g.run, n+1)
-		}
+	switch {
+	case g.last == 0:
+		g.first = p.get()
+		g.last, g.head, g.tail = g.first, 0, 0
+	case g.tail == memberBlockLen:
+		b := p.get()
+		p.next[g.last-1], g.last, g.tail = b, b, 0
 	}
-	g.run = append(g.run, m)
+	p.block(g.last)[g.tail] = m
+	g.tail++
 }
 
-func (g *group) empty() bool { return g.head == len(g.run) && len(g.heap) == 0 }
+func (g *group) empty() bool { return g.first == 0 && len(g.heap) == 0 }
 
 // fromRun reports whether the queue's minimum is the run's head rather than
 // the heap's root. The queue must not be empty.
-func (g *group) fromRun() bool {
-	return len(g.heap) == 0 || (g.head < len(g.run) && memberLess(g.run[g.head], g.heap[0]))
+func (g *group) fromRun(p *blockPool) bool {
+	return len(g.heap) == 0 || (g.first != 0 && memberLess(p.block(g.first)[g.head], g.heap[0]))
 }
 
 // min returns the queue's minimum, which must exist.
-func (g *group) min() *member {
-	if g.fromRun() {
-		return &g.run[g.head]
+func (g *group) min(p *blockPool) *member {
+	if g.fromRun(p) {
+		return &p.block(g.first)[g.head]
 	}
 	return &g.heap[0]
 }
 
-// pop removes and returns the queue's minimum, which must exist.
-func (g *group) pop() member {
-	if g.fromRun() {
-		g.head++
-		return g.run[g.head-1]
+// pop removes and returns the queue's minimum, which must exist. A block
+// the pop empties goes back to p: the run's first once its last member has
+// left, and the run's only one when the run drains.
+func (g *group) pop(p *blockPool) member {
+	if !g.fromRun(p) {
+		m := g.heap[0]
+		popMin(&g.heap)
+		return m
 	}
-	m := g.heap[0]
-	popMin(&g.heap)
+	m := p.block(g.first)[g.head]
+	g.head++
+	switch {
+	case g.first == g.last && g.head == g.tail:
+		p.put(g.first)
+		g.first, g.last, g.head, g.tail = 0, 0, 0, 0
+	case g.head == memberBlockLen:
+		b := g.first
+		g.first, g.head = p.next[b-1], 0
+		p.put(b)
+	}
 	return m
+}
+
+// memberBlockLen is the number of members a block holds: 12 KiB with no
+// pointer in it, an exact size class the collector never scans.
+const memberBlockLen = 512
+
+type memberBlock [memberBlockLen]member
+
+// blockPool owns a Solver's member blocks and the chains through them.
+// Block b, numbered from 1 (0 is none), is blocks[b-1], and next[b-1] is
+// the block after it in its chain — the run it belongs to, or the free
+// list from free — or 0 at the chain's end. A block is made only when the
+// free list is empty, and lives as long as the Solver.
+type blockPool struct {
+	blocks []*memberBlock
+	next   []int32
+	free   int32
+}
+
+func (p *blockPool) block(b int32) *memberBlock { return p.blocks[b-1] }
+
+// get takes a block off the free list, or makes one.
+func (p *blockPool) get() int32 {
+	b := p.free
+	if b == 0 {
+		p.blocks = append(p.blocks, new(memberBlock))
+		p.next = append(p.next, 0)
+		return int32(len(p.blocks))
+	}
+	p.free, p.next[b-1] = p.next[b-1], 0
+	return b
+}
+
+// put returns a block whose members have all been popped.
+func (p *blockPool) put(b int32) {
+	p.next[b-1], p.free = p.free, b
 }
 
 func siftUp(h []member, i int) {

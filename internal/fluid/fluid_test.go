@@ -2,6 +2,7 @@ package fluid
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -341,93 +342,159 @@ func (h *plainHeap) Pop() any {
 	return m
 }
 
-// TestMemberQueueMatchesHeap drives a group's queue and the plain heap with
-// the same 10⁵ members — random thresholds from a small set so that ties are
-// common, ascending stretches (which the run keeps), descending ones (which
-// it cannot), pops interleaved with the pushes, a drain to empty in the
-// middle so that the run restarts and compacts — and compares every popped
-// member, and every minimum Repath would pick its representative from.
+// queueCheck is one group's member queue driven beside the plain heap it
+// must match.
+type queueCheck struct {
+	g                    group
+	oracle               plainHeap
+	top                  float64        // the largest threshold pushed so far
+	held                 map[int32]bool // every block the group's run has held
+	viaRun, grew, pushed int            // members filed on the run, blocks chained behind another
+}
+
+// TestMemberQueueMatchesHeap drives two groups' queues, which share one
+// block pool as the groups of one Solver do, and a plain heap beside each
+// with the same 10⁵ members — random thresholds from a small set so that ties
+// are common, ascending stretches (which the run keeps), descending ones
+// (which it cannot), pops interleaved with the pushes, a drain of both to
+// empty in the middle so that the runs restart — and compares every popped
+// member, and every minimum Repath would pick its representative from. The
+// runs cross block boundaries, and blocks one group's pops free are taken by
+// the other's pushes. After every stretch each block is on exactly one
+// chain: one group's run, or the free list.
 func TestMemberQueueMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	var g group
-	var oracle plainHeap
-	seq, pushed, popped, viaRun := uint32(0), 0, 0, 0
-	top := 0.0 // the largest threshold pushed so far
-	push := func(threshold float64) {
+	var pool blockPool
+	qs := [2]*queueCheck{{held: map[int32]bool{}}, {held: map[int32]bool{}}}
+	seq, pushed, popped := uint32(0), 0, 0
+	push := func(q *queueCheck, threshold float64) {
 		seq++
 		m := member{threshold: threshold, admitted: time.Duration(seq), id: seq ^ 0x5a5a, seq: seq}
-		inHeap := len(g.heap)
-		g.push(m)
-		if len(g.heap) == inHeap {
-			viaRun++
+		inHeap, last := len(q.g.heap), q.g.last
+		q.g.push(m, &pool)
+		if len(q.g.heap) == inHeap {
+			q.viaRun++
 		}
-		top = max(top, threshold)
-		heap.Push(&oracle, m)
+		if q.g.last != last {
+			q.held[q.g.last] = true
+			if last != 0 {
+				q.grew++
+			}
+		}
+		q.top = max(q.top, threshold)
+		heap.Push(&q.oracle, m)
+		q.pushed++
 		pushed++
 	}
-	pop := func() {
-		if g.empty() != (len(oracle) == 0) {
-			t.Fatalf("after %d pushes and %d pops the queue says empty=%v, the heap holds %d", pushed, popped, g.empty(), len(oracle))
+	pop := func(q *queueCheck) {
+		if q.g.empty() != (len(q.oracle) == 0) {
+			t.Fatalf("after %d pushes and %d pops the queue says empty=%v, the heap holds %d", pushed, popped, q.g.empty(), len(q.oracle))
 		}
-		if g.empty() {
+		if q.g.empty() {
 			return
 		}
-		want := heap.Pop(&oracle).(member)
-		if rep := *g.min(); rep != want {
+		want := heap.Pop(&q.oracle).(member)
+		if rep := *q.g.min(&pool); rep != want {
 			t.Fatalf("pop %d: the queue's minimum is %+v, the heap's %+v", popped, rep, want)
 		}
-		if got := g.pop(); got != want {
+		if got := q.g.pop(&pool); got != want {
 			t.Fatalf("pop %d: the queue yields %+v, the heap %+v", popped, got, want)
 		}
 		popped++
 	}
+	// chains checks that the runs and the free list partition the pool.
+	chains := func(when string) {
+		owner := make(map[int32]string)
+		walk := func(name string, b, last int32) {
+			for steps := 0; b != 0; steps++ {
+				if other, ok := owner[b]; ok || steps > len(pool.blocks) {
+					t.Fatalf("%s: block %d is on %s's chain and on %s's", when, b, other, name)
+				}
+				owner[b] = name
+				if b == last {
+					break
+				}
+				b = pool.next[b-1]
+			}
+		}
+		walk("group 0", qs[0].g.first, qs[0].g.last)
+		walk("group 1", qs[1].g.first, qs[1].g.last)
+		walk("the free list", pool.free, -1)
+		if len(owner) != len(pool.blocks) {
+			t.Fatalf("%s: %d of %d blocks are on a chain", when, len(owner), len(pool.blocks))
+		}
+	}
 	base := 0.0
 	for pushed < 100_000 {
+		q := qs[rng.Intn(2)]
 		n := 1 + rng.Intn(400)
 		if rng.Intn(2) == 0 {
-			base = top // the next stretch starts where the run can take it
+			base = q.top // the next stretch starts where the run can take it
 		}
 		switch shape := rng.Intn(4); shape {
 		case 0: // random, with ties
 			for i := 0; i < n; i++ {
-				push(base + float64(rng.Intn(50)))
+				push(q, base+float64(rng.Intn(50)))
 			}
 		case 1: // ascending, equal neighbours included
 			for i := 0; i < n; i++ {
 				base += float64(rng.Intn(3))
-				push(base)
+				push(q, base)
 			}
 		case 2: // descending
 			for i := 0; i < n; i++ {
-				push(base + float64(n-i))
+				push(q, base+float64(n-i))
 			}
-		case 3: // pushes and pops interleaved
+		case 3: // pushes and pops interleaved, on both queues
 			for i := 0; i < n; i++ {
-				push(base + float64(rng.Intn(2000)))
+				push(q, base+float64(rng.Intn(2000)))
 				if rng.Intn(3) > 0 {
-					pop()
+					pop(qs[rng.Intn(2)])
 				}
 			}
 		}
 		for k := rng.Intn(n); k > 0; k-- {
-			pop()
+			pop(q)
 		}
 		if pushed > 50_000 && pushed < 50_400 {
-			for !g.empty() {
-				pop()
+			for _, q := range qs {
+				for !q.g.empty() {
+					pop(q)
+				}
+				pop(q) // both empty
 			}
-			pop() // both empty
+			if pool.free == 0 {
+				t.Fatal("two drained queues left no block on the free list")
+			}
 		}
+		chains(fmt.Sprintf("after %d pushes and %d pops", pushed, popped))
 	}
-	for len(oracle) > 0 {
-		pop()
+	for _, q := range qs {
+		for len(q.oracle) > 0 {
+			pop(q)
+		}
+		pop(q)
 	}
-	pop()
+	chains("drained")
 	if popped != pushed {
 		t.Fatalf("%d members pushed, %d popped", pushed, popped)
 	}
-	if viaRun < pushed/10 || viaRun > pushed*9/10 {
-		t.Errorf("%d of %d members went through the run: the script exercises one structure only", viaRun, pushed)
+	traded := 0
+	for b := range qs[0].held {
+		if qs[1].held[b] {
+			traded++
+		}
+	}
+	for i, q := range qs {
+		if q.viaRun < q.pushed/10 || q.viaRun > q.pushed*9/10 {
+			t.Errorf("group %d: %d of %d members went through the run: the script exercises one structure only", i, q.viaRun, q.pushed)
+		}
+		if q.grew < 10 {
+			t.Errorf("group %d: its run chained a block behind another %d times", i, q.grew)
+		}
+	}
+	if traded < 2 {
+		t.Errorf("%d blocks of %d were held by both groups' runs: the script trades none through the free list", traded, len(pool.blocks))
 	}
 }
 

@@ -72,7 +72,7 @@ func (s *oracleSolver) Repath(resolve func(id uint32) (path []LinkID, latency ti
 		if g.phantom || g.empty() {
 			continue
 		}
-		newPath, lat, ok := resolve(g.min().id)
+		newPath, lat, ok := resolve(g.min(&s.blocks).id)
 		if !ok || samePath(g.path, newPath) {
 			continue
 		}
@@ -154,7 +154,7 @@ func (p *indexPair) repath(resolve func(id uint32) ([]LinkID, time.Duration, boo
 		if g.phantom || g.empty() {
 			continue
 		}
-		if path, _, ok := resolve(g.min().id); ok && !samePath(path, g.path) {
+		if path, _, ok := resolve(g.min(&p.o.blocks).id); ok && !samePath(path, g.path) {
 			if other, ok := keyed(path); ok && other != int32(gi) {
 				p.onto++
 			}

@@ -175,22 +175,23 @@ func (r *pathResolver) resolve(fl *workload.Flow) ([]fluid.LinkID, time.Duration
 	if r.prefix == nil {
 		r.makeTables()
 	}
-	hash := r.prefix[fl.Src*r.servers+fl.Dst].Finish(fl.SrcPort, r.dstPort)
+	src, dst := int(fl.Src), int(fl.Dst)
+	hash := r.prefix[src*r.servers+dst].Finish(fl.SrcPort, r.dstPort)
 	if r.paths == nil {
-		return r.walk(fl.Src, fl.Dst, hash)
+		return r.walk(src, dst, hash)
 	}
-	e := r.entry(fl.Src, fl.Dst, hash)
+	e := r.entry(src, dst, hash)
 	if r.current(e) {
 		if invariant.Enabled {
-			path, latency, ok := r.walk(fl.Src, fl.Dst, hash)
+			path, latency, ok := r.walk(src, dst, hash)
 			invariant.Assertf(ok && slices.Equal(path, e.ids[:e.links]) && latency == e.latency,
 				"harness: memoised path %v (%v) for flow %d, the walk says %v (%v, reached %v)", e.ids[:e.links], e.latency, fl.ID, path, latency, ok)
 		}
 		return e.ids[:e.links:e.links], e.latency, true
 	}
-	path, latency, ok := r.walk(fl.Src, fl.Dst, hash)
+	path, latency, ok := r.walk(src, dst, hash)
 	if ok {
-		r.file(e, fl.Dst, path, latency)
+		r.file(e, dst, path, latency)
 	}
 	return path, latency, ok
 }

@@ -219,12 +219,12 @@ func TestPathMemoMatchesWalk(t *testing.T) {
 					fl := &flows[i]
 					key := flowhash.Key{Src: servers[fl.Src].IP, Dst: servers[fl.Dst].IP, Proto: ipv4.ProtoUDP, SrcPort: fl.SrcPort, DstPort: walkDstPort}
 					hash := key.Hash()
-					if r.paths != nil && r.current(r.entry(fl.Src, fl.Dst, hash)) {
+					if r.paths != nil && r.current(r.entry(int(fl.Src), int(fl.Dst), hash)) {
 						hits++
 					}
 					path, latency, ok := r.resolve(fl)
 					got := slices.Clone(path)
-					want, wantLatency, wantOK := r.walk(fl.Src, fl.Dst, hash)
+					want, wantLatency, wantOK := r.walk(int(fl.Src), int(fl.Dst), hash)
 					if ok != wantOK || !slices.Equal(got, want) || latency != wantLatency {
 						t.Fatalf("%s: %s→%s:%d resolves onto %v (%v, %v), a walk with its hash onto %v (%v, %v)",
 							state, servers[fl.Src].Name, servers[fl.Dst].Name, fl.SrcPort, got, latency, ok, want, wantLatency, wantOK)
@@ -271,7 +271,7 @@ func lastHopEdit(t *testing.T, f *Fabric, r *pathResolver, flows []workload.Flow
 	for i := range flows {
 		fl := &flows[i]
 		key := flowhash.Key{Src: servers[fl.Src].IP, Dst: servers[fl.Dst].IP, Proto: ipv4.ProtoUDP, SrcPort: fl.SrcPort, DstPort: walkDstPort}
-		e := r.entry(fl.Src, fl.Dst, key.Hash())
+		e := r.entry(int(fl.Src), int(fl.Dst), key.Hash())
 		if !r.current(e) || e.hops < 2 {
 			continue
 		}

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/budget"
 	"repro/internal/fluid"
@@ -50,25 +52,57 @@ func fluidRunAllocs(t *testing.T, flows int) (allocs, bytes uint64) {
 
 // TestFluidFlowAllocs pins the flat flow table: a fluid flow is a slot in the
 // schedule and a member of its path group's queue, never a heap object of its
-// own. Ten times the flows cost the same objects plus 13 doubling steps of the
-// slices that hold them (the group's run, the solver's pending and completion
-// lists). Both figures are the measured ones with no slack; with one Flow
-// object per flow and a string per Admit they were 4 097 and 40 181. The run
-// and Report's sized completion list left both where they were: flows of one
-// size never reach the group's heap, the run doubles exactly as the heap did,
-// and the completions a launch can observe are one slice at either size.
-// The bytes fell by 32 when packet size, pacing and port left Config for
-// constants: the Engine holds its Config by value. The solver's index of
-// path groups lost its string keys and their scratch buffer for 64-bit keys
-// chained through the groups: two objects and 96 B fewer.
+// own. Ten times the flows cost ten more objects: the solver's pending and
+// completion lists double, and the group's run grows a block at a time from
+// the solver's free list, to which each block its pops empty returns. Both
+// figures are the measured ones with no slack. With one Flow object per flow
+// and a string per Admit they were 4 097 and 40 181; with an 80-byte slot
+// holding a pointer and a run that doubled, 58 / 231 482 and 70 / 2 210 746.
+// At 20 000 flows a fluid flow costs about 71 bytes: its 48-byte slot, its
+// 24-byte member and its share of the lists.
 func TestFluidFlowAllocs(t *testing.T) {
 	if invariant.Enabled || budget.Race {
 		t.Skip("budget measured without -tags invariants and without -race")
 	}
 	small, smallBytes := fluidRunAllocs(t, 2_000)
 	large, largeBytes := fluidRunAllocs(t, 20_000)
-	if small != 58 || smallBytes != 231_482 || large != 70 || largeBytes != 2_210_746 {
-		t.Errorf("a fluid run allocates %d objects and %d B for 2 000 flows and %d and %d B for 20 000, want 58 and 231 482, 70 and 2 210 746",
+	if small != 55 || smallBytes != 160_384 || large != 65 || largeBytes != 1_411_845 {
+		t.Errorf("a fluid run allocates %d objects and %d B for 2 000 flows and %d and %d B for 20 000, want 55 and 160 384, 65 and 1 411 845",
 			small, smallBytes, large, largeBytes)
 	}
+}
+
+// TestFlowSlotLayout pins the slot a million-flow schedule is made of: at
+// most 48 bytes and no pointer, so that the schedule is one allocation the
+// collector never scans. Packet-path state lives in Engine.pkts, reached by
+// index.
+func TestFlowSlotLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Flow{}); size > 48 {
+		t.Errorf("a Flow slot is %d bytes, want at most 48", size)
+	}
+	typ := reflect.TypeOf(Flow{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); holdsPointer(f.Type) {
+			t.Errorf("Flow.%s is a %s, which holds a pointer", f.Name, f.Type)
+		}
+	}
+}
+
+// holdsPointer reports whether a value of type t holds a pointer the
+// collector must scan.
+func holdsPointer(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Chan,
+		reflect.Func, reflect.Interface, reflect.String:
+		return true
+	case reflect.Array:
+		return t.Len() > 0 && holdsPointer(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if holdsPointer(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -31,7 +31,7 @@ func newReceiveRig(t testing.TB) receiveRig {
 		switch f := &e.flows[i]; {
 		case f.fluid:
 			r.fluidID = f.ID
-		case f.pkt == nil:
+		case f.pkt == 0:
 			r.unlaunched = f.ID
 		case f.Packets > 1 && !f.Done && !f.Abandoned:
 			r.live = f.ID
@@ -73,21 +73,22 @@ func TestOnDatagramIgnoresStrays(t *testing.T) {
 		{"empty payload", nil},
 		{"wrong magic", dataPacket(Magic+1, r.live, 0)},
 	}
-	finished, received, dups := e.finished, live.pkt.received, live.pkt.dups
+	ps := e.pktOf(live)
+	finished, received, dups := e.finished, ps.received, ps.dups
 	for _, tc := range cases {
 		e.onDatagram(udp.Datagram{Payload: tc.payload})
-		if e.finished != finished || live.pkt.received != received || live.pkt.dups != dups {
+		if e.finished != finished || ps.received != received || ps.dups != dups {
 			t.Fatalf("%s: finished %d→%d, received %d→%d, dups %d→%d", tc.name,
-				finished, e.finished, received, live.pkt.received, dups, live.pkt.dups)
+				finished, e.finished, received, ps.received, dups, ps.dups)
 		}
 	}
-	if f := &e.flows[r.unlaunched-1]; f.pkt != nil || f.Done {
+	if f := &e.flows[r.unlaunched-1]; f.pkt != 0 || f.Done {
 		t.Errorf("a stray datagram touched the unlaunched flow: %+v", *f)
 	}
 	// The rig can tell: the same packet, well formed, is a delivery.
 	e.onDatagram(udp.Datagram{Payload: dataPacket(Magic, r.live, 0)})
-	if live.pkt.received != received+1 {
-		t.Errorf("a well-formed packet for a live flow was not delivered: received %d→%d", received, live.pkt.received)
+	if ps.received != received+1 {
+		t.Errorf("a well-formed packet for a live flow was not delivered: received %d→%d", received, ps.received)
 	}
 }
 
@@ -115,7 +116,7 @@ func FuzzOnDatagram(f *testing.F) {
 			t.Fatalf("finished %d→%d on a %d-byte payload", before, e.finished, len(payload))
 		}
 		fl := &e.flows[binary.BigEndian.Uint32(payload[4:])-1]
-		if fl.fluid || fl.pkt == nil || !fl.Done || fl.pkt.received != fl.Packets {
+		if ps := e.pktOf(fl); fl.fluid || ps == nil || !fl.Done || ps.received != int(fl.Packets) {
 			t.Fatalf("payload %x finished flow %+v", payload, *fl)
 		}
 	})

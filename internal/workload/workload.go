@@ -15,11 +15,13 @@ package workload
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"time"
 
 	"repro/internal/fluid"
+	"repro/internal/invariant"
 	"repro/internal/ipstack"
 	"repro/internal/netaddr"
 	"repro/internal/simnet"
@@ -156,22 +158,26 @@ func DefaultConfig(seed int64) Config {
 // Flow is one generated transfer: one slot of the engine's schedule, which is
 // a slice of values — a flow's ID is its index plus one. Schedule fields are
 // fixed at generation; the rest fill in as the simulation runs.
+//
+// The slot holds no pointer and takes 48 bytes, so a million-flow schedule
+// is one allocation the collector never scans. A flow launches at exactly
+// base+Start (Start schedules packet launches there and fluid admissions
+// are backdated to it), so the launch instant is derived, not stored.
 type Flow struct {
 	ID       uint32
 	SrcPort  uint16
 	launched bool
-	fluid    bool // routed through the fluid model (decided at generation)
-	Src, Dst int  // host indices
-	Bytes    int
-	Packets  int
-	Start    time.Duration // offset from Engine.Start
+	fluid    bool  // routed through the fluid model (decided at generation)
+	Src, Dst int32 // host indices
+	Bytes    int32
+	Packets  int32
+	Start    time.Duration // offset from Engine.Start, the launch instant
 
-	launchedAt time.Duration
-	// pkt is made by launch, and only on the packet path — a million fluid
-	// flows carry no packet-runtime state.
-	pkt *packetState
-
-	FCT       time.Duration // valid when Done
+	FCT time.Duration // valid when Done
+	// pkt is the flow's packet-path state as a 1-based index into
+	// Engine.pkts, set by launch; 0 means none — a million fluid flows carry
+	// no packet-runtime state.
+	pkt       int32
 	Done      bool
 	Abandoned bool
 }
@@ -199,7 +205,8 @@ type Engine struct {
 	sim   *simnet.Sim
 	hosts []Host
 	cfg   Config
-	flows []Flow // the schedule in generation order; never grows after New
+	flows []Flow // the schedule in generation (and Start) order; never grows after New
+	pkts  []*packetState
 
 	base    time.Duration // virtual time of Start
 	started bool
@@ -234,8 +241,14 @@ func New(sim *simnet.Sim, hosts []Host, cfg Config) (*Engine, error) {
 	if len(hosts) < 2 {
 		return nil, fmt.Errorf("workload: need at least 2 hosts, got %d", len(hosts))
 	}
+	if len(hosts) > math.MaxInt32 {
+		return nil, fmt.Errorf("workload: %d hosts do not fit a flow slot's int32 index", len(hosts))
+	}
 	if cfg.Flows < 1 {
 		return nil, fmt.Errorf("workload: need at least 1 flow, got %d", cfg.Flows)
+	}
+	if cfg.Flows > math.MaxInt32 {
+		return nil, fmt.Errorf("workload: %d flows do not fit a flow slot's int32 packet-state index", cfg.Flows)
 	}
 	if cfg.Sizes == nil {
 		return nil, fmt.Errorf("workload: no flow size distribution (Sizes is nil)")
@@ -272,15 +285,19 @@ func New(sim *simnet.Sim, hosts []Host, cfg Config) (*Engine, error) {
 		if bytes < 1 {
 			bytes = 1
 		}
+		// A size that fits int32 has a packet count that does too.
+		if bytes > math.MaxInt32 {
+			return nil, fmt.Errorf("workload: %s drew %d bytes for flow %d, more than a flow slot's int32 holds", cfg.Sizes.Name(), bytes, i+1)
+		}
 		pkts := (bytes + PacketSize - 1) / PacketSize
 		f := &e.flows[i]
 		*f = Flow{
 			ID:      uint32(i + 1),
-			Src:     src,
-			Dst:     dst,
+			Src:     int32(src),
+			Dst:     int32(dst),
 			SrcPort: uint16(20000 + i%40000),
-			Bytes:   bytes,
-			Packets: pkts,
+			Bytes:   int32(bytes),
+			Packets: int32(pkts),
 			Start:   at,
 		}
 		f.fluid = e.routeFluid(f)
@@ -344,7 +361,7 @@ func (e *Engine) routeFluid(f *Flow) bool {
 	case ModeFluid:
 		return true
 	}
-	if f.Bytes < e.cfg.FluidCutoff {
+	if int(f.Bytes) < e.cfg.FluidCutoff {
 		return false
 	}
 	if e.cfg.DemoteUntil > e.cfg.DemoteFrom {
@@ -437,7 +454,6 @@ func (e *Engine) applyCompletions(cs []fluid.Completion) {
 // blackhole window — is abandoned, the analytic analogue of the packet
 // sender exhausting MaxRounds into a void.
 func (e *Engine) admitFluid(f *Flow, at time.Duration) {
-	f.launchedAt = at
 	f.launched = true
 	path, lat, ok := e.cfg.PathOf(f)
 	if !ok {
@@ -462,9 +478,12 @@ func (e *Engine) Repath() {
 }
 
 func (e *Engine) launch(f *Flow) {
-	f.launchedAt = e.sim.Now()
+	if invariant.Enabled {
+		invariant.Assertf(e.sim.Now() == e.base+f.Start, "workload: flow %d launched at %v, its slot says %v", f.ID, e.sim.Now(), e.base+f.Start)
+	}
 	f.launched = true
-	f.pkt = &packetState{gotMask: make([]uint64, (f.Packets+63)/64)}
+	e.pkts = append(e.pkts, &packetState{gotMask: make([]uint64, (f.Packets+63)/64)})
+	f.pkt = int32(len(e.pkts))
 	if e.cfg.Mode == ModeHybrid {
 		// The flow's real packets ride the residual serializer; its fair
 		// share must still squeeze the fluid allocation, so the solver
@@ -483,9 +502,10 @@ func (e *Engine) tick(f *Flow) {
 	if f.Done || f.Abandoned {
 		return
 	}
-	ps := f.pkt
-	if ps.queued(f.Packets) == 0 {
-		ps.refillRepair(f.Packets)
+	ps := e.pktOf(f)
+	packets := int(f.Packets)
+	if ps.queued(packets) == 0 {
+		ps.refillRepair(packets)
 		if len(ps.repair) == 0 {
 			return // completion races the check; the receive path recorded it
 		}
@@ -507,7 +527,7 @@ func (e *Engine) tick(f *Flow) {
 	}
 	e.sendData(f, seq)
 	wait := PacketInterval
-	if ps.queued(f.Packets) == 0 {
+	if ps.queued(packets) == 0 {
 		wait = e.cfg.RTO
 	}
 	if ps.timer != nil {
@@ -515,6 +535,15 @@ func (e *Engine) tick(f *Flow) {
 	} else {
 		ps.timer = e.sim.After(wait, func() { e.tick(f) })
 	}
+}
+
+// pktOf returns a flow's packet-path state, nil before launch and for fluid
+// flows.
+func (e *Engine) pktOf(f *Flow) *packetState {
+	if f.pkt == 0 {
+		return nil
+	}
+	return e.pkts[f.pkt-1]
 }
 
 // queued is the number of sequences of a packets-long flow waiting for
@@ -561,7 +590,7 @@ func (e *Engine) onDatagram(dg udp.Datagram) {
 		return
 	}
 	f := &e.flows[id-1]
-	ps := f.pkt
+	ps := e.pktOf(f)
 	if ps == nil || seq >= uint32(f.Packets) {
 		return
 	}
@@ -571,9 +600,9 @@ func (e *Engine) onDatagram(dg udp.Datagram) {
 	}
 	ps.mark(seq)
 	ps.received++
-	if ps.received == f.Packets && !f.Done {
+	if ps.received == int(f.Packets) && !f.Done {
 		f.Done = true
-		f.FCT = e.sim.Now() - f.launchedAt
+		f.FCT = e.sim.Now() - (e.base + f.Start)
 		if !f.Abandoned { // a straggler can complete a flow the sender gave up on
 			e.finished++
 		}
@@ -656,7 +685,7 @@ func (e *Engine) Report(buckets []Bucket) Report {
 	// their final size.
 	for i := range e.flows {
 		f := &e.flows[i]
-		br := &r.Buckets[bucketOf(buckets, f.Bytes)]
+		br := &r.Buckets[bucketOf(buckets, int(f.Bytes))]
 		br.Flows++
 		switch {
 		case f.Done:
@@ -665,8 +694,8 @@ func (e *Engine) Report(buckets []Bucket) Report {
 		case f.Abandoned:
 			r.Abandoned++
 		}
-		if f.pkt != nil {
-			r.Duplicates += uint64(f.pkt.dups)
+		if ps := e.pktOf(f); ps != nil {
+			r.Duplicates += uint64(ps.dups)
 		}
 		if f.fluid {
 			r.FluidFlows++
@@ -681,7 +710,7 @@ func (e *Engine) Report(buckets []Bucket) Report {
 	}
 	for i := range e.flows {
 		if f := &e.flows[i]; f.Done {
-			br := &r.Buckets[bucketOf(buckets, f.Bytes)]
+			br := &r.Buckets[bucketOf(buckets, int(f.Bytes))]
 			br.FCTms = append(br.FCTms, float64(f.FCT)/float64(time.Millisecond))
 		}
 	}
@@ -704,43 +733,47 @@ func bucketOf(buckets []Bucket, bytes int) int {
 // (their launch still counts; nothing ever releases it), which makes the
 // figure an honest concurrency high-water mark even on overloaded runs.
 //
-// The sweep only ever asks whether a completion lies at or before a launch,
-// so a completion after the last launch cannot change the peak and is left
-// out of the sort: a million fluid flows launched over two seconds and
-// drained over hundreds sort the few completions of those two seconds.
+// Every flow launches at base+Start and the schedule is in Start order, so
+// the launches are the schedule walked in place; instants are taken as
+// offsets from base. The sweep only ever asks whether a completion lies at
+// or before a launch, so a completion after the last launch cannot change
+// the peak and is left out of the sort: a million fluid flows launched over
+// two seconds and drained over hundreds sort the few completions of those
+// two seconds.
 func (e *Engine) peakConcurrent() int {
-	starts := make([]time.Duration, 0, len(e.flows))
-	for i := range e.flows {
-		if f := &e.flows[i]; f.launched {
-			starts = append(starts, f.launchedAt)
-		}
+	k := len(e.flows)
+	for k > 0 && !e.flows[k-1].launched {
+		k--
 	}
-	if len(starts) == 0 {
+	if k == 0 {
 		return 0
 	}
-	// Launches are in time order as generated: packet flows launch at
-	// base+Start and fluid admissions are backdated to it.
-	if !slices.IsSorted(starts) {
-		slices.Sort(starts)
-	}
-	last := starts[len(starts)-1]
+	launches := e.flows[:k] // every launched flow, the last one last
+	last := launches[k-1].Start
 	// Counted first, so that ends is made at its final size.
 	n := 0
-	for i := range e.flows {
-		if _, ok := e.flows[i].endedBy(last); ok {
+	for i := range launches {
+		if _, ok := launches[i].endedBy(last); ok {
 			n++
 		}
 	}
 	ends := make([]time.Duration, 0, n)
-	for i := range e.flows {
-		if end, ok := e.flows[i].endedBy(last); ok {
+	for i := range launches {
+		if end, ok := launches[i].endedBy(last); ok {
 			ends = append(ends, end)
 		}
 	}
 	slices.Sort(ends)
 	cur, peak, j := 0, 0, 0
-	for _, s := range starts {
-		for j < len(ends) && ends[j] <= s {
+	for i := range launches {
+		f := &launches[i]
+		if !f.launched {
+			continue
+		}
+		if invariant.Enabled {
+			invariant.Assert(i == 0 || launches[i-1].Start <= f.Start, "workload: schedule not in Start order")
+		}
+		for j < len(ends) && ends[j] <= f.Start {
 			cur--
 			j++
 		}
@@ -752,9 +785,9 @@ func (e *Engine) peakConcurrent() int {
 	return peak
 }
 
-// endedBy returns the flow's completion instant and whether it has one at
-// or before t.
+// endedBy returns the flow's completion instant, as an offset from the
+// engine's base, and whether it has one at or before t.
 func (f *Flow) endedBy(t time.Duration) (time.Duration, bool) {
-	end := f.launchedAt + f.FCT
+	end := f.Start + f.FCT
 	return end, f.launched && f.Done && end <= t
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -127,14 +128,14 @@ func hybridConfig(flows int, resolves func(*Flow) bool) Config {
 // schedule — two seeds draw different arrivals and pairings, one seed the
 // same schedule twice.
 func TestDefaultConfigSeedsTheSchedule(t *testing.T) {
-	schedule := func(seed int64) (starts []time.Duration, pairs [][2]int) {
+	schedule := func(seed int64) (starts []time.Duration, pairs [][2]int32) {
 		e, err := New(nil, newRig(t, 1).hosts, DefaultConfig(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range e.flows {
 			starts = append(starts, f.Start)
-			pairs = append(pairs, [2]int{f.Src, f.Dst})
+			pairs = append(pairs, [2]int32{f.Src, f.Dst})
 		}
 		return starts, pairs
 	}
@@ -150,9 +151,14 @@ func TestDefaultConfigSeedsTheSchedule(t *testing.T) {
 }
 
 // TestNewRefusals: every configuration New refuses is refused with an error
-// naming its own fault.
+// naming its own fault. A flow slot holds its hosts, size and packet count
+// as int32 and its packet state as an int32 index, so counts and sizes past
+// that are refused rather than wrapped. The host-count refusal has no row:
+// it would take a slice of 2³¹ hosts.
 func TestNewRefusals(t *testing.T) {
 	two := make([]Host, 2)
+	real := newRig(t, 1).hosts
+	past := int64(math.MaxInt32) + 1
 	with := func(edit func(*Config)) Config {
 		cfg := DefaultConfig(1)
 		edit(&cfg)
@@ -174,11 +180,27 @@ func TestNewRefusals(t *testing.T) {
 		{"hybrid without Solver", two, with(func(c *Config) { c.Mode, c.PathOf = ModeHybrid, path }), "hybrid mode needs a Solver"},
 		{"fluid without PathOf", two, with(func(c *Config) { c.Mode, c.Solver = ModeFluid, &fluid.Solver{} }), "fluid mode needs a PathOf"},
 		{"hybrid without PathOf", two, with(func(c *Config) { c.Mode, c.Solver = ModeHybrid, &fluid.Solver{} }), "hybrid mode needs a PathOf"},
+		{"flows past int32", two, with(func(c *Config) { c.Flows = int(past) }), "2147483648 flows do not fit"},
+		{"size past int32", real, with(func(c *Config) { c.Sizes = FixedSize(past) }), "fixed-2147483648B drew 2147483648 bytes for flow 1"},
 	} {
 		e, err := New(nil, c.hosts, c.cfg)
 		if e != nil || err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: New = %v, %v; want a refusal containing %q", c.name, e, err, c.want)
 		}
+	}
+}
+
+// TestNewTakesTheLargestSlot: the largest size a slot holds is accepted whole.
+func TestNewTakesTheLargestSlot(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.Flows = 1
+	cfg.Sizes = FixedSize(math.MaxInt32)
+	e, err := New(nil, newRig(t, 1).hosts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := e.flows[0]; f.Bytes != math.MaxInt32 || f.Packets != 2_147_484 {
+		t.Errorf("a %d-byte flow holds %d bytes in %d packets", math.MaxInt32, f.Bytes, f.Packets)
 	}
 }
 
@@ -363,7 +385,7 @@ func TestReportFCTsInGenerationOrder(t *testing.T) {
 	want := make([][]float64, len(buckets))
 	for i := range e.flows {
 		if f := &e.flows[i]; f.Done {
-			b := bucketOf(buckets, f.Bytes)
+			b := bucketOf(buckets, int(f.Bytes))
 			want[b] = append(want[b], float64(f.FCT)/float64(time.Millisecond))
 		}
 	}
@@ -595,9 +617,9 @@ func peakConcurrentFullSort(e *Engine) int {
 		if !f.launched {
 			continue
 		}
-		starts = append(starts, f.launchedAt)
+		starts = append(starts, e.base+f.Start)
 		if f.Done {
-			ends = append(ends, f.launchedAt+f.FCT)
+			ends = append(ends, e.base+f.Start+f.FCT)
 		}
 	}
 	slices.Sort(starts)
@@ -616,10 +638,11 @@ func peakConcurrentFullSort(e *Engine) int {
 
 // TestPeakConcurrentMatchesFullSort holds the sweep to the full sort it
 // replaced: on seeded flow tables built to sit on its edges — completions at
-// the very instant of a launch and of the last launch, launches out of order,
-// flows unlaunched, unfinished, all finished before the last launch, none
-// finished — and on packet, fluid and hybrid runs read before, inside and
-// after an outage that leaves flows incomplete and then abandoned.
+// the very instant of a launch and of the last launch, launches at one
+// instant, flows unlaunched, unfinished, all finished before the last launch,
+// none finished — and on packet, fluid and hybrid runs read before, inside
+// and after an outage that leaves flows incomplete and then abandoned. A
+// schedule is in Start order, as New generates it.
 func TestPeakConcurrentMatchesFullSort(t *testing.T) {
 	check := func(what string, e *Engine) {
 		t.Helper()
@@ -630,16 +653,21 @@ func TestPeakConcurrentMatchesFullSort(t *testing.T) {
 	check("no flows", &Engine{})
 	rng := rand.New(rand.NewSource(24))
 	for table := 0; table < 400; table++ {
-		e := &Engine{flows: make([]Flow, rng.Intn(60))}
+		e := &Engine{flows: make([]Flow, rng.Intn(60)), base: time.Duration(rng.Intn(1000))}
 		grain := time.Duration(1 + rng.Intn(5)) // coarse instants: ties everywhere
 		spread, long := 1+rng.Intn(40), rng.Intn(3) == 0
+		starts := make([]time.Duration, len(e.flows))
+		for i := range starts {
+			starts[i] = time.Duration(rng.Intn(spread)) * grain
+			if table%2 == 0 {
+				starts[i] = time.Duration(i*spread/len(e.flows)) * grain
+			}
+		}
+		slices.Sort(starts)
 		for i := range e.flows {
 			f := &e.flows[i]
 			f.launched = rng.Intn(8) > 0
-			f.launchedAt = time.Duration(rng.Intn(spread)) * grain
-			if table%2 == 0 {
-				f.launchedAt = time.Duration(i*spread/len(e.flows)) * grain // in order, as an engine launches
-			}
+			f.Start = starts[i]
 			f.Done = f.launched && rng.Intn(5) > 0
 			f.FCT = time.Duration(rng.Intn(spread/2+1)) * grain
 			if long {
