@@ -310,11 +310,10 @@ func (f *Fabric) walk(from, to *topology.Device, toIP netaddr.IPv4, hash uint32,
 // of the live next hops for BGP, the down entry's port or the eligible
 // uplinks in port order for MR-MTP — so that a flow's hop is
 // cands[hash % len(cands)], the arithmetic both planes do. stamp is the
-// hopStamp cands was filled at, 0 on an entry never filled: the plane's
-// version and the simulator's port flips only grow, so their sum stands still
-// exactly while neither has moved. The flips are in it because both planes
-// read Port.Up directly, and a failed port's owner hears of it (and bumps its
-// own version) only LocalDetectDelay later.
+// hopStamp cands was filled at, 0 on an entry never filled (the clock starts
+// at 1). Both planes read their own ports' Port.Up directly, and a failed
+// port's owner hears of it only LocalDetectDelay later: the clock moves at
+// the flip itself.
 type hopEntry struct {
 	stamp uint64
 	cands []uint16
@@ -325,7 +324,7 @@ type hopEntry struct {
 // protocol's own next-hop selection offers toward the leaf whose root VID is
 // dstRoot and whose rack holds dstIP (the VID drives MR-MTP, the address the
 // BGP FIB). The candidates are memoised per (device, leaf) and recomputed
-// when the device's forwarding state or any port's carrier has changed since;
+// when the device's forwarding state or its ports' carrier has changed since;
 // under -tags invariants every hit is recomputed and compared.
 func (f *Fabric) nextHopPort(dev *topology.Device, dstRoot byte, dstIP netaddr.IPv4, hash uint32) (int, bool) {
 	b := &f.bound[dev.Ordinal]
@@ -349,16 +348,10 @@ func (f *Fabric) nextHopPort(dev *topology.Device, dstRoot byte, dstIP netaddr.I
 	return int(e.cands[hash%uint32(len(e.cands))]), true
 }
 
-// hopStamp is what a hopEntry filled now is stamped with: one more than the
-// sum of the device's forwarding-state version — everything its plane's
-// next-hop selection reads except the ports' carrier state — and the
-// simulator's count of carrier changes.
-func (f *Fabric) hopStamp(b *binding) uint64 {
-	if b.router != nil {
-		return 1 + b.router.Version() + f.Sim.PortFlips()
-	}
-	return 1 + b.stack.FIB.Version() + f.Sim.PortFlips()
-}
+// hopStamp is what a hopEntry filled now is stamped with: the device's
+// forwarding-state clock, which everything its plane's next-hop selection
+// reads moves, its own ports' carrier included.
+func (f *Fabric) hopStamp(b *binding) uint64 { return b.node.ForwardingStamp() }
 
 // hopCandidates appends the egress ports the device's plane hashes a packet
 // toward (dstRoot, dstIP) across, in the order the hash indexes them; nothing

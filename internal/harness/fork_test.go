@@ -258,12 +258,12 @@ func TestForkAllocs(t *testing.T) {
 		proto         Protocol
 		allocs, bytes uint64
 	}{
-		{"2pod", topology.TwoPodSpec(), ProtoMRMTP, 822, 105840},
-		{"2pod", topology.TwoPodSpec(), ProtoBGP, 1468, 134184},
-		{"2pod", topology.TwoPodSpec(), ProtoBGPBFD, 1823, 153136},
-		{"4pod", topology.FourPodSpec(), ProtoMRMTP, 1565, 197936},
-		{"4pod", topology.FourPodSpec(), ProtoBGP, 3203, 276136},
-		{"4pod", topology.FourPodSpec(), ProtoBGPBFD, 3878, 312336},
+		{"2pod", topology.TwoPodSpec(), ProtoMRMTP, 822, 106096},
+		{"2pod", topology.TwoPodSpec(), ProtoBGP, 1468, 134440},
+		{"2pod", topology.TwoPodSpec(), ProtoBGPBFD, 1823, 153392},
+		{"4pod", topology.FourPodSpec(), ProtoMRMTP, 1565, 198384},
+		{"4pod", topology.FourPodSpec(), ProtoBGP, 3203, 276584},
+		{"4pod", topology.FourPodSpec(), ProtoBGPBFD, 3878, 312784},
 	} {
 		snap, err := bringUp(DefaultOptions(tc.spec, tc.proto, 1))
 		if err != nil {

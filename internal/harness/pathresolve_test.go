@@ -15,14 +15,12 @@ import (
 	"repro/internal/workload"
 )
 
-// resolveRig is a warm 4-PoD fabric, a path resolver over it, a thousand
-// random flows and a port whose flapping moves nothing but the simulator's
-// flip count: a server's, which no forwarding decision reads.
+// resolveRig is a warm 4-PoD fabric, a path resolver over it and a thousand
+// random flows.
 type resolveRig struct {
 	f        *Fabric
 	resolver *pathResolver
 	flows    []workload.Flow
-	spare    *simnet.Port
 }
 
 func newResolveRig(tb testing.TB, proto Protocol) *resolveRig {
@@ -34,19 +32,19 @@ func newResolveRig(tb testing.TB, proto Protocol) *resolveRig {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	servers := f.Topo.Servers
-	resolver := f.newPathResolver(plan, 49000)
 	return &resolveRig{
-		f: f, resolver: resolver,
-		flows: seededFlows(24, 1000, 1, len(servers)), // server 0 keeps out of it: its port is the one that flaps
-		spare: f.Sim.Node(servers[0].Name).Port(1),
+		f: f, resolver: f.newPathResolver(plan, 49000),
+		flows: seededFlows(24, 1000, 1, len(f.Topo.Servers)),
 	}
 }
 
-// flip invalidates every memoised hop the way a fault does.
+// flip invalidates every memoised hop: it moves every router's
+// forwarding-state clock, as a fault does to the routers it reaches, and
+// changes no table.
 func (r *resolveRig) flip() {
-	r.spare.Fail()
-	r.spare.Restore()
+	for _, dev := range r.f.Topo.Routers() {
+		r.f.bound[dev.Ordinal].node.ForwardingChanged()
+	}
 }
 
 func (r *resolveRig) resolveAll(tb testing.TB) {
@@ -137,11 +135,87 @@ func TestPathResolveAllocs(t *testing.T) {
 	}
 }
 
+// TestFlipRefillsOnlyItsNode fails one port of a pod spine on a warm 4-PoD
+// fabric whose memos a thousand flows have filled, and looks at the instant
+// after, before any protocol has heard of it. Only the spine's own decisions
+// read that port's carrier, so only its clock moves: every other router's hop
+// entries are still current, and so is every whole-path entry that no spine
+// decision made. The spine's entries refill, to what its tables say now, none
+// through the dead port.
+func TestFlipRefillsOnlyItsNode(t *testing.T) {
+	for _, proto := range []Protocol{ProtoMRMTP, ProtoBGPBFD} {
+		r := newResolveRig(t, proto)
+		r.resolveAll(t)
+		f, res := r.f, r.resolver
+		spine := f.Topo.Spines[0]
+		crosses := func(e *memoPath) bool { return slices.Contains(e.devs[:e.hops], int32(spine.Ordinal)) }
+		var before []*memoPath
+		for i := range res.paths {
+			if e := &res.paths[i]; res.current(e) {
+				before = append(before, e)
+			}
+		}
+		port := f.bound[spine.Ordinal].node.Port(1)
+		port.Fail()
+
+		// Paths that avoid the spine and are current or stale; paths that
+		// cross it and are stale or current.
+		var kept, lost, through, held int
+		for _, e := range before {
+			switch current := res.current(e); {
+			case !crosses(e) && current:
+				kept++
+			case !crosses(e):
+				lost++
+			case current:
+				held++
+			default:
+				through++
+			}
+		}
+		if lost > 0 || held > 0 {
+			t.Errorf("%s: failing %s made %d of %d memoised paths that avoid %s stale, and left %d of %d that cross it current",
+				proto, port.Name(), lost, kept+lost, spine.Name, held, through+held)
+		}
+		if kept+lost == 0 || through+held == 0 {
+			t.Errorf("%s: %d memoised paths avoid %s and %d cross it, want some of each", proto, kept+lost, spine.Name, through+held)
+		}
+		others, stale := 0, 0
+		for _, dev := range f.Topo.Routers() {
+			b, row := &f.bound[dev.Ordinal], f.hops[dev.Ordinal]
+			for _, leaf := range f.Topo.Leaves {
+				root, ip := byte(leaf.VID), leaf.ServerSubnet.Host(1)
+				if row == nil || row[root].stamp == 0 {
+					continue
+				}
+				e := &row[root]
+				if dev != spine {
+					others++
+					if e.stamp != f.hopStamp(b) {
+						stale++
+					}
+					continue
+				}
+				if e.stamp == f.hopStamp(b) {
+					t.Errorf("%s: %s's hop toward %s is still current after %s failed", proto, dev.Name, leaf.Name, port.Name())
+				}
+				f.nextHopPort(dev, root, ip, 0)
+				if live := b.hopCandidates(root, ip, nil); e.stamp != f.hopStamp(b) || !slices.Equal(e.cands, live) || slices.Contains(e.cands, uint16(port.Index)) {
+					t.Errorf("%s: %s's hop toward %s refilled to %v, its tables say %v and %s is down", proto, dev.Name, leaf.Name, e.cands, live, port.Name())
+				}
+			}
+		}
+		if stale > 0 {
+			t.Errorf("%s: failing %s made %d of the other routers' %d memoised hops stale", proto, port.Name(), stale, others)
+		}
+	}
+}
+
 // BenchmarkPathResolve times one flow's resolution onto solver links: on a
-// memo that stays warm, with a port flip (every entry stale) every thousand
-// flows — far more often than any run flips one — and with a flip before
-// every flow, where the memo never hits and is pure overhead. The flip is
-// part of the timed loop; the events it schedules are drained outside it.
+// memo that stays warm, with a flip (every entry stale) every thousand flows
+// — far more often than any run flips a port — and with a flip before every
+// flow, where the memo never hits and is pure overhead. The flip is part of
+// the timed loop.
 func BenchmarkPathResolve(b *testing.B) {
 	for _, proto := range []Protocol{ProtoMRMTP, ProtoBGPBFD} {
 		for _, v := range []struct {
@@ -152,17 +226,11 @@ func BenchmarkPathResolve(b *testing.B) {
 				r := newResolveRig(b, proto)
 				r.resolveAll(b)
 				var sink []fluid.LinkID
-				flips := 0
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if v.every > 0 && i%v.every == 0 {
 						r.flip()
-						if flips++; flips%1000 == 0 {
-							b.StopTimer()
-							r.f.Sim.RunFor(2 * time.Millisecond)
-							b.StartTimer()
-						}
 					}
 					sink, _, _ = r.resolver.resolve(&r.flows[i%len(r.flows)])
 				}

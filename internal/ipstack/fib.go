@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/flowhash"
 	"repro/internal/netaddr"
+	"repro/internal/simnet"
 )
 
 // Route protocol tags, mirroring `ip route` output (Listing 3).
@@ -60,16 +61,19 @@ type FIB struct {
 	next []int32
 	lens uint64    // bit b set: some route has a /b prefix
 	live []NextHop // Lookup's scratch: reused so per-packet lookups do not allocate
-	// version counts Replace and Remove, the only mutators: with the ports'
-	// carrier state it is everything Lookup reads (see Version).
-	version uint64
+	// node is the stack's node: Replace and Remove, the only mutators, move
+	// its forwarding-state clock. With the carrier of its interfaces, which
+	// the same clock records, that is everything Lookup reads. A zero-value
+	// FIB has none and records nothing.
+	node *simnet.Node
 }
 
-// Version changes whenever the table does. Lookup is a function of the
-// table and of which interfaces are Usable — carrier state, which
-// simnet.Sim.PortFlips versions — so a caller may keep a Lookup result for
-// as long as both counts stand still.
-func (f *FIB) Version() uint64 { return f.version }
+// changed records a table edit on the node's forwarding-state clock.
+func (f *FIB) changed() {
+	if f.node != nil {
+		f.node.ForwardingChanged()
+	}
+}
 
 // canonical is the form every prefix takes inside the FIB: Bits clamped to
 // 0..32 and the address masked down to it, so that a route is always
@@ -123,7 +127,7 @@ func (f *FIB) index(i int) {
 // argument the same way, so every spelling of a prefix names one route.
 func (f *FIB) Replace(r Route) {
 	r.Prefix = canonical(r.Prefix)
-	f.version++
+	f.changed()
 	if i := f.find(r.Prefix, r.Proto); i >= 0 {
 		f.routes[i] = r
 		return
@@ -140,7 +144,7 @@ func (f *FIB) Remove(prefix netaddr.Prefix, proto string) bool {
 	if i < 0 {
 		return false
 	}
-	f.version++
+	f.changed()
 	f.routes = append(f.routes[:i], f.routes[i+1:]...)
 	clear(f.head)
 	f.next = f.next[:0]
@@ -253,14 +257,13 @@ func (f *FIB) Render() string {
 }
 
 // fork copies the table for a forked stack, each next hop's interface
-// replaced by its copy.
+// replaced by its copy. The copy has no node: the stack gives it its own.
 func (f *FIB) fork(iface func(*Iface) *Iface) FIB {
 	c := FIB{
-		routes:  make([]Route, len(f.routes), cap(f.routes)),
-		head:    maps.Clone(f.head),
-		next:    slices.Clone(f.next),
-		lens:    f.lens,
-		version: f.version,
+		routes: make([]Route, len(f.routes), cap(f.routes)),
+		head:   maps.Clone(f.head),
+		next:   slices.Clone(f.next),
+		lens:   f.lens,
 	}
 	for i, r := range f.routes {
 		nhs := make([]NextHop, len(r.NextHops))

@@ -24,7 +24,7 @@ func TestNextHopMemoCheckDetectsCorruption(t *testing.T) {
 	}})
 	for _, ifc := range ifcs[:2] {
 		r.arpTable[ifc.Subnet.Host(2)] = arpEntry{mac: netaddr.MAC{2, 0xee, 0, 0, 0, byte(ifc.Port.Index)}, ifc: ifc}
-		r.arpGen++
+		r.Node.ForwardingChanged()
 	}
 	send := func() { r.SendUDP(ifcs[0].IP, dst, 1000, 7, nil) }
 	send()

@@ -64,9 +64,6 @@ type Stack struct {
 
 	arpTable   map[netaddr.IPv4]arpEntry
 	arpPending map[netaddr.IPv4][][]byte // queued frames (see routeOut) awaiting resolution
-	// arpGen counts arpTable writes: with FIB.Version and Sim.PortFlips it
-	// versions everything a memo entry records (see memoStamp).
-	arpGen uint64
 
 	// memo holds the forwarding decision for recently routed destinations,
 	// direct-mapped by address (memoSlot). A fork starts with it cold.
@@ -102,9 +99,8 @@ const memoSlots = 8
 
 // memoEntry is a stack's forwarding decision toward one destination, filled
 // from IsLocal, FIB.Lookup and the neighbour rule transmit applies, and
-// trusted while memoStamp stands still. stamp is 0 on a slot never filled;
-// the counts the stamp sums only grow, so the sum is unchanged exactly while
-// none of them has moved.
+// trusted while memoStamp stands still. stamp is 0 on a slot never filled:
+// the clock starts at 1.
 type memoEntry struct {
 	stamp uint64
 	// hops are the live next hops of dst's route in installation order,
@@ -137,6 +133,7 @@ type arpEntry struct {
 func New(node *simnet.Node) *Stack {
 	s := &Stack{
 		Node:        node,
+		FIB:         FIB{node: node},
 		ifaces:      make(map[int]*Iface),
 		localIPs:    make(map[netaddr.IPv4]*Iface),
 		arpTable:    make(map[netaddr.IPv4]arpEntry),
@@ -267,7 +264,7 @@ func (s *Stack) handleARP(p *simnet.Port, f ethernet.Frame) {
 	}
 	// Learn the sender either way (gratuitous and request learning).
 	s.arpTable[pkt.SenderIP] = arpEntry{mac: pkt.SenderMAC, ifc: ifc}
-	s.arpGen++
+	s.Node.ForwardingChanged()
 	s.flushARPPending(pkt.SenderIP)
 	if pkt.Op != arp.OpRequest {
 		return
@@ -434,10 +431,10 @@ func (s *Stack) routeOut(h ipv4.Header, frame []byte) {
 // addresses a fabric routes toward differ in their middle bytes.
 func memoSlot(dst netaddr.IPv4) uint32 { return dst.Uint32() * 0x9e3779b1 >> 29 }
 
-// memoStamp is what an entry filled now is stamped with: one more than the
-// sum of the counts of everything a decision reads — FIB changes (AddIface
-// included, through its connected route), carrier changes and ARP writes.
-func (s *Stack) memoStamp() uint64 { return 1 + s.FIB.Version() + s.Node.Sim.PortFlips() + s.arpGen }
+// memoStamp is what an entry filled now is stamped with: the node's
+// forwarding-state clock, which FIB edits (AddIface included, through its
+// connected route), carrier changes and ARP writes move.
+func (s *Stack) memoStamp() uint64 { return s.Node.ForwardingStamp() }
 
 // cached returns the memo entry of dst if its slot holds dst at the current
 // stamp, else nil. Under -tags invariants an entry returned is filled again
@@ -631,6 +628,7 @@ func (s *Stack) Fork(fk *simnet.Forker) *Stack {
 		ns.arpTable[ip] = arpEntry{mac: e.mac, ifc: iface(e.ifc)}
 	}
 	ns.FIB = s.FIB.fork(iface)
+	ns.FIB.node = node
 	ns.TCP = s.TCP.Fork(fk, node.Rand, ns.sendTCPSegment)
 	node.Handler = ns
 	fk.Check(func() error {

@@ -30,7 +30,6 @@ func (r *Router) Fork(fk *simnet.Forker, log *metrics.Log) *Router {
 		adjs:       make([]*adjacency, len(r.adjs), cap(r.adjs)),
 		advWire:    slices.Clone(r.advWire),
 		downstream: r.downstream,
-		fwdVersion: r.fwdVersion,
 		lostSent:   r.lostSent,
 		arpCache:   make(map[netaddr.IPv4]arpEntry),
 		arpPending: make(map[netaddr.IPv4][][]byte),

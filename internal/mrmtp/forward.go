@@ -185,9 +185,12 @@ func (r *Router) nextDataAdj(dstRoot byte, key flowhash.Key) *adjacency {
 // VID table knows the root, otherwise the uplinks open to it in port order;
 // none where the packet dies. reachable reads the same list, so a root with
 // none (a ToR's own aside) is one this device announces LOST. It reads the
-// VID table, downstream, every adjacency's state, neighborTier and
-// unreachable marks — whose writers bump fwdVersion — and the ports' carrier
-// state. The result is the router's scratch, valid until the next call.
+// VID table and downstream (addEntry, dropVia), every adjacency's state
+// (adjacencyUp, neighborDown), unreachable marks (processStaged,
+// neighborDown) and neighborTier (learnTier) — each of those writers calls
+// Node.ForwardingChanged — and its own ports' carrier, which Port.Fail and
+// Port.Restore record on the same clock. The result is the router's scratch,
+// valid until the next call.
 func (r *Router) dataCandidates(dstRoot byte) []*adjacency {
 	eligible := r.eligScratch[:0]
 	// Downward: a VID entry's acquisition port points at the root.

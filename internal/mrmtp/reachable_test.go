@@ -59,14 +59,14 @@ func (c *column) runFor(t testing.TB, d time.Duration) {
 
 // runHeld runs sim for d in 10 µs steps. It holds the routers' reachability
 // to reachableOracle before the first step and after every step that moved
-// what reachable reads: a router's forwarding state (Version) or a port's
-// carrier (PortFlips).
+// what reachable reads: a router's forwarding-state clock, which its tables
+// and its own ports' carrier move.
 func runHeld(t testing.TB, sim *simnet.Sim, d time.Duration, routers ...*Router) {
 	t.Helper()
 	stamp := func() uint64 {
-		n := sim.PortFlips()
+		var n uint64
 		for _, r := range routers {
-			n += r.Version()
+			n += r.Node.ForwardingStamp()
 		}
 		return n
 	}

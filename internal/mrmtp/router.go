@@ -202,12 +202,6 @@ type Router struct {
 	// downstream marks roots learned via lower-tier neighbors: they must
 	// never be chased through the default up-forwarding path.
 	downstream rootSet
-	// fwdVersion counts the changes to what dataCandidates reads: table and
-	// downstream (addEntry, dropVia), an adjacency's state (adjacencyUp,
-	// neighborDown), its unreachable marks (processStaged, neighborDown) and
-	// its neighborTier (learnTier). A writer of any of them bumps it; the
-	// ports' carrier state is versioned by simnet.Sim.PortFlips.
-	fwdVersion uint64
 	// lostSent marks roots we have propagated LOST for and not yet
 	// recovered.
 	lostSent rootSet
@@ -509,7 +503,7 @@ func (r *Router) HandleFrame(p *simnet.Port, raw []byte) {
 
 func (r *Router) adjacencyUp(adj *adjacency) {
 	adj.state = adjUp
-	r.fwdVersion++
+	r.Node.ForwardingChanged()
 	adj.consecutive = 0
 	r.armDead(adj)
 	r.sendAdvertise(adj)
@@ -525,7 +519,7 @@ func (r *Router) adjacencyUp(adj *adjacency) {
 func (r *Router) neighborDown(adj *adjacency) {
 	r.Stats.NeighborsLost++
 	adj.state = adjFailed
-	r.fwdVersion++ // the state, and the marks cleared below
+	r.Node.ForwardingChanged() // the state, and the marks cleared below
 	adj.consecutive = 0
 	if adj.deadTimer != nil {
 		adj.deadTimer.Stop()
@@ -588,7 +582,7 @@ func (r *Router) addEntry(v VID, port int, fromTier int) bool {
 	r.table[root] = append(r.table[root], vidEntry{vid: v.Clone(), port: port})
 	r.size++
 	r.advWire = nil
-	r.fwdVersion++
+	r.Node.ForwardingChanged()
 	if fromTier < r.Cfg.Tier {
 		r.downstream.add(root)
 	}
@@ -616,7 +610,7 @@ func (r *Router) dropVia(root byte, adj *adjacency) bool {
 	r.table[root] = kept
 	r.size -= len(rows) - len(kept)
 	r.advWire = nil
-	r.fwdVersion++
+	r.Node.ForwardingChanged()
 	return true
 }
 
@@ -709,7 +703,7 @@ func (r *Router) learnAdvertise(adj *adjacency, b []byte) bool {
 func (r *Router) learnTier(adj *adjacency, tier int) {
 	if adj.neighborTier != tier {
 		adj.neighborTier = tier
-		r.fwdVersion++
+		r.Node.ForwardingChanged()
 	}
 }
 
@@ -917,7 +911,7 @@ func (r *Router) processStaged() {
 	r.staged = nil
 
 	var affected rootSet
-	r.fwdVersion++ // the unreachable marks
+	r.Node.ForwardingChanged() // the unreachable marks
 	for _, u := range staged {
 		affected.add(u.root)
 		u.adj.reported.add(u.root)

@@ -68,9 +68,6 @@ func (r *Router) DataCandidates(dstRoot byte, ports []uint16) []uint16 {
 	return ports
 }
 
-// Version counts the changes to the state dataCandidates reads (fwdVersion).
-func (r *Router) Version() uint64 { return r.fwdVersion }
-
 // handleLocal consumes a fabric-delivered IP packet addressed to the ToR's
 // own gateway IP: echo requests are answered, unclaimed UDP earns
 // port-unreachable (the "probe reached its destination" signal), and other

@@ -107,7 +107,6 @@ func (s *Sim) Fork() *Forker {
 		curOwner:       -1,
 		DefaultLatency: s.DefaultLatency,
 		events:         s.events,
-		portFlips:      s.portFlips,
 	}
 	d.cal.cur = s.cal.cur
 	ports := 0
@@ -122,7 +121,7 @@ func (s *Sim) Fork() *Forker {
 		fk.failf("simnet: fork while dispatching an event of node %d", s.curOwner)
 	}
 	for _, n := range s.nodeOrder {
-		nn := &Node{Name: n.Name, Sim: d, Ports: make([]*Port, len(n.Ports)), id: n.id, rng: n.rng.fork()}
+		nn := &Node{Name: n.Name, Sim: d, Ports: make([]*Port, len(n.Ports)), id: n.id, rng: n.rng.fork(), fwdClock: n.fwdClock}
 		for _, p := range n.Ports[1:] {
 			nn.Ports[p.Index] = &Port{Node: nn, Index: p.Index, MAC: p.MAC, up: p.up, Counters: p.Counters}
 		}

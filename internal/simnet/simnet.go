@@ -82,11 +82,6 @@ type Sim struct {
 	DefaultLatency time.Duration
 
 	events uint64 // total events processed, for stats
-
-	// portFlips counts Port.Fail and Port.Restore: the instants Port.Up
-	// changes its answer, which is LocalDetectDelay before a handler hears of
-	// it (see PortFlips).
-	portFlips uint64
 }
 
 // New creates a simulator seeded for deterministic runs.
@@ -128,13 +123,6 @@ func (s *Sim) Rand() *rand.Rand { return s.rng.rand() }
 // never had such events, so its count is what it always was.
 func (s *Sim) Events() uint64 { return s.events }
 
-// PortFlips returns how many times any port's Up answer has changed. A
-// forwarding decision that reads Port.Up directly — every data-path decision
-// does, so that a dead local interface is avoided at once — is a function of
-// this count and the protocol's own tables; the handler hooks alone run
-// LocalDetectDelay too late to version it.
-func (s *Sim) PortFlips() uint64 { return s.portFlips }
-
 // Frames returns the simulation's frame-buffer pool. Protocol stacks draw
 // TX buffers from it and return provably-dead buffers; the ownership rules
 // are enforced at runtime under -tags invariants (DESIGN.md §13).
@@ -155,6 +143,9 @@ type Node struct {
 	id int32
 
 	rng *stream // lazily built per-node stream (see Rand)
+
+	// fwdClock is the node's forwarding-state clock (ForwardingStamp).
+	fwdClock uint64
 }
 
 // AddNode creates a node. Names must be unique.
@@ -163,7 +154,7 @@ func (s *Sim) AddNode(name string) *Node {
 		panic("simnet: duplicate node name " + name)
 	}
 	id := int32(len(s.nodeOrder))
-	n := &Node{Name: name, Sim: s, Ports: []*Port{nil}, id: id}
+	n := &Node{Name: name, Sim: s, Ports: []*Port{nil}, id: id, fwdClock: 1}
 	s.nodes[name] = n
 	s.nodeOrder = append(s.nodeOrder, n)
 	return n
@@ -179,6 +170,19 @@ func (n *Node) Rand() *rand.Rand {
 	}
 	return n.rng.rand()
 }
+
+// ForwardingChanged records a change to anything the node's forwarding
+// decisions read: its protocol's tables, its neighbour cache, and its own
+// ports' carrier, which Port.Fail and Port.Restore record at the instant
+// Port.Up changes its answer, LocalDetectDelay before a handler hears of it.
+// Every writer of such state calls it.
+func (n *Node) ForwardingChanged() { n.fwdClock++ }
+
+// ForwardingStamp is the node's forwarding-state clock: it starts at 1 and
+// moves exactly when ForwardingChanged is called, so a decision memoised at
+// one stamp holds while the stamp stands still, and 0 is free to mean "never
+// filled".
+func (n *Node) ForwardingStamp() uint64 { return n.fwdClock }
 
 // Node returns a node by name, or nil.
 func (s *Sim) Node(name string) *Node { return s.nodes[name] }
@@ -412,9 +416,8 @@ func (p *Port) Fail() {
 		return
 	}
 	p.up = false
-	sim := p.Node.Sim
-	sim.portFlips++
-	sim.Schedule(LocalDetectDelay, func() {
+	p.Node.ForwardingChanged()
+	p.Node.Sim.Schedule(LocalDetectDelay, func() {
 		if p.Node.Handler != nil && !p.up {
 			p.Node.Handler.PortDown(p)
 		}
@@ -427,9 +430,8 @@ func (p *Port) Restore() {
 		return
 	}
 	p.up = true
-	sim := p.Node.Sim
-	sim.portFlips++
-	sim.Schedule(LocalDetectDelay, func() {
+	p.Node.ForwardingChanged()
+	p.Node.Sim.Schedule(LocalDetectDelay, func() {
 		if p.Node.Handler != nil && p.up {
 			p.Node.Handler.PortUp(p)
 		}
