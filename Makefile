@@ -179,10 +179,12 @@ figures:
 # parser and stream splitter), the differential targets holding the checksum
 # kernel to the 16-bit reference loop, the split flow hash (a pair's prefix
 # finished with the ports) to the byte-at-a-time FNV-1a, the indexed FIB to
-# the linear scan and the event queue to the single heap it replaced, the workload receive
-# path (an open UDP port on every host), the text-log journal's parser
-# (whatever it accepts renders and parses back unchanged), the chaos spec
-# parser (whatever it accepts round-trips, and applies to a three-node line
+# the linear scan and the event queue to the single heap it replaced (twice:
+# plain, and under -tags invariants so that checkHeap validates the heaps
+# after every fuzzed pop), the workload receive path (an open UDP port on
+# every host), the text-log journal's parser (whatever it accepts renders
+# and parses back unchanged), the chaos spec parser (whatever it accepts
+# round-trips, and applies to a three-node line
 # under traffic without a panic) and the two stateful targets — arbitrary frame sequences into warm MR-MTP routers, and
 # arbitrary UPDATE, withdrawal and session down/up sequences into a BGP
 # speaker held to the map-of-maps Adj-RIB-In it replaced. Each gets a short
@@ -210,6 +212,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseJournal -fuzztime $(FUZZ_TIME) ./internal/harness
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime $(FUZZ_TIME) ./internal/chaos
 	$(GO) test -run '^$$' -fuzz FuzzQueueOrder -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./internal/simnet
+	$(GO) test -tags invariants -run '^$$' -fuzz FuzzQueueOrder -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./internal/simnet
 
 # loc prints the non-test Go line counts (testdata/ left out) of the four
 # source trees, of internal/ + cmd/ together and of each internal/ package:

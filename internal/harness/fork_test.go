@@ -258,12 +258,12 @@ func TestForkAllocs(t *testing.T) {
 		proto         Protocol
 		allocs, bytes uint64
 	}{
-		{"2pod", topology.TwoPodSpec(), ProtoMRMTP, 822, 106096},
-		{"2pod", topology.TwoPodSpec(), ProtoBGP, 1468, 134440},
-		{"2pod", topology.TwoPodSpec(), ProtoBGPBFD, 1823, 153392},
-		{"4pod", topology.FourPodSpec(), ProtoMRMTP, 1565, 198384},
-		{"4pod", topology.FourPodSpec(), ProtoBGP, 3203, 276584},
-		{"4pod", topology.FourPodSpec(), ProtoBGPBFD, 3878, 312784},
+		{"2pod", topology.TwoPodSpec(), ProtoMRMTP, 822, 102880},
+		{"2pod", topology.TwoPodSpec(), ProtoBGP, 1468, 131992},
+		{"2pod", topology.TwoPodSpec(), ProtoBGPBFD, 1823, 150944},
+		{"4pod", topology.FourPodSpec(), ProtoMRMTP, 1565, 191840},
+		{"4pod", topology.FourPodSpec(), ProtoBGP, 3203, 271320},
+		{"4pod", topology.FourPodSpec(), ProtoBGPBFD, 3878, 307520},
 	} {
 		snap, err := bringUp(DefaultOptions(tc.spec, tc.proto, 1))
 		if err != nil {

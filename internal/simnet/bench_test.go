@@ -99,3 +99,36 @@ func BenchmarkShapedLinkBacklog(b *testing.B) {
 		s.Step()
 	}
 }
+
+func BenchmarkLockstepBurst(b *testing.B) {
+	// A fabric's hellos in lockstep: n nodes, paired off by links, each with
+	// a timer that fires at the same instant every 50 ms and sends one
+	// frame. Every period turns one calendar bin of n timers into the near
+	// heap and puts n directions on the wire heap at once, so both are n
+	// deep. One iteration is one period: 2n dispatches, reported per event.
+	const n = 512
+	const hello = 50 * time.Millisecond
+	s := New(1)
+	ports := make([]*Port, n)
+	for i := 0; i < n; i += 2 {
+		x, y := s.AddNode(fmt.Sprintf("x%d", i)), s.AddNode(fmt.Sprintf("y%d", i))
+		x.Handler, y.Handler = &poolSink{sim: s}, &poolSink{sim: s}
+		ports[i], ports[i+1] = x.AddPort(), y.AddPort()
+		s.ConnectLatency(ports[i], ports[i+1], 100*time.Microsecond)
+	}
+	for _, p := range ports {
+		var tm *Timer
+		tm = s.After(hello, func() {
+			p.Send(s.Frames().Get(85))
+			tm.Reset(hello)
+		})
+	}
+	s.RunFor(hello)
+	start := s.Events()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.RunFor(hello)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.Events()-start), "ns/event")
+}

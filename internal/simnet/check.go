@@ -62,17 +62,17 @@ func (s *Sim) checkEntry(h *eventHeap, j int) {
 	ev := q[j].ev
 	if int(ev.idx) != j {
 		invariant.Assertf(false,
-			"simnet: heap entry %d back-pointer is %d (at=%v seq=%d)",
-			j, ev.idx, q[j].at, q[j].seq)
+			"simnet: heap entry %d back-pointer is %d (at=%v sub=%d)",
+			j, ev.idx, q[j].at, q[j].sub)
 	}
 	if ev.kind == evWire {
 		invariant.Assert(h == &s.wires, "simnet: a direction's wire record outside the wire heap")
 		if d := ev.dir; d.fly.n == 0 {
 			invariant.Assert(false, "simnet: idle direction's wire record left in the heap")
-		} else if head := d.fly.at(0); q[j].at != head.at || q[j].prio != d.prio || q[j].tie != head.tie {
+		} else if head := d.fly.at(0); q[j].at != head.at || q[j].prio != d.prio || q[j].sub != head.tie {
 			invariant.Assertf(false,
-				"simnet: heap entry %d (at=%v tie=%#x) is not its direction's next delivery (at=%v tie=%#x)",
-				j, q[j].at, q[j].tie, head.at, head.tie)
+				"simnet: heap entry %d (at=%v sub=%#x) is not its direction's next delivery (at=%v tie=%#x)",
+				j, q[j].at, q[j].sub, head.at, head.tie)
 		}
 	} else {
 		invariant.Assert(q[j].orderKey == ev.key, "simnet: heap entry's key is not its record's")
@@ -91,8 +91,8 @@ func (s *Sim) checkEntry(h *eventHeap, j int) {
 		parent := (j - 1) / 2
 		if entryLess(&q[j], &q[parent]) {
 			invariant.Assertf(false,
-				"simnet: heap order broken: entry %d (at=%v seq=%d) < parent %d (at=%v seq=%d)",
-				j, q[j].at, q[j].seq, parent, q[parent].at, q[parent].seq)
+				"simnet: heap order broken: entry %d (at=%v sub=%d) < parent %d (at=%v sub=%d)",
+				j, q[j].at, q[j].sub, parent, q[parent].at, q[parent].sub)
 		}
 	}
 }

@@ -45,7 +45,7 @@ func TestHeapCheckDetectsCorruption(t *testing.T) {
 	mustPanic(t, func() { s.checkHeap(&s.near, 3) })
 
 	s = build()
-	s.near[3].ev.key.seq++ // the entry's inline key is no longer the record's
+	s.near[3].ev.key.sub++ // the entry's inline key is no longer the record's
 	mustPanic(t, func() { s.checkHeap(&s.near, 3) })
 
 	s = build()

@@ -36,10 +36,11 @@ import (
 // Dispatch takes the smaller of the wire root and the near root. That is the
 // minimum of everything scheduled because every timer outside the near heap
 // has at>>binShift greater than the current bin, hence a larger at than any
-// timer in it, and it is why a bin need not be sorted: (at, prio, tie, seq)
-// is a strict total order, so whatever structure yields the minimum yields
-// the same sequence, and a bin is only ever emptied whole into a heap that
-// does sort.
+// timer in it, and it is why a bin need not be sorted: (at, prio, sub) is a
+// strict total order, so whatever structure yields the minimum yields the
+// same sequence, and a bin is only ever emptied whole into a heap that does
+// sort. The near heap is empty when that happens, so turn heapifies the bin
+// in O(n) instead of pushing its timers one by one.
 //
 // Around that:
 //
@@ -55,7 +56,9 @@ import (
 //
 // A heap stores the ordering key inline next to the event pointer, so the
 // sift comparisons stay within the contiguous slice instead of
-// dereferencing a pointer per compared element.
+// dereferencing a pointer per compared element; an entry is 32 bytes, two
+// to a cache line. A fabric's keep-alives fire in lockstep, so both heaps
+// run hundreds deep, and heapPop works bottom up to halve its comparisons.
 
 type eventKind uint8
 
@@ -102,11 +105,10 @@ type event struct {
 }
 
 // orderKey is an event's place in the dispatch order. Events are totally
-// ordered by (at, prio, tie, seq). The key is built from who an event
-// belongs to, not from when it happened to be scheduled, so same-instant
-// order is a property of the fabric rather than of the interleaving that led
-// up to it; every checked-in artifact and golden digest depends on this
-// exact order.
+// ordered by (at, prio, sub). The key is built from who an event belongs
+// to, not from when it happened to be scheduled, so same-instant order is a
+// property of the fabric rather than of the interleaving that led up to it;
+// every checked-in artifact and golden digest depends on this exact order.
 //
 //   - prio encodes the owning node and event class: 0 for control events
 //     (scheduled from outside any node's context — harness code, chaos
@@ -114,29 +116,33 @@ type event struct {
 //     (timers, egress-queue releases), (node+1)<<2|2 for frame deliveries to
 //     the node. At one instant, control runs first, then each node's locals
 //     before its frame arrivals, nodes in ID order.
-//   - tie breaks frame-vs-frame ties by the transmit key (source node,
-//     source port, per-direction transmit counter), so two frames reaching
-//     one node at the same instant order by sender, not by enqueue order.
-//   - seq (scheduling order) breaks what remains: same-node same-class
-//     events fire in the order they were scheduled. (prio, tie) is unique
-//     per frame, so frame entries carry seq 0; Port.Send still draws one so
-//     that every other event's seq is independent of how frames are kept.
+//   - sub breaks what remains, by class. A frame delivery's is its transmit
+//     key, tie (source node, source port, per-direction transmit counter),
+//     so two frames reaching one node at the same instant order by sender,
+//     not by enqueue order. Every other event's is seq (scheduling order):
+//     same-node same-class events fire in the order they were scheduled.
+//     Port.Send draws a seq too, so that every other event's seq is
+//     independent of how frames are kept.
+//
+// One field serves both because keys that agree on prio are of one class:
+// only a wire record carries the frame class, never a timer, a control
+// event or an egress-queue release (relKey). So this is the order
+// (at, prio, tie, seq) with frames at seq 0 and everything else at tie 0.
 type orderKey struct {
 	at   time.Duration
 	prio uint32
-	tie  uint64
-	seq  uint64
+	sub  uint64
 }
 
-// heapEntry is one slot of a scheduling heap: the key inline, so sift
-// comparisons stay within the slice, and the record it schedules.
+// heapEntry is one slot of a scheduling heap, 32 bytes: the key inline, so
+// sift comparisons stay within the slice, and the record it schedules.
 type heapEntry struct {
 	orderKey
 	ev *event
 }
 
-// eventHeap is an indexed binary min-heap ordered by (at, prio, tie, seq):
-// every entry's record holds the entry's position in idx.
+// eventHeap is an indexed binary min-heap ordered by (at, prio, sub): every
+// entry's record holds the entry's position in idx.
 type eventHeap []heapEntry
 
 // Event classes within prio (low two bits).
@@ -160,10 +166,7 @@ func (a *orderKey) less(b *orderKey) bool {
 	if a.prio != b.prio {
 		return a.prio < b.prio
 	}
-	if a.tie != b.tie {
-		return a.tie < b.tie
-	}
-	return a.seq < b.seq
+	return a.sub < b.sub
 }
 
 // alloc takes an event record off the freelist (or makes one).
@@ -214,7 +217,7 @@ func (s *Sim) schedule(at time.Duration, fn func()) *event {
 	ev := s.alloc()
 	ev.kind, ev.fn = evFunc, fn
 	s.seq++
-	ev.key = orderKey{at: at, prio: s.ctxPrio(), seq: s.seq}
+	ev.key = orderKey{at: at, prio: s.ctxPrio(), sub: s.seq}
 	s.arm(ev)
 	return ev
 }
@@ -246,7 +249,7 @@ func (h eventHeap) siftUp(i int, e *heapEntry) {
 	// time, which stalls the pipeline on every frame launched onto an idle
 	// wire (8 % of a fabric-scale profile).
 	slot := &h[i]
-	slot.at, slot.prio, slot.tie, slot.seq, slot.ev = e.at, e.prio, e.tie, e.seq, e.ev
+	slot.at, slot.prio, slot.sub, slot.ev = e.at, e.prio, e.sub, e.ev
 	e.ev.idx = int32(i)
 }
 
@@ -286,19 +289,41 @@ func (s *Sim) heapFix(h *eventHeap, i int) {
 	}
 }
 
-// heapPop removes the earliest entry.
+// heapify orders h, whose records already hold their positions, bottom up.
+func (h eventHeap) heapify() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.siftDown(i)
+	}
+}
+
+// heapPop removes the earliest entry, bottom up: the hole at the root
+// follows the smaller child down to a leaf, one comparison per level, and
+// the last entry settles into it from there. That entry came from the
+// bottom level, so it seldom climbs far; sinking it from the root would
+// cost two comparisons per level, all the way down.
 func (s *Sim) heapPop(h *eventHeap) {
 	q := *h
 	q[0].ev.idx = -1
-	last := len(q) - 1
-	q[0] = q[last]
-	q[last] = heapEntry{}
-	*h = q[:last]
-	if last > 0 {
-		h.siftDown(0)
-	}
-	if invariant.Enabled {
-		s.checkHeap(h, 0)
+	n := len(q) - 1
+	e := q[n]
+	q[n] = heapEntry{}
+	q = q[:n]
+	*h = q
+	if n > 0 {
+		i := 0
+		for c := 1; c < n; c = 2*i + 1 {
+			if c+1 < n && entryLess(&q[c+1], &q[c]) {
+				c++
+			}
+			q[i] = q[c]
+			q[i].ev.idx = int32(i)
+			i = c
+		}
+		q.siftUp(i, &e)
+		if invariant.Enabled {
+			// The slots that moved are e's ancestors.
+			s.checkHeap(h, int(e.ev.idx))
+		}
 	}
 }
 
@@ -459,22 +484,28 @@ func (s *Sim) turn() {
 	ev := c.heads[slot]
 	c.heads[slot] = nil
 	c.occ[slot>>6] &^= 1 << (slot & 63)
+	near := s.near[:0]
 	for ev != nil {
 		next := ev.next
 		ev.next, ev.prev = nil, nil
-		ev.loc = locNear
+		ev.loc, ev.idx = locNear, int32(len(near))
 		c.wheelN--
-		s.heapPush(&s.near, heapEntry{ev.key, ev})
+		near = append(near, heapEntry{ev.key, ev})
 		ev = next
 	}
 	for len(c.over) > 0 && binOf(c.over[0].at) <= b {
 		e := c.over[0]
 		s.heapPop(&c.over)
-		e.ev.loc = locNear
-		s.heapPush(&s.near, e)
+		e.ev.loc, e.ev.idx = locNear, int32(len(near))
+		near = append(near, e)
 	}
+	near.heapify()
+	s.near = near
 	if invariant.Enabled {
 		s.checkWheel(slot)
+		for i := range near {
+			s.checkEntry(&s.near, i)
+		}
 	}
 }
 
@@ -524,7 +555,7 @@ func (s *Sim) passed(r *relKey) bool {
 	// largest such key.
 	for i := range s.frontier {
 		if m := &s.frontier[i]; m.born >= r.seq {
-			k := orderKey{at: r.at, prio: r.prio, seq: r.seq}
+			k := orderKey{at: r.at, prio: r.prio, sub: r.seq}
 			return k.less(&m.key)
 		}
 	}
@@ -596,7 +627,7 @@ func (t *Timer) Reset(d time.Duration) {
 		ev := t.ev
 		s.disarm(ev)
 		s.seq++
-		ev.key = orderKey{at: at, prio: s.ctxPrio(), seq: s.seq}
+		ev.key = orderKey{at: at, prio: s.ctxPrio(), sub: s.seq}
 		s.arm(ev)
 		return
 	}
@@ -690,7 +721,7 @@ func (s *Sim) RunUntil(t time.Duration) {
 		// Nothing at or before t is left, so every queue release up to t has
 		// happened too: the horizon is a mark above any key at t.
 		s.now = t
-		s.advance(&orderKey{at: t, prio: math.MaxUint32, tie: math.MaxUint64, seq: math.MaxUint64})
+		s.advance(&orderKey{at: t, prio: math.MaxUint32, sub: math.MaxUint64})
 	}
 }
 

@@ -75,7 +75,7 @@ func (st *stream) fork() *stream {
 // component that scheduled it. So the copy's queue starts empty, and each
 // component claims its pending timers (Timer), re-arming them on the copy
 // with callbacks bound to its own copy. A claimed timer keeps its original
-// (at, prio, tie, seq) key and the copy's seq counter is the source's, so
+// (at, prio, sub) key and the copy's seq counter is the source's, so
 // the copy dispatches exactly what the source would have. Finish fails when
 // a pending event of the source was claimed by no one — a bare Schedule
 // closure, say — or a node's handler or a link's capture tap has no copy.
@@ -170,7 +170,7 @@ func (s *Sim) forkDir(dst, src *dirState) {
 		buf[i] = fl
 	}
 	dst.fly = flightRing{ring: ring{n: n}, buf: buf}
-	s.heapPush(&s.wires, heapEntry{orderKey{at: buf[0].at, prio: dst.prio, tie: buf[0].tie}, &dst.ev})
+	s.heapPush(&s.wires, heapEntry{orderKey{at: buf[0].at, prio: dst.prio, sub: buf[0].tie}, &dst.ev})
 }
 
 // Sim returns the copy.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // The queue that event.go splits by horizon was one indexed binary heap of
@@ -12,16 +13,56 @@ import (
 // structures dispatch, in whatever order they were armed, stopped and
 // re-armed, must be the sequence of minima of this heap.
 
-type oracleRec struct{ idx int } // position in the heap, -1 when not scheduled
+// oracleKey is the dispatch order as it was first written, four fields
+// wide: every event carries the seq it drew when it was scheduled, and a
+// frame delivery its transmit key in tie as well. The Sim's orderKey folds
+// tie and seq into one field by class; the oracle keeps both and compares
+// all four, so the fuzzer checks the fold instead of sharing it.
+type oracleKey struct {
+	at   time.Duration
+	prio uint32
+	tie  uint64
+	seq  uint64
+}
+
+func (a *oracleKey) less(b *oracleKey) bool {
+	switch {
+	case a.at != b.at:
+		return a.at < b.at
+	case a.prio != b.prio:
+		return a.prio < b.prio
+	case a.tie != b.tie:
+		return a.tie < b.tie
+	}
+	return a.seq < b.seq
+}
+
+// TestHeapEntryLayout pins the size of a scheduling heap's slot: a 24-byte
+// key and the record pointer, two slots to a cache line. A fabric's
+// keep-alives keep the near and wire heaps hundreds deep, and every sift
+// step reads a slot.
+func TestHeapEntryLayout(t *testing.T) {
+	if size := unsafe.Sizeof(orderKey{}); size != 24 {
+		t.Errorf("an orderKey is %d bytes, want 24", size)
+	}
+	if size := unsafe.Sizeof(heapEntry{}); size != 32 {
+		t.Errorf("a heapEntry is %d bytes, want 32", size)
+	}
+}
+
+type oracleRec struct {
+	idx   int  // position in the heap, -1 when not scheduled
+	frame bool // a frame delivery, not a timer
+}
 
 type oracleEntry struct {
-	orderKey
+	oracleKey
 	rec *oracleRec
 }
 
 type oracleQueue []oracleEntry
 
-func (q *oracleQueue) push(k orderKey, rec *oracleRec) {
+func (q *oracleQueue) push(k oracleKey, rec *oracleRec) {
 	rec.idx = len(*q)
 	*q = append(*q, oracleEntry{k, rec})
 	q.siftUp(rec.idx)
@@ -31,7 +72,7 @@ func (q oracleQueue) siftUp(i int) {
 	e := q[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.less(&q[parent].orderKey) {
+		if !e.less(&q[parent].oracleKey) {
 			break
 		}
 		q[i] = q[parent]
@@ -51,10 +92,10 @@ func (q oracleQueue) siftDown(i int) {
 			break
 		}
 		c := l
-		if r := l + 1; r < n && q[r].less(&q[l].orderKey) {
+		if r := l + 1; r < n && q[r].less(&q[l].oracleKey) {
 			c = r
 		}
-		if !q[c].less(&e.orderKey) {
+		if !q[c].less(&e.oracleKey) {
 			break
 		}
 		q[i] = q[c]
@@ -66,9 +107,9 @@ func (q oracleQueue) siftDown(i int) {
 }
 
 // rekey re-times the entry at index i in place, as Timer.Reset did.
-func (q oracleQueue) rekey(i int, k orderKey) {
+func (q oracleQueue) rekey(i int, k oracleKey) {
 	rec := q[i].rec
-	q[i].orderKey = k
+	q[i].oracleKey = k
 	q.siftDown(i)
 	if rec.idx == i {
 		q.siftUp(i)
@@ -76,10 +117,10 @@ func (q oracleQueue) rekey(i int, k orderKey) {
 }
 
 // remove takes out the entry at index i; pop is remove(0).
-func (q *oracleQueue) remove(i int) orderKey {
+func (q *oracleQueue) remove(i int) (oracleKey, *oracleRec) {
 	old := *q
 	last := len(old) - 1
-	k, rec := old[i].orderKey, old[i].rec
+	k, rec := old[i].oracleKey, old[i].rec
 	if i != last {
 		moved := old[last].rec
 		old[i] = old[last]
@@ -93,7 +134,7 @@ func (q *oracleQueue) remove(i int) orderKey {
 		*q = old[:last]
 	}
 	rec.idx = -1
-	return k
+	return k, rec
 }
 
 // queueDiff drives a Sim and the oracle side by side. Every callback the Sim
@@ -134,15 +175,25 @@ func newQueueDiff(t testing.TB) *queueDiff {
 	return q
 }
 
-// dispatched holds the event being dispatched to the oracle's minimum.
-func (q *queueDiff) dispatched() {
+// dispatched holds the event being dispatched, the timer whose record is
+// rec or a frame when rec is nil, to the oracle's minimum: the same event,
+// under the key the oracle's four fields fold to.
+func (q *queueDiff) dispatched(rec *oracleRec) {
 	q.t.Helper()
 	got := q.s.frontier[len(q.s.frontier)-1].key
 	if len(q.ref) == 0 {
 		q.t.Fatalf("dispatched %+v; the oracle holds nothing", got)
 	}
-	if want := q.ref.remove(0); got != want {
+	want, wantRec := q.ref.remove(0)
+	sub := want.seq
+	if wantRec.frame {
+		sub = want.tie
+	}
+	if got != (orderKey{at: want.at, prio: want.prio, sub: sub}) {
 		q.t.Fatalf("dispatch %d is %+v; the oracle's minimum is %+v", q.pops, got, want)
+	}
+	if rec == nil && !wantRec.frame || rec != nil && rec != wantRec {
+		q.t.Fatalf("dispatch %d at %+v is not the oracle's minimum's event", q.pops, got)
 	}
 	q.pops++
 	if q.s.Events() != q.pops {
@@ -151,7 +202,7 @@ func (q *queueDiff) dispatched() {
 }
 
 func (dt *diffTimer) fire() {
-	dt.q.dispatched()
+	dt.q.dispatched(&dt.rec)
 	if len(dt.rearm) > 0 {
 		d := dt.rearm[0]
 		dt.rearm = dt.rearm[1:]
@@ -162,8 +213,14 @@ func (dt *diffTimer) fire() {
 func (q *queueDiff) at(at time.Duration, rearm []time.Duration) {
 	dt := &diffTimer{q: q, rec: oracleRec{idx: -1}, rearm: rearm}
 	dt.tm = q.s.At(at, dt.fire)
-	q.ref.push(dt.tm.ev.key, &dt.rec)
+	q.ref.push(q.timerKey(dt), &dt.rec)
 	q.timers = append(q.timers, dt)
+}
+
+// timerKey is the oracle's key of a timer just armed: its deadline and
+// owner, and the seq its arming drew.
+func (q *queueDiff) timerKey(dt *diffTimer) oracleKey {
+	return oracleKey{at: dt.tm.ev.key.at, prio: dt.tm.ev.key.prio, seq: q.s.seq}
 }
 
 func (q *queueDiff) reset(dt *diffTimer, d time.Duration) {
@@ -173,9 +230,9 @@ func (q *queueDiff) reset(dt *diffTimer, d time.Duration) {
 	}
 	dt.tm.Reset(d)
 	if dt.rec.idx >= 0 {
-		q.ref.rekey(dt.rec.idx, dt.tm.ev.key)
+		q.ref.rekey(dt.rec.idx, q.timerKey(dt))
 	} else {
-		q.ref.push(dt.tm.ev.key, &dt.rec)
+		q.ref.push(q.timerKey(dt), &dt.rec)
 	}
 }
 
@@ -196,7 +253,7 @@ func (q *queueDiff) send(p *Port, timer, delay byte) {
 	p.Send([]byte{timer, delay})
 	d := p.Link.dir(p)
 	fl := d.fly.at(d.fly.n - 1) // constant latency: the new frame is the ring's tail
-	q.ref.push(orderKey{at: fl.at, prio: d.prio, tie: fl.tie}, &oracleRec{})
+	q.ref.push(oracleKey{at: fl.at, prio: d.prio, tie: fl.tie, seq: q.s.seq}, &oracleRec{frame: true})
 }
 
 func (q *queueDiff) runUntil(t time.Duration) {
@@ -206,7 +263,7 @@ func (q *queueDiff) runUntil(t time.Duration) {
 		q.t.Fatalf("Now = %v after RunUntil(%v)", q.s.Now(), t)
 	}
 	if len(q.ref) > 0 && q.ref[0].at <= t {
-		q.t.Fatalf("RunUntil(%v) left %+v undispatched", t, q.ref[0].orderKey)
+		q.t.Fatalf("RunUntil(%v) left %+v undispatched", t, q.ref[0].oracleKey)
 	}
 }
 
@@ -218,7 +275,7 @@ func (h *diffHandler) PortDown(*Port) {}
 func (h *diffHandler) PortUp(*Port)   {}
 func (h *diffHandler) HandleFrame(_ *Port, f []byte) {
 	q := (*queueDiff)(h)
-	q.dispatched()
+	q.dispatched(nil)
 	if len(q.timers) > 0 {
 		q.reset(q.timers[int(f[0])%len(q.timers)], diffDelay(f[1]))
 	}
@@ -277,7 +334,7 @@ func (q *queueDiff) run(data []byte) {
 	for q.s.Step() {
 	}
 	if len(q.ref) != 0 {
-		q.t.Fatalf("queue ran dry with %d events left in the oracle, earliest %+v", len(q.ref), q.ref[0].orderKey)
+		q.t.Fatalf("queue ran dry with %d events left in the oracle, earliest %+v", len(q.ref), q.ref[0].oracleKey)
 	}
 }
 

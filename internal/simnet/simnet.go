@@ -55,7 +55,7 @@ type Sim struct {
 	near      eventHeap  // the timers of the calendar's current bin and before,
 	cal       calendar   // and the timers of later bins
 	free      []*event   // recycled event records
-	frontier  []passMark // how far dispatch has got in the (at, prio, tie, seq) order (see passMark)
+	frontier  []passMark // how far dispatch has got in the (at, prio, sub) order (see passMark)
 	seq       uint64
 	seed      int64 // base seed; derives the per-node and per-direction streams
 	rng       *stream

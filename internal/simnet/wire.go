@@ -161,10 +161,10 @@ func (s *Sim) launch(d *dirState, at time.Duration, tie uint64, frame []byte, fh
 	switch {
 	case i > 0:
 	case d.ev.idx < 0:
-		s.heapPush(&s.wires, heapEntry{orderKey{at: at, prio: d.prio, tie: tie}, &d.ev})
+		s.heapPush(&s.wires, heapEntry{orderKey{at: at, prio: d.prio, sub: tie}, &d.ev})
 	default:
 		e := &s.wires[d.ev.idx]
-		e.at, e.tie = at, tie
+		e.at, e.sub = at, tie
 		s.heapFix(&s.wires, int(d.ev.idx))
 	}
 	if invariant.Enabled {
@@ -216,7 +216,7 @@ func (s *Sim) takeFlight(d *dirState) ([]byte, framepool.Handle) {
 		}
 	} else {
 		next := r.at(0)
-		s.wires[0].at, s.wires[0].tie = next.at, next.tie
+		s.wires[0].at, s.wires[0].sub = next.at, next.tie
 		s.wires.siftDown(0)
 		if invariant.Enabled {
 			s.checkHeap(&s.wires, int(d.ev.idx))

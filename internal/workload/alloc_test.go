@@ -66,8 +66,8 @@ func TestFluidFlowAllocs(t *testing.T) {
 	}
 	small, smallBytes := fluidRunAllocs(t, 2_000)
 	large, largeBytes := fluidRunAllocs(t, 20_000)
-	if small != 55 || smallBytes != 160_384 || large != 65 || largeBytes != 1_411_845 {
-		t.Errorf("a fluid run allocates %d objects and %d B for 2 000 flows and %d and %d B for 20 000, want 55 and 160 384, 65 and 1 411 845",
+	if small != 55 || smallBytes != 160_352 || large != 65 || largeBytes != 1_411_813 {
+		t.Errorf("a fluid run allocates %d objects and %d B for 2 000 flows and %d and %d B for 20 000, want 55 and 160 352, 65 and 1 411 813",
 			small, smallBytes, large, largeBytes)
 	}
 }
