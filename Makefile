@@ -61,12 +61,13 @@ invariants:
 # this target is what validates it. TestGoldenArtifacts re-executes the
 # race-built test binary for every campaign row, so the chaos and trace
 # campaigns run end to end under the detector here as well. The trials of a
-# cell fork one warm snapshot on several goroutines (internal/harness/fork.go);
-# TestForkConcurrent does that ten times over, so a write to the snapshot
+# cell fork one warm snapshot on several goroutines (internal/harness/fork.go),
+# and a lead-in fabric runs on beside the forks taken of it; TestForkConcurrent
+# and TestForkSourceRunsOn do each ten times over, so a write to shared state
 # that one schedule hides shows under another.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run '^TestForkConcurrent$$' ./internal/harness
+	$(GO) test -race -count=10 -run '^(TestForkConcurrent|TestForkSourceRunsOn)$$' ./internal/harness
 
 # closbench runs the benchmark of record (BENCHMARK.json): four end-to-end
 # workloads plus per-layer probes; see bench/README.md for flags and output.

@@ -94,10 +94,11 @@ func RunChaos(opts Options, spec chaos.Spec) (ChaosResult, error) {
 
 // runChaos is RunChaos that also returns the log its result analyzed.
 func runChaos(opts Options, spec chaos.Spec) (ChaosResult, *metrics.Log, error) {
-	f, probe, err := warmWithProbe(opts, false)
+	f, err := warmThrough(opts, nearLeadIn)
 	if err != nil {
 		return ChaosResult{}, nil, err
 	}
+	probe := f.probe
 
 	before := snapshotCounters(f)
 	f.Log.Reset()

@@ -8,6 +8,7 @@ import (
 	"repro/internal/flowhash"
 	"repro/internal/ipv4"
 	"repro/internal/metrics"
+	"repro/internal/simnet"
 	"repro/internal/topology"
 	"repro/internal/trafficgen"
 )
@@ -51,21 +52,63 @@ func (f *Fabric) drawPhase() time.Duration {
 	return time.Duration(f.Sim.Rand().Int63n(int64(time.Second)))
 }
 
+// leadIn names what a trial runs on the warm fabric before it injects a
+// test case. It is the same for TC1–TC4, so inside the trial pool it runs
+// once per trial seed and each case gets a fork of its end (see
+// warmMemo.atInjection).
+type leadIn uint8
+
+const (
+	phaseLeadIn leadIn = iota // a random timer phase (failure trials)
+	nearLeadIn                // the probe flow VID 11 → VID 14 and its lead-in (loss trials)
+	farLeadIn                 // the probe flow VID 14 → VID 11 and its lead-in (Fig. 8)
+)
+
+// run runs the lead-in on f.
+func (l leadIn) run(f *Fabric) error {
+	if l == phaseLeadIn {
+		f.Sim.RunFor(f.drawPhase())
+		return nil
+	}
+	return f.startProbe(l == farLeadIn)
+}
+
+// warmThrough returns a warm fabric run through lead.
+func warmThrough(opts Options, lead leadIn) (*Fabric, error) {
+	f, err := warm(opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := lead.run(f); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// atInjection returns a fabric warmed and run through lead, at the instant
+// test case tc is injected. Inside the trial pool it comes from the memo;
+// anywhere else it is a bring-up and a lead-in of its own.
+func atInjection(opts Options, lead leadIn, tc topology.FailureCase) (*Fabric, error) {
+	if opts.pooled {
+		return memo.atInjection(opts, lead, tc)
+	}
+	return warmThrough(opts, lead)
+}
+
 // RunFailure measures convergence time, blast radius and control overhead
 // for one failure case (Figs. 4, 5, 6).
 func RunFailure(opts Options, tc topology.FailureCase) (metrics.Analysis, error) {
-	return measureFailure(opts, func(f *Fabric) (time.Duration, error) { return f.Fail(tc) })
-}
-
-// measureFailure is the Fig. 4–6 measurement around any injection: warm up,
-// wait out a random timer phase, inject, observe the settle window, and
-// return the metrics log's analysis from the injection on.
-func measureFailure(opts Options, inject func(*Fabric) (time.Duration, error)) (metrics.Analysis, error) {
-	f, err := warm(opts)
+	f, err := atInjection(opts, phaseLeadIn, tc)
 	if err != nil {
 		return metrics.Analysis{}, err
 	}
-	f.Sim.RunFor(f.drawPhase())
+	return measureFailure(f, func(f *Fabric) (time.Duration, error) { return f.Fail(tc) })
+}
+
+// measureFailure is the Fig. 4–6 measurement around any injection: inject
+// into f, a fabric at its injection instant, observe the settle window, and
+// return the metrics log's analysis from the injection on.
+func measureFailure(f *Fabric, inject func(*Fabric) (time.Duration, error)) (metrics.Analysis, error) {
 	f.Log.Reset()
 	failAt, err := inject(f)
 	if err != nil {
@@ -78,53 +121,65 @@ func measureFailure(opts Options, inject func(*Fabric) (time.Duration, error)) (
 // probeFlow is the UDP flow between the server at ToR VID 11 and the server
 // at ToR VID 14 (paper §VI.D) that the loss and chaos experiments watch. Its
 // source port is chosen so both protocols hash it across the monitored
-// TC1–TC4 column.
+// TC1–TC4 column. The fabric it runs on owns it (Fabric.probe), so a fork
+// of the fabric carries a copy.
 type probeFlow struct {
 	cfg      trafficgen.Config
+	src, dst string // the servers' device names
 	sender   *trafficgen.Sender
 	receiver *trafficgen.Receiver
 }
 
-// warmWithProbe warms the fabric, registers the probe flow's endpoints, and
-// starts the flow with a lead-in — one second plus a random timer phase — so
-// it is established (and ARP resolved) before anything is injected. reverse
-// sends VID 14 → VID 11 instead.
-func warmWithProbe(opts Options, reverse bool) (*Fabric, *probeFlow, error) {
-	f, err := warm(opts)
-	if err != nil {
-		return nil, nil, err
+// fork copies the probe onto g, a fork of its fabric in the making.
+func (p *probeFlow) fork(fk *simnet.Forker, g *Fabric) *probeFlow {
+	return &probeFlow{
+		cfg: p.cfg, src: p.src, dst: p.dst,
+		sender:   p.sender.Fork(fk, g.Stacks[p.src]),
+		receiver: p.receiver.Fork(g.Stacks[p.dst]),
 	}
+}
+
+// startProbe registers the probe flow's endpoints and starts the flow with a
+// lead-in — one second plus a random timer phase — so it is established
+// (and ARP resolved) before anything is injected. reverse sends VID 14 →
+// VID 11 instead.
+func (f *Fabric) startProbe(reverse bool) error {
 	srcStack, srcDev, err := f.ServerStack(11, 1)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	dstStack, dstDev, err := f.ServerStack(14, 1)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	if reverse {
 		srcStack, dstStack = dstStack, srcStack
 		srcDev, dstDev = dstDev, srcDev
 	}
-	p := &probeFlow{cfg: trafficgen.DefaultConfig(srcDev.IP, dstDev.IP)}
+	p := &probeFlow{cfg: trafficgen.DefaultConfig(srcDev.IP, dstDev.IP), src: srcStack.Node.Name, dst: dstStack.Node.Name}
 	if p.cfg.SrcPort, err = PickFlowPort(f, p.cfg); err != nil {
-		return nil, nil, err
+		return err
 	}
 	p.sender = trafficgen.NewSender(srcStack, p.cfg)
 	p.receiver = trafficgen.NewReceiver(dstStack, p.cfg.DstPort)
+	f.probe = p
 	p.sender.Start()
 	f.Sim.RunFor(time.Second + f.drawPhase())
 	preLoss := p.sender.Sent() - p.receiver.Report(p.sender).Received
 	if preLoss > 2 { // ARP warm-up may cost a packet at the margins
-		return nil, nil, fmt.Errorf("harness: probe flow lossy before injection (%d lost)", preLoss)
+		return fmt.Errorf("harness: probe flow lossy before injection (%d lost)", preLoss)
 	}
-	return f, p, nil
+	return nil
 }
 
 // RunLoss measures packet loss across a failure on the probe flow; reverse
 // selects the far-from-failure sender of Fig. 8.
 func RunLoss(opts Options, tc topology.FailureCase, reverse bool) (trafficgen.Report, error) {
-	f, probe, err := warmWithProbe(opts, reverse)
+	lead := nearLeadIn
+	if reverse {
+		lead = farLeadIn
+	}
+	f, err := atInjection(opts, lead, tc)
 	if err != nil {
 		return trafficgen.Report{}, err
 	}
@@ -132,9 +187,9 @@ func RunLoss(opts Options, tc topology.FailureCase, reverse bool) (trafficgen.Re
 		return trafficgen.Report{}, err
 	}
 	f.Sim.RunFor(SettleTime)
-	probe.sender.Stop()
+	f.probe.sender.Stop()
 	f.Sim.RunFor(time.Second) // drain in-flight packets
-	return probe.receiver.Report(probe.sender), nil
+	return f.probe.receiver.Report(f.probe.sender), nil
 }
 
 // PickFlowPort finds a UDP source port whose flow hash selects the first

@@ -19,7 +19,11 @@ import (
 // failure points do not name (a zone spine's uplink in the four-tier
 // fabric).
 func RunFault(opts Options, fault chaos.Fault) (metrics.Analysis, error) {
-	return measureFailure(opts, func(f *Fabric) (time.Duration, error) { return f.Inject(fault) })
+	f, err := warmThrough(opts, phaseLeadIn)
+	if err != nil {
+		return metrics.Analysis{}, err
+	}
+	return measureFailure(f, func(f *Fabric) (time.Duration, error) { return f.Inject(fault) })
 }
 
 // FlapResult is a flapping-interface run: the log's analysis of the

@@ -49,8 +49,11 @@ func TestFaultPathsPinned(t *testing.T) {
 				// One pooled trial: every run below forks the same warm fabric.
 				_, err := runTrials(DefaultOptions(spec, proto, seed), 1, func(o Options) (struct{}, error) {
 					measure := func(label string, inject func(*Fabric) (time.Duration, error)) error {
-						var fab *Fabric
-						a, err := measureFailure(o, func(f *Fabric) (time.Duration, error) { fab = f; return inject(f) })
+						fab, err := warmThrough(o, phaseLeadIn)
+						if err != nil {
+							return err
+						}
+						a, err := measureFailure(fab, inject)
 						if err == nil {
 							journal(label, a, fab.Log)
 						}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -162,24 +163,20 @@ func TestForkMatchesFreshWarm(t *testing.T) {
 }
 
 // oracleRun warms opts and runs the oracle's script on it. On a three-tier
-// fabric the warm-up is the loss path's, warmWithProbe: the probe flow from
+// fabric the warm-up is the loss path's, nearLeadIn: the probe flow from
 // VID 11 to VID 14 and its lead-in, a random timer phase included. The
 // four-tier fabric has no such racks and waits out the phase alone.
 func oracleRun(t *testing.T, opts Options) fingerprint {
 	t.Helper()
+	lead := nearLeadIn
 	if opts.Spec.Zones != 0 {
-		f, err := warm(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Sim.RunFor(f.drawPhase())
-		return failScript(t, f, nil)
+		lead = phaseLeadIn
 	}
-	f, probe, err := warmWithProbe(opts, false)
+	f, err := warmThrough(opts, lead)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return failScript(t, f, probe)
+	return failScript(t, f, f.probe)
 }
 
 // TestForksAreIsolated runs one fork, then forks the same snapshot again:
@@ -276,6 +273,161 @@ func TestForkAllocs(t *testing.T) {
 		})
 		if allocs != tc.allocs || bytes != tc.bytes {
 			t.Errorf("%s/%s: a fork allocates %d objects and %d B, want %d and %d", tc.name, tc.proto, allocs, bytes, tc.allocs, tc.bytes)
+		}
+	}
+}
+
+// TestStashMatchesColdOracles holds the memo's injection instants to the
+// cold oracles: every pooled failure and loss trial (both directions) of
+// TC1–TC4 equals unpooled RunFailure and coldRunLoss at the trial's seed,
+// in any order the cases are asked in — bench's (failure, near, far per
+// case), the cases and lead-ins reversed, and TC2 asked twice, its slot
+// emptied the first time and refilled by a fresh lead-in the second.
+func TestStashMatchesColdOracles(t *testing.T) {
+	const n = 2
+	type request struct {
+		lead leadIn
+		tc   topology.FailureCase
+	}
+	sweep := func(leads []leadIn, tcs ...topology.FailureCase) []request {
+		var rs []request
+		for _, tc := range tcs {
+			for _, lead := range leads {
+				rs = append(rs, request{lead, tc})
+			}
+		}
+		return rs
+	}
+	forward := []leadIn{phaseLeadIn, nearLeadIn, farLeadIn}
+	backward := []leadIn{farLeadIn, nearLeadIn, phaseLeadIn}
+	orders := []struct {
+		name     string
+		requests []request
+	}{
+		{"bench", sweep(forward, topology.TC1, topology.TC2, topology.TC3, topology.TC4)},
+		{"reversed", sweep(backward, topology.TC4, topology.TC3, topology.TC2, topology.TC1)},
+		{"TC2 twice", sweep(forward, topology.TC2, topology.TC1, topology.TC2, topology.TC3, topology.TC4)},
+	}
+	// trial runs one trial of r the way RunFailureTrials and RunLossTrials do.
+	trial := func(o Options, r request) (any, error) {
+		if r.lead == phaseLeadIn {
+			return RunFailure(o, r.tc)
+		}
+		return RunLoss(o, r.tc, r.lead == farLeadIn)
+	}
+	fabrics := []Options{
+		DefaultOptions(topology.TwoPodSpec(), ProtoMRMTP, 17),
+		DefaultOptions(topology.TwoPodSpec(), ProtoBGP, 17),
+		DefaultOptions(topology.TwoPodSpec(), ProtoBGPBFD, 17),
+		DefaultOptions(topology.FourPodSpec(), ProtoMRMTP, 17),
+	}
+	for _, opts := range fabrics {
+		name := fmt.Sprintf("%dpod/%s", opts.Spec.Pods, opts.Protocol)
+		oracle := make(map[request][]any)
+		for _, r := range sweep(forward, topology.AllFailureCases()...) {
+			for i := range n {
+				o := opts
+				o.Seed = TrialSeed(opts.Seed, i)
+				var want any
+				var err error
+				if r.lead == phaseLeadIn {
+					want, err = RunFailure(o, r.tc)
+				} else {
+					want, err = coldRunLoss(o, r.tc, r.lead == farLeadIn)
+				}
+				if err != nil {
+					t.Fatalf("%s %v: %v", name, r, err)
+				}
+				oracle[r] = append(oracle[r], want)
+			}
+		}
+		for _, order := range orders {
+			for _, r := range order.requests {
+				got, err := runTrials(opts, n, func(o Options) (any, error) { return trial(o, r) })
+				if err != nil {
+					t.Fatalf("%s %s %v: %v", name, order.name, r, err)
+				}
+				if !reflect.DeepEqual(got, oracle[r]) {
+					t.Errorf("%s %s: lead-in %d %v: pooled %+v, cold %+v", name, order.name, r.lead, r.tc, got, oracle[r])
+				}
+			}
+		}
+		// The second TC2 refilled the one slot TC1 had emptied, and nothing
+		// has taken it since.
+		memo.mu.Lock()
+		for k := range memo.stash {
+			if k.tc != topology.TC1 {
+				t.Errorf("%s: the stash holds a fork for %v, want only TC1's", name, k.tc)
+			}
+		}
+		if len(memo.stash) != 3*n {
+			t.Errorf("%s: the stash holds %d fork(s), want %d (TC1's, per trial and lead-in)", name, len(memo.stash), 3*n)
+		}
+		memo.mu.Unlock()
+	}
+}
+
+// TestForkSourceRunsOn takes K−1 forks of a lead-in fabric, as the memo
+// stashes them, then runs the source on beside them, each on its own
+// goroutine: each run must match a cold one of its case. Under -race this is
+// the check that a fork shares nothing its source writes when it runs on.
+func TestForkSourceRunsOn(t *testing.T) {
+	cases := topology.AllFailureCases()
+	// run fails tc on f, lets it settle, drains the probe, and tallies f.
+	run := func(f *Fabric, tc topology.FailureCase) (fingerprint, error) {
+		var cap capture.Capture
+		cap.TapAll(f.Sim)
+		if _, err := f.Fail(tc); err != nil {
+			return fingerprint{}, err
+		}
+		f.Sim.RunFor(2 * time.Second)
+		f.probe.sender.Stop()
+		f.Sim.RunFor(time.Second)
+		fp := fingerprintOf(f, &cap)
+		fp.probe = fmt.Sprintf("%+v", f.probe.receiver.Report(f.probe.sender))
+		return fp, nil
+	}
+	for _, proto := range []Protocol{ProtoMRMTP, ProtoBGPBFD} {
+		opts := DefaultOptions(topology.TwoPodSpec(), proto, 13)
+		src, err := warmThrough(opts, nearLeadIn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fabrics := []*Fabric{src}
+		for range cases[1:] {
+			g, err := src.fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fabrics = append(fabrics, g)
+		}
+		fps := make([]fingerprint, len(cases))
+		var wg sync.WaitGroup
+		for i, f := range fabrics {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var err error
+				if fps[i], err = run(f, cases[i]); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		for i, tc := range cases {
+			cold, err := warmThrough(opts, nearLeadIn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := run(cold, tc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("%s %v on the source", proto, tc)
+			if i > 0 {
+				what = fmt.Sprintf("%s %v on fork %d", proto, tc, i)
+			}
+			compareFingerprints(t, what, fps[i], want)
 		}
 	}
 }

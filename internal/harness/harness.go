@@ -110,7 +110,8 @@ type Fabric struct {
 	hops [][]hopEntry
 
 	started  bool
-	probeSeq uint16 // last ICMP probe ID handed out (Ping/Traceroute)
+	probeSeq uint16     // last ICMP probe ID handed out (Ping/Traceroute)
+	probe    *probeFlow // the loss probe, once startProbe has registered it
 }
 
 // binding is one device's simulator node and forwarding plane.

@@ -134,8 +134,9 @@ func TestRunnersRejectNoTrials(t *testing.T) {
 }
 
 // TestWarmMemoScope holds the memo to its scope: one bring-up per
-// configuration and trial seed within a sweep, none carried into the next,
-// and no part in a bring-up made outside the trial pool.
+// configuration and trial seed within a sweep, one lead-in per trial seed
+// and lead-in with one fork per trial, none carried into the next, and no
+// part in a bring-up made outside the trial pool.
 func TestWarmMemoScope(t *testing.T) {
 	// bench's grid loop at tiny scale: spec, protocol, failure case, then
 	// the failure and the near and far loss cells.
@@ -159,30 +160,37 @@ func TestWarmMemoScope(t *testing.T) {
 			}
 		}
 	}
-	cells := len(specs) * len(protos) * len(topology.AllFailureCases()) * 3
+	rows := len(specs) * len(protos)
+	cells := rows * len(topology.AllFailureCases()) * 3
 	for pass := 1; pass <= 2; pass++ {
-		w0, f0 := memo.counts()
+		w0, f0, l0 := memo.counts()
 		grid()
-		w1, f1 := memo.counts()
-		if got, want := w1-w0, len(specs)*len(protos)*n; got != want {
+		w1, f1, l1 := memo.counts()
+		if got, want := w1-w0, rows*n; got != want {
 			t.Errorf("pass %d made %d bring-ups, want %d (specs × protocols × trials)", pass, got, want)
 		}
 		if got, want := f1-f0, cells*n; got != want {
 			t.Errorf("pass %d made %d forks, want %d (one per trial)", pass, got, want)
 		}
+		if got, want := l1-l0, rows*3*n; got != want {
+			t.Errorf("pass %d ran %d lead-ins, want %d (specs × protocols × {failure, near, far} × trials)", pass, got, want)
+		}
 	}
-
-	// A direct RunWorkload call brings its own fabric up.
 	memo.mu.Lock()
+	if len(memo.stash) != 0 {
+		t.Errorf("the memo still stashes %d fork(s) after every case took its own", len(memo.stash))
+	}
 	config, entries := memo.config, len(memo.entries)
 	memo.mu.Unlock()
-	w0, f0 := memo.counts()
+
+	// A direct RunWorkload call brings its own fabric up.
+	w0, f0, _ := memo.counts()
 	w := DefaultWorkloadConfig()
 	w.Flows = 20
 	if _, err := RunWorkload(DefaultOptions(topology.TwoPodSpec(), ProtoMRMTP, 1), w); err != nil {
 		t.Fatal(err)
 	}
-	if w1, f1 := memo.counts(); w1 != w0 || f1 != f0 {
+	if w1, f1, _ := memo.counts(); w1 != w0 || f1 != f0 {
 		t.Errorf("a direct RunWorkload made %d bring-ups and %d forks through the memo, want none", w1-w0, f1-f0)
 	}
 	memo.mu.Lock()

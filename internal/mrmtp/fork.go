@@ -2,6 +2,7 @@ package mrmtp
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"repro/internal/metrics"
@@ -12,12 +13,13 @@ import (
 // Fork copies the router for a fork of its simulation and attaches the copy
 // to the node's copy, logging to log, the copy of its log: the VID table,
 // every adjacency with its timers and the advertisement it holds, and the
-// counters. ICMP listeners belong to whoever registered them, and the fork
-// fails at Finish if the copy lacks one.
+// counters, and the rack ARP cache (plain entries, no timer). ICMP listeners
+// belong to whoever registered them, and the fork fails at Finish if the
+// copy lacks one.
 //
 // A snapshot holds only what a bring-up leaves settled. Staged updates and
 // JOIN retries are pending timers the copy does not claim, which Finish
-// refuses; rack ARP state, which has no timer, is refused here.
+// refuses; rack frames held for ARP resolution are refused here.
 func (r *Router) Fork(fk *simnet.Forker, log *metrics.Log) *Router {
 	node := fk.Node(r.Node)
 	nr := &Router{
@@ -31,7 +33,7 @@ func (r *Router) Fork(fk *simnet.Forker, log *metrics.Log) *Router {
 		advWire:    slices.Clone(r.advWire),
 		downstream: r.downstream,
 		lostSent:   r.lostSent,
-		arpCache:   make(map[netaddr.IPv4]arpEntry),
+		arpCache:   maps.Clone(r.arpCache),
 		arpPending: make(map[netaddr.IPv4][][]byte),
 		frames:     node.Sim.Frames(),
 		Stats:      r.Stats,
@@ -55,8 +57,8 @@ func (r *Router) Fork(fk *simnet.Forker, log *metrics.Log) *Router {
 	}
 	node.Handler = nr
 	fk.Check(func() error {
-		if len(r.arpCache) > 0 || len(r.arpPending) > 0 {
-			return fmt.Errorf("mrmtp %s: the rack ARP cache holds %d server(s) and %d await resolution, which a fork does not copy", r.Node.Name, len(r.arpCache), len(r.arpPending))
+		if len(r.arpPending) > 0 {
+			return fmt.Errorf("mrmtp %s: %d rack address(es) hold frames awaiting ARP resolution, which a fork does not copy", r.Node.Name, len(r.arpPending))
 		}
 		if len(nr.icmpListeners) != len(r.icmpListeners) {
 			return fmt.Errorf("mrmtp %s: the fork has %d ICMP listener(s), the source %d", r.Node.Name, len(nr.icmpListeners), len(r.icmpListeners))

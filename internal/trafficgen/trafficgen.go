@@ -7,6 +7,7 @@ package trafficgen
 
 import (
 	"encoding/binary"
+	"slices"
 	"time"
 
 	"repro/internal/ipstack"
@@ -65,6 +66,15 @@ func NewSender(stack *ipstack.Stack, cfg Config) *Sender {
 	return s
 }
 
+// Fork copies the sender for a fork of its simulation, bound to stack, the
+// copy of its stack: the count, the stop flag and the payload, and the tick
+// timer claimed for the copy.
+func (s *Sender) Fork(fk *simnet.Forker, stack *ipstack.Stack) *Sender {
+	ns := &Sender{stack: stack, cfg: s.cfg, sent: s.sent, stop: s.stop, payload: slices.Clone(s.payload)}
+	ns.timer = fk.Timer(s.timer, ns.tick)
+	return ns
+}
+
 // Start begins transmitting until Stop.
 func (s *Sender) Start() {
 	s.stop = false
@@ -93,14 +103,15 @@ func (s *Sender) tick() {
 	}
 }
 
-// maxSeq bounds the sequence numbers a Receiver accounts for: two million
-// words of bitset, and 14 hours of the default flow. A sender counts up from
+// maxSeq bounds the sequence numbers a Receiver accounts for: 262 144 words
+// (2 MiB) of bitset, and 14 hours of the default flow. A sender counts up from
 // zero, so a packet beyond it is a corrupted one and is ignored.
 const maxSeq = 1 << 24
 
 // Receiver analyzes the flow at the destination server. The zero value is
 // an analyzer that has seen nothing.
 type Receiver struct {
+	port       uint16
 	received   uint64
 	duplicates uint64
 	outOfOrder uint64
@@ -111,11 +122,25 @@ type Receiver struct {
 
 // NewReceiver registers the analyzer on the destination stack and port.
 func NewReceiver(stack *ipstack.Stack, port uint16) *Receiver {
-	r := &Receiver{}
-	stack.ListenUDP(port, func(src, dst netaddr.IPv4, dg udp.Datagram) {
+	r := &Receiver{port: port}
+	r.listen(stack)
+	return r
+}
+
+// Fork copies the receiver for a fork of its simulation and registers the
+// copy on stack, the copy of its stack: the counters and the record of
+// every sequence number seen.
+func (r *Receiver) Fork(stack *ipstack.Stack) *Receiver {
+	nr := *r
+	nr.seen = slices.Clone(r.seen)
+	nr.listen(stack)
+	return &nr
+}
+
+func (r *Receiver) listen(stack *ipstack.Stack) {
+	stack.ListenUDP(r.port, func(src, dst netaddr.IPv4, dg udp.Datagram) {
 		r.packet(dg.Payload)
 	})
-	return r
 }
 
 func (r *Receiver) packet(payload []byte) {
