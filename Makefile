@@ -62,12 +62,16 @@ invariants:
 # race-built test binary for every campaign row, so the chaos and trace
 # campaigns run end to end under the detector here as well. The trials of a
 # cell fork one warm snapshot on several goroutines (internal/harness/fork.go),
-# and a lead-in fabric runs on beside the forks taken of it; TestForkConcurrent
-# and TestForkSourceRunsOn do each ten times over, so a write to shared state
-# that one schedule hides shows under another.
+# a source runs on beside the forks taken of it, and a fork is written into
+# a fabric an earlier trial released while another is made of the same
+# source; TestForkConcurrent, TestForkSourceRunsOn and
+# TestForkIntoDirtyMatchesFresh do each ten times over, so a write to shared
+# state that one schedule hides shows under another. The last two build
+# their lead-in fabrics and cold oracles once per test binary, so the count
+# repeats only the forks and their runs.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run '^(TestForkConcurrent|TestForkSourceRunsOn)$$' ./internal/harness
+	$(GO) test -race -count=10 -run '^(TestForkConcurrent|TestForkSourceRunsOn|TestForkIntoDirtyMatchesFresh)$$' ./internal/harness
 
 # closbench runs the benchmark of record (BENCHMARK.json): four end-to-end
 # workloads plus per-layer probes; see bench/README.md for flags and output.

@@ -282,36 +282,54 @@ func (s *Session) handle(pkt ControlPacket) {
 }
 
 // Fork copies the manager for a fork of its simulation onto stack, the copy
-// of its stack: every session with its state, timers and counters, and the
-// manager's listener on the stack. A session's OnDown hook belongs to
-// whoever set it (the harness wires BGP's Peer.BFDDown), and the fork fails
-// at Finish if the copy has none where the source had one.
-func (m *Manager) Fork(fk *simnet.Forker, stack *ipstack.Stack) *Manager {
-	nm := &Manager{
+// of its stack, into into — the manager an earlier fork made for the same
+// copy, whose sessions it writes over — or a new one: every session with
+// its state, timers and counters, and the manager's listener on the stack.
+// A session's OnDown hook belongs to whoever set it (the harness wires
+// BGP's Peer.BFDDown), and the fork fails at Finish if the copy has none
+// where the source had one.
+func (m *Manager) Fork(fk *simnet.Forker, stack *ipstack.Stack, into *Manager) *Manager {
+	nm := into
+	if nm == nil {
+		nm = &Manager{}
+	}
+	old := *nm
+	*nm = Manager{
 		stack:    stack,
-		sessions: make(map[netaddr.IPv4]*Session, len(m.sessions)),
-		order:    make([]*Session, len(m.order)),
+		sessions: simnet.EmptyMap(old.sessions, len(m.sessions)),
+		order:    old.order[:0],
 		nextDisc: m.nextDisc,
+	}
+	if cap(nm.order) < len(m.order) {
+		nm.order = make([]*Session, 0, len(m.order))
 	}
 	stack.ListenUDP(udp.PortBFDControl, nm.input)
 	for i, s := range m.order {
-		ns := &Session{
+		ns := simnet.Reused(old.order, i)
+		was := *ns
+		*ns = Session{
 			stack: stack, sim: fk.Sim(), cfg: s.cfg, local: s.local, remote: s.remote,
 			state: s.state, myDisc: s.myDisc, yourDisc: s.yourDisc,
 			txBuf: s.txBuf, Stats: s.Stats,
 		}
-		ns.txTimer = fk.Timer(s.txTimer, ns.txDue)
-		ns.detectTimer = fk.Timer(s.detectTimer, ns.timeout)
-		nm.order[i] = ns
+		ns.txTimer = fk.Timer(s.txTimer, was.txTimer, func() func() { return ns.txDue })
+		ns.detectTimer = fk.Timer(s.detectTimer, was.detectTimer, func() func() { return ns.timeout })
+		nm.order = append(nm.order, ns)
 		nm.sessions[ns.remote] = ns
 	}
-	fk.Check(func() error {
-		for i, s := range m.order {
-			if (s.OnDown == nil) != (nm.order[i].OnDown == nil) {
-				return fmt.Errorf("bfd %s: the fork of the session to %s lacks its OnDown hook", stack.Node.Name, s.remote)
-			}
-		}
-		return nil
-	})
+	simnet.ClearTail(nm.order)
+	fk.Check(checkFork, m, nm)
 	return nm
+}
+
+// checkFork is Fork's deferred check of the copy nm of m: every session's
+// OnDown hook re-installed.
+func checkFork(src, dst any) error {
+	m, nm := src.(*Manager), dst.(*Manager)
+	for i, s := range m.order {
+		if (s.OnDown == nil) != (nm.order[i].OnDown == nil) {
+			return fmt.Errorf("bfd %s: the fork of the session to %s lacks its OnDown hook", nm.stack.Node.Name, s.remote)
+		}
+	}
+	return nil
 }

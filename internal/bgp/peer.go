@@ -302,6 +302,10 @@ func (p *Peer) retryDue() {
 	}
 }
 
+// Queued returns the number of prefixes awaiting the next MRAI flush: the
+// session's output queue.
+func (p *Peer) Queued() int { return len(p.pending) }
+
 // queueAdvertise schedules prefix for advertisement under MRAI pacing.
 func (p *Peer) queueAdvertise(prefix netaddr.Prefix) { p.queue(prefix, true) }
 

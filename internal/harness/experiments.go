@@ -85,24 +85,36 @@ func warmThrough(opts Options, lead leadIn) (*Fabric, error) {
 	return f, nil
 }
 
-// atInjection returns a fabric warmed and run through lead, at the instant
-// test case tc is injected. Inside the trial pool it comes from the memo;
+// atInjection returns a fabric warmed and run through lead, at the instant a
+// test case is injected. Inside the trial pool it comes from the memo;
 // anywhere else it is a bring-up and a lead-in of its own.
-func atInjection(opts Options, lead leadIn, tc topology.FailureCase) (*Fabric, error) {
+func atInjection(opts Options, lead leadIn) (*Fabric, error) {
 	if opts.pooled {
-		return memo.atInjection(opts, lead, tc)
+		return memo.atInjection(opts, lead)
 	}
 	return warmThrough(opts, lead)
+}
+
+// done hands a trial's fabric back to the memo once its result is read,
+// inside the trial pool; anywhere else the fabric is simply dropped.
+func done(f *Fabric) {
+	if f.Opts.pooled {
+		memo.release(f)
+	}
 }
 
 // RunFailure measures convergence time, blast radius and control overhead
 // for one failure case (Figs. 4, 5, 6).
 func RunFailure(opts Options, tc topology.FailureCase) (metrics.Analysis, error) {
-	f, err := atInjection(opts, phaseLeadIn, tc)
+	f, err := atInjection(opts, phaseLeadIn)
 	if err != nil {
 		return metrics.Analysis{}, err
 	}
-	return measureFailure(f, func(f *Fabric) (time.Duration, error) { return f.Fail(tc) })
+	a, err := measureFailure(f, func(f *Fabric) (time.Duration, error) { return f.Fail(tc) })
+	if err == nil {
+		done(f)
+	}
+	return a, err
 }
 
 // measureFailure is the Fig. 4–6 measurement around any injection: inject
@@ -130,13 +142,18 @@ type probeFlow struct {
 	receiver *trafficgen.Receiver
 }
 
-// fork copies the probe onto g, a fork of its fabric in the making.
-func (p *probeFlow) fork(fk *simnet.Forker, g *Fabric) *probeFlow {
-	return &probeFlow{
-		cfg: p.cfg, src: p.src, dst: p.dst,
-		sender:   p.sender.Fork(fk, g.Stacks[p.src]),
-		receiver: p.receiver.Fork(g.Stacks[p.dst]),
+// fork copies the probe onto g, a fork of its fabric in the making, into
+// into (the probe g held before) or a new one.
+func (p *probeFlow) fork(fk *simnet.Forker, g *Fabric, into *probeFlow) *probeFlow {
+	if into == nil {
+		into = &probeFlow{}
 	}
+	*into = probeFlow{
+		cfg: p.cfg, src: p.src, dst: p.dst,
+		sender:   p.sender.Fork(fk, g.Stacks[p.src], into.sender),
+		receiver: p.receiver.Fork(g.Stacks[p.dst], into.receiver),
+	}
+	return into
 }
 
 // startProbe registers the probe flow's endpoints and starts the flow with a
@@ -179,7 +196,7 @@ func RunLoss(opts Options, tc topology.FailureCase, reverse bool) (trafficgen.Re
 	if reverse {
 		lead = farLeadIn
 	}
-	f, err := atInjection(opts, lead, tc)
+	f, err := atInjection(opts, lead)
 	if err != nil {
 		return trafficgen.Report{}, err
 	}
@@ -189,7 +206,9 @@ func RunLoss(opts Options, tc topology.FailureCase, reverse bool) (trafficgen.Re
 	f.Sim.RunFor(SettleTime)
 	f.probe.sender.Stop()
 	f.Sim.RunFor(time.Second) // drain in-flight packets
-	return f.probe.receiver.Report(f.probe.sender), nil
+	report := f.probe.receiver.Report(f.probe.sender)
+	done(f)
+	return report, nil
 }
 
 // PickFlowPort finds a UDP source port whose flow hash selects the first

@@ -91,11 +91,11 @@ func TestFailAddsNoEvent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			viaFail, err := warm.fork()
+			viaFail, err := warm.fork(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			byHand, err := warm.fork()
+			byHand, err := warm.fork(nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,14 +1,6 @@
 package harness
 
-import (
-	"sync"
-
-	"repro/internal/bfd"
-	"repro/internal/bgp"
-	"repro/internal/ipstack"
-	"repro/internal/mrmtp"
-	"repro/internal/topology"
-)
+import "sync"
 
 // fork returns a deep copy of the fabric that runs exactly as f would from
 // here: the simulator (clock, queue, frames in flight, random streams) and
@@ -17,45 +9,62 @@ import (
 // after Build. f is only read, so one fabric may be forked on several
 // goroutines at once as long as none of them runs it; once the forks are
 // made, f and each of them may run on, each on its own goroutine.
-func (f *Fabric) fork() (*Fabric, error) {
-	fk := f.Sim.Fork()
-	g := &Fabric{
+//
+// The copy is written into into, a fabric of f's configuration that an
+// earlier trial released (warmMemo.release), reusing its memory; a nil into
+// is new memory, which the same copy fills.
+func (f *Fabric) fork(into *Fabric) (*Fabric, error) {
+	g := into
+	if g == nil {
+		g = &Fabric{}
+	} else if configOf(g.Opts) != configOf(f.Opts) {
+		panic("harness: fork into a fabric of another configuration")
+	}
+	fk := f.Sim.Fork(g.Sim)
+	bound, probe := g.bound[:0], g.probe
+	if cap(bound) < len(f.bound) {
+		bound = make([]binding, 0, len(f.bound))
+	}
+	*g = Fabric{
 		Opts:     f.Opts,
 		Sim:      fk.Sim(),
 		Topo:     f.Topo,
-		Log:      f.Log.Fork(),
-		Speakers: make(map[string]*bgp.Speaker, len(f.Speakers)),
-		BFDs:     make(map[string]*bfd.Manager, len(f.BFDs)),
-		Routers:  make(map[string]*mrmtp.Router, len(f.Routers)),
-		Stacks:   make(map[string]*ipstack.Stack, len(f.Stacks)),
-		bound:    make([]binding, len(f.bound)),
+		Log:      f.Log.Fork(g.Log),
+		Speakers: orMake(g.Speakers, len(f.Speakers)),
+		BFDs:     orMake(g.BFDs, len(f.BFDs)),
+		Routers:  orMake(g.Routers, len(f.Routers)),
+		Stacks:   orMake(g.Stacks, len(f.Stacks)),
+		bound:    bound,
 		started:  f.started,
 		probeSeq: f.probeSeq,
 	}
-	// Stacks first: the daemons' copies attach to the stacks' copies.
-	for i, b := range f.bound {
+	// Stacks first: the daemons' copies attach to the stacks' copies. Each
+	// component is written into its counterpart of the same name.
+	for _, b := range f.bound {
+		name := b.node.Name
 		nb := binding{node: fk.Node(b.node)}
 		if b.stack != nil {
-			nb.stack = b.stack.Fork(fk)
-			g.Stacks[b.node.Name] = nb.stack
+			nb.stack = b.stack.Fork(fk, g.Stacks[name])
+			g.Stacks[name] = nb.stack
 		}
 		if b.router != nil {
-			nb.router = b.router.Fork(fk, g.Log)
-			g.Routers[b.node.Name] = nb.router
+			nb.router = b.router.Fork(fk, g.Log, g.Routers[name])
+			g.Routers[name] = nb.router
 		}
-		g.bound[i] = nb
+		g.bound = append(g.bound, nb)
 	}
-	for _, d := range f.Topo.Routers() {
-		sp := f.Speakers[d.Name]
+	for _, b := range f.bound {
+		name := b.node.Name
+		sp := f.Speakers[name]
 		if sp == nil {
 			continue
 		}
-		stack := g.Stacks[d.Name]
-		nsp := sp.Fork(fk, stack, g.Log)
-		g.Speakers[d.Name] = nsp
-		if mgr := f.BFDs[d.Name]; mgr != nil {
-			nm := mgr.Fork(fk, stack)
-			g.BFDs[d.Name] = nm
+		stack := g.Stacks[name]
+		nsp := sp.Fork(fk, stack, g.Log, g.Speakers[name])
+		g.Speakers[name] = nsp
+		if mgr := f.BFDs[name]; mgr != nil {
+			nm := mgr.Fork(fk, stack, g.BFDs[name])
+			g.BFDs[name] = nm
 			// Build adds a peer and its BFD session per fabric port, in the
 			// same order, so the i-th session is the i-th peer's.
 			for i, s := range nm.Sessions() {
@@ -64,12 +73,20 @@ func (f *Fabric) fork() (*Fabric, error) {
 		}
 	}
 	if f.probe != nil {
-		g.probe = f.probe.fork(fk, g)
+		g.probe = f.probe.fork(fk, g, probe)
 	}
 	if _, err := fk.Finish(); err != nil {
 		return nil, err
 	}
 	return g, nil
+}
+
+// orMake returns m, or a new map sized for n entries when m is nil.
+func orMake[M ~map[K]V, K comparable, V any](m M, n int) M {
+	if m == nil {
+		return make(M, n)
+	}
+	return m
 }
 
 // warmMemo serves the bring-ups made inside the trial pool. A bring-up is a
@@ -79,47 +96,48 @@ func (f *Fabric) fork() (*Fabric, error) {
 // and hands out forks of it.
 //
 // A failure or loss trial then runs a lead-in that is the same for all four
-// test cases (leadIn), so the memo serves the injection instant too: the
-// first case of a (trial seed, lead-in) to ask runs the lead-in on its fork
-// of the snapshot, forks the result once for each other case, stashes those
-// forks, and runs on the lead-in fabric itself. Each other case takes its
-// stashed fork. A case whose fork is already taken (a cell asked twice)
-// makes a fresh lead-in and refills only the empty slots. A sweep of the
-// four cases thus forks four times per (trial seed, lead-in), once per
-// trial, and runs the lead-in once.
+// test cases (leadIn), so the memo keeps a second level: one lead-in fabric
+// per (trial Options, lead-in), a fork of the snapshot run through the
+// lead-in once and then, like the snapshot, only ever forked. Every case
+// runs on a fork of it.
 //
-// It holds the snapshots and stashed forks of one configuration — Options
-// but the seed — at a time: a request for any other empties it first. That
-// bounds its memory to one row's seeds, and keeps a sweep from reusing an
-// earlier one's bring-ups unless it starts where that one ended (a sweep
-// over more than one protocol never does).
+// Those forks are recycled. A pooled RunFailure or RunLoss hands its fabric
+// back once its result is read (release), and the next fork of the same
+// configuration is written into it instead of into new memory, so a sweep
+// allocates one trial fabric per worker and configuration.
+//
+// It holds the snapshots, lead-in fabrics and released fabrics of one
+// configuration — Options but the seed — at a time: a request for any other
+// empties it first. That bounds its memory to one row's seeds, and keeps a
+// sweep from reusing an earlier one's bring-ups unless it starts where that
+// one ended (a sweep over more than one protocol never does).
 type warmMemo struct {
 	mu      sync.Mutex
 	config  Options
 	entries map[Options]*warmEntry
-	stash   map[stashKey]*Fabric
+	leads   map[leadKey]*warmEntry
+	spare   []*Fabric // released trial fabrics of config, to fork into
 	// warmups counts the bring-ups the memo made, forks the forks it made
-	// of snapshots and of lead-in fabrics, leadIns the lead-ins.
-	warmups, forks, leadIns int
+	// of snapshots and of lead-in fabrics, recycled those of them written
+	// into a released fabric, leadIns the lead-ins.
+	warmups, forks, recycled, leadIns int
 }
 
-// warmEntry is one snapshot, or the error its bring-up returned. ready
-// closes when either is set.
+// warmEntry is one snapshot or lead-in fabric, or the error making it
+// returned. ready closes when either is set.
 type warmEntry struct {
 	ready chan struct{}
 	f     *Fabric
 	err   error
 }
 
-// stashKey names one stashed fork: a trial's Options, its lead-in, and the
-// test case it is kept for.
-type stashKey struct {
+// leadKey names one lead-in fabric: a trial's Options and its lead-in.
+type leadKey struct {
 	opts Options
 	lead leadIn
-	tc   topology.FailureCase
 }
 
-var memo warmMemo //simlint:shared the trial pool's memo: every field is guarded by mu, its snapshots are only ever forked, never run, and each stashed fork is handed to one trial and dropped from the memo
+var memo warmMemo //simlint:shared the trial pool's memo: every field is guarded by mu; its snapshots and lead-in fabrics are only ever forked, never run, and a released fabric is written into by one fork and handed to that fork's trial alone
 
 // configOf returns opts' configuration: the Options but the seed.
 func configOf(opts Options) Options {
@@ -130,8 +148,27 @@ func configOf(opts Options) Options {
 // scope empties the memo unless it holds opts' configuration. m.mu is held.
 func (m *warmMemo) scope(opts Options) {
 	if config := configOf(opts); m.entries == nil || config != m.config {
-		m.config, m.entries, m.stash = config, make(map[Options]*warmEntry), make(map[stashKey]*Fabric)
+		m.config, m.spare = config, nil
+		m.entries, m.leads = make(map[Options]*warmEntry), make(map[leadKey]*warmEntry)
 	}
+}
+
+// entry returns the fabric of key in entries, making it with build if the
+// memo has none, and waits until it is ready. m.mu is held on entry and
+// released on return.
+func entry[K comparable](m *warmMemo, entries map[K]*warmEntry, key K, build func() (*Fabric, error)) (*Fabric, error) {
+	e := entries[key]
+	if e == nil {
+		e = &warmEntry{ready: make(chan struct{})}
+		entries[key] = e
+		m.mu.Unlock()
+		e.f, e.err = build()
+		close(e.ready)
+	} else {
+		m.mu.Unlock()
+		<-e.ready
+	}
+	return e.f, e.err
 }
 
 // warm returns a fork of the snapshot for opts, bringing it up first if the
@@ -139,76 +176,67 @@ func (m *warmMemo) scope(opts Options) {
 func (m *warmMemo) warm(opts Options) (*Fabric, error) {
 	m.mu.Lock()
 	m.scope(opts)
-	e := m.entries[opts]
-	if e == nil {
-		e = &warmEntry{ready: make(chan struct{})}
-		m.entries[opts] = e
+	f, err := entry(m, m.entries, opts, func() (*Fabric, error) {
+		m.mu.Lock()
 		m.warmups++
 		m.mu.Unlock()
-		e.f, e.err = bringUp(opts)
-		close(e.ready)
-	} else {
-		m.mu.Unlock()
-		<-e.ready
-	}
-	if e.err != nil {
-		return nil, e.err
-	}
-	m.mu.Lock()
-	m.forks++
-	m.mu.Unlock()
-	return e.f.fork()
-}
-
-// atInjection returns a fabric for opts run through lead, at the instant
-// test case tc is injected: tc's stashed fork if the memo holds one, else a
-// fresh lead-in, whose forks fill the empty slots of the other cases.
-func (m *warmMemo) atInjection(opts Options, lead leadIn, tc topology.FailureCase) (*Fabric, error) {
-	key := stashKey{opts, lead, tc}
-	m.mu.Lock()
-	m.scope(opts)
-	if g := m.stash[key]; g != nil {
-		delete(m.stash, key)
-		m.mu.Unlock()
-		return g, nil
-	}
-	m.mu.Unlock()
-	f, err := warmThrough(opts, lead)
+		return bringUp(opts)
+	})
 	if err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	m.leadIns++
-	var empty []stashKey
-	for _, c := range topology.AllFailureCases() {
-		if k := (stashKey{opts, lead, c}); c != tc && m.stash[k] == nil {
-			empty = append(empty, k)
-		}
-	}
-	m.forks += len(empty)
-	m.mu.Unlock()
-	forks := make([]*Fabric, len(empty))
-	for i := range empty {
-		if forks[i], err = f.fork(); err != nil {
-			return nil, err
-		}
-	}
-	// Only a concurrent lead-in of the same key, which the pool never runs
-	// (the trials of a cell differ in seed), or a change of configuration
-	// can have moved the stash meanwhile: keep only what still fits.
-	m.mu.Lock()
-	for i, k := range empty {
-		if m.stash[k] == nil && m.config == configOf(opts) {
-			m.stash[k] = forks[i]
-		}
-	}
-	m.mu.Unlock()
-	return f, nil
+	return m.forkOf(f, false)
 }
 
-// counts returns how many bring-ups, forks and lead-ins the memo has made.
-func (m *warmMemo) counts() (warmups, forks, leadIns int) {
+// atInjection returns a fabric for opts run through lead, at the instant a
+// test case is injected: a fork of the memo's lead-in fabric for (opts,
+// lead), which it makes first if it has none, written into a released
+// fabric when it holds one.
+func (m *warmMemo) atInjection(opts Options, lead leadIn) (*Fabric, error) {
+	m.mu.Lock()
+	m.scope(opts)
+	f, err := entry(m, m.leads, leadKey{opts, lead}, func() (*Fabric, error) {
+		m.mu.Lock()
+		m.leadIns++
+		m.mu.Unlock()
+		return warmThrough(opts, lead)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return m.forkOf(f, true)
+}
+
+// forkOf forks f, a snapshot or lead-in fabric, into a released fabric if
+// recycle is set and the memo holds one of f's configuration.
+func (m *warmMemo) forkOf(f *Fabric, recycle bool) (*Fabric, error) {
+	var into *Fabric
+	m.mu.Lock()
+	m.forks++
+	if n := len(m.spare); recycle && n > 0 && m.config == configOf(f.Opts) {
+		into, m.spare = m.spare[n-1], m.spare[:n-1]
+		m.recycled++
+	}
+	m.mu.Unlock()
+	return f.fork(into)
+}
+
+// release takes back f, the fabric of a pooled trial whose result has been
+// read, for a later fork of its configuration to write into. The trial
+// must not touch f again: under -tags invariants running it panics.
+func (m *warmMemo) release(f *Fabric) {
+	f.Sim.Release()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.warmups, m.forks, m.leadIns
+	if m.entries != nil && m.config == configOf(f.Opts) {
+		m.spare = append(m.spare, f)
+	}
+}
+
+// counts returns how many bring-ups, forks, recycled forks and lead-ins the
+// memo has made.
+func (m *warmMemo) counts() (warmups, forks, recycled, leadIns int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.warmups, m.forks, m.recycled, m.leadIns
 }

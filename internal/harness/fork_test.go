@@ -35,6 +35,7 @@ type fingerprint struct {
 	pool     string
 	nextDraw string
 	probe    string // the probe flow's report, if the run had one
+	sessions string // every BGP and BFD session's state, if the test reads them
 }
 
 // fingerprintOf tallies f after cap recorded its run. It draws from every
@@ -129,6 +130,9 @@ func compareFingerprints(t *testing.T, what string, got, want fingerprint) {
 	if got.probe != want.probe {
 		t.Errorf("%s: probe flow %s, fresh %s", what, got.probe, want.probe)
 	}
+	if got.sessions != want.sessions {
+		t.Errorf("%s: session states differ:\nfork:\n%s\nfresh:\n%s", what, got.sessions, want.sessions)
+	}
 }
 
 func TestForkMatchesFreshWarm(t *testing.T) {
@@ -189,7 +193,7 @@ func TestForksAreIsolated(t *testing.T) {
 			t.Fatal(err)
 		}
 		run := func() fingerprint {
-			g, err := snap.fork()
+			g, err := snap.fork(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +221,7 @@ func TestForkConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				g, err := snap.fork()
+				g, err := snap.fork(nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -243,47 +247,82 @@ func TestForkConcurrent(t *testing.T) {
 // fabric and protocol: the measured figure, with no slack. The frame pool's
 // stock is owed rather than copied, so a figure here moves with the state
 // the components keep, not with the frames a bring-up happened to return.
-// The race detector and the invariants ledger allocate on their own
-// account, so the figures are the plain build's.
+// Each fabric has two rows: a fork into new memory, and a fork into a
+// released fabric of the same configuration, which must cost at most a
+// twentieth of the first. The race detector and the invariants ledger
+// allocate on their own account, so the figures are the plain build's.
 func TestForkAllocs(t *testing.T) {
 	if budget.Race || invariant.Enabled {
 		t.Skip("measured in the plain build")
 	}
+	type cost struct{ allocs, bytes uint64 }
 	for _, tc := range []struct {
-		name          string
-		spec          topology.Spec
-		proto         Protocol
-		allocs, bytes uint64
+		name            string
+		spec            topology.Spec
+		proto           Protocol
+		fresh, recycled cost
 	}{
-		{"2pod", topology.TwoPodSpec(), ProtoMRMTP, 822, 102880},
-		{"2pod", topology.TwoPodSpec(), ProtoBGP, 1468, 131992},
-		{"2pod", topology.TwoPodSpec(), ProtoBGPBFD, 1823, 150944},
-		{"4pod", topology.FourPodSpec(), ProtoMRMTP, 1565, 191840},
-		{"4pod", topology.FourPodSpec(), ProtoBGP, 3203, 271320},
-		{"4pod", topology.FourPodSpec(), ProtoBGPBFD, 3878, 307520},
+		{"2pod", topology.TwoPodSpec(), ProtoMRMTP, cost{802, 101168}, cost{60, 2720}},
+		{"2pod", topology.TwoPodSpec(), ProtoBGP, cost{1364, 130792}, cost{112, 2048}},
+		{"2pod", topology.TwoPodSpec(), ProtoBGPBFD, cost{1707, 149872}, cost{168, 3008}},
+		{"4pod", topology.FourPodSpec(), ProtoMRMTP, cost{1519, 189168}, cost{116, 5408}},
+		{"4pod", topology.FourPodSpec(), ProtoBGP, cost{3004, 263720}, cost{208, 3840}},
+		{"4pod", topology.FourPodSpec(), ProtoBGPBFD, cost{3660, 306448}, cost{312, 5696}},
 	} {
 		snap, err := bringUp(DefaultOptions(tc.spec, tc.proto, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocs, bytes := budget.PerRun(20, func() {
-			if _, err := snap.fork(); err != nil {
+		var fresh cost
+		fresh.allocs, fresh.bytes = budget.PerRun(20, func() {
+			if _, err := snap.fork(nil); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if allocs != tc.allocs || bytes != tc.bytes {
-			t.Errorf("%s/%s: a fork allocates %d objects and %d B, want %d and %d", tc.name, tc.proto, allocs, bytes, tc.allocs, tc.bytes)
+		if fresh != tc.fresh {
+			t.Errorf("%s/%s: a fork allocates %d objects and %d B, want %d and %d", tc.name, tc.proto, fresh.allocs, fresh.bytes, tc.fresh.allocs, tc.fresh.bytes)
+		}
+
+		// Into a released fabric: one that ran into a failure, then, turn
+		// about, forks of two snapshots of other seeds.
+		other, err := bringUp(DefaultOptions(tc.spec, tc.proto, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := snap.fork(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.Fail(topology.TC1); err != nil {
+			t.Fatal(err)
+		}
+		g.Sim.RunFor(SettleTime)
+		srcs := [2]*Fabric{other, snap}
+		i := 0
+		var recycled cost
+		recycled.allocs, recycled.bytes = budget.PerRun(20, func() {
+			i++
+			if _, err := srcs[i%2].fork(g); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if recycled != tc.recycled {
+			t.Errorf("%s/%s: a fork into a released fabric allocates %d objects and %d B, want %d and %d", tc.name, tc.proto, recycled.allocs, recycled.bytes, tc.recycled.allocs, tc.recycled.bytes)
+		}
+		if 20*recycled.bytes > fresh.bytes {
+			t.Errorf("%s/%s: a fork into a released fabric allocates %d B, over 5 %% of a fork into new memory (%d B)", tc.name, tc.proto, recycled.bytes, fresh.bytes)
 		}
 	}
 }
 
-// TestStashMatchesColdOracles holds the memo's injection instants to the
-// cold oracles: every pooled failure and loss trial (both directions) of
+// TestInjectionForksMatchColdOracles holds the memo's injection instants to
+// the cold oracles: every pooled failure and loss trial (both directions) of
 // TC1–TC4 equals unpooled RunFailure and coldRunLoss at the trial's seed,
 // in any order the cases are asked in — bench's (failure, near, far per
-// case), the cases and lead-ins reversed, and TC2 asked twice, its slot
-// emptied the first time and refilled by a fresh lead-in the second.
-func TestStashMatchesColdOracles(t *testing.T) {
+// case), the cases and lead-ins reversed, and TC2 asked twice. Each trial
+// runs on a fork of a kept lead-in fabric written into the fabric an
+// earlier trial released.
+func TestInjectionForksMatchColdOracles(t *testing.T) {
 	const n = 2
 	type request struct {
 		lead leadIn
@@ -352,27 +391,26 @@ func TestStashMatchesColdOracles(t *testing.T) {
 				}
 			}
 		}
-		// The second TC2 refilled the one slot TC1 had emptied, and nothing
-		// has taken it since.
-		memo.mu.Lock()
-		for k := range memo.stash {
-			if k.tc != topology.TC1 {
-				t.Errorf("%s: the stash holds a fork for %v, want only TC1's", name, k.tc)
-			}
-		}
-		if len(memo.stash) != 3*n {
-			t.Errorf("%s: the stash holds %d fork(s), want %d (TC1's, per trial and lead-in)", name, len(memo.stash), 3*n)
-		}
-		memo.mu.Unlock()
 	}
 }
 
-// TestForkSourceRunsOn takes K−1 forks of a lead-in fabric, as the memo
-// stashes them, then runs the source on beside them, each on its own
-// goroutine: each run must match a cold one of its case. Under -race this is
-// the check that a fork shares nothing its source writes when it runs on.
+// sourceRunsOnOracles holds TestForkSourceRunsOn's cold runs, made once per
+// test binary, so that -count repeats only the runs on the source and its
+// forks.
+var sourceRunsOnOracles struct {
+	once sync.Once
+	fps  map[Protocol][]fingerprint
+	err  error
+}
+
+// TestForkSourceRunsOn takes K−1 forks of a lead-in fabric, then runs the
+// source on beside them, each on its own goroutine: each run must match a
+// cold one of its case. Under -race this is the check that a fork shares
+// nothing its source writes when it runs on.
 func TestForkSourceRunsOn(t *testing.T) {
 	cases := topology.AllFailureCases()
+	protos := []Protocol{ProtoMRMTP, ProtoBGPBFD}
+	opts := func(proto Protocol) Options { return DefaultOptions(topology.TwoPodSpec(), proto, 13) }
 	// run fails tc on f, lets it settle, drains the probe, and tallies f.
 	run := func(f *Fabric, tc topology.FailureCase) (fingerprint, error) {
 		var cap capture.Capture
@@ -387,15 +425,36 @@ func TestForkSourceRunsOn(t *testing.T) {
 		fp.probe = fmt.Sprintf("%+v", f.probe.receiver.Report(f.probe.sender))
 		return fp, nil
 	}
-	for _, proto := range []Protocol{ProtoMRMTP, ProtoBGPBFD} {
-		opts := DefaultOptions(topology.TwoPodSpec(), proto, 13)
-		src, err := warmThrough(opts, nearLeadIn)
+	o := &sourceRunsOnOracles
+	o.once.Do(func() {
+		o.fps = make(map[Protocol][]fingerprint)
+		for _, proto := range protos {
+			for _, tc := range cases {
+				cold, err := warmThrough(opts(proto), nearLeadIn)
+				if err != nil {
+					o.err = err
+					return
+				}
+				want, err := run(cold, tc)
+				if err != nil {
+					o.err = err
+					return
+				}
+				o.fps[proto] = append(o.fps[proto], want)
+			}
+		}
+	})
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	for _, proto := range protos {
+		src, err := warmThrough(opts(proto), nearLeadIn)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fabrics := []*Fabric{src}
 		for range cases[1:] {
-			g, err := src.fork()
+			g, err := src.fork(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -415,19 +474,164 @@ func TestForkSourceRunsOn(t *testing.T) {
 		}
 		wg.Wait()
 		for i, tc := range cases {
-			cold, err := warmThrough(opts, nearLeadIn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := run(cold, tc)
-			if err != nil {
-				t.Fatal(err)
-			}
 			what := fmt.Sprintf("%s %v on the source", proto, tc)
 			if i > 0 {
 				what = fmt.Sprintf("%s %v on fork %d", proto, tc, i)
 			}
-			compareFingerprints(t, what, fps[i], want)
+			compareFingerprints(t, what, fps[i], o.fps[proto][i])
+		}
+	}
+}
+
+// sessionStates renders every BGP and BFD session's state, a BGP session's
+// output queue included, in node order.
+func sessionStates(f *Fabric) string {
+	var b strings.Builder
+	for _, n := range f.Sim.Nodes() {
+		if sp := f.Speakers[n.Name]; sp != nil {
+			for _, p := range sp.Peers() {
+				fmt.Fprintf(&b, "%s bgp %s %v queued %d\n", n.Name, p.Neighbor, p.State, p.Queued())
+			}
+		}
+		if mgr := f.BFDs[n.Name]; mgr != nil {
+			for _, s := range mgr.Sessions() {
+				fmt.Fprintf(&b, "%s bfd %v\n", n.Name, s.State())
+			}
+		}
+	}
+	return b.String()
+}
+
+// dirtyForks holds TestForkIntoDirtyMatchesFresh's lead-in fabrics, made
+// once per test binary and only ever forked, so that -count repeats only
+// the forks and their runs.
+var dirtyForks dirtyForkSet
+
+type dirtyForkSet struct {
+	once    sync.Once
+	fabrics []dirtyFabric
+	err     error
+}
+
+// dirtyFabric is one configuration of the test: the lead-in fabric every
+// fork is made of, and one of another seed and lead-in, whose fork runs into
+// a different case before the recycled fork is written into it.
+type dirtyFabric struct {
+	name       string
+	src, other *Fabric
+}
+
+// add makes the lead-in fabrics of opts, and of opts at the next seed: the
+// probe flow near and far where the fabric has the racks for it, else the
+// timer phase for both.
+func (d *dirtyForkSet) add(name string, opts Options) {
+	if d.err != nil {
+		return
+	}
+	lead, otherLead := nearLeadIn, farLeadIn
+	if opts.Spec.Zones != 0 {
+		lead, otherLead = phaseLeadIn, phaseLeadIn
+	}
+	src, err := warmThrough(opts, lead)
+	if err != nil {
+		d.err = err
+		return
+	}
+	opts.Seed++
+	other, err := warmThrough(opts, otherLead)
+	if err != nil {
+		d.err = err
+		return
+	}
+	d.fabrics = append(d.fabrics, dirtyFabric{fmt.Sprintf("%s/%s", name, opts.Protocol), src, other})
+}
+
+// TestForkIntoDirtyMatchesFresh holds a fork written into a released fabric
+// to a fork into new memory: the fabric it is written into ran another
+// seed's lead-in — the probe flow the other way round where the fabric has
+// the racks for one, so that its stacks hold listeners the source's lack —
+// and then into another case, released 3.5 s in, past plain BGP's hold
+// time: timers armed, frames on the wire and, on the fabric with an MRAI,
+// an announcement queued. Both forks, made of the
+// same lead-in fabric on two goroutines, then fail TC1 and settle; they must
+// agree on the wire trace, the event log, the dispatch count, every routing
+// and VID table, every session's state, the frame pool, the next draw of
+// every stream and the probe flow's report.
+func TestForkIntoDirtyMatchesFresh(t *testing.T) {
+	d := &dirtyForks
+	d.once.Do(func() {
+		specs := []struct {
+			name string
+			spec topology.Spec
+		}{
+			{"2pod", topology.TwoPodSpec()},
+			{"4pod", topology.FourPodSpec()},
+			{"4tier", fourTier()},
+		}
+		for _, sp := range specs {
+			for _, proto := range []Protocol{ProtoMRMTP, ProtoBGP, ProtoBGPBFD} {
+				d.add(sp.name, DefaultOptions(sp.spec, proto, 21))
+			}
+		}
+		mrai := DefaultOptions(topology.TwoPodSpec(), ProtoBGP, 21)
+		mrai.BGPTimers.MRAI = 2 * time.Second
+		d.add("2pod-mrai", mrai)
+	})
+	if d.err != nil {
+		t.Fatal(d.err)
+	}
+	// run fails TC1 on f, lets it settle, drains the probe if there is one,
+	// and tallies f.
+	run := func(f *Fabric) fingerprint {
+		forked := sessionStates(f)
+		var cap capture.Capture
+		cap.TapAll(f.Sim)
+		if _, err := f.Fail(topology.TC1); err != nil {
+			t.Error(err)
+			return fingerprint{}
+		}
+		f.Sim.RunFor(4 * time.Second)
+		report := ""
+		if f.probe != nil {
+			f.probe.sender.Stop()
+			f.Sim.RunFor(time.Second)
+			report = fmt.Sprintf("%+v", f.probe.receiver.Report(f.probe.sender))
+		}
+		fp := fingerprintOf(f, &cap)
+		fp.probe, fp.sessions = report, "at the fork:\n"+forked+"settled:\n"+sessionStates(f)
+		return fp
+	}
+	for _, df := range d.fabrics {
+		dirty, err := df.other.fork(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dirty.Fail(topology.TC3); err != nil {
+			t.Fatal(err)
+		}
+		dirty.Sim.RunFor(3500 * time.Millisecond)
+		dirty.Sim.Release()
+		var recycled, fresh fingerprint
+		var wg sync.WaitGroup
+		wg.Add(2)
+		for _, into := range []*Fabric{dirty, nil} {
+			go func() {
+				defer wg.Done()
+				g, err := df.src.fork(into)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if into != nil {
+					recycled = run(g)
+				} else {
+					fresh = run(g)
+				}
+			}()
+		}
+		wg.Wait()
+		if !t.Failed() {
+			compareFingerprints(t, df.name+" fork into a released fabric", recycled, fresh)
 		}
 	}
 }

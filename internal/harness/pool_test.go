@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/topology"
@@ -135,62 +136,67 @@ func TestRunnersRejectNoTrials(t *testing.T) {
 
 // TestWarmMemoScope holds the memo to its scope: one bring-up per
 // configuration and trial seed within a sweep, one lead-in per trial seed
-// and lead-in with one fork per trial, none carried into the next, and no
-// part in a bring-up made outside the trial pool.
+// and lead-in, one fork per trial and per lead-in, every trial fork but a
+// row's first written into a released fabric, none carried into the next
+// row, and no part in a bring-up made outside the trial pool.
 func TestWarmMemoScope(t *testing.T) {
 	// bench's grid loop at tiny scale: spec, protocol, failure case, then
 	// the failure and the near and far loss cells.
 	const n = 1
 	specs := []topology.Spec{topology.TwoPodSpec()}
 	protos := []Protocol{ProtoMRMTP, ProtoBGP, ProtoBGPBFD}
-	grid := func() {
-		for _, spec := range specs {
-			for _, proto := range protos {
-				opts := DefaultOptions(spec, proto, 1)
-				for _, tc := range topology.AllFailureCases() {
-					if _, err := RunFailureTrials(opts, tc, n); err != nil {
-						t.Fatal(err)
-					}
-					for _, reverse := range []bool{false, true} {
-						if _, err := RunLossTrials(opts, tc, reverse, n); err != nil {
-							t.Fatal(err)
-						}
-					}
+	row := func(opts Options) {
+		for _, tc := range topology.AllFailureCases() {
+			if _, err := RunFailureTrials(opts, tc, n); err != nil {
+				t.Fatal(err)
+			}
+			for _, reverse := range []bool{false, true} {
+				if _, err := RunLossTrials(opts, tc, reverse, n); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
 	}
-	rows := len(specs) * len(protos)
-	cells := rows * len(topology.AllFailureCases()) * 3
 	for pass := 1; pass <= 2; pass++ {
-		w0, f0, l0 := memo.counts()
-		grid()
-		w1, f1, l1 := memo.counts()
-		if got, want := w1-w0, rows*n; got != want {
-			t.Errorf("pass %d made %d bring-ups, want %d (specs × protocols × trials)", pass, got, want)
-		}
-		if got, want := f1-f0, cells*n; got != want {
-			t.Errorf("pass %d made %d forks, want %d (one per trial)", pass, got, want)
-		}
-		if got, want := l1-l0, rows*3*n; got != want {
-			t.Errorf("pass %d ran %d lead-ins, want %d (specs × protocols × {failure, near, far} × trials)", pass, got, want)
+		for _, spec := range specs {
+			for _, proto := range protos {
+				name := fmt.Sprintf("pass %d %dpod/%s", pass, spec.Pods, proto)
+				w0, f0, r0, l0 := memo.counts()
+				row(DefaultOptions(spec, proto, 1))
+				w1, f1, r1, l1 := memo.counts()
+				if got, want := w1-w0, n; got != want {
+					t.Errorf("%s made %d bring-ups, want %d (one per trial)", name, got, want)
+				}
+				if got, want := l1-l0, 3*n; got != want {
+					t.Errorf("%s ran %d lead-ins, want %d ({failure, near, far} × trials)", name, got, want)
+				}
+				if got, want := f1-f0, 15*n; got != want {
+					t.Errorf("%s made %d forks, want %d (one per lead-in and one per trial)", name, got, want)
+				}
+				// One trial at a time, every trial but a row's first has a
+				// released fabric to fork into, and the first has one too
+				// when the memo already held the row's configuration.
+				if got := r1 - r0; got < 12*n-1 || got > 12*n {
+					t.Errorf("%s wrote %d forks into released fabrics, want %d or %d", name, got, 12*n-1, 12*n)
+				}
+			}
 		}
 	}
 	memo.mu.Lock()
-	if len(memo.stash) != 0 {
-		t.Errorf("the memo still stashes %d fork(s) after every case took its own", len(memo.stash))
+	if len(memo.leads) != 3*n || len(memo.spare) != 1 {
+		t.Errorf("the memo holds %d lead-in fabric(s) and %d released one(s) after a row, want %d and 1", len(memo.leads), len(memo.spare), 3*n)
 	}
 	config, entries := memo.config, len(memo.entries)
 	memo.mu.Unlock()
 
 	// A direct RunWorkload call brings its own fabric up.
-	w0, f0, _ := memo.counts()
+	w0, f0, _, _ := memo.counts()
 	w := DefaultWorkloadConfig()
 	w.Flows = 20
 	if _, err := RunWorkload(DefaultOptions(topology.TwoPodSpec(), ProtoMRMTP, 1), w); err != nil {
 		t.Fatal(err)
 	}
-	if w1, f1, _ := memo.counts(); w1 != w0 || f1 != f0 {
+	if w1, f1, _, _ := memo.counts(); w1 != w0 || f1 != f0 {
 		t.Errorf("a direct RunWorkload made %d bring-ups and %d forks through the memo, want none", w1-w0, f1-f0)
 	}
 	memo.mu.Lock()

@@ -52,7 +52,7 @@ func TestMRMTPTablesMatchTreesAfterEveryLinkFault(t *testing.T) {
 					{Kind: chaos.Down, Link: link},
 					{Kind: chaos.FlapStorm, Link: link, Flaps: 1, Period: chaos.Duration(time.Second), Duty: 0.5},
 				} {
-					f, err := warm.fork()
+					f, err := warm.fork(nil)
 					if err != nil {
 						t.Fatal(err)
 					}

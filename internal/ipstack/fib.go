@@ -10,9 +10,7 @@ package ipstack
 
 import (
 	"fmt"
-	"maps"
 	"math/bits"
-	"slices"
 	"sort"
 	"strings"
 
@@ -256,22 +254,40 @@ func (f *FIB) Render() string {
 	return b.String()
 }
 
-// fork copies the table for a forked stack, each next hop's interface
+// fork copies the table for a forked stack into into's storage, the table
+// an earlier fork or run left on the stack's copy, each next hop's interface
 // replaced by its copy. The copy has no node: the stack gives it its own.
-func (f *FIB) fork(iface func(*Iface) *Iface) FIB {
+func (f *FIB) fork(iface func(*Iface) *Iface, into FIB) FIB {
 	c := FIB{
-		routes: make([]Route, len(f.routes), cap(f.routes)),
-		head:   maps.Clone(f.head),
-		next:   slices.Clone(f.next),
+		routes: into.routes[:0],
+		next:   simnet.CloneInto(into.next, f.next),
 		lens:   f.lens,
+		live:   into.live[:0],
+	}
+	if cap(c.routes) < len(f.routes) {
+		c.routes = make([]Route, 0, cap(f.routes))
+	}
+	if f.head != nil {
+		c.head = simnet.EmptyMap(into.head, len(f.head))
+		//simlint:deterministic map copy
+		for k, i := range f.head {
+			c.head[k] = i
+		}
 	}
 	for i, r := range f.routes {
-		nhs := make([]NextHop, len(r.NextHops))
-		for j, nh := range r.NextHops {
-			nhs[j] = NextHop{Via: nh.Via, Iface: iface(nh.Iface)}
+		var nhs []NextHop
+		if i < len(into.routes) {
+			nhs = into.routes[i].NextHops[:0]
+		}
+		if cap(nhs) < len(r.NextHops) {
+			nhs = make([]NextHop, 0, len(r.NextHops))
+		}
+		for _, nh := range r.NextHops {
+			nhs = append(nhs, NextHop{Via: nh.Via, Iface: iface(nh.Iface)})
 		}
 		r.NextHops = nhs
-		c.routes[i] = r
+		c.routes = append(c.routes, r)
 	}
+	simnet.ClearTail(c.routes)
 	return c
 }

@@ -304,7 +304,7 @@ func TestFIBForkOwnsItsRoutes(t *testing.T) {
 			copies[ifc] = &cp
 		}
 		return copies[ifc]
-	})
+	}, FIB{})
 	for _, r := range f.routes {
 		for _, nh := range r.NextHops {
 			if copies[nh.Iface] == nil {

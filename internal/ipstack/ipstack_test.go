@@ -85,9 +85,9 @@ func TestARPQueueDrainsWithoutLoss(t *testing.T) {
 func TestForkRefusesHeldFrames(t *testing.T) {
 	l := newLAN(t)
 	fork := func() error {
-		fk := l.sim.Fork()
+		fk := l.sim.Fork(nil)
 		for _, s := range []*Stack{l.h1, l.r, l.h2} {
-			s.Fork(fk)
+			s.Fork(fk, nil)
 		}
 		_, err := fk.Finish()
 		return err

@@ -588,31 +588,47 @@ func (s *Stack) flushARPPending(ip netaddr.IPv4) {
 func (s *Stack) String() string { return fmt.Sprintf("ipstack(%s)", s.Node.Name) }
 
 // Fork copies the stack for a fork of its simulation — interfaces, FIB,
-// ARP table, counters, TCP endpoint — and attaches the copy to the node's
-// copy. A daemon's copy finds its interfaces on the copy by port index
-// (Iface). UDP and ICMP listeners and the carrier and start hooks belong to
-// whoever installed them, which installs them again on the copy; Finish
-// fails if one is missing. A snapshot holds only what a bring-up leaves
-// settled, so Finish also fails if a frame awaits ARP resolution.
-func (s *Stack) Fork(fk *simnet.Forker) *Stack {
+// ARP table, counters, TCP endpoint — into into, the stack an earlier fork
+// attached to the node's copy, or a new one, and attaches the copy to the
+// node's copy. A daemon's copy finds its interfaces on the copy by port
+// index (Iface). UDP and ICMP listeners and the carrier and start hooks
+// belong to whoever installed them, which installs them again on the copy;
+// Finish fails if one is missing. A snapshot holds only what a bring-up
+// leaves settled, so Finish also fails if a frame awaits ARP resolution.
+func (s *Stack) Fork(fk *simnet.Forker, into *Stack) *Stack {
 	node := fk.Node(s.Node)
-	ns := &Stack{
-		Node:        node,
-		ifaces:      make(map[int]*Iface, len(s.ifaces)),
-		ifaceList:   make([]*Iface, len(s.ifaceList)),
-		localIPs:    make(map[netaddr.IPv4]*Iface, len(s.localIPs)),
-		arpTable:    make(map[netaddr.IPv4]arpEntry, len(s.arpTable)),
-		arpPending:  make(map[netaddr.IPv4][][]byte),
-		udpHandlers: make(map[uint16]UDPHandler),
-		Stats:       s.Stats,
-		ipID:        s.ipID,
-		frames:      node.Sim.Frames(),
+	ns := into
+	if ns == nil {
+		ns = &Stack{}
+	}
+	old := *ns
+	*ns = Stack{
+		Node:         node,
+		ifaces:       simnet.EmptyMap(old.ifaces, len(s.ifaces)),
+		ifaceList:    old.ifaceList[:0],
+		localIPs:     simnet.EmptyMap(old.localIPs, len(s.localIPs)),
+		arpTable:     simnet.EmptyMap(old.arpTable, len(s.arpTable)),
+		arpPending:   simnet.EmptyMap(old.arpPending, 0),
+		udpHandlers:  simnet.EmptyMap(old.udpHandlers, 0),
+		icmpHandlers: old.icmpHandlers[:0],
+		Stats:        s.Stats,
+		ipID:         s.ipID,
+		frames:       node.Sim.Frames(),
+	}
+	clear(old.icmpHandlers)
+	for i := range ns.memo {
+		ns.memo[i].hops = old.memo[i].hops[:0]
+	}
+	if cap(ns.ifaceList) < len(s.ifaceList) {
+		ns.ifaceList = make([]*Iface, 0, len(s.ifaceList))
 	}
 	for i, ifc := range s.ifaceList {
-		nifc := &Iface{Port: fk.Port(ifc.Port), IP: ifc.IP, Subnet: ifc.Subnet}
-		ns.ifaceList[i] = nifc
+		nifc := simnet.Reused(old.ifaceList, i)
+		*nifc = Iface{Port: fk.Port(ifc.Port), IP: ifc.IP, Subnet: ifc.Subnet}
+		ns.ifaceList = append(ns.ifaceList, nifc)
 		ns.ifaces[ifc.Port.Index] = nifc
 	}
+	simnet.ClearTail(ns.ifaceList)
 	iface := func(ifc *Iface) *Iface {
 		if ifc == nil {
 			return nil
@@ -627,34 +643,43 @@ func (s *Stack) Fork(fk *simnet.Forker) *Stack {
 	for ip, e := range s.arpTable {
 		ns.arpTable[ip] = arpEntry{mac: e.mac, ifc: iface(e.ifc)}
 	}
-	ns.FIB = s.FIB.fork(iface)
+	ns.FIB = s.FIB.fork(iface, old.FIB)
 	ns.FIB.node = node
-	ns.TCP = s.TCP.Fork(fk, node.Rand, ns.sendTCPSegment)
+	tcpInto := old.TCP
+	if tcpInto == nil {
+		tcpInto = tcp.NewEndpoint(node.Sim, node.Rand, ns.sendTCPSegment)
+	}
+	ns.TCP = s.TCP.Fork(fk, tcpInto)
 	node.Handler = ns
-	fk.Check(func() error {
-		if len(s.arpPending) > 0 {
-			return fmt.Errorf("ipstack %s: %d address(es) hold frames awaiting ARP resolution, which a fork does not copy", s.Node.Name, len(s.arpPending))
-		}
-		missing := len(s.icmpHandlers) - len(ns.icmpHandlers)
-		//simlint:deterministic counts only
-		for port := range s.udpHandlers {
-			if ns.udpHandlers[port] == nil {
-				missing++
-			}
-		}
-		for _, hook := range [][2]bool{
-			{s.OnPortDown != nil, ns.OnPortDown != nil},
-			{s.OnPortUp != nil, ns.OnPortUp != nil},
-			{s.OnStart != nil, ns.OnStart != nil},
-		} {
-			if hook[0] != hook[1] {
-				missing++
-			}
-		}
-		if missing != 0 || len(ns.udpHandlers) != len(s.udpHandlers) {
-			return fmt.Errorf("ipstack %s: fork lacks %d listener or hook(s) of the source", s.Node.Name, missing)
-		}
-		return nil
-	})
+	fk.Check(checkFork, s, ns)
 	return ns
+}
+
+// checkFork is Fork's deferred check of the copy ns of s: nothing held for
+// ARP, every listener and hook re-installed.
+func checkFork(src, dst any) error {
+	s, ns := src.(*Stack), dst.(*Stack)
+	if len(s.arpPending) > 0 {
+		return fmt.Errorf("ipstack %s: %d address(es) hold frames awaiting ARP resolution, which a fork does not copy", s.Node.Name, len(s.arpPending))
+	}
+	missing := len(s.icmpHandlers) - len(ns.icmpHandlers)
+	//simlint:deterministic counts only
+	for port := range s.udpHandlers {
+		if ns.udpHandlers[port] == nil {
+			missing++
+		}
+	}
+	for _, hook := range [][2]bool{
+		{s.OnPortDown != nil, ns.OnPortDown != nil},
+		{s.OnPortUp != nil, ns.OnPortUp != nil},
+		{s.OnStart != nil, ns.OnStart != nil},
+	} {
+		if hook[0] != hook[1] {
+			missing++
+		}
+	}
+	if missing != 0 || len(ns.udpHandlers) != len(s.udpHandlers) {
+		return fmt.Errorf("ipstack %s: fork lacks %d listener or hook(s) of the source", s.Node.Name, missing)
+	}
+	return nil
 }

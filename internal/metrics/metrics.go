@@ -9,7 +9,6 @@
 package metrics
 
 import (
-	"slices"
 	"sort"
 	"time"
 )
@@ -74,9 +73,14 @@ func (l *Log) FailureInjected(at time.Duration, node string, port int) {
 	l.add(Event{At: at, Node: node, Kind: KindFailure, N: port})
 }
 
-// Fork returns a copy of the log: its events and its retention setting.
-func (l *Log) Fork() *Log {
-	return &Log{Events: slices.Clone(l.Events), discard: l.discard}
+// Fork returns a copy of the log, its events and its retention setting,
+// written into into (a log an earlier fork made) or a new one.
+func (l *Log) Fork(into *Log) *Log {
+	if into == nil {
+		into = &Log{}
+	}
+	*into = Log{Events: append(into.Events[:0], l.Events...), discard: l.discard}
+	return into
 }
 
 // Reset discards all recorded events (the harness calls this once the

@@ -12,10 +12,10 @@ import (
 // makes the fork fail.
 func TestForkRefusesUnsettledState(t *testing.T) {
 	fork := func(c *column) (*Router, error) {
-		fk := c.sim.Fork()
+		fk := c.sim.Fork(nil)
 		var tor *Router
 		for _, r := range []*Router{c.tor, c.tor2, c.spine, c.top} {
-			if nr := r.Fork(fk, c.log); r == c.tor {
+			if nr := r.Fork(fk, c.log, nil); r == c.tor {
 				tor = nr
 			}
 		}

@@ -226,6 +226,10 @@ type Router struct {
 	frames *framepool.Pool
 
 	Stats Stats
+
+	// vidBytes holds the bytes of the table's VIDs as a fork copied them
+	// (Fork); nothing else writes it.
+	vidBytes []byte
 }
 
 type stagedUpdate struct {

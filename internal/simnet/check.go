@@ -159,3 +159,10 @@ func (s *Sim) checkWire(d *dirState, i int) {
 		invariant.Assert(a.at < b.at || a.at == b.at && a.tie < b.tie, "simnet: flight ring out of (at, tie) order")
 	}
 }
+
+// checkLive asserts that s was not released (Sim.Release): a run that goes
+// on after handing its simulation back would be running in memory the next
+// fork into it is writing.
+func (s *Sim) checkLive() {
+	invariant.Assert(!s.released, "simnet: running a simulation that was released for a fork to write into")
+}

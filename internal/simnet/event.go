@@ -658,6 +658,9 @@ func (s *Sim) head() *eventHeap {
 
 // Step processes the next event. It reports false when the queue is empty.
 func (s *Sim) Step() bool {
+	if invariant.Enabled {
+		s.checkLive()
+	}
 	h := s.head()
 	if h == nil {
 		return false
@@ -714,6 +717,9 @@ func (s *Sim) dispatch(h *eventHeap) {
 // RunUntil processes every event scheduled at or before t, then advances the
 // clock to exactly t.
 func (s *Sim) RunUntil(t time.Duration) {
+	if invariant.Enabled {
+		s.checkLive()
+	}
 	for h := s.head(); h != nil && (*h)[0].at <= t; h = s.head() {
 		s.dispatch(h)
 	}

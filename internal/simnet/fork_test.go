@@ -72,7 +72,7 @@ func forkComponents(fk *Forker, hs []*forkNode, log *[]string) {
 	for _, h := range hs {
 		nh := &forkNode{node: fk.Node(h.node), log: log, timers: make([]*Timer, len(h.timers))}
 		for i := len(h.timers) - 1; i >= 0; i-- {
-			nh.timers[i] = fk.Timer(h.timers[i], nh.fire(i))
+			nh.timers[i] = fk.Timer(h.timers[i], nil, func() func() { return nh.fire(i) })
 		}
 		nh.node.Handler = nh
 	}
@@ -87,7 +87,7 @@ func TestForkRunsAsTheSource(t *testing.T) {
 	if got := src.links[0].Stats(src.links[0].A).Queued; got == 0 {
 		t.Fatal("scenario has an empty egress queue at the fork")
 	}
-	fk := src.Fork()
+	fk := src.Fork(nil)
 	forkComponents(fk, hs, &forkLog)
 	dst, err := fk.Finish()
 	if err != nil {
@@ -130,12 +130,77 @@ func TestForkRunsAsTheSource(t *testing.T) {
 	}
 }
 
+// TestForkIntoReleasedRunsAsTheSource: a fork written into a simulation
+// that ran on past a fork of its own — other frames in flight and queued,
+// other timers pending, its streams further along — runs exactly as the
+// source, as a fork into new memory does.
+func TestForkIntoReleasedRunsAsTheSource(t *testing.T) {
+	var srcLog, oldLog, forkLog []string
+	src, hs := forkScenario(t, &srcLog)
+	old, oldHs := forkScenario(t, &oldLog)
+	old.RunFor(7 * time.Millisecond)
+	for _, n := range old.nodeOrder {
+		n.Rand().Int63()
+	}
+	old.links[0].Rand(old.links[0].B).Int63()
+	old.Release()
+
+	fk := src.Fork(old)
+	forkComponents(fk, hs, &forkLog)
+	dst, err := fk.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dst != old {
+		t.Fatal("the fork did not write into the simulation it was given")
+	}
+	for _, h := range oldHs {
+		for i, tm := range h.timers {
+			if tm.pending() {
+				t.Errorf("%s: timer %d of the released simulation's component is still pending", h.node.Name, i)
+			}
+		}
+	}
+	at := len(srcLog)
+	src.RunFor(40 * time.Millisecond)
+	dst.RunFor(40 * time.Millisecond)
+	if got, want := strings.Join(forkLog, "\n"), strings.Join(srcLog[at:], "\n"); got != want {
+		t.Errorf("fork ran\n%s\nsource ran\n%s", got, want)
+	}
+	if src.Events() != dst.Events() || src.Now() != dst.Now() || src.FrameStats() != dst.FrameStats() {
+		t.Errorf("fork: %d events at %v, pool %+v; source %d at %v, pool %+v", dst.Events(), dst.Now(), dst.FrameStats(), src.Events(), src.Now(), src.FrameStats())
+	}
+	for i, n := range src.nodeOrder {
+		if a, b := n.Rand().Int63(), dst.nodeOrder[i].Rand().Int63(); a != b {
+			t.Errorf("%s: node stream's next draw %d on the fork, %d on the source", n.Name, b, a)
+		}
+	}
+	for i, l := range src.links {
+		if a, b := l.Rand(l.B).Int63(), dst.links[i].Rand(dst.links[i].B).Int63(); a != b {
+			t.Errorf("direction stream's next draw %d on the fork, %d on the source", b, a)
+		}
+	}
+}
+
+// TestForkRefusesDoubleClaim: a pending timer two components claim would
+// fire twice on the copy, so Finish refuses it.
+func TestForkRefusesDoubleClaim(t *testing.T) {
+	var log []string
+	src, hs := forkScenario(t, &log)
+	fk := src.Fork(nil)
+	forkComponents(fk, hs, &log)
+	fk.Timer(hs[0].timers[2], nil, func() func() { return func() {} })
+	if _, err := fk.Finish(); err == nil || !strings.Contains(err.Error(), "claimed twice") {
+		t.Errorf("Finish with a timer claimed twice: err = %v", err)
+	}
+}
+
 // TestForkCopiesFramesInFlight: the fork's frames in flight are its own, so
 // a write to the source's buffers after the fork reaches only the source.
 func TestForkCopiesFramesInFlight(t *testing.T) {
 	var srcLog, forkLog []string
 	src, hs := forkScenario(t, &srcLog)
-	fk := src.Fork()
+	fk := src.Fork(nil)
 	forkComponents(fk, hs, &forkLog)
 	dst, err := fk.Finish()
 	if err != nil {
@@ -163,7 +228,7 @@ func TestForkRefusesWhatItCannotCopy(t *testing.T) {
 	var log []string
 	src, hs := forkScenario(t, &log)
 	src.Schedule(time.Millisecond, func() {})
-	fk := src.Fork()
+	fk := src.Fork(nil)
 	forkComponents(fk, hs, &log)
 	if _, err := fk.Finish(); err == nil || !strings.Contains(err.Error(), "1 pending event(s) claimed by no component") {
 		t.Errorf("Finish with a bare Schedule pending: err = %v", err)
@@ -172,12 +237,12 @@ func TestForkRefusesWhatItCannotCopy(t *testing.T) {
 	// A handler the components did not copy is refused too, and so is a
 	// capture tap, which has no owner to install it on the copy.
 	src, _ = forkScenario(t, &log)
-	if _, err := src.Fork().Finish(); err == nil {
+	if _, err := src.Fork(nil).Finish(); err == nil {
 		t.Error("Finish with no component copied: want an error")
 	}
 	src, hs = forkScenario(t, &log)
 	src.links[0].Tap(func(time.Duration, *Port, []byte) {})
-	fk = src.Fork()
+	fk = src.Fork(nil)
 	forkComponents(fk, hs, &log)
 	if _, err := fk.Finish(); err == nil || !strings.Contains(err.Error(), "capture taps") {
 		t.Errorf("Finish with a tapped link: err = %v", err)
@@ -195,14 +260,14 @@ func TestStreamForkReplaysDraws(t *testing.T) {
 			st.r.Intn(1 + i)
 		}
 	}
-	c := st.fork()
+	c := st.fork(nil)
 	for i := range 100 {
 		if a, b := st.r.Int63(), c.rand().Int63(); a != b {
 			t.Fatalf("draw %d after the fork: source %d, fork %d", i, a, b)
 		}
 	}
 	var never *stream
-	if never.fork() != nil {
+	if never.fork(nil) != nil {
 		t.Error("fork of a stream never built should stay unbuilt")
 	}
 }

@@ -47,6 +47,12 @@ func (p *Pool) trackPut(b []byte) {
 	}
 }
 
+// trackStock enters b, a returned buffer a forked pool keeps as stock, in a
+// ledger that starts empty.
+func (p *Pool) trackStock(b []byte) {
+	p.dbg.free[base(b)] = true
+}
+
 // Handle captures a buffer's identity and generation for a later staleness
 // check.
 type Handle struct {

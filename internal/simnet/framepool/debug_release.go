@@ -10,8 +10,9 @@ type debugState struct{}
 
 func newDebugState() *debugState { return nil }
 
-func (p *Pool) trackGet(b []byte) {}
-func (p *Pool) trackPut(b []byte) {}
+func (p *Pool) trackGet(b []byte)   {}
+func (p *Pool) trackPut(b []byte)   {}
+func (p *Pool) trackStock(b []byte) {}
 
 // Handle is a no-op staleness token in release builds.
 type Handle struct{}

@@ -180,15 +180,30 @@ func (p *Pool) Holds(b []byte) bool {
 	return false
 }
 
-// Fork returns a pool for a copy of the simulation that owns p: p's
-// counters, and p's free stock as owed, so that the copy's Gets recycle and
-// fall through to the allocator exactly where p's would. An owed buffer is
-// allocated by the Get that takes it, so a fork costs the same whatever p
-// holds.
-func (p *Pool) Fork() *Pool {
-	q := &Pool{owed: p.owed, stats: p.stats, dbg: newDebugState()}
+// Fork returns a pool for a copy of the simulation that owns p, written
+// into into — the pool of a copy an earlier fork made — or a new one: p's
+// counters, and p's free stock, so that the copy's Gets recycle and fall
+// through to the allocator exactly where p's would. into's own free buffers
+// stand for as much of that stock as they cover, and the rest is owed: an
+// owed buffer is allocated by the Get that takes it, so a fork costs the
+// same whatever p holds.
+func (p *Pool) Fork(into *Pool) *Pool {
+	q := into
+	if q == nil {
+		q = &Pool{}
+	}
+	q.stats, q.dbg = p.stats, newDebugState()
 	for i, bucket := range p.buckets {
-		q.owed[i] += len(bucket)
+		stock := p.owed[i] + len(bucket)
+		kept := q.buckets[i]
+		if len(kept) > stock {
+			clear(kept[stock:])
+			kept = kept[:stock]
+		}
+		for _, b := range kept {
+			q.trackStock(b)
+		}
+		q.buckets[i], q.owed[i] = kept, stock-len(kept)
 	}
 	return q
 }

@@ -158,7 +158,7 @@ func TestForkMatchesEagerFork(t *testing.T) {
 			w := worlds[rng.Intn(len(worlds))]
 			switch op := rng.Intn(20); {
 			case op == 0 && len(worlds) < 8:
-				worlds = append(worlds, &world{lazy: w.lazy.Fork(), eager: eagerFork(w.eager)})
+				worlds = append(worlds, &world{lazy: w.lazy.Fork(nil), eager: eagerFork(w.eager)})
 			case op < 11 || len(w.lazyHeld) == 0:
 				n := sizes[rng.Intn(len(sizes))]
 				w.lazyHeld = append(w.lazyHeld, w.lazy.Get(n))
@@ -197,7 +197,7 @@ func TestForkAllocs(t *testing.T) {
 			p.Put(b)
 		}
 		var q *Pool
-		allocs, bytes := budget.PerRun(100, func() { q = p.Fork() })
+		allocs, bytes := budget.PerRun(100, func() { q = p.Fork(nil) })
 		if allocs != 1 || bytes != 288 {
 			t.Errorf("forking a pool stocked with %d buffers allocates %d objects and %d B, want 1 and 288", stock, allocs, bytes)
 		}

@@ -82,6 +82,11 @@ type Sim struct {
 	DefaultLatency time.Duration
 
 	events uint64 // total events processed, for stats
+
+	// forker is the forker of the last fork into s, kept for the next one
+	// (Fork). released marks s handed back for such a fork (Release).
+	forker   Forker
+	released bool
 }
 
 // New creates a simulator seeded for deterministic runs.

@@ -3,7 +3,6 @@ package tcp
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"time"
 
 	"repro/internal/netaddr"
@@ -63,6 +62,10 @@ type Endpoint struct {
 		SegmentsRecv uint64
 		Retransmits  uint64
 	}
+
+	// spare is Fork's scratch: the connections of the endpoint it writes
+	// over, for the copies to reuse.
+	spare []*Conn
 }
 
 type connKey struct {
@@ -384,51 +387,73 @@ func (c *Conn) acceptData(seg Segment) {
 	}
 }
 
-// Fork copies the endpoint for a fork of its simulation: every connection
-// with its state, buffers and retransmission timer, which stays armed where
-// it was. stream and output are the copy's, the forked stack's. A listener's
-// accept callback and a connection's OnData and OnState hooks belong to the
-// daemon that installed them, which installs them again on the copy; the
-// fork fails at Finish if one is missing.
-func (e *Endpoint) Fork(fk *simnet.Forker, stream func() *rand.Rand, output func(src, dst netaddr.IPv4, segment []byte)) *Endpoint {
-	ne := NewEndpoint(fk.Sim(), stream, output)
+// Fork copies the endpoint for a fork of its simulation into into, the
+// copy's endpoint: a new one made with the copy's stream and output (the
+// forked stack's), or the one an earlier fork wrote, which keeps its own.
+// Every connection is copied with its state, buffers and retransmission
+// timer, which stays armed where it was; into's connections are written
+// over, whatever key they had. A listener's accept callback and a
+// connection's OnData and OnState hooks belong to the daemon that installed
+// them, which installs them again on the copy; the fork fails at Finish if
+// one is missing.
+func (e *Endpoint) Fork(fk *simnet.Forker, into *Endpoint) *Endpoint {
+	ne := into
+	clear(ne.listeners)
+	free := ne.spare[:0]
+	//simlint:deterministic a connection of the copy is written over whole, so which spare one it takes is immaterial
+	for _, c := range ne.conns {
+		free = append(free, c)
+	}
+	clear(ne.conns)
 	ne.portSeq = e.portSeq
 	ne.Stats = e.Stats
 	//simlint:deterministic each connection is copied on its own; the timers it claims keep their keys, so claim order is not dispatch order
 	for k, c := range e.conns {
-		nc := &Conn{
+		nc := simnet.Reused(free, len(free)-1)
+		if len(free) > 0 {
+			free = free[:len(free)-1]
+		}
+		old := *nc
+		*nc = Conn{
 			ep: ne, key: k, state: c.state,
 			iss: c.iss, sndUna: c.sndUna, sndNxt: c.sndNxt, rcvNxt: c.rcvNxt,
-			unacked: slices.Clone(c.unacked), pending: slices.Clone(c.pending),
+			unacked: simnet.CloneInto(old.unacked, c.unacked), pending: simnet.CloneInto(old.pending, c.pending),
 			retries: c.retries,
 		}
 		if c.acceptFn != nil {
 			nc.acceptFn = ne.accept
 		}
-		nc.retransTimer = fk.Timer(c.retransTimer, nc.retransmit)
+		nc.retransTimer = fk.Timer(c.retransTimer, old.retransTimer, func() func() { return nc.retransmit })
 		ne.conns[k] = nc
 	}
-	fk.Check(func() error {
-		missing := 0
-		//simlint:deterministic counts only
-		for port := range e.listeners {
-			if ne.listeners[port] == nil {
-				missing++
-			}
-		}
-		//simlint:deterministic counts only
-		for k, c := range e.conns {
-			nc := ne.conns[k]
-			if (c.onData == nil) != (nc.onData == nil) || (c.onState == nil) != (nc.onState == nil) {
-				missing++
-			}
-		}
-		if missing > 0 || len(ne.listeners) != len(e.listeners) {
-			return fmt.Errorf("tcp: fork lacks %d listener or connection hook(s) of the source", missing)
-		}
-		return nil
-	})
+	clear(free)
+	ne.spare = free[:0]
+	fk.Check(checkFork, e, ne)
 	return ne
+}
+
+// checkFork is Fork's deferred check of the copy ne of e: every listener
+// and connection hook re-installed.
+func checkFork(src, dst any) error {
+	e, ne := src.(*Endpoint), dst.(*Endpoint)
+	missing := 0
+	//simlint:deterministic counts only
+	for port := range e.listeners {
+		if ne.listeners[port] == nil {
+			missing++
+		}
+	}
+	//simlint:deterministic counts only
+	for k, c := range e.conns {
+		nc := ne.conns[k]
+		if (c.onData == nil) != (nc.onData == nil) || (c.onState == nil) != (nc.onState == nil) {
+			missing++
+		}
+	}
+	if missing > 0 || len(ne.listeners) != len(e.listeners) {
+		return fmt.Errorf("tcp: fork lacks %d listener or connection hook(s) of the source", missing)
+	}
+	return nil
 }
 
 // Counterpart returns the endpoint's connection under c's key, or nil; nil

@@ -357,14 +357,14 @@ func TestForkOwnsItsBuffers(t *testing.T) {
 	c.Send([]byte("held-at-the-fork"))
 	w.sim.RunFor(time.Millisecond)
 
-	fk := w.sim.Fork()
+	fk := w.sim.Fork(nil)
 	var resent []byte
-	na := w.a.Fork(fk, nil, func(src, dst netaddr.IPv4, seg []byte) {
+	na := w.a.Fork(fk, NewEndpoint(fk.Sim(), nil, func(src, dst netaddr.IPv4, seg []byte) {
 		if s, err := Unmarshal(src, dst, seg); err == nil {
 			resent = append(resent, s.Payload...)
 		}
-	})
-	nb := w.b.Fork(fk, nil, func(netaddr.IPv4, netaddr.IPv4, []byte) {})
+	}))
+	nb := w.b.Fork(fk, NewEndpoint(fk.Sim(), nil, func(netaddr.IPv4, netaddr.IPv4, []byte) {}))
 	nb.Listen(179, func(*Conn) {})
 	copySim, err := fk.Finish()
 	if err != nil {

@@ -7,7 +7,6 @@ package trafficgen
 
 import (
 	"encoding/binary"
-	"slices"
 	"time"
 
 	"repro/internal/ipstack"
@@ -67,11 +66,17 @@ func NewSender(stack *ipstack.Stack, cfg Config) *Sender {
 }
 
 // Fork copies the sender for a fork of its simulation, bound to stack, the
-// copy of its stack: the count, the stop flag and the payload, and the tick
-// timer claimed for the copy.
-func (s *Sender) Fork(fk *simnet.Forker, stack *ipstack.Stack) *Sender {
-	ns := &Sender{stack: stack, cfg: s.cfg, sent: s.sent, stop: s.stop, payload: slices.Clone(s.payload)}
-	ns.timer = fk.Timer(s.timer, ns.tick)
+// copy of its stack, into into (a sender an earlier fork made for the same
+// copy) or a new one: the count, the stop flag and the payload, and the
+// tick timer claimed for the copy.
+func (s *Sender) Fork(fk *simnet.Forker, stack *ipstack.Stack, into *Sender) *Sender {
+	ns := into
+	if ns == nil {
+		ns = &Sender{}
+	}
+	was := *ns
+	*ns = Sender{stack: stack, cfg: s.cfg, sent: s.sent, stop: s.stop, payload: simnet.CloneInto(was.payload, s.payload)}
+	ns.timer = fk.Timer(s.timer, was.timer, func() func() { return ns.tick })
 	return ns
 }
 
@@ -127,14 +132,20 @@ func NewReceiver(stack *ipstack.Stack, port uint16) *Receiver {
 	return r
 }
 
-// Fork copies the receiver for a fork of its simulation and registers the
-// copy on stack, the copy of its stack: the counters and the record of
-// every sequence number seen.
-func (r *Receiver) Fork(stack *ipstack.Stack) *Receiver {
-	nr := *r
-	nr.seen = slices.Clone(r.seen)
+// Fork copies the receiver for a fork of its simulation into into (a
+// receiver an earlier fork made) or a new one, and registers the copy on
+// stack, the copy of its stack: the counters and the record of every
+// sequence number seen.
+func (r *Receiver) Fork(stack *ipstack.Stack, into *Receiver) *Receiver {
+	nr := into
+	if nr == nil {
+		nr = &Receiver{}
+	}
+	seen := nr.seen
+	*nr = *r
+	nr.seen = simnet.CloneInto(seen, r.seen)
 	nr.listen(stack)
-	return &nr
+	return nr
 }
 
 func (r *Receiver) listen(stack *ipstack.Stack) {
