@@ -97,22 +97,30 @@ closbench-digest:
 # identity is the check of a change meant to move no simulated byte:
 # `make identity PARENT=<rev>` builds cmd/closlab at PARENT (from git
 # archive, in a temp dir) and from the working tree, runs each with
-# `-experiment all -seed 1`, and fails unless their stdout and -out trees
-# are identical. The two runs write the same -out path in turn, since
-# stdout prints it.
+# `-experiment all -seed 1`, then with `-experiment chaos -seed 7` and
+# `-experiment trace -seed 7` (the campaigns whose trials fork the memo's
+# probe lead-in and warm snapshot and hand their fabrics back for others
+# to be written into, at a second seed), and fails unless every run's
+# stdout and -out tree are identical. The two runs of a row write the same
+# -out path in turn, since stdout prints it.
+IDENTITY_RUNS = all:1 chaos:7 trace:7
 identity:
 	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<rev>" >&2; exit 2; }
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	mkdir "$$tmp/src" && git archive "$(PARENT)" | tar -x -C "$$tmp/src" && \
 	(cd "$$tmp/src" && $(GO) build -o "$$tmp/parent" ./cmd/closlab) && \
 	$(GO) build -o "$$tmp/change" ./cmd/closlab || exit 1; \
-	for b in parent change; do \
-		"$$tmp/$$b" -experiment all -seed 1 -out "$$tmp/out" > "$$tmp/$$b.stdout" || exit 1; \
-		mv "$$tmp/out" "$$tmp/$$b.out"; \
-	done; \
-	cmp "$$tmp/parent.stdout" "$$tmp/change.stdout" && \
-	diff -r "$$tmp/parent.out" "$$tmp/change.out" && \
-	echo "identity: closlab -experiment all -seed 1 is byte-identical to $(PARENT)"
+	for run in $(IDENTITY_RUNS); do \
+		exp="$${run%:*}"; seed="$${run#*:}"; \
+		for b in parent change; do \
+			"$$tmp/$$b" -experiment "$$exp" -seed "$$seed" -out "$$tmp/out" > "$$tmp/$$b.stdout" || exit 1; \
+			mv "$$tmp/out" "$$tmp/$$b.out"; \
+		done; \
+		cmp "$$tmp/parent.stdout" "$$tmp/change.stdout" && \
+		diff -r "$$tmp/parent.out" "$$tmp/change.out" || exit 1; \
+		rm -rf "$$tmp/parent.out" "$$tmp/change.out"; \
+		echo "identity: closlab -experiment $$exp -seed $$seed is byte-identical to $(PARENT)"; \
+	done
 
 # bench-pairs is a speed claim's evidence in one command: `make bench-pairs
 # PARENT=<rev> WORKLOAD=<name> [N=10] [SEED=1]` builds bench at PARENT (from

@@ -177,8 +177,9 @@ func (m *Manager) Add(local, remote netaddr.IPv4, cfg Config) *Session {
 	return s
 }
 
-// Sessions returns every session in creation order.
-func (m *Manager) Sessions() []*Session { return append([]*Session(nil), m.order...) }
+// Sessions returns every session in creation order: the manager's own
+// slice, which the caller must not modify.
+func (m *Manager) Sessions() []*Session { return m.order }
 
 func (m *Manager) input(src, dst netaddr.IPv4, dg udp.Datagram) {
 	s := m.sessions[src]

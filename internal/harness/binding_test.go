@@ -110,7 +110,7 @@ func TestFluidPathIsPacketPath(t *testing.T) {
 }
 
 func walkAcrossFaults(t *testing.T, opts Options) {
-	f, err := warm(opts)
+	f, err := bringUp(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,25 +88,28 @@ func snapshotCounters(f *Fabric) chaosCounters {
 // column (VID 11 → VID 14, port picked by PickFlowPort), the same path the
 // catalog's faults target.
 func RunChaos(opts Options, spec chaos.Spec) (ChaosResult, error) {
-	r, _, err := runChaos(opts, spec)
+	f, err := atInjection(opts, nearLeadIn)
+	if err != nil {
+		return ChaosResult{}, err
+	}
+	r, err := measureChaos(f, spec)
+	if err == nil {
+		done(f)
+	}
 	return r, err
 }
 
-// runChaos is RunChaos that also returns the log its result analyzed.
-func runChaos(opts Options, spec chaos.Spec) (ChaosResult, *metrics.Log, error) {
-	f, err := warmThrough(opts, nearLeadIn)
-	if err != nil {
-		return ChaosResult{}, nil, err
-	}
+// measureChaos is RunChaos's measurement on f, a fabric at the end of the
+// probe flow's lead-in, which the tests call to read the log it analyzed.
+func measureChaos(f *Fabric, spec chaos.Spec) (ChaosResult, error) {
 	probe := f.probe
-
 	before := snapshotCounters(f)
 	f.Log.Reset()
 	startAt := f.Sim.Now()
 	startSeq := probe.sender.Sent()
 	inj, err := chaos.Apply(f.Sim, spec, f.Log)
 	if err != nil {
-		return ChaosResult{}, nil, err
+		return ChaosResult{}, err
 	}
 	f.Sim.RunFor(spec.Horizon() + SettleTime)
 	endSeq := probe.sender.Sent()
@@ -116,7 +119,7 @@ func runChaos(opts Options, spec chaos.Spec) (ChaosResult, *metrics.Log, error) 
 	after := snapshotCounters(f)
 	missing, longest := probe.receiver.Missing(startSeq, endSeq)
 	return ChaosResult{
-		CellID:              CellID{opts.Protocol, opts.Spec.Pods, spec.Name},
+		CellID:              CellID{f.Opts.Protocol, f.Opts.Spec.Pods, spec.Name},
 		FaultActions:        len(inj.Events),
 		ProbeSent:           endSeq - startSeq,
 		ProbeLost:           missing,
@@ -132,7 +135,7 @@ func runChaos(opts Options, spec chaos.Spec) (ChaosResult, *metrics.Log, error) 
 		BFDDownTransitions:  after.bfdDown - before.bfdDown,
 		BFDUpTransitions:    after.bfdUp - before.bfdUp,
 		Events:              inj.Events,
-	}, f.Log, nil
+	}, nil
 }
 
 // ChaosSummary aggregates trials of one (protocol, pods, scenario) cell; its

@@ -45,9 +45,14 @@ func checkChurn(t *testing.T, l *metrics.Log, a metrics.Analysis) {
 
 // runChaosChecked is RunChaos with the window's churn held to routeChurn.
 func runChaosChecked(t *testing.T, opts Options, spec chaos.Spec) (ChaosResult, error) {
-	r, l, err := runChaos(opts, spec)
+	f, err := atInjection(opts, nearLeadIn)
+	if err != nil {
+		return ChaosResult{}, err
+	}
+	r, err := measureChaos(f, spec)
 	if err == nil {
-		checkChurn(t, l, r.Analysis)
+		checkChurn(t, f.Log, r.Analysis)
+		done(f)
 	}
 	return r, err
 }

@@ -103,7 +103,7 @@ func TestCongestionLoadBalancingUsesBothPlanes(t *testing.T) {
 		singlePlaneCap = 3100 // 1000 pkt/s × 3 s + slack
 	)
 	for _, proto := range []Protocol{ProtoMRMTP, ProtoBGP} {
-		f, err := warm(DefaultOptions(topology.TwoPodSpec(), proto, 63))
+		f, err := bringUp(DefaultOptions(topology.TwoPodSpec(), proto, 63))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,16 +23,6 @@ const WarmupTime = 15 * time.Second
 // timer; 10 s leaves room for dissemination.
 const SettleTime = 10 * time.Second
 
-// warm returns the fabric built and run to steady state: the bring-up every
-// experiment starts from. Inside the trial pool it is a fork of the memo's
-// snapshot for opts (see warmMemo); anywhere else a bring-up of its own.
-func warm(opts Options) (*Fabric, error) {
-	if opts.pooled {
-		return memo.warm(opts)
-	}
-	return bringUp(opts)
-}
-
 // bringUp is Build plus WarmUp(WarmupTime).
 func bringUp(opts Options) (*Fabric, error) {
 	f, err := Build(opts)
@@ -52,47 +42,46 @@ func (f *Fabric) drawPhase() time.Duration {
 	return time.Duration(f.Sim.Rand().Int63n(int64(time.Second)))
 }
 
-// leadIn names what a trial runs on the warm fabric before it injects a
-// test case. It is the same for TC1–TC4, so inside the trial pool it runs
-// once per trial seed and each case gets a fork of its end (see
-// warmMemo.atInjection).
+// leadIn names what a trial runs on the warm fabric before it injects its
+// faults. It does not depend on the faults, so inside the trial pool it
+// runs once per trial seed and every trial gets a fork of its end (see
+// warmMemo).
 type leadIn uint8
 
 const (
-	phaseLeadIn leadIn = iota // a random timer phase (failure trials)
-	nearLeadIn                // the probe flow VID 11 → VID 14 and its lead-in (loss trials)
+	noLeadIn    leadIn = iota // none: the warm fabric itself (flap, keep-alive and trace trials)
+	phaseLeadIn               // a random timer phase (failure, fault and workload trials)
+	nearLeadIn                // the probe flow VID 11 → VID 14 and its lead-in (loss and chaos trials)
 	farLeadIn                 // the probe flow VID 14 → VID 11 and its lead-in (Fig. 8)
 )
 
-// run runs the lead-in on f.
-func (l leadIn) run(f *Fabric) error {
-	if l == phaseLeadIn {
-		f.Sim.RunFor(f.drawPhase())
-		return nil
-	}
-	return f.startProbe(l == farLeadIn)
-}
-
-// warmThrough returns a warm fabric run through lead.
-func warmThrough(opts Options, lead leadIn) (*Fabric, error) {
-	f, err := warm(opts)
+// after runs the lead-in on f, the result of a bring-up or fork that
+// returned err.
+func (l leadIn) after(f *Fabric, err error) (*Fabric, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := lead.run(f); err != nil {
-		return nil, err
+	switch l {
+	case phaseLeadIn:
+		f.Sim.RunFor(f.drawPhase())
+	case nearLeadIn, farLeadIn:
+		if err := f.startProbe(l == farLeadIn); err != nil {
+			return nil, err
+		}
 	}
 	return f, nil
 }
 
-// atInjection returns a fabric warmed and run through lead, at the instant a
-// test case is injected. Inside the trial pool it comes from the memo;
-// anywhere else it is a bring-up and a lead-in of its own.
+// atInjection returns a fabric for opts warmed and run through lead: the
+// instant a trial injects its faults, and the only way a Run* gets its
+// fabric. Inside the trial pool it is a fork of the memo's; anywhere else
+// (the tests' cold oracle, bench's RunWorkload legs) a bring-up and a
+// lead-in of its own.
 func atInjection(opts Options, lead leadIn) (*Fabric, error) {
 	if opts.pooled {
 		return memo.atInjection(opts, lead)
 	}
-	return warmThrough(opts, lead)
+	return lead.after(bringUp(opts))
 }
 
 // done hands a trial's fabric back to the memo once its result is read,
@@ -251,7 +240,7 @@ func picksFirstUplinks(topo *topology.Topology, h int) bool {
 // L-1-1 ↔ S-1-1 link for the window and summarizes it per class (Figs. 9
 // and 10).
 func RunKeepAlive(opts Options, window time.Duration) (map[capture.Class]capture.ClassStats, error) {
-	f, err := warm(opts)
+	f, err := atInjection(opts, noLeadIn)
 	if err != nil {
 		return nil, err
 	}
@@ -263,6 +252,7 @@ func RunKeepAlive(opts Options, window time.Duration) (map[capture.Class]capture
 	cap.Tap(f.Sim.Node(fp.Device).Port(fp.Port).Link)
 	start := f.Sim.Now()
 	f.Sim.RunFor(window)
+	done(f)
 	return cap.Summary(start, start+window), nil
 }
 

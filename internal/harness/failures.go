@@ -19,11 +19,15 @@ import (
 // failure points do not name (a zone spine's uplink in the four-tier
 // fabric).
 func RunFault(opts Options, fault chaos.Fault) (metrics.Analysis, error) {
-	f, err := warmThrough(opts, phaseLeadIn)
+	f, err := atInjection(opts, phaseLeadIn)
 	if err != nil {
 		return metrics.Analysis{}, err
 	}
-	return measureFailure(f, func(f *Fabric) (time.Duration, error) { return f.Inject(fault) })
+	a, err := measureFailure(f, func(f *Fabric) (time.Duration, error) { return f.Inject(fault) })
+	if err == nil {
+		done(f)
+	}
+	return a, err
 }
 
 // FlapResult is a flapping-interface run: the log's analysis of the
@@ -42,31 +46,35 @@ type FlapResult struct {
 // up and the fabric given time to stabilize. No flap, or a zero down or up
 // time, is an error: it would measure nothing.
 func RunFlap(opts Options, flaps int, downTime, upTime time.Duration) (FlapResult, error) {
-	r, _, err := runFlap(opts, flaps, downTime, upTime)
+	f, err := atInjection(opts, noLeadIn)
+	if err != nil {
+		return FlapResult{}, err
+	}
+	r, err := measureFlap(f, flaps, downTime, upTime)
+	if err == nil {
+		done(f)
+	}
 	return r, err
 }
 
-// runFlap is RunFlap that also returns the log its result analyzed.
-func runFlap(opts Options, flaps int, downTime, upTime time.Duration) (FlapResult, *metrics.Log, error) {
-	f, err := warm(opts)
-	if err != nil {
-		return FlapResult{}, nil, err
-	}
+// measureFlap is RunFlap's measurement on f, a warm fabric, which the tests
+// call to read the log it analyzed.
+func measureFlap(f *Fabric, flaps int, downTime, upTime time.Duration) (FlapResult, error) {
 	link, err := f.caseLink(topology.TC1)
 	if err != nil {
-		return FlapResult{}, nil, err
+		return FlapResult{}, err
 	}
 	period := downTime + upTime
 	storm := chaos.Fault{Kind: chaos.FlapStorm, Link: link, Flaps: flaps,
 		Period: chaos.Duration(period), Duty: float64(upTime) / float64(period)}
 	f.Log.Reset()
 	if _, err := f.Inject(storm); err != nil {
-		return FlapResult{}, nil, err
+		return FlapResult{}, err
 	}
 	// Count churn during the flapping window only.
 	f.Sim.RunFor(storm.End())
 	a := f.Log.Analyze(0)
 	// Let the final up period stick and verify recovery.
 	f.Sim.RunFor(30 * time.Second)
-	return FlapResult{Analysis: a, Recovered: f.CheckConverged() == nil}, f.Log, nil
+	return FlapResult{Analysis: a, Recovered: f.CheckConverged() == nil}, nil
 }

@@ -46,16 +46,18 @@ func TestFaultPathsPinned(t *testing.T) {
 						fmt.Fprint(h, metrics.Render(log.Events))
 					}
 				}
-				// One pooled trial: every run below forks the same warm fabric.
+				// One pooled trial: every run below forks the memo's fabrics
+				// of one seed and hands its fork back.
 				_, err := runTrials(DefaultOptions(spec, proto, seed), 1, func(o Options) (struct{}, error) {
 					measure := func(label string, inject func(*Fabric) (time.Duration, error)) error {
-						fab, err := warmThrough(o, phaseLeadIn)
+						fab, err := atInjection(o, phaseLeadIn)
 						if err != nil {
 							return err
 						}
 						a, err := measureFailure(fab, inject)
 						if err == nil {
 							journal(label, a, fab.Log)
+							done(fab)
 						}
 						return err
 					}
@@ -76,11 +78,16 @@ func TestFaultPathsPinned(t *testing.T) {
 						flaps    int
 						down, up time.Duration
 					}{{5, 500 * time.Millisecond, 4 * time.Second}, {8, 150 * time.Millisecond, 120 * time.Millisecond}} {
-						r, log, err := runFlap(o, shape.flaps, shape.down, shape.up)
+						fab, err := atInjection(o, noLeadIn)
 						if err != nil {
 							return struct{}{}, err
 						}
-						journal(fmt.Sprintf("flap %+v", shape), r, log)
+						r, err := measureFlap(fab, shape.flaps, shape.down, shape.up)
+						if err != nil {
+							return struct{}{}, err
+						}
+						journal(fmt.Sprintf("flap %+v", shape), r, fab.Log)
+						done(fab)
 					}
 					return struct{}{}, nil
 				})

@@ -89,55 +89,52 @@ func orMake[M ~map[K]V, K comparable, V any](m M, n int) M {
 	return m
 }
 
-// warmMemo serves the bring-ups made inside the trial pool. A bring-up is a
-// pure function of Options, and a sweep asks for the same few again and
-// again: every cell of a (topology, protocol) row warms the same n trial
-// seeds. So the memo keeps each warm fabric as a snapshot that is never run
-// and hands out forks of it.
+// warmMemo serves the fabrics of the trials the pool runs. A bring-up is a
+// pure function of Options, and so is the lead-in a trial runs on it before
+// its faults (leadIn); a sweep asks for the same few again and again, since
+// every cell of a (topology, protocol) row warms the same n trial seeds and
+// most share a lead-in. So the memo keeps one fabric per (trial Options,
+// lead-in), which is never run, only forked: for noLeadIn the warm
+// snapshot, brought up once; for any other lead-in a fork of the snapshot
+// run through the lead-in once. Every trial runs on a fork of one of them
+// (atInjection).
 //
-// A failure or loss trial then runs a lead-in that is the same for all four
-// test cases (leadIn), so the memo keeps a second level: one lead-in fabric
-// per (trial Options, lead-in), a fork of the snapshot run through the
-// lead-in once and then, like the snapshot, only ever forked. Every case
-// runs on a fork of it.
-//
-// Those forks are recycled. A pooled RunFailure or RunLoss hands its fabric
-// back once its result is read (release), and the next fork of the same
+// Those forks are recycled. A pooled Run* hands its fabric back once its
+// result is read (release), and the next trial fork of the same
 // configuration is written into it instead of into new memory, so a sweep
 // allocates one trial fabric per worker and configuration.
 //
-// It holds the snapshots, lead-in fabrics and released fabrics of one
-// configuration — Options but the seed — at a time: a request for any other
-// empties it first. That bounds its memory to one row's seeds, and keeps a
-// sweep from reusing an earlier one's bring-ups unless it starts where that
-// one ended (a sweep over more than one protocol never does).
+// It holds the kept and released fabrics of one configuration — Options but
+// the seed — at a time: a request for any other empties it first. That
+// bounds its memory to one row's seeds, and keeps a sweep from reusing an
+// earlier one's bring-ups unless it starts where that one ended (a sweep
+// over more than one protocol never does).
 type warmMemo struct {
 	mu      sync.Mutex
 	config  Options
-	entries map[Options]*warmEntry
-	leads   map[leadKey]*warmEntry
+	fabrics map[memoKey]*warmEntry
 	spare   []*Fabric // released trial fabrics of config, to fork into
 	// warmups counts the bring-ups the memo made, forks the forks it made
-	// of snapshots and of lead-in fabrics, recycled those of them written
-	// into a released fabric, leadIns the lead-ins.
+	// of kept fabrics, recycled those of them written into a released
+	// fabric, leadIns the lead-ins.
 	warmups, forks, recycled, leadIns int
 }
 
-// warmEntry is one snapshot or lead-in fabric, or the error making it
-// returned. ready closes when either is set.
+// memoKey names one kept fabric: a trial's Options and its lead-in.
+type memoKey struct {
+	opts Options
+	lead leadIn
+}
+
+// warmEntry is one kept fabric, or the error making it returned. ready
+// closes when either is set.
 type warmEntry struct {
 	ready chan struct{}
 	f     *Fabric
 	err   error
 }
 
-// leadKey names one lead-in fabric: a trial's Options and its lead-in.
-type leadKey struct {
-	opts Options
-	lead leadIn
-}
-
-var memo warmMemo //simlint:shared the trial pool's memo: every field is guarded by mu; its snapshots and lead-in fabrics are only ever forked, never run, and a released fabric is written into by one fork and handed to that fork's trial alone
+var memo warmMemo //simlint:shared the trial pool's memo: every field is guarded by mu; its kept fabrics are only ever forked, never run, and a released fabric is written into by one fork and handed to that fork's trial alone
 
 // configOf returns opts' configuration: the Options but the seed.
 func configOf(opts Options) Options {
@@ -145,71 +142,52 @@ func configOf(opts Options) Options {
 	return opts
 }
 
-// scope empties the memo unless it holds opts' configuration. m.mu is held.
-func (m *warmMemo) scope(opts Options) {
-	if config := configOf(opts); m.entries == nil || config != m.config {
-		m.config, m.spare = config, nil
-		m.entries, m.leads = make(map[Options]*warmEntry), make(map[leadKey]*warmEntry)
+// atInjection returns a fabric for opts run through lead, at the instant a
+// trial injects its faults: a fork of the memo's kept fabric for (opts,
+// lead), written into a released fabric when the memo holds one.
+func (m *warmMemo) atInjection(opts Options, lead leadIn) (*Fabric, error) {
+	f, err := m.kept(opts, lead)
+	if err != nil {
+		return nil, err
 	}
+	return m.fork(f, true)
 }
 
-// entry returns the fabric of key in entries, making it with build if the
-// memo has none, and waits until it is ready. m.mu is held on entry and
-// released on return.
-func entry[K comparable](m *warmMemo, entries map[K]*warmEntry, key K, build func() (*Fabric, error)) (*Fabric, error) {
-	e := entries[key]
-	if e == nil {
-		e = &warmEntry{ready: make(chan struct{})}
-		entries[key] = e
-		m.mu.Unlock()
-		e.f, e.err = build()
-		close(e.ready)
-	} else {
+// kept returns the memo's fabric for (opts, lead), making it first if the
+// memo has none, and waits until it is ready. A memo of another
+// configuration is emptied first.
+func (m *warmMemo) kept(opts Options, lead leadIn) (*Fabric, error) {
+	m.mu.Lock()
+	if config := configOf(opts); m.fabrics == nil || config != m.config {
+		m.config, m.spare, m.fabrics = config, nil, make(map[memoKey]*warmEntry)
+	}
+	key := memoKey{opts, lead}
+	e := m.fabrics[key]
+	if e != nil {
 		m.mu.Unlock()
 		<-e.ready
+		return e.f, e.err
+	}
+	e = &warmEntry{ready: make(chan struct{})}
+	m.fabrics[key] = e
+	if lead == noLeadIn {
+		m.warmups++
+	} else {
+		m.leadIns++
+	}
+	m.mu.Unlock()
+	defer close(e.ready)
+	if lead == noLeadIn {
+		e.f, e.err = bringUp(opts)
+	} else if e.f, e.err = m.kept(opts, noLeadIn); e.err == nil {
+		e.f, e.err = lead.after(m.fork(e.f, false))
 	}
 	return e.f, e.err
 }
 
-// warm returns a fork of the snapshot for opts, bringing it up first if the
-// memo has none.
-func (m *warmMemo) warm(opts Options) (*Fabric, error) {
-	m.mu.Lock()
-	m.scope(opts)
-	f, err := entry(m, m.entries, opts, func() (*Fabric, error) {
-		m.mu.Lock()
-		m.warmups++
-		m.mu.Unlock()
-		return bringUp(opts)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return m.forkOf(f, false)
-}
-
-// atInjection returns a fabric for opts run through lead, at the instant a
-// test case is injected: a fork of the memo's lead-in fabric for (opts,
-// lead), which it makes first if it has none, written into a released
-// fabric when it holds one.
-func (m *warmMemo) atInjection(opts Options, lead leadIn) (*Fabric, error) {
-	m.mu.Lock()
-	m.scope(opts)
-	f, err := entry(m, m.leads, leadKey{opts, lead}, func() (*Fabric, error) {
-		m.mu.Lock()
-		m.leadIns++
-		m.mu.Unlock()
-		return warmThrough(opts, lead)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return m.forkOf(f, true)
-}
-
-// forkOf forks f, a snapshot or lead-in fabric, into a released fabric if
-// recycle is set and the memo holds one of f's configuration.
-func (m *warmMemo) forkOf(f *Fabric, recycle bool) (*Fabric, error) {
+// fork forks f, a kept fabric, into a released fabric if recycle is set and
+// the memo holds one of f's configuration.
+func (m *warmMemo) fork(f *Fabric, recycle bool) (*Fabric, error) {
 	var into *Fabric
 	m.mu.Lock()
 	m.forks++
@@ -228,7 +206,7 @@ func (m *warmMemo) release(f *Fabric) {
 	f.Sim.Release()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.entries != nil && m.config == configOf(f.Opts) {
+	if m.fabrics != nil && m.config == configOf(f.Opts) {
 		m.spare = append(m.spare, f)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,9 +13,11 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/capture"
+	"repro/internal/chaos"
 	"repro/internal/invariant"
 	"repro/internal/metrics"
 	"repro/internal/topology"
+	"repro/internal/trafficgen"
 )
 
 // The fork's oracle is a fresh bring-up: a fork of a warm fabric must be
@@ -156,7 +159,7 @@ func TestForkMatchesFreshWarm(t *testing.T) {
 				name := fmt.Sprintf("%s/%s/seed%d", sp.name, proto, seed)
 				t.Run(name, func(t *testing.T) {
 					// pooled takes the trial pool's path: a fork of the
-					// memo's snapshot.
+					// memo's lead-in fabric.
 					pooled := opts
 					pooled.pooled = true
 					compareFingerprints(t, name, oracleRun(t, pooled), oracleRun(t, opts))
@@ -176,7 +179,7 @@ func oracleRun(t *testing.T, opts Options) fingerprint {
 	if opts.Spec.Zones != 0 {
 		lead = phaseLeadIn
 	}
-	f, err := warmThrough(opts, lead)
+	f, err := atInjection(opts, lead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,10 +267,10 @@ func TestForkAllocs(t *testing.T) {
 	}{
 		{"2pod", topology.TwoPodSpec(), ProtoMRMTP, cost{802, 101168}, cost{60, 2720}},
 		{"2pod", topology.TwoPodSpec(), ProtoBGP, cost{1364, 130792}, cost{112, 2048}},
-		{"2pod", topology.TwoPodSpec(), ProtoBGPBFD, cost{1707, 149872}, cost{168, 3008}},
+		{"2pod", topology.TwoPodSpec(), ProtoBGPBFD, cost{1695, 149616}, cost{156, 2752}},
 		{"4pod", topology.FourPodSpec(), ProtoMRMTP, cost{1519, 189168}, cost{116, 5408}},
 		{"4pod", topology.FourPodSpec(), ProtoBGP, cost{3004, 263720}, cost{208, 3840}},
-		{"4pod", topology.FourPodSpec(), ProtoBGPBFD, cost{3660, 306448}, cost{312, 5696}},
+		{"4pod", topology.FourPodSpec(), ProtoBGPBFD, cost{3640, 305936}, cost{292, 5184}},
 	} {
 		snap, err := bringUp(DefaultOptions(tc.spec, tc.proto, 1))
 		if err != nil {
@@ -318,41 +321,63 @@ func TestForkAllocs(t *testing.T) {
 // TestInjectionForksMatchColdOracles holds the memo's injection instants to
 // the cold oracles: every pooled failure and loss trial (both directions) of
 // TC1–TC4 equals unpooled RunFailure and coldRunLoss at the trial's seed,
-// in any order the cases are asked in — bench's (failure, near, far per
-// case), the cases and lead-ins reversed, and TC2 asked twice. Each trial
-// runs on a fork of a kept lead-in fabric written into the fabric an
-// earlier trial released.
+// and every pooled trial of the other Run* — two chaos scenarios, the S-1-1
+// crash, a flap storm, a trace scenario and a keep-alive capture — its
+// unpooled run, in any order they are asked in: bench's (failure, near,
+// far per case, then the others), all of it reversed, and TC2 asked twice
+// with the others in between. Each trial runs on a fork of a kept fabric
+// written into the fabric an earlier trial, of any kind, released.
 func TestInjectionForksMatchColdOracles(t *testing.T) {
 	const n = 2
+	// A request is a failure or loss trial of one case, or, when other is
+	// set, the trial of that name in others.
 	type request struct {
-		lead leadIn
-		tc   topology.FailureCase
+		lead  leadIn
+		tc    topology.FailureCase
+		other string
+	}
+	crash := chaos.Fault{Kind: chaos.Down, Nodes: []string{"S-1-1"}}
+	others := map[string]func(Options) (any, error){
+		"chaos flap-burst": func(o Options) (any, error) { return RunChaos(o, catalogSpec(t, "flap-burst")) },
+		"chaos gray-spine": func(o Options) (any, error) { return RunChaos(o, catalogSpec(t, "gray-spine")) },
+		"crash S-1-1":      func(o Options) (any, error) { return RunFault(o, crash) },
+		"flap":             func(o Options) (any, error) { return RunFlap(o, 8, 150*time.Millisecond, 120*time.Millisecond) },
+		"trace":            func(o Options) (any, error) { return RunTrace(o, TraceCatalog()[0]) },
+		"keep-alive":       func(o Options) (any, error) { return RunKeepAlive(o, time.Second) },
+	}
+	var other []request
+	for _, name := range []string{"chaos flap-burst", "chaos gray-spine", "crash S-1-1", "flap", "trace", "keep-alive"} {
+		other = append(other, request{other: name})
 	}
 	sweep := func(leads []leadIn, tcs ...topology.FailureCase) []request {
 		var rs []request
 		for _, tc := range tcs {
 			for _, lead := range leads {
-				rs = append(rs, request{lead, tc})
+				rs = append(rs, request{lead: lead, tc: tc})
 			}
 		}
 		return rs
 	}
 	forward := []leadIn{phaseLeadIn, nearLeadIn, farLeadIn}
-	backward := []leadIn{farLeadIn, nearLeadIn, phaseLeadIn}
+	bench := append(sweep(forward, topology.AllFailureCases()...), other...)
+	reversed := slices.Clone(bench)
+	slices.Reverse(reversed)
+	tc2Twice := slices.Concat(sweep(forward, topology.TC2), other[:3], sweep(forward, topology.TC1, topology.TC2),
+		other[3:], sweep(forward, topology.TC3, topology.TC4))
 	orders := []struct {
 		name     string
 		requests []request
-	}{
-		{"bench", sweep(forward, topology.TC1, topology.TC2, topology.TC3, topology.TC4)},
-		{"reversed", sweep(backward, topology.TC4, topology.TC3, topology.TC2, topology.TC1)},
-		{"TC2 twice", sweep(forward, topology.TC2, topology.TC1, topology.TC2, topology.TC3, topology.TC4)},
-	}
-	// trial runs one trial of r the way RunFailureTrials and RunLossTrials do.
-	trial := func(o Options, r request) (any, error) {
-		if r.lead == phaseLeadIn {
+	}{{"bench", bench}, {"reversed", reversed}, {"TC2 twice", tc2Twice}}
+	// trial runs one trial of r the way closlab and bench do; cold is its
+	// unpooled oracle.
+	trial := func(o Options, r request, loss func(Options, topology.FailureCase, bool) (trafficgen.Report, error)) (any, error) {
+		switch {
+		case r.other != "":
+			return others[r.other](o)
+		case r.lead == phaseLeadIn:
 			return RunFailure(o, r.tc)
 		}
-		return RunLoss(o, r.tc, r.lead == farLeadIn)
+		return loss(o, r.tc, r.lead == farLeadIn)
 	}
 	fabrics := []Options{
 		DefaultOptions(topology.TwoPodSpec(), ProtoMRMTP, 17),
@@ -362,32 +387,35 @@ func TestInjectionForksMatchColdOracles(t *testing.T) {
 	}
 	for _, opts := range fabrics {
 		name := fmt.Sprintf("%dpod/%s", opts.Spec.Pods, opts.Protocol)
+		// The trace row runs on the 2-pod fabrics only: on four pods its
+		// prober fleet would cost more than the rest of the table.
+		skip := func(r request) bool { return r.other == "trace" && opts.Spec.Pods > 2 }
 		oracle := make(map[request][]any)
-		for _, r := range sweep(forward, topology.AllFailureCases()...) {
+		for _, r := range bench {
+			if skip(r) {
+				continue
+			}
 			for i := range n {
 				o := opts
 				o.Seed = TrialSeed(opts.Seed, i)
-				var want any
-				var err error
-				if r.lead == phaseLeadIn {
-					want, err = RunFailure(o, r.tc)
-				} else {
-					want, err = coldRunLoss(o, r.tc, r.lead == farLeadIn)
-				}
+				want, err := trial(o, r, coldRunLoss)
 				if err != nil {
-					t.Fatalf("%s %v: %v", name, r, err)
+					t.Fatalf("%s %+v: %v", name, r, err)
 				}
 				oracle[r] = append(oracle[r], want)
 			}
 		}
 		for _, order := range orders {
 			for _, r := range order.requests {
-				got, err := runTrials(opts, n, func(o Options) (any, error) { return trial(o, r) })
+				if skip(r) {
+					continue
+				}
+				got, err := runTrials(opts, n, func(o Options) (any, error) { return trial(o, r, RunLoss) })
 				if err != nil {
-					t.Fatalf("%s %s %v: %v", name, order.name, r, err)
+					t.Fatalf("%s %s %+v: %v", name, order.name, r, err)
 				}
 				if !reflect.DeepEqual(got, oracle[r]) {
-					t.Errorf("%s %s: lead-in %d %v: pooled %+v, cold %+v", name, order.name, r.lead, r.tc, got, oracle[r])
+					t.Errorf("%s %s: %+v: pooled %+v, cold %+v", name, order.name, r, got, oracle[r])
 				}
 			}
 		}
@@ -430,7 +458,7 @@ func TestForkSourceRunsOn(t *testing.T) {
 		o.fps = make(map[Protocol][]fingerprint)
 		for _, proto := range protos {
 			for _, tc := range cases {
-				cold, err := warmThrough(opts(proto), nearLeadIn)
+				cold, err := atInjection(opts(proto), nearLeadIn)
 				if err != nil {
 					o.err = err
 					return
@@ -448,7 +476,7 @@ func TestForkSourceRunsOn(t *testing.T) {
 		t.Fatal(o.err)
 	}
 	for _, proto := range protos {
-		src, err := warmThrough(opts(proto), nearLeadIn)
+		src, err := atInjection(opts(proto), nearLeadIn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -532,13 +560,13 @@ func (d *dirtyForkSet) add(name string, opts Options) {
 	if opts.Spec.Zones != 0 {
 		lead, otherLead = phaseLeadIn, phaseLeadIn
 	}
-	src, err := warmThrough(opts, lead)
+	src, err := atInjection(opts, lead)
 	if err != nil {
 		d.err = err
 		return
 	}
 	opts.Seed++
-	other, err := warmThrough(opts, otherLead)
+	other, err := atInjection(opts, otherLead)
 	if err != nil {
 		d.err = err
 		return
@@ -546,13 +574,52 @@ func (d *dirtyForkSet) add(name string, opts Options) {
 	d.fabrics = append(d.fabrics, dirtyFabric{fmt.Sprintf("%s/%s", name, opts.Protocol), src, other})
 }
 
+// dirtyLikeTrials runs f into the state the pooled trials hand fabrics
+// back in, all at once: TC3 failed (RunFailure), gray loss, an impairment
+// and a drained node still in force (RunChaos, RunFault), the prober fleet
+// ticking with its ICMP listeners registered (RunTrace) and a capture tap
+// on the TC1 link (RunKeepAlive), 3.5 s into the failure — past plain BGP's
+// hold time.
+func dirtyLikeTrials(t *testing.T, f *Fabric) {
+	t.Helper()
+	link := func(tc topology.FailureCase) chaos.LinkRef {
+		l, err := f.caseLink(tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	long := chaos.Duration(time.Minute)
+	faults := []chaos.Fault{
+		{Kind: chaos.Down, Link: link(topology.TC3)},
+		{Kind: chaos.GrayLoss, Link: link(topology.TC2), Duration: long, LossRate: 0.3},
+		{Kind: chaos.LinkImpair, Link: link(topology.TC4), Duration: long,
+			CorruptRate: 0.25, ExtraLatency: chaos.Duration(30 * time.Millisecond), Jitter: chaos.Duration(30 * time.Millisecond)},
+		{Kind: chaos.Drain, Nodes: []string{f.Topo.Leaves[len(f.Topo.Leaves)-1].Name}, Duration: long},
+	}
+	for _, fault := range faults {
+		if _, err := f.Inject(fault); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newTraceRun(f, 1).start()
+	var cap capture.Capture
+	fp, err := f.Topo.FailurePoint(topology.TC1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cap.Tap(f.Sim.Node(fp.Device).Port(fp.Port).Link)
+	f.Sim.RunFor(3500 * time.Millisecond)
+}
+
 // TestForkIntoDirtyMatchesFresh holds a fork written into a released fabric
 // to a fork into new memory: the fabric it is written into ran another
 // seed's lead-in — the probe flow the other way round where the fabric has
 // the racks for one, so that its stacks hold listeners the source's lack —
-// and then into another case, released 3.5 s in, past plain BGP's hold
-// time: timers armed, frames on the wire and, on the fabric with an MRAI,
-// an announcement queued. Both forks, made of the
+// and then into every state a pooled trial hands a fabric back in
+// (dirtyLikeTrials): timers armed, bare closures pending, frames on the
+// wire, links impaired, ports down, a link tapped and, on the fabric with
+// an MRAI, an announcement queued. Both forks, made of the
 // same lead-in fabric on two goroutines, then fail TC1 and settle; they must
 // agree on the wire trace, the event log, the dispatch count, every routing
 // and VID table, every session's state, the frame pool, the next draw of
@@ -606,10 +673,7 @@ func TestForkIntoDirtyMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := dirty.Fail(topology.TC3); err != nil {
-			t.Fatal(err)
-		}
-		dirty.Sim.RunFor(3500 * time.Millisecond)
+		dirtyLikeTrials(t, dirty)
 		dirty.Sim.Release()
 		var recycled, fresh fingerprint
 		var wg sync.WaitGroup

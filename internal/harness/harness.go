@@ -69,8 +69,8 @@ type Options struct {
 	// (`no bgp fast-external-failover`), for the ablation benchmarks.
 	BGPNoFastFailover bool
 
-	// pooled marks a trial the pool runs (runTrials sets it): its bring-up
-	// is served by the memo.
+	// pooled marks a trial the pool runs (runTrials sets it): its fabric
+	// is a fork of the memo's, and goes back to the memo when it is done.
 	pooled bool
 }
 

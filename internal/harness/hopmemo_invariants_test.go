@@ -17,7 +17,7 @@ import (
 // one reordered.
 func TestHopMemoCheckDetectsCorruption(t *testing.T) {
 	for _, proto := range []Protocol{ProtoMRMTP, ProtoBGPBFD} {
-		f, err := warm(DefaultOptions(topology.FourPodSpec(), proto, 1))
+		f, err := bringUp(DefaultOptions(topology.FourPodSpec(), proto, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestHopMemoCheckDetectsCorruption(t *testing.T) {
 // moved.
 func TestPathMemoCheckDetectsCorruption(t *testing.T) {
 	for _, proto := range []Protocol{ProtoMRMTP, ProtoBGPBFD} {
-		f, err := warm(DefaultOptions(topology.FourPodSpec(), proto, 1))
+		f, err := bringUp(DefaultOptions(topology.FourPodSpec(), proto, 1))
 		if err != nil {
 			t.Fatal(err)
 		}

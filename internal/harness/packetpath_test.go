@@ -24,7 +24,7 @@ import (
 func TestPacketPathAllocFree(t *testing.T) {
 	for _, proto := range []Protocol{ProtoMRMTP, ProtoBGP} {
 		t.Run(proto.String(), func(t *testing.T) {
-			f, err := warm(DefaultOptions(topology.FourPodSpec(), proto, 1))
+			f, err := bringUp(DefaultOptions(topology.FourPodSpec(), proto, 1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +72,7 @@ func TestFramePoolDrains(t *testing.T) {
 	sessionFields := []string{"bgp.Peer.recvBuf", "bgp.Peer.in", "tcp.Conn.unacked", "tcp.Conn.pending"}
 	for _, proto := range []Protocol{ProtoMRMTP, ProtoBGP, ProtoBGPBFD} {
 		t.Run(proto.String(), func(t *testing.T) {
-			f, err := warm(DefaultOptions(topology.TwoPodSpec(), proto, 7))
+			f, err := bringUp(DefaultOptions(topology.TwoPodSpec(), proto, 7))
 			if err != nil {
 				t.Fatal(err)
 			}

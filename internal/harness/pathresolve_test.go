@@ -24,7 +24,7 @@ type resolveRig struct {
 }
 
 func newResolveRig(tb testing.TB, proto Protocol) *resolveRig {
-	f, err := warm(DefaultOptions(topology.FourPodSpec(), proto, 1))
+	f, err := bringUp(DefaultOptions(topology.FourPodSpec(), proto, 1))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestPathMemoMatchesWalk(t *testing.T) {
 		{"8 spines per pod MR-MTP", DefaultOptions(wider, ProtoMRMTP, 1), 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			f, err := warm(c.opts)
+			f, err := bringUp(c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -24,7 +24,7 @@ func TrialSeed(base int64, i int) int64 { return base + int64(i)*7919 }
 // runTrials evaluates fn for trial indices [0, n) on a pool of Workers
 // goroutines (at least one, at most n) and returns the results ordered by
 // index; one worker is the sequential run. Each invocation receives a copy
-// of opts with the trial's derived seed, marked pooled so that its bring-up
+// of opts with the trial's derived seed, marked pooled so that its fabric
 // comes from the memo. n < 1 is an error: no trial is no measurement, and a
 // summary of none would read as one.
 //

@@ -183,10 +183,10 @@ func TestWarmMemoScope(t *testing.T) {
 		}
 	}
 	memo.mu.Lock()
-	if len(memo.leads) != 3*n || len(memo.spare) != 1 {
-		t.Errorf("the memo holds %d lead-in fabric(s) and %d released one(s) after a row, want %d and 1", len(memo.leads), len(memo.spare), 3*n)
+	if len(memo.fabrics) != 4*n || len(memo.spare) != 1 {
+		t.Errorf("the memo keeps %d fabric(s) and %d released one(s) after a row, want %d (a snapshot and three lead-in fabrics per trial) and 1", len(memo.fabrics), len(memo.spare), 4*n)
 	}
-	config, entries := memo.config, len(memo.entries)
+	config, kept := memo.config, len(memo.fabrics)
 	memo.mu.Unlock()
 
 	// A direct RunWorkload call brings its own fabric up.
@@ -200,10 +200,27 @@ func TestWarmMemoScope(t *testing.T) {
 		t.Errorf("a direct RunWorkload made %d bring-ups and %d forks through the memo, want none", w1-w0, f1-f0)
 	}
 	memo.mu.Lock()
-	if memo.config != config || len(memo.entries) != entries {
-		t.Errorf("a direct RunWorkload changed the memo: %d entries, was %d", len(memo.entries), entries)
+	if memo.config != config || len(memo.fabrics) != kept {
+		t.Errorf("a direct RunWorkload changed the memo: %d kept fabrics, was %d", len(memo.fabrics), kept)
 	}
 	memo.mu.Unlock()
+
+	// A chaos row: every scenario's trial of a seed forks the same probe
+	// lead-in, and every trial fork but the row's first is written into
+	// the fabric the trial before it released.
+	opts := DefaultOptions(topology.TwoPodSpec(), ProtoMRMTP, 1)
+	w0, f0, r0, l0 := memo.counts()
+	for _, spec := range ChaosCatalog() {
+		if _, err := RunCell(opts, n, func(o Options) (ChaosResult, error) { return RunChaos(o, spec) }, SummarizeChaos); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scenarios := len(ChaosCatalog())
+	w1, f1, r1, l1 := memo.counts()
+	if w1-w0 != n || l1-l0 != n || f1-f0 != (1+scenarios)*n || r1-r0 != scenarios*n-1 {
+		t.Errorf("a chaos row of %d scenarios × %d trial(s) made %d bring-ups, %d lead-ins, %d forks and %d recycled forks, want %d, %d, %d and %d",
+			scenarios, n, w1-w0, l1-l0, f1-f0, r1-r0, n, n, (1+scenarios)*n, scenarios*n-1)
+	}
 
 	// A change of configuration empties the memo.
 	a := DefaultOptions(topology.TwoPodSpec(), ProtoMRMTP, 11)
@@ -216,12 +233,12 @@ func TestWarmMemoScope(t *testing.T) {
 	}
 	memo.mu.Lock()
 	defer memo.mu.Unlock()
-	if len(memo.entries) != 2 {
-		t.Errorf("memo holds %d snapshots after a 2-trial cell, want 2", len(memo.entries))
+	if len(memo.fabrics) != 4 {
+		t.Errorf("memo keeps %d fabrics after a 2-trial failure cell, want 4 (a snapshot and a lead-in fabric per trial)", len(memo.fabrics))
 	}
-	for key := range memo.entries {
-		if key.MTPAccept != b.MTPAccept {
-			t.Errorf("memo still holds a snapshot of the previous configuration (seed %d)", key.Seed)
+	for key := range memo.fabrics {
+		if key.opts.MTPAccept != b.MTPAccept {
+			t.Errorf("memo still keeps a fabric of the previous configuration (seed %d)", key.opts.Seed)
 		}
 	}
 }

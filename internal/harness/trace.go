@@ -429,7 +429,7 @@ func RunTrace(opts Options, spec chaos.Spec) (TraceResult, error) {
 	if err != nil {
 		return TraceResult{}, err
 	}
-	f, err := warm(opts)
+	f, err := atInjection(opts, noLeadIn)
 	if err != nil {
 		return TraceResult{}, err
 	}
@@ -475,6 +475,7 @@ func RunTrace(opts Options, spec chaos.Spec) (TraceResult, error) {
 			res.TraceReplies += r.Stats.TraceReplies
 		}
 	}
+	done(f)
 	return res, nil
 }
 

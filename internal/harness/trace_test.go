@@ -17,7 +17,7 @@ import (
 // seconds of probing behind it.
 func buildTraceRun(t *testing.T, proto Protocol, seed int64) (*Fabric, *traceRun) {
 	t.Helper()
-	f, err := warm(DefaultOptions(topology.TwoPodSpec(), proto, seed))
+	f, err := bringUp(DefaultOptions(topology.TwoPodSpec(), proto, seed))
 	if err != nil {
 		t.Fatal(err)
 	}

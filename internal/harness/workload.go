@@ -135,13 +135,12 @@ func (f *Fabric) UplinkGroups() []workload.Group {
 
 // RunWorkload drives one workload trial over a warm fabric.
 func RunWorkload(opts Options, w WorkloadConfig) (WorkloadResult, error) {
-	f, err := warm(opts)
+	// Sample timer phase like the other experiments, then shape the links
+	// only after the fabric is converged so warm-up stays cheap.
+	f, err := atInjection(opts, phaseLeadIn)
 	if err != nil {
 		return WorkloadResult{}, err
 	}
-	// Sample timer phase like the other experiments, then shape the links
-	// only after the fabric is converged so warm-up stays cheap.
-	f.Sim.RunFor(f.drawPhase())
 	for _, link := range f.Sim.Links() {
 		link.SetBandwidth(w.LinkBps, w.LinkQueue)
 	}
