@@ -100,10 +100,13 @@ closbench-digest:
 # `-experiment all -seed 1`, then with `-experiment chaos -seed 7` and
 # `-experiment trace -seed 7` (the campaigns whose trials fork the memo's
 # probe lead-in and warm snapshot and hand their fabrics back for others
-# to be written into, at a second seed), and fails unless every run's
-# stdout and -out tree are identical. The two runs of a row write the same
-# -out path in turn, since stdout prints it.
-IDENTITY_RUNS = all:1 chaos:7 trace:7
+# to be written into, at a second seed), then with `-experiment workload
+# -engine hybrid -seed 3` and `-engine fluid -seed 5` (no golden file pins
+# the hybrid and fluid engines' telemetry and FCT CSVs), and fails unless
+# every run's stdout and -out tree are identical. A row is
+# experiment:seed[:engine]. The two runs of a row write the same -out path
+# in turn, since stdout prints it.
+IDENTITY_RUNS = all:1 chaos:7 trace:7 workload:3:hybrid workload:5:fluid
 identity:
 	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<rev>" >&2; exit 2; }
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
@@ -111,15 +114,16 @@ identity:
 	(cd "$$tmp/src" && $(GO) build -o "$$tmp/parent" ./cmd/closlab) && \
 	$(GO) build -o "$$tmp/change" ./cmd/closlab || exit 1; \
 	for run in $(IDENTITY_RUNS); do \
-		exp="$${run%:*}"; seed="$${run#*:}"; \
+		set -- $$(echo "$$run" | tr : ' '); \
+		args="-experiment $$1 -seed $$2$${3:+ -engine $$3}"; \
 		for b in parent change; do \
-			"$$tmp/$$b" -experiment "$$exp" -seed "$$seed" -out "$$tmp/out" > "$$tmp/$$b.stdout" || exit 1; \
+			"$$tmp/$$b" $$args -out "$$tmp/out" > "$$tmp/$$b.stdout" || exit 1; \
 			mv "$$tmp/out" "$$tmp/$$b.out"; \
 		done; \
 		cmp "$$tmp/parent.stdout" "$$tmp/change.stdout" && \
 		diff -r "$$tmp/parent.out" "$$tmp/change.out" || exit 1; \
 		rm -rf "$$tmp/parent.out" "$$tmp/change.out"; \
-		echo "identity: closlab -experiment $$exp -seed $$seed is byte-identical to $(PARENT)"; \
+		echo "identity: closlab $$args is byte-identical to $(PARENT)"; \
 	done
 
 # bench-pairs is a speed claim's evidence in one command: `make bench-pairs

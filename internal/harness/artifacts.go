@@ -153,10 +153,11 @@ func RenderWorkloadTelemetryCSV(cells []Cell[WorkloadSummary, WorkloadResult]) [
 			continue
 		}
 		for _, sr := range c.Trials[0].Series {
-			for _, smp := range sr.Samples {
+			for i := range sr.Len() {
+				smp := sr.Sample(i)
 				_, _ = fmt.Fprintf(&b, "%s,%d,%s,%s,%d,%d,%.4f,%d,%d,%d,%d,,,,%s\n",
 					s.Protocol, s.Pods, s.Scenario, sr.Name,
-					smp.At/time.Microsecond, smp.TxBytes, smp.Util, smp.Queued, smp.Drops,
+					sr.At(i)/time.Microsecond, smp.TxBytes, smp.Util, smp.Queued, smp.Drops,
 					smp.Lost, smp.Corrupted, s.Engine)
 			}
 		}

@@ -276,9 +276,9 @@ func seededFlows(seed int64, n, first, servers int) []workload.Flow {
 	flows := make([]workload.Flow, n)
 	for i := range flows {
 		fl := &flows[i]
-		fl.ID, fl.Src, fl.SrcPort = uint32(i+1), int32(first+rng.Intn(servers-first)), uint16(20000+rng.Intn(40000))
+		fl.Src, fl.SrcPort = uint16(first+rng.Intn(servers-first)), uint16(20000+rng.Intn(40000))
 		for fl.Dst = fl.Src; fl.Dst == fl.Src; {
-			fl.Dst = int32(first + rng.Intn(servers-first))
+			fl.Dst = uint16(first + rng.Intn(servers-first))
 		}
 	}
 	return flows

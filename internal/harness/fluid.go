@@ -185,7 +185,7 @@ func (r *pathResolver) resolve(fl *workload.Flow) ([]fluid.LinkID, time.Duration
 		if invariant.Enabled {
 			path, latency, ok := r.walk(src, dst, hash)
 			invariant.Assertf(ok && slices.Equal(path, e.ids[:e.links]) && latency == e.latency,
-				"harness: memoised path %v (%v) for flow %d, the walk says %v (%v, reached %v)", e.ids[:e.links], e.latency, fl.ID, path, latency, ok)
+				"harness: memoised path %v (%v) for flow %d->%d:%d, the walk says %v (%v, reached %v)", e.ids[:e.links], e.latency, src, dst, fl.SrcPort, path, latency, ok)
 		}
 		return e.ids[:e.links:e.links], e.latency, true
 	}

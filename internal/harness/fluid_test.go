@@ -70,8 +70,8 @@ func TestFluidModeCarriesEverything(t *testing.T) {
 	// The reservation shows up in telemetry even though no packets flew.
 	var fluidBytes uint64
 	for _, sr := range res.Series {
-		for _, smp := range sr.Samples {
-			fluidBytes += smp.FluidBytes
+		for i := range sr.Len() {
+			fluidBytes += sr.Sample(i).FluidBytes
 		}
 	}
 	if fluidBytes == 0 {
@@ -120,7 +120,7 @@ func compareWorkloadResults(t *testing.T, label string, a, b WorkloadResult) {
 	for i := range a.Series {
 		if a.Series[i].Name != b.Series[i].Name {
 			t.Errorf("%s: series %d named %q vs %q", label, i, a.Series[i].Name, b.Series[i].Name)
-		} else if !reflect.DeepEqual(a.Series[i].Samples, b.Series[i].Samples) {
+		} else if !sameSamples(a.Series[i], b.Series[i]) {
 			t.Errorf("%s: series %s samples differ", label, a.Series[i].Name)
 		}
 	}
@@ -128,6 +128,20 @@ func compareWorkloadResults(t *testing.T, label string, a, b WorkloadResult) {
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("%s: results differ:\n%+v\n%+v", label, a, b)
 	}
+}
+
+// sameSamples reports whether two series hold the same samples at the same
+// instants.
+func sameSamples(a, b *workload.LinkSeries) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	for i := range a.Len() {
+		if a.At(i) != b.At(i) || a.Sample(i) != b.Sample(i) {
+			return false
+		}
+	}
+	return true
 }
 
 // The hybrid engine must agree with the packet engine where they overlap:

@@ -579,8 +579,9 @@ func (d *dirtyForkSet) add(name string, opts Options) {
 // and a drained node still in force (RunChaos, RunFault), the prober fleet
 // ticking with its ICMP listeners registered (RunTrace) and a capture tap
 // on the TC1 link (RunKeepAlive), 3.5 s into the failure — past plain BGP's
-// hold time.
-func dirtyLikeTrials(t *testing.T, f *Fabric) {
+// hold time. It returns the capture, which a fork written into f must leave
+// behind with the rest of f.
+func dirtyLikeTrials(t *testing.T, f *Fabric) *capture.Capture {
 	t.Helper()
 	link := func(tc topology.FailureCase) chaos.LinkRef {
 		l, err := f.caseLink(tc)
@@ -610,6 +611,7 @@ func dirtyLikeTrials(t *testing.T, f *Fabric) {
 	}
 	cap.Tap(f.Sim.Node(fp.Device).Port(fp.Port).Link)
 	f.Sim.RunFor(3500 * time.Millisecond)
+	return &cap
 }
 
 // TestForkIntoDirtyMatchesFresh holds a fork written into a released fabric
@@ -623,7 +625,9 @@ func dirtyLikeTrials(t *testing.T, f *Fabric) {
 // same lead-in fabric on two goroutines, then fail TC1 and settle; they must
 // agree on the wire trace, the event log, the dispatch count, every routing
 // and VID table, every session's state, the frame pool, the next draw of
-// every stream and the probe flow's report.
+// every stream and the probe flow's report. The capture tapped on the
+// released fabric must see no frame of the fork written into it: a fork
+// rebuilds every link, taps included.
 func TestForkIntoDirtyMatchesFresh(t *testing.T) {
 	d := &dirtyForks
 	d.once.Do(func() {
@@ -673,8 +677,12 @@ func TestForkIntoDirtyMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dirtyLikeTrials(t, dirty)
+		tapped := dirtyLikeTrials(t, dirty)
 		dirty.Sim.Release()
+		seen := tapped.Count()
+		if seen == 0 {
+			t.Fatalf("%s: the tap on the released fabric saw no frame; the rig no longer taps a live link", df.name)
+		}
 		var recycled, fresh fingerprint
 		var wg sync.WaitGroup
 		wg.Add(2)
@@ -694,6 +702,9 @@ func TestForkIntoDirtyMatchesFresh(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+		if n := tapped.Count(); n != seen {
+			t.Errorf("%s: the capture tapped on the released fabric saw %d frames of the fork written into it", df.name, n-seen)
+		}
 		if !t.Failed() {
 			compareFingerprints(t, df.name+" fork into a released fabric", recycled, fresh)
 		}

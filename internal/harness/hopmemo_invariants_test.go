@@ -27,7 +27,7 @@ func TestHopMemoCheckDetectsCorruption(t *testing.T) {
 		}
 		resolve := f.newPathResolver(plan, 49000).resolve
 		servers := f.Topo.Servers
-		fl := workload.Flow{ID: 1, Src: 0, Dst: int32(len(servers) - 1), SrcPort: 20000}
+		fl := workload.Flow{Src: 0, Dst: uint16(len(servers) - 1), SrcPort: 20000}
 		if _, _, ok := resolve(&fl); !ok {
 			t.Fatalf("%s: a healthy fabric refuses the flow", proto)
 		}
@@ -70,7 +70,7 @@ func TestPathMemoCheckDetectsCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := f.newPathResolver(plan, 49000)
-		fl := workload.Flow{ID: 1, Src: 0, Dst: int32(len(f.Topo.Servers) - 1), SrcPort: 20000}
+		fl := workload.Flow{Src: 0, Dst: uint16(len(f.Topo.Servers) - 1), SrcPort: 20000}
 		path, _, ok := r.resolve(&fl)
 		if !ok {
 			t.Fatalf("%s: a healthy fabric refuses the flow", proto)

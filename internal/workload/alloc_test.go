@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/fluid"
 	"repro/internal/invariant"
+	"repro/internal/simnet"
 )
 
 // fluidRunAllocs is what a whole ModeFluid engine costs in heap objects for
@@ -57,28 +59,29 @@ func fluidRunAllocs(t *testing.T, flows int) (allocs, bytes uint64) {
 // the solver's free list, to which each block its pops empty returns. Both
 // figures are the measured ones with no slack. With one Flow object per flow
 // and a string per Admit they were 4 097 and 40 181; with an 80-byte slot
-// holding a pointer and a run that doubled, 58 / 231 482 and 70 / 2 210 746.
-// At 20 000 flows a fluid flow costs about 71 bytes: its 48-byte slot, its
-// 24-byte member and its share of the lists.
+// holding a pointer and a run that doubled, 58 / 231 482 and 70 / 2 210 746;
+// with a 48-byte slot, 55 / 160 352 and 65 / 1 411 813. At 20 000 flows a
+// fluid flow costs about 55 bytes: its 32-byte slot, its 24-byte member and
+// its share of the lists.
 func TestFluidFlowAllocs(t *testing.T) {
 	if invariant.Enabled || budget.Race {
 		t.Skip("budget measured without -tags invariants and without -race")
 	}
 	small, smallBytes := fluidRunAllocs(t, 2_000)
 	large, largeBytes := fluidRunAllocs(t, 20_000)
-	if small != 55 || smallBytes != 160_352 || large != 65 || largeBytes != 1_411_813 {
-		t.Errorf("a fluid run allocates %d objects and %d B for 2 000 flows and %d and %d B for 20 000, want 55 and 160 352, 65 and 1 411 813",
+	if small != 55 || smallBytes != 127_616 || large != 65 || largeBytes != 1_092_357 {
+		t.Errorf("a fluid run allocates %d objects and %d B for 2 000 flows and %d and %d B for 20 000, want 55 and 127 616, 65 and 1 092 357",
 			small, smallBytes, large, largeBytes)
 	}
 }
 
-// TestFlowSlotLayout pins the slot a million-flow schedule is made of: at
-// most 48 bytes and no pointer, so that the schedule is one allocation the
+// TestFlowSlotLayout pins the slot a million-flow schedule is made of:
+// exactly 32 bytes and no pointer, so that the schedule is one allocation the
 // collector never scans. Packet-path state lives in Engine.pkts, reached by
-// index.
+// index; the ID and the packet count are derived, not stored.
 func TestFlowSlotLayout(t *testing.T) {
-	if size := unsafe.Sizeof(Flow{}); size > 48 {
-		t.Errorf("a Flow slot is %d bytes, want at most 48", size)
+	if size := unsafe.Sizeof(Flow{}); size != 32 {
+		t.Errorf("a Flow slot is %d bytes, want 32", size)
 	}
 	typ := reflect.TypeOf(Flow{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -105,4 +108,56 @@ func holdsPointer(t reflect.Type) bool {
 		}
 	}
 	return false
+}
+
+// samplerRunAllocs is what sampling ticks ticks of links idle links — 2·links
+// series — costs the heap. Each run samples a sampler of its own, made,
+// watching and started outside the measurement.
+func samplerRunAllocs(links, ticks int) (allocs, bytes uint64) {
+	const runs = 3
+	sims := make([]*simnet.Sim, runs+1) // PerRun warms up with one extra call
+	for i := range sims {
+		sim := simnet.New(1)
+		s := NewSampler(sim, time.Millisecond)
+		for j := 0; j < links; j++ {
+			a, b := sim.AddNode(fmt.Sprintf("a%d", j)), sim.AddNode(fmt.Sprintf("b%d", j))
+			s.Watch(sim.Connect(a.AddPort(), b.AddPort()))
+		}
+		s.Start()
+		sims[i] = sim
+	}
+	call := 0
+	return budget.PerRun(runs, func() {
+		sims[call].RunFor(time.Duration(ticks) * time.Millisecond)
+		call++
+	})
+}
+
+// TestSamplerKeepsOnlyItsSamples pins what telemetry costs: each tick makes
+// one row at its exact size, a sample per series, and nothing else grows
+// with the number of series. Sixteen links instead of two (32 series
+// instead of 4) add exactly the 28 more samples each tick keeps, so no
+// sample is copied when the sampler grows. The rest is one row a tick plus
+// the two per-tick indexes doubling, a row header and a pool sample a tick:
+// 25 objects and 160 368 B over 1 000 ticks. Both row sizes are size
+// classes of their own (4·56 = 224 B, 32·56 = 1 792 B), and the figures are
+// the measured ones with no slack. With a 64-byte sample in a slice per
+// direction grown by append, the same runs allocated 62 and 398 objects and
+// 952 712 and 6 914 696 B.
+func TestSamplerKeepsOnlyItsSamples(t *testing.T) {
+	if invariant.Enabled || budget.Race {
+		t.Skip("budget measured without -tags invariants and without -race")
+	}
+	const ticks = 1000
+	few, fewBytes := samplerRunAllocs(2, ticks)
+	many, manyBytes := samplerRunAllocs(16, ticks)
+	sample := uint64(unsafe.Sizeof(LinkSample{}))
+	if sample != 56 || manyBytes-fewBytes != ticks*28*sample {
+		t.Errorf("28 more series cost %d B over %d ticks, want %d: 28 more samples of %d B a tick",
+			manyBytes-fewBytes, ticks, ticks*28*56, sample)
+	}
+	if few != 1025 || fewBytes != 384_368 || many != 1025 || manyBytes != 1_952_368 {
+		t.Errorf("sampling %d ticks allocates %d objects and %d B over 4 series and %d and %d B over 32, want 1 025 and 384 368, 1 025 and 1 952 368",
+			ticks, few, fewBytes, many, manyBytes)
+	}
 }

@@ -28,13 +28,13 @@ func newReceiveRig(t testing.TB) receiveRig {
 	w.sim.RunFor(10 * time.Millisecond)
 	r := receiveRig{e: e}
 	for i := range e.flows {
-		switch f := &e.flows[i]; {
-		case f.fluid:
-			r.fluidID = f.ID
+		switch f, id := &e.flows[i], uint32(i+1); {
+		case f.fluid():
+			r.fluidID = id
 		case f.pkt == 0:
-			r.unlaunched = f.ID
-		case f.Packets > 1 && !f.Done && !f.Abandoned:
-			r.live = f.ID
+			r.unlaunched = id
+		case f.Packets() > 1 && !f.Done() && !f.Abandoned():
+			r.live = id
 		}
 	}
 	if r.live == 0 || r.unlaunched == 0 || r.fluidID == 0 {
@@ -67,7 +67,7 @@ func TestOnDatagramIgnoresStrays(t *testing.T) {
 		{"id far past the schedule", dataPacket(Magic, 1<<31, 0)},
 		{"fluid flow", dataPacket(Magic, r.fluidID, 0)},
 		{"unlaunched packet flow", dataPacket(Magic, r.unlaunched, 0)},
-		{"seq == Packets", dataPacket(Magic, r.live, uint32(live.Packets))},
+		{"seq == Packets", dataPacket(Magic, r.live, uint32(live.Packets()))},
 		{"seq far past Packets", dataPacket(Magic, r.live, 1<<31)},
 		{"short payload", dataPacket(Magic, r.live, 0)[:wireHeaderLen-1]},
 		{"empty payload", nil},
@@ -82,7 +82,7 @@ func TestOnDatagramIgnoresStrays(t *testing.T) {
 				finished, e.finished, received, ps.received, dups, ps.dups)
 		}
 	}
-	if f := &e.flows[r.unlaunched-1]; f.pkt != 0 || f.Done {
+	if f := &e.flows[r.unlaunched-1]; f.pkt != 0 || f.Done() {
 		t.Errorf("a stray datagram touched the unlaunched flow: %+v", *f)
 	}
 	// The rig can tell: the same packet, well formed, is a delivery.
@@ -103,7 +103,7 @@ func FuzzOnDatagram(f *testing.F) {
 	f.Add(dataPacket(Magic, r.fluidID, 0))
 	f.Add(dataPacket(Magic, 0, 0))
 	f.Add(dataPacket(Magic, uint32(len(e.flows))+1, 0))
-	f.Add(dataPacket(Magic, r.live, uint32(e.flows[r.live-1].Packets)))
+	f.Add(dataPacket(Magic, r.live, uint32(e.flows[r.live-1].Packets())))
 	f.Add(dataPacket(Magic, r.live, 0)[:wireHeaderLen-1])
 	f.Add(dataPacket(Magic+1, r.live, 0))
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -116,7 +116,7 @@ func FuzzOnDatagram(f *testing.F) {
 			t.Fatalf("finished %d→%d on a %d-byte payload", before, e.finished, len(payload))
 		}
 		fl := &e.flows[binary.BigEndian.Uint32(payload[4:])-1]
-		if ps := e.pktOf(fl); fl.fluid || ps == nil || !fl.Done || ps.received != int(fl.Packets) {
+		if ps := e.pktOf(fl); fl.fluid() || ps == nil || !fl.Done() || ps.received != fl.Packets() {
 			t.Fatalf("payload %x finished flow %+v", payload, *fl)
 		}
 	})

@@ -7,9 +7,9 @@ import (
 	"repro/internal/simnet"
 )
 
-// LinkSample is one observation of one transmit direction of a link.
+// LinkSample is one observation of one transmit direction of a link. Its
+// instant is the tick's, LinkSeries.At.
 type LinkSample struct {
-	At time.Duration
 	// TxBytes accepted into the serializer in the interval ending at At:
 	// bytes offered by the sender minus egress tail-drops.
 	TxBytes uint64
@@ -32,11 +32,13 @@ type LinkSample struct {
 	FluidBytes uint64
 }
 
-// LinkSeries is the time series of one link direction.
+// LinkSeries is the time series of one link direction: one column of its
+// Sampler's rows, read through Len, At and Sample.
 type LinkSeries struct {
-	Name    string // "L-1-1:eth1->S-1-1:eth3"
-	Samples []LinkSample
+	Name string // "L-1-1:eth1->S-1-1:eth3"
 
+	s         *Sampler
+	col       int // index into each row
 	from      *simnet.Port
 	link      *simnet.Link
 	lastTx    uint64
@@ -62,15 +64,29 @@ type PoolSample struct {
 	Recycled uint64
 }
 
+// Len is the number of samples taken.
+func (sr *LinkSeries) Len() int { return len(sr.s.rows) }
+
+// At is the instant of sample i.
+func (sr *LinkSeries) At(i int) time.Duration { return sr.s.pool[i].At }
+
+// Sample returns sample i.
+func (sr *LinkSeries) Sample(i int) LinkSample { return sr.s.rows[i][sr.col] }
+
 // Sampler polls link counters on a fixed virtual-time cadence: the
 // utilization / queue-depth / drop telemetry a production fabric would
 // scrape from switch ASICs. It also snapshots frame-pool occupancy each
 // tick so buffer leaks show up in the same time series.
+//
+// Each tick stores one row, made at its exact size: a sample per watched
+// direction, in Watch order. A sample is written once and never copied, and
+// the tick's instant is stored once, in its pool sample.
 type Sampler struct {
 	sim      *simnet.Sim
 	interval time.Duration
 	series   []*LinkSeries
-	pool     []PoolSample
+	rows     [][]LinkSample // rows[i][col]: tick i of series col
+	pool     []PoolSample   // one per tick, At the tick's instant
 	poolPeak int
 	timer    *simnet.Timer
 }
@@ -80,11 +96,17 @@ func NewSampler(sim *simnet.Sim, interval time.Duration) *Sampler {
 	return &Sampler{sim: sim, interval: interval}
 }
 
-// Watch adds both directions of a link to the sample set.
+// Watch adds both directions of a link to the sample set. Call before Start:
+// every row holds every series.
 func (s *Sampler) Watch(l *simnet.Link) {
+	if s.timer != nil {
+		panic("workload: Sampler.Watch after Start")
+	}
 	add := func(from, to *simnet.Port) {
 		s.series = append(s.series, &LinkSeries{
 			Name: fmt.Sprintf("%s->%s", from.Name(), to.Name()),
+			s:    s,
+			col:  len(s.series),
 			from: from,
 			link: l,
 		})
@@ -112,12 +134,13 @@ func (s *Sampler) Stop() {
 
 func (s *Sampler) sample() {
 	now := s.sim.Now()
-	for _, sr := range s.series {
+	row := make([]LinkSample, len(s.series))
+	for i, sr := range s.series {
 		tx := sr.from.Counters.TxBytes
 		ls := s.link(sr)
 		fluid := sr.link.FluidBytes(sr.from, now)
-		smp := LinkSample{
-			At:         now,
+		smp := &row[i]
+		*smp = LinkSample{
 			TxBytes:    (tx - sr.lastTx) - (ls.OverflowBytes - sr.lastDropB),
 			Queued:     ls.Queued,
 			Drops:      ls.Overflows,
@@ -134,8 +157,8 @@ func (s *Sampler) sample() {
 		sr.lastTx = tx
 		sr.lastDropB = ls.OverflowBytes
 		sr.lastFluid = fluid
-		sr.Samples = append(sr.Samples, smp)
 	}
+	s.rows = append(s.rows, row)
 	fs := s.sim.FrameStats()
 	if len(s.pool) == 0 || fs.InUse > s.poolPeak {
 		s.poolPeak = fs.InUse
@@ -158,10 +181,8 @@ func (s *Sampler) PoolSeries() []PoolSample { return s.pool }
 func (s *Sampler) PeakQueue() int {
 	peak := 0
 	for _, sr := range s.series {
-		for _, smp := range sr.Samples {
-			if smp.Queued > peak {
-				peak = smp.Queued
-			}
+		for i := range sr.Len() {
+			peak = max(peak, sr.Sample(i).Queued)
 		}
 	}
 	return peak
@@ -171,9 +192,9 @@ func (s *Sampler) PeakQueue() int {
 func (s *Sampler) PeakUtil() float64 {
 	peak := 0.0
 	for _, sr := range s.series {
-		for _, smp := range sr.Samples {
-			if smp.Util > peak {
-				peak = smp.Util
+		for i := range sr.Len() {
+			if u := sr.Sample(i).Util; u > peak {
+				peak = u
 			}
 		}
 	}
@@ -184,8 +205,8 @@ func (s *Sampler) PeakUtil() float64 {
 func (s *Sampler) TotalDrops() uint64 {
 	var total uint64
 	for _, sr := range s.series {
-		if n := len(sr.Samples); n > 0 {
-			total += sr.Samples[n-1].Drops
+		if n := sr.Len(); n > 0 {
+			total += sr.Sample(n - 1).Drops
 		}
 	}
 	return total

@@ -156,33 +156,56 @@ func DefaultConfig(seed int64) Config {
 }
 
 // Flow is one generated transfer: one slot of the engine's schedule, which is
-// a slice of values — a flow's ID is its index plus one. Schedule fields are
-// fixed at generation; the rest fill in as the simulation runs.
+// a slice of values. Schedule fields are fixed at generation; the rest fill
+// in as the simulation runs.
 //
-// The slot holds no pointer and takes 48 bytes, so a million-flow schedule
-// is one allocation the collector never scans. A flow launches at exactly
-// base+Start (Start schedules packet launches there and fluid admissions
-// are backdated to it), so the launch instant is derived, not stored.
+// The slot holds no pointer and takes 32 bytes, so a million-flow schedule
+// is one allocation the collector never scans. It stores only what cannot
+// be derived: a flow's ID is its index plus one, which the engine passes
+// beside the slot; its packet count follows from Bytes; and a flow launches
+// at exactly base+Start (Start schedules packet launches there and fluid
+// admissions are backdated to it), so the launch instant is not stored
+// either.
 type Flow struct {
-	ID       uint32
-	SrcPort  uint16
-	launched bool
-	fluid    bool  // routed through the fluid model (decided at generation)
-	Src, Dst int32 // host indices
-	Bytes    int32
-	Packets  int32
-	Start    time.Duration // offset from Engine.Start, the launch instant
-
-	FCT time.Duration // valid when Done
+	Start time.Duration // offset from Engine.Start, the launch instant
+	FCT   time.Duration // valid when Done
+	Bytes int32
 	// pkt is the flow's packet-path state as a 1-based index into
 	// Engine.pkts, set by launch; 0 means none — a million fluid flows carry
 	// no packet-runtime state.
-	pkt       int32
-	Done      bool
-	Abandoned bool
+	pkt      int32
+	Src, Dst uint16 // host indices
+	SrcPort  uint16
+	state    flowState
 }
 
-// packetState is a packet-path flow's sender and receiver runtime.
+// flowState is a flow's four flags in one byte.
+type flowState uint8
+
+const (
+	flowFluid     flowState = 1 << iota // routed through the fluid model (decided at generation)
+	flowLaunched                        // its launch instant has passed
+	flowDone                            // completed; FCT is valid
+	flowAbandoned                       // given up: no path, or MaxRounds spent
+)
+
+// Packets is the number of data packets that carry the flow's bytes.
+func (f *Flow) Packets() int { return (int(f.Bytes) + PacketSize - 1) / PacketSize }
+
+// Done reports whether the flow completed.
+func (f *Flow) Done() bool { return f.state&flowDone != 0 }
+
+// Abandoned reports whether the flow was given up. A straggler can still
+// complete a flow its sender abandoned, so a flow can be both.
+func (f *Flow) Abandoned() bool { return f.state&flowAbandoned != 0 }
+
+func (f *Flow) fluid() bool    { return f.state&flowFluid != 0 }
+func (f *Flow) launched() bool { return f.state&flowLaunched != 0 }
+func (f *Flow) finished() bool { return f.state&(flowDone|flowAbandoned) != 0 }
+
+// packetState is a packet-path flow's sender and receiver runtime. Every one
+// is a slot of Engine.pkts, and its gotMask a run of Engine.masks, both
+// sized by New.
 type packetState struct {
 	// The send queue is the first pass, a counter (sequences next..Packets-1
 	// have not been offered yet), followed by the current repair round:
@@ -197,6 +220,9 @@ type packetState struct {
 	timer    *simnet.Timer
 }
 
+// maskWords is the length of the flow's receive bitmap, a bit per packet.
+func (f *Flow) maskWords() int { return (f.Packets() + 63) / 64 }
+
 func (ps *packetState) got(seq uint32) bool { return ps.gotMask[seq/64]&(1<<(seq%64)) != 0 }
 func (ps *packetState) mark(seq uint32)     { ps.gotMask[seq/64] |= 1 << (seq % 64) }
 
@@ -206,7 +232,12 @@ type Engine struct {
 	hosts []Host
 	cfg   Config
 	flows []Flow // the schedule in generation (and Start) order; never grows after New
-	pkts  []*packetState
+	// pkts holds the packet-path flows' state in launch order: made by New
+	// with room for every packet-path flow, so that launch appends without
+	// moving a slot. masks is the receive bitmaps New made for them all,
+	// which launch carves from the front.
+	pkts  []packetState
+	masks []uint64
 
 	base    time.Duration // virtual time of Start
 	started bool
@@ -241,8 +272,8 @@ func New(sim *simnet.Sim, hosts []Host, cfg Config) (*Engine, error) {
 	if len(hosts) < 2 {
 		return nil, fmt.Errorf("workload: need at least 2 hosts, got %d", len(hosts))
 	}
-	if len(hosts) > math.MaxInt32 {
-		return nil, fmt.Errorf("workload: %d hosts do not fit a flow slot's int32 index", len(hosts))
+	if len(hosts) > math.MaxUint16 {
+		return nil, fmt.Errorf("workload: %d hosts do not fit a flow slot's uint16 index", len(hosts))
 	}
 	if cfg.Flows < 1 {
 		return nil, fmt.Errorf("workload: need at least 1 flow, got %d", cfg.Flows)
@@ -278,6 +309,7 @@ func New(sim *simnet.Sim, hosts []Host, cfg Config) (*Engine, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	pair := e.pairer(rng)
 	var at time.Duration
+	packetFlows, maskWords := 0, 0
 	for i := 0; i < cfg.Flows; i++ {
 		at += time.Duration(rng.ExpFloat64() * float64(cfg.MeanArrival))
 		src, dst := pair(i)
@@ -289,19 +321,23 @@ func New(sim *simnet.Sim, hosts []Host, cfg Config) (*Engine, error) {
 		if bytes > math.MaxInt32 {
 			return nil, fmt.Errorf("workload: %s drew %d bytes for flow %d, more than a flow slot's int32 holds", cfg.Sizes.Name(), bytes, i+1)
 		}
-		pkts := (bytes + PacketSize - 1) / PacketSize
 		f := &e.flows[i]
 		*f = Flow{
-			ID:      uint32(i + 1),
-			Src:     int32(src),
-			Dst:     int32(dst),
+			Src:     uint16(src),
+			Dst:     uint16(dst),
 			SrcPort: uint16(20000 + i%40000),
 			Bytes:   int32(bytes),
-			Packets: int32(pkts),
 			Start:   at,
 		}
-		f.fluid = e.routeFluid(f)
+		if e.routeFluid(f) {
+			f.state = flowFluid
+		} else {
+			packetFlows++
+			maskWords += f.maskWords()
+		}
 	}
+	e.pkts = make([]packetState, 0, packetFlows)
+	e.masks = make([]uint64, maskWords)
 	seen := make(map[*ipstack.Stack]bool)
 	for _, h := range hosts {
 		if seen[h.Stack] {
@@ -391,22 +427,22 @@ func (e *Engine) Start() {
 	e.started = true
 	e.base = e.sim.Now()
 	for i := range e.flows {
-		f := &e.flows[i]
-		if f.fluid {
+		if e.flows[i].fluid() {
 			continue // admitted by the tick's schedule cursor, no per-flow event
 		}
-		e.sim.At(e.base+f.Start, func() { e.launch(f) })
+		id := uint32(i + 1)
+		e.sim.At(e.base+e.flows[i].Start, func() { e.launch(id) })
 	}
 	if e.cfg.Mode != ModePacket {
 		e.fluidTimer = e.sim.After(e.cfg.RateInterval, e.fluidTick)
 	}
 }
 
-// phantomFlow tracks one packet-path flow admitted to the solver as pure
-// demand (hybrid mode), until its packet engine finishes it.
+// phantomFlow tracks one packet-path flow, by ID, admitted to the solver as
+// pure demand (hybrid mode), until its packet engine finishes it.
 type phantomFlow struct {
-	f *Flow
-	h fluid.Handle
+	id uint32
+	h  fluid.Handle
 }
 
 // fluidTick is the rate epoch, a control event: integrate service and pop
@@ -418,14 +454,14 @@ func (e *Engine) fluidTick() {
 	e.applyCompletions(e.cfg.Solver.Advance(now))
 	for e.cursor < len(e.flows) && e.base+e.flows[e.cursor].Start <= now {
 		f := &e.flows[e.cursor]
-		e.cursor++
-		if f.fluid {
-			e.admitFluid(f, e.base+f.Start)
+		e.cursor++ // now the flow's ID
+		if f.fluid() {
+			e.admitFluid(uint32(e.cursor), f)
 		}
 	}
 	keep := e.phantoms[:0]
 	for _, ph := range e.phantoms {
-		if ph.f.Done || ph.f.Abandoned {
+		if e.flows[ph.id-1].finished() {
 			e.cfg.Solver.Leave(ph.h)
 		} else {
 			keep = append(keep, ph)
@@ -442,26 +478,26 @@ func (e *Engine) fluidTick() {
 func (e *Engine) applyCompletions(cs []fluid.Completion) {
 	for _, c := range cs {
 		f := &e.flows[c.ID-1]
-		f.Done = true
+		f.state |= flowDone
 		f.FCT = c.FCT
 		e.finished++
 	}
 }
 
-// admitFluid hands one flow to the solver at its exact arrival instant
-// (service credit is backdated to it by the epoch's Reallocate, so FCT
-// loses nothing to the tick cadence). A flow with no resolvable path — a
-// blackhole window — is abandoned, the analytic analogue of the packet
-// sender exhausting MaxRounds into a void.
-func (e *Engine) admitFluid(f *Flow, at time.Duration) {
-	f.launched = true
+// admitFluid hands flow id, slot f, to the solver at its exact arrival
+// instant, base+Start (service credit is backdated to it by the epoch's
+// Reallocate, so FCT loses nothing to the tick cadence). A flow with no
+// resolvable path — a blackhole window — is abandoned, the analytic
+// analogue of the packet sender exhausting MaxRounds into a void.
+func (e *Engine) admitFluid(id uint32, f *Flow) {
+	f.state |= flowLaunched
 	path, lat, ok := e.cfg.PathOf(f)
 	if !ok {
-		f.Abandoned = true
+		f.state |= flowAbandoned
 		e.finished++
 		return
 	}
-	e.cfg.Solver.Admit(f.ID, int64(f.Bytes), path, lat, at)
+	e.cfg.Solver.Admit(id, int64(f.Bytes), path, lat, e.base+f.Start)
 }
 
 // Repath re-resolves every fluid group's path against the current routing
@@ -477,40 +513,47 @@ func (e *Engine) Repath() {
 	e.applyCompletions(e.cfg.Solver.Reallocate(e.sim.Now()))
 }
 
-func (e *Engine) launch(f *Flow) {
+// launch starts packet-path flow id: it takes the next slot of the
+// packet-state slab and the flow's run of receive bitmap, then sends.
+func (e *Engine) launch(id uint32) {
+	f := &e.flows[id-1]
 	if invariant.Enabled {
-		invariant.Assertf(e.sim.Now() == e.base+f.Start, "workload: flow %d launched at %v, its slot says %v", f.ID, e.sim.Now(), e.base+f.Start)
+		invariant.Assertf(e.sim.Now() == e.base+f.Start, "workload: flow %d launched at %v, its slot says %v", id, e.sim.Now(), e.base+f.Start)
+		invariant.Assertf(len(e.pkts) < cap(e.pkts), "workload: flow %d launches past the %d packet-path slots New made", id, cap(e.pkts))
 	}
-	f.launched = true
-	e.pkts = append(e.pkts, &packetState{gotMask: make([]uint64, (f.Packets+63)/64)})
+	f.state |= flowLaunched
+	words := f.maskWords()
+	e.pkts = append(e.pkts, packetState{gotMask: e.masks[:words:words]})
+	e.masks = e.masks[words:]
 	f.pkt = int32(len(e.pkts))
 	if e.cfg.Mode == ModeHybrid {
 		// The flow's real packets ride the residual serializer; its fair
 		// share must still squeeze the fluid allocation, so the solver
 		// models it as phantom demand until it finishes.
 		if path, _, ok := e.cfg.PathOf(f); ok {
-			e.phantoms = append(e.phantoms, phantomFlow{f: f, h: e.cfg.Solver.AdmitPhantom(path)})
+			e.phantoms = append(e.phantoms, phantomFlow{id: id, h: e.cfg.Solver.AdmitPhantom(path)})
 		}
 	}
-	e.tick(f)
+	e.tick(id)
 }
 
 // tick is the per-flow sender: while sequences are pending it transmits one
 // per PacketInterval; once drained it waits an RTO and re-offers whatever
 // the receiver is still missing, up to MaxRounds.
-func (e *Engine) tick(f *Flow) {
-	if f.Done || f.Abandoned {
+func (e *Engine) tick(id uint32) {
+	f := &e.flows[id-1]
+	if f.finished() {
 		return
 	}
 	ps := e.pktOf(f)
-	packets := int(f.Packets)
+	packets := f.Packets()
 	if ps.queued(packets) == 0 {
 		ps.refillRepair(packets)
 		if len(ps.repair) == 0 {
 			return // completion races the check; the receive path recorded it
 		}
 		if ps.rounds >= e.cfg.MaxRounds {
-			f.Abandoned = true
+			f.state |= flowAbandoned
 			e.finished++
 			return
 		}
@@ -518,14 +561,14 @@ func (e *Engine) tick(f *Flow) {
 		e.Retransmits += uint64(len(ps.repair))
 	}
 	var seq uint32
-	if ps.next < uint32(f.Packets) {
+	if ps.next < uint32(packets) {
 		seq = ps.next
 		ps.next++
 	} else {
 		seq = ps.repair[ps.head]
 		ps.head++
 	}
-	e.sendData(f, seq)
+	e.sendData(id, f, seq)
 	wait := PacketInterval
 	if ps.queued(packets) == 0 {
 		wait = e.cfg.RTO
@@ -533,7 +576,7 @@ func (e *Engine) tick(f *Flow) {
 	if ps.timer != nil {
 		ps.timer.Reset(wait)
 	} else {
-		ps.timer = e.sim.After(wait, func() { e.tick(f) })
+		ps.timer = e.sim.After(wait, func() { e.tick(id) })
 	}
 }
 
@@ -543,7 +586,7 @@ func (e *Engine) pktOf(f *Flow) *packetState {
 	if f.pkt == 0 {
 		return nil
 	}
-	return e.pkts[f.pkt-1]
+	return &e.pkts[f.pkt-1]
 }
 
 // queued is the number of sequences of a packets-long flow waiting for
@@ -565,13 +608,13 @@ func (ps *packetState) refillRepair(packets int) {
 	}
 }
 
-func (e *Engine) sendData(f *Flow, seq uint32) {
+func (e *Engine) sendData(id uint32, f *Flow, seq uint32) {
 	e.PacketsSent++
 	// Only the header differs between packets; the rest of the scratch
 	// payload stays zero, as a fresh buffer's would be.
-	binary.BigEndian.PutUint32(e.payload[4:], f.ID)
+	binary.BigEndian.PutUint32(e.payload[4:], id)
 	binary.BigEndian.PutUint32(e.payload[8:], seq)
-	binary.BigEndian.PutUint32(e.payload[12:], uint32(f.Packets))
+	binary.BigEndian.PutUint32(e.payload[12:], uint32(f.Packets()))
 	src, dst := e.hosts[f.Src], e.hosts[f.Dst]
 	src.Stack.SendUDP(src.IP, dst.IP, f.SrcPort, DstPort, e.payload)
 }
@@ -591,7 +634,7 @@ func (e *Engine) onDatagram(dg udp.Datagram) {
 	}
 	f := &e.flows[id-1]
 	ps := e.pktOf(f)
-	if ps == nil || seq >= uint32(f.Packets) {
+	if ps == nil || seq >= uint32(f.Packets()) {
 		return
 	}
 	if ps.got(seq) {
@@ -600,10 +643,10 @@ func (e *Engine) onDatagram(dg udp.Datagram) {
 	}
 	ps.mark(seq)
 	ps.received++
-	if ps.received == int(f.Packets) && !f.Done {
-		f.Done = true
+	if ps.received == f.Packets() && !f.Done() {
+		f.state |= flowDone
 		f.FCT = e.sim.Now() - (e.base + f.Start)
-		if !f.Abandoned { // a straggler can complete a flow the sender gave up on
+		if !f.Abandoned() { // a straggler can complete a flow the sender gave up on
 			e.finished++
 		}
 	}
@@ -688,16 +731,16 @@ func (e *Engine) Report(buckets []Bucket) Report {
 		br := &r.Buckets[bucketOf(buckets, int(f.Bytes))]
 		br.Flows++
 		switch {
-		case f.Done:
+		case f.Done():
 			r.Completed++
 			br.Completed++
-		case f.Abandoned:
+		case f.Abandoned():
 			r.Abandoned++
 		}
 		if ps := e.pktOf(f); ps != nil {
 			r.Duplicates += uint64(ps.dups)
 		}
-		if f.fluid {
+		if f.fluid() {
 			r.FluidFlows++
 		}
 	}
@@ -709,7 +752,7 @@ func (e *Engine) Report(buckets []Bucket) Report {
 		}
 	}
 	for i := range e.flows {
-		if f := &e.flows[i]; f.Done {
+		if f := &e.flows[i]; f.Done() {
 			br := &r.Buckets[bucketOf(buckets, int(f.Bytes))]
 			br.FCTms = append(br.FCTms, float64(f.FCT)/float64(time.Millisecond))
 		}
@@ -742,7 +785,7 @@ func bucketOf(buckets []Bucket, bytes int) int {
 // two seconds.
 func (e *Engine) peakConcurrent() int {
 	k := len(e.flows)
-	for k > 0 && !e.flows[k-1].launched {
+	for k > 0 && !e.flows[k-1].launched() {
 		k--
 	}
 	if k == 0 {
@@ -767,7 +810,7 @@ func (e *Engine) peakConcurrent() int {
 	cur, peak, j := 0, 0, 0
 	for i := range launches {
 		f := &launches[i]
-		if !f.launched {
+		if !f.launched() {
 			continue
 		}
 		if invariant.Enabled {
@@ -789,5 +832,5 @@ func (e *Engine) peakConcurrent() int {
 // engine's base, and whether it has one at or before t.
 func (f *Flow) endedBy(t time.Duration) (time.Duration, bool) {
 	end := f.Start + f.FCT
-	return end, f.launched && f.Done && end <= t
+	return end, f.launched() && f.Done() && end <= t
 }

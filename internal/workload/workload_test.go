@@ -128,14 +128,14 @@ func hybridConfig(flows int, resolves func(*Flow) bool) Config {
 // schedule — two seeds draw different arrivals and pairings, one seed the
 // same schedule twice.
 func TestDefaultConfigSeedsTheSchedule(t *testing.T) {
-	schedule := func(seed int64) (starts []time.Duration, pairs [][2]int32) {
+	schedule := func(seed int64) (starts []time.Duration, pairs [][2]uint16) {
 		e, err := New(nil, newRig(t, 1).hosts, DefaultConfig(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range e.flows {
 			starts = append(starts, f.Start)
-			pairs = append(pairs, [2]int32{f.Src, f.Dst})
+			pairs = append(pairs, [2]uint16{f.Src, f.Dst})
 		}
 		return starts, pairs
 	}
@@ -151,10 +151,9 @@ func TestDefaultConfigSeedsTheSchedule(t *testing.T) {
 }
 
 // TestNewRefusals: every configuration New refuses is refused with an error
-// naming its own fault. A flow slot holds its hosts, size and packet count
-// as int32 and its packet state as an int32 index, so counts and sizes past
-// that are refused rather than wrapped. The host-count refusal has no row:
-// it would take a slice of 2³¹ hosts.
+// naming its own fault. A flow slot holds its hosts as uint16, its size as
+// int32 and its packet state as an int32 index, so counts and sizes past
+// that are refused rather than wrapped.
 func TestNewRefusals(t *testing.T) {
 	two := make([]Host, 2)
 	real := newRig(t, 1).hosts
@@ -173,6 +172,7 @@ func TestNewRefusals(t *testing.T) {
 	}{
 		{"no hosts", nil, DefaultConfig(1), "need at least 2 hosts, got 0"},
 		{"one host", make([]Host, 1), DefaultConfig(1), "need at least 2 hosts, got 1"},
+		{"hosts past uint16", make([]Host, math.MaxUint16+1), DefaultConfig(1), "65536 hosts do not fit"},
 		{"no flows", two, with(func(c *Config) { c.Flows = 0 }), "need at least 1 flow, got 0"},
 		{"negative flows", two, with(func(c *Config) { c.Flows = -3 }), "need at least 1 flow, got -3"},
 		{"no size distribution", two, with(func(c *Config) { c.Sizes = nil }), "no flow size distribution"},
@@ -199,8 +199,8 @@ func TestNewTakesTheLargestSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f := e.flows[0]; f.Bytes != math.MaxInt32 || f.Packets != 2_147_484 {
-		t.Errorf("a %d-byte flow holds %d bytes in %d packets", math.MaxInt32, f.Bytes, f.Packets)
+	if f := e.flows[0]; f.Bytes != math.MaxInt32 || f.Packets() != 2_147_484 {
+		t.Errorf("a %d-byte flow holds %d bytes in %d packets", math.MaxInt32, f.Bytes, f.Packets())
 	}
 }
 
@@ -307,7 +307,7 @@ func TestEngineRepairsAcrossOutage(t *testing.T) {
 func finishedScan(e *Engine) int {
 	n := 0
 	for _, f := range e.flows {
-		if f.Done || f.Abandoned {
+		if f.Done() || f.Abandoned() {
 			n++
 		}
 	}
@@ -332,8 +332,10 @@ func TestDoneCounterMatchesScan(t *testing.T) {
 		if mode != ModePacket {
 			cfg.Solver = fluid.New(fluid.Config{RateCapBps: 1e8})
 			link := cfg.Solver.AddLink(1_000_000_000, func(int64, time.Duration) {})
+			// A flow's SrcPort is 19 999 + its ID, and 7 divides 19 999:
+			// every seventh flow by ID finds no path.
 			cfg.PathOf = func(f *Flow) ([]fluid.LinkID, time.Duration, bool) {
-				return []fluid.LinkID{link}, 200 * time.Microsecond, f.ID%7 != 0
+				return []fluid.LinkID{link}, 200 * time.Microsecond, f.SrcPort%7 != 0
 			}
 		}
 		e, err := New(nil, w.hosts, cfg)
@@ -374,7 +376,7 @@ func TestDoneCounterMatchesScan(t *testing.T) {
 // in that order — in a slice made at exactly the counted size.
 func TestReportFCTsInGenerationOrder(t *testing.T) {
 	w := newRig(t, 1)
-	e, err := New(nil, w.hosts, hybridConfig(60, func(f *Flow) bool { return f.ID%7 != 0 }))
+	e, err := New(nil, w.hosts, hybridConfig(60, func(f *Flow) bool { return f.SrcPort%7 != 0 }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +386,7 @@ func TestReportFCTsInGenerationOrder(t *testing.T) {
 	r := e.Report(buckets)
 	want := make([][]float64, len(buckets))
 	for i := range e.flows {
-		if f := &e.flows[i]; f.Done {
+		if f := &e.flows[i]; f.Done() {
 			b := bucketOf(buckets, int(f.Bytes))
 			want[b] = append(want[b], float64(f.FCT)/float64(time.Millisecond))
 		}
@@ -423,7 +425,7 @@ func TestDoneCountsStragglerOnce(t *testing.T) {
 	w.sim.RunFor(time.Second)
 	both := 0
 	for _, f := range e.flows {
-		if f.Done && f.Abandoned {
+		if f.Done() && f.Abandoned() {
 			both++
 		}
 	}
@@ -498,8 +500,8 @@ func TestSamplerSeriesAndDrops(t *testing.T) {
 		t.Fatalf("series count = %d, want both directions", len(s.Series()))
 	}
 	fwd := s.Series()[0]
-	if len(fwd.Samples) < 15 {
-		t.Fatalf("only %d samples over 200ms at 10ms cadence", len(fwd.Samples))
+	if fwd.Len() < 15 {
+		t.Fatalf("only %d samples over 200ms at 10ms cadence", fwd.Len())
 	}
 	// The first interval can exceed 1.0 by the queue growth it absorbed;
 	// steady-state intervals must sit at the wire rate.
@@ -507,7 +509,7 @@ func TestSamplerSeriesAndDrops(t *testing.T) {
 		t.Errorf("peak utilization %.2f, want ~1.0-1.4 on a saturated link", peak)
 	}
 	for i := 2; i < 9; i++ {
-		if u := fwd.Samples[i].Util; u < 0.95 || u > 1.05 {
+		if u := fwd.Sample(i).Util; u < 0.95 || u > 1.05 {
 			t.Errorf("steady-state sample %d utilization %.2f, want ~1.0", i, u)
 		}
 	}
@@ -519,19 +521,20 @@ func TestSamplerSeriesAndDrops(t *testing.T) {
 	}
 	// Reverse direction is idle.
 	rev := s.Series()[1]
-	for _, smp := range rev.Samples {
-		if smp.TxBytes != 0 || smp.Drops != 0 {
+	for i := range rev.Len() {
+		if smp := rev.Sample(i); smp.TxBytes != 0 || smp.Drops != 0 {
 			t.Fatalf("idle direction recorded traffic: %+v", smp)
 		}
 	}
-	// Frame-pool occupancy is sampled on the same ticks as the links.
+	// Frame-pool occupancy is sampled on the same ticks as the links, one
+	// interval apart from the first interval's end.
 	pool := s.PoolSeries()
-	if len(pool) != len(fwd.Samples) {
-		t.Fatalf("pool samples = %d, want %d (one per tick)", len(pool), len(fwd.Samples))
+	if len(pool) != fwd.Len() {
+		t.Fatalf("pool samples = %d, want %d (one per tick)", len(pool), fwd.Len())
 	}
 	for i, ps := range pool {
-		if ps.At != fwd.Samples[i].At {
-			t.Fatalf("pool sample %d at %v, link sample at %v", i, ps.At, fwd.Samples[i].At)
+		if want := time.Duration(i+1) * 10 * time.Millisecond; ps.At != want || fwd.At(i) != want || rev.At(i) != want {
+			t.Fatalf("tick %d: pool sample at %v, link samples at %v and %v, want %v", i, ps.At, fwd.At(i), rev.At(i), want)
 		}
 		if ps.Peak < ps.InUse {
 			t.Fatalf("pool sample %d: peak %d below in-use %d", i, ps.Peak, ps.InUse)
@@ -564,7 +567,7 @@ func TestSamplerSurfacesImpairmentCounters(t *testing.T) {
 	s.Stop()
 
 	fwd := s.Series()[0]
-	last := fwd.Samples[len(fwd.Samples)-1]
+	last := fwd.Sample(fwd.Len() - 1)
 	if last.Lost == 0 {
 		t.Error("50% loss on 50 frames surfaced no Lost count")
 	}
@@ -572,8 +575,8 @@ func TestSamplerSurfacesImpairmentCounters(t *testing.T) {
 		t.Error("50% corruption on 50 frames surfaced no Corrupted count")
 	}
 	rev := s.Series()[1]
-	for _, smp := range rev.Samples {
-		if smp.Lost != 0 || smp.Corrupted != 0 {
+	for i := range rev.Len() {
+		if smp := rev.Sample(i); smp.Lost != 0 || smp.Corrupted != 0 {
 			t.Fatalf("clean reverse direction recorded impairments: %+v", smp)
 		}
 	}
@@ -614,11 +617,11 @@ func peakConcurrentFullSort(e *Engine) int {
 	var starts, ends []time.Duration
 	for i := range e.flows {
 		f := &e.flows[i]
-		if !f.launched {
+		if !f.launched() {
 			continue
 		}
 		starts = append(starts, e.base+f.Start)
-		if f.Done {
+		if f.Done() {
 			ends = append(ends, e.base+f.Start+f.FCT)
 		}
 	}
@@ -666,9 +669,13 @@ func TestPeakConcurrentMatchesFullSort(t *testing.T) {
 		slices.Sort(starts)
 		for i := range e.flows {
 			f := &e.flows[i]
-			f.launched = rng.Intn(8) > 0
+			if rng.Intn(8) > 0 {
+				f.state |= flowLaunched
+			}
 			f.Start = starts[i]
-			f.Done = f.launched && rng.Intn(5) > 0
+			if f.launched() && rng.Intn(5) > 0 {
+				f.state |= flowDone
+			}
 			f.FCT = time.Duration(rng.Intn(spread/2+1)) * grain
 			if long {
 				f.FCT += time.Duration(spread) * grain // nothing ends before the last launch
@@ -691,7 +698,7 @@ func TestPeakConcurrentMatchesFullSort(t *testing.T) {
 				cfg.Solver = fluid.New(fluid.Config{RateCapBps: 1e8})
 				link := cfg.Solver.AddLink(1_000_000_000, func(int64, time.Duration) {})
 				cfg.PathOf = func(f *Flow) ([]fluid.LinkID, time.Duration, bool) {
-					return []fluid.LinkID{link}, 200 * time.Microsecond, f.ID%7 != 0
+					return []fluid.LinkID{link}, 200 * time.Microsecond, f.SrcPort%7 != 0
 				}
 			}
 			e, err := New(nil, w.hosts, cfg)
