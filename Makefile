@@ -198,7 +198,7 @@ figures:
 # finished with the ports) to the byte-at-a-time FNV-1a, the indexed FIB to
 # the linear scan and the event queue to the single heap it replaced (twice:
 # plain, and under -tags invariants so that checkHeap validates the heaps
-# after every fuzzed pop), the workload receive path (an open UDP port on
+# after every fuzzed pop and checkRun/checkBatch the runs), the workload receive path (an open UDP port on
 # every host), the text-log journal's parser (whatever it accepts renders
 # and parses back unchanged), the chaos spec parser (whatever it accepts
 # round-trips, and applies to a three-node line

@@ -265,10 +265,10 @@ func TestForkAllocs(t *testing.T) {
 		proto           Protocol
 		fresh, recycled cost
 	}{
-		{"2pod", topology.TwoPodSpec(), ProtoMRMTP, cost{802, 101168}, cost{60, 2720}},
+		{"2pod", topology.TwoPodSpec(), ProtoMRMTP, cost{802, 101168}, cost{28, 672}},
 		{"2pod", topology.TwoPodSpec(), ProtoBGP, cost{1364, 130792}, cost{112, 2048}},
 		{"2pod", topology.TwoPodSpec(), ProtoBGPBFD, cost{1695, 149616}, cost{156, 2752}},
-		{"4pod", topology.FourPodSpec(), ProtoMRMTP, cost{1519, 189168}, cost{116, 5408}},
+		{"4pod", topology.FourPodSpec(), ProtoMRMTP, cost{1519, 189168}, cost{52, 1312}},
 		{"4pod", topology.FourPodSpec(), ProtoBGP, cost{3004, 263720}, cost{208, 3840}},
 		{"4pod", topology.FourPodSpec(), ProtoBGPBFD, cost{3640, 305936}, cost{292, 5184}},
 	} {

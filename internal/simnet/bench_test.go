@@ -101,34 +101,56 @@ func BenchmarkShapedLinkBacklog(b *testing.B) {
 }
 
 func BenchmarkLockstepBurst(b *testing.B) {
-	// A fabric's hellos in lockstep: n nodes, paired off by links, each with
-	// a timer that fires at the same instant every 50 ms and sends one
-	// frame. Every period turns one calendar bin of n timers into the near
-	// heap and puts n directions on the wire heap at once, so both are n
-	// deep. One iteration is one period: 2n dispatches, reported per event.
-	const n = 512
+	// A fabric's hellos in lockstep: every port has a timer that fires at
+	// the same instant every 50 ms and sends one frame. Every period turns
+	// one calendar bin of a timer per port into the near run and puts every
+	// direction on the wire for one instant. One iteration is one period:
+	// two dispatches per port, reported per event. The small shape is 512
+	// one-port nodes paired off by links; the large one 576 nodes of four
+	// ports, each linked to the next two nodes round a ring: the 2 304
+	// directions of a 24-PoD fabric, four to a destination node.
 	const hello = 50 * time.Millisecond
-	s := New(1)
-	ports := make([]*Port, n)
-	for i := 0; i < n; i += 2 {
-		x, y := s.AddNode(fmt.Sprintf("x%d", i)), s.AddNode(fmt.Sprintf("y%d", i))
-		x.Handler, y.Handler = &poolSink{sim: s}, &poolSink{sim: s}
-		ports[i], ports[i+1] = x.AddPort(), y.AddPort()
-		s.ConnectLatency(ports[i], ports[i+1], 100*time.Microsecond)
-	}
-	for _, p := range ports {
-		var tm *Timer
-		tm = s.After(hello, func() {
-			p.Send(s.Frames().Get(85))
-			tm.Reset(hello)
+	for _, tc := range []struct{ nodes, ports int }{{512, 1}, {576, 4}} {
+		b.Run(fmt.Sprintf("dirs=%d", tc.nodes*tc.ports), func(b *testing.B) {
+			s := New(1)
+			var ports []*Port
+			if tc.ports == 1 {
+				for i := 0; i < tc.nodes; i += 2 {
+					x, y := s.AddNode(fmt.Sprintf("x%d", i)), s.AddNode(fmt.Sprintf("y%d", i))
+					x.Handler, y.Handler = &poolSink{sim: s}, &poolSink{sim: s}
+					px, py := x.AddPort(), y.AddPort()
+					s.ConnectLatency(px, py, 100*time.Microsecond)
+					ports = append(ports, px, py)
+				}
+			} else {
+				nodes := make([]*Node, tc.nodes)
+				for i := range nodes {
+					nodes[i] = s.AddNode(fmt.Sprintf("n%d", i))
+					nodes[i].Handler = &poolSink{sim: s}
+				}
+				for k := 1; k <= tc.ports/2; k++ {
+					for i, n := range nodes {
+						px, py := n.AddPort(), nodes[(i+k)%len(nodes)].AddPort()
+						s.ConnectLatency(px, py, 100*time.Microsecond)
+						ports = append(ports, px, py)
+					}
+				}
+			}
+			for _, p := range ports {
+				var tm *Timer
+				tm = s.After(hello, func() {
+					p.Send(s.Frames().Get(85))
+					tm.Reset(hello)
+				})
+			}
+			s.RunFor(hello)
+			start := s.Events()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.RunFor(hello)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.Events()-start), "ns/event")
 		})
 	}
-	s.RunFor(hello)
-	start := s.Events()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.RunFor(hello)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.Events()-start), "ns/event")
 }

@@ -3,8 +3,9 @@ package simnet
 import "repro/internal/invariant"
 
 // smallHeapScan is the size up to which a check verifies every entry of a
-// heap, a flight ring or the calendar wheel. Larger ones get a bounded check
-// (a heap's touched index with its ancestor chain and children, a ring's
+// heap, a flight ring or the calendar wheel, and how far past its cursor a
+// run or batch is checked at each step. Larger ones get a bounded check (a
+// heap's touched index with its ancestor chain and children, a ring's
 // touched position, the wheel's touched slot) so -tags invariants builds
 // stay usable on the big fabric scenarios.
 const smallHeapScan = 64
@@ -16,7 +17,7 @@ const smallHeapScan = 64
 //   - parent ≤ child under entryLess for every inspected pair,
 //   - every inspected entry's event back-pointer (ev.idx) matches its slot,
 //   - an inspected entry is in the heap its kind, loc and bin say: a wire
-//     record only ever in the wire heap, carrying exactly the key of its
+//     record in no heap but the wire heap, carrying exactly the key of its
 //     direction's earliest frame in flight; a timer in the near heap only
 //     with a bin not after the calendar's current one, carrying its record's
 //     key there and in the overflow.
@@ -66,14 +67,8 @@ func (s *Sim) checkEntry(h *eventHeap, j int) {
 			j, ev.idx, q[j].at, q[j].sub)
 	}
 	if ev.kind == evWire {
-		invariant.Assert(h == &s.wires, "simnet: a direction's wire record outside the wire heap")
-		if d := ev.dir; d.fly.n == 0 {
-			invariant.Assert(false, "simnet: idle direction's wire record left in the heap")
-		} else if head := d.fly.at(0); q[j].at != head.at || q[j].prio != d.prio || q[j].sub != head.tie {
-			invariant.Assertf(false,
-				"simnet: heap entry %d (at=%v sub=%#x) is not its direction's next delivery (at=%v tie=%#x)",
-				j, q[j].at, q[j].sub, head.at, head.tie)
-		}
+		invariant.Assert(h == &s.wires && ev.loc == locWires, "simnet: a direction's wire record outside the wire heap (or its record says it is elsewhere)")
+		checkHead(&q[j].orderKey, ev.dir)
 	} else {
 		invariant.Assert(q[j].orderKey == ev.key, "simnet: heap entry's key is not its record's")
 		switch h {
@@ -94,6 +89,63 @@ func (s *Sim) checkEntry(h *eventHeap, j int) {
 				"simnet: heap order broken: entry %d (at=%v sub=%d) < parent %d (at=%v sub=%d)",
 				j, q[j].at, q[j].sub, parent, q[parent].at, q[parent].sub)
 		}
+	}
+}
+
+// checkHead asserts that k, the key a direction's record is queued under,
+// is that of the direction's next delivery.
+func checkHead(k *orderKey, d *dirState) {
+	if d.fly.n == 0 {
+		invariant.Assert(false, "simnet: idle direction's wire record left in the queue")
+	} else if head := d.fly.at(0); k.at != head.at || k.prio != d.prio || k.sub != head.tie {
+		invariant.Assertf(false,
+			"simnet: queue entry (at=%v sub=%#x) is not its direction's next delivery (at=%v tie=%#x)",
+			k.at, k.sub, head.at, head.tie)
+	}
+}
+
+// checkRun validates up to n records of run r — the near run or the sorted
+// batch — from its cursor on: every live record's back-pointer and loc,
+// that it belongs in r (a timer of a bin not after the calendar's current
+// one; a direction's record keyed to its ring's head), and that the live
+// records' keys ascend.
+func (s *Sim) checkRun(r *run, n int) {
+	var prev *event
+	for i := r.next; i < len(r.buf) && i < r.next+n; i++ {
+		ev := r.buf[i]
+		if ev == nil {
+			continue
+		}
+		if ev.loc != locRun || int(ev.idx) != i {
+			invariant.Assertf(false, "simnet: run entry %d's record says it is at %d (loc %d)", i, ev.idx, ev.loc)
+		}
+		if r == &s.nearRun {
+			invariant.Assert(ev.kind == evFunc && binOf(ev.key.at) <= s.cal.cur,
+				"simnet: near-run entry is not a timer of a bin not after the calendar's current one")
+		} else {
+			invariant.Assert(ev.kind == evWire && s.batch.sorted, "simnet: a timer in the batch, or a batch entry marked run before the batch was sorted")
+			checkHead(&ev.key, ev.dir)
+		}
+		if prev != nil && !prev.key.less(&ev.key) {
+			invariant.Assertf(false, "simnet: run out of order at entry %d (at=%v prio=%#x sub=%d)", i, ev.key.at, ev.key.prio, ev.key.sub)
+		}
+		prev = ev
+	}
+}
+
+// checkBatch validates up to n records of the batch while it collects:
+// each is a direction's record keyed to its ring's head, at the batch's one
+// instant, knowing where it is, with a destination inside the batch's range.
+func (s *Sim) checkBatch(n int) {
+	b := &s.batch
+	for i := 0; i < len(b.buf) && i < n; i++ {
+		ev := b.buf[i]
+		if ev == nil || ev.kind != evWire || ev.loc != locBatch || int(ev.idx) != i {
+			invariant.Assertf(false, "simnet: batch entry %d is not a direction's record that knows it is there", i)
+		}
+		p := ev.key.prio >> 2
+		invariant.Assert(ev.key.at == b.at && b.lo <= p && p <= b.hi, "simnet: batch entry not at the batch's instant (or outside its destinations)")
+		checkHead(&ev.key, ev.dir)
 	}
 }
 
@@ -138,12 +190,35 @@ func (c *calendar) checkSlot(slot int64) int {
 
 // checkWire validates direction d after its flight ring changed around
 // position i: the ring is sorted by (at, tie) — all of it while it is small,
-// else i against its neighbours — and the direction's wire record is in the
-// heap exactly while the ring is non-empty (checkHeap compares its key with
-// the ring's head).
+// else i against its neighbours — and the direction's record is in exactly
+// one of the wire heap, the batch and its run exactly while the ring is
+// non-empty, at the slot it names, keyed to the ring's head.
 func (s *Sim) checkWire(d *dirState, i int) {
 	r := &d.fly
-	invariant.Assert((r.n > 0) == (d.ev.idx >= 0), "simnet: direction's wire record in the heap does not match frames in flight")
+	ev := &d.ev
+	var k *orderKey // the key ev is queued under, when it is where it says
+	b := &s.batch
+	switch ix := int(ev.idx); ev.loc {
+	case locNone:
+		invariant.Assert(ix < 0, "simnet: idle direction's record names a slot")
+	case locWires:
+		if ix >= 0 && ix < len(s.wires) && s.wires[ix].ev == ev {
+			k = &s.wires[ix].orderKey
+		}
+	case locBatch:
+		if !b.sorted && ix >= 0 && ix < len(b.buf) && b.buf[ix] == ev {
+			k = &ev.key
+		}
+	case locRun:
+		if b.sorted && ix >= b.next && ix < len(b.buf) && b.buf[ix] == ev {
+			k = &ev.key
+		}
+	}
+	invariant.Assert((r.n > 0) == (ev.loc != locNone), "simnet: direction's record queued does not match frames in flight")
+	if ev.loc != locNone {
+		invariant.Assert(k != nil, "simnet: direction's record is not in the slot it names")
+		checkHead(k, d)
+	}
 	lo, hi := 1, r.n
 	if r.n > smallHeapScan {
 		lo, hi = i, i+2
@@ -162,7 +237,14 @@ func (s *Sim) checkWire(d *dirState, i int) {
 
 // checkLive asserts that s was not released (Sim.Release): a run that goes
 // on after handing its simulation back would be running in memory the next
-// fork into it is writing.
+// fork into it is writing. It also validates the runs and the batch around
+// their cursors; turn and order validated each whole when they made it.
 func (s *Sim) checkLive() {
 	invariant.Assert(!s.released, "simnet: running a simulation that was released for a fork to write into")
+	s.checkRun(&s.nearRun, smallHeapScan)
+	if s.batch.sorted {
+		s.checkRun(&s.batch.run, smallHeapScan)
+	} else {
+		s.checkBatch(smallHeapScan)
+	}
 }

@@ -3,6 +3,7 @@
 package simnet
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -154,4 +155,92 @@ func TestWireCheckDetectsCorruption(t *testing.T) {
 	s, d = build()
 	s.heapRemove(&s.wires, int(d.ev.idx))
 	mustPanic(t, func() { s.release(&d.ev) }) // a permanent record is never recycled
+}
+
+// TestRunCheckDetectsCorruption breaks what checkRun, checkBatch and
+// checkWire hold of the runs — back-pointers and loc, ascending keys from
+// the cursor, a batch's one instant, each busy direction's record in the
+// slot it names and keyed to its ring's head — and expects a panic for
+// each.
+func TestRunCheckDetectsCorruption(t *testing.T) {
+	const bin = time.Duration(1) << binShift
+	// A bin of 2*runMin timers in one stretch: the near run.
+	nearRun := func() *Sim {
+		s := New(1)
+		for i := 0; i < 2*runMin; i++ {
+			s.At(3*bin+time.Duration(i), func() {})
+		}
+		s.head()
+		if len(s.nearRun.buf) != 2*runMin {
+			t.Fatalf("near run holds %d of %d timers", len(s.nearRun.buf), 2*runMin)
+		}
+		return s
+	}
+	// 2*runMin+1 directions going busy for one instant: the first in the
+	// wire heap, the rest a batch.
+	wires := func() (*Sim, []*dirState) {
+		s := New(1)
+		var dirs []*dirState
+		for i := 0; i < 2*runMin+1; i++ {
+			x, y := s.AddNode(fmt.Sprintf("x%d", i)), s.AddNode(fmt.Sprintf("y%d", i))
+			s.Connect(x.AddPort(), y.AddPort())
+			x.Port(1).Send(make([]byte, 64))
+			dirs = append(dirs, x.Port(1).Link.dir(x.Port(1)))
+		}
+		if len(s.batch.buf) != 2*runMin {
+			t.Fatalf("batch holds %d of %d directions", len(s.batch.buf), 2*runMin)
+		}
+		return s, dirs
+	}
+
+	s := nearRun()
+	s.checkLive()            // sanity: a fresh run passes
+	s.nearRun.buf[3].idx = 4 // stale back-pointer
+	mustPanic(t, func() { s.checkLive() })
+
+	s = nearRun()
+	s.nearRun.buf[5].loc = locNear // the record believes it is in the near heap
+	mustPanic(t, func() { s.checkLive() })
+
+	s = nearRun()
+	s.nearRun.buf[6].key.at = 3*bin - 1 // out of order behind the cursor's successor
+	mustPanic(t, func() { s.checkLive() })
+
+	s = nearRun()
+	s.nearRun.buf[7].key.at = 4 * bin // a timer of a later bin
+	mustPanic(t, func() { s.checkLive() })
+
+	s, dirs := wires()
+	s.checkLive()
+	for _, d := range dirs {
+		s.checkWire(d, 0)
+	}
+	s.batch.buf[2].key.at++ // not the batch's instant, nor its ring's head
+	mustPanic(t, func() { s.checkLive() })
+
+	s, dirs = wires()
+	d := dirs[1] // the first in the batch
+	s.batch.buf[0], s.batch.buf[1] = s.batch.buf[1], s.batch.buf[0]
+	mustPanic(t, func() { s.checkWire(d, 0) }) // its slot holds another record
+
+	s, _ = wires()
+	s.head() // sorts the batch into a run
+	if !s.batch.sorted {
+		t.Fatal("the batch was not sorted")
+	}
+	s.checkLive()
+	s.batch.buf[0], s.batch.buf[1] = s.batch.buf[1], s.batch.buf[0]
+	s.batch.buf[0].idx, s.batch.buf[1].idx = 0, 1
+	mustPanic(t, func() { s.checkLive() }) // descending keys
+
+	s, _ = wires()
+	s.head()
+	d = s.batch.buf[4].dir
+	d.fly.at(0).tie++ // the run's key is no longer the ring's head
+	mustPanic(t, func() { s.checkWire(d, 0) })
+
+	s, dirs = wires()
+	d = dirs[0] // in the wire heap
+	d.ev.loc = locBatch
+	mustPanic(t, func() { s.checkWire(d, 0) })
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/invariant"
@@ -21,8 +22,7 @@ import (
 //     direction delivers in (at, tie) order, so it keeps its own frames in a
 //     ring and one record, keyed to the ring's head, stands for it (wire.go).
 //     Port.Send schedules no closures and, on a wire that is already busy,
-//     touches no heap at all; on a control-plane fabric a handful of
-//     directions are busy at once, so the heap is two to four levels deep.
+//     touches no heap at all.
 //   - The calendar (Sim.cal) holds the timers of later bins. A bin is
 //     at>>binShift (1.05 ms). The next wheelBins bins (1.07 s) are a wheel
 //     of unordered doubly-linked lists threaded through the event records,
@@ -33,21 +33,43 @@ import (
 //     calendar's current one. When it runs dry, turn advances the calendar
 //     to its next occupied bin and empties that bin into it.
 //
-// Dispatch takes the smaller of the wire root and the near root. That is the
-// minimum of everything scheduled because every timer outside the near heap
-// has at>>binShift greater than the current bin, hence a larger at than any
-// timer in it, and it is why a bin need not be sorted: (at, prio, sub) is a
-// strict total order, so whatever structure yields the minimum yields the
-// same sequence, and a bin is only ever emptied whole into a heap that does
-// sort. The near heap is empty when that happens, so turn heapifies the bin
-// in O(n) instead of pushing its timers one by one.
+// A fabric's keep-alives fire in lockstep: every port's hello is due at the
+// same instants, and each one sent puts a direction on the wire for the
+// same later instant. Both heaps would then run a thousand deep and every
+// event would pay a pop of log(depth) sifts. So beside each heap the queue
+// keeps a run: records already in (at, prio, sub) order, dispatched front to
+// back by a cursor (see run).
+//
+//   - The near run (Sim.nearRun) is a calendar bin whose timers, in the order
+//     they were armed, form at most runMerge ascending stretches: lockstep
+//     hellos are re-armed in the order they fire. turn merges the stretches
+//     in O(n) instead of heapifying the bin.
+//   - The wire batch (Sim.batch) collects the directions that go busy for
+//     one future instant, from the second on. When that instant is next, the
+//     batch is sorted in place into a run: a counting sort on prio, then
+//     insertion by sub.
+//
+// What fits neither shape goes to a heap as it always did: a bin of fewer
+// than runMin timers or more than runMerge stretches, a batch of fewer than
+// runMin, a direction going busy alone for its instant, for the current
+// instant or while the batch is a run, a direction whose head a later frame
+// overtakes, a direction re-keyed to its next frame.
+//
+// Dispatch takes the least of the wire root, the near root and the two run
+// cursors. That is the minimum of everything scheduled because every timer
+// outside the near heap and run has at>>binShift greater than the current
+// bin, hence a larger at than any timer in them, and the batch takes part as
+// soon as nothing else comes before its instant. It is why a bin need not
+// be sorted: (at, prio, sub) is a strict total order, so whatever structure
+// yields the minimum yields the same sequence.
 //
 // Around that:
 //
-//   - Every record knows where it is (loc, and idx within a heap), so
+//   - Every record knows where it is (loc, and idx within a heap or run), so
 //     Timer.Stop removes it at once and Timer.Reset moves it to the place
-//     its new deadline belongs; nothing is abandoned as a tombstone to sit
-//     in the queue until its original deadline.
+//     its new deadline belongs. A run is not compacted: a record leaving one
+//     leaves a hole that the cursor skips. Nothing else is abandoned as a
+//     tombstone, and a hole never outlives its run.
 //   - Fired and cancelled events go on a freelist and are reused; a
 //     generation counter on each record invalidates stale Timer handles.
 //   - An egress-queue slot coming free is not an event at all: Port.Send
@@ -57,8 +79,7 @@ import (
 // A heap stores the ordering key inline next to the event pointer, so the
 // sift comparisons stay within the contiguous slice instead of
 // dereferencing a pointer per compared element; an entry is 32 bytes, two
-// to a cache line. A fabric's keep-alives fire in lockstep, so both heaps
-// run hundreds deep, and heapPop works bottom up to halve its comparisons.
+// to a cache line. heapPop works bottom up to halve its comparisons.
 
 type eventKind uint8
 
@@ -73,21 +94,23 @@ const (
 	evFreed eventKind = 0xFF
 )
 
-// eventLoc says which structure holds a scheduled evFunc record. A wire
-// record lives in the wire heap or nowhere and is told apart by idx alone.
+// eventLoc says which structure holds a scheduled record.
 type eventLoc uint8
 
 const (
-	locNone  eventLoc = iota // not scheduled
+	locNone  eventLoc = iota // not scheduled; for a wire record, nothing in flight
 	locNear                  // Sim.near
 	locWheel                 // on the calendar wheel's list for its bin
 	locOver                  // calendar.over
+	locRun                   // a run: Sim.nearRun for a timer, Sim.batch (sorted) for a wire record
+	locWires                 // Sim.wires
+	locBatch                 // Sim.batch, not yet sorted
 )
 
 // event is a scheduled occurrence: its payload, where it sits, and which
 // incarnation it is (gen).
 type event struct {
-	idx int32  // position in the heap that holds it, -1 when in none
+	idx int32  // position in the heap, run or batch that holds it, -1 when in none
 	gen uint32 // bumped on release; validates Timer handles
 
 	kind eventKind
@@ -95,9 +118,10 @@ type event struct {
 	fn   func()    // evFunc
 	dir  *dirState // evWire
 
-	// key is an evFunc record's place in the order. A heap entry carries a
-	// copy; on the wheel this is the only one. (A wire record's key is its
-	// ring's head.)
+	// key is the record's place in the order. A heap entry carries a copy;
+	// on the wheel and in a run or batch this is the only one. A wire
+	// record's key is its ring's head: kept here while it is in the batch,
+	// in the wire heap's entry otherwise.
 	key orderKey
 	// next and prev thread the record onto its bin's list while loc is
 	// locWheel.
@@ -363,6 +387,14 @@ const (
 	// workloads and allocated 2 % more.
 	binShift  = 20
 	wheelBins = 1024
+
+	// runMin is the fewest entries a calendar bin or a wire batch holds to be
+	// dispatched as a run, and runMerge the most ascending stretches of a
+	// bin's timers turn merges into one: below the one and above the other a
+	// heap costs less. A 24-PoD fabric's lockstep bins hold 1 920–2 688
+	// timers in 1–3 stretches.
+	runMin   = 32
+	runMerge = 4
 )
 
 // binOf is the calendar bin an instant falls in, slotOf the wheel slot a bin
@@ -421,6 +453,9 @@ func (s *Sim) disarm(ev *event) {
 		s.heapRemove(&s.near, int(ev.idx))
 	case locOver:
 		s.heapRemove(&c.over, int(ev.idx))
+	case locRun:
+		s.nearRun.buf[ev.idx] = nil // a hole the cursor skips
+		ev.idx = -1
 	case locWheel:
 		slot := slotOf(binOf(ev.key.at))
 		if ev.next != nil {
@@ -463,8 +498,9 @@ func (c *calendar) nextBin() int64 {
 }
 
 // turn advances the calendar to its next occupied bin and moves that bin's
-// timers into the near heap. It runs when the near heap is empty and the
-// calendar is not, and dispatches nothing.
+// timers into the near run, or the near heap when they are too few or too
+// far from arm order. It runs when both are empty and the calendar is not,
+// and dispatches nothing.
 func (s *Sim) turn() {
 	c := &s.cal
 	b := int64(math.MaxInt64)
@@ -480,32 +516,270 @@ func (s *Sim) turn() {
 	slot := slotOf(b)
 	// Every wheel timer lies fewer than wheelBins bins after the old cur
 	// and after the new one, so a slot holds one bin: this list is all of
-	// bin b and nothing else.
+	// bin b and nothing else. arm pushes onto the front, so the list runs
+	// in reverse arm order and an ascending stretch of arm order is a
+	// descending one here; starts marks where each of the first runMerge+1
+	// stretches begins.
 	ev := c.heads[slot]
 	c.heads[slot] = nil
 	c.occ[slot>>6] &^= 1 << (slot & 63)
+	var starts [runMerge + 1]int
+	stretches := 0
 	near := s.near[:0]
 	for ev != nil {
 		next := ev.next
 		ev.next, ev.prev = nil, nil
 		ev.loc, ev.idx = locNear, int32(len(near))
 		c.wheelN--
+		if n := len(near); n == 0 || near[n-1].less(&ev.key) {
+			if stretches <= runMerge {
+				starts[stretches] = n
+			}
+			stretches++
+		}
 		near = append(near, heapEntry{ev.key, ev})
 		ev = next
 	}
-	for len(c.over) > 0 && binOf(c.over[0].at) <= b {
-		e := c.over[0]
-		s.heapPop(&c.over)
-		e.ev.loc, e.ev.idx = locNear, int32(len(near))
-		near = append(near, e)
+	// The overflow yields its timers of the bin in order: reversed, they are
+	// one more descending stretch.
+	if from := len(near); len(c.over) > 0 && binOf(c.over[0].at) <= b {
+		for len(c.over) > 0 && binOf(c.over[0].at) <= b {
+			e := c.over[0]
+			s.heapPop(&c.over)
+			e.ev.loc, e.ev.idx = locNear, int32(len(near))
+			near = append(near, e)
+		}
+		slices.Reverse(near[from:])
+		for i := from; i < len(near); i++ {
+			near[i].ev.idx = int32(i)
+		}
+		if stretches <= runMerge {
+			starts[stretches] = from
+		}
+		stretches++
 	}
-	near.heapify()
-	s.near = near
+	if len(near) < runMin || stretches > runMerge {
+		near.heapify()
+		s.near = near
+		if invariant.Enabled {
+			s.checkWheel(slot)
+			for i := range near {
+				s.checkEntry(&s.near, i)
+			}
+		}
+		return
+	}
+	s.near = near[:0]
+	s.nearRun.merge(near, starts[:stretches])
 	if invariant.Enabled {
 		s.checkWheel(slot)
-		for i := range near {
-			s.checkEntry(&s.near, i)
+		s.checkRun(&s.nearRun, len(near))
+	}
+}
+
+// --- runs --------------------------------------------------------------------
+
+// run is a stretch of records already in (at, prio, sub) order of their
+// keys, dispatched front to back by a cursor: no sift, and no log(depth)
+// per event. A record in a run has loc locRun and idx its position. A run
+// holds pointers, not heap entries: the key is read from the record, and a
+// run is a slice per Sim as long as the fabric has ports, a quarter of the
+// memory this way. A record that leaves before its turn — a stopped or
+// re-armed timer, a direction whose head was overtaken — leaves a hole
+// (nil) that the cursor skips.
+type run struct {
+	buf  []*event
+	next int // the cursor: buf[:next] is dispatched
+}
+
+// peek returns the run's next record, skipping holes, or nil when the run
+// is spent, which it then empties.
+func (r *run) peek() *event {
+	for ; r.next < len(r.buf); r.next++ {
+		if ev := r.buf[r.next]; ev != nil {
+			return ev
 		}
+	}
+	r.buf, r.next = r.buf[:0], 0
+	return nil
+}
+
+// merge makes r, which is spent, a run of the records of src, a sequence of
+// descending stretches beginning at starts. It takes the least of the
+// stretches' tails until all are empty: O(n) for a fixed few stretches.
+func (r *run) merge(src []heapEntry, starts []int) {
+	n := len(src)
+	if cap(r.buf) < n {
+		r.buf = make([]*event, 0, n+n/4)
+	}
+	out := r.buf[:n]
+	var lo, hi [runMerge]int // stretch k's untaken entries are src[lo[k]:hi[k]]
+	k := len(starts)
+	for j, st := range starts {
+		lo[j] = st
+		if j+1 < k {
+			hi[j] = starts[j+1]
+		} else {
+			hi[j] = n
+		}
+	}
+	for i := range out {
+		best := -1
+		for j := 0; j < k; j++ {
+			if hi[j] > lo[j] && (best < 0 || entryLess(&src[hi[j]-1], &src[hi[best]-1])) {
+				best = j
+			}
+		}
+		hi[best]--
+		ev := src[hi[best]].ev
+		out[i] = ev
+		ev.loc, ev.idx = locRun, int32(i)
+	}
+	r.buf, r.next = out, 0
+}
+
+// batch is the wire's run. Until its instant is next it collects, unordered
+// (loc locBatch), the records of the directions that go busy for that one
+// instant, each keyed in its own key field; then order sorts it in place
+// into a run (sorted, loc locRun) or, when it holds fewer than runMin,
+// moves it to the wire heap. A sorted batch takes no more records: it is
+// spent before it collects again.
+type batch struct {
+	run
+	at     time.Duration
+	last   time.Duration // the instant the last direction sent to the wire heap goes busy for
+	sorted bool
+	lo, hi uint32  // the least and greatest prio>>2 collected
+	counts []int32 // counting-sort scratch, two per destination node
+}
+
+// wireArm puts the record of direction d, which just went busy, where its
+// first delivery (at, tie) belongs. A batch starts at the second direction
+// to go busy for one later instant, so that a lone frame, the common case
+// off the lockstep, goes to the wire heap at once, as does the first of a
+// lockstep instant; then the batch collects the rest. A batch too small to
+// become a run starts over at the next instant two directions share.
+func (s *Sim) wireArm(d *dirState, at time.Duration, tie uint64) {
+	k := orderKey{at: at, prio: d.prio, sub: tie}
+	b := &s.batch
+	if at <= s.now || b.sorted {
+		s.wirePush(&d.ev, k)
+		return
+	}
+	if n := len(b.buf); n == 0 || b.at != at {
+		if at != b.last || n >= runMin {
+			b.last = at
+			s.wirePush(&d.ev, k)
+			return
+		}
+		s.spill()
+		if cap(b.buf) == 0 {
+			// Once per Sim: a direction is collected at most once.
+			b.buf = make([]*event, 0, 2*len(s.links))
+		}
+		b.at, b.lo, b.hi = at, d.prio>>2, d.prio>>2
+	}
+	b.lo, b.hi = min(b.lo, d.prio>>2), max(b.hi, d.prio>>2)
+	d.ev.key = k
+	d.ev.loc, d.ev.idx = locBatch, int32(len(b.buf))
+	b.buf = append(b.buf, &d.ev)
+}
+
+// wirePush puts a direction's record into the wire heap under key k.
+func (s *Sim) wirePush(ev *event, k orderKey) {
+	ev.loc = locWires
+	s.heapPush(&s.wires, heapEntry{k, ev})
+}
+
+// wireRekey moves the record of busy direction d to its new first delivery
+// (at, tie), a frame that overtook the old head. Out of the batch or run it
+// goes to the wire heap.
+func (s *Sim) wireRekey(d *dirState, at time.Duration, tie uint64) {
+	ev := &d.ev
+	switch ev.loc {
+	case locWires:
+		e := &s.wires[ev.idx]
+		e.at, e.sub = at, tie
+		s.heapFix(&s.wires, int(ev.idx))
+		return
+	case locBatch:
+		b := &s.batch
+		last := len(b.buf) - 1
+		if i := int(ev.idx); i != last {
+			b.buf[i] = b.buf[last]
+			b.buf[i].idx = int32(i)
+		}
+		b.buf[last] = nil
+		b.buf = b.buf[:last]
+	case locRun:
+		s.batch.buf[ev.idx] = nil
+	}
+	s.wirePush(ev, orderKey{at: at, prio: d.prio, sub: tie})
+}
+
+// spill moves the unsorted batch into the wire heap.
+func (s *Sim) spill() {
+	b := &s.batch
+	for i, ev := range b.buf {
+		s.wirePush(ev, ev.key)
+		b.buf[i] = nil
+	}
+	b.buf = b.buf[:0]
+}
+
+// order readies the batch for dispatch once nothing else comes before its
+// instant: a run when it is large enough, else the wire heap's. Its entries
+// share at and all are deliveries, so the order is prio, then sub. A
+// counting sort on prio places them in O(n + nodes), permuting in place, and
+// an insertion sort then orders each destination's few by sub.
+func (s *Sim) order() {
+	b := &s.batch
+	if len(b.buf) < runMin {
+		s.spill()
+		return
+	}
+	q := b.buf
+	nb := int(b.hi-b.lo) + 1
+	if cap(b.counts) < 2*nb {
+		// Once per Sim, for every node there is.
+		b.counts = make([]int32, 2*max(nb, len(s.nodeOrder)+1))
+	}
+	next, end := b.counts[:nb], b.counts[nb:2*nb]
+	clear(next)
+	for _, ev := range q {
+		next[ev.key.prio>>2-b.lo]++
+	}
+	sum := int32(0)
+	for k, c := range next {
+		next[k] = sum
+		sum += c
+		end[k] = sum
+	}
+	for k := range next {
+		for i := next[k]; i < end[k]; i = next[k] {
+			t := q[i].key.prio>>2 - b.lo
+			if int(t) == k {
+				next[k]++
+				continue
+			}
+			q[i], q[next[t]] = q[next[t]], q[i]
+			next[t]++
+		}
+	}
+	for i := 1; i < len(q); i++ {
+		ev := q[i]
+		j := i
+		for ; j > 0 && ev.key.less(&q[j-1].key); j-- {
+			q[j] = q[j-1]
+		}
+		q[j] = ev
+	}
+	for i, ev := range q {
+		ev.loc, ev.idx = locRun, int32(i)
+	}
+	b.sorted, b.next = true, 0
+	if invariant.Enabled {
+		s.checkRun(&b.run, len(q))
 	}
 }
 
@@ -638,22 +912,41 @@ func (t *Timer) Reset(d time.Duration) {
 
 // --- event loop -------------------------------------------------------------
 
-// head returns the heap whose root is the next event in the order, nil when
-// nothing is scheduled. It turns the calendar when the near heap is dry.
-func (s *Sim) head() *eventHeap {
-	if len(s.near) == 0 && (s.cal.wheelN > 0 || len(s.cal.over) > 0) {
+// head returns the next event in the order and its key, nil when nothing
+// is scheduled: the least of the near run's cursor, the near root, the
+// batch's cursor and the wire root. It turns the calendar when the near
+// side is dry, and readies the batch once nothing else comes before its
+// instant.
+func (s *Sim) head() (*orderKey, *event) {
+	var k *orderKey
+	ev := s.nearRun.peek()
+	if ev == nil && len(s.near) == 0 && (s.cal.wheelN > 0 || len(s.cal.over) > 0) {
 		s.turn()
+		ev = s.nearRun.peek()
 	}
-	switch {
-	case len(s.wires) == 0:
-		if len(s.near) == 0 {
-			return nil
+	if ev != nil {
+		k = &ev.key
+	}
+	if len(s.near) > 0 && (ev == nil || s.near[0].less(k)) {
+		k, ev = &s.near[0].orderKey, s.near[0].ev
+	}
+	b := &s.batch
+	if len(b.buf) > 0 {
+		if !b.sorted && (ev == nil || b.at <= k.at) && (len(s.wires) == 0 || b.at <= s.wires[0].at) {
+			s.order()
 		}
-		return &s.near
-	case len(s.near) == 0 || entryLess(&s.wires[0], &s.near[0]):
-		return &s.wires
+		if b.sorted {
+			if w := b.peek(); w == nil {
+				b.sorted = false
+			} else if ev == nil || w.key.less(k) {
+				k, ev = &w.key, w
+			}
+		}
 	}
-	return &s.near
+	if len(s.wires) > 0 && (ev == nil || s.wires[0].less(k)) {
+		k, ev = &s.wires[0].orderKey, s.wires[0].ev
+	}
+	return k, ev
 }
 
 // Step processes the next event. It reports false when the queue is empty.
@@ -661,39 +954,45 @@ func (s *Sim) Step() bool {
 	if invariant.Enabled {
 		s.checkLive()
 	}
-	h := s.head()
-	if h == nil {
+	k, ev := s.head()
+	if ev == nil {
 		return false
 	}
-	s.dispatch(h)
+	s.dispatch(*k, ev)
 	return true
 }
 
-// dispatch processes the root of h, which head returned.
-func (s *Sim) dispatch(h *eventHeap) {
-	e := (*h)[0]
-	ev := e.ev
+// dispatch processes ev, which head returned with its key k.
+func (s *Sim) dispatch(k orderKey, ev *event) {
 	// The queue is made consistent before anything is dispatched: a busy
-	// direction's record is re-keyed to its next frame in place, a timer
-	// leaves the near heap.
+	// direction's record is re-keyed to its next frame, a timer leaves the
+	// near heap or run.
 	var frame []byte
 	var fh framepool.Handle
 	if ev.kind == evWire {
 		frame, fh = s.takeFlight(ev.dir)
 	} else {
-		s.heapPop(&s.near)
+		if ev.loc == locNear {
+			s.heapPop(&s.near)
+		} else {
+			if invariant.Enabled {
+				invariant.Assert(ev.loc == locRun && int(ev.idx) == s.nearRun.next, "simnet: dispatching a timer that is neither the near root nor the near run's cursor")
+			}
+			s.nearRun.next++
+			ev.idx = -1
+		}
 		ev.loc = locNone
 	}
 	s.events++
-	s.advance(&e.orderKey)
-	s.now = e.at
+	s.advance(&k)
+	s.now = k.at
 	// Attribute the dispatch to the event's owning node so everything it
 	// schedules inherits that node's ordering key.
 	prev := s.curOwner
-	if e.prio == classControl {
+	if k.prio == classControl {
 		s.curOwner = -1
 	} else {
-		s.curOwner = int32(e.prio>>2) - 1
+		s.curOwner = int32(k.prio>>2) - 1
 	}
 	switch ev.kind {
 	case evFunc:
@@ -720,8 +1019,8 @@ func (s *Sim) RunUntil(t time.Duration) {
 	if invariant.Enabled {
 		s.checkLive()
 	}
-	for h := s.head(); h != nil && (*h)[0].at <= t; h = s.head() {
-		s.dispatch(h)
+	for k, ev := s.head(); ev != nil && k.at <= t; k, ev = s.head() {
+		s.dispatch(*k, ev)
 	}
 	if t >= s.now {
 		// Nothing at or before t is left, so every queue release up to t has

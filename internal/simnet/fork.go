@@ -184,8 +184,8 @@ func (s *Sim) Fork(into *Sim) *Forker {
 
 // empty drops what s holds scheduled, before a fork writes into it: every
 // pending timer's record goes back to the freelist (which invalidates the
-// Timers of s's components), and the wire heap, which holds only the links'
-// own records, is emptied.
+// Timers of s's components), and the wire heap and batch, which hold only
+// the links' own records, are emptied. The buffers are kept.
 func (s *Sim) empty() {
 	drop := func(ev *event) {
 		ev.loc, ev.idx, ev.next, ev.prev = locNone, -1, nil, nil
@@ -193,6 +193,11 @@ func (s *Sim) empty() {
 	}
 	for _, e := range s.near {
 		drop(e.ev)
+	}
+	for _, ev := range s.nearRun.buf[s.nearRun.next:] {
+		if ev != nil {
+			drop(ev)
+		}
 	}
 	for _, e := range s.cal.over {
 		drop(e.ev)
@@ -206,6 +211,8 @@ func (s *Sim) empty() {
 		s.cal.heads[slot] = nil
 	}
 	s.near, s.wires = reuse(s.near), reuse(s.wires)
+	s.nearRun = run{buf: reuse(s.nearRun.buf)}
+	s.batch = batch{run: run{buf: reuse(s.batch.buf)}, counts: s.batch.counts}
 	s.cal = calendar{heads: s.cal.heads, over: reuse(s.cal.over)}
 	s.drained = reuse(s.drained)
 }
@@ -239,6 +246,11 @@ func (s *Sim) forkDir(dst, src, kept *dirState) {
 	dst.fluidBps, dst.fluidBytes, dst.fluidAt = src.fluidBps, src.fluidBytes, src.fluidAt
 	dst.rng = src.rng.fork(kept.rng)
 	dst.txSeq = src.txSeq
+	// kept's frames in flight died with the simulation that sent them: the
+	// frames Clone copies below, and later directions', go into them.
+	for i := range kept.fly.n {
+		s.frames.Spare(kept.fly.at(i).frame)
+	}
 	buf := reuse(kept.fly.buf)
 	n := src.fly.n
 	if n == 0 {
@@ -258,7 +270,7 @@ func (s *Sim) forkDir(dst, src, kept *dirState) {
 		buf[i] = fl
 	}
 	dst.fly = flightRing{ring: ring{n: n}, buf: buf}
-	s.heapPush(&s.wires, heapEntry{orderKey{at: buf[0].at, prio: dst.prio, sub: buf[0].tie}, &dst.ev})
+	s.wirePush(&dst.ev, orderKey{at: buf[0].at, prio: dst.prio, sub: buf[0].tie})
 }
 
 // CloneInto returns a copy of src written into dst's storage where it has
@@ -376,7 +388,7 @@ func (fk *Forker) Finish() (*Sim, error) {
 			distinct--
 		}
 	}
-	if pending := len(s.near) + len(s.cal.over) + s.cal.wheelN; distinct < pending {
+	if pending := s.armed(); distinct < pending {
 		first := unclaimed(s, subs)
 		fk.failf("simnet: %d pending event(s) claimed by no component (the first at %v, prio %#x); a bare Schedule closure cannot be forked", pending-distinct, first.at, first.prio)
 	}
@@ -401,23 +413,44 @@ func (fk *Forker) Finish() (*Sim, error) {
 	return d, nil
 }
 
-// pendingSubs appends the subs of the timers s has armed, into storage
-// sized for all of them.
-func pendingSubs(s *Sim, subs []uint64) []uint64 {
-	if n := len(s.near) + len(s.cal.over) + s.cal.wheelN; cap(subs) < n {
-		subs = make([]uint64, 0, n)
+// armed is the number of timers s has pending.
+func (s *Sim) armed() int {
+	n := len(s.near) + len(s.cal.over) + s.cal.wheelN
+	for _, ev := range s.nearRun.buf[s.nearRun.next:] {
+		if ev != nil {
+			n++
+		}
 	}
+	return n
+}
+
+// timers calls fn with the key of each of s's pending timers.
+func (s *Sim) timers(fn func(*orderKey)) {
 	for i := range s.near {
-		subs = append(subs, s.near[i].sub)
+		fn(&s.near[i].orderKey)
+	}
+	for _, ev := range s.nearRun.buf[s.nearRun.next:] {
+		if ev != nil {
+			fn(&ev.key)
+		}
 	}
 	for i := range s.cal.over {
-		subs = append(subs, s.cal.over[i].sub)
+		fn(&s.cal.over[i].orderKey)
 	}
 	for _, head := range s.cal.heads {
 		for ev := head; ev != nil; ev = ev.next {
-			subs = append(subs, ev.key.sub)
+			fn(&ev.key)
 		}
 	}
+}
+
+// pendingSubs appends the subs of the timers s has armed, into storage
+// sized for all of them.
+func pendingSubs(s *Sim, subs []uint64) []uint64 {
+	if n := s.armed(); cap(subs) < n {
+		subs = make([]uint64, 0, n)
+	}
+	s.timers(func(k *orderKey) { subs = append(subs, k.sub) })
 	return subs
 }
 
@@ -426,21 +459,10 @@ func pendingSubs(s *Sim, subs []uint64) []uint64 {
 func unclaimed(s *Sim, claimed []uint64) orderKey {
 	var first orderKey
 	found := false
-	note := func(k orderKey) {
+	s.timers(func(k *orderKey) {
 		if _, ok := slices.BinarySearch(claimed, k.sub); !ok && (!found || k.less(&first)) {
-			first, found = k, true
+			first, found = *k, true
 		}
-	}
-	for i := range s.near {
-		note(s.near[i].orderKey)
-	}
-	for i := range s.cal.over {
-		note(s.cal.over[i].orderKey)
-	}
-	for _, head := range s.cal.heads {
-		for ev := head; ev != nil; ev = ev.next {
-			note(ev.key)
-		}
-	}
+	})
 	return first
 }

@@ -130,6 +130,68 @@ func TestForkRunsAsTheSource(t *testing.T) {
 	}
 }
 
+// TestForkMidRunRunsAsTheSource forks a lockstep instant part-way: 64
+// nodes' 384 timers due at one instant make a near run, and their frames one
+// wire batch of 64 directions. Forked with the run half dispatched and a hole in it (a
+// stopped timer), and again with the batch sorted and not yet sent, the
+// copy runs exactly as the source.
+func TestForkMidRunRunsAsTheSource(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reach func(s *Sim)
+		check func(s *Sim) bool
+	}{
+		{"near run half dispatched", func(s *Sim) {
+			s.RunUntil(3*time.Millisecond - 1)
+			for range 20 {
+				s.Step()
+			}
+		}, func(s *Sim) bool { return s.nearRun.next > 0 && s.nearRun.peek() != nil }},
+		{"batch sorted", func(s *Sim) { s.RunUntil(3 * time.Millisecond) },
+			func(s *Sim) bool { return s.batch.sorted && s.batch.peek() != nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var srcLog, forkLog []string
+			s := New(9)
+			var hs []*forkNode
+			for i := range 64 {
+				// Start runs in name order: padded, that is ID order,
+				// and the bin is one ascending stretch.
+				n := s.AddNode(fmt.Sprintf("n%02d", i))
+				n.AddPort()
+				h := &forkNode{node: n, log: &srcLog}
+				n.Handler = h
+				hs = append(hs, h)
+			}
+			for i := 0; i < len(hs); i += 2 {
+				s.Connect(hs[i].node.Port(1), hs[i+1].node.Port(1))
+			}
+			s.Start()
+			hs[40].timers[5].Stop()
+			tc.reach(s)
+			if !tc.check(s) {
+				t.Fatalf("the scenario does not reach the shape (near run %d of %d, batch sorted %v)",
+					s.nearRun.next, len(s.nearRun.buf), s.batch.sorted)
+			}
+			fk := s.Fork(nil)
+			forkComponents(fk, hs, &forkLog)
+			dst, err := fk.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := len(srcLog)
+			s.RunFor(40 * time.Millisecond)
+			dst.RunFor(40 * time.Millisecond)
+			if got, want := strings.Join(forkLog, "\n"), strings.Join(srcLog[at:], "\n"); got != want {
+				t.Errorf("fork ran\n%s\nsource ran\n%s", got, want)
+			}
+			if s.Events() != dst.Events() {
+				t.Errorf("fork: %d events, source %d", dst.Events(), s.Events())
+			}
+		})
+	}
+}
+
 // TestForkIntoReleasedRunsAsTheSource: a fork written into a simulation
 // that ran on past a fork of its own — other frames in flight and queued,
 // other timers pending, its streams further along — runs exactly as the

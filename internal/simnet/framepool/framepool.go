@@ -64,7 +64,13 @@ type Pool struct {
 	// source's stock without allocating them. They sit under buckets[i]:
 	// a Get that finds the bucket empty allocates one and counts it as
 	// Recycled, as the source's stock would have been.
-	owed  [len(classSizes)]int
+	owed [len(classSizes)]int
+	// spare holds, by class, buffers of the simulation a Fork wrote over:
+	// its free buffers beyond the source's stock and its frames that were in
+	// flight (Spare). Clone copies the source's frames in flight into them.
+	// Behind a pointer, so that a pool that never had any stays one size
+	// class smaller.
+	spare *[len(classSizes)][][]byte
 	stats Stats
 	dbg   *debugState // non-nil only under -tags invariants
 }
@@ -186,7 +192,8 @@ func (p *Pool) Holds(b []byte) bool {
 // through to the allocator exactly where p's would. into's own free buffers
 // stand for as much of that stock as they cover, and the rest is owed: an
 // owed buffer is allocated by the Get that takes it, so a fork costs the
-// same whatever p holds.
+// same whatever p holds. What into holds beyond the stock is kept aside for
+// Clone.
 func (p *Pool) Fork(into *Pool) *Pool {
 	q := into
 	if q == nil {
@@ -196,7 +203,20 @@ func (p *Pool) Fork(into *Pool) *Pool {
 	for i, bucket := range p.buckets {
 		stock := p.owed[i] + len(bucket)
 		kept := q.buckets[i]
+		if q.spare != nil {
+			spare := q.spare[i]
+			for len(kept) < stock && len(spare) > 0 {
+				last := len(spare) - 1
+				kept = append(kept, spare[last])
+				spare[last] = nil
+				spare = spare[:last]
+			}
+			q.spare[i] = spare
+		}
 		if len(kept) > stock {
+			for _, b := range kept[stock:] {
+				q.Spare(b)
+			}
 			clear(kept[stock:])
 			kept = kept[:stock]
 		}
@@ -208,12 +228,36 @@ func (p *Pool) Fork(into *Pool) *Pool {
 	return q
 }
 
+// Spare keeps b aside for Clone: a buffer of the simulation a Fork into p
+// writes over, which died with it and is in no bucket. It is not counted.
+func (p *Pool) Spare(b []byte) {
+	ci := putClass(cap(b))
+	if ci < 0 {
+		return
+	}
+	if p.spare == nil {
+		p.spare = new([len(classSizes)][][]byte)
+	}
+	p.spare[ci] = append(p.spare[ci], b[:0])
+}
+
 // Clone copies b, a buffer the source of a Fork has lent out, for the
-// fork's pool: same length and capacity, and not counted, since the fork's
-// counters already count the buffer as in use.
+// fork's pool: same length and capacity, into a spare buffer when the Fork
+// kept one of that capacity, else a new one. It is not counted, since the
+// fork's counters already count the buffer as in use.
 func (p *Pool) Clone(b []byte) []byte {
 	if b == nil {
 		return nil
+	}
+	if ci := putClass(cap(b)); ci >= 0 && p.spare != nil {
+		if spare := p.spare[ci]; len(spare) > 0 && cap(spare[len(spare)-1]) == cap(b) {
+			last := len(spare) - 1
+			c := spare[last][:len(b)]
+			spare[last] = nil
+			p.spare[ci] = spare[:last]
+			copy(c, b)
+			return c
+		}
 	}
 	c := make([]byte, len(b), cap(b))
 	copy(c, b)

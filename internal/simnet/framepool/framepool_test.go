@@ -180,7 +180,7 @@ func TestForkMatchesEagerFork(t *testing.T) {
 	}
 }
 
-// TestForkAllocs pins what a fork costs: one Pool (272 B, a 288 B size
+// TestForkAllocs pins what a fork costs: one Pool (280 B, a 288 B size
 // class) whatever stock the source holds, because the stock is owed rather
 // than copied.
 func TestForkAllocs(t *testing.T) {
@@ -204,6 +204,50 @@ func TestForkAllocs(t *testing.T) {
 		if q.Stats() != p.Stats() {
 			t.Errorf("fork stats %+v, source %+v", q.Stats(), p.Stats())
 		}
+	}
+}
+
+// TestCloneTakesSpares: a fork into a pool holding more free buffers than
+// the source's stock keeps the surplus, and buffers handed to Spare, for
+// Clone, which copies into one of the same capacity and allocates only
+// when none is left. Neither moves a counter.
+func TestCloneTakesSpares(t *testing.T) {
+	src := New()
+	src.Put(src.Get(64)) // a stock of one 64-byte buffer
+	old := New()
+	var held [][]byte
+	for range 3 {
+		held = append(held, old.Get(64))
+	}
+	for _, b := range held {
+		old.Put(b)
+	}
+	dead := make([]byte, 10, 128) // a frame that was in flight
+	q := src.Fork(old)
+	q.Spare(dead)
+	if q.Stats() != src.Stats() {
+		t.Fatalf("fork stats %+v, source %+v", q.Stats(), src.Stats())
+	}
+	frame := []byte{1, 2, 3}
+	frame = append(make([]byte, 0, 64), frame...)
+	mine := map[*byte]bool{}
+	for _, b := range held {
+		mine[&b[:1][0]] = true
+	}
+	for i := range 3 {
+		c := q.Clone(frame)
+		if len(c) != 3 || cap(c) != 64 || c[0] != 1 || c[2] != 3 {
+			t.Fatalf("clone %d is %v (cap %d), want a copy of %v with its capacity", i, c, cap(c), frame)
+		}
+		if got, want := mine[&c[:1][0]], i < 2; got != want {
+			t.Errorf("clone %d in a spare buffer: %v, want %v (two are left beyond the stock of one)", i, got, want)
+		}
+	}
+	if c := q.Clone(make([]byte, 5, 128)); &c[:1][0] != &dead[:1][0] {
+		t.Error("a clone of a 128-byte frame did not take the spared one")
+	}
+	if q.Stats() != src.Stats() {
+		t.Errorf("clones moved the fork's stats to %+v, source %+v", q.Stats(), src.Stats())
 	}
 }
 

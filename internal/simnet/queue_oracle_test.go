@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -38,9 +39,8 @@ func (a *oracleKey) less(b *oracleKey) bool {
 }
 
 // TestHeapEntryLayout pins the size of a scheduling heap's slot: a 24-byte
-// key and the record pointer, two slots to a cache line. A fabric's
-// keep-alives keep the near and wire heaps hundreds deep, and every sift
-// step reads a slot.
+// key and the record pointer, two slots to a cache line. Every sift step
+// reads a slot, and a run is a slice of them.
 func TestHeapEntryLayout(t *testing.T) {
 	if size := unsafe.Sizeof(orderKey{}); size != 24 {
 		t.Errorf("an orderKey is %d bytes, want 24", size)
@@ -148,6 +148,9 @@ type queueDiff struct {
 	timers []*diffTimer
 	ports  []*Port
 	pops   uint64
+	// lockstep marks the rig of newLockstepDiff, whose scripts have the
+	// operations of lockstepOp too.
+	lockstep bool
 }
 
 type diffTimer struct {
@@ -173,6 +176,133 @@ func newQueueDiff(t testing.TB) *queueDiff {
 		q.ports = append(q.ports, x, y)
 	}
 	return q
+}
+
+// newLockstepDiff builds the shape the runs are for: 24 nodes of four ports
+// each, 48 links of 100 µs but one of 0 ns, so that a burst puts 94
+// directions on the wire for one instant and a forwarded frame can land on
+// the batch's instant itself.
+func newLockstepDiff(t testing.TB) *queueDiff {
+	q := &queueDiff{t: t, s: New(1), lockstep: true}
+	const n = 24
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		nodes[i] = q.s.AddNode(fmt.Sprintf("n%d", i))
+		nodes[i].Handler = (*diffHandler)(q)
+	}
+	for _, k := range []int{1, 7} {
+		for i := range nodes {
+			lat := 100 * time.Microsecond
+			if len(q.s.links) == 0 {
+				lat = 0
+			}
+			x, y := nodes[i].AddPort(), nodes[(i+k)%n].AddPort()
+			q.s.ConnectLatency(x, y, lat)
+			q.ports = append(q.ports, x, y)
+		}
+	}
+	return q
+}
+
+// lockstepOp runs one of the lockstep rig's own operations, arg being the
+// operation byte's upper bits.
+func (q *queueDiff) lockstepOp(arg byte, next func() byte) {
+	switch arg % 4 {
+	case 0:
+		// 64 to 127 timers into one bin a few bins ahead, armed in 1 to 6
+		// ascending stretches: runMerge or fewer make a run, more a heap.
+		// Most re-arm themselves a period later, in the order they fire.
+		m, stretches := 64+int(next()%64), 1+int(next()%6)
+		ahead := [...]int64{1, 2, 40, wheelBins + 3}[int(arg>>2)%4]
+		base := time.Duration((binOf(q.s.Now()) + ahead) << binShift)
+		period := 50 * time.Millisecond * time.Duration(1+next()%2)
+		per := (m + stretches - 1) / stretches
+		for j := 0; j < m; j++ {
+			at := base + time.Duration(j%per)*time.Microsecond
+			var rearm []time.Duration
+			if j%5 != 0 {
+				rearm = []time.Duration{period, period}
+			}
+			q.at(at, rearm)
+		}
+	case 1:
+		// A burst: every port from the first, by a stride, sends a frame,
+		// some of them to be forwarded on by the receiver.
+		first, stride := int(next()), 1+int(arg>>2)%3
+		timer, delay, fwd := next(), next(), next()
+		for i := 0; i < len(q.ports); i += stride {
+			q.send(q.ports[(int(first)+i)%len(q.ports)], timer+byte(i), delay, fwd)
+		}
+	case 2:
+		// Re-time one link and jitter one of its directions: the next
+		// frames may overtake those in flight, batched or not.
+		p := q.ports[int(next())%len(q.ports)]
+		p.Link.Latency = [...]time.Duration{100 * time.Microsecond, 0, 50 * time.Microsecond, 150 * time.Microsecond}[int(arg>>2)%4]
+		jitter := [...]time.Duration{0, time.Microsecond, 80 * time.Microsecond, 0}[int(arg>>4)%4]
+		p.Link.Impair(p, Impairment{Jitter: jitter})
+	case 3:
+		// Run to just short of, or onto, the next instant anything is due:
+		// a RunUntil that stops in front of a batch readies it unsent.
+		if len(q.ref) > 0 {
+			t := q.ref[0].at
+			if arg&4 != 0 && t > q.s.Now() {
+				t--
+			}
+			q.runUntil(t)
+		}
+	}
+}
+
+// TestRunThresholds pins which shape a lockstep instant takes: a calendar
+// bin of runMin or more timers in at most runMerge ascending stretches of
+// arm order becomes the near run, any other bin the near heap; the first
+// direction to go busy for an instant goes to the wire heap and the rest to
+// a batch, which becomes a run when it holds runMin or more, else joins the
+// first; and a direction going busy for a sorted batch's instant goes to
+// the wire heap too.
+func TestRunThresholds(t *testing.T) {
+	const bin = time.Duration(1) << binShift
+	for _, tc := range []struct {
+		n, stretches int
+		run          bool
+	}{
+		{runMin, 1, true},
+		{runMin - 1, 1, false},
+		{2 * runMin, runMerge, true},
+		{2 * runMin, runMerge + 1, false},
+	} {
+		s := New(1)
+		per := (tc.n + tc.stretches - 1) / tc.stretches
+		for j := 0; j < tc.n; j++ {
+			s.At(5*bin+time.Duration(j%per), func() {})
+		}
+		s.head() // turns the calendar to bin 5
+		if run := len(s.nearRun.buf) == tc.n && len(s.near) == 0; run != tc.run {
+			t.Errorf("a bin of %d timers in %d stretches: run %d, near heap %d; want a run: %v",
+				tc.n, tc.stretches, len(s.nearRun.buf), len(s.near), tc.run)
+		}
+	}
+	for _, n := range []int{runMin - 1, runMin} {
+		s := New(1)
+		var back []*Port
+		for i := 0; i < n+1; i++ {
+			x, y := s.AddNode(fmt.Sprintf("x%d", i)), s.AddNode(fmt.Sprintf("y%d", i))
+			s.Connect(x.AddPort(), y.AddPort())
+			x.Port(1).Send(make([]byte, 64))
+			back = append(back, y.Port(1))
+		}
+		s.head() // the batch is next: it is sorted or spilled
+		if run := s.batch.sorted && len(s.batch.buf) == n && len(s.wires) == 1; run != (n >= runMin) || !run && len(s.wires) != n+1 {
+			t.Errorf("a batch of %d directions: sorted %v, %d in it, wire heap %d", n, s.batch.sorted, len(s.batch.buf), len(s.wires))
+		}
+		if n < runMin {
+			continue
+		}
+		back[0].Send(make([]byte, 64)) // busy for the sorted batch's instant
+		if d := back[0].Link.dir(back[0]); d.ev.loc != locWires {
+			t.Errorf("a direction going busy for a sorted batch's instant is at loc %d, want the wire heap", d.ev.loc)
+		}
+	}
 }
 
 // dispatched holds the event being dispatched, the timer whose record is
@@ -247,13 +377,25 @@ func (q *queueDiff) stop(dt *diffTimer) {
 	}
 }
 
-// send transmits a two-byte frame that tells the receiving node which timer
-// to re-arm, with what delay, from inside its HandleFrame.
-func (q *queueDiff) send(p *Port, timer, delay byte) {
-	p.Send([]byte{timer, delay})
+// send transmits a frame that tells the receiving node which timer to
+// re-arm, with what delay, from inside its HandleFrame, and, when fwd is
+// not 0, on which of its ports to send the frame on once more.
+func (q *queueDiff) send(p *Port, timer, delay, fwd byte) {
+	frame := []byte{timer, delay}
+	if fwd != 0 {
+		frame = append(frame, fwd)
+	}
+	p.Send(frame)
 	d := p.Link.dir(p)
-	fl := d.fly.at(d.fly.n - 1) // constant latency: the new frame is the ring's tail
-	q.ref.push(oracleKey{at: fl.at, prio: d.prio, tie: fl.tie, seq: q.s.seq}, &oracleRec{frame: true})
+	// Jitter and latency changes let a frame overtake: find it by its tie.
+	tie := uint64(uint32(p.Node.id))<<40 | uint64(uint16(p.Index))<<32 | uint64(d.txSeq)
+	for i := d.fly.n - 1; i >= 0; i-- {
+		if fl := d.fly.at(i); fl.tie == tie {
+			q.ref.push(oracleKey{at: fl.at, prio: d.prio, tie: fl.tie, seq: q.s.seq}, &oracleRec{frame: true})
+			return
+		}
+	}
+	q.t.Fatalf("frame %#x sent on %s is not in flight", tie, p.Name())
 }
 
 func (q *queueDiff) runUntil(t time.Duration) {
@@ -273,11 +415,15 @@ type diffHandler queueDiff
 func (h *diffHandler) Start()         {}
 func (h *diffHandler) PortDown(*Port) {}
 func (h *diffHandler) PortUp(*Port)   {}
-func (h *diffHandler) HandleFrame(_ *Port, f []byte) {
+func (h *diffHandler) HandleFrame(p *Port, f []byte) {
 	q := (*queueDiff)(h)
 	q.dispatched(nil)
 	if len(q.timers) > 0 {
 		q.reset(q.timers[int(f[0])%len(q.timers)], diffDelay(f[1]))
+	}
+	if len(f) > 2 {
+		ports := p.Node.Ports[1:]
+		q.send(ports[int(f[2])%len(ports)], f[0], f[1], 0)
 	}
 }
 
@@ -305,7 +451,15 @@ func (q *queueDiff) run(data []byte) {
 	}
 	pick := func() *diffTimer { return q.timers[int(next())%len(q.timers)] }
 	for len(data) > 0 {
-		switch op := next(); op % 8 {
+		op := next()
+		if q.lockstep && op&1 != 0 {
+			q.lockstepOp(op>>1, next)
+			continue
+		}
+		if q.lockstep {
+			op >>= 1
+		}
+		switch op % 8 {
 		case 0: // After, control context
 			q.at(q.s.Now()+diffDelay(next()), nil)
 		case 1: // a periodic timer: re-arms itself from its own callback
@@ -323,7 +477,7 @@ func (q *queueDiff) run(data []byte) {
 				q.stop(pick())
 			}
 		case 5:
-			q.send(q.ports[int(op>>3)%len(q.ports)], next(), next())
+			q.send(q.ports[int(op>>3)%len(q.ports)], next(), next(), 0)
 		case 6:
 			q.runUntil(q.s.Now() + diffDelay(next()))
 		case 7:
@@ -340,20 +494,70 @@ func (q *queueDiff) run(data []byte) {
 
 // FuzzQueueOrder drives random After/At/Reset/Stop/Send/RunUntil/Step
 // sequences through the Sim and the single-heap oracle and compares the
-// dispatch sequence key by key.
+// dispatch sequence key by key, on the four-node rig or, when lockstep is
+// set, on the lockstep rig with its bins, bursts and impairments.
 func FuzzQueueOrder(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 4, 0, 7, 0, 12, 6, 7, 6, 12})             // a boundary, a second and a 9 s timer; run 1 s, then 9 s
-	f.Add([]byte{2, 3, 2, 4, 2, 5, 6, 0x4c})                  // one bin either side of the wheel's edge, 5000 bins out; run 40 s
-	f.Add([]byte{1, 5, 0, 5, 0, 5, 1, 13, 0, 4, 0, 6, 10, 6}) // a hello timer and frames that reset it
-	f.Add([]byte{0, 11, 6, 7, 0, 2, 3, 0, 12, 3, 0, 5, 4, 0}) // idle jump, arm behind the calendar, move near → overflow → wheel, stop
+	f.Add(false, []byte{})
+	f.Add(false, []byte{0, 4, 0, 7, 0, 12, 6, 7, 6, 12})             // a boundary, a second and a 9 s timer; run 1 s, then 9 s
+	f.Add(false, []byte{2, 3, 2, 4, 2, 5, 6, 0x4c})                  // one bin either side of the wheel's edge, 5000 bins out; run 40 s
+	f.Add(false, []byte{1, 5, 0, 5, 0, 5, 1, 13, 0, 4, 0, 6, 10, 6}) // a hello timer and frames that reset it
+	f.Add(false, []byte{0, 11, 6, 7, 0, 2, 3, 0, 12, 3, 0, 5, 4, 0}) // idle jump, arm behind the calendar, move near → overflow → wheel, stop
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 8; i++ {
 		script := make([]byte, 1500)
 		rng.Read(script)
-		f.Add(script)
+		f.Add(false, script)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		newQueueDiff(t).run(data)
+	// The lockstep rig: an odd byte is a lockstepOp (bits 1-2 choose it),
+	// an even one the four-node rig's operation in its upper bits.
+	f.Add(true, []byte{
+		0x01, 100, 2, 0, // 100 timers a bin ahead in 3 stretches, re-armed every 50 ms
+		0x09, 127, 5, 1, // 127 two bins ahead in 6 stretches: a bin the heap takes
+		0x0c, 7, // run a second: both bins fire and re-arm in the order they fire
+	})
+	f.Add(true, []byte{
+		0x03, 0, 0, 1, 0, // a burst on every port: 94 directions busy for one instant
+		0x07,             // run onto it
+		0x03, 1, 2, 3, 4, // a burst whose frames are forwarded on port 1, the 0 ns link's on n0 and n1
+		0x0c, 7,
+	})
+	f.Add(true, []byte{
+		0x01, 80, 1, 0, // 80 timers in 2 stretches
+		0x0f, 0x0f, // run to just before them: the bin is not turned yet
+		0x1e,                                                    // step once, into the run ...
+		0x06, 3, 0, 0x08, 5, 0x06, 40, 0x1b, 0x08, 41, 0x08, 42, // ... and reset and stop run entries
+		0x0c, 7,
+	})
+	f.Add(true, []byte{
+		0x03, 0, 0, 1, 0, // a burst: 94 directions batched for 100 µs
+		0x15, 8, 0x8a, 0, 0, // n4's port 2 re-timed to 50 µs: its next frame overtakes its batched head
+		0x07, 0x07, // run onto the 0 ns link's frames, then onto that frame
+		0x0f,                // run to just short of the batch: it is sorted, not sent
+		0x0d, 6, 0x6a, 0, 0, // n3's port 2 re-timed to 0 ns: its frame overtakes a head in the sorted batch
+		0x0c, 7,
+	})
+	f.Add(true, []byte{
+		0x03, 0, 0, 1, 0, // a burst: 94 directions batched for 100 µs
+		0x55, 4, // n2's port 2 re-timed to 50 µs with 80 µs of jitter
+		0x4a, 0, 0, 0x4a, 1, 0, 0x4a, 2, 0, // three jittered frames race its batched head
+		0x0c, 7,
+	})
+	f.Add(true, []byte{
+		0x0b, 0, 0, 1, 0, // a burst on every other port: 47 directions batched for 100 µs
+		0x0c, 0, // run the current instant: the batch is next, so it is sorted
+		0x0b, 1, 0, 1, 0, // the other 47 go busy for the sorted batch's instant
+		0x0c, 7,
+	})
+	for i := 0; i < 4; i++ {
+		script := make([]byte, 1500)
+		rng.Read(script)
+		f.Add(true, script)
+	}
+	f.Fuzz(func(t *testing.T, lockstep bool, data []byte) {
+		if lockstep {
+			newLockstepDiff(t).run(data)
+		} else {
+			newQueueDiff(t).run(data)
+		}
 	})
 }

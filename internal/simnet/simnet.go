@@ -52,7 +52,9 @@ const LocalDetectDelay = 1 * time.Millisecond
 type Sim struct {
 	now       time.Duration
 	wires     eventHeap  // the queue (event.go), by horizon: the records of busy link directions,
+	batch     batch      // those going busy for one later instant, then their run,
 	near      eventHeap  // the timers of the calendar's current bin and before,
+	nearRun   run        // a bin of them in arm order, merged,
 	cal       calendar   // and the timers of later bins
 	free      []*event   // recycled event records
 	frontier  []passMark // how far dispatch has got in the (at, prio, sub) order (see passMark)

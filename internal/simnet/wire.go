@@ -130,8 +130,8 @@ func (d *dirState) wire(l *Link, src, dst *Port) {
 
 // launch puts fl in flight on d. A wire delivers in the order it was fed
 // unless jitter or a latency change lets a later frame overtake, so the
-// insertion point is almost always the tail; either way the wire heap hears
-// of it only when the direction's next delivery changed.
+// insertion point is almost always the tail; either way the queue hears of
+// it only when the direction's next delivery changed.
 func (s *Sim) launch(d *dirState, at time.Duration, tie uint64, frame []byte, fh framepool.Handle) {
 	r := &d.fly
 	if r.n == len(r.buf) {
@@ -160,12 +160,10 @@ func (s *Sim) launch(d *dirState, at time.Duration, tie uint64, frame []byte, fh
 	slot.at, slot.tie, slot.frame, slot.fh = at, tie, frame, fh
 	switch {
 	case i > 0:
-	case d.ev.idx < 0:
-		s.heapPush(&s.wires, heapEntry{orderKey{at: at, prio: d.prio, sub: tie}, &d.ev})
+	case d.ev.loc == locNone:
+		s.wireArm(d, at, tie)
 	default:
-		e := &s.wires[d.ev.idx]
-		e.at, e.sub = at, tie
-		s.heapFix(&s.wires, int(d.ev.idx))
+		s.wireRekey(d, at, tie)
 	}
 	if invariant.Enabled {
 		s.checkWire(d, i)
@@ -195,32 +193,44 @@ func (s *Sim) flightBuf(n int) []flight {
 	return make([]flight, n)
 }
 
-// takeFlight removes the frame d's record (the wire heap's root) stands for
-// and re-keys the record to the next one, or pops it when the wire is idle.
-// A direction that drains holding a grown buffer offers it to the next
-// direction that fills (flightBuf).
+// takeFlight removes the frame d's record stands for — the wire heap's root
+// or the batch's cursor — and re-keys the record to the next one: in place
+// at the heap's root, into the heap from the batch. A direction that drains
+// holding a grown buffer offers it to the next direction that fills
+// (flightBuf).
 func (s *Sim) takeFlight(d *dirState) ([]byte, framepool.Handle) {
+	ev := &d.ev
 	if invariant.Enabled {
-		invariant.Assert(d.ev.idx == 0 && d.fly.n > 0, "simnet: dispatching a direction that is not the wire heap's root or has nothing in flight")
+		invariant.Assert(d.fly.n > 0 && (ev.loc == locWires && ev.idx == 0 || ev.loc == locRun && int(ev.idx) == s.batch.next),
+			"simnet: dispatching a direction that is neither the wire heap's root nor the batch's cursor, or has nothing in flight")
 	}
 	r := &d.fly
 	head := r.at(0)
 	frame, fh := head.frame, head.fh
 	head.frame = nil // the ring must not keep a delivered buffer alive
 	r.drop(len(r.buf))
-	if r.n == 0 {
-		s.heapPop(&s.wires)
-		if len(r.buf) > 8 && !d.listed {
-			d.listed = true
-			s.drained = append(s.drained, d)
+	switch {
+	case ev.loc == locRun:
+		s.batch.next++
+		ev.loc, ev.idx = locNone, -1
+		if r.n > 0 {
+			next := r.at(0)
+			s.wirePush(ev, orderKey{at: next.at, prio: d.prio, sub: next.tie})
 		}
-	} else {
+	case r.n == 0:
+		s.heapPop(&s.wires)
+		ev.loc = locNone
+	default:
 		next := r.at(0)
 		s.wires[0].at, s.wires[0].sub = next.at, next.tie
 		s.wires.siftDown(0)
 		if invariant.Enabled {
-			s.checkHeap(&s.wires, int(d.ev.idx))
+			s.checkHeap(&s.wires, int(ev.idx))
 		}
+	}
+	if r.n == 0 && len(r.buf) > 8 && !d.listed {
+		d.listed = true
+		s.drained = append(s.drained, d)
 	}
 	if invariant.Enabled {
 		s.checkWire(d, 0)
