@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt-check lint analyzers invariants race closbench closbench-digest identity bench-pairs fluid-smoke figures fuzz-smoke loc check
+.PHONY: all build test vet fmt-check lint analyzers invariants race bench-smoke closbench closbench-digest identity bench-pairs fluid-smoke figures fuzz-smoke loc check
 
 all: check
 
@@ -72,6 +72,12 @@ invariants:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run '^(TestForkConcurrent|TestForkSourceRunsOn|TestForkIntoDirtyMatchesFresh)$$' ./internal/harness
+
+# bench-smoke runs every Go Benchmark function once (-benchtime 1x). DESIGN.md
+# §7's scoring table and CHANGES.md cite them and no other target runs them,
+# so one that stops building or panics shows here.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # closbench runs the benchmark of record (BENCHMARK.json): four end-to-end
 # workloads plus per-layer probes; see bench/README.md for flags and output.
@@ -244,4 +250,4 @@ loc:
 # chaos and trace campaigns run under the race detector inside `race`, as
 # rows of TestGoldenArtifacts); invariants, analyzers, fuzz-smoke and
 # closbench-digest are their own targets, as they are their own CI jobs.
-check: fmt-check build vet lint test race fluid-smoke
+check: fmt-check build vet lint test race bench-smoke fluid-smoke

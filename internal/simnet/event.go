@@ -11,75 +11,50 @@ import (
 	"repro/internal/simnet/framepool"
 )
 
-// The scheduling core is split by how far ahead an event is due, because a
-// fabric's events come in two horizons: frame deliveries 100 µs out, and
-// keep-alive timers 50 ms to 9 s out. In one binary heap every frame climbed
-// past all the timers on the way in and sank past them on the way out, and
-// every timer pop sank through all of both. There are three structures:
+// The event queue dispatches in (at, prio, sub) order (orderKey). A
+// fabric's events come in two horizons, frame deliveries 100 µs out and
+// keep-alive timers 50 ms to 9 s out, and its keep-alives fire in lockstep,
+// so the queue is five structures. DESIGN.md §7 scores each against the
+// simplest thing that would replace it.
 //
-//   - The wire heap (Sim.wires) holds nothing but the permanent records of
-//     busy link directions. Frames in flight are not queued one by one: a
-//     direction delivers in (at, tie) order, so it keeps its own frames in a
-//     ring and one record, keyed to the ring's head, stands for it (wire.go).
-//     Port.Send schedules no closures and, on a wire that is already busy,
-//     touches no heap at all.
+//   - The wire heap (Sim.wires) holds the records of busy link directions.
+//     A direction delivers in (at, tie) order, so it keeps its frames in a
+//     ring and one permanent record, keyed to the ring's head, stands for
+//     it (wire.go).
 //   - The calendar (Sim.cal) holds the timers of later bins. A bin is
-//     at>>binShift (1.05 ms). The next wheelBins bins (1.07 s) are a wheel
-//     of unordered doubly-linked lists threaded through the event records,
-//     with an occupancy bitmap to skip the empty ones; what lies beyond is
-//     in an overflow heap. Arming, stopping and re-arming a far timer is a
-//     list link or unlink: no sift.
+//     at>>binShift (1.05 ms). The next wheelBins bins are a wheel of
+//     unordered doubly-linked lists threaded through the records, with an
+//     occupancy bitmap; later ones are in an overflow heap. Arming, stopping
+//     and re-arming a far timer is a list link or unlink.
 //   - The near heap (Sim.near) holds every timer whose bin is not after the
-//     calendar's current one. When it runs dry, turn advances the calendar
-//     to its next occupied bin and empties that bin into it.
-//
-// A fabric's keep-alives fire in lockstep: every port's hello is due at the
-// same instants, and each one sent puts a direction on the wire for the
-// same later instant. Both heaps would then run a thousand deep and every
-// event would pay a pop of log(depth) sifts. So beside each heap the queue
-// keeps a run: records already in (at, prio, sub) order, dispatched front to
-// back by a cursor (see run).
-//
-//   - The near run (Sim.nearRun) is a calendar bin whose timers, in the order
-//     they were armed, form at most runMerge ascending stretches: lockstep
-//     hellos are re-armed in the order they fire. turn merges the stretches
+//     calendar's current one. When it runs dry, turn moves the next occupied
+//     bin into it.
+//   - The near run (Sim.nearRun) is such a bin when it is runMin timers or
+//     more in at most runMerge ascending stretches of arm order, as lockstep
+//     hellos re-armed in the order they fire are: turn merges the stretches
 //     in O(n) instead of heapifying the bin.
 //   - The wire batch (Sim.batch) collects the directions that go busy for
-//     one future instant, from the second on. When that instant is next, the
-//     batch is sorted in place into a run: a counting sort on prio, then
-//     insertion by sub.
+//     one later instant, from the second on. Once nothing comes before that
+//     instant, order sorts it in place into a run (a counting sort on prio,
+//     then insertion by sub), or moves it to the wire heap when it is small.
 //
-// What fits neither shape goes to a heap as it always did: a bin of fewer
-// than runMin timers or more than runMerge stretches, a batch of fewer than
-// runMin, a direction going busy alone for its instant, for the current
-// instant or while the batch is a run, a direction whose head a later frame
-// overtakes, a direction re-keyed to its next frame.
+// A run is dispatched front to back by a cursor (see run). Dispatch takes
+// the least of the wire root, the near root and the two cursors. That is the
+// minimum of everything scheduled: every other timer lies in a later bin,
+// and the batch is sorted before anything at its instant is dispatched.
+// Since (at, prio, sub) is a strict total order, whichever structure yields
+// the minimum yields the same sequence.
 //
-// Dispatch takes the least of the wire root, the near root and the two run
-// cursors. That is the minimum of everything scheduled because every timer
-// outside the near heap and run has at>>binShift greater than the current
-// bin, hence a larger at than any timer in them, and the batch takes part as
-// soon as nothing else comes before its instant. It is why a bin need not
-// be sorted: (at, prio, sub) is a strict total order, so whatever structure
-// yields the minimum yields the same sequence.
-//
-// Around that:
-//
-//   - Every record knows where it is (loc, and idx within a heap or run), so
-//     Timer.Stop removes it at once and Timer.Reset moves it to the place
-//     its new deadline belongs. A run is not compacted: a record leaving one
-//     leaves a hole that the cursor skips. Nothing else is abandoned as a
-//     tombstone, and a hole never outlives its run.
-//   - Fired and cancelled events go on a freelist and are reused; a
-//     generation counter on each record invalidates stale Timer handles.
-//   - An egress-queue slot coming free is not an event at all: Port.Send
-//     records the key the release would have carried and the queue depth is
-//     read off the dispatch frontier (see passMark).
-//
-// A heap stores the ordering key inline next to the event pointer, so the
-// sift comparisons stay within the contiguous slice instead of
-// dereferencing a pointer per compared element; an entry is 32 bytes, two
-// to a cache line. heapPop works bottom up to halve its comparisons.
+// Every record knows where it is (loc, and idx within a heap or run), so
+// Timer.Stop and Timer.Reset move it at once. A record leaving a run leaves
+// a hole that the cursor skips; nothing else is left behind. Fired and
+// cancelled records go on a freelist, and a generation counter invalidates
+// stale Timer handles. An egress-queue slot coming free is not an event:
+// Port.Send records the key the release would have carried, and the queue
+// depth is read off the dispatch frontier (see passMark). A heap entry holds
+// its key inline beside the record pointer, 32 bytes, so sift comparisons
+// stay within the slice, and heapPop works bottom up to halve its
+// comparisons.
 
 type eventKind uint8
 
