@@ -1,6 +1,9 @@
 package budget
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestBytesSeeAmortizedAppend is why the budgets read bytes: a closure that
 // appends to a captured slice grows it only now and then, so AllocsPerRun's
@@ -28,5 +31,30 @@ func TestPerRunCountsOneObject(t *testing.T) {
 	n := 0
 	if allocs, bytes := PerRun(100, func() { n += len(keep) }); allocs != 0 || bytes != 0 {
 		t.Errorf("an addition reads %d objects/op and %d B/op, want 0 and 0", allocs, bytes)
+	}
+}
+
+// TestHoldsPointer: a struct of numbers and arrays of them holds none; a
+// string, slice, map or pointer anywhere inside one does.
+func TestHoldsPointer(t *testing.T) {
+	type flat struct {
+		a int64
+		b [4]uint32
+		c struct{ d float64 }
+	}
+	type nested struct {
+		flat
+		s [1]string
+	}
+	for _, c := range []struct {
+		v    any
+		want bool
+	}{
+		{flat{}, false}, {[0]*int{}, false}, {nested{}, true}, {[]int{}, true},
+		{map[int]int{}, true}, {new(int), true}, {struct{ f func() }{}, true},
+	} {
+		if got := HoldsPointer(reflect.TypeOf(c.v)); got != c.want {
+			t.Errorf("HoldsPointer(%T) = %v, want %v", c.v, got, c.want)
+		}
 	}
 }

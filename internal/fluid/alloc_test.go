@@ -1,6 +1,7 @@
 package fluid
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/budget"
@@ -29,5 +30,32 @@ func TestAdmitAllocs(t *testing.T) {
 	}
 	if len(s.groups) != 1 || s.Active() != int(id) {
 		t.Fatalf("%d groups and %d active flows after %d admissions on one path", len(s.groups), s.Active(), id)
+	}
+}
+
+// TestMemberLayout pins the per-flow records of the solver: a member of a
+// group's queue and a Completion are 16 bytes (a threshold or an instant and
+// two 32-bit words), a pending admission 24, and none holds a pointer, so
+// that a member block is an exact 8 KiB size class the collector never
+// scans. The admission instant is not kept: the caller derives the FCT from
+// Completion.Done.
+func TestMemberLayout(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		v    any
+		size uintptr
+	}{
+		{"member", member{}, 16},
+		{"Completion", Completion{}, 16},
+		{"pendingAdmit", pendingAdmit{}, 24},
+		{"memberBlock", memberBlock{}, 8 << 10},
+	} {
+		typ := reflect.TypeOf(c.v)
+		if typ.Size() != c.size {
+			t.Errorf("a %s is %d bytes, want %d", c.name, typ.Size(), c.size)
+		}
+		if budget.HoldsPointer(typ) {
+			t.Errorf("a %s holds a pointer", c.name)
+		}
 	}
 }

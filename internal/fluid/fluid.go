@@ -16,7 +16,7 @@
 // Scale comes from aggregation: flows sharing an identical resolved path
 // form one *path group*. Rates, service curves and progressive filling run
 // per group (a Clos fabric has few distinct paths), while per-flow state is
-// one 24-byte queue entry — so a million concurrent flows cost one push and
+// one 16-byte queue entry — so a million concurrent flows cost one push and
 // one pop each, not a million timers.
 //
 // Determinism: groups and links live in slices in creation order, maps are
@@ -52,20 +52,22 @@ type Config struct {
 	RateCapBps float64
 }
 
-// Completion reports one fluid flow finishing: the exact crossing instant
-// of its byte threshold within the last rate epoch, and the flow completion
-// time including the path's fixed latency offset.
+// Completion reports one fluid flow finishing. Done is the instant its last
+// byte arrives: the exact crossing instant of its byte threshold within the
+// last rate epoch plus the path's fixed latency offset. The flow completion
+// time is Done minus the arrival instant the flow was admitted at, which the
+// caller keeps.
 type Completion struct {
-	ID  uint32
-	At  time.Duration
-	FCT time.Duration
+	ID   uint32
+	Done time.Duration
 }
 
 // member is one fluid flow inside a path group: the cumulative-service
-// level at which it completes, the key of the group's member queue.
+// level at which it completes, the key of the group's member queue. Its
+// admission instant is not kept: the caller derives the flow completion
+// time from Completion.Done.
 type member struct {
 	threshold float64 // group service (bytes) at which this flow is done
-	admitted  time.Duration
 	id        uint32
 	seq       uint32 // admission order, the deterministic tie-break
 }
@@ -230,9 +232,9 @@ func (s *Solver) retire(path []LinkID) {
 // resolved only after the next Reallocate, against the rate it actually
 // receives.
 type pendingAdmit struct {
-	gi    int32
 	bytes float64
 	at    time.Duration
+	gi    int32
 	id    uint32
 }
 
@@ -276,8 +278,8 @@ func (s *Solver) Leave(h Handle) {
 
 // Advance integrates every group's service curve from the last epoch
 // boundary to now (rates are piecewise-constant between Reallocate calls)
-// and pops completions with their exact crossing instants. The returned
-// slice is reused by the next Advance.
+// and pops completions at their exact crossing instants (plus the group's
+// latency). The returned slice is reused by the next Advance.
 func (s *Solver) Advance(now time.Duration) []Completion {
 	dt := (now - s.lastNow).Seconds()
 	out := s.completions[:0]
@@ -299,7 +301,7 @@ func (s *Solver) Advance(now time.Duration) []Completion {
 			if doneAt > now {
 				doneAt = now
 			}
-			out = append(out, Completion{ID: m.id, At: doneAt, FCT: doneAt - m.admitted + g.latency})
+			out = append(out, Completion{ID: m.id, Done: doneAt + g.latency})
 			g.n--
 			s.active--
 		}
@@ -315,7 +317,8 @@ func (s *Solver) Advance(now time.Duration) []Completion {
 // aggregate fluid share (phantom demand excluded) through its apply hook.
 // Finally it resolves the thresholds of flows admitted since the last call;
 // flows whose backdated credit says they already finished are returned as
-// completions with their exact FCTs (the returned slice is reused).
+// completions at their exact analytic instants (the returned slice is
+// reused).
 func (s *Solver) Reallocate(now time.Duration) []Completion {
 	unfrozen := 0
 	for _, l := range s.links {
@@ -426,17 +429,13 @@ func (s *Solver) resolvePending(now time.Duration) []Completion {
 		if threshold <= g.service && g.rate > 0 {
 			// Finished before this epoch boundary: exact analytic FCT.
 			dur := time.Duration(p.bytes * 8 / g.rate * float64(time.Second))
-			doneAt := p.at + dur
-			if doneAt > now {
-				doneAt = now
-			}
-			out = append(out, Completion{ID: p.id, At: doneAt, FCT: dur + g.latency})
+			out = append(out, Completion{ID: p.id, Done: p.at + dur + g.latency})
 			g.n--
 			s.active--
 			continue
 		}
 		s.seq++
-		g.push(member{threshold: threshold, admitted: p.at, id: p.id, seq: s.seq}, &s.blocks)
+		g.push(member{threshold: threshold, id: p.id, seq: s.seq}, &s.blocks)
 	}
 	s.pending = s.pending[:0]
 	s.resolved = out
@@ -589,8 +588,9 @@ func (g *group) pop(p *blockPool) member {
 	return m
 }
 
-// memberBlockLen is the number of members a block holds: 12 KiB with no
-// pointer in it, an exact size class the collector never scans.
+// memberBlockLen is the number of members a block holds: 8 KiB with no
+// pointer in it, an exact size class the collector never scans. (768, the
+// 12 KiB class, allocated more on hybrid-million and ran no faster.)
 const memberBlockLen = 512
 
 type memberBlock [memberBlockLen]member

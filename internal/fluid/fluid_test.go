@@ -39,12 +39,13 @@ func TestSingleFlowExactFCT(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("completions = %d, want 1", len(got))
 	}
+	const admitted = 0
 	want := 100*time.Millisecond + lat
-	if got[0].FCT != want {
-		t.Fatalf("FCT = %v, want %v", got[0].FCT, want)
+	if fct := got[0].Done - admitted; fct != want {
+		t.Fatalf("FCT = %v, want %v", fct, want)
 	}
-	if got[0].At != 100*time.Millisecond {
-		t.Fatalf("At = %v, want %v", got[0].At, 100*time.Millisecond)
+	if got[0].Done != 100*time.Millisecond+lat {
+		t.Fatalf("Done = %v, want the 100ms crossing plus the %v latency", got[0].Done, lat)
 	}
 	if s.Active() != 0 || s.Peak() != 1 {
 		t.Fatalf("active=%d peak=%d, want 0/1", s.Active(), s.Peak())
@@ -135,11 +136,12 @@ func TestMidEpochAdmissionExact(t *testing.T) {
 	if c2.ID != 2 {
 		t.Fatal("flow 2 never completed")
 	}
-	if c2.At != want2 {
-		t.Fatalf("flow 2 At = %v, want %v", c2.At, want2)
+	// The path's latency is 0, so Done is the crossing instant itself.
+	if c2.Done != want2 {
+		t.Fatalf("flow 2 Done = %v, want %v", c2.Done, want2)
 	}
-	if c2.FCT != 200*time.Millisecond {
-		t.Fatalf("flow 2 FCT = %v, want %v", c2.FCT, 200*time.Millisecond)
+	if fct := c2.Done - 3*time.Millisecond; fct != 200*time.Millisecond {
+		t.Fatalf("flow 2 FCT = %v, want %v", fct, 200*time.Millisecond)
 	}
 }
 
@@ -162,11 +164,11 @@ func TestImmediateCompletion(t *testing.T) {
 	if len(cs) != 1 || cs[0].ID != 2 {
 		t.Fatalf("completions = %+v, want exactly flow 2", cs)
 	}
-	if want := 2*time.Millisecond + 100*time.Microsecond; cs[0].FCT != want {
-		t.Fatalf("immediate FCT = %v, want %v", cs[0].FCT, want)
+	if want := 2*time.Millisecond + 100*time.Microsecond; cs[0].Done-2*time.Millisecond != want {
+		t.Fatalf("immediate FCT = %v, want %v", cs[0].Done-2*time.Millisecond, want)
 	}
-	if cs[0].At != 4*time.Millisecond {
-		t.Fatalf("immediate At = %v, want 4ms", cs[0].At)
+	if cs[0].Done != 4*time.Millisecond+100*time.Microsecond {
+		t.Fatalf("immediate Done = %v, want 4ms plus the 100µs latency", cs[0].Done)
 	}
 	if s.Active() != 1 {
 		t.Fatalf("active = %d, want 1 (only the long flow)", s.Active())
@@ -369,7 +371,7 @@ func TestMemberQueueMatchesHeap(t *testing.T) {
 	seq, pushed, popped := uint32(0), 0, 0
 	push := func(q *queueCheck, threshold float64) {
 		seq++
-		m := member{threshold: threshold, admitted: time.Duration(seq), id: seq ^ 0x5a5a, seq: seq}
+		m := member{threshold: threshold, id: seq ^ 0x5a5a, seq: seq}
 		inHeap, last := len(q.g.heap), q.g.last
 		q.g.push(m, &pool)
 		if len(q.g.heap) == inHeap {

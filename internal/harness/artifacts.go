@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -112,24 +113,33 @@ func RenderWorkloadFCTCSV(cells []Cell[WorkloadSummary, WorkloadResult]) []byte 
 
 // RenderWorkloadImbalanceCSV renders every trial's per-group uplink spread.
 func RenderWorkloadImbalanceCSV(cells []Cell[WorkloadSummary, WorkloadResult]) []byte {
-	var b strings.Builder
-	_, _ = b.WriteString("protocol,pods,scenario,trial,group,max_over_mean,jain,uplink_bytes\n")
+	b := []byte("protocol,pods,scenario,trial,group,max_over_mean,jain,uplink_bytes\n")
 	for _, c := range cells {
-		s := c.Summary
 		for ti, tr := range c.Trials {
 			for _, gl := range tr.GroupLoads {
-				var parts []string
-				for _, n := range gl.Bytes {
-					parts = append(parts, fmt.Sprintf("%d", n))
+				b = appendWorkloadCell(b, c.Summary)
+				b = appendInt(b, int64(ti))
+				b = appendStr(b, gl.Name)
+				b = appendF4(b, gl.MaxOverMean)
+				b = appendF4(b, gl.Jain)
+				for i, n := range gl.Bytes {
+					if i > 0 {
+						b = append(b, ';')
+					}
+					b = strconv.AppendUint(b, n, 10)
 				}
-				_, _ = fmt.Fprintf(&b, "%s,%d,%s,%d,%s,%.4f,%.4f,%s\n",
-					s.Protocol, s.Pods, s.Scenario, ti, gl.Name,
-					gl.MaxOverMean, gl.Jain, strings.Join(parts, ";"))
+				b = append(b, '\n')
 			}
 		}
 	}
-	return []byte(b.String())
+	return b
 }
+
+// telemetryRowNumbers bounds the bytes a telemetry row's numeric columns and
+// separators take in the common case (a six-digit t_us, a byte count in the
+// millions, single-digit counters), so that the buffer is made once at about
+// the file's size; a longer row only grows it.
+const telemetryRowNumbers = 48
 
 // RenderWorkloadTelemetryCSV exports the sampled link time series of each
 // cell's first trial on the smallest topology — enough to plot utilization,
@@ -143,32 +153,64 @@ func RenderWorkloadTelemetryCSV(cells []Cell[WorkloadSummary, WorkloadResult]) [
 			minPods = c.Summary.Pods
 		}
 	}
-	var b strings.Builder
+	var rendered []Cell[WorkloadSummary, WorkloadResult]
 	// The engine column rides at the end so every pre-existing column stays
 	// byte-identical in packet mode.
-	_, _ = b.WriteString("protocol,pods,scenario,link,t_us,tx_bytes,util,queued,drops,lost,corrupted,pool_in_use,pool_peak,pool_recycled,engine\n")
+	const header = "protocol,pods,scenario,link,t_us,tx_bytes,util,queued,drops,lost,corrupted,pool_in_use,pool_peak,pool_recycled,engine\n"
+	size := len(header)
 	for _, c := range cells {
-		s := c.Summary
-		if s.Pods != minPods || len(c.Trials) == 0 {
-			continue
+		if s := c.Summary; s.Pods == minPods && len(c.Trials) > 0 {
+			rendered = append(rendered, c)
+			fixed := len(s.Protocol.String()) + len(s.Scenario) + len(s.Engine) + telemetryRowNumbers
+			for _, sr := range c.Trials[0].Series {
+				size += sr.Len() * (fixed + len(sr.Name))
+			}
+			size += len(c.Trials[0].PoolSamples) * (fixed + len("framepool"))
 		}
+	}
+	b := append(make([]byte, 0, size), header...)
+	for _, c := range rendered {
+		s := c.Summary
 		for _, sr := range c.Trials[0].Series {
 			for i := range sr.Len() {
 				smp := sr.Sample(i)
-				_, _ = fmt.Fprintf(&b, "%s,%d,%s,%s,%d,%d,%.4f,%d,%d,%d,%d,,,,%s\n",
-					s.Protocol, s.Pods, s.Scenario, sr.Name,
-					sr.At(i)/time.Microsecond, smp.TxBytes, smp.Util, smp.Queued, smp.Drops,
-					smp.Lost, smp.Corrupted, s.Engine)
+				b = appendWorkloadCell(b, s)
+				b = appendStr(b, sr.Name)
+				b = appendInt(b, int64(sr.At(i)/time.Microsecond))
+				b = appendUint(b, smp.TxBytes)
+				b = appendF4(b, smp.Util)
+				b = appendInt(b, int64(smp.Queued))
+				b = appendUint(b, smp.Drops)
+				b = appendUint(b, smp.Lost)
+				b = appendUint(b, smp.Corrupted)
+				b = append(append(append(b, ",,,"...), s.Engine...), '\n')
 			}
 		}
 		for _, ps := range c.Trials[0].PoolSamples {
-			_, _ = fmt.Fprintf(&b, "%s,%d,%s,framepool,%d,,,,,,,%d,%d,%d,%s\n",
-				s.Protocol, s.Pods, s.Scenario, ps.At/time.Microsecond,
-				ps.InUse, ps.Peak, ps.Recycled, s.Engine)
+			b = appendWorkloadCell(b, s)
+			b = appendInt(append(b, "framepool,"...), int64(ps.At/time.Microsecond))
+			b = appendInt(append(b, ",,,,,,"...), int64(ps.InUse))
+			b = appendInt(b, int64(ps.Peak))
+			b = appendUint(b, ps.Recycled)
+			b = append(append(b, s.Engine...), '\n')
 		}
 	}
-	return []byte(b.String())
+	return b
 }
+
+// appendWorkloadCell appends a workload row's first three columns:
+// "protocol,pods,scenario,". The append* helpers below each append one value
+// and the comma after it.
+func appendWorkloadCell(b []byte, s WorkloadSummary) []byte {
+	return appendStr(appendInt(appendStr(b, s.Protocol.String()), int64(s.Pods)), s.Scenario)
+}
+
+func appendStr(b []byte, v string) []byte  { return append(append(b, v...), ',') }
+func appendInt(b []byte, v int64) []byte   { return append(strconv.AppendInt(b, v, 10), ',') }
+func appendUint(b []byte, v uint64) []byte { return append(strconv.AppendUint(b, v, 10), ',') }
+
+// appendF4 is fmt's %.4f.
+func appendF4(b []byte, v float64) []byte { return append(strconv.AppendFloat(b, v, 'f', 4, 64), ',') }
 
 // timelined is a campaign trial that carries an injector log.
 type timelined interface {

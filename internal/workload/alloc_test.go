@@ -60,17 +60,18 @@ func fluidRunAllocs(t *testing.T, flows int) (allocs, bytes uint64) {
 // figures are the measured ones with no slack. With one Flow object per flow
 // and a string per Admit they were 4 097 and 40 181; with an 80-byte slot
 // holding a pointer and a run that doubled, 58 / 231 482 and 70 / 2 210 746;
-// with a 48-byte slot, 55 / 160 352 and 65 / 1 411 813. At 20 000 flows a
-// fluid flow costs about 55 bytes: its 32-byte slot, its 24-byte member and
-// its share of the lists.
+// with a 48-byte slot, 55 / 160 352 and 65 / 1 411 813; with a 24-byte member,
+// a 24-byte completion and a 32-byte pending admission, 55 / 127 616 and
+// 65 / 1 092 357. At 20 000 flows a fluid flow costs about 53 bytes: its
+// 32-byte slot, its 16-byte member and its share of the lists.
 func TestFluidFlowAllocs(t *testing.T) {
 	if invariant.Enabled || budget.Race {
 		t.Skip("budget measured without -tags invariants and without -race")
 	}
 	small, smallBytes := fluidRunAllocs(t, 2_000)
 	large, largeBytes := fluidRunAllocs(t, 20_000)
-	if small != 55 || smallBytes != 127_616 || large != 65 || largeBytes != 1_092_357 {
-		t.Errorf("a fluid run allocates %d objects and %d B for 2 000 flows and %d and %d B for 20 000, want 55 and 127 616, 65 and 1 092 357",
+	if small != 55 || smallBytes != 120_984 || large != 65 || largeBytes != 1_061_021 {
+		t.Errorf("a fluid run allocates %d objects and %d B for 2 000 flows and %d and %d B for 20 000, want 55 and 120 984, 65 and 1 061 021",
 			small, smallBytes, large, largeBytes)
 	}
 }
@@ -85,29 +86,24 @@ func TestFlowSlotLayout(t *testing.T) {
 	}
 	typ := reflect.TypeOf(Flow{})
 	for i := 0; i < typ.NumField(); i++ {
-		if f := typ.Field(i); holdsPointer(f.Type) {
+		if f := typ.Field(i); budget.HoldsPointer(f.Type) {
 			t.Errorf("Flow.%s is a %s, which holds a pointer", f.Name, f.Type)
 		}
 	}
 }
 
-// holdsPointer reports whether a value of type t holds a pointer the
-// collector must scan.
-func holdsPointer(t reflect.Type) bool {
-	switch t.Kind() {
-	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Chan,
-		reflect.Func, reflect.Interface, reflect.String:
-		return true
-	case reflect.Array:
-		return t.Len() > 0 && holdsPointer(t.Elem())
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			if holdsPointer(t.Field(i).Type) {
-				return true
-			}
-		}
+// TestSampleRowLayout pins what a telemetry tick stores of one series:
+// exactly 32 bytes and no pointer, so that a tick's row is one allocation of
+// an exact size class the collector never scans. Util is derived from the
+// two byte counts when the sample is read, and the four counters are 32-bit
+// (narrow panics on one that does not fit).
+func TestSampleRowLayout(t *testing.T) {
+	if size := unsafe.Sizeof(sampleRow{}); size != 32 {
+		t.Errorf("a sampleRow is %d bytes, want 32", size)
 	}
-	return false
+	if typ := reflect.TypeOf(sampleRow{}); budget.HoldsPointer(typ) {
+		t.Errorf("a sampleRow holds a pointer")
+	}
 }
 
 // samplerRunAllocs is what sampling ticks ticks of links idle links — 2·links
@@ -136,14 +132,15 @@ func samplerRunAllocs(links, ticks int) (allocs, bytes uint64) {
 // TestSamplerKeepsOnlyItsSamples pins what telemetry costs: each tick makes
 // one row at its exact size, a sample per series, and nothing else grows
 // with the number of series. Sixteen links instead of two (32 series
-// instead of 4) add exactly the 28 more samples each tick keeps, so no
+// instead of 4) add exactly the 28 more 32-byte rows each tick keeps, so no
 // sample is copied when the sampler grows. The rest is one row a tick plus
 // the two per-tick indexes doubling, a row header and a pool sample a tick:
 // 25 objects and 160 368 B over 1 000 ticks. Both row sizes are size
-// classes of their own (4·56 = 224 B, 32·56 = 1 792 B), and the figures are
+// classes of their own (4·32 = 128 B, 32·32 = 1 024 B), and the figures are
 // the measured ones with no slack. With a 64-byte sample in a slice per
 // direction grown by append, the same runs allocated 62 and 398 objects and
-// 952 712 and 6 914 696 B.
+// 952 712 and 6 914 696 B; with the 56-byte LinkSample stored, 1 025 objects
+// both, and 384 368 and 1 952 368 B.
 func TestSamplerKeepsOnlyItsSamples(t *testing.T) {
 	if invariant.Enabled || budget.Race {
 		t.Skip("budget measured without -tags invariants and without -race")
@@ -151,13 +148,13 @@ func TestSamplerKeepsOnlyItsSamples(t *testing.T) {
 	const ticks = 1000
 	few, fewBytes := samplerRunAllocs(2, ticks)
 	many, manyBytes := samplerRunAllocs(16, ticks)
-	sample := uint64(unsafe.Sizeof(LinkSample{}))
-	if sample != 56 || manyBytes-fewBytes != ticks*28*sample {
-		t.Errorf("28 more series cost %d B over %d ticks, want %d: 28 more samples of %d B a tick",
-			manyBytes-fewBytes, ticks, ticks*28*56, sample)
+	row := uint64(unsafe.Sizeof(sampleRow{}))
+	if row != 32 || manyBytes-fewBytes != ticks*28*row {
+		t.Errorf("28 more series cost %d B over %d ticks, want %d: 28 more rows of %d B a tick",
+			manyBytes-fewBytes, ticks, ticks*28*32, row)
 	}
-	if few != 1025 || fewBytes != 384_368 || many != 1025 || manyBytes != 1_952_368 {
-		t.Errorf("sampling %d ticks allocates %d objects and %d B over 4 series and %d and %d B over 32, want 1 025 and 384 368, 1 025 and 1 952 368",
+	if few != 1025 || fewBytes != 288_368 || many != 1025 || manyBytes != 1_184_368 {
+		t.Errorf("sampling %d ticks allocates %d objects and %d B over 4 series and %d and %d B over 32, want 1 025 and 288 368, 1 025 and 1 184 368",
 			ticks, few, fewBytes, many, manyBytes)
 	}
 }

@@ -2,8 +2,10 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"time"
 
+	"repro/internal/invariant"
 	"repro/internal/simnet"
 )
 
@@ -41,9 +43,20 @@ type LinkSeries struct {
 	col       int // index into each row
 	from      *simnet.Port
 	link      *simnet.Link
+	bps       int64 // the link's bandwidth at Start, which Util divides by
 	lastTx    uint64
 	lastDropB uint64
 	lastFluid uint64
+}
+
+// sampleRow is what a tick stores of one series: the two interval byte counts
+// and the four counters LinkSample reports, narrowed to 32 bits (narrow
+// panics past the range), in 32 bytes and no pointer. Util is derived when
+// the sample is read.
+type sampleRow struct {
+	tx, fluid              uint64
+	queued                 int32
+	drops, lost, corrupted uint32
 }
 
 // PoolSample is one observation of the engine's frame-pool occupancy.
@@ -71,24 +84,60 @@ func (sr *LinkSeries) Len() int { return len(sr.s.rows) }
 func (sr *LinkSeries) At(i int) time.Duration { return sr.s.pool[i].At }
 
 // Sample returns sample i.
-func (sr *LinkSeries) Sample(i int) LinkSample { return sr.s.rows[i][sr.col] }
+func (sr *LinkSeries) Sample(i int) LinkSample {
+	r := &sr.s.rows[i][sr.col]
+	return LinkSample{
+		TxBytes:    r.tx,
+		Util:       sr.util(r.tx, r.fluid),
+		Queued:     int(r.queued),
+		Drops:      uint64(r.drops),
+		Lost:       uint64(r.lost),
+		Corrupted:  uint64(r.corrupted),
+		FluidBytes: r.fluid,
+	}
+}
+
+// util is the interval's tx and fluid bytes as a fraction of what the
+// direction could carry in it: 0 on an unshaped link. Utilization counts
+// both engines' traffic: real packet bytes plus the fluid reservation's
+// carried bytes.
+func (sr *LinkSeries) util(tx, fluid uint64) float64 {
+	if sr.bps <= 0 {
+		return 0
+	}
+	capacity := float64(sr.bps) / 8 * sr.s.interval.Seconds()
+	return float64(tx+fluid) / capacity
+}
+
+// narrow stores a counter in 32 bits, and panics on one that does not fit.
+func narrow(v uint64, what string) uint32 {
+	if v > math.MaxUint32 {
+		panic(fmt.Sprintf("workload: %s counter %d does not fit a telemetry row's 32 bits", what, v))
+	}
+	return uint32(v)
+}
 
 // Sampler polls link counters on a fixed virtual-time cadence: the
 // utilization / queue-depth / drop telemetry a production fabric would
 // scrape from switch ASICs. It also snapshots frame-pool occupancy each
 // tick so buffer leaks show up in the same time series.
 //
-// Each tick stores one row, made at its exact size: a sample per watched
-// direction, in Watch order. A sample is written once and never copied, and
-// the tick's instant is stored once, in its pool sample.
+// Each tick stores one row, made at its exact size: a 32-byte sampleRow per
+// watched direction, in Watch order. A row is written once and never copied,
+// and the tick's instant is stored once, in its pool sample. The peaks and
+// the drop total accumulate as the ticks are taken.
 type Sampler struct {
 	sim      *simnet.Sim
 	interval time.Duration
 	series   []*LinkSeries
-	rows     [][]LinkSample // rows[i][col]: tick i of series col
-	pool     []PoolSample   // one per tick, At the tick's instant
+	rows     [][]sampleRow // rows[i][col]: tick i of series col
+	pool     []PoolSample  // one per tick, At the tick's instant
 	poolPeak int
 	timer    *simnet.Timer
+
+	peakQueue int
+	peakUtil  float64
+	drops     uint64 // the last tick's overflow drops, summed over the series
 }
 
 // NewSampler creates a sampler polling every interval (positive) once started.
@@ -118,6 +167,7 @@ func (s *Sampler) Watch(l *simnet.Link) {
 // Start records the baseline and begins sampling. Call after Watch.
 func (s *Sampler) Start() {
 	for _, sr := range s.series {
+		sr.bps = sr.link.Bandwidth()
 		sr.lastTx = sr.from.Counters.TxBytes
 		sr.lastDropB = s.link(sr).OverflowBytes
 		sr.lastFluid = sr.link.FluidBytes(sr.from, s.sim.Now())
@@ -134,30 +184,38 @@ func (s *Sampler) Stop() {
 
 func (s *Sampler) sample() {
 	now := s.sim.Now()
-	row := make([]LinkSample, len(s.series))
+	row := make([]sampleRow, len(s.series))
+	var drops uint64
 	for i, sr := range s.series {
+		if invariant.Enabled {
+			invariant.Assertf(sr.link.Bandwidth() == sr.bps,
+				"workload: %s changed bandwidth from %d to %d bps while sampled", sr.Name, sr.bps, sr.link.Bandwidth())
+		}
 		tx := sr.from.Counters.TxBytes
 		ls := s.link(sr)
 		fluid := sr.link.FluidBytes(sr.from, now)
-		smp := &row[i]
-		*smp = LinkSample{
-			TxBytes:    (tx - sr.lastTx) - (ls.OverflowBytes - sr.lastDropB),
-			Queued:     ls.Queued,
-			Drops:      ls.Overflows,
-			Lost:       ls.Lost,
-			Corrupted:  ls.Corrupted,
-			FluidBytes: fluid - sr.lastFluid,
+		if ls.Queued > math.MaxInt32 {
+			panic(fmt.Sprintf("workload: %s queue depth %d does not fit a telemetry row's 32 bits", sr.Name, ls.Queued))
 		}
-		if bps := sr.link.Bandwidth(); bps > 0 {
-			// Utilization counts both engines' traffic: real packet
-			// bytes plus the fluid reservation's carried bytes.
-			capacity := float64(bps) / 8 * s.interval.Seconds()
-			smp.Util = float64(smp.TxBytes+smp.FluidBytes) / capacity
+		r := &row[i]
+		*r = sampleRow{
+			tx:        (tx - sr.lastTx) - (ls.OverflowBytes - sr.lastDropB),
+			fluid:     fluid - sr.lastFluid,
+			queued:    int32(ls.Queued),
+			drops:     narrow(ls.Overflows, "overflow"),
+			lost:      narrow(ls.Lost, "loss"),
+			corrupted: narrow(ls.Corrupted, "corruption"),
 		}
+		s.peakQueue = max(s.peakQueue, ls.Queued)
+		if u := sr.util(r.tx, r.fluid); u > s.peakUtil {
+			s.peakUtil = u
+		}
+		drops += ls.Overflows
 		sr.lastTx = tx
 		sr.lastDropB = ls.OverflowBytes
 		sr.lastFluid = fluid
 	}
+	s.drops = drops
 	s.rows = append(s.rows, row)
 	fs := s.sim.FrameStats()
 	if len(s.pool) == 0 || fs.InUse > s.poolPeak {
@@ -178,39 +236,13 @@ func (s *Sampler) Series() []*LinkSeries { return s.series }
 func (s *Sampler) PoolSeries() []PoolSample { return s.pool }
 
 // PeakQueue returns the deepest egress queue observed across all series.
-func (s *Sampler) PeakQueue() int {
-	peak := 0
-	for _, sr := range s.series {
-		for i := range sr.Len() {
-			peak = max(peak, sr.Sample(i).Queued)
-		}
-	}
-	return peak
-}
+func (s *Sampler) PeakQueue() int { return s.peakQueue }
 
 // PeakUtil returns the highest per-interval utilization observed.
-func (s *Sampler) PeakUtil() float64 {
-	peak := 0.0
-	for _, sr := range s.series {
-		for i := range sr.Len() {
-			if u := sr.Sample(i).Util; u > peak {
-				peak = u
-			}
-		}
-	}
-	return peak
-}
+func (s *Sampler) PeakUtil() float64 { return s.peakUtil }
 
 // TotalDrops sums the final cumulative overflow drops across all series.
-func (s *Sampler) TotalDrops() uint64 {
-	var total uint64
-	for _, sr := range s.series {
-		if n := sr.Len(); n > 0 {
-			total += sr.Sample(n - 1).Drops
-		}
-	}
-	return total
-}
+func (s *Sampler) TotalDrops() uint64 { return s.drops }
 
 // --- uplink load balance ----------------------------------------------------
 

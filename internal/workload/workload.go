@@ -474,12 +474,14 @@ func (e *Engine) fluidTick() {
 	}
 }
 
-// applyCompletions marks flows the solver reports finished.
+// applyCompletions marks flows the solver reports finished. The solver was
+// given each flow's arrival instant, base+Start, and reports the instant its
+// last byte arrives, so the FCT is their difference: integer arithmetic, exact.
 func (e *Engine) applyCompletions(cs []fluid.Completion) {
 	for _, c := range cs {
 		f := &e.flows[c.ID-1]
 		f.state |= flowDone
-		f.FCT = c.FCT
+		f.FCT = c.Done - (e.base + f.Start)
 		e.finished++
 	}
 }
