@@ -197,7 +197,7 @@ fluid-smoke:
 figures:
 	$(GO) run ./cmd/closlab -experiment all
 
-# fuzz-smoke runs all 18 fuzz targets: each wire decoder (Ethernet, IPv4,
+# fuzz-smoke runs all 19 fuzz targets: each wire decoder (Ethernet, IPv4,
 # UDP, ICMP, the MR-MTP message, data-frame and VID parsers, the BGP message
 # parser and stream splitter), the differential targets holding the checksum
 # kernel to the 16-bit reference loop, the split flow hash (a pair's prefix
@@ -208,9 +208,12 @@ figures:
 # every host), the text-log journal's parser (whatever it accepts renders
 # and parses back unchanged), the chaos spec parser (whatever it accepts
 # round-trips, and applies to a three-node line
-# under traffic without a panic) and the two stateful targets — arbitrary frame sequences into warm MR-MTP routers, and
+# under traffic without a panic) and the three stateful targets — arbitrary frame sequences into warm MR-MTP routers,
 # arbitrary UPDATE, withdrawal and session down/up sequences into a BGP
-# speaker held to the map-of-maps Adj-RIB-In it replaced. Each gets a short
+# speaker held to the map-of-maps Adj-RIB-In it replaced, and sends before,
+# during and after a TCP handshake with data and ACKs dropped, the received
+# stream held to what was sent and the sender's blocks to its bytes in flight
+# and queued. Each gets a short
 # budget on top of its seed corpus: a regression tripwire, not a campaign.
 # FuzzRouterFrames brings a fabric up per input and FuzzQueueOrder's inputs
 # are scripts a kilobyte long, so their minimizers are capped or they would
@@ -230,6 +233,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseMessage -fuzztime $(FUZZ_TIME) ./internal/bgp
 	$(GO) test -run '^$$' -fuzz FuzzSplitStream -fuzztime $(FUZZ_TIME) ./internal/bgp
 	$(GO) test -run '^$$' -fuzz FuzzSpeakerSequence -fuzztime $(FUZZ_TIME) ./internal/bgp
+	$(GO) test -run '^$$' -fuzz FuzzConnStream -fuzztime $(FUZZ_TIME) ./internal/tcp
 	$(GO) test -run '^$$' -fuzz FuzzFIBLookup -fuzztime $(FUZZ_TIME) ./internal/ipstack
 	$(GO) test -run '^$$' -fuzz FuzzOnDatagram -fuzztime $(FUZZ_TIME) ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzParseJournal -fuzztime $(FUZZ_TIME) ./internal/harness

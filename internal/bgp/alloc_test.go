@@ -3,6 +3,7 @@ package bgp
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -62,6 +63,64 @@ func TestUpdateFanoutAllocs(t *testing.T) {
 	}
 	if allocs != 0 || bytes != 0 {
 		t.Errorf("one UPDATE fanned out to seven peers allocates %d objects and %d B, want 0 and 0", allocs, bytes)
+	}
+}
+
+// TestWithdrawFanoutAllocs pins the other half of the fan-out: the hub's
+// first peer withdraws the one path to a prefix, and the hub withdraws it
+// from the other seven. Each run announces the path first, unmeasured: a
+// route heard again installs a FIB entry and an AS-path slot on every
+// router, which the withdrawal gave up. The withdrawal's prefix list is the
+// peer's flush scratch, as the queue's order is, so the withdrawal
+// allocates nothing.
+func TestWithdrawFanoutAllocs(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("checkFIB allocates after every decision under -tags invariants")
+	}
+	tn := newTestNet()
+	hub := tn.router("hub", 64512)
+	for i := 0; i < 8; i++ {
+		tn.link(tn.router(fmt.Sprintf("n%d", i), 64601+uint16(i)), hub)
+	}
+	for _, r := range tn.routers {
+		r.sp.Cfg.Timers.Keepalive = time.Hour
+		r.sp.Cfg.Timers.Hold = 0
+		r.sp.log = nil
+	}
+	tn.sim.Start()
+	tn.sim.RunFor(3 * time.Second)
+	if got := hub.sp.EstablishedCount(); got != 8 {
+		t.Fatalf("hub has %d established sessions, want 8", got)
+	}
+	from := hub.sp.Peers()[0]
+	path := []uint16{from.RemoteAS, 64901}
+	nlri := []netaddr.Prefix{rack11}
+	withdraw := func() {
+		hub.sp.handleUpdate(from, Update{Withdrawn: nlri})
+		tn.sim.RunFor(5 * time.Millisecond)
+	}
+	const runs = 100
+	sent := hub.sp.Stats.UpdatesSent
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	var allocs, bytes uint64
+	var before, after runtime.MemStats
+	for i := 0; i <= runs; i++ {
+		hub.sp.handleUpdate(from, Update{ASPath: path, NextHop: from.Neighbor, NLRI: nlri})
+		tn.sim.RunFor(5 * time.Millisecond)
+		runtime.ReadMemStats(&before)
+		withdraw()
+		runtime.ReadMemStats(&after)
+		if i > 0 { // the first is the warm-up call budget.PerRun makes too
+			allocs += after.Mallocs - before.Mallocs
+			bytes += after.TotalAlloc - before.TotalAlloc
+		}
+	}
+	if got := hub.sp.Stats.UpdatesSent - sent; got != 14*(runs+1) {
+		t.Fatalf("hub sent %d UPDATEs over %d runs, want an UPDATE and a withdrawal to each of seven peers per run", got, runs+1)
+	}
+	if allocs != 0 || bytes != 0 {
+		t.Errorf("a withdrawal fanned out to seven peers allocates %d objects and %d B over %d runs, want 0 and 0", allocs, bytes, runs)
 	}
 }
 

@@ -70,6 +70,7 @@ func (s *Speaker) Fork(fk *simnet.Forker, stack *ipstack.Stack, log *metrics.Log
 			conn:         stack.TCP.Counterpart(p.conn),
 			recvBuf:      simnet.CloneInto(was.recvBuf, p.recvBuf),
 			in:           was.in,
+			withdrawn:    was.withdrawn,
 			openReceived: p.openReceived,
 			MsgSent:      p.MsgSent,
 			MsgRecv:      p.MsgRecv,

@@ -43,10 +43,10 @@ type Peer struct {
 	LocalIP  netaddr.IPv4
 	Neighbor netaddr.IPv4
 	RemoteAS uint16
+	passive  bool // beside RemoteAS, in what would be padding
 	State    SessionState
 
-	passive bool
-	conn    *tcp.Conn
+	conn *tcp.Conn
 	// recvBuf holds a message cut short by a segment boundary, copied out
 	// of the borrowed delivery; in is what each received message is decoded
 	// into.
@@ -68,6 +68,9 @@ type Peer struct {
 	// selects advertise (true) or withdraw (false).
 	pending map[netaddr.Prefix]bool
 	order   []netaddr.Prefix
+	// withdrawn is flush's scratch: the prefixes of its aggregate
+	// withdrawal.
+	withdrawn []netaddr.Prefix
 
 	// OnDown, when set, is invoked after the session leaves Established
 	// (used by the BFD integration tests and the harness).
@@ -348,13 +351,14 @@ func (p *Peer) mraiDue() {
 }
 
 // flush emits one UPDATE per pending announcement and one aggregate
-// withdrawal, then clears the queue. pending and order are emptied in place
-// and reused by the next flush: with MRAI 0 every queued prefix is a flush.
+// withdrawal, then clears the queue. pending, order and withdrawn are
+// emptied in place and reused by the next flush: with MRAI 0 every queued
+// prefix is a flush.
 func (p *Peer) flush() {
 	if p.State != StateEstablished || len(p.pending) == 0 {
 		return
 	}
-	var withdrawn []netaddr.Prefix
+	withdrawn := p.withdrawn[:0]
 	for _, prefix := range p.order {
 		announce, ok := p.pending[prefix]
 		if !ok {
@@ -378,6 +382,7 @@ func (p *Peer) flush() {
 	if len(withdrawn) > 0 {
 		p.sendUpdate(Update{Withdrawn: withdrawn})
 	}
+	p.withdrawn = withdrawn
 	clear(p.pending)
 	p.order = p.order[:0]
 }

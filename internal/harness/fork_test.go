@@ -266,11 +266,11 @@ func TestForkAllocs(t *testing.T) {
 		fresh, recycled cost
 	}{
 		{"2pod", topology.TwoPodSpec(), ProtoMRMTP, cost{802, 101168}, cost{28, 672}},
-		{"2pod", topology.TwoPodSpec(), ProtoBGP, cost{1364, 130792}, cost{112, 2048}},
-		{"2pod", topology.TwoPodSpec(), ProtoBGPBFD, cost{1695, 149616}, cost{156, 2752}},
+		{"2pod", topology.TwoPodSpec(), ProtoBGP, cost{1364, 130280}, cost{112, 2048}},
+		{"2pod", topology.TwoPodSpec(), ProtoBGPBFD, cost{1695, 149104}, cost{156, 2752}},
 		{"4pod", topology.FourPodSpec(), ProtoMRMTP, cost{1519, 189168}, cost{52, 1312}},
-		{"4pod", topology.FourPodSpec(), ProtoBGP, cost{3004, 263720}, cost{208, 3840}},
-		{"4pod", topology.FourPodSpec(), ProtoBGPBFD, cost{3640, 305936}, cost{292, 5184}},
+		{"4pod", topology.FourPodSpec(), ProtoBGP, cost{3004, 262696}, cost{208, 3840}},
+		{"4pod", topology.FourPodSpec(), ProtoBGPBFD, cost{3640, 304912}, cost{292, 5184}},
 	} {
 		snap, err := bringUp(DefaultOptions(tc.spec, tc.proto, 1))
 		if err != nil {

@@ -67,9 +67,10 @@ func TestPacketPathAllocFree(t *testing.T) {
 // Port.Send fails here even if it never reads it. The walk must reach the
 // byte slices a BGP session keeps between deliveries — the peer's partial
 // message and decode scratch, the connection's send buffers — or it could
-// not see one of them holding a returned frame.
+// not see one of them holding a returned frame. A connection holds its send
+// stream in blocks (tcp.block) that the walk reads too.
 func TestFramePoolDrains(t *testing.T) {
-	sessionFields := []string{"bgp.Peer.recvBuf", "bgp.Peer.in", "tcp.Conn.unacked", "tcp.Conn.pending"}
+	sessionFields := []string{"bgp.Peer.recvBuf", "bgp.Peer.in", "tcp.Conn.blocks", "tcp.block"}
 	for _, proto := range []Protocol{ProtoMRMTP, ProtoBGP, ProtoBGPBFD} {
 		t.Run(proto.String(), func(t *testing.T) {
 			f, err := bringUp(DefaultOptions(topology.TwoPodSpec(), proto, 7))
@@ -148,8 +149,9 @@ func TestFramePoolDrains(t *testing.T) {
 // keptFrames walks everything reachable from root — pointers, interfaces,
 // struct fields, slice, array and map elements, but not the pool — and
 // names each field holding a byte slice that is, or reslices, a buffer the
-// pool holds: an alias kept after its frame was returned. scanned is every
-// field it reached, byte slice or not.
+// pool holds, or a byte array in one: an alias kept after its frame was
+// returned. scanned is every field it reached, byte slice or not, and the
+// type of every byte array it reached through a pointer.
 func keptFrames(root any, pool *framepool.Pool) (kept []string, scanned map[string]bool) {
 	type visit struct {
 		ptr unsafe.Pointer
@@ -188,6 +190,13 @@ func keptFrames(root any, pool *framepool.Pool) (kept []string, scanned map[stri
 			}
 			fallthrough
 		case reflect.Array:
+			if v.Type().Elem().Kind() == reflect.Uint8 && v.CanAddr() && v.Len() > 0 {
+				scanned[v.Type().String()] = true
+				if pool.Holds(unsafe.Slice((*byte)(v.Addr().UnsafePointer()), v.Len())) {
+					held[field] = true
+				}
+				return
+			}
 			for i := 0; i < v.Len(); i++ {
 				walk(v.Index(i), field)
 			}

@@ -2,7 +2,9 @@ package framepool
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/budget"
 	"repro/internal/invariant"
@@ -118,6 +120,37 @@ func TestGetPutAllocs(t *testing.T) {
 	}
 	if s := p.Stats(); s.Fresh != uint64(len(sizes)) {
 		t.Errorf("%d fresh buffers for %d sizes", s.Fresh, len(sizes))
+	}
+}
+
+// TestPutGrowthDoubles pins what a burst's returns cost the free lists:
+// 20 000 frames of one class coming back at once allocate at most twice
+// the bucket they leave behind, because a full bucket of 256 or more
+// entries doubles. append's 1.25× steps past 256 cost about five times.
+func TestPutGrowthDoubles(t *testing.T) {
+	if invariant.Enabled || budget.Race {
+		t.Skip("measured in the plain build: the ledger allocates per Put, and the race build allocates the block slices.Grow appends")
+	}
+	const n = 20_000
+	frames := make([][]byte, n)
+	for i := range frames {
+		frames[i] = make([]byte, 64)
+	}
+	p := New()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, b := range frames {
+		p.Put(b)
+	}
+	runtime.ReadMemStats(&after)
+	bucket := uint64(cap(p.buckets[0])) * uint64(unsafe.Sizeof(frames[0]))
+	if len(p.buckets[0]) != n {
+		t.Fatalf("the bucket holds %d buffers, want %d", len(p.buckets[0]), n)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*bucket {
+		t.Errorf("%d Puts allocate %d B for a %d B bucket, want at most twice it", n, grew, bucket)
 	}
 }
 

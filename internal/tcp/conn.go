@@ -177,8 +177,13 @@ type Conn struct {
 	sndNxt uint32 // next sequence number to send
 	rcvNxt uint32 // next expected receive sequence
 
-	unacked []byte // bytes in [sndUna, sndNxt) awaiting acknowledgement
-	pending []byte // bytes not yet transmitted (window beyond go-back-N burst)
+	// blocks hold the send stream from sndUna on — the bytes in flight,
+	// then those queued before the handshake completes — starting at head
+	// in blocks[0]; held counts them. Blocks past the last one in use were
+	// emptied by acknowledgements and wait for the connection's next burst.
+	blocks []*block
+	head   int
+	held   int
 
 	retransTimer *simnet.Timer
 	retries      int
@@ -219,28 +224,80 @@ func (c *Conn) setState(s State) {
 
 // Send queues application data for reliable delivery. Data sent before the
 // connection is established is transmitted once the handshake completes.
+// The connection keeps its own copy: data may be reused once Send returns.
 func (c *Conn) Send(data []byte) {
 	if c.state == StateClosed {
 		return
 	}
-	c.pending = append(c.pending, data...)
+	c.hold(data)
 	if c.state == StateEstablished {
 		c.pushPending()
 	}
 }
 
-// pushPending transmits everything queued, in MSS chunks. pending is emptied
-// in place, and processAck moves unacked down instead of slicing it forward,
-// so both keep their backing arrays from one message to the next.
+// pushPending transmits the held bytes not yet sent, from sndNxt on, in MSS
+// chunks.
 func (c *Conn) pushPending() {
-	for off := 0; off < len(c.pending); off += MSS {
-		chunk := c.pending[off:min(off+MSS, len(c.pending))]
-		c.sendSegment(FlagACK|FlagPSH, c.sndNxt, c.rcvNxt, chunk)
-		c.unacked = append(c.unacked, chunk...)
-		c.sndNxt += uint32(len(chunk))
-	}
-	c.pending = c.pending[:0]
+	from := int(c.sndNxt - c.sndUna)
+	c.sendHeld(from, c.held)
+	c.sndNxt += uint32(c.held - from)
 	c.armRetransmit()
+}
+
+// blockSize is the size of the blocks a send stream is held in. A BGP
+// UPDATE segment of the 24-PoD fabric carries at most 51 bytes, and nearly
+// all of a table sync is in flight at once; 256- and 512-byte blocks held
+// more than they carried.
+const blockSize = 128
+
+type block [blockSize]byte
+
+// hold appends data to the send stream, taking a new block only when the
+// connection has no emptied one left.
+func (c *Conn) hold(data []byte) {
+	for len(data) > 0 {
+		end := c.head + c.held
+		i := end / blockSize
+		if i == len(c.blocks) {
+			c.blocks = append(c.blocks, new(block))
+		}
+		n := copy(c.blocks[i][end%blockSize:], data)
+		data = data[n:]
+		c.held += n
+	}
+}
+
+// release drops the n oldest held bytes, acknowledged, and moves each block
+// they emptied behind the blocks still in use.
+func (c *Conn) release(n int) {
+	c.held -= n
+	if c.held == 0 {
+		c.head = 0
+		return
+	}
+	for c.head += n; c.head >= blockSize; c.head -= blockSize {
+		b := c.blocks[0]
+		copy(c.blocks, c.blocks[1:])
+		c.blocks[len(c.blocks)-1] = b
+	}
+}
+
+// readHeld fills dst with the held bytes from offset from on.
+func (c *Conn) readHeld(dst []byte, from int) {
+	for n, pos := 0, c.head+from; n < len(dst); pos += blockSize - pos%blockSize {
+		n += copy(dst[n:], c.blocks[pos/blockSize][pos%blockSize:])
+	}
+}
+
+// sendHeld transmits the held bytes [from, to) in MSS chunks, as the
+// segments at sndUna+from on, each gathered from the blocks it spans.
+func (c *Conn) sendHeld(from, to int) {
+	var gather [MSS]byte
+	for off := from; off < to; off += MSS {
+		chunk := gather[:min(MSS, to-off)]
+		c.readHeld(chunk, off)
+		c.sendSegment(FlagACK|FlagPSH, c.sndUna+uint32(off), c.rcvNxt, chunk)
+	}
 }
 
 // Close aborts the connection with a RST. BGP sessions in the experiments
@@ -277,7 +334,7 @@ func (c *Conn) sendSegment(flags byte, seq, ack uint32, payload []byte) {
 }
 
 func (c *Conn) armRetransmit() {
-	if len(c.unacked) == 0 && c.state != StateSynSent && c.state != StateSynReceived {
+	if c.sndNxt == c.sndUna && c.state != StateSynSent && c.state != StateSynReceived {
 		if c.retransTimer != nil {
 			c.retransTimer.Stop()
 		}
@@ -311,13 +368,7 @@ func (c *Conn) retransmit() {
 		c.sendSegment(FlagSYN|FlagACK, c.iss, c.rcvNxt, nil)
 	default:
 		// Go-back-N: resend everything from sndUna in MSS chunks.
-		for off := 0; off < len(c.unacked); off += MSS {
-			end := off + MSS
-			if end > len(c.unacked) {
-				end = len(c.unacked)
-			}
-			c.sendSegment(FlagACK|FlagPSH, c.sndUna+uint32(off), c.rcvNxt, c.unacked[off:end])
-		}
+		c.sendHeld(0, int(c.sndNxt-c.sndUna))
 	}
 	c.armRetransmit()
 }
@@ -365,8 +416,7 @@ func (c *Conn) processAck(seg Segment) {
 		return
 	}
 	if seqLT(c.sndUna, seg.Ack) && seqLEQ(seg.Ack, c.sndNxt) {
-		advanced := seg.Ack - c.sndUna
-		c.unacked = c.unacked[:copy(c.unacked, c.unacked[advanced:])]
+		c.release(int(seg.Ack - c.sndUna))
 		c.sndUna = seg.Ack
 		c.retries = 0
 		c.armRetransmit()
@@ -417,8 +467,14 @@ func (e *Endpoint) Fork(fk *simnet.Forker, into *Endpoint) *Endpoint {
 		*nc = Conn{
 			ep: ne, key: k, state: c.state,
 			iss: c.iss, sndUna: c.sndUna, sndNxt: c.sndNxt, rcvNxt: c.rcvNxt,
-			unacked: simnet.CloneInto(old.unacked, c.unacked), pending: simnet.CloneInto(old.pending, c.pending),
+			blocks:  old.blocks,
 			retries: c.retries,
+		}
+		var buf [blockSize]byte
+		for off := 0; off < c.held; off += blockSize {
+			chunk := buf[:min(blockSize, c.held-off)]
+			c.readHeld(chunk, off)
+			nc.hold(chunk)
 		}
 		if c.acceptFn != nil {
 			nc.acceptFn = ne.accept

@@ -347,14 +347,21 @@ func TestStreamBuiltAtFirstDraw(t *testing.T) {
 }
 
 // TestForkOwnsItsBuffers: a forked connection retransmits the bytes it held
-// at the fork, whatever the source sends and is acknowledged meanwhile.
+// at the fork, whatever the source sends and is acknowledged meanwhile. The
+// held bytes start inside a block and span three.
 func TestForkOwnsItsBuffers(t *testing.T) {
 	w := newWirePair(t)
 	w.b.Listen(179, func(*Conn) {})
 	c := w.a.Dial(ipA, ipB, 179)
 	w.sim.RunFor(10 * time.Millisecond)
+	c.Send([]byte("acknowledged"))
+	w.sim.RunFor(10 * time.Millisecond)
 	w.cut = true
-	c.Send([]byte("held-at-the-fork"))
+	held := make([]byte, 320)
+	for i := range held {
+		held[i] = byte(i % 251)
+	}
+	c.Send(held)
 	w.sim.RunFor(time.Millisecond)
 
 	fk := w.sim.Fork(nil)
@@ -382,7 +389,7 @@ func TestForkOwnsItsBuffers(t *testing.T) {
 	c.Send([]byte("overwritten-here"))
 	w.sim.RunFor(time.Second)
 	copySim.RunFor(300 * time.Millisecond)
-	if string(resent) != "held-at-the-fork" {
+	if !bytes.Equal(resent, held) {
 		t.Errorf("the fork retransmitted %q, want the bytes it held at the fork", resent)
 	}
 }
